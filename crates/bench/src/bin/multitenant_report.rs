@@ -27,9 +27,7 @@
 //! deterministic.)
 
 use phonebit_bench::baseline::{diff_rows, json_escape, parse_rows, Better, Row};
-use phonebit_core::{
-    estimate_serve, estimate_serve_multitenant, MultiTenantEstimate, TenantWorkload,
-};
+use phonebit_core::{estimate_serve_multitenant, MultiTenantEstimate, TenantWorkload};
 use phonebit_gpusim::Phone;
 use phonebit_models::zoo::{self, Variant};
 
@@ -114,7 +112,14 @@ fn main() {
                 // Per-tenant SLO: a slack multiple of the solo batch-4
                 // steady window on this phone at this stream count.
                 let slo = |arch: &phonebit_nn::graph::NetworkArch| {
-                    SLO_SLACK * estimate_serve(phone, arch, 4, streams, 2).steady_window_ms
+                    let solo = TenantWorkload {
+                        arch,
+                        batch: Some(4),
+                        windows: streams * 2,
+                        slo_ms: None,
+                    };
+                    let est = estimate_serve_multitenant(phone, &[solo], streams, None);
+                    SLO_SLACK * est.tenants[0].steady_ms
                 };
                 let workloads = [
                     TenantWorkload {
@@ -130,7 +135,7 @@ fn main() {
                         slo_ms: Some(slo(&models[b])),
                     },
                 ];
-                let est = estimate_serve_multitenant(phone, &workloads, streams);
+                let est = estimate_serve_multitenant(phone, &workloads, streams, None);
                 let gain = est.imgs_per_s / est.sequential_imgs_per_s;
                 let tenants = est
                     .tenants

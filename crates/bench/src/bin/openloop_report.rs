@@ -28,8 +28,8 @@
 
 use phonebit_bench::baseline::{diff_rows, json_escape, parse_rows, Better, Row};
 use phonebit_core::{
-    estimate_serve, estimate_serve_open_loop, ArrivalProcess, OpenLoopEstimate, OpenLoopWorkload,
-    RetryPolicy,
+    estimate_serve_multitenant, estimate_serve_open_loop, ArrivalProcess, OpenLoopEstimate,
+    OpenLoopWorkload, RetryPolicy, TenantWorkload,
 };
 use phonebit_gpusim::{FaultBurst, FaultPlan, Phone, ThrottleEpoch};
 use phonebit_models::zoo::{self, Variant};
@@ -150,7 +150,15 @@ fn main() {
         let pair_name = format!("{}+{}", models[a].name, models[b].name);
         // Solo steady windows at the fixed batch anchor the SLOs, the
         // offered-load scale, and the horizon.
-        let steady = |arch| estimate_serve(phone, arch, BATCH, STREAMS, 2).steady_window_ms;
+        let steady = |arch| {
+            let solo = TenantWorkload {
+                arch,
+                batch: Some(BATCH),
+                windows: STREAMS * 2,
+                slo_ms: None,
+            };
+            estimate_serve_multitenant(phone, &[solo], STREAMS, None).tenants[0].steady_ms
+        };
         let steady_ms = [steady(&models[a]), steady(&models[b])];
         let duration_ms = HORIZON_WINDOWS * steady_ms[0].max(steady_ms[1]);
         // A tenant's fair share of the pooled streams: the whole device

@@ -22,8 +22,7 @@
 
 use phonebit_bench::baseline::{diff_rows, json_escape, parse_rows, Better, Row};
 use phonebit_core::{
-    estimate_serve_multitenant_budgeted, paged_min_bytes, ExecutionPlan, RouteOverrides,
-    TenantWorkload,
+    estimate_serve_multitenant, paged_min_bytes, ExecutionPlan, RouteOverrides, TenantWorkload,
 };
 use phonebit_gpusim::Phone;
 use phonebit_models::zoo::{self, Variant};
@@ -166,7 +165,7 @@ fn main() {
                     slo_ms: None,
                 })
                 .collect();
-            let resident = estimate_serve_multitenant_budgeted(&phone, &workloads, STREAMS, None);
+            let resident = estimate_serve_multitenant(&phone, &workloads, STREAMS, None);
             let (total, minima) = weights_and_minima(archs, &phone);
             assert_eq!(
                 total, resident.weights_bytes,
@@ -191,8 +190,7 @@ fn main() {
                         phone.name
                     ));
                 }
-                let paged =
-                    estimate_serve_multitenant_budgeted(&phone, &workloads, STREAMS, Some(budget));
+                let paged = estimate_serve_multitenant(&phone, &workloads, STREAMS, Some(budget));
                 if factor >= 1.0 {
                     // Gate 1: a covering budget is byte-inert — the entire
                     // estimate (admissions, windows, percentiles, peaks)

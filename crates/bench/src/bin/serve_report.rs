@@ -2,7 +2,8 @@
 //! `throughput_report`.
 //!
 //! For each zoo model × phone × stream count × batch size, models a
-//! sharded serving run with `phonebit_core::estimate_serve`: every stream
+//! sharded serving run — `phonebit_core::estimate_serve_multitenant` over a
+//! single workload, the general closed-loop estimator: every stream
 //! dispatches the plan's exact kernel sequence on a queue attached to a
 //! shared `DeviceClock`, so kernels serialize or overlap per the device's
 //! compute-unit budget; host-side work (launch overhead, the per-run
@@ -25,7 +26,7 @@
 //! default 1.25. Everything is closed-form and deterministic.)
 
 use phonebit_bench::baseline::{diff_rows, json_escape, parse_rows, Better, Row};
-use phonebit_core::{estimate_serve, ServeEstimate};
+use phonebit_core::{estimate_serve_multitenant, nearest_rank, TenantWorkload};
 use phonebit_gpusim::Phone;
 use phonebit_models::zoo::{self, Variant};
 
@@ -38,12 +39,66 @@ const WINDOWS_PER_STREAM: usize = 8;
 const KEY_FIELDS: [&str; 4] = ["model", "phone", "streams", "batch"];
 const METRIC: &str = "imgs_per_s";
 
+/// One sharded run as this report records it, read off the one-workload
+/// closed-loop estimate and the schedule it returns.
+#[derive(Clone)]
+struct Sharded {
+    streams: usize,
+    cold_window_ms: f64,
+    steady_window_ms: f64,
+    /// Aggregate steady throughput across all streams, images per second.
+    imgs_per_s: f64,
+    /// Service-time percentiles over the modeled windows, milliseconds.
+    p50_ms: f64,
+    p95_ms: f64,
+    p99_ms: f64,
+    /// Sharded activation footprint, bytes (`streams × banks × Σ slots`).
+    arena_bytes: usize,
+    /// Sharded peak footprint, bytes (weights + arena).
+    peak_bytes: usize,
+}
+
+fn estimate_sharded(
+    phone: &Phone,
+    arch: &phonebit_nn::graph::NetworkArch,
+    batch: usize,
+    streams: usize,
+) -> Sharded {
+    let workload = TenantWorkload {
+        arch,
+        batch: Some(batch),
+        windows: streams * WINDOWS_PER_STREAM,
+        slo_ms: None,
+    };
+    let est = estimate_serve_multitenant(phone, &[workload], streams, None);
+    let tenant = &est.tenants[0];
+    assert_eq!(tenant.admission.batch, batch, "report batches must fit");
+    let service_ms: Vec<f64> = est
+        .schedule
+        .attempts
+        .iter()
+        .map(|at| at.end_ms - at.start_ms)
+        .collect();
+    let [p50_ms, p95_ms, p99_ms] = nearest_rank(&service_ms, [0.50, 0.95, 0.99]);
+    Sharded {
+        streams,
+        cold_window_ms: tenant.cold_ms,
+        steady_window_ms: tenant.steady_ms,
+        imgs_per_s: (streams * batch) as f64 / (tenant.steady_ms * 1e-3),
+        p50_ms,
+        p95_ms,
+        p99_ms,
+        arena_bytes: streams * est.pool_slice_bytes,
+        peak_bytes: est.peak_bytes,
+    }
+}
+
 struct Measurement {
     model: String,
     phone: &'static str,
     streams: usize,
     batch: usize,
-    est: ServeEstimate,
+    est: Sharded,
 }
 
 impl Measurement {
@@ -110,7 +165,7 @@ fn main() {
                 let mut row = format!("{:<14} {:>5} |", arch.name, batch);
                 let mut by_streams = Vec::new();
                 for &streams in &STREAMS {
-                    let est = estimate_serve(phone, arch, batch, streams, WINDOWS_PER_STREAM);
+                    let est = estimate_sharded(phone, arch, batch, streams);
                     row.push_str(&format!(" {:>7.1} ({:>6.2})", est.imgs_per_s, est.p95_ms));
                     by_streams.push(est.clone());
                     results.push(Measurement {

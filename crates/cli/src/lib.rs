@@ -15,10 +15,10 @@ use std::path::Path;
 use phonebit_core::format::{load_file, save_file};
 use phonebit_core::{
     convert, estimate_arch, estimate_fleet, max_feasible_batch_multitenant,
-    max_feasible_batch_sharded, paged_floor_bytes, plan_multitenant, plan_on_sharded, zipf_rates,
-    ArrivalProcess, CompressionMode, ConvPath, DeviceRuntime, ExecutionPlan, FleetDeviceSpec,
-    FleetEvent, FleetOptions, FusionMode, OpenLoopOptions, OpenLoopWorkload, PbitLayer, PbitModel,
-    RouteOverrides, RoutePolicy, ServeOptions, ServeRuntime, Session, TenantSpec, TenantTraffic,
+    max_feasible_batch_sharded, nearest_rank, paged_floor_bytes, plan_multitenant, plan_on_sharded,
+    zipf_rates, ArrivalProcess, CompressionMode, ConvPath, DeviceRuntime, ExecutionPlan,
+    FleetDeviceSpec, FleetEvent, FleetOptions, FusionMode, OpenLoopOptions, OpenLoopWorkload,
+    PbitLayer, PbitModel, RouteOverrides, RoutePolicy, Session, TenantSpec, TenantTraffic,
 };
 use phonebit_gpusim::{FaultPlan, Phone};
 use phonebit_models::zoo::{self, Variant};
@@ -177,7 +177,7 @@ pub fn cmd_run(path: &Path, phone: &str, seed: u64) -> Result<String, CliError> 
 /// window latency and steady-state images per second.
 ///
 /// With `--streams > 1`, `--slo-ms`, or `--weight-budget`, serving goes
-/// through the sharded [`ServeRuntime`]: the admission controller picks
+/// through a one-tenant [`DeviceRuntime`]: the admission controller picks
 /// the window size from the sharded memory cap and the p95 latency SLO
 /// (an explicit `--batch` is honored up to the cap), requests are sharded
 /// across `S` concurrent streams contending for the GPU, and the report
@@ -305,38 +305,36 @@ fn cmd_serve_sharded(
     let input_shape = model.input;
     let takes_u8 = model.takes_u8_input();
     let name = model.name.clone();
-    let mut runtime = ServeRuntime::new(
-        model,
-        &phone,
-        ServeOptions {
-            streams,
-            batch,
-            slo_ms,
-            weight_budget,
-            ..Default::default()
-        },
-    )
-    .map_err(|e| CliError::Engine(e.to_string()))?;
-    let report = if takes_u8 {
+    // One model is a registry of one tenant on the multi-tenant runtime.
+    let mut spec = TenantSpec::new(model);
+    spec.batch = batch;
+    spec.slo_ms = slo_ms;
+    let mut runtime = DeviceRuntime::new_with_budget(vec![spec], &phone, streams, weight_budget)
+        .map_err(|e| CliError::Engine(e.to_string()))?;
+    let pass = if takes_u8 {
         let reqs: Vec<_> = (0..requests)
             .map(|i| synthetic_image(input_shape, seed + i as u64))
             .collect();
-        runtime.serve_u8(&reqs)
+        runtime.serve(&[TenantTraffic::U8(&reqs)])
     } else {
         let reqs: Vec<_> = (0..requests)
             .map(|i| {
                 phonebit_models::to_float_input(&synthetic_image(input_shape, seed + i as u64))
             })
             .collect();
-        runtime.serve_f32(&reqs)
+        runtime.serve(&[TenantTraffic::F32(&reqs)])
     }
     .map_err(|e| CliError::Engine(e.to_string()))?;
-    let adm = runtime.admission();
+    // A single tenant has no cross-tenant queueing to report: the window
+    // latencies are the executed service times.
+    let report = &pass.tenants[0];
+    let [p50_ms, p95_ms, p99_ms] = nearest_rank(&report.duration_ms, [0.50, 0.95, 0.99]);
+    let tenant = &runtime.tenants()[0];
+    let adm = tenant.admission();
     let slo_line = match adm.slo_ms {
         Some(slo) => format!(
-            "slo {slo:.3} ms p95: {} (observed p95 {:.3} ms)",
-            if report.slo_met { "MET" } else { "MISSED" },
-            report.p95_ms
+            "slo {slo:.3} ms p95: {} (observed p95 {p95_ms:.3} ms)",
+            if p95_ms <= slo { "MET" } else { "MISSED" },
         ),
         None => "no slo".to_string(),
     };
@@ -348,7 +346,7 @@ fn cmd_serve_sharded(
             runtime.total_weight_bytes() as f64 / 1e6,
         ),
         (Some(budget), Some(grant)) => {
-            let pg = runtime.staged().plan().paging.as_ref();
+            let pg = tenant.staged().plan().paging.as_ref();
             format!(
                 "\nweight paging: granted {:.2} MB hot set of {:.2} MB weights (budget {:.2} MB); \
                  modeled stall {:.3} ms/window over {} evictions",
@@ -368,19 +366,19 @@ fn cmd_serve_sharded(
         report.served,
         report.windows,
         report.batch,
-        report.streams,
+        pass.streams,
         phone.name,
         phone.gpu.name,
         adm.batch,
         adm.max_feasible_batch,
         adm.modeled_window_ms,
-        report.p50_ms,
-        report.p95_ms,
-        report.p99_ms,
-        report.imgs_per_s,
+        p50_ms,
+        p95_ms,
+        p99_ms,
+        pass.imgs_per_s,
         runtime.peak_resident_bytes() as f64 / (1024.0 * 1024.0),
         streams,
-        runtime.staged().plan().banks,
+        tenant.staged().plan().banks,
     ))
 }
 

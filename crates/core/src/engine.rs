@@ -33,9 +33,9 @@
 //! weight residency — shared behind an [`Arc`]. [`Stream`] is the per-
 //! stream mutable state — arena banks, command queue, double-buffer
 //! cursor. A [`Session`] is the compatibility pairing of one of each; the
-//! sharded serving runtime ([`crate::serve::ServeRuntime`]) instead runs
-//! many [`Stream`]s over one [`StagedModel`], their queues arbitrated by a
-//! shared [`DeviceClock`].
+//! serving runtime ([`crate::serve::DeviceRuntime`]) instead runs many
+//! streams over each [`StagedModel`], their queues arbitrated by a shared
+//! [`DeviceClock`].
 //!
 //! [`run_batch_f32`]: Session::run_batch_f32
 
@@ -704,10 +704,11 @@ impl ArenaState {
 
 /// The mutable, per-stream half of an inference engine: arena banks, the
 /// command queue (with its timeline), the double-buffer cursor and the
-/// primed flag. Many streams may share one [`StagedModel`]; each stream is
-/// driven from its own thread by the sharded serving runtime
-/// ([`ServeRuntime`](crate::serve::ServeRuntime)), with a shared
-/// [`DeviceClock`] arbitrating the GPU between their queues.
+/// primed flag. Many streams may share one [`StagedModel`], each driven
+/// from its own thread with a shared [`DeviceClock`] arbitrating the GPU
+/// between their queues — the serving runtime
+/// ([`DeviceRuntime`](crate::serve::DeviceRuntime)) does so through the
+/// pooled [`MultiStream`].
 #[derive(Debug)]
 pub struct Stream {
     staged: Arc<StagedModel>,
@@ -1311,8 +1312,8 @@ fn check_tenant_shape(staged: &StagedModel, got: Shape4) -> Result<(), EngineErr
 /// halves the serving runtime uses separately: one [`StagedModel`] (shared,
 /// immutable) driving exactly one [`Stream`] (private, mutable). Every
 /// method delegates, so single-session behavior is identical to the
-/// pre-split engine while [`ServeRuntime`](crate::serve::ServeRuntime) can
-/// shard many streams over the same staged state.
+/// pre-split engine while [`DeviceRuntime`](crate::serve::DeviceRuntime)
+/// can shard many streams over the same staged state.
 ///
 /// # Examples
 ///

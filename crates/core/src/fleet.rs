@@ -74,11 +74,11 @@ use rand::{Rng, SeedableRng};
 use crate::engine::{ActivationData, EngineError};
 use crate::plan::RouteOverrides;
 use crate::serve::{
-    admit_tenants_budgeted, modeled_window_under, open_loop_windows, percentiles_ext,
-    schedule_open_loop, DeviceRuntime, OpenLoopLoad, OpenLoopOptions, OpenLoopWorkload, PlanSource,
-    ShedReason, TenantAsk, TenantSpec, TenantTraffic, WindowFate,
+    admit_tenants, modeled_window_under, open_loop_windows, schedule_open_loop, validate_arrivals,
+    AdmittedTenant, DeviceRuntime, OpenLoopLoad, OpenLoopOptions, OpenLoopSchedule,
+    OpenLoopWorkload, PlanSource, ShedReason, TenantAsk, TenantSpec, TenantTraffic, WindowFate,
 };
-use phonebit_nn::graph::NetworkArch;
+use crate::stats::nearest_rank;
 use phonebit_tensor::tensor::Tensor;
 
 // ---------------------------------------------------------------------------
@@ -479,12 +479,115 @@ impl FitEntry {
     }
 }
 
+impl FitEntry {
+    /// Probes one tenant's batch-1 plan on `phone`'s GPU class — from a
+    /// deployed model (the executing fleet) or an architecture (the
+    /// analytic one) alike.
+    fn probe(
+        source: &PlanSource<'_>,
+        overrides: RouteOverrides,
+        phone: &Phone,
+    ) -> Result<Self, EngineError> {
+        let plan = source.plan_at(&phone.gpu, 1, overrides)?;
+        let extras = source.extras(&plan);
+        let (cold_s, _) = modeled_window_under(&plan, &extras, &phone.gpu, 1, None);
+        let banks = crate::paging::step_bank_bytes(&plan, &source.layer_weight_bytes(&plan));
+        Ok(Self {
+            weights: plan.weights_bytes,
+            arena1: plan.staged_arena_bytes(),
+            solo_ms: cold_s * 1e3,
+            paged_floor: crate::paging::paged_floor_bytes(&banks),
+        })
+    }
+}
+
+/// Fit entries per (tenant, GPU class), probed on first use — a fit
+/// depends on the GPU, not on the phone's budget, so same-class devices
+/// (and mid-pass joiners of a known class) share one probe.
+#[derive(Default)]
+struct FitCache(Vec<((usize, &'static str), FitEntry)>);
+
+impl FitCache {
+    fn get(&self, tenant: usize, phone: &Phone) -> Option<FitEntry> {
+        self.0
+            .iter()
+            .find(|((t, gpu), _)| *t == tenant && *gpu == phone.gpu.name)
+            .map(|(_, entry)| *entry)
+    }
+
+    fn get_or_probe(
+        &mut self,
+        tenant: usize,
+        phone: &Phone,
+        source: &PlanSource<'_>,
+        overrides: RouteOverrides,
+    ) -> Result<FitEntry, EngineError> {
+        if let Some(entry) = self.get(tenant, phone) {
+            return Ok(entry);
+        }
+        let entry = FitEntry::probe(source, overrides, phone)?;
+        self.0.push(((tenant, phone.gpu.name), entry));
+        Ok(entry)
+    }
+}
+
 /// The pooled weight budget a paged device admits under: its app budget
-/// minus the batch-1 arena pool. Placement checks
+/// minus the batch-1 arena pool of the tenants it hosts (`None` when the
+/// fleet does not page). Placement checks
 /// `Σ floors + streams × arena ≤ budget`, so a placed roster's paged
 /// floors always fit this ceiling.
-fn device_weight_budget(budget: usize, streams: usize, arena1_max: usize) -> usize {
-    budget.saturating_sub(streams * arena1_max)
+fn paged_weight_budget(
+    paging: bool,
+    phone: &Phone,
+    streams: usize,
+    hosted: impl Iterator<Item = FitEntry>,
+) -> Option<usize> {
+    paging.then(|| {
+        let arena1 = hosted.map(|f| f.arena1).max().unwrap_or(0);
+        phone.app_budget_bytes().saturating_sub(streams * arena1)
+    })
+}
+
+/// Greedily packs tenants (in index order) onto a fresh device: a tenant
+/// joins while `Σ placed weights + streams × max arena` still fits the
+/// phone's budget. Returns the hosted tenant ids.
+fn pack_joiner(
+    fits: impl Iterator<Item = (usize, FitEntry)>,
+    phone: &Phone,
+    streams: usize,
+    paging: bool,
+) -> Vec<usize> {
+    let budget = phone.app_budget_bytes();
+    let mut hosted = Vec::new();
+    let (mut weights, mut arena) = (0usize, 0usize);
+    for (t, fit) in fits {
+        let need = fit.placed_weights(paging);
+        if weights + need + streams * arena.max(fit.arena1) <= budget {
+            hosted.push(t);
+            weights += need;
+            arena = arena.max(fit.arena1);
+        }
+    }
+    hosted
+}
+
+/// Whether a tenant with batch-1 `fit` can be added to a device: alone on
+/// an empty one (it brings its own arena pool), else inside the existing
+/// pool `slice` — which is never regrown — and the budget left next to
+/// the `resident` bytes already held.
+fn fits_device(
+    fit: &FitEntry,
+    paging: bool,
+    streams: usize,
+    phone: &Phone,
+    occupied: Option<(usize, usize)>,
+) -> bool {
+    let budget = phone.app_budget_bytes();
+    let need = fit.placed_weights(paging);
+    match occupied {
+        None => need + streams * fit.arena1 <= budget,
+        Some((slice, resident)) => fit.arena1 <= slice && resident + need <= budget,
+    }
 }
 
 /// Places every tenant on up to `replicas` devices: candidates must fit
@@ -532,6 +635,17 @@ fn place_tenants(
         }
     }
     Ok(placement)
+}
+
+/// Inverts a placement into per-device rosters (tenant ids, ascending).
+fn rosters_of(placement: &[Vec<usize>], devices: usize) -> Vec<Vec<usize>> {
+    let mut rosters: Vec<Vec<usize>> = vec![Vec::new(); devices];
+    for (t, devs) in placement.iter().enumerate() {
+        for &d in devs {
+            rosters[d].push(t);
+        }
+    }
+    rosters
 }
 
 // ---------------------------------------------------------------------------
@@ -649,7 +763,9 @@ fn pick_device(policy: RoutePolicy, cands: &[usize], busy: &[f64], rng: &mut Std
 /// charged its modeled service against the device's busy horizon. On a
 /// failure the charged horizon splits the device's log into a committed
 /// prefix (drained in place) and a migrated suffix (re-enters the router
-/// at the failure instant).
+/// at the failure instant). Arrival timestamps are taken as valid — the
+/// serving entry point gates them ([`validate_arrivals`]) and the
+/// estimator generates its own.
 fn route_requests<S: RouteSubstrate>(
     sub: &mut S,
     arrivals_ms: &[Vec<f64>],
@@ -658,17 +774,10 @@ fn route_requests<S: RouteSubstrate>(
     opts: &FleetOptions,
 ) -> Result<RouteCoreOutcome, EngineError> {
     let tenants = arrivals_ms.len();
-    let bad_time = |what: &str, v: f64| EngineError::InputMismatch {
-        expected: format!("finite non-negative {what} timestamps"),
-        got: format!("{v}"),
-    };
     let mut heap: BinaryHeap<Ev> = BinaryHeap::new();
     let mut seq = 0u64;
     for (t, arr) in arrivals_ms.iter().enumerate() {
         for (i, &a) in arr.iter().enumerate() {
-            if !a.is_finite() || a < 0.0 {
-                return Err(bad_time("arrival", a));
-            }
             heap.push(Ev {
                 at_ms: a,
                 class: 2,
@@ -686,7 +795,10 @@ fn route_requests<S: RouteSubstrate>(
     for ev in events {
         let at = ev.at_ms();
         if !at.is_finite() || at < 0.0 {
-            return Err(bad_time("event", at));
+            return Err(EngineError::InputMismatch {
+                expected: "finite non-negative event timestamps".into(),
+                got: format!("{at}"),
+            });
         }
         let (class, kind) = match ev {
             FleetEvent::Join { phone, fault, .. } => (
@@ -858,18 +970,38 @@ struct DeviceRow {
     busy_s: f64,
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Closes a pass, executed or estimated: requests no live device could
+/// host are shed fleet-wide, every offered request must by then hold
+/// exactly one fate (the conservation invariant), and the fates fold into
+/// the aggregate report. Returns the report and the resolved fates.
 fn assemble_report(
-    policy: RoutePolicy,
-    seed: u64,
-    streams: usize,
+    opts: &FleetOptions,
     device_rows: Vec<DeviceRow>,
-    tenant_names: &[String],
+    tenant_names: Vec<String>,
     tenant_slos: &[Option<f64>],
-    migrated_by_tenant: &[usize],
-    fates: &[Vec<FleetRequestFate>],
+    rc: &RouteCoreOutcome,
+    mut fates: Vec<Vec<Option<FleetRequestFate>>>,
     arrivals_ms: &[Vec<f64>],
-) -> FleetReport {
+) -> (FleetReport, Vec<Vec<FleetRequestFate>>) {
+    for &(t, index, at_ms) in &rc.unrouted {
+        debug_assert!(fates[t][index].is_none(), "request resolved twice");
+        fates[t][index] = Some(FleetRequestFate::Shed {
+            device: None,
+            at_ms,
+            reason: None,
+        });
+    }
+    let fates: Vec<Vec<FleetRequestFate>> = fates
+        .into_iter()
+        .map(|row| {
+            row.into_iter()
+                .map(|f| f.expect("every offered request resolves to exactly one fate"))
+                .collect()
+        })
+        .collect();
+    let streams = opts.streams;
+    let migrated_by_tenant = &rc.migrated_by_tenant;
+
     let wall_ms = device_rows.iter().map(|r| r.wall_ms).fold(0.0f64, f64::max);
     let last_arrival = arrivals_ms
         .iter()
@@ -882,7 +1014,7 @@ fn assemble_report(
     let mut dev_shed = vec![0usize; device_rows.len()];
     let mut global_lat: Vec<f64> = Vec::new();
     let mut tenants = Vec::with_capacity(tenant_names.len());
-    for (t, name) in tenant_names.iter().enumerate() {
+    for (t, name) in tenant_names.into_iter().enumerate() {
         let mut lat: Vec<f64> = Vec::new();
         let mut shed = 0usize;
         for fate in &fates[t] {
@@ -904,10 +1036,10 @@ fn assemble_report(
             }
         }
         global_lat.extend_from_slice(&lat);
-        let (p50, p95, p99, p999) = percentiles_ext(&lat);
+        let [p50, p95, p99, p999] = nearest_rank(&lat, [0.50, 0.95, 0.99, 0.999]);
         let offered = fates[t].len();
         tenants.push(FleetTenantReport {
-            name: name.clone(),
+            name,
             offered,
             served: lat.len(),
             shed,
@@ -950,10 +1082,10 @@ fn assemble_report(
     let offered: usize = tenants.iter().map(|t| t.offered).sum();
     let served: usize = tenants.iter().map(|t| t.served).sum();
     let shed: usize = tenants.iter().map(|t| t.shed).sum();
-    let (p50, p95, p99, p999) = percentiles_ext(&global_lat);
-    FleetReport {
-        policy,
-        seed,
+    let [p50, p95, p99, p999] = nearest_rank(&global_lat, [0.50, 0.95, 0.99, 0.999]);
+    let report = FleetReport {
+        policy: opts.policy,
+        seed: opts.seed,
         devices,
         tenants,
         offered,
@@ -966,25 +1098,21 @@ fn assemble_report(
         p95_ms: p95,
         p99_ms: p99,
         p999_ms: p999,
-    }
+    };
+    (report, fates)
 }
 
-/// Maps one device's executed window fates back onto per-request fleet
-/// fates and outputs.
+/// Maps one device's window fates for one tenant back onto the per-request
+/// fleet fates of the routed `list` it served, windowed at `batch`.
 fn fold_device_fates(
     device: usize,
     list: &[RoutedRequest],
     batch: usize,
     window_fates: &[WindowFate],
-    per_request_outputs: Option<&[Option<ActivationData>]>,
     fates: &mut [Option<FleetRequestFate>],
-    outputs: Option<&mut Vec<Option<ActivationData>>>,
 ) {
-    let batch = batch.max(1);
-    for (w, fate) in window_fates.iter().enumerate() {
-        let start = w * batch;
-        let end = (start + batch).min(list.len());
-        for req in &list[start..end] {
+    for (fate, members) in window_fates.iter().zip(list.chunks(batch.max(1))) {
+        for req in members {
             let slot = &mut fates[req.index];
             debug_assert!(slot.is_none(), "request resolved twice");
             *slot = Some(match *fate {
@@ -1001,11 +1129,19 @@ fn fold_device_fates(
             });
         }
     }
-    if let (Some(outs), Some(dst)) = (per_request_outputs, outputs) {
-        for (pos, req) in list.iter().enumerate() {
-            dst[req.index] = outs[pos].clone();
-        }
-    }
+}
+
+/// A device's busy seconds, from the modeled schedule rather than the
+/// clock's atomic accumulator: executed attempt durations equal modeled
+/// ones exactly (the no-drift invariant), but the clock's counter sums in
+/// thread-completion order, whose float rounding is not reproducible
+/// across runs.
+fn schedule_busy_s(schedule: &OpenLoopSchedule) -> f64 {
+    schedule
+        .attempts
+        .iter()
+        .map(|a| (a.end_ms - a.start_ms) / 1e3)
+        .sum()
 }
 
 // ---------------------------------------------------------------------------
@@ -1041,7 +1177,7 @@ pub struct Fleet {
     placement: Vec<Vec<usize>>,
     opts: FleetOptions,
     registry: ClockRegistry,
-    fit_cache: Vec<((usize, &'static str), FitEntry)>,
+    fit_cache: FitCache,
     attach_log: Vec<FleetAction>,
 }
 
@@ -1075,7 +1211,7 @@ impl Fleet {
             placement: Vec::new(),
             opts,
             registry: ClockRegistry::new(),
-            fit_cache: Vec::new(),
+            fit_cache: FitCache::default(),
             attach_log: Vec::new(),
         };
         let mut fit: Vec<Vec<FitEntry>> = Vec::with_capacity(fleet.specs.len());
@@ -1102,30 +1238,10 @@ impl Fleet {
             got: "no feasible device".into(),
         })?;
 
-        let mut rosters: Vec<Vec<usize>> = vec![Vec::new(); devices.len()];
-        for (t, devs) in placement.iter().enumerate() {
-            for &d in devs {
-                rosters[d].push(t);
-            }
-        }
-        for (d, spec) in devices.into_iter().enumerate() {
+        let rosters = rosters_of(&placement, devices.len());
+        for (d, (spec, roster)) in devices.into_iter().zip(rosters).enumerate() {
             let id = format!("dev{d}");
-            let roster = rosters[d].clone();
-            let runtime = if roster.is_empty() {
-                None
-            } else {
-                let subset: Vec<TenantSpec> =
-                    roster.iter().map(|&t| fleet.specs[t].clone()).collect();
-                let wb = fleet.opts.weight_paging.then(|| {
-                    let arena1 = roster.iter().map(|&t| fit[t][d].arena1).max().unwrap_or(0);
-                    device_weight_budget(budgets[d], fleet.opts.streams, arena1)
-                });
-                let rt =
-                    DeviceRuntime::new_with_budget(subset, &spec.phone, fleet.opts.streams, wb)?;
-                rt.clock().set_fault_plan(spec.fault.clone());
-                fleet.registry.register(&id, Arc::clone(rt.clock()));
-                Some(rt)
-            };
+            let runtime = fleet.start_runtime(&id, &spec.phone, spec.fault.clone(), &roster)?;
             fleet.devices.push(FleetDevice {
                 id,
                 phone: spec.phone,
@@ -1140,27 +1256,34 @@ impl Fleet {
     }
 
     fn fit_for(&mut self, tenant: usize, phone: &Phone) -> Result<FitEntry, EngineError> {
-        if let Some((_, entry)) = self
-            .fit_cache
-            .iter()
-            .find(|((t, name), _)| *t == tenant && *name == phone.gpu.name)
-        {
-            return Ok(*entry);
-        }
         let spec = &self.specs[tenant];
         let source = PlanSource::Model(&spec.model);
-        let plan = source.plan_at(&phone.gpu, 1, spec.overrides)?;
-        let extras = source.extras(&plan);
-        let (cold_s, _) = modeled_window_under(&plan, &extras, &phone.gpu, 1, None);
-        let banks = crate::paging::step_bank_bytes(&plan, &source.layer_weight_bytes(&plan));
-        let entry = FitEntry {
-            weights: plan.weights_bytes,
-            arena1: plan.staged_arena_bytes(),
-            solo_ms: cold_s * 1e3,
-            paged_floor: crate::paging::paged_floor_bytes(&banks),
-        };
-        self.fit_cache.push(((tenant, phone.gpu.name), entry));
-        Ok(entry)
+        self.fit_cache
+            .get_or_probe(tenant, phone, &source, spec.overrides)
+    }
+
+    /// Starts the runtime device `id` hosts `roster` with (none for an
+    /// empty roster): one [`DeviceRuntime`] over the roster's specs,
+    /// admitted under the device's paged weight budget when the fleet
+    /// pages, its fault plan installed and its clock registered.
+    fn start_runtime(
+        &mut self,
+        id: &str,
+        phone: &Phone,
+        fault: Option<FaultPlan>,
+        roster: &[usize],
+    ) -> Result<Option<DeviceRuntime>, EngineError> {
+        if roster.is_empty() {
+            return Ok(None);
+        }
+        let subset: Vec<TenantSpec> = roster.iter().map(|&t| self.specs[t].clone()).collect();
+        let hosted = roster.iter().filter_map(|&t| self.fit_cache.get(t, phone));
+        let (paging, streams) = (self.opts.weight_paging, self.opts.streams);
+        let wb = paged_weight_budget(paging, phone, streams, hosted);
+        let rt = DeviceRuntime::new_with_budget(subset, phone, streams, wb)?;
+        rt.clock().set_fault_plan(fault);
+        self.registry.register(id, Arc::clone(rt.clock()));
+        Ok(Some(rt))
     }
 
     /// Devices currently in the fleet (initial + joined).
@@ -1206,30 +1329,7 @@ impl Fleet {
         arrivals_ms: &[Vec<f64>],
         events: &[FleetEvent],
     ) -> Result<FleetOutcome, EngineError> {
-        if traffic.len() != self.specs.len() || arrivals_ms.len() != self.specs.len() {
-            return Err(EngineError::InputMismatch {
-                expected: format!("{} tenant queues with arrivals", self.specs.len()),
-                got: format!(
-                    "{} queues, {} arrival streams",
-                    traffic.len(),
-                    arrivals_ms.len()
-                ),
-            });
-        }
-        for (t, (q, a)) in traffic.iter().zip(arrivals_ms.iter()).enumerate() {
-            if q.len() != a.len() {
-                return Err(EngineError::InputMismatch {
-                    expected: format!("{} arrival times for tenant {t}", q.len()),
-                    got: format!("{} timestamps", a.len()),
-                });
-            }
-            if a.windows(2).any(|w| w[1] < w[0]) {
-                return Err(EngineError::InputMismatch {
-                    expected: format!("sorted arrivals for tenant {t}"),
-                    got: "out-of-order timestamps".into(),
-                });
-            }
-        }
+        validate_arrivals(self.specs.len(), traffic, arrivals_ms)?;
 
         self.attach_log.clear();
         let placement = self.placement.clone();
@@ -1312,28 +1412,20 @@ impl Fleet {
                 let rt = self.devices[d].runtime.as_mut().expect("checked above");
                 let report = rt.serve_open_loop(&slices, &eff, &opts.open_loop)?;
                 wall_ms = report.wall_ms;
-                // Busy seconds from the modeled schedule, not the clock's
-                // atomic accumulator: executed attempt durations equal
-                // modeled ones exactly (the no-drift invariant), but the
-                // clock's counter sums in thread-completion order, whose
-                // float rounding is not reproducible across runs.
-                busy_s = report
-                    .schedule
-                    .attempts
-                    .iter()
-                    .map(|a| (a.end_ms - a.start_ms) / 1e3)
-                    .sum();
+                busy_s = schedule_busy_s(&report.schedule);
                 for (slot, &t) in roster.iter().enumerate() {
                     let ten = &report.tenants[slot];
+                    let list = &rc.routed[d][t];
                     fold_device_fates(
                         d,
-                        &rc.routed[d][t],
+                        list,
                         ten.batch,
                         &report.schedule.fates[slot],
-                        Some(&ten.outputs),
                         &mut fates[t],
-                        Some(&mut outputs[t]),
                     );
+                    for (req, out) in list.iter().zip(&ten.outputs) {
+                        outputs[t][req.index] = out.clone();
+                    }
                 }
             }
             let dev = &self.devices[d];
@@ -1346,36 +1438,10 @@ impl Fleet {
                 busy_s,
             });
         }
-        for &(t, index, at_ms) in &rc.unrouted {
-            debug_assert!(fates[t][index].is_none(), "request resolved twice");
-            fates[t][index] = Some(FleetRequestFate::Shed {
-                device: None,
-                at_ms,
-                reason: None,
-            });
-        }
-        let fates: Vec<Vec<FleetRequestFate>> = fates
-            .into_iter()
-            .map(|row| {
-                row.into_iter()
-                    .map(|f| f.expect("every offered request resolves to exactly one fate"))
-                    .collect()
-            })
-            .collect();
-
         let names: Vec<String> = self.specs.iter().map(|s| s.name.clone()).collect();
         let slos: Vec<Option<f64>> = self.specs.iter().map(|s| s.slo_ms).collect();
-        let report = assemble_report(
-            opts.policy,
-            opts.seed,
-            opts.streams,
-            device_rows,
-            &names,
-            &slos,
-            &rc.migrated_by_tenant,
-            &fates,
-            arrivals_ms,
-        );
+        let (report, fates) =
+            assemble_report(&opts, device_rows, names, &slos, &rc, fates, arrivals_ms);
         Ok(FleetOutcome {
             report,
             outputs,
@@ -1410,107 +1476,59 @@ impl RouteSubstrate for Fleet {
         if dev.roster.contains(&tenant) {
             return false;
         }
-        let Some((_, fit)) = self
-            .fit_cache
-            .iter()
-            .find(|((t, name), _)| *t == tenant && *name == dev.phone.gpu.name)
-        else {
+        let Some(fit) = self.fit_cache.get(tenant, &dev.phone) else {
             return false;
         };
-        let budget = dev.phone.app_budget_bytes();
-        let need = fit.placed_weights(self.opts.weight_paging);
-        match dev.runtime.as_ref() {
-            None => need + self.opts.streams * fit.arena1 <= budget,
-            Some(rt) => {
-                fit.arena1 <= rt.pool_slice_bytes() && rt.peak_resident_bytes() + need <= budget
-            }
-        }
+        let occupied = dev
+            .runtime
+            .as_ref()
+            .map(|rt| (rt.pool_slice_bytes(), rt.peak_resident_bytes()));
+        let (paging, streams) = (self.opts.weight_paging, self.opts.streams);
+        fits_device(&fit, paging, streams, &dev.phone, occupied)
     }
 
     fn try_migrate(&mut self, device: usize, tenant: usize, at_ms: f64) -> bool {
-        let spec = self.specs[tenant].clone();
-        let streams = self.opts.streams;
-        // A fresh device admits under its own weight budget when the
-        // fleet pages (the attach path reuses the budget its runtime was
-        // born with).
-        let wb = if self.opts.weight_paging && self.devices[device].runtime.is_none() {
-            let phone = self.devices[device].phone.clone();
-            let Ok(fit) = self.fit_for(tenant, &phone) else {
+        if let Some(rt) = self.devices[device].runtime.as_mut() {
+            // The attach path reuses the weight budget the runtime was
+            // born with.
+            if rt.attach(self.specs[tenant].clone()).is_err() {
                 return false;
-            };
-            Some(device_weight_budget(
-                phone.app_budget_bytes(),
-                streams,
-                fit.arena1,
-            ))
-        } else {
-            None
+            }
+            self.devices[device].roster.push(tenant);
+            self.attach_log.push(FleetAction::Attach {
+                at_ms,
+                tenant,
+                device,
+            });
+            return true;
+        }
+        // An empty device starts a fresh runtime around the tenant.
+        let dev = &self.devices[device];
+        let (id, phone, fault) = (dev.id.clone(), dev.phone.clone(), dev.fault.clone());
+        let Ok(runtime) = self.start_runtime(&id, &phone, fault, &[tenant]) else {
+            return false;
         };
         let dev = &mut self.devices[device];
-        match dev.runtime.as_mut() {
-            Some(rt) => match rt.attach(spec) {
-                Ok(_) => {
-                    dev.roster.push(tenant);
-                    self.attach_log.push(FleetAction::Attach {
-                        at_ms,
-                        tenant,
-                        device,
-                    });
-                    true
-                }
-                Err(_) => false,
-            },
-            None => match DeviceRuntime::new_with_budget(vec![spec], &dev.phone, streams, wb) {
-                Ok(rt) => {
-                    rt.clock().set_fault_plan(dev.fault.clone());
-                    self.registry.register(&dev.id, Arc::clone(rt.clock()));
-                    dev.runtime = Some(rt);
-                    dev.roster = vec![tenant];
-                    dev.birth_roster = vec![tenant];
-                    true
-                }
-                Err(_) => false,
-            },
-        }
+        dev.runtime = runtime;
+        dev.roster = vec![tenant];
+        dev.birth_roster = vec![tenant];
+        true
     }
 
     fn try_join(&mut self, phone: &Phone, fault: Option<FaultPlan>, _at_ms: f64) -> Vec<usize> {
-        let budget = phone.app_budget_bytes();
-        let streams = self.opts.streams;
-        let paging = self.opts.weight_paging;
-        let mut hosted: Vec<usize> = Vec::new();
-        let mut weights = 0usize;
-        let mut arena = 0usize;
-        for t in 0..self.specs.len() {
-            let Ok(fit) = self.fit_for(t, phone) else {
-                continue;
-            };
-            let need = fit.placed_weights(paging);
-            if weights + need + streams * arena.max(fit.arena1) <= budget {
-                hosted.push(t);
-                weights += need;
-                arena = arena.max(fit.arena1);
-            }
-        }
-        let d = self.devices.len();
-        let id = format!("dev{d}");
-        let runtime = if hosted.is_empty() {
-            None
-        } else {
-            let subset: Vec<TenantSpec> = hosted.iter().map(|&t| self.specs[t].clone()).collect();
-            let wb = paging.then(|| device_weight_budget(budget, streams, arena));
-            match DeviceRuntime::new_with_budget(subset, phone, streams, wb) {
-                Ok(rt) => {
-                    rt.clock().set_fault_plan(fault.clone());
-                    self.registry.register(&id, Arc::clone(rt.clock()));
-                    Some(rt)
-                }
-                Err(_) => {
-                    hosted.clear();
-                    None
-                }
-            }
-        };
+        let fits: Vec<(usize, FitEntry)> = (0..self.specs.len())
+            .filter_map(|t| Some((t, self.fit_for(t, phone).ok()?)))
+            .collect();
+        let (paging, streams) = (self.opts.weight_paging, self.opts.streams);
+        let mut hosted = pack_joiner(fits.into_iter(), phone, streams, paging);
+        let id = format!("dev{}", self.devices.len());
+        // A roster the runtime refuses leaves the device up but empty.
+        let runtime = self
+            .start_runtime(&id, phone, fault.clone(), &hosted)
+            .unwrap_or_else(|_| {
+                hosted.clear();
+                None
+            });
         self.devices.push(FleetDevice {
             id,
             phone: phone.clone(),
@@ -1527,36 +1545,75 @@ impl RouteSubstrate for Fleet {
 // The analytic fleet (full-scale estimate, no weights, no kernel bodies)
 // ---------------------------------------------------------------------------
 
+/// One analytic device: the same admitted-tenant table a [`DeviceRuntime`]
+/// stages from, held as-is — there are no weights to stage.
 struct EstDevice {
     id: String,
     phone: Phone,
     fault: Option<FaultPlan>,
     roster: Vec<usize>,
-    batch: Vec<usize>,
-    cold_ms: Vec<f64>,
-    steady_ms: Vec<f64>,
+    /// Admitted tenants, roster-slot order.
+    tenants: Vec<AdmittedTenant>,
+    /// The pooled arena slice the device came up with; attach never
+    /// regrows it.
     slice: usize,
-    weights: usize,
+}
+
+impl EstDevice {
+    /// Resident weight bytes: a streamed tenant charges its hot-set grant,
+    /// not its summed banks — mirrors the executing runtime's footprint.
+    fn weights(&self) -> usize {
+        self.tenants
+            .iter()
+            .map(|t| {
+                let all = t.plan.weights_bytes;
+                t.admission.weight_grant_bytes.map_or(all, |g| g.min(all))
+            })
+            .sum()
+    }
 }
 
 struct EstFleet<'a> {
     workloads: &'a [OpenLoopWorkload<'a>],
     devices: Vec<EstDevice>,
-    fit: Vec<Vec<FitEntry>>,
+    fit_cache: FitCache,
     streams: usize,
     paging: bool,
 }
 
-impl<'a> EstFleet<'a> {
-    fn fit_for(&self, tenant: usize, phone: &Phone) -> FitEntry {
-        // The fit table is keyed by GPU class; extend lazily for joined
-        // phone classes not present at build time.
-        let have = self.fit[tenant]
+impl EstFleet<'_> {
+    fn fit_for(&mut self, tenant: usize, phone: &Phone) -> FitEntry {
+        let source = PlanSource::Arch(self.workloads[tenant].arch);
+        self.fit_cache
+            .get_or_probe(tenant, phone, &source, RouteOverrides::default())
+            .expect("arch plans lower infallibly")
+    }
+
+    /// Runs contention-aware admission for a device's `roster` — the
+    /// analytic twin of `DeviceRuntime::new_with_budget` (or, with every
+    /// batch `pinned`, of the post-attach refresh).
+    fn admit(
+        &self,
+        roster: &[usize],
+        phone: &Phone,
+        pinned: Option<&[usize]>,
+    ) -> Vec<AdmittedTenant> {
+        if roster.is_empty() {
+            return Vec::new();
+        }
+        let asks: Vec<TenantAsk<'_>> = roster
             .iter()
-            .zip(self.devices.iter())
-            .find(|(_, d)| d.phone.gpu.name == phone.gpu.name)
-            .map(|(f, _)| *f);
-        have.unwrap_or_else(|| est_fit(self.workloads[tenant].arch, phone))
+            .enumerate()
+            .map(|(i, &t)| {
+                let w = &self.workloads[t];
+                TenantAsk::arch(w.arch, pinned.map_or(w.batch, |p| Some(p[i])), w.slo_ms)
+            })
+            .collect();
+        let hosted = roster.iter().filter_map(|&t| self.fit_cache.get(t, phone));
+        let wb = paged_weight_budget(self.paging, phone, self.streams, hosted);
+        let (admitted, _) = admit_tenants(&asks, phone, self.streams, wb)
+            .expect("placement guarantees the batch-1 pooled floor fits");
+        admitted
     }
 
     fn build_device(
@@ -1566,96 +1623,21 @@ impl<'a> EstFleet<'a> {
         fault: Option<FaultPlan>,
         roster: Vec<usize>,
     ) -> EstDevice {
-        let wb = self.paging.then(|| {
-            let arena1 = roster
-                .iter()
-                .map(|&t| self.fit_for(t, &phone).arena1)
-                .max()
-                .unwrap_or(0);
-            device_weight_budget(phone.app_budget_bytes(), self.streams, arena1)
-        });
-        let (batch, cold_ms, steady_ms, slice, weights) =
-            est_admit(self.workloads, &roster, &phone, self.streams, None, wb);
+        let tenants = self.admit(&roster, &phone, None);
+        let slice = tenants
+            .iter()
+            .map(|t| t.plan.staged_arena_bytes())
+            .max()
+            .unwrap_or(0);
         EstDevice {
             id,
             phone,
             fault,
             roster,
-            batch,
-            cold_ms,
-            steady_ms,
+            tenants,
             slice,
-            weights,
         }
     }
-}
-
-/// Batch-1 footprint of an arch on a phone (analytic path).
-fn est_fit(arch: &NetworkArch, phone: &Phone) -> FitEntry {
-    let source = PlanSource::Arch(arch);
-    let plan = source
-        .plan_at(&phone.gpu, 1, RouteOverrides::default())
-        .expect("arch plans lower infallibly");
-    let extras = source.extras(&plan);
-    let (cold_s, _) = modeled_window_under(&plan, &extras, &phone.gpu, 1, None);
-    let banks = crate::paging::step_bank_bytes(&plan, &source.layer_weight_bytes(&plan));
-    FitEntry {
-        weights: plan.weights_bytes,
-        arena1: plan.staged_arena_bytes(),
-        solo_ms: cold_s * 1e3,
-        paged_floor: crate::paging::paged_floor_bytes(&banks),
-    }
-}
-
-/// Runs contention-aware admission for a device's placed subset and
-/// models every tenant's (cold, steady) window under the registered mix.
-/// `pinned` pins every tenant's batch (the post-attach refresh).
-fn est_admit(
-    workloads: &[OpenLoopWorkload<'_>],
-    roster: &[usize],
-    phone: &Phone,
-    streams: usize,
-    pinned: Option<&[usize]>,
-    weight_budget: Option<usize>,
-) -> (Vec<usize>, Vec<f64>, Vec<f64>, usize, usize) {
-    if roster.is_empty() {
-        return (Vec::new(), Vec::new(), Vec::new(), 0, 0);
-    }
-    let asks: Vec<TenantAsk<'_>> = roster
-        .iter()
-        .enumerate()
-        .map(|(i, &t)| TenantAsk {
-            source: PlanSource::Arch(workloads[t].arch),
-            batch: pinned.map_or(workloads[t].batch, |p| Some(p[i])),
-            slo_ms: workloads[t].slo_ms,
-            overrides: RouteOverrides::default(),
-        })
-        .collect();
-    let (admissions, mix, eff) = admit_tenants_budgeted(&asks, phone, streams, weight_budget)
-        .expect("placement guarantees the batch-1 pooled floor fits");
-    let mut batch = Vec::with_capacity(roster.len());
-    let mut cold_ms = Vec::with_capacity(roster.len());
-    let mut steady_ms = Vec::with_capacity(roster.len());
-    let mut slice = 0usize;
-    let mut weights = 0usize;
-    for (i, (&t, adm)) in roster.iter().zip(admissions.iter()).enumerate() {
-        let source = PlanSource::Arch(workloads[t].arch);
-        let plan = source
-            .plan_at(&phone.gpu, adm.batch, eff[i])
-            .expect("arch plans lower infallibly");
-        let extras = source.extras(&plan);
-        let (c, s) = modeled_window_under(&plan, &extras, &phone.gpu, streams, mix.as_deref());
-        batch.push(adm.batch.max(1));
-        cold_ms.push(c * 1e3);
-        steady_ms.push(s * 1e3);
-        slice = slice.max(plan.staged_arena_bytes());
-        // A streamed tenant charges its hot-set grant, not its summed
-        // banks — mirrors the executing runtime's resident footprint.
-        weights += adm
-            .weight_grant_bytes
-            .map_or(plan.weights_bytes, |g| g.min(plan.weights_bytes));
-    }
-    (batch, cold_ms, steady_ms, slice, weights)
 }
 
 impl RouteSubstrate for EstFleet<'_> {
@@ -1670,7 +1652,8 @@ impl RouteSubstrate for EstFleet<'_> {
             .iter()
             .position(|&t| t == tenant)
             .expect("service_ms is only asked for hosted tenants");
-        dev.steady_ms[slot] / dev.batch[slot] as f64
+        let ten = &dev.tenants[slot];
+        ten.steady_ms / ten.admission.batch.max(1) as f64
     }
 
     fn can_host(&self, device: usize, tenant: usize) -> bool {
@@ -1678,17 +1661,12 @@ impl RouteSubstrate for EstFleet<'_> {
         if dev.roster.contains(&tenant) {
             return false;
         }
-        let fit = self.fit[tenant]
-            .get(device)
-            .copied()
-            .unwrap_or_else(|| est_fit(self.workloads[tenant].arch, &dev.phone));
-        let budget = dev.phone.app_budget_bytes();
-        let need = fit.placed_weights(self.paging);
-        if dev.roster.is_empty() {
-            need + self.streams * fit.arena1 <= budget
-        } else {
-            fit.arena1 <= dev.slice && dev.weights + self.streams * dev.slice + need <= budget
-        }
+        let Some(fit) = self.fit_cache.get(tenant, &dev.phone) else {
+            return false;
+        };
+        let occupied =
+            (!dev.roster.is_empty()).then(|| (dev.slice, dev.weights() + self.streams * dev.slice));
+        fits_device(&fit, self.paging, self.streams, &dev.phone, occupied)
     }
 
     fn try_migrate(&mut self, device: usize, tenant: usize, _at_ms: f64) -> bool {
@@ -1717,49 +1695,23 @@ impl RouteSubstrate for EstFleet<'_> {
         if cap == 0 {
             return false;
         }
-        let mut roster = self.devices[device].roster.clone();
-        let mut pinned = self.devices[device].batch.clone();
+        let dev = &self.devices[device];
+        let mut roster = dev.roster.clone();
+        let mut pinned: Vec<usize> = dev.tenants.iter().map(|t| t.admission.batch).collect();
         roster.push(tenant);
         pinned.push(self.workloads[tenant].batch.unwrap_or(cap).clamp(1, cap));
-        let wb = self.paging.then(|| {
-            let arena1 = roster
-                .iter()
-                .map(|&t| self.fit_for(t, &phone).arena1)
-                .max()
-                .unwrap_or(0);
-            device_weight_budget(phone.app_budget_bytes(), self.streams, arena1)
-        });
-        let (batch, cold_ms, steady_ms, _slice, weights) = est_admit(
-            self.workloads,
-            &roster,
-            &phone,
-            self.streams,
-            Some(&pinned),
-            wb,
-        );
+        let tenants = self.admit(&roster, &phone, Some(&pinned));
         let dev = &mut self.devices[device];
         dev.roster = roster;
-        dev.batch = batch;
-        dev.cold_ms = cold_ms;
-        dev.steady_ms = steady_ms;
-        dev.weights = weights;
+        dev.tenants = tenants;
         true
     }
 
     fn try_join(&mut self, phone: &Phone, fault: Option<FaultPlan>, _at_ms: f64) -> Vec<usize> {
-        let budget = phone.app_budget_bytes();
-        let mut hosted: Vec<usize> = Vec::new();
-        let mut weights = 0usize;
-        let mut arena = 0usize;
-        for t in 0..self.workloads.len() {
-            let fit = self.fit_for(t, phone);
-            let need = fit.placed_weights(self.paging);
-            if weights + need + self.streams * arena.max(fit.arena1) <= budget {
-                hosted.push(t);
-                weights += need;
-                arena = arena.max(fit.arena1);
-            }
-        }
+        let fits: Vec<(usize, FitEntry)> = (0..self.workloads.len())
+            .map(|t| (t, self.fit_for(t, phone)))
+            .collect();
+        let hosted = pack_joiner(fits.into_iter(), phone, self.streams, self.paging);
         let id = format!("dev{}", self.devices.len());
         let dev = self.build_device(id, phone.clone(), fault, hosted.clone());
         self.devices.push(dev);
@@ -1800,9 +1752,15 @@ pub fn estimate_fleet(
         .iter()
         .map(|w| w.arrival.times_ms(w.seed, duration_ms))
         .collect();
-    let fit: Vec<Vec<FitEntry>> = workloads
-        .iter()
-        .map(|w| devices.iter().map(|d| est_fit(w.arch, &d.phone)).collect())
+    let mut est = EstFleet {
+        workloads,
+        devices: Vec::new(),
+        fit_cache: FitCache::default(),
+        streams: opts.streams,
+        paging: opts.weight_paging,
+    };
+    let fit: Vec<Vec<FitEntry>> = (0..workloads.len())
+        .map(|t| devices.iter().map(|d| est.fit_for(t, &d.phone)).collect())
         .collect();
     let budgets: Vec<usize> = devices.iter().map(|d| d.phone.app_budget_bytes()).collect();
     let placement = place_tenants(
@@ -1813,25 +1771,16 @@ pub fn estimate_fleet(
         opts.weight_paging,
     )
     .unwrap_or_else(|t| panic!("workload {t} fits no device at the batch-1 pooled floor"));
-    let mut rosters: Vec<Vec<usize>> = vec![Vec::new(); devices.len()];
-    for (t, devs) in placement.iter().enumerate() {
-        for &d in devs {
-            rosters[d].push(t);
-        }
-    }
-    let mut est = EstFleet {
-        workloads,
-        devices: Vec::new(),
-        fit,
-        streams: opts.streams,
-        paging: opts.weight_paging,
-    };
-    for (d, spec) in devices.iter().enumerate() {
+    for (d, (spec, roster)) in devices
+        .iter()
+        .zip(rosters_of(&placement, devices.len()))
+        .enumerate()
+    {
         let dev = est.build_device(
             format!("dev{d}"),
             spec.phone.clone(),
             spec.fault.clone(),
-            rosters[d].clone(),
+            roster,
         );
         est.devices.push(dev);
     }
@@ -1850,13 +1799,19 @@ pub fn estimate_fleet(
             let loads: Vec<OpenLoopLoad> = dev
                 .roster
                 .iter()
-                .enumerate()
-                .map(|(slot, &t)| {
+                .zip(&dev.tenants)
+                .map(|(&t, ten)| {
                     let eff: Vec<f64> = rc.routed[d][t].iter().map(|r| r.effective_ms).collect();
+                    let slo_ms = workloads[t].slo_ms;
                     OpenLoopLoad {
-                        windows: open_loop_windows(&eff, dev.batch[slot], workloads[t].slo_ms),
-                        cold_ms: dev.cold_ms[slot],
-                        steady_ms: dev.steady_ms[slot],
+                        windows: open_loop_windows(
+                            &eff,
+                            ten.admission.batch,
+                            slo_ms,
+                            ten.steady_ms,
+                        ),
+                        cold_ms: ten.cold_ms,
+                        steady_ms: ten.steady_ms,
                     }
                 })
                 .collect();
@@ -1867,20 +1822,14 @@ pub fn estimate_fleet(
                 &opts.open_loop.policy,
             );
             wall_ms = schedule.wall_ms;
-            busy_s = schedule
-                .attempts
-                .iter()
-                .map(|a| (a.end_ms - a.start_ms) / 1e3)
-                .sum();
-            for (slot, &t) in dev.roster.iter().enumerate() {
+            busy_s = schedule_busy_s(&schedule);
+            for (slot, (&t, ten)) in dev.roster.iter().zip(&dev.tenants).enumerate() {
                 fold_device_fates(
                     d,
                     &rc.routed[d][t],
-                    dev.batch[slot],
+                    ten.admission.batch,
                     &schedule.fates[slot],
-                    None,
                     &mut fates[t],
-                    None,
                 );
             }
         }
@@ -1893,34 +1842,9 @@ pub fn estimate_fleet(
             busy_s,
         });
     }
-    for &(t, index, at_ms) in &rc.unrouted {
-        fates[t][index] = Some(FleetRequestFate::Shed {
-            device: None,
-            at_ms,
-            reason: None,
-        });
-    }
-    let fates: Vec<Vec<FleetRequestFate>> = fates
-        .into_iter()
-        .map(|row| {
-            row.into_iter()
-                .map(|f| f.expect("every offered request resolves to exactly one fate"))
-                .collect()
-        })
-        .collect();
     let names: Vec<String> = workloads.iter().map(|w| w.arch.name.clone()).collect();
     let slos: Vec<Option<f64>> = workloads.iter().map(|w| w.slo_ms).collect();
-    assemble_report(
-        opts.policy,
-        opts.seed,
-        opts.streams,
-        device_rows,
-        &names,
-        &slos,
-        &rc.migrated_by_tenant,
-        &fates,
-        &arrivals_ms,
-    )
+    assemble_report(opts, device_rows, names, &slos, &rc, fates, &arrivals_ms).0
 }
 
 // ---------------------------------------------------------------------------

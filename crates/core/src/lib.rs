@@ -27,11 +27,12 @@
 //! batched deployment against a phone's budget.
 //!
 //! For device sharing, [`serve::DeviceRuntime`] co-resides several
-//! heterogeneous models as tenants on one device: a pooled arena
-//! ([`planner::plan_multitenant`]), a work-stealing window scheduler
-//! ([`serve::schedule_windows`]), and contention-aware per-tenant
-//! admission against the other tenants' registered dispatch mix.
-//! [`serve::ServeRuntime`] is the single-tenant wrapper.
+//! heterogeneous models as tenants on one device — a single model is a
+//! registry of one: a pooled arena ([`planner::plan_multitenant`]),
+//! contention-aware per-tenant admission against the other tenants'
+//! registered dispatch mix, and one work-stealing window scheduler
+//! ([`serve::schedule_open_loop`]) that the closed-loop, open-loop and
+//! estimated ([`serve::estimate_serve_multitenant`]) paths all drive.
 //!
 //! For robustness, the runtime also serves **open-loop**: requests arrive
 //! on seeded stochastic processes ([`arrival::ArrivalProcess`]) with
@@ -89,12 +90,10 @@ pub use planner::{
     select_conv_path_with, ConvPath, ConvPlan, MemoryPlan, MultiTenantPlan,
 };
 pub use serve::{
-    estimate_serve, estimate_serve_multitenant, estimate_serve_multitenant_budgeted,
-    estimate_serve_open_loop, schedule_open_loop, schedule_windows, Admission, DeviceRuntime,
-    MultiServeReport, MultiTenantEstimate, OpenLoopAttempt, OpenLoopEstimate, OpenLoopLoad,
-    OpenLoopOptions, OpenLoopReport, OpenLoopSchedule, OpenLoopWindow, OpenLoopWorkload,
-    RetryPolicy, ScheduledWindow, ServeEstimate, ServeOptions, ServeReport, ServeRuntime,
-    ShedReason, Tenant, TenantEstimate, TenantLoad, TenantOpenLoopEstimate, TenantOpenLoopReport,
-    TenantServeReport, TenantSpec, TenantTraffic, TenantWorkload, WindowFate,
+    estimate_serve_multitenant, estimate_serve_open_loop, schedule_open_loop, Admission,
+    DeviceRuntime, MultiServeReport, MultiTenantEstimate, OpenLoopAttempt, OpenLoopEstimate,
+    OpenLoopLoad, OpenLoopOptions, OpenLoopReport, OpenLoopSchedule, OpenLoopWindow,
+    OpenLoopWorkload, RetryPolicy, ShedReason, Tenant, TenantEstimate, TenantOpenLoopEstimate,
+    TenantOpenLoopReport, TenantServeReport, TenantSpec, TenantTraffic, TenantWorkload, WindowFate,
 };
-pub use stats::{LayerRun, RunReport};
+pub use stats::{nearest_rank, LayerRun, RunReport};

@@ -391,8 +391,8 @@ pub fn plan_on_batched(arch: &NetworkArch, device: &DeviceProfile, batch: usize)
 /// Plans the **sharded** deployed footprint: `streams` concurrent streams
 /// share one staged weight set, but each holds its own double-banked
 /// arena, so the activation peak grows to `streams × banks × Σ slots` —
-/// exactly what a [`ServeRuntime`](crate::serve::ServeRuntime) with that
-/// many streams keeps resident.
+/// exactly what a one-tenant [`DeviceRuntime`](crate::serve::DeviceRuntime)
+/// with that many streams keeps resident.
 ///
 /// # Panics
 ///

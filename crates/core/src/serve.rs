@@ -1,53 +1,53 @@
-//! The multi-tenant device runtime: co-resident [`StagedModel`]s on one
-//! simulated GPU, a work-stealing window scheduler, and contention-aware
-//! admission — with the single-model sharded [`ServeRuntime`] kept as a
-//! thin wrapper over it.
+//! Serving on one device: co-resident [`StagedModel`]s on one simulated
+//! GPU, driven by **one pass** — admit → window → schedule → execute →
+//! fold — that closed-loop, open-loop, single-tenant and estimated serving
+//! all share.
 //!
 //! PhoneBit's premise is that the mobile GPU is a shared, scarce device —
 //! and real phones run several networks at once (a detector next to a
 //! classifier, a camera pipeline next to an always-on model). The
-//! [`DeviceRuntime`] serves that regime: a **tenant registry** of multiple
+//! [`DeviceRuntime`] serves that regime: a **tenant registry** of
 //! heterogeneous models, each staged once (weights, GEMM banks, its own
-//! [`ExecutionPlan`], SLO and arrival queue) into **one** budgeted device
-//! context, sharing one [`DeviceClock`] and a **pooled arena** — every
-//! stream holds a single slice sized to the largest tenant's banks, so any
-//! stream can run any tenant's plan and the planner's cross-tenant peak is
+//! [`ExecutionPlan`], SLO) into **one** budgeted device context, sharing
+//! one [`DeviceClock`] and a **pooled arena** — every stream holds a single
+//! slice sized to the largest tenant's banks, so any stream can run any
+//! tenant's plan and the cross-tenant peak is
 //! `Σ weights + streams × max_tenant(banks × Σ slots)` (see
-//! [`plan_multitenant`](crate::planner::plan_multitenant)) instead of the
-//! per-model `weights + N × banks × Σ slots` formula multiplied across
-//! tenants.
+//! [`plan_multitenant`](crate::planner::plan_multitenant)). A single model
+//! is a registry of one.
 //!
-//! **Work-stealing window scheduler.** Per-tenant arrival queues feed a
-//! shared ready-set; whenever a stream goes idle it pulls the pending
-//! window whose tenant is *furthest from its SLO* — least slack
-//! (`deadline − (now + service)`) first, earliest-deadline tie-break, then
-//! tenant order for determinism. Deadlines pace each tenant's windows at
-//! its SLO (or its own modeled steady window when no SLO is set), so a
-//! bursty tenant cannot starve a light one and idle streams absorb
-//! backlog. The schedule is computed **deterministically on modeled time**
-//! by [`schedule_windows`] and then executed verbatim: the runtime, the
-//! full-scale [`estimate_serve`] / [`estimate_serve_multitenant`] models,
-//! and the admission controller all drive this one code path, so the
-//! modeled p95 cannot drift from the executed dispatch order.
+//! **Admit.** Each tenant's batch is chosen against the *other tenants'
+//! expected dispatch mix*: every tenant's plan is walked once on a solo
+//! clocked queue to measure its [`QueueLoad`] (mean CU fraction × busy
+//! duty), the blend is registered on the shared clock
+//! ([`DeviceClock::set_mix`]), and candidate batches are modeled under that
+//! mix. A single tenant degenerates to symmetric streams. Admission hands
+//! back one table — decision, lowered plan, modeled (cold, steady) window
+//! per tenant — from a deployed model (the runtime) or a shape-level
+//! architecture (the estimators, the analytic fleet) alike.
 //!
-//! **Contention-aware admission.** Single-model sharding assumed every
-//! other stream mirrors the current dispatch (symmetric streams). With
-//! heterogeneous tenants that is wrong, so each tenant's batch is chosen
-//! against the *other tenants' expected dispatch mix*: every tenant's plan
-//! is walked once on a solo clocked queue to measure its [`QueueLoad`]
-//! (mean CU fraction × busy duty), the blend is registered on the shared
-//! clock ([`DeviceClock::set_mix`]), and candidate batches are modeled
-//! under that mix. A single tenant degenerates to the symmetric model, so
-//! every PR 4 admission decision is unchanged.
+//! **Window, schedule.** Requests group into windows of the admitted batch.
+//! [`schedule_open_loop`] is the only scheduler: whenever a stream goes
+//! idle it pulls the ready window with least slack to its pacing deadline
+//! (earliest deadline on ties, then tenant order), so a bursty tenant
+//! cannot starve a light one and idle streams absorb backlog. Open-loop
+//! windows become ready when their last member arrives and are shed past
+//! `arrival + SLO`; a closed-loop window is the same record ready at 0,
+//! never shed, paced at `(k + 1) × target`. Faults, retry/backoff and
+//! thermal derate are inputs to the same loop.
+//!
+//! **Execute, fold.** The schedule is computed deterministically on modeled
+//! time and executed verbatim — every attempt on its assigned stream, one
+//! scoped thread per stream — so the modeled p95 cannot drift from the
+//! executed dispatch order. The estimators run the same admission and the
+//! same scheduler and skip only the streams.
 //!
 //! Serving remains **bit-exact**: requests are windowed in arrival order
 //! per tenant and outputs are reassembled into request order;
 //! `tests/serve_multitenant.rs` pins co-resident outputs against solo runs
 //! across the micro zoo and all four binary-convolution routes.
-//!
-//! [`Session`]: crate::Session
-//! [`max_feasible_batch`]: crate::planner::max_feasible_batch
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 use std::thread;
 
@@ -64,47 +64,11 @@ use crate::engine::{ActivationData, EngineError, MultiStream, StagedModel};
 use crate::estimate::{activation_extras_arch, activation_extras_model, walk_plan};
 use crate::model::PbitModel;
 use crate::plan::{ExecutionPlan, RouteOverrides};
-use crate::stats::RunReport;
+use crate::stats::{nearest_rank, RunReport};
 
 // ---------------------------------------------------------------------------
-// Options and admission
+// Admission decisions
 // ---------------------------------------------------------------------------
-
-/// Knobs for staging a [`ServeRuntime`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServeOptions {
-    /// Concurrent streams sharing the staged model (>= 1).
-    pub streams: usize,
-    /// Requested window size, honored up to the sharded memory cap;
-    /// `None` lets the admission controller pick the best probed window
-    /// (sizes up to 64, always including the memory cap when it binds
-    /// below that) against the SLO — or modeled throughput when no SLO is
-    /// set.
-    pub batch: Option<usize>,
-    /// p95 steady-window latency target, milliseconds.
-    pub slo_ms: Option<f64>,
-    /// Route overrides applied when lowering and staging the plan — set
-    /// [`RouteOverrides::fusion`] to serve fused chains; admission models
-    /// the same overridden plan the streams execute.
-    pub overrides: RouteOverrides,
-    /// Pooled weight-residency budget, bytes: when the model's binary
-    /// banks overflow it, the runtime pages them through a hot set at the
-    /// paged floor instead of refusing to stage. `None` (the default)
-    /// keeps every bank resident — the exact unpaged runtime.
-    pub weight_budget: Option<usize>,
-}
-
-impl Default for ServeOptions {
-    fn default() -> Self {
-        Self {
-            streams: 2,
-            batch: None,
-            slo_ms: None,
-            overrides: RouteOverrides::default(),
-            weight_budget: None,
-        }
-    }
-}
 
 /// What the admission controller decided at staging time, and why.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,123 +105,7 @@ pub struct Admission {
 }
 
 // ---------------------------------------------------------------------------
-// The work-stealing window scheduler
-// ---------------------------------------------------------------------------
-
-/// One tenant's pending window stream, as the scheduler sees it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TenantLoad {
-    /// Windows pending in this tenant's arrival queue.
-    pub windows: usize,
-    /// Modeled service time of a **cold** window — the first this tenant
-    /// runs on a given stream (its lane unprimed there), milliseconds.
-    pub cold_ms: f64,
-    /// Modeled service time of a primed window, milliseconds (equal to
-    /// `cold_ms` for single-bank batch-1 plans, which never prime).
-    pub steady_ms: f64,
-    /// Pacing target per window, milliseconds: the tenant's SLO when set,
-    /// else its own modeled steady window. Window `k`'s deadline is
-    /// `(k + 1) × target_ms`, which is what "furthest from its SLO" is
-    /// measured against.
-    pub target_ms: f64,
-}
-
-/// One window placed by [`schedule_windows`]: which tenant's window ran
-/// where, and when, on the modeled clock.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScheduledWindow {
-    /// Tenant index into the [`TenantLoad`] slice.
-    pub tenant: usize,
-    /// Per-tenant window index (arrival order).
-    pub index: usize,
-    /// Stream that pulled the window.
-    pub stream: usize,
-    /// Modeled start, milliseconds.
-    pub start_ms: f64,
-    /// Modeled completion, milliseconds.
-    pub end_ms: f64,
-    /// The pacing deadline the window was scheduled against, milliseconds.
-    pub deadline_ms: f64,
-}
-
-/// The work-stealing window schedule: per-tenant queues feed a shared
-/// ready-set, and each time a stream goes idle (the stream with the
-/// smallest modeled busy-until time; lowest index on ties) it **pulls**
-/// the pending head window whose tenant is furthest from its SLO —
-/// minimum slack `deadline − (now + service)` first, earliest deadline on
-/// ties, then tenant order. Deterministic in its inputs; no wall-clock
-/// races. With one tenant and uniform windows this degenerates to the
-/// round-robin placement the single-model sharded runtime always used.
-///
-/// Both the runtime (to place real windows on real streams) and the
-/// full-scale estimators / admission controller (to read p95 off modeled
-/// completions) call this one function — the modeled and executed window
-/// orders cannot drift apart.
-///
-/// # Panics
-///
-/// Panics when `streams == 0` or any load's `target_ms <= 0`.
-pub fn schedule_windows(tenants: &[TenantLoad], streams: usize) -> Vec<ScheduledWindow> {
-    assert!(streams >= 1, "a schedule needs >= 1 stream");
-    for t in tenants {
-        assert!(t.target_ms > 0.0, "pacing target must be positive");
-    }
-    let total: usize = tenants.iter().map(|t| t.windows).sum();
-    let mut free = vec![0.0f64; streams];
-    let mut next = vec![0usize; tenants.len()];
-    let mut primed = vec![vec![false; tenants.len()]; streams];
-    let mut out = Vec::with_capacity(total);
-    for _ in 0..total {
-        let stream = (0..streams)
-            .min_by(|&a, &b| {
-                free[a]
-                    .partial_cmp(&free[b])
-                    .expect("modeled times are finite")
-                    .then(a.cmp(&b))
-            })
-            .expect("streams >= 1");
-        let now = free[stream];
-        // (tenant, slack, deadline, duration) of the best pending head.
-        let mut best: Option<(usize, f64, f64, f64)> = None;
-        for (t, load) in tenants.iter().enumerate() {
-            if next[t] >= load.windows {
-                continue;
-            }
-            let dur = if primed[stream][t] {
-                load.steady_ms
-            } else {
-                load.cold_ms
-            };
-            let deadline = (next[t] + 1) as f64 * load.target_ms;
-            let slack = deadline - (now + dur);
-            let wins = match best {
-                None => true,
-                Some((_, bs, bd, _)) => {
-                    slack < bs - 1e-12 || ((slack - bs).abs() <= 1e-12 && deadline < bd - 1e-12)
-                }
-            };
-            if wins {
-                best = Some((t, slack, deadline, dur));
-            }
-        }
-        let (tenant, _, deadline_ms, dur) = best.expect("a pending window exists");
-        out.push(ScheduledWindow {
-            tenant,
-            index: next[tenant],
-            stream,
-            start_ms: now,
-            end_ms: now + dur,
-            deadline_ms,
-        });
-        free[stream] = now + dur;
-        primed[stream][tenant] = true;
-        next[tenant] += 1;
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// The open-loop scheduler: arrival-anchored deadlines, faults, retry, shed
+// The work-stealing window scheduler: pacing, faults, retry, shed
 // ---------------------------------------------------------------------------
 
 /// Bounded retry with exponential backoff — the recovery half of the
@@ -282,22 +130,29 @@ impl Default for RetryPolicy {
     }
 }
 
-/// One open-loop window as the scheduler sees it: when its last member
-/// request arrived (the window cannot start before that) and the deadline
-/// inherited from its **first** member's arrival.
+/// One window as the scheduler sees it: when it may first run, when it is
+/// no longer worth running, and the deadline it competes by. Built by
+/// the open- and closed-loop window builders in this module.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpenLoopWindow {
     /// Arrival of the window's last member request, milliseconds — the
-    /// earliest the window can be dispatched.
+    /// earliest the window can be dispatched (`0` in a closed loop: the
+    /// whole queue is pending up front).
     pub ready_ms: f64,
     /// Shedding deadline: first member arrival + SLO, milliseconds.
-    /// `f64::INFINITY` when the tenant has no SLO — such windows are never
-    /// shed for lateness (they still pace the scheduler by
-    /// `ready + steady`).
+    /// `f64::INFINITY` when the tenant has no SLO, and for every
+    /// closed-loop window — such windows are never shed for lateness.
     pub deadline_ms: f64,
+    /// Pacing deadline the least-slack pull ranks the window by,
+    /// milliseconds: the shedding deadline under an open-loop SLO,
+    /// `ready + steady` without one (serve promptly, so an SLO neighbor
+    /// cannot starve the tenant), and `(k + 1) × target` for closed-loop
+    /// window `k` — the tenant's SLO, else its own steady window, as the
+    /// per-window target.
+    pub pace_ms: f64,
 }
 
-/// One tenant's open-loop stream: its windows (arrival order) and modeled
+/// One tenant's window stream: its windows (arrival order) and modeled
 /// window costs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpenLoopLoad {
@@ -399,8 +254,10 @@ fn fault_key(tenant: usize, index: usize, attempt: usize) -> u64 {
         .wrapping_add((attempt as u64).wrapping_mul(0x2545_F491_4F6C_DD1D))
 }
 
-/// The open-loop work-stealing schedule: arrival-anchored deadlines,
-/// injected faults, bounded retry with backoff, and deadline shedding.
+/// The work-stealing window schedule — the one scheduler behind closed-
+/// and open-loop serving, executed and estimated alike: pacing deadlines,
+/// arrival-gated readiness, injected faults, bounded retry with backoff,
+/// and deadline shedding.
 ///
 /// The idle stream (smallest modeled busy-until; lowest index on ties)
 /// repeatedly pulls work:
@@ -408,15 +265,13 @@ fn fault_key(tenant: usize, index: usize, attempt: usize) -> u64 {
 /// 1. **Shed** every pending window whose deadline is hopeless — even an
 ///    optimistic dispatch (primed service under the current derate,
 ///    started the moment the window is ready) would finish past its
-///    deadline. Windows without an SLO are never shed.
+///    deadline. Windows without a finite deadline are never shed.
 /// 2. Among windows that are **ready** (last member arrived, backoff
 ///    elapsed; per tenant only the earliest such window is eligible, so a
 ///    tenant's windows serve in arrival order unless an earlier one is
 ///    parked in backoff), pull the one with least slack
-///    `deadline − (now + service)` — earliest deadline on ties, then
-///    tenant order. No-SLO windows compete with the pacing deadline
-///    `ready + steady` (the closed-loop convention) instead of infinity,
-///    so an SLO neighbor cannot starve them.
+///    `pace − (now + service)` — earliest pace deadline on ties, then
+///    tenant order — where `pace` is [`OpenLoopWindow::pace_ms`].
 /// 3. If nothing is ready, idle the stream forward to the next ready
 ///    time.
 ///
@@ -429,12 +284,15 @@ fn fault_key(tenant: usize, index: usize, attempt: usize) -> u64 {
 /// attempts still prime their (stream, tenant) lane — the executor really
 /// runs them.
 ///
-/// Deterministic in its inputs; `fault: None` with all-infinite deadlines
-/// reduces to fault-free FIFO work stealing.
+/// Deterministic in its inputs; no wall-clock races. `fault: None` with
+/// all-infinite deadlines reduces to fault-free work stealing, and one
+/// tenant's uniform closed-loop windows to round-robin placement.
 ///
 /// # Panics
 ///
-/// Panics when `streams == 0` or any load's `steady_ms <= 0`.
+/// Panics when `streams == 0`, any load's `steady_ms <= 0`, or a window's
+/// ready time is not finite (the serving entry points reject such arrivals
+/// before windowing them).
 pub fn schedule_open_loop(
     tenants: &[OpenLoopLoad],
     streams: usize,
@@ -472,6 +330,13 @@ pub fn schedule_open_loop(
         .map(|t| vec![None; t.windows.len()])
         .collect();
     let mut unresolved: usize = tenants.iter().map(|t| t.windows.len()).sum();
+    // Tenants that can shed for lateness at all. A closed-loop or no-SLO
+    // tenant's deadlines are all infinite, and it pays nothing for the
+    // shed pass below.
+    let sheddable: Vec<bool> = tenants
+        .iter()
+        .map(|t| t.windows.iter().any(|w| w.deadline_ms.is_finite()))
+        .collect();
     let mut free = vec![0.0f64; streams];
     let mut primed = vec![vec![false; tenants.len()]; streams];
     let mut attempts = Vec::new();
@@ -492,6 +357,9 @@ pub fn schedule_open_loop(
         // the earliest possible start — so only truly unservable windows
         // are shed and shedding stays bounded.
         for (t, load) in tenants.iter().enumerate() {
+            if !sheddable[t] {
+                continue;
+            }
             for (i, slot) in pending[t].iter_mut().enumerate() {
                 let Some(p) = slot else { continue };
                 let deadline = load.windows[i].deadline_ms;
@@ -530,13 +398,7 @@ pub fn schedule_open_loop(
                 load.cold_ms
             };
             let dur = base * slowdown_at(now);
-            let deadline = if load.windows[i].deadline_ms.is_finite() {
-                load.windows[i].deadline_ms
-            } else {
-                // Pacing stand-in for no-SLO windows: serve promptly, as
-                // the closed-loop scheduler paces by the steady window.
-                load.windows[i].ready_ms + load.steady_ms
-            };
+            let deadline = load.windows[i].pace_ms;
             let slack = deadline - (now + dur);
             let wins = match best {
                 None => true,
@@ -558,6 +420,7 @@ pub fn schedule_open_loop(
                 .flatten()
                 .map(|p| p.ready_ms)
                 .fold(f64::INFINITY, f64::min);
+            assert!(next_ready.is_finite(), "window ready times must be finite");
             debug_assert!(next_ready > now, "a ready window would have matched");
             free[stream] = next_ready;
             continue;
@@ -630,6 +493,8 @@ pub fn schedule_open_loop(
 /// `batch`: each window is ready when its **last** member has arrived and
 /// inherits its deadline from its **first** member (`arrival + slo`) —
 /// open-loop deadlines anchor to arrival time, not to batch submission.
+/// Without an SLO the window is never shed and paces by
+/// `ready + steady_ms`.
 ///
 /// Crate-visible so the fleet layer can window a device's *routed slice*
 /// of a tenant's arrivals with the identical grouping rule.
@@ -637,16 +502,43 @@ pub(crate) fn open_loop_windows(
     arrivals_ms: &[f64],
     batch: usize,
     slo_ms: Option<f64>,
+    steady_ms: f64,
 ) -> Vec<OpenLoopWindow> {
     let batch = batch.max(1);
     (0..arrivals_ms.len())
         .step_by(batch)
         .map(|start| {
-            let end = (start + batch).min(arrivals_ms.len());
+            let ready_ms = arrivals_ms[(start + batch).min(arrivals_ms.len()) - 1];
+            let deadline_ms = slo_ms.map_or(f64::INFINITY, |slo| arrivals_ms[start] + slo);
             OpenLoopWindow {
-                ready_ms: arrivals_ms[end - 1],
-                deadline_ms: slo_ms.map_or(f64::INFINITY, |slo| arrivals_ms[start] + slo),
+                ready_ms,
+                deadline_ms,
+                pace_ms: if deadline_ms.is_finite() {
+                    deadline_ms
+                } else {
+                    ready_ms + steady_ms
+                },
             }
+        })
+        .collect()
+}
+
+/// The per-window pacing target of a closed-loop tenant, milliseconds: its
+/// SLO when set, else its own modeled steady window.
+fn pacing_target_ms(slo_ms: Option<f64>, steady_ms: f64) -> f64 {
+    slo_ms.unwrap_or(steady_ms).max(f64::MIN_POSITIVE)
+}
+
+/// A closed-loop queue of `count` windows as the scheduler sees it: all
+/// pending at time 0, never shed, window `k` paced at
+/// `(k + 1) × target_ms` — which is what "furthest from its SLO" is
+/// measured against. Closed-loop serving is open-loop serving of these.
+fn closed_loop_windows(count: usize, target_ms: f64) -> Vec<OpenLoopWindow> {
+    (0..count)
+        .map(|k| OpenLoopWindow {
+            ready_ms: 0.0,
+            deadline_ms: f64::INFINITY,
+            pace_ms: (k + 1) as f64 * target_ms,
         })
         .collect()
 }
@@ -719,6 +611,19 @@ pub(crate) struct TenantAsk<'a> {
     pub(crate) batch: Option<usize>,
     pub(crate) slo_ms: Option<f64>,
     pub(crate) overrides: RouteOverrides,
+}
+
+impl<'a> TenantAsk<'a> {
+    /// A shape-level ask under default overrides — what the full-scale
+    /// estimators and the analytic fleet admit with.
+    pub(crate) fn arch(arch: &'a NetworkArch, batch: Option<usize>, slo_ms: Option<f64>) -> Self {
+        Self {
+            source: PlanSource::Arch(arch),
+            batch,
+            slo_ms,
+            overrides: RouteOverrides::default(),
+        }
+    }
 }
 
 /// Measures the expected [`QueueLoad`] one window of `plan` puts on the
@@ -809,30 +714,63 @@ fn admission_candidates(max_feasible: usize) -> Vec<usize> {
 
 /// The mix a co-resident registry registers on the shared clock: each of
 /// the `streams − 1` *other* queues is expected to run the blend of every
-/// tenant's measured [`QueueLoad`] at the given batches. `None` for a
-/// single tenant (the symmetric-streams model).
-fn measured_mix(
-    asks: &[TenantAsk<'_>],
-    batches: &[usize],
-    overrides: &[RouteOverrides],
+/// tenant's measured [`QueueLoad`] over the given (plan, activation
+/// extras) walks. `None` for a single tenant (the symmetric-streams
+/// model).
+fn registered_mix<P: Borrow<ExecutionPlan>>(
+    walks: &[(P, Vec<f64>)],
     gpu: &DeviceProfile,
     streams: usize,
-) -> Result<Option<Vec<QueueLoad>>, EngineError> {
-    if asks.len() <= 1 {
-        return Ok(None);
+) -> Option<Vec<QueueLoad>> {
+    if walks.len() <= 1 {
+        return None;
     }
-    let loads: Vec<QueueLoad> = asks
+    let loads: Vec<QueueLoad> = walks
         .iter()
-        .zip(batches.iter().zip(overrides.iter()))
-        .map(|(a, (&b, &ov))| {
-            let plan = a.source.plan_at(gpu, b, ov)?;
-            Ok(measure_load(&plan, &a.source.extras(&plan), gpu))
+        .map(|(plan, extras)| measure_load(plan.borrow(), extras, gpu))
+        .collect();
+    Some(vec![aggregate_load(&loads); streams.saturating_sub(1)])
+}
+
+/// The registered mix of a tenant set at its current plans, and every
+/// tenant's modeled `(cold_ms, steady_ms)` window under it — what the
+/// scheduler paces by. Admission ends here, and so do live attach/detach
+/// and batch replans (over the staged plans), so a registry's window costs
+/// always come from this one walk.
+fn modeled_windows<P: Borrow<ExecutionPlan>>(
+    walks: &[(P, Vec<f64>)],
+    gpu: &DeviceProfile,
+    streams: usize,
+) -> (Option<Vec<QueueLoad>>, Vec<(f64, f64)>) {
+    let mix = registered_mix(walks, gpu, streams);
+    let windows_ms = walks
+        .iter()
+        .map(|(plan, extras)| {
+            let (cold_s, steady_s) =
+                modeled_window_under(plan.borrow(), extras, gpu, streams, mix.as_deref());
+            (cold_s * 1e3, steady_s * 1e3)
         })
-        .collect::<Result<_, EngineError>>()?;
-    Ok(Some(vec![
-        aggregate_load(&loads);
-        streams.saturating_sub(1)
-    ]))
+        .collect();
+    (mix, windows_ms)
+}
+
+/// One tenant as admission hands it back: the decision, the plan it was
+/// decided on, and what one window of that plan costs under the registered
+/// mix. The runtime stages from this row; the estimators and the analytic
+/// fleet schedule from it directly — same table, with or without weights.
+pub(crate) struct AdmittedTenant {
+    pub(crate) admission: Admission,
+    /// Asked overrides plus any [`RouteOverrides::weight_budget`] grant:
+    /// what `plan` was lowered with and what the runtime must stage with,
+    /// so scheduler, estimator, and executor roll identical stall
+    /// decisions.
+    pub(crate) overrides: RouteOverrides,
+    /// The tenant's plan at the admitted batch.
+    pub(crate) plan: ExecutionPlan,
+    /// Modeled cold window under the registered mix, milliseconds.
+    pub(crate) cold_ms: f64,
+    /// Modeled primed window under the registered mix, milliseconds.
+    pub(crate) steady_ms: f64,
 }
 
 /// Contention-aware admission for a registry of co-resident tenants.
@@ -843,38 +781,17 @@ fn measured_mix(
 /// modeled against the *other tenants' registered mix* on the shared clock
 /// — `streams − 1` queues each running the blend of every tenant's
 /// measured [`QueueLoad`] — rather than against `streams` clones of the
-/// tenant itself. A single tenant keeps the symmetric-streams model, so
-/// single-model admission decisions are unchanged. Two fixed passes: the
-/// second re-measures loads at the first pass's chosen batches.
+/// tenant itself. A single tenant keeps the symmetric-streams model. Two
+/// fixed passes: the second re-measures loads at the first pass's chosen
+/// batches.
 ///
-/// Returns the per-tenant decisions plus the final registered mix
-/// (measured at the chosen batches) — the one the runtime installs on the
-/// clock and the estimators model windows under, so the three cannot
-/// drift.
-pub(crate) fn admit_tenants(
-    asks: &[TenantAsk<'_>],
-    phone: &Phone,
-    streams: usize,
-) -> Result<(Vec<Admission>, Option<Vec<QueueLoad>>), EngineError> {
-    let (admissions, mix, _) = admit_tenants_budgeted(asks, phone, streams, None)?;
-    Ok((admissions, mix))
-}
-
-/// What [`admit_tenants_budgeted`] hands the runtime: per-tenant
-/// decisions, the registered mix, and the effective overrides (asked
-/// overrides plus any residency grant) to lower and stage with.
-type BudgetedAdmission = (Vec<Admission>, Option<Vec<QueueLoad>>, Vec<RouteOverrides>);
-
-/// [`admit_tenants`] with an optional pooled **weight budget**: the bytes
-/// of binary weight banks allowed resident across all tenants at once.
-/// `None` keeps every tenant fully resident — the exact unpaged controller,
-/// byte for byte.
-///
-/// With a budget below the tenants' summed weights, residency grants are
-/// **tiered**: a tenant is fully resident (its overrides untouched, so its
-/// plans stay byte-identical to the unpaged ones), granted exactly its
-/// *paged floor* — the smallest hot set that still overlaps every upload
-/// with the previous step's compute
+/// `weight_budget` is the optional pooled bytes of binary weight banks
+/// allowed resident across all tenants at once; `None` keeps every tenant
+/// fully resident. With a budget below the tenants' summed weights,
+/// residency grants are **tiered**: a tenant is fully resident (its
+/// overrides untouched, so its plans stay byte-identical to the unpaged
+/// ones), granted exactly its *paged floor* — the smallest hot set that
+/// still overlaps every upload with the previous step's compute
 /// ([`paged_floor_bytes`](crate::paged_floor_bytes)) — or, when the
 /// no-stall floors alone overflow the budget, degraded to its *paged
 /// minimum* — the single largest bank
@@ -889,18 +806,16 @@ type BudgetedAdmission = (Vec<Admission>, Option<Vec<QueueLoad>>, Vec<RouteOverr
 /// even the minima overflow the budget, the set is unservable —
 /// [`EngineError::OutOfMemory`].
 ///
-/// Returns the per-tenant decisions, the registered mix, and the
-/// **effective overrides** (asked overrides plus any
-/// [`RouteOverrides::weight_budget`] grant) the runtime must lower and
-/// stage with — window latencies were modeled under these, stalls
-/// included, so scheduler, estimator, and executor roll identical stall
-/// decisions.
-pub(crate) fn admit_tenants_budgeted(
+/// Returns one [`AdmittedTenant`] per ask plus the final registered mix
+/// (measured at the chosen batches) — the one the runtime installs on the
+/// clock and every window cost in the table was modeled under, stalls
+/// included, so runtime and estimators cannot drift.
+pub(crate) fn admit_tenants(
     asks: &[TenantAsk<'_>],
     phone: &Phone,
     streams: usize,
     weight_budget: Option<usize>,
-) -> Result<BudgetedAdmission, EngineError> {
+) -> Result<(Vec<AdmittedTenant>, Option<Vec<QueueLoad>>), EngineError> {
     let gpu = &phone.gpu;
     let budget = phone.app_budget_bytes();
     let n = asks.len();
@@ -1053,16 +968,27 @@ pub(crate) fn admit_tenants_budgeted(
             batches[i] = batches[i].min(cap.max(1));
         }
     }
+    // Every tenant's plan at the given batches, with its activation extras.
+    let lower = |batches: &[usize]| -> Result<Vec<(ExecutionPlan, Vec<f64>)>, EngineError> {
+        asks.iter()
+            .zip(batches)
+            .zip(&eff)
+            .map(|((a, &b), &ov)| {
+                let plan = a.source.plan_at(gpu, b, ov)?;
+                let extras = a.source.extras(&plan);
+                Ok((plan, extras))
+            })
+            .collect()
+    };
     let mut admissions: Vec<Admission> = Vec::new();
     for _pass in 0..2 {
         // Measure every tenant's mix at the current batches, then blend.
-        let mix = measured_mix(asks, &batches, &eff, gpu, streams)?;
-        let slices: Vec<usize> = asks
+        let lowered = lower(&batches)?;
+        let mix = registered_mix(&lowered, gpu, streams);
+        let slices: Vec<usize> = lowered
             .iter()
-            .enumerate()
-            .zip(batches.iter())
-            .map(|((i, a), &b)| Ok(a.source.plan_at(gpu, b, eff[i])?.staged_arena_bytes()))
-            .collect::<Result<_, EngineError>>()?;
+            .map(|(p, _)| p.staged_arena_bytes())
+            .collect();
 
         admissions.clear();
         for (i, ask) in asks.iter().enumerate() {
@@ -1137,10 +1063,25 @@ pub(crate) fn admit_tenants_budgeted(
             break; // the symmetric model has nothing to re-measure
         }
     }
-    // The mix the runtime registers and the estimators model under: the
-    // blend at the *chosen* batches.
-    let mix = measured_mix(asks, &batches, &eff, gpu, streams)?;
-    Ok((admissions, mix, eff))
+    // The table the runtime stages from and the estimators schedule from:
+    // plans, registered mix and window costs at the *chosen* batches.
+    let lowered = lower(&batches)?;
+    let (mix, windows_ms) = modeled_windows(&lowered, gpu, streams);
+    let tenants = admissions
+        .into_iter()
+        .zip(eff.iter())
+        .zip(lowered.into_iter().zip(windows_ms))
+        .map(
+            |((admission, &overrides), ((plan, _), (cold_ms, steady_ms)))| AdmittedTenant {
+                admission,
+                overrides,
+                plan,
+                cold_ms,
+                steady_ms,
+            },
+        )
+        .collect();
+    Ok((tenants, mix))
 }
 
 // ---------------------------------------------------------------------------
@@ -1203,7 +1144,6 @@ pub struct Tenant {
     name: String,
     staged: Arc<StagedModel>,
     admission: Admission,
-    slo_ms: Option<f64>,
     overrides: RouteOverrides,
     cold_ms: f64,
     steady_ms: f64,
@@ -1227,7 +1167,7 @@ impl Tenant {
 
     /// The tenant's p95 SLO, if any.
     pub fn slo_ms(&self) -> Option<f64> {
-        self.slo_ms
+        self.admission.slo_ms
     }
 
     /// Modeled (cold, steady) window milliseconds under the runtime's
@@ -1236,12 +1176,32 @@ impl Tenant {
         (self.cold_ms, self.steady_ms)
     }
 
-    fn load(&self, windows: usize) -> TenantLoad {
-        TenantLoad {
-            windows,
-            cold_ms: self.cold_ms,
-            steady_ms: self.steady_ms,
-            target_ms: self.slo_ms.unwrap_or(self.steady_ms).max(f64::MIN_POSITIVE),
+    /// The tenant's staged window size.
+    fn batch(&self) -> usize {
+        self.staged.plan().batch.max(1)
+    }
+
+    /// The ask a live tenant re-enters admission with: its staged batch
+    /// pinned, and its *effective* overrides (any paged grant included), so
+    /// its contribution to a weight budget is its hot-set grant, not its
+    /// summed banks.
+    fn ask(&self) -> TenantAsk<'_> {
+        TenantAsk {
+            source: PlanSource::Model(self.staged.model()),
+            batch: Some(self.staged.plan().batch),
+            slo_ms: self.admission.slo_ms,
+            overrides: self.overrides,
+        }
+    }
+}
+
+impl TenantSpec {
+    fn ask(&self) -> TenantAsk<'_> {
+        TenantAsk {
+            source: PlanSource::Model(&self.model),
+            batch: self.batch,
+            slo_ms: self.slo_ms,
+            overrides: self.overrides,
         }
     }
 }
@@ -1292,7 +1252,8 @@ pub struct TenantServeReport {
     /// pins.
     pub window_ms: Vec<f64>,
     /// Per-window executed **service** time in window order, milliseconds
-    /// (what the single-tenant wrapper reports, matching PR 4 semantics).
+    /// — what a single-tenant (sharded) report reads its percentiles off:
+    /// one tenant has no cross-tenant queueing to report.
     pub duration_ms: Vec<f64>,
     /// Median window latency, milliseconds.
     pub p50_ms: f64,
@@ -1321,8 +1282,9 @@ pub struct MultiServeReport {
     pub wall_s: f64,
     /// Aggregate throughput across every tenant over the makespan.
     pub imgs_per_s: f64,
-    /// The work-stealing schedule the pass executed (modeled times).
-    pub schedule: Vec<ScheduledWindow>,
+    /// The work-stealing schedule the pass executed (modeled times): one
+    /// attempt per window, every fate `Served`.
+    pub schedule: OpenLoopSchedule,
 }
 
 /// Knobs for one [`DeviceRuntime::serve_open_loop`] pass.
@@ -1517,42 +1479,32 @@ impl DeviceRuntime {
         assert!(!specs.is_empty(), "a device runtime needs >= 1 tenant");
         assert!(streams >= 1, "a device runtime needs >= 1 stream");
         let gpu = &phone.gpu;
-        let asks: Vec<TenantAsk<'_>> = specs
-            .iter()
-            .map(|s| TenantAsk {
-                source: PlanSource::Model(&s.model),
-                batch: s.batch,
-                slo_ms: s.slo_ms,
-                overrides: s.overrides,
-            })
-            .collect();
+        let asks: Vec<TenantAsk<'_>> = specs.iter().map(TenantSpec::ask).collect();
         // Admission also hands back the registered mix at the chosen
-        // batches (None for a single tenant: symmetric) and the effective
-        // overrides — asked overrides plus any paged-residency grant —
-        // that every staged plan below must be lowered with.
-        let (admissions, mix, eff) = admit_tenants_budgeted(&asks, phone, streams, weight_budget)?;
+        // batches (None for a single tenant: symmetric) and, per tenant,
+        // the effective overrides — asked overrides plus any
+        // paged-residency grant — every staged plan must be lowered with.
+        let (admitted, mix) = admit_tenants(&asks, phone, streams, weight_budget)?;
 
         let ctx = Context::new(gpu.clone(), phone.app_budget_bytes());
         let clock = DeviceClock::with_streams(gpu.clone(), streams);
-        clock.set_mix(mix.clone());
+        clock.set_mix(mix);
 
         let mut tenants = Vec::with_capacity(specs.len());
-        for ((spec, admission), overrides) in specs.into_iter().zip(admissions).zip(eff) {
-            let slo_ms = spec.slo_ms;
-            let name = spec.name;
-            let staged =
-                StagedModel::stage_with_opts(spec.model, ctx.clone(), admission.batch, overrides)?;
-            let extras = activation_extras_model(staged.plan(), staged.model());
-            let (cold_s, steady_s) =
-                modeled_window_under(staged.plan(), &extras, gpu, streams, mix.as_deref());
+        for (spec, adm) in specs.into_iter().zip(admitted) {
+            let staged = StagedModel::stage_with_opts(
+                spec.model,
+                ctx.clone(),
+                adm.admission.batch,
+                adm.overrides,
+            )?;
             tenants.push(Tenant {
-                name,
+                name: spec.name,
                 staged,
-                admission,
-                slo_ms,
-                overrides,
-                cold_ms: cold_s * 1e3,
-                steady_ms: steady_s * 1e3,
+                admission: adm.admission,
+                overrides: adm.overrides,
+                cold_ms: adm.cold_ms,
+                steady_ms: adm.steady_ms,
             });
         }
 
@@ -1628,12 +1580,14 @@ impl DeviceRuntime {
             .map_or(0, MultiStream::pool_slice_bytes)
     }
 
-    /// Serves every tenant's request queue in one pass: requests are
-    /// windowed per tenant at the admitted batch, the work-stealing
-    /// scheduler places windows on streams ([`schedule_windows`] — least
-    /// slack to SLO first), streams execute their assignments concurrently
-    /// on scoped threads, and outputs are reassembled per tenant in
-    /// arrival order.
+    /// Serves every tenant's request queue in one **closed-loop** pass:
+    /// requests are windowed per tenant at the admitted batch, every window
+    /// is pending at time 0 and paced at `(k + 1) × target`
+    /// ([`schedule_open_loop`] then places them — least slack first),
+    /// streams execute their assignments concurrently on scoped threads,
+    /// and outputs are reassembled per tenant in arrival order. The device
+    /// clock's fault plan is an open-loop input; a closed-loop pass ignores
+    /// it.
     ///
     /// # Errors
     ///
@@ -1650,100 +1604,47 @@ impl DeviceRuntime {
                 got: format!("{} queues", traffic.len()),
             });
         }
-        // Every pass starts with cold lanes, matching the scheduler's
-        // cold-first-window-per-(stream, tenant) model — a reused runtime
-        // must not execute primed windows against a cold schedule.
-        for stream in &mut self.streams {
-            stream.reset_lanes();
-        }
-        // Windows per tenant, in arrival order.
-        let windows: Vec<Vec<(usize, usize)>> = self
+        let windows = self.request_windows(traffic);
+        let targets: Vec<f64> = self
             .tenants
             .iter()
-            .zip(traffic.iter())
-            .map(|(t, q)| {
-                let batch = t.staged.plan().batch.max(1);
-                (0..q.len())
-                    .step_by(batch)
-                    .map(|start| (start, batch.min(q.len() - start)))
-                    .collect()
+            .map(|t| pacing_target_ms(t.admission.slo_ms, t.steady_ms))
+            .collect();
+        let loads: Vec<OpenLoopLoad> = self
+            .tenants
+            .iter()
+            .zip(&windows)
+            .zip(&targets)
+            .map(|((t, w), &target_ms)| OpenLoopLoad {
+                windows: closed_loop_windows(w.len(), target_ms),
+                cold_ms: t.cold_ms,
+                steady_ms: t.steady_ms,
             })
             .collect();
-        let loads: Vec<TenantLoad> = self
-            .tenants
-            .iter()
-            .zip(windows.iter())
-            .map(|(t, w)| t.load(w.len()))
-            .collect();
-        let schedule = schedule_windows(&loads, self.streams.len());
-
-        // Per-stream assignment lists, in modeled start order.
-        let mut assignments: Vec<Vec<ScheduledWindow>> = vec![Vec::new(); self.streams.len()];
-        for sw in &schedule {
-            assignments[sw.stream].push(*sw);
-        }
-
-        let results: Vec<Result<Vec<(ScheduledWindow, RunReport)>, EngineError>> =
-            thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .streams
-                    .iter_mut()
-                    .zip(assignments.iter())
-                    .map(|(stream, mine)| {
-                        let windows = &windows;
-                        scope.spawn(move || {
-                            let mut done = Vec::with_capacity(mine.len());
-                            for sw in mine {
-                                let (start, len) = windows[sw.tenant][sw.index];
-                                let report = match traffic[sw.tenant] {
-                                    TenantTraffic::U8(reqs) => stream
-                                        .run_window_u8(sw.tenant, &reqs[start..start + len])?,
-                                    TenantTraffic::F32(reqs) => stream
-                                        .run_window_f32(sw.tenant, &reqs[start..start + len])?,
-                                };
-                                done.push((*sw, report));
-                            }
-                            Ok(done)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("stream thread panicked"))
-                    .collect()
-            });
+        let schedule =
+            schedule_open_loop(&loads, self.streams.len(), None, &RetryPolicy::default());
+        let reports = self.execute(traffic, &windows, &schedule.attempts)?;
 
         // Replay the executed schedule per stream to place completions.
-        let mut per_tenant_out: Vec<Vec<Option<ActivationData>>> = traffic
-            .iter()
-            .map(|q| (0..q.len()).map(|_| None).collect())
-            .collect();
+        let mut per_tenant_out: Vec<Vec<Option<ActivationData>>> =
+            traffic.iter().map(|q| vec![None; q.len()]).collect();
         let mut latency_ms: Vec<Vec<f64>> = windows.iter().map(|w| vec![0.0; w.len()]).collect();
         let mut duration_ms: Vec<Vec<f64>> = windows.iter().map(|w| vec![0.0; w.len()]).collect();
-        let mut wall_s = 0.0f64;
-        let mut active_streams = 0usize;
-        for result in results {
-            let done = result?;
-            if done.is_empty() {
-                continue;
+        let mut stream_s = vec![0.0f64; self.streams.len()];
+        for (at, report) in schedule.attempts.iter().zip(&reports) {
+            let (start, len) = windows[at.tenant][at.index];
+            let out = report.output.as_ref().expect("serving captures outputs");
+            for i in 0..len {
+                per_tenant_out[at.tenant][start + i] = Some(out.image(i));
             }
-            active_streams += 1;
-            let mut stream_s = 0.0f64;
-            for (sw, report) in done {
-                let (start, len) = windows[sw.tenant][sw.index];
-                let out = report.output.as_ref().expect("serving captures outputs");
-                for i in 0..len {
-                    per_tenant_out[sw.tenant][start + i] = Some(out.image(i));
-                }
-                let exec_ms = report.total_s * 1e3;
-                let arrival_ms = sw.index as f64 * loads[sw.tenant].target_ms;
-                let completion_ms = stream_s * 1e3 + exec_ms;
-                duration_ms[sw.tenant][sw.index] = exec_ms;
-                latency_ms[sw.tenant][sw.index] = (completion_ms - arrival_ms).max(exec_ms);
-                stream_s += report.total_s;
-            }
-            wall_s = wall_s.max(stream_s);
+            let exec_ms = report.total_s * 1e3;
+            let arrival_ms = at.index as f64 * targets[at.tenant];
+            let completion_ms = stream_s[at.stream] * 1e3 + exec_ms;
+            duration_ms[at.tenant][at.index] = exec_ms;
+            latency_ms[at.tenant][at.index] = (completion_ms - arrival_ms).max(exec_ms);
+            stream_s[at.stream] += report.total_s;
         }
+        let wall_s = stream_s.iter().copied().fold(0.0, f64::max);
 
         let mut tenants = Vec::with_capacity(self.tenants.len());
         let mut served_total = 0usize;
@@ -1753,7 +1654,7 @@ impl DeviceRuntime {
                 .drain(..)
                 .map(|o| o.expect("every request windowed"))
                 .collect();
-            let (p50_ms, p95_ms, p99_ms) = percentiles(&latency_ms[t]);
+            let [p50_ms, p95_ms, p99_ms] = nearest_rank(&latency_ms[t], [0.50, 0.95, 0.99]);
             served_total += outputs.len();
             windows_total += windows[t].len();
             tenants.push(TenantServeReport {
@@ -1767,13 +1668,13 @@ impl DeviceRuntime {
                 p50_ms,
                 p95_ms,
                 p99_ms,
-                slo_ms: tenant.slo_ms,
-                slo_met: tenant.slo_ms.is_none_or(|slo| p95_ms <= slo),
+                slo_ms: tenant.admission.slo_ms,
+                slo_met: tenant.admission.slo_ms.is_none_or(|slo| p95_ms <= slo),
             });
         }
         Ok(MultiServeReport {
             tenants,
-            streams: active_streams,
+            streams: stream_s.iter().filter(|&&s| s > 0.0).count(),
             served: served_total,
             windows: windows_total,
             wall_s,
@@ -1786,36 +1687,101 @@ impl DeviceRuntime {
         })
     }
 
+    /// Every tenant's requests cut into `(start, len)` windows of its
+    /// staged batch, in arrival order.
+    fn request_windows(&self, traffic: &[TenantTraffic<'_>]) -> Vec<Vec<(usize, usize)>> {
+        self.tenants
+            .iter()
+            .zip(traffic)
+            .map(|(t, q)| {
+                (0..q.len())
+                    .step_by(t.batch())
+                    .map(|start| (start, t.batch().min(q.len() - start)))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Executes a schedule verbatim: every attempt — faulted ones
+    /// included, they burn real device time — on its assigned stream, in
+    /// modeled start order, streams concurrent on scoped threads. Returns
+    /// each attempt's run report in schedule order.
+    fn execute(
+        &mut self,
+        traffic: &[TenantTraffic<'_>],
+        windows: &[Vec<(usize, usize)>],
+        attempts: &[OpenLoopAttempt],
+    ) -> Result<Vec<RunReport>, EngineError> {
+        // Every pass starts with cold lanes, matching the scheduler's
+        // cold-first-window-per-(stream, tenant) model — a reused runtime
+        // must not execute primed windows against a cold schedule.
+        for stream in &mut self.streams {
+            stream.reset_lanes();
+        }
+        let mut assignments: Vec<Vec<usize>> = vec![Vec::new(); self.streams.len()];
+        for (k, at) in attempts.iter().enumerate() {
+            assignments[at.stream].push(k);
+        }
+        let results: Vec<Result<Vec<RunReport>, EngineError>> = thread::scope(|scope| {
+            let handles: Vec<_> =
+                self.streams
+                    .iter_mut()
+                    .zip(&assignments)
+                    .map(|(stream, mine)| {
+                        scope.spawn(move || {
+                            mine.iter()
+                                .map(|&k| {
+                                    let at = &attempts[k];
+                                    let (start, len) = windows[at.tenant][at.index];
+                                    match traffic[at.tenant] {
+                                        TenantTraffic::U8(reqs) => stream
+                                            .run_window_u8(at.tenant, &reqs[start..start + len]),
+                                        TenantTraffic::F32(reqs) => stream
+                                            .run_window_f32(at.tenant, &reqs[start..start + len]),
+                                    }
+                                })
+                                .collect()
+                        })
+                    })
+                    .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("stream thread panicked"))
+                .collect()
+        });
+        let mut reports: Vec<Option<RunReport>> = attempts.iter().map(|_| None).collect();
+        for (mine, done) in assignments.iter().zip(results) {
+            for (&k, report) in mine.iter().zip(done?) {
+                reports[k] = Some(report);
+            }
+        }
+        Ok(reports
+            .into_iter()
+            .map(|r| r.expect("every attempt is assigned to one stream"))
+            .collect())
+    }
+
     /// Re-measures every tenant's [`QueueLoad`] at its current batch,
     /// re-registers the blended mix on the shared clock, and refreshes
     /// each tenant's modeled window costs and admission verdict — the
     /// bookkeeping shared by live attach/detach and shed-triggered
     /// replans.
     fn refresh_mix(&mut self) {
-        let gpu = self.phone.gpu.clone();
-        let streams = self.streams.len();
-        let mix = if self.tenants.len() <= 1 {
-            None
-        } else {
-            let loads: Vec<QueueLoad> = self
-                .tenants
-                .iter()
-                .map(|t| {
-                    let extras = activation_extras_model(t.staged.plan(), t.staged.model());
-                    measure_load(t.staged.plan(), &extras, &gpu)
-                })
-                .collect();
-            Some(vec![aggregate_load(&loads); streams.saturating_sub(1)])
-        };
-        self.clock.set_mix(mix.clone());
-        for t in &mut self.tenants {
-            let extras = activation_extras_model(t.staged.plan(), t.staged.model());
-            let (cold_s, steady_s) =
-                modeled_window_under(t.staged.plan(), &extras, &gpu, streams, mix.as_deref());
-            t.cold_ms = cold_s * 1e3;
-            t.steady_ms = steady_s * 1e3;
-            t.admission.modeled_window_ms = steady_s * 1e3;
-            t.admission.slo_met = t.slo_ms.is_none_or(|slo| steady_s * 1e3 <= slo);
+        let walks: Vec<(&ExecutionPlan, Vec<f64>)> = self
+            .tenants
+            .iter()
+            .map(|t| {
+                let plan = t.staged.plan();
+                (plan, activation_extras_model(plan, t.staged.model()))
+            })
+            .collect();
+        let (mix, windows_ms) = modeled_windows(&walks, &self.phone.gpu, self.streams.len());
+        self.clock.set_mix(mix);
+        for (t, (cold_ms, steady_ms)) in self.tenants.iter_mut().zip(windows_ms) {
+            t.cold_ms = cold_ms;
+            t.steady_ms = steady_ms;
+            t.admission.modeled_window_ms = steady_ms;
+            t.admission.slo_met = t.admission.slo_ms.is_none_or(|slo| steady_ms <= slo);
         }
     }
 
@@ -1857,37 +1823,17 @@ impl DeviceRuntime {
     /// exceed the context's remaining budget;
     /// [`EngineError::DomainMismatch`] for a malformed model.
     pub fn attach(&mut self, spec: TenantSpec) -> Result<usize, EngineError> {
-        let streams = self.streams.len();
         let gpu = self.phone.gpu.clone();
-        let (admissions, eff) = {
-            let mut asks: Vec<TenantAsk<'_>> = self
-                .tenants
-                .iter()
-                .map(|t| TenantAsk {
-                    source: PlanSource::Model(t.staged.model()),
-                    batch: Some(t.staged.plan().batch),
-                    slo_ms: t.slo_ms,
-                    overrides: t.overrides,
-                })
-                .collect();
-            asks.push(TenantAsk {
-                source: PlanSource::Model(&spec.model),
-                batch: spec.batch,
-                slo_ms: spec.slo_ms,
-                overrides: spec.overrides,
-            });
-            // Survivors' asks carry their *effective* overrides (any paged
-            // grant included), so their pinned contribution to the weight
-            // budget is their hot-set grant, not their summed banks.
-            let (admissions, _, eff) =
-                admit_tenants_budgeted(&asks, &self.phone, streams, self.weight_budget)?;
-            (admissions, eff)
+        // Admission runs over the whole roster with every survivor pinned;
+        // only the newcomer's row is acted on.
+        let newcomer = {
+            let mut asks: Vec<TenantAsk<'_>> = self.tenants.iter().map(Tenant::ask).collect();
+            asks.push(spec.ask());
+            let (admitted, _) =
+                admit_tenants(&asks, &self.phone, self.streams.len(), self.weight_budget)?;
+            admitted.into_iter().next_back().expect("newcomer row")
         };
-        let mut admission = admissions
-            .into_iter()
-            .next_back()
-            .expect("newcomer admission");
-        let overrides = eff.last().copied().expect("newcomer overrides");
+        let (mut admission, overrides) = (newcomer.admission, newcomer.overrides);
         // Survivors keep their lanes: the newcomer must fit the existing
         // pooled slice, clamping its batch below the memory cap when the
         // slice binds first.
@@ -1909,18 +1855,15 @@ impl DeviceRuntime {
         }
         admission.max_feasible_batch = admission.max_feasible_batch.min(slice_cap);
         admission.batch = admission.batch.min(slice_cap);
-        let slo_ms = spec.slo_ms;
-        let name = spec.name;
         let staged =
             StagedModel::stage_with_opts(spec.model, self.ctx.clone(), admission.batch, overrides)?;
         for stream in &mut self.streams {
             stream.attach_lane(&staged)?;
         }
         self.tenants.push(Tenant {
-            name,
+            name: spec.name,
             staged,
             admission,
-            slo_ms,
             overrides,
             cold_ms: 0.0, // refreshed just below
             steady_ms: 0.0,
@@ -1986,35 +1929,7 @@ impl DeviceRuntime {
         arrivals_ms: &[Vec<f64>],
         opts: &OpenLoopOptions,
     ) -> Result<OpenLoopReport, EngineError> {
-        if traffic.len() != self.tenants.len() || arrivals_ms.len() != self.tenants.len() {
-            return Err(EngineError::InputMismatch {
-                expected: format!("{} tenant queues with arrivals", self.tenants.len()),
-                got: format!(
-                    "{} queues, {} arrival streams",
-                    traffic.len(),
-                    arrivals_ms.len()
-                ),
-            });
-        }
-        for (t, (q, a)) in traffic.iter().zip(arrivals_ms.iter()).enumerate() {
-            if q.len() != a.len() {
-                return Err(EngineError::InputMismatch {
-                    expected: format!("{} arrival times for tenant {t}", q.len()),
-                    got: format!("{} timestamps", a.len()),
-                });
-            }
-            if a.windows(2).any(|w| w[1] < w[0]) {
-                return Err(EngineError::InputMismatch {
-                    expected: format!("sorted arrivals for tenant {t}"),
-                    got: "out-of-order timestamps".into(),
-                });
-            }
-        }
-        // Every pass starts with cold lanes, matching the scheduler's
-        // cold-first-window-per-(stream, tenant) model.
-        for stream in &mut self.streams {
-            stream.reset_lanes();
-        }
+        validate_arrivals(self.tenants.len(), traffic, arrivals_ms)?;
         let fault = self.clock.fault_plan();
 
         // Plan the pass, re-planning batches while any tenant's modeled
@@ -2025,24 +1940,13 @@ impl DeviceRuntime {
         // losses.
         let mut replans = 0usize;
         let (windows, schedule) = loop {
-            let windows: Vec<Vec<(usize, usize)>> = self
-                .tenants
-                .iter()
-                .zip(traffic.iter())
-                .map(|(t, q)| {
-                    let batch = t.staged.plan().batch.max(1);
-                    (0..q.len())
-                        .step_by(batch)
-                        .map(|start| (start, batch.min(q.len() - start)))
-                        .collect()
-                })
-                .collect();
+            let windows = self.request_windows(traffic);
             let loads: Vec<OpenLoopLoad> = self
                 .tenants
                 .iter()
-                .zip(arrivals_ms.iter())
+                .zip(arrivals_ms)
                 .map(|(t, arr)| OpenLoopLoad {
-                    windows: open_loop_windows(arr, t.staged.plan().batch, t.slo_ms),
+                    windows: open_loop_windows(arr, t.batch(), t.admission.slo_ms, t.steady_ms),
                     cold_ms: t.cold_ms,
                     steady_ms: t.steady_ms,
                 })
@@ -2088,129 +1992,63 @@ impl DeviceRuntime {
             }
         };
 
-        // Execute the schedule verbatim: every attempt — faulted ones
-        // included, they burn real device time — on its assigned stream,
-        // in modeled start order.
-        let mut assignments: Vec<Vec<(usize, OpenLoopAttempt)>> =
-            vec![Vec::new(); self.streams.len()];
-        for (k, at) in schedule.attempts.iter().enumerate() {
-            assignments[at.stream].push((k, *at));
-        }
-        let results: Vec<Result<Vec<(usize, RunReport)>, EngineError>> = thread::scope(|scope| {
-            let handles: Vec<_> =
-                self.streams
-                    .iter_mut()
-                    .zip(assignments.iter())
-                    .map(|(stream, mine)| {
-                        let windows = &windows;
-                        scope.spawn(move || {
-                            let mut done = Vec::with_capacity(mine.len());
-                            for (k, at) in mine {
-                                let (start, len) = windows[at.tenant][at.index];
-                                let report = match traffic[at.tenant] {
-                                    TenantTraffic::U8(reqs) => stream
-                                        .run_window_u8(at.tenant, &reqs[start..start + len])?,
-                                    TenantTraffic::F32(reqs) => stream
-                                        .run_window_f32(at.tenant, &reqs[start..start + len])?,
-                                };
-                                done.push((*k, report));
-                            }
-                            Ok(done)
-                        })
-                    })
-                    .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("stream thread panicked"))
-                .collect()
-        });
+        let reports = self.execute(traffic, &windows, &schedule.attempts)?;
+        // The executor runs each window at the base service time; the
+        // thermal derate stretches it by the same factor the scheduler
+        // applied at the attempt's start.
+        let attempt_exec_ms: Vec<f64> = schedule
+            .attempts
+            .iter()
+            .zip(&reports)
+            .map(|(at, report)| report.total_s * 1e3 * at.slowdown)
+            .collect();
 
-        let mut attempt_exec_ms = vec![0.0f64; schedule.attempts.len()];
-        let mut reports: Vec<Option<RunReport>> =
-            (0..schedule.attempts.len()).map(|_| None).collect();
-        for result in results {
-            for (k, report) in result? {
-                // The executor runs the window at the base service time;
-                // the thermal derate stretches it by the same factor the
-                // scheduler applied at this attempt's start.
-                attempt_exec_ms[k] = report.total_s * 1e3 * schedule.attempts[k].slowdown;
-                reports[k] = Some(report);
-            }
-        }
-        // The serving (non-faulted) attempt per served window — its
-        // executed outputs are the ones committed.
-        let mut winner: Vec<Vec<Option<usize>>> =
-            windows.iter().map(|w| vec![None; w.len()]).collect();
-        for (k, at) in schedule.attempts.iter().enumerate() {
+        // A non-faulted attempt is its window's serving attempt — its
+        // executed outputs are the ones committed; shed requests stay
+        // `None`.
+        let mut outputs: Vec<Vec<Option<ActivationData>>> =
+            traffic.iter().map(|q| vec![None; q.len()]).collect();
+        for (at, report) in schedule.attempts.iter().zip(&reports) {
             if !at.faulted {
-                winner[at.tenant][at.index] = Some(k);
+                let (start, len) = windows[at.tenant][at.index];
+                let out = report.output.as_ref().expect("serving captures outputs");
+                for j in 0..len {
+                    outputs[at.tenant][start + j] = Some(out.image(j));
+                }
             }
         }
 
         let mut tenants_out = Vec::with_capacity(self.tenants.len());
-        let mut served_total = 0usize;
         for (t, tenant) in self.tenants.iter().enumerate() {
-            let offered = arrivals_ms[t].len();
-            let mut outputs: Vec<Option<ActivationData>> = (0..offered).map(|_| None).collect();
-            let mut latency = Vec::new();
-            let mut shed_req = 0usize;
-            let mut windows_shed = 0usize;
-            for (i, fate) in schedule.fates[t].iter().enumerate() {
-                let (start, len) = windows[t][i];
-                match fate {
-                    WindowFate::Served { end_ms, .. } => {
-                        let k = winner[t][i].expect("served windows have a serving attempt");
-                        let report = reports[k].as_ref().expect("serving attempt executed");
-                        let out = report.output.as_ref().expect("serving captures outputs");
-                        for j in 0..len {
-                            outputs[start + j] = Some(out.image(j));
-                            latency.push(end_ms - arrivals_ms[t][start + j]);
-                        }
-                    }
-                    WindowFate::Shed { .. } => {
-                        shed_req += len;
-                        windows_shed += 1;
-                    }
-                }
-            }
-            let retries = schedule
-                .attempts
-                .iter()
-                .filter(|a| a.tenant == t && a.faulted)
-                .count();
-            let throttled = schedule
-                .attempts
-                .iter()
-                .filter(|a| a.tenant == t && a.slowdown > 1.0)
-                .count();
-            let (p50_ms, p95_ms, p99_ms, p999_ms) = percentiles_ext(&latency);
-            let served = offered - shed_req;
-            served_total += served;
+            let fold = OpenLoopFold::of(
+                &schedule,
+                t,
+                tenant.batch(),
+                &arrivals_ms[t],
+                tenant.admission.slo_ms,
+            );
             tenants_out.push(TenantOpenLoopReport {
                 name: tenant.name.clone(),
-                offered,
-                served,
-                shed: shed_req,
+                offered: fold.offered,
+                served: fold.served,
+                shed: fold.shed,
                 windows: windows[t].len(),
-                windows_shed,
-                retries,
-                throttled,
+                windows_shed: fold.windows_shed,
+                retries: fold.retries,
+                throttled: fold.throttled,
                 batch: tenant.staged.plan().batch,
-                outputs,
-                latency_ms: latency,
-                p50_ms,
-                p95_ms,
-                p99_ms,
-                p999_ms,
-                slo_ms: tenant.slo_ms,
-                slo_met: tenant.slo_ms.is_none_or(|slo| p95_ms <= slo),
-                shed_rate: if offered > 0 {
-                    shed_req as f64 / offered as f64
-                } else {
-                    0.0
-                },
+                outputs: std::mem::take(&mut outputs[t]),
+                latency_ms: fold.latency_ms,
+                p50_ms: fold.p50_ms,
+                p95_ms: fold.p95_ms,
+                p99_ms: fold.p99_ms,
+                p999_ms: fold.p999_ms,
+                slo_ms: tenant.admission.slo_ms,
+                slo_met: fold.slo_met,
+                shed_rate: fold.shed_rate,
             });
         }
+        let served_total: usize = tenants_out.iter().map(|t| t.served).sum();
         let horizon_ms = schedule.wall_ms.max(
             arrivals_ms
                 .iter()
@@ -2233,316 +2071,128 @@ impl DeviceRuntime {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Single-tenant wrapper (the PR 4 surface, unchanged behavior)
-// ---------------------------------------------------------------------------
-
-/// One sharded serving pass: outputs in request order plus the latency
-/// distribution the SLO is judged against.
-#[derive(Debug)]
-pub struct ServeReport {
-    /// Requests served.
-    pub served: usize,
-    /// Windows dispatched across all streams.
-    pub windows: usize,
-    /// Streams that carried traffic.
-    pub streams: usize,
-    /// The staged window size.
-    pub batch: usize,
-    /// Per-request outputs, reassembled in arrival order.
-    pub outputs: Vec<ActivationData>,
-    /// Every window's modeled latency in window order, milliseconds.
-    pub window_ms: Vec<f64>,
-    /// Median window latency, milliseconds.
-    pub p50_ms: f64,
-    /// 95th-percentile window latency, milliseconds.
-    pub p95_ms: f64,
-    /// 99th-percentile window latency, milliseconds.
-    pub p99_ms: f64,
-    /// Simulated makespan: the busiest stream's total time, seconds.
-    pub wall_s: f64,
-    /// Aggregate throughput: requests served over the makespan.
-    pub imgs_per_s: f64,
-    /// The admission SLO, if any.
-    pub slo_ms: Option<f64>,
-    /// Whether the **observed** p95 met the SLO.
-    pub slo_met: bool,
+/// Checks open-loop traffic where it enters — the device runtime and the
+/// fleet both serve through this gate: one queue and one arrival stream
+/// per tenant, one timestamp per request, timestamps sorted (ties
+/// allowed), finite and non-negative. A non-finite arrival would never
+/// become ready and stall the scheduler's idle-forward step.
+pub(crate) fn validate_arrivals(
+    tenants: usize,
+    traffic: &[TenantTraffic<'_>],
+    arrivals_ms: &[Vec<f64>],
+) -> Result<(), EngineError> {
+    if traffic.len() != tenants || arrivals_ms.len() != tenants {
+        return Err(EngineError::InputMismatch {
+            expected: format!("{tenants} tenant queues with arrivals"),
+            got: format!(
+                "{} queues, {} arrival streams",
+                traffic.len(),
+                arrivals_ms.len()
+            ),
+        });
+    }
+    for (t, (q, a)) in traffic.iter().zip(arrivals_ms.iter()).enumerate() {
+        if q.len() != a.len() {
+            return Err(EngineError::InputMismatch {
+                expected: format!("{} arrival times for tenant {t}", q.len()),
+                got: format!("{} timestamps", a.len()),
+            });
+        }
+        if let Some(bad) = a.iter().find(|v| !v.is_finite() || **v < 0.0) {
+            return Err(EngineError::InputMismatch {
+                expected: format!("finite non-negative arrivals for tenant {t}"),
+                got: format!("{bad}"),
+            });
+        }
+        if a.windows(2).any(|w| w[1] < w[0]) {
+            return Err(EngineError::InputMismatch {
+                expected: format!("sorted arrivals for tenant {t}"),
+                got: "out-of-order timestamps".into(),
+            });
+        }
+    }
+    Ok(())
 }
 
-/// A sharded serving runtime for a **single** model: the thin one-tenant
-/// wrapper over [`DeviceRuntime`], kept so the PR 4 surface (and every
-/// test against it) works unmodified. One staged model, `N` streams, one
-/// device clock (symmetric — one tenant has no heterogeneous mix), and an
-/// admission decision.
-///
-/// ```
-/// use phonebit_core::serve::{ServeOptions, ServeRuntime};
-/// use phonebit_core::{convert, NetworkBuilder};
-/// use phonebit_gpusim::Phone;
-/// use phonebit_nn::{act::Activation, fuse::BnParams};
-/// use phonebit_tensor::shape::{FilterShape, Shape4};
-/// use phonebit_tensor::{Filters, Tensor};
-///
-/// let filters = Filters::from_fn(FilterShape::new(8, 3, 3, 3), |k, i, j, c| {
-///     if (k + i + j + c) % 2 == 0 { 1.0 } else { -1.0 }
-/// });
-/// let model = NetworkBuilder::new("tiny", Shape4::new(1, 8, 8, 3))
-///     .bconv_input8("conv1", filters, vec![0.0; 8], BnParams::identity(8), 1, 1)
-///     .softmax()
-///     .build();
-/// let mut runtime = ServeRuntime::new(
-///     model,
-///     &Phone::xiaomi_9(),
-///     ServeOptions { streams: 2, batch: Some(2), ..Default::default() },
-/// )?;
-/// let requests: Vec<_> = (0..6)
-///     .map(|i| Tensor::from_fn(Shape4::new(1, 8, 8, 3), move |_, h, w, c| {
-///         ((h * 7 + w * 3 + c * 11 + i) % 256) as u8
-///     }))
-///     .collect();
-/// let report = runtime.serve_u8(&requests)?;
-/// assert_eq!(report.outputs.len(), 6);
-/// assert!(report.imgs_per_s > 0.0);
-/// # Ok::<(), phonebit_core::EngineError>(())
-/// ```
-#[derive(Debug)]
-pub struct ServeRuntime {
-    inner: DeviceRuntime,
+/// One tenant's request-level accounting read off a schedule: the fold
+/// behind both the executed [`TenantOpenLoopReport`] and the modeled
+/// [`TenantOpenLoopEstimate`], so their counters and percentiles cannot
+/// disagree on the same schedule.
+struct OpenLoopFold {
+    offered: usize,
+    served: usize,
+    shed: usize,
+    windows_shed: usize,
+    retries: usize,
+    throttled: usize,
+    /// Per-served-request latency (completion − its own arrival), in
+    /// arrival order over served requests.
+    latency_ms: Vec<f64>,
+    p50_ms: f64,
+    p95_ms: f64,
+    p99_ms: f64,
+    p999_ms: f64,
+    slo_met: bool,
+    shed_rate: f64,
 }
 
-impl ServeRuntime {
-    /// Stages a model once and spins up `opts.streams` streams over it,
-    /// after running admission control (memory cap, then SLO) to fix the
-    /// window size.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::OutOfMemory`] when weights plus every
-    /// stream's arena exceed the phone's app budget even at batch 1, or
-    /// [`EngineError::DomainMismatch`] for a malformed model.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `opts.streams == 0`.
-    pub fn new(model: PbitModel, phone: &Phone, opts: ServeOptions) -> Result<Self, EngineError> {
-        assert!(opts.streams >= 1, "a serving runtime needs >= 1 stream");
-        let spec = TenantSpec {
-            name: model.name.clone(),
-            model,
-            batch: opts.batch,
-            slo_ms: opts.slo_ms,
-            overrides: opts.overrides,
-        };
-        Ok(Self {
-            inner: DeviceRuntime::new_with_budget(
-                vec![spec],
-                phone,
-                opts.streams,
-                opts.weight_budget,
-            )?,
-        })
-    }
-
-    /// The shared staged state.
-    pub fn staged(&self) -> &Arc<StagedModel> {
-        self.inner.tenants[0].staged()
-    }
-
-    /// The admission controller's decision.
-    pub fn admission(&self) -> &Admission {
-        self.inner.tenants[0].admission()
-    }
-
-    /// The shared device clock arbitrating the streams' queues.
-    pub fn clock(&self) -> &Arc<DeviceClock> {
-        self.inner.clock()
-    }
-
-    /// Streams staged over the shared model.
-    pub fn stream_count(&self) -> usize {
-        self.inner.stream_count()
-    }
-
-    /// Device bytes resident across the shared weights and every stream's
-    /// arena banks (`weights + N_streams × banks × Σ slots` — the
-    /// single-tenant pool slice is exactly this model's staged arena).
-    pub fn resident_bytes(&self) -> usize {
-        self.inner.resident_bytes()
-    }
-
-    /// Peak device bytes actually held — see
-    /// [`DeviceRuntime::peak_resident_bytes`].
-    pub fn peak_resident_bytes(&self) -> usize {
-        self.inner.peak_resident_bytes()
-    }
-
-    /// Σ weight bytes of the staged model when fully resident — see
-    /// [`DeviceRuntime::total_weight_bytes`].
-    pub fn total_weight_bytes(&self) -> usize {
-        self.inner.total_weight_bytes()
-    }
-
-    /// Serves a slice of 8-bit image requests: windows of the admitted
-    /// batch size in arrival order, placed by the shared window scheduler
-    /// (round-robin for one tenant's uniform windows), streams running
-    /// concurrently on scoped threads, outputs reassembled into request
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::InputMismatch`] when the model takes float
-    /// input or any request's shape disagrees.
-    pub fn serve_u8(&mut self, requests: &[Tensor<u8>]) -> Result<ServeReport, EngineError> {
-        let report = self.inner.serve(&[TenantTraffic::U8(requests)])?;
-        Ok(Self::flatten(report))
-    }
-
-    /// [`ServeRuntime::serve_u8`] for float-input models.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::InputMismatch`] when the model takes `u8`
-    /// input or any request's shape disagrees.
-    pub fn serve_f32(&mut self, requests: &[Tensor<f32>]) -> Result<ServeReport, EngineError> {
-        let report = self.inner.serve(&[TenantTraffic::F32(requests)])?;
-        Ok(Self::flatten(report))
-    }
-
-    /// Projects the one-tenant [`MultiServeReport`] onto the PR 4 surface:
-    /// window latencies are the executed service times (a single tenant
-    /// has no cross-tenant queueing to report).
-    fn flatten(mut report: MultiServeReport) -> ServeReport {
-        let tenant = report.tenants.remove(0);
-        let window_ms = tenant.duration_ms;
-        let (p50_ms, p95_ms, p99_ms) = percentiles(&window_ms);
-        let slo_ms = tenant.slo_ms;
-        ServeReport {
-            served: tenant.served,
-            windows: tenant.windows,
-            streams: report.streams,
-            batch: tenant.batch,
-            outputs: tenant.outputs,
-            window_ms,
+impl OpenLoopFold {
+    /// Folds tenant `t`'s window fates and attempts over its `arrivals_ms`,
+    /// windowed at `batch`.
+    fn of(
+        schedule: &OpenLoopSchedule,
+        t: usize,
+        batch: usize,
+        arrivals_ms: &[f64],
+        slo_ms: Option<f64>,
+    ) -> Self {
+        let offered = arrivals_ms.len();
+        let mut latency_ms = Vec::new();
+        let mut shed = 0usize;
+        let mut windows_shed = 0usize;
+        for (fate, members) in schedule.fates[t]
+            .iter()
+            .zip(arrivals_ms.chunks(batch.max(1)))
+        {
+            match fate {
+                WindowFate::Served { end_ms, .. } => {
+                    latency_ms.extend(members.iter().map(|arrival| end_ms - arrival));
+                }
+                WindowFate::Shed { .. } => {
+                    shed += members.len();
+                    windows_shed += 1;
+                }
+            }
+        }
+        let mine = || schedule.attempts.iter().filter(move |a| a.tenant == t);
+        // The extra p99.9 rank is where fault retries live.
+        let [p50_ms, p95_ms, p99_ms, p999_ms] =
+            nearest_rank(&latency_ms, [0.50, 0.95, 0.99, 0.999]);
+        Self {
+            offered,
+            served: offered - shed,
+            shed,
+            windows_shed,
+            retries: mine().filter(|a| a.faulted).count(),
+            throttled: mine().filter(|a| a.slowdown > 1.0).count(),
+            latency_ms,
             p50_ms,
             p95_ms,
             p99_ms,
-            wall_s: report.wall_s,
-            imgs_per_s: report.imgs_per_s,
-            slo_ms,
+            p999_ms,
             slo_met: slo_ms.is_none_or(|slo| p95_ms <= slo),
+            shed_rate: if offered > 0 {
+                shed as f64 / offered as f64
+            } else {
+                0.0
+            },
         }
     }
-}
-
-/// Nearest-rank (p50, p95, p99) over an unsorted latency sample — one
-/// sort serves all three ranks; zeros for an empty sample.
-fn percentiles(samples_ms: &[f64]) -> (f64, f64, f64) {
-    if samples_ms.is_empty() {
-        return (0.0, 0.0, 0.0);
-    }
-    let mut sorted = samples_ms.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let at = |q: f64| {
-        let rank = (q * (sorted.len() - 1) as f64).round() as usize;
-        sorted[rank.min(sorted.len() - 1)]
-    };
-    (at(0.50), at(0.95), at(0.99))
-}
-
-/// Nearest-rank (p50, p95, p99, p99.9) — the open-loop reports carry the
-/// extra tail rank because fault retries live there; zeros for an empty
-/// sample. Crate-visible so the fleet layer aggregates its global latency
-/// distribution with the identical rank rule.
-pub(crate) fn percentiles_ext(samples_ms: &[f64]) -> (f64, f64, f64, f64) {
-    if samples_ms.is_empty() {
-        return (0.0, 0.0, 0.0, 0.0);
-    }
-    let mut sorted = samples_ms.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let at = |q: f64| {
-        let rank = (q * (sorted.len() - 1) as f64).round() as usize;
-        sorted[rank.min(sorted.len() - 1)]
-    };
-    (at(0.50), at(0.95), at(0.99), at(0.999))
 }
 
 // ---------------------------------------------------------------------------
 // Full-scale estimates (no weights, no kernel bodies)
 // ---------------------------------------------------------------------------
-
-/// A modeled sharded-serving run at full scale (no weights, no kernel
-/// bodies) — what the `serve_report` bench bin records per model × phone ×
-/// streams × batch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeEstimate {
-    /// Streams sharing the device.
-    pub streams: usize,
-    /// Images per window.
-    pub batch: usize,
-    /// Cold (first) window latency per stream, milliseconds.
-    pub cold_window_ms: f64,
-    /// Steady window latency per stream, milliseconds.
-    pub steady_window_ms: f64,
-    /// Aggregate steady throughput across all streams, images per second.
-    pub imgs_per_s: f64,
-    /// p50 window latency over the modeled run, milliseconds.
-    pub p50_ms: f64,
-    /// p95 window latency, milliseconds.
-    pub p95_ms: f64,
-    /// p99 window latency, milliseconds.
-    pub p99_ms: f64,
-    /// Sharded activation footprint, bytes (`streams × banks × Σ slots`).
-    pub arena_bytes: usize,
-    /// Sharded peak footprint, bytes (weights + arena).
-    pub peak_bytes: usize,
-}
-
-/// Models a sharded serving run of `windows_per_stream` windows per stream
-/// (first window on each stream cold, the rest steady) on `phone`, at full
-/// scale from the architecture alone — the serving analogue of
-/// [`estimate_arch_batched`](crate::estimate_arch_batched). Window
-/// placement and the latency sample come from the same
-/// [`schedule_windows`] pass the runtime executes.
-///
-/// # Panics
-///
-/// Panics when `streams == 0`, `batch == 0`, or `windows_per_stream == 0`.
-pub fn estimate_serve(
-    phone: &Phone,
-    arch: &NetworkArch,
-    batch: usize,
-    streams: usize,
-    windows_per_stream: usize,
-) -> ServeEstimate {
-    assert!(streams >= 1 && windows_per_stream >= 1);
-    let plan = ExecutionPlan::for_arch_batched(arch, &phone.gpu, batch);
-    let extras = activation_extras_arch(&plan, arch);
-    let (cold_s, steady_s) = modeled_window_under(&plan, &extras, &phone.gpu, streams, None);
-    let (cold, steady) = (cold_s * 1e3, steady_s * 1e3);
-
-    let load = TenantLoad {
-        windows: streams * windows_per_stream,
-        cold_ms: cold,
-        steady_ms: steady,
-        target_ms: steady.max(f64::MIN_POSITIVE),
-    };
-    let schedule = schedule_windows(&[load], streams);
-    let window_ms: Vec<f64> = schedule.iter().map(|sw| sw.end_ms - sw.start_ms).collect();
-    let arena_bytes = streams * plan.staged_arena_bytes();
-    let (p50_ms, p95_ms, p99_ms) = percentiles(&window_ms);
-    ServeEstimate {
-        streams,
-        batch,
-        cold_window_ms: cold,
-        steady_window_ms: steady,
-        imgs_per_s: (streams * batch) as f64 / steady_s,
-        p50_ms,
-        p95_ms,
-        p99_ms,
-        arena_bytes,
-        peak_bytes: plan.weights_bytes + arena_bytes,
-    }
-}
 
 /// One tenant's workload for a full-scale multi-tenant estimate.
 #[derive(Debug, Clone, Copy)]
@@ -2607,47 +2257,39 @@ pub struct MultiTenantEstimate {
     pub pool_slice_bytes: usize,
     /// Pooled co-resident peak (`Σ weights + streams × slice`), bytes.
     pub peak_bytes: usize,
+    /// The modeled schedule the percentiles were read off — one attempt
+    /// per window, equal to what a [`DeviceRuntime::serve`] pass over the
+    /// same tenants executes.
+    pub schedule: OpenLoopSchedule,
 }
 
-/// Models a co-resident multi-tenant serving pass at full scale: runs the
-/// contention-aware admission per tenant, registers the tenants' blended
-/// mix, walks each plan under it for window costs, places every window
-/// with [`schedule_windows`] — the same code path the [`DeviceRuntime`]
-/// executes — and reads per-tenant latency percentiles off the modeled
-/// completions. The time-sliced baseline reruns each tenant alone (the
-/// symmetric PR 4 model on the same stream count) and sums the makespans.
+/// Models a co-resident multi-tenant **closed-loop** pass at full scale:
+/// the same admission and the same [`schedule_open_loop`] placement a
+/// [`DeviceRuntime::serve`] pass executes — from architectures instead of
+/// staged models, with no streams to run — reading per-tenant latency
+/// percentiles off the modeled completions. The time-sliced baseline
+/// reruns each tenant alone (symmetric contention on the same stream
+/// count) and sums the makespans. A single workload is the sharded
+/// single-model estimate.
+///
+/// Under a `weight_budget`, admission grants streamed tenants their paged
+/// floors (tiered — see [`paged_floor_bytes`](crate::paged_floor_bytes) and
+/// [`paged_min_bytes`](crate::paged_min_bytes)), every modeled plan carries
+/// its paging schedule so window costs fold in the upload stalls, and the
+/// reported peak charges streamed tenants at their hot-set grants
+/// ([`MultiTenantPlan::paged_peak_bytes`]). `None` keeps every tenant
+/// fully resident.
 ///
 /// # Panics
 ///
 /// Panics when `workloads` is empty, `streams == 0`, any workload has
 /// zero windows, or the tenant set does not fit the phone's app budget
-/// even at batch 1 (estimate callers pick the pairing; an infeasible one
-/// is a harness bug, not a servable configuration).
-pub fn estimate_serve_multitenant(
-    phone: &Phone,
-    workloads: &[TenantWorkload<'_>],
-    streams: usize,
-) -> MultiTenantEstimate {
-    estimate_serve_multitenant_budgeted(phone, workloads, streams, None)
-}
-
-/// [`estimate_serve_multitenant`] under an optional pooled **weight
-/// budget**: admission grants streamed tenants their paged floors
-/// (tiered grants — see
-/// [`paged_floor_bytes`](crate::paged_floor_bytes) and
-/// [`paged_min_bytes`](crate::paged_min_bytes)), every modeled plan
-/// carries its paging schedule so window costs fold in the upload
-/// stalls, and the reported peak charges streamed tenants at their
-/// hot-set grants ([`MultiTenantPlan::paged_peak_bytes`]). `None` is
-/// exactly [`estimate_serve_multitenant`].
-///
-/// # Panics
-///
-/// As [`estimate_serve_multitenant`], plus when even the tenants' paged
-/// minima overflow the weight budget.
+/// even at batch 1 — or its paged minima overflow the weight budget
+/// (estimate callers pick the pairing; an infeasible one is a harness bug,
+/// not a servable configuration).
 ///
 /// [`MultiTenantPlan::paged_peak_bytes`]: crate::planner::MultiTenantPlan::paged_peak_bytes
-pub fn estimate_serve_multitenant_budgeted(
+pub fn estimate_serve_multitenant(
     phone: &Phone,
     workloads: &[TenantWorkload<'_>],
     streams: usize,
@@ -2658,70 +2300,51 @@ pub fn estimate_serve_multitenant_budgeted(
     let gpu = &phone.gpu;
     let asks: Vec<TenantAsk<'_>> = workloads
         .iter()
-        .map(|w| TenantAsk {
-            source: PlanSource::Arch(w.arch),
-            batch: w.batch,
-            slo_ms: w.slo_ms,
-            overrides: RouteOverrides::default(),
-        })
+        .map(|w| TenantAsk::arch(w.arch, w.batch, w.slo_ms))
         .collect();
-    let (admissions, mix, eff) = admit_tenants_budgeted(&asks, phone, streams, weight_budget)
+    let (admitted, _) = admit_tenants(&asks, phone, streams, weight_budget)
         .expect("tenant set must lower cleanly and fit the phone's budget at batch 1");
 
-    let plans: Vec<ExecutionPlan> = workloads
+    let targets: Vec<f64> = workloads
         .iter()
-        .zip(admissions.iter().zip(eff.iter()))
-        .map(|(w, (adm, &ov))| ExecutionPlan::for_arch_batched_with(w.arch, gpu, adm.batch, ov))
+        .zip(&admitted)
+        .map(|(w, adm)| pacing_target_ms(w.slo_ms, adm.steady_ms))
         .collect();
-    let extras: Vec<Vec<f64>> = plans
+    let loads: Vec<OpenLoopLoad> = workloads
         .iter()
-        .zip(workloads.iter())
-        .map(|(p, w)| activation_extras_arch(p, w.arch))
-        .collect();
-
-    // Co-resident windows under the registered mix.
-    let windows_ms: Vec<(f64, f64)> = plans
-        .iter()
-        .zip(extras.iter())
-        .map(|(p, e)| {
-            let (c, s) = modeled_window_under(p, e, gpu, streams, mix.as_deref());
-            (c * 1e3, s * 1e3)
+        .zip(&admitted)
+        .zip(&targets)
+        .map(|((w, adm), &target_ms)| OpenLoopLoad {
+            windows: closed_loop_windows(w.windows, target_ms),
+            cold_ms: adm.cold_ms,
+            steady_ms: adm.steady_ms,
         })
         .collect();
-    let loads: Vec<TenantLoad> = workloads
-        .iter()
-        .zip(windows_ms.iter())
-        .map(|(w, &(cold_ms, steady_ms))| TenantLoad {
-            windows: w.windows,
-            cold_ms,
-            steady_ms,
-            target_ms: w.slo_ms.unwrap_or(steady_ms).max(f64::MIN_POSITIVE),
-        })
-        .collect();
-    let schedule = schedule_windows(&loads, streams);
-    let wall_ms = schedule.iter().map(|sw| sw.end_ms).fold(0.0, f64::max);
+    let policy = RetryPolicy::default();
+    let schedule = schedule_open_loop(&loads, streams, None, &policy);
 
     let mut tenants = Vec::with_capacity(workloads.len());
     let mut served_total = 0usize;
-    for (t, (w, adm)) in workloads.iter().zip(admissions.iter()).enumerate() {
+    for (t, (w, adm)) in workloads.iter().zip(&admitted).enumerate() {
         let latencies: Vec<f64> = schedule
+            .attempts
             .iter()
-            .filter(|sw| sw.tenant == t)
-            .map(|sw| {
-                let arrival = sw.index as f64 * loads[t].target_ms;
-                (sw.end_ms - arrival).max(sw.end_ms - sw.start_ms)
+            .filter(|at| at.tenant == t)
+            .map(|at| {
+                let arrival = at.index as f64 * targets[t];
+                (at.end_ms - arrival).max(at.end_ms - at.start_ms)
             })
             .collect();
-        let (p50_ms, p95_ms, p99_ms) = percentiles(&latencies);
-        let served = w.windows * adm.batch;
+        let [p50_ms, p95_ms, p99_ms] = nearest_rank(&latencies, [0.50, 0.95, 0.99]);
+        let served = w.windows * adm.admission.batch;
         served_total += served;
         tenants.push(TenantEstimate {
             name: w.arch.name.clone(),
-            admission: adm.clone(),
+            admission: adm.admission.clone(),
             windows: w.windows,
             served,
-            cold_ms: windows_ms[t].0,
-            steady_ms: windows_ms[t].1,
+            cold_ms: adm.cold_ms,
+            steady_ms: adm.steady_ms,
             p50_ms,
             p95_ms,
             p99_ms,
@@ -2730,48 +2353,49 @@ pub fn estimate_serve_multitenant_budgeted(
     }
 
     // Time-sliced sequential baseline: each tenant alone on the same
-    // streams (symmetric contention — the PR 4 model), makespans summed.
+    // streams (symmetric contention), same pacing target, makespans
+    // summed.
     let mut sequential_wall_ms = 0.0f64;
-    for ((plan, extra), load) in plans.iter().zip(extras.iter()).zip(loads.iter()) {
-        let (c, s) = modeled_window_under(plan, extra, gpu, streams, None);
-        let solo = schedule_windows(
-            &[TenantLoad {
-                windows: load.windows,
-                cold_ms: c * 1e3,
-                steady_ms: s * 1e3,
-                target_ms: load.target_ms,
-            }],
-            streams,
-        );
-        sequential_wall_ms += solo.iter().map(|sw| sw.end_ms).fold(0.0, f64::max);
+    for ((w, adm), &target_ms) in workloads.iter().zip(&admitted).zip(&targets) {
+        let extras = activation_extras_arch(&adm.plan, w.arch);
+        let (cold_s, steady_s) = modeled_window_under(&adm.plan, &extras, gpu, streams, None);
+        let solo = OpenLoopLoad {
+            windows: closed_loop_windows(w.windows, target_ms),
+            cold_ms: cold_s * 1e3,
+            steady_ms: steady_s * 1e3,
+        };
+        sequential_wall_ms += schedule_open_loop(&[solo], streams, None, &policy).wall_ms;
     }
 
     let archs: Vec<&NetworkArch> = workloads.iter().map(|w| w.arch).collect();
-    let batches: Vec<usize> = admissions.iter().map(|a| a.batch).collect();
+    let batches: Vec<usize> = admitted.iter().map(|a| a.admission.batch).collect();
     let mem = crate::planner::plan_multitenant(&archs, &batches, gpu, streams);
     // Streamed tenants charge their hot-set grants, not their summed
     // weights — the fits-with-paging peak. With no grants this is
     // exactly `mem.peak_bytes`.
-    let grants: Vec<Option<usize>> = admissions.iter().map(|a| a.weight_grant_bytes).collect();
+    let grants: Vec<Option<usize>> = admitted
+        .iter()
+        .map(|a| a.admission.weight_grant_bytes)
+        .collect();
     let peak_bytes = mem.paged_peak_bytes(&grants);
-    MultiTenantEstimate {
-        tenants,
-        streams,
-        wall_ms,
-        imgs_per_s: if wall_ms > 0.0 {
+    let per_s = |wall_ms: f64| {
+        if wall_ms > 0.0 {
             served_total as f64 / (wall_ms * 1e-3)
         } else {
             0.0
-        },
+        }
+    };
+    MultiTenantEstimate {
+        tenants,
+        streams,
+        wall_ms: schedule.wall_ms,
+        imgs_per_s: per_s(schedule.wall_ms),
         sequential_wall_ms,
-        sequential_imgs_per_s: if sequential_wall_ms > 0.0 {
-            served_total as f64 / (sequential_wall_ms * 1e-3)
-        } else {
-            0.0
-        },
+        sequential_imgs_per_s: per_s(sequential_wall_ms),
         weights_bytes: mem.weights_bytes,
         pool_slice_bytes: mem.pool_slice_bytes,
         peak_bytes,
+        schedule,
     }
 }
 
@@ -2883,29 +2507,12 @@ pub fn estimate_serve_open_loop(
 ) -> OpenLoopEstimate {
     assert!(!workloads.is_empty() && streams >= 1);
     assert!(duration_ms > 0.0, "duration_ms must be positive");
-    let gpu = &phone.gpu;
     let asks: Vec<TenantAsk<'_>> = workloads
         .iter()
-        .map(|w| TenantAsk {
-            source: PlanSource::Arch(w.arch),
-            batch: w.batch,
-            slo_ms: w.slo_ms,
-            overrides: RouteOverrides::default(),
-        })
+        .map(|w| TenantAsk::arch(w.arch, w.batch, w.slo_ms))
         .collect();
-    let (admissions, mix) = admit_tenants(&asks, phone, streams)
+    let (admitted, _) = admit_tenants(&asks, phone, streams, None)
         .expect("tenant set must lower cleanly and fit the phone's budget at batch 1");
-
-    let windows_ms: Vec<(f64, f64)> = workloads
-        .iter()
-        .zip(admissions.iter())
-        .map(|(w, adm)| {
-            let plan = ExecutionPlan::for_arch_batched(w.arch, gpu, adm.batch);
-            let extras = activation_extras_arch(&plan, w.arch);
-            let (c, s) = modeled_window_under(&plan, &extras, gpu, streams, mix.as_deref());
-            (c * 1e3, s * 1e3)
-        })
-        .collect();
 
     let arrivals_ms: Vec<Vec<f64>> = workloads
         .iter()
@@ -2913,79 +2520,41 @@ pub fn estimate_serve_open_loop(
         .collect();
     let loads: Vec<OpenLoopLoad> = workloads
         .iter()
-        .zip(admissions.iter())
-        .zip(arrivals_ms.iter())
-        .zip(windows_ms.iter())
-        .map(|(((w, adm), arr), &(cold_ms, steady_ms))| OpenLoopLoad {
-            windows: open_loop_windows(arr, adm.batch, w.slo_ms),
-            cold_ms,
-            steady_ms,
+        .zip(&admitted)
+        .zip(&arrivals_ms)
+        .map(|((w, adm), arr)| OpenLoopLoad {
+            windows: open_loop_windows(arr, adm.admission.batch, w.slo_ms, adm.steady_ms),
+            cold_ms: adm.cold_ms,
+            steady_ms: adm.steady_ms,
         })
         .collect();
     let schedule = schedule_open_loop(&loads, streams, fault, policy);
 
     let mut tenants = Vec::with_capacity(workloads.len());
-    let mut served_total = 0usize;
-    let mut offered_total = 0usize;
-    for (t, (w, adm)) in workloads.iter().zip(admissions.iter()).enumerate() {
-        let offered = arrivals_ms[t].len();
-        let batch = adm.batch.max(1);
-        let mut latency = Vec::new();
-        let mut shed_req = 0usize;
-        let mut windows_shed = 0usize;
-        for (i, fate) in schedule.fates[t].iter().enumerate() {
-            let start = i * batch;
-            let len = batch.min(offered - start);
-            match fate {
-                WindowFate::Served { end_ms, .. } => {
-                    for j in 0..len {
-                        latency.push(end_ms - arrivals_ms[t][start + j]);
-                    }
-                }
-                WindowFate::Shed { .. } => {
-                    shed_req += len;
-                    windows_shed += 1;
-                }
-            }
-        }
-        let retries = schedule
-            .attempts
-            .iter()
-            .filter(|a| a.tenant == t && a.faulted)
-            .count();
-        let throttled = schedule
-            .attempts
-            .iter()
-            .filter(|a| a.tenant == t && a.slowdown > 1.0)
-            .count();
-        let (p50_ms, p95_ms, p99_ms, p999_ms) = percentiles_ext(&latency);
-        let served = offered - shed_req;
-        served_total += served;
-        offered_total += offered;
+    for (t, (w, adm)) in workloads.iter().zip(admitted).enumerate() {
+        let fold = OpenLoopFold::of(&schedule, t, adm.admission.batch, &arrivals_ms[t], w.slo_ms);
         tenants.push(TenantOpenLoopEstimate {
             name: w.arch.name.clone(),
-            admission: adm.clone(),
-            offered,
-            served,
-            shed: shed_req,
+            admission: adm.admission,
+            offered: fold.offered,
+            served: fold.served,
+            shed: fold.shed,
             windows: schedule.fates[t].len(),
-            windows_shed,
-            retries,
-            throttled,
-            cold_ms: windows_ms[t].0,
-            steady_ms: windows_ms[t].1,
-            p50_ms,
-            p95_ms,
-            p99_ms,
-            p999_ms,
-            slo_met: w.slo_ms.is_none_or(|slo| p95_ms <= slo),
-            shed_rate: if offered > 0 {
-                shed_req as f64 / offered as f64
-            } else {
-                0.0
-            },
+            windows_shed: fold.windows_shed,
+            retries: fold.retries,
+            throttled: fold.throttled,
+            cold_ms: adm.cold_ms,
+            steady_ms: adm.steady_ms,
+            p50_ms: fold.p50_ms,
+            p95_ms: fold.p95_ms,
+            p99_ms: fold.p99_ms,
+            p999_ms: fold.p999_ms,
+            slo_met: fold.slo_met,
+            shed_rate: fold.shed_rate,
         });
     }
+    let offered_total: usize = tenants.iter().map(|t| t.offered).sum();
+    let served_total: usize = tenants.iter().map(|t| t.served).sum();
     let horizon_ms = schedule.wall_ms.max(duration_ms);
     OpenLoopEstimate {
         tenants,
@@ -3022,28 +2591,29 @@ mod tests {
             .collect()
     }
 
+    /// One model as a registry of one — the sharded single-model runtime.
+    fn solo_runtime(streams: usize, batch: Option<usize>, slo_ms: Option<f64>) -> DeviceRuntime {
+        let mut spec = TenantSpec::new(micro_model());
+        spec.batch = batch;
+        spec.slo_ms = slo_ms;
+        DeviceRuntime::new(vec![spec], &Phone::xiaomi_9(), streams).expect("fits")
+    }
+
     #[test]
     fn sharded_serving_reassembles_request_order() {
         let phone = Phone::xiaomi_9();
-        let mut runtime = ServeRuntime::new(
-            micro_model(),
-            &phone,
-            ServeOptions {
-                streams: 2,
-                batch: Some(2),
-                slo_ms: None,
-                ..Default::default()
-            },
-        )
-        .expect("fits");
+        let mut runtime = solo_runtime(2, Some(2), None);
         let reqs = requests(7);
-        let report = runtime.serve_u8(&reqs).expect("serve");
+        let pass = runtime.serve(&[TenantTraffic::U8(&reqs)]).expect("serve");
+        let report = &pass.tenants[0];
         assert_eq!(report.served, 7);
         assert_eq!(report.windows, 4, "7 requests in windows of 2");
-        assert_eq!(report.streams, 2);
+        assert_eq!(pass.streams, 2);
         assert_eq!(report.outputs.len(), 7);
-        assert_eq!(report.window_ms.len(), 4);
-        assert!(report.imgs_per_s > 0.0);
+        assert_eq!(report.duration_ms.len(), 4);
+        assert!(pass.imgs_per_s > 0.0);
+        let [p50, p95, p99] = nearest_rank(&report.duration_ms, [0.50, 0.95, 0.99]);
+        assert!(p50 <= p95 && p95 <= p99);
         assert!(report.p50_ms <= report.p95_ms && report.p95_ms <= report.p99_ms);
         assert!(report.slo_met, "no SLO set");
         // Outputs match one-by-one sequential runs on a plain Session.
@@ -3061,121 +2631,103 @@ mod tests {
 
     #[test]
     fn serving_is_deterministic_across_runs() {
-        let phone = Phone::xiaomi_9();
-        let opts = ServeOptions {
-            streams: 3,
-            batch: Some(2),
-            ..Default::default()
-        };
         let reqs = requests(12);
-        let mut a = ServeRuntime::new(micro_model(), &phone, opts).unwrap();
-        let mut b = ServeRuntime::new(micro_model(), &phone, opts).unwrap();
-        let ra = a.serve_u8(&reqs).unwrap();
-        let rb = b.serve_u8(&reqs).unwrap();
-        assert_eq!(ra.window_ms, rb.window_ms, "modeled time is deterministic");
+        let mut a = solo_runtime(3, Some(2), None);
+        let mut b = solo_runtime(3, Some(2), None);
+        let ra = a.serve(&[TenantTraffic::U8(&reqs)]).unwrap();
+        let rb = b.serve(&[TenantTraffic::U8(&reqs)]).unwrap();
+        assert_eq!(
+            ra.tenants[0].duration_ms, rb.tenants[0].duration_ms,
+            "modeled time is deterministic"
+        );
         assert_eq!(ra.imgs_per_s, rb.imgs_per_s);
     }
 
     #[test]
     fn admission_respects_memory_cap_and_slo() {
-        let phone = Phone::xiaomi_9();
         // Unconstrained: the controller picks the throughput-best batch.
-        let free = ServeRuntime::new(
-            micro_model(),
-            &phone,
-            ServeOptions {
-                streams: 2,
-                batch: None,
-                slo_ms: None,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let unconstrained = free.admission().clone();
+        let free = solo_runtime(2, None, None);
+        let unconstrained = free.tenants()[0].admission().clone();
         assert!(unconstrained.batch >= 1);
         assert!(unconstrained.batch <= unconstrained.max_feasible_batch);
         assert!(unconstrained.slo_met);
 
         // A tight SLO admits a smaller (or equal) batch.
         let tight_ms = unconstrained.modeled_window_ms * 0.6;
-        let tight = ServeRuntime::new(
-            micro_model(),
-            &phone,
-            ServeOptions {
-                streams: 2,
-                batch: None,
-                slo_ms: Some(tight_ms),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(tight.admission().batch <= unconstrained.batch);
-        if tight.admission().slo_met {
-            assert!(tight.admission().modeled_window_ms <= tight_ms);
+        let tight = solo_runtime(2, None, Some(tight_ms));
+        let tight = tight.tenants()[0].admission();
+        assert!(tight.batch <= unconstrained.batch);
+        if tight.slo_met {
+            assert!(tight.modeled_window_ms <= tight_ms);
         } else {
-            assert_eq!(tight.admission().batch, 1, "degraded serving at batch 1");
+            assert_eq!(tight.batch, 1, "degraded serving at batch 1");
         }
 
         // An explicit batch beyond the memory cap is clamped to it.
-        let clamped = ServeRuntime::new(
-            micro_model(),
-            &phone,
-            ServeOptions {
-                streams: 2,
-                batch: Some(1 << 20),
-                slo_ms: None,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            clamped.admission().batch,
-            clamped.admission().max_feasible_batch
-        );
+        let clamped = solo_runtime(2, Some(1 << 20), None);
+        let clamped = clamped.tenants()[0].admission();
+        assert_eq!(clamped.batch, clamped.max_feasible_batch);
     }
 
     #[test]
     fn resident_bytes_scale_with_stream_count() {
-        let phone = Phone::xiaomi_9();
-        let mk = |streams| {
-            ServeRuntime::new(
-                micro_model(),
-                &phone,
-                ServeOptions {
-                    streams,
-                    batch: Some(2),
-                    slo_ms: None,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-        };
-        let one = mk(1);
-        let three = mk(3);
-        let weights = one.staged().model().size_bytes();
-        let arena = one.staged().plan().staged_arena_bytes();
+        let one = solo_runtime(1, Some(2), None);
+        let three = solo_runtime(3, Some(2), None);
+        let staged = one.tenants()[0].staged();
+        let weights = staged.model().size_bytes();
+        let arena = staged.plan().staged_arena_bytes();
         assert_eq!(one.resident_bytes(), weights + arena);
         assert_eq!(three.resident_bytes(), weights + 3 * arena);
         assert_eq!(three.stream_count(), 3);
         assert_eq!(three.clock().streams(), 3);
     }
 
+    /// The sharded single-model estimate: the general closed-loop
+    /// estimator over one workload.
+    fn solo_estimate(
+        phone: &Phone,
+        arch: &NetworkArch,
+        batch: usize,
+        streams: usize,
+    ) -> MultiTenantEstimate {
+        let workload = TenantWorkload {
+            arch,
+            batch: Some(batch),
+            windows: streams * 8,
+            slo_ms: None,
+        };
+        estimate_serve_multitenant(phone, &[workload], streams, None)
+    }
+
     #[test]
     fn estimate_serve_models_the_sharding_tradeoff() {
         let phone = Phone::xiaomi_9();
         let arch = zoo::alexnet(Variant::Binary);
-        let solo = estimate_serve(&phone, &arch, 4, 1, 8);
-        let duo = estimate_serve(&phone, &arch, 4, 2, 8);
+        let solo = solo_estimate(&phone, &arch, 4, 1);
+        let duo = solo_estimate(&phone, &arch, 4, 2);
+        let (s, d) = (&solo.tenants[0], &duo.tenants[0]);
+        assert_eq!((s.admission.batch, d.admission.batch), (4, 4));
         // Contention stretches each stream's window...
-        assert!(duo.steady_window_ms > solo.steady_window_ms);
+        assert!(d.steady_ms > s.steady_ms);
         // ...but overlapped host overhead still buys aggregate throughput.
-        assert!(duo.imgs_per_s > solo.imgs_per_s);
+        assert!(2.0 * 4.0 / d.steady_ms > 4.0 / s.steady_ms);
         // Memory scales with the stream count; weights are shared.
-        assert_eq!(duo.arena_bytes, 2 * solo.arena_bytes);
+        assert_eq!(duo.pool_slice_bytes, solo.pool_slice_bytes);
+        assert_eq!(
+            duo.peak_bytes - duo.weights_bytes,
+            2 * (solo.peak_bytes - solo.weights_bytes)
+        );
         assert!(duo.peak_bytes < 2 * solo.peak_bytes);
-        // Percentiles order and cold dominates the tail.
-        assert!(solo.p50_ms <= solo.p95_ms && solo.p95_ms <= solo.p99_ms);
-        assert_eq!(solo.p99_ms, solo.cold_window_ms);
+        // Service-time percentiles order and cold dominates the tail.
+        let service: Vec<f64> = solo
+            .schedule
+            .attempts
+            .iter()
+            .map(|at| at.end_ms - at.start_ms)
+            .collect();
+        let [p50, p95, p99] = nearest_rank(&service, [0.50, 0.95, 0.99]);
+        assert!(p50 <= p95 && p95 <= p99);
+        assert_eq!(p99, s.cold_ms);
     }
 
     #[test]
@@ -3188,33 +2740,30 @@ mod tests {
         assert_eq!(admission_candidates(200).last(), Some(&64));
     }
 
-    #[test]
-    fn percentiles_are_nearest_rank_over_one_sort() {
-        let xs = [5.0, 1.0, 3.0, 2.0, 4.0];
-        let (p50, p95, p99) = percentiles(&xs);
-        assert_eq!(p50, 3.0);
-        assert_eq!(p95, 5.0);
-        assert_eq!(p99, 5.0);
-        assert_eq!(percentiles(&[]), (0.0, 0.0, 0.0));
-        assert_eq!(percentiles(&[7.5]), (7.5, 7.5, 7.5));
-    }
-
     // -- scheduler ---------------------------------------------------------
 
-    fn load(windows: usize, cold: f64, steady: f64, target: f64) -> TenantLoad {
-        TenantLoad {
-            windows,
-            cold_ms: cold,
-            steady_ms: steady,
-            target_ms: target,
+    /// A closed-loop tenant as the runtime's `serve` builds it.
+    fn load(windows: usize, cold_ms: f64, steady_ms: f64, target_ms: f64) -> OpenLoopLoad {
+        OpenLoopLoad {
+            windows: closed_loop_windows(windows, target_ms),
+            cold_ms,
+            steady_ms,
         }
+    }
+
+    /// The closed-loop schedule of `loads`: one attempt per window.
+    fn schedule_closed(loads: &[OpenLoopLoad], streams: usize) -> Vec<OpenLoopAttempt> {
+        let s = schedule_open_loop(loads, streams, None, &RetryPolicy::default());
+        assert!(s.fates.iter().flatten().all(WindowFate::is_served));
+        assert!(s.attempts.iter().all(|a| a.attempt == 1 && !a.faulted));
+        s.attempts
     }
 
     #[test]
     fn scheduler_round_robins_a_single_uniform_tenant() {
         // One tenant, uniform windows: the work-stealing schedule is the
         // PR 4 round-robin placement.
-        let sched = schedule_windows(&[load(6, 5.0, 4.0, 4.0)], 2);
+        let sched = schedule_closed(&[load(6, 5.0, 4.0, 4.0)], 2);
         assert_eq!(sched.len(), 6);
         for (w, sw) in sched.iter().enumerate() {
             assert_eq!(sw.tenant, 0);
@@ -3236,7 +2785,7 @@ mod tests {
         // ones. Under round-robin-by-tenant the second stream would idle;
         // work stealing drains the backlog across both streams.
         let loads = [load(1, 12.0, 12.0, 12.0), load(8, 2.0, 2.0, 2.0)];
-        let sched = schedule_windows(&loads, 2);
+        let sched = schedule_closed(&loads, 2);
         let s0_windows = sched.iter().filter(|sw| sw.stream == 0).count();
         let s1_windows = sched.iter().filter(|sw| sw.stream == 1).count();
         assert_eq!(s0_windows + s1_windows, 9);
@@ -3266,9 +2815,9 @@ mod tests {
             load(12, 10.0, 10.0, 1000.0), // heavy, indifferent deadline
             load(3, 2.0, 2.0, 15.0),      // light, paced every 15 ms
         ];
-        let sched = schedule_windows(&loads, 2);
+        let sched = schedule_closed(&loads, 2);
         for sw in sched.iter().filter(|sw| sw.tenant == 1) {
-            let lateness = sw.end_ms - sw.deadline_ms;
+            let lateness = sw.end_ms - loads[1].windows[sw.index].pace_ms;
             assert!(
                 lateness <= 10.0 + 1e-9,
                 "light window {} finished {:.1} ms past its deadline",
@@ -3281,12 +2830,12 @@ mod tests {
     #[test]
     fn scheduler_is_deterministic_and_complete() {
         let loads = [load(5, 3.0, 2.0, 2.0), load(7, 4.0, 3.5, 9.0)];
-        let a = schedule_windows(&loads, 3);
-        let b = schedule_windows(&loads, 3);
+        let a = schedule_closed(&loads, 3);
+        let b = schedule_closed(&loads, 3);
         assert_eq!(a, b);
         // Every window appears exactly once.
         for (t, l) in loads.iter().enumerate() {
-            for k in 0..l.windows {
+            for k in 0..l.windows.len() {
                 assert_eq!(
                     a.iter()
                         .filter(|sw| sw.tenant == t && sw.index == k)
@@ -3425,7 +2974,7 @@ mod tests {
         let second = runtime.serve(&traffic).expect("second pass");
         assert_eq!(first.schedule, second.schedule);
         for (pass, report) in [(1, &first), (2, &second)] {
-            for sw in &report.schedule {
+            for sw in &report.schedule.attempts {
                 let modeled = sw.end_ms - sw.start_ms;
                 let executed = report.tenants[sw.tenant].duration_ms[sw.index];
                 assert!(
@@ -3486,6 +3035,7 @@ mod tests {
                 },
             ],
             2,
+            None,
         );
         assert_eq!(est.tenants.len(), 2);
         assert!(est.wall_ms > 0.0);
@@ -3515,6 +3065,11 @@ mod tests {
                 .map(|(&ready_ms, &deadline_ms)| OpenLoopWindow {
                     ready_ms,
                     deadline_ms,
+                    pace_ms: if deadline_ms.is_finite() {
+                        deadline_ms
+                    } else {
+                        ready_ms + steady_ms
+                    },
                 })
                 .collect(),
             cold_ms,
@@ -3669,7 +3224,7 @@ mod tests {
     #[test]
     fn open_loop_windows_anchor_deadlines_to_first_arrival() {
         let arrivals = [0.0, 4.0, 9.0, 11.0, 20.0];
-        let windows = open_loop_windows(&arrivals, 2, Some(30.0));
+        let windows = open_loop_windows(&arrivals, 2, Some(30.0), 7.0);
         assert_eq!(windows.len(), 3);
         assert_eq!(windows[0].ready_ms, 4.0, "ready when the last member lands");
         assert_eq!(windows[0].deadline_ms, 30.0, "deadline off the first");
@@ -3677,8 +3232,10 @@ mod tests {
         assert_eq!(windows[1].deadline_ms, 39.0);
         assert_eq!(windows[2].ready_ms, 20.0);
         assert_eq!(windows[2].deadline_ms, 50.0);
-        let no_slo = open_loop_windows(&arrivals, 2, None);
+        assert!(windows.iter().all(|w| w.pace_ms == w.deadline_ms));
+        let no_slo = open_loop_windows(&arrivals, 2, None, 7.0);
         assert!(no_slo.iter().all(|w| w.deadline_ms.is_infinite()));
+        assert!(no_slo.iter().all(|w| w.pace_ms == w.ready_ms + 7.0));
     }
 
     // -- open-loop runtime ------------------------------------------------

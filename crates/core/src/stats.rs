@@ -1,4 +1,5 @@
-//! Run reports: per-layer timing and energy for one inference.
+//! Run reports — per-layer timing and energy for one inference — and the
+//! nearest-rank percentile rule every serving report shares.
 
 use std::sync::Arc;
 
@@ -94,9 +95,37 @@ impl RunReport {
     }
 }
 
+/// Nearest-rank quantiles over an unsorted sample — one sort serves every
+/// requested rank; zeros for an empty sample. Every serving report (device
+/// runtime, estimators, fleet, CLI) reads its percentiles through this one
+/// rule, so their tails are comparable.
+///
+/// # Panics
+///
+/// Panics when a sample is NaN.
+pub fn nearest_rank<const N: usize>(samples: &[f64], quantiles: [f64; N]) -> [f64; N] {
+    if samples.is_empty() {
+        return [0.0; N];
+    }
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("samples are not NaN"));
+    quantiles.map(|q| {
+        let rank = (q * (sorted.len() - 1) as f64).round() as usize;
+        sorted[rank.min(sorted.len() - 1)]
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn percentiles_are_nearest_rank_over_one_sort() {
+        let xs = [5.0, 1.0, 3.0, 2.0, 4.0];
+        assert_eq!(nearest_rank(&xs, [0.50, 0.95, 0.99]), [3.0, 5.0, 5.0]);
+        assert_eq!(nearest_rank(&[], [0.50, 0.95, 0.99]), [0.0, 0.0, 0.0]);
+        assert_eq!(nearest_rank(&[7.5], [0.50, 0.95, 0.99, 0.999]), [7.5; 4]);
+    }
 
     fn report() -> RunReport {
         RunReport {

@@ -109,8 +109,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Work stealing is visible in the schedule: both streams carried both
     // tenants' windows.
     for s in 0..2 {
-        let mine: Vec<_> = report.schedule.iter().filter(|sw| sw.stream == s).collect();
-        let tenants: Vec<usize> = mine.iter().map(|sw| sw.tenant).collect();
+        let mine = report.schedule.attempts.iter().filter(|sw| sw.stream == s);
+        let tenants: Vec<usize> = mine.map(|sw| sw.tenant).collect();
         println!("stream {s} ran windows of tenants {tenants:?}");
     }
 

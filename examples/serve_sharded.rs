@@ -1,8 +1,8 @@
 //! Sharded serving demo: one staged model, N concurrent streams, SLO
 //! admission control.
 //!
-//! A `ServeRuntime` stages weights and GEMM banks **once** (the paper's
-//! staging claim), then shards request windows across N `Stream`s — each
+//! A one-tenant `DeviceRuntime` stages weights and GEMM banks **once** (the
+//! paper's staging claim), then shards request windows across N streams — each
 //! on its own thread with its own command queue — while a shared
 //! `DeviceClock` makes the queues contend for the GPU per the device's
 //! compute-unit budget. The admission controller picks the window size
@@ -14,8 +14,8 @@
 //!
 //! Run: `cargo run --release --example serve_sharded`
 
-use phonebit::core::serve::{ServeOptions, ServeRuntime};
-use phonebit::core::{convert, Session};
+use phonebit::core::serve::{DeviceRuntime, TenantSpec, TenantTraffic};
+use phonebit::core::{convert, nearest_rank, Session};
 use phonebit::gpusim::Phone;
 use phonebit::models::zoo::{self, Variant};
 use phonebit::models::{fill_weights, synthetic_image};
@@ -45,19 +45,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "streams", "batch", "p50(ms)", "p95(ms)", "p99(ms)", "imgs/s"
     );
     for streams in [1usize, 2, 4] {
-        let mut runtime = ServeRuntime::new(
-            model.clone(),
-            &phone,
-            ServeOptions {
-                streams,
-                batch: Some(4),
-                ..Default::default()
-            },
-        )?;
-        let report = runtime.serve_u8(&requests)?;
+        let spec = TenantSpec::new(model.clone()).with_batch(4);
+        let mut runtime = DeviceRuntime::new(vec![spec], &phone, streams)?;
+        let pass = runtime.serve(&[TenantTraffic::U8(&requests)])?;
+        // One tenant has no cross-tenant queueing: its window latencies are
+        // the executed service times.
+        let report = &pass.tenants[0];
+        let [p50_ms, p95_ms, p99_ms] = nearest_rank(&report.duration_ms, [0.50, 0.95, 0.99]);
         println!(
-            "{streams:>7} {:>6} {:>12.3} {:>12.3} {:>12.3} {:>10.1}",
-            report.batch, report.p50_ms, report.p95_ms, report.p99_ms, report.imgs_per_s
+            "{streams:>7} {:>6} {p50_ms:>12.3} {p95_ms:>12.3} {p99_ms:>12.3} {:>10.1}",
+            report.batch, pass.imgs_per_s
         );
 
         // Bit-exactness: sharded outputs equal the sequential reference,
@@ -75,17 +72,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // SLO instead of fixing it.
     println!("\nadmission control (batch picked by the controller):");
     for slo_ms in [None, Some(2.0), Some(0.8)] {
-        let runtime = ServeRuntime::new(
-            model.clone(),
-            &phone,
-            ServeOptions {
-                streams: 2,
-                batch: None,
-                slo_ms,
-                ..Default::default()
-            },
-        )?;
-        let adm = runtime.admission();
+        let mut spec = TenantSpec::new(model.clone());
+        spec.slo_ms = slo_ms;
+        let runtime = DeviceRuntime::new(vec![spec], &phone, 2)?;
+        let adm = runtime.tenants()[0].admission();
         println!(
             "  slo {:>8} -> batch {} (cap {}, modeled window {:.3} ms, slo {})",
             slo_ms.map_or("none".into(), |s| format!("{s:.1} ms")),

@@ -11,8 +11,8 @@ use proptest::prelude::*;
 
 use phonebit::core::plan::{CompressionMode, ExecutionPlan, FusionMode, RouteOverrides};
 use phonebit::core::{
-    convert, estimate_serve_multitenant_budgeted, paged_floor_bytes, paged_min_bytes,
-    ActivationData, BankState, ResidencyManager, Session, TenantWorkload,
+    convert, estimate_serve_multitenant, paged_floor_bytes, paged_min_bytes, ActivationData,
+    BankState, ResidencyManager, Session, TenantWorkload,
 };
 use phonebit::gpusim::{CommandQueue, ExecutorClass, Phone};
 use phonebit::models::zoo::{self, Variant};
@@ -339,13 +339,13 @@ fn minimum_grants_admit_a_two_x_oversubscribed_set_bit_exactly() {
             slo_ms: None,
         })
         .collect();
-    let resident = estimate_serve_multitenant_budgeted(&phone, &workloads, 2, None);
+    let resident = estimate_serve_multitenant(&phone, &workloads, 2, None);
     let budget = resident.weights_bytes / 2;
     assert!(
         3 * min <= budget,
         "the trio's minima must fit half its weights for the 2× claim"
     );
-    let paged = estimate_serve_multitenant_budgeted(&phone, &workloads, 2, Some(budget));
+    let paged = estimate_serve_multitenant(&phone, &workloads, 2, Some(budget));
     for (p, r) in paged.tenants.iter().zip(resident.tenants.iter()) {
         assert_eq!(
             p.admission.weight_grant_bytes,

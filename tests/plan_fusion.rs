@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use phonebit::core::plan::{ExecutionPlan, FusedKind, FusionMode, RouteOverrides, StepOp};
 use phonebit::core::serve::{DeviceRuntime, TenantSpec, TenantTraffic};
-use phonebit::core::{convert, ActivationData, ConvPath, ServeOptions, ServeRuntime, Session};
+use phonebit::core::{convert, ActivationData, ConvPath, Session};
 use phonebit::gpusim::{DeviceProfile, Phone};
 use phonebit::models::zoo::{self, Variant};
 use phonebit::models::{fill_weights, synthetic_image, to_float_input};
@@ -258,29 +258,25 @@ fn sharded_serving_consumes_fused_plans_bit_exactly() {
         .collect();
 
     let serve = |overrides: RouteOverrides| {
-        let mut rt = ServeRuntime::new(
-            model(),
-            &phone,
-            ServeOptions {
-                streams: 2,
-                batch: Some(2),
-                slo_ms: None,
-                overrides,
-                weight_budget: None,
-            },
-        )
-        .expect("fits");
+        let spec = TenantSpec::new(model())
+            .with_batch(2)
+            .with_overrides(overrides);
+        let mut rt = DeviceRuntime::new(vec![spec], &phone, 2).expect("fits");
         (
-            rt.staged().plan().dispatches(),
-            rt.serve_u8(&reqs).expect("serve"),
+            rt.tenants()[0].staged().plan().dispatches(),
+            rt.serve(&[TenantTraffic::U8(&reqs)]).expect("serve"),
         )
     };
     let (split_disp, want) = serve(RouteOverrides::default());
     let (fused_disp, got) = serve(fused());
     assert!(fused_disp < split_disp, "sharded staging must fuse");
     assert_eq!(got.served, want.served);
-    for (i, w) in want.outputs.iter().enumerate() {
-        assert_same_activation(&got.outputs[i], w, &format!("sharded request {i}"));
+    for (i, w) in want.tenants[0].outputs.iter().enumerate() {
+        assert_same_activation(
+            &got.tenants[0].outputs[i],
+            w,
+            &format!("sharded request {i}"),
+        );
     }
 }
 

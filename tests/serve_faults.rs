@@ -6,15 +6,18 @@
 //! and detaching tenants mid-run matches fresh staging bit-exactly; a
 //! light tenant's p95 stays bounded while a heavy neighbor retries; and
 //! the modeled schedule equals the executed one attempt-by-attempt even
-//! through faults and thermal throttling.
+//! through faults and thermal throttling; the full-scale estimators
+//! produce the very schedule the runtime executes ("estimate is execute");
+//! and malformed arrival timestamps are rejected at the door.
 
 use std::collections::BTreeMap;
 
 use phonebit::core::serve::{
-    schedule_open_loop, DeviceRuntime, OpenLoopLoad, OpenLoopOptions, OpenLoopReport,
-    OpenLoopWindow, RetryPolicy, ShedReason, TenantSpec, TenantTraffic, WindowFate,
+    estimate_serve_multitenant, estimate_serve_open_loop, schedule_open_loop, DeviceRuntime,
+    OpenLoopLoad, OpenLoopOptions, OpenLoopReport, OpenLoopWindow, OpenLoopWorkload, RetryPolicy,
+    ShedReason, TenantSpec, TenantTraffic, TenantWorkload, WindowFate,
 };
-use phonebit::core::{convert, ActivationData, Session};
+use phonebit::core::{convert, ActivationData, ArrivalProcess, EngineError, Session};
 use phonebit::gpusim::{FaultPlan, Phone, ThrottleEpoch};
 use phonebit::models::zoo::{self, Variant};
 use phonebit::models::{fill_weights, synthetic_image};
@@ -297,6 +300,172 @@ fn light_tenant_p95_stays_bounded_while_heavy_neighbor_retries() {
 }
 
 // ---------------------------------------------------------------------------
+// Estimate is execute, on one device
+// ---------------------------------------------------------------------------
+
+#[test]
+fn open_loop_estimate_schedules_exactly_what_the_runtime_executes() {
+    let phone = Phone::xiaomi_9();
+    let (yolo, alex) = (
+        zoo::yolo_micro(Variant::Binary),
+        zoo::alexnet_micro(Variant::Binary),
+    );
+    let slo_ms = 5.0;
+    let workloads = [
+        OpenLoopWorkload {
+            arch: &yolo,
+            batch: Some(2),
+            slo_ms: Some(slo_ms),
+            arrival: ArrivalProcess::Poisson { rate_per_s: 1500.0 },
+            seed: 5,
+        },
+        OpenLoopWorkload {
+            arch: &alex,
+            batch: Some(2),
+            slo_ms: None,
+            arrival: ArrivalProcess::Poisson { rate_per_s: 1000.0 },
+            seed: 9,
+        },
+    ];
+    let fault = FaultPlan::new(31)
+        .with_failure_rate(0.15)
+        .with_throttle(ThrottleEpoch {
+            start_ms: 20.0,
+            end_ms: 60.0,
+            slowdown: 1.5,
+        });
+    let policy = RetryPolicy::default();
+    let est = estimate_serve_open_loop(&phone, &workloads, 2, 80.0, Some(&fault), &policy);
+    assert!(
+        est.tenants.iter().any(|t| t.retries > 0),
+        "faults must bite"
+    );
+    assert!(est.tenants.iter().any(|t| t.throttled > 0), "throttle too");
+
+    // The same tenants with weights, fed the estimator's own arrivals.
+    let mut runtime = DeviceRuntime::new(
+        vec![
+            TenantSpec::new(yolo_model())
+                .with_batch(2)
+                .with_slo_ms(slo_ms),
+            TenantSpec::new(alex_model()).with_batch(2),
+        ],
+        &phone,
+        2,
+    )
+    .expect("pair fits");
+    runtime.clock().set_fault_plan(Some(fault));
+    let reqs_a = yolo_reqs(est.arrivals_ms[0].len());
+    let reqs_b = alex_reqs(est.arrivals_ms[1].len());
+    let report = runtime
+        .serve_open_loop(
+            &[TenantTraffic::U8(&reqs_a), TenantTraffic::U8(&reqs_b)],
+            &est.arrivals_ms,
+            &OpenLoopOptions {
+                policy,
+                max_replans: 0, // the estimator reports the knee as-is
+                ..OpenLoopOptions::default()
+            },
+        )
+        .expect("serve");
+    assert_eq!(report.schedule, est.schedule);
+    for (got, want) in report.tenants.iter().zip(&est.tenants) {
+        assert_eq!(
+            (got.offered, got.served, got.shed, got.windows),
+            (want.offered, want.served, want.shed, want.windows),
+            "{}",
+            got.name
+        );
+        assert_eq!(
+            (got.retries, got.throttled, got.p95_ms),
+            (want.retries, want.throttled, want.p95_ms),
+            "{}",
+            got.name
+        );
+    }
+}
+
+#[test]
+fn closed_loop_estimate_schedules_exactly_what_the_runtime_executes() {
+    let phone = Phone::xiaomi_9();
+    let (yolo, alex) = (
+        zoo::yolo_micro(Variant::Binary),
+        zoo::alexnet_micro(Variant::Binary),
+    );
+    let slo_ms = 4.0;
+    let workloads = [
+        TenantWorkload {
+            arch: &yolo,
+            batch: Some(2),
+            windows: 5,
+            slo_ms: None,
+        },
+        TenantWorkload {
+            arch: &alex,
+            batch: Some(2),
+            windows: 4,
+            slo_ms: Some(slo_ms),
+        },
+    ];
+    let est = estimate_serve_multitenant(&phone, &workloads, 2, None);
+    let mut runtime = DeviceRuntime::new(
+        vec![
+            TenantSpec::new(yolo_model()).with_batch(2),
+            TenantSpec::new(alex_model())
+                .with_batch(2)
+                .with_slo_ms(slo_ms),
+        ],
+        &phone,
+        2,
+    )
+    .expect("pair fits");
+    let (reqs_a, reqs_b) = (yolo_reqs(10), alex_reqs(8));
+    let report = runtime
+        .serve(&[TenantTraffic::U8(&reqs_a), TenantTraffic::U8(&reqs_b)])
+        .expect("serve");
+    assert_eq!(report.schedule, est.schedule);
+    for (got, want) in report.tenants.iter().zip(&est.tenants) {
+        assert_eq!((got.windows, got.served), (want.windows, want.served));
+        // Executed latencies replay executed durations; they equal the
+        // modeled ones up to float association.
+        assert!((got.p95_ms - want.p95_ms).abs() < 1e-9 * want.p95_ms.max(1.0));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Hostile arrivals
+// ---------------------------------------------------------------------------
+
+#[test]
+fn non_finite_and_negative_arrivals_are_rejected_not_scheduled() {
+    // A NaN arrival used to pass the sortedness check, never become ready,
+    // and hang the scheduler's idle-forward step.
+    let phone = Phone::xiaomi_9();
+    let mut runtime =
+        DeviceRuntime::new(vec![TenantSpec::new(yolo_model()).with_batch(1)], &phone, 1)
+            .expect("fits");
+    let reqs = yolo_reqs(2);
+    for bad in [f64::NAN, f64::INFINITY, -1.0] {
+        let arrivals = if bad < 0.0 {
+            vec![vec![bad, 0.0]]
+        } else {
+            vec![vec![0.0, bad]]
+        };
+        let err = runtime
+            .serve_open_loop(
+                &[TenantTraffic::U8(&reqs)],
+                &arrivals,
+                &OpenLoopOptions::default(),
+            )
+            .expect_err("hostile arrival must be rejected");
+        assert!(
+            matches!(err, EngineError::InputMismatch { .. }),
+            "arrival {bad}: {err:?}"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Scheduler invariants under arbitrary fault plans (proptest)
 // ---------------------------------------------------------------------------
 
@@ -325,6 +494,7 @@ fn synthetic_loads(seed: u64, sizes: &[usize], with_slo: bool) -> Vec<OpenLoopLo
                     OpenLoopWindow {
                         ready_ms: t,
                         deadline_ms,
+                        pace_ms: if with_slo { deadline_ms } else { t + 10.0 },
                     }
                 })
                 .collect();

@@ -257,6 +257,7 @@ fn work_stealing_keeps_a_light_tenant_paced_under_a_heavy_neighbor() {
     // the heavy backlog's final window does.
     let last_heavy_start = report
         .schedule
+        .attempts
         .iter()
         .filter(|sw| sw.tenant == 0)
         .map(|sw| sw.start_ms)
@@ -264,6 +265,7 @@ fn work_stealing_keeps_a_light_tenant_paced_under_a_heavy_neighbor() {
     assert!(
         report
             .schedule
+            .attempts
             .iter()
             .any(|sw| sw.tenant == 1 && sw.start_ms < last_heavy_start),
         "no light window was interleaved with the heavy backlog"

@@ -1,12 +1,12 @@
-//! The sharded serving runtime's core contract: N concurrent streams over
-//! one staged model produce **bit-identical** outputs, in request order, to
-//! the same requests run sequentially on one `Session` — across the model
-//! zoo's micro networks and every binary-convolution kernel route — while
-//! the shared device clock makes the streams contend for the GPU instead
-//! of each pretending to own it.
+//! The sharded serving contract — a one-tenant `DeviceRuntime`: N
+//! concurrent streams over one staged model produce **bit-identical**
+//! outputs, in request order, to the same requests run sequentially on one
+//! `Session` — across the model zoo's micro networks and every
+//! binary-convolution kernel route — while the shared device clock makes
+//! the streams contend for the GPU instead of each pretending to own it.
 
-use phonebit::core::serve::{ServeOptions, ServeRuntime};
-use phonebit::core::{convert, ActivationData, ConvPath, Session};
+use phonebit::core::serve::{DeviceRuntime, MultiServeReport, TenantSpec, TenantTraffic};
+use phonebit::core::{convert, nearest_rank, ActivationData, ConvPath, PbitModel, Session};
 use phonebit::gpusim::Phone;
 use phonebit::models::zoo::{self, Variant};
 use phonebit::models::{fill_weights, synthetic_image, to_float_input};
@@ -24,12 +24,15 @@ fn assert_same_activation(a: &ActivationData, b: &ActivationData, what: &str) {
     }
 }
 
-fn opts(streams: usize, batch: usize) -> ServeOptions {
-    ServeOptions {
-        streams,
-        batch: Some(batch),
-        ..Default::default()
-    }
+/// One model as a registry of one, windows of 2.
+fn sharded(model: PbitModel, phone: &Phone, streams: usize) -> DeviceRuntime {
+    DeviceRuntime::new(vec![TenantSpec::new(model).with_batch(2)], phone, streams).expect("fits")
+}
+
+/// Service-time (p50, p95, p99) of the single tenant's windows — what a
+/// sharded report reads: one tenant has no cross-tenant queueing.
+fn service_percentiles(report: &MultiServeReport) -> [f64; 3] {
+    nearest_rank(&report.tenants[0].duration_ms, [0.50, 0.95, 0.99])
 }
 
 #[test]
@@ -52,14 +55,16 @@ fn sharded_serving_equals_sequential_across_micro_zoo() {
 
         // 9 requests over 3 streams in windows of 2: uneven shards, a
         // short trailing window, and true thread-per-stream execution.
-        let mut runtime = ServeRuntime::new(model, &phone, opts(3, 2)).expect("fits");
-        let report = runtime.serve_u8(&requests).expect("sharded serve");
+        let mut runtime = sharded(model, &phone, 3);
+        let report = runtime
+            .serve(&[TenantTraffic::U8(&requests)])
+            .expect("sharded serve");
         assert_eq!(report.served, 9);
         assert_eq!(report.windows, 5);
         assert_eq!(report.streams, 3);
         for (i, want) in sequential.iter().enumerate() {
             assert_same_activation(
-                &report.outputs[i],
+                &report.tenants[0].outputs[i],
                 want,
                 &format!("{} request {i}", arch.name),
             );
@@ -108,8 +113,8 @@ fn sharded_serving_equals_sequential_on_every_kernel_route() {
             .map(|img| single.run_f32(img).expect("solo run").output.unwrap())
             .collect();
 
-        let mut runtime = ServeRuntime::new(model, &phone, opts(2, 2)).expect("fits");
-        let staged_path = runtime
+        let mut runtime = sharded(model, &phone, 2);
+        let staged_path = runtime.tenants()[0]
             .staged()
             .plan()
             .steps
@@ -119,10 +124,12 @@ fn sharded_serving_equals_sequential_on_every_kernel_route() {
             .path;
         assert_eq!(staged_path, expect_path, "{}", arch.name);
 
-        let report = runtime.serve_f32(&requests).expect("sharded serve");
+        let report = runtime
+            .serve(&[TenantTraffic::F32(&requests)])
+            .expect("sharded serve");
         for (i, want) in sequential.iter().enumerate() {
             assert_same_activation(
-                &report.outputs[i],
+                &report.tenants[0].outputs[i],
                 want,
                 &format!("{} request {i}", arch.name),
             );
@@ -139,18 +146,21 @@ fn contention_stretches_windows_but_sharding_wins_throughput() {
         .map(|i| synthetic_image(arch.input, 7 + i as u64))
         .collect();
 
-    let mut solo = ServeRuntime::new(model.clone(), &phone, opts(1, 2)).expect("fits");
-    let solo_report = solo.serve_u8(&requests).expect("solo serve");
+    let traffic = [TenantTraffic::U8(&requests)];
+    let mut solo = sharded(model.clone(), &phone, 1);
+    let solo_report = solo.serve(&traffic).expect("solo serve");
 
-    let mut duo = ServeRuntime::new(model, &phone, opts(2, 2)).expect("fits");
-    let duo_report = duo.serve_u8(&requests).expect("duo serve");
+    let mut duo = sharded(model, &phone, 2);
+    let duo_report = duo.serve(&traffic).expect("duo serve");
 
     // Per-window latency under contention is never better than solo...
+    let (duo_p50, solo_p50) = (
+        service_percentiles(&duo_report)[0],
+        service_percentiles(&solo_report)[0],
+    );
     assert!(
-        duo_report.p50_ms >= solo_report.p50_ms - 1e-9,
-        "duo p50 {} vs solo {}",
-        duo_report.p50_ms,
-        solo_report.p50_ms
+        duo_p50 >= solo_p50 - 1e-9,
+        "duo p50 {duo_p50} vs solo {solo_p50}"
     );
     // ...but the aggregate makespan (and so throughput) improves: each
     // stream runs half the windows, and host-side overhead overlaps the
@@ -174,17 +184,15 @@ fn sharded_outputs_and_latencies_are_deterministic() {
     let requests: Vec<_> = (0..10)
         .map(|i| synthetic_image(arch.input, 33 + i as u64))
         .collect();
-    let mk =
-        || ServeRuntime::new(convert(&fill_weights(&arch, 3)), &phone, opts(4, 2)).expect("fits");
-    let ra = mk().serve_u8(&requests).expect("first run");
-    let rb = mk().serve_u8(&requests).expect("second run");
-    assert_eq!(ra.window_ms, rb.window_ms);
+    let mk = || sharded(convert(&fill_weights(&arch, 3)), &phone, 4);
+    let traffic = [TenantTraffic::U8(&requests)];
+    let ra = mk().serve(&traffic).expect("first run");
+    let rb = mk().serve(&traffic).expect("second run");
+    assert_eq!(ra.tenants[0].duration_ms, rb.tenants[0].duration_ms);
     assert_eq!(ra.imgs_per_s, rb.imgs_per_s);
-    assert_eq!(
-        (ra.p50_ms, ra.p95_ms, ra.p99_ms),
-        (rb.p50_ms, rb.p95_ms, rb.p99_ms)
-    );
-    for (i, (a, b)) in ra.outputs.iter().zip(rb.outputs.iter()).enumerate() {
+    assert_eq!(service_percentiles(&ra), service_percentiles(&rb));
+    let (outs_a, outs_b) = (&ra.tenants[0].outputs, &rb.tenants[0].outputs);
+    for (i, (a, b)) in outs_a.iter().zip(outs_b.iter()).enumerate() {
         assert_same_activation(a, b, &format!("request {i}"));
     }
 }
