@@ -1,25 +1,34 @@
-//! Before/after report for the tiled binary-convolution hot path.
+//! Before/after report for the convolution hot paths.
 //!
 //! Measures host wall-clock medians of the seed reference kernel and the
 //! tiled kernel on the paper's 3×3 layer shapes, prints the speedup table,
 //! verifies bit-exact equality while doing so, and writes
 //! `BENCH_bconv.json` (shape, path, median ns — plus ns/pixel) so future
-//! PRs have a perf trajectory to compare against.
+//! PRs have a perf trajectory to compare against. The window-packed 8-bit
+//! first layer rides along as path `bitplane` (YOLOv2-Tiny and AlexNet
+//! conv1); it has no `reference` row, so it is regression-gated but takes
+//! no part in the speedup floor.
 //!
 //! Run: `cargo run --release -p phonebit-bench --bin bconv_report`
 //! (`-- --out <path>` to redirect the JSON; `-- --quick` for CI smoke;
 //! `-- --min-speedup X` to exit nonzero if any shape's tiled-vs-reference
 //! speedup falls below `X`; `-- --check-baseline <path>` to diff this
 //! run against a committed `BENCH_bconv.json` — same shape/path entries
-//! required, and each tiled median may regress at most
+//! required, and each tiled or bitplane median may regress at most
 //! `--max-regression` × (default 5, sized for noisy shared runners) —
 //! the CI guards that keep the hot path from rotting.)
 
 use std::time::Instant;
 
 use phonebit_bench::baseline::{diff_rows, json_escape, parse_rows, Better, Row};
+use phonebit_gpusim::queue::CommandQueue;
+use phonebit_gpusim::{DeviceProfile, ExecutorClass};
 use phonebit_nn::fuse::FusedBn;
-use phonebit_nn::kernels::bconv::{compute_bconv_fused, compute_bconv_fused_reference};
+use phonebit_nn::kernels::bconv::{
+    compute_bconv_fused, compute_bconv_fused_reference, compute_binarize_pack,
+};
+use phonebit_nn::kernels::bitplane::{bitplane_conv_accum, compute_bitplane_conv_fused};
+use phonebit_tensor::bitplane::BitPlanes;
 use phonebit_tensor::bits::BitTensor;
 use phonebit_tensor::pack::{pack_f32, pack_filters};
 use phonebit_tensor::shape::{ConvGeometry, FilterShape, Shape4};
@@ -166,6 +175,68 @@ fn main() {
     }
     println!("\nworst-case speedup: {worst_speedup:.2}x");
 
+    // The 8-bit first layer (Eqn 2): a one-word window (3x3x3) and a
+    // multi-word one (11x11x3, stride 4). No reference row exists for these
+    // shapes, so they stay out of `worst_speedup`.
+    let first_layers: &[(&str, usize, usize, ConvGeometry)] = &[
+        (
+            "conv1_416x416_c3_k16",
+            416,
+            16,
+            ConvGeometry::square(3, 1, 1),
+        ),
+        (
+            "alexnet_conv1_227x227_c3_k96_11x11s4",
+            227,
+            96,
+            ConvGeometry::square(11, 4, 0),
+        ),
+    ];
+    println!("\n{:<38} {:>14}", "first layer", "bitplane");
+    for &(name, hw, k, ref geom) in first_layers {
+        let image = Tensor::from_fn(Shape4::new(1, hw, hw, 3), |_, h, w, ch| {
+            ((h * 83 + w * 19 + ch * 7) % 256) as u8
+        });
+        let filters = Filters::from_fn(FilterShape::new(k, geom.kh, geom.kw, 3), |kk, i, j, ch| {
+            if (kk + i * 2 + j + ch) % 2 == 0 {
+                1.0
+            } else {
+                -1.0
+            }
+        });
+        let planes = BitPlanes::<u64>::split(&image);
+        let packed_f = pack_filters::<u64>(&filters);
+        let fused = FusedBn::identity(k);
+        let (oh, ow) = geom.output_hw(hw, hw);
+        let out_shape = Shape4::new(1, oh, ow, k);
+        let pixels = (oh * ow) as f64;
+
+        // Equality first: fused output == accumulate, then threshold.
+        let mut q = CommandQueue::new(DeviceProfile::adreno_640(), ExecutorClass::PhoneBitOpenCl);
+        let accum = bitplane_conv_accum(&mut q, &planes, &packed_f, geom);
+        let mut a = BitTensor::<u64>::zeros(out_shape);
+        let mut b = BitTensor::<u64>::zeros(out_shape);
+        compute_binarize_pack(&accum, &fused, &mut a);
+        compute_bitplane_conv_fused(&planes, &packed_f, &fused, geom, &mut b);
+        assert_eq!(
+            a, b,
+            "bit-plane kernel diverged from accum+threshold on {name}"
+        );
+
+        let t = median_ns(samples, || {
+            let mut out = BitTensor::<u64>::zeros(out_shape);
+            compute_bitplane_conv_fused(&planes, &packed_f, &fused, geom, &mut out);
+            std::hint::black_box(&out);
+        });
+        println!("{:<38} {:>14.1}", name, t / pixels);
+        results.push(Measurement {
+            shape: name.into(),
+            path: "bitplane",
+            median_ns: t,
+            ns_per_pixel: t / pixels,
+        });
+    }
+
     let mut json =
         String::from("{\n  \"bench\": \"bconv\",\n  \"unit\": \"ns\",\n  \"results\": [\n");
     for (i, m) in results.iter().enumerate() {
@@ -206,8 +277,8 @@ fn main() {
             std::process::exit(1);
         }
         let current: Vec<Row> = results.iter().map(Measurement::row).collect();
-        // Only the tiled path is regression-gated: the reference kernel is
-        // kept for the speedup denominator, not guarded.
+        // The tiled and bitplane paths are regression-gated: the reference
+        // kernel is kept for the speedup denominator, not guarded.
         let failures = diff_rows(
             &baseline,
             &current,
@@ -215,7 +286,7 @@ fn main() {
             Better::Lower,
             "BENCH_bconv.json",
             "ns/px",
-            |row| row.key[1] == "tiled",
+            |row| row.key[1] != "reference",
         );
         if !failures.is_empty() {
             for f in &failures {

@@ -1,20 +1,57 @@
-//! First-layer kernels: bit-plane split and bit-plane convolution (Eqn 2).
+//! First-layer kernels: bit-plane split and the window-packed bit-plane
+//! convolution (Eqn 2).
 //!
 //! The first convolution layer receives 8-bit integer images. Following
 //! §III-B, the input is split into 8 bit-planes and the output accumulates
 //! `s = Σ_n 2^(n−1) <I_n · W>` where each `<·>` is a `{0,1} × {±1}` binary
 //! convolution computed with masked popcounts. The split and recombination
 //! are the extra work behind conv1's lower speedup in Fig 5.
+//!
+//! A first layer has few channels (3 for every zoo model), so a
+//! channel-packed plane pixel carries `c` useful bits in a whole word, and a
+//! kernel that walks taps spends its time on bounds checks and on popcounts
+//! of words that are almost all padding. `bitplane_row`, the one Eqn (2)
+//! loop behind [`compute_bitplane_conv_fused`], [`bitplane_conv_accum`] and
+//! the fused first-layer chain, instead does the paper's "bit packing with
+//! vectorization" a second time, across the window:
+//!
+//! 1. **What is gathered.** For each output pixel, once per plane, the
+//!    receptive window's `kh·kw·c` plane bits are packed into
+//!    `⌈kh·kw·c / W::BITS⌉` dense words: 27 bits → one `u64` for a 3×3×3
+//!    conv1, 363 bits → six for AlexNet's 11×11×3. The scratch is one window
+//!    — eight plane words per window word — owned by the row task, so it
+//!    does not grow with the image.
+//! 2. **Bit order.** Tap `(i, j)` channel `ch` is window bit
+//!    `(i·kw + j)·c + ch`, with no per-tap padding. That is exactly the row
+//!    layout of [`flatten_filters`], which re-packs the bank once per
+//!    dispatch, so window word `t` lines up with filter word `t` for any
+//!    `c`, any kernel size and any `W` — a window that fits one word is the
+//!    `words == 1` case of the same loops, not a separate path.
+//! 3. **What is hoisted.** `{0,1} × {±1}` is `2·popcount(a & w) −
+//!    popcount(a)` ([`phonebit_tensor::bits::dot_u1_pm1`]), and the second
+//!    term does not depend on the filter: `T = Σ_n 2^n·popcount(win_n)` is
+//!    computed once per pixel, and each filter costs one `and` + popcount
+//!    per (plane, window word): `s_k = 2·Σ_n 2^n·popcount(win_n & f_k) − T`.
+//!    The eight planes of a window word sit side by side, so that inner
+//!    loop has a fixed trip count of 8 and vectorizes.
+//! 4. **Why padding needs no special case.** The window starts all-zero and
+//!    only in-bounds taps are OR-ed in, so an out-of-bounds tap is a run of
+//!    0 bits: it adds nothing to `popcount(win & f)` or to `T`, which is
+//!    what zero padding of a `u8` image means. There is no interior/border
+//!    split and no padding-correction table; a window wholly in padding
+//!    yields `s_k = 0`.
 
 use phonebit_gpusim::exec::par_chunks_mut;
 use phonebit_gpusim::queue::CommandQueue;
-use phonebit_tensor::bitplane::BitPlanes;
+use phonebit_tensor::bitplane::{combine_planes, BitPlanes};
 use phonebit_tensor::bits::{BitTensor, BitWord, PackedFilters};
 use phonebit_tensor::shape::{ConvGeometry, Layout, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
 use crate::fuse::FusedBn;
+use crate::kernels::bgemm::flatten_filters;
 use crate::kernels::profiles;
+use crate::kernels::tiled::BorderSpan;
 use crate::workload::WorkloadPolicy;
 
 /// Dispatches the bit-plane split of an 8-bit input image (§III-B).
@@ -36,57 +73,79 @@ pub fn bitplane_split_into<W: BitWord>(
     q.launch(profile, || planes.split_from(input));
 }
 
-/// Masked `{0,1} x {±1}` dot of one window of one plane against one filter:
-/// out-of-bounds plane bits are 0 and contribute nothing.
-#[inline]
-fn plane_window_dot<W: BitWord>(
-    plane: &BitTensor<W>,
-    filters: &PackedFilters<W>,
-    geom: &ConvGeometry,
-    n: usize,
-    oy: usize,
-    ox: usize,
-    k: usize,
-) -> i32 {
-    let s = plane.shape();
-    let mut pos = 0u32;
-    let mut total = 0u32;
-    for i in 0..geom.kh {
-        let iy = (oy * geom.stride_h + i) as isize - geom.pad_h as isize;
-        if iy < 0 || iy as usize >= s.h {
-            continue;
-        }
-        for j in 0..geom.kw {
-            let ix = (ox * geom.stride_w + j) as isize - geom.pad_w as isize;
-            if ix < 0 || ix as usize >= s.w {
-                continue;
-            }
-            let a = plane.pixel_words(n, iy as usize, ix as usize);
-            let w = filters.tap_words(k, i, j);
-            for (&x, &y) in a.iter().zip(w.iter()) {
-                pos += x.and(y).popcount();
-                total += x.popcount();
-            }
-        }
-    }
-    2 * pos as i32 - total as i32
+/// A zeroed gathered window matching `flat`'s rows — per window word, the
+/// eight planes' words side by side (LSB plane first). The per-row-task
+/// scratch of [`bitplane_row`].
+pub(crate) fn plane_window<W: BitWord>(flat: &PackedFilters<W>) -> Vec<[W; 8]> {
+    vec![[W::zero(); 8]; flat.words_per_tap()]
 }
 
-/// The Eqn (2) accumulator for one output element across all 8 planes.
-#[inline]
-pub fn bitplane_window_dot<W: BitWord>(
+/// Runs the window-packed Eqn (2) convolution over one output row, calling
+/// `emit(ox, k, s)` with the integer accumulator of every output.
+///
+/// `flat` is the bank re-packed by [`flatten_filters`]; `window` is scratch
+/// from [`plane_window`]. `emit` decides what an output *is* — a fused
+/// binarize+pack bit or a raw `i32` — so this one loop serves every
+/// first-layer kernel (see the module docs for the scheme).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn bitplane_row<W: BitWord>(
     planes: &BitPlanes<W>,
-    filters: &PackedFilters<W>,
+    flat: &PackedFilters<W>,
     geom: &ConvGeometry,
+    window: &mut [[W; 8]],
     n: usize,
     oy: usize,
-    ox: usize,
-    k: usize,
-) -> i32 {
-    planes
-        .iter_weighted()
-        .map(|(weight, plane)| weight * plane_window_dot(plane, filters, geom, n, oy, ox, k))
-        .sum()
+    ow: usize,
+    mut emit: impl FnMut(usize, usize, i32),
+) {
+    let s = planes.shape();
+    let k_total = flat.shape().k;
+    let wpp = planes.plane(0).words_per_pixel();
+    let plane_words: [&[W]; 8] = std::array::from_fn(|p| planes.plane(p).as_words());
+    for ox in 0..ow {
+        // Gather: in-bounds taps are OR-ed into a zeroed window at their
+        // dense bit offset; padding taps stay 0.
+        window.fill([W::zero(); 8]);
+        let span = BorderSpan::of(geom, s.h, s.w, oy, ox);
+        for i in span.i0..span.i1 {
+            let iy = oy * geom.stride_h + i - geom.pad_h;
+            for j in span.j0..span.j1 {
+                let ix = ox * geom.stride_w + j - geom.pad_w;
+                let src = planes.plane(0).pixel_offset(n, iy, ix);
+                let tap_bit = (i * geom.kw + j) * s.c;
+                for t in 0..wpp {
+                    let at = tap_bit + t * W::BITS;
+                    let (word, shift) = (at / W::BITS, at % W::BITS);
+                    // The pixel word's valid bits straddle a window word.
+                    let spills = shift + (s.c - t * W::BITS).min(W::BITS) > W::BITS;
+                    for (p, words) in plane_words.iter().enumerate() {
+                        let bits = words[src + t];
+                        window[word][p] = window[word][p].or(bits.shl(shift));
+                        if spills {
+                            window[word + 1][p] = window[word + 1][p].or(bits.shr(W::BITS - shift));
+                        }
+                    }
+                }
+            }
+        }
+        // The filter-independent half, once per pixel.
+        let mut ones = [0i32; 8];
+        for group in window.iter() {
+            for (count, bits) in ones.iter_mut().zip(group) {
+                *count += bits.popcount() as i32;
+            }
+        }
+        let total = combine_planes(&ones);
+        for k in 0..k_total {
+            let mut pos = [0i32; 8];
+            for (group, &fw) in window.iter().zip(flat.tap_words(k, 0, 0)) {
+                for (count, bits) in pos.iter_mut().zip(group) {
+                    *count += bits.and(fw).popcount() as i32;
+                }
+            }
+            emit(ox, k, 2 * combine_planes(&pos) - total);
+        }
+    }
 }
 
 fn output_shape<W: BitWord>(
@@ -105,7 +164,8 @@ fn output_shape<W: BitWord>(
     Shape4::new(s.n, oh, ow, fs.k)
 }
 
-/// Functional body of the fused bit-plane convolution.
+/// Functional body of the fused bit-plane convolution: one row task per
+/// output row, each owning one gathered-window scratch.
 pub fn compute_bitplane_conv_fused<W: BitWord>(
     planes: &BitPlanes<W>,
     filters: &PackedFilters<W>,
@@ -114,19 +174,18 @@ pub fn compute_bitplane_conv_fused<W: BitWord>(
     out: &mut BitTensor<W>,
 ) {
     let os = out.shape();
-    let k_total = filters.shape().k;
     let (oh, ow) = (os.h, os.w);
     let wpp = out.words_per_pixel();
-    par_chunks_mut(out.as_mut_words(), wpp, |pixel, span| {
-        let n = pixel / (oh * ow);
-        let rem = pixel % (oh * ow);
-        let (oy, ox) = (rem / ow, rem % ow);
-        for k in 0..k_total {
-            let s = bitplane_window_dot(planes, filters, geom, n, oy, ox, k);
+    let flat = flatten_filters(filters);
+    par_chunks_mut(out.as_mut_words(), ow * wpp, |row_idx, row_span| {
+        let mut window = plane_window(&flat);
+        let (n, oy) = (row_idx / oh, row_idx % oh);
+        bitplane_row(planes, &flat, geom, &mut window, n, oy, ow, |ox, k, s| {
             if fused.decide_logic(k, s as f32) {
-                span[k / W::BITS] = span[k / W::BITS].with_bit(k % W::BITS, true);
+                let slot = ox * wpp + k / W::BITS;
+                row_span[slot] = row_span[slot].with_bit(k % W::BITS, true);
             }
-        }
+        });
     });
 }
 
@@ -188,14 +247,14 @@ pub fn bitplane_conv_accum<W: BitWord>(
     profile.name = "bitplane_conv_accum".into();
     let k_total = os.c;
     let (oh, ow) = (os.h, os.w);
+    let flat = flatten_filters(filters);
     q.launch(profile, || {
-        par_chunks_mut(out.as_mut_slice(), k_total, |pixel, row| {
-            let n = pixel / (oh * ow);
-            let rem = pixel % (oh * ow);
-            let (oy, ox) = (rem / ow, rem % ow);
-            for (k, slot) in row.iter_mut().enumerate() {
-                *slot = bitplane_window_dot(planes, filters, geom, n, oy, ox, k);
-            }
+        par_chunks_mut(out.as_mut_slice(), ow * k_total, |row_idx, row| {
+            let mut window = plane_window(&flat);
+            let (n, oy) = (row_idx / oh, row_idx % oh);
+            bitplane_row(planes, &flat, geom, &mut window, n, oy, ow, |ox, k, s| {
+                row[ox * k_total + k] = s;
+            });
         });
     });
     out

@@ -35,7 +35,8 @@ use phonebit_tensor::shape::{ConvGeometry, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
 use crate::fuse::FusedBn;
-use crate::kernels::bitplane::bitplane_window_dot;
+use crate::kernels::bgemm::flatten_filters;
+use crate::kernels::bitplane::{bitplane_row, plane_window};
 use crate::kernels::pool::PoolGeometry;
 use crate::kernels::profiles::{compulsory_input_bytes, words32, PACKED_COALESCING, VEC_LANES_128};
 use crate::kernels::tiled::{conv_row_tiled, WindowGather};
@@ -265,17 +266,24 @@ pub fn compute_in8_pool_chain<W: BitWord>(
 ) {
     let s = planes.shape();
     let (conv_oh, conv_ow) = geom.output_hw(s.h, s.w);
-    let k_total = filters.shape().k;
+    let flat = flatten_filters(filters);
+    let mut window = plane_window(&flat);
     pooled_rows(s.n, conv_oh, conv_ow, pool, ring, out, |n, oy, wpp, row| {
-        for ox in 0..conv_ow {
-            for k in 0..k_total {
-                let x1 = bitplane_window_dot(planes, filters, geom, n, oy, ox, k);
+        bitplane_row(
+            planes,
+            &flat,
+            geom,
+            &mut window,
+            n,
+            oy,
+            conv_ow,
+            |ox, k, x1| {
                 if fused.decide_logic(k, x1 as f32) {
                     let slot = ox * wpp + k / W::BITS;
                     row[slot] = row[slot].with_bit(k % W::BITS, true);
                 }
-            }
-        }
+            },
+        );
     });
 }
 
@@ -663,6 +671,44 @@ mod tests {
         );
         assert_eq!(out, pooled);
         assert_eq!(q4.timeline().len(), 1);
+    }
+
+    #[test]
+    fn in8_chain_matches_split_kernels_on_multiword_windows() {
+        // AlexNet-like conv1: 11x11x3 stride 4 is a 363-bit window, six u64
+        // words — the chain and the split kernels must share that path too.
+        let img = Tensor::from_fn(Shape4::new(2, 35, 39, 3), |n, h, w, c| {
+            ((n * 157 + h * 83 + w * 19 + c * 7) % 256) as u8
+        });
+        let f = pm1_filters(FilterShape::new(12, 11, 11, 3), 4);
+        let fused = test_bn(12);
+        let geom = ConvGeometry::square(11, 4, 0);
+        let filters = pack_filters::<u64>(&f);
+
+        let mut q = queue();
+        let planes = bitplane_split::<u64>(&mut q, &img);
+        let conv = bitplane_conv_fused(&mut q, &planes, &filters, &fused, &geom);
+        let pool = PoolGeometry::new(3, 2);
+        let pooled = maxpool_bits(&mut q, &conv, &pool);
+
+        let mut planes2 = BitPlanes::<u64>::empty(img.shape());
+        let (mut ring, mut out) = (scratch::<u64>(), scratch::<u64>());
+        for (pool, expect) in [(None, &conv), (Some(&pool), &pooled)] {
+            let mut q2 = queue();
+            in8_bconv_chain_into(
+                &mut q2,
+                &img,
+                &filters,
+                &fused,
+                &geom,
+                pool,
+                &mut planes2,
+                &mut ring,
+                &mut out,
+            );
+            assert_eq!(&out, expect, "pool {}", pool.is_some());
+            assert_eq!(q2.timeline().len(), 1);
+        }
     }
 
     #[test]

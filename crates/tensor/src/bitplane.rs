@@ -50,16 +50,24 @@ impl<W: BitWord> BitPlanes<W> {
         for plane in &mut self.planes {
             plane.reset(s);
         }
+        // Each pixel's eight plane words are built in registers, one
+        // channel-word at a time, and stored once per plane.
+        let mut word = 0;
         for n in 0..s.n {
             for h in 0..s.h {
                 for w in 0..s.w {
-                    for c in 0..s.c {
-                        let v = t.at(n, h, w, c);
-                        for (b, plane) in self.planes.iter_mut().enumerate() {
-                            if (v >> b) & 1 == 1 {
-                                plane.set_bit(n, h, w, c, true);
+                    for c0 in (0..s.c).step_by(W::BITS) {
+                        let mut regs = [W::zero(); 8];
+                        for bit in 0..W::BITS.min(s.c - c0) {
+                            let v = t.at(n, h, w, c0 + bit);
+                            for (b, reg) in regs.iter_mut().enumerate() {
+                                *reg = reg.with_bit(bit, (v >> b) & 1 == 1);
                             }
                         }
+                        for (plane, reg) in self.planes.iter_mut().zip(regs) {
+                            plane.as_mut_words()[word] = reg;
+                        }
+                        word += 1;
                     }
                 }
             }
@@ -78,11 +86,6 @@ impl<W: BitWord> BitPlanes<W> {
     /// Panics if `n >= 8`.
     pub fn plane(&self, n: usize) -> &BitTensor<W> {
         &self.planes[n]
-    }
-
-    /// Iterates `(weight, plane)` pairs with `weight = 2^n` per Eqn (2).
-    pub fn iter_weighted(&self) -> impl Iterator<Item = (i32, &BitTensor<W>)> {
-        self.planes.iter().enumerate().map(|(n, p)| (1i32 << n, p))
     }
 
     /// Reconstructs the original `u8` tensor (inverse of [`BitPlanes::split`]).
@@ -166,11 +169,7 @@ mod tests {
         // Plane-wise Eqn (2).
         let mut partials = [0i32; 8];
         for (n, p) in partials.iter_mut().enumerate() {
-            *p = dot_u1_pm1(
-                planes.plane(n).pixel_words(0, 0, 0),
-                wf.tap_words(0, 0, 0),
-                13,
-            );
+            *p = dot_u1_pm1(planes.plane(n).pixel_words(0, 0, 0), wf.tap_words(0, 0, 0));
         }
         assert_eq!(combine_planes(&partials), expect);
     }
@@ -183,14 +182,6 @@ mod tests {
         assert_eq!(combine_planes(&partials), 1 + 128);
         let partials = [1i32; 8];
         assert_eq!(combine_planes(&partials), 255);
-    }
-
-    #[test]
-    fn iter_weighted_yields_increasing_powers() {
-        let t = image(Shape4::new(1, 1, 1, 2));
-        let planes = BitPlanes::<u8>::split(&t);
-        let ws: Vec<i32> = planes.iter_weighted().map(|(w, _)| w).collect();
-        assert_eq!(ws, vec![1, 2, 4, 8, 16, 32, 64, 128]);
     }
 
     #[test]

@@ -417,7 +417,7 @@ pub fn dot_pm1<W: BitWord>(a: &[W], b: &[W], len: usize) -> i32 {
 ///
 /// Tail bits of `a` must be zero (the tail of `w` is then irrelevant).
 #[inline]
-pub fn dot_u1_pm1<W: BitWord>(a: &[W], w: &[W], _len: usize) -> i32 {
+pub fn dot_u1_pm1<W: BitWord>(a: &[W], w: &[W]) -> i32 {
     debug_assert_eq!(a.len(), w.len());
     let mut pos = 0u32;
     let mut total = 0u32;
@@ -727,10 +727,7 @@ mod tests {
         a.set_bit(0, 0, 0, 2, true);
         let mut w = PackedFilters::<u8>::zeros(FilterShape::new(1, 1, 1, 3));
         w.set_bit(0, 0, 0, 0, true);
-        assert_eq!(
-            dot_u1_pm1(a.pixel_words(0, 0, 0), w.tap_words(0, 0, 0), 3),
-            0
-        );
+        assert_eq!(dot_u1_pm1(a.pixel_words(0, 0, 0), w.tap_words(0, 0, 0)), 0);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Property-based tests (proptest) on the core invariants: packing is
 //! lossless, the xor-popcount identity holds for every vector, layer fusion
 //! equals the unfused reference for arbitrary batch-norm parameters, the
-//! bit-plane decomposition reconstructs, bit pooling equals float pooling,
+//! bit-plane decomposition reconstructs, the bit-plane first layer equals
+//! the integer convolution it stands for, bit pooling equals float pooling,
 //! and the `.pbit` reader never panics on corrupt input.
 
 use proptest::prelude::*;
@@ -9,13 +10,72 @@ use proptest::prelude::*;
 use phonebit::core::format::{read_model, write_model};
 use phonebit::nn::fuse::{BnParams, FusedBn};
 use phonebit::tensor::bitplane::BitPlanes;
-use phonebit::tensor::bits::{dot_pm1, BitTensor, PackedFilters};
-use phonebit::tensor::pack::{pack_f32, unpack_f32};
-use phonebit::tensor::shape::{FilterShape, Layout, Shape4};
-use phonebit::tensor::Tensor;
+use phonebit::tensor::bits::{dot_pm1, BitTensor, BitWord, PackedFilters};
+use phonebit::tensor::pack::{pack_f32, pack_filters, unpack_f32};
+use phonebit::tensor::shape::{ConvGeometry, FilterShape, Layout, Shape4};
+use phonebit::tensor::{Filters, Tensor};
 
 fn signs(len: usize) -> impl Strategy<Value = Vec<bool>> {
     proptest::collection::vec(any::<bool>(), len)
+}
+
+fn u8_image(shape: Shape4, seed: u64) -> Tensor<u8> {
+    Tensor::from_fn(shape, |n, y, x, ch| {
+        (seed.wrapping_mul((1 + n * 977 + y * 131 + x * 31 + ch * 7) as u64) >> 7) as u8
+    })
+}
+
+/// The first layer's meaning: direct `u8 × ±1` convolution, zero padded.
+fn integer_conv(img: &Tensor<u8>, f: &Filters, geom: &ConvGeometry) -> Tensor<i32> {
+    let (s, fs) = (img.shape(), f.shape());
+    let (oh, ow) = geom.output_hw(s.h, s.w);
+    Tensor::from_fn(Shape4::new(s.n, oh, ow, fs.k), |n, oy, ox, k| {
+        let mut acc = 0i32;
+        for i in 0..fs.kh {
+            for j in 0..fs.kw {
+                let iy = (oy * geom.stride_h + i) as isize - geom.pad_h as isize;
+                let ix = (ox * geom.stride_w + j) as isize - geom.pad_w as isize;
+                if iy < 0 || iy as usize >= s.h || ix < 0 || ix as usize >= s.w {
+                    continue;
+                }
+                for c in 0..fs.c {
+                    acc += img.at(n, iy as usize, ix as usize, c) as i32 * f.at(k, i, j, c) as i32;
+                }
+            }
+        }
+        acc
+    })
+}
+
+/// `bitplane_conv_accum` == `expect`, and `bitplane_conv_fused` == accum →
+/// `decide_logic`, at word width `W`.
+fn first_layer_matches<W: BitWord>(
+    img: &Tensor<u8>,
+    f: &Filters,
+    fused: &FusedBn,
+    geom: &ConvGeometry,
+    expect: &Tensor<i32>,
+) -> Result<(), TestCaseError> {
+    use phonebit::nn::kernels::bitplane::{bitplane_conv_accum, bitplane_conv_fused};
+    let mut q = phonebit::gpusim::CommandQueue::new(
+        phonebit::gpusim::DeviceProfile::adreno_640(),
+        phonebit::gpusim::ExecutorClass::PhoneBitOpenCl,
+    );
+    let planes = BitPlanes::<W>::split(img);
+    let packed = pack_filters::<W>(f);
+    let accum = bitplane_conv_accum(&mut q, &planes, &packed, geom);
+    prop_assert_eq!(accum.shape(), expect.shape());
+    prop_assert_eq!(accum.as_slice(), expect.as_slice());
+    let bits = bitplane_conv_fused(&mut q, &planes, &packed, fused, geom);
+    prop_assert!(bits.tail_is_clean());
+    for ((n, y, x, k), acc) in accum.iter_indexed() {
+        prop_assert!(
+            bits.get_bit(n, y, x, k) == fused.decide_logic(k, acc as f32),
+            "W={} at ({n},{y},{x},{k}): accum {acc}",
+            W::BITS
+        );
+    }
+    Ok(())
 }
 
 proptest! {
@@ -108,6 +168,75 @@ proptest! {
         });
         let planes = BitPlanes::<u32>::split(&img);
         prop_assert_eq!(planes.reconstruct(), img);
+    }
+
+    #[test]
+    fn bitplane_resplit_leaves_no_stale_bits(
+        c in 1usize..40,
+        h in 1usize..5,
+        w in 1usize..5,
+        seed in any::<u64>(),
+    ) {
+        // More channels than a u8/u16 word holds, and one plane set re-split
+        // into a larger and then a smaller shape: storage reuse must equal a
+        // fresh split every time.
+        let mut planes8 = BitPlanes::<u8>::empty(Shape4::new(1, h, w, c));
+        let mut planes16 = BitPlanes::<u16>::empty(Shape4::new(1, h, w, c));
+        for (round, shape) in [
+            Shape4::new(1, h, w, c),
+            Shape4::new(2, h + 2, w + 1, c + 9),
+            Shape4::new(1, h, w + 1, c.div_ceil(2)),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let img = u8_image(shape, seed.wrapping_add(round as u64) | 1);
+            planes8.split_from(&img);
+            planes16.split_from(&img);
+            prop_assert_eq!(&planes8, &BitPlanes::<u8>::split(&img));
+            prop_assert_eq!(&planes16, &BitPlanes::<u16>::split(&img));
+            prop_assert_eq!(&planes8.reconstruct(), &img);
+            prop_assert_eq!(&planes16.reconstruct(), &img);
+            prop_assert!((0..8).all(|b| planes8.plane(b).tail_is_clean()));
+            prop_assert!((0..8).all(|b| planes16.plane(b).tail_is_clean()));
+        }
+    }
+
+    #[test]
+    fn bitplane_first_layer_equals_integer_conv(
+        c in prop::sample::select(vec![1usize, 3, 4, 13]),
+        kh in prop::sample::select(vec![1usize, 3, 5, 11]),
+        kw in prop::sample::select(vec![1usize, 3, 5, 11]),
+        stride_h in prop::sample::select(vec![1usize, 2, 4]),
+        stride_w in prop::sample::select(vec![1usize, 2, 4]),
+        pad_h in prop::sample::select(vec![0usize, 1, 2, 5]),
+        pad_w in prop::sample::select(vec![0usize, 1, 2, 5]),
+        batch in prop::sample::select(vec![1usize, 3]),
+        h in 1usize..9,
+        dw in 1usize..4,
+        k in 1usize..6,
+        seed in any::<u64>(),
+    ) {
+        // Windows of one word, of several, and (c = 13 on u8/u16) pixels
+        // whose bits straddle a window word; pad >= kernel puts whole windows
+        // in padding. Inputs grow just enough for the kernel to fit.
+        let geom = ConvGeometry { kh, kw, stride_h, stride_w, pad_h, pad_w };
+        let h = h.max(kh.saturating_sub(2 * pad_h));
+        let w = (h + dw).max(kw.saturating_sub(2 * pad_w));
+        let img = u8_image(Shape4::new(batch, h, w, c), seed | 1);
+        let f = Filters::from_fn(FilterShape::new(k, kh, kw, c), |a, i, j, ch| {
+            let v = seed.wrapping_mul(31).wrapping_add((a * 53 + i * 7 + j * 3 + ch) as u64);
+            if (v >> 3).is_multiple_of(2) { 1.0 } else { -1.0 }
+        });
+        let fused = FusedBn {
+            xi: (0..k).map(|i| (seed % 97) as f32 * (i as f32 - 1.5) * 3.0).collect(),
+            gamma_pos: (0..k).map(|i| (seed >> i) & 1 == 1).collect(),
+        };
+        let expect = integer_conv(&img, &f, &geom);
+        first_layer_matches::<u8>(&img, &f, &fused, &geom, &expect)?;
+        first_layer_matches::<u16>(&img, &f, &fused, &geom, &expect)?;
+        first_layer_matches::<u32>(&img, &f, &fused, &geom, &expect)?;
+        first_layer_matches::<u64>(&img, &f, &fused, &geom, &expect)?;
     }
 
     #[test]
