@@ -11,6 +11,7 @@
 //! are ordinary values.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cnndroid;
 pub mod common;

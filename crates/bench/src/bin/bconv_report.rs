@@ -7,7 +7,11 @@
 //! PRs have a perf trajectory to compare against. The window-packed 8-bit
 //! first layer rides along as path `bitplane` (YOLOv2-Tiny and AlexNet
 //! conv1); it has no `reference` row, so it is regression-gated but takes
-//! no part in the speedup floor.
+//! no part in the speedup floor. The `tiled` and `bitplane` paths run on the
+//! host ISA tier `phonebit_nn::kernels::isa` detects, printed first and
+//! recorded once in the JSON header as `"isa"`; the `reference` rows stay on
+//! the portable build-target code, so the speedup column is "tiling plus
+//! hardware popcount" against the seed kernel as every CPU runs it.
 //!
 //! Run: `cargo run --release -p phonebit-bench --bin bconv_report`
 //! (`-- --out <path>` to redirect the JSON; `-- --quick` for CI smoke;
@@ -28,6 +32,7 @@ use phonebit_nn::kernels::bconv::{
     compute_bconv_fused, compute_bconv_fused_reference, compute_binarize_pack,
 };
 use phonebit_nn::kernels::bitplane::{bitplane_conv_accum, compute_bitplane_conv_fused};
+use phonebit_nn::kernels::isa::IsaTier;
 use phonebit_tensor::bitplane::BitPlanes;
 use phonebit_tensor::bits::BitTensor;
 use phonebit_tensor::pack::{pack_f32, pack_filters};
@@ -107,6 +112,8 @@ fn main() {
     ];
     let geom = ConvGeometry::square(3, 1, 1);
 
+    let isa = IsaTier::detected().name();
+    println!("host ISA tier: {isa} (reference rows: portable)\n");
     println!(
         "{:<26} {:>14} {:>14} {:>9}  (median of {samples}, ns/pixel)",
         "shape", "reference", "tiled", "speedup"
@@ -237,8 +244,9 @@ fn main() {
         });
     }
 
-    let mut json =
-        String::from("{\n  \"bench\": \"bconv\",\n  \"unit\": \"ns\",\n  \"results\": [\n");
+    let mut json = format!(
+        "{{\n  \"bench\": \"bconv\",\n  \"unit\": \"ns\",\n  \"isa\": \"{isa}\",\n  \"results\": [\n"
+    );
     for (i, m) in results.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"shape\": \"{}\", \"path\": \"{}\", \"median_ns\": {:.0}, \"ns_per_pixel\": {:.1}}}{}\n",

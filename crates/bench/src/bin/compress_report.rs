@@ -15,9 +15,12 @@
 //! Run: `cargo run --release -p phonebit-bench --bin compress_report`
 //! (`-- --out <path>` to redirect the JSON; `-- --quick` for CI smoke;
 //! `-- --max-slowdown X` to bound the dictionary read-through overhead
-//! (default 1.5, sized for noisy shared runners; local medians run
-//! *faster* than raw — ~0.5x — because the memoized unique-row dot does
-//! strictly less xor work on deduped banks); `-- --check-baseline <path>`
+//! (default 1.5, sized for noisy shared runners; local medians run level
+//! with or a little *faster* than raw — 0.6-1.1x, the two kernels sampled
+//! alternately — because the memoized unique-row dot does strictly less
+//! xor+popcount work on deduped banks; it read ~0.5x while a popcount was
+//! ~15 operations);
+//! `-- --check-baseline <path>`
 //! to diff this run against a
 //! committed `BENCH_compress.json` — same model/phone coverage required,
 //! and the byte ratio is deterministic, so it may drift at most
@@ -69,16 +72,19 @@ impl Measurement {
     }
 }
 
-fn median_ns(samples: usize, mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_nanos() as f64
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    times[times.len() / 2]
+/// Median wall time of `a` and of `b`, sampled alternately so a host that
+/// changes speed mid-run slows both sides, not one.
+fn median_ns_pair(samples: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    let time = |f: &mut dyn FnMut()| {
+        let t0 = Instant::now();
+        f();
+        t0.elapsed().as_nanos() as f64
+    };
+    let (mut ta, mut tb): (Vec<f64>, Vec<f64>) =
+        (0..samples).map(|_| (time(&mut a), time(&mut b))).unzip();
+    ta.sort_by(|x, y| x.partial_cmp(y).unwrap());
+    tb.sort_by(|x, y| x.partial_cmp(y).unwrap());
+    (ta[samples / 2], tb[samples / 2])
 }
 
 fn compressed() -> RouteOverrides {
@@ -123,16 +129,19 @@ fn kernel_overhead(hw: usize, cin: usize, k: usize, samples: usize) -> (f64, f64
     compute_bconv_fused(&packed_in, &dict, &fused, &geom, &mut b);
     assert_eq!(a, b, "dictionary read-through diverged on {hw}x{hw}");
 
-    let t_raw = median_ns(samples, || {
-        let mut out = BitTensor::<u64>::zeros(out_shape);
-        compute_bconv_fused(&packed_in, &packed_f, &fused, &geom, &mut out);
-        std::hint::black_box(&out);
-    });
-    let t_dict = median_ns(samples, || {
-        let mut out = BitTensor::<u64>::zeros(out_shape);
-        compute_bconv_fused(&packed_in, &dict, &fused, &geom, &mut out);
-        std::hint::black_box(&out);
-    });
+    let (t_raw, t_dict) = median_ns_pair(
+        samples,
+        || {
+            let mut out = BitTensor::<u64>::zeros(out_shape);
+            compute_bconv_fused(&packed_in, &packed_f, &fused, &geom, &mut out);
+            std::hint::black_box(&out);
+        },
+        || {
+            let mut out = BitTensor::<u64>::zeros(out_shape);
+            compute_bconv_fused(&packed_in, &dict, &fused, &geom, &mut out);
+            std::hint::black_box(&out);
+        },
+    );
     (t_raw / pixels, t_dict / pixels)
 }
 

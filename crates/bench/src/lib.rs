@@ -22,6 +22,7 @@
 //! convolution, vector widths and full layers.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod baseline;
 pub mod harness;

@@ -8,6 +8,7 @@
 //! command implementations.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::fmt::Write as _;
 use std::path::Path;

@@ -48,6 +48,7 @@
 //! [`convert`]: convert::convert
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod arrival;
 pub mod builder;

@@ -46,7 +46,7 @@ impl<W: BitWord, const N: usize> ClVec<W, N> {
     /// # Panics
     ///
     /// Panics if `src` holds fewer than `N` words.
-    #[inline]
+    #[inline(always)]
     pub fn load(src: &[W]) -> Self {
         let mut out = [W::zero(); N];
         out.copy_from_slice(&src[..N]);
@@ -54,7 +54,7 @@ impl<W: BitWord, const N: usize> ClVec<W, N> {
     }
 
     /// Loads up to `N` words, zero-filling missing lanes (tail handling).
-    #[inline]
+    #[inline(always)]
     pub fn load_partial(src: &[W]) -> Self {
         let mut out = [W::zero(); N];
         let n = src.len().min(N);
@@ -67,13 +67,13 @@ impl<W: BitWord, const N: usize> ClVec<W, N> {
     /// # Panics
     ///
     /// Panics if `dst` holds fewer than `N` words.
-    #[inline]
+    #[inline(always)]
     pub fn store(self, dst: &mut [W]) {
         dst[..N].copy_from_slice(&self.0);
     }
 
     /// Lane-wise xor.
-    #[inline]
+    #[inline(always)]
     pub fn xor(self, other: Self) -> Self {
         let mut out = self.0;
         for (a, b) in out.iter_mut().zip(other.0.iter()) {
@@ -83,7 +83,7 @@ impl<W: BitWord, const N: usize> ClVec<W, N> {
     }
 
     /// Lane-wise and.
-    #[inline]
+    #[inline(always)]
     pub fn and(self, other: Self) -> Self {
         let mut out = self.0;
         for (a, b) in out.iter_mut().zip(other.0.iter()) {
@@ -93,7 +93,7 @@ impl<W: BitWord, const N: usize> ClVec<W, N> {
     }
 
     /// Lane-wise or.
-    #[inline]
+    #[inline(always)]
     pub fn or(self, other: Self) -> Self {
         let mut out = self.0;
         for (a, b) in out.iter_mut().zip(other.0.iter()) {
@@ -104,7 +104,7 @@ impl<W: BitWord, const N: usize> ClVec<W, N> {
 
     /// Lane-wise complement (named after the OpenCL builtin, like
     /// [`BitWord::not`], rather than the `std::ops::Not` trait).
-    #[inline]
+    #[inline(always)]
     #[allow(clippy::should_implement_trait)]
     pub fn not(self) -> Self {
         let mut out = self.0;
@@ -115,9 +115,20 @@ impl<W: BitWord, const N: usize> ClVec<W, N> {
     }
 
     /// Sum of set bits across all lanes (horizontal popcount reduction).
-    #[inline]
+    #[inline(always)]
     pub fn popcount(self) -> u32 {
         self.0.iter().map(|w| w.popcount()).sum()
+    }
+
+    /// Set bits of each lane (the OpenCL `popcount` builtin on a vector):
+    /// lets a loop accumulate lane-wise and reduce once at its end.
+    #[inline(always)]
+    pub fn popcount_lanes(self) -> [u32; N] {
+        let mut out = [0u32; N];
+        for (count, w) in out.iter_mut().zip(self.0) {
+            *count = w.popcount();
+        }
+        out
     }
 }
 
@@ -143,15 +154,28 @@ pub type ULong16 = ClVec<u64, 16>;
 /// vector operations with scalar tail handling.
 ///
 /// Returns `popcount(xor(a, b))` — the "disagreement count" of Eqn (1).
-#[inline]
+/// Counts accumulate per lane and are summed across lanes once, after the
+/// last chunk.
+///
+/// `#[inline(always)]`, like every method above: the binary kernels re-enter
+/// this code under `#[target_feature]` wrappers (`phonebit_nn::kernels::isa`)
+/// and only code inlined into a wrapper is compiled with its instructions.
+#[inline(always)]
 pub fn xor_popcount_vec<W: BitWord, const N: usize>(a: &[W], b: &[W]) -> u32 {
     debug_assert_eq!(a.len(), b.len());
-    let mut acc = 0u32;
+    let b = &b[..a.len()];
+    let mut lanes = [0u64; N];
     let chunks = a.len() / N;
     for i in 0..chunks {
-        let va = ClVec::<W, N>::load(&a[i * N..]);
-        let vb = ClVec::<W, N>::load(&b[i * N..]);
-        acc += va.xor(vb).popcount();
+        let va = ClVec::<W, N>::load(&a[i * N..(i + 1) * N]);
+        let vb = ClVec::<W, N>::load(&b[i * N..(i + 1) * N]);
+        for (sum, c) in lanes.iter_mut().zip(va.xor(vb).popcount_lanes()) {
+            *sum += u64::from(c);
+        }
+    }
+    let mut acc = 0u32;
+    for lane in lanes {
+        acc += lane as u32;
     }
     for i in chunks * N..a.len() {
         acc += a[i].xor(b[i]).popcount();

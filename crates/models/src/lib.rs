@@ -6,6 +6,7 @@
 //! images, Table II size analytics, and YOLO detection decoding.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod scene;
 pub mod size;

@@ -20,6 +20,10 @@
 //! ```text
 //! x4 = (A xor B) or C,   A = (x1 < ξ), B = (γ > 0), C = (x1 = ξ)
 //! ```
+//!
+//! [`BitSink`] is the one place a kernel's raw accumulator becomes that bit.
+
+use phonebit_tensor::bits::BitWord;
 
 /// Per-channel batch-normalization parameters as trained.
 #[derive(Debug, Clone, PartialEq)]
@@ -145,19 +149,66 @@ impl FusedBn {
     /// The branch-free decision of Eqn 9: `(A xor B) or C` with
     /// `A = isless(x1, ξ)`, `B = (γ > 0)`, `C = isequal(x1, ξ)` — the form
     /// PhoneBit executes to avoid wave divergence (§VI-C).
-    #[inline]
+    #[inline(always)]
     pub fn decide_logic(&self, channel: usize, x1: f32) -> bool {
-        let xi = self.xi[channel];
-        let a = x1 < xi; // isless
-        let b = self.gamma_pos[channel]; // isgreater(gamma, 0)
-        let c = x1 == xi; // isequal
-        (a ^ b) | c
+        decide(self.xi[channel], self.gamma_pos[channel], x1)
     }
 
     /// The float batch-norm output (Eqn 5) for layers that must produce real
     /// values instead of bits; requires the original BN parameters.
     pub fn bn_output(bn: &BnParams, bias: &[f32], channel: usize, x1: f32) -> f32 {
         bn.apply(channel, x1 + bias[channel])
+    }
+}
+
+/// Eqn 9 on one channel's `ξ` and `γ > 0`.
+#[inline(always)]
+fn decide(xi: f32, gamma_pos: bool, x1: f32) -> bool {
+    let a = x1 < xi; // isless
+    let c = x1 == xi; // isequal
+    (a ^ gamma_pos) | c
+}
+
+/// The packed-bit sink of every fused binarize+pack kernel (Fig 4): decides
+/// Eqn (9) for a run of raw accumulators, builds their bits in a register as
+/// `decision << bit` — the near-coin-flip outcome is data, not a branch
+/// (§VI-C) — and ORs them into the output word once. Rows must start zeroed;
+/// runs may arrive in any order.
+#[derive(Debug)]
+pub struct BitSink<'a, W: BitWord> {
+    fused: &'a FusedBn,
+    row: &'a mut [W],
+    words_per_pixel: usize,
+}
+
+impl<'a, W: BitWord> BitSink<'a, W> {
+    /// A sink over `row`, a zeroed span of whole output pixels of
+    /// `words_per_pixel` words each, thresholded by `fused`.
+    pub fn new(fused: &'a FusedBn, row: &'a mut [W], words_per_pixel: usize) -> Self {
+        Self {
+            fused,
+            row,
+            words_per_pixel,
+        }
+    }
+
+    /// Sets bit `k0 + i` of row pixel `px` to
+    /// [`FusedBn::decide_logic`]`(k0 + i, x1s[i])` for every `i`. The run
+    /// must stay inside one output word, as a filter tile starting at a
+    /// multiple of its length does (checked in debug builds only: a hard
+    /// assert here cost the tiled kernels 10–20 %).
+    #[inline(always)]
+    pub fn put(&mut self, px: usize, k0: usize, x1s: &[i32]) {
+        let (bit0, n) = (k0 % W::BITS, x1s.len());
+        debug_assert!(bit0 + n <= W::BITS, "run straddles an output word");
+        let xi = &self.fused.xi[k0..k0 + n];
+        let gamma_pos = &self.fused.gamma_pos[k0..k0 + n];
+        let mut word = W::zero();
+        for (i, &x1) in x1s.iter().enumerate() {
+            word = word.or(W::from_bit(decide(xi[i], gamma_pos[i], x1 as f32)).shl(bit0 + i));
+        }
+        let slot = &mut self.row[px * self.words_per_pixel + k0 / W::BITS];
+        *slot = slot.or(word);
     }
 }
 
@@ -244,6 +295,73 @@ mod tests {
                 "x1 = xi must binarize to 1 for either gamma sign"
             );
         }
+    }
+
+    /// Every `x1` a `bound`-bit window can produce, against every kind of
+    /// threshold, through a sink whose `W::BITS + 3` channels share the
+    /// first output word and spill into a second — as single outputs, as
+    /// filter quads and as whole words.
+    fn sink_matches_decide_logic_at<W: BitWord>() {
+        let bound = 40i32;
+        let mut thresholds: Vec<f32> = vec![f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        for half_steps in -2 * (bound + 1)..=2 * (bound + 1) {
+            thresholds.push(half_steps as f32 * 0.5); // integers and half-integers
+        }
+        let k_total = W::BITS + 3;
+        let wpp = k_total.div_ceil(W::BITS);
+        // Rotate the thresholds past the channels so each meets every bit
+        // position, with either gamma sign.
+        for rotation in 0..thresholds.len() {
+            let fused = FusedBn {
+                xi: (0..k_total)
+                    .map(|k| thresholds[(k + rotation) % thresholds.len()])
+                    .collect(),
+                gamma_pos: (0..k_total).map(|k| (k + rotation / 2) % 2 == 0).collect(),
+            };
+            for x1 in -bound..=bound {
+                // Neighbouring channels see different accumulators.
+                let x1s: Vec<i32> = (0..k_total as i32)
+                    .map(|k| (x1 + k % 3 - 1).clamp(-bound, bound))
+                    .collect();
+                let mut row = vec![W::zero(); 3 * wpp];
+                let mut sink = BitSink::new(&fused, &mut row, wpp);
+                // The sink promises nothing about arrival order: pixel 0
+                // one channel at a time, descending; pixel 1 in quads, last
+                // first; pixel 2 a word at a time.
+                for k in (0..k_total).rev() {
+                    sink.put(0, k, &x1s[k..k + 1]);
+                }
+                for k0 in (0..k_total).step_by(4).rev() {
+                    sink.put(1, k0, &x1s[k0..(k0 + 4).min(k_total)]);
+                }
+                for k0 in (0..k_total).step_by(W::BITS) {
+                    sink.put(2, k0, &x1s[k0..(k0 + W::BITS).min(k_total)]);
+                }
+                for (px, words) in row.chunks(wpp).enumerate() {
+                    for k in 0..k_total {
+                        assert_eq!(
+                            words[k / W::BITS].bit(k % W::BITS),
+                            fused.decide_logic(k, x1s[k] as f32),
+                            "{} px={px} k={k} x1={} xi={} gamma_pos={}",
+                            W::CL_NAME,
+                            x1s[k],
+                            fused.xi[k],
+                            fused.gamma_pos[k]
+                        );
+                    }
+                    let tail = words[wpp - 1].and(W::low_mask(k_total % W::BITS).not());
+                    assert_eq!(tail, W::zero(), "bits past the last channel stay clear");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sink_equals_decide_logic_exhaustively() {
+        sink_matches_decide_logic_at::<u8>();
+        sink_matches_decide_logic_at::<u16>();
+        sink_matches_decide_logic_at::<u32>();
+        sink_matches_decide_logic_at::<u64>();
     }
 
     #[test]

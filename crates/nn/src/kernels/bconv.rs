@@ -30,7 +30,7 @@ use phonebit_tensor::dict::FilterAccess;
 use phonebit_tensor::shape::{ConvGeometry, Layout, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
-use crate::fuse::FusedBn;
+use crate::fuse::{BitSink, FusedBn};
 use crate::kernels::profiles;
 use crate::kernels::tiled::{conv_row_tiled, WindowGather};
 use crate::workload::WorkloadPolicy;
@@ -109,7 +109,8 @@ pub fn window_dot<W: BitWord>(
 /// reuses it across all `K` filters through the 4×2 microkernel; border
 /// pixels dot their valid segments and read the padding contribution from
 /// the filters' tap-popcount tables. Binarize+pack stays fused: each raw
-/// dot value feeds Eqn (9) logic and lands as one bit in the row span.
+/// dot value feeds Eqn (9) logic and lands as one bit in the row span,
+/// OR-ed in — `out` must come in zeroed, as [`bconv_fused_into`] resets it.
 pub fn compute_bconv_fused<W: BitWord>(
     input: &BitTensor<W>,
     filters: &(impl FilterAccess<W> + Sync),
@@ -124,12 +125,9 @@ pub fn compute_bconv_fused<W: BitWord>(
         let n = row_idx / oh;
         let oy = row_idx % oh;
         let mut gather = WindowGather::new(geom, filters.words_per_tap());
-        conv_row_tiled(input, filters, geom, &mut gather, n, oy, ow, |ox, k, x1| {
-            if fused.decide_logic(k, x1 as f32) {
-                let slot = ox * wpp + k / W::BITS;
-                row_span[slot] = row_span[slot].with_bit(k % W::BITS, true);
-            }
-        });
+        let mut sink = BitSink::new(fused, row_span, wpp);
+        let emit = move |ox, k, x1s: &[i32]| sink.put(ox, k, x1s);
+        conv_row_tiled(input, filters, geom, &mut gather, n, oy, ow, emit);
     });
 }
 
@@ -226,9 +224,10 @@ pub fn compute_bconv_accum<W: BitWord>(
         let n = row_idx / oh;
         let oy = row_idx % oh;
         let mut gather = WindowGather::new(geom, filters.words_per_tap());
-        conv_row_tiled(input, filters, geom, &mut gather, n, oy, ow, |ox, k, x1| {
-            row[ox * k_total + k] = x1;
-        });
+        let emit = move |ox: usize, k: usize, x1s: &[i32]| {
+            row[ox * k_total + k..][..x1s.len()].copy_from_slice(x1s)
+        };
+        conv_row_tiled(input, filters, geom, &mut gather, n, oy, ow, emit);
     });
 }
 
@@ -264,11 +263,12 @@ pub fn bconv_accum_into<W: BitWord>(
 
 /// Functional body of the standalone binarize+pack kernel.
 ///
-/// Packs **word-at-a-time**: each output word accumulates its `W::BITS`
-/// channel decisions in a register and is stored once, instead of one
-/// read-modify-write per channel — the host analogue of the paper's
-/// pack-in-private-memory-then-store (Fig 4). Requires the accumulator in
-/// NHWC so each pixel's channel run is contiguous.
+/// Packs **word-at-a-time** through the same [`BitSink`] as the fused
+/// kernels: each output word's `W::BITS` channel decisions are built in a
+/// register and stored once — the host analogue of the paper's
+/// pack-in-private-memory-then-store (Fig 4). Overwrites `out`, whatever it
+/// held. Requires the accumulator in NHWC so each pixel's channel run is
+/// contiguous.
 pub fn compute_binarize_pack<W: BitWord>(
     accum: &Tensor<i32>,
     fused: &FusedBn,
@@ -284,17 +284,11 @@ pub fn compute_binarize_pack<W: BitWord>(
     let wpp = out.words_per_pixel();
     let src = accum.as_slice();
     par_chunks_mut(out.as_mut_words(), wpp, |pixel, span| {
-        let base = pixel * c_total;
-        for (wi, slot) in span.iter_mut().enumerate() {
-            let c0 = wi * W::BITS;
-            let bits = W::BITS.min(c_total - c0);
-            let mut word = W::zero();
-            for (b, &x1) in src[base + c0..base + c0 + bits].iter().enumerate() {
-                if fused.decide_logic(c0 + b, x1 as f32) {
-                    word = word.with_bit(b, true);
-                }
-            }
-            *slot = word;
+        span.fill(W::zero());
+        let mut sink = BitSink::new(fused, span, wpp);
+        let accums = &src[pixel * c_total..(pixel + 1) * c_total];
+        for (word, x1s) in accums.chunks(W::BITS).enumerate() {
+            sink.put(0, word * W::BITS, x1s);
         }
     });
 }

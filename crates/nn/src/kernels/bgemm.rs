@@ -16,7 +16,7 @@ use phonebit_tensor::bits::{merge_bits, BitTensor, BitWord, PackedFilters};
 use phonebit_tensor::dict::FilterAccess;
 use phonebit_tensor::shape::{ConvGeometry, FilterShape, Shape4};
 
-use crate::fuse::FusedBn;
+use crate::fuse::{BitSink, FusedBn};
 use crate::kernels::profiles::{PACKED_COALESCING, VEC_LANES_128};
 use crate::kernels::tiled::{tile_filters, TILE_PIXELS};
 
@@ -281,23 +281,11 @@ pub fn bconv_lowered_with_into<W: BitWord>(
         let wpp = out.words_per_pixel();
         let row_wpp = windows.words_per_pixel();
         par_chunks_mut(out.as_mut_words(), TILE_PIXELS * wpp, |tile, span| {
-            let p0 = tile * TILE_PIXELS;
-            let pixels = span.len() / wpp;
-            let all_rows = windows.as_words();
-            let mut emit = |p: usize, k: usize, disagree: u32| {
-                let x1 = window_bits as i32 - 2 * disagree as i32;
-                if fused.decide_logic(k, x1 as f32) {
-                    let slot = p * wpp + k / W::BITS;
-                    span[slot] = span[slot].with_bit(k % W::BITS, true);
-                }
-            };
-            let row = |p: usize| {
-                let off = (p0 + p) * row_wpp;
-                &all_rows[off..off + row_wpp]
-            };
-            // Unused slots alias the last row; they are sliced off.
-            let rows: [&[W]; TILE_PIXELS] = std::array::from_fn(|p| row(p.min(pixels - 1)));
-            tile_filters(&rows[..pixels], flat, &mut emit);
+            let first = tile * TILE_PIXELS * row_wpp;
+            let rows = &windows.as_words()[first..first + span.len() / wpp * row_wpp];
+            let mut sink = BitSink::new(fused, span, wpp);
+            let emit = move |p, k, x1s: &[i32]| sink.put(p, k, x1s);
+            tile_filters(rows, row_wpp, flat, window_bits as i32, emit);
         });
     });
 }

@@ -48,10 +48,10 @@ use phonebit_tensor::bits::{BitTensor, BitWord, PackedFilters};
 use phonebit_tensor::shape::{ConvGeometry, Layout, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
-use crate::fuse::FusedBn;
+use crate::fuse::{BitSink, FusedBn};
 use crate::kernels::bgemm::flatten_filters;
-use crate::kernels::profiles;
 use crate::kernels::tiled::BorderSpan;
+use crate::kernels::{isa, profiles};
 use crate::workload::WorkloadPolicy;
 
 /// Dispatches the bit-plane split of an 8-bit input image (§III-B).
@@ -89,6 +89,25 @@ pub(crate) fn plane_window<W: BitWord>(flat: &PackedFilters<W>) -> Vec<[W; 8]> {
 /// first-layer kernel (see the module docs for the scheme).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn bitplane_row<W: BitWord>(
+    planes: &BitPlanes<W>,
+    flat: &PackedFilters<W>,
+    geom: &ConvGeometry,
+    window: &mut [[W; 8]],
+    n: usize,
+    oy: usize,
+    ow: usize,
+    emit: impl FnMut(usize, usize, i32),
+) {
+    isa::run(
+        #[inline(always)]
+        || bitplane_row_portable(planes, flat, geom, window, n, oy, ow, emit),
+    )
+}
+
+/// [`bitplane_row`] without the ISA dispatch: inlined into its caller.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn bitplane_row_portable<W: BitWord>(
     planes: &BitPlanes<W>,
     flat: &PackedFilters<W>,
     geom: &ConvGeometry,
@@ -165,7 +184,9 @@ fn output_shape<W: BitWord>(
 }
 
 /// Functional body of the fused bit-plane convolution: one row task per
-/// output row, each owning one gathered-window scratch.
+/// output row, each owning one gathered-window scratch. Output bits are
+/// OR-ed in — `out` must come in zeroed, as [`bitplane_conv_fused_into`]
+/// resets it.
 pub fn compute_bitplane_conv_fused<W: BitWord>(
     planes: &BitPlanes<W>,
     filters: &PackedFilters<W>,
@@ -180,12 +201,9 @@ pub fn compute_bitplane_conv_fused<W: BitWord>(
     par_chunks_mut(out.as_mut_words(), ow * wpp, |row_idx, row_span| {
         let mut window = plane_window(&flat);
         let (n, oy) = (row_idx / oh, row_idx % oh);
-        bitplane_row(planes, &flat, geom, &mut window, n, oy, ow, |ox, k, s| {
-            if fused.decide_logic(k, s as f32) {
-                let slot = ox * wpp + k / W::BITS;
-                row_span[slot] = row_span[slot].with_bit(k % W::BITS, true);
-            }
-        });
+        let mut sink = BitSink::new(fused, row_span, wpp);
+        let emit = move |ox, k, s| sink.put(ox, k, &[s]);
+        bitplane_row(planes, &flat, geom, &mut window, n, oy, ow, emit);
     });
 }
 
@@ -252,9 +270,8 @@ pub fn bitplane_conv_accum<W: BitWord>(
         par_chunks_mut(out.as_mut_slice(), ow * k_total, |row_idx, row| {
             let mut window = plane_window(&flat);
             let (n, oy) = (row_idx / oh, row_idx % oh);
-            bitplane_row(planes, &flat, geom, &mut window, n, oy, ow, |ox, k, s| {
-                row[ox * k_total + k] = s;
-            });
+            let emit = move |ox: usize, k: usize, s| row[ox * k_total + k] = s;
+            bitplane_row(planes, &flat, geom, &mut window, n, oy, ow, emit);
         });
     });
     out

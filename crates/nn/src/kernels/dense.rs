@@ -8,8 +8,9 @@ use phonebit_tensor::shape::{Layout, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
 use crate::act::Activation;
-use crate::fuse::FusedBn;
-use crate::kernels::profiles;
+use crate::fuse::{BitSink, FusedBn};
+use crate::kernels::tiled::TILE_LANES;
+use crate::kernels::{isa, profiles};
 
 /// Flattens a packed feature map `(n, h, w, c)` into `(n, 1, 1, h*w*c)`
 /// keeping `(h, w, c)` raster order — the order dense weights are stored in.
@@ -47,8 +48,23 @@ pub fn flatten_bits_into<W: BitWord>(input: &BitTensor<W>, out: &mut BitTensor<W
     }
 }
 
-/// Functional body of the fused binary dense layer.
+/// Functional body of the fused binary dense layer, writing into a zeroed
+/// `out` (as [`dense_bin_into`] resets it).
 pub fn compute_dense_bin<W: BitWord>(
+    input: &BitTensor<W>,
+    weights: &PackedFilters<W>,
+    fused: &FusedBn,
+    out: &mut BitTensor<W>,
+) {
+    isa::run(
+        #[inline(always)]
+        || compute_dense_bin_portable(input, weights, fused, out),
+    )
+}
+
+/// [`compute_dense_bin`] without the ISA dispatch: inlined into its caller.
+#[inline(always)]
+pub(crate) fn compute_dense_bin_portable<W: BitWord>(
     input: &BitTensor<W>,
     weights: &PackedFilters<W>,
     fused: &FusedBn,
@@ -56,16 +72,14 @@ pub fn compute_dense_bin<W: BitWord>(
 ) {
     let s = input.shape();
     let k_total = weights.shape().k;
-    let features = s.c;
+    let features = s.c as i32;
+    let wpp = out.words_per_pixel();
+    let mut sink = BitSink::new(fused, out.as_mut_words(), wpp);
     for n in 0..s.n {
         let x = input.pixel_words(n, 0, 0);
         for k in 0..k_total {
-            let w = weights.tap_words(k, 0, 0);
-            let disagree = xor_popcount_vec::<W, 2>(x, w);
-            let x1 = features as i32 - 2 * disagree as i32;
-            if fused.decide_logic(k, x1 as f32) {
-                out.set_bit(n, 0, 0, k, true);
-            }
+            let disagree = xor_popcount_vec::<W, TILE_LANES>(x, weights.tap_words(k, 0, 0));
+            sink.put(n, k, &[features - 2 * disagree as i32]);
         }
     }
 }

@@ -34,7 +34,7 @@ use phonebit_tensor::dict::FilterAccess;
 use phonebit_tensor::shape::{ConvGeometry, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
-use crate::fuse::FusedBn;
+use crate::fuse::{BitSink, FusedBn};
 use crate::kernels::bgemm::flatten_filters;
 use crate::kernels::bitplane::{bitplane_row, plane_window};
 use crate::kernels::pool::PoolGeometry;
@@ -236,21 +236,9 @@ pub fn compute_bconv_pool_chain<W: BitWord>(
     let (conv_oh, conv_ow) = geom.output_hw(s.h, s.w);
     let mut gather = WindowGather::new(geom, filters.words_per_tap());
     pooled_rows(s.n, conv_oh, conv_ow, pool, ring, out, |n, oy, wpp, row| {
-        conv_row_tiled(
-            input,
-            filters,
-            geom,
-            &mut gather,
-            n,
-            oy,
-            conv_ow,
-            |ox, k, x1| {
-                if fused.decide_logic(k, x1 as f32) {
-                    let slot = ox * wpp + k / W::BITS;
-                    row[slot] = row[slot].with_bit(k % W::BITS, true);
-                }
-            },
-        );
+        let mut sink = BitSink::new(fused, row, wpp);
+        let emit = move |ox, k, x1s: &[i32]| sink.put(ox, k, x1s);
+        conv_row_tiled(input, filters, geom, &mut gather, n, oy, conv_ow, emit);
     });
 }
 
@@ -269,21 +257,9 @@ pub fn compute_in8_pool_chain<W: BitWord>(
     let flat = flatten_filters(filters);
     let mut window = plane_window(&flat);
     pooled_rows(s.n, conv_oh, conv_ow, pool, ring, out, |n, oy, wpp, row| {
-        bitplane_row(
-            planes,
-            &flat,
-            geom,
-            &mut window,
-            n,
-            oy,
-            conv_ow,
-            |ox, k, x1| {
-                if fused.decide_logic(k, x1 as f32) {
-                    let slot = ox * wpp + k / W::BITS;
-                    row[slot] = row[slot].with_bit(k % W::BITS, true);
-                }
-            },
-        );
+        let mut sink = BitSink::new(fused, row, wpp);
+        let emit = move |ox, k, s| sink.put(ox, k, &[s]);
+        bitplane_row(planes, &flat, geom, &mut window, n, oy, conv_ow, emit);
     });
 }
 

@@ -11,6 +11,7 @@ pub mod bitplane;
 pub mod dense;
 pub mod fconv;
 pub mod fused;
+pub mod isa;
 pub mod pool;
 pub mod profiles;
 pub mod tiled;

@@ -24,53 +24,100 @@
 //!    `popcount(w)` times) — no padding word is ever re-popcounted.
 //! 3. **Register-tiled microkernel** ([`bit_dot_tile`]): the gathered
 //!    windows of [`TILE_PIXELS`] pixels are multiplied against
-//!    [`TILE_FILTERS`] filter windows per step, accumulating into `P × F`
-//!    registers over 128-bit [`ClVec`] lanes, so every loaded activation
-//!    vector is reused [`TILE_FILTERS`] times and every loaded filter vector
-//!    [`TILE_PIXELS`] times. The same microkernel drives `bconv_fused`,
-//!    `bconv_accum` and the lowered bit-GEMM path.
+//!    [`TILE_FILTERS`] filter windows per step over eight-word (512-bit)
+//!    [`ClVec`] vectors, so every loaded activation vector is reused
+//!    [`TILE_FILTERS`] times and every loaded filter vector [`TILE_PIXELS`]
+//!    times. The `P × F` accumulators are vectors too — one count per lane,
+//!    summed across lanes once per tile — so a step is `xor`, popcount, add.
+//!    A pixel's [`TILE_FILTERS`] dot values leave the tile together, as one
+//!    `emit` call: a fused kernel thresholds them side by side and ORs their
+//!    bits into the output word once (Fig 4's pack-in-private-memory).
+//!    The same microkernel drives `bconv_fused`, `bconv_accum` and the
+//!    lowered bit-GEMM path.
+//!
+//! **Host ISA tiers.** [`conv_row_tiled`] and [`tile_filters`] are thin
+//! entries that run the `*_portable` generic driver of the same name under
+//! the best instruction set the CPU reports ([`isa`]): once per row task the
+//! call crosses a `#[target_feature]` frame, and everything below it is
+//! `#[inline(always)]`, so one source is compiled once per tier — with
+//! `popcnt`, or eight `u64` popcounts per `vpopcntq`, where the baseline
+//! target would spend ~15 bit-twiddling operations per word.
 
 use phonebit_gpusim::vector::{xor_popcount_vec, ClVec};
 use phonebit_tensor::bits::{BitTensor, BitWord};
 use phonebit_tensor::dict::FilterAccess;
 use phonebit_tensor::shape::ConvGeometry;
 
+use crate::kernels::isa;
+
 /// Filters multiplied per microkernel step (accumulator tile height).
 pub const TILE_FILTERS: usize = 4;
 /// Output pixels multiplied per microkernel step (accumulator tile width).
 pub const TILE_PIXELS: usize = 2;
 
+/// Words per microkernel step: 512 bits of `u64`, the widest hardware
+/// popcount the [`isa`] tiers reach.
+pub(crate) const TILE_LANES: usize = 8;
+
 /// Register-tiled binary dot product: `P` gathered windows × `F` filter
 /// windows, all spans the same length, returning the per-pair
 /// **disagreement counts** (`popcount(xor)`), not yet the ±1 dot values.
 ///
-/// Words stream through 2-lane 128-bit-style vectors (§VI-A.1); each loaded
+/// Words stream through eight-lane (`TILE_LANES`) vectors (§VI-A.1); each loaded
 /// window vector is reused `F` times and each filter vector `P` times, which
-/// is the whole point of the tile.
-#[inline]
+/// is the whole point of the tile. Counts accumulate per 64-bit lane and are
+/// summed across lanes once at the end (no narrowing or horizontal add in
+/// the loop), level by level over the whole tile; the `len % TILE_LANES`
+/// tail words are added one at a time.
+#[inline(always)]
 pub fn bit_dot_tile<W: BitWord, const P: usize, const F: usize>(
     windows: &[&[W]; P],
     filters: &[&[W]; F],
 ) -> [[u32; F]; P] {
     let len = windows[0].len();
     debug_assert!(windows.iter().chain(filters.iter()).all(|s| s.len() == len));
-    let mut acc = [[0u32; F]; P];
-    let mut i = 0;
-    while i + 2 <= len {
-        let wv: [ClVec<W, 2>; P] = std::array::from_fn(|p| ClVec::load(&windows[p][i..]));
-        for f in 0..F {
-            let fv = ClVec::<W, 2>::load(&filters[f][i..]);
+    // Plain loops only: a library helper left un-inlined here would be
+    // compiled for the baseline target and pin `lanes` to the stack.
+    let mut lanes = [[[0u64; TILE_LANES]; F]; P];
+    let steps = len / TILE_LANES;
+    for step in 0..steps {
+        let at = step * TILE_LANES..(step + 1) * TILE_LANES;
+        let mut wv = [ClVec::<W, TILE_LANES>::default(); P];
+        for (v, span) in wv.iter_mut().zip(windows) {
+            *v = ClVec::load(&span[at.clone()]);
+        }
+        for (f, span) in filters.iter().enumerate() {
+            let fv = ClVec::<W, TILE_LANES>::load(&span[at.clone()]);
             for (p, w) in wv.iter().enumerate() {
-                acc[p][f] += w.xor(fv).popcount();
+                let counts = w.xor(fv).popcount_lanes();
+                for (sum, c) in lanes[p][f].iter_mut().zip(counts) {
+                    *sum += u64::from(c);
+                }
             }
         }
-        i += 2;
     }
-    if i < len {
+    // Sum across lanes by halving — 8 to 4 to 2 to 1 — one level at a time
+    // over the whole tile, so every level is plain lane-wise vector adds.
+    // (Summed one accumulator at a time, the four sums a filter tile hands
+    // to one vector threshold get rebuilt by LLVM through the stack.)
+    let mut acc = [[0u32; F]; P];
+    for p in 0..P {
+        let mut by4 = [[0u64; 4]; F];
+        let mut by2 = [[0u64; 2]; F];
         for f in 0..F {
-            let fw = filters[f][i];
-            for p in 0..P {
-                acc[p][f] += windows[p][i].xor(fw).popcount();
+            for i in 0..4 {
+                by4[f][i] = lanes[p][f][i] + lanes[p][f][i + 4];
+            }
+        }
+        for f in 0..F {
+            for i in 0..2 {
+                by2[f][i] = by4[f][i] + by4[f][i + 2];
+            }
+        }
+        for f in 0..F {
+            acc[p][f] = (by2[f][0] + by2[f][1]) as u32;
+            for i in steps * TILE_LANES..len {
+                acc[p][f] += windows[p][i].xor(filters[f][i]).popcount();
             }
         }
     }
@@ -83,13 +130,18 @@ pub fn bit_dot_tile<W: BitWord, const P: usize, const F: usize>(
 ///
 /// Allocated once per output row task and reused across all pixels and
 /// filters of the row — the simulated analogue of a work item's private
-/// window cache (§VI-B).
+/// window cache (§VI-B). It also owns the scratch of the dictionary
+/// read-through (`dict_tile`) — the tap × unique-row count table and a
+/// word-major copy of the dictionary — built by the row's first pixel tile
+/// and reused by the rest.
 #[derive(Debug)]
 pub struct WindowGather<W: BitWord> {
     kh: usize,
     row_words: usize,
     window_words: usize,
     buf: Vec<W>,
+    dict_table: Vec<[u32; TILE_PIXELS]>,
+    dict_words: Vec<W>,
 }
 
 impl<W: BitWord> WindowGather<W> {
@@ -103,6 +155,8 @@ impl<W: BitWord> WindowGather<W> {
             row_words,
             window_words,
             buf: vec![W::zero(); TILE_PIXELS * window_words],
+            dict_table: Vec::new(),
+            dict_words: Vec::new(),
         }
     }
 
@@ -138,6 +192,96 @@ impl<W: BitWord> WindowGather<W> {
             let src = input.pixel_offset(n, iy0 + i, ix0);
             self.buf[dst_base + i * self.row_words..dst_base + (i + 1) * self.row_words]
                 .copy_from_slice(&words[src..src + self.row_words]);
+        }
+    }
+
+    /// The interior filter loop over a dictionary-compressed multi-tap
+    /// bank, which keeps no flat filter window for [`tile_filters`]: dots
+    /// each tap of the gathered windows against every *unique* dictionary
+    /// row once, then resolves each filter as `kh*kw` table lookups through
+    /// the bank's index table, emitting the first `count` windows like
+    /// [`tile_filters`]. A table slot holds the counts of all
+    /// [`TILE_PIXELS`] windows side by side, so one index load and one
+    /// lookup serve the whole pixel tile. The shared popcounts cost a
+    /// lookup per tap where the flat walk costs a vector step per eight
+    /// words: the dictionary keeps pace with the raw bank (0.6–1.1× of its
+    /// time on `compress_report`'s shapes), no longer far ahead of it as
+    /// when a popcount was ~15 operations.
+    #[inline(always)]
+    fn dict_tile(
+        &mut self,
+        count: usize,
+        filters: &(impl FilterAccess<W> + Sync),
+        bits: i32,
+        mut emit: impl FnMut(usize, usize, &[i32]),
+    ) {
+        let (dict_rows, indices) = filters
+            .dictionary()
+            .expect("non-contiguous bank must expose its dictionary");
+        let wpt = filters.words_per_tap();
+        let taps = self.window_words / wpt;
+        let unique = dict_rows.len() / wpt;
+        if self.dict_table.len() != taps * unique {
+            // First tile of the row task: size the table, and lay the
+            // dictionary out word-major — word `j` of every unique row side
+            // by side — so the dots below run across rows, a vector of
+            // rows per popcount.
+            self.dict_table.resize(taps * unique, [0; TILE_PIXELS]);
+            self.dict_words.resize(dict_rows.len(), W::zero());
+            for (u, row) in dict_rows.chunks_exact(wpt).enumerate() {
+                for (j, &word) in row.iter().enumerate() {
+                    self.dict_words[j * unique + u] = word;
+                }
+            }
+        }
+        // Every window slot is dotted, a stale one past `count` included:
+        // its counts are never emitted, and the loops stay branch-free.
+        for (t, slots) in self.dict_table.chunks_exact_mut(unique).enumerate() {
+            slots.fill([0; TILE_PIXELS]);
+            for (j, rows) in self.dict_words.chunks_exact(unique).enumerate() {
+                let mut words = [W::zero(); TILE_PIXELS];
+                for (p, word) in words.iter_mut().enumerate() {
+                    *word = self.buf[p * self.window_words + t * wpt + j];
+                }
+                for (slot, &row_word) in slots.iter_mut().zip(rows) {
+                    for (count, word) in slot.iter_mut().zip(words) {
+                        *count += word.xor(row_word).popcount();
+                    }
+                }
+            }
+        }
+        // One lookup per tap serves the whole pixel tile; a filter tile per
+        // emit, like the flat walk.
+        let table = &self.dict_table[..];
+        let lookup = |k: usize| {
+            let mut disagree = [0u32; TILE_PIXELS];
+            for (t, &row) in indices[k * taps..(k + 1) * taps].iter().enumerate() {
+                for (d, count) in disagree.iter_mut().zip(table[t * unique + row as usize]) {
+                    *d += count;
+                }
+            }
+            disagree
+        };
+        let k_total = indices.len() / taps;
+        let mut k = 0;
+        while k + TILE_FILTERS <= k_total {
+            let mut tile = [[0u32; TILE_PIXELS]; TILE_FILTERS];
+            for (f, per_pixel) in tile.iter_mut().enumerate() {
+                *per_pixel = lookup(k + f);
+            }
+            for p in 0..count {
+                let mut disagree = [0u32; TILE_FILTERS];
+                for (d, per_pixel) in disagree.iter_mut().zip(&tile) {
+                    *d = per_pixel[p];
+                }
+                emit(p, k, &dots(bits, &disagree));
+            }
+            k += TILE_FILTERS;
+        }
+        for k in k..k_total {
+            for (p, d) in lookup(k).into_iter().enumerate().take(count) {
+                emit(p, k, &dots(bits, &[d]));
+            }
         }
     }
 }
@@ -213,7 +357,7 @@ pub fn interior_columns(
 /// Taps are resolved one span at a time through [`FilterAccess`], so
 /// dictionary-compressed banks work unchanged — the indices are chased
 /// here, outside the xor+popcount inner loop.
-#[inline]
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn border_disagreement<W: BitWord>(
     input: &BitTensor<W>,
@@ -231,8 +375,10 @@ fn border_disagreement<W: BitWord>(
         let iy = oy * geom.stride_h + i - geom.pad_h;
         for j in span.j0..span.j1 {
             let ix = ox * geom.stride_w + j - geom.pad_w;
-            disagree +=
-                xor_popcount_vec::<W, 2>(input.pixel_words(n, iy, ix), filters.tap_words(k, i, j));
+            disagree += xor_popcount_vec::<W, TILE_LANES>(
+                input.pixel_words(n, iy, ix),
+                filters.tap_words(k, i, j),
+            );
         }
         valid_pop += filters.row_popcount_range(k, i, span.j0, span.j1);
     }
@@ -241,95 +387,90 @@ fn border_disagreement<W: BitWord>(
     disagree + (filters.window_popcount(k) - valid_pop)
 }
 
-/// Multiplies up to [`TILE_PIXELS`] equal-length row spans against every
-/// filter of `filters` (whose windows must be flat spans of the same
-/// length), register-tiled [`TILE_FILTERS`] at a time with a scalar filter
-/// tail, calling `emit(row_index, k, disagreement)` per output.
+/// The ±1 dot values `bits − 2·disagreements` (Eqn 1) of a run of
+/// disagreement counts over `bits`-bit windows.
+#[inline(always)]
+fn dots<const N: usize>(bits: i32, disagree: &[u32; N]) -> [i32; N] {
+    let mut x1s = [0; N];
+    for (x1, &d) in x1s.iter_mut().zip(disagree) {
+        *x1 = bits - 2 * d as i32;
+    }
+    x1s
+}
+
+/// Multiplies up to [`TILE_PIXELS`] rows — `rows` holds them back to back,
+/// `row_words` words (`bits` bits) each — against every filter of `filters`,
+/// whose windows must be flat spans of the same length
+/// ([`FilterAccess::contiguous_filter`]), register-tiled [`TILE_FILTERS`] at
+/// a time with a scalar filter tail. Calls `emit(row_index, k0, x1s)` with
+/// the ±1 dot values of filters `k0..k0 + x1s.len()`, a whole filter tile
+/// per call.
 ///
 /// This is the one filter-loop shared by the direct interior fast path and
 /// the lowered bit-GEMM — tile geometry changes land in exactly one place.
 pub fn tile_filters<W: BitWord>(
-    rows: &[&[W]],
+    rows: &[W],
+    row_words: usize,
     filters: &(impl FilterAccess<W> + Sync),
-    mut emit: impl FnMut(usize, usize, u32),
+    bits: i32,
+    emit: impl FnMut(usize, usize, &[i32]),
 ) {
-    debug_assert!(!rows.is_empty() && rows.len() <= TILE_PIXELS);
-    let fs = filters.shape();
-    let k_total = fs.k;
-    if k_total == 0 {
-        return;
+    isa::run(
+        #[inline(always)]
+        || tile_filters_portable(rows, row_words, filters, bits, emit),
+    )
+}
+
+/// [`tile_filters`] without the ISA dispatch: inlined into its caller.
+#[inline(always)]
+pub(crate) fn tile_filters_portable<W: BitWord>(
+    rows: &[W],
+    row_words: usize,
+    filters: &(impl FilterAccess<W> + Sync),
+    bits: i32,
+    mut emit: impl FnMut(usize, usize, &[i32]),
+) {
+    let count = rows.len() / row_words;
+    debug_assert!((1..=TILE_PIXELS).contains(&count) && rows.len() == count * row_words);
+    let k_total = filters.shape().k;
+    let filter = |k: usize| filters.contiguous_filter(k).expect("flat-window bank");
+    // A partial pixel tile repeats its first row in the unused slots and
+    // emits only the real ones. (Plain loops, not `array::from_fn`: see
+    // `bit_dot_tile`.)
+    let mut tile = [&rows[..row_words]; TILE_PIXELS];
+    for (slot, row) in tile.iter_mut().zip(rows.chunks_exact(row_words)) {
+        *slot = row;
     }
-    if filters.contiguous_filter(0).is_none() {
-        // Dictionary-compressed multi-tap bank: no contiguous window span
-        // exists. Instead of re-walking every filter's taps, dot each of
-        // the window's taps against every *unique* dictionary row once,
-        // then resolve each filter as `kh*kw` table lookups through the
-        // index table — the shared-popcount trick that makes the
-        // dictionary *cheaper* than the raw walk whenever it deduped.
-        let (dict_rows, indices) = filters
-            .dictionary()
-            .expect("non-contiguous bank must expose its dictionary");
-        let wpt = filters.words_per_tap();
-        let taps = fs.kh * fs.kw;
-        let unique = dict_rows.len().checked_div(wpt).unwrap_or(0);
-        let mut table = vec![0u32; taps * unique];
-        for (p, row) in rows.iter().enumerate() {
-            for t in 0..taps {
-                let span = &row[t * wpt..(t + 1) * wpt];
-                for (r, slot) in table[t * unique..(t + 1) * unique].iter_mut().enumerate() {
-                    *slot = xor_popcount_vec::<W, 2>(span, &dict_rows[r * wpt..(r + 1) * wpt]);
-                }
-            }
-            for k in 0..k_total {
-                let mut d = 0u32;
-                for (t, &idx) in indices[k * taps..(k + 1) * taps].iter().enumerate() {
-                    d += table[t * unique + idx as usize];
-                }
-                emit(p, k, d);
-            }
-        }
-        return;
-    }
-    let filter = |k: usize| filters.contiguous_filter(k).expect("contiguous bank");
     let mut k = 0;
     while k + TILE_FILTERS <= k_total {
-        let filt: [&[W]; TILE_FILTERS] = std::array::from_fn(|f| filter(k + f));
-        if rows.len() == TILE_PIXELS {
-            let tile: [&[W]; TILE_PIXELS] = std::array::from_fn(|p| rows[p]);
-            let acc = bit_dot_tile(&tile, &filt);
-            for (p, row_acc) in acc.iter().enumerate() {
-                for (f, &d) in row_acc.iter().enumerate() {
-                    emit(p, k + f, d);
-                }
-            }
-        } else {
-            // Partial pixel tile: dot each row against the filter quad.
-            for (p, row) in rows.iter().enumerate() {
-                let acc = bit_dot_tile(&[row], &filt);
-                for (f, &d) in acc[0].iter().enumerate() {
-                    emit(p, k + f, d);
-                }
-            }
+        let mut filt = [filter(k); TILE_FILTERS];
+        for (f, slot) in filt.iter_mut().enumerate().skip(1) {
+            *slot = filter(k + f);
+        }
+        let acc = bit_dot_tile(&tile, &filt);
+        for (p, disagree) in acc.iter().enumerate().take(count) {
+            emit(p, k, &dots(bits, disagree));
         }
         k += TILE_FILTERS;
     }
-    while k < k_total {
-        let fw = filter(k);
-        for (p, row) in rows.iter().enumerate() {
-            emit(p, k, xor_popcount_vec::<W, 2>(row, fw));
+    for k in k..k_total {
+        for (p, row) in rows.chunks_exact(row_words).enumerate() {
+            let d = xor_popcount_vec::<W, TILE_LANES>(row, filter(k));
+            emit(p, k, &dots(bits, &[d]));
         }
-        k += 1;
     }
 }
 
 /// Runs the tiled binary convolution over one output row, calling
-/// `emit(ox, k, x1)` for every output with the raw ±1 dot value
-/// `x1 = kh*kw*C − 2·disagreements` (Eqn 1 summed over taps).
+/// `emit(ox, k0, x1s)` with the raw ±1 dot values
+/// `x1 = kh*kw*C − 2·disagreements` (Eqn 1 summed over taps) of filters
+/// `k0..k0 + x1s.len()` at output column `ox` — a filter tile per call,
+/// then the `K % TILE_FILTERS` last filters one per call.
 ///
 /// Interior columns flow through [`WindowGather`] + [`bit_dot_tile`]
 /// (pairs of pixels × four filters per step); border columns use segment
 /// dots plus tap-popcount tables. `emit` decides what an output *is* —
-/// a fused binarize+pack bit, an `i32` accumulator slot — so one driver
+/// fused binarize+pack bits, `i32` accumulator slots — so one driver
 /// serves every direct kernel.
 #[allow(clippy::too_many_arguments)]
 pub fn conv_row_tiled<W: BitWord>(
@@ -340,43 +481,72 @@ pub fn conv_row_tiled<W: BitWord>(
     n: usize,
     oy: usize,
     ow: usize,
-    mut emit: impl FnMut(usize, usize, i32),
+    emit: impl FnMut(usize, usize, &[i32]),
+) {
+    isa::run(
+        #[inline(always)]
+        || conv_row_tiled_portable(input, filters, geom, gather, n, oy, ow, emit),
+    )
+}
+
+/// [`conv_row_tiled`] without the ISA dispatch: inlined into its caller.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn conv_row_tiled_portable<W: BitWord>(
+    input: &BitTensor<W>,
+    filters: &(impl FilterAccess<W> + Sync),
+    geom: &ConvGeometry,
+    gather: &mut WindowGather<W>,
+    n: usize,
+    oy: usize,
+    ow: usize,
+    mut emit: impl FnMut(usize, usize, &[i32]),
 ) {
     let s = input.shape();
     let fs = filters.shape();
     let k_total = fs.k;
-    let base = (geom.taps() * fs.c) as i32;
+    if k_total == 0 {
+        return;
+    }
+    let bits = (geom.taps() * fs.c) as i32;
     let interior = interior_columns(geom, s.h, s.w, ow, oy);
 
-    let border = |ox: usize, emit: &mut dyn FnMut(usize, usize, i32)| {
+    // Border columns, left and right of the interior.
+    for ox in (0..interior.start).chain(interior.end..ow) {
         let span = BorderSpan::of(geom, s.h, s.w, oy, ox);
-        for k in 0..k_total {
-            let d = border_disagreement(input, filters, geom, &span, n, oy, ox, k);
-            emit(ox, k, base - 2 * d as i32);
+        let mut k = 0;
+        while k + TILE_FILTERS <= k_total {
+            let mut disagree = [0u32; TILE_FILTERS];
+            for (f, d) in disagree.iter_mut().enumerate() {
+                *d = border_disagreement(input, filters, geom, &span, n, oy, ox, k + f);
+            }
+            emit(ox, k, &dots(bits, &disagree));
+            k += TILE_FILTERS;
         }
-    };
-
-    for ox in 0..interior.start {
-        border(ox, &mut emit);
+        for k in k..k_total {
+            let d = border_disagreement(input, filters, geom, &span, n, oy, ox, k);
+            emit(ox, k, &dots(bits, &[d]));
+        }
     }
 
-    // Interior fast path: up-to-TILE_PIXELS pixel tiles × filter quads.
+    // Interior fast path: up-to-TILE_PIXELS pixel tiles × filter quads, or
+    // the dictionary read-through when the bank keeps no flat windows.
+    let flat = filters.contiguous_filter(0).is_some();
     let mut ox = interior.start;
     while ox < interior.end {
         let count = (interior.end - ox).min(TILE_PIXELS);
         for p in 0..count {
             gather.gather_interior(input, geom, n, oy, ox + p, p);
         }
-        // Unused slots alias the last gathered window; they are sliced off.
-        let windows: [&[W]; TILE_PIXELS] = std::array::from_fn(|p| gather.window(p.min(count - 1)));
-        tile_filters(&windows[..count], filters, |p, k, d| {
-            emit(ox + p, k, base - 2 * d as i32)
-        });
+        if flat {
+            let rows = &gather.buf[..count * gather.window_words];
+            tile_filters_portable(rows, gather.window_words, filters, bits, |p, k, x1s| {
+                emit(ox + p, k, x1s)
+            });
+        } else {
+            gather.dict_tile(count, filters, bits, |p, k, x1s| emit(ox + p, k, x1s));
+        }
         ox += count;
-    }
-
-    for ox in interior.end..ow {
-        border(ox, &mut emit);
     }
 }
 
@@ -521,12 +691,14 @@ mod tests {
             let mut gather = WindowGather::new(&geom, t.words_per_pixel());
             for n in 0..shape.n {
                 for oy in 0..oh {
-                    conv_row_tiled(&t, &f, &geom, &mut gather, n, oy, ow, |ox, kk, x1| {
-                        assert_eq!(
-                            x1,
-                            window_dot(&t, &f, &geom, n, oy, ox, kk),
-                            "c={c} n={n} oy={oy} ox={ox} k={kk}"
-                        );
+                    conv_row_tiled(&t, &f, &geom, &mut gather, n, oy, ow, |ox, k0, x1s| {
+                        for (kk, &x1) in (k0..).zip(x1s) {
+                            assert_eq!(
+                                x1,
+                                window_dot(&t, &f, &geom, n, oy, ox, kk),
+                                "c={c} n={n} oy={oy} ox={ox} k={kk}"
+                            );
+                        }
                     });
                 }
             }

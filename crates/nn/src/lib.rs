@@ -47,6 +47,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// The workspace's only `unsafe` is the ISA dispatch in `kernels::isa`; every
+// other crate forbids it outright.
+#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod act;
 pub mod fuse;

@@ -11,6 +11,7 @@
 //! reports the Table IV metrics (mW and FPS/W).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use phonebit_gpusim::calib::EnergyParams;
 use phonebit_gpusim::kernel::LaunchEvent;

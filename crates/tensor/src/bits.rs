@@ -64,56 +64,64 @@ pub trait BitWord:
     fn bit(self, i: usize) -> bool;
     /// Returns the word with bit `i` set to `v`.
     fn with_bit(self, i: usize, v: bool) -> Self;
+    /// The word `1` when `v`, else `0` — a decision as a shiftable bit, with
+    /// no branch on `v`.
+    fn from_bit(v: bool) -> Self;
     /// Mask with the low `n` bits set (`n <= BITS`).
     fn low_mask(n: usize) -> Self;
 }
 
+// `#[inline(always)]`, here and on the span accessors below, is load-bearing:
+// the binary kernels re-enter their row drivers under `#[target_feature]`
+// wrappers (`phonebit_nn::kernels::isa`), and only code inlined into a
+// wrapper is compiled with its instructions — a `count_ones` left in an
+// out-of-line `popcount` would stay the baseline target's bit-twiddling.
 macro_rules! impl_bit_word {
     ($t:ty, $bits:expr, $name:expr) => {
         impl BitWord for $t {
             const BITS: usize = $bits;
             const CL_NAME: &'static str = $name;
 
-            #[inline]
+            #[inline(always)]
             fn zero() -> Self {
                 0
             }
-            #[inline]
+            #[inline(always)]
             fn xor(self, other: Self) -> Self {
                 self ^ other
             }
-            #[inline]
+            #[inline(always)]
             fn and(self, other: Self) -> Self {
                 self & other
             }
-            #[inline]
+            #[inline(always)]
             fn or(self, other: Self) -> Self {
                 self | other
             }
-            #[inline]
+            #[inline(always)]
             fn not(self) -> Self {
                 !self
             }
-            #[inline]
+            #[inline(always)]
             fn popcount(self) -> u32 {
                 self.count_ones()
             }
-            #[inline]
+            #[inline(always)]
             fn shl(self, n: usize) -> Self {
                 debug_assert!(n < $bits);
                 self << n
             }
-            #[inline]
+            #[inline(always)]
             fn shr(self, n: usize) -> Self {
                 debug_assert!(n < $bits);
                 self >> n
             }
-            #[inline]
+            #[inline(always)]
             fn bit(self, i: usize) -> bool {
                 debug_assert!(i < $bits);
                 (self >> i) & 1 == 1
             }
-            #[inline]
+            #[inline(always)]
             fn with_bit(self, i: usize, v: bool) -> Self {
                 debug_assert!(i < $bits);
                 if v {
@@ -122,7 +130,11 @@ macro_rules! impl_bit_word {
                     self & !(1 << i)
                 }
             }
-            #[inline]
+            #[inline(always)]
+            fn from_bit(v: bool) -> Self {
+                v as $t
+            }
+            #[inline(always)]
             fn low_mask(n: usize) -> Self {
                 debug_assert!(n <= $bits);
                 if n == $bits {
@@ -288,7 +300,7 @@ impl<W: BitWord> BitTensor<W> {
     }
 
     /// Index of the first word of pixel `(n, h, w)`.
-    #[inline]
+    #[inline(always)]
     pub fn pixel_offset(&self, n: usize, h: usize, w: usize) -> usize {
         let s = self.shape;
         debug_assert!(n < s.n && h < s.h && w < s.w);
@@ -296,7 +308,7 @@ impl<W: BitWord> BitTensor<W> {
     }
 
     /// The packed word span of pixel `(n, h, w)`.
-    #[inline]
+    #[inline(always)]
     pub fn pixel_words(&self, n: usize, h: usize, w: usize) -> &[W] {
         let off = self.pixel_offset(n, h, w);
         &self.data[off..off + self.words_per_pixel]
@@ -485,7 +497,7 @@ impl<W: BitWord> PackedFilters<W> {
     }
 
     /// Index of the first word of tap `(k, i, j)`.
-    #[inline]
+    #[inline(always)]
     pub fn tap_offset(&self, k: usize, i: usize, j: usize) -> usize {
         let s = self.shape;
         debug_assert!(k < s.k && i < s.kh && j < s.kw);
@@ -493,7 +505,7 @@ impl<W: BitWord> PackedFilters<W> {
     }
 
     /// The packed word span of tap `(k, i, j)`.
-    #[inline]
+    #[inline(always)]
     pub fn tap_words(&self, k: usize, i: usize, j: usize) -> &[W] {
         let off = self.tap_offset(k, i, j);
         &self.data[off..off + self.words_per_tap]
@@ -550,7 +562,7 @@ impl<W: BitWord> PackedFilters<W> {
     }
 
     /// Words occupied by one filter's whole window (`kh * kw` tap spans).
-    #[inline]
+    #[inline(always)]
     pub fn words_per_filter(&self) -> usize {
         self.shape.kh * self.shape.kw * self.words_per_tap
     }
@@ -559,7 +571,7 @@ impl<W: BitWord> PackedFilters<W> {
     /// window — tap `(i, j)` lives at relative word offset
     /// `(i*kw + j) * words_per_tap()`, the same raster layout a gathered
     /// activation window uses.
-    #[inline]
+    #[inline(always)]
     pub fn filter_words(&self, k: usize) -> &[W] {
         let len = self.words_per_filter();
         &self.data[k * len..(k + 1) * len]
@@ -567,7 +579,7 @@ impl<W: BitWord> PackedFilters<W> {
 
     /// Precomputed set-bit count of tap `(k, i, j)` — the disagreement a
     /// padding (all-zero) activation tap contributes against this filter.
-    #[inline]
+    #[inline(always)]
     pub fn tap_popcount(&self, k: usize, i: usize, j: usize) -> u32 {
         let s = self.shape;
         debug_assert!(k < s.k && i < s.kh && j < s.kw);
@@ -575,7 +587,7 @@ impl<W: BitWord> PackedFilters<W> {
     }
 
     /// Precomputed set-bit count of filter `k`'s whole window.
-    #[inline]
+    #[inline(always)]
     pub fn window_popcount(&self, k: usize) -> u32 {
         self.window_pops[k]
     }
@@ -584,7 +596,7 @@ impl<W: BitWord> PackedFilters<W> {
     /// border pixels subtract this (their in-bounds taps) from
     /// [`PackedFilters::window_popcount`] to get the padding contribution
     /// without touching any filter words.
-    #[inline]
+    #[inline(always)]
     pub fn row_popcount_range(&self, k: usize, i: usize, j0: usize, j1: usize) -> u32 {
         let s = self.shape;
         debug_assert!(k < s.k && i < s.kh && j0 <= j1 && j1 <= s.kw);

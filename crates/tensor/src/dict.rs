@@ -73,8 +73,9 @@ pub trait FilterAccess<W: BitWord> {
     /// `(k, i, j)`-major index order — when the bank is dictionary-
     /// compressed. Kernels use this to dot each window tap against every
     /// *unique* row once and distribute results through the index table
-    /// (the Silfa-style shared-popcount trick), which beats the per-filter
-    /// walk exactly when the dictionary wins. Raw banks return `None`.
+    /// (the Silfa-style shared-popcount trick), which keeps pace with the
+    /// per-filter walk of a raw bank when the dictionary wins. Raw banks
+    /// return `None`.
     fn dictionary(&self) -> Option<(&[W], &[u32])> {
         None
     }
@@ -89,27 +90,27 @@ impl<W: BitWord> FilterAccess<W> for PackedFilters<W> {
         PackedFilters::words_per_tap(self)
     }
 
-    #[inline]
+    #[inline(always)]
     fn tap_words(&self, k: usize, i: usize, j: usize) -> &[W] {
         PackedFilters::tap_words(self, k, i, j)
     }
 
-    #[inline]
+    #[inline(always)]
     fn tap_popcount(&self, k: usize, i: usize, j: usize) -> u32 {
         PackedFilters::tap_popcount(self, k, i, j)
     }
 
-    #[inline]
+    #[inline(always)]
     fn window_popcount(&self, k: usize) -> u32 {
         PackedFilters::window_popcount(self, k)
     }
 
-    #[inline]
+    #[inline(always)]
     fn row_popcount_range(&self, k: usize, i: usize, j0: usize, j1: usize) -> u32 {
         PackedFilters::row_popcount_range(self, k, i, j0, j1)
     }
 
-    #[inline]
+    #[inline(always)]
     fn contiguous_filter(&self, k: usize) -> Option<&[W]> {
         Some(self.filter_words(k))
     }
@@ -248,23 +249,23 @@ impl<W: BitWord> FilterAccess<W> for FilterDict<W> {
         self.words_per_tap
     }
 
-    #[inline]
+    #[inline(always)]
     fn tap_words(&self, k: usize, i: usize, j: usize) -> &[W] {
         let row = self.indices[self.tap_index(k, i, j)] as usize;
         &self.rows[row * self.words_per_tap..(row + 1) * self.words_per_tap]
     }
 
-    #[inline]
+    #[inline(always)]
     fn tap_popcount(&self, k: usize, i: usize, j: usize) -> u32 {
         self.tap_pops[self.tap_index(k, i, j)]
     }
 
-    #[inline]
+    #[inline(always)]
     fn window_popcount(&self, k: usize) -> u32 {
         self.window_pops[k]
     }
 
-    #[inline]
+    #[inline(always)]
     fn row_popcount_range(&self, k: usize, i: usize, j0: usize, j1: usize) -> u32 {
         let s = self.shape;
         debug_assert!(k < s.k && i < s.kh && j0 <= j1 && j1 <= s.kw);
@@ -272,7 +273,7 @@ impl<W: BitWord> FilterAccess<W> for FilterDict<W> {
         self.tap_pops[base + j0..base + j1].iter().sum()
     }
 
-    #[inline]
+    #[inline(always)]
     fn contiguous_filter(&self, k: usize) -> Option<&[W]> {
         // Single-tap banks (the pre-flattened GEMM layout, kh = kw = 1)
         // keep one dictionary row per filter, so the "window" is exactly

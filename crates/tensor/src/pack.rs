@@ -35,11 +35,12 @@ pub fn pack_f32_into<W: BitWord>(t: &Tensor<f32>, out: &mut BitTensor<W>) {
             for wi in 0..wpp {
                 let lo = wi * W::BITS;
                 let hi = (lo + W::BITS).min(c);
+                // `>=` on the value, not the sign bit: -0.0 packs to 1 and
+                // NaN to 0. The comparison lands as a shifted 0/1, so the
+                // loop has no data-dependent branch.
                 let mut word = W::zero();
                 for (bit, &v) in src[base + lo..base + hi].iter().enumerate() {
-                    if v >= 0.0 {
-                        word = word.with_bit(bit, true);
-                    }
+                    word = word.or(W::from_bit(v >= 0.0).shl(bit));
                 }
                 words[p * wpp + wi] = word;
             }
@@ -175,6 +176,39 @@ mod tests {
         let p = pack_f32::<u8>(&t);
         assert!(p.get_bit(0, 0, 0, 0));
         assert!(!p.get_bit(0, 0, 0, 1));
+    }
+
+    fn pack_edge_values_at<W: BitWord>() {
+        // Every tail length around one and two words, with -0.0 (packs to
+        // 1), NaN (packs to 0) and a negative walking across the channels.
+        for c in [1, W::BITS - 1, W::BITS, W::BITS + 1, 2 * W::BITS + 3] {
+            let t = Tensor::from_fn(Shape4::new(1, 2, 1, c), |_, h, _, ch| match (ch + h) % 4 {
+                0 => -0.0,
+                1 => f32::NAN,
+                2 => -1.5,
+                _ => 2.0,
+            });
+            let p = pack_f32::<W>(&t);
+            assert!(p.tail_is_clean(), "{} c={c}", W::CL_NAME);
+            for ((n, h, w, ch), v) in t.iter_indexed() {
+                let expect = (ch + h) % 4 == 0 || (ch + h) % 4 == 3;
+                assert_eq!(v >= 0.0, expect, "test premise");
+                assert_eq!(
+                    p.get_bit(n, h, w, ch),
+                    expect,
+                    "{} c={c} ch={ch} v={v}",
+                    W::CL_NAME
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn negative_zero_nan_and_odd_tails_pack_by_comparison() {
+        pack_edge_values_at::<u8>();
+        pack_edge_values_at::<u16>();
+        pack_edge_values_at::<u32>();
+        pack_edge_values_at::<u64>();
     }
 
     #[test]

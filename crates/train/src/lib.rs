@@ -11,6 +11,7 @@
 //! retrained here (see DESIGN.md, substitutions).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod conv;
 pub mod data;

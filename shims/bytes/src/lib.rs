@@ -5,6 +5,8 @@
 //! `advance` — implemented for `&[u8]` (reading consumes the slice) and
 //! `Vec<u8>` (writing appends).
 
+#![forbid(unsafe_code)]
+
 /// Sequential little-endian reader over a byte source.
 pub trait Buf {
     /// Bytes left to read.

@@ -16,6 +16,8 @@
 //! harness binaries can export machine-readable results (see
 //! [`Criterion::take_records`]).
 
+#![forbid(unsafe_code)]
+
 pub use std::hint::black_box;
 use std::time::{Duration, Instant};
 

@@ -10,6 +10,8 @@
 //! deterministic samples seeded from the test's module path and case index,
 //! so failures reproduce exactly across runs and machines.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::ops::Range;
 

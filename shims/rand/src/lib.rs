@@ -8,6 +8,8 @@
 //! The generator is SplitMix64 — deterministic across platforms, which the
 //! synthetic-weight and scene generators rely on for reproducibility.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Seedable construction, mirroring `rand::SeedableRng`.

@@ -8,6 +8,8 @@
 //! This facade crate re-exports the whole workspace. See `DESIGN.md` for the
 //! system inventory and `EXPERIMENTS.md` for paper-vs-measured results.
 
+#![forbid(unsafe_code)]
+
 pub use phonebit_baselines as baselines;
 pub use phonebit_core as core;
 pub use phonebit_gpusim as gpusim;

@@ -12,9 +12,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use phonebit::core::{convert, MultiStream, Session, StagedModel, Stream};
+use phonebit::core::plan::{CompressionMode, RouteOverrides};
+use phonebit::core::{convert, ConvPath, MultiStream, Session, StagedModel, Stream};
 use phonebit::gpusim::{Context, DeviceClock, Phone};
-use phonebit::models::{fill_weights, synthetic_image};
+use phonebit::models::{fill_weights, fill_weights_clustered, synthetic_image};
 use phonebit::nn::act::Activation;
 use phonebit::nn::graph::{LayerPrecision, NetworkArch};
 use phonebit::tensor::shape::Shape4;
@@ -73,16 +74,10 @@ fn arch(hw: usize) -> NetworkArch {
         .softmax()
 }
 
-/// Heap bytes requested by one steady-state run (median of 3, after 2
-/// warm-up runs that grow every lazily-sized buffer to its high-water
-/// mark).
-fn steady_run_bytes(hw: usize) -> (usize, usize) {
-    let def = fill_weights(&arch(hw), 9);
-    let model = convert(&def);
-    let phone = Phone::xiaomi_9();
-    let mut session = Session::new(model, &phone)
-        .expect("fits")
-        .with_output_capture(false);
+/// Heap bytes one steady-state run of `session` requests (median of 3,
+/// after 2 warm-up runs that grow every lazily-sized buffer to its
+/// high-water mark), with the plan's arena footprint.
+fn steady_session_bytes(mut session: Session, hw: usize) -> (usize, usize) {
     let arena = session.plan().arena_bytes();
     let img = synthetic_image(Shape4::new(1, hw, hw, 3), 4);
     for _ in 0..2 {
@@ -97,6 +92,35 @@ fn steady_run_bytes(hw: usize) -> (usize, usize) {
         .collect();
     samples.sort_unstable();
     (samples[1], arena)
+}
+
+/// A steady-state run on the default plan.
+fn steady_run_bytes(hw: usize) -> (usize, usize) {
+    let model = convert(&fill_weights(&arch(hw), 9));
+    let session = Session::new(model, &Phone::xiaomi_9()).expect("fits");
+    steady_session_bytes(session.with_output_capture(false), hw)
+}
+
+/// A steady-state run when `CompressionMode::Auto` stages conv2's bank as a
+/// dictionary and the direct tiled kernel reads through it: the tap ×
+/// unique-row table lives in the row task's scratch, so the run allocates
+/// per row, never per pixel tile.
+fn steady_compressed_run_bytes(hw: usize) -> (usize, usize) {
+    let model = convert(&fill_weights_clustered(&arch(hw), 9, 4));
+    let overrides = RouteOverrides {
+        compression: CompressionMode::Auto,
+        ..Default::default()
+    };
+    let session = Session::new_batched_opts(model, &Phone::xiaomi_9(), 1, overrides).expect("fits");
+    assert!(
+        session
+            .plan()
+            .compression
+            .iter()
+            .any(|d| d.compressed && d.path != ConvPath::LoweredGemm),
+        "test premise: a direct-route conv must read through a dictionary bank"
+    );
+    steady_session_bytes(session.with_output_capture(false), hw)
 }
 
 /// Heap bytes requested by one steady-state **batched window** (median of
@@ -223,6 +247,23 @@ fn steady_state_runs_do_not_allocate_activations() {
     assert!(
         large_bytes < small_bytes.max(1) * 6 + 4096,
         "per-run heap scaled with activation size: {small_bytes} B -> {large_bytes} B"
+    );
+
+    // Reading through a dictionary-compressed bank must not cost the
+    // contract: the kernel's lookup table (taps x unique rows, a KB or so)
+    // is row-task scratch like the window gather, so a run with 9x the
+    // pixels allocates 3x the rows' worth, not one table per pixel tile.
+    let (small_dict_bytes, _) = steady_compressed_run_bytes(32);
+    let (large_dict_bytes, dict_arena) = steady_compressed_run_bytes(96);
+    assert!(
+        large_dict_bytes < dict_arena / 4,
+        "steady compressed run allocated {large_dict_bytes} B against a {dict_arena} B arena — \
+         the dictionary read-through is allocating on the activation path"
+    );
+    assert!(
+        large_dict_bytes < small_dict_bytes.max(1) * 6 + 4096,
+        "compressed per-run heap scaled with activation size: \
+         {small_dict_bytes} B -> {large_dict_bytes} B"
     );
 
     // The batched path holds the same contract: once both arena banks are
