@@ -4,10 +4,11 @@
 //! tiled kernel on the paper's 3×3 layer shapes, prints the speedup table,
 //! verifies bit-exact equality while doing so, and writes
 //! `BENCH_bconv.json` (shape, path, median ns — plus ns/pixel) so future
-//! PRs have a perf trajectory to compare against. The window-packed 8-bit
+//! PRs have a perf trajectory to compare against. The streamed 8-bit
 //! first layer rides along as path `bitplane` (YOLOv2-Tiny and AlexNet
-//! conv1); it has no `reference` row, so it is regression-gated but takes
-//! no part in the speedup floor. The `tiled` and `bitplane` paths run on the
+//! conv1), and YOLOv2-Tiny's full-precision head as path `fconv`; neither
+//! has a `reference` row, so they are regression-gated but take no part in
+//! the speedup floor. The `tiled`, `bitplane` and `fconv` paths run on the
 //! host ISA tier `phonebit_nn::kernels::isa` detects, printed first and
 //! recorded once in the JSON header as `"isa"`; the `reference` rows stay on
 //! the portable build-target code, so the speedup column is "tiling plus
@@ -18,7 +19,7 @@
 //! `-- --min-speedup X` to exit nonzero if any shape's tiled-vs-reference
 //! speedup falls below `X`; `-- --check-baseline <path>` to diff this
 //! run against a committed `BENCH_bconv.json` — same shape/path entries
-//! required, and each tiled or bitplane median may regress at most
+//! required, and each tiled, bitplane or fconv median may regress at most
 //! `--max-regression` × (default 5, sized for noisy shared runners) —
 //! the CI guards that keep the hot path from rotting.)
 
@@ -27,16 +28,18 @@ use std::time::Instant;
 use phonebit_bench::baseline::{diff_rows, json_escape, parse_rows, Better, Row};
 use phonebit_gpusim::queue::CommandQueue;
 use phonebit_gpusim::{DeviceProfile, ExecutorClass};
+use phonebit_nn::act::Activation;
 use phonebit_nn::fuse::FusedBn;
 use phonebit_nn::kernels::bconv::{
     compute_bconv_fused, compute_bconv_fused_reference, compute_binarize_pack,
 };
-use phonebit_nn::kernels::bitplane::{bitplane_conv_accum, compute_bitplane_conv_fused};
+use phonebit_nn::kernels::bitplane::{bitplane_conv_accum, compute_bitplane_conv_fused, PlaneBank};
+use phonebit_nn::kernels::fconv::compute_fconv;
 use phonebit_nn::kernels::isa::IsaTier;
 use phonebit_tensor::bitplane::BitPlanes;
 use phonebit_tensor::bits::BitTensor;
 use phonebit_tensor::pack::{pack_f32, pack_filters};
-use phonebit_tensor::shape::{ConvGeometry, FilterShape, Shape4};
+use phonebit_tensor::shape::{ConvGeometry, FilterShape, Layout, Shape4};
 use phonebit_tensor::tensor::{Filters, Tensor};
 
 /// Identity + guarded metric of the entries this bin writes, for the
@@ -213,6 +216,7 @@ fn main() {
         });
         let planes = BitPlanes::<u64>::split(&image);
         let packed_f = pack_filters::<u64>(&filters);
+        let bank = PlaneBank::new(&packed_f);
         let fused = FusedBn::identity(k);
         let (oh, ow) = geom.output_hw(hw, hw);
         let out_shape = Shape4::new(1, oh, ow, k);
@@ -224,7 +228,7 @@ fn main() {
         let mut a = BitTensor::<u64>::zeros(out_shape);
         let mut b = BitTensor::<u64>::zeros(out_shape);
         compute_binarize_pack(&accum, &fused, &mut a);
-        compute_bitplane_conv_fused(&planes, &packed_f, &fused, geom, &mut b);
+        compute_bitplane_conv_fused(&planes, &bank, &fused, geom, &mut b);
         assert_eq!(
             a, b,
             "bit-plane kernel diverged from accum+threshold on {name}"
@@ -232,13 +236,58 @@ fn main() {
 
         let t = median_ns(samples, || {
             let mut out = BitTensor::<u64>::zeros(out_shape);
-            compute_bitplane_conv_fused(&planes, &packed_f, &fused, geom, &mut out);
+            compute_bitplane_conv_fused(&planes, &bank, &fused, geom, &mut out);
             std::hint::black_box(&out);
         });
         println!("{:<38} {:>14.1}", name, t / pixels);
         results.push(Measurement {
             shape: name.into(),
             path: "bitplane",
+            median_ns: t,
+            ns_per_pixel: t / pixels,
+        });
+    }
+
+    // The full-precision head (YOLOv2-Tiny conv9): 1x1 over 1024 channels.
+    {
+        let (name, hw, cin, k) = ("conv9_13x13_c1024_k125_1x1", 13, 1024, 125);
+        let geom = ConvGeometry::square(1, 1, 0);
+        let input = Tensor::from_fn(Shape4::new(1, hw, hw, cin), |_, h, w, ch| {
+            ((h * 17 + w * 5 + ch * 3) % 23) as f32 * 0.1 - 1.1
+        });
+        let filters = Filters::from_fn(FilterShape::new(k, 1, 1, cin), |kk, _, _, ch| {
+            ((kk * 7 + ch * 3) % 13) as f32 * 0.05 - 0.3
+        });
+        let bias: Vec<f32> = (0..k).map(|kk| kk as f32 * 0.01).collect();
+        let out_shape = Shape4::new(1, hw, hw, k);
+        let mut out = Tensor::<f32>::zeros(out_shape, Layout::Nhwc);
+        compute_fconv(&input, &filters, &bias, Activation::Linear, &geom, &mut out);
+        // Right first: every output against an f64 dot product.
+        for (px, outputs) in out.as_slice().chunks_exact(k).enumerate() {
+            let pixel = &input.as_slice()[px * cin..(px + 1) * cin];
+            for (kk, &got) in outputs.iter().enumerate() {
+                let dot: f64 = pixel
+                    .iter()
+                    .zip(filters.filter(kk))
+                    .map(|(&a, &b)| f64::from(a) * f64::from(b))
+                    .sum();
+                let expect = dot + f64::from(bias[kk]);
+                assert!(
+                    (f64::from(got) - expect).abs() < 1e-3,
+                    "float conv diverged from the f64 dot on {name}: {got} vs {expect}"
+                );
+            }
+        }
+        let t = median_ns(samples, || {
+            compute_fconv(&input, &filters, &bias, Activation::Linear, &geom, &mut out);
+            std::hint::black_box(&out);
+        });
+        let pixels = (hw * hw) as f64;
+        println!("\n{:<38} {:>14}", "float head", "fconv");
+        println!("{:<38} {:>14.1}", name, t / pixels);
+        results.push(Measurement {
+            shape: name.into(),
+            path: "fconv",
             median_ns: t,
             ns_per_pixel: t / pixels,
         });
@@ -285,7 +334,7 @@ fn main() {
             std::process::exit(1);
         }
         let current: Vec<Row> = results.iter().map(Measurement::row).collect();
-        // The tiled and bitplane paths are regression-gated: the reference
+        // The tiled, bitplane and fconv paths are regression-gated: the reference
         // kernel is kept for the speedup denominator, not guarded.
         let failures = diff_rows(
             &baseline,

@@ -47,6 +47,7 @@ use phonebit_gpusim::queue::{CommandQueue, ExecMode};
 use phonebit_gpusim::DeviceProfile;
 use phonebit_gpusim::ExecutorClass;
 use phonebit_gpusim::Phone;
+use phonebit_nn::kernels::bitplane::PlaneBank;
 use phonebit_nn::kernels::{self, bconv, bgemm, bitplane, dense, fconv, fused, pool};
 use phonebit_tensor::bitplane::BitPlanes;
 use phonebit_tensor::bits::{BitTensor, PackedFilters};
@@ -284,10 +285,10 @@ fn grow_bits(slot: &mut Option<BitTensor<u64>>, shape: Shape4) {
 /// (`weights + N_streams × banks × Σ slots`) and staging one stream too
 /// The staged form of one binary convolution's filter bank, in whatever
 /// shape the layer's chosen route reads: the raw pre-flattened GEMM bank,
-/// its dictionary-compressed form, or the dictionary-compressed per-tap
-/// bank the direct routes and fused chains gather from. `None` (the
-/// common case) means the route reads the layer's own raw
-/// [`PackedFilters`] directly.
+/// its dictionary-compressed form, the dictionary-compressed per-tap
+/// bank the direct routes and fused chains gather from, or the 8-bit first
+/// layer's interleaved bank. `None` (the common case) means the route
+/// reads the layer's own raw [`PackedFilters`] directly.
 #[derive(Debug)]
 enum ConvBank {
     /// Raw pre-flattened GEMM bank (lowered route, compression off/skip).
@@ -296,6 +297,8 @@ enum ConvBank {
     FlatDict(FilterDict<u64>),
     /// Dictionary-compressed per-tap bank (direct routes, fused chains).
     Dict(FilterDict<u64>),
+    /// The 8-bit first layer's filter-interleaved bank.
+    Planes(PlaneBank<u64>),
 }
 
 /// The staged-once, immutable half of an inference engine: the model, its
@@ -459,8 +462,13 @@ impl StagedModel {
         }
         let mut conv_banks: Vec<Option<ConvBank>> = (0..model.layers.len()).map(|_| None).collect();
         for (i, layer) in model.layers.iter().enumerate() {
-            let PbitLayer::BConv { filters, .. } = layer else {
-                continue;
+            let filters = match layer {
+                PbitLayer::BConv { filters, .. } => filters,
+                PbitLayer::BConvInput8 { filters, .. } => {
+                    conv_banks[i] = Some(ConvBank::Planes(PlaneBank::new(filters)));
+                    continue;
+                }
+                _ => continue,
             };
             let Some(path) = route_of[i] else {
                 continue;
@@ -1542,6 +1550,14 @@ fn stage_window<'a, T: Copy + Default + 'a>(dst: &mut [T], images: impl Iterator
     dst[off..].fill(T::default());
 }
 
+/// The staged bank of the 8-bit first layer at `layer`.
+fn plane_bank(banks: &[Option<ConvBank>], layer: usize) -> &PlaneBank<u64> {
+    match banks[layer].as_ref() {
+        Some(ConvBank::Planes(bank)) => bank,
+        _ => unreachable!("an 8-bit first layer stages a plane bank"),
+    }
+}
+
 /// Executes one plan step: takes the step's writable slots out of the
 /// arena, runs the layer's kernels writing into them, and puts them back.
 /// All slot indices are pairwise distinct by the liveness assignment, so
@@ -1594,18 +1610,13 @@ fn exec_step(
 
     let layer = &layers[step.index];
     match layer {
-        PbitLayer::BConvInput8 {
-            geom,
-            filters,
-            fused,
-            ..
-        } => {
+        PbitLayer::BConvInput8 { geom, fused, .. } => {
             let (_, scr) = scr_store.as_mut().expect("bit-plane scratch planned");
             bitplane::bitplane_split_into(q, in_store.bytes_ref(), scr.planes_mut());
-            bitplane::bitplane_conv_fused_into(
+            bitplane::bitplane_conv_bank_into(
                 q,
                 scr.planes_mut(),
-                filters,
+                plane_bank(banks, step.index),
                 fused,
                 geom,
                 out_store.bits_mut(),
@@ -1659,7 +1670,9 @@ fn exec_step(
                             windows,
                             out_store.bits_mut(),
                         ),
-                        ConvBank::Dict(_) => unreachable!("GEMM route stages a flat bank"),
+                        ConvBank::Dict(_) | ConvBank::Planes(_) => {
+                            unreachable!("GEMM route stages a flat bank")
+                        }
                     }
                 }
                 ConvPath::DirectFused => match banks[step.index].as_ref() {
@@ -1819,16 +1832,13 @@ fn exec_fused_group(
             };
             match &layers[members[0].layer] {
                 PbitLayer::BConvInput8 {
-                    geom,
-                    filters,
-                    fused: bn,
-                    ..
+                    geom, fused: bn, ..
                 } => {
                     let planes = cvt.expect("bit-plane tile planned").planes_mut();
                     fused::in8_bconv_chain_into(
                         q,
                         in_store.bytes_ref(),
-                        filters,
+                        plane_bank(banks, members[0].layer),
                         bn,
                         geom,
                         pool_geom,

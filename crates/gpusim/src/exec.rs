@@ -48,23 +48,41 @@ pub fn par_for(n: usize, min_chunk: usize, f: impl Fn(Range<usize>) + Sync) {
 /// Runs `f` over mutable, equally-sized chunks of `out` in parallel, passing
 /// the chunk index. The final chunk may be shorter.
 ///
-/// This is the "each work item writes its own output rows" pattern: `out`
-/// is split by `chunk_len` so no two threads alias. Work is partitioned
-/// statically — each worker owns one contiguous run of chunks — so the
-/// dispatch allocates nothing proportional to the chunk count (the engine's
-/// steady-state zero-allocation contract extends through kernel bodies);
-/// results are bit-identical to sequential execution either way.
+/// [`par_chunks_mut_with`] for kernels that need no per-worker scratch.
 pub fn par_chunks_mut<T: Send>(
     out: &mut [T],
     chunk_len: usize,
     f: impl Fn(usize, &mut [T]) + Sync,
 ) {
+    par_chunks_mut_with(out, chunk_len, || (), |(), i, c| f(i, c));
+}
+
+/// Runs `f` over mutable, equally-sized chunks of `out` in parallel, passing
+/// the worker's scratch and the chunk index. The final chunk may be shorter.
+///
+/// This is the "each work item writes its own output rows" pattern: `out`
+/// is split by `chunk_len` so no two threads alias. Work is partitioned
+/// statically — each worker owns one contiguous run of chunks, visited in
+/// order — and `init` runs once per worker, so a kernel's scratch (a window
+/// gather, a plane stream) is allocated once per dispatch per thread, not
+/// once per chunk: the dispatch allocates nothing proportional to the chunk
+/// count (the engine's steady-state zero-allocation contract extends
+/// through kernel bodies). Results are bit-identical to sequential
+/// execution either way; `f` must not let what an earlier chunk left in the
+/// scratch change a later chunk's output.
+pub fn par_chunks_mut_with<T: Send, S>(
+    out: &mut [T],
+    chunk_len: usize,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize, &mut [T]) + Sync,
+) {
     assert!(chunk_len > 0, "chunk_len must be positive");
     let n = out.len().div_ceil(chunk_len);
     let threads = host_threads();
     if n <= 1 || threads == 1 {
+        let mut scratch = init();
         for (i, c) in out.chunks_mut(chunk_len).enumerate() {
-            f(i, c);
+            f(&mut scratch, i, c);
         }
         return;
     }
@@ -76,10 +94,11 @@ pub fn par_chunks_mut<T: Send>(
             let take = (per_worker * chunk_len).min(rest.len());
             let (region, tail) = std::mem::take(&mut rest).split_at_mut(take);
             rest = tail;
-            let f = &f;
+            let (init, f) = (&init, &f);
             s.spawn(move || {
+                let mut scratch = init();
                 for (j, c) in region.chunks_mut(chunk_len).enumerate() {
-                    f(first_chunk + j, c);
+                    f(&mut scratch, first_chunk + j, c);
                 }
             });
             first_chunk += per_worker;
@@ -146,6 +165,31 @@ mod tests {
             f(i, c);
         }
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn scratch_is_built_once_per_worker_and_visits_chunks_in_order() {
+        let inits = AtomicUsize::new(0);
+        let mut data = vec![0usize; 64 * 40];
+        par_chunks_mut_with(
+            &mut data,
+            64,
+            || {
+                inits.fetch_add(1, Ordering::Relaxed);
+                None::<usize>
+            },
+            |last, idx, chunk| {
+                // A worker's chunks are consecutive: what the kernels'
+                // rolling scratch may rely on.
+                assert!(last.is_none_or(|l| l + 1 == idx));
+                *last = Some(idx);
+                chunk.fill(idx + 1);
+            },
+        );
+        assert!((1..=host_threads()).contains(&inits.load(Ordering::Relaxed)));
+        for (i, &v) in data.iter().enumerate() {
+            assert_eq!(v, i / 64 + 1);
+        }
     }
 
     #[test]

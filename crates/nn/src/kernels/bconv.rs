@@ -22,7 +22,7 @@
 //! [`phonebit_tensor::pad::pad_bits`]; tests validate fused-vs-reference
 //! equality under this convention.
 
-use phonebit_gpusim::exec::par_chunks_mut;
+use phonebit_gpusim::exec::{par_chunks_mut, par_chunks_mut_with};
 use phonebit_gpusim::queue::CommandQueue;
 use phonebit_gpusim::vector::xor_popcount_vec;
 use phonebit_tensor::bits::{BitTensor, BitWord};
@@ -104,7 +104,7 @@ pub fn window_dot<W: BitWord>(
 /// Functional body of the fused kernel, writing packed output bits — the
 /// tiled hot path.
 ///
-/// Work decomposes by **output row**: each row task owns one
+/// Work decomposes by **output row**: each worker owns one
 /// [`WindowGather`] scratch buffer, gathers every interior window once and
 /// reuses it across all `K` filters through the 4×2 microkernel; border
 /// pixels dot their valid segments and read the padding contribution from
@@ -121,14 +121,18 @@ pub fn compute_bconv_fused<W: BitWord>(
     let os = out.shape();
     let (ow, oh) = (os.w, os.h);
     let wpp = out.words_per_pixel();
-    par_chunks_mut(out.as_mut_words(), ow * wpp, |row_idx, row_span| {
-        let n = row_idx / oh;
-        let oy = row_idx % oh;
-        let mut gather = WindowGather::new(geom, filters.words_per_tap());
-        let mut sink = BitSink::new(fused, row_span, wpp);
-        let emit = move |ox, k, x1s: &[i32]| sink.put(ox, k, x1s);
-        conv_row_tiled(input, filters, geom, &mut gather, n, oy, ow, emit);
-    });
+    par_chunks_mut_with(
+        out.as_mut_words(),
+        ow * wpp,
+        || WindowGather::new(geom, filters.words_per_tap()),
+        |gather, row_idx, row_span| {
+            let n = row_idx / oh;
+            let oy = row_idx % oh;
+            let mut sink = BitSink::new(fused, row_span, wpp);
+            let emit = move |ox, k, x1s: &[i32]| sink.put(ox, k, x1s);
+            conv_row_tiled(input, filters, geom, gather, n, oy, ow, emit);
+        },
+    );
 }
 
 /// The seed (pre-tiling) fused kernel: per-output-pixel, per-filter
@@ -220,15 +224,19 @@ pub fn compute_bconv_accum<W: BitWord>(
     let os = out.shape();
     let k_total = os.c;
     let (oh, ow) = (os.h, os.w);
-    par_chunks_mut(out.as_mut_slice(), ow * k_total, |row_idx, row| {
-        let n = row_idx / oh;
-        let oy = row_idx % oh;
-        let mut gather = WindowGather::new(geom, filters.words_per_tap());
-        let emit = move |ox: usize, k: usize, x1s: &[i32]| {
-            row[ox * k_total + k..][..x1s.len()].copy_from_slice(x1s)
-        };
-        conv_row_tiled(input, filters, geom, &mut gather, n, oy, ow, emit);
-    });
+    par_chunks_mut_with(
+        out.as_mut_slice(),
+        ow * k_total,
+        || WindowGather::new(geom, filters.words_per_tap()),
+        |gather, row_idx, row| {
+            let n = row_idx / oh;
+            let oy = row_idx % oh;
+            let emit = move |ox: usize, k: usize, x1s: &[i32]| {
+                row[ox * k_total + k..][..x1s.len()].copy_from_slice(x1s)
+            };
+            conv_row_tiled(input, filters, geom, gather, n, oy, ow, emit);
+        },
+    );
 }
 
 /// Dispatches binary convolution producing raw `i32` accumulators (the

@@ -1,5 +1,5 @@
-//! First-layer kernels: bit-plane split and the window-packed bit-plane
-//! convolution (Eqn 2).
+//! First-layer kernels: bit-plane split and the streamed, filters-as-lanes
+//! bit-plane convolution (Eqn 2).
 //!
 //! The first convolution layer receives 8-bit integer images. Following
 //! §III-B, the input is split into 8 bit-planes and the output accumulates
@@ -13,46 +13,60 @@
 //! of words that are almost all padding. `bitplane_row`, the one Eqn (2)
 //! loop behind [`compute_bitplane_conv_fused`], [`bitplane_conv_accum`] and
 //! the fused first-layer chain, instead does the paper's "bit packing with
-//! vectorization" a second time, across the window:
+//! vectorization" a second time, across the window *and* across filters:
 //!
-//! 1. **What is gathered.** For each output pixel, once per plane, the
-//!    receptive window's `kh·kw·c` plane bits are packed into
-//!    `⌈kh·kw·c / W::BITS⌉` dense words: 27 bits → one `u64` for a 3×3×3
-//!    conv1, 363 bits → six for AlexNet's 11×11×3. The scratch is one window
-//!    — eight plane words per window word — owned by the row task, so it
-//!    does not grow with the image.
-//! 2. **Bit order.** Tap `(i, j)` channel `ch` is window bit
-//!    `(i·kw + j)·c + ch`, with no per-tap padding. That is exactly the row
-//!    layout of [`flatten_filters`], which re-packs the bank once per
-//!    dispatch, so window word `t` lines up with filter word `t` for any
-//!    `c`, any kernel size and any `W` — a window that fits one word is the
-//!    `words == 1` case of the same loops, not a separate path.
-//! 3. **What is hoisted.** `{0,1} × {±1}` is `2·popcount(a & w) −
+//! 1. **What is streamed.** Once per output row, the `kh` input rows under
+//!    it are OR-ed into one dense bit stream per plane (`PlaneStream`):
+//!    padded column `x`'s `kh·c` bits sit at stream bit `x·kh·c`, row `i`
+//!    of the column at `i·c` inside that, the eight planes side by side as
+//!    `[W; 8]` per stream word. Nothing is gathered per pixel: adjacent
+//!    windows share `kw − stride` columns and read them from the same
+//!    stream words. Adjacent *rows* share `kh − stride` input rows, so a
+//!    worker moving one output row down rolls the stream — one shift of
+//!    the whole stream by `stride·c` bits and a mask — and ORs in only
+//!    the `stride` new rows. The scratch is one stream row plus one
+//!    window, owned by the worker for the whole dispatch.
+//! 2. **Bit order.** The stream makes every receptive window one
+//!    contiguous run — `kh·kw·c` bits from bit `ox·stride_w·kh·c` — so a
+//!    window word is a funnel shift of two stream words, and tap `(i, j)`
+//!    channel `ch` is window bit `(j·kh + i)·c + ch`: column-major, no
+//!    per-tap padding. [`PlaneBank`] lays the filters out in that order
+//!    once at stage time, for any `c`, any kernel size and any `W` — a
+//!    window that fits one word is the one-word case of the same loops.
+//! 3. **Lanes are filters.** `{0,1} × {±1}` is `2·popcount(a & w) −
 //!    popcount(a)` ([`phonebit_tensor::bits::dot_u1_pm1`]), and the second
 //!    term does not depend on the filter: `T = Σ_n 2^n·popcount(win_n)` is
-//!    computed once per pixel, and each filter costs one `and` + popcount
-//!    per (plane, window word): `s_k = 2·Σ_n 2^n·popcount(win_n & f_k) − T`.
-//!    The eight planes of a window word sit side by side, so that inner
-//!    loop has a fixed trip count of 8 and vectorizes.
-//! 4. **Why padding needs no special case.** The window starts all-zero and
-//!    only in-bounds taps are OR-ed in, so an out-of-bounds tap is a run of
-//!    0 bits: it adds nothing to `popcount(win & f)` or to `T`, which is
-//!    what zero padding of a `u8` image means. There is no interior/border
-//!    split and no padding-correction table; a window wholly in padding
-//!    yields `s_k = 0`.
+//!    computed once per pixel. The bank interleaves eight adjacent
+//!    filters per window word, so Eqn (2) over a filter group is
+//!    `acc += popcount(splat(win_n) & bank) << n`, one vector `and` +
+//!    popcount per (plane, window word), and `s = 2·acc − T` leaves as
+//!    eight accumulators side by side: no per-filter horizontal reduce,
+//!    and the packed-bit sink thresholds eight outputs per output-word OR.
+//!    A filter count that does not fill its last group leaves zero lanes
+//!    that are computed and never emitted.
+//! 4. **Why padding needs no special case.** The stream starts all-zero
+//!    and only in-bounds rows and columns are OR-ed in, so an
+//!    out-of-bounds tap is a run of 0 bits: it adds nothing to
+//!    `popcount(win & f)` or to `T`, which is what zero padding of a `u8`
+//!    image means. There is no interior/border split and no
+//!    padding-correction table; a window wholly in padding yields
+//!    `s_k = 0`.
 
-use phonebit_gpusim::exec::par_chunks_mut;
+use phonebit_gpusim::exec::par_chunks_mut_with;
 use phonebit_gpusim::queue::CommandQueue;
-use phonebit_tensor::bitplane::{combine_planes, BitPlanes};
+use phonebit_tensor::bitplane::BitPlanes;
 use phonebit_tensor::bits::{BitTensor, BitWord, PackedFilters};
-use phonebit_tensor::shape::{ConvGeometry, Layout, Shape4};
+use phonebit_tensor::shape::{ConvGeometry, FilterShape, Layout, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
 use crate::fuse::{BitSink, FusedBn};
-use crate::kernels::bgemm::flatten_filters;
-use crate::kernels::tiled::BorderSpan;
 use crate::kernels::{isa, profiles};
 use crate::workload::WorkloadPolicy;
+
+/// Filters per bank group: the accumulators that leave [`bitplane_row`]
+/// side by side. Eight is the narrowest output word, so a group's bits
+/// never straddle one.
+pub(crate) const LANES: usize = 8;
 
 /// Dispatches the bit-plane split of an 8-bit input image (§III-B).
 pub fn bitplane_split<W: BitWord>(q: &mut CommandQueue, input: &Tensor<u8>) -> BitPlanes<W> {
@@ -73,34 +87,123 @@ pub fn bitplane_split_into<W: BitWord>(
     q.launch(profile, || planes.split_from(input));
 }
 
-/// A zeroed gathered window matching `flat`'s rows — per window word, the
-/// eight planes' words side by side (LSB plane first). The per-row-task
-/// scratch of [`bitplane_row`].
-pub(crate) fn plane_window<W: BitWord>(flat: &PackedFilters<W>) -> Vec<[W; 8]> {
-    vec![[W::zero(); 8]; flat.words_per_tap()]
+/// A first-layer filter bank staged for `bitplane_row`: per filter group
+/// and window word, word `t` of eight adjacent filters side by side, in
+/// the stream's column-major bit order (module docs, points 2 and 3). Built
+/// once per model at stage time; lanes past the last filter are zero.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlaneBank<W: BitWord = u64> {
+    shape: FilterShape,
+    window_words: usize,
+    lanes: Vec<[W; LANES]>,
 }
 
-/// Runs the window-packed Eqn (2) convolution over one output row, calling
-/// `emit(ox, k, s)` with the integer accumulator of every output.
+impl<W: BitWord> PlaneBank<W> {
+    /// Interleaves `filters` (per-tap packed, as the model stores them).
+    pub fn new(filters: &PackedFilters<W>) -> Self {
+        let shape = filters.shape();
+        let window_words = (shape.kh * shape.kw * shape.c).div_ceil(W::BITS);
+        let mut lanes = vec![[W::zero(); LANES]; shape.k.div_ceil(LANES) * window_words];
+        for k in 0..shape.k {
+            let group = &mut lanes[k / LANES * window_words..][..window_words];
+            for j in 0..shape.kw {
+                for i in 0..shape.kh {
+                    for ch in 0..shape.c {
+                        let bit = (j * shape.kh + i) * shape.c + ch;
+                        let lane = &mut group[bit / W::BITS][k % LANES];
+                        *lane = lane.with_bit(bit % W::BITS, filters.get_bit(k, i, j, ch));
+                    }
+                }
+            }
+        }
+        Self {
+            shape,
+            window_words,
+            lanes,
+        }
+    }
+
+    /// Shape of the filters the bank was built from.
+    pub fn shape(&self) -> FilterShape {
+        self.shape
+    }
+}
+
+/// A worker's scratch for [`bitplane_row`] over one plane set: the plane
+/// stream of the output row in flight (one spare word past its end for the
+/// funnel shift) and one extracted window, each word the eight planes side
+/// by side, LSB plane first.
+#[derive(Debug)]
+pub(crate) struct PlaneStream<W: BitWord> {
+    stream: Vec<[W; 8]>,
+    window: Vec<[W; 8]>,
+    /// The `(image, output row)` the stream holds, so the next row down
+    /// rolls it instead of rebuilding it.
+    holds: Option<(usize, usize)>,
+    /// Per stream word, the bits that survive a roll: every column's rows
+    /// the next output row still covers. Empty when `stride_h >= kh`.
+    kept: Vec<W>,
+}
+
+impl<W: BitWord> PlaneStream<W> {
+    /// Scratch for `bank`'s windows sliding over `input_w`-pixel rows.
+    pub(crate) fn new(bank: &PlaneBank<W>, geom: &ConvGeometry, input_w: usize) -> Self {
+        let (kh, c) = (bank.shape.kh, bank.shape.c);
+        let stream_bits = (input_w + 2 * geom.pad_w) * kh * c;
+        let stream_words = stream_bits.div_ceil(W::BITS) + 1;
+        let mut kept = Vec::new();
+        if geom.stride_h < kh {
+            kept.resize(stream_words, W::zero());
+            for column in (0..stream_bits).step_by(kh * c) {
+                for bit in column..column + (kh - geom.stride_h) * c {
+                    kept[bit / W::BITS] = kept[bit / W::BITS].with_bit(bit % W::BITS, true);
+                }
+            }
+        }
+        Self {
+            stream: vec![[W::zero(); 8]; stream_words],
+            window: vec![[W::zero(); 8]; bank.window_words],
+            holds: None,
+            kept,
+        }
+    }
+}
+
+/// Bits `shift..shift + W::BITS` of the 2-word run `lo, hi`, per plane.
+#[inline(always)]
+fn funnel<W: BitWord>(lo: [W; 8], hi: [W; 8], shift: usize) -> [W; 8] {
+    let mut out = lo;
+    for (bits, hi) in out.iter_mut().zip(hi) {
+        // `hi << (BITS − shift)` in two steps, so `shift == 0` shifts
+        // everything out instead of overflowing.
+        *bits = bits.shr(shift).or(hi.shl(1).shl(W::BITS - 1 - shift));
+    }
+    out
+}
+
+/// Runs the streamed Eqn (2) convolution over one output row, calling
+/// `emit(ox, k0, s)` with the integer accumulators of filters
+/// `k0..k0 + s.len()` at output column `ox` — a group of [`LANES`] per call,
+/// fewer for the last group of a filter count that does not fill it.
 ///
-/// `flat` is the bank re-packed by [`flatten_filters`]; `window` is scratch
-/// from [`plane_window`]. `emit` decides what an output *is* — a fused
-/// binarize+pack bit or a raw `i32` — so this one loop serves every
-/// first-layer kernel (see the module docs for the scheme).
+/// `bank` is the staged [`PlaneBank`]; `scratch` a [`PlaneStream`] built
+/// for the same bank, geometry and input width. `emit` decides what an
+/// output *is* — fused binarize+pack bits or raw `i32`s — so this one loop
+/// serves every first-layer kernel (see the module docs for the scheme).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn bitplane_row<W: BitWord>(
     planes: &BitPlanes<W>,
-    flat: &PackedFilters<W>,
+    bank: &PlaneBank<W>,
     geom: &ConvGeometry,
-    window: &mut [[W; 8]],
+    scratch: &mut PlaneStream<W>,
     n: usize,
     oy: usize,
     ow: usize,
-    emit: impl FnMut(usize, usize, i32),
+    emit: impl FnMut(usize, usize, &[i32]),
 ) {
     isa::run(
         #[inline(always)]
-        || bitplane_row_portable(planes, flat, geom, window, n, oy, ow, emit),
+        || bitplane_row_portable(planes, bank, geom, scratch, n, oy, ow, emit),
     )
 }
 
@@ -109,71 +212,127 @@ pub(crate) fn bitplane_row<W: BitWord>(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn bitplane_row_portable<W: BitWord>(
     planes: &BitPlanes<W>,
-    flat: &PackedFilters<W>,
+    bank: &PlaneBank<W>,
     geom: &ConvGeometry,
-    window: &mut [[W; 8]],
+    scratch: &mut PlaneStream<W>,
     n: usize,
     oy: usize,
     ow: usize,
-    mut emit: impl FnMut(usize, usize, i32),
+    mut emit: impl FnMut(usize, usize, &[i32]),
 ) {
     let s = planes.shape();
-    let k_total = flat.shape().k;
+    let (kh, k_total) = (bank.shape.kh, bank.shape.k);
+    let col_bits = kh * s.c;
     let wpp = planes.plane(0).words_per_pixel();
-    let plane_words: [&[W]; 8] = std::array::from_fn(|p| planes.plane(p).as_words());
-    for ox in 0..ow {
-        // Gather: in-bounds taps are OR-ed into a zeroed window at their
-        // dense bit offset; padding taps stay 0.
-        window.fill([W::zero(); 8]);
-        let span = BorderSpan::of(geom, s.h, s.w, oy, ox);
-        for i in span.i0..span.i1 {
-            let iy = oy * geom.stride_h + i - geom.pad_h;
-            for j in span.j0..span.j1 {
-                let ix = ox * geom.stride_w + j - geom.pad_w;
-                let src = planes.plane(0).pixel_offset(n, iy, ix);
-                let tap_bit = (i * geom.kw + j) * s.c;
-                for t in 0..wpp {
-                    let at = tap_bit + t * W::BITS;
-                    let (word, shift) = (at / W::BITS, at % W::BITS);
-                    // The pixel word's valid bits straddle a window word.
-                    let spills = shift + (s.c - t * W::BITS).min(W::BITS) > W::BITS;
-                    for (p, words) in plane_words.iter().enumerate() {
-                        let bits = words[src + t];
-                        window[word][p] = window[word][p].or(bits.shl(shift));
-                        if spills {
-                            window[word + 1][p] = window[word + 1][p].or(bits.shr(W::BITS - shift));
-                        }
+    let plane_words = planes.plane_words();
+    let PlaneStream {
+        stream,
+        window,
+        holds,
+        kept,
+    } = scratch;
+
+    // Stream. One row down from the row it holds, the stream is rolled:
+    // shifting it `stride_h` rows' worth of bits moves every column's
+    // surviving rows to the bottom of the column (and the next column's
+    // into its top, which `kept` clears), leaving `stride_h` fresh rows to
+    // fill. Anywhere else it starts over from zero.
+    let rolled = *holds == Some((n, oy.wrapping_sub(1))) && !kept.is_empty();
+    *holds = Some((n, oy));
+    let fresh = if rolled {
+        let by = geom.stride_h * s.c;
+        let (skip, shift) = (by / W::BITS, by % W::BITS);
+        let past_end = [W::zero(); 8];
+        for word in 0..stream.len() {
+            let lo = *stream.get(word + skip).unwrap_or(&past_end);
+            let hi = *stream.get(word + skip + 1).unwrap_or(&past_end);
+            stream[word] = funnel(lo, hi, shift).map(|bits| bits.and(kept[word]));
+        }
+        kh - geom.stride_h..kh
+    } else {
+        stream.fill([W::zero(); 8]);
+        0..kh
+    };
+    // OR each fresh in-bounds input row into its slot of every column;
+    // padding rows and columns stay 0.
+    for i in fresh {
+        let iy = oy * geom.stride_h + i;
+        if iy < geom.pad_h || iy - geom.pad_h >= s.h {
+            continue;
+        }
+        let src = planes.plane(0).pixel_offset(n, iy - geom.pad_h, 0);
+        for x in 0..s.w {
+            for t in 0..wpp {
+                let at = (x + geom.pad_w) * col_bits + i * s.c + t * W::BITS;
+                let (word, shift) = (at / W::BITS, at % W::BITS);
+                // The pixel word's valid bits straddle a stream word.
+                let spills = shift + (s.c - t * W::BITS).min(W::BITS) > W::BITS;
+                for (p, plane) in plane_words.iter().enumerate() {
+                    let bits = plane[src + x * wpp + t];
+                    stream[word][p] = stream[word][p].or(bits.shl(shift));
+                    if spills {
+                        stream[word + 1][p] = stream[word + 1][p].or(bits.shr(W::BITS - shift));
                     }
                 }
             }
         }
+    }
+
+    let words = bank.window_words;
+    let tail_mask = W::low_mask(geom.kw * col_bits - (words - 1) * W::BITS);
+    for ox in 0..ow {
+        // Window: `words` funnel shifts of the run starting at this
+        // column's stream bit, the bits past the window's end cleared.
+        let at = ox * geom.stride_w * col_bits;
+        let (first, shift) = (at / W::BITS, at % W::BITS);
+        for (t, win) in window.iter_mut().enumerate() {
+            *win = funnel(stream[first + t], stream[first + t + 1], shift);
+        }
+        let last = &mut window[words - 1];
+        for bits in last.iter_mut() {
+            *bits = bits.and(tail_mask);
+        }
         // The filter-independent half, once per pixel.
-        let mut ones = [0i32; 8];
-        for group in window.iter() {
-            for (count, bits) in ones.iter_mut().zip(group) {
-                *count += bits.popcount() as i32;
+        let mut total = 0i32;
+        for p in (0..8).rev() {
+            total *= 2;
+            for win in window.iter() {
+                total += win[p].popcount() as i32;
             }
         }
-        let total = combine_planes(&ones);
-        for k in 0..k_total {
-            let mut pos = [0i32; 8];
-            for (group, &fw) in window.iter().zip(flat.tap_words(k, 0, 0)) {
-                for (count, bits) in pos.iter_mut().zip(group) {
-                    *count += bits.and(fw).popcount() as i32;
+        // Eqn (2), a filter group per pass: lane `l` sums plane `p`'s masked
+        // popcounts against filter `l`, weighted `2^p`.
+        for (g, group) in bank.lanes.chunks_exact(words).enumerate() {
+            let mut acc = [0u64; LANES];
+            for (win, filt) in window.iter().zip(group) {
+                for (p, bits) in win.iter().enumerate() {
+                    for (a, f) in acc.iter_mut().zip(filt) {
+                        *a += u64::from(bits.and(*f).popcount()) << p;
+                    }
                 }
             }
-            emit(ox, k, 2 * combine_planes(&pos) - total);
+            let mut sums = [0i32; LANES];
+            for (sum, a) in sums.iter_mut().zip(acc) {
+                *sum = 2 * a as i32 - total;
+            }
+            // A full group goes out as an array: the sink unrolls over it.
+            let k0 = g * LANES;
+            if k0 + LANES <= k_total {
+                emit(ox, k0, &sums);
+            } else {
+                emit(ox, k0, &sums[..k_total - k0]);
+            }
         }
     }
 }
 
 fn output_shape<W: BitWord>(
     planes: &BitPlanes<W>,
-    filters: &PackedFilters<W>,
+    bank: &PlaneBank<W>,
     geom: &ConvGeometry,
 ) -> Shape4 {
     let s = planes.shape();
-    let fs = filters.shape();
+    let fs = bank.shape;
     assert_eq!(
         s.c, fs.c,
         "plane channels {} != filter channels {}",
@@ -184,12 +343,12 @@ fn output_shape<W: BitWord>(
 }
 
 /// Functional body of the fused bit-plane convolution: one row task per
-/// output row, each owning one gathered-window scratch. Output bits are
-/// OR-ed in — `out` must come in zeroed, as [`bitplane_conv_fused_into`]
-/// resets it.
+/// output row, the plane-stream scratch owned by the worker. Output bits
+/// are OR-ed in — `out` must come in zeroed, as
+/// [`bitplane_conv_bank_into`] resets it.
 pub fn compute_bitplane_conv_fused<W: BitWord>(
     planes: &BitPlanes<W>,
-    filters: &PackedFilters<W>,
+    bank: &PlaneBank<W>,
     fused: &FusedBn,
     geom: &ConvGeometry,
     out: &mut BitTensor<W>,
@@ -197,18 +356,23 @@ pub fn compute_bitplane_conv_fused<W: BitWord>(
     let os = out.shape();
     let (oh, ow) = (os.h, os.w);
     let wpp = out.words_per_pixel();
-    let flat = flatten_filters(filters);
-    par_chunks_mut(out.as_mut_words(), ow * wpp, |row_idx, row_span| {
-        let mut window = plane_window(&flat);
-        let (n, oy) = (row_idx / oh, row_idx % oh);
-        let mut sink = BitSink::new(fused, row_span, wpp);
-        let emit = move |ox, k, s| sink.put(ox, k, &[s]);
-        bitplane_row(planes, &flat, geom, &mut window, n, oy, ow, emit);
-    });
+    par_chunks_mut_with(
+        out.as_mut_words(),
+        ow * wpp,
+        || PlaneStream::new(bank, geom, planes.shape().w),
+        |scratch, row_idx, row_span| {
+            let (n, oy) = (row_idx / oh, row_idx % oh);
+            let mut sink = BitSink::new(fused, row_span, wpp);
+            let emit = move |ox, k0, sums: &[i32]| sink.put(ox, k0, sums);
+            bitplane_row(planes, bank, geom, scratch, n, oy, ow, emit);
+        },
+    );
 }
 
 /// Dispatches the fused first-layer convolution: Eqn (2) accumulation +
-/// batch-norm + binarize + pack.
+/// batch-norm + binarize + pack. Interleaves `filters` first; a caller that
+/// runs the layer more than once stages a [`PlaneBank`] and calls
+/// [`bitplane_conv_bank_into`].
 ///
 /// # Panics
 ///
@@ -226,7 +390,7 @@ pub fn bitplane_conv_fused<W: BitWord>(
 }
 
 /// [`bitplane_conv_fused`] into a caller-provided tensor (reset to the
-/// output shape), reusing its storage — the engine's arena path.
+/// output shape), reusing its storage.
 pub fn bitplane_conv_fused_into<W: BitWord>(
     q: &mut CommandQueue,
     planes: &BitPlanes<W>,
@@ -235,17 +399,34 @@ pub fn bitplane_conv_fused_into<W: BitWord>(
     geom: &ConvGeometry,
     out: &mut BitTensor<W>,
 ) {
-    let os = output_shape(planes, filters, geom);
+    bitplane_conv_bank_into(q, planes, &PlaneBank::new(filters), fused, geom, out);
+}
+
+/// [`bitplane_conv_fused_into`] over a bank staged once — the engine's
+/// arena path.
+///
+/// # Panics
+///
+/// Panics on channel mismatches or when `fused.len() != bank.shape().k`.
+pub fn bitplane_conv_bank_into<W: BitWord>(
+    q: &mut CommandQueue,
+    planes: &BitPlanes<W>,
+    bank: &PlaneBank<W>,
+    fused: &FusedBn,
+    geom: &ConvGeometry,
+    out: &mut BitTensor<W>,
+) {
+    let os = output_shape(planes, bank, geom);
     assert_eq!(
         fused.len(),
-        filters.shape().k,
+        bank.shape.k,
         "fusion params must cover every filter"
     );
     out.reset(os);
     let policy = WorkloadPolicy::for_channels(planes.shape().c);
     let profile = profiles::bitplane_conv_fused(os.pixels(), os.c, planes.shape().c, geom, &policy);
     q.launch(profile, || {
-        compute_bitplane_conv_fused(planes, filters, fused, geom, out)
+        compute_bitplane_conv_fused(planes, bank, fused, geom, out)
     });
 }
 
@@ -257,7 +438,8 @@ pub fn bitplane_conv_accum<W: BitWord>(
     filters: &PackedFilters<W>,
     geom: &ConvGeometry,
 ) -> Tensor<i32> {
-    let os = output_shape(planes, filters, geom);
+    let bank = &PlaneBank::new(filters);
+    let os = output_shape(planes, bank, geom);
     let mut out = Tensor::<i32>::zeros(os, Layout::Nhwc);
     let policy = WorkloadPolicy::for_channels(planes.shape().c);
     let mut profile =
@@ -265,14 +447,19 @@ pub fn bitplane_conv_accum<W: BitWord>(
     profile.name = "bitplane_conv_accum".into();
     let k_total = os.c;
     let (oh, ow) = (os.h, os.w);
-    let flat = flatten_filters(filters);
     q.launch(profile, || {
-        par_chunks_mut(out.as_mut_slice(), ow * k_total, |row_idx, row| {
-            let mut window = plane_window(&flat);
-            let (n, oy) = (row_idx / oh, row_idx % oh);
-            let emit = move |ox: usize, k: usize, s| row[ox * k_total + k] = s;
-            bitplane_row(planes, &flat, geom, &mut window, n, oy, ow, emit);
-        });
+        par_chunks_mut_with(
+            out.as_mut_slice(),
+            ow * k_total,
+            || PlaneStream::new(bank, geom, planes.shape().w),
+            |scratch, row_idx, row| {
+                let (n, oy) = (row_idx / oh, row_idx % oh);
+                let emit = move |ox: usize, k0: usize, sums: &[i32]| {
+                    row[ox * k_total + k0..][..sums.len()].copy_from_slice(sums)
+                };
+                bitplane_row(planes, bank, geom, scratch, n, oy, ow, emit);
+            },
+        );
     });
     out
 }

@@ -4,6 +4,15 @@
 //! conv9) and implements it with the OpenCL `dot()` SIMD builtin, which is
 //! why Fig 5 still shows a ~3x win over CNNdroid there. The same functional
 //! body is reused by the baseline frameworks with their own cost profiles.
+//!
+//! On the host the kernel is that `dot()`: in NHWC a window row's in-bounds
+//! taps are one contiguous run of `taps·c` floats, and so are the same taps
+//! of a filter, so an output is `kh` slice dot products — no per-element
+//! index arithmetic or bounds check. Products are summed in 16 fixed
+//! lanes (element `e` of a run into lane `e % 16`) and the lanes
+//! added pairwise in a fixed order, with separate multiply and add, so the
+//! result does not depend on the vector width: every [`isa`] tier, entered
+//! once per output row, returns the same bits.
 
 use phonebit_gpusim::exec::par_chunks_mut;
 use phonebit_gpusim::queue::CommandQueue;
@@ -11,10 +20,44 @@ use phonebit_tensor::shape::{ConvGeometry, Layout, Shape4};
 use phonebit_tensor::tensor::{Filters, Tensor};
 
 use crate::act::Activation;
-use crate::kernels::profiles;
+use crate::kernels::tiled::BorderSpan;
+use crate::kernels::{isa, profiles};
+
+/// Partial sums a dot product keeps side by side: one 512-bit vector of
+/// `f32`.
+const LANES: usize = 16;
+
+/// Adds the products of `a` and `b` (equal lengths) into `acc`, element `e`
+/// into lane `e % LANES`.
+#[inline(always)]
+fn dot_into(acc: &mut [f32; LANES], a: &[f32], b: &[f32]) {
+    let (a_body, a_tail) = a.as_chunks::<LANES>();
+    let (b_body, b_tail) = b.as_chunks::<LANES>();
+    for (x, y) in a_body.iter().zip(b_body) {
+        for l in 0..LANES {
+            acc[l] += x[l] * y[l];
+        }
+    }
+    for ((sum, x), y) in acc.iter_mut().zip(a_tail).zip(b_tail) {
+        *sum += x * y;
+    }
+}
+
+/// The sum of the lanes, halving 16 → 8 → 4 → 2 → 1.
+#[inline(always)]
+fn sum_lanes(mut acc: [f32; LANES]) -> f32 {
+    let mut width = LANES / 2;
+    while width > 0 {
+        for l in 0..width {
+            acc[l] += acc[l + width];
+        }
+        width /= 2;
+    }
+    acc[0]
+}
 
 /// Functional body of direct float convolution over NHWC with zero padding,
-/// bias and activation.
+/// bias and activation: one task per output row (see the module docs).
 pub fn compute_fconv(
     input: &Tensor<f32>,
     filters: &Filters,
@@ -23,35 +66,55 @@ pub fn compute_fconv(
     geom: &ConvGeometry,
     out: &mut Tensor<f32>,
 ) {
+    let input = input.nhwc();
     let s = input.shape();
-    let fs = filters.shape();
     let os = out.shape();
-    let (oh, ow) = (os.h, os.w);
-    let k_total = fs.k;
-    par_chunks_mut(out.as_mut_slice(), k_total, |pixel, row| {
-        let n = pixel / (oh * ow);
-        let rem = pixel % (oh * ow);
-        let (oy, ox) = (rem / ow, rem % ow);
-        for (k, slot) in row.iter_mut().enumerate() {
-            let mut acc = bias[k];
-            for i in 0..fs.kh {
-                let iy = (oy * geom.stride_h + i) as isize - geom.pad_h as isize;
-                if iy < 0 || iy as usize >= s.h {
-                    continue;
-                }
-                for j in 0..fs.kw {
-                    let ix = (ox * geom.stride_w + j) as isize - geom.pad_w as isize;
-                    if ix < 0 || ix as usize >= s.w {
-                        continue;
-                    }
-                    for c in 0..fs.c {
-                        acc += input.at(n, iy as usize, ix as usize, c) * filters.at(k, i, j, c);
-                    }
-                }
-            }
-            *slot = act.apply(acc);
-        }
+    let k_total = filters.shape().k;
+    par_chunks_mut(out.as_mut_slice(), os.w * k_total, |row_idx, row| {
+        let (n, oy) = (row_idx / os.h, row_idx % os.h);
+        isa::run(
+            #[inline(always)]
+            || fconv_row(input.as_slice(), s, filters, bias, act, geom, n, oy, row),
+        );
     });
+}
+
+/// One output row of [`compute_fconv`]: `row` holds its `ow × k` outputs,
+/// `pixels` the NHWC input of shape `s`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn fconv_row(
+    pixels: &[f32],
+    s: Shape4,
+    filters: &Filters,
+    bias: &[f32],
+    act: Activation,
+    geom: &ConvGeometry,
+    n: usize,
+    oy: usize,
+    row: &mut [f32],
+) {
+    let fs = filters.shape();
+    for (ox, outputs) in row.chunks_exact_mut(fs.k).enumerate() {
+        // The in-bounds taps of window row `i` are one contiguous run, in
+        // the input and in every filter; a window wholly in padding has
+        // no rows to dot.
+        let span = BorderSpan::of(geom, s.h, s.w, oy, ox);
+        let run = (span.j1 - span.j0) * s.c;
+        let rows = if run == 0 { 0..0 } else { span.i0..span.i1 };
+        for (k, (output, &b)) in outputs.iter_mut().zip(bias).enumerate() {
+            let filter = filters.filter(k);
+            let mut acc = [0f32; LANES];
+            for i in rows.clone() {
+                let iy = oy * geom.stride_h + i - geom.pad_h;
+                let ix = ox * geom.stride_w + span.j0 - geom.pad_w;
+                let at = ((n * s.h + iy) * s.w + ix) * s.c;
+                let taps = (i * fs.kw + span.j0) * s.c;
+                dot_into(&mut acc, &pixels[at..at + run], &filter[taps..taps + run]);
+            }
+            *output = act.apply(b + sum_lanes(acc));
+        }
+    }
 }
 
 /// Dispatches PhoneBit's full-precision convolution (`dot()` SIMD profile).

@@ -35,8 +35,7 @@ use phonebit_tensor::shape::{ConvGeometry, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
 use crate::fuse::{BitSink, FusedBn};
-use crate::kernels::bgemm::flatten_filters;
-use crate::kernels::bitplane::{bitplane_row, plane_window};
+use crate::kernels::bitplane::{bitplane_row, PlaneBank, PlaneStream};
 use crate::kernels::pool::PoolGeometry;
 use crate::kernels::profiles::{compulsory_input_bytes, words32, PACKED_COALESCING, VEC_LANES_128};
 use crate::kernels::tiled::{conv_row_tiled, WindowGather};
@@ -245,7 +244,7 @@ pub fn compute_bconv_pool_chain<W: BitWord>(
 /// Functional body of the fused bit-plane conv→pool chain (Eqn 2 core).
 pub fn compute_in8_pool_chain<W: BitWord>(
     planes: &BitPlanes<W>,
-    filters: &PackedFilters<W>,
+    bank: &PlaneBank<W>,
     fused: &FusedBn,
     geom: &ConvGeometry,
     pool: &PoolGeometry,
@@ -254,12 +253,11 @@ pub fn compute_in8_pool_chain<W: BitWord>(
 ) {
     let s = planes.shape();
     let (conv_oh, conv_ow) = geom.output_hw(s.h, s.w);
-    let flat = flatten_filters(filters);
-    let mut window = plane_window(&flat);
+    let mut scratch = PlaneStream::new(bank, geom, s.w);
     pooled_rows(s.n, conv_oh, conv_ow, pool, ring, out, |n, oy, wpp, row| {
         let mut sink = BitSink::new(fused, row, wpp);
-        let emit = move |ox, k, s| sink.put(ox, k, &[s]);
-        bitplane_row(planes, &flat, geom, &mut window, n, oy, conv_ow, emit);
+        let emit = move |ox, k0, sums: &[i32]| sink.put(ox, k0, sums);
+        bitplane_row(planes, bank, geom, &mut scratch, n, oy, conv_ow, emit);
     });
 }
 
@@ -381,7 +379,7 @@ pub fn pack_bconv_chain_into<W: BitWord>(
 pub fn in8_bconv_chain_into<W: BitWord>(
     q: &mut CommandQueue,
     input: &Tensor<u8>,
-    filters: &PackedFilters<W>,
+    bank: &PlaneBank<W>,
     fused: &FusedBn,
     geom: &ConvGeometry,
     pool: Option<&PoolGeometry>,
@@ -390,7 +388,7 @@ pub fn in8_bconv_chain_into<W: BitWord>(
     out: &mut BitTensor<W>,
 ) {
     let s = input.shape();
-    let fs = filters.shape();
+    let fs = bank.shape();
     assert_eq!(
         s.c, fs.c,
         "input channels {} != filter channels {}",
@@ -417,10 +415,10 @@ pub fn in8_bconv_chain_into<W: BitWord>(
     q.launch(profile, || {
         planes.split_from(input);
         match pool {
-            Some(p) => compute_in8_pool_chain(planes, filters, fused, geom, p, ring, out),
+            Some(p) => compute_in8_pool_chain(planes, bank, fused, geom, p, ring, out),
             None => {
                 crate::kernels::bitplane::compute_bitplane_conv_fused(
-                    planes, filters, fused, geom, out,
+                    planes, bank, fused, geom, out,
                 );
             }
         }
@@ -607,6 +605,7 @@ mod tests {
         let fused = test_bn(16);
         let geom = ConvGeometry::square(3, 1, 1);
         let filters = pack_filters::<u64>(&f);
+        let bank = PlaneBank::new(&filters);
 
         let mut q = queue();
         let planes = bitplane_split::<u64>(&mut q, &img);
@@ -618,7 +617,7 @@ mod tests {
         in8_bconv_chain_into(
             &mut q2,
             &img,
-            &filters,
+            &bank,
             &fused,
             &geom,
             None,
@@ -637,7 +636,7 @@ mod tests {
         in8_bconv_chain_into(
             &mut q4,
             &img,
-            &filters,
+            &bank,
             &fused,
             &geom,
             Some(&pool),
@@ -660,6 +659,7 @@ mod tests {
         let fused = test_bn(12);
         let geom = ConvGeometry::square(11, 4, 0);
         let filters = pack_filters::<u64>(&f);
+        let bank = PlaneBank::new(&filters);
 
         let mut q = queue();
         let planes = bitplane_split::<u64>(&mut q, &img);
@@ -674,7 +674,7 @@ mod tests {
             in8_bconv_chain_into(
                 &mut q2,
                 &img,
-                &filters,
+                &bank,
                 &fused,
                 &geom,
                 pool,

@@ -16,7 +16,8 @@
 //!   already lowers to NEON `cnt`.
 //! - **Where the frame boundary is.** `run` is called once per row task
 //!   (`tiled::conv_row_tiled`, `tiled::tile_filters`,
-//!   `bitplane::bitplane_row`, `dense::compute_dense_bin`), never per word.
+//!   `bitplane::bitplane_row`, `dense::compute_dense_bin`, `fconv`'s pixel
+//!   rows), never per word.
 //!   A `#[target_feature]` function cannot be inlined into its caller, so
 //!   the call is the boundary; everything below it — the driver, the
 //!   microkernel, `ClVec`, `BitWord::popcount`, the packed-bit sink — is
@@ -164,12 +165,14 @@ mod tests {
     use phonebit_tensor::bits::{BitTensor, BitWord, PackedFilters};
     use phonebit_tensor::dict::{FilterAccess, FilterDict};
     use phonebit_tensor::shape::{ConvGeometry, FilterShape, Layout, Shape4};
-    use phonebit_tensor::tensor::Tensor;
+    use phonebit_tensor::tensor::{Filters, Tensor};
 
+    use crate::act::Activation;
     use crate::fuse::FusedBn;
     use crate::kernels::bgemm::flatten_filters;
-    use crate::kernels::bitplane::{bitplane_row, bitplane_row_portable, plane_window};
+    use crate::kernels::bitplane::{bitplane_row, bitplane_row_portable, PlaneBank, PlaneStream};
     use crate::kernels::dense::{compute_dense_bin, compute_dense_bin_portable};
+    use crate::kernels::fconv::{compute_fconv, fconv_row};
     use crate::kernels::tiled::{
         conv_row_tiled, conv_row_tiled_portable, tile_filters, tile_filters_portable, WindowGather,
     };
@@ -364,34 +367,55 @@ mod tests {
             return Ok(());
         }
         let mut rng = seed;
-        let mut image = Tensor::<u8>::zeros(Shape4::new(1, h, w, c), Layout::Nhwc);
+        let mut image = Tensor::<u8>::zeros(Shape4::new(2, h, w, c), Layout::Nhwc);
         for v in image.as_mut_slice() {
             *v = next(&mut rng) as u8;
         }
         let planes = BitPlanes::<W>::split(&image);
         let filters = random_filters::<W>(FilterShape::new(k, kernel, kernel, c), 5, &mut rng);
-        let flat = flatten_filters(&filters);
+        let bank = PlaneBank::new(&filters);
         let geom = ConvGeometry::square(kernel, stride, pad);
         let (oh, ow) = geom.output_hw(h, w);
-        let mut window = plane_window(&flat);
-        for oy in 0..oh {
+        // One scratch across rows, images and tiers, as a worker keeps it.
+        let mut scratch = PlaneStream::new(&bank, &geom, w);
+        for (n, oy) in (0..2).flat_map(|n| (0..oh).map(move |oy| (n, oy))) {
             let portable = same_on_every_tier(|tier| {
                 let mut out = vec![i32::MIN; ow * k];
-                let emit = |ox: usize, kk: usize, s: i32| out[ox * k + kk] = s;
-                let win = &mut window[..];
+                let emit = record(&mut out, k);
+                let scr = &mut scratch;
                 match tier {
-                    None => bitplane_row(&planes, &flat, &geom, win, 0, oy, ow, emit),
+                    None => bitplane_row(&planes, &bank, &geom, scr, n, oy, ow, emit),
                     Some(tier) => run_on(
                         tier,
                         #[inline(always)]
-                        || bitplane_row_portable(&planes, &flat, &geom, win, 0, oy, ow, emit),
+                        || bitplane_row_portable(&planes, &bank, &geom, scr, n, oy, ow, emit),
                     ),
                 }
                 out
             })?;
-            prop_assert!(!portable.contains(&i32::MIN));
+            // The oracle: a direct `u8 × ±1` zero-padded convolution.
+            for (at, &got) in portable.iter().enumerate() {
+                let (ox, kk) = (at / k, at % k);
+                let mut expect = 0i32;
+                for (i, j, ch) in taps(kernel, c) {
+                    let (iy, ix) = (oy * stride + i, ox * stride + j);
+                    if (pad..h + pad).contains(&iy) && (pad..w + pad).contains(&ix) {
+                        let sign = if filters.get_bit(kk, i, j, ch) { 1 } else { -1 };
+                        expect += sign * i32::from(image.at(n, iy - pad, ix - pad, ch));
+                    }
+                }
+                prop_assert!(
+                    got == expect,
+                    "n {n} oy {oy} ox {ox} k {kk}: {got} != {expect}"
+                );
+            }
         }
         Ok(())
+    }
+
+    /// Every `(i, j, ch)` of a square `kernel`-tap, `c`-channel window.
+    fn taps(kernel: usize, c: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+        (0..kernel * kernel * c).map(move |t| (t / (kernel * c), t / c % kernel, t % c))
     }
 
     fn dense_case<W: BitWord>(features: usize, k: usize, seed: u64) -> Result<(), TestCaseError> {
@@ -417,6 +441,82 @@ mod tests {
             out
         })?;
         prop_assert!(portable.tail_is_clean());
+        Ok(())
+    }
+
+    /// A float in `[-1, 1)` with a 16-bit mantissa.
+    fn unit(rng: &mut u64) -> f32 {
+        (next(rng) % 65536) as f32 / 32768.0 - 1.0
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn fconv_case(
+        h: usize,
+        w: usize,
+        c: usize,
+        k: usize,
+        kernel: usize,
+        stride: usize,
+        pad: usize,
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        if h + 2 * pad < kernel || w + 2 * pad < kernel {
+            return Ok(());
+        }
+        let mut rng = seed;
+        let shape = Shape4::new(2, h, w, c);
+        let input = Tensor::from_fn(shape, |_, _, _, _| unit(&mut rng));
+        let filters = Filters::from_fn(FilterShape::new(k, kernel, kernel, c), |_, _, _, _| {
+            unit(&mut rng)
+        });
+        let bias: Vec<f32> = (0..k).map(|_| unit(&mut rng)).collect();
+        let act = Activation::Leaky(0.1);
+        let geom = ConvGeometry::square(kernel, stride, pad);
+        let (oh, ow) = geom.output_hw(h, w);
+        let os = Shape4::new(2, oh, ow, k);
+        // Bit for bit: outputs are compared as their `u32` patterns.
+        let portable = same_on_every_tier(|tier| {
+            let mut out = Tensor::from_fn(os, |_, _, _, _| f32::NAN);
+            match tier {
+                None => compute_fconv(&input, &filters, &bias, act, &geom, &mut out),
+                Some(tier) => {
+                    for (row_idx, row) in out.as_mut_slice().chunks_exact_mut(ow * k).enumerate() {
+                        let (n, oy) = (row_idx / oh, row_idx % oh);
+                        let pixels = input.as_slice();
+                        run_on(
+                            tier,
+                            #[inline(always)]
+                            || fconv_row(pixels, shape, &filters, &bias, act, &geom, n, oy, row),
+                        );
+                    }
+                }
+            }
+            out.as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        })?;
+        // And right: an `f64` direct convolution, to 1e-5 of the magnitude
+        // summed.
+        for (at, &got) in portable.iter().enumerate() {
+            let (n, oy, ox, kk) = (at / (oh * ow * k), at / (ow * k) % oh, at / k % ow, at % k);
+            let (mut sum, mut magnitude) = (f64::from(bias[kk]), f64::from(bias[kk].abs()));
+            for (i, j, ch) in taps(kernel, c) {
+                let (iy, ix) = (oy * stride + i, ox * stride + j);
+                if (pad..h + pad).contains(&iy) && (pad..w + pad).contains(&ix) {
+                    let product = f64::from(input.at(n, iy - pad, ix - pad, ch))
+                        * f64::from(filters.at(kk, i, j, ch));
+                    sum += product;
+                    magnitude += product.abs();
+                }
+            }
+            let expect = f64::from(act.apply(sum as f32));
+            let got = f64::from(f32::from_bits(got));
+            prop_assert!(
+                (got - expect).abs() <= 1e-5 * magnitude.max(1.0),
+                "n {n} oy {oy} ox {ox} k {kk}: {got} vs {expect}"
+            );
+        }
         Ok(())
     }
 
@@ -463,19 +563,55 @@ mod tests {
 
         #[test]
         fn dispatched_bitplane_row_equals_portable(
+            // One-pixel-high and one-pixel-wide images included.
             h in 1usize..7,
             w in 1usize..8,
-            c in prop::sample::select(vec![1usize, 3, 4, 13]),
-            k in 1usize..10,
+            // 70 channels: two words per pixel at `u64`, nine at `u8`.
+            c in prop::sample::select(vec![1usize, 3, 4, 13, 70]),
+            // Up to two full filter groups and a tail.
+            k in 1usize..20,
             kernel in prop::sample::select(vec![1usize, 3, 5]),
             stride in 1usize..3,
-            pad in 0usize..3,
+            // Up to `pad > kernel / 2`: windows wholly in padding.
+            pad in 0usize..4,
             seed in any::<u64>(),
         ) {
             bitplane_row_case::<u8>(h, w, c, k, kernel, stride, pad, seed)?;
             bitplane_row_case::<u16>(h, w, c, k, kernel, stride, pad, seed)?;
             bitplane_row_case::<u32>(h, w, c, k, kernel, stride, pad, seed)?;
             bitplane_row_case::<u64>(h, w, c, k, kernel, stride, pad, seed)?;
+        }
+
+        // AlexNet's conv1 geometry: 363-bit windows, six words at `u64`,
+        // sliding 132 stream bits per output column.
+        #[test]
+        fn dispatched_bitplane_row_equals_portable_11x11_stride_4(
+            h in 11usize..16,
+            w in 11usize..24,
+            k in 1usize..20,
+            pad in 0usize..3,
+            seed in any::<u64>(),
+        ) {
+            bitplane_row_case::<u8>(h, w, 3, k, 11, 4, pad, seed)?;
+            bitplane_row_case::<u16>(h, w, 3, k, 11, 4, pad, seed)?;
+            bitplane_row_case::<u32>(h, w, 3, k, 11, 4, pad, seed)?;
+            bitplane_row_case::<u64>(h, w, 3, k, 11, 4, pad, seed)?;
+        }
+
+        // The float head: 1x1 over many channels (YOLO's conv9 shape, with
+        // `c % 16 != 0` tails) and 3x3 with padding and stride 2.
+        #[test]
+        fn dispatched_fconv_is_bit_identical_and_right(
+            h in 1usize..6,
+            w in 1usize..7,
+            c in prop::sample::select(vec![1usize, 3, 16, 37, 70]),
+            k in 1usize..7,
+            kernel in prop::sample::select(vec![1usize, 3]),
+            stride in 1usize..3,
+            pad in 0usize..3,
+            seed in any::<u64>(),
+        ) {
+            fconv_case(h, w, c, k, kernel, stride, pad, seed)?;
         }
 
         #[test]

@@ -128,12 +128,12 @@ pub fn bit_dot_tile<W: BitWord, const P: usize, const F: usize>(
 /// windows in filter-raster layout (tap `(i, j)` at word offset
 /// `(i*kw + j) * words_per_tap`).
 ///
-/// Allocated once per output row task and reused across all pixels and
-/// filters of the row — the simulated analogue of a work item's private
+/// Allocated once per worker per dispatch and reused across all pixels and
+/// filters of its rows — the simulated analogue of a work item's private
 /// window cache (§VI-B). It also owns the scratch of the dictionary
 /// read-through (`dict_tile`) — the tap × unique-row count table and a
-/// word-major copy of the dictionary — built by the row's first pixel tile
-/// and reused by the rest.
+/// word-major copy of the dictionary — built by the worker's first pixel
+/// tile and reused by the rest.
 #[derive(Debug)]
 pub struct WindowGather<W: BitWord> {
     kh: usize,
@@ -222,7 +222,7 @@ impl<W: BitWord> WindowGather<W> {
         let taps = self.window_words / wpt;
         let unique = dict_rows.len() / wpt;
         if self.dict_table.len() != taps * unique {
-            // First tile of the row task: size the table, and lay the
+            // First tile of the dispatch: size the table, and lay the
             // dictionary out word-major — word `j` of every unique row side
             // by side — so the dots below run across rows, a vector of
             // rows per popcount.

@@ -264,9 +264,16 @@ impl<W: BitWord> BitTensor<W> {
     /// the engine's arena slots, which are sized once at plan time and
     /// reset per inference.
     pub fn reset(&mut self, shape: Shape4) {
+        self.data.clear();
+        self.reset_for_overwrite(shape);
+    }
+
+    /// [`BitTensor::reset`] for a caller that stores every word itself:
+    /// words the buffer already holds keep their stale contents instead of
+    /// being zero-filled first (only growth is zeroed).
+    pub fn reset_for_overwrite(&mut self, shape: Shape4) {
         self.shape = shape;
         self.words_per_pixel = shape.c.div_ceil(W::BITS);
-        self.data.clear();
         self.data
             .resize(shape.pixels() * self.words_per_pixel, W::zero());
     }

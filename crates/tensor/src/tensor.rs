@@ -5,6 +5,8 @@
 //! NHWC and NCHW is explicit so the cost of the baselines' layout choice can
 //! be studied rather than hidden.
 
+use std::borrow::Cow;
+
 use crate::shape::{Layout, Shape4};
 
 /// Element types storable in a [`Tensor`].
@@ -159,6 +161,15 @@ impl<T: Element> Tensor<T> {
             }
         }
         out
+    }
+
+    /// The tensor in NHWC: itself when it already is, else a converted copy
+    /// — for kernels that walk contiguous channel runs.
+    pub fn nhwc(&self) -> Cow<'_, Self> {
+        match self.layout {
+            Layout::Nhwc => Cow::Borrowed(self),
+            Layout::Nchw => Cow::Owned(self.to_layout(Layout::Nhwc)),
+        }
     }
 
     /// Iterates over `((n, h, w, c), value)` in logical NHWC order.

@@ -23,10 +23,13 @@ use phonebit::tensor::shape::Shape4;
 struct Counting;
 
 static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
+/// Calls to `alloc` and `realloc`, whatever their size.
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 {
         ALLOCATED.fetch_add(l.size(), Ordering::Relaxed);
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         unsafe { System.alloc(l) }
     }
     unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
@@ -34,6 +37,7 @@ unsafe impl GlobalAlloc for Counting {
     }
     unsafe fn realloc(&self, p: *mut u8, l: Layout, new_size: usize) -> *mut u8 {
         ALLOCATED.fetch_add(new_size.saturating_sub(l.size()), Ordering::Relaxed);
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         unsafe { System.realloc(p, l, new_size) }
     }
 }
@@ -99,6 +103,28 @@ fn steady_run_bytes(hw: usize) -> (usize, usize) {
     let model = convert(&fill_weights(&arch(hw), 9));
     let session = Session::new(model, &Phone::xiaomi_9()).expect("fits");
     steady_session_bytes(session.with_output_capture(false), hw)
+}
+
+/// Heap allocations (calls, not bytes) one steady-state run on the default
+/// plan makes, median of 3 after 2 warm-up runs.
+fn steady_run_allocations(hw: usize) -> usize {
+    let model = convert(&fill_weights(&arch(hw), 9));
+    let mut session = Session::new(model, &Phone::xiaomi_9())
+        .expect("fits")
+        .with_output_capture(false);
+    let img = synthetic_image(Shape4::new(1, hw, hw, 3), 4);
+    for _ in 0..2 {
+        session.run_u8(&img).expect("warm-up");
+    }
+    let mut samples: Vec<usize> = (0..3)
+        .map(|_| {
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            session.run_u8(&img).expect("steady run");
+            ALLOCATIONS.load(Ordering::Relaxed) - before
+        })
+        .collect();
+    samples.sort_unstable();
+    samples[1]
 }
 
 /// A steady-state run when `CompressionMode::Auto` stages conv2's bank as a
@@ -247,6 +273,17 @@ fn steady_state_runs_do_not_allocate_activations() {
     assert!(
         large_bytes < small_bytes.max(1) * 6 + 4096,
         "per-run heap scaled with activation size: {small_bytes} B -> {large_bytes} B"
+    );
+
+    // Kernel scratch (the first layer's plane stream, the tiled kernels'
+    // window gather) belongs to the worker, not to the row task: three
+    // times the output rows make the same number of allocations.
+    let (small_allocations, large_allocations) =
+        (steady_run_allocations(32), steady_run_allocations(96));
+    assert!(
+        large_allocations <= small_allocations + 4,
+        "steady-run allocation count grew with output rows: \
+         {small_allocations} at 32x32 -> {large_allocations} at 96x96"
     );
 
     // Reading through a dictionary-compressed bank must not cost the
