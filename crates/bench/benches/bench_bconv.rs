@@ -14,6 +14,7 @@ use phonebit_nn::fuse::FusedBn;
 use phonebit_nn::kernels::bconv::{compute_bconv_fused, compute_bconv_fused_reference};
 use phonebit_nn::kernels::fconv::compute_fconv;
 use phonebit_tensor::bits::BitTensor;
+use phonebit_tensor::lanes::LaneBank;
 use phonebit_tensor::pack::{pack_f32, pack_filters};
 use phonebit_tensor::shape::{ConvGeometry, FilterShape, Layout, Shape4};
 use phonebit_tensor::tensor::{Filters, Tensor};
@@ -56,13 +57,14 @@ fn bench_bconv(c: &mut Criterion) {
         let filters = pm1_filters(FilterShape::new(k, 3, 3, cin));
         let packed_in = pack_f32::<u64>(&input);
         let packed_f = pack_filters::<u64>(&filters);
+        let bank = LaneBank::new(&packed_f);
         let fused = FusedBn::identity(k);
         group.bench_with_input(BenchmarkId::new("tiled", name), &(), |b, ()| {
             b.iter(|| {
                 let mut out = BitTensor::<u64>::zeros(Shape4::new(1, hw, hw, k));
                 compute_bconv_fused(
                     black_box(&packed_in),
-                    black_box(&packed_f),
+                    black_box(&bank),
                     &fused,
                     &geom,
                     &mut out,
@@ -93,6 +95,7 @@ fn bench_bconv(c: &mut Criterion) {
     let filters = pm1_filters(fshape);
     let packed_in = pack_f32::<u64>(&input);
     let packed_f = pack_filters::<u64>(&filters);
+    let bank = LaneBank::new(&packed_f);
     let fused = FusedBn::identity(128);
     let bias = vec![0.0f32; 128];
     let mut group = c.benchmark_group("conv_128x128_52x52");
@@ -102,7 +105,7 @@ fn bench_bconv(c: &mut Criterion) {
             let mut out = BitTensor::<u64>::zeros(Shape4::new(1, 52, 52, 128));
             compute_bconv_fused(
                 black_box(&packed_in),
-                black_box(&packed_f),
+                black_box(&bank),
                 &fused,
                 &geom,
                 &mut out,

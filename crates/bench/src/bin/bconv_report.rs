@@ -33,11 +33,12 @@ use phonebit_nn::fuse::FusedBn;
 use phonebit_nn::kernels::bconv::{
     compute_bconv_fused, compute_bconv_fused_reference, compute_binarize_pack,
 };
-use phonebit_nn::kernels::bitplane::{bitplane_conv_accum, compute_bitplane_conv_fused, PlaneBank};
+use phonebit_nn::kernels::bitplane::{bitplane_conv_accum, compute_bitplane_conv_fused};
 use phonebit_nn::kernels::fconv::compute_fconv;
 use phonebit_nn::kernels::isa::IsaTier;
 use phonebit_tensor::bitplane::BitPlanes;
 use phonebit_tensor::bits::BitTensor;
+use phonebit_tensor::lanes::LaneBank;
 use phonebit_tensor::pack::{pack_f32, pack_filters};
 use phonebit_tensor::shape::{ConvGeometry, FilterShape, Layout, Shape4};
 use phonebit_tensor::tensor::{Filters, Tensor};
@@ -105,20 +106,27 @@ fn main() {
     let max_regression = numeric_flag("--max-regression").unwrap_or(5.0);
     let samples = if quick { 3 } else { 15 };
 
-    // The paper's YOLOv2-Tiny 3x3 binary layers with C >= 64, plus an odd
-    // channel count to keep the tail-word path honest.
+    // The paper's YOLOv2-Tiny 3x3 binary layers with C >= 64, an odd channel
+    // count to keep the tail-word path honest, and the window sizes a kernel
+    // change must be A/B-ed on (verify skill): VGG16's 9-, 36- and 72-word
+    // windows, and YOLO's 13x13 conv7, where over a quarter of the pixels
+    // touch the border.
     let shapes: &[(&str, usize, usize, usize)] = &[
         ("conv3_104x104_c64_k64", 104, 64, 64),
         ("conv4_52x52_c128_k128", 52, 128, 128),
         ("conv5_26x26_c128_k256", 26, 128, 256),
         ("odd_30x30_c100_k36", 30, 100, 36),
+        ("vgg_conv1_2_224x224_c64_k64", 224, 64, 64),
+        ("vgg_conv3_2_56x56_c256_k256", 56, 256, 256),
+        ("vgg_conv4_2_28x28_c512_k512", 28, 512, 512),
+        ("yolo_conv7_13x13_c512_k1024", 13, 512, 1024),
     ];
     let geom = ConvGeometry::square(3, 1, 1);
 
     let isa = IsaTier::detected().name();
     println!("host ISA tier: {isa} (reference rows: portable)\n");
     println!(
-        "{:<26} {:>14} {:>14} {:>9}  (median of {samples}, ns/pixel)",
+        "{:<28} {:>14} {:>14} {:>9}  (median of {samples}, ns/pixel)",
         "shape", "reference", "tiled", "speedup"
     );
     let mut results: Vec<Measurement> = Vec::new();
@@ -140,6 +148,8 @@ fn main() {
         });
         let packed_in = pack_f32::<u64>(&input);
         let packed_f = pack_filters::<u64>(&filters);
+        // Staged once, as the engine stages it.
+        let bank = LaneBank::new(&packed_f);
         let fused = FusedBn::identity(k);
         let out_shape = Shape4::new(1, hw, hw, k);
         let pixels = (hw * hw) as f64;
@@ -148,7 +158,7 @@ fn main() {
         let mut a = BitTensor::<u64>::zeros(out_shape);
         let mut b = BitTensor::<u64>::zeros(out_shape);
         compute_bconv_fused_reference(&packed_in, &packed_f, &fused, &geom, &mut a);
-        compute_bconv_fused(&packed_in, &packed_f, &fused, &geom, &mut b);
+        compute_bconv_fused(&packed_in, &bank, &fused, &geom, &mut b);
         assert_eq!(a, b, "tiled kernel diverged from reference on {name}");
 
         let t_ref = median_ns(samples, || {
@@ -158,13 +168,13 @@ fn main() {
         });
         let t_tiled = median_ns(samples, || {
             let mut out = BitTensor::<u64>::zeros(out_shape);
-            compute_bconv_fused(&packed_in, &packed_f, &fused, &geom, &mut out);
+            compute_bconv_fused(&packed_in, &bank, &fused, &geom, &mut out);
             std::hint::black_box(&out);
         });
         let speedup = t_ref / t_tiled;
         worst_speedup = worst_speedup.min(speedup);
         println!(
-            "{:<26} {:>14.1} {:>14.1} {:>8.2}x",
+            "{:<28} {:>14.1} {:>14.1} {:>8.2}x",
             name,
             t_ref / pixels,
             t_tiled / pixels,
@@ -216,7 +226,7 @@ fn main() {
         });
         let planes = BitPlanes::<u64>::split(&image);
         let packed_f = pack_filters::<u64>(&filters);
-        let bank = PlaneBank::new(&packed_f);
+        let bank = LaneBank::column_major(&packed_f);
         let fused = FusedBn::identity(k);
         let (oh, ow) = geom.output_hw(hw, hw);
         let out_shape = Shape4::new(1, oh, ow, k);

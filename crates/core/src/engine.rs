@@ -47,11 +47,11 @@ use phonebit_gpusim::queue::{CommandQueue, ExecMode};
 use phonebit_gpusim::DeviceProfile;
 use phonebit_gpusim::ExecutorClass;
 use phonebit_gpusim::Phone;
-use phonebit_nn::kernels::bitplane::PlaneBank;
 use phonebit_nn::kernels::{self, bconv, bgemm, bitplane, dense, fconv, fused, pool};
 use phonebit_tensor::bitplane::BitPlanes;
-use phonebit_tensor::bits::{BitTensor, PackedFilters};
+use phonebit_tensor::bits::BitTensor;
 use phonebit_tensor::dict::FilterDict;
+use phonebit_tensor::lanes::LaneBank;
 use phonebit_tensor::shape::{Layout, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
@@ -274,40 +274,12 @@ fn grow_bits(slot: &mut Option<BitTensor<u64>>, shape: Shape4) {
 }
 
 /// The staged-once, immutable half of an inference engine: the model, its
-/// lowered [`ExecutionPlan`], the pre-flattened GEMM filter banks, and the
+/// lowered [`ExecutionPlan`], the pre-staged filter banks (interleaved,
+/// flattened and/or read through a dictionary per the plan), and the
 /// device residency for the packed weights. Everything here is read-only
 /// after staging, so any number of [`Stream`]s can share one `StagedModel`
 /// behind an [`Arc`] — the paper's stage-weights-once claim extended from
 /// one batched stream to a whole sharded serving runtime.
-///
-/// The device [`Context`] lives here too: streams allocate their arena
-/// banks from it, so `resident_bytes` reports the true aggregate footprint
-/// (`weights + N_streams × banks × Σ slots`) and staging one stream too
-/// The staged form of one binary convolution's filter bank, in whatever
-/// shape the layer's chosen route reads: the raw pre-flattened GEMM bank,
-/// its dictionary-compressed form, the dictionary-compressed per-tap
-/// bank the direct routes and fused chains gather from, or the 8-bit first
-/// layer's interleaved bank. `None` (the common case) means the route
-/// reads the layer's own raw [`PackedFilters`] directly.
-#[derive(Debug)]
-enum ConvBank {
-    /// Raw pre-flattened GEMM bank (lowered route, compression off/skip).
-    Flat(PackedFilters<u64>),
-    /// Dictionary-compressed pre-flattened GEMM bank.
-    FlatDict(FilterDict<u64>),
-    /// Dictionary-compressed per-tap bank (direct routes, fused chains).
-    Dict(FilterDict<u64>),
-    /// The 8-bit first layer's filter-interleaved bank.
-    Planes(PlaneBank<u64>),
-}
-
-/// The staged-once, immutable half of an inference engine: the model, its
-/// lowered [`ExecutionPlan`], the pre-staged filter banks (flattened
-/// and/or dictionary-compressed per the plan), and the device residency
-/// for the packed weights. Everything here is read-only after staging, so
-/// any number of [`Stream`]s can share one `StagedModel` behind an
-/// [`Arc`] — the paper's stage-weights-once claim extended from one
-/// batched stream to a whole sharded serving runtime.
 ///
 /// The device [`Context`] lives here too: streams allocate their arena
 /// banks from it, so `resident_bytes` reports the true aggregate footprint
@@ -322,10 +294,12 @@ pub struct StagedModel {
     gpu: DeviceProfile,
     _weight_residency: Vec<Buffer<u8>>,
     /// One entry per **layer** (keyed by `step.index` /
-    /// `FusedMember::layer`, both of which survive the fusion pass);
-    /// `Some` holds the staged bank form when the route does not read the
-    /// layer's raw per-tap filters as-is.
-    conv_banks: Vec<Option<ConvBank>>,
+    /// `FusedMember::layer`, both of which survive the fusion pass); `Some`
+    /// for every binary convolution: its filters interleaved in the order
+    /// its route reads — the per-tap bank (direct routes, fused chains),
+    /// the pre-flattened GEMM bank or the 8-bit first layer's column-major
+    /// one — through the dictionary when the plan compresses the layer.
+    conv_banks: Vec<Option<LaneBank<u64>>>,
 }
 
 impl StagedModel {
@@ -443,12 +417,12 @@ impl StagedModel {
             }
         }
         // Pre-stage filter banks so per-inference runs pay neither the
-        // cost model, the flatten, nor the dictionary build again. Routes
-        // come from the batched plan, so a layer that only wins the GEMM
-        // lowering at batch scale still gets its bank. Banks are keyed by
-        // layer index (`step.index` / `FusedMember::layer`) so the fused
-        // plan, which has fewer steps than layers, still resolves the
-        // right bank — including direct-fused convs folded into chains.
+        // cost model, the flatten, the interleave nor the dictionary build
+        // again. Routes come from the batched plan, so a layer that only
+        // wins the GEMM lowering at batch scale still gets its bank. Banks
+        // are keyed by layer index (`step.index` / `FusedMember::layer`) so
+        // the fused plan, which has fewer steps than layers, still resolves
+        // the right bank — including direct-fused convs folded into chains.
         let mut route_of: Vec<Option<ConvPath>> = vec![None; model.layers.len()];
         for step in &plan.steps {
             match &step.op {
@@ -460,12 +434,12 @@ impl StagedModel {
                 _ => route_of[step.index] = step.route.map(|r| r.path),
             }
         }
-        let mut conv_banks: Vec<Option<ConvBank>> = (0..model.layers.len()).map(|_| None).collect();
+        let mut conv_banks: Vec<Option<LaneBank<u64>>> = vec![None; model.layers.len()];
         for (i, layer) in model.layers.iter().enumerate() {
             let filters = match layer {
                 PbitLayer::BConv { filters, .. } => filters,
                 PbitLayer::BConvInput8 { filters, .. } => {
-                    conv_banks[i] = Some(ConvBank::Planes(PlaneBank::new(filters)));
+                    conv_banks[i] = Some(LaneBank::column_major(filters));
                     continue;
                 }
                 _ => continue,
@@ -473,17 +447,22 @@ impl StagedModel {
             let Some(path) = route_of[i] else {
                 continue;
             };
-            let compressed = plan.compress_decision(i).is_some_and(|d| d.compressed);
-            conv_banks[i] = match (path, compressed) {
-                (ConvPath::LoweredGemm, false) => {
-                    Some(ConvBank::Flat(bgemm::flatten_filters(filters)))
+            // The GEMM route multiplies flattened rows; a compressed layer
+            // interleaves through its dictionary, which leaves the lanes as
+            // they are and carries the modeled saving.
+            let flat;
+            let rows = match path {
+                ConvPath::LoweredGemm => {
+                    flat = bgemm::flatten_filters(filters);
+                    &flat
                 }
-                (ConvPath::LoweredGemm, true) => Some(ConvBank::FlatDict(FilterDict::build(
-                    &bgemm::flatten_filters(filters),
-                ))),
-                (_, true) => Some(ConvBank::Dict(FilterDict::build(filters))),
-                (_, false) => None,
+                _ => filters,
             };
+            conv_banks[i] = Some(if plan.compress_decision(i).is_some_and(|d| d.compressed) {
+                LaneBank::new(&FilterDict::build(rows))
+            } else {
+                LaneBank::new(rows)
+            });
         }
         Ok(Arc::new(Self {
             model,
@@ -1550,12 +1529,11 @@ fn stage_window<'a, T: Copy + Default + 'a>(dst: &mut [T], images: impl Iterator
     dst[off..].fill(T::default());
 }
 
-/// The staged bank of the 8-bit first layer at `layer`.
-fn plane_bank(banks: &[Option<ConvBank>], layer: usize) -> &PlaneBank<u64> {
-    match banks[layer].as_ref() {
-        Some(ConvBank::Planes(bank)) => bank,
-        _ => unreachable!("an 8-bit first layer stages a plane bank"),
-    }
+/// The staged bank of the binary convolution at `layer`.
+fn conv_bank(banks: &[Option<LaneBank<u64>>], layer: usize) -> &LaneBank<u64> {
+    banks[layer]
+        .as_ref()
+        .expect("every routed binary convolution stages a bank")
 }
 
 /// Executes one plan step: takes the step's writable slots out of the
@@ -1568,7 +1546,7 @@ fn exec_step(
     q: &mut CommandQueue,
     layers: &[PbitLayer],
     plan: &ExecutionPlan,
-    banks: &[Option<ConvBank>],
+    banks: &[Option<LaneBank<u64>>],
     arena: &mut [SlotStorage],
     idx: usize,
 ) {
@@ -1616,18 +1594,13 @@ fn exec_step(
             bitplane::bitplane_conv_bank_into(
                 q,
                 scr.planes_mut(),
-                plane_bank(banks, step.index),
+                conv_bank(banks, step.index),
                 fused,
                 geom,
                 out_store.bits_mut(),
             );
         }
-        PbitLayer::BConv {
-            geom,
-            filters,
-            fused,
-            ..
-        } => {
+        PbitLayer::BConv { geom, fused, .. } => {
             if let Some((_, cvt)) = cvt_store.as_mut() {
                 kernels::pack_input_into(q, in_store.floats(), cvt.bits_mut());
             }
@@ -1638,69 +1611,23 @@ fn exec_step(
             // The planner cost-modeled direct-tiled vs. lowered-GEMM on
             // this device once at staging time (the §VI-B C > 256
             // integration limit folds into the direct-path choice);
-            // inference only follows the staged route.
+            // inference only follows the staged route, over the bank staged
+            // for it — a compressed layer's carries its dictionary's saving:
+            // bit-exact outputs, fewer modeled filter bytes.
             let route = step.route.expect("BConv step carries a route");
-            // Compressed layers read filters through their staged
-            // dictionary — same popcount inner loops, bit-exact outputs,
-            // fewer modeled filter bytes.
+            let (bank, out) = (conv_bank(banks, step.index), out_store.bits_mut());
             match route.path {
                 ConvPath::LoweredGemm => {
                     let windows = scr_store.as_mut().map(|(_, s)| s.bits_mut());
-                    match banks[step.index]
-                        .as_ref()
-                        .expect("GEMM route carries a flat bank")
-                    {
-                        ConvBank::Flat(flat) => bgemm::bconv_lowered_with_into(
-                            q,
-                            bits_in,
-                            filters,
-                            flat,
-                            fused,
-                            geom,
-                            windows,
-                            out_store.bits_mut(),
-                        ),
-                        ConvBank::FlatDict(flat) => bgemm::bconv_lowered_with_into(
-                            q,
-                            bits_in,
-                            filters,
-                            flat,
-                            fused,
-                            geom,
-                            windows,
-                            out_store.bits_mut(),
-                        ),
-                        ConvBank::Dict(_) | ConvBank::Planes(_) => {
-                            unreachable!("GEMM route stages a flat bank")
-                        }
-                    }
+                    bgemm::bconv_lowered_bank_into(q, bits_in, bank, fused, geom, windows, out);
                 }
-                ConvPath::DirectFused => match banks[step.index].as_ref() {
-                    Some(ConvBank::Dict(d)) => {
-                        bconv::bconv_fused_into(q, bits_in, d, fused, geom, out_store.bits_mut());
-                    }
-                    _ => {
-                        bconv::bconv_fused_into(
-                            q,
-                            bits_in,
-                            filters,
-                            fused,
-                            geom,
-                            out_store.bits_mut(),
-                        );
-                    }
-                },
+                ConvPath::DirectFused => {
+                    bconv::bconv_fused_bank_into(q, bits_in, bank, fused, geom, out);
+                }
                 ConvPath::DirectUnfused => {
                     let (_, scr) = scr_store.as_mut().expect("accumulator scratch planned");
-                    match banks[step.index].as_ref() {
-                        Some(ConvBank::Dict(d)) => {
-                            bconv::bconv_accum_into(q, bits_in, d, geom, scr.accum_mut());
-                        }
-                        _ => {
-                            bconv::bconv_accum_into(q, bits_in, filters, geom, scr.accum_mut());
-                        }
-                    }
-                    bconv::binarize_pack_into(q, scr.accum(), fused, out_store.bits_mut());
+                    bconv::bconv_accum_bank_into(q, bits_in, bank, geom, scr.accum_mut());
+                    bconv::binarize_pack_into(q, scr.accum(), fused, out);
                 }
             }
         }
@@ -1808,7 +1735,7 @@ fn exec_step(
 fn exec_fused_group(
     q: &mut CommandQueue,
     layers: &[PbitLayer],
-    banks: &[Option<ConvBank>],
+    banks: &[Option<LaneBank<u64>>],
     kind: FusedKind,
     members: &[FusedMember],
     in_store: &SlotStorage,
@@ -1838,7 +1765,7 @@ fn exec_fused_group(
                     fused::in8_bconv_chain_into(
                         q,
                         in_store.bytes_ref(),
-                        plane_bank(banks, members[0].layer),
+                        conv_bank(banks, members[0].layer),
                         bn,
                         geom,
                         pool_geom,
@@ -1848,22 +1775,14 @@ fn exec_fused_group(
                     );
                 }
                 PbitLayer::BConv {
-                    geom,
-                    filters,
-                    fused: bn,
-                    ..
+                    geom, fused: bn, ..
                 } => {
-                    // The chain's conv reads through its staged dictionary
-                    // when the compression ledger kept it.
-                    let dict = match banks[members[0].layer].as_ref() {
-                        Some(ConvBank::Dict(d)) => Some(d),
-                        _ => None,
-                    };
-                    match (cvt, dict) {
-                        (Some(pack), Some(d)) => fused::pack_bconv_chain_into(
+                    let bank = conv_bank(banks, members[0].layer);
+                    match cvt {
+                        Some(pack) => fused::pack_bconv_chain_into(
                             q,
                             in_store.floats(),
-                            d,
+                            bank,
                             bn,
                             geom,
                             pool_geom,
@@ -1871,42 +1790,16 @@ fn exec_fused_group(
                             ring,
                             out.bits_mut(),
                         ),
-                        (Some(pack), None) => fused::pack_bconv_chain_into(
+                        None => fused::bconv_pool_chain_into(
                             q,
-                            in_store.floats(),
-                            filters,
+                            in_store.bits(),
+                            bank,
                             bn,
                             geom,
-                            pool_geom,
-                            pack.bits_mut(),
+                            pool_geom.expect("unconverted conv chain carries a pool"),
                             ring,
                             out.bits_mut(),
                         ),
-                        (None, dict) => {
-                            let pool = pool_geom.expect("unconverted conv chain carries a pool");
-                            match dict {
-                                Some(d) => fused::bconv_pool_chain_into(
-                                    q,
-                                    in_store.bits(),
-                                    d,
-                                    bn,
-                                    geom,
-                                    pool,
-                                    ring,
-                                    out.bits_mut(),
-                                ),
-                                None => fused::bconv_pool_chain_into(
-                                    q,
-                                    in_store.bits(),
-                                    filters,
-                                    bn,
-                                    geom,
-                                    pool,
-                                    ring,
-                                    out.bits_mut(),
-                                ),
-                            }
-                        }
                     }
                 }
                 _ => unreachable!("conv chains start at a binary convolution"),

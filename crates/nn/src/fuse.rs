@@ -24,6 +24,7 @@
 //! [`BitSink`] is the one place a kernel's raw accumulator becomes that bit.
 
 use phonebit_tensor::bits::BitWord;
+use phonebit_tensor::lanes::LANES;
 
 /// Per-channel batch-normalization parameters as trained.
 #[derive(Debug, Clone, PartialEq)]
@@ -191,14 +192,43 @@ impl<'a, W: BitWord> BitSink<'a, W> {
             words_per_pixel,
         }
     }
+}
 
+/// Where a row driver's outputs go: `put(px, k0, x1s)` takes the raw
+/// accumulators of filters `k0..k0 + x1s.len()` at row pixel `px` and
+/// decides what an output *is* — fused binarize+pack bits ([`BitSink`]) or
+/// raw `i32`s ([`AccumSink`]) — so one driver serves every kernel.
+///
+/// A trait rather than a closure because the drivers call it from several
+/// sites below a `#[target_feature]` frame ([`crate::kernels::isa`]): an
+/// implementation marks `put` `#[inline(always)]`, which a closure cannot
+/// promise, and left out of line it would be compiled for the baseline
+/// target.
+pub trait RowSink {
+    /// Takes one run of accumulators.
+    fn put(&mut self, px: usize, k0: usize, x1s: &[i32]);
+
+    /// Takes a filter group's [`LANES`] accumulators, of which those of
+    /// filters `k0..k_total` exist. A full group goes out with its length a
+    /// constant, so the sink unrolls over it.
+    #[inline(always)]
+    fn put_group(&mut self, px: usize, k0: usize, k_total: usize, x1s: &[i32; LANES]) {
+        if k0 + LANES <= k_total {
+            self.put(px, k0, x1s);
+        } else {
+            self.put(px, k0, &x1s[..k_total - k0]);
+        }
+    }
+}
+
+impl<W: BitWord> RowSink for BitSink<'_, W> {
     /// Sets bit `k0 + i` of row pixel `px` to
     /// [`FusedBn::decide_logic`]`(k0 + i, x1s[i])` for every `i`. The run
     /// must stay inside one output word, as a filter tile starting at a
     /// multiple of its length does (checked in debug builds only: a hard
     /// assert here cost the tiled kernels 10–20 %).
     #[inline(always)]
-    pub fn put(&mut self, px: usize, k0: usize, x1s: &[i32]) {
+    fn put(&mut self, px: usize, k0: usize, x1s: &[i32]) {
         let (bit0, n) = (k0 % W::BITS, x1s.len());
         debug_assert!(bit0 + n <= W::BITS, "run straddles an output word");
         let xi = &self.fused.xi[k0..k0 + n];
@@ -209,6 +239,23 @@ impl<'a, W: BitWord> BitSink<'a, W> {
         }
         let slot = &mut self.row[px * self.words_per_pixel + k0 / W::BITS];
         *slot = slot.or(word);
+    }
+}
+
+/// The unfused sink: raw accumulators into a row of NHWC `i32` pixels,
+/// `channels` each.
+#[derive(Debug)]
+pub struct AccumSink<'a> {
+    /// The output row.
+    pub row: &'a mut [i32],
+    /// Accumulators per pixel.
+    pub channels: usize,
+}
+
+impl RowSink for AccumSink<'_> {
+    #[inline(always)]
+    fn put(&mut self, px: usize, k0: usize, x1s: &[i32]) {
+        self.row[px * self.channels + k0..][..x1s.len()].copy_from_slice(x1s);
     }
 }
 

@@ -12,9 +12,10 @@
 //!   [`bconv_accum`] on the unfused path.
 //!
 //! Both direct kernels run on the **tiled hot path** of
-//! [`crate::kernels::tiled`]: per-row window gathers reused across all
-//! filters, an interior/border split, and the 4-filter × 2-pixel bit-GEMM
-//! microkernel. The seed per-tap kernel survives as
+//! [`crate::kernels::tiled`]: zero-padded window gathers reused across all
+//! filters and the lanes-are-outputs microkernel over a bank staged once
+//! ([`LaneBank`]; the `FilterAccess`-taking entries stage per call). The
+//! seed per-tap kernel survives as
 //! [`compute_bconv_fused_reference`] — the bit-exactness oracle and the
 //! "before" side of `bench_bconv`.
 //!
@@ -27,10 +28,11 @@ use phonebit_gpusim::queue::CommandQueue;
 use phonebit_gpusim::vector::xor_popcount_vec;
 use phonebit_tensor::bits::{BitTensor, BitWord};
 use phonebit_tensor::dict::FilterAccess;
-use phonebit_tensor::shape::{ConvGeometry, Layout, Shape4};
+use phonebit_tensor::lanes::LaneBank;
+use phonebit_tensor::shape::{ConvGeometry, FilterShape, Layout, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
-use crate::fuse::{BitSink, FusedBn};
+use crate::fuse::{AccumSink, BitSink, FusedBn, RowSink};
 use crate::kernels::profiles;
 use crate::kernels::tiled::{conv_row_tiled, WindowGather};
 use crate::workload::WorkloadPolicy;
@@ -43,11 +45,10 @@ use crate::workload::WorkloadPolicy;
 /// Panics when input channels disagree with filter channels.
 fn conv_output_shape<W: BitWord>(
     input: &BitTensor<W>,
-    filters: &(impl FilterAccess<W> + Sync),
+    fs: FilterShape,
     geom: &ConvGeometry,
 ) -> Shape4 {
     let s = input.shape();
-    let fs = filters.shape();
     assert_eq!(
         s.c, fs.c,
         "input channels {} != filter channels {}",
@@ -105,15 +106,14 @@ pub fn window_dot<W: BitWord>(
 /// tiled hot path.
 ///
 /// Work decomposes by **output row**: each worker owns one
-/// [`WindowGather`] scratch buffer, gathers every interior window once and
-/// reuses it across all `K` filters through the 4×2 microkernel; border
-/// pixels dot their valid segments and read the padding contribution from
-/// the filters' tap-popcount tables. Binarize+pack stays fused: each raw
-/// dot value feeds Eqn (9) logic and lands as one bit in the row span,
-/// OR-ed in — `out` must come in zeroed, as [`bconv_fused_into`] resets it.
+/// [`WindowGather`] scratch buffer, gathers every window once, padding
+/// zero-filled, and reuses it across all `K` filters of the staged `bank`.
+/// Binarize+pack stays fused: each group of raw dot values feeds Eqn (9)
+/// logic and lands as one byte in the row span, OR-ed in — `out` must come
+/// in zeroed, as [`bconv_fused_into`] resets it.
 pub fn compute_bconv_fused<W: BitWord>(
     input: &BitTensor<W>,
-    filters: &(impl FilterAccess<W> + Sync),
+    bank: &LaneBank<W>,
     fused: &FusedBn,
     geom: &ConvGeometry,
     out: &mut BitTensor<W>,
@@ -124,13 +124,12 @@ pub fn compute_bconv_fused<W: BitWord>(
     par_chunks_mut_with(
         out.as_mut_words(),
         ow * wpp,
-        || WindowGather::new(geom, filters.words_per_tap()),
+        || WindowGather::new(geom, bank),
         |gather, row_idx, row_span| {
             let n = row_idx / oh;
             let oy = row_idx % oh;
             let mut sink = BitSink::new(fused, row_span, wpp);
-            let emit = move |ox, k, x1s: &[i32]| sink.put(ox, k, x1s);
-            conv_row_tiled(input, filters, geom, gather, n, oy, ow, emit);
+            conv_row_tiled(input, bank, geom, gather, n, oy, ow, &mut sink);
         },
     );
 }
@@ -188,7 +187,9 @@ pub fn bconv_fused<W: BitWord>(
 }
 
 /// [`bconv_fused`] into a caller-provided tensor (reset to the output
-/// shape), reusing its storage — the engine's arena path.
+/// shape), reusing its storage. Stages `filters` first; a caller that runs
+/// the layer more than once stages a [`LaneBank`] and calls
+/// [`bconv_fused_bank_into`].
 pub fn bconv_fused_into<W: BitWord>(
     q: &mut CommandQueue,
     input: &BitTensor<W>,
@@ -197,27 +198,35 @@ pub fn bconv_fused_into<W: BitWord>(
     geom: &ConvGeometry,
     out: &mut BitTensor<W>,
 ) {
-    let os = conv_output_shape(input, filters, geom);
-    assert_eq!(
-        fused.len(),
-        filters.shape().k,
-        "fusion params must cover every filter"
-    );
+    bconv_fused_bank_into(q, input, &LaneBank::new(filters), fused, geom, out);
+}
+
+/// [`bconv_fused_into`] over a bank staged once — the engine's arena path.
+pub fn bconv_fused_bank_into<W: BitWord>(
+    q: &mut CommandQueue,
+    input: &BitTensor<W>,
+    bank: &LaneBank<W>,
+    fused: &FusedBn,
+    geom: &ConvGeometry,
+    out: &mut BitTensor<W>,
+) {
+    let os = conv_output_shape(input, bank.shape(), geom);
+    assert_eq!(fused.len(), os.c, "fusion params must cover every filter");
     out.reset(os);
     let policy = WorkloadPolicy::for_channels(input.shape().c);
     let profile = profiles::bconv_fused(os.pixels(), os.c, input.shape().c, geom, &policy)
-        .discount_reads(filters.dram_discount_bytes());
+        .discount_reads(bank.dram_discount_bytes());
     q.launch(profile, || {
-        compute_bconv_fused(input, filters, fused, geom, out)
+        compute_bconv_fused(input, bank, fused, geom, out)
     });
 }
 
 /// Functional body of the accumulate-only kernel, on the same tiled row
-/// driver as [`compute_bconv_fused`] — only the emit step differs (raw
-/// `i32` accumulators instead of fused binarize+pack).
+/// driver as [`compute_bconv_fused`] — only the sink differs (raw `i32`
+/// accumulators instead of fused binarize+pack).
 pub fn compute_bconv_accum<W: BitWord>(
     input: &BitTensor<W>,
-    filters: &(impl FilterAccess<W> + Sync),
+    bank: &LaneBank<W>,
     geom: &ConvGeometry,
     out: &mut Tensor<i32>,
 ) {
@@ -227,14 +236,15 @@ pub fn compute_bconv_accum<W: BitWord>(
     par_chunks_mut_with(
         out.as_mut_slice(),
         ow * k_total,
-        || WindowGather::new(geom, filters.words_per_tap()),
+        || WindowGather::new(geom, bank),
         |gather, row_idx, row| {
             let n = row_idx / oh;
             let oy = row_idx % oh;
-            let emit = move |ox: usize, k: usize, x1s: &[i32]| {
-                row[ox * k_total + k..][..x1s.len()].copy_from_slice(x1s)
+            let mut sink = AccumSink {
+                row,
+                channels: k_total,
             };
-            conv_row_tiled(input, filters, geom, gather, n, oy, ow, emit);
+            conv_row_tiled(input, bank, geom, gather, n, oy, ow, &mut sink);
         },
     );
 }
@@ -253,7 +263,8 @@ pub fn bconv_accum<W: BitWord>(
 }
 
 /// [`bconv_accum`] into a caller-provided accumulator (reset to the output
-/// shape in NHWC), reusing its storage — the engine's arena path.
+/// shape in NHWC), reusing its storage. Stages `filters` per call, like
+/// [`bconv_fused_into`].
 pub fn bconv_accum_into<W: BitWord>(
     q: &mut CommandQueue,
     input: &BitTensor<W>,
@@ -261,12 +272,23 @@ pub fn bconv_accum_into<W: BitWord>(
     geom: &ConvGeometry,
     out: &mut Tensor<i32>,
 ) {
-    let os = conv_output_shape(input, filters, geom);
+    bconv_accum_bank_into(q, input, &LaneBank::new(filters), geom, out);
+}
+
+/// [`bconv_accum_into`] over a bank staged once — the engine's arena path.
+pub fn bconv_accum_bank_into<W: BitWord>(
+    q: &mut CommandQueue,
+    input: &BitTensor<W>,
+    bank: &LaneBank<W>,
+    geom: &ConvGeometry,
+    out: &mut Tensor<i32>,
+) {
+    let os = conv_output_shape(input, bank.shape(), geom);
     out.reset(os, Layout::Nhwc);
     let policy = WorkloadPolicy::for_channels(input.shape().c);
     let profile = profiles::bconv_accum(os.pixels(), os.c, input.shape().c, geom, &policy)
-        .discount_reads(filters.dram_discount_bytes());
-    q.launch(profile, || compute_bconv_accum(input, filters, geom, out));
+        .discount_reads(bank.dram_discount_bytes());
+    q.launch(profile, || compute_bconv_accum(input, bank, geom, out));
 }
 
 /// Functional body of the standalone binarize+pack kernel.

@@ -14,11 +14,12 @@ use phonebit_gpusim::queue::CommandQueue;
 use phonebit_gpusim::{KernelProfile, NdRange};
 use phonebit_tensor::bits::{merge_bits, BitTensor, BitWord, PackedFilters};
 use phonebit_tensor::dict::FilterAccess;
+use phonebit_tensor::lanes::LaneBank;
 use phonebit_tensor::shape::{ConvGeometry, FilterShape, Shape4};
 
 use crate::fuse::{BitSink, FusedBn};
 use crate::kernels::profiles::{PACKED_COALESCING, VEC_LANES_128};
-use crate::kernels::tiled::{tile_filters, TILE_PIXELS};
+use crate::kernels::tiled::tile_filters;
 
 /// Flattens packed filters so each filter's `(kh, kw, c)` bits occupy one
 /// contiguous span (the GEMM's weight rows).
@@ -171,9 +172,8 @@ pub fn bgemm_profile(
 /// Dispatches the full lowered convolution: bit-im2col, then fused binary
 /// GEMM + binarize + pack. Two kernels, one DRAM round trip of window rows.
 ///
-/// Flattens the filters on the spot; callers with resident weights (the
-/// engine) should flatten once at staging time and use
-/// [`bconv_lowered_with`] instead.
+/// Flattens and interleaves the filters on the spot; callers with resident
+/// weights (the engine) stage once and use [`bconv_lowered_bank_into`].
 ///
 /// # Panics
 ///
@@ -185,31 +185,14 @@ pub fn bconv_lowered<W: BitWord>(
     fused: &FusedBn,
     geom: &ConvGeometry,
 ) -> BitTensor<W> {
-    bconv_lowered_with(q, input, filters, &flatten_filters(filters), fused, geom)
-}
-
-/// [`bconv_lowered`] with a pre-flattened filter bank (the output of
-/// [`flatten_filters`] for the same `filters`), so per-inference callers
-/// skip the staging-time flatten.
-///
-/// # Panics
-///
-/// Panics on shape mismatches (channels, fusion length, flat window width).
-pub fn bconv_lowered_with<W: BitWord>(
-    q: &mut CommandQueue,
-    input: &BitTensor<W>,
-    filters: &PackedFilters<W>,
-    flat: &(impl FilterAccess<W> + Sync),
-    fused: &FusedBn,
-    geom: &ConvGeometry,
-) -> BitTensor<W> {
     let mut out = BitTensor::<W>::zeros(Shape4::new(0, 0, 0, 0));
     let mut windows = BitTensor::<W>::zeros(Shape4::new(0, 0, 0, 0));
+    let flat = flatten_filters(filters);
     bconv_lowered_with_into(
         q,
         input,
         filters,
-        flat,
+        &flat,
         fused,
         geom,
         Some(&mut windows),
@@ -218,11 +201,14 @@ pub fn bconv_lowered_with<W: BitWord>(
     out
 }
 
-/// [`bconv_lowered_with`] writing into caller-provided buffers: `windows`
-/// is the bit-im2col scratch (required unless the convolution is pointwise,
-/// where the GEMM reads the input directly) and `out` receives the packed
-/// result. Both are reset to the right shapes, reusing their storage — the
-/// engine's arena path.
+/// [`bconv_lowered`] with a pre-flattened filter bank (the output of
+/// [`flatten_filters`] for the same `filters`), writing into
+/// caller-provided buffers: `windows` is the bit-im2col scratch (required
+/// unless the convolution is pointwise, where the GEMM reads the input
+/// directly) and `out` receives the packed result. Both are reset to the
+/// right shapes, reusing their storage.
+/// Interleaves `flat` first; a caller that runs the layer more than once
+/// stages a [`LaneBank`] of it and calls [`bconv_lowered_bank_into`].
 ///
 /// # Panics
 ///
@@ -239,14 +225,42 @@ pub fn bconv_lowered_with_into<W: BitWord>(
     windows: Option<&mut BitTensor<W>>,
     out: &mut BitTensor<W>,
 ) {
-    let s = input.shape();
     let fs = filters.shape();
     assert_eq!(
-        s.c, fs.c,
-        "input channels {} != filter channels {}",
-        s.c, fs.c
+        flat.shape(),
+        FilterShape::new(fs.k, 1, 1, fs.filter_len()),
+        "flat bank does not match filters"
     );
-    assert_eq!(fused.len(), fs.k, "fusion params must cover every filter");
+    let bank = LaneBank::new(flat);
+    bconv_lowered_bank_into(q, input, &bank, fused, geom, windows, out);
+}
+
+/// [`bconv_lowered_with_into`] over the interleaved flat bank staged once
+/// ([`LaneBank::new`] of [`flatten_filters`]' output, or of its dictionary)
+/// — the engine's arena path.
+///
+/// # Panics
+///
+/// Panics on shape mismatches, or when a non-pointwise convolution is given
+/// no `windows` scratch.
+pub fn bconv_lowered_bank_into<W: BitWord>(
+    q: &mut CommandQueue,
+    input: &BitTensor<W>,
+    bank: &LaneBank<W>,
+    fused: &FusedBn,
+    geom: &ConvGeometry,
+    windows: Option<&mut BitTensor<W>>,
+    out: &mut BitTensor<W>,
+) {
+    let s = input.shape();
+    let k = bank.shape().k;
+    assert_eq!(
+        bank.shape(),
+        FilterShape::new(k, 1, 1, geom.taps() * s.c),
+        "flat bank does not match input channels {} and geometry",
+        s.c
+    );
+    assert_eq!(fused.len(), k, "fusion params must cover every filter");
     let (oh, ow) = geom.output_hw(s.h, s.w);
     let out_pixels = s.n * oh * ow;
 
@@ -265,27 +279,19 @@ pub fn bconv_lowered_with_into<W: BitWord>(
         scratch
     };
 
-    // Kernel 2: row x filter xnor-popcount GEMM with fused binarization,
-    // register-tiled TILE_PIXELS x TILE_FILTERS through the same
-    // microkernel as the direct path.
-    assert_eq!(
-        flat.shape(),
-        FilterShape::new(fs.k, 1, 1, geom.taps() * s.c),
-        "flat bank does not match filters/geometry"
-    );
-    let window_bits = geom.taps() * s.c;
-    out.reset(Shape4::new(s.n, oh, ow, fs.k));
+    // Kernel 2: row x filter xnor-popcount GEMM with fused binarization, an
+    // output row of window rows per task through the same microkernel as
+    // the direct path.
+    out.reset(Shape4::new(s.n, oh, ow, k));
     let profile =
-        bgemm_profile(out_pixels, fs.k, s.c, geom).discount_reads(flat.dram_discount_bytes());
+        bgemm_profile(out_pixels, k, s.c, geom).discount_reads(bank.dram_discount_bytes());
     q.launch(profile, || {
         let wpp = out.words_per_pixel();
         let row_wpp = windows.words_per_pixel();
-        par_chunks_mut(out.as_mut_words(), TILE_PIXELS * wpp, |tile, span| {
-            let first = tile * TILE_PIXELS * row_wpp;
-            let rows = &windows.as_words()[first..first + span.len() / wpp * row_wpp];
+        par_chunks_mut(out.as_mut_words(), ow * wpp, |row, span| {
+            let rows = &windows.as_words()[row * ow * row_wpp..][..ow * row_wpp];
             let mut sink = BitSink::new(fused, span, wpp);
-            let emit = move |p, k, x1s: &[i32]| sink.put(p, k, x1s);
-            tile_filters(rows, row_wpp, flat, window_bits as i32, emit);
+            tile_filters(rows, bank, &mut sink);
         });
     });
 }

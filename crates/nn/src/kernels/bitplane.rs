@@ -30,9 +30,10 @@
 //!    contiguous run — `kh·kw·c` bits from bit `ox·stride_w·kh·c` — so a
 //!    window word is a funnel shift of two stream words, and tap `(i, j)`
 //!    channel `ch` is window bit `(j·kh + i)·c + ch`: column-major, no
-//!    per-tap padding. [`PlaneBank`] lays the filters out in that order
-//!    once at stage time, for any `c`, any kernel size and any `W` — a
-//!    window that fits one word is the one-word case of the same loops.
+//!    per-tap padding. [`LaneBank::column_major`] lays the filters out in
+//!    that order once at stage time, for any `c`, any kernel size and any
+//!    `W` — a window that fits one word is the one-word case of the same
+//!    loops.
 //! 3. **Lanes are filters.** `{0,1} × {±1}` is `2·popcount(a & w) −
 //!    popcount(a)` ([`phonebit_tensor::bits::dot_u1_pm1`]), and the second
 //!    term does not depend on the filter: `T = Σ_n 2^n·popcount(win_n)` is
@@ -56,17 +57,13 @@ use phonebit_gpusim::exec::par_chunks_mut_with;
 use phonebit_gpusim::queue::CommandQueue;
 use phonebit_tensor::bitplane::BitPlanes;
 use phonebit_tensor::bits::{BitTensor, BitWord, PackedFilters};
-use phonebit_tensor::shape::{ConvGeometry, FilterShape, Layout, Shape4};
+use phonebit_tensor::lanes::{LaneBank, LANES};
+use phonebit_tensor::shape::{ConvGeometry, Layout, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
-use crate::fuse::{BitSink, FusedBn};
+use crate::fuse::{AccumSink, BitSink, FusedBn, RowSink};
 use crate::kernels::{isa, profiles};
 use crate::workload::WorkloadPolicy;
-
-/// Filters per bank group: the accumulators that leave [`bitplane_row`]
-/// side by side. Eight is the narrowest output word, so a group's bits
-/// never straddle one.
-pub(crate) const LANES: usize = 8;
 
 /// Dispatches the bit-plane split of an 8-bit input image (§III-B).
 pub fn bitplane_split<W: BitWord>(q: &mut CommandQueue, input: &Tensor<u8>) -> BitPlanes<W> {
@@ -87,48 +84,6 @@ pub fn bitplane_split_into<W: BitWord>(
     q.launch(profile, || planes.split_from(input));
 }
 
-/// A first-layer filter bank staged for `bitplane_row`: per filter group
-/// and window word, word `t` of eight adjacent filters side by side, in
-/// the stream's column-major bit order (module docs, points 2 and 3). Built
-/// once per model at stage time; lanes past the last filter are zero.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlaneBank<W: BitWord = u64> {
-    shape: FilterShape,
-    window_words: usize,
-    lanes: Vec<[W; LANES]>,
-}
-
-impl<W: BitWord> PlaneBank<W> {
-    /// Interleaves `filters` (per-tap packed, as the model stores them).
-    pub fn new(filters: &PackedFilters<W>) -> Self {
-        let shape = filters.shape();
-        let window_words = (shape.kh * shape.kw * shape.c).div_ceil(W::BITS);
-        let mut lanes = vec![[W::zero(); LANES]; shape.k.div_ceil(LANES) * window_words];
-        for k in 0..shape.k {
-            let group = &mut lanes[k / LANES * window_words..][..window_words];
-            for j in 0..shape.kw {
-                for i in 0..shape.kh {
-                    for ch in 0..shape.c {
-                        let bit = (j * shape.kh + i) * shape.c + ch;
-                        let lane = &mut group[bit / W::BITS][k % LANES];
-                        *lane = lane.with_bit(bit % W::BITS, filters.get_bit(k, i, j, ch));
-                    }
-                }
-            }
-        }
-        Self {
-            shape,
-            window_words,
-            lanes,
-        }
-    }
-
-    /// Shape of the filters the bank was built from.
-    pub fn shape(&self) -> FilterShape {
-        self.shape
-    }
-}
-
 /// A worker's scratch for [`bitplane_row`] over one plane set: the plane
 /// stream of the output row in flight (one spare word past its end for the
 /// funnel shift) and one extracted window, each word the eight planes side
@@ -147,8 +102,8 @@ pub(crate) struct PlaneStream<W: BitWord> {
 
 impl<W: BitWord> PlaneStream<W> {
     /// Scratch for `bank`'s windows sliding over `input_w`-pixel rows.
-    pub(crate) fn new(bank: &PlaneBank<W>, geom: &ConvGeometry, input_w: usize) -> Self {
-        let (kh, c) = (bank.shape.kh, bank.shape.c);
+    pub(crate) fn new(bank: &LaneBank<W>, geom: &ConvGeometry, input_w: usize) -> Self {
+        let (kh, c) = (bank.shape().kh, bank.shape().c);
         let stream_bits = (input_w + 2 * geom.pad_w) * kh * c;
         let stream_words = stream_bits.div_ceil(W::BITS) + 1;
         let mut kept = Vec::new();
@@ -162,7 +117,7 @@ impl<W: BitWord> PlaneStream<W> {
         }
         Self {
             stream: vec![[W::zero(); 8]; stream_words],
-            window: vec![[W::zero(); 8]; bank.window_words],
+            window: vec![[W::zero(); 8]; bank.row_words()],
             holds: None,
             kept,
         }
@@ -181,158 +136,142 @@ fn funnel<W: BitWord>(lo: [W; 8], hi: [W; 8], shift: usize) -> [W; 8] {
     out
 }
 
-/// Runs the streamed Eqn (2) convolution over one output row, calling
-/// `emit(ox, k0, s)` with the integer accumulators of filters
-/// `k0..k0 + s.len()` at output column `ox` — a group of [`LANES`] per call,
-/// fewer for the last group of a filter count that does not fill it.
+/// Runs the streamed Eqn (2) convolution over one output row, handing
+/// `sink` the integer accumulators of filters `k0..k0 + s.len()` at output
+/// column `ox` as `put(ox, k0, s)` — a group of [`LANES`] per call, fewer for
+/// the last group of a filter count that does not fill it.
 ///
-/// `bank` is the staged [`PlaneBank`]; `scratch` a [`PlaneStream`] built
-/// for the same bank, geometry and input width. `emit` decides what an
-/// output *is* — fused binarize+pack bits or raw `i32`s — so this one loop
-/// serves every first-layer kernel (see the module docs for the scheme).
+/// `bank` is the layer's [`LaneBank::column_major`]; `scratch` a
+/// [`PlaneStream`] built for the same bank, geometry and input width. The
+/// sink decides what an output *is* — fused binarize+pack bits or raw
+/// `i32`s — so this one loop serves every first-layer kernel (see the
+/// module docs for the scheme).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn bitplane_row<W: BitWord>(
     planes: &BitPlanes<W>,
-    bank: &PlaneBank<W>,
+    bank: &LaneBank<W>,
     geom: &ConvGeometry,
     scratch: &mut PlaneStream<W>,
     n: usize,
     oy: usize,
     ow: usize,
-    emit: impl FnMut(usize, usize, &[i32]),
+    sink: &mut impl RowSink,
 ) {
     isa::run(
         #[inline(always)]
-        || bitplane_row_portable(planes, bank, geom, scratch, n, oy, ow, emit),
-    )
-}
+        || {
+            let s = planes.shape();
+            let (kh, k_total) = (bank.shape().kh, bank.shape().k);
+            let col_bits = kh * s.c;
+            let wpp = planes.plane(0).words_per_pixel();
+            let plane_words = planes.plane_words();
+            let PlaneStream {
+                stream,
+                window,
+                holds,
+                kept,
+            } = scratch;
 
-/// [`bitplane_row`] without the ISA dispatch: inlined into its caller.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn bitplane_row_portable<W: BitWord>(
-    planes: &BitPlanes<W>,
-    bank: &PlaneBank<W>,
-    geom: &ConvGeometry,
-    scratch: &mut PlaneStream<W>,
-    n: usize,
-    oy: usize,
-    ow: usize,
-    mut emit: impl FnMut(usize, usize, &[i32]),
-) {
-    let s = planes.shape();
-    let (kh, k_total) = (bank.shape.kh, bank.shape.k);
-    let col_bits = kh * s.c;
-    let wpp = planes.plane(0).words_per_pixel();
-    let plane_words = planes.plane_words();
-    let PlaneStream {
-        stream,
-        window,
-        holds,
-        kept,
-    } = scratch;
-
-    // Stream. One row down from the row it holds, the stream is rolled:
-    // shifting it `stride_h` rows' worth of bits moves every column's
-    // surviving rows to the bottom of the column (and the next column's
-    // into its top, which `kept` clears), leaving `stride_h` fresh rows to
-    // fill. Anywhere else it starts over from zero.
-    let rolled = *holds == Some((n, oy.wrapping_sub(1))) && !kept.is_empty();
-    *holds = Some((n, oy));
-    let fresh = if rolled {
-        let by = geom.stride_h * s.c;
-        let (skip, shift) = (by / W::BITS, by % W::BITS);
-        let past_end = [W::zero(); 8];
-        for word in 0..stream.len() {
-            let lo = *stream.get(word + skip).unwrap_or(&past_end);
-            let hi = *stream.get(word + skip + 1).unwrap_or(&past_end);
-            stream[word] = funnel(lo, hi, shift).map(|bits| bits.and(kept[word]));
-        }
-        kh - geom.stride_h..kh
-    } else {
-        stream.fill([W::zero(); 8]);
-        0..kh
-    };
-    // OR each fresh in-bounds input row into its slot of every column;
-    // padding rows and columns stay 0.
-    for i in fresh {
-        let iy = oy * geom.stride_h + i;
-        if iy < geom.pad_h || iy - geom.pad_h >= s.h {
-            continue;
-        }
-        let src = planes.plane(0).pixel_offset(n, iy - geom.pad_h, 0);
-        for x in 0..s.w {
-            for t in 0..wpp {
-                let at = (x + geom.pad_w) * col_bits + i * s.c + t * W::BITS;
-                let (word, shift) = (at / W::BITS, at % W::BITS);
-                // The pixel word's valid bits straddle a stream word.
-                let spills = shift + (s.c - t * W::BITS).min(W::BITS) > W::BITS;
-                for (p, plane) in plane_words.iter().enumerate() {
-                    let bits = plane[src + x * wpp + t];
-                    stream[word][p] = stream[word][p].or(bits.shl(shift));
-                    if spills {
-                        stream[word + 1][p] = stream[word + 1][p].or(bits.shr(W::BITS - shift));
-                    }
+            // Stream. One row down from the row it holds, the stream is
+            // rolled: shifting it `stride_h` rows' worth of bits moves every
+            // column's surviving rows to the bottom of the column (and the
+            // next column's into its top, which `kept` clears), leaving
+            // `stride_h` fresh rows to fill. Anywhere else it starts over
+            // from zero.
+            let rolled = *holds == Some((n, oy.wrapping_sub(1))) && !kept.is_empty();
+            *holds = Some((n, oy));
+            let fresh = if rolled {
+                let by = geom.stride_h * s.c;
+                let (skip, shift) = (by / W::BITS, by % W::BITS);
+                let past_end = [W::zero(); 8];
+                for word in 0..stream.len() {
+                    let lo = *stream.get(word + skip).unwrap_or(&past_end);
+                    let hi = *stream.get(word + skip + 1).unwrap_or(&past_end);
+                    stream[word] = funnel(lo, hi, shift).map(|bits| bits.and(kept[word]));
                 }
-            }
-        }
-    }
-
-    let words = bank.window_words;
-    let tail_mask = W::low_mask(geom.kw * col_bits - (words - 1) * W::BITS);
-    for ox in 0..ow {
-        // Window: `words` funnel shifts of the run starting at this
-        // column's stream bit, the bits past the window's end cleared.
-        let at = ox * geom.stride_w * col_bits;
-        let (first, shift) = (at / W::BITS, at % W::BITS);
-        for (t, win) in window.iter_mut().enumerate() {
-            *win = funnel(stream[first + t], stream[first + t + 1], shift);
-        }
-        let last = &mut window[words - 1];
-        for bits in last.iter_mut() {
-            *bits = bits.and(tail_mask);
-        }
-        // The filter-independent half, once per pixel.
-        let mut total = 0i32;
-        for p in (0..8).rev() {
-            total *= 2;
-            for win in window.iter() {
-                total += win[p].popcount() as i32;
-            }
-        }
-        // Eqn (2), a filter group per pass: lane `l` sums plane `p`'s masked
-        // popcounts against filter `l`, weighted `2^p`.
-        for (g, group) in bank.lanes.chunks_exact(words).enumerate() {
-            let mut acc = [0u64; LANES];
-            for (win, filt) in window.iter().zip(group) {
-                for (p, bits) in win.iter().enumerate() {
-                    for (a, f) in acc.iter_mut().zip(filt) {
-                        *a += u64::from(bits.and(*f).popcount()) << p;
-                    }
-                }
-            }
-            let mut sums = [0i32; LANES];
-            for (sum, a) in sums.iter_mut().zip(acc) {
-                *sum = 2 * a as i32 - total;
-            }
-            // A full group goes out as an array: the sink unrolls over it.
-            let k0 = g * LANES;
-            if k0 + LANES <= k_total {
-                emit(ox, k0, &sums);
+                kh - geom.stride_h..kh
             } else {
-                emit(ox, k0, &sums[..k_total - k0]);
+                stream.fill([W::zero(); 8]);
+                0..kh
+            };
+            // OR each fresh in-bounds input row into its slot of every column;
+            // padding rows and columns stay 0.
+            for i in fresh {
+                let iy = oy * geom.stride_h + i;
+                if iy < geom.pad_h || iy - geom.pad_h >= s.h {
+                    continue;
+                }
+                let src = planes.plane(0).pixel_offset(n, iy - geom.pad_h, 0);
+                for x in 0..s.w {
+                    for t in 0..wpp {
+                        let at = (x + geom.pad_w) * col_bits + i * s.c + t * W::BITS;
+                        let (word, shift) = (at / W::BITS, at % W::BITS);
+                        // The pixel word's valid bits straddle a stream word.
+                        let spills = shift + (s.c - t * W::BITS).min(W::BITS) > W::BITS;
+                        for (p, plane) in plane_words.iter().enumerate() {
+                            let bits = plane[src + x * wpp + t];
+                            stream[word][p] = stream[word][p].or(bits.shl(shift));
+                            if spills {
+                                stream[word + 1][p] =
+                                    stream[word + 1][p].or(bits.shr(W::BITS - shift));
+                            }
+                        }
+                    }
+                }
             }
-        }
-    }
+
+            let words = bank.row_words();
+            let tail_mask = W::low_mask(geom.kw * col_bits - (words - 1) * W::BITS);
+            for ox in 0..ow {
+                // Window: `words` funnel shifts of the run starting at this
+                // column's stream bit, the bits past the window's end cleared.
+                let at = ox * geom.stride_w * col_bits;
+                let (first, shift) = (at / W::BITS, at % W::BITS);
+                for (t, win) in window.iter_mut().enumerate() {
+                    *win = funnel(stream[first + t], stream[first + t + 1], shift);
+                }
+                let last = &mut window[words - 1];
+                for bits in last.iter_mut() {
+                    *bits = bits.and(tail_mask);
+                }
+                // The filter-independent half, once per pixel.
+                let mut total = 0i32;
+                for p in (0..8).rev() {
+                    total *= 2;
+                    for win in window.iter() {
+                        total += win[p].popcount() as i32;
+                    }
+                }
+                // Eqn (2), a filter group per pass: lane `l` sums plane `p`'s
+                // masked popcounts against filter `l`, weighted `2^p`.
+                for g in 0..bank.groups() {
+                    let mut acc = [0u64; LANES];
+                    for (win, filt) in window.iter().zip(bank.group(g)) {
+                        isa::lanes_not_words();
+                        for (p, bits) in win.iter().enumerate() {
+                            for (a, f) in acc.iter_mut().zip(filt) {
+                                *a += u64::from(bits.and(*f).popcount()) << p;
+                            }
+                        }
+                    }
+                    let mut sums = [0i32; LANES];
+                    for (sum, a) in sums.iter_mut().zip(acc) {
+                        *sum = 2 * a as i32 - total;
+                    }
+                    sink.put_group(ox, g * LANES, k_total, &sums);
+                }
+            }
+        },
+    )
 }
 
 fn output_shape<W: BitWord>(
     planes: &BitPlanes<W>,
-    bank: &PlaneBank<W>,
+    bank: &LaneBank<W>,
     geom: &ConvGeometry,
 ) -> Shape4 {
     let s = planes.shape();
-    let fs = bank.shape;
+    let fs = bank.shape();
     assert_eq!(
         s.c, fs.c,
         "plane channels {} != filter channels {}",
@@ -348,7 +287,7 @@ fn output_shape<W: BitWord>(
 /// [`bitplane_conv_bank_into`] resets it.
 pub fn compute_bitplane_conv_fused<W: BitWord>(
     planes: &BitPlanes<W>,
-    bank: &PlaneBank<W>,
+    bank: &LaneBank<W>,
     fused: &FusedBn,
     geom: &ConvGeometry,
     out: &mut BitTensor<W>,
@@ -363,15 +302,14 @@ pub fn compute_bitplane_conv_fused<W: BitWord>(
         |scratch, row_idx, row_span| {
             let (n, oy) = (row_idx / oh, row_idx % oh);
             let mut sink = BitSink::new(fused, row_span, wpp);
-            let emit = move |ox, k0, sums: &[i32]| sink.put(ox, k0, sums);
-            bitplane_row(planes, bank, geom, scratch, n, oy, ow, emit);
+            bitplane_row(planes, bank, geom, scratch, n, oy, ow, &mut sink);
         },
     );
 }
 
 /// Dispatches the fused first-layer convolution: Eqn (2) accumulation +
 /// batch-norm + binarize + pack. Interleaves `filters` first; a caller that
-/// runs the layer more than once stages a [`PlaneBank`] and calls
+/// runs the layer more than once stages a [`LaneBank::column_major`] and calls
 /// [`bitplane_conv_bank_into`].
 ///
 /// # Panics
@@ -399,7 +337,14 @@ pub fn bitplane_conv_fused_into<W: BitWord>(
     geom: &ConvGeometry,
     out: &mut BitTensor<W>,
 ) {
-    bitplane_conv_bank_into(q, planes, &PlaneBank::new(filters), fused, geom, out);
+    bitplane_conv_bank_into(
+        q,
+        planes,
+        &LaneBank::column_major(filters),
+        fused,
+        geom,
+        out,
+    );
 }
 
 /// [`bitplane_conv_fused_into`] over a bank staged once — the engine's
@@ -411,7 +356,7 @@ pub fn bitplane_conv_fused_into<W: BitWord>(
 pub fn bitplane_conv_bank_into<W: BitWord>(
     q: &mut CommandQueue,
     planes: &BitPlanes<W>,
-    bank: &PlaneBank<W>,
+    bank: &LaneBank<W>,
     fused: &FusedBn,
     geom: &ConvGeometry,
     out: &mut BitTensor<W>,
@@ -419,7 +364,7 @@ pub fn bitplane_conv_bank_into<W: BitWord>(
     let os = output_shape(planes, bank, geom);
     assert_eq!(
         fused.len(),
-        bank.shape.k,
+        bank.shape().k,
         "fusion params must cover every filter"
     );
     out.reset(os);
@@ -438,7 +383,7 @@ pub fn bitplane_conv_accum<W: BitWord>(
     filters: &PackedFilters<W>,
     geom: &ConvGeometry,
 ) -> Tensor<i32> {
-    let bank = &PlaneBank::new(filters);
+    let bank = &LaneBank::column_major(filters);
     let os = output_shape(planes, bank, geom);
     let mut out = Tensor::<i32>::zeros(os, Layout::Nhwc);
     let policy = WorkloadPolicy::for_channels(planes.shape().c);
@@ -454,10 +399,11 @@ pub fn bitplane_conv_accum<W: BitWord>(
             || PlaneStream::new(bank, geom, planes.shape().w),
             |scratch, row_idx, row| {
                 let (n, oy) = (row_idx / oh, row_idx % oh);
-                let emit = move |ox: usize, k0: usize, sums: &[i32]| {
-                    row[ox * k_total + k0..][..sums.len()].copy_from_slice(sums)
+                let mut sink = AccumSink {
+                    row,
+                    channels: k_total,
                 };
-                bitplane_row(planes, bank, geom, scratch, n, oy, ow, emit);
+                bitplane_row(planes, bank, geom, scratch, n, oy, ow, &mut sink);
             },
         );
     });

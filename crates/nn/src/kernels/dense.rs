@@ -8,9 +8,12 @@ use phonebit_tensor::shape::{Layout, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
 use crate::act::Activation;
-use crate::fuse::{BitSink, FusedBn};
-use crate::kernels::tiled::TILE_LANES;
+use crate::fuse::{BitSink, FusedBn, RowSink};
 use crate::kernels::{isa, profiles};
+
+/// Words per xor+popcount step: 512 bits of `u64`, the widest hardware
+/// popcount the [`isa`] tiers reach.
+const VEC_WORDS: usize = 8;
 
 /// Flattens a packed feature map `(n, h, w, c)` into `(n, 1, 1, h*w*c)`
 /// keeping `(h, w, c)` raster order — the order dense weights are stored in.
@@ -58,30 +61,21 @@ pub fn compute_dense_bin<W: BitWord>(
 ) {
     isa::run(
         #[inline(always)]
-        || compute_dense_bin_portable(input, weights, fused, out),
+        || {
+            let s = input.shape();
+            let k_total = weights.shape().k;
+            let features = s.c as i32;
+            let wpp = out.words_per_pixel();
+            let mut sink = BitSink::new(fused, out.as_mut_words(), wpp);
+            for n in 0..s.n {
+                let x = input.pixel_words(n, 0, 0);
+                for k in 0..k_total {
+                    let disagree = xor_popcount_vec::<W, VEC_WORDS>(x, weights.tap_words(k, 0, 0));
+                    sink.put(n, k, &[features - 2 * disagree as i32]);
+                }
+            }
+        },
     )
-}
-
-/// [`compute_dense_bin`] without the ISA dispatch: inlined into its caller.
-#[inline(always)]
-pub(crate) fn compute_dense_bin_portable<W: BitWord>(
-    input: &BitTensor<W>,
-    weights: &PackedFilters<W>,
-    fused: &FusedBn,
-    out: &mut BitTensor<W>,
-) {
-    let s = input.shape();
-    let k_total = weights.shape().k;
-    let features = s.c as i32;
-    let wpp = out.words_per_pixel();
-    let mut sink = BitSink::new(fused, out.as_mut_words(), wpp);
-    for n in 0..s.n {
-        let x = input.pixel_words(n, 0, 0);
-        for k in 0..k_total {
-            let disagree = xor_popcount_vec::<W, TILE_LANES>(x, weights.tap_words(k, 0, 0));
-            sink.put(n, k, &[features - 2 * disagree as i32]);
-        }
-    }
 }
 
 /// Dispatches the fused binary dense layer: xnor-popcount matvec + BN +

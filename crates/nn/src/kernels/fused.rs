@@ -30,16 +30,16 @@ use phonebit_gpusim::KernelProfile;
 use phonebit_gpusim::NdRange;
 use phonebit_tensor::bitplane::BitPlanes;
 use phonebit_tensor::bits::{BitTensor, BitWord, PackedFilters};
-use phonebit_tensor::dict::FilterAccess;
+use phonebit_tensor::lanes::LaneBank;
 use phonebit_tensor::shape::{ConvGeometry, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
 use crate::fuse::{BitSink, FusedBn};
-use crate::kernels::bitplane::{bitplane_row, PlaneBank, PlaneStream};
+use crate::kernels::bitplane::{bitplane_row, PlaneStream};
 use crate::kernels::pool::PoolGeometry;
 use crate::kernels::profiles::{compulsory_input_bytes, words32, PACKED_COALESCING, VEC_LANES_128};
 use crate::kernels::tiled::{conv_row_tiled, WindowGather};
-use crate::kernels::{bconv, dense};
+use crate::kernels::{bconv, compute_pack_input, dense};
 use crate::workload::WorkloadPolicy;
 
 /// How a fused conv chain acquires its packed input inside the dispatch.
@@ -224,7 +224,7 @@ fn pooled_rows<W: BitWord>(
 /// Functional body of the fused bconv→pool chain over packed input bits.
 pub fn compute_bconv_pool_chain<W: BitWord>(
     input: &BitTensor<W>,
-    filters: &(impl FilterAccess<W> + Sync),
+    bank: &LaneBank<W>,
     fused: &FusedBn,
     geom: &ConvGeometry,
     pool: &PoolGeometry,
@@ -233,18 +233,17 @@ pub fn compute_bconv_pool_chain<W: BitWord>(
 ) {
     let s = input.shape();
     let (conv_oh, conv_ow) = geom.output_hw(s.h, s.w);
-    let mut gather = WindowGather::new(geom, filters.words_per_tap());
+    let mut gather = WindowGather::new(geom, bank);
     pooled_rows(s.n, conv_oh, conv_ow, pool, ring, out, |n, oy, wpp, row| {
         let mut sink = BitSink::new(fused, row, wpp);
-        let emit = move |ox, k, x1s: &[i32]| sink.put(ox, k, x1s);
-        conv_row_tiled(input, filters, geom, &mut gather, n, oy, conv_ow, emit);
+        conv_row_tiled(input, bank, geom, &mut gather, n, oy, conv_ow, &mut sink);
     });
 }
 
 /// Functional body of the fused bit-plane conv→pool chain (Eqn 2 core).
 pub fn compute_in8_pool_chain<W: BitWord>(
     planes: &BitPlanes<W>,
-    bank: &PlaneBank<W>,
+    bank: &LaneBank<W>,
     fused: &FusedBn,
     geom: &ConvGeometry,
     pool: &PoolGeometry,
@@ -256,8 +255,7 @@ pub fn compute_in8_pool_chain<W: BitWord>(
     let mut scratch = PlaneStream::new(bank, geom, s.w);
     pooled_rows(s.n, conv_oh, conv_ow, pool, ring, out, |n, oy, wpp, row| {
         let mut sink = BitSink::new(fused, row, wpp);
-        let emit = move |ox, k0, sums: &[i32]| sink.put(ox, k0, sums);
-        bitplane_row(planes, bank, geom, &mut scratch, n, oy, conv_ow, emit);
+        bitplane_row(planes, bank, geom, &mut scratch, n, oy, conv_ow, &mut sink);
     });
 }
 
@@ -280,7 +278,7 @@ fn pooled_output_shape(conv_shape: Shape4, pool: Option<&PoolGeometry>) -> Shape
 pub fn bconv_pool_chain_into<W: BitWord>(
     q: &mut CommandQueue,
     input: &BitTensor<W>,
-    filters: &(impl FilterAccess<W> + Sync),
+    bank: &LaneBank<W>,
     fused: &FusedBn,
     geom: &ConvGeometry,
     pool: &PoolGeometry,
@@ -288,7 +286,7 @@ pub fn bconv_pool_chain_into<W: BitWord>(
     out: &mut BitTensor<W>,
 ) {
     let s = input.shape();
-    let fs = filters.shape();
+    let fs = bank.shape();
     assert_eq!(
         s.c, fs.c,
         "input channels {} != filter channels {}",
@@ -310,9 +308,9 @@ pub fn bconv_pool_chain_into<W: BitWord>(
         Some((os.pixels(), pool.size)),
         &policy,
     )
-    .discount_reads(filters.dram_discount_bytes());
+    .discount_reads(bank.dram_discount_bytes());
     q.launch(profile, || {
-        compute_bconv_pool_chain(input, filters, fused, geom, pool, ring, out)
+        compute_bconv_pool_chain(input, bank, fused, geom, pool, ring, out)
     });
 }
 
@@ -326,7 +324,7 @@ pub fn bconv_pool_chain_into<W: BitWord>(
 pub fn pack_bconv_chain_into<W: BitWord>(
     q: &mut CommandQueue,
     input: &Tensor<f32>,
-    filters: &(impl FilterAccess<W> + Sync),
+    bank: &LaneBank<W>,
     fused: &FusedBn,
     geom: &ConvGeometry,
     pool: Option<&PoolGeometry>,
@@ -335,7 +333,7 @@ pub fn pack_bconv_chain_into<W: BitWord>(
     out: &mut BitTensor<W>,
 ) {
     let s = input.shape();
-    let fs = filters.shape();
+    let fs = bank.shape();
     assert_eq!(
         s.c, fs.c,
         "input channels {} != filter channels {}",
@@ -359,12 +357,12 @@ pub fn pack_bconv_chain_into<W: BitWord>(
         pool.map(|p| (os.pixels(), p.size)),
         &policy,
     )
-    .discount_reads(filters.dram_discount_bytes());
+    .discount_reads(bank.dram_discount_bytes());
     q.launch(profile, || {
-        phonebit_tensor::pack::pack_f32_into(input, pack_tile);
+        compute_pack_input(input, pack_tile);
         match pool {
-            Some(p) => compute_bconv_pool_chain(pack_tile, filters, fused, geom, p, ring, out),
-            None => bconv::compute_bconv_fused(pack_tile, filters, fused, geom, out),
+            Some(p) => compute_bconv_pool_chain(pack_tile, bank, fused, geom, p, ring, out),
+            None => bconv::compute_bconv_fused(pack_tile, bank, fused, geom, out),
         }
     });
 }
@@ -379,7 +377,7 @@ pub fn pack_bconv_chain_into<W: BitWord>(
 pub fn in8_bconv_chain_into<W: BitWord>(
     q: &mut CommandQueue,
     input: &Tensor<u8>,
-    bank: &PlaneBank<W>,
+    bank: &LaneBank<W>,
     fused: &FusedBn,
     geom: &ConvGeometry,
     pool: Option<&PoolGeometry>,
@@ -548,7 +546,14 @@ mod tests {
             let mut q2 = queue();
             let (mut ring, mut out) = (scratch::<u64>(), scratch::<u64>());
             bconv_pool_chain_into(
-                &mut q2, &input, &filters, &fused, &geom, &pool, &mut ring, &mut out,
+                &mut q2,
+                &input,
+                &LaneBank::new(&filters),
+                &fused,
+                &geom,
+                &pool,
+                &mut ring,
+                &mut out,
             );
             assert_eq!(out, expect, "pool {}x{}", pool.size, pool.stride);
             assert_eq!(q2.timeline().len(), 1, "chain must be one dispatch");
@@ -563,6 +568,7 @@ mod tests {
         let fused = test_bn(k);
         let geom = ConvGeometry::square(3, 1, 1);
         let filters = pack_filters::<u32>(&f);
+        let bank = LaneBank::new(&filters);
 
         let mut q = queue();
         let packed = crate::kernels::pack_input::<u32>(&mut q, &t);
@@ -571,7 +577,7 @@ mod tests {
         let mut q2 = queue();
         let (mut tile, mut ring, mut out) = (scratch::<u32>(), scratch::<u32>(), scratch::<u32>());
         pack_bconv_chain_into(
-            &mut q2, &t, &filters, &fused, &geom, None, &mut tile, &mut ring, &mut out,
+            &mut q2, &t, &bank, &fused, &geom, None, &mut tile, &mut ring, &mut out,
         );
         assert_eq!(out, expect);
         assert_eq!(q2.timeline().len(), 1);
@@ -584,7 +590,7 @@ mod tests {
         pack_bconv_chain_into(
             &mut q4,
             &t,
-            &filters,
+            &bank,
             &fused,
             &geom,
             Some(&pool),
@@ -605,7 +611,7 @@ mod tests {
         let fused = test_bn(16);
         let geom = ConvGeometry::square(3, 1, 1);
         let filters = pack_filters::<u64>(&f);
-        let bank = PlaneBank::new(&filters);
+        let bank = LaneBank::column_major(&filters);
 
         let mut q = queue();
         let planes = bitplane_split::<u64>(&mut q, &img);
@@ -659,7 +665,7 @@ mod tests {
         let fused = test_bn(12);
         let geom = ConvGeometry::square(11, 4, 0);
         let filters = pack_filters::<u64>(&f);
-        let bank = PlaneBank::new(&filters);
+        let bank = LaneBank::column_major(&filters);
 
         let mut q = queue();
         let planes = bitplane_split::<u64>(&mut q, &img);

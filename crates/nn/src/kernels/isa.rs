@@ -17,7 +17,7 @@
 //! - **Where the frame boundary is.** `run` is called once per row task
 //!   (`tiled::conv_row_tiled`, `tiled::tile_filters`,
 //!   `bitplane::bitplane_row`, `dense::compute_dense_bin`, `fconv`'s pixel
-//!   rows), never per word.
+//!   rows, `pack_input`), never per word.
 //!   A `#[target_feature]` function cannot be inlined into its caller, so
 //!   the call is the boundary; everything below it — the driver, the
 //!   microkernel, `ClVec`, `BitWord::popcount`, the packed-bit sink — is
@@ -100,21 +100,26 @@ fn detect() -> IsaTier {
     IsaTier::Portable
 }
 
-/// Runs `task` compiled for the detected tier.
+/// Runs `task` compiled for the detected tier — in this crate's own tests,
+/// for the tier `tests::on_tier` forces instead, which is how they put every
+/// tier this CPU has beside the portable one.
 ///
 /// `task` must be an `#[inline(always)]` closure whose body reaches its
 /// popcounts only through `#[inline(always)]` functions (see the module
 /// docs); the result is the same on every tier.
 #[inline]
 pub(crate) fn run<R>(task: impl FnOnce() -> R) -> R {
+    #[cfg(test)]
+    if let Some(tier) = tests::FORCED.get() {
+        return run_on(tier, task);
+    }
     run_on(IsaTier::detected(), task)
 }
 
 /// [`run`] on `tier`, or on the detected tier when the CPU does not reach
-/// `tier` — how the tests put every tier this CPU has beside the portable
-/// one.
+/// `tier`.
 #[inline]
-pub(crate) fn run_on<R>(tier: IsaTier, task: impl FnOnce() -> R) -> R {
+fn run_on<R>(tier: IsaTier, task: impl FnOnce() -> R) -> R {
     match tier.min(IsaTier::detected()) {
         // SAFETY: the tier matched is at most the detected one, and `detect`
         // returns `Avx512Vpopcntdq` only after `is_x86_feature_detected!`
@@ -133,6 +138,20 @@ pub(crate) fn run_on<R>(tier: IsaTier, task: impl FnOnce() -> R) -> R {
         IsaTier::Popcnt => unsafe { run_popcnt(task) },
         _ => task(),
     }
+}
+
+/// Keeps LLVM's *loop* vectoriser off the loop whose body calls this, at no
+/// run-time cost (an empty, opaque statement the vectoriser will not
+/// widen). The kernels' lanes are filters: their word loops must be left to
+/// the SLP vectoriser, which makes each step's [`LANES`](phonebit_tensor::lanes::LANES)
+/// accumulators one vector. The loop vectoriser, when its cost model lets it
+/// go first, widens the *word* index instead and gathers every lane across
+/// eight words with `vpgatherqq` — seen on long first-layer windows and on a
+/// one-group binary tile, 1.3–2.7× slower (`scripts/check-kernel-codegen.sh`
+/// fails on it).
+#[inline(always)]
+pub(crate) fn lanes_not_words() {
+    std::hint::black_box(());
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -161,21 +180,38 @@ mod tests {
 
     use proptest::prelude::*;
 
+    use std::cell::Cell;
+
     use phonebit_tensor::bitplane::BitPlanes;
     use phonebit_tensor::bits::{BitTensor, BitWord, PackedFilters};
-    use phonebit_tensor::dict::{FilterAccess, FilterDict};
+    use phonebit_tensor::dict::FilterDict;
+    use phonebit_tensor::lanes::{LaneBank, LANES};
     use phonebit_tensor::shape::{ConvGeometry, FilterShape, Layout, Shape4};
     use phonebit_tensor::tensor::{Filters, Tensor};
 
     use crate::act::Activation;
-    use crate::fuse::FusedBn;
-    use crate::kernels::bgemm::flatten_filters;
-    use crate::kernels::bitplane::{bitplane_row, bitplane_row_portable, PlaneBank, PlaneStream};
-    use crate::kernels::dense::{compute_dense_bin, compute_dense_bin_portable};
+    use crate::fuse::{AccumSink, FusedBn};
+    use crate::kernels::bconv::window_dot;
+    use crate::kernels::bgemm::{flatten_filters, pack_windows};
+    use crate::kernels::bitplane::{bitplane_row, PlaneStream};
+    use crate::kernels::dense::compute_dense_bin;
     use crate::kernels::fconv::{compute_fconv, fconv_row};
-    use crate::kernels::tiled::{
-        conv_row_tiled, conv_row_tiled_portable, tile_filters, tile_filters_portable, WindowGather,
-    };
+    use crate::kernels::tiled::{conv_row_tiled, tile_filters, WindowGather};
+
+    thread_local! {
+        /// The tier [`run`] enters on this thread instead of the detected
+        /// one; see [`on_tier`].
+        pub(super) static FORCED: Cell<Option<IsaTier>> = const { Cell::new(None) };
+    }
+
+    /// Runs `entry` — a kernel's public entry, [`run`] inside it — on
+    /// `tier`; `None` leaves the dispatch alone.
+    fn on_tier<T>(tier: Option<IsaTier>, entry: impl FnOnce() -> T) -> T {
+        FORCED.set(tier);
+        let out = entry();
+        FORCED.set(None);
+        out
+    }
 
     #[test]
     fn detection_is_stable_and_named() {
@@ -241,9 +277,9 @@ mod tests {
             .filter(|&tier| tier <= IsaTier::detected())
     }
 
-    /// Checks that `outputs(Some(tier))` — the portable driver entered on
-    /// `tier` — and `outputs(None)` — the public dispatched entry — all
-    /// equal the portable tier's result, which is returned.
+    /// Checks that `outputs(Some(tier))` — the kernel entered on `tier`, on
+    /// every tier this CPU has — and `outputs(None)` — the dispatched entry
+    /// — all equal the portable tier's result, which is returned.
     fn same_on_every_tier<T: PartialEq>(
         mut outputs: impl FnMut(Option<IsaTier>) -> T,
     ) -> Result<T, TestCaseError> {
@@ -255,100 +291,124 @@ mod tests {
         Ok(portable)
     }
 
-    /// An `emit` that files each run of dot values under `(row, k0)`.
-    fn record(out: &mut [i32], k: usize) -> impl FnMut(usize, usize, &[i32]) + '_ {
-        move |row, k0, x1s| out[row * k + k0..][..x1s.len()].copy_from_slice(x1s)
+    /// A sink that files each run of dot values under `(row, k0)`.
+    fn record(out: &mut [i32], k: usize) -> AccumSink<'_> {
+        AccumSink {
+            row: out,
+            channels: k,
+        }
+    }
+
+    /// A random two-image input, bank (its taps repeating three patterns)
+    /// and geometry; `None` when the kernel does not fit the padded input.
+    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
+    fn binary_case<W: BitWord>(
+        h: usize,
+        w: usize,
+        c: usize,
+        k: usize,
+        (kh, kw): (usize, usize),
+        stride: usize,
+        pad: usize,
+        seed: u64,
+    ) -> Option<(BitTensor<W>, PackedFilters<W>, ConvGeometry)> {
+        if h + 2 * pad < kh || w + 2 * pad < kw {
+            return None;
+        }
+        let mut rng = seed;
+        let input = random_bits::<W>(Shape4::new(2, h, w, c), &mut rng);
+        let filters = random_filters::<W>(FilterShape::new(k, kh, kw, c), 3, &mut rng);
+        let geom = ConvGeometry {
+            kh,
+            kw,
+            stride_h: stride,
+            stride_w: stride,
+            pad_h: pad,
+            pad_w: pad,
+        };
+        Some((input, filters, geom))
     }
 
     /// Every output the row driver emits over every row of `input`, on
-    /// every tier.
+    /// every tier, against the per-tap oracle (which an output never emitted
+    /// cannot equal).
     fn conv_rows_agree<W: BitWord>(
         input: &BitTensor<W>,
-        filters: &(impl FilterAccess<W> + Sync),
+        filters: &PackedFilters<W>,
+        bank: &LaneBank<W>,
         geom: &ConvGeometry,
     ) -> Result<(), TestCaseError> {
         let s = input.shape();
         let (oh, ow) = geom.output_hw(s.h, s.w);
         let k = filters.shape().k;
-        let mut gather = WindowGather::new(geom, filters.words_per_tap());
-        for n in 0..s.n {
-            for oy in 0..oh {
-                let portable = same_on_every_tier(|tier| {
-                    let mut out = vec![i32::MIN; ow * k];
-                    let emit = record(&mut out, k);
-                    let g = &mut gather;
-                    match tier {
-                        None => conv_row_tiled(input, filters, geom, g, n, oy, ow, emit),
-                        Some(tier) => run_on(
-                            tier,
-                            #[inline(always)]
-                            || conv_row_tiled_portable(input, filters, geom, g, n, oy, ow, emit),
-                        ),
-                    }
-                    out
-                })?;
-                prop_assert!(!portable.contains(&i32::MIN), "an output was never emitted");
+        // One scratch across rows, images and tiers, as a worker keeps it.
+        let mut gather = WindowGather::new(geom, bank);
+        for (n, oy) in (0..s.n).flat_map(|n| (0..oh).map(move |oy| (n, oy))) {
+            let row = same_on_every_tier(|tier| {
+                let mut out = vec![i32::MIN; ow * k];
+                let mut sink = record(&mut out, k);
+                on_tier(tier, || {
+                    conv_row_tiled(input, bank, geom, &mut gather, n, oy, ow, &mut sink)
+                });
+                out
+            })?;
+            for (at, &got) in row.iter().enumerate() {
+                let (ox, kk) = (at / k, at % k);
+                let expect = window_dot(input, filters, geom, n, oy, ox, kk);
+                prop_assert!(
+                    got == expect,
+                    "n {n} oy {oy} ox {ox} k {kk}: {got} != {expect}"
+                );
             }
         }
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// The direct routes: the raw bank interleaved, and the same bank
+    /// interleaved through its dictionary.
     fn conv_row_case<W: BitWord>(
-        h: usize,
-        w: usize,
-        c_extra: usize,
-        k: usize,
-        kernel: usize,
-        stride: usize,
-        pad: usize,
-        seed: u64,
+        case: Option<(BitTensor<W>, PackedFilters<W>, ConvGeometry)>,
     ) -> Result<(), TestCaseError> {
-        // Channel counts below, at and past one and two words, mostly odd.
-        let c = 1 + (c_extra * 7) % (2 * W::BITS + 5);
-        if h + 2 * pad < kernel || w + 2 * pad < kernel {
+        let Some((input, filters, geom)) = case else {
             return Ok(());
-        }
-        let mut rng = seed;
-        let input = random_bits::<W>(Shape4::new(2, h, w, c), &mut rng);
-        let filters = random_filters::<W>(FilterShape::new(k, kernel, kernel, c), 3, &mut rng);
-        let geom = ConvGeometry::square(kernel, stride, pad);
-        conv_rows_agree(&input, &filters, &geom)?;
-        // The same bank read through its dictionary: the table walk
-        // (`WindowGather::dict_tile`) for multi-tap kernels, flat rows for
-        // 1x1.
-        conv_rows_agree(&input, &FilterDict::build(&filters), &geom)
+        };
+        conv_rows_agree(&input, &filters, &LaneBank::new(&filters), &geom)?;
+        let dict = LaneBank::new(&FilterDict::build(&filters));
+        conv_rows_agree(&input, &filters, &dict, &geom)
     }
 
+    /// The lowered route: `pack_windows` rows against the interleaved
+    /// `flatten_filters` bank (and its dictionary), every row of a two-image
+    /// tensor in one call.
     fn tile_filters_case<W: BitWord>(
-        rows: usize,
-        taps: usize,
-        tap_words: usize,
-        k: usize,
-        seed: u64,
+        case: Option<(BitTensor<W>, PackedFilters<W>, ConvGeometry)>,
     ) -> Result<(), TestCaseError> {
-        let mut rng = seed;
-        let c = tap_words * W::BITS;
-        // Odd window lengths: `taps * tap_words` words per row.
-        let spans = random_bits::<W>(Shape4::new(1, 1, rows, taps * c), &mut rng);
-        let bank = random_filters::<W>(FilterShape::new(k, 1, taps, c), 4, &mut rng);
-        let flat = flatten_filters(&bank);
-        let (words, row_words) = (spans.as_words(), spans.words_per_pixel());
-        let bits = (taps * c) as i32;
-        let portable = same_on_every_tier(|tier| {
-            let mut out = vec![i32::MIN; rows * k];
-            let emit = record(&mut out, k);
-            match tier {
-                None => tile_filters(words, row_words, &flat, bits, emit),
-                Some(tier) => run_on(
-                    tier,
-                    #[inline(always)]
-                    || tile_filters_portable(words, row_words, &flat, bits, emit),
-                ),
+        let Some((input, filters, geom)) = case else {
+            return Ok(());
+        };
+        let windows = pack_windows(&input, &geom);
+        let (ws, k) = (windows.shape(), filters.shape().k);
+        let flat = flatten_filters(&filters);
+        let bank = LaneBank::new(&flat);
+        // De-interleaved, the bank is the flat rows again.
+        for kk in 0..k {
+            let lanes = bank.group(kk / LANES).iter().map(|v| v[kk % LANES]);
+            prop_assert!(lanes.eq(flat.filter_words(kk).iter().copied()));
+        }
+        for bank in [&bank, &LaneBank::new(&FilterDict::build(&flat))] {
+            let rows = same_on_every_tier(|tier| {
+                let mut out = vec![i32::MIN; ws.pixels() * k];
+                let mut sink = record(&mut out, k);
+                on_tier(tier, || tile_filters(windows.as_words(), bank, &mut sink));
+                out
+            })?;
+            for (at, &got) in rows.iter().enumerate() {
+                let (px, kk) = (at / k, at % k);
+                let (n, oy, ox) = (px / (ws.h * ws.w), px / ws.w % ws.h, px % ws.w);
+                let expect = window_dot(&input, &filters, &geom, n, oy, ox, kk);
+                prop_assert!(got == expect, "pixel {px} k {kk}: {got} != {expect}");
             }
-            out
-        })?;
-        prop_assert!(!portable.contains(&i32::MIN), "an output was never emitted");
+        }
         Ok(())
     }
 
@@ -373,7 +433,7 @@ mod tests {
         }
         let planes = BitPlanes::<W>::split(&image);
         let filters = random_filters::<W>(FilterShape::new(k, kernel, kernel, c), 5, &mut rng);
-        let bank = PlaneBank::new(&filters);
+        let bank = LaneBank::column_major(&filters);
         let geom = ConvGeometry::square(kernel, stride, pad);
         let (oh, ow) = geom.output_hw(h, w);
         // One scratch across rows, images and tiers, as a worker keeps it.
@@ -381,16 +441,10 @@ mod tests {
         for (n, oy) in (0..2).flat_map(|n| (0..oh).map(move |oy| (n, oy))) {
             let portable = same_on_every_tier(|tier| {
                 let mut out = vec![i32::MIN; ow * k];
-                let emit = record(&mut out, k);
-                let scr = &mut scratch;
-                match tier {
-                    None => bitplane_row(&planes, &bank, &geom, scr, n, oy, ow, emit),
-                    Some(tier) => run_on(
-                        tier,
-                        #[inline(always)]
-                        || bitplane_row_portable(&planes, &bank, &geom, scr, n, oy, ow, emit),
-                    ),
-                }
+                let (mut sink, scr) = (record(&mut out, k), &mut scratch);
+                on_tier(tier, || {
+                    bitplane_row(&planes, &bank, &geom, scr, n, oy, ow, &mut sink)
+                });
                 out
             })?;
             // The oracle: a direct `u8 × ±1` zero-padded convolution.
@@ -430,14 +484,9 @@ mod tests {
         };
         let portable = same_on_every_tier(|tier| {
             let mut out = BitTensor::<W>::zeros(Shape4::new(3, 1, 1, k));
-            match tier {
-                None => compute_dense_bin(&input, &weights, &fused, &mut out),
-                Some(tier) => run_on(
-                    tier,
-                    #[inline(always)]
-                    || compute_dense_bin_portable(&input, &weights, &fused, &mut out),
-                ),
-            }
+            on_tier(tier, || {
+                compute_dense_bin(&input, &weights, &fused, &mut out)
+            });
             out
         })?;
         prop_assert!(portable.tail_is_clean());
@@ -521,44 +570,52 @@ mod tests {
     }
 
     // Each property enters the one generic driver on every tier the CPU has
-    // and through the public dispatched entry, at all four word widths, and
-    // compares each against the portable tier. On a CPU (or target) whose
-    // only tier is `portable` the tests are vacuous; everywhere else they
-    // compare different instruction streams.
+    // and through the dispatched entry, at all four word widths, and compares
+    // each against the portable tier — and that against an oracle that
+    // shares none of the kernel's code. On a CPU (or target) whose only tier
+    // is `portable` the tier comparison is vacuous; everywhere else it
+    // compares different instruction streams.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         #[test]
         fn dispatched_conv_row_equals_portable(
+            // One-pixel-high and one-pixel-wide inputs included; up to three
+            // pixel tiles per row.
             h in 1usize..6,
-            w in 1usize..7,
-            c_extra in 0usize..64,
-            k in 1usize..11,
-            kernel in prop::sample::select(vec![1usize, 3]),
+            w in 1usize..11,
+            // Below, at and past one and two `u64` words, mostly odd.
+            c in prop::sample::select(vec![1usize, 3, 37, 64, 70, 130]),
+            // The filter-count tail: below, at and past one group, an odd
+            // and an even group count.
+            k in prop::sample::select(vec![1usize, 7, 8, 9, 20, 36]),
+            kernel in prop::sample::select(vec![(1usize, 1usize), (3, 3), (1, 3)]),
             stride in 1usize..3,
-            // pad 2 under a 3x3 kernel on a 1-pixel-high input leaves only
-            // border rows.
+            // Up to `pad > kernel / 2`: windows wholly in padding.
             pad in 0usize..3,
             seed in any::<u64>(),
         ) {
-            conv_row_case::<u8>(h, w, c_extra, k, kernel, stride, pad, seed)?;
-            conv_row_case::<u16>(h, w, c_extra, k, kernel, stride, pad, seed)?;
-            conv_row_case::<u32>(h, w, c_extra, k, kernel, stride, pad, seed)?;
-            conv_row_case::<u64>(h, w, c_extra, k, kernel, stride, pad, seed)?;
+            conv_row_case(binary_case::<u8>(h, w, c, k, kernel, stride, pad, seed))?;
+            conv_row_case(binary_case::<u16>(h, w, c, k, kernel, stride, pad, seed))?;
+            conv_row_case(binary_case::<u32>(h, w, c, k, kernel, stride, pad, seed))?;
+            conv_row_case(binary_case::<u64>(h, w, c, k, kernel, stride, pad, seed))?;
         }
 
         #[test]
         fn dispatched_tile_filters_equals_portable(
-            rows in 1usize..3,
-            taps in 1usize..10,
-            tap_words in 1usize..4,
-            k in 1usize..12,
+            h in 1usize..5,
+            w in 1usize..8,
+            c in prop::sample::select(vec![1usize, 3, 37, 64, 70, 130]),
+            k in prop::sample::select(vec![1usize, 7, 8, 9, 20, 36]),
+            kernel in prop::sample::select(vec![(1usize, 1usize), (3, 3), (1, 3)]),
+            stride in 1usize..3,
+            pad in 0usize..3,
             seed in any::<u64>(),
         ) {
-            tile_filters_case::<u8>(rows, taps, tap_words, k, seed)?;
-            tile_filters_case::<u16>(rows, taps, tap_words, k, seed)?;
-            tile_filters_case::<u32>(rows, taps, tap_words, k, seed)?;
-            tile_filters_case::<u64>(rows, taps, tap_words, k, seed)?;
+            tile_filters_case(binary_case::<u8>(h, w, c, k, kernel, stride, pad, seed))?;
+            tile_filters_case(binary_case::<u16>(h, w, c, k, kernel, stride, pad, seed))?;
+            tile_filters_case(binary_case::<u32>(h, w, c, k, kernel, stride, pad, seed))?;
+            tile_filters_case(binary_case::<u64>(h, w, c, k, kernel, stride, pad, seed))?;
         }
 
         #[test]

@@ -37,9 +37,16 @@ pub fn pack_input_into<W: BitWord>(
 ) {
     let s = input.shape();
     let profile = profiles::pack_input(s.pixels(), s.c);
-    q.launch(profile, || {
-        phonebit_tensor::pack::pack_f32_into(input, out);
-    });
+    q.launch(profile, || compute_pack_input(input, out));
+}
+
+/// Functional body of [`pack_input`]: the sign-pack sweep under the host's
+/// best instruction set (a vector compare yields 16 bits at once).
+pub fn compute_pack_input<W: BitWord>(input: &Tensor<f32>, out: &mut BitTensor<W>) {
+    isa::run(
+        #[inline(always)]
+        || phonebit_tensor::pack::pack_f32_into(input, out),
+    )
 }
 
 /// Dispatches the softmax epilogue over a logit vector.

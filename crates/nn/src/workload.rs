@@ -8,16 +8,20 @@
 //! thread cannot load the required data" — so for channel counts above 256
 //! the packing runs as a separate kernel instead.
 //!
-//! The tiled hot path ([`crate::kernels::tiled`]) additionally gives each
-//! integrated thread [`crate::kernels::tiled::TILE_PIXELS`] output pixels:
-//! the gathered windows live in private memory and are reused across every
-//! filter the thread computes, which this policy accounts for in
-//! [`WorkloadPolicy::private_bytes`] (occupancy) and
-//! [`WorkloadPolicy::work_items`] (thread counts).
+//! The tiled decomposition additionally gives each integrated thread
+//! [`TILED_PIXELS_PER_THREAD`] output pixels: the gathered windows live in
+//! private memory and are reused across every filter the thread computes,
+//! which this policy accounts for in [`WorkloadPolicy::private_bytes`]
+//! (occupancy) and [`WorkloadPolicy::work_items`] (thread counts).
 
 use phonebit_tensor::shape::ConvGeometry;
 
-use crate::kernels::tiled::TILE_PIXELS;
+/// Output pixels one integrated thread of the *modeled* device holds. The
+/// policy's own constant, not the host kernels' register tile
+/// (`kernels::tiled::TILE_PIXELS`): retiling the host must not move
+/// `private_bytes`, `work_items` and with them every modeled time — it is
+/// the value the committed `BENCH_*.json` baselines were generated with.
+pub const TILED_PIXELS_PER_THREAD: usize = 2;
 
 /// The channel-count threshold above which packing is split out of the
 /// convolution kernel (paper §VI-B).
@@ -40,13 +44,14 @@ impl WorkloadPolicy {
     /// The paper's policy: integrate 8 filters per thread when the input
     /// channel count allows it, otherwise fall back to one filter per thread
     /// with a separate packing kernel. Integrated threads run the tiled
-    /// kernel and hold [`TILE_PIXELS`] gathered windows; the fallback keeps
-    /// one pixel per thread so large-channel windows still fit.
+    /// kernel and hold [`TILED_PIXELS_PER_THREAD`] gathered windows; the
+    /// fallback keeps one pixel per thread so large-channel windows still
+    /// fit.
     pub fn for_channels(in_channels: usize) -> Self {
         if in_channels <= INTEGRATION_CHANNEL_LIMIT {
             Self {
                 filters_per_thread: 8,
-                pixels_per_thread: TILE_PIXELS,
+                pixels_per_thread: TILED_PIXELS_PER_THREAD,
                 integrated_packing: true,
             }
         } else {
@@ -62,7 +67,7 @@ impl WorkloadPolicy {
     pub fn always_integrated() -> Self {
         Self {
             filters_per_thread: 8,
-            pixels_per_thread: TILE_PIXELS,
+            pixels_per_thread: TILED_PIXELS_PER_THREAD,
             integrated_packing: true,
         }
     }
@@ -101,12 +106,25 @@ mod tests {
     fn paper_rule_at_256() {
         let small = WorkloadPolicy::for_channels(256);
         assert_eq!(small.filters_per_thread, 8);
-        assert_eq!(small.pixels_per_thread, TILE_PIXELS);
+        assert_eq!(small.pixels_per_thread, TILED_PIXELS_PER_THREAD);
         assert!(small.integrated_packing);
         let big = WorkloadPolicy::for_channels(257);
         assert_eq!(big.filters_per_thread, 1);
         assert_eq!(big.pixels_per_thread, 1);
         assert!(!big.integrated_packing);
+    }
+
+    #[test]
+    fn modeled_tile_is_pinned_apart_from_the_host_tile() {
+        // The closed-form baselines were generated with two pixels per
+        // thread; the host kernels' tile is free to differ.
+        assert_eq!(TILED_PIXELS_PER_THREAD, 2);
+        let p = WorkloadPolicy::always_integrated();
+        assert_eq!(p.pixels_per_thread, 2);
+        assert_eq!(WorkloadPolicy::for_channels(64), p);
+        let g = ConvGeometry::square(3, 1, 1);
+        assert_eq!(p.private_bytes(&g, 64), 2 * 72 + 8 * 2 * 4 + 64);
+        assert_eq!(p.work_items(101, 20), 51 * 3);
     }
 
     #[test]

@@ -454,24 +454,13 @@ pub fn dot_u1_pm1<W: BitWord>(a: &[W], w: &[W]) -> i32 {
 /// one packed span at a time. Taps are laid out `(k, i, j)`-major, which
 /// means **one filter's whole window is a single contiguous span** — see
 /// [`PackedFilters::filter_words`] — exactly the layout a gathered
-/// convolution window has, so the tiled kernels stream filter windows with
-/// one vectorized xor+popcount per filter.
-///
-/// The bank also maintains **per-tap popcount tables** (updated on every
-/// [`PackedFilters::set_bit`]): padding taps read all-zero activations, so
-/// their disagreement count is exactly `popcount(w)` (`xor(0, w) = w`), and
-/// border pixels look that up instead of re-popcounting the padding words on
-/// every output.
+/// convolution window has, so [`crate::lanes::LaneBank`] interleaves it with
+/// plain word copies.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedFilters<W: BitWord = u64> {
     shape: FilterShape,
     words_per_tap: usize,
     data: Vec<W>,
-    /// Set-bit count of each `(k, i, j)` tap span, kept in sync by
-    /// [`PackedFilters::set_bit`].
-    tap_pops: Vec<u32>,
-    /// Set-bit count of each filter's whole window (sum of its tap rows).
-    window_pops: Vec<u32>,
 }
 
 impl<W: BitWord> PackedFilters<W> {
@@ -483,8 +472,6 @@ impl<W: BitWord> PackedFilters<W> {
             shape,
             words_per_tap,
             data,
-            tap_pops: vec![0; shape.k * shape.kh * shape.kw],
-            window_pops: vec![0; shape.k],
         }
     }
 
@@ -526,31 +513,17 @@ impl<W: BitWord> PackedFilters<W> {
         self.data[off + c / W::BITS].bit(c % W::BITS)
     }
 
-    /// Writes the weight bit at `(k, i, j, c)`, keeping the tap popcount
-    /// tables in sync.
+    /// Writes the weight bit at `(k, i, j, c)`.
     #[inline]
     pub fn set_bit(&mut self, k: usize, i: usize, j: usize, c: usize, v: bool) {
         debug_assert!(c < self.shape.c);
-        let off = self.tap_offset(k, i, j);
-        let idx = off + c / W::BITS;
-        let old = self.data[idx].bit(c % W::BITS);
+        let idx = self.tap_offset(k, i, j) + c / W::BITS;
         self.data[idx] = self.data[idx].with_bit(c % W::BITS, v);
-        if old != v {
-            let tap = off / self.words_per_tap;
-            if v {
-                self.tap_pops[tap] += 1;
-                self.window_pops[k] += 1;
-            } else {
-                self.tap_pops[tap] -= 1;
-                self.window_pops[k] -= 1;
-            }
-        }
     }
 
-    /// Overwrites the packed words of tap `(k, i, j)` with `words`, keeping
-    /// the popcount tables in sync — the bulk path for building filter
-    /// banks out of existing word spans (e.g. word-aligned flattening)
-    /// without a per-bit walk.
+    /// Overwrites the packed words of tap `(k, i, j)` with `words` — the
+    /// bulk path for building filter banks out of existing word spans
+    /// (e.g. word-aligned flattening) without a per-bit walk.
     ///
     /// # Panics
     ///
@@ -559,12 +532,7 @@ impl<W: BitWord> PackedFilters<W> {
     pub fn set_tap_words(&mut self, k: usize, i: usize, j: usize, words: &[W]) {
         assert_eq!(words.len(), self.words_per_tap, "tap span length mismatch");
         let off = self.tap_offset(k, i, j);
-        let new_pop: u32 = words.iter().map(|w| w.popcount()).sum();
-        let tap = off / self.words_per_tap;
-        let old_pop = self.tap_pops[tap];
         self.data[off..off + self.words_per_tap].copy_from_slice(words);
-        self.tap_pops[tap] = new_pop;
-        self.window_pops[k] = self.window_pops[k] + new_pop - old_pop;
         debug_assert!(self.tail_is_clean(), "set_tap_words given dirty tail bits");
     }
 
@@ -582,33 +550,6 @@ impl<W: BitWord> PackedFilters<W> {
     pub fn filter_words(&self, k: usize) -> &[W] {
         let len = self.words_per_filter();
         &self.data[k * len..(k + 1) * len]
-    }
-
-    /// Precomputed set-bit count of tap `(k, i, j)` — the disagreement a
-    /// padding (all-zero) activation tap contributes against this filter.
-    #[inline(always)]
-    pub fn tap_popcount(&self, k: usize, i: usize, j: usize) -> u32 {
-        let s = self.shape;
-        debug_assert!(k < s.k && i < s.kh && j < s.kw);
-        self.tap_pops[(k * s.kh + i) * s.kw + j]
-    }
-
-    /// Precomputed set-bit count of filter `k`'s whole window.
-    #[inline(always)]
-    pub fn window_popcount(&self, k: usize) -> u32 {
-        self.window_pops[k]
-    }
-
-    /// Sum of tap popcounts over columns `j0..j1` of window row `i` —
-    /// border pixels subtract this (their in-bounds taps) from
-    /// [`PackedFilters::window_popcount`] to get the padding contribution
-    /// without touching any filter words.
-    #[inline(always)]
-    pub fn row_popcount_range(&self, k: usize, i: usize, j0: usize, j1: usize) -> u32 {
-        let s = self.shape;
-        debug_assert!(k < s.k && i < s.kh && j0 <= j1 && j1 <= s.kw);
-        let base = (k * s.kh + i) * s.kw;
-        self.tap_pops[base + j0..base + j1].iter().sum()
     }
 
     /// Raw packed words.
@@ -769,48 +710,6 @@ mod tests {
         assert_eq!(t.pixel_offset(0, 0, 2), 4);
         assert_eq!(t.pixel_offset(0, 1, 0), 6);
         assert_eq!(t.word_len(), 12);
-    }
-
-    #[test]
-    fn tap_popcounts_track_set_bits() {
-        let mut f = PackedFilters::<u16>::zeros(FilterShape::new(2, 3, 3, 20));
-        assert_eq!(f.tap_popcount(0, 0, 0), 0);
-        f.set_bit(0, 1, 2, 3, true);
-        f.set_bit(0, 1, 2, 17, true);
-        f.set_bit(0, 2, 0, 5, true);
-        f.set_bit(1, 0, 0, 0, true);
-        // Idempotent set does not double count.
-        f.set_bit(0, 1, 2, 3, true);
-        assert_eq!(f.tap_popcount(0, 1, 2), 2);
-        assert_eq!(f.tap_popcount(0, 2, 0), 1);
-        assert_eq!(f.window_popcount(0), 3);
-        assert_eq!(f.window_popcount(1), 1);
-        // Clearing decrements.
-        f.set_bit(0, 1, 2, 17, false);
-        assert_eq!(f.tap_popcount(0, 1, 2), 1);
-        assert_eq!(f.window_popcount(0), 2);
-        // Popcounts match a from-scratch recount of the tap words.
-        for k in 0..2 {
-            for i in 0..3 {
-                for j in 0..3 {
-                    let direct: u32 = f.tap_words(k, i, j).iter().map(|w| w.popcount()).sum();
-                    assert_eq!(f.tap_popcount(k, i, j), direct);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn row_popcount_range_sums_taps() {
-        let mut f = PackedFilters::<u8>::zeros(FilterShape::new(1, 2, 3, 9));
-        f.set_bit(0, 1, 0, 2, true);
-        f.set_bit(0, 1, 1, 4, true);
-        f.set_bit(0, 1, 1, 8, true);
-        f.set_bit(0, 1, 2, 0, true);
-        assert_eq!(f.row_popcount_range(0, 1, 0, 3), 4);
-        assert_eq!(f.row_popcount_range(0, 1, 1, 2), 2);
-        assert_eq!(f.row_popcount_range(0, 1, 2, 2), 0);
-        assert_eq!(f.row_popcount_range(0, 0, 0, 3), 0);
     }
 
     #[test]

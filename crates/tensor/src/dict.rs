@@ -13,15 +13,18 @@
 //! dictionary (1 byte for ≤ 256 unique rows, 2 for ≤ 65 536, else 4), so the
 //! compressed footprint is `unique · row_bytes + taps · index_width`.
 //!
-//! Kernels read through the dictionary via [`FilterAccess`]: index
-//! resolution happens at window-gather / tap-slice time, and the span a
-//! kernel xors against is bit-identical to the raw tap span, so the inner
-//! popcount loops — and therefore the outputs — are unchanged. The one
-//! structural difference is contiguity: a raw bank exposes each filter's
-//! whole window as one contiguous span ([`PackedFilters::filter_words`]);
-//! a dictionary generally cannot ([`FilterAccess::contiguous_filter`]
-//! returns `None` unless the bank has a single tap per filter, as the
-//! pre-flattened GEMM banks do), and callers fall back to per-tap spans.
+//! Readers go through the dictionary via [`FilterAccess`]: the span a tap
+//! resolves to is bit-identical to the raw tap span, so whatever is built
+//! from it — the per-tap oracle's dots, or the filter-interleaved
+//! [`LaneBank`](crate::lanes::LaneBank) the kernels run on, staged from the
+//! dictionary once per layer — is unchanged. The dictionary is what the
+//! modeled device stores and reads ([`FilterAccess::dram_discount_bytes`]);
+//! the host kernels never walk it per pixel. The one structural difference
+//! is contiguity: a raw bank exposes each filter's whole window as one
+//! contiguous span ([`PackedFilters::filter_words`]); a dictionary
+//! generally cannot ([`FilterAccess::contiguous_filter`] returns `None`
+//! unless the bank has a single tap per filter, as the pre-flattened GEMM
+//! banks do), and callers fall back to per-tap spans.
 //!
 //! Compression is lossless and byte-exact: [`FilterDict::decode`] rebuilds
 //! the original [`PackedFilters`].
@@ -49,15 +52,6 @@ pub trait FilterAccess<W: BitWord> {
     /// The packed word span of tap `(k, i, j)`.
     fn tap_words(&self, k: usize, i: usize, j: usize) -> &[W];
 
-    /// Precomputed set-bit count of tap `(k, i, j)`.
-    fn tap_popcount(&self, k: usize, i: usize, j: usize) -> u32;
-
-    /// Precomputed set-bit count of filter `k`'s whole window.
-    fn window_popcount(&self, k: usize) -> u32;
-
-    /// Sum of tap popcounts over columns `j0..j1` of window row `i`.
-    fn row_popcount_range(&self, k: usize, i: usize, j0: usize, j1: usize) -> u32;
-
     /// Filter `k`'s whole `(kh, kw, c)` window as one contiguous raster
     /// span, when the representation stores one; `None` forces callers onto
     /// the per-tap path.
@@ -67,17 +61,6 @@ pub trait FilterAccess<W: BitWord> {
     /// the raw representation. Raw banks save nothing.
     fn dram_discount_bytes(&self) -> f64 {
         0.0
-    }
-
-    /// The dictionary internals — `(unique rows, per-tap row indices)` in
-    /// `(k, i, j)`-major index order — when the bank is dictionary-
-    /// compressed. Kernels use this to dot each window tap against every
-    /// *unique* row once and distribute results through the index table
-    /// (the Silfa-style shared-popcount trick), which keeps pace with the
-    /// per-filter walk of a raw bank when the dictionary wins. Raw banks
-    /// return `None`.
-    fn dictionary(&self) -> Option<(&[W], &[u32])> {
-        None
     }
 }
 
@@ -93,21 +76,6 @@ impl<W: BitWord> FilterAccess<W> for PackedFilters<W> {
     #[inline(always)]
     fn tap_words(&self, k: usize, i: usize, j: usize) -> &[W] {
         PackedFilters::tap_words(self, k, i, j)
-    }
-
-    #[inline(always)]
-    fn tap_popcount(&self, k: usize, i: usize, j: usize) -> u32 {
-        PackedFilters::tap_popcount(self, k, i, j)
-    }
-
-    #[inline(always)]
-    fn window_popcount(&self, k: usize) -> u32 {
-        PackedFilters::window_popcount(self, k)
-    }
-
-    #[inline(always)]
-    fn row_popcount_range(&self, k: usize, i: usize, j0: usize, j1: usize) -> u32 {
-        PackedFilters::row_popcount_range(self, k, i, j0, j1)
     }
 
     #[inline(always)]
@@ -130,10 +98,6 @@ pub struct FilterDict<W: BitWord = u64> {
     /// `u32` in host memory; the *modeled* on-device width is
     /// [`FilterDict::index_width_bytes`].
     indices: Vec<u32>,
-    /// Set-bit count of each tap, same order as `indices`.
-    tap_pops: Vec<u32>,
-    /// Set-bit count of each filter's whole window.
-    window_pops: Vec<u32>,
 }
 
 impl<W: BitWord> FilterDict<W> {
@@ -148,10 +112,7 @@ impl<W: BitWord> FilterDict<W> {
         let mut seen: HashMap<Vec<W>, u32> = HashMap::new();
         let mut rows: Vec<W> = Vec::new();
         let mut indices = Vec::with_capacity(taps);
-        let mut tap_pops = Vec::with_capacity(taps);
-        let mut window_pops = Vec::with_capacity(shape.k);
         for k in 0..shape.k {
-            window_pops.push(filters.window_popcount(k));
             for i in 0..shape.kh {
                 for j in 0..shape.kw {
                     let span = filters.tap_words(k, i, j);
@@ -161,7 +122,6 @@ impl<W: BitWord> FilterDict<W> {
                         next
                     });
                     indices.push(idx);
-                    tap_pops.push(filters.tap_popcount(k, i, j));
                 }
             }
         }
@@ -170,8 +130,6 @@ impl<W: BitWord> FilterDict<W> {
             words_per_tap: wpt,
             rows,
             indices,
-            tap_pops,
-            window_pops,
         }
     }
 
@@ -256,24 +214,6 @@ impl<W: BitWord> FilterAccess<W> for FilterDict<W> {
     }
 
     #[inline(always)]
-    fn tap_popcount(&self, k: usize, i: usize, j: usize) -> u32 {
-        self.tap_pops[self.tap_index(k, i, j)]
-    }
-
-    #[inline(always)]
-    fn window_popcount(&self, k: usize) -> u32 {
-        self.window_pops[k]
-    }
-
-    #[inline(always)]
-    fn row_popcount_range(&self, k: usize, i: usize, j0: usize, j1: usize) -> u32 {
-        let s = self.shape;
-        debug_assert!(k < s.k && i < s.kh && j0 <= j1 && j1 <= s.kw);
-        let base = (k * s.kh + i) * s.kw;
-        self.tap_pops[base + j0..base + j1].iter().sum()
-    }
-
-    #[inline(always)]
     fn contiguous_filter(&self, k: usize) -> Option<&[W]> {
         // Single-tap banks (the pre-flattened GEMM layout, kh = kw = 1)
         // keep one dictionary row per filter, so the "window" is exactly
@@ -287,10 +227,6 @@ impl<W: BitWord> FilterAccess<W> for FilterDict<W> {
 
     fn dram_discount_bytes(&self) -> f64 {
         self.saved_bytes() as f64
-    }
-
-    fn dictionary(&self) -> Option<(&[W], &[u32])> {
-        Some((&self.rows, &self.indices))
     }
 }
 
@@ -330,17 +266,8 @@ mod tests {
                         FilterAccess::tap_words(&d, k, i, j),
                         PackedFilters::tap_words(&f, k, i, j)
                     );
-                    assert_eq!(
-                        FilterAccess::tap_popcount(&d, k, i, j),
-                        f.tap_popcount(k, i, j)
-                    );
                 }
             }
-            assert_eq!(FilterAccess::window_popcount(&d, k), f.window_popcount(k));
-            assert_eq!(
-                FilterAccess::row_popcount_range(&d, k, 1, 0, 3),
-                f.row_popcount_range(k, 1, 0, 3)
-            );
         }
     }
 

@@ -1,0 +1,221 @@
+//! Filter-interleaved banks: the layout in which lanes are outputs.
+//!
+//! A binary kernel that keeps one filter's words in its vector lanes has to
+//! sum across the lanes once per output. [`LaneBank`] turns the bank the
+//! other way round — word `t` of [`LANES`] *adjacent filters* side by side —
+//! so a kernel broadcasts one window word against a whole vector of filters
+//! and every lane accumulates its own output: no horizontal reduce, no tail
+//! words (every word index is a full vector), and a group's [`LANES`]
+//! results leave together, one packed byte (paper Fig 4). It is the
+//! output-channel-blocked weight layout of daBNN's and Larq Compute
+//! Engine's micro-kernels.
+//!
+//! A bank is built once per layer at stage time from whole-filter **rows**,
+//! with word copies; the row's bit order is the constructor's choice and
+//! must be the order of the windows the kernel multiplies it against.
+
+use crate::bits::{merge_bits, BitWord, PackedFilters};
+use crate::dict::FilterAccess;
+use crate::shape::FilterShape;
+
+/// Filters per group: the outputs that leave a kernel side by side. Eight is
+/// the narrowest output word, so a group's bits never straddle one.
+pub const LANES: usize = 8;
+
+/// A filter bank interleaved [`LANES`] filters at a time: per (filter group,
+/// row word), that word of the group's filters side by side. Lanes past the
+/// last filter are zero.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LaneBank<W: BitWord = u64> {
+    shape: FilterShape,
+    row_words: usize,
+    dram_discount_bytes: f64,
+    lanes: Vec<[W; LANES]>,
+}
+
+impl<W: BitWord> LaneBank<W> {
+    /// Interleaves `filters` in window raster order: a filter's row is its
+    /// tap spans in `(i, j)` order, each padded to whole words — a gathered
+    /// convolution window's layout, and
+    /// [`PackedFilters::filter_words`] as stored. A pre-flattened GEMM bank
+    /// (one tap per filter) is the one-tap case, its row the dense
+    /// `(i, j, c)` bit run. Any [`FilterAccess`] interleaves to the same
+    /// bank: a dictionary is read through here, once, and never again.
+    pub fn new(filters: &impl FilterAccess<W>) -> Self {
+        let shape = filters.shape();
+        let wpt = filters.words_per_tap();
+        let mut bank = Self::zeros(
+            shape,
+            shape.kh * shape.kw * wpt,
+            filters.dram_discount_bytes(),
+        );
+        for k in 0..shape.k {
+            match filters.contiguous_filter(k) {
+                Some(row) => bank.set_row(k, 0, row),
+                None => {
+                    for t in 0..shape.kh * shape.kw {
+                        bank.set_row(k, t * wpt, filters.tap_words(k, t / shape.kw, t % shape.kw));
+                    }
+                }
+            }
+        }
+        bank
+    }
+
+    /// Interleaves `filters` as dense column-major rows — tap `(i, j)`
+    /// channel `ch` at row bit `(j·kh + i)·c + ch`, no per-tap padding —
+    /// the order of the first layer's plane stream.
+    pub fn column_major(filters: &PackedFilters<W>) -> Self {
+        let shape = filters.shape();
+        let mut row = vec![W::zero(); shape.filter_len().div_ceil(W::BITS)];
+        let mut bank = Self::zeros(shape, row.len(), 0.0);
+        for k in 0..shape.k {
+            row.fill(W::zero());
+            for j in 0..shape.kw {
+                for i in 0..shape.kh {
+                    let at = (j * shape.kh + i) * shape.c;
+                    merge_bits(&mut row, at, filters.tap_words(k, i, j), shape.c);
+                }
+            }
+            bank.set_row(k, 0, &row);
+        }
+        bank
+    }
+
+    fn zeros(shape: FilterShape, row_words: usize, dram_discount_bytes: f64) -> Self {
+        Self {
+            shape,
+            row_words,
+            dram_discount_bytes,
+            lanes: vec![[W::zero(); LANES]; shape.k.div_ceil(LANES) * row_words],
+        }
+    }
+
+    /// Stores `words` as words `at..` of filter `k`'s row.
+    fn set_row(&mut self, k: usize, at: usize, words: &[W]) {
+        let group = &mut self.lanes[k / LANES * self.row_words..][..self.row_words];
+        for (slot, &word) in group[at..].iter_mut().zip(words) {
+            slot[k % LANES] = word;
+        }
+    }
+
+    /// Shape of the filters the bank was built from.
+    pub fn shape(&self) -> FilterShape {
+        self.shape
+    }
+
+    /// Words in one filter's row — and in every window dotted against it.
+    pub fn row_words(&self) -> usize {
+        self.row_words
+    }
+
+    /// Filter groups: `k.div_ceil(LANES)`.
+    pub fn groups(&self) -> usize {
+        self.shape.k.div_ceil(LANES)
+    }
+
+    /// The `row_words` lane vectors of filters `g·LANES..(g + 1)·LANES`.
+    #[inline(always)]
+    pub fn group(&self, g: usize) -> &[[W; LANES]] {
+        &self.lanes[g * self.row_words..(g + 1) * self.row_words]
+    }
+
+    /// Bytes the interleaved bank occupies.
+    pub fn byte_len(&self) -> usize {
+        std::mem::size_of_val(&self.lanes[..])
+    }
+
+    /// [`FilterAccess::dram_discount_bytes`] of the bank this one was
+    /// interleaved from: interleaving changes the host layout, not what the
+    /// modeled device reads.
+    pub fn dram_discount_bytes(&self) -> f64 {
+        self.dram_discount_bytes
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dict::FilterDict;
+
+    fn filters<W: BitWord>(shape: FilterShape) -> PackedFilters<W> {
+        let mut f = PackedFilters::zeros(shape);
+        for k in 0..shape.k {
+            for i in 0..shape.kh {
+                for j in 0..shape.kw {
+                    for c in 0..shape.c {
+                        let v = (k * 31 + i * 7 + j * 3 + c * 5).is_multiple_of(3);
+                        f.set_bit(k, i, j, c, v);
+                    }
+                }
+            }
+        }
+        f
+    }
+
+    /// Filter `k`'s row, de-interleaved.
+    fn row<W: BitWord>(bank: &LaneBank<W>, k: usize) -> Vec<W> {
+        bank.group(k / LANES).iter().map(|v| v[k % LANES]).collect()
+    }
+
+    fn round_trips<W: BitWord>() {
+        for (k, c) in [(1, 3), (7, 37), (8, 64), (9, 70), (20, 130), (36, 1)] {
+            let f = filters::<W>(FilterShape::new(k, 3, 2, c));
+            let bank = LaneBank::new(&f);
+            assert_eq!(bank.groups(), k.div_ceil(LANES));
+            assert_eq!(bank.row_words(), f.words_per_filter());
+            for kk in 0..k {
+                assert_eq!(
+                    row(&bank, kk),
+                    f.filter_words(kk),
+                    "k={k} c={c} filter {kk}"
+                );
+            }
+            // Lanes past the last filter are zero.
+            for kk in k..bank.groups() * LANES {
+                assert!(row(&bank, kk).iter().all(|&w| w == W::zero()));
+            }
+            // Column-major: every bit at `(j·kh + i)·c + ch`, nothing else set.
+            let bank = LaneBank::column_major(&f);
+            assert_eq!(bank.row_words(), (6 * c).div_ceil(W::BITS));
+            for kk in 0..k {
+                let dense = row(&bank, kk);
+                let mut ones = 0;
+                for (i, j, ch) in (0..6 * c).map(|t| (t / (2 * c), t / c % 2, t % c)) {
+                    let at = (j * 3 + i) * c + ch;
+                    assert_eq!(
+                        dense[at / W::BITS].bit(at % W::BITS),
+                        f.get_bit(kk, i, j, ch)
+                    );
+                    ones += u32::from(f.get_bit(kk, i, j, ch));
+                }
+                assert_eq!(dense.iter().map(|w| w.popcount()).sum::<u32>(), ones);
+            }
+        }
+    }
+
+    #[test]
+    fn rows_round_trip_in_raster_and_column_major_order() {
+        round_trips::<u8>();
+        round_trips::<u16>();
+        round_trips::<u32>();
+        round_trips::<u64>();
+    }
+
+    #[test]
+    fn a_dictionary_interleaves_to_the_raw_bank() {
+        // Per tap (no flat windows to copy) and pre-flattened (one tap per
+        // filter): the same lanes as the raw bank, plus the modeled saving.
+        for shape in [
+            FilterShape::new(13, 3, 3, 70),
+            FilterShape::new(5, 1, 1, 144),
+        ] {
+            let raw = filters::<u64>(shape);
+            let dict = FilterDict::build(&raw);
+            let bank = LaneBank::new(&dict);
+            assert_eq!(bank.shape(), shape);
+            assert_eq!(bank.lanes, LaneBank::new(&raw).lanes);
+            assert_eq!(bank.dram_discount_bytes(), dict.saved_bytes() as f64);
+        }
+    }
+}

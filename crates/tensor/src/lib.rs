@@ -11,6 +11,8 @@
 //!   products of the paper's Eqn (1).
 //! - [`dict`] — dictionary-compressed filter banks (unique tap rows +
 //!   narrow indices) behind the [`dict::FilterAccess`] read interface.
+//! - [`lanes`] — filter-interleaved banks ([`lanes::LaneBank`]): the staged
+//!   layout whose vector lanes are output channels.
 //! - [`pack`] — binarization (sign at 0) and packing/unpacking.
 //! - [`bitplane`] — 8-bit input decomposition for the first layer (Eqn (2)).
 //! - [`pad`] — padding for float, `u8` and packed-binary tensors.
@@ -39,6 +41,7 @@ pub mod bitplane;
 pub mod bits;
 pub mod dict;
 pub mod im2col;
+pub mod lanes;
 pub mod pack;
 pub mod pad;
 pub mod quant;

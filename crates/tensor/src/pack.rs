@@ -21,31 +21,25 @@ pub fn pack_f32<W: BitWord>(t: &Tensor<f32>) -> BitTensor<W> {
 
 /// [`pack_f32`] into a caller-provided tensor (reset to the input's shape),
 /// reusing its storage — the engine's arena path.
+///
+/// `#[inline(always)]` so a caller can compile the sweep under a wider
+/// instruction set (`phonebit_nn::kernels::compute_pack_input`).
+#[inline(always)]
 pub fn pack_f32_into<W: BitWord>(t: &Tensor<f32>, out: &mut BitTensor<W>) {
     let s = t.shape();
-    out.reset(s);
     if t.layout() == Layout::Nhwc {
-        // Fast path: walk words directly over the contiguous channel runs.
-        let src = t.as_slice();
+        // Fast path: walk words directly over the contiguous channel runs,
+        // storing every one (so nothing is zero-filled first).
+        out.reset_for_overwrite(s);
         let wpp = out.words_per_pixel();
-        let c = s.c;
-        let words = out.as_mut_words();
-        for p in 0..s.pixels() {
-            let base = p * c;
-            for wi in 0..wpp {
-                let lo = wi * W::BITS;
-                let hi = (lo + W::BITS).min(c);
-                // `>=` on the value, not the sign bit: -0.0 packs to 1 and
-                // NaN to 0. The comparison lands as a shifted 0/1, so the
-                // loop has no data-dependent branch.
-                let mut word = W::zero();
-                for (bit, &v) in src[base + lo..base + hi].iter().enumerate() {
-                    word = word.or(W::from_bit(v >= 0.0).shl(bit));
-                }
-                words[p * wpp + wi] = word;
+        let pixels = t.as_slice().chunks_exact(s.c);
+        for (pixel, words) in pixels.zip(out.as_mut_words().chunks_exact_mut(wpp)) {
+            for (word, values) in words.iter_mut().zip(pixel.chunks(W::BITS)) {
+                *word = pack_word(values);
             }
         }
     } else {
+        out.reset(s);
         for n in 0..s.n {
             for h in 0..s.h {
                 for w in 0..s.w {
@@ -56,6 +50,33 @@ pub fn pack_f32_into<W: BitWord>(t: &Tensor<f32>, out: &mut BitTensor<W>) {
             }
         }
     }
+}
+
+/// Packs up to `W::BITS` values into one word, LSB first: each byte from
+/// eight compares, the word from its bytes — a 64-step `word |= bit << i`
+/// chain does not vectorise, eight-step ones become a vector compare and a
+/// mask move.
+///
+/// `>=` on the value, not the sign bit: -0.0 packs to 1 and NaN to 0. The
+/// comparison lands as a shifted 0/1, so the loop has no data-dependent
+/// branch.
+#[inline(always)]
+fn pack_word<W: BitWord>(values: &[f32]) -> W {
+    let mut word = W::zero();
+    let mut eights = values.chunks_exact(8);
+    let mut at = 0;
+    for eight in eights.by_ref() {
+        let mut byte = W::zero();
+        for (bit, &v) in eight.iter().enumerate() {
+            byte = byte.or(W::from_bit(v >= 0.0).shl(bit));
+        }
+        word = word.or(byte.shl(at));
+        at += 8;
+    }
+    for (bit, &v) in eights.remainder().iter().enumerate() {
+        word = word.or(W::from_bit(v >= 0.0).shl(at + bit));
+    }
+    word
 }
 
 /// Unpacks a bit tensor back to ±1.0 floats in NHWC.
