@@ -2,9 +2,9 @@
 //!
 //! Models a fleet of alternating Snapdragon 855 / 820 devices serving four
 //! co-resident tenants (AlexNet, YOLOv2-Tiny and their micro variants)
-//! behind the global router, with `phonebit_core::estimate_fleet` — the
-//! same placement, event-driven router and committed-prefix failure
-//! handoff as the executed `Fleet`, on analytic window costs. The sweep
+//! behind the global router, with `phonebit_core::estimate_fleet` — a dry
+//! `Fleet` (architectures instead of models, request counts instead of
+//! tensors) going through `Fleet::serve_open_loop` itself. The sweep
 //! crosses fleet size × Zipf skew of the tenant arrival rates × every
 //! routing policy, at a total offered rate that scales with the fleet so
 //! queueing (and therefore routing quality) is visible in the tail.

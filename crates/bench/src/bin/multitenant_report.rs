@@ -2,7 +2,7 @@
 //! `serve_report`.
 //!
 //! For each zoo model **pair** × phone × stream count, models a co-resident
-//! serving pass with `phonebit_core::estimate_serve_multitenant`: both
+//! serving pass — a closed-loop pass of a dry `phonebit_core::DeviceRuntime`: both
 //! tenants' windows placed by the work-stealing scheduler on one pooled
 //! device (heterogeneous-mix contention on the shared clock, per-tenant
 //! SLOs, contention-aware admission picking each tenant's batch), next to
@@ -27,7 +27,7 @@
 //! deterministic.)
 
 use phonebit_bench::baseline::{diff_rows, json_escape, parse_rows, Better, Row};
-use phonebit_core::{estimate_serve_multitenant, MultiTenantEstimate, TenantWorkload};
+use phonebit_core::{DeviceRuntime, MultiServeReport, TenantTraffic, TenantWorkload};
 use phonebit_gpusim::Phone;
 use phonebit_models::zoo::{self, Variant};
 
@@ -45,14 +45,44 @@ const SLO_SLACK: f64 = 4.0;
 const KEY_FIELDS: [&str; 3] = ["pair", "phone", "streams"];
 const METRIC: &str = "imgs_per_s";
 
+/// A dry runtime over `workloads` and its closed-loop pass over
+/// `windows[t]` full windows per tenant.
+fn dry_pass(
+    phone: &Phone,
+    workloads: &[TenantWorkload<'_>],
+    windows: &[usize],
+    streams: usize,
+) -> (DeviceRuntime, MultiServeReport) {
+    let mut runtime = DeviceRuntime::dry(workloads, phone, streams, None)
+        .expect("every zoo pair fits both phones at batch 1");
+    let counts: Vec<TenantTraffic<'_>> = runtime
+        .tenants()
+        .iter()
+        .zip(windows)
+        .map(|(t, &w)| TenantTraffic::Count(w * t.admission().batch))
+        .collect();
+    let pass = runtime.serve(&counts).expect("a dry pass over counts");
+    (runtime, pass)
+}
+
+/// One co-resident pass as this report records it.
 struct Measurement {
     pair: String,
     phone: &'static str,
     streams: usize,
-    est: MultiTenantEstimate,
+    /// The dry runtime the pair was admitted on, and its pass.
+    runtime: DeviceRuntime,
+    pass: MultiServeReport,
+    /// The time-sliced sequential baseline: each tenant alone on the same
+    /// streams at its co-resident batch, makespans summed.
+    sequential_wall_ms: f64,
 }
 
 impl Measurement {
+    fn sequential_imgs_per_s(&self) -> f64 {
+        self.pass.served as f64 / (self.sequential_wall_ms * 1e-3)
+    }
+
     fn row(&self) -> Row {
         Row {
             key: vec![
@@ -60,7 +90,7 @@ impl Measurement {
                 self.phone.to_string(),
                 self.streams.to_string(),
             ],
-            value: self.est.imgs_per_s,
+            value: self.pass.imgs_per_s,
         }
     }
 }
@@ -115,72 +145,82 @@ fn main() {
                     let solo = TenantWorkload {
                         arch,
                         batch: Some(4),
-                        windows: streams * 2,
                         slo_ms: None,
                     };
-                    let est = estimate_serve_multitenant(phone, &[solo], streams, None);
-                    SLO_SLACK * est.tenants[0].steady_ms
+                    let runtime = DeviceRuntime::dry(&[solo], phone, streams, None)
+                        .expect("every zoo model fits both phones at batch 4");
+                    SLO_SLACK * runtime.tenants()[0].modeled_window_ms().1
                 };
-                let workloads = [
-                    TenantWorkload {
-                        arch: &models[a],
-                        batch: None,
-                        windows: WINDOWS[0],
-                        slo_ms: Some(slo(&models[a])),
-                    },
-                    TenantWorkload {
-                        arch: &models[b],
-                        batch: None,
-                        windows: WINDOWS[1],
-                        slo_ms: Some(slo(&models[b])),
-                    },
-                ];
-                let est = estimate_serve_multitenant(phone, &workloads, streams, None);
-                let gain = est.imgs_per_s / est.sequential_imgs_per_s;
-                let tenants = est
+                let workloads = [&models[a], &models[b]].map(|arch| TenantWorkload {
+                    arch,
+                    batch: None,
+                    slo_ms: Some(slo(arch)),
+                });
+                let (runtime, pass) = dry_pass(phone, &workloads, &WINDOWS, streams);
+                let sequential_wall_ms = workloads
+                    .iter()
+                    .zip(runtime.tenants())
+                    .zip(WINDOWS)
+                    .map(|((w, t), windows)| {
+                        let batch = Some(t.admission().batch);
+                        let alone = [TenantWorkload { batch, ..*w }];
+                        let (_, solo) = dry_pass(phone, &alone, &[windows], streams);
+                        solo.schedule.wall_ms
+                    })
+                    .sum();
+                let m = Measurement {
+                    pair: pair_name.clone(),
+                    phone: phone_tag,
+                    streams,
+                    runtime,
+                    pass,
+                    sequential_wall_ms,
+                };
+                let (co_res, sliced) = (m.pass.imgs_per_s, m.sequential_imgs_per_s());
+                let tenants = m
+                    .pass
                     .tenants
                     .iter()
-                    .map(|t| {
+                    .map(|r| {
                         format!(
                             "{} b{} @ {:.1} ({:.1})",
-                            t.name,
-                            t.admission.batch,
-                            t.p95_ms,
-                            t.admission.slo_ms.unwrap_or(0.0)
+                            r.name,
+                            r.batch,
+                            r.p95_ms,
+                            r.slo_ms.unwrap_or(0.0)
                         )
                     })
                     .collect::<Vec<_>>()
                     .join(", ");
                 println!(
                     "{:<28} {:>7} | {:>10.1} {:>10.1} {:>6.2}x | {}",
-                    pair_name, streams, est.imgs_per_s, est.sequential_imgs_per_s, gain, tenants
+                    pair_name,
+                    streams,
+                    co_res,
+                    sliced,
+                    co_res / sliced,
+                    tenants
                 );
 
-                if est.imgs_per_s <= est.sequential_imgs_per_s {
+                if co_res <= sliced {
                     gate_failures.push(format!(
-                        "{pair_name}/{phone_tag}/s{streams}: co-resident {:.1} imgs/s does not \
-                         beat time-sliced {:.1} — work stealing stopped paying",
-                        est.imgs_per_s, est.sequential_imgs_per_s
+                        "{pair_name}/{phone_tag}/s{streams}: co-resident {co_res:.1} imgs/s does \
+                         not beat time-sliced {sliced:.1} — work stealing stopped paying"
                     ));
                 }
-                for t in &est.tenants {
-                    if !t.slo_met || !t.admission.slo_met {
+                for (t, r) in m.runtime.tenants().iter().zip(&m.pass.tenants) {
+                    if !r.slo_met || !t.admission().slo_met {
                         gate_failures.push(format!(
                             "{pair_name}/{phone_tag}/s{streams}: tenant {} missed its SLO \
                              (admission modeled {:.1} ms, scheduled p95 {:.1} ms, slo {:.1} ms)",
-                            t.name,
-                            t.admission.modeled_window_ms,
-                            t.p95_ms,
-                            t.admission.slo_ms.unwrap_or(0.0)
+                            r.name,
+                            t.admission().modeled_window_ms,
+                            r.p95_ms,
+                            r.slo_ms.unwrap_or(0.0)
                         ));
                     }
                 }
-                results.push(Measurement {
-                    pair: pair_name.clone(),
-                    phone: phone_tag,
-                    streams,
-                    est,
-                });
+                results.push(m);
             }
         }
     }
@@ -190,19 +230,19 @@ fn main() {
     );
     for (i, m) in results.iter().enumerate() {
         let tenants = m
-            .est
+            .pass
             .tenants
             .iter()
-            .map(|t| {
+            .map(|r| {
                 format!(
                     "{{\"tenant\": \"{}\", \"batch\": {}, \"windows\": {}, \"p95_ms\": {:.3}, \
                      \"slo_ms\": {:.3}, \"slo_met\": {}}}",
-                    json_escape(&t.name),
-                    t.admission.batch,
-                    t.windows,
-                    t.p95_ms,
-                    t.admission.slo_ms.unwrap_or(0.0),
-                    t.slo_met
+                    json_escape(&r.name),
+                    r.batch,
+                    r.windows,
+                    r.p95_ms,
+                    r.slo_ms.unwrap_or(0.0),
+                    r.slo_met
                 )
             })
             .collect::<Vec<_>>()
@@ -215,12 +255,12 @@ fn main() {
             json_escape(&m.pair),
             m.phone,
             m.streams,
-            m.est.imgs_per_s,
-            m.est.sequential_imgs_per_s,
-            m.est.wall_ms,
-            m.est.sequential_wall_ms,
-            m.est.pool_slice_bytes as f64 / 1e6,
-            m.est.peak_bytes as f64 / 1e6,
+            m.pass.imgs_per_s,
+            m.sequential_imgs_per_s(),
+            m.pass.schedule.wall_ms,
+            m.sequential_wall_ms,
+            m.runtime.pool_slice_bytes() as f64 / 1e6,
+            m.runtime.peak_resident_bytes() as f64 / 1e6,
             tenants,
             if i + 1 == results.len() { "" } else { "," }
         ));

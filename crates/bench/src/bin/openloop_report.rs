@@ -28,8 +28,8 @@
 
 use phonebit_bench::baseline::{diff_rows, json_escape, parse_rows, Better, Row};
 use phonebit_core::{
-    estimate_serve_multitenant, estimate_serve_open_loop, ArrivalProcess, OpenLoopEstimate,
-    OpenLoopWorkload, RetryPolicy, TenantWorkload,
+    estimate_serve_open_loop, ArrivalProcess, DeviceRuntime, OpenLoopReport, OpenLoopWorkload,
+    RetryPolicy, TenantWorkload,
 };
 use phonebit_gpusim::{FaultBurst, FaultPlan, Phone, ThrottleEpoch};
 use phonebit_models::zoo::{self, Variant};
@@ -66,7 +66,13 @@ struct Measurement {
     phone: &'static str,
     fault: &'static str,
     load: f64,
-    est: OpenLoopEstimate,
+    est: OpenLoopReport,
+    /// Arrival horizon, milliseconds.
+    duration_ms: f64,
+    /// Aggregate offered load over the horizon, images per second.
+    offered_per_s: f64,
+    /// Aggregate `shed / offered` across tenants.
+    shed_rate: f64,
     /// Shed fraction of requests arriving in the last quarter of the
     /// horizon, for the post-burst recovery gate.
     lastq_shed_rate: f64,
@@ -86,13 +92,14 @@ impl Measurement {
     }
 }
 
-/// Shed fraction among requests that arrived at or after `cut_ms`.
-fn last_quarter_shed_rate(est: &OpenLoopEstimate, cut_ms: f64) -> f64 {
+/// Shed fraction among requests that arrived at or after `cut_ms`, given
+/// the arrivals the estimate drew.
+fn last_quarter_shed_rate(est: &OpenLoopReport, arrivals_ms: &[Vec<f64>], cut_ms: f64) -> f64 {
     let mut offered = 0usize;
     let mut shed = 0usize;
     for (t, tenant) in est.tenants.iter().enumerate() {
-        let batch = tenant.admission.batch.max(1);
-        let arrivals = &est.arrivals_ms[t];
+        let batch = tenant.batch.max(1);
+        let arrivals = &arrivals_ms[t];
         for (i, fate) in est.schedule.fates[t].iter().enumerate() {
             let start = i * batch;
             let len = batch.min(arrivals.len() - start);
@@ -154,10 +161,11 @@ fn main() {
             let solo = TenantWorkload {
                 arch,
                 batch: Some(BATCH),
-                windows: STREAMS * 2,
                 slo_ms: None,
             };
-            estimate_serve_multitenant(phone, &[solo], STREAMS, None).tenants[0].steady_ms
+            let runtime = DeviceRuntime::dry(&[solo], phone, STREAMS, None)
+                .expect("either model fits either phone at the report batch");
+            runtime.tenants()[0].modeled_window_ms().1
         };
         let steady_ms = [steady(&models[a]), steady(&models[b])];
         let duration_ms = HORIZON_WINDOWS * steady_ms[0].max(steady_ms[1]);
@@ -235,7 +243,19 @@ fn main() {
                     fault,
                     &policy,
                 );
-                let lastq = last_quarter_shed_rate(&est, 0.75 * duration_ms);
+                let arrivals_ms: Vec<Vec<f64>> = workloads
+                    .iter()
+                    .map(|w| w.arrival.times_ms(w.seed, duration_ms))
+                    .collect();
+                let lastq = last_quarter_shed_rate(&est, &arrivals_ms, 0.75 * duration_ms);
+                let offered: usize = est.tenants.iter().map(|t| t.offered).sum();
+                let served: usize = est.tenants.iter().map(|t| t.served).sum();
+                let offered_per_s = offered as f64 / (duration_ms * 1e-3);
+                let shed_rate = if offered > 0 {
+                    (offered - served) as f64 / offered as f64
+                } else {
+                    0.0
+                };
                 let retries: usize = est.tenants.iter().map(|t| t.retries).sum();
                 let throttled: usize = est.tenants.iter().map(|t| t.throttled).sum();
                 let p99 = est.tenants.iter().map(|t| t.p99_ms).fold(0.0, f64::max);
@@ -244,9 +264,9 @@ fn main() {
                     "{:>5.2}x {:>6} | {:>8.1} {:>9.1} {:>5.1}% {:>6} {:>6} | {:>8.1} {:>8.1} | {:>5.1}%",
                     load,
                     fault_tag,
-                    est.offered_per_s,
+                    offered_per_s,
                     est.goodput_imgs_per_s,
-                    100.0 * est.shed_rate,
+                    100.0 * shed_rate,
                     retries,
                     throttled,
                     p99,
@@ -271,6 +291,9 @@ fn main() {
                         fault: fault_tag,
                         load,
                         est,
+                        duration_ms,
+                        offered_per_s,
+                        shed_rate,
                         lastq_shed_rate: lastq,
                     },
                 ));
@@ -301,13 +324,13 @@ fn main() {
                 .filter(|m| m.phone == *phone_tag && m.fault == fault_tag)
                 .collect();
             for pair in curve.windows(2) {
-                if pair[1].est.shed_rate < pair[0].est.shed_rate - SHED_MONOTONE_EPS {
+                if pair[1].shed_rate < pair[0].shed_rate - SHED_MONOTONE_EPS {
                     gate_failures.push(format!(
                         "{pair_name}/{phone_tag}/{fault_tag}: shed rate not monotone — \
                          {:.1}% at x{} but {:.1}% at x{}",
-                        100.0 * pair[0].est.shed_rate,
+                        100.0 * pair[0].shed_rate,
                         pair[0].load,
-                        100.0 * pair[1].est.shed_rate,
+                        100.0 * pair[1].shed_rate,
                         pair[1].load
                     ));
                 }
@@ -343,7 +366,7 @@ fn main() {
                      \"p95_ms\": {:.3}, \"p99_ms\": {:.3}, \"p999_ms\": {:.3}, \
                      \"slo_ms\": {:.3}, \"slo_met\": {}}}",
                     json_escape(&t.name),
-                    t.admission.batch,
+                    t.batch,
                     t.offered,
                     t.served,
                     t.shed,
@@ -353,7 +376,7 @@ fn main() {
                     t.p95_ms,
                     t.p99_ms,
                     t.p999_ms,
-                    t.admission.slo_ms.unwrap_or(0.0),
+                    t.slo_ms.unwrap_or(0.0),
                     t.slo_met
                 )
             })
@@ -369,10 +392,10 @@ fn main() {
             m.fault,
             m.load,
             m.est.streams,
-            m.est.duration_ms,
-            m.est.offered_per_s,
+            m.duration_ms,
+            m.offered_per_s,
             m.est.goodput_imgs_per_s,
-            m.est.shed_rate,
+            m.shed_rate,
             m.lastq_shed_rate,
             tenants,
             if i + 1 == results.len() { "" } else { "," }

@@ -1,8 +1,8 @@
 //! Weight-paging oversubscription report.
 //!
 //! For each zoo tenant set × phone × weight budget (1.0×, 0.5×, 0.33× of
-//! the set's summed packed weights), runs the budgeted multi-tenant
-//! estimator twice — fully resident (no budget, the seed behavior) and
+//! the set's summed packed weights), runs a dry multi-tenant
+//! `DeviceRuntime` pass twice — fully resident (no budget, the seed behavior) and
 //! paged (binary residency grants, upload stalls folded into every
 //! window) — and records the aggregate throughput ratio, the hot-set
 //! peak, and each tenant's grant. Verifies the paging gates: a covering
@@ -22,7 +22,8 @@
 
 use phonebit_bench::baseline::{diff_rows, json_escape, parse_rows, Better, Row};
 use phonebit_core::{
-    estimate_serve_multitenant, paged_min_bytes, ExecutionPlan, RouteOverrides, TenantWorkload,
+    paged_min_bytes, Admission, DeviceRuntime, ExecutionPlan, MultiServeReport, RouteOverrides,
+    TenantTraffic, TenantWorkload,
 };
 use phonebit_gpusim::Phone;
 use phonebit_models::zoo::{self, Variant};
@@ -37,6 +38,41 @@ const METRIC: &str = "ratio";
 const STREAMS: usize = 2;
 /// Windows each tenant asks for.
 const WINDOWS: usize = 4;
+
+/// One dry pass under a weight budget: what admission decided, what the
+/// device holds, and the closed-loop pass over [`WINDOWS`] full windows per
+/// tenant.
+#[derive(PartialEq)]
+struct Estimate {
+    admissions: Vec<Admission>,
+    total_weight_bytes: usize,
+    peak_bytes: usize,
+    pass: MultiServeReport,
+}
+
+fn estimate(
+    phone: &Phone,
+    workloads: &[TenantWorkload<'_>],
+    weight_budget: Option<usize>,
+) -> Estimate {
+    let mut runtime = DeviceRuntime::dry(workloads, phone, STREAMS, weight_budget)
+        .expect("every set fits at batch 1, and its budget covers its paged minima");
+    let admissions: Vec<Admission> = runtime
+        .tenants()
+        .iter()
+        .map(|t| t.admission().clone())
+        .collect();
+    let counts: Vec<TenantTraffic<'_>> = admissions
+        .iter()
+        .map(|a| TenantTraffic::Count(WINDOWS * a.batch))
+        .collect();
+    Estimate {
+        total_weight_bytes: runtime.total_weight_bytes(),
+        peak_bytes: runtime.peak_resident_bytes(),
+        pass: runtime.serve(&counts).expect("a dry pass over counts"),
+        admissions,
+    }
+}
 
 struct Measurement {
     tenants: &'static str,
@@ -161,14 +197,13 @@ fn main() {
                 .map(|arch| TenantWorkload {
                     arch,
                     batch: None,
-                    windows: WINDOWS,
                     slo_ms: None,
                 })
                 .collect();
-            let resident = estimate_serve_multitenant(&phone, &workloads, STREAMS, None);
+            let resident = estimate(&phone, &workloads, None);
             let (total, minima) = weights_and_minima(archs, &phone);
             assert_eq!(
-                total, resident.weights_bytes,
+                total, resident.total_weight_bytes,
                 "{set_name}/{}: per-arch weights must sum to the pooled plan's",
                 phone.name
             );
@@ -190,7 +225,7 @@ fn main() {
                         phone.name
                     ));
                 }
-                let paged = estimate_serve_multitenant(&phone, &workloads, STREAMS, Some(budget));
+                let paged = estimate(&phone, &workloads, Some(budget));
                 if factor >= 1.0 {
                     // Gate 1: a covering budget is byte-inert — the entire
                     // estimate (admissions, windows, percentiles, peaks)
@@ -205,7 +240,7 @@ fn main() {
                 }
                 // Gate 3: paging never starves a tenant — every tenant
                 // serves exactly what its fully resident twin serves.
-                for (p, r) in paged.tenants.iter().zip(resident.tenants.iter()) {
+                for (p, r) in paged.pass.tenants.iter().zip(resident.pass.tenants.iter()) {
                     if p.served != r.served {
                         gate_failures.push(format!(
                             "{set_name}/{}/{label}: tenant {} starved ({} served vs {})",
@@ -219,7 +254,7 @@ fn main() {
                         ));
                     }
                 }
-                let ratio = paged.imgs_per_s / resident.imgs_per_s;
+                let ratio = paged.pass.imgs_per_s / resident.pass.imgs_per_s;
                 if factor <= 0.5 && ratio < min_ratio {
                     // Gate 2: a 2×-oversubscribed (or tighter) set still
                     // clears the throughput floor.
@@ -230,9 +265,9 @@ fn main() {
                     ));
                 }
                 let grants_paged = paged
-                    .tenants
+                    .admissions
                     .iter()
-                    .filter(|t| t.admission.weight_grant_bytes.is_some())
+                    .filter(|a| a.weight_grant_bytes.is_some())
                     .count();
                 let m = Measurement {
                     tenants: set_name,
@@ -241,11 +276,11 @@ fn main() {
                     budget_bytes: budget,
                     total_weight_bytes: total,
                     peak_bytes: paged.peak_bytes,
-                    paged_imgs_per_s: paged.imgs_per_s,
-                    resident_imgs_per_s: resident.imgs_per_s,
+                    paged_imgs_per_s: paged.pass.imgs_per_s,
+                    resident_imgs_per_s: resident.pass.imgs_per_s,
                     ratio,
                     grants_paged,
-                    grants_full: paged.tenants.len() - grants_paged,
+                    grants_full: paged.admissions.len() - grants_paged,
                 };
                 println!(
                     "{:<14} {:<10} {:>7} {:>12} {:>12} {:>10.1} {:>10.1} {:>7.3} {:>5}p/{}f",

@@ -2,8 +2,8 @@
 //! `throughput_report`.
 //!
 //! For each zoo model × phone × stream count × batch size, models a
-//! sharded serving run — `phonebit_core::estimate_serve_multitenant` over a
-//! single workload, the general closed-loop estimator: every stream
+//! sharded serving run — a closed-loop pass of a dry one-tenant
+//! `phonebit_core::DeviceRuntime`: every stream
 //! dispatches the plan's exact kernel sequence on a queue attached to a
 //! shared `DeviceClock`, so kernels serialize or overlap per the device's
 //! compute-unit budget; host-side work (launch overhead, the per-run
@@ -26,7 +26,7 @@
 //! default 1.25. Everything is closed-form and deterministic.)
 
 use phonebit_bench::baseline::{diff_rows, json_escape, parse_rows, Better, Row};
-use phonebit_core::{estimate_serve_multitenant, nearest_rank, TenantWorkload};
+use phonebit_core::{nearest_rank, DeviceRuntime, TenantTraffic, TenantWorkload};
 use phonebit_gpusim::Phone;
 use phonebit_models::zoo::{self, Variant};
 
@@ -39,8 +39,8 @@ const WINDOWS_PER_STREAM: usize = 8;
 const KEY_FIELDS: [&str; 4] = ["model", "phone", "streams", "batch"];
 const METRIC: &str = "imgs_per_s";
 
-/// One sharded run as this report records it, read off the one-workload
-/// closed-loop estimate and the schedule it returns.
+/// One sharded run as this report records it, read off the dry runtime
+/// and the schedule its pass returns.
 #[derive(Clone)]
 struct Sharded {
     streams: usize,
@@ -67,29 +67,36 @@ fn estimate_sharded(
     let workload = TenantWorkload {
         arch,
         batch: Some(batch),
-        windows: streams * WINDOWS_PER_STREAM,
         slo_ms: None,
     };
-    let est = estimate_serve_multitenant(phone, &[workload], streams, None);
-    let tenant = &est.tenants[0];
-    assert_eq!(tenant.admission.batch, batch, "report batches must fit");
-    let service_ms: Vec<f64> = est
+    let mut runtime = DeviceRuntime::dry(&[workload], phone, streams, None)
+        .expect("every zoo model fits both phones at the report batches");
+    assert_eq!(
+        runtime.tenants()[0].admission().batch,
+        batch,
+        "report batches must fit"
+    );
+    let pass = runtime
+        .serve(&[TenantTraffic::Count(streams * WINDOWS_PER_STREAM * batch)])
+        .expect("a dry pass over a count");
+    let service_ms: Vec<f64> = pass
         .schedule
         .attempts
         .iter()
         .map(|at| at.end_ms - at.start_ms)
         .collect();
     let [p50_ms, p95_ms, p99_ms] = nearest_rank(&service_ms, [0.50, 0.95, 0.99]);
+    let (cold_window_ms, steady_window_ms) = runtime.tenants()[0].modeled_window_ms();
     Sharded {
         streams,
-        cold_window_ms: tenant.cold_ms,
-        steady_window_ms: tenant.steady_ms,
-        imgs_per_s: (streams * batch) as f64 / (tenant.steady_ms * 1e-3),
+        cold_window_ms,
+        steady_window_ms,
+        imgs_per_s: (streams * batch) as f64 / (steady_window_ms * 1e-3),
         p50_ms,
         p95_ms,
         p99_ms,
-        arena_bytes: streams * est.pool_slice_bytes,
-        peak_bytes: est.peak_bytes,
+        arena_bytes: streams * runtime.pool_slice_bytes(),
+        peak_bytes: runtime.peak_resident_bytes(),
     }
 }
 

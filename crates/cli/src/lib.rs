@@ -15,11 +15,11 @@ use std::path::Path;
 
 use phonebit_core::format::{load_file, save_file};
 use phonebit_core::{
-    convert, estimate_arch, estimate_fleet, max_feasible_batch_multitenant,
-    max_feasible_batch_sharded, nearest_rank, paged_floor_bytes, plan_multitenant, plan_on_sharded,
-    zipf_rates, ArrivalProcess, CompressionMode, ConvPath, DeviceRuntime, ExecutionPlan,
-    FleetDeviceSpec, FleetEvent, FleetOptions, FusionMode, OpenLoopOptions, OpenLoopWorkload,
-    PbitLayer, PbitModel, RouteOverrides, RoutePolicy, Session, TenantSpec, TenantTraffic,
+    convert, estimate_arch, max_feasible_batch_multitenant, max_feasible_batch_sharded,
+    nearest_rank, paged_floor_bytes, plan_multitenant, plan_on_sharded, zipf_rates, ArrivalProcess,
+    CompressionMode, ConvPath, DeviceRuntime, EngineError, ExecutionPlan, Fleet, FleetDeviceSpec,
+    FleetEvent, FleetOptions, FusionMode, OpenLoopOptions, PbitLayer, PbitModel, RouteOverrides,
+    RoutePolicy, Session, TenantSpec, TenantTraffic, TenantWorkload,
 };
 use phonebit_gpusim::{FaultPlan, Phone};
 use phonebit_models::zoo::{self, Variant};
@@ -347,7 +347,7 @@ fn cmd_serve_sharded(
             runtime.total_weight_bytes() as f64 / 1e6,
         ),
         (Some(budget), Some(grant)) => {
-            let pg = tenant.staged().plan().paging.as_ref();
+            let pg = tenant.plan().paging.as_ref();
             format!(
                 "\nweight paging: granted {:.2} MB hot set of {:.2} MB weights (budget {:.2} MB); \
                  modeled stall {:.3} ms/window over {} evictions",
@@ -379,7 +379,7 @@ fn cmd_serve_sharded(
         pass.imgs_per_s,
         runtime.peak_resident_bytes() as f64 / (1024.0 * 1024.0),
         streams,
-        tenant.staged().plan().banks,
+        tenant.plan().banks,
     ))
 }
 
@@ -571,8 +571,10 @@ pub fn cmd_serve_openloop(
             "serve needs >= 1 model, --batch >= 1 and --streams >= 1".into(),
         ));
     }
-    if duration_ms <= 0.0 {
-        return Err(CliError::Usage("serve needs --duration > 0 (ms)".into()));
+    if !duration_ms.is_finite() || duration_ms <= 0.0 {
+        return Err(CliError::Usage(
+            "serve needs a finite --duration > 0 (ms)".into(),
+        ));
     }
     if slos.iter().flatten().any(|s| *s <= 0.0) {
         return Err(CliError::Usage("serve needs --slo-ms > 0".into()));
@@ -792,8 +794,10 @@ pub fn cmd_fleet(
             "fleet needs --devices >= 1, --streams >= 1 and --replicas >= 1".into(),
         ));
     }
-    if duration_ms <= 0.0 {
-        return Err(CliError::Usage("fleet needs --duration > 0 (ms)".into()));
+    if !duration_ms.is_finite() || duration_ms <= 0.0 {
+        return Err(CliError::Usage(
+            "fleet needs a finite --duration > 0 (ms)".into(),
+        ));
     }
     if !rate_per_s.is_finite() || rate_per_s <= 0.0 {
         return Err(CliError::Usage("fleet needs --rate > 0 (req/s)".into()));
@@ -815,19 +819,22 @@ pub fn cmd_fleet(
         .map(|m| arch_by_name(m))
         .collect::<Result<_, _>>()?;
 
-    let rates = zipf_rates(rate_per_s, archs.len(), zipf);
-    let workloads: Vec<OpenLoopWorkload<'_>> = archs
+    let tenants: Vec<TenantWorkload<'_>> = archs
         .iter()
-        .zip(&rates)
-        .enumerate()
-        .map(|(t, (arch, &rate))| OpenLoopWorkload {
+        .map(|arch| TenantWorkload {
             arch,
             batch: Some(1),
             slo_ms,
-            arrival: ArrivalProcess::poisson(rate),
-            seed: seed.wrapping_add(t as u64),
         })
         .collect();
+    let arrivals_ms: Vec<Vec<f64>> = zipf_rates(rate_per_s, archs.len(), zipf)
+        .iter()
+        .enumerate()
+        .map(|(t, &rate)| {
+            ArrivalProcess::poisson(rate).times_ms(seed.wrapping_add(t as u64), duration_ms)
+        })
+        .collect();
+    let counts = TenantTraffic::counts(&arrivals_ms);
 
     let specs: Vec<FleetDeviceSpec> = (0..devices)
         .map(|d| {
@@ -863,7 +870,18 @@ pub fn cmd_fleet(
         streams,
         ..FleetOptions::default()
     };
-    let report = estimate_fleet(&specs, &workloads, duration_ms, &events, &opts);
+    // A dry fleet: the architectures, and the counts of their arrivals.
+    let report = Fleet::dry(specs, &tenants, opts)
+        .map_err(|e| CliError::Engine(e.to_string()))?
+        .serve_open_loop(&counts, &arrivals_ms, &events)
+        .map_err(|e| match e {
+            // What is left to get wrong here is the event list.
+            EngineError::InputMismatch { .. } => {
+                CliError::Usage(format!("bad --fail/--join events: {e}"))
+            }
+            e => CliError::Engine(e.to_string()),
+        })?
+        .report;
 
     let mut out = String::new();
     let _ = writeln!(
@@ -1687,14 +1705,14 @@ mod tests {
 
     #[test]
     fn fleet_rejects_bad_flags_by_name() {
-        let base = |policy: &str, fails: &[String], devices: usize, rate: f64| {
+        let fleet = |policy: &str, fails: &[String], devices: usize, rate: f64, duration: f64| {
             cmd_fleet(
                 &[],
                 devices,
                 policy,
                 1.0,
                 rate,
-                100.0,
+                duration,
                 2,
                 1,
                 None,
@@ -1702,6 +1720,9 @@ mod tests {
                 &[],
                 7,
             )
+        };
+        let base = |policy: &str, fails: &[String], devices: usize, rate: f64| {
+            fleet(policy, fails, devices, rate, 100.0)
         };
         let err = base("fastest", &[], 2, 200.0).unwrap_err();
         assert!(
@@ -1723,6 +1744,23 @@ mod tests {
             Err(CliError::Usage(_))
         ));
         assert!(matches!(base("p2c", &[], 2, -5.0), Err(CliError::Usage(_))));
+        // A second Fail on a dead device is a malformed event list.
+        let err = base("p2c", &["10@0".into(), "20@0".into()], 2, 200.0).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Usage(m) if m.contains("--fail")
+                && m.contains("a Fail event naming a live device")
+                && m.contains("device 0 at 20 ms")),
+            "{err:?}"
+        );
+        // `NaN <= 0.0` is false, so the guard asks for finiteness; an
+        // infinite horizon would draw arrivals up to the generator's cap.
+        for duration in [f64::NAN, f64::INFINITY] {
+            let err = fleet("p2c", &[], 2, 200.0, duration).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Usage(m) if m == "fleet needs a finite --duration > 0 (ms)"),
+                "{duration}: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -1754,10 +1792,13 @@ mod tests {
             base("poisson:400", Some("rate=2.5x"), 40.0),
             Err(CliError::Usage(_))
         ));
-        assert!(matches!(
-            base("poisson:400", None, 0.0),
-            Err(CliError::Usage(_))
-        ));
+        for duration in [0.0, f64::NAN, f64::INFINITY] {
+            let err = base("poisson:400", None, duration).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Usage(m) if m == "serve needs a finite --duration > 0 (ms)"),
+                "{duration}: {err:?}"
+            );
+        }
         std::fs::remove_file(&a).ok();
     }
 

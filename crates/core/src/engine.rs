@@ -106,7 +106,7 @@ impl From<SimError> for EngineError {
 }
 
 /// Activation data flowing between layers.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ActivationData {
     /// 8-bit integer image (network input only).
     Bytes(Tensor<u8>),

@@ -54,10 +54,11 @@
 //! [`FleetReport`] aggregates the cluster: per-device utilization (clock
 //! busy seconds over `streams × wall`), aggregate images/s, and global
 //! p50/p95/p99/p99.9 computed with the same nearest-rank rule as the
-//! single-device reports. [`estimate_fleet`] mirrors the executed path at
-//! full scale (no weights, no kernel bodies) for the `fleet_report` bench
-//! bin, exactly as [`estimate_serve_open_loop`](crate::estimate_serve_open_loop)
-//! mirrors [`DeviceRuntime::serve_open_loop`].
+//! single-device reports. A fleet brought up from architectures alone
+//! ([`Fleet::dry`]) is the same placement, router and failure handling
+//! over [dry](DeviceRuntime::dry) device runtimes, fed request counts;
+//! [`estimate_fleet`] is one pass of it over seeded arrival processes — the
+//! full-scale model the `fleet_report` bench bin sweeps.
 //!
 //! [`attach`]: DeviceRuntime::attach
 //! [`detach`]: DeviceRuntime::detach
@@ -72,11 +73,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::engine::{ActivationData, EngineError};
-use crate::plan::RouteOverrides;
 use crate::serve::{
-    admit_tenants, modeled_window_under, open_loop_windows, schedule_open_loop, validate_arrivals,
-    AdmittedTenant, DeviceRuntime, OpenLoopLoad, OpenLoopOptions, OpenLoopSchedule,
-    OpenLoopWorkload, PlanSource, ShedReason, TenantAsk, TenantSpec, TenantTraffic, WindowFate,
+    dry_inputs, modeled_window_under, validate_arrivals, DeviceRuntime, OpenLoopOptions,
+    OpenLoopSchedule, OpenLoopWorkload, Registration, ShedReason, TenantAsk, TenantSpec,
+    TenantTraffic, TenantWorkload, WindowFate,
 };
 use crate::stats::nearest_rank;
 use phonebit_tensor::tensor::Tensor;
@@ -477,18 +477,12 @@ impl FitEntry {
             self.weights
         }
     }
-}
 
-impl FitEntry {
     /// Probes one tenant's batch-1 plan on `phone`'s GPU class — from a
-    /// deployed model (the executing fleet) or an architecture (the
-    /// analytic one) alike.
-    fn probe(
-        source: &PlanSource<'_>,
-        overrides: RouteOverrides,
-        phone: &Phone,
-    ) -> Result<Self, EngineError> {
-        let plan = source.plan_at(&phone.gpu, 1, overrides)?;
+    /// deployed model or an architecture alike.
+    fn probe(ask: &TenantAsk<'_>, phone: &Phone) -> Result<Self, EngineError> {
+        let source = &ask.source;
+        let plan = source.plan_at(&phone.gpu, 1, ask.overrides)?;
         let extras = source.extras(&plan);
         let (cold_s, _) = modeled_window_under(&plan, &extras, &phone.gpu, 1, None);
         let banks = crate::paging::step_bank_bytes(&plan, &source.layer_weight_bytes(&plan));
@@ -513,80 +507,6 @@ impl FitCache {
             .iter()
             .find(|((t, gpu), _)| *t == tenant && *gpu == phone.gpu.name)
             .map(|(_, entry)| *entry)
-    }
-
-    fn get_or_probe(
-        &mut self,
-        tenant: usize,
-        phone: &Phone,
-        source: &PlanSource<'_>,
-        overrides: RouteOverrides,
-    ) -> Result<FitEntry, EngineError> {
-        if let Some(entry) = self.get(tenant, phone) {
-            return Ok(entry);
-        }
-        let entry = FitEntry::probe(source, overrides, phone)?;
-        self.0.push(((tenant, phone.gpu.name), entry));
-        Ok(entry)
-    }
-}
-
-/// The pooled weight budget a paged device admits under: its app budget
-/// minus the batch-1 arena pool of the tenants it hosts (`None` when the
-/// fleet does not page). Placement checks
-/// `Σ floors + streams × arena ≤ budget`, so a placed roster's paged
-/// floors always fit this ceiling.
-fn paged_weight_budget(
-    paging: bool,
-    phone: &Phone,
-    streams: usize,
-    hosted: impl Iterator<Item = FitEntry>,
-) -> Option<usize> {
-    paging.then(|| {
-        let arena1 = hosted.map(|f| f.arena1).max().unwrap_or(0);
-        phone.app_budget_bytes().saturating_sub(streams * arena1)
-    })
-}
-
-/// Greedily packs tenants (in index order) onto a fresh device: a tenant
-/// joins while `Σ placed weights + streams × max arena` still fits the
-/// phone's budget. Returns the hosted tenant ids.
-fn pack_joiner(
-    fits: impl Iterator<Item = (usize, FitEntry)>,
-    phone: &Phone,
-    streams: usize,
-    paging: bool,
-) -> Vec<usize> {
-    let budget = phone.app_budget_bytes();
-    let mut hosted = Vec::new();
-    let (mut weights, mut arena) = (0usize, 0usize);
-    for (t, fit) in fits {
-        let need = fit.placed_weights(paging);
-        if weights + need + streams * arena.max(fit.arena1) <= budget {
-            hosted.push(t);
-            weights += need;
-            arena = arena.max(fit.arena1);
-        }
-    }
-    hosted
-}
-
-/// Whether a tenant with batch-1 `fit` can be added to a device: alone on
-/// an empty one (it brings its own arena pool), else inside the existing
-/// pool `slice` — which is never regrown — and the budget left next to
-/// the `resident` bytes already held.
-fn fits_device(
-    fit: &FitEntry,
-    paging: bool,
-    streams: usize,
-    phone: &Phone,
-    occupied: Option<(usize, usize)>,
-) -> bool {
-    let budget = phone.app_budget_bytes();
-    let need = fit.placed_weights(paging);
-    match occupied {
-        None => need + streams * fit.arena1 <= budget,
-        Some((slice, resident)) => fit.arena1 <= slice && resident + need <= budget,
     }
 }
 
@@ -652,10 +572,8 @@ fn rosters_of(placement: &[Vec<usize>], devices: usize) -> Vec<Vec<usize>> {
 // The deterministic router core
 // ---------------------------------------------------------------------------
 
-/// What the router needs from a device substrate — implemented by the
-/// executing [`Fleet`] and by the analytic fleet behind
-/// [`estimate_fleet`], so both paths share one routing code path and
-/// cannot drift.
+/// What the router needs from a device substrate: the [`Fleet`], staged or
+/// dry, and the fixed-cost mock the router's unit tests drive it with.
 trait RouteSubstrate {
     fn device_count(&self) -> usize;
     /// Modeled per-request service of `tenant` on `device`
@@ -669,12 +587,14 @@ trait RouteSubstrate {
     fn try_join(&mut self, phone: &Phone, fault: Option<FaultPlan>, at_ms: f64) -> Vec<usize>;
 }
 
+/// A join borrows its device from the caller's event list: every arrival
+/// is an `Ev` too, and one as wide as a [`Phone`] made a full-scale pass's
+/// timeline a 5 MB block (grown by doubling) in a 10 MB process.
 #[derive(Debug, Clone)]
-#[allow(clippy::large_enum_variant)] // Join carries a Phone; one heap entry per cluster event
-enum EvKind {
+enum EvKind<'a> {
     Join {
-        phone: Phone,
-        fault: Option<FaultPlan>,
+        phone: &'a Phone,
+        fault: &'a Option<FaultPlan>,
     },
     Fail {
         device: usize,
@@ -691,25 +611,25 @@ enum EvKind {
 /// (time, class, sequence) — joins before failures before arrivals at
 /// equal timestamps; re-routed requests get fresh sequence numbers so
 /// they land after everything already queued at the failure instant.
-struct Ev {
+struct Ev<'a> {
     at_ms: f64,
     class: u8,
     seq: u64,
-    kind: EvKind,
+    kind: EvKind<'a>,
 }
 
-impl PartialEq for Ev {
+impl PartialEq for Ev<'_> {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
-impl Eq for Ev {}
-impl PartialOrd for Ev {
+impl Eq for Ev<'_> {}
+impl PartialOrd for Ev<'_> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Ev {
+impl Ord for Ev<'_> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want the earliest event.
         other
@@ -764,8 +684,7 @@ fn pick_device(policy: RoutePolicy, cands: &[usize], busy: &[f64], rng: &mut Std
 /// failure the charged horizon splits the device's log into a committed
 /// prefix (drained in place) and a migrated suffix (re-enters the router
 /// at the failure instant). Arrival timestamps are taken as valid — the
-/// serving entry point gates them ([`validate_arrivals`]) and the
-/// estimator generates its own.
+/// serving entry point gates them ([`validate_arrivals`]).
 fn route_requests<S: RouteSubstrate>(
     sub: &mut S,
     arrivals_ms: &[Vec<f64>],
@@ -801,13 +720,7 @@ fn route_requests<S: RouteSubstrate>(
             });
         }
         let (class, kind) = match ev {
-            FleetEvent::Join { phone, fault, .. } => (
-                0u8,
-                EvKind::Join {
-                    phone: phone.clone(),
-                    fault: fault.clone(),
-                },
-            ),
+            FleetEvent::Join { phone, fault, .. } => (0u8, EvKind::Join { phone, fault }),
             FleetEvent::Fail { device, .. } => (1u8, EvKind::Fail { device: *device }),
         };
         heap.push(Ev {
@@ -838,7 +751,7 @@ fn route_requests<S: RouteSubstrate>(
         let now = ev.at_ms;
         match ev.kind {
             EvKind::Join { phone, fault } => {
-                let hosted = sub.try_join(&phone, fault, now);
+                let hosted = sub.try_join(phone, fault.clone(), now);
                 live.push(true);
                 busy.push(now);
                 fail_at.push(None);
@@ -958,7 +871,7 @@ fn route_requests<S: RouteSubstrate>(
 }
 
 // ---------------------------------------------------------------------------
-// Report assembly (shared by the executed and analytic paths)
+// Report assembly
 // ---------------------------------------------------------------------------
 
 struct DeviceRow {
@@ -970,10 +883,10 @@ struct DeviceRow {
     busy_s: f64,
 }
 
-/// Closes a pass, executed or estimated: requests no live device could
-/// host are shed fleet-wide, every offered request must by then hold
-/// exactly one fate (the conservation invariant), and the fates fold into
-/// the aggregate report. Returns the report and the resolved fates.
+/// Closes a pass: requests no live device could host are shed fleet-wide,
+/// every offered request must by then hold exactly one fate (the
+/// conservation invariant), and the fates fold into the aggregate report.
+/// Returns the report and the resolved fates.
 fn assemble_report(
     opts: &FleetOptions,
     device_rows: Vec<DeviceRow>,
@@ -1145,7 +1058,7 @@ fn schedule_busy_s(schedule: &OpenLoopSchedule) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// The executing fleet
+// The fleet
 // ---------------------------------------------------------------------------
 
 struct FleetDevice {
@@ -1173,7 +1086,7 @@ struct FleetDevice {
 /// [`detach`]: DeviceRuntime::detach
 pub struct Fleet {
     devices: Vec<FleetDevice>,
-    specs: Vec<TenantSpec>,
+    tenants: Vec<Registration>,
     placement: Vec<Vec<usize>>,
     opts: FleetOptions,
     registry: ClockRegistry,
@@ -1188,9 +1101,42 @@ impl Fleet {
     /// [`DeviceRuntime`] per non-empty device with its fault plan
     /// installed, and registers every device clock in a
     /// [`ClockRegistry`] as `dev0`, `dev1`, ….
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::InputMismatch`] for an empty device or
+    /// tenant list, zero streams or replicas, or a tenant no device can
+    /// host at the batch-1 pooled floor; otherwise as
+    /// [`DeviceRuntime::new_with_budget`].
     pub fn new(
         devices: Vec<FleetDeviceSpec>,
         tenants: Vec<TenantSpec>,
+        opts: FleetOptions,
+    ) -> Result<Self, EngineError> {
+        let tenants = tenants.into_iter().map(Registration::from).collect();
+        Self::place(devices, tenants, opts)
+    }
+
+    /// [`Fleet::new`] from architectures alone — a **dry** fleet: the same
+    /// placement, router, migration and report over
+    /// [dry](DeviceRuntime::dry) device runtimes, nothing staged, no kernel
+    /// run. Feed its pass [`TenantTraffic::Count`]; `outputs` stay empty.
+    ///
+    /// # Errors
+    ///
+    /// As [`Fleet::new`].
+    pub fn dry(
+        devices: Vec<FleetDeviceSpec>,
+        tenants: &[TenantWorkload<'_>],
+        opts: FleetOptions,
+    ) -> Result<Self, EngineError> {
+        let tenants = tenants.iter().map(Registration::from).collect();
+        Self::place(devices, tenants, opts)
+    }
+
+    fn place(
+        devices: Vec<FleetDeviceSpec>,
+        tenants: Vec<Registration>,
         opts: FleetOptions,
     ) -> Result<Self, EngineError> {
         if devices.is_empty() || tenants.is_empty() || opts.streams == 0 || opts.replicas == 0 {
@@ -1207,15 +1153,15 @@ impl Fleet {
         }
         let mut fleet = Fleet {
             devices: Vec::new(),
-            specs: tenants,
+            tenants,
             placement: Vec::new(),
             opts,
             registry: ClockRegistry::new(),
             fit_cache: FitCache::default(),
             attach_log: Vec::new(),
         };
-        let mut fit: Vec<Vec<FitEntry>> = Vec::with_capacity(fleet.specs.len());
-        for t in 0..fleet.specs.len() {
+        let mut fit: Vec<Vec<FitEntry>> = Vec::with_capacity(fleet.tenants.len());
+        for t in 0..fleet.tenants.len() {
             let mut row = Vec::with_capacity(devices.len());
             for spec in &devices {
                 row.push(fleet.fit_for(t, &spec.phone)?);
@@ -1233,7 +1179,7 @@ impl Fleet {
         .map_err(|t| EngineError::InputMismatch {
             expected: format!(
                 "a device able to host tenant `{}` at the batch-1 pooled floor",
-                fleet.specs[t].name
+                fleet.tenants[t].name
             ),
             got: "no feasible device".into(),
         })?;
@@ -1256,14 +1202,16 @@ impl Fleet {
     }
 
     fn fit_for(&mut self, tenant: usize, phone: &Phone) -> Result<FitEntry, EngineError> {
-        let spec = &self.specs[tenant];
-        let source = PlanSource::Model(&spec.model);
-        self.fit_cache
-            .get_or_probe(tenant, phone, &source, spec.overrides)
+        if let Some(entry) = self.fit_cache.get(tenant, phone) {
+            return Ok(entry);
+        }
+        let entry = FitEntry::probe(&self.tenants[tenant].ask(), phone)?;
+        self.fit_cache.0.push(((tenant, phone.gpu.name), entry));
+        Ok(entry)
     }
 
     /// Starts the runtime device `id` hosts `roster` with (none for an
-    /// empty roster): one [`DeviceRuntime`] over the roster's specs,
+    /// empty roster): one [`DeviceRuntime`] over the roster's tenants,
     /// admitted under the device's paged weight budget when the fleet
     /// pages, its fault plan installed and its clock registered.
     fn start_runtime(
@@ -1276,11 +1224,18 @@ impl Fleet {
         if roster.is_empty() {
             return Ok(None);
         }
-        let subset: Vec<TenantSpec> = roster.iter().map(|&t| self.specs[t].clone()).collect();
-        let hosted = roster.iter().filter_map(|&t| self.fit_cache.get(t, phone));
-        let (paging, streams) = (self.opts.weight_paging, self.opts.streams);
-        let wb = paged_weight_budget(paging, phone, streams, hosted);
-        let rt = DeviceRuntime::new_with_budget(subset, phone, streams, wb)?;
+        let subset: Vec<Registration> = roster.iter().map(|&t| self.tenants[t].clone()).collect();
+        let streams = self.opts.streams;
+        // A paged device admits under its app budget minus the batch-1
+        // arena pool of the tenants it hosts. Placement checks
+        // `Σ floors + streams × arena ≤ budget`, so a placed roster's
+        // paged floors always fit this ceiling.
+        let wb = self.opts.weight_paging.then(|| {
+            let hosted = roster.iter().filter_map(|&t| self.fit_cache.get(t, phone));
+            let arena1 = hosted.map(|f| f.arena1).max().unwrap_or(0);
+            phone.app_budget_bytes().saturating_sub(streams * arena1)
+        });
+        let rt = DeviceRuntime::register(subset, phone, streams, wb)?;
         rt.clock().set_fault_plan(fault);
         self.registry.register(id, Arc::clone(rt.clock()));
         Ok(Some(rt))
@@ -1316,20 +1271,29 @@ impl Fleet {
 
     /// Runs one open-loop pass across the fleet: merges per-tenant
     /// arrivals with the cluster `events` on one deterministic timeline,
-    /// routes every request, executes each device's committed slice with
+    /// routes every request, serves each device's committed slice with
     /// [`DeviceRuntime::serve_open_loop`], and reassembles per-request
     /// fates and bit-exact outputs in global arrival order.
     ///
     /// `traffic[t]` and `arrivals_ms[t]` are the tenant's **global**
     /// request stream; arrivals must be sorted (ties allowed), finite and
-    /// non-negative.
+    /// non-negative. A tenant fed a payload-free [`TenantTraffic::Count`]
+    /// (a dry fleet's traffic) gets no output slots.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::InputMismatch`] for traffic or arrivals that
+    /// do not line up with the tenants, an event with a negative or
+    /// non-finite timestamp, or a [`FleetEvent::Fail`] naming a device that
+    /// is unknown or already dead at that instant; otherwise as
+    /// [`DeviceRuntime::serve_open_loop`].
     pub fn serve_open_loop(
         &mut self,
         traffic: &[TenantTraffic<'_>],
         arrivals_ms: &[Vec<f64>],
         events: &[FleetEvent],
     ) -> Result<FleetOutcome, EngineError> {
-        validate_arrivals(self.specs.len(), traffic, arrivals_ms)?;
+        validate_arrivals(self.tenants.len(), traffic, arrivals_ms)?;
 
         self.attach_log.clear();
         let placement = self.placement.clone();
@@ -1372,9 +1336,14 @@ impl Fleet {
             }
         }
 
-        // Execute every device's committed slice.
-        let mut outputs: Vec<Vec<Option<ActivationData>>> =
-            arrivals_ms.iter().map(|a| vec![None; a.len()]).collect();
+        // Serve every device's committed slice.
+        let mut outputs: Vec<Vec<Option<ActivationData>>> = traffic
+            .iter()
+            .map(|q| match q {
+                TenantTraffic::Count(_) => Vec::new(),
+                q => vec![None; q.len()],
+            })
+            .collect();
         let mut fates: Vec<Vec<Option<FleetRequestFate>>> =
             arrivals_ms.iter().map(|a| vec![None; a.len()]).collect();
         let mut device_rows: Vec<DeviceRow> = Vec::with_capacity(self.devices.len());
@@ -1387,6 +1356,7 @@ impl Fleet {
                 enum Owned {
                     U8(Vec<Tensor<u8>>),
                     F32(Vec<Tensor<f32>>),
+                    Count(usize),
                 }
                 let mut owned: Vec<Owned> = Vec::with_capacity(roster.len());
                 let mut eff: Vec<Vec<f64>> = Vec::with_capacity(roster.len());
@@ -1399,6 +1369,7 @@ impl Fleet {
                         TenantTraffic::F32(reqs) => {
                             Owned::F32(list.iter().map(|r| reqs[r.index].clone()).collect())
                         }
+                        TenantTraffic::Count(_) => Owned::Count(list.len()),
                     });
                     eff.push(list.iter().map(|r| r.effective_ms).collect());
                 }
@@ -1407,6 +1378,7 @@ impl Fleet {
                     .map(|o| match o {
                         Owned::U8(v) => TenantTraffic::U8(v),
                         Owned::F32(v) => TenantTraffic::F32(v),
+                        Owned::Count(n) => TenantTraffic::Count(*n),
                     })
                     .collect();
                 let rt = self.devices[d].runtime.as_mut().expect("checked above");
@@ -1438,8 +1410,8 @@ impl Fleet {
                 busy_s,
             });
         }
-        let names: Vec<String> = self.specs.iter().map(|s| s.name.clone()).collect();
-        let slos: Vec<Option<f64>> = self.specs.iter().map(|s| s.slo_ms).collect();
+        let names: Vec<String> = self.tenants.iter().map(|t| t.name.clone()).collect();
+        let slos: Vec<Option<f64>> = self.tenants.iter().map(|t| t.slo_ms).collect();
         let (report, fates) =
             assemble_report(&opts, device_rows, names, &slos, &rc, fates, arrivals_ms);
         Ok(FleetOutcome {
@@ -1467,8 +1439,7 @@ impl RouteSubstrate for Fleet {
             .expect("service_ms is only asked for hosted tenants");
         let rt = dev.runtime.as_ref().expect("hosted implies a runtime");
         let ten = &rt.tenants()[slot];
-        let batch = ten.staged().plan().batch.max(1);
-        ten.modeled_window_ms().1 / batch as f64
+        ten.modeled_window_ms().1 / ten.plan().batch.max(1) as f64
     }
 
     fn can_host(&self, device: usize, tenant: usize) -> bool {
@@ -1479,19 +1450,27 @@ impl RouteSubstrate for Fleet {
         let Some(fit) = self.fit_cache.get(tenant, &dev.phone) else {
             return false;
         };
-        let occupied = dev
-            .runtime
-            .as_ref()
-            .map(|rt| (rt.pool_slice_bytes(), rt.peak_resident_bytes()));
-        let (paging, streams) = (self.opts.weight_paging, self.opts.streams);
-        fits_device(&fit, paging, streams, &dev.phone, occupied)
+        let budget = dev.phone.app_budget_bytes();
+        let need = fit.placed_weights(self.opts.weight_paging);
+        match &dev.runtime {
+            // Alone on an empty device, the tenant brings its own arena pool.
+            None => need + self.opts.streams * fit.arena1 <= budget,
+            // Else it must fit the existing pool slice — never regrown —
+            // and the budget left next to the bytes already held.
+            Some(rt) => {
+                fit.arena1 <= rt.pool_slice_bytes() && rt.peak_resident_bytes() + need <= budget
+            }
+        }
     }
 
     fn try_migrate(&mut self, device: usize, tenant: usize, at_ms: f64) -> bool {
         if let Some(rt) = self.devices[device].runtime.as_mut() {
             // The attach path reuses the weight budget the runtime was
             // born with.
-            if rt.attach(self.specs[tenant].clone()).is_err() {
+            if rt
+                .attach_registration(self.tenants[tenant].clone())
+                .is_err()
+            {
                 return false;
             }
             self.devices[device].roster.push(tenant);
@@ -1516,11 +1495,22 @@ impl RouteSubstrate for Fleet {
     }
 
     fn try_join(&mut self, phone: &Phone, fault: Option<FaultPlan>, _at_ms: f64) -> Vec<usize> {
-        let fits: Vec<(usize, FitEntry)> = (0..self.specs.len())
-            .filter_map(|t| Some((t, self.fit_for(t, phone).ok()?)))
-            .collect();
-        let (paging, streams) = (self.opts.weight_paging, self.opts.streams);
-        let mut hosted = pack_joiner(fits.into_iter(), phone, streams, paging);
+        // Greedy packing in tenant order: a tenant joins while
+        // `Σ placed weights + streams × max arena` still fits the budget.
+        let (budget, streams) = (phone.app_budget_bytes(), self.opts.streams);
+        let mut hosted = Vec::new();
+        let (mut weights, mut arena) = (0usize, 0usize);
+        for t in 0..self.tenants.len() {
+            let Ok(fit) = self.fit_for(t, phone) else {
+                continue;
+            };
+            let need = fit.placed_weights(self.opts.weight_paging);
+            if weights + need + streams * arena.max(fit.arena1) <= budget {
+                hosted.push(t);
+                weights += need;
+                arena = arena.max(fit.arena1);
+            }
+        }
         let id = format!("dev{}", self.devices.len());
         // A roster the runtime refuses leaves the device up but empty.
         let runtime = self
@@ -1541,199 +1531,19 @@ impl RouteSubstrate for Fleet {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The analytic fleet (full-scale estimate, no weights, no kernel bodies)
-// ---------------------------------------------------------------------------
-
-/// One analytic device: the same admitted-tenant table a [`DeviceRuntime`]
-/// stages from, held as-is — there are no weights to stage.
-struct EstDevice {
-    id: String,
-    phone: Phone,
-    fault: Option<FaultPlan>,
-    roster: Vec<usize>,
-    /// Admitted tenants, roster-slot order.
-    tenants: Vec<AdmittedTenant>,
-    /// The pooled arena slice the device came up with; attach never
-    /// regrows it.
-    slice: usize,
-}
-
-impl EstDevice {
-    /// Resident weight bytes: a streamed tenant charges its hot-set grant,
-    /// not its summed banks — mirrors the executing runtime's footprint.
-    fn weights(&self) -> usize {
-        self.tenants
-            .iter()
-            .map(|t| {
-                let all = t.plan.weights_bytes;
-                t.admission.weight_grant_bytes.map_or(all, |g| g.min(all))
-            })
-            .sum()
-    }
-}
-
-struct EstFleet<'a> {
-    workloads: &'a [OpenLoopWorkload<'a>],
-    devices: Vec<EstDevice>,
-    fit_cache: FitCache,
-    streams: usize,
-    paging: bool,
-}
-
-impl EstFleet<'_> {
-    fn fit_for(&mut self, tenant: usize, phone: &Phone) -> FitEntry {
-        let source = PlanSource::Arch(self.workloads[tenant].arch);
-        self.fit_cache
-            .get_or_probe(tenant, phone, &source, RouteOverrides::default())
-            .expect("arch plans lower infallibly")
-    }
-
-    /// Runs contention-aware admission for a device's `roster` — the
-    /// analytic twin of `DeviceRuntime::new_with_budget` (or, with every
-    /// batch `pinned`, of the post-attach refresh).
-    fn admit(
-        &self,
-        roster: &[usize],
-        phone: &Phone,
-        pinned: Option<&[usize]>,
-    ) -> Vec<AdmittedTenant> {
-        if roster.is_empty() {
-            return Vec::new();
-        }
-        let asks: Vec<TenantAsk<'_>> = roster
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| {
-                let w = &self.workloads[t];
-                TenantAsk::arch(w.arch, pinned.map_or(w.batch, |p| Some(p[i])), w.slo_ms)
-            })
-            .collect();
-        let hosted = roster.iter().filter_map(|&t| self.fit_cache.get(t, phone));
-        let wb = paged_weight_budget(self.paging, phone, self.streams, hosted);
-        let (admitted, _) = admit_tenants(&asks, phone, self.streams, wb)
-            .expect("placement guarantees the batch-1 pooled floor fits");
-        admitted
-    }
-
-    fn build_device(
-        &self,
-        id: String,
-        phone: Phone,
-        fault: Option<FaultPlan>,
-        roster: Vec<usize>,
-    ) -> EstDevice {
-        let tenants = self.admit(&roster, &phone, None);
-        let slice = tenants
-            .iter()
-            .map(|t| t.plan.staged_arena_bytes())
-            .max()
-            .unwrap_or(0);
-        EstDevice {
-            id,
-            phone,
-            fault,
-            roster,
-            tenants,
-            slice,
-        }
-    }
-}
-
-impl RouteSubstrate for EstFleet<'_> {
-    fn device_count(&self) -> usize {
-        self.devices.len()
-    }
-
-    fn service_ms(&self, device: usize, tenant: usize) -> f64 {
-        let dev = &self.devices[device];
-        let slot = dev
-            .roster
-            .iter()
-            .position(|&t| t == tenant)
-            .expect("service_ms is only asked for hosted tenants");
-        let ten = &dev.tenants[slot];
-        ten.steady_ms / ten.admission.batch.max(1) as f64
-    }
-
-    fn can_host(&self, device: usize, tenant: usize) -> bool {
-        let dev = &self.devices[device];
-        if dev.roster.contains(&tenant) {
-            return false;
-        }
-        let Some(fit) = self.fit_cache.get(tenant, &dev.phone) else {
-            return false;
-        };
-        let occupied =
-            (!dev.roster.is_empty()).then(|| (dev.slice, dev.weights() + self.streams * dev.slice));
-        fits_device(&fit, self.paging, self.streams, &dev.phone, occupied)
-    }
-
-    fn try_migrate(&mut self, device: usize, tenant: usize, _at_ms: f64) -> bool {
-        if !self.can_host(device, tenant) {
-            return false;
-        }
-        let (phone, fault, id) = {
-            let dev = &self.devices[device];
-            (dev.phone.clone(), dev.fault.clone(), dev.id.clone())
-        };
-        if self.devices[device].roster.is_empty() {
-            self.devices[device] = self.build_device(id, phone, fault, vec![tenant]);
-            return true;
-        }
-        // Mirror `DeviceRuntime::attach`: survivors' batches pin, the
-        // newcomer's batch clamps to the existing pool slice, then the
-        // whole device's mix and modeled windows refresh.
-        let slice = self.devices[device].slice;
-        let source = PlanSource::Arch(self.workloads[tenant].arch);
-        let cap = crate::planner::largest_batch_where(|b| {
-            source
-                .plan_at(&phone.gpu, b, RouteOverrides::default())
-                .map(|p| p.staged_arena_bytes() <= slice)
-                .unwrap_or(false)
-        });
-        if cap == 0 {
-            return false;
-        }
-        let dev = &self.devices[device];
-        let mut roster = dev.roster.clone();
-        let mut pinned: Vec<usize> = dev.tenants.iter().map(|t| t.admission.batch).collect();
-        roster.push(tenant);
-        pinned.push(self.workloads[tenant].batch.unwrap_or(cap).clamp(1, cap));
-        let tenants = self.admit(&roster, &phone, Some(&pinned));
-        let dev = &mut self.devices[device];
-        dev.roster = roster;
-        dev.tenants = tenants;
-        true
-    }
-
-    fn try_join(&mut self, phone: &Phone, fault: Option<FaultPlan>, _at_ms: f64) -> Vec<usize> {
-        let fits: Vec<(usize, FitEntry)> = (0..self.workloads.len())
-            .map(|t| (t, self.fit_for(t, phone)))
-            .collect();
-        let hosted = pack_joiner(fits.into_iter(), phone, self.streams, self.paging);
-        let id = format!("dev{}", self.devices.len());
-        let dev = self.build_device(id, phone.clone(), fault, hosted.clone());
-        self.devices.push(dev);
-        hosted
-    }
-}
-
-/// Models one fleet pass at full scale: the same placement, router and
-/// committed-prefix failure handoff as [`Fleet::serve_open_loop`], with
-/// each device's slice scheduled by [`schedule_open_loop`] on analytic
-/// window costs instead of executed kernels — what the `fleet_report`
-/// bench bin sweeps across policies, fleet sizes and Zipf skews.
-///
-/// Arrivals are generated from each workload's seeded
-/// [`ArrivalProcess`](crate::ArrivalProcess) over `duration_ms`.
-/// Batch replanning ([`OpenLoopOptions::max_replans`]) is not modeled,
-/// matching the fleet default of `0`.
+/// Models one fleet pass at full scale: a [dry](Fleet::dry) fleet over the
+/// workloads' architectures serves the counts of their seeded arrivals
+/// over `duration_ms` through [`Fleet::serve_open_loop`] itself, so the
+/// report is the one a fleet over the same tenants with weights would hand
+/// back. This is what the `fleet_report` bench bin sweeps across policies,
+/// fleet sizes and Zipf skews.
 ///
 /// # Panics
 ///
-/// Panics when inputs are empty, `duration_ms` is not positive, a tenant
-/// fits no device, or `events` are malformed.
+/// Panics with the [`EngineError`]'s text where [`Fleet::dry`] and
+/// [`Fleet::serve_open_loop`] return one: empty inputs, zero streams or
+/// replicas, a tenant that fits no device, malformed `events` — and when
+/// `duration_ms` is not finite and positive.
 pub fn estimate_fleet(
     devices: &[FleetDeviceSpec],
     workloads: &[OpenLoopWorkload<'_>],
@@ -1741,110 +1551,13 @@ pub fn estimate_fleet(
     events: &[FleetEvent],
     opts: &FleetOptions,
 ) -> FleetReport {
-    assert!(
-        !devices.is_empty() && !workloads.is_empty(),
-        "estimate_fleet needs >= 1 device and >= 1 workload"
-    );
-    assert!(duration_ms > 0.0, "duration_ms must be positive");
-    assert!(opts.streams >= 1 && opts.replicas >= 1);
-
-    let arrivals_ms: Vec<Vec<f64>> = workloads
-        .iter()
-        .map(|w| w.arrival.times_ms(w.seed, duration_ms))
-        .collect();
-    let mut est = EstFleet {
-        workloads,
-        devices: Vec::new(),
-        fit_cache: FitCache::default(),
-        streams: opts.streams,
-        paging: opts.weight_paging,
+    let pass = || -> Result<FleetReport, EngineError> {
+        let (tenants, arrivals_ms) = dry_inputs(workloads, duration_ms)?;
+        let counts = TenantTraffic::counts(&arrivals_ms);
+        let mut fleet = Fleet::dry(devices.to_vec(), &tenants, opts.clone())?;
+        Ok(fleet.serve_open_loop(&counts, &arrivals_ms, events)?.report)
     };
-    let fit: Vec<Vec<FitEntry>> = (0..workloads.len())
-        .map(|t| devices.iter().map(|d| est.fit_for(t, &d.phone)).collect())
-        .collect();
-    let budgets: Vec<usize> = devices.iter().map(|d| d.phone.app_budget_bytes()).collect();
-    let placement = place_tenants(
-        &fit,
-        &budgets,
-        opts.streams,
-        opts.replicas,
-        opts.weight_paging,
-    )
-    .unwrap_or_else(|t| panic!("workload {t} fits no device at the batch-1 pooled floor"));
-    for (d, (spec, roster)) in devices
-        .iter()
-        .zip(rosters_of(&placement, devices.len()))
-        .enumerate()
-    {
-        let dev = est.build_device(
-            format!("dev{d}"),
-            spec.phone.clone(),
-            spec.fault.clone(),
-            roster,
-        );
-        est.devices.push(dev);
-    }
-
-    let rc = route_requests(&mut est, &arrivals_ms, events, &placement, opts)
-        .expect("estimate events must be well-formed");
-
-    let mut fates: Vec<Vec<Option<FleetRequestFate>>> =
-        arrivals_ms.iter().map(|a| vec![None; a.len()]).collect();
-    let mut device_rows: Vec<DeviceRow> = Vec::with_capacity(est.devices.len());
-    for (d, dev) in est.devices.iter().enumerate() {
-        let total: usize = dev.roster.iter().map(|&t| rc.routed[d][t].len()).sum();
-        let mut wall_ms = 0.0;
-        let mut busy_s = 0.0;
-        if total > 0 {
-            let loads: Vec<OpenLoopLoad> = dev
-                .roster
-                .iter()
-                .zip(&dev.tenants)
-                .map(|(&t, ten)| {
-                    let eff: Vec<f64> = rc.routed[d][t].iter().map(|r| r.effective_ms).collect();
-                    let slo_ms = workloads[t].slo_ms;
-                    OpenLoopLoad {
-                        windows: open_loop_windows(
-                            &eff,
-                            ten.admission.batch,
-                            slo_ms,
-                            ten.steady_ms,
-                        ),
-                        cold_ms: ten.cold_ms,
-                        steady_ms: ten.steady_ms,
-                    }
-                })
-                .collect();
-            let schedule = schedule_open_loop(
-                &loads,
-                opts.streams,
-                dev.fault.as_ref(),
-                &opts.open_loop.policy,
-            );
-            wall_ms = schedule.wall_ms;
-            busy_s = schedule_busy_s(&schedule);
-            for (slot, (&t, ten)) in dev.roster.iter().zip(&dev.tenants).enumerate() {
-                fold_device_fates(
-                    d,
-                    &rc.routed[d][t],
-                    ten.admission.batch,
-                    &schedule.fates[slot],
-                    &mut fates[t],
-                );
-            }
-        }
-        device_rows.push(DeviceRow {
-            id: dev.id.clone(),
-            phone: dev.phone.name.to_string(),
-            failed: rc.fail_at[d].is_some(),
-            tenants: dev.roster.len(),
-            wall_ms,
-            busy_s,
-        });
-    }
-    let names: Vec<String> = workloads.iter().map(|w| w.arch.name.clone()).collect();
-    let slos: Vec<Option<f64>> = workloads.iter().map(|w| w.slo_ms).collect();
-    assemble_report(opts, device_rows, names, &slos, &rc, fates, &arrivals_ms).0
+    pass().unwrap_or_else(|e| panic!("estimate_fleet: {e}"))
 }
 
 // ---------------------------------------------------------------------------

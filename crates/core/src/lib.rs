@@ -31,8 +31,10 @@
 //! registry of one: a pooled arena ([`planner::plan_multitenant`]),
 //! contention-aware per-tenant admission against the other tenants'
 //! registered dispatch mix, and one work-stealing window scheduler
-//! ([`serve::schedule_open_loop`]) that the closed-loop, open-loop and
-//! estimated ([`serve::estimate_serve_multitenant`]) paths all drive.
+//! ([`serve::schedule_open_loop`]) behind closed- and open-loop serving. A
+//! full-scale estimate is a **dry run** of the same runtime
+//! ([`serve::DeviceRuntime::dry`]): architectures instead of models,
+//! request counts instead of tensors, the same pass.
 //!
 //! For robustness, the runtime also serves **open-loop**: requests arrive
 //! on seeded stochastic processes ([`arrival::ArrivalProcess`]) with
@@ -91,10 +93,9 @@ pub use planner::{
     select_conv_path_with, ConvPath, ConvPlan, MemoryPlan, MultiTenantPlan,
 };
 pub use serve::{
-    estimate_serve_multitenant, estimate_serve_open_loop, schedule_open_loop, Admission,
-    DeviceRuntime, MultiServeReport, MultiTenantEstimate, OpenLoopAttempt, OpenLoopEstimate,
-    OpenLoopLoad, OpenLoopOptions, OpenLoopReport, OpenLoopSchedule, OpenLoopWindow,
-    OpenLoopWorkload, RetryPolicy, ShedReason, Tenant, TenantEstimate, TenantOpenLoopEstimate,
-    TenantOpenLoopReport, TenantServeReport, TenantSpec, TenantTraffic, TenantWorkload, WindowFate,
+    estimate_serve_open_loop, schedule_open_loop, Admission, DeviceRuntime, MultiServeReport,
+    OpenLoopAttempt, OpenLoopLoad, OpenLoopOptions, OpenLoopReport, OpenLoopSchedule,
+    OpenLoopWindow, OpenLoopWorkload, RetryPolicy, ShedReason, Tenant, TenantOpenLoopReport,
+    TenantServeReport, TenantSpec, TenantTraffic, TenantWorkload, WindowFate,
 };
 pub use stats::{nearest_rank, LayerRun, RunReport};

@@ -476,42 +476,6 @@ impl MultiTenantPlan {
         self.peak_bytes <= phone.app_budget_bytes()
     }
 
-    /// The pooled peak once weight paging is granted: tenant `i` charges
-    /// `grants[i]` resident bytes when streaming (its hot-set grant —
-    /// see [`paged_floor_bytes`](crate::paged_floor_bytes)) and its full
-    /// packed weights when `None`, so the peak is
-    /// `Σ grant + streams × pool slice` instead of
-    /// `Σ weights + streams × pool slice`. With no grants this is exactly
-    /// [`peak_bytes`](MultiTenantPlan::peak_bytes).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `grants` is not one entry per tenant.
-    pub fn paged_peak_bytes(&self, grants: &[Option<usize>]) -> usize {
-        assert_eq!(
-            grants.len(),
-            self.per_tenant.len(),
-            "one residency grant per tenant"
-        );
-        let hot: usize = self
-            .per_tenant
-            .iter()
-            .zip(grants.iter())
-            .map(|(p, g)| g.map_or(p.weights_bytes, |b| b.min(p.weights_bytes)))
-            .sum();
-        hot + self.streams * self.pool_slice_bytes
-    }
-
-    /// The **fits-with-paging** verdict: whether the pooled co-resident
-    /// deployment fits `phone`'s app budget once streamed tenants are
-    /// charged at their residency grants rather than their summed
-    /// weights. An oversubscribed tenant set (`Σ weights` over budget)
-    /// can pass this where [`fits`](MultiTenantPlan::fits) fails —
-    /// the admission controller's paged admission path.
-    pub fn fits_with_paging(&self, phone: &Phone, grants: &[Option<usize>]) -> bool {
-        self.paged_peak_bytes(grants) <= phone.app_budget_bytes()
-    }
-
     /// What the same tenants would cost side-by-side without the pool
     /// (every stream holding every tenant's arena) — the baseline the
     /// pooled formula improves on.

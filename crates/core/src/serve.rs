@@ -23,8 +23,7 @@
 //! ([`DeviceClock::set_mix`]), and candidate batches are modeled under that
 //! mix. A single tenant degenerates to symmetric streams. Admission hands
 //! back one table — decision, lowered plan, modeled (cold, steady) window
-//! per tenant — from a deployed model (the runtime) or a shape-level
-//! architecture (the estimators, the analytic fleet) alike.
+//! per tenant — from a deployed model or a shape-level architecture alike.
 //!
 //! **Window, schedule.** Requests group into windows of the admitted batch.
 //! [`schedule_open_loop`] is the only scheduler: whenever a stream goes
@@ -38,9 +37,15 @@
 //!
 //! **Execute, fold.** The schedule is computed deterministically on modeled
 //! time and executed verbatim — every attempt on its assigned stream, one
-//! scoped thread per stream — so the modeled p95 cannot drift from the
-//! executed dispatch order. The estimators run the same admission and the
-//! same scheduler and skip only the streams.
+//! scoped thread per stream. Counters, latencies and percentiles are folded
+//! from the schedule; what the streams measured is reported beside it
+//! (`duration_ms`, `attempt_exec_ms`) and pinned equal by the no-drift
+//! tests. An **estimate is a dry run**: a runtime brought up from
+//! architectures alone ([`DeviceRuntime::dry`]) holds the same admitted
+//! table with nothing staged and no streams, is fed request counts
+//! ([`TenantTraffic::Count`]) and goes through the same pass, skipping
+//! staging, lane bookkeeping and the execute call and nothing else — so an
+//! estimate cannot drift from the runtime it estimates.
 //!
 //! Serving remains **bit-exact**: requests are windowed in arrival order
 //! per tenant and outputs are reassembled into request order;
@@ -51,7 +56,7 @@ use std::borrow::Borrow;
 use std::sync::Arc;
 use std::thread;
 
-use phonebit_gpusim::buffer::{Context, SimError};
+use phonebit_gpusim::buffer::{Buffer, Context, SimError};
 use phonebit_gpusim::clock::{DeviceClock, FaultPlan};
 use phonebit_gpusim::cost::QueueLoad;
 use phonebit_gpusim::queue::CommandQueue;
@@ -495,10 +500,7 @@ pub fn schedule_open_loop(
 /// open-loop deadlines anchor to arrival time, not to batch submission.
 /// Without an SLO the window is never shed and paces by
 /// `ready + steady_ms`.
-///
-/// Crate-visible so the fleet layer can window a device's *routed slice*
-/// of a tenant's arrivals with the identical grouping rule.
-pub(crate) fn open_loop_windows(
+fn open_loop_windows(
     arrivals_ms: &[f64],
     batch: usize,
     slo_ms: Option<f64>,
@@ -547,9 +549,8 @@ fn closed_loop_windows(count: usize, target_ms: f64) -> Vec<OpenLoopWindow> {
 // Plan sources and contention-aware admission
 // ---------------------------------------------------------------------------
 
-/// Where a tenant's plans come from: a deployed model (the runtime) or a
-/// shape-level architecture (the full-scale estimators and the fleet's
-/// analytic path).
+/// Where a tenant's plans come from: a deployed model, or a shape-level
+/// architecture (a dry run at full scale).
 pub(crate) enum PlanSource<'a> {
     Model(&'a PbitModel),
     Arch(&'a NetworkArch),
@@ -604,26 +605,12 @@ impl PlanSource<'_> {
 }
 
 /// One tenant's ask, as the admission controller sees it. Crate-visible so
-/// the fleet layer can run per-device admission over its placed tenant
-/// subsets.
+/// the fleet layer probes a tenant's fit from the same source and overrides.
 pub(crate) struct TenantAsk<'a> {
     pub(crate) source: PlanSource<'a>,
     pub(crate) batch: Option<usize>,
     pub(crate) slo_ms: Option<f64>,
     pub(crate) overrides: RouteOverrides,
-}
-
-impl<'a> TenantAsk<'a> {
-    /// A shape-level ask under default overrides — what the full-scale
-    /// estimators and the analytic fleet admit with.
-    pub(crate) fn arch(arch: &'a NetworkArch, batch: Option<usize>, slo_ms: Option<f64>) -> Self {
-        Self {
-            source: PlanSource::Arch(arch),
-            batch,
-            slo_ms,
-            overrides: RouteOverrides::default(),
-        }
-    }
 }
 
 /// Measures the expected [`QueueLoad`] one window of `plan` puts on the
@@ -756,21 +743,20 @@ fn modeled_windows<P: Borrow<ExecutionPlan>>(
 
 /// One tenant as admission hands it back: the decision, the plan it was
 /// decided on, and what one window of that plan costs under the registered
-/// mix. The runtime stages from this row; the estimators and the analytic
-/// fleet schedule from it directly — same table, with or without weights.
-pub(crate) struct AdmittedTenant {
-    pub(crate) admission: Admission,
+/// mix. The runtime stages a model from this row and keeps an
+/// architecture's row as it is — same table, with or without weights.
+struct AdmittedTenant {
+    admission: Admission,
     /// Asked overrides plus any [`RouteOverrides::weight_budget`] grant:
     /// what `plan` was lowered with and what the runtime must stage with,
-    /// so scheduler, estimator, and executor roll identical stall
-    /// decisions.
-    pub(crate) overrides: RouteOverrides,
+    /// so scheduler and executor roll identical stall decisions.
+    overrides: RouteOverrides,
     /// The tenant's plan at the admitted batch.
-    pub(crate) plan: ExecutionPlan,
+    plan: ExecutionPlan,
     /// Modeled cold window under the registered mix, milliseconds.
-    pub(crate) cold_ms: f64,
+    cold_ms: f64,
     /// Modeled primed window under the registered mix, milliseconds.
-    pub(crate) steady_ms: f64,
+    steady_ms: f64,
 }
 
 /// Contention-aware admission for a registry of co-resident tenants.
@@ -809,8 +795,8 @@ pub(crate) struct AdmittedTenant {
 /// Returns one [`AdmittedTenant`] per ask plus the final registered mix
 /// (measured at the chosen batches) — the one the runtime installs on the
 /// clock and every window cost in the table was modeled under, stalls
-/// included, so runtime and estimators cannot drift.
-pub(crate) fn admit_tenants(
+/// included.
+fn admit_tenants(
     asks: &[TenantAsk<'_>],
     phone: &Phone,
     streams: usize,
@@ -1063,8 +1049,8 @@ pub(crate) fn admit_tenants(
             break; // the symmetric model has nothing to re-measure
         }
     }
-    // The table the runtime stages from and the estimators schedule from:
-    // plans, registered mix and window costs at the *chosen* batches.
+    // The table the runtime is brought up from: plans, registered mix and
+    // window costs at the *chosen* batches.
     let lowered = lower(&batches)?;
     let (mix, windows_ms) = modeled_windows(&lowered, gpu, streams);
     let tenants = admissions
@@ -1137,12 +1123,125 @@ impl TenantSpec {
     }
 }
 
-/// A registered tenant: its staged model, its admission decision, and the
-/// modeled window costs the scheduler paces it by.
+/// One tenant's registration from its **architecture alone**, for
+/// [`DeviceRuntime::dry`] and [`Fleet::dry`](crate::Fleet::dry): the
+/// shape-level [`TenantSpec`], named after the architecture, lowered under
+/// default overrides.
+#[derive(Debug, Clone, Copy)]
+pub struct TenantWorkload<'a> {
+    /// The tenant's architecture.
+    pub arch: &'a NetworkArch,
+    /// Requested window size (`None` lets admission pick).
+    pub batch: Option<usize>,
+    /// p95 latency target, milliseconds.
+    pub slo_ms: Option<f64>,
+}
+
+/// What a tenant registers from, owned: a deployed model — staged, its
+/// windows executed — or an architecture alone, admitted and scheduled the
+/// same way with nothing staged.
+#[derive(Debug, Clone)]
+pub(crate) enum TenantSource {
+    Model(PbitModel),
+    Arch(NetworkArch),
+}
+
+/// One tenant's registration as the runtime and the fleet take it in, from
+/// a [`TenantSpec`] or a [`TenantWorkload`].
+#[derive(Debug, Clone)]
+pub(crate) struct Registration {
+    pub(crate) name: String,
+    pub(crate) source: TenantSource,
+    pub(crate) batch: Option<usize>,
+    pub(crate) slo_ms: Option<f64>,
+    pub(crate) overrides: RouteOverrides,
+}
+
+impl From<TenantSpec> for Registration {
+    fn from(spec: TenantSpec) -> Self {
+        Self {
+            name: spec.name,
+            source: TenantSource::Model(spec.model),
+            batch: spec.batch,
+            slo_ms: spec.slo_ms,
+            overrides: spec.overrides,
+        }
+    }
+}
+
+impl From<&TenantWorkload<'_>> for Registration {
+    fn from(w: &TenantWorkload<'_>) -> Self {
+        Self {
+            name: w.arch.name.clone(),
+            source: TenantSource::Arch(w.arch.clone()),
+            batch: w.batch,
+            slo_ms: w.slo_ms,
+            overrides: RouteOverrides::default(),
+        }
+    }
+}
+
+impl Registration {
+    pub(crate) fn ask(&self) -> TenantAsk<'_> {
+        TenantAsk {
+            source: match &self.source {
+                TenantSource::Model(m) => PlanSource::Model(m),
+                TenantSource::Arch(a) => PlanSource::Arch(a),
+            },
+            batch: self.batch,
+            slo_ms: self.slo_ms,
+            overrides: self.overrides,
+        }
+    }
+}
+
+/// What a registered tenant holds on the device.
+#[derive(Debug)]
+enum TenantBody {
+    /// Weights staged into the shared context, a lane on every stream.
+    Staged(Arc<StagedModel>),
+    /// A dry run: the architecture, its plan at the admitted batch, and
+    /// the weight bytes staging would hold, booked but not backed.
+    Dry {
+        arch: NetworkArch,
+        plan: Box<ExecutionPlan>,
+        _weights: Buffer<u8>,
+    },
+}
+
+impl TenantBody {
+    /// Brings `source` up on `plan` (its lowering at the admitted batch
+    /// under `overrides`): a model is staged into `ctx` — staging lowers
+    /// it again, identically — and an architecture keeps the plan and
+    /// reserves its resident weight bytes, so both answer to one budget.
+    fn stage(
+        source: TenantSource,
+        ctx: &Context,
+        plan: ExecutionPlan,
+        overrides: RouteOverrides,
+    ) -> Result<Self, EngineError> {
+        Ok(match source {
+            TenantSource::Model(model) => TenantBody::Staged(StagedModel::stage_with_opts(
+                model,
+                ctx.clone(),
+                plan.batch,
+                overrides,
+            )?),
+            TenantSource::Arch(arch) => TenantBody::Dry {
+                _weights: ctx.reserve(plan.hot_weight_bytes())?,
+                arch,
+                plan: Box::new(plan),
+            },
+        })
+    }
+}
+
+/// A registered tenant: what it holds on the device, its admission
+/// decision, and the modeled window costs the scheduler paces it by.
 #[derive(Debug)]
 pub struct Tenant {
     name: String,
-    staged: Arc<StagedModel>,
+    body: TenantBody,
     admission: Admission,
     overrides: RouteOverrides,
     cold_ms: f64,
@@ -1155,9 +1254,21 @@ impl Tenant {
         &self.name
     }
 
-    /// The tenant's staged (shared, immutable) model state.
-    pub fn staged(&self) -> &Arc<StagedModel> {
-        &self.staged
+    /// The tenant's staged (shared, immutable) model state; `None` in a dry
+    /// runtime, which stages nothing.
+    pub fn staged(&self) -> Option<&Arc<StagedModel>> {
+        match &self.body {
+            TenantBody::Staged(staged) => Some(staged),
+            TenantBody::Dry { .. } => None,
+        }
+    }
+
+    /// The tenant's execution plan at its current window size.
+    pub fn plan(&self) -> &ExecutionPlan {
+        match &self.body {
+            TenantBody::Staged(staged) => staged.plan(),
+            TenantBody::Dry { plan, .. } => plan,
+        }
     }
 
     /// The admission controller's decision for this tenant.
@@ -1176,53 +1287,61 @@ impl Tenant {
         (self.cold_ms, self.steady_ms)
     }
 
-    /// The tenant's staged window size.
+    /// The tenant's current window size.
     fn batch(&self) -> usize {
-        self.staged.plan().batch.max(1)
+        self.plan().batch.max(1)
     }
 
-    /// The ask a live tenant re-enters admission with: its staged batch
+    fn source(&self) -> PlanSource<'_> {
+        match &self.body {
+            TenantBody::Staged(staged) => PlanSource::Model(staged.model()),
+            TenantBody::Dry { arch, .. } => PlanSource::Arch(arch),
+        }
+    }
+
+    /// The ask a live tenant re-enters admission with: its current batch
     /// pinned, and its *effective* overrides (any paged grant included), so
     /// its contribution to a weight budget is its hot-set grant, not its
     /// summed banks.
     fn ask(&self) -> TenantAsk<'_> {
         TenantAsk {
-            source: PlanSource::Model(self.staged.model()),
-            batch: Some(self.staged.plan().batch),
+            source: self.source(),
+            batch: Some(self.plan().batch),
             slo_ms: self.admission.slo_ms,
             overrides: self.overrides,
         }
     }
 }
 
-impl TenantSpec {
-    fn ask(&self) -> TenantAsk<'_> {
-        TenantAsk {
-            source: PlanSource::Model(&self.model),
-            batch: self.batch,
-            slo_ms: self.slo_ms,
-            overrides: self.overrides,
-        }
-    }
-}
-
-/// One tenant's request traffic for a [`DeviceRuntime::serve`] call
-/// (borrowed; kinds may differ per tenant — that is the point of
-/// heterogeneous co-residency).
+/// One tenant's request traffic for a serving pass (borrowed; kinds may
+/// differ per tenant — that is the point of heterogeneous co-residency).
 #[derive(Debug, Clone, Copy)]
 pub enum TenantTraffic<'a> {
     /// 8-bit image requests.
     U8(&'a [Tensor<u8>]),
     /// Float-input requests.
     F32(&'a [Tensor<f32>]),
+    /// That many requests without payloads — what a dry runtime is fed. A
+    /// pass over a count returns no outputs; a staged runtime, which has
+    /// nothing to execute for it, rejects it.
+    Count(usize),
 }
 
 impl TenantTraffic<'_> {
+    /// Payload-free traffic matching `arrivals_ms`: per tenant, a
+    /// [`TenantTraffic::Count`] of its arrival stream — what a dry pass
+    /// over those arrivals is fed.
+    pub fn counts(arrivals_ms: &[Vec<f64>]) -> Vec<TenantTraffic<'static>> {
+        let count = |a: &Vec<f64>| TenantTraffic::Count(a.len());
+        arrivals_ms.iter().map(count).collect()
+    }
+
     /// Requests in this tenant's queue.
     pub fn len(&self) -> usize {
         match self {
             TenantTraffic::U8(r) => r.len(),
             TenantTraffic::F32(r) => r.len(),
+            TenantTraffic::Count(n) => *n,
         }
     }
 
@@ -1233,7 +1352,7 @@ impl TenantTraffic<'_> {
 }
 
 /// One tenant's slice of a [`MultiServeReport`].
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct TenantServeReport {
     /// Tenant name.
     pub name: String,
@@ -1241,19 +1360,21 @@ pub struct TenantServeReport {
     pub served: usize,
     /// Windows dispatched.
     pub windows: usize,
-    /// The tenant's staged window size.
+    /// The tenant's window size.
     pub batch: usize,
-    /// Per-request outputs, reassembled in arrival order.
+    /// Per-request outputs, reassembled in arrival order; empty after a
+    /// dry run.
     pub outputs: Vec<ActivationData>,
     /// Per-window **latency** in window order, milliseconds: completion on
-    /// the executed schedule minus the window's paced arrival
-    /// (`index × target`), floored at the service time — queueing delay
-    /// under contention shows up here, which is what the starvation test
-    /// pins.
+    /// the schedule minus the window's paced arrival (`index × target`),
+    /// floored at the service time — queueing delay under contention shows
+    /// up here, which is what the starvation test pins.
     pub window_ms: Vec<f64>,
-    /// Per-window executed **service** time in window order, milliseconds
+    /// Per-window **executed** service time in window order, milliseconds
     /// — what a single-tenant (sharded) report reads its percentiles off:
-    /// one tenant has no cross-tenant queueing to report.
+    /// one tenant has no cross-tenant queueing to report. Equal to the
+    /// schedule's `end − start` (the no-drift invariant); empty after a
+    /// dry run.
     pub duration_ms: Vec<f64>,
     /// Median window latency, milliseconds.
     pub p50_ms: f64,
@@ -1267,8 +1388,9 @@ pub struct TenantServeReport {
     pub slo_met: bool,
 }
 
-/// One multi-tenant serving pass across every registered tenant.
-#[derive(Debug)]
+/// One multi-tenant closed-loop serving pass across every registered
+/// tenant, executed or dry.
+#[derive(Debug, PartialEq)]
 pub struct MultiServeReport {
     /// Per-tenant results, in registry order.
     pub tenants: Vec<TenantServeReport>,
@@ -1278,12 +1400,12 @@ pub struct MultiServeReport {
     pub served: usize,
     /// Windows dispatched across every tenant.
     pub windows: usize,
-    /// Executed makespan: the busiest stream's total time, seconds.
+    /// Makespan: the schedule's last completion, seconds.
     pub wall_s: f64,
     /// Aggregate throughput across every tenant over the makespan.
     pub imgs_per_s: f64,
-    /// The work-stealing schedule the pass executed (modeled times): one
-    /// attempt per window, every fate `Served`.
+    /// The work-stealing schedule of the pass (modeled times): one attempt
+    /// per window, every fate `Served`.
     pub schedule: OpenLoopSchedule,
 }
 
@@ -1311,7 +1433,7 @@ impl Default for OpenLoopOptions {
 }
 
 /// One tenant's slice of an [`OpenLoopReport`].
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct TenantOpenLoopReport {
     /// Tenant name.
     pub name: String,
@@ -1332,7 +1454,8 @@ pub struct TenantOpenLoopReport {
     /// The tenant's window size for this pass (after any replan).
     pub batch: usize,
     /// Per-request outputs in arrival order; `None` for shed requests.
-    /// Served outputs are bit-exact with a fault-free run.
+    /// Served outputs are bit-exact with a fault-free run. Empty after a
+    /// dry run.
     pub outputs: Vec<Option<ActivationData>>,
     /// Per-served-request latency (completion − **its own arrival**),
     /// milliseconds, in arrival order over served requests.
@@ -1353,10 +1476,10 @@ pub struct TenantOpenLoopReport {
     pub shed_rate: f64,
 }
 
-/// One open-loop serving pass: every admitted tenant either meets its SLO
-/// or degrades by bounded shedding; surviving outputs are bit-exact with
-/// a fault-free run.
-#[derive(Debug)]
+/// One open-loop serving pass, executed or dry: every admitted tenant
+/// either meets its SLO or degrades by bounded shedding; surviving outputs
+/// are bit-exact with a fault-free run.
+#[derive(Debug, PartialEq)]
 pub struct OpenLoopReport {
     /// Per-tenant results, in registry order.
     pub tenants: Vec<TenantOpenLoopReport>,
@@ -1364,18 +1487,24 @@ pub struct OpenLoopReport {
     pub streams: usize,
     /// Last modeled completion, milliseconds.
     pub wall_ms: f64,
-    /// Served requests over the pass (`served / max(wall, last arrival)`),
-    /// images per second.
+    /// Served requests over the pass's horizon — `max(wall, last arrival)`
+    /// for [`DeviceRuntime::serve_open_loop`], `max(wall, duration)` for
+    /// [`estimate_serve_open_loop`] — images per second.
     pub goodput_imgs_per_s: f64,
     /// Shed-triggered admission re-plans taken before executing.
     pub replans: usize,
-    /// The executed schedule (attempts + per-window fates).
+    /// The schedule of the pass (attempts + per-window fates).
     pub schedule: OpenLoopSchedule,
     /// Executed duration of each schedule attempt (service × derate),
     /// milliseconds, in schedule order — equal to the modeled
-    /// `end_ms − start_ms` (the no-drift invariant under faults).
+    /// `end_ms − start_ms` (the no-drift invariant under faults). Empty
+    /// after a dry run.
     pub attempt_exec_ms: Vec<f64>,
 }
+
+/// Per tenant, one output slot per request: `None` until the window's
+/// serving attempt fills it, and for good when the window is shed.
+type OutputSlots = Vec<Vec<Option<ActivationData>>>;
 
 /// The multi-tenant device runtime: a registry of co-resident
 /// [`StagedModel`]s on one device, `N` pooled [`MultiStream`]s, one shared
@@ -1421,7 +1550,16 @@ pub struct OpenLoopReport {
 #[derive(Debug)]
 pub struct DeviceRuntime {
     tenants: Vec<Tenant>,
+    /// One pooled stream per lane of concurrency; **empty in a dry
+    /// runtime**, which has nothing to run windows on and holds the
+    /// streams' pooled slices as one reservation instead.
     streams: Vec<MultiStream>,
+    _dry_pool: Option<Buffer<u8>>,
+    /// Pooled streams the scheduler places windows on, staged or not.
+    stream_count: usize,
+    /// One stream's pooled arena slice, fixed when the runtime comes up:
+    /// the largest admitted tenant's `banks × Σ slots`.
+    pool_slice: usize,
     clock: Arc<DeviceClock>,
     ctx: Context,
     /// The phone staged on — kept so live [`DeviceRuntime::attach`] can
@@ -1442,12 +1580,10 @@ impl DeviceRuntime {
     /// # Errors
     ///
     /// Returns [`EngineError::OutOfMemory`] when the pooled co-resident
-    /// peak exceeds the phone's app budget even at batch 1, or
-    /// [`EngineError::DomainMismatch`] for a malformed model.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `specs` is empty or `streams == 0`.
+    /// peak exceeds the phone's app budget even at batch 1,
+    /// [`EngineError::DomainMismatch`] for a malformed model, or
+    /// [`EngineError::InputMismatch`] when `specs` is empty or
+    /// `streams == 0`.
     pub fn new(specs: Vec<TenantSpec>, phone: &Phone, streams: usize) -> Result<Self, EngineError> {
         Self::new_with_budget(specs, phone, streams, None)
     }
@@ -1465,57 +1601,100 @@ impl DeviceRuntime {
     /// # Errors
     ///
     /// As [`DeviceRuntime::new`], plus [`EngineError::OutOfMemory`] when
-    /// even the tenants' paged floors overflow the weight budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `specs` is empty or `streams == 0`.
+    /// even the tenants' paged minima overflow the weight budget.
     pub fn new_with_budget(
         specs: Vec<TenantSpec>,
         phone: &Phone,
         streams: usize,
         weight_budget: Option<usize>,
     ) -> Result<Self, EngineError> {
-        assert!(!specs.is_empty(), "a device runtime needs >= 1 tenant");
-        assert!(streams >= 1, "a device runtime needs >= 1 stream");
+        let tenants = specs.into_iter().map(Registration::from).collect();
+        Self::register(tenants, phone, streams, weight_budget)
+    }
+
+    /// Brings up a **dry** runtime from architectures alone — what a
+    /// full-scale estimate is: the admission table, registered mix, memory
+    /// accounting, live [`attach_dry`](DeviceRuntime::attach_dry) /
+    /// [`detach`](DeviceRuntime::detach) and serving passes of a runtime
+    /// over the same tenants with weights, with nothing staged and no
+    /// kernel run. Feed its passes [`TenantTraffic::Count`]; their reports
+    /// carry the schedule and its fold, no outputs or executed durations.
+    ///
+    /// # Errors
+    ///
+    /// As [`DeviceRuntime::new_with_budget`].
+    pub fn dry(
+        workloads: &[TenantWorkload<'_>],
+        phone: &Phone,
+        streams: usize,
+        weight_budget: Option<usize>,
+    ) -> Result<Self, EngineError> {
+        let tenants = workloads.iter().map(Registration::from).collect();
+        Self::register(tenants, phone, streams, weight_budget)
+    }
+
+    /// The one bring-up behind [`new_with_budget`](DeviceRuntime::new_with_budget)
+    /// and [`dry`](DeviceRuntime::dry): the runtime is dry when its tenants
+    /// register from architectures (callers hand in one kind, never a mix).
+    pub(crate) fn register(
+        tenants: Vec<Registration>,
+        phone: &Phone,
+        streams: usize,
+        weight_budget: Option<usize>,
+    ) -> Result<Self, EngineError> {
+        if tenants.is_empty() || streams == 0 {
+            return Err(EngineError::InputMismatch {
+                expected: ">= 1 tenant on >= 1 stream".into(),
+                got: format!("{} tenants on {streams} streams", tenants.len()),
+            });
+        }
         let gpu = &phone.gpu;
-        let asks: Vec<TenantAsk<'_>> = specs.iter().map(TenantSpec::ask).collect();
         // Admission also hands back the registered mix at the chosen
         // batches (None for a single tenant: symmetric) and, per tenant,
         // the effective overrides — asked overrides plus any
         // paged-residency grant — every staged plan must be lowered with.
-        let (admitted, mix) = admit_tenants(&asks, phone, streams, weight_budget)?;
+        let (admitted, mix) = {
+            let asks: Vec<TenantAsk<'_>> = tenants.iter().map(Registration::ask).collect();
+            admit_tenants(&asks, phone, streams, weight_budget)?
+        };
 
         let ctx = Context::new(gpu.clone(), phone.app_budget_bytes());
         let clock = DeviceClock::with_streams(gpu.clone(), streams);
         clock.set_mix(mix);
 
-        let mut tenants = Vec::with_capacity(specs.len());
-        for (spec, adm) in specs.into_iter().zip(admitted) {
-            let staged = StagedModel::stage_with_opts(
-                spec.model,
-                ctx.clone(),
-                adm.admission.batch,
-                adm.overrides,
-            )?;
-            tenants.push(Tenant {
-                name: spec.name,
-                staged,
+        let mut registry = Vec::with_capacity(tenants.len());
+        for (reg, adm) in tenants.into_iter().zip(admitted) {
+            registry.push(Tenant {
+                name: reg.name,
+                body: TenantBody::stage(reg.source, &ctx, adm.plan, adm.overrides)?,
                 admission: adm.admission,
                 overrides: adm.overrides,
                 cold_ms: adm.cold_ms,
                 steady_ms: adm.steady_ms,
             });
         }
-
-        let staged_refs: Vec<Arc<StagedModel>> =
-            tenants.iter().map(|t| Arc::clone(&t.staged)).collect();
-        let streams = (0..streams)
-            .map(|_| MultiStream::new(&staged_refs, &ctx, Arc::clone(&clock)))
-            .collect::<Result<Vec<_>, _>>()?;
+        let pool_slice = registry
+            .iter()
+            .map(|t| t.plan().staged_arena_bytes())
+            .max()
+            .unwrap_or(0);
+        let staged: Vec<Arc<StagedModel>> = registry
+            .iter()
+            .filter_map(|t| t.staged().cloned())
+            .collect();
+        let (lanes, dry_pool) = if staged.is_empty() {
+            (0, Some(ctx.reserve(streams * pool_slice)?))
+        } else {
+            (streams, None)
+        };
         Ok(Self {
-            tenants,
-            streams,
+            tenants: registry,
+            streams: (0..lanes)
+                .map(|_| MultiStream::new(&staged, &ctx, Arc::clone(&clock)))
+                .collect::<Result<Vec<_>, _>>()?,
+            _dry_pool: dry_pool,
+            stream_count: streams,
+            pool_slice,
             clock,
             ctx,
             phone: phone.clone(),
@@ -1530,7 +1709,7 @@ impl DeviceRuntime {
 
     /// Pooled streams serving the registry.
     pub fn stream_count(&self) -> usize {
-        self.streams.len()
+        self.stream_count
     }
 
     /// The shared device clock (symmetric for one tenant, carrying the
@@ -1546,7 +1725,8 @@ impl DeviceRuntime {
     /// the *peak* the device must hold, the number budgets are checked
     /// against; the unpaged total lives in
     /// [`total_weight_bytes`](DeviceRuntime::total_weight_bytes). The two
-    /// coincide when no tenant streams.
+    /// coincide when no tenant streams. A dry runtime books the same bytes,
+    /// read off its admitted plans, against the same context.
     pub fn resident_bytes(&self) -> usize {
         self.ctx.used_bytes()
     }
@@ -1554,7 +1734,7 @@ impl DeviceRuntime {
     /// Alias of [`resident_bytes`](DeviceRuntime::resident_bytes) under
     /// its precise name: the pooled peak actually held on the device.
     pub fn peak_resident_bytes(&self) -> usize {
-        self.ctx.used_bytes()
+        self.resident_bytes()
     }
 
     /// Summed binary weight-bank bytes across every tenant as if all were
@@ -1562,10 +1742,7 @@ impl DeviceRuntime {
     /// [`peak_resident_bytes`](DeviceRuntime::peak_resident_bytes) when
     /// tenants stream under a weight budget.
     pub fn total_weight_bytes(&self) -> usize {
-        self.tenants
-            .iter()
-            .map(|t| t.staged.total_weight_bytes())
-            .sum()
+        self.tenants.iter().map(|t| t.plan().weights_bytes).sum()
     }
 
     /// The pooled weight budget admission granted under, if any.
@@ -1575,9 +1752,7 @@ impl DeviceRuntime {
 
     /// One stream's pooled arena slice, bytes.
     pub fn pool_slice_bytes(&self) -> usize {
-        self.streams
-            .first()
-            .map_or(0, MultiStream::pool_slice_bytes)
+        self.pool_slice
     }
 
     /// Serves every tenant's request queue in one **closed-loop** pass:
@@ -1585,15 +1760,18 @@ impl DeviceRuntime {
     /// is pending at time 0 and paced at `(k + 1) × target`
     /// ([`schedule_open_loop`] then places them — least slack first),
     /// streams execute their assignments concurrently on scoped threads,
-    /// and outputs are reassembled per tenant in arrival order. The device
-    /// clock's fault plan is an open-loop input; a closed-loop pass ignores
-    /// it.
+    /// and outputs are reassembled per tenant in arrival order. Latencies,
+    /// percentiles and the makespan are read off the schedule, so a dry
+    /// runtime reports exactly what a staged one does, minus `outputs` and
+    /// `duration_ms`. The device clock's fault plan is an open-loop input;
+    /// a closed-loop pass ignores it.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::InputMismatch`] when `traffic` does not line
-    /// up with the registry (one entry per tenant) or a tenant's requests
-    /// disagree with its model's input kind or shape.
+    /// up with the registry (one entry per tenant), a tenant's requests
+    /// disagree with its model's input kind or shape, or a staged runtime
+    /// is handed a payload-free [`TenantTraffic::Count`].
     pub fn serve(
         &mut self,
         traffic: &[TenantTraffic<'_>],
@@ -1621,48 +1799,37 @@ impl DeviceRuntime {
                 steady_ms: t.steady_ms,
             })
             .collect();
-        let schedule =
-            schedule_open_loop(&loads, self.streams.len(), None, &RetryPolicy::default());
-        let reports = self.execute(traffic, &windows, &schedule.attempts)?;
+        let schedule = schedule_open_loop(&loads, self.stream_count, None, &RetryPolicy::default());
+        let (exec_ms, mut outputs) = self.execute(traffic, &windows, &schedule.attempts)?;
 
-        // Replay the executed schedule per stream to place completions.
-        let mut per_tenant_out: Vec<Vec<Option<ActivationData>>> =
-            traffic.iter().map(|q| vec![None; q.len()]).collect();
+        // Every window is one served attempt: its latency is its scheduled
+        // completion against its paced arrival, floored at its service.
         let mut latency_ms: Vec<Vec<f64>> = windows.iter().map(|w| vec![0.0; w.len()]).collect();
-        let mut duration_ms: Vec<Vec<f64>> = windows.iter().map(|w| vec![0.0; w.len()]).collect();
-        let mut stream_s = vec![0.0f64; self.streams.len()];
-        for (at, report) in schedule.attempts.iter().zip(&reports) {
-            let (start, len) = windows[at.tenant][at.index];
-            let out = report.output.as_ref().expect("serving captures outputs");
-            for i in 0..len {
-                per_tenant_out[at.tenant][start + i] = Some(out.image(i));
-            }
-            let exec_ms = report.total_s * 1e3;
+        let mut carried = vec![false; self.stream_count];
+        for at in &schedule.attempts {
             let arrival_ms = at.index as f64 * targets[at.tenant];
-            let completion_ms = stream_s[at.stream] * 1e3 + exec_ms;
-            duration_ms[at.tenant][at.index] = exec_ms;
-            latency_ms[at.tenant][at.index] = (completion_ms - arrival_ms).max(exec_ms);
-            stream_s[at.stream] += report.total_s;
+            latency_ms[at.tenant][at.index] = (at.end_ms - arrival_ms).max(at.end_ms - at.start_ms);
+            carried[at.stream] = true;
         }
-        let wall_s = stream_s.iter().copied().fold(0.0, f64::max);
+        // A tenant's windows dispatch in order, so its executed durations
+        // arrive in window order.
+        let mut duration_ms: Vec<Vec<f64>> = vec![Vec::new(); windows.len()];
+        for (at, &ms) in schedule.attempts.iter().zip(&exec_ms) {
+            duration_ms[at.tenant].push(ms);
+        }
 
         let mut tenants = Vec::with_capacity(self.tenants.len());
-        let mut served_total = 0usize;
-        let mut windows_total = 0usize;
         for (t, tenant) in self.tenants.iter().enumerate() {
-            let outputs: Vec<ActivationData> = per_tenant_out[t]
-                .drain(..)
-                .map(|o| o.expect("every request windowed"))
-                .collect();
             let [p50_ms, p95_ms, p99_ms] = nearest_rank(&latency_ms[t], [0.50, 0.95, 0.99]);
-            served_total += outputs.len();
-            windows_total += windows[t].len();
             tenants.push(TenantServeReport {
                 name: tenant.name.clone(),
-                served: outputs.len(),
+                served: traffic[t].len(),
                 windows: windows[t].len(),
-                batch: tenant.staged.plan().batch,
-                outputs,
+                batch: tenant.plan().batch,
+                outputs: outputs[t]
+                    .drain(..)
+                    .map(|o| o.expect("every window of a closed loop is served"))
+                    .collect(),
                 window_ms: std::mem::take(&mut latency_ms[t]),
                 duration_ms: std::mem::take(&mut duration_ms[t]),
                 p50_ms,
@@ -1672,23 +1839,25 @@ impl DeviceRuntime {
                 slo_met: tenant.admission.slo_ms.is_none_or(|slo| p95_ms <= slo),
             });
         }
+        let served: usize = tenants.iter().map(|t| t.served).sum();
+        let wall_s = schedule.wall_ms * 1e-3;
         Ok(MultiServeReport {
-            tenants,
-            streams: stream_s.iter().filter(|&&s| s > 0.0).count(),
-            served: served_total,
-            windows: windows_total,
+            streams: carried.iter().filter(|&&c| c).count(),
+            served,
+            windows: tenants.iter().map(|t| t.windows).sum(),
             wall_s,
             imgs_per_s: if wall_s > 0.0 {
-                served_total as f64 / wall_s
+                served as f64 / wall_s
             } else {
                 0.0
             },
+            tenants,
             schedule,
         })
     }
 
     /// Every tenant's requests cut into `(start, len)` windows of its
-    /// staged batch, in arrival order.
+    /// current batch, in arrival order.
     fn request_windows(&self, traffic: &[TenantTraffic<'_>]) -> Vec<Vec<(usize, usize)>> {
         self.tenants
             .iter()
@@ -1705,13 +1874,22 @@ impl DeviceRuntime {
     /// Executes a schedule verbatim: every attempt — faulted ones
     /// included, they burn real device time — on its assigned stream, in
     /// modeled start order, streams concurrent on scoped threads. Returns
-    /// each attempt's run report in schedule order.
+    /// each attempt's executed milliseconds in schedule order (service ×
+    /// the derate the scheduler applied at its start) and, per tenant, one
+    /// output slot per request, filled by the window's non-faulted attempt
+    /// and left `None` for shed requests.
+    ///
+    /// A dry runtime has no streams to run anything on: it returns no
+    /// durations and no slots, and the pass reports its schedule alone.
     fn execute(
         &mut self,
         traffic: &[TenantTraffic<'_>],
         windows: &[Vec<(usize, usize)>],
         attempts: &[OpenLoopAttempt],
-    ) -> Result<Vec<RunReport>, EngineError> {
+    ) -> Result<(Vec<f64>, OutputSlots), EngineError> {
+        if self.streams.is_empty() {
+            return Ok((Vec::new(), vec![Vec::new(); traffic.len()]));
+        }
         // Every pass starts with cold lanes, matching the scheduler's
         // cold-first-window-per-(stream, tenant) model — a reused runtime
         // must not execute primed windows against a cold schedule.
@@ -1723,42 +1901,54 @@ impl DeviceRuntime {
             assignments[at.stream].push(k);
         }
         let results: Vec<Result<Vec<RunReport>, EngineError>> = thread::scope(|scope| {
-            let handles: Vec<_> =
-                self.streams
-                    .iter_mut()
-                    .zip(&assignments)
-                    .map(|(stream, mine)| {
-                        scope.spawn(move || {
-                            mine.iter()
-                                .map(|&k| {
-                                    let at = &attempts[k];
-                                    let (start, len) = windows[at.tenant][at.index];
-                                    match traffic[at.tenant] {
-                                        TenantTraffic::U8(reqs) => stream
-                                            .run_window_u8(at.tenant, &reqs[start..start + len]),
-                                        TenantTraffic::F32(reqs) => stream
-                                            .run_window_f32(at.tenant, &reqs[start..start + len]),
+            let handles: Vec<_> = self
+                .streams
+                .iter_mut()
+                .zip(&assignments)
+                .map(|(stream, mine)| {
+                    scope.spawn(move || {
+                        mine.iter()
+                            .map(|&k| {
+                                let at = &attempts[k];
+                                let (start, len) = windows[at.tenant][at.index];
+                                match traffic[at.tenant] {
+                                    TenantTraffic::U8(reqs) => {
+                                        stream.run_window_u8(at.tenant, &reqs[start..start + len])
                                     }
-                                })
-                                .collect()
-                        })
+                                    TenantTraffic::F32(reqs) => {
+                                        stream.run_window_f32(at.tenant, &reqs[start..start + len])
+                                    }
+                                    TenantTraffic::Count(n) => Err(EngineError::InputMismatch {
+                                        expected: "request tensors for a staged runtime".into(),
+                                        got: format!("a count of {n} requests"),
+                                    }),
+                                }
+                            })
+                            .collect()
                     })
-                    .collect();
+                })
+                .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("stream thread panicked"))
                 .collect()
         });
-        let mut reports: Vec<Option<RunReport>> = attempts.iter().map(|_| None).collect();
+        let mut exec_ms = vec![0.0; attempts.len()];
+        let mut outputs: OutputSlots = traffic.iter().map(|q| vec![None; q.len()]).collect();
         for (mine, done) in assignments.iter().zip(results) {
             for (&k, report) in mine.iter().zip(done?) {
-                reports[k] = Some(report);
+                let at = &attempts[k];
+                exec_ms[k] = report.total_s * 1e3 * at.slowdown;
+                if !at.faulted {
+                    let (start, len) = windows[at.tenant][at.index];
+                    let out = report.output.as_ref().expect("serving captures outputs");
+                    for j in 0..len {
+                        outputs[at.tenant][start + j] = Some(out.image(j));
+                    }
+                }
             }
         }
-        Ok(reports
-            .into_iter()
-            .map(|r| r.expect("every attempt is assigned to one stream"))
-            .collect())
+        Ok((exec_ms, outputs))
     }
 
     /// Re-measures every tenant's [`QueueLoad`] at its current batch,
@@ -1770,12 +1960,9 @@ impl DeviceRuntime {
         let walks: Vec<(&ExecutionPlan, Vec<f64>)> = self
             .tenants
             .iter()
-            .map(|t| {
-                let plan = t.staged.plan();
-                (plan, activation_extras_model(plan, t.staged.model()))
-            })
+            .map(|t| (t.plan(), t.source().extras(t.plan())))
             .collect();
-        let (mix, windows_ms) = modeled_windows(&walks, &self.phone.gpu, self.streams.len());
+        let (mix, windows_ms) = modeled_windows(&walks, &self.phone.gpu, self.stream_count);
         self.clock.set_mix(mix);
         for (t, (cold_ms, steady_ms)) in self.tenants.iter_mut().zip(windows_ms) {
             t.cold_ms = cold_ms;
@@ -1785,22 +1972,27 @@ impl DeviceRuntime {
         }
     }
 
-    /// Restages tenant `t` at a new window size (a shed-triggered batch
-    /// replan): stages the model again into the shared context, swaps the
-    /// tenant's lane on every stream — the pooled slice is never regrown
-    /// and the surviving tenants are untouched — then refreshes the
-    /// registered mix.
+    /// Brings tenant `t` up again at a new window size (a shed-triggered
+    /// batch replan): stages the model again into the shared context,
+    /// swaps the tenant's lane on every stream — the pooled slice is never
+    /// regrown and the surviving tenants are untouched — then refreshes
+    /// the registered mix.
     fn restage_tenant(&mut self, t: usize, batch: usize) -> Result<(), EngineError> {
-        let staged = StagedModel::stage_with_opts(
-            self.tenants[t].staged.model().clone(),
-            self.ctx.clone(),
-            batch,
-            self.tenants[t].overrides,
-        )?;
-        for stream in &mut self.streams {
-            stream.replace_lane(t, &staged)?;
+        let tenant = &self.tenants[t];
+        let plan = tenant
+            .source()
+            .plan_at(&self.phone.gpu, batch, tenant.overrides)?;
+        let source = match &tenant.body {
+            TenantBody::Staged(staged) => TenantSource::Model(staged.model().clone()),
+            TenantBody::Dry { arch, .. } => TenantSource::Arch(arch.clone()),
+        };
+        let body = TenantBody::stage(source, &self.ctx, plan, tenant.overrides)?;
+        if let TenantBody::Staged(staged) = &body {
+            for stream in &mut self.streams {
+                stream.replace_lane(t, staged)?;
+            }
         }
-        self.tenants[t].staged = staged;
+        self.tenants[t].body = body;
         self.tenants[t].admission.batch = batch;
         self.refresh_mix();
         Ok(())
@@ -1821,27 +2013,51 @@ impl DeviceRuntime {
     /// Returns [`EngineError::OutOfMemory`] when the newcomer does not fit
     /// the existing pooled slice even at batch 1, or when its weights
     /// exceed the context's remaining budget;
-    /// [`EngineError::DomainMismatch`] for a malformed model.
+    /// [`EngineError::DomainMismatch`] for a malformed model;
+    /// [`EngineError::InputMismatch`] on a dry runtime, which has nowhere
+    /// to stage a model.
     pub fn attach(&mut self, spec: TenantSpec) -> Result<usize, EngineError> {
+        self.attach_registration(spec.into())
+    }
+
+    /// [`DeviceRuntime::attach`] for a dry runtime: the same admission,
+    /// slice clamp and mix refresh over an architecture, nothing staged.
+    ///
+    /// # Errors
+    ///
+    /// As [`DeviceRuntime::attach`]; [`EngineError::InputMismatch`] on a
+    /// staged runtime, which cannot execute a tenant without weights.
+    pub fn attach_dry(&mut self, workload: &TenantWorkload<'_>) -> Result<usize, EngineError> {
+        self.attach_registration(workload.into())
+    }
+
+    /// The one live attach behind [`attach`](DeviceRuntime::attach) and
+    /// [`attach_dry`](DeviceRuntime::attach_dry).
+    pub(crate) fn attach_registration(&mut self, reg: Registration) -> Result<usize, EngineError> {
+        if matches!(reg.source, TenantSource::Arch(_)) != self.streams.is_empty() {
+            return Err(EngineError::InputMismatch {
+                expected: "a model for a staged runtime, an architecture for a dry one".into(),
+                got: format!("tenant `{}` of the other kind", reg.name),
+            });
+        }
         let gpu = self.phone.gpu.clone();
         // Admission runs over the whole roster with every survivor pinned;
         // only the newcomer's row is acted on.
         let newcomer = {
             let mut asks: Vec<TenantAsk<'_>> = self.tenants.iter().map(Tenant::ask).collect();
-            asks.push(spec.ask());
+            asks.push(reg.ask());
             let (admitted, _) =
-                admit_tenants(&asks, &self.phone, self.streams.len(), self.weight_budget)?;
+                admit_tenants(&asks, &self.phone, self.stream_count, self.weight_budget)?;
             admitted.into_iter().next_back().expect("newcomer row")
         };
         let (mut admission, overrides) = (newcomer.admission, newcomer.overrides);
         // Survivors keep their lanes: the newcomer must fit the existing
         // pooled slice, clamping its batch below the memory cap when the
         // slice binds first.
-        let slice = self.pool_slice_bytes();
+        let slice = self.pool_slice;
         let arena_at = |b: usize| {
-            ExecutionPlan::for_model_batched_with(&spec.model, &gpu, b, overrides)
-                .map(|p| p.staged_arena_bytes())
-                .ok()
+            let plan = reg.ask().source.plan_at(&gpu, b, overrides);
+            plan.map(|p| p.staged_arena_bytes()).ok()
         };
         let slice_cap = crate::planner::largest_batch_where(|b| {
             arena_at(b).is_some_and(|bytes| bytes <= slice)
@@ -1854,15 +2070,21 @@ impl DeviceRuntime {
             }));
         }
         admission.max_feasible_batch = admission.max_feasible_batch.min(slice_cap);
-        admission.batch = admission.batch.min(slice_cap);
-        let staged =
-            StagedModel::stage_with_opts(spec.model, self.ctx.clone(), admission.batch, overrides)?;
-        for stream in &mut self.streams {
-            stream.attach_lane(&staged)?;
+        let plan = if admission.batch <= slice_cap {
+            newcomer.plan
+        } else {
+            admission.batch = slice_cap;
+            reg.ask().source.plan_at(&gpu, slice_cap, overrides)?
+        };
+        let body = TenantBody::stage(reg.source, &self.ctx, plan, overrides)?;
+        if let TenantBody::Staged(staged) = &body {
+            for stream in &mut self.streams {
+                stream.attach_lane(staged)?;
+            }
         }
         self.tenants.push(Tenant {
-            name: spec.name,
-            staged,
+            name: reg.name,
+            body,
             admission,
             overrides,
             cold_ms: 0.0, // refreshed just below
@@ -1916,18 +2138,41 @@ impl DeviceRuntime {
     /// open-loop) run of the same requests; shed requests come back as
     /// `None`. The executed per-attempt durations equal the modeled
     /// schedule's ([`OpenLoopReport::attempt_exec_ms`]) — faults and
-    /// throttling do not break the no-drift invariant.
+    /// throttling do not break the no-drift invariant. A dry runtime
+    /// reports the same schedule, counters and percentiles with no outputs
+    /// and no executed durations.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::InputMismatch`] when `traffic`/`arrivals_ms`
-    /// do not line up with the registry, a tenant's arrivals are unsorted
-    /// or miscounted, or a request disagrees with its model's input.
+    /// do not line up with the registry, a tenant's arrivals are unsorted,
+    /// miscounted, negative or not finite, a request disagrees with its
+    /// model's input, or a staged runtime is handed a payload-free
+    /// [`TenantTraffic::Count`].
     pub fn serve_open_loop(
         &mut self,
         traffic: &[TenantTraffic<'_>],
         arrivals_ms: &[Vec<f64>],
         opts: &OpenLoopOptions,
+    ) -> Result<OpenLoopReport, EngineError> {
+        let last_arrival_ms = arrivals_ms
+            .iter()
+            .filter_map(|a| a.last().copied())
+            .fold(0.0, f64::max);
+        self.serve_open_loop_over(traffic, arrivals_ms, opts, last_arrival_ms)
+    }
+
+    /// [`DeviceRuntime::serve_open_loop`] with the goodput horizon given by
+    /// the caller: goodput is served requests over
+    /// `max(wall, horizon_ms)`. A pass over explicit arrivals ends at the
+    /// last of them; one over an arrival *process* ends at the duration the
+    /// process was sampled for, however early its last arrival fell.
+    pub(crate) fn serve_open_loop_over(
+        &mut self,
+        traffic: &[TenantTraffic<'_>],
+        arrivals_ms: &[Vec<f64>],
+        opts: &OpenLoopOptions,
+        horizon_ms: f64,
     ) -> Result<OpenLoopReport, EngineError> {
         validate_arrivals(self.tenants.len(), traffic, arrivals_ms)?;
         let fault = self.clock.fault_plan();
@@ -1952,13 +2197,13 @@ impl DeviceRuntime {
                 })
                 .collect();
             let schedule =
-                schedule_open_loop(&loads, self.streams.len(), fault.as_ref(), &opts.policy);
+                schedule_open_loop(&loads, self.stream_count, fault.as_ref(), &opts.policy);
 
             let mut worst: Option<(usize, f64)> = None;
             if replans < opts.max_replans {
                 for (t, fates) in schedule.fates.iter().enumerate() {
                     let offered = arrivals_ms[t].len();
-                    if offered == 0 || self.tenants[t].staged.plan().batch <= 1 {
+                    if offered == 0 || self.tenants[t].batch() <= 1 {
                         continue;
                     }
                     let shed: usize = fates
@@ -1975,7 +2220,7 @@ impl DeviceRuntime {
             }
             match worst {
                 Some((t, _)) => {
-                    let new_batch = (self.tenants[t].staged.plan().batch / 2).max(1);
+                    let new_batch = (self.tenants[t].batch() / 2).max(1);
                     match self.restage_tenant(t, new_batch) {
                         Ok(()) => {
                             replans += 1;
@@ -1992,72 +2237,23 @@ impl DeviceRuntime {
             }
         };
 
-        let reports = self.execute(traffic, &windows, &schedule.attempts)?;
-        // The executor runs each window at the base service time; the
-        // thermal derate stretches it by the same factor the scheduler
-        // applied at the attempt's start.
-        let attempt_exec_ms: Vec<f64> = schedule
-            .attempts
+        let (attempt_exec_ms, outputs) = self.execute(traffic, &windows, &schedule.attempts)?;
+
+        let tenants_out: Vec<TenantOpenLoopReport> = self
+            .tenants
             .iter()
-            .zip(&reports)
-            .map(|(at, report)| report.total_s * 1e3 * at.slowdown)
+            .zip(arrivals_ms)
+            .zip(outputs)
+            .enumerate()
+            .map(|(t, ((tenant, arr), out))| {
+                TenantOpenLoopReport::fold(tenant, t, &schedule, arr, out)
+            })
             .collect();
-
-        // A non-faulted attempt is its window's serving attempt — its
-        // executed outputs are the ones committed; shed requests stay
-        // `None`.
-        let mut outputs: Vec<Vec<Option<ActivationData>>> =
-            traffic.iter().map(|q| vec![None; q.len()]).collect();
-        for (at, report) in schedule.attempts.iter().zip(&reports) {
-            if !at.faulted {
-                let (start, len) = windows[at.tenant][at.index];
-                let out = report.output.as_ref().expect("serving captures outputs");
-                for j in 0..len {
-                    outputs[at.tenant][start + j] = Some(out.image(j));
-                }
-            }
-        }
-
-        let mut tenants_out = Vec::with_capacity(self.tenants.len());
-        for (t, tenant) in self.tenants.iter().enumerate() {
-            let fold = OpenLoopFold::of(
-                &schedule,
-                t,
-                tenant.batch(),
-                &arrivals_ms[t],
-                tenant.admission.slo_ms,
-            );
-            tenants_out.push(TenantOpenLoopReport {
-                name: tenant.name.clone(),
-                offered: fold.offered,
-                served: fold.served,
-                shed: fold.shed,
-                windows: windows[t].len(),
-                windows_shed: fold.windows_shed,
-                retries: fold.retries,
-                throttled: fold.throttled,
-                batch: tenant.staged.plan().batch,
-                outputs: std::mem::take(&mut outputs[t]),
-                latency_ms: fold.latency_ms,
-                p50_ms: fold.p50_ms,
-                p95_ms: fold.p95_ms,
-                p99_ms: fold.p99_ms,
-                p999_ms: fold.p999_ms,
-                slo_ms: tenant.admission.slo_ms,
-                slo_met: fold.slo_met,
-                shed_rate: fold.shed_rate,
-            });
-        }
         let served_total: usize = tenants_out.iter().map(|t| t.served).sum();
-        let horizon_ms = schedule.wall_ms.max(
-            arrivals_ms
-                .iter()
-                .filter_map(|a| a.last().copied())
-                .fold(0.0, f64::max),
-        );
+        let horizon_ms = schedule.wall_ms.max(horizon_ms);
         Ok(OpenLoopReport {
             tenants: tenants_out,
-            streams: self.streams.len(),
+            streams: self.stream_count,
             wall_ms: schedule.wall_ms,
             goodput_imgs_per_s: if horizon_ms > 0.0 {
                 served_total as f64 / (horizon_ms * 1e-3)
@@ -2114,37 +2310,16 @@ pub(crate) fn validate_arrivals(
     Ok(())
 }
 
-/// One tenant's request-level accounting read off a schedule: the fold
-/// behind both the executed [`TenantOpenLoopReport`] and the modeled
-/// [`TenantOpenLoopEstimate`], so their counters and percentiles cannot
-/// disagree on the same schedule.
-struct OpenLoopFold {
-    offered: usize,
-    served: usize,
-    shed: usize,
-    windows_shed: usize,
-    retries: usize,
-    throttled: usize,
-    /// Per-served-request latency (completion − its own arrival), in
-    /// arrival order over served requests.
-    latency_ms: Vec<f64>,
-    p50_ms: f64,
-    p95_ms: f64,
-    p99_ms: f64,
-    p999_ms: f64,
-    slo_met: bool,
-    shed_rate: f64,
-}
-
-impl OpenLoopFold {
-    /// Folds tenant `t`'s window fates and attempts over its `arrivals_ms`,
-    /// windowed at `batch`.
-    fn of(
-        schedule: &OpenLoopSchedule,
+impl TenantOpenLoopReport {
+    /// Folds `tenant`'s (registry slot `t`) window fates and attempts off
+    /// the schedule over its `arrivals_ms`, windowed at its current batch;
+    /// `outputs` is what the streams committed for it.
+    fn fold(
+        tenant: &Tenant,
         t: usize,
-        batch: usize,
+        schedule: &OpenLoopSchedule,
         arrivals_ms: &[f64],
-        slo_ms: Option<f64>,
+        outputs: Vec<Option<ActivationData>>,
     ) -> Self {
         let offered = arrivals_ms.len();
         let mut latency_ms = Vec::new();
@@ -2152,7 +2327,7 @@ impl OpenLoopFold {
         let mut windows_shed = 0usize;
         for (fate, members) in schedule.fates[t]
             .iter()
-            .zip(arrivals_ms.chunks(batch.max(1)))
+            .zip(arrivals_ms.chunks(tenant.batch()))
         {
             match fate {
                 WindowFate::Served { end_ms, .. } => {
@@ -2168,18 +2343,24 @@ impl OpenLoopFold {
         // The extra p99.9 rank is where fault retries live.
         let [p50_ms, p95_ms, p99_ms, p999_ms] =
             nearest_rank(&latency_ms, [0.50, 0.95, 0.99, 0.999]);
+        let slo_ms = tenant.admission.slo_ms;
         Self {
+            name: tenant.name.clone(),
             offered,
             served: offered - shed,
             shed,
+            windows: schedule.fates[t].len(),
             windows_shed,
             retries: mine().filter(|a| a.faulted).count(),
             throttled: mine().filter(|a| a.slowdown > 1.0).count(),
+            batch: tenant.plan().batch,
+            outputs,
             latency_ms,
             p50_ms,
             p95_ms,
             p99_ms,
             p999_ms,
+            slo_ms,
             slo_met: slo_ms.is_none_or(|slo| p95_ms <= slo),
             shed_rate: if offered > 0 {
                 shed as f64 / offered as f64
@@ -2191,217 +2372,11 @@ impl OpenLoopFold {
 }
 
 // ---------------------------------------------------------------------------
-// Full-scale estimates (no weights, no kernel bodies)
+// Full-scale estimates: dry runs over seeded arrival processes
 // ---------------------------------------------------------------------------
 
-/// One tenant's workload for a full-scale multi-tenant estimate.
-#[derive(Debug, Clone, Copy)]
-pub struct TenantWorkload<'a> {
-    /// The tenant's architecture.
-    pub arch: &'a NetworkArch,
-    /// Requested window size (`None` lets admission pick).
-    pub batch: Option<usize>,
-    /// Windows in the tenant's arrival queue.
-    pub windows: usize,
-    /// p95 latency target, milliseconds.
-    pub slo_ms: Option<f64>,
-}
-
-/// One tenant's slice of a [`MultiTenantEstimate`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct TenantEstimate {
-    /// Architecture name.
-    pub name: String,
-    /// The admission decision (batch, cap, modeled window, SLO verdict).
-    pub admission: Admission,
-    /// Windows modeled.
-    pub windows: usize,
-    /// Images served (`windows × batch`).
-    pub served: usize,
-    /// Modeled cold window under the registered mix, milliseconds.
-    pub cold_ms: f64,
-    /// Modeled steady window under the registered mix, milliseconds.
-    pub steady_ms: f64,
-    /// p50 window latency (completion − paced arrival), milliseconds.
-    pub p50_ms: f64,
-    /// p95 window latency, milliseconds.
-    pub p95_ms: f64,
-    /// p99 window latency, milliseconds.
-    pub p99_ms: f64,
-    /// Whether the scheduled p95 met the tenant's SLO (true when unset).
-    pub slo_met: bool,
-}
-
-/// A full-scale model of co-resident serving: every tenant's windows
-/// placed by the work-stealing scheduler on one pooled device, next to
-/// the **time-sliced sequential baseline** (each tenant served alone on
-/// the same `streams`, makespans summed) that co-residency must beat.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultiTenantEstimate {
-    /// Per-tenant results, in workload order.
-    pub tenants: Vec<TenantEstimate>,
-    /// Pooled streams.
-    pub streams: usize,
-    /// Co-resident makespan, milliseconds.
-    pub wall_ms: f64,
-    /// Co-resident aggregate throughput, images per second.
-    pub imgs_per_s: f64,
-    /// Time-sliced sequential makespan (Σ per-tenant solo makespans),
-    /// milliseconds.
-    pub sequential_wall_ms: f64,
-    /// Time-sliced sequential aggregate throughput, images per second.
-    pub sequential_imgs_per_s: f64,
-    /// Resident packed weights across tenants, bytes.
-    pub weights_bytes: usize,
-    /// One pooled arena slice (`max_tenant(banks × Σ slots)`), bytes.
-    pub pool_slice_bytes: usize,
-    /// Pooled co-resident peak (`Σ weights + streams × slice`), bytes.
-    pub peak_bytes: usize,
-    /// The modeled schedule the percentiles were read off — one attempt
-    /// per window, equal to what a [`DeviceRuntime::serve`] pass over the
-    /// same tenants executes.
-    pub schedule: OpenLoopSchedule,
-}
-
-/// Models a co-resident multi-tenant **closed-loop** pass at full scale:
-/// the same admission and the same [`schedule_open_loop`] placement a
-/// [`DeviceRuntime::serve`] pass executes — from architectures instead of
-/// staged models, with no streams to run — reading per-tenant latency
-/// percentiles off the modeled completions. The time-sliced baseline
-/// reruns each tenant alone (symmetric contention on the same stream
-/// count) and sums the makespans. A single workload is the sharded
-/// single-model estimate.
-///
-/// Under a `weight_budget`, admission grants streamed tenants their paged
-/// floors (tiered — see [`paged_floor_bytes`](crate::paged_floor_bytes) and
-/// [`paged_min_bytes`](crate::paged_min_bytes)), every modeled plan carries
-/// its paging schedule so window costs fold in the upload stalls, and the
-/// reported peak charges streamed tenants at their hot-set grants
-/// ([`MultiTenantPlan::paged_peak_bytes`]). `None` keeps every tenant
-/// fully resident.
-///
-/// # Panics
-///
-/// Panics when `workloads` is empty, `streams == 0`, any workload has
-/// zero windows, or the tenant set does not fit the phone's app budget
-/// even at batch 1 — or its paged minima overflow the weight budget
-/// (estimate callers pick the pairing; an infeasible one is a harness bug,
-/// not a servable configuration).
-///
-/// [`MultiTenantPlan::paged_peak_bytes`]: crate::planner::MultiTenantPlan::paged_peak_bytes
-pub fn estimate_serve_multitenant(
-    phone: &Phone,
-    workloads: &[TenantWorkload<'_>],
-    streams: usize,
-    weight_budget: Option<usize>,
-) -> MultiTenantEstimate {
-    assert!(!workloads.is_empty() && streams >= 1);
-    assert!(workloads.iter().all(|w| w.windows >= 1));
-    let gpu = &phone.gpu;
-    let asks: Vec<TenantAsk<'_>> = workloads
-        .iter()
-        .map(|w| TenantAsk::arch(w.arch, w.batch, w.slo_ms))
-        .collect();
-    let (admitted, _) = admit_tenants(&asks, phone, streams, weight_budget)
-        .expect("tenant set must lower cleanly and fit the phone's budget at batch 1");
-
-    let targets: Vec<f64> = workloads
-        .iter()
-        .zip(&admitted)
-        .map(|(w, adm)| pacing_target_ms(w.slo_ms, adm.steady_ms))
-        .collect();
-    let loads: Vec<OpenLoopLoad> = workloads
-        .iter()
-        .zip(&admitted)
-        .zip(&targets)
-        .map(|((w, adm), &target_ms)| OpenLoopLoad {
-            windows: closed_loop_windows(w.windows, target_ms),
-            cold_ms: adm.cold_ms,
-            steady_ms: adm.steady_ms,
-        })
-        .collect();
-    let policy = RetryPolicy::default();
-    let schedule = schedule_open_loop(&loads, streams, None, &policy);
-
-    let mut tenants = Vec::with_capacity(workloads.len());
-    let mut served_total = 0usize;
-    for (t, (w, adm)) in workloads.iter().zip(&admitted).enumerate() {
-        let latencies: Vec<f64> = schedule
-            .attempts
-            .iter()
-            .filter(|at| at.tenant == t)
-            .map(|at| {
-                let arrival = at.index as f64 * targets[t];
-                (at.end_ms - arrival).max(at.end_ms - at.start_ms)
-            })
-            .collect();
-        let [p50_ms, p95_ms, p99_ms] = nearest_rank(&latencies, [0.50, 0.95, 0.99]);
-        let served = w.windows * adm.admission.batch;
-        served_total += served;
-        tenants.push(TenantEstimate {
-            name: w.arch.name.clone(),
-            admission: adm.admission.clone(),
-            windows: w.windows,
-            served,
-            cold_ms: adm.cold_ms,
-            steady_ms: adm.steady_ms,
-            p50_ms,
-            p95_ms,
-            p99_ms,
-            slo_met: w.slo_ms.is_none_or(|slo| p95_ms <= slo),
-        });
-    }
-
-    // Time-sliced sequential baseline: each tenant alone on the same
-    // streams (symmetric contention), same pacing target, makespans
-    // summed.
-    let mut sequential_wall_ms = 0.0f64;
-    for ((w, adm), &target_ms) in workloads.iter().zip(&admitted).zip(&targets) {
-        let extras = activation_extras_arch(&adm.plan, w.arch);
-        let (cold_s, steady_s) = modeled_window_under(&adm.plan, &extras, gpu, streams, None);
-        let solo = OpenLoopLoad {
-            windows: closed_loop_windows(w.windows, target_ms),
-            cold_ms: cold_s * 1e3,
-            steady_ms: steady_s * 1e3,
-        };
-        sequential_wall_ms += schedule_open_loop(&[solo], streams, None, &policy).wall_ms;
-    }
-
-    let archs: Vec<&NetworkArch> = workloads.iter().map(|w| w.arch).collect();
-    let batches: Vec<usize> = admitted.iter().map(|a| a.admission.batch).collect();
-    let mem = crate::planner::plan_multitenant(&archs, &batches, gpu, streams);
-    // Streamed tenants charge their hot-set grants, not their summed
-    // weights — the fits-with-paging peak. With no grants this is
-    // exactly `mem.peak_bytes`.
-    let grants: Vec<Option<usize>> = admitted
-        .iter()
-        .map(|a| a.admission.weight_grant_bytes)
-        .collect();
-    let peak_bytes = mem.paged_peak_bytes(&grants);
-    let per_s = |wall_ms: f64| {
-        if wall_ms > 0.0 {
-            served_total as f64 / (wall_ms * 1e-3)
-        } else {
-            0.0
-        }
-    };
-    MultiTenantEstimate {
-        tenants,
-        streams,
-        wall_ms: schedule.wall_ms,
-        imgs_per_s: per_s(schedule.wall_ms),
-        sequential_wall_ms,
-        sequential_imgs_per_s: per_s(sequential_wall_ms),
-        weights_bytes: mem.weights_bytes,
-        pool_slice_bytes: mem.pool_slice_bytes,
-        peak_bytes,
-        schedule,
-    }
-}
-
 /// One tenant's workload for a full-scale **open-loop** estimate: an
-/// architecture plus a seeded arrival process instead of a fixed window
-/// count.
+/// architecture plus a seeded arrival process.
 #[derive(Debug, Clone)]
 pub struct OpenLoopWorkload<'a> {
     /// The tenant's architecture.
@@ -2416,87 +2391,55 @@ pub struct OpenLoopWorkload<'a> {
     pub seed: u64,
 }
 
-/// One tenant's slice of an [`OpenLoopEstimate`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct TenantOpenLoopEstimate {
-    /// Architecture name.
-    pub name: String,
-    /// The admission decision (batch, cap, modeled window, SLO verdict).
-    pub admission: Admission,
-    /// Requests the arrival process offered within the horizon.
-    pub offered: usize,
-    /// Requests served before their deadline.
-    pub served: usize,
-    /// Requests shed (deadline past, or retries exhausted).
-    pub shed: usize,
-    /// Windows the offered requests grouped into.
-    pub windows: usize,
-    /// Windows shed whole.
-    pub windows_shed: usize,
-    /// Faulted attempts charged to this tenant (each one retried or shed).
-    pub retries: usize,
-    /// Attempts dispatched inside a thermal-throttle epoch.
-    pub throttled: usize,
-    /// Modeled cold window under the registered mix, milliseconds.
-    pub cold_ms: f64,
-    /// Modeled steady window under the registered mix, milliseconds.
-    pub steady_ms: f64,
-    /// p50 request latency (completion − arrival), milliseconds.
-    pub p50_ms: f64,
-    /// p95 request latency, milliseconds.
-    pub p95_ms: f64,
-    /// p99 request latency, milliseconds.
-    pub p99_ms: f64,
-    /// p99.9 request latency, milliseconds.
-    pub p999_ms: f64,
-    /// Whether served p95 met the tenant's SLO (true when unset).
-    pub slo_met: bool,
-    /// `shed / offered` (0 when nothing was offered).
-    pub shed_rate: f64,
-}
-
-/// A full-scale model of an open-loop fault-tolerant serving pass — what
-/// the `openloop_report` bench bin sweeps over offered load, with and
-/// without an injected [`FaultPlan`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct OpenLoopEstimate {
-    /// Per-tenant results, in workload order.
-    pub tenants: Vec<TenantOpenLoopEstimate>,
-    /// Pooled streams.
-    pub streams: usize,
-    /// Arrival horizon, milliseconds.
-    pub duration_ms: f64,
-    /// Modeled makespan (last attempt completion), milliseconds.
-    pub wall_ms: f64,
-    /// Aggregate offered load, images per second.
-    pub offered_per_s: f64,
-    /// Served images per second of `max(wall, horizon)` — what survives
-    /// shedding.
-    pub goodput_imgs_per_s: f64,
-    /// Aggregate `shed / offered` across tenants.
-    pub shed_rate: f64,
-    /// Per-tenant arrival timestamps (the generated streams), for
-    /// time-windowed post-processing such as post-fault-burst recovery
-    /// checks.
-    pub arrivals_ms: Vec<Vec<f64>>,
-    /// The modeled schedule: every attempt and every window's fate.
-    pub schedule: OpenLoopSchedule,
+/// What a dry pass over `workloads` is built from and fed: each tenant's
+/// registration, and its seeded arrival stream over `duration_ms`.
+///
+/// # Errors
+///
+/// Returns [`EngineError::InputMismatch`] unless `duration_ms` is finite
+/// and positive (an unbounded horizon would draw arrivals until the
+/// generator's cap).
+pub(crate) fn dry_inputs<'a>(
+    workloads: &[OpenLoopWorkload<'a>],
+    duration_ms: f64,
+) -> Result<(Vec<TenantWorkload<'a>>, Vec<Vec<f64>>), EngineError> {
+    if !duration_ms.is_finite() || duration_ms <= 0.0 {
+        return Err(EngineError::InputMismatch {
+            expected: "a finite, positive duration_ms".into(),
+            got: format!("{duration_ms}"),
+        });
+    }
+    Ok(workloads
+        .iter()
+        .map(|w| {
+            let tenant = TenantWorkload {
+                arch: w.arch,
+                batch: w.batch,
+                slo_ms: w.slo_ms,
+            };
+            (tenant, w.arrival.times_ms(w.seed, duration_ms))
+        })
+        .unzip())
 }
 
 /// Models an open-loop serving pass at full scale (no weights, no kernel
-/// bodies): contention-aware admission, seeded arrival generation per
-/// tenant, then [`schedule_open_loop`] under the given fault plan — the
-/// same scheduler [`DeviceRuntime::serve_open_loop`] executes, so modeled
-/// fates and counters match an executed run with the same inputs exactly.
+/// bodies): a [dry](DeviceRuntime::dry) runtime over the workloads'
+/// architectures serves the counts of their seeded arrivals under the
+/// given fault plan — [`DeviceRuntime::serve_open_loop`] itself, so fates,
+/// counters and percentiles are those of an executed run with the same
+/// inputs. `tenants[i].outputs` and `attempt_exec_ms` stay empty, and
+/// goodput is over `max(wall, duration_ms)`.
 ///
-/// Unlike the runtime this does not re-plan batches on shed pressure; it
-/// reports the knee as-is so load sweeps show the raw degradation curve.
+/// Unlike a default runtime pass this does not re-plan batches on shed
+/// pressure (`max_replans: 0`); it reports the knee as-is so load sweeps
+/// show the raw degradation curve.
 ///
 /// # Panics
 ///
-/// Panics when `workloads` is empty, `streams == 0`, or `duration_ms` is
-/// not positive; or when the tenant set does not fit the phone's budget
-/// even at batch 1 (estimate callers pick the pairing).
+/// Panics with the [`EngineError`]'s text when `workloads` is empty,
+/// `streams == 0`, `duration_ms` is not finite and positive, or the tenant
+/// set does not fit the phone's budget even at batch 1 (estimate callers
+/// pick the pairing).
 pub fn estimate_serve_open_loop(
     phone: &Phone,
     workloads: &[OpenLoopWorkload<'_>],
@@ -2504,73 +2447,20 @@ pub fn estimate_serve_open_loop(
     duration_ms: f64,
     fault: Option<&FaultPlan>,
     policy: &RetryPolicy,
-) -> OpenLoopEstimate {
-    assert!(!workloads.is_empty() && streams >= 1);
-    assert!(duration_ms > 0.0, "duration_ms must be positive");
-    let asks: Vec<TenantAsk<'_>> = workloads
-        .iter()
-        .map(|w| TenantAsk::arch(w.arch, w.batch, w.slo_ms))
-        .collect();
-    let (admitted, _) = admit_tenants(&asks, phone, streams, None)
-        .expect("tenant set must lower cleanly and fit the phone's budget at batch 1");
-
-    let arrivals_ms: Vec<Vec<f64>> = workloads
-        .iter()
-        .map(|w| w.arrival.times_ms(w.seed, duration_ms))
-        .collect();
-    let loads: Vec<OpenLoopLoad> = workloads
-        .iter()
-        .zip(&admitted)
-        .zip(&arrivals_ms)
-        .map(|((w, adm), arr)| OpenLoopLoad {
-            windows: open_loop_windows(arr, adm.admission.batch, w.slo_ms, adm.steady_ms),
-            cold_ms: adm.cold_ms,
-            steady_ms: adm.steady_ms,
-        })
-        .collect();
-    let schedule = schedule_open_loop(&loads, streams, fault, policy);
-
-    let mut tenants = Vec::with_capacity(workloads.len());
-    for (t, (w, adm)) in workloads.iter().zip(admitted).enumerate() {
-        let fold = OpenLoopFold::of(&schedule, t, adm.admission.batch, &arrivals_ms[t], w.slo_ms);
-        tenants.push(TenantOpenLoopEstimate {
-            name: w.arch.name.clone(),
-            admission: adm.admission,
-            offered: fold.offered,
-            served: fold.served,
-            shed: fold.shed,
-            windows: schedule.fates[t].len(),
-            windows_shed: fold.windows_shed,
-            retries: fold.retries,
-            throttled: fold.throttled,
-            cold_ms: adm.cold_ms,
-            steady_ms: adm.steady_ms,
-            p50_ms: fold.p50_ms,
-            p95_ms: fold.p95_ms,
-            p99_ms: fold.p99_ms,
-            p999_ms: fold.p999_ms,
-            slo_met: fold.slo_met,
-            shed_rate: fold.shed_rate,
-        });
-    }
-    let offered_total: usize = tenants.iter().map(|t| t.offered).sum();
-    let served_total: usize = tenants.iter().map(|t| t.served).sum();
-    let horizon_ms = schedule.wall_ms.max(duration_ms);
-    OpenLoopEstimate {
-        tenants,
-        streams,
-        duration_ms,
-        wall_ms: schedule.wall_ms,
-        offered_per_s: offered_total as f64 / (duration_ms * 1e-3),
-        goodput_imgs_per_s: served_total as f64 / (horizon_ms * 1e-3),
-        shed_rate: if offered_total > 0 {
-            (offered_total - served_total) as f64 / offered_total as f64
-        } else {
-            0.0
-        },
-        arrivals_ms,
-        schedule,
-    }
+) -> OpenLoopReport {
+    let pass = || -> Result<OpenLoopReport, EngineError> {
+        let (tenants, arrivals_ms) = dry_inputs(workloads, duration_ms)?;
+        let mut runtime = DeviceRuntime::dry(&tenants, phone, streams, None)?;
+        runtime.clock().set_fault_plan(fault.cloned());
+        let counts = TenantTraffic::counts(&arrivals_ms);
+        let opts = OpenLoopOptions {
+            policy: *policy,
+            max_replans: 0,
+            ..OpenLoopOptions::default()
+        };
+        runtime.serve_open_loop_over(&counts, &arrivals_ms, &opts, duration_ms)
+    };
+    pass().unwrap_or_else(|e| panic!("estimate_serve_open_loop: {e}"))
 }
 
 #[cfg(test)]
@@ -2673,7 +2563,7 @@ mod tests {
     fn resident_bytes_scale_with_stream_count() {
         let one = solo_runtime(1, Some(2), None);
         let three = solo_runtime(3, Some(2), None);
-        let staged = one.tenants()[0].staged();
+        let staged = one.tenants()[0].staged().expect("staged from a model");
         let weights = staged.model().size_bytes();
         let arena = staged.plan().staged_arena_bytes();
         assert_eq!(one.resident_bytes(), weights + arena);
@@ -2682,44 +2572,50 @@ mod tests {
         assert_eq!(three.clock().streams(), 3);
     }
 
-    /// The sharded single-model estimate: the general closed-loop
-    /// estimator over one workload.
-    fn solo_estimate(
+    /// The sharded single-model estimate: a dry registry of one, and its
+    /// closed-loop pass over `windows` full windows.
+    fn solo_dry(
         phone: &Phone,
         arch: &NetworkArch,
         batch: usize,
         streams: usize,
-    ) -> MultiTenantEstimate {
+        windows: usize,
+    ) -> (DeviceRuntime, MultiServeReport) {
         let workload = TenantWorkload {
             arch,
             batch: Some(batch),
-            windows: streams * 8,
             slo_ms: None,
         };
-        estimate_serve_multitenant(phone, &[workload], streams, None)
+        let mut runtime = DeviceRuntime::dry(&[workload], phone, streams, None).expect("fits");
+        let pass = runtime
+            .serve(&[TenantTraffic::Count(windows * batch)])
+            .expect("dry pass");
+        (runtime, pass)
     }
 
     #[test]
     fn estimate_serve_models_the_sharding_tradeoff() {
         let phone = Phone::xiaomi_9();
         let arch = zoo::alexnet(Variant::Binary);
-        let solo = solo_estimate(&phone, &arch, 4, 1);
-        let duo = solo_estimate(&phone, &arch, 4, 2);
-        let (s, d) = (&solo.tenants[0], &duo.tenants[0]);
-        assert_eq!((s.admission.batch, d.admission.batch), (4, 4));
+        let (solo, solo_pass) = solo_dry(&phone, &arch, 4, 1, 8);
+        let (duo, _) = solo_dry(&phone, &arch, 4, 2, 16);
+        let (s, d) = (&solo.tenants()[0], &duo.tenants()[0]);
+        assert_eq!((s.admission().batch, d.admission().batch), (4, 4));
+        let ((s_cold_ms, s_steady_ms), (_, d_steady_ms)) =
+            (s.modeled_window_ms(), d.modeled_window_ms());
         // Contention stretches each stream's window...
-        assert!(d.steady_ms > s.steady_ms);
+        assert!(d_steady_ms > s_steady_ms);
         // ...but overlapped host overhead still buys aggregate throughput.
-        assert!(2.0 * 4.0 / d.steady_ms > 4.0 / s.steady_ms);
+        assert!(2.0 * 4.0 / d_steady_ms > 4.0 / s_steady_ms);
         // Memory scales with the stream count; weights are shared.
-        assert_eq!(duo.pool_slice_bytes, solo.pool_slice_bytes);
+        assert_eq!(duo.pool_slice_bytes(), solo.pool_slice_bytes());
         assert_eq!(
-            duo.peak_bytes - duo.weights_bytes,
-            2 * (solo.peak_bytes - solo.weights_bytes)
+            duo.peak_resident_bytes() - duo.total_weight_bytes(),
+            2 * (solo.peak_resident_bytes() - solo.total_weight_bytes())
         );
-        assert!(duo.peak_bytes < 2 * solo.peak_bytes);
+        assert!(duo.peak_resident_bytes() < 2 * solo.peak_resident_bytes());
         // Service-time percentiles order and cold dominates the tail.
-        let service: Vec<f64> = solo
+        let service: Vec<f64> = solo_pass
             .schedule
             .attempts
             .iter()
@@ -2727,7 +2623,11 @@ mod tests {
             .collect();
         let [p50, p95, p99] = nearest_rank(&service, [0.50, 0.95, 0.99]);
         assert!(p50 <= p95 && p95 <= p99);
-        assert_eq!(p99, s.cold_ms);
+        assert_eq!(p99, s_cold_ms);
+        // A dry pass executes nothing.
+        let t = &solo_pass.tenants[0];
+        assert_eq!((t.served, t.windows), (32, 8));
+        assert!(t.outputs.is_empty() && t.duration_ms.is_empty());
     }
 
     #[test]
@@ -2876,12 +2776,12 @@ mod tests {
         let weights: usize = runtime
             .tenants()
             .iter()
-            .map(|t| t.staged().model().size_bytes())
+            .map(|t| t.staged().expect("staged").model().size_bytes())
             .sum();
         let slice = runtime
             .tenants()
             .iter()
-            .map(|t| t.staged().plan().staged_arena_bytes())
+            .map(|t| t.plan().staged_arena_bytes())
             .max()
             .unwrap();
         assert_eq!(runtime.pool_slice_bytes(), slice);
@@ -3018,37 +2918,33 @@ mod tests {
         let phone = Phone::xiaomi_9();
         let alex = zoo::alexnet_micro(Variant::Binary);
         let yolo = zoo::yolo_micro(Variant::Binary);
-        let est = estimate_serve_multitenant(
-            &phone,
-            &[
-                TenantWorkload {
-                    arch: &alex,
-                    batch: Some(2),
-                    windows: 9,
-                    slo_ms: None,
-                },
-                TenantWorkload {
-                    arch: &yolo,
-                    batch: Some(2),
-                    windows: 7,
-                    slo_ms: None,
-                },
-            ],
-            2,
-            None,
-        );
+        let workloads = [&alex, &yolo].map(|arch| TenantWorkload {
+            arch,
+            batch: Some(2),
+            slo_ms: None,
+        });
+        let counts = [TenantTraffic::Count(9 * 2), TenantTraffic::Count(7 * 2)];
+        let mut runtime = DeviceRuntime::dry(&workloads, &phone, 2, None).expect("pair fits");
+        let est = runtime.serve(&counts).expect("dry pass");
         assert_eq!(est.tenants.len(), 2);
-        assert!(est.wall_ms > 0.0);
-        // Co-residency fills the idle tails time-slicing leaves behind.
+        assert!(est.wall_s > 0.0);
+        // The time-sliced baseline: each tenant alone on the same streams,
+        // makespans summed. Co-residency fills the idle tails it leaves.
+        let sequential_wall_s =
+            solo_dry(&phone, &alex, 2, 2, 9).1.wall_s + solo_dry(&phone, &yolo, 2, 2, 7).1.wall_s;
+        let sequential_imgs_per_s = est.served as f64 / sequential_wall_s;
         assert!(
-            est.imgs_per_s > est.sequential_imgs_per_s,
+            est.imgs_per_s > sequential_imgs_per_s,
             "co-resident {:.1} imgs/s vs time-sliced {:.1}",
             est.imgs_per_s,
-            est.sequential_imgs_per_s
+            sequential_imgs_per_s
         );
         // Pooled memory: shared slice, summed weights.
-        assert!(est.pool_slice_bytes > 0);
-        assert_eq!(est.peak_bytes, est.weights_bytes + 2 * est.pool_slice_bytes);
+        assert!(runtime.pool_slice_bytes() > 0);
+        assert_eq!(
+            runtime.peak_resident_bytes(),
+            runtime.total_weight_bytes() + 2 * runtime.pool_slice_bytes()
+        );
         for t in &est.tenants {
             assert!(t.p50_ms <= t.p95_ms && t.p95_ms <= t.p99_ms);
             assert!(t.slo_met, "no SLO set");
@@ -3529,17 +3425,23 @@ mod tests {
         };
         let light = at_rate(0.5);
         let heavy = at_rate(4.0);
-        assert!(light.offered_per_s < heavy.offered_per_s);
+        let offered = |r: &OpenLoopReport| r.tenants.iter().map(|t| t.offered).sum::<usize>();
+        let shed_rate = |r: &OpenLoopReport| {
+            r.tenants.iter().map(|t| t.shed).sum::<usize>() as f64 / offered(r) as f64
+        };
+        assert!(offered(&light) < offered(&heavy));
         // Shed rate is monotone in offered load; overload never starves a
         // tenant outright.
-        assert!(light.shed_rate <= heavy.shed_rate + 1e-9);
+        assert!(shed_rate(&light) <= shed_rate(&heavy) + 1e-9);
         for t in &heavy.tenants {
             assert!(t.served > 0, "tenant {} starved under overload", t.name);
             assert_eq!(t.served + t.shed, t.offered);
+            assert!(t.outputs.is_empty(), "a dry run commits no outputs");
         }
         // The modeled schedule matches its own fates: goodput counts only
-        // served requests.
-        assert!(heavy.goodput_imgs_per_s <= heavy.offered_per_s + 1e-9);
+        // served requests, over the 50 ms the arrivals were drawn for.
+        assert!(heavy.goodput_imgs_per_s <= offered(&heavy) as f64 / 50e-3 + 1e-9);
+        assert!(heavy.attempt_exec_ms.is_empty() && heavy.replans == 0);
         // Determinism: the seeded estimate reproduces bit-for-bit.
         assert_eq!(at_rate(4.0), heavy);
     }

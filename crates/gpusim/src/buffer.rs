@@ -112,6 +112,24 @@ impl Context {
     /// budget.
     pub fn alloc_from<T: Copy>(&self, data: Vec<T>) -> Result<Buffer<T>, SimError> {
         let bytes = data.len() * std::mem::size_of::<T>();
+        self.book(data, bytes)
+    }
+
+    /// Books `bytes` against the budget with **no host memory behind
+    /// them**: an empty buffer whose [`Buffer::byte_len`] is `bytes`, which
+    /// it returns when dropped. A dry run holds these where an executing
+    /// one holds real buffers, so both answer to the same budget.
+    ///
+    /// # Errors
+    ///
+    /// As [`Context::alloc`].
+    pub fn reserve(&self, bytes: usize) -> Result<Buffer<u8>, SimError> {
+        self.book(Vec::new(), bytes)
+    }
+
+    /// Charges `bytes` to the budget and wraps `data` as the buffer that
+    /// gives them back.
+    fn book<T: Copy>(&self, data: Vec<T>, bytes: usize) -> Result<Buffer<T>, SimError> {
         let mut cur = self.mem.used.load(Ordering::Relaxed);
         loop {
             let next = cur.saturating_add(bytes);
@@ -225,6 +243,12 @@ mod tests {
         drop(b);
         assert_eq!(c.used_bytes(), 0);
         assert_eq!(c.peak_bytes(), 768);
+        // A reservation books bytes the same way, with nothing behind them.
+        let r = c.reserve(1024).unwrap();
+        assert_eq!((r.len(), r.byte_len(), c.used_bytes()), (0, 1024, 1024));
+        assert!(c.reserve(1).is_err());
+        drop(r);
+        assert_eq!(c.used_bytes(), 0);
     }
 
     #[test]

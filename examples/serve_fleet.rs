@@ -8,16 +8,19 @@
 //! — its committed requests drain, the uncommitted ones re-route to
 //! surviving replicas, and any tenant left with no live replica migrates
 //! via a real `attach` — and a fresh device **joins** and starts taking
-//! traffic. The run then repeats with the same seed to show the whole
-//! pass — placement, routing, migrations, per-request fates — is
-//! deterministic.
+//! traffic. The same fleet description then goes through a **dry run**
+//! (architectures instead of models, request counts instead of tensors)
+//! and the two reports print side by side: an estimate is the same pass
+//! with no kernel run, so they are equal. Last, the executed run repeats
+//! with the same seed to show the whole pass — placement, routing,
+//! migrations, per-request fates — is deterministic.
 //!
 //! Run: `cargo run --release --example serve_fleet`
 
-use phonebit::core::serve::{TenantSpec, TenantTraffic};
+use phonebit::core::serve::{TenantSpec, TenantTraffic, TenantWorkload};
 use phonebit::core::{
-    convert, zipf_rates, Fleet, FleetDeviceSpec, FleetEvent, FleetOptions, FleetRequestFate,
-    RoutePolicy,
+    convert, zipf_rates, Fleet, FleetDeviceSpec, FleetEvent, FleetOptions, FleetReport,
+    FleetRequestFate, RoutePolicy,
 };
 use phonebit::gpusim::{FaultPlan, Phone};
 use phonebit::models::zoo::{self, Variant};
@@ -34,12 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tenants: Vec<TenantSpec> = archs
         .iter()
         .enumerate()
-        .map(|(t, arch)| {
-            let mut spec = TenantSpec::new(convert(&fill_weights(arch, 11 + t as u64)));
-            spec.batch = Some(2);
-            spec.name = format!("tenant{t}");
-            spec
-        })
+        .map(|(t, arch)| TenantSpec::new(convert(&fill_weights(arch, 11 + t as u64))).with_batch(2))
         .collect();
 
     // Four devices, x9/x5 alternating; dev0 drops ~20% of dispatches.
@@ -134,20 +132,48 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             d.utilization * 100.0
         );
     }
+
+    // The same description as a dry run: nothing staged, nothing executed,
+    // the same placement, router and per-device passes.
+    let dry_tenants: Vec<TenantWorkload<'_>> = archs
+        .iter()
+        .map(|arch| TenantWorkload {
+            arch,
+            batch: Some(2),
+            slo_ms: None,
+        })
+        .collect();
+    let counts = TenantTraffic::counts(&arrivals);
+    let dry = Fleet::dry(devices.clone(), &dry_tenants, opts.clone())?
+        .serve_open_loop(&counts, &arrivals, &events)?;
     println!(
-        "\n{:<10} {:>7} {:>6} {:>5} {:>5} {:>9} {:>9}",
-        "tenant", "offered", "served", "shed", "moved", "p50(ms)", "p99(ms)"
+        "\n{:<9} {:<16} {:>7} {:>6} {:>5} {:>5} {:>9} {:>9}",
+        "", "tenant", "offered", "served", "shed", "moved", "p50(ms)", "p99(ms)"
     );
-    for t in &r.tenants {
+    let sides: [(&str, &FleetReport); 2] = [("executed", r), ("dry run", &dry.report)];
+    for t in 0..archs.len() {
+        for (side, report) in sides {
+            let row = &report.tenants[t];
+            println!(
+                "{:<9} {:<16} {:>7} {:>6} {:>5} {:>5} {:>9.3} {:>9.3}",
+                side,
+                row.name,
+                row.offered,
+                row.served,
+                row.shed,
+                row.migrated,
+                row.p50_ms,
+                row.p99_ms
+            );
+        }
+    }
+    for (side, report) in sides {
         println!(
-            "{:<10} {:>7} {:>6} {:>5} {:>5} {:>9.3} {:>9.3}",
-            t.name, t.offered, t.served, t.shed, t.migrated, t.p50_ms, t.p99_ms
+            "{side:<9} global p50 {:.3} / p95 {:.3} / p99 {:.3} ms, goodput {:.1} imgs/s",
+            report.p50_ms, report.p95_ms, report.p99_ms, report.goodput_imgs_per_s
         );
     }
-    println!(
-        "\nglobal p50 {:.3} / p95 {:.3} / p99 {:.3} ms, goodput {:.1} imgs/s",
-        r.p50_ms, r.p95_ms, r.p99_ms, r.goodput_imgs_per_s
-    );
+    assert_eq!(dry.report, *r, "an estimate is a dry run of the same pass");
 
     // Every request resolved exactly once; count the fates by hand.
     let served = outcome

@@ -5,7 +5,7 @@
 //! amortized) and double-buffering the arena between windows.
 
 use phonebit::core::plan::ExecutionPlan;
-use phonebit::core::{convert, ActivationData, ConvPath, Session};
+use phonebit::core::{convert, ConvPath, Session};
 use phonebit::gpusim::Phone;
 use phonebit::models::zoo::{self, Variant};
 use phonebit::models::{fill_weights, synthetic_image, to_float_input};
@@ -13,15 +13,6 @@ use phonebit::nn::act::Activation;
 use phonebit::nn::graph::{LayerPrecision, NetworkArch};
 use phonebit::tensor::shape::Shape4;
 use phonebit::tensor::Tensor;
-
-fn assert_same_activation(a: &ActivationData, b: &ActivationData, what: &str) {
-    match (a, b) {
-        (ActivationData::Bits(x), ActivationData::Bits(y)) => assert_eq!(x, y, "{what}"),
-        (ActivationData::Floats(x), ActivationData::Floats(y)) => assert_eq!(x, y, "{what}"),
-        (ActivationData::Bytes(x), ActivationData::Bytes(y)) => assert_eq!(x, y, "{what}"),
-        _ => panic!("{what}: activation kinds diverged"),
-    }
-}
 
 #[test]
 fn batched_window_equals_singles_across_micro_zoo() {
@@ -48,7 +39,7 @@ fn batched_window_equals_singles_across_micro_zoo() {
             .output
             .unwrap();
         for (i, want) in solo.iter().enumerate() {
-            assert_same_activation(&out.image(i), want, &format!("{} image {i}", arch.name));
+            assert_eq!(&out.image(i), want, "{} image {i}", arch.name);
         }
     }
 }
@@ -112,7 +103,7 @@ fn batched_window_equals_singles_on_every_kernel_route() {
             .output
             .unwrap();
         for (i, want) in solo.iter().enumerate() {
-            assert_same_activation(&out.image(i), want, &format!("{} image {i}", arch.name));
+            assert_eq!(&out.image(i), want, "{} image {i}", arch.name);
         }
     }
 }
@@ -157,10 +148,10 @@ fn batched_window_dispatches_once_per_kernel_and_wins_throughput() {
     // Bank flips keep the stream deterministic.
     let again = batched.run_batch_u8(&images).expect("third window");
     assert_eq!(again.total_s, warm.total_s);
-    assert_same_activation(
+    assert_eq!(
         &warm.output.unwrap(),
         &again.output.unwrap(),
-        "steady windows",
+        "steady windows"
     );
 }
 

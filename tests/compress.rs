@@ -37,15 +37,6 @@ fn compressed_fused() -> RouteOverrides {
     }
 }
 
-fn assert_same_activation(a: &ActivationData, b: &ActivationData, what: &str) {
-    match (a, b) {
-        (ActivationData::Bits(x), ActivationData::Bits(y)) => assert_eq!(x, y, "{what}"),
-        (ActivationData::Floats(x), ActivationData::Floats(y)) => assert_eq!(x, y, "{what}"),
-        (ActivationData::Bytes(x), ActivationData::Bytes(y)) => assert_eq!(x, y, "{what}"),
-        _ => panic!("{what}: activation kinds diverged"),
-    }
-}
-
 fn run_once(session: &mut Session, input: Shape4, takes_u8: bool, seed: u64) -> ActivationData {
     if takes_u8 {
         let img = synthetic_image(input, seed);
@@ -202,7 +193,7 @@ fn compression_is_bit_exact_on_all_four_conv_routes() {
             for seed in 0..2u64 {
                 let want = run_once(&mut plain, arch.input, takes_u8, 90 + seed);
                 let got = run_once(&mut comp, arch.input, takes_u8, 90 + seed);
-                assert_same_activation(&got, &want, &format!("{} seed {seed}", arch.name));
+                assert_eq!(&got, &want, "{} seed {seed}", arch.name);
             }
         }
     }
@@ -234,10 +225,10 @@ fn micro_zoo_compressed_sessions_are_bit_exact_with_smaller_residency() {
             for seed in 0..3u64 {
                 let want = run_once(&mut plain, arch.input, takes_u8, 40 + seed);
                 let got = run_once(&mut comp, arch.input, takes_u8, 40 + seed);
-                assert_same_activation(
-                    &got,
-                    &want,
-                    &format!("{} ({:?}) seed {seed}", arch.name, overrides.fusion),
+                assert_eq!(
+                    &got, &want,
+                    "{} ({:?}) seed {seed}",
+                    arch.name, overrides.fusion
                 );
             }
         }

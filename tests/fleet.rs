@@ -4,17 +4,18 @@
 //! duplicated, or reordered within a tenant across any policy, fleet
 //! size 1–8, and injected device failures — and determinism: identical
 //! seeds produce identical [`FleetReport`]s on both the executed and the
-//! analytic path.
+//! dry path, and the two paths hand back the same report.
 
 use phonebit::core::serve::{DeviceRuntime, TenantSpec, TenantTraffic};
 use phonebit::core::{
-    convert, estimate_fleet, zipf_rates, ActivationData, ArrivalProcess, Fleet, FleetAction,
-    FleetDeviceSpec, FleetEvent, FleetOptions, FleetOutcome, FleetRequestFate, OpenLoopWorkload,
-    RoutePolicy, RoutedRequest,
+    convert, estimate_fleet, zipf_rates, ArrivalProcess, Fleet, FleetAction, FleetDeviceSpec,
+    FleetEvent, FleetOptions, FleetOutcome, FleetRequestFate, OpenLoopWorkload, RoutePolicy,
+    RoutedRequest,
 };
 use phonebit::gpusim::{FaultPlan, Phone};
 use phonebit::models::zoo::{self, Variant};
 use phonebit::models::{fill_weights, synthetic_image};
+use phonebit::tensor::shape::Shape4;
 use phonebit::tensor::Tensor;
 
 fn yolo_model() -> phonebit::core::PbitModel {
@@ -84,15 +85,6 @@ fn device_specs(m: usize) -> Vec<FleetDeviceSpec> {
             }
         })
         .collect()
-}
-
-fn assert_same_activation(a: &ActivationData, b: &ActivationData, what: &str) {
-    match (a, b) {
-        (ActivationData::Bits(x), ActivationData::Bits(y)) => assert_eq!(x, y, "{what}"),
-        (ActivationData::Floats(x), ActivationData::Floats(y)) => assert_eq!(x, y, "{what}"),
-        (ActivationData::Bytes(x), ActivationData::Bytes(y)) => assert_eq!(x, y, "{what}"),
-        _ => panic!("{what}: activation kinds diverged"),
-    }
 }
 
 /// The conservation invariant: every offered request resolves to exactly
@@ -250,20 +242,12 @@ fn replay_device_solo(
         .expect("solo replay");
     for (slot, &t) in roster.iter().enumerate() {
         for (pos, req) in outcome.routed[d][t].iter().enumerate() {
-            let fleet_out = &outcome.outputs[t][req.index];
-            let solo_out = &solo.tenants[slot].outputs[pos];
-            match (fleet_out, solo_out) {
-                (Some(a), Some(b)) => assert_same_activation(
-                    a,
-                    b,
-                    &format!("device {d} tenant {t} request {}", req.index),
-                ),
-                (None, None) => {}
-                _ => panic!(
-                    "device {d} tenant {t} request {}: fleet and solo disagree on shedding",
-                    req.index
-                ),
-            }
+            // Equal outputs where both served, `None` where both shed.
+            assert_eq!(
+                outcome.outputs[t][req.index], solo.tenants[slot].outputs[pos],
+                "device {d} tenant {t} request {}",
+                req.index
+            );
         }
     }
 }
@@ -323,17 +307,7 @@ fn identical_seeds_produce_identical_reports_and_outputs() {
         assert_eq!(a.report, b.report, "{policy:?}: identical FleetReport");
         assert_eq!(a.fates, b.fates, "{policy:?}: identical fates");
         assert_eq!(a.routed, b.routed, "{policy:?}: identical routing");
-        for (t, reqs) in traffic.iter().enumerate() {
-            for i in 0..reqs.len() {
-                match (&a.outputs[t][i], &b.outputs[t][i]) {
-                    (Some(x), Some(y)) => {
-                        assert_same_activation(x, y, &format!("tenant {t} request {i}"))
-                    }
-                    (None, None) => {}
-                    _ => panic!("tenant {t} request {i}: shed sets diverged"),
-                }
-            }
-        }
+        assert_eq!(a.outputs, b.outputs, "{policy:?}: identical outputs");
     }
 }
 
@@ -553,4 +527,108 @@ fn estimate_fleet_is_deterministic_and_policies_disagree_under_skew() {
         random.devices.iter().map(|d| d.offered).collect::<Vec<_>>(),
         "p2c and random route differently under skew"
     );
+}
+
+/// "Estimate is execute" at fleet level: an executed [`Fleet`] over the
+/// converted micro pair, fed each workload's own seeded arrivals, and
+/// [`estimate_fleet`] over the architectures alone hand back the same
+/// [`FleetReport`] on every row — failure migration (the newcomer's batch
+/// pinned or admission-chosen), joins, replicas, SLOs and weight paging
+/// included.
+#[test]
+fn estimate_fleet_equals_the_executed_fleet_on_every_row() {
+    const DURATION_MS: f64 = 60.0;
+    // The micro pair at a quarter of its resolution: an admission-chosen
+    // batch executes zero-padded 64-image windows, too slow to sweep
+    // unoptimised at 32x32 / 64x64.
+    let mut archs = [
+        zoo::alexnet_micro(Variant::Binary),
+        zoo::yolo_micro(Variant::Binary),
+    ];
+    archs[0].input = Shape4::new(1, 8, 8, 3);
+    archs[1].input = Shape4::new(1, 16, 16, 3);
+    let models = [&archs[0], &archs[1]].map(|arch| convert(&fill_weights(arch, 7)));
+    let devices = vec![
+        FleetDeviceSpec::new(Phone::xiaomi_9()),
+        FleetDeviceSpec::new(Phone::xiaomi_5()),
+    ];
+    let process = ArrivalProcess::poisson(300.0);
+    let arrivals: Vec<Vec<f64>> = (0..2)
+        .map(|t| process.times_ms(60 + t, DURATION_MS))
+        .collect();
+    let images: Vec<Vec<Tensor<u8>>> = archs
+        .iter()
+        .zip(&arrivals)
+        .enumerate()
+        .map(|(t, (arch, arr))| {
+            (0..arr.len())
+                .map(|i| synthetic_image(arch.input, (5000 * t + i) as u64))
+                .collect()
+        })
+        .collect();
+    let traffic: Vec<TenantTraffic> = images.iter().map(|r| TenantTraffic::U8(r)).collect();
+    let mut rows = 0;
+    for (fail, join) in [(true, false), (true, true), (false, true), (false, false)] {
+        let mut events = Vec::new();
+        if join {
+            events.push(FleetEvent::Join {
+                at_ms: 10.0,
+                phone: Phone::xiaomi_9(),
+                fault: None,
+            });
+        }
+        if fail {
+            events.push(FleetEvent::Fail {
+                at_ms: 20.0,
+                device: 0,
+            });
+        }
+        for (replicas, weight_paging) in [(1, false), (1, true), (2, false), (2, true)] {
+            for (batch, slo_ms) in [
+                (Some(2), None),
+                (Some(2), Some(20.0)),
+                (None, None),
+                (None, Some(20.0)),
+            ] {
+                let opts = FleetOptions {
+                    policy: RoutePolicy::ShortestQueue,
+                    seed: 3,
+                    replicas,
+                    weight_paging,
+                    ..FleetOptions::default()
+                };
+                let specs: Vec<TenantSpec> = models
+                    .iter()
+                    .map(|model| {
+                        let mut spec = TenantSpec::new(model.clone());
+                        (spec.batch, spec.slo_ms) = (batch, slo_ms);
+                        spec
+                    })
+                    .collect();
+                let workloads: Vec<OpenLoopWorkload> = archs
+                    .iter()
+                    .enumerate()
+                    .map(|(t, arch)| OpenLoopWorkload {
+                        arch,
+                        batch,
+                        slo_ms,
+                        arrival: process.clone(),
+                        seed: 60 + t as u64,
+                    })
+                    .collect();
+                let executed = Fleet::new(devices.clone(), specs, opts.clone())
+                    .expect("the pair fits two phones")
+                    .serve_open_loop(&traffic, &arrivals, &events)
+                    .expect("fleet pass");
+                let estimated = estimate_fleet(&devices, &workloads, DURATION_MS, &events, &opts);
+                assert_eq!(
+                    executed.report, estimated,
+                    "fail={fail} join={join} replicas={replicas} paging={weight_paging} \
+                     batch={batch:?} slo={slo_ms:?}"
+                );
+                rows += 1;
+            }
+        }
+    }
+    assert_eq!(rows, 64);
 }

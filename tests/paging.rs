@@ -11,8 +11,8 @@ use proptest::prelude::*;
 
 use phonebit::core::plan::{CompressionMode, ExecutionPlan, FusionMode, RouteOverrides};
 use phonebit::core::{
-    convert, estimate_serve_multitenant, paged_floor_bytes, paged_min_bytes, ActivationData,
-    BankState, ResidencyManager, Session, TenantWorkload,
+    convert, paged_floor_bytes, paged_min_bytes, ActivationData, BankState, DeviceRuntime,
+    ResidencyManager, Session, TenantTraffic, TenantWorkload,
 };
 use phonebit::gpusim::{CommandQueue, ExecutorClass, Phone};
 use phonebit::models::zoo::{self, Variant};
@@ -222,15 +222,6 @@ fn routed_arch(name: &str, hw: usize, c: usize, k: usize, kernel: usize) -> Netw
         .maxpool("pool", 2, 2)
 }
 
-fn assert_same_activation(a: &ActivationData, b: &ActivationData, what: &str) {
-    match (a, b) {
-        (ActivationData::Bits(x), ActivationData::Bits(y)) => assert_eq!(x, y, "{what}"),
-        (ActivationData::Floats(x), ActivationData::Floats(y)) => assert_eq!(x, y, "{what}"),
-        (ActivationData::Bytes(x), ActivationData::Bytes(y)) => assert_eq!(x, y, "{what}"),
-        _ => panic!("{what}: output domains diverged"),
-    }
-}
-
 fn run_once(session: &mut Session, input: Shape4, takes_u8: bool, seed: u64) -> ActivationData {
     let img = synthetic_image(Shape4::new(1, input.h, input.w, input.c), seed);
     if takes_u8 {
@@ -276,7 +267,7 @@ fn paged_sessions_are_bit_exact_on_all_four_conv_routes() {
         for seed in 0..2u64 {
             let want = run_once(&mut plain, arch.input, takes_u8, 90 + seed);
             let got = run_once(&mut paged, arch.input, takes_u8, 90 + seed);
-            assert_same_activation(&got, &want, &format!("{} seed {seed}", arch.name));
+            assert_eq!(&got, &want, "{} seed {seed}", arch.name);
         }
     }
 }
@@ -322,7 +313,7 @@ fn minimum_grants_admit_a_two_x_oversubscribed_set_bit_exactly() {
         for seed in 0..2u64 {
             let want = run_once(&mut plain, arch.input, takes_u8, 70 + seed);
             let got = run_once(&mut paged, arch.input, takes_u8, 70 + seed);
-            assert_same_activation(&got, &want, &format!("{} min grant seed {seed}", arch.name));
+            assert_eq!(&got, &want, "{} min grant seed {seed}", arch.name);
         }
     }
 
@@ -335,32 +326,48 @@ fn minimum_grants_admit_a_two_x_oversubscribed_set_bit_exactly() {
         .map(|_| TenantWorkload {
             arch: &yolo,
             batch: None,
-            windows: 3,
             slo_ms: None,
         })
         .collect();
-    let resident = estimate_serve_multitenant(&phone, &workloads, 2, None);
-    let budget = resident.weights_bytes / 2;
+    // A dry runtime under the budget, and its pass over three windows per
+    // tenant.
+    let estimate = |weight_budget: Option<usize>| {
+        let mut runtime = DeviceRuntime::dry(&workloads, &phone, 2, weight_budget).expect("fits");
+        let counts: Vec<TenantTraffic<'_>> = runtime
+            .tenants()
+            .iter()
+            .map(|t| TenantTraffic::Count(3 * t.admission().batch))
+            .collect();
+        let pass = runtime.serve(&counts).expect("dry pass");
+        (runtime, pass)
+    };
+    let (resident, resident_pass) = estimate(None);
+    let budget = resident.total_weight_bytes() / 2;
     assert!(
         3 * min <= budget,
         "the trio's minima must fit half its weights for the 2× claim"
     );
-    let paged = estimate_serve_multitenant(&phone, &workloads, 2, Some(budget));
-    for (p, r) in paged.tenants.iter().zip(resident.tenants.iter()) {
+    let (paged, paged_pass) = estimate(Some(budget));
+    for (t, (p, r)) in paged_pass
+        .tenants
+        .iter()
+        .zip(resident_pass.tenants.iter())
+        .enumerate()
+    {
         assert_eq!(
-            p.admission.weight_grant_bytes,
+            paged.tenants()[t].admission().weight_grant_bytes,
             Some(min),
             "every tenant degrades to its minimum grant"
         );
         assert_eq!(p.served, r.served, "paging must not starve {}", p.name);
         assert!(p.slo_met);
     }
-    assert!(paged.peak_bytes <= resident.peak_bytes);
+    assert!(paged.peak_resident_bytes() <= resident.peak_resident_bytes());
     assert!(
-        paged.imgs_per_s >= 0.6 * resident.imgs_per_s,
+        paged_pass.imgs_per_s >= 0.6 * resident_pass.imgs_per_s,
         "oversubscribed throughput {} fell below 0.6x of resident {}",
-        paged.imgs_per_s,
-        resident.imgs_per_s
+        paged_pass.imgs_per_s,
+        resident_pass.imgs_per_s
     );
 }
 
@@ -412,13 +419,10 @@ fn paged_micro_zoo_is_bit_exact_through_fusion_and_compression() {
             for seed in 0..3u64 {
                 let want = run_once(&mut plain, arch.input, takes_u8, 40 + seed);
                 let got = run_once(&mut paged, arch.input, takes_u8, 40 + seed);
-                assert_same_activation(
-                    &got,
-                    &want,
-                    &format!(
-                        "{} (fusion {:?}, compression {:?}) seed {seed}",
-                        arch.name, overrides.fusion, overrides.compression
-                    ),
+                assert_eq!(
+                    &got, &want,
+                    "{} (fusion {:?}, compression {:?}) seed {seed}",
+                    arch.name, overrides.fusion, overrides.compression
                 );
             }
         }

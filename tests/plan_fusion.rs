@@ -32,15 +32,6 @@ fn auto() -> RouteOverrides {
     }
 }
 
-fn assert_same_activation(a: &ActivationData, b: &ActivationData, what: &str) {
-    match (a, b) {
-        (ActivationData::Bits(x), ActivationData::Bits(y)) => assert_eq!(x, y, "{what}"),
-        (ActivationData::Floats(x), ActivationData::Floats(y)) => assert_eq!(x, y, "{what}"),
-        (ActivationData::Bytes(x), ActivationData::Bytes(y)) => assert_eq!(x, y, "{what}"),
-        _ => panic!("{what}: activation kinds diverged"),
-    }
-}
-
 /// Runs one synthetic input through a session, picking the input domain
 /// the model takes.
 fn run_once(session: &mut Session, input: Shape4, takes_u8: bool, seed: u64) -> ActivationData {
@@ -117,7 +108,7 @@ fn micro_zoo_fused_sessions_are_bit_exact_solo_and_batched() {
         for seed in 0..3u64 {
             let want = run_once(&mut plain, arch.input, takes_u8, 40 + seed);
             let got = run_once(&mut fused1, arch.input, takes_u8, 40 + seed);
-            assert_same_activation(&got, &want, &format!("{} solo seed {seed}", arch.name));
+            assert_eq!(&got, &want, "{} solo seed {seed}", arch.name);
         }
         // Executed launches equal the fused plan's modeled dispatch count,
         // strictly below the split session's timeline.
@@ -135,11 +126,7 @@ fn micro_zoo_fused_sessions_are_bit_exact_solo_and_batched() {
             let out = fused4.run_batch_u8(&imgs).expect("window").output.unwrap();
             for (i, img) in imgs.iter().enumerate() {
                 let want = plain.run_u8(img).expect("solo").output.unwrap();
-                assert_same_activation(
-                    &out.image(i),
-                    &want,
-                    &format!("{} batched image {i}", arch.name),
-                );
+                assert_eq!(&out.image(i), &want, "{} batched image {i}", arch.name);
             }
         } else {
             let imgs: Vec<Tensor<f32>> = (0..4)
@@ -148,11 +135,7 @@ fn micro_zoo_fused_sessions_are_bit_exact_solo_and_batched() {
             let out = fused4.run_batch_f32(&imgs).expect("window").output.unwrap();
             for (i, img) in imgs.iter().enumerate() {
                 let want = plain.run_f32(img).expect("solo").output.unwrap();
-                assert_same_activation(
-                    &out.image(i),
-                    &want,
-                    &format!("{} batched image {i}", arch.name),
-                );
+                assert_eq!(&out.image(i), &want, "{} batched image {i}", arch.name);
             }
         }
     }
@@ -243,7 +226,7 @@ fn fusion_is_bit_exact_on_all_four_conv_routes() {
         for seed in 0..2u64 {
             let want = run_once(&mut plain, arch.input, takes_u8, 90 + seed);
             let got = run_once(&mut fused_s, arch.input, takes_u8, 90 + seed);
-            assert_same_activation(&got, &want, &format!("{} seed {seed}", arch.name));
+            assert_eq!(&got, &want, "{} seed {seed}", arch.name);
         }
     }
 }
@@ -263,7 +246,7 @@ fn sharded_serving_consumes_fused_plans_bit_exactly() {
             .with_overrides(overrides);
         let mut rt = DeviceRuntime::new(vec![spec], &phone, 2).expect("fits");
         (
-            rt.tenants()[0].staged().plan().dispatches(),
+            rt.tenants()[0].plan().dispatches(),
             rt.serve(&[TenantTraffic::U8(&reqs)]).expect("serve"),
         )
     };
@@ -272,11 +255,7 @@ fn sharded_serving_consumes_fused_plans_bit_exactly() {
     assert!(fused_disp < split_disp, "sharded staging must fuse");
     assert_eq!(got.served, want.served);
     for (i, w) in want.tenants[0].outputs.iter().enumerate() {
-        assert_same_activation(
-            &got.tenants[0].outputs[i],
-            w,
-            &format!("sharded request {i}"),
-        );
+        assert_eq!(&got.tenants[0].outputs[i], w, "sharded request {i}");
     }
 }
 
@@ -316,11 +295,7 @@ fn multitenant_runtime_consumes_fused_plans_bit_exactly() {
     for t in 0..2 {
         assert_eq!(got.tenants[t].served, want.tenants[t].served);
         for (i, w) in want.tenants[t].outputs.iter().enumerate() {
-            assert_same_activation(
-                &got.tenants[t].outputs[i],
-                w,
-                &format!("tenant {t} request {i}"),
-            );
+            assert_eq!(&got.tenants[t].outputs[i], w, "tenant {t} request {i}");
         }
     }
 }
@@ -360,7 +335,7 @@ fn dense_pair_chain_is_bit_exact_in_the_engine() {
     for seed in 0..3u64 {
         let want = run_once(&mut plain, arch.input, true, 500 + seed);
         let got = run_once(&mut fused_s, arch.input, true, 500 + seed);
-        assert_same_activation(&got, &want, &format!("dense pair seed {seed}"));
+        assert_eq!(&got, &want, "dense pair seed {seed}");
     }
 }
 
@@ -546,7 +521,7 @@ proptest! {
         let mut fused_s = Session::new_batched_opts(model(), &phone, 1, fused()).expect("fits");
         let want = run_once(&mut plain, arch.input, takes_u8, seed);
         let got = run_once(&mut fused_s, arch.input, takes_u8, seed);
-        assert_same_activation(&got, &want, &format!("seed {seed}"));
+        assert_eq!(&got, &want, "seed {seed}");
     }
 }
 

@@ -6,21 +6,25 @@
 //! and detaching tenants mid-run matches fresh staging bit-exactly; a
 //! light tenant's p95 stays bounded while a heavy neighbor retries; and
 //! the modeled schedule equals the executed one attempt-by-attempt even
-//! through faults and thermal throttling; the full-scale estimators
-//! produce the very schedule the runtime executes ("estimate is execute");
-//! and malformed arrival timestamps are rejected at the door.
+//! through faults and thermal throttling; a dry runtime over the same
+//! tenants' architectures schedules, folds and keeps its live registry
+//! exactly as the staged one does ("estimate is execute"); and malformed
+//! arrival timestamps are rejected at the door.
 
 use std::collections::BTreeMap;
 
 use phonebit::core::serve::{
-    estimate_serve_multitenant, estimate_serve_open_loop, schedule_open_loop, DeviceRuntime,
-    OpenLoopLoad, OpenLoopOptions, OpenLoopReport, OpenLoopWindow, OpenLoopWorkload, RetryPolicy,
-    ShedReason, TenantSpec, TenantTraffic, TenantWorkload, WindowFate,
+    estimate_serve_open_loop, schedule_open_loop, DeviceRuntime, OpenLoopLoad, OpenLoopOptions,
+    OpenLoopReport, OpenLoopWindow, OpenLoopWorkload, RetryPolicy, ShedReason, TenantSpec,
+    TenantTraffic, TenantWorkload, WindowFate,
 };
-use phonebit::core::{convert, ActivationData, ArrivalProcess, EngineError, Session};
+use phonebit::core::{convert, ArrivalProcess, EngineError, Session};
 use phonebit::gpusim::{FaultPlan, Phone, ThrottleEpoch};
 use phonebit::models::zoo::{self, Variant};
 use phonebit::models::{fill_weights, synthetic_image};
+use phonebit::nn::act::Activation;
+use phonebit::nn::graph::{LayerPrecision, NetworkArch};
+use phonebit::tensor::shape::Shape4;
 use phonebit::tensor::Tensor;
 use proptest::prelude::*;
 
@@ -44,15 +48,6 @@ fn alex_reqs(count: usize) -> Vec<Tensor<u8>> {
     (0..count)
         .map(|i| synthetic_image(input, 700 + i as u64))
         .collect()
-}
-
-fn assert_same_activation(a: &ActivationData, b: &ActivationData, what: &str) {
-    match (a, b) {
-        (ActivationData::Bits(x), ActivationData::Bits(y)) => assert_eq!(x, y, "{what}"),
-        (ActivationData::Floats(x), ActivationData::Floats(y)) => assert_eq!(x, y, "{what}"),
-        (ActivationData::Bytes(x), ActivationData::Bytes(y)) => assert_eq!(x, y, "{what}"),
-        _ => panic!("{what}: activation kinds diverged"),
-    }
 }
 
 fn pair_runtime(phone: &Phone) -> DeviceRuntime {
@@ -120,7 +115,7 @@ fn faulted_pass_is_deterministic_and_survivors_match_fault_free_bit_exactly() {
         for (i, out) in ft.outputs.iter().enumerate() {
             if let Some(got) = out {
                 let want = ct.outputs[i].as_ref().expect("fault-free output");
-                assert_same_activation(got, want, &format!("tenant {t} request {i}"));
+                assert_eq!(got, want, "tenant {t} request {i}");
             }
         }
         assert_eq!(
@@ -216,7 +211,7 @@ fn attach_and_detach_mid_run_match_fresh_staging_bit_exactly() {
     for (i, req) in reqs_b.iter().enumerate() {
         let want = solo_b.run_u8(req).expect("solo").output.unwrap();
         let got = pair.tenants[1].outputs[i].as_ref().expect("served");
-        assert_same_activation(got, &want, &format!("attached tenant request {i}"));
+        assert_eq!(got, &want, "attached tenant request {i}");
     }
     // The survivor's outputs are identical before, during, and after —
     // attach/detach never restaged it.
@@ -225,7 +220,7 @@ fn attach_and_detach_mid_run_match_fresh_staging_bit_exactly() {
         let want = solo_a.run_u8(req).expect("solo").output.unwrap();
         for (phase, report) in [("before", &before), ("pair", &pair), ("after", &after)] {
             let got = report.tenants[0].outputs[i].as_ref().expect("served");
-            assert_same_activation(got, &want, &format!("{phase}: survivor request {i}"));
+            assert_eq!(got, &want, "{phase}: survivor request {i}");
         }
     }
     // And the post-detach pass equals a freshly staged runtime's.
@@ -342,7 +337,11 @@ fn open_loop_estimate_schedules_exactly_what_the_runtime_executes() {
     );
     assert!(est.tenants.iter().any(|t| t.throttled > 0), "throttle too");
 
-    // The same tenants with weights, fed the estimator's own arrivals.
+    // The same tenants with weights, fed the workloads' own arrivals.
+    let arrivals_ms: Vec<Vec<f64>> = workloads
+        .iter()
+        .map(|w| w.arrival.times_ms(w.seed, 80.0))
+        .collect();
     let mut runtime = DeviceRuntime::new(
         vec![
             TenantSpec::new(yolo_model())
@@ -355,12 +354,12 @@ fn open_loop_estimate_schedules_exactly_what_the_runtime_executes() {
     )
     .expect("pair fits");
     runtime.clock().set_fault_plan(Some(fault));
-    let reqs_a = yolo_reqs(est.arrivals_ms[0].len());
-    let reqs_b = alex_reqs(est.arrivals_ms[1].len());
+    let reqs_a = yolo_reqs(arrivals_ms[0].len());
+    let reqs_b = alex_reqs(arrivals_ms[1].len());
     let report = runtime
         .serve_open_loop(
             &[TenantTraffic::U8(&reqs_a), TenantTraffic::U8(&reqs_b)],
-            &est.arrivals_ms,
+            &arrivals_ms,
             &OpenLoopOptions {
                 policy,
                 max_replans: 0, // the estimator reports the knee as-is
@@ -382,7 +381,13 @@ fn open_loop_estimate_schedules_exactly_what_the_runtime_executes() {
             "{}",
             got.name
         );
+        // Same type, same fold: only what the streams produced differs.
+        assert_eq!(got.latency_ms, want.latency_ms, "{}", got.name);
+        assert_eq!(got.outputs.len(), got.offered);
+        assert!(want.outputs.is_empty());
     }
+    assert_eq!(report.wall_ms, est.wall_ms);
+    assert!(est.attempt_exec_ms.is_empty());
 }
 
 #[test]
@@ -397,17 +402,18 @@ fn closed_loop_estimate_schedules_exactly_what_the_runtime_executes() {
         TenantWorkload {
             arch: &yolo,
             batch: Some(2),
-            windows: 5,
             slo_ms: None,
         },
         TenantWorkload {
             arch: &alex,
             batch: Some(2),
-            windows: 4,
             slo_ms: Some(slo_ms),
         },
     ];
-    let est = estimate_serve_multitenant(&phone, &workloads, 2, None);
+    let dry = DeviceRuntime::dry(&workloads, &phone, 2, None)
+        .expect("pair fits")
+        .serve(&[TenantTraffic::Count(10), TenantTraffic::Count(8)])
+        .expect("dry pass");
     let mut runtime = DeviceRuntime::new(
         vec![
             TenantSpec::new(yolo_model()).with_batch(2),
@@ -423,13 +429,190 @@ fn closed_loop_estimate_schedules_exactly_what_the_runtime_executes() {
     let report = runtime
         .serve(&[TenantTraffic::U8(&reqs_a), TenantTraffic::U8(&reqs_b)])
         .expect("serve");
-    assert_eq!(report.schedule, est.schedule);
-    for (got, want) in report.tenants.iter().zip(&est.tenants) {
+    assert_eq!(report.schedule, dry.schedule);
+    for (got, want) in report.tenants.iter().zip(&dry.tenants) {
         assert_eq!((got.windows, got.served), (want.windows, want.served));
-        // Executed latencies replay executed durations; they equal the
-        // modeled ones up to float association.
-        assert!((got.p95_ms - want.p95_ms).abs() < 1e-9 * want.p95_ms.max(1.0));
+        // Both fold the schedule: the latencies are equal, not close.
+        assert_eq!(got.p95_ms, want.p95_ms);
+        assert_eq!(got.window_ms, want.window_ms);
+        assert_eq!((got.outputs.len(), want.outputs.len()), (got.served, 0));
+        assert_eq!(
+            (got.duration_ms.len(), want.duration_ms.len()),
+            (got.windows, 0)
+        );
     }
+    assert_eq!(
+        (report.wall_s, report.imgs_per_s),
+        (dry.wall_s, dry.imgs_per_s)
+    );
+}
+
+/// A three-conv net on 8-bit input whose channel counts are all multiples
+/// of the 64-bit pack word: there — and only there — an architecture's
+/// one-bit-per-weight byte count equals the deployed model's packed banks,
+/// so a dry and a staged runtime's weight bytes (and the paged grants cut
+/// from them) can be compared for equality. Narrower layers are word-padded
+/// when packed: the micro zoo's 3-channel first layers make a staged model a
+/// few KB heavier than its architecture — how `ExecutionPlan` sizes an
+/// architecture, not a property of the runtime.
+fn word_aligned_arch(name: &str, hw: usize, mid: usize) -> NetworkArch {
+    let linear = Activation::Linear;
+    NetworkArch::new(name, Shape4::new(1, hw, hw, 64))
+        .conv("conv1", mid, 3, 1, 1, LayerPrecision::BinaryInput8, linear)
+        .conv("conv2", mid, 3, 1, 1, LayerPrecision::Binary, linear)
+        .conv("conv3", 64, 3, 1, 1, LayerPrecision::Binary, linear)
+        .maxpool("pool", 2, 2)
+}
+
+/// The live registry, dry vs staged: the same pair brought up with weights
+/// and from architectures alone agrees on every admission, modeled window
+/// and memory figure — what a fleet's `can_host` and router read — after
+/// construction, after attaching a third tenant (batch pinned or
+/// admission-chosen), after detaching one, and after a shed-triggered
+/// batch replan. The micro pair compares everything but the weight bytes
+/// (see [`word_aligned_arch`]); the word-aligned pair compares those too,
+/// with and without a pooled weight budget that forces paging.
+#[test]
+fn dry_and_staged_registries_agree_through_attach_detach_and_replan() {
+    let phone = Phone::xiaomi_9();
+    let micro = [
+        zoo::yolo_micro(Variant::Binary),
+        zoo::alexnet_micro(Variant::Binary),
+    ];
+    let aligned = [
+        word_aligned_arch("wide-a", 16, 64),
+        word_aligned_arch("wide-b", 8, 128),
+    ];
+    let deploy =
+        |archs: &[NetworkArch; 2]| [&archs[0], &archs[1]].map(|a| convert(&fill_weights(a, 3)));
+    let (micro_models, aligned_models) = (deploy(&micro), deploy(&aligned));
+    // One byte short of the aligned pair's weights: admission must page,
+    // and the third tenant still fits next to the survivors' pinned grants.
+    let short = aligned_models.iter().map(|m| m.size_bytes()).sum::<usize>() - 1;
+    for (archs, models, exact_weights, weight_budget) in [
+        (&micro, &micro_models, false, None),
+        (&aligned, &aligned_models, true, None),
+        (&aligned, &aligned_models, true, Some(short)),
+    ] {
+        let spec = |t: usize, batch, slo_ms| {
+            let mut spec = TenantSpec::new(models[t].clone());
+            (spec.batch, spec.slo_ms) = (batch, slo_ms);
+            spec
+        };
+        let workload = |t: usize, batch, slo_ms| TenantWorkload {
+            arch: &archs[t],
+            batch,
+            slo_ms,
+        };
+        // Everything the fleet reads off a runtime. Fully resident, the
+        // arena side of the peak is equal even where the weight bytes are
+        // not.
+        let figures = |rt: &DeviceRuntime| {
+            let (weights, peak) = (rt.total_weight_bytes(), rt.peak_resident_bytes());
+            let tenants: Vec<_> = rt
+                .tenants()
+                .iter()
+                .map(|t| (t.admission().clone(), t.modeled_window_ms()))
+                .collect();
+            let held = if exact_weights {
+                (weights, peak)
+            } else {
+                (0, peak - weights)
+            };
+            (tenants, rt.pool_slice_bytes(), rt.weight_budget(), held)
+        };
+        // Tenant 0 at batch 4 under an SLO no batch-4 window can make: the
+        // open-loop pass at the end must replan it.
+        let probe =
+            DeviceRuntime::dry(&[workload(0, Some(4), None)], &phone, 2, None).expect("fits");
+        let tight_ms = probe.tenants()[0].admission().modeled_window_ms * 0.3;
+        for third_batch in [Some(2), None] {
+            let row = format!(
+                "{}, budget {weight_budget:?}, third {third_batch:?}",
+                archs[0].name
+            );
+            let mut staged = DeviceRuntime::new_with_budget(
+                vec![spec(0, Some(4), Some(tight_ms)), spec(1, Some(4), None)],
+                &phone,
+                2,
+                weight_budget,
+            )
+            .expect("pair fits");
+            let mut dry = DeviceRuntime::dry(
+                &[
+                    workload(0, Some(4), Some(tight_ms)),
+                    workload(1, Some(4), None),
+                ],
+                &phone,
+                2,
+                weight_budget,
+            )
+            .expect("pair fits");
+            assert_eq!(figures(&staged), figures(&dry), "construction: {row}");
+            assert!(staged.tenants()[0].staged().is_some() && dry.tenants()[0].staged().is_none());
+            let paged = dry
+                .tenants()
+                .iter()
+                .any(|t| t.admission().weight_grant_bytes.is_some());
+            assert_eq!(
+                paged,
+                weight_budget.is_some(),
+                "the budget must page someone"
+            );
+
+            let slot = staged.attach(spec(0, third_batch, None)).expect("attach");
+            let dry_slot = dry.attach_dry(&workload(0, third_batch, None));
+            assert_eq!((slot, dry_slot.expect("dry attach")), (2, 2));
+            assert_eq!(figures(&staged), figures(&dry), "attach: {row}");
+
+            staged.detach(1).expect("detach");
+            dry.detach(1).expect("dry detach");
+            assert_eq!(figures(&staged), figures(&dry), "detach: {row}");
+
+            // Shed pressure on tenant 0 (its neighbour is now the attached
+            // tenant, of the same kind): both replan it the same way.
+            let arrivals: Vec<Vec<f64>> = vec![
+                (0..8).map(|i| i as f64 * tight_ms * 0.03).collect(),
+                (0..4).map(|i| i as f64 * 0.5).collect(),
+            ];
+            let images: Vec<Tensor<u8>> = (0..8)
+                .map(|i| synthetic_image(archs[0].input, 900 + i))
+                .collect();
+            let executed = staged
+                .serve_open_loop(
+                    &[TenantTraffic::U8(&images), TenantTraffic::U8(&images[..4])],
+                    &arrivals,
+                    &OpenLoopOptions::default(),
+                )
+                .expect("executed pass");
+            let modeled = dry
+                .serve_open_loop(
+                    &[TenantTraffic::Count(8), TenantTraffic::Count(4)],
+                    &arrivals,
+                    &OpenLoopOptions::default(),
+                )
+                .expect("dry pass");
+            assert!(executed.replans >= 1, "no replan: {row}");
+            assert_eq!(executed.replans, modeled.replans, "{row}");
+            assert_eq!(executed.schedule, modeled.schedule, "{row}");
+            assert_eq!(figures(&staged), figures(&dry), "replan: {row}");
+        }
+    }
+
+    // The two kinds do not mix, and a staged runtime cannot serve a count.
+    let mut staged = pair_runtime(&phone);
+    let arch_only = TenantWorkload {
+        arch: &micro[1],
+        batch: Some(2),
+        slo_ms: None,
+    };
+    let mismatch =
+        |r: Result<usize, EngineError>| matches!(r, Err(EngineError::InputMismatch { .. }));
+    assert!(mismatch(staged.attach_dry(&arch_only)));
+    let counts = [TenantTraffic::Count(2), TenantTraffic::Count(2)];
+    assert!(mismatch(staged.serve(&counts).map(|r| r.served)));
+    let mut dry = DeviceRuntime::dry(&[arch_only], &phone, 2, None).expect("fits");
+    assert!(mismatch(dry.attach(TenantSpec::new(alex_model()))));
 }
 
 // ---------------------------------------------------------------------------
@@ -708,11 +891,7 @@ proptest! {
                 for (i, out) in ft.outputs.iter().enumerate() {
                     if let Some(got) = out {
                         let want = ct.outputs[i].as_ref().expect("oracle output");
-                        assert_same_activation(
-                            got,
-                            want,
-                            &format!("round {round} tenant {t} request {i}"),
-                        );
+                        assert_eq!(got, want, "round {round} tenant {t} request {i}");
                     }
                 }
             }

@@ -16,15 +16,6 @@ use phonebit::nn::graph::{LayerPrecision, NetworkArch};
 use phonebit::tensor::shape::Shape4;
 use phonebit::tensor::Tensor;
 
-fn assert_same_activation(a: &ActivationData, b: &ActivationData, what: &str) {
-    match (a, b) {
-        (ActivationData::Bits(x), ActivationData::Bits(y)) => assert_eq!(x, y, "{what}"),
-        (ActivationData::Floats(x), ActivationData::Floats(y)) => assert_eq!(x, y, "{what}"),
-        (ActivationData::Bytes(x), ActivationData::Bytes(y)) => assert_eq!(x, y, "{what}"),
-        _ => panic!("{what}: activation kinds diverged"),
-    }
-}
-
 #[test]
 fn co_resident_micro_zoo_pair_is_bit_exact_vs_solo() {
     let phone = Phone::xiaomi_9();
@@ -71,17 +62,15 @@ fn co_resident_micro_zoo_pair_is_bit_exact_vs_solo() {
     assert_eq!(report.tenants[1].served, 5);
     assert_eq!(report.windows, 4 + 3);
     for (i, want) in want_alex.iter().enumerate() {
-        assert_same_activation(
-            &report.tenants[0].outputs[i],
-            want,
-            &format!("alexnet-micro request {i}"),
+        assert_eq!(
+            &report.tenants[0].outputs[i], want,
+            "alexnet-micro request {i}"
         );
     }
     for (i, want) in want_yolo.iter().enumerate() {
-        assert_same_activation(
-            &report.tenants[1].outputs[i],
-            want,
-            &format!("yolo-micro request {i}"),
+        assert_eq!(
+            &report.tenants[1].outputs[i], want,
+            "yolo-micro request {i}"
         );
     }
     // Both tenants' kernels hit the shared clock.
@@ -160,7 +149,6 @@ fn co_resident_tenants_are_bit_exact_on_every_kernel_route() {
         // The staged routes are the ones the shapes force.
         for (t, (_, expect_path)) in pair.iter().enumerate() {
             let staged_path = runtime.tenants()[t]
-                .staged()
                 .plan()
                 .steps
                 .iter()
@@ -177,10 +165,10 @@ fn co_resident_tenants_are_bit_exact_on_every_kernel_route() {
             .expect("co-resident serve");
         for (t, want) in solo.iter().enumerate() {
             for (i, want) in want.iter().enumerate() {
-                assert_same_activation(
-                    &report.tenants[t].outputs[i],
-                    want,
-                    &format!("{} request {i}", pair[t].0.name),
+                assert_eq!(
+                    &report.tenants[t].outputs[i], want,
+                    "{} request {i}",
+                    pair[t].0.name
                 );
             }
         }
@@ -290,7 +278,7 @@ fn pooled_arena_undercuts_side_by_side_staging() {
     let slices: Vec<usize> = runtime
         .tenants()
         .iter()
-        .map(|t| t.staged().plan().staged_arena_bytes())
+        .map(|t| t.plan().staged_arena_bytes())
         .collect();
     let slice = *slices.iter().max().unwrap();
     assert_eq!(runtime.pool_slice_bytes(), slice);

@@ -6,7 +6,7 @@
 //! the streams contend for the GPU instead of each pretending to own it.
 
 use phonebit::core::serve::{DeviceRuntime, MultiServeReport, TenantSpec, TenantTraffic};
-use phonebit::core::{convert, nearest_rank, ActivationData, ConvPath, PbitModel, Session};
+use phonebit::core::{convert, nearest_rank, ConvPath, PbitModel, Session};
 use phonebit::gpusim::Phone;
 use phonebit::models::zoo::{self, Variant};
 use phonebit::models::{fill_weights, synthetic_image, to_float_input};
@@ -14,15 +14,6 @@ use phonebit::nn::act::Activation;
 use phonebit::nn::graph::{LayerPrecision, NetworkArch};
 use phonebit::tensor::shape::Shape4;
 use phonebit::tensor::Tensor;
-
-fn assert_same_activation(a: &ActivationData, b: &ActivationData, what: &str) {
-    match (a, b) {
-        (ActivationData::Bits(x), ActivationData::Bits(y)) => assert_eq!(x, y, "{what}"),
-        (ActivationData::Floats(x), ActivationData::Floats(y)) => assert_eq!(x, y, "{what}"),
-        (ActivationData::Bytes(x), ActivationData::Bytes(y)) => assert_eq!(x, y, "{what}"),
-        _ => panic!("{what}: activation kinds diverged"),
-    }
-}
 
 /// One model as a registry of one, windows of 2.
 fn sharded(model: PbitModel, phone: &Phone, streams: usize) -> DeviceRuntime {
@@ -63,10 +54,10 @@ fn sharded_serving_equals_sequential_across_micro_zoo() {
         assert_eq!(report.windows, 5);
         assert_eq!(report.streams, 3);
         for (i, want) in sequential.iter().enumerate() {
-            assert_same_activation(
-                &report.tenants[0].outputs[i],
-                want,
-                &format!("{} request {i}", arch.name),
+            assert_eq!(
+                &report.tenants[0].outputs[i], want,
+                "{} request {i}",
+                arch.name
             );
         }
     }
@@ -115,7 +106,6 @@ fn sharded_serving_equals_sequential_on_every_kernel_route() {
 
         let mut runtime = sharded(model, &phone, 2);
         let staged_path = runtime.tenants()[0]
-            .staged()
             .plan()
             .steps
             .iter()
@@ -128,10 +118,10 @@ fn sharded_serving_equals_sequential_on_every_kernel_route() {
             .serve(&[TenantTraffic::F32(&requests)])
             .expect("sharded serve");
         for (i, want) in sequential.iter().enumerate() {
-            assert_same_activation(
-                &report.tenants[0].outputs[i],
-                want,
-                &format!("{} request {i}", arch.name),
+            assert_eq!(
+                &report.tenants[0].outputs[i], want,
+                "{} request {i}",
+                arch.name
             );
         }
     }
@@ -193,6 +183,6 @@ fn sharded_outputs_and_latencies_are_deterministic() {
     assert_eq!(service_percentiles(&ra), service_percentiles(&rb));
     let (outs_a, outs_b) = (&ra.tenants[0].outputs, &rb.tenants[0].outputs);
     for (i, (a, b)) in outs_a.iter().zip(outs_b.iter()).enumerate() {
-        assert_same_activation(a, b, &format!("request {i}"));
+        assert_eq!(a, b, "request {i}");
     }
 }
