@@ -7,8 +7,8 @@
 
 use phonebit_core::plan::StepOp;
 use phonebit_core::{
-    estimate_arch, estimate_arch_opts, select_conv_path, EstimateOptions, ExecutionPlan,
-    FusionMode, RouteOverrides,
+    estimate_arch, estimate_window, select_conv_path, EstimateOptions, ExecutionPlan, FusionMode,
+    RouteOverrides,
 };
 use phonebit_gpusim::calib::{CostParams, EnergyParams};
 use phonebit_gpusim::cost::estimate;
@@ -144,7 +144,10 @@ fn main() {
         (
             "no layer integration (§V-B)",
             EstimateOptions {
-                force_unfused: true,
+                overrides: RouteOverrides {
+                    force_unfused: true,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
         ),
@@ -165,13 +168,16 @@ fn main() {
         (
             "Espresso-style bGEMM lowering (§II)",
             EstimateOptions {
-                lowered_gemm: true,
+                overrides: RouteOverrides {
+                    lowered_gemm: true,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
         ),
     ];
     for (name, opts) in cases {
-        let t = estimate_arch_opts(&phone, &arch, opts).total_s;
+        let t = estimate_window(&phone, &arch, 1, &opts).total_s;
         println!(
             "  {:<38} {:>8.1} ms  ({:+5.1}%)",
             name,

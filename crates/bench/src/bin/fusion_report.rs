@@ -3,7 +3,7 @@
 //! For each zoo model × phone × batch {1, 4}, lowers the architecture
 //! twice — split (the seed dispatch sequence) and fused (`FusionMode::Auto`,
 //! the cost-model decision per chain) — and models one cold batched window
-//! of each (`estimate_arch_batched_opts`, the exact dispatch sequence the
+//! of each (`estimate_window`, the exact dispatch sequence the
 //! engine issues). Prints dispatches/image and ns/image side by side,
 //! verifies the fusion gates (fused dispatches never exceed split anywhere,
 //! strictly fewer on every zoo model, and batch-1 AlexNet latency improves
@@ -19,10 +19,7 @@
 //! so no sampling flags are needed.)
 
 use phonebit_bench::baseline::{diff_rows, json_escape, parse_rows, Better, Row};
-use phonebit_core::{
-    estimate_arch_batched, estimate_arch_batched_opts, EstimateOptions, ExecutionPlan, FusionMode,
-    RouteOverrides,
-};
+use phonebit_core::{estimate_window, EstimateOptions, ExecutionPlan, FusionMode, RouteOverrides};
 use phonebit_gpusim::Phone;
 use phonebit_models::zoo::{self, Variant};
 
@@ -84,12 +81,12 @@ fn main() {
         })
         .unwrap_or(1.25);
 
-    let fused_opts = EstimateOptions {
+    let fused_routes = RouteOverrides {
         fusion: FusionMode::Auto,
         ..Default::default()
     };
-    let fused_routes = RouteOverrides {
-        fusion: FusionMode::Auto,
+    let fused_opts = EstimateOptions {
+        overrides: fused_routes,
         ..Default::default()
     };
     let phones: [(&str, Phone); 2] = [("x5", Phone::xiaomi_5()), ("x9", Phone::xiaomi_9())];
@@ -111,8 +108,8 @@ fn main() {
                 let split_plan = ExecutionPlan::for_arch_batched(arch, &phone.gpu, batch);
                 let fused_plan =
                     ExecutionPlan::for_arch_batched_with(arch, &phone.gpu, batch, fused_routes);
-                let split_r = estimate_arch_batched(phone, arch, batch);
-                let fused_r = estimate_arch_batched_opts(phone, arch, batch, fused_opts);
+                let split_r = estimate_window(phone, arch, batch, &EstimateOptions::default());
+                let fused_r = estimate_window(phone, arch, batch, &fused_opts);
                 let m = Measurement {
                     model: arch.name.clone(),
                     phone: phone_tag,

@@ -22,8 +22,7 @@
 
 use phonebit_bench::baseline::{diff_rows, json_escape, parse_rows, Better, Row};
 use phonebit_core::{
-    paged_min_bytes, Admission, DeviceRuntime, ExecutionPlan, MultiServeReport, RouteOverrides,
-    TenantTraffic, TenantWorkload,
+    Admission, DeviceRuntime, ExecutionPlan, MultiServeReport, TenantTraffic, TenantWorkload,
 };
 use phonebit_gpusim::Phone;
 use phonebit_models::zoo::{self, Variant};
@@ -109,22 +108,9 @@ fn weights_and_minima(archs: &[&NetworkArch], phone: &Phone) -> (usize, usize) {
     let mut total = 0usize;
     let mut minima = 0usize;
     for arch in archs {
-        let plan = ExecutionPlan::for_arch_batched_with(
-            arch,
-            &phone.gpu,
-            1,
-            RouteOverrides {
-                weight_budget: Some(usize::MAX),
-                ..RouteOverrides::default()
-            },
-        );
+        let plan = ExecutionPlan::for_arch(arch, &phone.gpu);
         total += plan.weights_bytes;
-        let banks: Vec<usize> = plan
-            .paging
-            .as_ref()
-            .map(|pg| pg.steps.iter().map(|s| s.bank_bytes).collect())
-            .unwrap_or_default();
-        minima += paged_min_bytes(&banks);
+        minima += plan.paged_min_bytes();
     }
     (total, minima)
 }

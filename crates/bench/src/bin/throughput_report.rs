@@ -1,7 +1,7 @@
 //! Throughput report for the batched serving engine.
 //!
 //! For each zoo model × phone × batch size, models one **cold** batched
-//! window (`estimate_arch_batched` — the exact dispatch sequence a
+//! window (`estimate_window` — the exact dispatch sequence a
 //! `Session::new_batched` engine issues, per-run framework overhead
 //! included) and the **steady-state** window of a primed stream (double
 //! buffering stages the next window during the current one's GPU time, so
@@ -19,7 +19,7 @@
 //! so no sampling flags are needed.)
 
 use phonebit_bench::baseline::{diff_rows, json_escape, parse_rows, Better, Row};
-use phonebit_core::{estimate_arch_batched, plan_on_batched};
+use phonebit_core::{estimate_window, plan_on, EstimateOptions};
 use phonebit_gpusim::calib::{CostParams, ExecutorClass};
 use phonebit_gpusim::Phone;
 use phonebit_models::zoo::{self, Variant};
@@ -101,14 +101,14 @@ fn main() {
             let mut row = format!("{:<14}", arch.name);
             let mut by_batch = Vec::new();
             for &batch in &BATCHES {
-                let r = estimate_arch_batched(phone, arch, batch);
+                let r = estimate_window(phone, arch, batch, &EstimateOptions::default());
                 // Double buffering hides the per-run host overhead only in
                 // batched streams: a batch-1 session stages a single bank
                 // and never primes, so its steady window is the cold one.
                 let hidden_s = if batch > 1 { overhead_s } else { 0.0 };
                 let steady_s = r.total_s - hidden_s;
                 let imgs_per_s = batch as f64 / steady_s;
-                let mplan = plan_on_batched(arch, &phone.gpu, batch);
+                let mplan = plan_on(arch, &phone.gpu, batch, 1);
                 row.push_str(&format!(" {imgs_per_s:>7.1}"));
                 by_batch.push((batch, imgs_per_s));
                 results.push(Measurement {

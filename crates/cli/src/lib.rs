@@ -15,11 +15,11 @@ use std::path::Path;
 
 use phonebit_core::format::{load_file, save_file};
 use phonebit_core::{
-    convert, estimate_arch, max_feasible_batch_multitenant, max_feasible_batch_sharded,
-    nearest_rank, paged_floor_bytes, plan_multitenant, plan_on_sharded, zipf_rates, ArrivalProcess,
-    CompressionMode, ConvPath, DeviceRuntime, EngineError, ExecutionPlan, Fleet, FleetDeviceSpec,
-    FleetEvent, FleetOptions, FusionMode, OpenLoopOptions, PbitLayer, PbitModel, RouteOverrides,
-    RoutePolicy, Session, TenantSpec, TenantTraffic, TenantWorkload,
+    convert, estimate_arch, max_feasible_batch, max_feasible_batch_multitenant, nearest_rank,
+    plan_multitenant, plan_on, zipf_rates, ArrivalProcess, CompressionMode, ConvPath,
+    DeviceRuntime, EngineError, ExecutionPlan, Fleet, FleetDeviceSpec, FleetEvent, FleetOptions,
+    FusionMode, OpenLoopOptions, PbitLayer, PbitModel, RouteOverrides, RoutePolicy, Session,
+    TenantSpec, TenantTraffic, TenantWorkload,
 };
 use phonebit_gpusim::{FaultPlan, Phone};
 use phonebit_models::zoo::{self, Variant};
@@ -1007,10 +1007,10 @@ pub fn cmd_plan(
         "phone", "weights", "solo peak", "sharded peak", "max b", "max b shard", "fits"
     );
     for phone in Phone::all() {
-        let solo = plan_on_sharded(&arch, &phone.gpu, batch, 1);
-        let sharded = plan_on_sharded(&arch, &phone.gpu, batch, streams);
-        let max_solo = max_feasible_batch_sharded(&arch, &phone, 1);
-        let max_sharded = max_feasible_batch_sharded(&arch, &phone, streams);
+        let solo = plan_on(&arch, &phone.gpu, batch, 1);
+        let sharded = plan_on(&arch, &phone.gpu, batch, streams);
+        let max_solo = max_feasible_batch(&arch, &phone, 1);
+        let max_sharded = max_feasible_batch(&arch, &phone, streams);
         let _ = writeln!(
             out,
             "{:<10} {:>8.2}MB {:>10.2}MB {:>12.2}MB {:>10} {:>12} {:>6}",
@@ -1164,24 +1164,10 @@ pub fn cmd_plan(
 
     if paging {
         for phone in Phone::all() {
-            // A budget covering every bank yields a resident schedule whose
-            // rows carry the per-step bank bytes; the paged floor derived
-            // from them is the budget the streaming ledger is printed at.
-            let resident = ExecutionPlan::for_arch_batched_with(
-                &arch,
-                &phone.gpu,
-                batch,
-                RouteOverrides {
-                    weight_budget: Some(usize::MAX),
-                    ..Default::default()
-                },
-            );
-            let banks: Vec<usize> = resident
-                .paging
-                .as_ref()
-                .map(|pg| pg.steps.iter().map(|s| s.bank_bytes).collect())
-                .unwrap_or_default();
-            let floor = paged_floor_bytes(&banks);
+            // The paged floor of the unbudgeted plan is the budget the
+            // streaming ledger is printed at (banks are budget-invariant).
+            let floor =
+                ExecutionPlan::for_arch_batched(&arch, &phone.gpu, batch).paged_floor_bytes();
             let paged = ExecutionPlan::for_arch_batched_with(
                 &arch,
                 &phone.gpu,
@@ -1588,23 +1574,11 @@ mod tests {
         let (mut total, mut floors) = (0usize, 0usize);
         for p in [&a, &b] {
             let model = load_file(p).unwrap();
-            let plan = ExecutionPlan::for_model_batched_with(
-                &model,
-                &phone_by_name("x9").unwrap().gpu,
-                1,
-                RouteOverrides {
-                    weight_budget: Some(usize::MAX),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+            let plan =
+                ExecutionPlan::for_model_batched(&model, &phone_by_name("x9").unwrap().gpu, 1)
+                    .unwrap();
             total += plan.weights_bytes;
-            let banks: Vec<usize> = plan
-                .paging
-                .as_ref()
-                .map(|pg| pg.steps.iter().map(|s| s.bank_bytes).collect())
-                .unwrap_or_default();
-            floors += paged_floor_bytes(&banks);
+            floors += plan.paged_floor_bytes();
         }
         // A budget between the summed floors and the summed weights
         // oversubscribes the pair — at least one tenant must stream at

@@ -407,13 +407,8 @@ impl StagedModel {
                 weight_residency.push(ctx.alloc::<u8>(pg.hot_peak_bytes)?);
             }
         } else {
-            for (i, layer) in model.layers.iter().enumerate() {
-                let bytes = layer
-                    .param_bytes()
-                    .saturating_sub(plan.compress_decision(i).map_or(0, |d| d.saved_bytes()));
-                if bytes > 0 {
-                    weight_residency.push(ctx.alloc::<u8>(bytes)?);
-                }
+            for step in plan.steps.iter().filter(|s| s.bank_bytes > 0) {
+                weight_residency.push(ctx.alloc::<u8>(step.bank_bytes)?);
             }
         }
         // Pre-stage filter banks so per-inference runs pay neither the
@@ -2017,11 +2012,7 @@ mod tests {
         let report = session.run_f32(&input).unwrap();
 
         // The dispatched kernels match the staged route.
-        let names: Vec<&str> = session
-            .timeline()
-            .iter()
-            .map(|e| e.stats.name.as_str())
-            .collect();
+        let names: Vec<&str> = session.timeline().iter().map(|e| e.stats.name).collect();
         match plan.path {
             crate::planner::ConvPath::LoweredGemm => {
                 assert!(

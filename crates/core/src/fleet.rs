@@ -152,7 +152,7 @@ pub struct FleetOptions {
     pub open_loop: OpenLoopOptions,
     /// Admit tenants under **weight paging**: placement and migration
     /// charge each tenant its paged floor
-    /// ([`paged_floor_bytes`](crate::paged_floor_bytes)) instead of its
+    /// ([`paged_floor_bytes`](crate::ExecutionPlan::paged_floor_bytes)) instead of its
     /// summed weights, and every device runtime admits under a pooled
     /// weight budget (its app budget minus the batch-1 arena pool), so an
     /// oversubscribed tenant set becomes admissible on one device. `false`
@@ -481,16 +481,13 @@ impl FitEntry {
     /// Probes one tenant's batch-1 plan on `phone`'s GPU class — from a
     /// deployed model or an architecture alike.
     fn probe(ask: &TenantAsk<'_>, phone: &Phone) -> Result<Self, EngineError> {
-        let source = &ask.source;
-        let plan = source.plan_at(&phone.gpu, 1, ask.overrides)?;
-        let extras = source.extras(&plan);
-        let (cold_s, _) = modeled_window_under(&plan, &extras, &phone.gpu, 1, None);
-        let banks = crate::paging::step_bank_bytes(&plan, &source.layer_weight_bytes(&plan));
+        let plan = ask.source.plan_at(&phone.gpu, 1, ask.overrides)?;
+        let (cold_s, _) = modeled_window_under(&plan, &phone.gpu, 1, None);
         Ok(Self {
             weights: plan.weights_bytes,
             arena1: plan.staged_arena_bytes(),
             solo_ms: cold_s * 1e3,
-            paged_floor: crate::paging::paged_floor_bytes(&banks),
+            paged_floor: plan.paged_floor_bytes(),
         })
     }
 }

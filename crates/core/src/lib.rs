@@ -22,8 +22,8 @@
 //! For serving-scale throughput, [`Session::new_batched`](engine::Session::new_batched)
 //! stages the same weights once and runs whole request windows — one
 //! batch-covering dispatch per kernel over a double-banked arena;
-//! [`estimate::estimate_arch_batched`] models it at full scale and
-//! [`planner::plan_on_batched`] / [`planner::max_feasible_batch`] size the
+//! [`estimate::estimate_window`] models it at full scale and
+//! [`planner::plan_on`] / [`planner::max_feasible_batch`] size the
 //! batched deployment against a phone's budget.
 //!
 //! For device sharing, [`serve::DeviceRuntime`] co-resides several
@@ -72,25 +72,21 @@ pub use convert::convert;
 pub use engine::{
     ActivationData, EngineError, MultiStream, ResidencyManager, Session, StagedModel, Stream,
 };
-pub use estimate::{
-    estimate_arch, estimate_arch_batched, estimate_arch_batched_opts, estimate_arch_opts,
-    EstimateOptions,
-};
+pub use estimate::{estimate_arch, estimate_window, EstimateOptions};
 pub use fleet::{
     estimate_fleet, zipf_rates, Fleet, FleetAction, FleetDeviceReport, FleetDeviceSpec, FleetEvent,
     FleetMigration, FleetOptions, FleetOutcome, FleetReport, FleetRequestFate, FleetTenantReport,
     RoutePolicy, RoutedRequest,
 };
 pub use model::{PbitLayer, PbitModel};
-pub use paging::{paged_floor_bytes, paged_min_bytes, BankState, PagingSchedule, PagingStep};
+pub use paging::{BankState, PagingSchedule, PagingStep};
 pub use plan::{
     ChainDecision, CompressDecision, CompressStats, CompressionMode, ExecutionPlan, FusedKind,
     FusedMember, FusionMode, PlanStep, PlanValue, RouteOverrides, StepOp, ValueKind, ValueRole,
 };
 pub use planner::{
-    max_feasible_batch, max_feasible_batch_multitenant, max_feasible_batch_sharded, plan,
-    plan_batched, plan_multitenant, plan_on, plan_on_batched, plan_on_sharded, select_conv_path,
-    select_conv_path_with, ConvPath, ConvPlan, MemoryPlan, MultiTenantPlan,
+    max_feasible_batch, max_feasible_batch_multitenant, plan_multitenant, plan_on,
+    select_conv_path, select_conv_path_with, ConvPath, ConvPlan, MemoryPlan, MultiTenantPlan,
 };
 pub use serve::{
     estimate_serve_open_loop, schedule_open_loop, Admission, DeviceRuntime, MultiServeReport,

@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 use phonebit_gpusim::UploadProfile;
 
-use crate::plan::{ExecutionPlan, StepOp};
+use crate::plan::ExecutionPlan;
 
 /// Residency life-cycle of one step's weight bank under paging. The
 /// schedule replay drives each weighted bank through
@@ -93,21 +93,20 @@ pub struct PagingSchedule {
 }
 
 impl PagingSchedule {
-    /// Builds the schedule for a plan whose per-step bank bytes and solo
-    /// step durations are known. `durations` must align with
+    /// Builds the schedule for a plan (its steps carry their bank bytes)
+    /// whose solo step durations are known. `durations` must align with
     /// `plan.steps` (the solo, uncontended walk — contention at serve
     /// time only widens the compute gaps uploads hide behind, so the
     /// precomputed stalls stay a safe upper bound for the look-ahead and
     /// identical for scheduler and executor by construction).
     pub(crate) fn build(
         plan: &ExecutionPlan,
-        step_banks: &[usize],
         durations: &[f64],
         upload: UploadProfile,
         budget_bytes: usize,
     ) -> Self {
-        assert_eq!(plan.steps.len(), step_banks.len());
         assert_eq!(plan.steps.len(), durations.len());
+        let step_banks: Vec<usize> = plan.steps.iter().map(|s| s.bank_bytes).collect();
         let total: usize = step_banks.iter().sum();
         debug_assert_eq!(
             total, plan.weights_bytes,
@@ -118,11 +117,10 @@ impl PagingSchedule {
             let steps = plan
                 .steps
                 .iter()
-                .zip(step_banks)
-                .map(|(s, &b)| PagingStep {
+                .map(|s| PagingStep {
                     layer: s.index,
                     name: s.name.clone(),
-                    bank_bytes: b,
+                    bank_bytes: s.bank_bytes,
                     upload_s: 0.0,
                     issue_s: 0.0,
                     ready_s: 0.0,
@@ -231,45 +229,36 @@ impl PagingSchedule {
     }
 }
 
-/// Maps per-*layer* weight-bank bytes onto per-*step* banks: fused groups
-/// page their member layers' banks as one unit (the chain dispatches
-/// once, so its banks must all be resident together); every other step
-/// keys its original layer.
-pub(crate) fn step_bank_bytes(plan: &ExecutionPlan, layer_bytes: &[usize]) -> Vec<usize> {
-    plan.steps
-        .iter()
-        .map(|step| match &step.op {
-            StepOp::FusedGroup { members, .. } => members
-                .iter()
-                .map(|m| layer_bytes.get(m.layer).copied().unwrap_or(0))
-                .sum(),
-            _ => layer_bytes.get(step.index).copied().unwrap_or(0),
-        })
-        .collect()
+impl ExecutionPlan {
+    /// The smallest weight budget under which the depth-1 streaming replay
+    /// of this plan never exposes an upload it could have hidden: the
+    /// largest sum of adjacent weighted banks (look-ahead co-residency), or
+    /// the single largest bank when fewer than two steps carry weights.
+    /// This is the "paged floor" admission grants an oversubscribed tenant.
+    pub fn paged_floor_bytes(&self) -> usize {
+        paged_floor(self.steps.iter().map(|s| s.bank_bytes))
+    }
+
+    /// The hard feasibility floor of the streaming replay: the single
+    /// largest weighted bank. No schedule exists below it; between it and
+    /// [`ExecutionPlan::paged_floor_bytes`] the replay still runs, but
+    /// wherever an adjacent pair no longer fits the depth-1 look-ahead
+    /// defers that upload to the current bank's eviction, so those uploads
+    /// serialize against compute instead of hiding behind it. Admission
+    /// degrades an oversubscribed tenant to this grant when the no-stall
+    /// floors alone overflow the pooled budget — more stalls, same
+    /// bit-exact outputs.
+    pub fn paged_min_bytes(&self) -> usize {
+        self.steps.iter().map(|s| s.bank_bytes).max().unwrap_or(0)
+    }
 }
 
-/// The smallest weight budget under which the depth-1 streaming replay
-/// never exposes an upload it could have hidden: the largest sum of
-/// adjacent weighted banks (look-ahead co-residency), or the single
-/// largest bank when fewer than two steps carry weights. This is the
-/// "paged floor" admission grants an oversubscribed tenant.
-pub fn paged_floor_bytes(step_banks: &[usize]) -> usize {
-    let weighted: Vec<usize> = step_banks.iter().copied().filter(|&b| b > 0).collect();
+/// The largest single bank or sum of two adjacent weighted banks.
+fn paged_floor(step_banks: impl Iterator<Item = usize>) -> usize {
+    let weighted: Vec<usize> = step_banks.filter(|&b| b > 0).collect();
     let single = weighted.iter().copied().max().unwrap_or(0);
     let pairs = weighted.windows(2).map(|w| w[0] + w[1]).max().unwrap_or(0);
     single.max(pairs)
-}
-
-/// The hard feasibility floor of the streaming replay: the single largest
-/// weighted bank. No schedule exists below it; between it and
-/// [`paged_floor_bytes`] the replay still runs, but wherever an adjacent
-/// pair no longer fits the depth-1 look-ahead defers that upload to the
-/// current bank's eviction, so those uploads serialize against compute
-/// instead of hiding behind it. Admission degrades an oversubscribed
-/// tenant to this grant when the no-stall floors alone overflow the
-/// pooled budget — more stalls, same bit-exact outputs.
-pub fn paged_min_bytes(step_banks: &[usize]) -> usize {
-    step_banks.iter().copied().max().unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -305,10 +294,7 @@ mod tests {
     fn floor_budget_streams_under_the_hot_peak() {
         let arch = zoo::alexnet_micro(Variant::Binary);
         let total = arch.binary_bytes();
-        let resident = budgeted_plan(total);
-        let pg = resident.paging.as_ref().unwrap();
-        let banks: Vec<usize> = pg.steps.iter().map(|s| s.bank_bytes).collect();
-        let floor = paged_floor_bytes(&banks);
+        let floor = budgeted_plan(total).paged_floor_bytes();
         assert!(floor < total, "micro net has more than two weighted layers");
 
         let paged = budgeted_plan(floor);
@@ -340,9 +326,9 @@ mod tests {
 
     #[test]
     fn floor_is_max_adjacent_pair() {
-        assert_eq!(paged_floor_bytes(&[10, 0, 1, 2]), 11);
-        assert_eq!(paged_floor_bytes(&[0, 0, 7, 0]), 7);
-        assert_eq!(paged_floor_bytes(&[]), 0);
-        assert_eq!(paged_floor_bytes(&[3, 4, 5]), 9);
+        assert_eq!(paged_floor([10, 0, 1, 2].into_iter()), 11);
+        assert_eq!(paged_floor([0, 0, 7, 0].into_iter()), 7);
+        assert_eq!(paged_floor([].into_iter()), 0);
+        assert_eq!(paged_floor([3, 4, 5].into_iter()), 9);
     }
 }

@@ -26,11 +26,13 @@
 //!   the *sum of slots*, not the sum of layers.
 //!
 //! The engine (`Session`), the full-scale estimator
-//! ([`estimate_arch_opts`](crate::estimate::estimate_arch_opts)), the
-//! memory planner ([`planner::plan`](crate::planner::plan)) and the
+//! ([`estimate_window`](crate::estimate::estimate_window)), the memory
+//! planner ([`planner::plan_on`](crate::planner::plan_on)) and the
 //! `ablation` binary all consume this one plan, so the estimator walks the
 //! exact steps the engine executes and `resident_bytes` reports arena-true
-//! peaks.
+//! peaks. The plan also answers **what each step launches**:
+//! [`ExecutionPlan::step_profiles`] is the one dispatch list the estimator,
+//! admission, the paging schedule and the fusion pass's scores read.
 //!
 //! # Liveness model
 //!
@@ -71,7 +73,7 @@
 
 use std::sync::Arc;
 
-use phonebit_gpusim::DeviceProfile;
+use phonebit_gpusim::{DeviceProfile, KernelProfile};
 use phonebit_nn::graph::{LayerPrecision, LayerSpec, NetworkArch, PoolKind};
 use phonebit_nn::kernels::fused::{conv_chain_profile, dense_pair_profile, ChainAbsorb};
 use phonebit_nn::kernels::{bgemm, profiles};
@@ -81,8 +83,8 @@ use phonebit_tensor::dict::FilterDict;
 use phonebit_tensor::shape::{ConvGeometry, Shape4};
 
 use crate::model::{PbitLayer, PbitModel};
-use crate::paging::{self, PagingSchedule};
-use crate::planner::{score_chain, select_conv_path_with, ConvPath, ConvPlan};
+use crate::paging::PagingSchedule;
+use crate::planner::{route_profiles, score_dispatches, select_conv_path_with, ConvPath, ConvPlan};
 
 /// Storage class of a planned value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,6 +179,10 @@ pub enum StepOp {
         geom: ConvGeometry,
         /// Output channels.
         k: usize,
+        /// f32 operations the fused activation epilogue adds per output
+        /// element (0 for a linear layer) — lowered from the source's
+        /// activation so the dispatch list needs nothing but the plan.
+        act_ops: f64,
     },
     /// Bitwise-OR max pooling over packed activations.
     MaxPoolBits {
@@ -295,32 +301,148 @@ pub struct PlanStep {
     pub output: usize,
     /// The planner's route decision (binary convolutions only).
     pub route: Option<ConvPlan>,
+    /// Weight-bank bytes this step keeps on the device, as staged: a
+    /// dictionary-compressed bank at its compressed size, a fused group its
+    /// members' banks together (the chain dispatches once, so they must all
+    /// be resident at once), 0 for weightless steps. What the residency
+    /// schedule pages and the paged floors are computed from.
+    pub bank_bytes: usize,
 }
 
 impl PlanStep {
-    /// Device dispatches this step issues per inference window — what the
-    /// engine actually launches. Domain converts count; the dense layers'
-    /// bit-preserving flatten is host-side staging and does not.
-    pub fn dispatches(&self) -> usize {
-        let convert = usize::from(self.convert.is_some());
-        match &self.op {
-            // The whole point of a fused group: one launch, converts and
-            // scratch tiles are consumed inside it.
-            StepOp::FusedGroup { .. } => 1,
-            // Bit-plane split + Eqn (2) convolution.
-            StepOp::BConvInput8 { .. } => 2,
-            StepOp::BConv { geom, .. } => {
-                convert
-                    + match self.route.map(|r| r.path) {
-                        // Window materialization + bit-GEMM (pointwise convs
-                        // skip the window pass — the input is the GEMM view).
-                        Some(ConvPath::LoweredGemm) => 1 + usize::from(!geom.is_pointwise()),
-                        // Accumulate + separate binarize-pack.
-                        Some(ConvPath::DirectUnfused) => 2,
-                        _ => 1,
-                    }
+    /// The step's dispatch list ([`ExecutionPlan::step_profiles`]) with
+    /// `bank_discount_bytes` of filter reads saved by its
+    /// dictionary-compressed bank (0 for a raw bank).
+    pub(crate) fn profiles(&self, bank_discount_bytes: f64) -> Vec<KernelProfile> {
+        let (in_shape, out_shape) = (self.in_shape, self.out_shape);
+        let (in_px, out_px, in_c) = (in_shape.pixels(), out_shape.pixels(), in_shape.c);
+        let features = in_shape.h * in_shape.w * in_c;
+        let mut list = Vec::with_capacity(3);
+        // Explicit domain conversion, exactly where the engine packs or
+        // unpacks. A fused group's convert is the absorbed on-chip tile —
+        // no separate dispatch.
+        if self.convert.is_some() {
+            match self.op {
+                StepOp::FusedGroup { .. } => {}
+                StepOp::BConv { .. } | StepOp::DenseBin { .. } => {
+                    list.push(profiles::pack_input(in_px, in_c));
+                }
+                _ => list.push(profiles::unpack_bits(in_px, in_c)),
             }
-            _ => convert + 1,
+        }
+        match &self.op {
+            StepOp::BConvInput8 { geom, k } => {
+                let policy = WorkloadPolicy::for_channels(in_c);
+                list.push(profiles::bitplane_split(in_px, in_c));
+                list.push(profiles::bitplane_conv_fused(
+                    out_px, *k, in_c, geom, &policy,
+                ));
+            }
+            StepOp::BConv { geom, k } => {
+                let path = self.route.expect("BConv step carries a route").path;
+                list.extend(route_profiles(
+                    path,
+                    out_px,
+                    *k,
+                    in_c,
+                    geom,
+                    bank_discount_bytes,
+                ));
+            }
+            StepOp::FConv { geom, k, act_ops } => {
+                let mut p = profiles::fconv(out_px, *k, in_c, geom);
+                p.f32_ops += out_shape.len() as f64 * act_ops;
+                list.push(p);
+            }
+            StepOp::MaxPoolBits { size, .. } => {
+                list.push(profiles::maxpool_bits(out_px, out_shape.c, *size));
+            }
+            StepOp::MaxPoolF32 { size, .. } => {
+                list.push(profiles::maxpool_f32(out_px, out_shape.c, *size));
+            }
+            // One dispatch covers every image in the window — the engine's
+            // batched matvec / softmax entry points. The dense layers'
+            // bit-preserving flatten is host-side staging, not a dispatch.
+            StepOp::DenseBin { out_features } => {
+                list.push(profiles::dense_bin(*out_features, features).batched(in_shape.n));
+            }
+            StepOp::DenseFloat { out_features } => {
+                list.push(profiles::dense_float(*out_features, features).batched(in_shape.n));
+            }
+            StepOp::Softmax => list.push(profiles::softmax(features).batched(in_shape.n)),
+            // One launch for the whole chain — `launch_overhead_s` is paid
+            // once per group, not once per member layer. The leading conv's
+            // bank discount rides along (chains start at the conv, whose
+            // original layer index is the group's `index`).
+            StepOp::FusedGroup { kind, members } => list.push(
+                fused_group_profile(*kind, members, self.convert.is_some())
+                    .discount_reads(bank_discount_bytes),
+            ),
+        }
+        list
+    }
+
+    /// Device dispatches this step issues per inference window — the length
+    /// of its dispatch list.
+    pub fn dispatches(&self) -> usize {
+        self.profiles(0.0).len()
+    }
+}
+
+/// The one cost profile a [`StepOp::FusedGroup`] dispatches — built from the
+/// same `nn/kernels/fused.rs` builders the engine wrappers use, so the
+/// modeled fused step and the executed fused kernel cannot diverge.
+/// `absorbed_convert` distinguishes a pack-absorbing conv chain from one
+/// whose input is already packed bits.
+fn fused_group_profile(
+    kind: FusedKind,
+    members: &[FusedMember],
+    absorbed_convert: bool,
+) -> KernelProfile {
+    match kind {
+        FusedKind::ConvChain => {
+            let conv = &members[0];
+            let (geom, k, absorb) = match conv.op {
+                StepOp::BConvInput8 { geom, k } => (geom, k, ChainAbsorb::Planes8),
+                StepOp::BConv { geom, k } => {
+                    let absorb = if absorbed_convert {
+                        ChainAbsorb::PackF32
+                    } else {
+                        ChainAbsorb::None
+                    };
+                    (geom, k, absorb)
+                }
+                _ => unreachable!("conv chain starts at a binary conv"),
+            };
+            let pool = members.get(1).map(|m| {
+                let size = match m.op {
+                    StepOp::MaxPoolBits { size, .. } => size,
+                    _ => unreachable!("conv chain epilogue is a bit pool"),
+                };
+                (m.out_shape.pixels(), size)
+            });
+            let in_c = conv.in_shape.c;
+            let policy = WorkloadPolicy::for_channels(in_c);
+            conv_chain_profile(
+                absorb,
+                conv.out_shape.pixels(),
+                k,
+                in_c,
+                &geom,
+                pool,
+                &policy,
+            )
+        }
+        FusedKind::DenseChain => {
+            let (d1, d2) = (&members[0], &members[1]);
+            let feat = d1.in_shape.h * d1.in_shape.w * d1.in_shape.c;
+            let (k1, k2) = match (&d1.op, &d2.op) {
+                (StepOp::DenseBin { out_features: a }, StepOp::DenseBin { out_features: b }) => {
+                    (*a, *b)
+                }
+                _ => unreachable!("dense chain is two binary dense layers"),
+            };
+            dense_pair_profile(k1, k2, feat).batched(d1.in_shape.n)
         }
     }
 }
@@ -587,7 +709,9 @@ impl ExecutionPlan {
                     let op = match c.precision {
                         LayerPrecision::BinaryInput8 => OpDesc::ConvBinInput8,
                         LayerPrecision::Binary => OpDesc::ConvBin,
-                        LayerPrecision::Float => OpDesc::ConvFloat,
+                        LayerPrecision::Float => OpDesc::ConvFloat {
+                            act_ops: c.activation.ops_per_element(),
+                        },
                     };
                     LayerDesc {
                         name: c.name.clone(),
@@ -630,26 +754,19 @@ impl ExecutionPlan {
                 },
             })
             .collect();
-        let mut plan = lower(
+        lower(
             arch.name.clone(),
             arch.input,
             &descs,
             // Shape-level archs carry no weights, so there is nothing to
             // dictionary-compress: arch plans are identical across modes.
             &[],
-            arch.binary_bytes(),
+            &arch.binary_layer_bytes(),
             device,
             overrides,
             batch,
         )
-        .unwrap_or_else(|e| panic!("{}: {e}", arch.name));
-        plan.attach_paging(
-            &arch.binary_layer_bytes(),
-            device,
-            overrides,
-            &crate::estimate::activation_extras_arch(&plan, arch),
-        );
-        plan
+        .unwrap_or_else(|e| panic!("{}: {e}", arch.name))
     }
 
     /// Lowers a deployed model for `device` with cost-modeled routes.
@@ -734,10 +851,13 @@ impl ExecutionPlan {
                     name,
                     geom,
                     filters,
+                    activation,
                     ..
                 } => LayerDesc {
                     name: name.clone(),
-                    op: OpDesc::ConvFloat,
+                    op: OpDesc::ConvFloat {
+                        act_ops: activation.ops_per_element(),
+                    },
                     geom: *geom,
                     k: filters.shape().k,
                     pool: (0, 0),
@@ -808,36 +928,17 @@ impl ExecutionPlan {
                 _ => None,
             })
             .collect();
-        let mut plan = lower(
+        let layer_bytes: Vec<usize> = model.layers.iter().map(PbitLayer::param_bytes).collect();
+        lower(
             model.name.clone(),
             model.input,
             &descs,
             &comps,
-            model.size_bytes(),
-            device,
-            overrides,
-            batch,
-        )?;
-        // Banks page at their *staged* size: layers whose dictionary form
-        // won stream the dictionary + indices, not the raw bank — the same
-        // bytes the engine allocates.
-        let layer_bytes: Vec<usize> = model
-            .layers
-            .iter()
-            .enumerate()
-            .map(|(i, layer)| {
-                layer
-                    .param_bytes()
-                    .saturating_sub(plan.compress_decision(i).map_or(0, |d| d.saved_bytes()))
-            })
-            .collect();
-        plan.attach_paging(
             &layer_bytes,
             device,
             overrides,
-            &crate::estimate::activation_extras_model(&plan, model),
-        );
-        Ok(plan)
+            batch,
+        )
     }
 
     /// Bytes of one arena bank: the sum of slot sizes — the steady-state
@@ -878,6 +979,33 @@ impl ExecutionPlan {
         self.steps.iter().map(PlanStep::dispatches).sum()
     }
 
+    /// The kernel profiles step `idx` launches per inference window, in
+    /// launch order — the plan's one answer to "what does this step
+    /// dispatch". Everything that models a plan launches this list; the
+    /// engine's `exec_step` reaches the same profiles through the `nn`
+    /// wrappers, and `tests/end_to_end.rs` compares the two under every
+    /// route override. Computed on demand, not stored: admission lowers
+    /// hundreds of probe plans it never walks.
+    ///
+    /// A dictionary-compressed bank reads fewer filter bytes: the list
+    /// subtracts exactly the saved bytes the plan recorded for the step's
+    /// layer — the same `discount_reads` clamp the kernels apply — so
+    /// modeled and executed timelines stay bit-identical under compression.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `idx` is not a step of this plan.
+    pub fn step_profiles(&self, idx: usize) -> Vec<KernelProfile> {
+        let step = &self.steps[idx];
+        // Keyed by `step.index` (the original layer position), not by
+        // `idx` — fused plans have fewer steps than layers, and a group's
+        // index is its leading conv's.
+        let discount = self
+            .compress_decision(step.index)
+            .map_or(0.0, |d| d.saved_bytes() as f64);
+        step.profiles(discount)
+    }
+
     /// The compression verdict recorded for original layer `layer`, if any
     /// (keyed like [`FusedMember::layer`], so fused plans still resolve).
     pub fn compress_decision(&self, layer: usize) -> Option<&CompressDecision> {
@@ -911,35 +1039,21 @@ impl ExecutionPlan {
     /// stall against the device's upload lane. Runs exactly once per
     /// lowering, while `paging` is still `None`, so the duration walk
     /// charges no stalls itself.
-    fn attach_paging(
-        &mut self,
-        layer_bytes: &[usize],
-        device: &DeviceProfile,
-        overrides: RouteOverrides,
-        extras: &[f64],
-    ) {
+    fn attach_paging(&mut self, device: &DeviceProfile, overrides: RouteOverrides) {
         let Some(budget) = overrides.weight_budget else {
             return;
         };
         debug_assert!(self.paging.is_none());
-        let banks = paging::step_bank_bytes(self, layer_bytes);
         let mut q = phonebit_gpusim::queue::CommandQueue::new(
             device.clone(),
             phonebit_gpusim::ExecutorClass::PhoneBitOpenCl,
         );
-        let opts = crate::estimate::EstimateOptions {
-            force_unfused: overrides.force_unfused,
-            lowered_gemm: overrides.lowered_gemm,
-            fusion: overrides.fusion,
-            ..crate::estimate::EstimateOptions::default()
-        };
-        let durations: Vec<f64> = crate::estimate::walk_plan(&mut q, self, extras, opts)
+        let durations: Vec<f64> = crate::estimate::walk_plan(&mut q, self, |p| p)
             .iter()
             .map(|l| l.time_s)
             .collect();
         self.paging = Some(PagingSchedule::build(
             self,
-            &banks,
             &durations,
             device.upload(),
             budget,
@@ -965,11 +1079,14 @@ impl Domain {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum OpDesc {
     ConvBinInput8,
     ConvBin,
-    ConvFloat,
+    /// Carries the activation epilogue's f32 ops per output element.
+    ConvFloat {
+        act_ops: f64,
+    },
     Pool,
     DenseBin,
     DenseFloat,
@@ -994,7 +1111,7 @@ fn lower(
     input: Shape4,
     descs: &[LayerDesc],
     comps: &[Option<LayerCompression>],
-    weights_bytes: usize,
+    layer_bytes: &[usize],
     device: &DeviceProfile,
     overrides: RouteOverrides,
     batch: usize,
@@ -1002,7 +1119,7 @@ fn lower(
     assert!(batch >= 1, "batch must be at least 1");
     // Compressed banks shrink the resident weights below; decisions are
     // recorded per layer so the engine stages exactly what is subtracted.
-    let mut weights_bytes = weights_bytes;
+    let mut weights_bytes: usize = layer_bytes.iter().sum();
     let mut compression: Vec<CompressDecision> = Vec::new();
     // The batch folds into the `n` extent of every value: kernels process
     // the whole window in one dispatch, so routes and slots are sized at
@@ -1056,6 +1173,10 @@ fn lower(
         let mut convert = None;
         let mut scratch = None;
         let mut route = None;
+        // Banks page at their *staged* size: a layer whose dictionary form
+        // won keeps the dictionary + indices, not the raw bank — the same
+        // bytes the engine allocates.
+        let mut bank_bytes = layer_bytes[i];
         let (op, out_shape, out_domain) = match desc.op {
             OpDesc::ConvBinInput8 => {
                 if domain != Domain::Bytes {
@@ -1133,6 +1254,7 @@ fn lower(
                     let compressed = stats.wins();
                     if compressed {
                         weights_bytes = weights_bytes.saturating_sub(stats.saved_bytes());
+                        bank_bytes = bank_bytes.saturating_sub(stats.saved_bytes());
                     }
                     compression.push(CompressDecision {
                         layer: i,
@@ -1175,7 +1297,7 @@ fn lower(
                     Domain::Bits,
                 )
             }
-            OpDesc::ConvFloat => {
+            OpDesc::ConvFloat { act_ops } => {
                 if domain == Domain::Bytes {
                     return Err(err(desc, "floats"));
                 }
@@ -1194,6 +1316,7 @@ fn lower(
                     StepOp::FConv {
                         geom: desc.geom,
                         k: desc.k,
+                        act_ops,
                     },
                     Shape4::new(in_shape.n, oh, ow, desc.k),
                     Domain::Floats,
@@ -1325,6 +1448,7 @@ fn lower(
             scratch,
             output,
             route,
+            bank_bytes,
         });
         domain = out_domain;
         cur_val = output;
@@ -1336,7 +1460,7 @@ fn lower(
         mode => fuse_pass(&mut steps, &mut values, device, mode),
     };
     let slots = assign_slots(&mut values);
-    Ok(ExecutionPlan {
+    let mut plan = ExecutionPlan {
         name,
         input,
         input_value,
@@ -1348,11 +1472,11 @@ fn lower(
         banks,
         chains,
         compression,
-        // Attached by the lowering entry points once per-layer bank bytes
-        // are known (they are source-specific: archs derive them from
-        // shapes, models from staged parameters net of compression).
         paging: None,
-    })
+    };
+    // The schedule is built from a walk of the finished plan.
+    plan.attach_paging(device, overrides);
+    Ok(plan)
 }
 
 /// One fusible chain found by the grammar scan.
@@ -1415,100 +1539,53 @@ fn chain_at(steps: &[PlanStep], i: usize) -> Option<ChainCandidate> {
 }
 
 /// Scores one candidate chain fused vs split (pure cost model, no
-/// rewriting): the split side is the member kernels as separate dispatches,
-/// the fused side the chain profile from `nn/kernels/fused.rs` — the same
-/// builder the engine dispatch and the estimators use, so the decision is
-/// made against exactly what would run.
+/// rewriting): the split side is the member steps' own dispatch lists
+/// back to back, the fused side the one profile the group would launch —
+/// the same lists the estimators walk, so the decision is made against
+/// exactly what would run. Both sides are scored on raw banks: a
+/// dictionary's saving is the same filter bytes off the conv on either
+/// side.
 fn score_candidate(
     steps: &[PlanStep],
     values: &[PlanValue],
     i: usize,
     cand: &ChainCandidate,
+    members: &[FusedMember],
     device: &DeviceProfile,
 ) -> ChainDecision {
-    let first = &steps[i];
-    let last = &steps[i + cand.len - 1];
-    let label = steps[i..i + cand.len]
+    let chain = &steps[i..i + cand.len];
+    let (first, last) = (&chain[0], &chain[cand.len - 1]);
+    let label = chain
         .iter()
         .map(|s| s.name.as_ref())
         .collect::<Vec<_>>()
         .join("+");
-    let (split, fused, split_arena, fused_arena) = match cand.kind {
-        FusedKind::ConvChain => {
-            let (geom, k) = match first.op {
-                StepOp::BConvInput8 { geom, k } | StepOp::BConv { geom, k } => (geom, k),
-                _ => unreachable!("conv chain starts at a binary conv"),
-            };
-            let in_c = first.in_shape.c;
-            let conv_px = first.out_shape.pixels();
-            let policy = WorkloadPolicy::for_channels(in_c);
-            let mut split = Vec::new();
-            match cand.absorb {
-                ChainAbsorb::Planes8 => {
-                    split.push(profiles::bitplane_split(first.in_shape.pixels(), in_c));
-                    split.push(profiles::bitplane_conv_fused(
-                        conv_px, k, in_c, &geom, &policy,
-                    ));
-                }
-                ChainAbsorb::PackF32 => {
-                    split.push(profiles::pack_input(first.in_shape.pixels(), in_c));
-                    split.push(profiles::bconv_fused(conv_px, k, in_c, &geom, &policy));
-                }
-                ChainAbsorb::None => {
-                    split.push(profiles::bconv_fused(conv_px, k, in_c, &geom, &policy));
-                }
-            }
-            let mut split_arena = 0usize;
-            let mut fused_arena = 0usize;
-            let pool = (cand.len == 2).then(|| {
-                let size = match last.op {
-                    StepOp::MaxPoolBits { size, .. } => size,
-                    _ => unreachable!("conv chain epilogue is a bit pool"),
-                };
-                split.push(profiles::maxpool_bits(last.out_shape.pixels(), k, size));
-                // Fusing trades the staged conv activation for a
-                // few-row ring tile.
-                split_arena = values[first.output].bytes;
-                fused_arena = ValueKind::Bits.bytes(Shape4::new(1, size, first.out_shape.w, k));
-                (last.out_shape.pixels(), size)
-            });
-            let fused = conv_chain_profile(cand.absorb, conv_px, k, in_c, &geom, pool, &policy);
-            (split, fused, split_arena, fused_arena)
-        }
-        FusedKind::DenseChain => {
-            let n = first.in_shape.n;
-            let feat = first.in_shape.h * first.in_shape.w * first.in_shape.c;
-            let (k1, k2) = match (&first.op, &last.op) {
-                (StepOp::DenseBin { out_features: a }, StepOp::DenseBin { out_features: b }) => {
-                    (*a, *b)
-                }
-                _ => unreachable!("dense chain is two binary dense layers"),
-            };
-            let split = vec![
-                profiles::dense_bin(k1, feat).batched(n),
-                profiles::dense_bin(k2, k1).batched(n),
-            ];
-            let fused = dense_pair_profile(k1, k2, feat).batched(n);
-            // Fusing skips the second layer's flatten row — the mid
-            // activation is already a flat tile.
-            let split_arena = last.scratch.map_or(0, |id| values[id].bytes);
-            (split, fused, split_arena, 0)
-        }
+    let split: Vec<KernelProfile> = chain.iter().flat_map(|s| s.profiles(0.0)).collect();
+    let fused = fused_group_profile(cand.kind, members, cand.absorb != ChainAbsorb::None);
+    let (split_arena, fused_arena) = match (cand.kind, &last.op) {
+        // Fusing trades the staged conv activation for a few-row ring
+        // tile.
+        (FusedKind::ConvChain, StepOp::MaxPoolBits { size, .. }) => (
+            values[first.output].bytes,
+            ValueKind::Bits.bytes(Shape4::new(1, *size, first.out_shape.w, first.out_shape.c)),
+        ),
+        (FusedKind::ConvChain, _) => (0, 0),
+        // Fusing skips the second layer's flatten row — the mid
+        // activation is already a flat tile.
+        (FusedKind::DenseChain, _) => (last.scratch.map_or(0, |id| values[id].bytes), 0),
     };
-    let score = score_chain(device, &split, &fused, split_arena, fused_arena);
+    let split_score = score_dispatches(device, &split, split_arena);
+    let fused_score = score_dispatches(device, &[fused], fused_arena);
     ChainDecision {
         first_layer: first.index,
         last_layer: last.index,
         kind: cand.kind,
         label,
-        split_s: score.split_s,
-        fused_s: score.fused_s,
-        split_score: score.split_score,
-        fused_score: score.fused_score,
-        split_dispatches: steps[i..i + cand.len]
-            .iter()
-            .map(PlanStep::dispatches)
-            .sum(),
+        split_s: split_score.time_s,
+        fused_s: fused_score.time_s,
+        split_score: split_score.score,
+        fused_score: fused_score.score,
+        split_dispatches: split.len(),
         fused: false,
     }
 }
@@ -1538,16 +1615,6 @@ fn fuse_pass(
             i += 1;
             continue;
         };
-        let mut decision = score_candidate(steps, values, i, &cand, device);
-        decision.fused = mode == FusionMode::Force || decision.fused_score < decision.split_score;
-        if !decision.fused {
-            decisions.push(decision);
-            new_steps.push(steps[i].clone());
-            i += 1;
-            continue;
-        }
-        let first = &steps[i];
-        let last = &steps[i + cand.len - 1];
         let members: Vec<FusedMember> = steps[i..i + cand.len]
             .iter()
             .map(|s| FusedMember {
@@ -1559,6 +1626,16 @@ fn fuse_pass(
                 route: s.route,
             })
             .collect();
+        let mut decision = score_candidate(steps, values, i, &cand, &members, device);
+        decision.fused = mode == FusionMode::Force || decision.fused_score < decision.split_score;
+        if !decision.fused {
+            decisions.push(decision);
+            new_steps.push(steps[i].clone());
+            i += 1;
+            continue;
+        }
+        let first = &steps[i];
+        let last = &steps[i + cand.len - 1];
         let (convert, scratch) = match cand.kind {
             FusedKind::ConvChain => {
                 // The absorbed input tile keeps its arena slot (the fused
@@ -1613,6 +1690,7 @@ fn fuse_pass(
             scratch,
             output: last.output,
             route: first.route,
+            bank_bytes: steps[i..i + cand.len].iter().map(|s| s.bank_bytes).sum(),
         });
         decisions.push(decision);
         changed = true;

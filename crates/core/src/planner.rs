@@ -2,7 +2,7 @@
 //!
 //! **Memory**: the engine ping-pongs two activation buffers (input and
 //! output of the current layer) over resident packed weights — the "minimal
-//! memory footprint during run-time" of the paper's §I. [`plan`] computes
+//! memory footprint during run-time" of the paper's §I. [`plan_on`] computes
 //! that footprint analytically so harnesses can check a model against a
 //! phone's app budget without staging it.
 //!
@@ -236,168 +236,167 @@ pub fn select_conv_path_with(
     direct_discount_bytes: f64,
     lowered_discount_bytes: f64,
 ) -> ConvPlan {
-    let params = CostParams::for_executor(ExecutorClass::PhoneBitOpenCl);
-    let energy = EnergyParams::for_kind(DeviceKind::Gpu);
-    // (seconds, joules) of one dispatch — the energy already integrates
-    // the device's power draw over the modeled time (static watts × time
-    // plus per-op and per-DRAM-byte dynamic energy).
-    let cost = |p| {
-        let s = estimate(&p, device, &params, &energy);
-        (s.time_s, s.energy_j)
-    };
-
-    let policy = WorkloadPolicy::for_channels(in_channels);
-    let (direct_s, direct_energy_j, direct_arena_bytes) =
-        if in_channels <= INTEGRATION_CHANNEL_LIMIT {
-            let (t, e) = cost(
-                profiles::bconv_fused(out_pixels, out_channels, in_channels, geom, &policy)
-                    .discount_reads(direct_discount_bytes),
-            );
-            (t, e, 0)
-        } else {
-            let (t_acc, e_acc) = cost(
-                profiles::bconv_accum(out_pixels, out_channels, in_channels, geom, &policy)
-                    .discount_reads(direct_discount_bytes),
-            );
-            let (t_pack, e_pack) = cost(profiles::binarize_pack(out_pixels, out_channels));
-            (
-                t_acc + t_pack,
-                e_acc + e_pack,
-                out_pixels * out_channels * 4,
-            )
-        };
-
-    let gemm_is_view = geom.is_pointwise();
-    let (mut lowered_s, mut lowered_energy_j) = cost(
-        bgemm::bgemm_profile(out_pixels, out_channels, in_channels, geom)
-            .discount_reads(lowered_discount_bytes),
-    );
-    let mut lowered_arena_bytes = 0;
-    if !gemm_is_view {
-        let (t, e) = cost(bgemm::pack_windows_profile(out_pixels, in_channels, geom));
-        lowered_s += t;
-        lowered_energy_j += e;
-        lowered_arena_bytes = out_pixels * (geom.taps() * in_channels).div_ceil(64) * 8;
-    }
-
-    // Footprint term: bytes charged at a fraction of one DRAM pass.
-    let arena_s = |bytes: usize| ARENA_TRADEOFF_WEIGHT * bytes as f64 / (device.dram_gbps * 1e9);
-    // Energy term: joules expressed as seconds of the SoC's sustained
-    // power budget (per-op energy from the profile's power draw × time).
-    let energy_s = |joules: f64| ENERGY_TRADEOFF_WEIGHT * joules / SOC_POWER_BUDGET_W;
-    let direct_score = direct_s + arena_s(direct_arena_bytes) + energy_s(direct_energy_j);
-    let lowered_score = lowered_s + arena_s(lowered_arena_bytes) + energy_s(lowered_energy_j);
-
-    let path = if gemm_is_view || lowered_score < direct_score {
-        ConvPath::LoweredGemm
-    } else if in_channels <= INTEGRATION_CHANNEL_LIMIT {
+    // Each candidate is the dispatch list that route would launch plus the
+    // scratch it stages: the direct one is the fused kernel (`C ≤ 256`) or
+    // the accumulate + pack pair with its int32 accumulator slot; the
+    // lowered one stages the materialized window rows unless the GEMM is a
+    // pointwise view.
+    let direct_path = if in_channels <= INTEGRATION_CHANNEL_LIMIT {
         ConvPath::DirectFused
     } else {
         ConvPath::DirectUnfused
     };
+    let direct_arena_bytes = match direct_path {
+        ConvPath::DirectUnfused => out_pixels * out_channels * 4,
+        _ => 0,
+    };
+    let gemm_is_view = geom.is_pointwise();
+    let lowered_arena_bytes = if gemm_is_view {
+        0
+    } else {
+        out_pixels * (geom.taps() * in_channels).div_ceil(64) * 8
+    };
+    let candidate = |path, discount, arena_bytes| {
+        let list = route_profiles(path, out_pixels, out_channels, in_channels, geom, discount);
+        score_dispatches(device, &list, arena_bytes)
+    };
+    let direct = candidate(direct_path, direct_discount_bytes, direct_arena_bytes);
+    let lowered = candidate(
+        ConvPath::LoweredGemm,
+        lowered_discount_bytes,
+        lowered_arena_bytes,
+    );
+    let path = if gemm_is_view || lowered.score < direct.score {
+        ConvPath::LoweredGemm
+    } else {
+        direct_path
+    };
     ConvPlan {
         path,
-        direct_s,
-        lowered_s,
+        direct_s: direct.time_s,
+        lowered_s: lowered.time_s,
         direct_arena_bytes,
         lowered_arena_bytes,
-        direct_energy_j,
-        lowered_energy_j,
+        direct_energy_j: direct.energy_j,
+        lowered_energy_j: lowered.energy_j,
     }
 }
 
-/// Fused-vs-split cost verdict for one fusible chain (the fusion pass's
-/// decision record, surfaced per chain in
+/// The kernel profiles one binary convolution dispatches on `path`, in
+/// launch order — the single place a route is spelled out as kernels. The
+/// route scorer above costs its candidates through it and the plan's
+/// per-step dispatch list ([`ExecutionPlan::step_profiles`]) returns it
+/// for the chosen route, so a score and the modeled run cannot disagree
+/// about what a route launches.
+///
+/// `bank_discount_bytes` is the filter-read saving of the route's
+/// dictionary-compressed bank (0 for a raw bank), applied with the same
+/// [`KernelProfile::discount_reads`] clamp the kernels use.
+///
+/// [`ExecutionPlan::step_profiles`]: crate::plan::ExecutionPlan::step_profiles
+pub(crate) fn route_profiles(
+    path: ConvPath,
+    out_pixels: usize,
+    out_channels: usize,
+    in_channels: usize,
+    geom: &ConvGeometry,
+    bank_discount_bytes: f64,
+) -> Vec<KernelProfile> {
+    let policy = WorkloadPolicy::for_channels(in_channels);
+    match path {
+        ConvPath::DirectFused => {
+            vec![
+                profiles::bconv_fused(out_pixels, out_channels, in_channels, geom, &policy)
+                    .discount_reads(bank_discount_bytes),
+            ]
+        }
+        // The binarize/pack epilogue reads no filters; only the accumulate
+        // half carries the discount.
+        ConvPath::DirectUnfused => vec![
+            profiles::bconv_accum(out_pixels, out_channels, in_channels, geom, &policy)
+                .discount_reads(bank_discount_bytes),
+            profiles::binarize_pack(out_pixels, out_channels),
+        ],
+        ConvPath::LoweredGemm => {
+            // The window-materialization pass reads no filters; only the
+            // GEMM's bank is discounted. Pointwise convs skip the pass —
+            // the input is the GEMM view.
+            let gemm = bgemm::bgemm_profile(out_pixels, out_channels, in_channels, geom)
+                .discount_reads(bank_discount_bytes);
+            if geom.is_pointwise() {
+                vec![gemm]
+            } else {
+                vec![
+                    bgemm::pack_windows_profile(out_pixels, in_channels, geom),
+                    gemm,
+                ]
+            }
+        }
+    }
+}
+
+/// One candidate's modeled cost and composite score — what the route
+/// scorer compares per binary convolution and the fusion pass per chain
+/// (surfaced in [`ConvPlan`] and
 /// [`ChainDecision`](crate::plan::ChainDecision)).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct ChainScore {
-    /// Modeled seconds of the split dispatches (one launch overhead each).
-    pub split_s: f64,
-    /// Modeled seconds of the one fused dispatch.
-    pub fused_s: f64,
-    /// Split composite score (latency + arena + energy terms).
-    pub split_score: f64,
-    /// Fused composite score.
-    pub fused_score: f64,
+pub(crate) struct DispatchScore {
+    /// Modeled seconds of the dispatches (one launch overhead each).
+    pub time_s: f64,
+    /// Modeled joules of the dispatches.
+    pub energy_j: f64,
+    /// Composite score: latency + arena-footprint + energy terms.
+    pub score: f64,
 }
 
-/// Scores one fusible chain fused vs split on the same
-/// latency + arena-footprint + energy axes as [`select_conv_path`]. Each
-/// split profile is estimated as its own dispatch (paying its own launch
-/// overhead), the fused profile as one — so the saved launches are part of
-/// the score, not a separate bonus — and each side's staged intermediate
-/// bytes are charged through the shared [`ARENA_TRADEOFF_WEIGHT`] term.
-pub(crate) fn score_chain(
+/// Scores `profiles` run as separate dispatches on an uncontended `device`
+/// — each pays its own launch overhead, so launches a candidate saves are
+/// part of its score, not a separate bonus — next to the `arena_bytes` of
+/// scratch or intermediates the candidate stages. The one scale both
+/// [`select_conv_path`] and the fusion pass decide on.
+pub(crate) fn score_dispatches(
     device: &DeviceProfile,
-    split: &[KernelProfile],
-    fused: &KernelProfile,
-    split_arena_bytes: usize,
-    fused_arena_bytes: usize,
-) -> ChainScore {
+    profiles: &[KernelProfile],
+    arena_bytes: usize,
+) -> DispatchScore {
     let params = CostParams::for_executor(ExecutorClass::PhoneBitOpenCl);
     let energy = EnergyParams::for_kind(DeviceKind::Gpu);
-    let cost = |p: &KernelProfile| {
+    // The energy already integrates the device's power draw over the
+    // modeled time (static watts × time plus per-op and per-DRAM-byte
+    // dynamic energy).
+    let (time_s, energy_j) = profiles.iter().fold((0.0, 0.0), |(t, e), p| {
         let s = estimate(p, device, &params, &energy);
-        (s.time_s, s.energy_j)
-    };
-    let (split_s, split_j) = split
-        .iter()
-        .map(cost)
-        .fold((0.0, 0.0), |(t, e), (dt, de)| (t + dt, e + de));
-    let (fused_s, fused_j) = cost(fused);
-    let arena_s = |bytes: usize| ARENA_TRADEOFF_WEIGHT * bytes as f64 / (device.dram_gbps * 1e9);
-    let energy_s = |joules: f64| ENERGY_TRADEOFF_WEIGHT * joules / SOC_POWER_BUDGET_W;
-    ChainScore {
-        split_s,
-        fused_s,
-        split_score: split_s + arena_s(split_arena_bytes) + energy_s(split_j),
-        fused_score: fused_s + arena_s(fused_arena_bytes) + energy_s(fused_j),
+        (t + s.time_s, e + s.energy_j)
+    });
+    // Footprint term: bytes charged at a fraction of one DRAM pass.
+    let arena_s = ARENA_TRADEOFF_WEIGHT * arena_bytes as f64 / (device.dram_gbps * 1e9);
+    // Energy term: joules expressed as seconds of the SoC's sustained
+    // power budget (per-op energy from the profile's power draw × time).
+    let energy_s = ENERGY_TRADEOFF_WEIGHT * energy_j / SOC_POWER_BUDGET_W;
+    DispatchScore {
+        time_s,
+        energy_j,
+        score: time_s + arena_s + energy_s,
     }
 }
 
-/// Plans the deployed footprint of an architecture under PhoneBit's
-/// binarized execution, on the default flagship device (Adreno 640 —
-/// kernel routes, and therefore scratch, are device-dependent; use
-/// [`plan_on`] to target a specific GPU).
-pub fn plan(arch: &NetworkArch) -> MemoryPlan {
-    plan_on(arch, &DeviceProfile::adreno_640())
-}
-
-/// [`plan`] for a specific device: lowers the architecture to its
-/// [`ExecutionPlan`](crate::plan::ExecutionPlan) and reports the arena-true
-/// footprint the engine would stage there.
-pub fn plan_on(arch: &NetworkArch, device: &DeviceProfile) -> MemoryPlan {
-    plan_on_batched(arch, device, 1)
-}
-
-/// Plans the batched deployed footprint on the default flagship device:
-/// the arena the throughput engine would stage for `batch`-image windows,
-/// double-banked (see [`ExecutionPlan::for_arch_batched`]).
-///
-/// [`ExecutionPlan::for_arch_batched`]: crate::plan::ExecutionPlan::for_arch_batched
-pub fn plan_batched(arch: &NetworkArch, batch: usize) -> MemoryPlan {
-    plan_on_batched(arch, &DeviceProfile::adreno_640(), batch)
-}
-
-/// [`plan_batched`] for a specific device.
-///
-/// # Panics
-///
-/// Panics when `batch == 0`.
-pub fn plan_on_batched(arch: &NetworkArch, device: &DeviceProfile, batch: usize) -> MemoryPlan {
-    plan_on_sharded(arch, device, batch, 1)
-}
-
-/// Plans the **sharded** deployed footprint: `streams` concurrent streams
-/// share one staged weight set, but each holds its own double-banked
-/// arena, so the activation peak grows to `streams × banks × Σ slots` —
-/// exactly what a one-tenant [`DeviceRuntime`](crate::serve::DeviceRuntime)
-/// with that many streams keeps resident.
+/// Plans the deployed footprint of `arch` on `device`: lowers it to its
+/// [`ExecutionPlan`](crate::plan::ExecutionPlan) at `batch` images per
+/// window (the arena double-banked when `batch > 1`, see
+/// [`ExecutionPlan::for_arch_batched`]) and reports the arena-true
+/// footprint the engine would stage there. `streams` concurrent streams
+/// share one staged weight set, but each holds its own banks, so the
+/// activation peak grows to `streams × banks × Σ slots` — exactly what a
+/// one-tenant [`DeviceRuntime`](crate::serve::DeviceRuntime) with that many
+/// streams keeps resident. Kernel routes, and therefore scratch, are
+/// device-dependent.
 ///
 /// # Panics
 ///
 /// Panics when `batch == 0` or `streams == 0`.
-pub fn plan_on_sharded(
+///
+/// [`ExecutionPlan::for_arch_batched`]: crate::plan::ExecutionPlan::for_arch_batched
+pub fn plan_on(
     arch: &NetworkArch,
     device: &DeviceProfile,
     batch: usize,
@@ -431,20 +430,14 @@ pub fn plan_on_sharded(
     }
 }
 
-/// The largest window size whose batched, double-banked deployment still
-/// fits `phone`'s app budget — what a serving loop should cap its batch at
-/// before requests start to OOM. Returns 0 when even a single image does
-/// not fit (the paper's CNNdroid-VGG16 situation).
-pub fn max_feasible_batch(arch: &NetworkArch, phone: &Phone) -> usize {
-    max_feasible_batch_sharded(arch, phone, 1)
-}
-
-/// [`max_feasible_batch`] for a sharded deployment: the largest window
-/// such that `streams` streams' double-banked arenas fit the app budget
-/// alongside the shared weights. The serving runtime's admission
-/// controller starts from this cap before applying its latency SLO.
-pub fn max_feasible_batch_sharded(arch: &NetworkArch, phone: &Phone, streams: usize) -> usize {
-    largest_batch_where(|batch| plan_on_sharded(arch, &phone.gpu, batch, streams).fits(phone))
+/// The largest window size such that `streams` streams' double-banked
+/// arenas still fit `phone`'s app budget alongside the shared weights —
+/// what a serving loop should cap its batch at before requests start to
+/// OOM, and where the serving runtime's admission controller starts before
+/// applying its latency SLO. Returns 0 when even a single image does not
+/// fit (the paper's CNNdroid-VGG16 situation).
+pub fn max_feasible_batch(arch: &NetworkArch, phone: &Phone, streams: usize) -> usize {
+    largest_batch_where(|batch| plan_on(arch, &phone.gpu, batch, streams).fits(phone))
 }
 
 /// Pooled co-resident deployment plan for several heterogeneous models
@@ -511,7 +504,7 @@ pub fn plan_multitenant(
     let per_tenant: Vec<MemoryPlan> = archs
         .iter()
         .zip(batches.iter())
-        .map(|(arch, &batch)| plan_on_sharded(arch, device, batch, 1))
+        .map(|(arch, &batch)| plan_on(arch, device, batch, 1))
         .collect();
     let weights_bytes = per_tenant.iter().map(|p| p.weights_bytes).sum();
     let pool_slice_bytes = per_tenant
@@ -557,7 +550,7 @@ pub fn max_feasible_batch_multitenant(
 const MAX_PROBED_BATCH: usize = 4096;
 
 /// The largest batch in `1..=4096` satisfying a monotone fit predicate
-/// (0 when even batch 1 fails). Shared by [`max_feasible_batch_sharded`]
+/// (0 when even batch 1 fails). Shared by [`max_feasible_batch`]
 /// and the serving runtime's model-based admission controller so the two
 /// memory caps cannot drift apart.
 pub(crate) fn largest_batch_where(mut fits: impl FnMut(usize) -> bool) -> usize {
@@ -639,7 +632,7 @@ mod tests {
 
     #[test]
     fn plan_reports_scratch_where_expected() {
-        let p = plan(&arch());
+        let p = plan_on(&arch(), &DeviceProfile::adreno_640(), 1, 1);
         // conv1 (BinaryInput8) has bit-plane scratch.
         assert!(p.per_layer[0].scratch_bytes > 0);
         // conv2 reads 64-channel input (fused, no scratch).
@@ -650,22 +643,23 @@ mod tests {
 
     #[test]
     fn peak_includes_weights() {
-        let p = plan(&arch());
+        let p = plan_on(&arch(), &DeviceProfile::adreno_640(), 1, 1);
         assert_eq!(p.peak_bytes, p.weights_bytes + p.peak_activation_bytes);
         assert!(p.weights_bytes > 0);
     }
 
     #[test]
     fn small_model_fits_both_phones() {
-        let p = plan(&arch());
+        let p = plan_on(&arch(), &DeviceProfile::adreno_640(), 1, 1);
         assert!(p.fits(&Phone::xiaomi_5()));
         assert!(p.fits(&Phone::xiaomi_9()));
     }
 
     #[test]
     fn batched_plan_doubles_banks_and_scales_slots() {
-        let single = plan(&arch());
-        let batched = plan_batched(&arch(), 4);
+        let dev = DeviceProfile::adreno_640();
+        let single = plan_on(&arch(), &dev, 1, 1);
+        let batched = plan_on(&arch(), &dev, 4, 1);
         assert_eq!((single.batch, single.banks), (1, 1));
         assert_eq!((batched.batch, batched.banks), (4, 2));
         assert_eq!(batched.arena_slots.len(), single.arena_slots.len());
@@ -685,8 +679,8 @@ mod tests {
 
     #[test]
     fn sharded_plan_multiplies_stream_arenas_over_shared_weights() {
-        let solo = plan_batched(&arch(), 4);
-        let sharded = plan_on_sharded(&arch(), &DeviceProfile::adreno_640(), 4, 3);
+        let solo = plan_on(&arch(), &DeviceProfile::adreno_640(), 4, 1);
+        let sharded = plan_on(&arch(), &DeviceProfile::adreno_640(), 4, 3);
         assert_eq!(solo.streams, 1);
         assert_eq!(sharded.streams, 3);
         assert_eq!(sharded.weights_bytes, solo.weights_bytes, "weights shared");
@@ -707,15 +701,14 @@ mod tests {
     fn sharded_feasible_batch_shrinks_with_stream_count() {
         let a = arch();
         let phone = Phone::xiaomi_9();
-        let solo = max_feasible_batch(&a, &phone);
-        assert_eq!(solo, max_feasible_batch_sharded(&a, &phone, 1));
-        let two = max_feasible_batch_sharded(&a, &phone, 2);
-        let four = max_feasible_batch_sharded(&a, &phone, 4);
+        let solo = max_feasible_batch(&a, &phone, 1);
+        let two = max_feasible_batch(&a, &phone, 2);
+        let four = max_feasible_batch(&a, &phone, 4);
         assert!(two <= solo && four <= two, "{solo} >= {two} >= {four}");
         assert!(two >= 1, "two streams of the small arch still fit");
-        assert!(plan_on_sharded(&a, &phone.gpu, two, 2).fits(&phone));
+        assert!(plan_on(&a, &phone.gpu, two, 2).fits(&phone));
         if two < 4096 {
-            assert!(!plan_on_sharded(&a, &phone.gpu, two + 1, 2).fits(&phone));
+            assert!(!plan_on(&a, &phone.gpu, two + 1, 2).fits(&phone));
         }
     }
 
@@ -753,8 +746,8 @@ mod tests {
                 Activation::Linear,
             )
             .dense("fc", 10, LayerPrecision::Float, Activation::Linear);
-        let solo_a = plan_on_sharded(&a, &dev, 4, 1);
-        let solo_b = plan_on_sharded(&b, &dev, 2, 1);
+        let solo_a = plan_on(&a, &dev, 4, 1);
+        let solo_b = plan_on(&b, &dev, 2, 1);
         let pair = plan_multitenant(&[&a, &b], &[4, 2], &dev, 3);
         // Weights sum; the pool slice is the larger tenant's banks.
         assert_eq!(
@@ -785,7 +778,7 @@ mod tests {
         let phone = Phone::xiaomi_9();
         // Alone (a 1-byte-arena neighbor), the cap matches the solo pooled
         // search at 1 stream when the neighbor's slice never dominates.
-        let solo_cap = max_feasible_batch_sharded(&a, &phone, 2);
+        let solo_cap = max_feasible_batch(&a, &phone, 2);
         let cap_light = max_feasible_batch_multitenant(&[&a, &a], &[1, 1], 0, &phone, 2);
         // A co-resident heavy neighbor can only shrink (or hold) the cap.
         let cap_heavy = max_feasible_batch_multitenant(&[&a, &a], &[1, 64], 0, &phone, 2);
@@ -806,14 +799,14 @@ mod tests {
     fn max_feasible_batch_is_monotone_and_fits() {
         let a = arch();
         let phone = Phone::xiaomi_9();
-        let max = max_feasible_batch(&a, &phone);
+        let max = max_feasible_batch(&a, &phone, 1);
         assert!(max >= 1, "the small arch fits at batch 1");
-        assert!(plan_on_batched(&a, &phone.gpu, max).fits(&phone));
+        assert!(plan_on(&a, &phone.gpu, max, 1).fits(&phone));
         if max < 4096 {
-            assert!(!plan_on_batched(&a, &phone.gpu, max + 1).fits(&phone));
+            assert!(!plan_on(&a, &phone.gpu, max + 1, 1).fits(&phone));
         }
         // The older phone's tighter budget cannot allow a larger window.
-        assert!(max_feasible_batch(&a, &Phone::xiaomi_5()) <= max);
+        assert!(max_feasible_batch(&a, &Phone::xiaomi_5(), 1) <= max);
     }
 
     #[test]

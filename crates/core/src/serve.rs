@@ -66,7 +66,7 @@ use phonebit_tensor::tensor::Tensor;
 
 use crate::arrival::ArrivalProcess;
 use crate::engine::{ActivationData, EngineError, MultiStream, StagedModel};
-use crate::estimate::{activation_extras_arch, activation_extras_model, walk_plan};
+use crate::estimate::walk_plan;
 use crate::model::PbitModel;
 use crate::plan::{ExecutionPlan, RouteOverrides};
 use crate::stats::{nearest_rank, RunReport};
@@ -102,8 +102,8 @@ pub struct Admission {
     /// tenant's full weight set is resident (always, without a weight
     /// budget), `Some(bytes)` when the tenant streams its banks through a
     /// hot set of this size — its no-stall paged floor
-    /// ([`paged_floor_bytes`](crate::paged_floor_bytes)), or the hard
-    /// minimum ([`paged_min_bytes`](crate::paged_min_bytes)) when the
+    /// ([`paged_floor_bytes`](ExecutionPlan::paged_floor_bytes)), or the hard
+    /// minimum ([`paged_min_bytes`](ExecutionPlan::paged_min_bytes)) when the
     /// floors alone overflow the pooled budget. Modeled window latencies
     /// already fold in the upload stalls the grant implies.
     pub weight_grant_bytes: Option<usize>,
@@ -574,34 +574,6 @@ impl PlanSource<'_> {
             )),
         }
     }
-
-    pub(crate) fn extras(&self, plan: &ExecutionPlan) -> Vec<f64> {
-        match self {
-            PlanSource::Model(m) => activation_extras_model(plan, m),
-            PlanSource::Arch(a) => activation_extras_arch(plan, a),
-        }
-    }
-
-    /// Per-layer binary weight-bank bytes as staged — dictionary-compressed
-    /// banks at their compressed size — indexed by layer. Must mirror the
-    /// accounting [`ExecutionPlan`] uses when attaching a paging schedule,
-    /// so the floors the admission controller grants are exactly the
-    /// budgets the lowered plans stream under.
-    pub(crate) fn layer_weight_bytes(&self, plan: &ExecutionPlan) -> Vec<usize> {
-        match self {
-            PlanSource::Model(m) => m
-                .layers
-                .iter()
-                .enumerate()
-                .map(|(i, layer)| {
-                    layer
-                        .param_bytes()
-                        .saturating_sub(plan.compress_decision(i).map_or(0, |d| d.saved_bytes()))
-                })
-                .collect(),
-            PlanSource::Arch(a) => a.binary_layer_bytes(),
-        }
-    }
 }
 
 /// One tenant's ask, as the admission controller sees it. Crate-visible so
@@ -618,11 +590,11 @@ pub(crate) struct TenantAsk<'a> {
 /// and read back the busy-weighted mean CU fraction and the device-busy
 /// duty cycle over the window (host gaps — launch and framework overhead —
 /// leave the device free).
-fn measure_load(plan: &ExecutionPlan, extras: &[f64], gpu: &DeviceProfile) -> QueueLoad {
+fn measure_load(plan: &ExecutionPlan, gpu: &DeviceProfile) -> QueueLoad {
     let clock = DeviceClock::new(gpu.clone());
     let mut q = CommandQueue::new(gpu.clone(), ExecutorClass::PhoneBitOpenCl)
         .with_clock(Arc::clone(&clock));
-    let _ = walk_plan(&mut q, plan, extras, crate::EstimateOptions::default());
+    let _ = walk_plan(&mut q, plan, |p| p);
     let wall = q.elapsed_s() + q.per_run_overhead_s();
     QueueLoad {
         cu_frac: clock.mean_cu_frac(),
@@ -659,7 +631,6 @@ fn aggregate_load(loads: &[QueueLoad]) -> QueueLoad {
 /// window (double buffering), batch-1 single-bank streams never prime.
 pub(crate) fn modeled_window_under(
     plan: &ExecutionPlan,
-    extras: &[f64],
     gpu: &DeviceProfile,
     streams: usize,
     mix: Option<&[QueueLoad]>,
@@ -669,7 +640,7 @@ pub(crate) fn modeled_window_under(
         clock.set_mix(Some(m.to_vec()));
     }
     let mut q = CommandQueue::new(gpu.clone(), ExecutorClass::PhoneBitOpenCl).with_clock(clock);
-    let _ = walk_plan(&mut q, plan, extras, crate::EstimateOptions::default());
+    let _ = walk_plan(&mut q, plan, |p| p);
     let busy = q.elapsed_s();
     let cold = busy + q.per_run_overhead_s();
     let steady = if plan.batch > 1 { busy } else { cold };
@@ -701,20 +672,19 @@ fn admission_candidates(max_feasible: usize) -> Vec<usize> {
 
 /// The mix a co-resident registry registers on the shared clock: each of
 /// the `streams − 1` *other* queues is expected to run the blend of every
-/// tenant's measured [`QueueLoad`] over the given (plan, activation
-/// extras) walks. `None` for a single tenant (the symmetric-streams
-/// model).
+/// tenant's measured [`QueueLoad`] over the given plans' walks. `None` for
+/// a single tenant (the symmetric-streams model).
 fn registered_mix<P: Borrow<ExecutionPlan>>(
-    walks: &[(P, Vec<f64>)],
+    plans: &[P],
     gpu: &DeviceProfile,
     streams: usize,
 ) -> Option<Vec<QueueLoad>> {
-    if walks.len() <= 1 {
+    if plans.len() <= 1 {
         return None;
     }
-    let loads: Vec<QueueLoad> = walks
+    let loads: Vec<QueueLoad> = plans
         .iter()
-        .map(|(plan, extras)| measure_load(plan.borrow(), extras, gpu))
+        .map(|plan| measure_load(plan.borrow(), gpu))
         .collect();
     Some(vec![aggregate_load(&loads); streams.saturating_sub(1)])
 }
@@ -725,16 +695,16 @@ fn registered_mix<P: Borrow<ExecutionPlan>>(
 /// and batch replans (over the staged plans), so a registry's window costs
 /// always come from this one walk.
 fn modeled_windows<P: Borrow<ExecutionPlan>>(
-    walks: &[(P, Vec<f64>)],
+    plans: &[P],
     gpu: &DeviceProfile,
     streams: usize,
 ) -> (Option<Vec<QueueLoad>>, Vec<(f64, f64)>) {
-    let mix = registered_mix(walks, gpu, streams);
-    let windows_ms = walks
+    let mix = registered_mix(plans, gpu, streams);
+    let windows_ms = plans
         .iter()
-        .map(|(plan, extras)| {
+        .map(|plan| {
             let (cold_s, steady_s) =
-                modeled_window_under(plan.borrow(), extras, gpu, streams, mix.as_deref());
+                modeled_window_under(plan.borrow(), gpu, streams, mix.as_deref());
             (cold_s * 1e3, steady_s * 1e3)
         })
         .collect();
@@ -778,10 +748,10 @@ struct AdmittedTenant {
 /// overrides untouched, so its plans stay byte-identical to the unpaged
 /// ones), granted exactly its *paged floor* — the smallest hot set that
 /// still overlaps every upload with the previous step's compute
-/// ([`paged_floor_bytes`](crate::paged_floor_bytes)) — or, when the
+/// ([`paged_floor_bytes`](ExecutionPlan::paged_floor_bytes)) — or, when the
 /// no-stall floors alone overflow the budget, degraded to its *paged
 /// minimum* — the single largest bank
-/// ([`paged_min_bytes`](crate::paged_min_bytes)), under which uploads the
+/// ([`paged_min_bytes`](ExecutionPlan::paged_min_bytes)), under which uploads the
 /// look-ahead can no longer co-reside serialize against compute (more
 /// stalls, same bit-exact outputs). Budgets strictly between the tiers buy
 /// nothing: the streaming schedule evicts every bank after use regardless,
@@ -838,28 +808,14 @@ fn admit_tenants(
             .map(|(g, &w)| g.unwrap_or(w))
             .sum();
         if resident_total > w_budget {
-            let per_tenant_banks: Vec<Option<Vec<usize>>> = (0..n)
-                .map(|i| {
-                    (!pinned[i]).then(|| {
-                        crate::paging::step_bank_bytes(
-                            &base[i],
-                            &asks[i].source.layer_weight_bytes(&base[i]),
-                        )
-                    })
-                })
-                .collect();
-            let floors: Vec<usize> = (0..n)
-                .map(|i| match &per_tenant_banks[i] {
-                    Some(banks) => crate::paging::paged_floor_bytes(banks),
-                    None => grants[i].unwrap_or(weights[i]),
-                })
-                .collect();
-            let minima: Vec<usize> = (0..n)
-                .map(|i| match &per_tenant_banks[i] {
-                    Some(banks) => crate::paging::paged_min_bytes(banks),
-                    None => grants[i].unwrap_or(weights[i]),
-                })
-                .collect();
+            // A pinned tenant's floor and minimum are both its footprint;
+            // the others' are read off their base plans' banks — the same
+            // banks the granted plans will stream.
+            let tiers = |i: usize| match (pinned[i], grants[i].unwrap_or(weights[i])) {
+                (true, held) => (held, held),
+                (false, _) => (base[i].paged_floor_bytes(), base[i].paged_min_bytes()),
+            };
+            let (floors, minima): (Vec<usize>, Vec<usize>) = (0..n).map(tiers).unzip();
             let mut granted = floors.clone();
             let mut sum: usize = granted.iter().sum();
             if sum > w_budget {
@@ -954,16 +910,12 @@ fn admit_tenants(
             batches[i] = batches[i].min(cap.max(1));
         }
     }
-    // Every tenant's plan at the given batches, with its activation extras.
-    let lower = |batches: &[usize]| -> Result<Vec<(ExecutionPlan, Vec<f64>)>, EngineError> {
+    // Every tenant's plan at the given batches.
+    let lower = |batches: &[usize]| -> Result<Vec<ExecutionPlan>, EngineError> {
         asks.iter()
             .zip(batches)
             .zip(&eff)
-            .map(|((a, &b), &ov)| {
-                let plan = a.source.plan_at(gpu, b, ov)?;
-                let extras = a.source.extras(&plan);
-                Ok((plan, extras))
-            })
+            .map(|((a, &b), &ov)| a.source.plan_at(gpu, b, ov))
             .collect()
     };
     let mut admissions: Vec<Admission> = Vec::new();
@@ -971,10 +923,7 @@ fn admit_tenants(
         // Measure every tenant's mix at the current batches, then blend.
         let lowered = lower(&batches)?;
         let mix = registered_mix(&lowered, gpu, streams);
-        let slices: Vec<usize> = lowered
-            .iter()
-            .map(|(p, _)| p.staged_arena_bytes())
-            .collect();
+        let slices: Vec<usize> = lowered.iter().map(|p| p.staged_arena_bytes()).collect();
 
         admissions.clear();
         for (i, ask) in asks.iter().enumerate() {
@@ -1001,9 +950,7 @@ fn admit_tenants(
             }
             let window_ms = |b: usize| -> Result<f64, EngineError> {
                 let plan = ask.source.plan_at(gpu, b, eff[i])?;
-                let extras = ask.source.extras(&plan);
-                let (_, steady) =
-                    modeled_window_under(&plan, &extras, gpu, streams, mix.as_deref());
+                let (_, steady) = modeled_window_under(&plan, gpu, streams, mix.as_deref());
                 Ok(steady * 1e3)
             };
             let (batch, modeled) = match (ask.batch, ask.slo_ms) {
@@ -1058,7 +1005,7 @@ fn admit_tenants(
         .zip(eff.iter())
         .zip(lowered.into_iter().zip(windows_ms))
         .map(
-            |((admission, &overrides), ((plan, _), (cold_ms, steady_ms)))| AdmittedTenant {
+            |((admission, &overrides), (plan, (cold_ms, steady_ms)))| AdmittedTenant {
                 admission,
                 overrides,
                 plan,
@@ -1591,8 +1538,8 @@ impl DeviceRuntime {
     /// [`DeviceRuntime::new`] under a pooled **weight budget**: the bytes
     /// of binary weight banks allowed resident at once across all
     /// tenants. Admission grants each tenant full residency, its no-stall
-    /// paged floor ([`paged_floor_bytes`](crate::paged_floor_bytes)), or
-    /// its hard minimum ([`paged_min_bytes`](crate::paged_min_bytes))
+    /// paged floor ([`paged_floor_bytes`](ExecutionPlan::paged_floor_bytes)), or
+    /// its hard minimum ([`paged_min_bytes`](ExecutionPlan::paged_min_bytes))
     /// when the floors alone overflow the budget; streamed tenants are
     /// staged against their hot-set grant and page banks through it at
     /// run time, so a tenant set whose summed weights overflow the budget
@@ -1957,12 +1904,8 @@ impl DeviceRuntime {
     /// bookkeeping shared by live attach/detach and shed-triggered
     /// replans.
     fn refresh_mix(&mut self) {
-        let walks: Vec<(&ExecutionPlan, Vec<f64>)> = self
-            .tenants
-            .iter()
-            .map(|t| (t.plan(), t.source().extras(t.plan())))
-            .collect();
-        let (mix, windows_ms) = modeled_windows(&walks, &self.phone.gpu, self.stream_count);
+        let plans: Vec<&ExecutionPlan> = self.tenants.iter().map(|t| t.plan()).collect();
+        let (mix, windows_ms) = modeled_windows(&plans, &self.phone.gpu, self.stream_count);
         self.clock.set_mix(mix);
         for (t, (cold_ms, steady_ms)) in self.tenants.iter_mut().zip(windows_ms) {
             t.cold_ms = cold_ms;

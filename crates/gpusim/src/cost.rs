@@ -183,7 +183,7 @@ pub fn estimate_contended(
     };
 
     LaunchStats {
-        name: profile.name.clone(),
+        name: profile.name,
         time_s,
         compute_time_s: t_compute,
         memory_time_s: t_memory,

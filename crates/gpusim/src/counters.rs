@@ -22,15 +22,15 @@ pub struct KernelTotals {
 /// A per-kernel-name breakdown of a timeline, ordered by name.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct StatsReport {
-    totals: BTreeMap<String, KernelTotals>,
+    totals: BTreeMap<&'static str, KernelTotals>,
 }
 
 impl StatsReport {
     /// Builds a report from a timeline.
     pub fn from_timeline(events: &[LaunchEvent]) -> Self {
-        let mut totals: BTreeMap<String, KernelTotals> = BTreeMap::new();
+        let mut totals: BTreeMap<&'static str, KernelTotals> = BTreeMap::new();
         for ev in events {
-            let t = totals.entry(ev.stats.name.clone()).or_default();
+            let t = totals.entry(ev.stats.name).or_default();
             t.dispatches += 1;
             t.time_s += ev.stats.time_s;
             t.energy_j += ev.stats.energy_j;
@@ -47,7 +47,7 @@ impl StatsReport {
 
     /// Iterates `(name, totals)` in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &KernelTotals)> {
-        self.totals.iter().map(|(k, v)| (k.as_str(), v))
+        self.totals.iter().map(|(k, v)| (*k, v))
     }
 
     /// Number of distinct kernel names.
@@ -96,10 +96,10 @@ mod tests {
     use super::*;
     use crate::kernel::LaunchStats;
 
-    fn event(name: &str, time: f64, energy: f64) -> LaunchEvent {
+    fn event(name: &'static str, time: f64, energy: f64) -> LaunchEvent {
         LaunchEvent {
             stats: LaunchStats {
-                name: name.into(),
+                name,
                 time_s: time,
                 compute_time_s: time,
                 memory_time_s: 0.0,

@@ -15,8 +15,9 @@ use crate::ndrange::NdRange;
 /// Closed-form resource description of one kernel dispatch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelProfile {
-    /// Kernel name for reporting (e.g. `"bconv_fused"`).
-    pub name: String,
+    /// Kernel name for reporting (e.g. `"bconv_fused"`) — always a literal,
+    /// so a dispatch allocates nothing for it.
+    pub name: &'static str,
     /// Work decomposition.
     pub ndrange: NdRange,
     /// Total useful f32 operations (multiply and add count separately).
@@ -48,9 +49,9 @@ pub struct KernelProfile {
 impl KernelProfile {
     /// A named profile with everything zeroed; builder-style setters fill
     /// in the rest.
-    pub fn new(name: impl Into<String>, ndrange: NdRange) -> Self {
+    pub fn new(name: &'static str, ndrange: NdRange) -> Self {
         Self {
-            name: name.into(),
+            name,
             ndrange,
             f32_ops: 0.0,
             int_ops: 0.0,
@@ -176,7 +177,7 @@ impl KernelProfile {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaunchStats {
     /// Kernel name.
-    pub name: String,
+    pub name: &'static str,
     /// Modeled wall time of the dispatch in seconds (including launch
     /// overhead).
     pub time_s: f64,
@@ -294,7 +295,7 @@ mod tests {
     #[test]
     fn launch_event_end() {
         let stats = LaunchStats {
-            name: "k".into(),
+            name: "k",
             time_s: 2.0,
             compute_time_s: 1.5,
             memory_time_s: 0.5,

@@ -26,6 +26,12 @@
 use phonebit_tensor::bits::BitWord;
 use phonebit_tensor::lanes::LANES;
 
+/// Modeled compute inflation of a kernel that binarizes with the divergent
+/// four-case Eqn 8 instead of Eqn 9: the checks mask part of each wave
+/// during the binarize tail. The tail is short relative to the dot product,
+/// so the inflation is modest but measurable.
+pub const EQN8_DIVERGENCE: f64 = 1.18;
+
 /// Per-channel batch-normalization parameters as trained.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BnParams {

@@ -389,7 +389,7 @@ pub fn bitplane_conv_accum<W: BitWord>(
     let policy = WorkloadPolicy::for_channels(planes.shape().c);
     let mut profile =
         profiles::bitplane_conv_fused(os.pixels(), os.c, planes.shape().c, geom, &policy);
-    profile.name = "bitplane_conv_accum".into();
+    profile.name = "bitplane_conv_accum";
     let k_total = os.c;
     let (oh, ow) = (os.h, os.w);
     q.launch(profile, || {

@@ -183,7 +183,7 @@ pub fn avgpool_f32(q: &mut CommandQueue, input: &Tensor<f32>, geom: &PoolGeometr
     let os = Shape4::new(s.n, oh, ow, s.c);
     let mut out = Tensor::<f32>::zeros(os, Layout::Nhwc);
     let mut profile = profiles::maxpool_f32(os.pixels(), s.c, geom.size);
-    profile.name = "avgpool_f32".into();
+    profile.name = "avgpool_f32";
     q.launch(profile, || compute_avgpool_f32(input, geom, &mut out));
     out
 }
@@ -260,7 +260,7 @@ mod tests {
         let mut q = queue();
         let _ = maxpool_bits(&mut q, &pack_f32::<u16>(&t), &PoolGeometry::new(2, 2));
         let _ = maxpool_f32(&mut q, &t, &PoolGeometry::new(2, 2));
-        let names: Vec<_> = q.timeline().iter().map(|e| e.stats.name.clone()).collect();
+        let names: Vec<_> = q.timeline().iter().map(|e| e.stats.name).collect();
         assert_eq!(names, vec!["maxpool_bits", "maxpool_f32"]);
     }
 

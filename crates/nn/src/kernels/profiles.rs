@@ -21,6 +21,7 @@
 use phonebit_gpusim::{KernelProfile, NdRange};
 use phonebit_tensor::shape::ConvGeometry;
 
+use crate::fuse::EQN8_DIVERGENCE;
 use crate::workload::WorkloadPolicy;
 
 /// Coalescing efficiency of packed NHWC access.
@@ -91,7 +92,7 @@ pub fn bconv_fused_untiled(
     let outputs = out_pixels as f64 * out_channels as f64;
     let filter_groups = (out_channels as f64 / policy.filters_per_thread as f64).ceil();
     let mut p = bconv_fused(out_pixels, out_channels, in_channels, geom, policy);
-    p.name = "bconv_fused_untiled".into();
+    p.name = "bconv_fused_untiled";
     // Re-read the window once per filter group rather than once per pixel.
     let input_once = compulsory_input_bytes(out_pixels, in_channels, geom);
     p.dram_read_bytes += input_once * (filter_groups - 1.0);
@@ -110,11 +111,9 @@ pub fn bconv_fused_divergent(
     geom: &ConvGeometry,
     policy: &WorkloadPolicy,
 ) -> KernelProfile {
-    // Divergent checks mask part of each wave during the binarize tail.
-    // The tail is short relative to the dot product, so the inflation is
-    // modest but measurable — the paper replaces it with Eqn (9) logic ops.
-    let mut p = bconv_fused(out_pixels, out_channels, in_channels, geom, policy).divergence(1.18);
-    p.name = "bconv_fused_eqn8".into();
+    let mut p = bconv_fused(out_pixels, out_channels, in_channels, geom, policy)
+        .divergence(EQN8_DIVERGENCE);
+    p.name = "bconv_fused_eqn8";
     p
 }
 

@@ -132,7 +132,7 @@ mod tests {
     fn event(start: f64, dur: f64, energy: f64) -> LaunchEvent {
         LaunchEvent {
             stats: LaunchStats {
-                name: "k".into(),
+                name: "k",
                 time_s: dur,
                 compute_time_s: dur,
                 memory_time_s: 0.0,

@@ -4,7 +4,7 @@
 //!
 //! Run: `cargo run --release --example layer_profile`
 
-use phonebit::core::{convert, estimate_arch, Session};
+use phonebit::core::{convert, estimate_arch, ExecutionPlan, Session};
 use phonebit::gpusim::calib::EnergyParams;
 use phonebit::gpusim::{DeviceKind, Phone};
 use phonebit::models::zoo::{self, Variant};
@@ -51,6 +51,20 @@ fn main() {
         "  other/glue   {:.1}%",
         (other + (total - conv - pool - other)) / total * 100.0
     );
+
+    // What each layer launches: the plan's own dispatch list, next to the
+    // time the estimate charged for it.
+    let plan = ExecutionPlan::for_arch(&arch, &phone.gpu);
+    println!("dispatches per layer on {}:", phone.soc);
+    for (idx, l) in report.per_layer.iter().enumerate() {
+        let kernels: Vec<&str> = plan.step_profiles(idx).iter().map(|p| p.name).collect();
+        println!(
+            "  {:<8} {:>8.3} ms  {}",
+            l.name,
+            l.time_s * 1e3,
+            kernels.join(" + ")
+        );
+    }
 
     // A Trepn-style sampled power trace over a real functional run.
     let def = fill_weights(&zoo::yolo_micro(Variant::Binary), 1);

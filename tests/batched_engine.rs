@@ -120,21 +120,13 @@ fn batched_window_dispatches_once_per_kernel_and_wins_throughput() {
     let mut single = Session::new(model.clone(), &phone).expect("fits");
     let solo_report = single.run_u8(&images[0]).expect("solo");
     let solo_dispatches = single.timeline().len();
-    let solo_names: Vec<String> = single
-        .timeline()
-        .iter()
-        .map(|e| e.stats.name.clone())
-        .collect();
+    let solo_names: Vec<&str> = single.timeline().iter().map(|e| e.stats.name).collect();
 
     let mut batched = Session::new_batched(model, &phone, 4).expect("fits");
     let cold = batched.run_batch_u8(&images).expect("cold window");
     // One dispatch per kernel, same kernel sequence as a single run.
     assert_eq!(batched.timeline().len(), solo_dispatches);
-    let batched_names: Vec<String> = batched
-        .timeline()
-        .iter()
-        .map(|e| e.stats.name.clone())
-        .collect();
+    let batched_names: Vec<&str> = batched.timeline().iter().map(|e| e.stats.name).collect();
     assert_eq!(batched_names, solo_names);
     // Cold window already beats four sequential singles; a primed window
     // additionally drops the per-run framework overhead.
@@ -164,7 +156,7 @@ fn batched_plan_and_residency_agree_with_planner() {
     let eplan = session.plan();
     assert_eq!(eplan.batch, 4);
     assert_eq!(eplan.banks, 2);
-    let mplan = phonebit::core::plan_on_batched(&arch, &phone.gpu, 4);
+    let mplan = phonebit::core::plan_on(&arch, &phone.gpu, 4, 1);
     assert_eq!(mplan.arena_slots, eplan.slots);
     assert_eq!(mplan.peak_activation_bytes, eplan.staged_arena_bytes());
     assert_eq!(
@@ -172,7 +164,7 @@ fn batched_plan_and_residency_agree_with_planner() {
         session.model().size_bytes() + eplan.staged_arena_bytes()
     );
     // The analytic batched plan agrees with an estimator window too.
-    let est = phonebit::core::estimate_arch_batched(&phone, &arch, 4);
+    let est = phonebit::core::estimate_window(&phone, &arch, 4, &Default::default());
     assert_eq!(
         est.peak_bytes,
         ExecutionPlan::for_arch_batched(&arch, &phone.gpu, 4).peak_bytes()

@@ -5,10 +5,15 @@
 use phonebit::baselines::common::Framework;
 use phonebit::baselines::{CnnDroid, TfLite};
 use phonebit::core::format::{read_model, write_model};
-use phonebit::core::{convert, estimate_arch, Session};
-use phonebit::gpusim::{ExecMode, Phone};
+use phonebit::core::{
+    convert, estimate_window, CompressionMode, EstimateOptions, ExecutionPlan, FusionMode,
+    RouteOverrides, RunReport, Session,
+};
+use phonebit::gpusim::{CommandQueue, ExecutorClass, LaunchEvent, Phone};
 use phonebit::models::zoo::{self, Variant};
-use phonebit::models::{fill_weights, synthetic_image, to_float_input};
+use phonebit::models::{fill_weights, fill_weights_clustered, synthetic_image, to_float_input};
+use phonebit::nn::act::Activation;
+use phonebit::nn::graph::{LayerPrecision, NetworkArch};
 use phonebit::tensor::shape::Shape4;
 
 #[test]
@@ -34,35 +39,205 @@ fn checkpoint_to_inference_pipeline() {
     assert_eq!(report.per_layer.len(), def.arch.layers.len());
 }
 
+/// What the micro zoo lacks, so every arm of the dispatch list runs in the
+/// table below: a pointwise binary conv (the GEMM view that skips window
+/// materialization), a float conv with a non-linear epilogue behind an
+/// unpack, a packed dense input and a binary dense pair (the dense chain).
+fn dispatch_extras_arch() -> NetworkArch {
+    NetworkArch::new("dispatch-extras", Shape4::new(1, 16, 16, 3))
+        .conv(
+            "conv1",
+            16,
+            3,
+            1,
+            1,
+            LayerPrecision::BinaryInput8,
+            Activation::Linear,
+        )
+        .conv(
+            "pw",
+            32,
+            1,
+            1,
+            0,
+            LayerPrecision::Binary,
+            Activation::Linear,
+        )
+        .conv(
+            "fconv",
+            8,
+            3,
+            2,
+            1,
+            LayerPrecision::Float,
+            Activation::Leaky(0.1),
+        )
+        .dense("fc1", 64, LayerPrecision::Binary, Activation::Linear)
+        .dense("fc2", 48, LayerPrecision::Binary, Activation::Linear)
+        .dense("fc3", 32, LayerPrecision::Binary, Activation::Linear)
+        .dense("fc4", 10, LayerPrecision::Float, Activation::Linear)
+        .softmax()
+}
+
+/// The plan's dispatch list is what the engine launches: "what a step
+/// dispatches" exists twice — [`ExecutionPlan::step_profiles`], which every
+/// model of a plan reads, and `engine::exec_step`'s calls into the `nn`
+/// wrappers — and this table compares the two over the micro zoo (plus
+/// [`dispatch_extras_arch`]) × batch {1, 3} × every route override.
 #[test]
 fn engine_timing_equals_estimate_path() {
-    // The functional engine and the shape-only estimate must model the
-    // exact same dispatch sequence.
-    let arch = zoo::alexnet_micro(Variant::Binary);
-    let def = fill_weights(&arch, 9);
-    let model = convert(&def);
     let phone = Phone::xiaomi_9();
-    let mut session = Session::new(model, &phone)
-        .expect("fits")
-        .with_mode(ExecMode::EstimateOnly);
-    let img = synthetic_image(Shape4::new(1, 32, 32, 3), 5);
-    let run = session.run_u8(&img).expect("runs");
-    let est = estimate_arch(&phone, &arch);
-    assert!(
-        (run.total_s - est.total_s).abs() < 1e-9,
-        "engine {} vs estimate {}",
-        run.total_s,
-        est.total_s
-    );
-    // Layer counts line up (engine reports per arch layer too).
-    assert_eq!(run.per_layer.len(), est.per_layer.len());
-    for (a, b) in run.per_layer.iter().zip(est.per_layer.iter()) {
-        assert_eq!(a.name, b.name);
-        assert!(
-            (a.time_s - b.time_s).abs() < 1e-12,
-            "layer {} timing",
-            a.name
-        );
+    let base = RouteOverrides::default();
+    // (row, overrides, clustered weights, arch twin). The last column says
+    // whether the weightless arch lowers to the session's plan, so the
+    // full-scale estimator must reproduce the executed report bit for bit:
+    // an arch has no banks to dictionary-compress, and it sizes banks
+    // before word padding, so the compressed and paged rows are pinned
+    // against the session's own plan only.
+    let rows: [(&str, RouteOverrides, bool, bool); 7] = [
+        ("default", base, false, true),
+        (
+            "force_unfused",
+            RouteOverrides {
+                force_unfused: true,
+                ..base
+            },
+            false,
+            true,
+        ),
+        (
+            "lowered_gemm",
+            RouteOverrides {
+                lowered_gemm: true,
+                ..base
+            },
+            false,
+            true,
+        ),
+        (
+            "fusion auto",
+            RouteOverrides {
+                fusion: FusionMode::Auto,
+                ..base
+            },
+            false,
+            true,
+        ),
+        (
+            "fusion force",
+            RouteOverrides {
+                fusion: FusionMode::Force,
+                ..base
+            },
+            false,
+            true,
+        ),
+        (
+            "compression auto",
+            RouteOverrides {
+                compression: CompressionMode::Auto,
+                ..base
+            },
+            true,
+            false,
+        ),
+        // `Some(0)` stands for "this model's paged floor", filled in below.
+        (
+            "paged floor",
+            RouteOverrides {
+                weight_budget: Some(0),
+                ..base
+            },
+            false,
+            false,
+        ),
+    ];
+    for arch in [
+        zoo::alexnet_micro(Variant::Binary),
+        zoo::yolo_micro(Variant::Binary),
+        dispatch_extras_arch(),
+    ] {
+        for batch in [1usize, 3] {
+            for (row, overrides, clustered, arch_twin) in rows {
+                let tag = format!("{} batch {batch} {row}", arch.name);
+                let def = if clustered {
+                    fill_weights_clustered(&arch, 9, 4)
+                } else {
+                    fill_weights(&arch, 9)
+                };
+                let model = convert(&def);
+                let mut overrides = overrides;
+                if overrides.weight_budget.is_some() {
+                    let resident = ExecutionPlan::for_model_batched(&model, &phone.gpu, batch);
+                    overrides.weight_budget = Some(resident.expect("lowers").paged_floor_bytes());
+                }
+                let mut session =
+                    Session::new_batched_opts(model, &phone, batch, overrides).expect("fits");
+                let images: Vec<_> = (0..batch)
+                    .map(|i| synthetic_image(arch.input, 5 + i as u64))
+                    .collect();
+                let run = session.run_batch_u8(&images).expect("runs");
+                let plan = session.plan();
+                if clustered {
+                    assert!(plan.compression.iter().any(|d| d.compressed), "{tag}");
+                }
+                if let Some(pg) = &plan.paging {
+                    assert!(!pg.resident && pg.stall_s() > 0.0, "{tag}: streams");
+                }
+
+                // The executed timeline is the plan's list, launched in
+                // order on a fresh queue (paged plans charge their
+                // schedule's stall at each step boundary).
+                let mut q = CommandQueue::new(phone.gpu.clone(), ExecutorClass::PhoneBitOpenCl);
+                q.host_delay(q.per_run_overhead_s());
+                let mut step_s = Vec::new();
+                for idx in 0..plan.steps.len() {
+                    let t0 = q.elapsed_s();
+                    if let Some(pg) = &plan.paging {
+                        q.note_upload(pg.steps[idx].stall_s, pg.steps[idx].upload_s);
+                    }
+                    for profile in plan.step_profiles(idx) {
+                        q.launch(profile, || {});
+                    }
+                    step_s.push(q.elapsed_s() - t0);
+                }
+                let launched = |events: &[LaunchEvent]| -> Vec<(&'static str, u64)> {
+                    events
+                        .iter()
+                        .map(|e| (e.stats.name, e.stats.time_s.to_bits()))
+                        .collect()
+                };
+                assert_eq!(
+                    launched(session.timeline()),
+                    launched(q.timeline()),
+                    "{tag}"
+                );
+                assert_eq!(plan.dispatches(), session.timeline().len(), "{tag}");
+                assert_eq!(run.total_s.to_bits(), q.elapsed_s().to_bits(), "{tag}");
+                let layer_s: Vec<f64> = run.per_layer.iter().map(|l| l.time_s).collect();
+                assert_eq!(layer_s, step_s, "{tag}: per-step times");
+
+                if arch_twin {
+                    let opts = EstimateOptions {
+                        overrides,
+                        ..Default::default()
+                    };
+                    let est = estimate_window(&phone, &arch, batch, &opts);
+                    assert_eq!(run.total_s.to_bits(), est.total_s.to_bits(), "{tag}");
+                    let breakdown = |r: &RunReport| -> Vec<(String, u64)> {
+                        r.per_layer
+                            .iter()
+                            .map(|l| (l.name.to_string(), l.time_s.to_bits()))
+                            .collect()
+                    };
+                    assert_eq!(
+                        breakdown(&run),
+                        breakdown(&est),
+                        "{tag}: per-layer breakdown"
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -185,7 +360,7 @@ fn phone_budgets_stage_all_binarized_models() {
             // Routes (and therefore arena scratch) are device-dependent:
             // plan for the phone actually being checked, exactly as
             // Session::new will.
-            let plan = phonebit::core::planner::plan_on(&arch, &phone.gpu);
+            let plan = phonebit::core::planner::plan_on(&arch, &phone.gpu, 1, 1);
             assert!(plan.fits(&phone), "{} should fit {}", arch.name, phone.name);
         }
     }

@@ -11,8 +11,8 @@ use proptest::prelude::*;
 
 use phonebit::core::plan::{CompressionMode, ExecutionPlan, FusionMode, RouteOverrides};
 use phonebit::core::{
-    convert, paged_floor_bytes, paged_min_bytes, ActivationData, BankState, DeviceRuntime,
-    ResidencyManager, Session, TenantTraffic, TenantWorkload,
+    convert, ActivationData, BankState, DeviceRuntime, ResidencyManager, Session, TenantTraffic,
+    TenantWorkload,
 };
 use phonebit::gpusim::{CommandQueue, ExecutorClass, Phone};
 use phonebit::models::zoo::{self, Variant};
@@ -36,20 +36,10 @@ fn budgeted_plan(arch: &NetworkArch, budget: usize) -> ExecutionPlan {
     )
 }
 
-/// Per-step bank bytes plus the paged floor, read off a covering budget's
-/// (resident) schedule.
-fn banks_and_floor(arch: &NetworkArch) -> (Vec<usize>, usize) {
-    let plan = budgeted_plan(arch, usize::MAX);
-    let banks: Vec<usize> = plan
-        .paging
-        .as_ref()
-        .expect("budgeted plan carries paging")
-        .steps
-        .iter()
-        .map(|s| s.bank_bytes)
-        .collect();
-    let floor = paged_floor_bytes(&banks);
-    (banks, floor)
+/// The unbudgeted plan: its steps carry the banks every budgeted lowering
+/// pages, so its summed weights, paged floor and paged minimum bound them.
+fn resident_plan(arch: &NetworkArch) -> ExecutionPlan {
+    ExecutionPlan::for_arch(arch, &Phone::xiaomi_9().gpu)
 }
 
 fn micro_arch(idx: usize) -> NetworkArch {
@@ -74,13 +64,13 @@ proptest! {
         frac in 0.0f64..1.0,
     ) {
         let arch = micro_arch(arch_idx);
-        let (banks, floor) = banks_and_floor(&arch);
-        let total: usize = banks.iter().sum();
-        prop_assert!(floor < total, "micro nets have >2 weighted layers");
+        let resident = resident_plan(&arch);
+        let total = resident.weights_bytes;
+        prop_assert!(resident.paged_floor_bytes() < total, "micro nets have >2 weighted layers");
         // Sample the whole feasible range, from the hard minimum (largest
         // single bank — below the no-stall floor, uploads serialize
         // behind evictions) up to fully resident.
-        let min = paged_min_bytes(&banks);
+        let min = resident.paged_min_bytes();
         let budget = min + ((total - min) as f64 * frac) as usize;
         let plan = budgeted_plan(&arch, budget);
         let pg = plan.paging.as_ref().expect("paging attached");
@@ -142,7 +132,7 @@ proptest! {
         windows in 1usize..3,
     ) {
         let arch = micro_arch(arch_idx);
-        let (_, floor) = banks_and_floor(&arch);
+        let floor = resident_plan(&arch).paged_floor_bytes();
         let plan = budgeted_plan(&arch, floor);
         let pg = plan.paging.clone().expect("paging attached");
         let steps = pg.steps.len();
@@ -255,7 +245,7 @@ fn paged_sessions_are_bit_exact_on_all_four_conv_routes() {
             .maxpool("pool", 2, 2),
     ];
     for arch in cases {
-        let (_, floor) = banks_and_floor(&arch);
+        let floor = resident_plan(&arch).paged_floor_bytes();
         let model = || convert(&fill_weights(&arch, 17));
         let takes_u8 = model().takes_u8_input();
         let mut plain = Session::new(model(), &phone).expect("fits");
@@ -285,8 +275,8 @@ fn minimum_grants_admit_a_two_x_oversubscribed_set_bit_exactly() {
     // Session-level bit-exactness at the minimum grant.
     for arch in [zoo::alexnet_micro, zoo::yolo_micro] {
         let arch = arch(Variant::Binary);
-        let (banks, floor) = banks_and_floor(&arch);
-        let min = paged_min_bytes(&banks);
+        let resident = resident_plan(&arch);
+        let (floor, min) = (resident.paged_floor_bytes(), resident.paged_min_bytes());
         assert!(
             min < floor,
             "{}: min tier must sit below the floor",
@@ -320,8 +310,7 @@ fn minimum_grants_admit_a_two_x_oversubscribed_set_bit_exactly() {
     // Admission-level: three co-resident detectors at half their summed
     // weights — every tenant degraded to its minimum, nobody starved.
     let yolo = zoo::yolov2_tiny(Variant::Binary);
-    let (banks, _) = banks_and_floor(&yolo);
-    let min = paged_min_bytes(&banks);
+    let min = resident_plan(&yolo).paged_min_bytes();
     let workloads: Vec<TenantWorkload<'_>> = (0..3)
         .map(|_| TenantWorkload {
             arch: &yolo,
@@ -380,7 +369,7 @@ fn paged_micro_zoo_is_bit_exact_through_fusion_and_compression() {
     let phone = Phone::xiaomi_9();
     for arch in [zoo::alexnet_micro, zoo::yolo_micro] {
         let arch = arch(Variant::Binary);
-        let (_, floor) = banks_and_floor(&arch);
+        let floor = resident_plan(&arch).paged_floor_bytes();
         let model = || convert(&fill_weights_clustered(&arch, 11, 4));
         let takes_u8 = model().takes_u8_input();
         let mut plain = Session::new(model(), &phone).expect("fits");

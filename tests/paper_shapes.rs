@@ -4,7 +4,7 @@
 
 use phonebit::baselines::common::Framework;
 use phonebit::baselines::{CnnDroid, TfLite};
-use phonebit::core::{estimate_arch, estimate_arch_opts, EstimateOptions};
+use phonebit::core::{estimate_arch, estimate_window, EstimateOptions, RouteOverrides};
 use phonebit::gpusim::Phone;
 use phonebit::models::size::table2_rows;
 use phonebit::models::zoo::{self, Variant};
@@ -195,28 +195,34 @@ fn ablations_all_help() {
     let phone = Phone::xiaomi_9();
     let arch = zoo::yolov2_tiny(Variant::Binary);
     let base = estimate_arch(&phone, &arch).total_s;
-    let unfused = estimate_arch_opts(
+    let unfused = estimate_window(
         &phone,
         &arch,
-        EstimateOptions {
-            force_unfused: true,
+        1,
+        &EstimateOptions {
+            overrides: RouteOverrides {
+                force_unfused: true,
+                ..Default::default()
+            },
             ..Default::default()
         },
     )
     .total_s;
-    let divergent = estimate_arch_opts(
+    let divergent = estimate_window(
         &phone,
         &arch,
-        EstimateOptions {
+        1,
+        &EstimateOptions {
             divergent_binarize: true,
             ..Default::default()
         },
     )
     .total_s;
-    let serial = estimate_arch_opts(
+    let serial = estimate_window(
         &phone,
         &arch,
-        EstimateOptions {
+        1,
+        &EstimateOptions {
             no_latency_hiding: true,
             ..Default::default()
         },

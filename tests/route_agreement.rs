@@ -63,7 +63,7 @@ fn conv_arch(name: &str, hw: usize, c: usize, k: usize, kernel: usize) -> Networ
 }
 
 /// Runs the model and returns the dispatched kernel names.
-fn dispatched(arch: &NetworkArch) -> (Vec<String>, ConvPath) {
+fn dispatched(arch: &NetworkArch) -> (Vec<&'static str>, ConvPath) {
     let phone = Phone::xiaomi_9();
     let def = fill_weights(arch, 11);
     let model = convert(&def);
@@ -86,11 +86,7 @@ fn dispatched(arch: &NetworkArch) -> (Vec<String>, ConvPath) {
         run.total_s,
         est.total_s
     );
-    let names = session
-        .timeline()
-        .iter()
-        .map(|e| e.stats.name.clone())
-        .collect();
+    let names = session.timeline().iter().map(|e| e.stats.name).collect();
     (names, path)
 }
 
@@ -99,7 +95,7 @@ fn engine_dispatch_follows_direct_fused_route() {
     let arch = conv_arch("direct", 20, 64, 64, 3);
     let (names, path) = dispatched(&arch);
     assert_eq!(path, ConvPath::DirectFused);
-    assert!(names.contains(&"bconv_fused".to_string()), "{names:?}");
+    assert!(names.contains(&"bconv_fused"), "{names:?}");
     assert!(!names.iter().any(|n| n.starts_with("bgemm")), "{names:?}");
 }
 
@@ -109,8 +105,8 @@ fn engine_dispatch_follows_unfused_route() {
     let arch = conv_arch("unfused", 13, 512, 16, 3);
     let (names, path) = dispatched(&arch);
     assert_eq!(path, ConvPath::DirectUnfused);
-    assert!(names.contains(&"bconv_accum".to_string()), "{names:?}");
-    assert!(names.contains(&"binarize_pack".to_string()), "{names:?}");
+    assert!(names.contains(&"bconv_accum"), "{names:?}");
+    assert!(names.contains(&"binarize_pack"), "{names:?}");
 }
 
 #[test]
@@ -119,11 +115,8 @@ fn engine_dispatch_follows_pointwise_gemm_route() {
     let arch = conv_arch("pointwise", 26, 128, 256, 1);
     let (names, path) = dispatched(&arch);
     assert_eq!(path, ConvPath::LoweredGemm);
-    assert!(names.contains(&"bgemm_fused".to_string()), "{names:?}");
-    assert!(
-        !names.contains(&"bgemm_pack_windows".to_string()),
-        "{names:?}"
-    );
+    assert!(names.contains(&"bgemm_fused"), "{names:?}");
+    assert!(!names.contains(&"bgemm_pack_windows"), "{names:?}");
 }
 
 #[test]
@@ -132,11 +125,8 @@ fn engine_dispatch_follows_materialized_gemm_route() {
     let arch = conv_arch("gemm", 13, 512, 512, 3);
     let (names, path) = dispatched(&arch);
     assert_eq!(path, ConvPath::LoweredGemm);
-    assert!(
-        names.contains(&"bgemm_pack_windows".to_string()),
-        "{names:?}"
-    );
-    assert!(names.contains(&"bgemm_fused".to_string()), "{names:?}");
+    assert!(names.contains(&"bgemm_pack_windows"), "{names:?}");
+    assert!(names.contains(&"bgemm_fused"), "{names:?}");
 }
 
 #[test]
@@ -145,7 +135,7 @@ fn memory_plan_matches_session_residency() {
     // footprint: weights + sum of arena slots.
     let arch = zoo::yolo_micro(Variant::Binary);
     let phone = Phone::xiaomi_9();
-    let mplan = phonebit::core::plan_on(&arch, &phone.gpu);
+    let mplan = phonebit::core::plan_on(&arch, &phone.gpu, 1, 1);
     let def = fill_weights(&arch, 5);
     let session = Session::new(convert(&def), &phone).expect("fits");
     let eplan = session.plan();

@@ -2,8 +2,8 @@
 //! inference does not allocate activation buffers — every intermediate
 //! lands in a preassigned arena slot. A counting global allocator measures
 //! the heap bytes each run requests; after warm-up they must be a small
-//! constant (dispatch bookkeeping: kernel-profile names, the per-layer
-//! report, the host thread pool) and must not scale with the activation
+//! constant (dispatch bookkeeping: the timeline's events, the per-layer
+//! report, the host thread pool — kernel names are `&'static str`) and must not scale with the activation
 //! footprint, which the pre-arena engine re-allocated on every run.
 //!
 //! This file holds exactly one test so no sibling test's allocations leak
