@@ -20,12 +20,13 @@
 //! speedup falls below `X`; `-- --check-baseline <path>` to diff this
 //! run against a committed `BENCH_bconv.json` — same shape/path entries
 //! required, and each tiled, bitplane or fconv median may regress at most
-//! `--max-regression` × (default 5, sized for noisy shared runners) —
-//! the CI guards that keep the hot path from rotting.)
+//! 5× (`baseline::WALL_CLOCK_TOLERANCE`, sized for noisy shared runners;
+//! the reference kernel is kept for the speedup denominator, not guarded)
+//! — the CI guards that keep the hot path from rotting.)
 
 use std::time::Instant;
 
-use phonebit_bench::baseline::{diff_rows, json_escape, parse_rows, Better, Row};
+use phonebit_bench::baseline::{finish, flag_value, Better, Check, Fields, Report, Value::Fixed};
 use phonebit_gpusim::queue::CommandQueue;
 use phonebit_gpusim::{DeviceProfile, ExecutorClass};
 use phonebit_nn::act::Activation;
@@ -43,25 +44,14 @@ use phonebit_tensor::pack::{pack_f32, pack_filters};
 use phonebit_tensor::shape::{ConvGeometry, FilterShape, Layout, Shape4};
 use phonebit_tensor::tensor::{Filters, Tensor};
 
-/// Identity + guarded metric of the entries this bin writes, for the
-/// shared baseline differ.
-const KEY_FIELDS: [&str; 2] = ["shape", "path"];
-const METRIC: &str = "ns_per_pixel";
-
-struct Measurement {
-    shape: String,
-    path: &'static str,
-    median_ns: f64,
-    ns_per_pixel: f64,
-}
-
-impl Measurement {
-    fn row(&self) -> Row {
-        Row {
-            key: vec![self.shape.clone(), self.path.to_string()],
-            value: self.ns_per_pixel,
-        }
-    }
+/// One `BENCH_bconv.json` row.
+fn row(shape: &str, path: &'static str, median_ns: f64, pixels: f64) -> Fields {
+    vec![
+        ("shape", shape.into()),
+        ("path", path.into()),
+        ("median_ns", Fixed(median_ns, 0)),
+        ("ns_per_pixel", Fixed(median_ns / pixels, 1)),
+    ]
 }
 
 fn median_ns(samples: usize, mut f: impl FnMut()) -> f64 {
@@ -77,33 +67,13 @@ fn median_ns(samples: usize, mut f: impl FnMut()) -> f64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("BENCH_bconv.json")
-        .to_string();
-    let numeric_flag = |flag: &str| -> Option<f64> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .map(|s| {
-                s.parse().unwrap_or_else(|_| {
-                    eprintln!("error: {flag} expects a number, got `{s}`");
-                    std::process::exit(2);
-                })
-            })
-    };
-    let min_speedup: Option<f64> = numeric_flag("--min-speedup");
-    let baseline_path = args
-        .iter()
-        .position(|a| a == "--check-baseline")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let max_regression = numeric_flag("--max-regression").unwrap_or(5.0);
+    let quick = std::env::args().any(|a| a == "--quick");
+    let min_speedup: Option<f64> = flag_value("--min-speedup").map(|s| {
+        s.parse().unwrap_or_else(|_| {
+            eprintln!("error: --min-speedup expects a number, got `{s}`");
+            std::process::exit(2);
+        })
+    });
     let samples = if quick { 3 } else { 15 };
 
     // The paper's YOLOv2-Tiny 3x3 binary layers with C >= 64, an odd channel
@@ -129,7 +99,7 @@ fn main() {
         "{:<28} {:>14} {:>14} {:>9}  (median of {samples}, ns/pixel)",
         "shape", "reference", "tiled", "speedup"
     );
-    let mut results: Vec<Measurement> = Vec::new();
+    let mut rows: Vec<Fields> = Vec::new();
     let mut worst_speedup = f64::INFINITY;
     for &(name, hw, cin, k) in shapes {
         let input = Tensor::from_fn(Shape4::new(1, hw, hw, cin), |_, h, w, ch| {
@@ -180,18 +150,8 @@ fn main() {
             t_tiled / pixels,
             speedup
         );
-        results.push(Measurement {
-            shape: name.into(),
-            path: "reference",
-            median_ns: t_ref,
-            ns_per_pixel: t_ref / pixels,
-        });
-        results.push(Measurement {
-            shape: name.into(),
-            path: "tiled",
-            median_ns: t_tiled,
-            ns_per_pixel: t_tiled / pixels,
-        });
+        rows.push(row(name, "reference", t_ref, pixels));
+        rows.push(row(name, "tiled", t_tiled, pixels));
     }
     println!("\nworst-case speedup: {worst_speedup:.2}x");
 
@@ -250,12 +210,7 @@ fn main() {
             std::hint::black_box(&out);
         });
         println!("{:<38} {:>14.1}", name, t / pixels);
-        results.push(Measurement {
-            shape: name.into(),
-            path: "bitplane",
-            median_ns: t,
-            ns_per_pixel: t / pixels,
-        });
+        rows.push(row(name, "bitplane", t, pixels));
     }
 
     // The full-precision head (YOLOv2-Tiny conv9): 1x1 over 1024 channels.
@@ -295,75 +250,31 @@ fn main() {
         let pixels = (hw * hw) as f64;
         println!("\n{:<38} {:>14}", "float head", "fconv");
         println!("{:<38} {:>14.1}", name, t / pixels);
-        results.push(Measurement {
-            shape: name.into(),
-            path: "fconv",
-            median_ns: t,
-            ns_per_pixel: t / pixels,
-        });
+        rows.push(row(name, "fconv", t, pixels));
     }
 
-    let mut json = format!(
-        "{{\n  \"bench\": \"bconv\",\n  \"unit\": \"ns\",\n  \"isa\": \"{isa}\",\n  \"results\": [\n"
-    );
-    for (i, m) in results.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"shape\": \"{}\", \"path\": \"{}\", \"median_ns\": {:.0}, \"ns_per_pixel\": {:.1}}}{}\n",
-            json_escape(&m.shape),
-            m.path,
-            m.median_ns,
-            m.ns_per_pixel,
-            if i + 1 == results.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write(&out_path, json) {
-        eprintln!("error: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
-
-    if let Some(floor) = min_speedup {
-        if worst_speedup < floor {
-            eprintln!(
-                "error: worst-case tiled speedup {worst_speedup:.2}x is below the required {floor:.2}x floor"
-            );
-            std::process::exit(1);
-        }
-        println!("speedup floor {floor:.2}x satisfied");
-    }
-
-    if let Some(path) = baseline_path {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("error: cannot read baseline {path}: {e}");
-            std::process::exit(1);
-        });
-        let baseline = parse_rows(&text, &KEY_FIELDS, METRIC);
-        if baseline.is_empty() {
-            eprintln!("error: baseline {path} holds no parsable entries");
-            std::process::exit(1);
-        }
-        let current: Vec<Row> = results.iter().map(Measurement::row).collect();
-        // The tiled, bitplane and fconv paths are regression-gated: the reference
-        // kernel is kept for the speedup denominator, not guarded.
-        let failures = diff_rows(
-            &baseline,
-            &current,
-            max_regression,
-            Better::Lower,
-            "BENCH_bconv.json",
-            "ns/px",
-            |row| row.key[1] != "reference",
-        );
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("baseline diff: {f}");
-            }
-            std::process::exit(1);
-        }
-        println!(
-            "baseline diff vs {path}: {} entries matched, no regression beyond {max_regression:.1}x",
-            baseline.len()
-        );
-    }
+    let gate_failures: Vec<String> = min_speedup
+        .filter(|&floor| worst_speedup < floor)
+        .map(|floor| {
+            format!(
+                "worst-case tiled speedup {worst_speedup:.2}x is below the required \
+                 {floor:.2}x floor"
+            )
+        })
+        .into_iter()
+        .collect();
+    let report = Report {
+        bench: "bconv",
+        unit: "ns",
+        header: vec![("isa", isa.into())],
+        key_fields: &["shape", "path"],
+        check: Check::Tolerant {
+            metric: "ns_per_pixel",
+            better: Better::Lower,
+            unit: "ns/px",
+            guarded: |row| row.key[1] != "reference",
+        },
+        rows,
+    };
+    finish(&report, &gate_failures);
 }

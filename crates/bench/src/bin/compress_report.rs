@@ -15,11 +15,11 @@
 //!
 //! Run: `cargo run --release -p phonebit-bench --bin compress_report`
 //! (`-- --out <path>` to redirect the JSON; `-- --check-baseline <path>`
-//! to diff this run against a committed `BENCH_compress.json` — same
-//! model/phone coverage required, and the byte ratio is deterministic, so
-//! it may drift at most `--max-regression` × (default 1.01).)
+//! to require this run to equal a committed `BENCH_compress.json` byte for
+//! byte: the byte ratio is deterministic, so any drift means the
+//! compressor or planner changed.)
 
-use phonebit_bench::baseline::{diff_rows, json_escape, parse_rows, Better, Row};
+use phonebit_bench::baseline::{finish, Fields, Report, Value::Fixed};
 use phonebit_core::{
     convert, ActivationData, CompressionMode, ExecutionPlan, RouteOverrides, Session,
 };
@@ -33,33 +33,9 @@ use phonebit_tensor::pack::pack_filters;
 use phonebit_tensor::shape::FilterShape;
 use phonebit_tensor::tensor::{Filters, Tensor};
 
-/// Identity + guarded metric of the rows this bin writes, for the shared
-/// baseline differ.
-const KEY_FIELDS: [&str; 2] = ["model", "phone"];
-const METRIC: &str = "ratio";
-
 /// Seed and prototype-pool size of the clustered synthetic checkpoints.
 const SEED: u64 = 13;
 const PROTOTYPES: usize = 8;
-
-struct Measurement {
-    model: String,
-    phone: &'static str,
-    raw_bytes: usize,
-    compressed_bytes: usize,
-    ratio: f64,
-    layers_compressed: usize,
-    layers_total: usize,
-}
-
-impl Measurement {
-    fn row(&self) -> Row {
-        Row {
-            key: vec![self.model.clone(), self.phone.to_string()],
-            value: self.ratio,
-        }
-    }
-}
 
 fn compressed() -> RouteOverrides {
     RouteOverrides {
@@ -127,32 +103,6 @@ fn assert_bit_exact(arch: &NetworkArch, phone: &Phone) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("BENCH_compress.json")
-        .to_string();
-    let numeric_flag = |flag: &str| -> Option<f64> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .map(|s| {
-                s.parse().unwrap_or_else(|_| {
-                    eprintln!("error: {flag} expects a number, got `{s}`");
-                    std::process::exit(2);
-                })
-            })
-    };
-    let baseline_path = args
-        .iter()
-        .position(|a| a == "--check-baseline")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let max_regression = numeric_flag("--max-regression").unwrap_or(1.01);
-
     let mut archs = zoo::all(Variant::Binary);
     archs.push(zoo::alexnet_micro(Variant::Binary));
     archs.push(zoo::yolo_micro(Variant::Binary));
@@ -161,44 +111,43 @@ fn main() {
         "{:<14} {:<10} {:>12} {:>12} {:>7} {:>10}  (clustered weights, seed {SEED})",
         "model", "phone", "raw", "compressed", "ratio", "banks"
     );
-    let mut results: Vec<Measurement> = Vec::new();
+    let mut rows: Vec<Fields> = Vec::new();
+    // Gate 1: strict weight-bytes reduction on every zoo model × phone.
+    let mut gate_failures: Vec<String> = Vec::new();
     for arch in &archs {
         let model = convert(&fill_weights_clustered(arch, SEED, PROTOTYPES));
         for phone in Phone::all() {
             let raw = ExecutionPlan::for_model_batched(&model, &phone.gpu, 1).expect("plan");
             let auto = ExecutionPlan::for_model_batched_with(&model, &phone.gpu, 1, compressed())
                 .expect("plan");
-            let m = Measurement {
-                model: arch.name.clone(),
-                phone: phone.name,
-                raw_bytes: raw.weights_bytes,
-                compressed_bytes: auto.weights_bytes,
-                ratio: auto.weights_bytes as f64 / raw.weights_bytes as f64,
-                layers_compressed: auto.compression.iter().filter(|d| d.compressed).count(),
-                layers_total: auto.compression.len(),
-            };
+            let (raw_bytes, compressed_bytes) = (raw.weights_bytes, auto.weights_bytes);
+            let ratio = compressed_bytes as f64 / raw_bytes as f64;
+            let layers_compressed = auto.compression.iter().filter(|d| d.compressed).count();
             println!(
                 "{:<14} {:<10} {:>12} {:>12} {:>7.3} {:>7}/{}",
-                m.model,
-                m.phone,
-                m.raw_bytes,
-                m.compressed_bytes,
-                m.ratio,
-                m.layers_compressed,
-                m.layers_total
+                arch.name,
+                phone.name,
+                raw_bytes,
+                compressed_bytes,
+                ratio,
+                layers_compressed,
+                auto.compression.len()
             );
-            results.push(m);
-        }
-    }
-
-    // Gate 1: strict weight-bytes reduction on every zoo model × phone.
-    let mut gate_failures: Vec<String> = Vec::new();
-    for m in &results {
-        if m.compressed_bytes >= m.raw_bytes {
-            gate_failures.push(format!(
-                "{}/{}: compressed {} bytes is not below raw {}",
-                m.model, m.phone, m.compressed_bytes, m.raw_bytes
-            ));
+            if compressed_bytes >= raw_bytes {
+                gate_failures.push(format!(
+                    "{}/{}: compressed {compressed_bytes} bytes is not below raw {raw_bytes}",
+                    arch.name, phone.name
+                ));
+            }
+            rows.push(vec![
+                ("model", arch.name.as_str().into()),
+                ("phone", phone.name.into()),
+                ("raw_bytes", raw_bytes.into()),
+                ("compressed_bytes", compressed_bytes.into()),
+                ("ratio", Fixed(ratio, 4)),
+                ("layers_compressed", layers_compressed.into()),
+                ("layers_total", auto.compression.len().into()),
+            ]);
         }
     }
 
@@ -215,69 +164,6 @@ fn main() {
     assert_staged_banks_identical(128, 256);
     println!("banks staged through their dictionary == raw banks: ok");
 
-    let mut json =
-        String::from("{\n  \"bench\": \"compress\",\n  \"unit\": \"bytes\",\n  \"results\": [\n");
-    for (i, m) in results.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"model\": \"{}\", \"phone\": \"{}\", \"raw_bytes\": {}, \"compressed_bytes\": {}, \"ratio\": {:.4}, \"layers_compressed\": {}, \"layers_total\": {}}}{}\n",
-            json_escape(&m.model),
-            json_escape(m.phone),
-            m.raw_bytes,
-            m.compressed_bytes,
-            m.ratio,
-            m.layers_compressed,
-            m.layers_total,
-            if i + 1 == results.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write(&out_path, json) {
-        eprintln!("error: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
-
-    if !gate_failures.is_empty() {
-        for f in &gate_failures {
-            eprintln!("gate failure: {f}");
-        }
-        std::process::exit(1);
-    }
-    println!(
-        "compression gates satisfied (reduction everywhere, bit-exact, staged banks identical)"
-    );
-
-    if let Some(path) = baseline_path {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("error: cannot read baseline {path}: {e}");
-            std::process::exit(1);
-        });
-        let baseline = parse_rows(&text, &KEY_FIELDS, METRIC);
-        if baseline.is_empty() {
-            eprintln!("error: baseline {path} holds no parsable entries");
-            std::process::exit(1);
-        }
-        let current: Vec<Row> = results.iter().map(Measurement::row).collect();
-        // Every row is guarded: the byte ratio is deterministic, so any
-        // drift beyond rounding means the compressor or planner changed.
-        let failures = diff_rows(
-            &baseline,
-            &current,
-            max_regression,
-            Better::Lower,
-            "BENCH_compress.json",
-            "ratio",
-            |_| true,
-        );
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("baseline diff: {f}");
-            }
-            std::process::exit(1);
-        }
-        println!(
-            "baseline diff vs {path}: {} entries matched, no drift beyond {max_regression:.2}x",
-            baseline.len()
-        );
-    }
+    let report = Report::exact("compress", "bytes", &["model", "phone"], rows);
+    finish(&report, &gate_failures);
 }

@@ -17,14 +17,13 @@
 //!
 //! Run: `cargo run --release -p phonebit-bench --bin fleet_report`
 //! (`-- --out <path>` to redirect the JSON; `-- --check-baseline <path>`
-//! to diff against a committed `BENCH_fleet.json`: same coverage required,
-//! and global p99 may regress at most `--max-regression` ×, default 1.25.
-//! Everything is seeded and deterministic.)
+//! to require this run to equal a committed `BENCH_fleet.json` byte for
+//! byte. Everything is seeded and deterministic.)
 
-use phonebit_bench::baseline::{diff_rows, json_escape, parse_rows, Better, Row};
+use phonebit_bench::baseline::{finish, Fields, Report, Value, Value::Fixed};
 use phonebit_core::{
-    estimate_fleet, zipf_rates, ArrivalProcess, FleetDeviceSpec, FleetOptions, FleetReport,
-    OpenLoopWorkload, RoutePolicy,
+    estimate_fleet, zipf_rates, ArrivalProcess, FleetDeviceSpec, FleetOptions, OpenLoopWorkload,
+    RoutePolicy,
 };
 use phonebit_gpusim::Phone;
 use phonebit_models::zoo::{self, Variant};
@@ -46,56 +45,7 @@ const RATE_PER_DEVICE: f64 = 60.0;
 const DURATION_MS: f64 = 2_000.0;
 const SEED: u64 = 42;
 
-/// Identity + guarded metric of the rows this bin writes, for the shared
-/// baseline differ.
-const KEY_FIELDS: [&str; 3] = ["policy", "devices", "zipf"];
-const METRIC: &str = "p99_ms";
-
-struct Measurement {
-    devices: usize,
-    zipf: f64,
-    report: FleetReport,
-}
-
-impl Measurement {
-    fn row(&self) -> Row {
-        Row {
-            key: vec![
-                self.report.policy.name().to_string(),
-                self.devices.to_string(),
-                format!("{:.1}", self.zipf),
-            ],
-            value: self.report.p99_ms,
-        }
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("BENCH_fleet.json")
-        .to_string();
-    let baseline_path = args
-        .iter()
-        .position(|a| a == "--check-baseline")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let max_regression: f64 = args
-        .iter()
-        .position(|a| a == "--max-regression")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| {
-            s.parse().unwrap_or_else(|_| {
-                eprintln!("error: --max-regression expects a number, got `{s}`");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(1.25);
-
     let archs = [
         zoo::alexnet(Variant::Binary),
         zoo::yolov2_tiny(Variant::Binary),
@@ -103,7 +53,7 @@ fn main() {
         zoo::yolo_micro(Variant::Binary),
     ];
 
-    let mut results: Vec<Measurement> = Vec::new();
+    let mut rows: Vec<Fields> = Vec::new();
     let mut gate_failures: Vec<String> = Vec::new();
     for &devices in &FLEETS {
         let specs: Vec<FleetDeviceSpec> = (0..devices)
@@ -147,6 +97,7 @@ fn main() {
                 "p99(ms)",
                 "imgs/s"
             );
+            let mut p99_ms: Vec<(RoutePolicy, f64)> = Vec::new();
             for policy in RoutePolicy::ALL {
                 let opts = FleetOptions {
                     policy,
@@ -185,22 +136,46 @@ fn main() {
                         policy.name()
                     ));
                 }
-                results.push(Measurement {
-                    devices,
-                    zipf,
-                    report,
+                p99_ms.push((policy, report.p99_ms));
+                let tenant_rows = report.tenants.iter().map(|t| {
+                    vec![
+                        ("tenant", t.name.as_str().into()),
+                        ("offered", t.offered.into()),
+                        ("served", t.served.into()),
+                        ("shed", t.shed.into()),
+                        ("migrated", t.migrated.into()),
+                        ("p50_ms", Fixed(t.p50_ms, 3)),
+                        ("p95_ms", Fixed(t.p95_ms, 3)),
+                        ("p99_ms", Fixed(t.p99_ms, 3)),
+                        ("p999_ms", Fixed(t.p999_ms, 3)),
+                    ]
                 });
+                rows.push(vec![
+                    ("policy", policy.name().into()),
+                    ("devices", devices.into()),
+                    ("zipf", Fixed(zipf, 1)),
+                    ("streams", STREAMS.into()),
+                    ("replicas", REPLICAS.into()),
+                    ("offered", report.offered.into()),
+                    ("served", report.served.into()),
+                    ("shed", report.shed.into()),
+                    ("migrated", report.migrated.into()),
+                    ("wall_ms", Fixed(report.wall_ms, 3)),
+                    ("goodput_imgs_per_s", Fixed(report.goodput_imgs_per_s, 1)),
+                    ("p50_ms", Fixed(report.p50_ms, 3)),
+                    ("p95_ms", Fixed(report.p95_ms, 3)),
+                    ("p99_ms", Fixed(report.p99_ms, 3)),
+                    ("p999_ms", Fixed(report.p999_ms, 3)),
+                    ("tenants", Value::List(tenant_rows.collect())),
+                ]);
             }
 
             // Router-beats-random: p2c's informed choice between the same
             // replica candidates must land a strictly better global tail
             // than blind draws, on every row of the sweep.
             let p99_of = |policy: RoutePolicy| {
-                results
-                    .iter()
-                    .find(|m| m.devices == devices && m.zipf == zipf && m.report.policy == policy)
-                    .map(|m| m.report.p99_ms)
-                    .expect("policy swept above")
+                let swept = p99_ms.iter().find(|(p, _)| *p == policy);
+                swept.expect("policy swept above").1
             };
             let (p2c, random) = (p99_of(RoutePolicy::PowerOfTwo), p99_of(RoutePolicy::Random));
             if p2c >= random {
@@ -212,103 +187,6 @@ fn main() {
         }
     }
 
-    let mut json =
-        String::from("{\n  \"bench\": \"fleet\",\n  \"unit\": \"p99_ms\",\n  \"results\": [\n");
-    for (i, m) in results.iter().enumerate() {
-        let r = &m.report;
-        let tenants = r
-            .tenants
-            .iter()
-            .map(|t| {
-                format!(
-                    "{{\"tenant\": \"{}\", \"offered\": {}, \"served\": {}, \"shed\": {}, \
-                     \"migrated\": {}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \
-                     \"p99_ms\": {:.3}, \"p999_ms\": {:.3}}}",
-                    json_escape(&t.name),
-                    t.offered,
-                    t.served,
-                    t.shed,
-                    t.migrated,
-                    t.p50_ms,
-                    t.p95_ms,
-                    t.p99_ms,
-                    t.p999_ms,
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        json.push_str(&format!(
-            "    {{\"policy\": \"{}\", \"devices\": {}, \"zipf\": {:.1}, \"streams\": {}, \
-             \"replicas\": {}, \"offered\": {}, \"served\": {}, \"shed\": {}, \
-             \"migrated\": {}, \"wall_ms\": {:.3}, \"goodput_imgs_per_s\": {:.1}, \
-             \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \"p99_ms\": {:.3}, \"p999_ms\": {:.3}, \
-             \"tenants\": [{}]}}{}\n",
-            r.policy.name(),
-            m.devices,
-            m.zipf,
-            STREAMS,
-            REPLICAS,
-            r.offered,
-            r.served,
-            r.shed,
-            r.migrated,
-            r.wall_ms,
-            r.goodput_imgs_per_s,
-            r.p50_ms,
-            r.p95_ms,
-            r.p99_ms,
-            r.p999_ms,
-            tenants,
-            if i + 1 == results.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write(&out_path, json) {
-        eprintln!("error: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("\nwrote {out_path}");
-
-    if !gate_failures.is_empty() {
-        for f in &gate_failures {
-            eprintln!("fleet gate: {f}");
-        }
-        std::process::exit(1);
-    }
-    println!(
-        "fleet gate: every row conserves its requests, and p2c routing beats random on \
-         global p99 at every fleet size and skew"
-    );
-
-    if let Some(path) = baseline_path {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("error: cannot read baseline {path}: {e}");
-            std::process::exit(1);
-        });
-        let baseline = parse_rows(&text, &KEY_FIELDS, METRIC);
-        if baseline.is_empty() {
-            eprintln!("error: baseline {path} holds no parsable rows");
-            std::process::exit(1);
-        }
-        let current: Vec<Row> = results.iter().map(Measurement::row).collect();
-        let failures = diff_rows(
-            &baseline,
-            &current,
-            max_regression,
-            Better::Lower,
-            "BENCH_fleet.json",
-            "ms",
-            |_| true,
-        );
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("baseline diff: {f}");
-            }
-            std::process::exit(1);
-        }
-        println!(
-            "baseline diff vs {path}: {} rows matched, no regression beyond {max_regression:.2}x",
-            baseline.len()
-        );
-    }
+    let report = Report::exact("fleet", "p99_ms", &["policy", "devices", "zipf"], rows);
+    finish(&report, &gate_failures);
 }

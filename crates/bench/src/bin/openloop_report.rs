@@ -22,11 +22,10 @@
 //!
 //! Run: `cargo run --release -p phonebit-bench --bin openloop_report`
 //! (`-- --out <path>` to redirect the JSON; `-- --check-baseline <path>`
-//! to diff against a committed `BENCH_openloop.json`: same coverage
-//! required, and goodput may regress at most `--max-regression` ×,
-//! default 1.25. Everything is seeded and deterministic.)
+//! to require this run to equal a committed `BENCH_openloop.json` byte for
+//! byte. Everything is seeded and deterministic.)
 
-use phonebit_bench::baseline::{diff_rows, json_escape, parse_rows, Better, Row};
+use phonebit_bench::baseline::{finish, Fields, Report, Value, Value::Fixed};
 use phonebit_core::{
     estimate_serve_open_loop, ArrivalProcess, DeviceRuntime, OpenLoopReport, OpenLoopWorkload,
     RetryPolicy, TenantWorkload,
@@ -56,40 +55,16 @@ const GRACEFUL_FLOOR: f64 = 0.6;
 /// Faulted last-quarter shed rate may exceed clean by at most this.
 const RECOVERY_EPS: f64 = 0.10;
 
-/// Identity + guarded metric of the rows this bin writes, for the shared
-/// baseline differ.
-const KEY_FIELDS: [&str; 4] = ["pair", "phone", "fault", "load"];
-const METRIC: &str = "goodput_imgs_per_s";
-
+/// What the gates read back off one row of the sweep.
 struct Measurement {
-    pair: String,
-    phone: &'static str,
     fault: &'static str,
     load: f64,
-    est: OpenLoopReport,
-    /// Arrival horizon, milliseconds.
-    duration_ms: f64,
-    /// Aggregate offered load over the horizon, images per second.
-    offered_per_s: f64,
+    goodput_imgs_per_s: f64,
     /// Aggregate `shed / offered` across tenants.
     shed_rate: f64,
     /// Shed fraction of requests arriving in the last quarter of the
     /// horizon, for the post-burst recovery gate.
     lastq_shed_rate: f64,
-}
-
-impl Measurement {
-    fn row(&self) -> Row {
-        Row {
-            key: vec![
-                self.pair.clone(),
-                self.phone.to_string(),
-                self.fault.to_string(),
-                format!("{:.2}", self.load),
-            ],
-            value: self.est.goodput_imgs_per_s,
-        }
-    }
 }
 
 /// Shed fraction among requests that arrived at or after `cut_ms`, given
@@ -121,39 +96,15 @@ fn last_quarter_shed_rate(est: &OpenLoopReport, arrivals_ms: &[Vec<f64>], cut_ms
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("BENCH_openloop.json")
-        .to_string();
-    let baseline_path = args
-        .iter()
-        .position(|a| a == "--check-baseline")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let max_regression: f64 = args
-        .iter()
-        .position(|a| a == "--max-regression")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| {
-            s.parse().unwrap_or_else(|_| {
-                eprintln!("error: --max-regression expects a number, got `{s}`");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(1.25);
-
     let phones: [(&str, Phone); 2] = [("x5", Phone::xiaomi_5()), ("x9", Phone::xiaomi_9())];
     let models = zoo::all(Variant::Binary);
     let (a, b) = (0usize, 1usize); // AlexNet + YOLOv2-Tiny, the acceptance pair
     let policy = RetryPolicy::default();
 
-    let mut results: Vec<Measurement> = Vec::new();
+    let mut rows: Vec<Fields> = Vec::new();
     let mut gate_failures: Vec<String> = Vec::new();
     for (phone_tag, phone) in &phones {
+        let mut results: Vec<Measurement> = Vec::new();
         let pair_name = format!("{}+{}", models[a].name, models[b].name);
         // Solo steady windows at the fixed batch anchor the SLOs, the
         // offered-load scale, and the horizon.
@@ -210,7 +161,6 @@ fn main() {
             "lastq"
         );
         for &load in &LOADS {
-            let mut by_mode: Vec<(&'static str, Measurement)> = Vec::new();
             for (fault_tag, fault) in [("none", None), ("burst", Some(&fault_plan))] {
                 let workloads = [
                     OpenLoopWorkload {
@@ -283,28 +233,53 @@ fn main() {
                         ));
                     }
                 }
-                by_mode.push((
-                    fault_tag,
-                    Measurement {
-                        pair: pair_name.clone(),
-                        phone: phone_tag,
-                        fault: fault_tag,
-                        load,
-                        est,
-                        duration_ms,
-                        offered_per_s,
-                        shed_rate,
-                        lastq_shed_rate: lastq,
-                    },
-                ));
+                let tenant_rows = est.tenants.iter().map(|t| {
+                    vec![
+                        ("tenant", t.name.as_str().into()),
+                        ("batch", t.batch.into()),
+                        ("offered", t.offered.into()),
+                        ("served", t.served.into()),
+                        ("shed", t.shed.into()),
+                        ("retries", t.retries.into()),
+                        ("throttled", t.throttled.into()),
+                        ("p50_ms", Fixed(t.p50_ms, 3)),
+                        ("p95_ms", Fixed(t.p95_ms, 3)),
+                        ("p99_ms", Fixed(t.p99_ms, 3)),
+                        ("p999_ms", Fixed(t.p999_ms, 3)),
+                        ("slo_ms", Fixed(t.slo_ms.unwrap_or(0.0), 3)),
+                        ("slo_met", t.slo_met.into()),
+                    ]
+                });
+                rows.push(vec![
+                    ("pair", pair_name.as_str().into()),
+                    ("phone", (*phone_tag).into()),
+                    ("fault", fault_tag.into()),
+                    ("load", Fixed(load, 2)),
+                    ("streams", est.streams.into()),
+                    ("duration_ms", Fixed(duration_ms, 3)),
+                    ("offered_per_s", Fixed(offered_per_s, 1)),
+                    ("goodput_imgs_per_s", Fixed(est.goodput_imgs_per_s, 1)),
+                    ("shed_rate", Fixed(shed_rate, 4)),
+                    ("lastq_shed_rate", Fixed(lastq, 4)),
+                    ("tenants", Value::List(tenant_rows.collect())),
+                ]);
+                results.push(Measurement {
+                    fault: fault_tag,
+                    load,
+                    goodput_imgs_per_s: est.goodput_imgs_per_s,
+                    shed_rate,
+                    lastq_shed_rate: lastq,
+                });
             }
 
             // Post-burst recovery: by the last quarter of the horizon the
             // fault burst (second fifth) is long over; its backlog must
             // have been shed or absorbed, not left to poison later
             // arrivals.
-            let clean = by_mode[0].1.lastq_shed_rate;
-            let faulted = by_mode[1].1.lastq_shed_rate;
+            let [.., clean, faulted] = &results[..] else {
+                unreachable!("both fault modes were just pushed")
+            };
+            let (clean, faulted) = (clean.lastq_shed_rate, faulted.lastq_shed_rate);
             if faulted > clean + RECOVERY_EPS {
                 gate_failures.push(format!(
                     "{pair_name}/{phone_tag}/x{load}: no post-burst recovery — last-quarter \
@@ -313,16 +288,13 @@ fn main() {
                     100.0 * clean
                 ));
             }
-            results.extend(by_mode.into_iter().map(|(_, m)| m));
         }
 
         // Graceful degradation, per fault mode: shed rate monotone in
         // offered load, and goodput past the knee held near its peak.
         for fault_tag in ["none", "burst"] {
-            let curve: Vec<&Measurement> = results
-                .iter()
-                .filter(|m| m.phone == *phone_tag && m.fault == fault_tag)
-                .collect();
+            let curve: Vec<&Measurement> =
+                results.iter().filter(|m| m.fault == fault_tag).collect();
             for pair in curve.windows(2) {
                 if pair[1].shed_rate < pair[0].shed_rate - SHED_MONOTONE_EPS {
                     gate_failures.push(format!(
@@ -337,118 +309,25 @@ fn main() {
             }
             let peak = curve
                 .iter()
-                .map(|m| m.est.goodput_imgs_per_s)
+                .map(|m| m.goodput_imgs_per_s)
                 .fold(0.0, f64::max);
             if let Some(last) = curve.last() {
-                if last.est.goodput_imgs_per_s < GRACEFUL_FLOOR * peak {
+                if last.goodput_imgs_per_s < GRACEFUL_FLOOR * peak {
                     gate_failures.push(format!(
                         "{pair_name}/{phone_tag}/{fault_tag}: goodput collapsed past the knee — \
                          {:.1} imgs/s at x{} vs {:.1} peak",
-                        last.est.goodput_imgs_per_s, last.load, peak
+                        last.goodput_imgs_per_s, last.load, peak
                     ));
                 }
             }
         }
     }
 
-    let mut json = String::from(
-        "{\n  \"bench\": \"openloop\",\n  \"unit\": \"goodput_imgs_per_s\",\n  \"results\": [\n",
+    let report = Report::exact(
+        "openloop",
+        "goodput_imgs_per_s",
+        &["pair", "phone", "fault", "load"],
+        rows,
     );
-    for (i, m) in results.iter().enumerate() {
-        let tenants = m
-            .est
-            .tenants
-            .iter()
-            .map(|t| {
-                format!(
-                    "{{\"tenant\": \"{}\", \"batch\": {}, \"offered\": {}, \"served\": {}, \
-                     \"shed\": {}, \"retries\": {}, \"throttled\": {}, \"p50_ms\": {:.3}, \
-                     \"p95_ms\": {:.3}, \"p99_ms\": {:.3}, \"p999_ms\": {:.3}, \
-                     \"slo_ms\": {:.3}, \"slo_met\": {}}}",
-                    json_escape(&t.name),
-                    t.batch,
-                    t.offered,
-                    t.served,
-                    t.shed,
-                    t.retries,
-                    t.throttled,
-                    t.p50_ms,
-                    t.p95_ms,
-                    t.p99_ms,
-                    t.p999_ms,
-                    t.slo_ms.unwrap_or(0.0),
-                    t.slo_met
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        json.push_str(&format!(
-            "    {{\"pair\": \"{}\", \"phone\": \"{}\", \"fault\": \"{}\", \"load\": {:.2}, \
-             \"streams\": {}, \"duration_ms\": {:.3}, \"offered_per_s\": {:.1}, \
-             \"goodput_imgs_per_s\": {:.1}, \"shed_rate\": {:.4}, \
-             \"lastq_shed_rate\": {:.4}, \"tenants\": [{}]}}{}\n",
-            json_escape(&m.pair),
-            m.phone,
-            m.fault,
-            m.load,
-            m.est.streams,
-            m.duration_ms,
-            m.offered_per_s,
-            m.est.goodput_imgs_per_s,
-            m.shed_rate,
-            m.lastq_shed_rate,
-            tenants,
-            if i + 1 == results.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write(&out_path, json) {
-        eprintln!("error: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("\nwrote {out_path}");
-
-    if !gate_failures.is_empty() {
-        for f in &gate_failures {
-            eprintln!("openloop gate: {f}");
-        }
-        std::process::exit(1);
-    }
-    println!(
-        "openloop gate: no tenant starved on any row, shed rate is monotone in offered load \
-         and goodput holds past the knee in both fault modes, and post-burst last-quarter \
-         shedding recovers to the clean run's level at every load"
-    );
-
-    if let Some(path) = baseline_path {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("error: cannot read baseline {path}: {e}");
-            std::process::exit(1);
-        });
-        let baseline = parse_rows(&text, &KEY_FIELDS, METRIC);
-        if baseline.is_empty() {
-            eprintln!("error: baseline {path} holds no parsable rows");
-            std::process::exit(1);
-        }
-        let current: Vec<Row> = results.iter().map(Measurement::row).collect();
-        let failures = diff_rows(
-            &baseline,
-            &current,
-            max_regression,
-            Better::Higher,
-            "BENCH_openloop.json",
-            "imgs/s",
-            |_| true,
-        );
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("baseline diff: {f}");
-            }
-            std::process::exit(1);
-        }
-        println!(
-            "baseline diff vs {path}: {} rows matched, no regression beyond {max_regression:.2}x",
-            baseline.len()
-        );
-    }
+    finish(&report, &gate_failures);
 }

@@ -8,31 +8,26 @@
 //! peak, and each tenant's grant. Verifies the paging gates: a covering
 //! budget reproduces the unbudgeted estimate exactly (paging off is
 //! inert), a 2×-oversubscribed set still admits with aggregate
-//! throughput ≥ `--min-ratio` (default 0.6) of fully resident, and no
-//! tenant is starved (paged serves exactly what resident serves). Writes
+//! throughput ≥ 0.6 (`MIN_RATIO`) of fully resident, and no tenant is
+//! starved (paged serves exactly what resident serves). Writes
 //! `BENCH_paging.json` so future PRs have a paging trajectory to diff.
 //!
 //! Run: `cargo run --release -p phonebit-bench --bin paging_report`
-//! (`-- --out <path>` to redirect the JSON; `-- --quick` for CI smoke;
-//! `-- --min-ratio X` to tune the oversubscription throughput gate;
-//! `-- --check-baseline <path>` to diff against a committed
-//! `BENCH_paging.json` — same coverage required, and the modeled ratio
-//! is deterministic, so it may drift at most `--max-regression`×
-//! (default 1.01).)
+//! (`-- --out <path>` to redirect the JSON; `-- --check-baseline <path>`
+//! to require this run to equal a committed `BENCH_paging.json` byte for
+//! byte — the estimates are model-only and deterministic.)
 
-use phonebit_bench::baseline::{diff_rows, json_escape, parse_rows, Better, Row};
+use phonebit_bench::baseline::{finish, Fields, Report, Value::Fixed};
 use phonebit_core::{
-    Admission, DeviceRuntime, ExecutionPlan, MultiServeReport, TenantTraffic, TenantWorkload,
+    Admission, DeviceRuntime, ExecutionPlan, OpenLoopReport, TenantTraffic, TenantWorkload,
 };
 use phonebit_gpusim::Phone;
 use phonebit_models::zoo::{self, Variant};
 use phonebit_nn::graph::NetworkArch;
 
-/// Identity + guarded metric of the rows this bin writes, for the shared
-/// baseline differ.
-const KEY_FIELDS: [&str; 3] = ["tenants", "phone", "budget"];
-const METRIC: &str = "ratio";
-
+/// Oversubscribed (≤ 0.5× budget) aggregate throughput must stay at or
+/// above this fraction of the fully resident pass's.
+const MIN_RATIO: f64 = 0.6;
 /// Pooled streams every estimate runs on.
 const STREAMS: usize = 2;
 /// Windows each tenant asks for.
@@ -46,7 +41,7 @@ struct Estimate {
     admissions: Vec<Admission>,
     total_weight_bytes: usize,
     peak_bytes: usize,
-    pass: MultiServeReport,
+    pass: OpenLoopReport,
 }
 
 fn estimate(
@@ -73,33 +68,6 @@ fn estimate(
     }
 }
 
-struct Measurement {
-    tenants: &'static str,
-    phone: &'static str,
-    budget_label: &'static str,
-    budget_bytes: usize,
-    total_weight_bytes: usize,
-    peak_bytes: usize,
-    paged_imgs_per_s: f64,
-    resident_imgs_per_s: f64,
-    ratio: f64,
-    grants_paged: usize,
-    grants_full: usize,
-}
-
-impl Measurement {
-    fn row(&self) -> Row {
-        Row {
-            key: vec![
-                self.tenants.to_string(),
-                self.phone.to_string(),
-                self.budget_label.to_string(),
-            ],
-            value: self.ratio,
-        }
-    }
-}
-
 /// A tenant set's summed batch-1 resident weight bytes and summed paged
 /// minima (largest bank per tenant) on one device — the feasibility
 /// envelope of any budget: admission can degrade every tenant to its
@@ -116,35 +84,6 @@ fn weights_and_minima(archs: &[&NetworkArch], phone: &Phone) -> (usize, usize) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("BENCH_paging.json")
-        .to_string();
-    let numeric_flag = |flag: &str| -> Option<f64> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .map(|s| {
-                s.parse().unwrap_or_else(|_| {
-                    eprintln!("error: {flag} expects a number, got `{s}`");
-                    std::process::exit(2);
-                })
-            })
-    };
-    let min_ratio = numeric_flag("--min-ratio").unwrap_or(0.6);
-    let baseline_path = args
-        .iter()
-        .position(|a| a == "--check-baseline")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let max_regression = numeric_flag("--max-regression").unwrap_or(1.01);
-    let _ = quick; // estimates are model-only; quick runs the same coverage
-
     let alexnet = zoo::alexnet(Variant::Binary);
     let yolo = zoo::yolov2_tiny(Variant::Binary);
     let vgg = zoo::vgg16(Variant::Binary);
@@ -174,7 +113,7 @@ fn main() {
         "ratio",
         "grants"
     );
-    let mut results: Vec<Measurement> = Vec::new();
+    let mut rows: Vec<Fields> = Vec::new();
     let mut gate_failures: Vec<String> = Vec::new();
     for (set_name, archs) in &sets {
         for phone in Phone::all() {
@@ -240,13 +179,17 @@ fn main() {
                         ));
                     }
                 }
-                let ratio = paged.pass.imgs_per_s / resident.pass.imgs_per_s;
-                if factor <= 0.5 && ratio < min_ratio {
+                let (paged_ips, resident_ips) = (
+                    paged.pass.goodput_imgs_per_s,
+                    resident.pass.goodput_imgs_per_s,
+                );
+                let ratio = paged_ips / resident_ips;
+                if factor <= 0.5 && ratio < MIN_RATIO {
                     // Gate 2: a 2×-oversubscribed (or tighter) set still
                     // clears the throughput floor.
                     gate_failures.push(format!(
                         "{set_name}/{}/{label}: paged throughput ratio {ratio:.3} is below \
-                         the {min_ratio:.2} gate",
+                         the {MIN_RATIO:.2} gate",
                         phone.name
                     ));
                 }
@@ -255,106 +198,42 @@ fn main() {
                     .iter()
                     .filter(|a| a.weight_grant_bytes.is_some())
                     .count();
-                let m = Measurement {
-                    tenants: set_name,
-                    phone: phone.name,
-                    budget_label: label,
-                    budget_bytes: budget,
-                    total_weight_bytes: total,
-                    peak_bytes: paged.peak_bytes,
-                    paged_imgs_per_s: paged.pass.imgs_per_s,
-                    resident_imgs_per_s: resident.pass.imgs_per_s,
-                    ratio,
-                    grants_paged,
-                    grants_full: paged.admissions.len() - grants_paged,
-                };
+                let grants_full = paged.admissions.len() - grants_paged;
                 println!(
                     "{:<14} {:<10} {:>7} {:>12} {:>12} {:>10.1} {:>10.1} {:>7.3} {:>5}p/{}f",
-                    m.tenants,
-                    m.phone,
-                    m.budget_label,
-                    m.total_weight_bytes,
-                    m.peak_bytes,
-                    m.paged_imgs_per_s,
-                    m.resident_imgs_per_s,
-                    m.ratio,
-                    m.grants_paged,
-                    m.grants_full
+                    set_name,
+                    phone.name,
+                    label,
+                    total,
+                    paged.peak_bytes,
+                    paged_ips,
+                    resident_ips,
+                    ratio,
+                    grants_paged,
+                    grants_full
                 );
-                results.push(m);
+                rows.push(vec![
+                    ("tenants", (*set_name).into()),
+                    ("phone", phone.name.into()),
+                    ("budget", label.into()),
+                    ("budget_bytes", budget.into()),
+                    ("total_weight_bytes", total.into()),
+                    ("peak_bytes", paged.peak_bytes.into()),
+                    ("paged_imgs_per_s", Fixed(paged_ips, 1)),
+                    ("resident_imgs_per_s", Fixed(resident_ips, 1)),
+                    ("ratio", Fixed(ratio, 4)),
+                    ("grants_paged", grants_paged.into()),
+                    ("grants_full", grants_full.into()),
+                ]);
             }
         }
     }
 
-    let mut json = String::from(
-        "{\n  \"bench\": \"paging\",\n  \"unit\": \"throughput ratio\",\n  \"results\": [\n",
+    let report = Report::exact(
+        "paging",
+        "throughput ratio",
+        &["tenants", "phone", "budget"],
+        rows,
     );
-    for (i, m) in results.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"tenants\": \"{}\", \"phone\": \"{}\", \"budget\": \"{}\", \"budget_bytes\": {}, \"total_weight_bytes\": {}, \"peak_bytes\": {}, \"paged_imgs_per_s\": {:.1}, \"resident_imgs_per_s\": {:.1}, \"ratio\": {:.4}, \"grants_paged\": {}, \"grants_full\": {}}}{}\n",
-            json_escape(m.tenants),
-            json_escape(m.phone),
-            json_escape(m.budget_label),
-            m.budget_bytes,
-            m.total_weight_bytes,
-            m.peak_bytes,
-            m.paged_imgs_per_s,
-            m.resident_imgs_per_s,
-            m.ratio,
-            m.grants_paged,
-            m.grants_full,
-            if i + 1 == results.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write(&out_path, json) {
-        eprintln!("error: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
-
-    if !gate_failures.is_empty() {
-        for f in &gate_failures {
-            eprintln!("gate failure: {f}");
-        }
-        std::process::exit(1);
-    }
-    println!(
-        "paging gates satisfied (covering budget inert, oversubscribed ratio >= {min_ratio:.2}, \
-         no starvation)"
-    );
-
-    if let Some(path) = baseline_path {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("error: cannot read baseline {path}: {e}");
-            std::process::exit(1);
-        });
-        let baseline = parse_rows(&text, &KEY_FIELDS, METRIC);
-        if baseline.is_empty() {
-            eprintln!("error: baseline {path} holds no parsable entries");
-            std::process::exit(1);
-        }
-        let current: Vec<Row> = results.iter().map(Measurement::row).collect();
-        // Every row is guarded: the modeled ratio is deterministic, so any
-        // drift beyond rounding means the paging model changed.
-        let failures = diff_rows(
-            &baseline,
-            &current,
-            max_regression,
-            Better::Higher,
-            "BENCH_paging.json",
-            "ratio",
-            |_| true,
-        );
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("baseline diff: {f}");
-            }
-            std::process::exit(1);
-        }
-        println!(
-            "baseline diff vs {path}: {} entries matched, no drift beyond {max_regression:.2}x",
-            baseline.len()
-        );
-    }
+    finish(&report, &gate_failures);
 }

@@ -21,11 +21,10 @@
 //!
 //! Run: `cargo run --release -p phonebit-bench --bin serve_report`
 //! (`-- --out <path>` to redirect the JSON; `-- --check-baseline <path>`
-//! to diff against a committed `BENCH_serve.json`: same coverage required,
-//! and aggregate imgs/sec may regress at most `--max-regression` ×,
-//! default 1.25. Everything is closed-form and deterministic.)
+//! to require this run to equal a committed `BENCH_serve.json` byte for
+//! byte. Everything is closed-form and deterministic.)
 
-use phonebit_bench::baseline::{diff_rows, json_escape, parse_rows, Better, Row};
+use phonebit_bench::baseline::{finish, Fields, Report, Value::Fixed};
 use phonebit_core::{nearest_rank, DeviceRuntime, TenantTraffic, TenantWorkload};
 use phonebit_gpusim::Phone;
 use phonebit_models::zoo::{self, Variant};
@@ -34,14 +33,8 @@ const STREAMS: [usize; 3] = [1, 2, 4];
 const BATCHES: [usize; 2] = [1, 4];
 const WINDOWS_PER_STREAM: usize = 8;
 
-/// Identity + guarded metric of the rows this bin writes, for the shared
-/// baseline differ.
-const KEY_FIELDS: [&str; 4] = ["model", "phone", "streams", "batch"];
-const METRIC: &str = "imgs_per_s";
-
 /// One sharded run as this report records it, read off the dry runtime
 /// and the schedule its pass returns.
-#[derive(Clone)]
 struct Sharded {
     streams: usize,
     cold_window_ms: f64,
@@ -100,58 +93,11 @@ fn estimate_sharded(
     }
 }
 
-struct Measurement {
-    model: String,
-    phone: &'static str,
-    streams: usize,
-    batch: usize,
-    est: Sharded,
-}
-
-impl Measurement {
-    fn row(&self) -> Row {
-        Row {
-            key: vec![
-                self.model.clone(),
-                self.phone.to_string(),
-                self.streams.to_string(),
-                self.batch.to_string(),
-            ],
-            value: self.est.imgs_per_s,
-        }
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("BENCH_serve.json")
-        .to_string();
-    let baseline_path = args
-        .iter()
-        .position(|a| a == "--check-baseline")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let max_regression: f64 = args
-        .iter()
-        .position(|a| a == "--max-regression")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| {
-            s.parse().unwrap_or_else(|_| {
-                eprintln!("error: --max-regression expects a number, got `{s}`");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(1.25);
-
     let phones: [(&str, Phone); 2] = [("x5", Phone::xiaomi_5()), ("x9", Phone::xiaomi_9())];
     let models = zoo::all(Variant::Binary);
 
-    let mut results: Vec<Measurement> = Vec::new();
+    let mut rows: Vec<Fields> = Vec::new();
     let mut gate_failures: Vec<String> = Vec::new();
     for (phone_tag, phone) in &phones {
         println!(
@@ -174,14 +120,21 @@ fn main() {
                 for &streams in &STREAMS {
                     let est = estimate_sharded(phone, arch, batch, streams);
                     row.push_str(&format!(" {:>7.1} ({:>6.2})", est.imgs_per_s, est.p95_ms));
-                    by_streams.push(est.clone());
-                    results.push(Measurement {
-                        model: arch.name.clone(),
-                        phone: phone_tag,
-                        streams,
-                        batch,
-                        est,
-                    });
+                    rows.push(vec![
+                        ("model", arch.name.as_str().into()),
+                        ("phone", (*phone_tag).into()),
+                        ("streams", streams.into()),
+                        ("batch", batch.into()),
+                        ("cold_ms", Fixed(est.cold_window_ms, 3)),
+                        ("steady_ms", Fixed(est.steady_window_ms, 3)),
+                        ("p50_ms", Fixed(est.p50_ms, 3)),
+                        ("p95_ms", Fixed(est.p95_ms, 3)),
+                        ("p99_ms", Fixed(est.p99_ms, 3)),
+                        ("imgs_per_s", Fixed(est.imgs_per_s, 1)),
+                        ("arena_mb", Fixed(est.arena_bytes as f64 / 1e6, 2)),
+                        ("peak_mb", Fixed(est.peak_bytes as f64 / 1e6, 2)),
+                    ]);
+                    by_streams.push(est);
                 }
                 println!("{row}");
                 let ips = |s: usize| {
@@ -218,76 +171,11 @@ fn main() {
         }
     }
 
-    let mut json =
-        String::from("{\n  \"bench\": \"serve\",\n  \"unit\": \"imgs_per_s\",\n  \"results\": [\n");
-    for (i, m) in results.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"model\": \"{}\", \"phone\": \"{}\", \"streams\": {}, \"batch\": {}, \
-             \"cold_ms\": {:.3}, \"steady_ms\": {:.3}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \
-             \"p99_ms\": {:.3}, \"imgs_per_s\": {:.1}, \"arena_mb\": {:.2}, \
-             \"peak_mb\": {:.2}}}{}\n",
-            json_escape(&m.model),
-            m.phone,
-            m.streams,
-            m.batch,
-            m.est.cold_window_ms,
-            m.est.steady_window_ms,
-            m.est.p50_ms,
-            m.est.p95_ms,
-            m.est.p99_ms,
-            m.est.imgs_per_s,
-            m.est.arena_bytes as f64 / 1e6,
-            m.est.peak_bytes as f64 / 1e6,
-            if i + 1 == results.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write(&out_path, json) {
-        eprintln!("error: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("\nwrote {out_path}");
-
-    if !gate_failures.is_empty() {
-        for f in &gate_failures {
-            eprintln!("serve gate: {f}");
-        }
-        std::process::exit(1);
-    }
-    println!(
-        "serve gate: 2-stream throughput beats 1-stream on >= 1 zoo model per phone, \
-         and per-stream windows never speed up under contention"
+    let report = Report::exact(
+        "serve",
+        "imgs_per_s",
+        &["model", "phone", "streams", "batch"],
+        rows,
     );
-
-    if let Some(path) = baseline_path {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("error: cannot read baseline {path}: {e}");
-            std::process::exit(1);
-        });
-        let baseline = parse_rows(&text, &KEY_FIELDS, METRIC);
-        if baseline.is_empty() {
-            eprintln!("error: baseline {path} holds no parsable rows");
-            std::process::exit(1);
-        }
-        let current: Vec<Row> = results.iter().map(Measurement::row).collect();
-        let failures = diff_rows(
-            &baseline,
-            &current,
-            max_regression,
-            Better::Higher,
-            "BENCH_serve.json",
-            "imgs/s",
-            |_| true,
-        );
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("baseline diff: {f}");
-            }
-            std::process::exit(1);
-        }
-        println!(
-            "baseline diff vs {path}: {} rows matched, no regression beyond {max_regression:.2}x",
-            baseline.len()
-        );
-    }
+    finish(&report, &gate_failures);
 }

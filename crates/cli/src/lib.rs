@@ -329,7 +329,7 @@ fn cmd_serve_sharded(
     // A single tenant has no cross-tenant queueing to report: the window
     // latencies are the executed service times.
     let report = &pass.tenants[0];
-    let [p50_ms, p95_ms, p99_ms] = nearest_rank(&report.duration_ms, [0.50, 0.95, 0.99]);
+    let [p50_ms, p95_ms, p99_ms] = nearest_rank(&pass.attempt_exec_ms, [0.50, 0.95, 0.99]);
     let tenant = &runtime.tenants()[0];
     let adm = tenant.admission();
     let slo_line = match adm.slo_ms {
@@ -367,7 +367,7 @@ fn cmd_serve_sharded(
         report.served,
         report.windows,
         report.batch,
-        pass.streams,
+        pass.schedule.streams_used(),
         phone.name,
         phone.gpu.name,
         adm.batch,
@@ -376,7 +376,7 @@ fn cmd_serve_sharded(
         p50_ms,
         p95_ms,
         p99_ms,
-        pass.imgs_per_s,
+        pass.goodput_imgs_per_s,
         runtime.peak_resident_bytes() as f64 / (1024.0 * 1024.0),
         streams,
         tenant.plan().banks,
@@ -472,8 +472,8 @@ pub fn cmd_serve_multitenant(
         out,
         "served {} tenants ({} requests, {} windows) across {} pooled streams on {} ({})",
         report.tenants.len(),
-        report.served,
-        report.windows,
+        report.tenants.iter().map(|t| t.served).sum::<usize>(),
+        report.tenants.iter().map(|t| t.windows).sum::<usize>(),
         runtime.stream_count(),
         phone.name,
         phone.gpu.name
@@ -506,10 +506,10 @@ pub fn cmd_serve_multitenant(
         out,
         "aggregate {:.1} imgs/s over {:.3} ms makespan; resident {:.2} MiB \
          (sum of weights + {} x {:.2} MiB pooled arena slice)",
-        report.imgs_per_s,
-        report.wall_s * 1e3,
+        report.goodput_imgs_per_s,
+        report.wall_ms,
         runtime.resident_bytes() as f64 / (1024.0 * 1024.0),
-        report.streams,
+        report.schedule.streams_used(),
         runtime.pool_slice_bytes() as f64 / (1024.0 * 1024.0),
     );
     if let Some(budget) = weight_budget {

@@ -615,12 +615,10 @@ impl ResidencyManager {
     }
 }
 
-/// The per-plan mutable arena state one stream holds for one staged model:
-/// `plan.banks` copies of the slot storage (single-image plans hold one,
-/// batched plans double-buffer so the next window stages while the current
-/// one computes), the bank cursor, and the primed flag. [`Stream`] holds
-/// exactly one; [`MultiStream`] holds one per co-resident tenant so any
-/// stream can run any tenant's plan.
+/// The per-plan mutable arena state one [`Stream`] lane holds for one
+/// staged model: `plan.banks` copies of the slot storage (single-image plans
+/// hold one, batched plans double-buffer so the next window stages while the
+/// current one computes), the bank cursor, and the primed flag.
 #[derive(Debug)]
 struct ArenaState {
     banks: Vec<Vec<SlotStorage>>,
@@ -661,49 +659,115 @@ impl ArenaState {
         }
     }
 
-    /// Copies a window of 8-bit images into the active bank's input slot.
-    fn stage_window_u8(&mut self, plan: &ExecutionPlan, images: &[Tensor<u8>]) {
-        let in_slot = plan.values[plan.input_value].slot;
-        let store = self.banks[self.bank][in_slot]
-            .bytes
-            .as_mut()
-            .expect("arena slot: bytes staged");
-        store.reset(plan.input, Layout::Nhwc);
-        stage_window(store.as_mut_slice(), images.iter().map(as_nhwc_u8));
-    }
-
-    /// Copies a window of float inputs into the active bank's input slot.
-    fn stage_window_f32(&mut self, plan: &ExecutionPlan, images: &[Tensor<f32>]) {
-        let in_slot = plan.values[plan.input_value].slot;
-        let store = self.banks[self.bank][in_slot]
-            .floats
-            .as_mut()
-            .expect("arena slot: floats staged");
-        store.reset(plan.input, Layout::Nhwc);
-        stage_window(store.as_mut_slice(), images.iter().map(as_nhwc_f32));
+    /// Checks `window` against the input kind `staged`'s model takes and
+    /// stages it into the active bank's input slot.
+    fn stage_input(&mut self, staged: &StagedModel, window: Window<'_>) -> Result<(), EngineError> {
+        let plan = &staged.plan;
+        let slot = &mut self.banks[self.bank][plan.values[plan.input_value].slot];
+        let mismatch = |expected: &str, got: &str| {
+            Err(EngineError::InputMismatch {
+                expected: expected.into(),
+                got: got.into(),
+            })
+        };
+        match (window, staged.model.takes_u8_input()) {
+            (Window::U8(images), true) => {
+                let store = slot.bytes.as_mut().expect("arena slot: bytes staged");
+                stage_lanes(store, staged, images)
+            }
+            (Window::F32(images), false) => {
+                let store = slot.floats.as_mut().expect("arena slot: floats staged");
+                stage_lanes(store, staged, images)
+            }
+            (Window::U8(_), false) => mismatch("f32 input", "u8 images"),
+            (Window::F32(_), true) => mismatch("u8 images", "f32 tensors"),
+        }
     }
 }
 
-/// The mutable, per-stream half of an inference engine: arena banks, the
-/// command queue (with its timeline), the double-buffer cursor and the
-/// primed flag. Many streams may share one [`StagedModel`], each driven
-/// from its own thread with a shared [`DeviceClock`] arbitrating the GPU
-/// between their queues — the serving runtime
-/// ([`DeviceRuntime`](crate::serve::DeviceRuntime)) does so through the
-/// pooled [`MultiStream`].
+/// The one place caller input enters an arena slot: checks the window's
+/// size and every image's shape and layout against `staged`, then copies each
+/// image into its lane of the batched input slot — plain copies into
+/// preallocated storage, no allocation. A lane is one contiguous NHWC
+/// image, so an image in any other layout is refused rather than
+/// reinterpreted.
+fn stage_lanes<T: phonebit_tensor::tensor::Element>(
+    store: &mut Tensor<T>,
+    staged: &StagedModel,
+    images: &[Tensor<T>],
+) -> Result<(), EngineError> {
+    let (plan, single) = (&staged.plan, staged.model.input);
+    if images.is_empty() || images.len() > plan.batch {
+        return Err(EngineError::InputMismatch {
+            expected: format!("1..={} images", plan.batch),
+            got: format!("{} images", images.len()),
+        });
+    }
+    for img in images {
+        if img.shape() != single {
+            return Err(EngineError::InputMismatch {
+                expected: single.to_string(),
+                got: img.shape().to_string(),
+            });
+        }
+        if img.layout() != Layout::Nhwc {
+            return Err(EngineError::InputMismatch {
+                expected: format!("{} {single}", Layout::Nhwc),
+                got: img.layout().to_string(),
+            });
+        }
+    }
+    // `reset` zeroes the whole slot, so a short window's trailing lanes
+    // hold zeros.
+    store.reset(plan.input, Layout::Nhwc);
+    let lanes = store.as_mut_slice().chunks_exact_mut(single.len());
+    for (lane, img) in lanes.zip(images) {
+        lane.copy_from_slice(img.as_slice());
+    }
+    Ok(())
+}
+
+/// One request window borrowed from the caller: up to the lane's staged
+/// batch of single images, of the kind its model takes.
+#[derive(Debug, Clone, Copy)]
+pub enum Window<'a> {
+    /// 8-bit images (models whose first layer is [`PbitLayer::BConvInput8`]).
+    U8(&'a [Tensor<u8>]),
+    /// Float inputs (models whose first layer is already binary or float).
+    F32(&'a [Tensor<f32>]),
+}
+
+/// The mutable, per-stream half of an inference engine: one command queue
+/// (with its timeline) over one **lane** per staged model the stream can
+/// run — that model's prepared arena banks, double-buffer cursor and primed
+/// flag — and one device arena slice sized to the largest lane.
+///
+/// [`Stream::new`] welds a stream to a single [`StagedModel`] (what a
+/// [`Session`] drives). [`Stream::pooled`] gives it a lane per co-resident
+/// tenant over a **single pooled booking** against the shared budgeted
+/// [`Context`]: any tenant whose `banks × Σ slots` fits the slice can run on
+/// the stream — which is every registered tenant, by construction — so an
+/// idle stream can steal the next window regardless of which model it
+/// belongs to, and the device footprint of `S` streams is
+/// `S × max_tenant(arena)` instead of `S × Σ_tenants(arena)`. The serving
+/// runtime ([`DeviceRuntime`](crate::serve::DeviceRuntime)) drives each
+/// pooled stream from its own thread, a shared [`DeviceClock`] arbitrating
+/// the GPU between their queues.
 #[derive(Debug)]
 pub struct Stream {
-    staged: Arc<StagedModel>,
+    lanes: Vec<(Arc<StagedModel>, ArenaState)>,
     queue: CommandQueue,
-    _arena_residency: Vec<Buffer<u8>>,
-    arena: ArenaState,
+    /// The arena slice, booked against the budget for the stream's
+    /// lifetime (arena-true `resident_bytes`). The bytes the kernels touch
+    /// are the lanes' host buffers, so nothing backs the booking.
+    arena_slice: Buffer<u8>,
     capture_output: bool,
 }
 
 impl Stream {
-    /// Stages one stream over a shared [`StagedModel`]: allocates the
-    /// stream's own arena banks (host buffers sized once, device residency
-    /// drawn from the shared context) and a private command queue.
+    /// Stages one stream over a shared [`StagedModel`]: a single lane, its
+    /// arena slice booked against the model's own context, and a private
+    /// unclocked command queue.
     ///
     /// # Errors
     ///
@@ -711,43 +775,46 @@ impl Stream {
     /// no longer fit the app budget alongside the weights and every
     /// already-staged stream.
     pub fn new(staged: Arc<StagedModel>) -> Result<Self, EngineError> {
-        let queue = CommandQueue::new(staged.gpu.clone(), ExecutorClass::PhoneBitOpenCl);
-        Self::with_queue(staged, queue)
+        Self::pooled(std::slice::from_ref(&staged), &staged.ctx, None)
     }
 
-    /// [`Stream::new`] with the stream's queue attached to a shared
-    /// [`DeviceClock`], so co-resident streams contend for the GPU instead
-    /// of each pretending to own it.
+    /// Stages one pooled stream over `tenants` (all staged into `ctx`):
+    /// prepares a lane per tenant, books the pooled slice against the
+    /// shared context, and attaches the stream's queue to `clock` when
+    /// given, so co-resident streams contend for the GPU instead of each
+    /// pretending to own it.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::OutOfMemory`] under the same conditions as
-    /// [`Stream::new`].
-    pub fn with_clock(
-        staged: Arc<StagedModel>,
-        clock: Arc<DeviceClock>,
+    /// Returns [`EngineError::OutOfMemory`] when the pooled slice no
+    /// longer fits the shared budget next to the tenants' weights and the
+    /// already-staged streams.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `tenants` is empty.
+    pub fn pooled(
+        tenants: &[Arc<StagedModel>],
+        ctx: &Context,
+        clock: Option<Arc<DeviceClock>>,
     ) -> Result<Self, EngineError> {
-        let queue =
-            CommandQueue::new(staged.gpu.clone(), ExecutorClass::PhoneBitOpenCl).with_clock(clock);
-        Self::with_queue(staged, queue)
-    }
-
-    fn with_queue(staged: Arc<StagedModel>, queue: CommandQueue) -> Result<Self, EngineError> {
-        let plan = &staged.plan;
-        // Stage every arena bank: host buffers sized once, device residency
-        // held for the stream's lifetime (arena-true `resident_bytes`).
-        let arena = ArenaState::stage(plan);
-        let mut arena_residency = Vec::with_capacity(plan.banks * plan.slots.len());
-        for _ in 0..plan.banks {
-            for &bytes in &plan.slots {
-                arena_residency.push(staged.ctx.alloc::<u8>(bytes)?);
-            }
-        }
+        let first = tenants.first().expect("a stream needs >= 1 tenant");
+        let slice_bytes = tenants
+            .iter()
+            .map(|t| t.plan().staged_arena_bytes())
+            .max()
+            .unwrap_or(0);
+        let queue = CommandQueue::new(first.gpu.clone(), ExecutorClass::PhoneBitOpenCl);
         Ok(Self {
-            staged,
-            queue,
-            _arena_residency: arena_residency,
-            arena,
+            lanes: tenants
+                .iter()
+                .map(|t| (Arc::clone(t), ArenaState::stage(t.plan())))
+                .collect(),
+            queue: match clock {
+                Some(clock) => queue.with_clock(clock),
+                None => queue,
+            },
+            arena_slice: ctx.reserve(slice_bytes)?,
             capture_output: true,
         })
     }
@@ -766,174 +833,120 @@ impl Stream {
         self
     }
 
-    /// The shared staged state this stream runs over.
-    pub fn staged(&self) -> &Arc<StagedModel> {
-        &self.staged
+    /// Device bytes of this stream's arena slice
+    /// (`max_tenant(banks × Σ slots)`).
+    pub fn slice_bytes(&self) -> usize {
+        self.arena_slice.byte_len()
     }
 
-    /// The dispatch timeline of the most recent run.
+    /// A cold lane for `staged`. The slice is **never regrown** — live
+    /// attach and batch replans must not restage the surviving tenants — so
+    /// the newcomer's staged arena has to fit it.
+    fn lane_for(
+        &self,
+        staged: &Arc<StagedModel>,
+    ) -> Result<(Arc<StagedModel>, ArenaState), EngineError> {
+        let requested = staged.plan().staged_arena_bytes();
+        if requested > self.slice_bytes() {
+            return Err(EngineError::OutOfMemory(SimError::OutOfMemory {
+                requested,
+                in_use: 0,
+                budget: self.slice_bytes(),
+            }));
+        }
+        Ok((Arc::clone(staged), ArenaState::stage(staged.plan())))
+    }
+
+    /// Adds a lane for a dynamically attached tenant.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::OutOfMemory`] when the tenant's staged arena
+    /// exceeds the existing slice.
+    pub fn attach_lane(&mut self, staged: &Arc<StagedModel>) -> Result<(), EngineError> {
+        let lane = self.lane_for(staged)?;
+        self.lanes.push(lane);
+        Ok(())
+    }
+
+    /// Removes lane `lane`; later lanes shift down one index. The other
+    /// lanes (arenas, priming) are untouched — live detach never restages
+    /// survivors.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lane` is out of range.
+    pub fn detach_lane(&mut self, lane: usize) {
+        self.lanes.remove(lane);
+    }
+
+    /// Swaps lane `lane` for a restaged model (a shed-triggered batch
+    /// replan), preparing a fresh cold arena for it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::OutOfMemory`] when the restaged arena
+    /// exceeds the existing slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lane` is out of range.
+    pub fn replace_lane(
+        &mut self,
+        lane: usize,
+        staged: &Arc<StagedModel>,
+    ) -> Result<(), EngineError> {
+        self.lanes[lane] = self.lane_for(staged)?;
+        Ok(())
+    }
+
+    /// The dispatch timeline of the most recent window.
     pub fn timeline(&self) -> &[phonebit_gpusim::LaunchEvent] {
         self.queue.timeline()
     }
 
-    /// Runs inference on an 8-bit image (models whose first layer is
-    /// [`PbitLayer::BConvInput8`]).
+    /// Forgets every lane's double-buffer priming (and bank cursor): the
+    /// next window of each lane is charged the cold per-run overhead again
+    /// (a fresh request stream). The runtime calls this at the start of
+    /// every serving pass, so the scheduler's cold-first-window model
+    /// matches what actually executes on a reused stream.
+    pub fn reset_lanes(&mut self) {
+        for (_, arena) in &mut self.lanes {
+            arena.primed = false;
+            arena.bank = 0;
+        }
+    }
+
+    /// Runs one window through lane `lane`'s plan: stages it into the
+    /// lane's active bank, walks the plan over that bank, then rotates the
+    /// bank so the next window stages into the other one. See
+    /// [`Session::run_batch_u8`] for the window contract.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::InputMismatch`] when the model takes float
-    /// input, the stream is batched, or the shape disagrees.
-    pub fn run_u8(&mut self, input: &Tensor<u8>) -> Result<RunReport, EngineError> {
-        if !self.staged.model.takes_u8_input() {
-            return Err(EngineError::InputMismatch {
-                expected: "f32 input".into(),
-                got: "u8 image".into(),
-            });
-        }
-        self.check_single()?;
-        self.check_shape(input.shape())?;
-        self.run_data(InputRef::Bytes(input))
-    }
-
-    /// Runs inference on float input (models whose first layer is already
-    /// binary or float).
+    /// Returns [`EngineError::InputMismatch`] when the window's kind is not
+    /// the one the lane's model takes, the window is empty or larger than
+    /// the lane's staged batch, or any image's shape disagrees or its
+    /// layout is not NHWC.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns [`EngineError::InputMismatch`] when the model takes `u8`
-    /// input, the stream is batched, or the shape disagrees.
-    pub fn run_f32(&mut self, input: &Tensor<f32>) -> Result<RunReport, EngineError> {
-        if self.staged.model.takes_u8_input() {
-            return Err(EngineError::InputMismatch {
-                expected: "u8 image".into(),
-                got: "f32 tensor".into(),
-            });
-        }
-        self.check_single()?;
-        self.check_shape(input.shape())?;
-        self.run_data(InputRef::Floats(input))
-    }
-
-    /// Runs one batched window of up to `batch` 8-bit images. See
-    /// [`Session::run_batch_u8`] for the full contract (this is the same
-    /// entry point on a bare stream).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::InputMismatch`] when the model takes float
-    /// input, the window is empty or larger than the staged batch, or any
-    /// image's shape disagrees.
-    pub fn run_batch_u8(&mut self, images: &[Tensor<u8>]) -> Result<RunReport, EngineError> {
-        if !self.staged.model.takes_u8_input() {
-            return Err(EngineError::InputMismatch {
-                expected: "f32 input".into(),
-                got: "u8 images".into(),
-            });
-        }
-        self.check_window(images.len())?;
-        for img in images {
-            self.check_shape(img.shape())?;
-        }
-        self.arena.stage_window_u8(&self.staged.plan, images);
-        self.run_staged()
-    }
-
-    /// [`Stream::run_batch_u8`] for float-input models.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::InputMismatch`] under the same conditions as
-    /// [`Stream::run_batch_u8`].
-    pub fn run_batch_f32(&mut self, images: &[Tensor<f32>]) -> Result<RunReport, EngineError> {
-        if self.staged.model.takes_u8_input() {
-            return Err(EngineError::InputMismatch {
-                expected: "u8 images".into(),
-                got: "f32 tensors".into(),
-            });
-        }
-        self.check_window(images.len())?;
-        for img in images {
-            self.check_shape(img.shape())?;
-        }
-        self.arena.stage_window_f32(&self.staged.plan, images);
-        self.run_staged()
-    }
-
-    /// Forgets the double-buffer priming so the next batched window is
-    /// charged the cold per-run overhead again (a fresh request stream).
-    pub fn reset_stream(&mut self) {
-        self.arena.primed = false;
-    }
-
-    fn check_single(&self) -> Result<(), EngineError> {
-        if self.staged.plan.batch > 1 {
-            return Err(EngineError::InputMismatch {
-                expected: format!(
-                    "batched window (stream staged at batch {})",
-                    self.staged.plan.batch
-                ),
-                got: "single image".into(),
-            });
-        }
-        Ok(())
-    }
-
-    fn check_window(&self, count: usize) -> Result<(), EngineError> {
-        if count == 0 || count > self.staged.plan.batch {
-            return Err(EngineError::InputMismatch {
-                expected: format!("1..={} images", self.staged.plan.batch),
-                got: format!("{count} images"),
-            });
-        }
-        Ok(())
-    }
-
-    fn check_shape(&self, got: Shape4) -> Result<(), EngineError> {
-        if got != self.staged.model.input {
-            return Err(EngineError::InputMismatch {
-                expected: self.staged.model.input.to_string(),
-                got: got.to_string(),
-            });
-        }
-        Ok(())
-    }
-
-    fn run_data(&mut self, input: InputRef<'_>) -> Result<RunReport, EngineError> {
-        // Stage the input into its arena slot (a copy into preallocated
-        // storage, not an allocation).
-        let in_slot = self.staged.plan.values[self.staged.plan.input_value].slot;
-        match input {
-            InputRef::Bytes(t) => {
-                let store = self.arena.banks[self.arena.bank][in_slot]
-                    .bytes
-                    .as_mut()
-                    .expect("arena slot: bytes staged");
-                store.reset(t.shape(), t.layout());
-                store.as_mut_slice().copy_from_slice(t.as_slice());
-            }
-            InputRef::Floats(t) => {
-                let store = self.arena.banks[self.arena.bank][in_slot]
-                    .floats
-                    .as_mut()
-                    .expect("arena slot: floats staged");
-                store.reset(t.shape(), t.layout());
-                store.as_mut_slice().copy_from_slice(t.as_slice());
-            }
-        }
-        self.run_staged()
-    }
-
-    /// Walks the plan over the active bank (input already staged there),
-    /// then rotates the bank so the next window stages into the other one.
-    fn run_staged(&mut self) -> Result<RunReport, EngineError> {
-        // A plain field borrow, not an Arc clone: `staged` is disjoint
-        // from the `queue`/`arena` fields mutated below, and a refcount
-        // bump per window would ping-pong the counter's cache line across
-        // every stream thread in a sharded runtime.
-        Ok(run_window(
+    /// Panics when `lane` is out of range.
+    pub fn run_window(
+        &mut self,
+        lane: usize,
+        window: Window<'_>,
+    ) -> Result<RunReport, EngineError> {
+        // A plain field borrow, not an Arc clone: the lane is disjoint
+        // from the `queue` mutated below, and a refcount bump per window
+        // would ping-pong the counter's cache line across every stream
+        // thread in a sharded runtime.
+        let (staged, arena) = &mut self.lanes[lane];
+        arena.stage_input(staged, window)?;
+        Ok(walk_window(
             &mut self.queue,
-            &self.staged,
-            &mut self.arena,
+            staged,
+            arena,
             self.capture_output,
         ))
     }
@@ -941,10 +954,8 @@ impl Stream {
 
 /// Walks one staged window of `staged`'s plan over `arena`'s active bank
 /// (input already staged there), then rotates the bank so the next window
-/// stages into the other one. The shared execution core of [`Stream`]
-/// (one staged model) and [`MultiStream`] (any co-resident tenant's plan
-/// on the same queue).
-fn run_window(
+/// stages into the other one.
+fn walk_window(
     queue: &mut CommandQueue,
     staged: &StagedModel,
     arena: &mut ArenaState,
@@ -1025,266 +1036,6 @@ fn run_window(
         per_layer,
         output,
     }
-}
-
-/// A serving lane that can run **any** co-resident tenant's plan — the
-/// multi-tenant generalization of [`Stream`].
-///
-/// Where a [`Stream`] is welded to one [`StagedModel`], a `MultiStream`
-/// keeps one prepared arena state *per tenant* (host buffers sized once
-/// at staging, priming tracked per tenant) over a **single pooled device
-/// allocation**: one arena slice sized to the largest tenant's staged
-/// banks, drawn from the shared budgeted [`Context`]. Any tenant whose
-/// `banks × Σ slots` fits the slice can run on this stream — which is every
-/// registered tenant, by construction — so an idle stream can steal the
-/// next window regardless of which model it belongs to, and the device
-/// footprint of `S` streams is `S × max_tenant(arena)` instead of
-/// `S × Σ_tenants(arena)`.
-#[derive(Debug)]
-pub struct MultiStream {
-    lanes: Vec<(Arc<StagedModel>, ArenaState)>,
-    queue: CommandQueue,
-    _pool_residency: Buffer<u8>,
-    pool_slice_bytes: usize,
-    capture_output: bool,
-}
-
-impl MultiStream {
-    /// Stages one pooled stream over `tenants` (all staged into `ctx`):
-    /// prepares a per-tenant arena lane, allocates the pooled slice from
-    /// the shared context, and attaches the stream's queue to the shared
-    /// device clock.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::OutOfMemory`] when the pooled slice no
-    /// longer fits the shared budget next to the tenants' weights and the
-    /// already-staged streams.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `tenants` is empty.
-    pub fn new(
-        tenants: &[Arc<StagedModel>],
-        ctx: &Context,
-        clock: Arc<DeviceClock>,
-    ) -> Result<Self, EngineError> {
-        let first = tenants.first().expect("a multi-stream needs >= 1 tenant");
-        let pool_slice_bytes = tenants
-            .iter()
-            .map(|t| t.plan().staged_arena_bytes())
-            .max()
-            .unwrap_or(0);
-        let pool = ctx.alloc::<u8>(pool_slice_bytes)?;
-        let queue =
-            CommandQueue::new(first.gpu.clone(), ExecutorClass::PhoneBitOpenCl).with_clock(clock);
-        let lanes = tenants
-            .iter()
-            .map(|t| (Arc::clone(t), ArenaState::stage(t.plan())))
-            .collect();
-        Ok(Self {
-            lanes,
-            queue,
-            _pool_residency: pool,
-            pool_slice_bytes,
-            capture_output: true,
-        })
-    }
-
-    /// Disables (or re-enables) cloning final activations into
-    /// [`RunReport::output`].
-    pub fn with_output_capture(mut self, capture: bool) -> Self {
-        self.capture_output = capture;
-        self
-    }
-
-    /// Device bytes of this stream's pooled arena slice
-    /// (`max_tenant(banks × Σ slots)`).
-    pub fn pool_slice_bytes(&self) -> usize {
-        self.pool_slice_bytes
-    }
-
-    /// Co-resident tenants this stream can serve.
-    pub fn tenant_count(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Whether tenant `tenant`'s staged arena fits this stream's pooled
-    /// slice (always true for registered tenants; the check is what a
-    /// dynamic tenant-attach consults).
-    pub fn fits_tenant(&self, staged: &StagedModel) -> bool {
-        staged.plan().staged_arena_bytes() <= self.pool_slice_bytes
-    }
-
-    /// Adds a lane for a dynamically attached tenant. The pooled slice is
-    /// **not** regrown — live attach must never restage the surviving
-    /// tenants — so the newcomer's staged arena must pass
-    /// [`MultiStream::fits_tenant`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::OutOfMemory`] when the tenant's staged arena
-    /// exceeds the existing pooled slice.
-    pub fn attach_lane(&mut self, staged: &Arc<StagedModel>) -> Result<(), EngineError> {
-        if !self.fits_tenant(staged) {
-            return Err(EngineError::OutOfMemory(SimError::OutOfMemory {
-                requested: staged.plan().staged_arena_bytes(),
-                in_use: 0,
-                budget: self.pool_slice_bytes,
-            }));
-        }
-        self.lanes
-            .push((Arc::clone(staged), ArenaState::stage(staged.plan())));
-        Ok(())
-    }
-
-    /// Removes tenant `tenant`'s lane; later tenants shift down one index.
-    /// The other lanes (arenas, priming) are untouched — live detach never
-    /// restages survivors.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `tenant` is out of range.
-    pub fn detach_lane(&mut self, tenant: usize) {
-        self.lanes.remove(tenant);
-    }
-
-    /// Swaps tenant `tenant`'s lane for a restaged model (a shed-triggered
-    /// batch replan), preparing a fresh cold arena for it. Subject to the
-    /// same pooled-slice bound as [`MultiStream::attach_lane`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::OutOfMemory`] when the restaged arena
-    /// exceeds the existing pooled slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `tenant` is out of range.
-    pub fn replace_lane(
-        &mut self,
-        tenant: usize,
-        staged: &Arc<StagedModel>,
-    ) -> Result<(), EngineError> {
-        if !self.fits_tenant(staged) {
-            return Err(EngineError::OutOfMemory(SimError::OutOfMemory {
-                requested: staged.plan().staged_arena_bytes(),
-                in_use: 0,
-                budget: self.pool_slice_bytes,
-            }));
-        }
-        self.lanes[tenant] = (Arc::clone(staged), ArenaState::stage(staged.plan()));
-        Ok(())
-    }
-
-    /// The dispatch timeline of the most recent window.
-    pub fn timeline(&self) -> &[phonebit_gpusim::LaunchEvent] {
-        self.queue.timeline()
-    }
-
-    /// Forgets every tenant lane's double-buffer priming (and bank
-    /// cursor): the next window of each (stream, tenant) pairing is
-    /// charged the cold per-run overhead again. The runtime calls this at
-    /// the start of every serving pass, so the scheduler's
-    /// cold-first-window model matches what actually executes on a reused
-    /// stream.
-    pub fn reset_lanes(&mut self) {
-        for (_, arena) in &mut self.lanes {
-            arena.primed = false;
-            arena.bank = 0;
-        }
-    }
-
-    /// Runs one window of 8-bit images through tenant `tenant`'s plan.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::InputMismatch`] when the tenant's model
-    /// takes float input, the window is empty or larger than the tenant's
-    /// staged batch, or any image's shape disagrees.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `tenant` is out of range.
-    pub fn run_window_u8(
-        &mut self,
-        tenant: usize,
-        images: &[Tensor<u8>],
-    ) -> Result<RunReport, EngineError> {
-        let (staged, arena) = &mut self.lanes[tenant];
-        if !staged.model.takes_u8_input() {
-            return Err(EngineError::InputMismatch {
-                expected: "f32 input".into(),
-                got: "u8 images".into(),
-            });
-        }
-        check_tenant_window(staged, images.len())?;
-        for img in images {
-            check_tenant_shape(staged, img.shape())?;
-        }
-        arena.stage_window_u8(&staged.plan, images);
-        Ok(run_window(
-            &mut self.queue,
-            staged,
-            arena,
-            self.capture_output,
-        ))
-    }
-
-    /// [`MultiStream::run_window_u8`] for float-input tenants.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::InputMismatch`] under the mirrored
-    /// conditions.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `tenant` is out of range.
-    pub fn run_window_f32(
-        &mut self,
-        tenant: usize,
-        images: &[Tensor<f32>],
-    ) -> Result<RunReport, EngineError> {
-        let (staged, arena) = &mut self.lanes[tenant];
-        if staged.model.takes_u8_input() {
-            return Err(EngineError::InputMismatch {
-                expected: "u8 images".into(),
-                got: "f32 tensors".into(),
-            });
-        }
-        check_tenant_window(staged, images.len())?;
-        for img in images {
-            check_tenant_shape(staged, img.shape())?;
-        }
-        arena.stage_window_f32(&staged.plan, images);
-        Ok(run_window(
-            &mut self.queue,
-            staged,
-            arena,
-            self.capture_output,
-        ))
-    }
-}
-
-fn check_tenant_window(staged: &StagedModel, count: usize) -> Result<(), EngineError> {
-    if count == 0 || count > staged.plan.batch {
-        return Err(EngineError::InputMismatch {
-            expected: format!("1..={} images", staged.plan.batch),
-            got: format!("{count} images"),
-        });
-    }
-    Ok(())
-}
-
-fn check_tenant_shape(staged: &StagedModel, got: Shape4) -> Result<(), EngineError> {
-    if got != staged.model.input {
-        return Err(EngineError::InputMismatch {
-            expected: staged.model.input.to_string(),
-            got: got.to_string(),
-        });
-    }
-    Ok(())
 }
 
 /// An inference session: a model staged on a phone's GPU, single-image
@@ -1415,17 +1166,33 @@ impl Session {
 
     /// The staged model.
     pub fn model(&self) -> &PbitModel {
-        self.stream.staged().model()
+        self.staged().model()
     }
 
     /// The staged execution plan (routes, values, arena assignment).
     pub fn plan(&self) -> &ExecutionPlan {
-        self.stream.staged().plan()
+        self.staged().plan()
     }
 
     /// Device memory currently allocated (weights + activation arena), bytes.
     pub fn resident_bytes(&self) -> usize {
-        self.stream.staged().resident_bytes()
+        self.staged().resident_bytes()
+    }
+
+    /// The staged half of the session's one lane.
+    fn staged(&self) -> &StagedModel {
+        &self.stream.lanes[0].0
+    }
+
+    /// The single-image entry points are for sessions staged at batch 1.
+    fn check_single(&self) -> Result<(), EngineError> {
+        match self.plan().batch {
+            1 => Ok(()),
+            batch => Err(EngineError::InputMismatch {
+                expected: format!("batched window (stream staged at batch {batch})"),
+                got: "single image".into(),
+            }),
+        }
     }
 
     /// The dispatch timeline of the most recent run — input to the
@@ -1442,7 +1209,10 @@ impl Session {
     /// Returns [`EngineError::InputMismatch`] when the model takes float
     /// input, the session is batched, or the shape disagrees.
     pub fn run_u8(&mut self, input: &Tensor<u8>) -> Result<RunReport, EngineError> {
-        self.stream.run_u8(input)
+        self.check_single()?;
+        // A window is staged lane by lane and takes NHWC only; a lone
+        // image in another layout has always been served, so convert it.
+        self.run_batch_u8(std::slice::from_ref(&*input.nhwc()))
     }
 
     /// Runs inference on float input (models whose first layer is already
@@ -1453,7 +1223,8 @@ impl Session {
     /// Returns [`EngineError::InputMismatch`] when the model takes `u8`
     /// input, the session is batched, or the shape disagrees.
     pub fn run_f32(&mut self, input: &Tensor<f32>) -> Result<RunReport, EngineError> {
-        self.stream.run_f32(input)
+        self.check_single()?;
+        self.run_batch_f32(std::slice::from_ref(&*input.nhwc()))
     }
 
     /// Runs one batched window of up to `batch` 8-bit images through a
@@ -1475,7 +1246,7 @@ impl Session {
     /// input, the window is empty or larger than the staged batch, or any
     /// image's shape disagrees.
     pub fn run_batch_u8(&mut self, images: &[Tensor<u8>]) -> Result<RunReport, EngineError> {
-        self.stream.run_batch_u8(images)
+        self.stream.run_window(0, Window::U8(images))
     }
 
     /// [`Session::run_batch_u8`] for float-input models.
@@ -1485,43 +1256,14 @@ impl Session {
     /// Returns [`EngineError::InputMismatch`] under the same conditions as
     /// [`Session::run_batch_u8`].
     pub fn run_batch_f32(&mut self, images: &[Tensor<f32>]) -> Result<RunReport, EngineError> {
-        self.stream.run_batch_f32(images)
+        self.stream.run_window(0, Window::F32(images))
     }
 
     /// Forgets the double-buffer priming so the next batched window is
     /// charged the cold per-run overhead again (a fresh request stream).
     pub fn reset_stream(&mut self) {
-        self.stream.reset_stream();
+        self.stream.reset_lanes();
     }
-}
-
-/// Borrowed network input handed to the run loop (copied into the arena,
-/// never cloned on the heap).
-enum InputRef<'a> {
-    Bytes(&'a Tensor<u8>),
-    Floats(&'a Tensor<f32>),
-}
-
-fn as_nhwc_u8(t: &Tensor<u8>) -> &[u8] {
-    assert_eq!(t.layout(), Layout::Nhwc, "batched inputs must be NHWC");
-    t.as_slice()
-}
-
-fn as_nhwc_f32(t: &Tensor<f32>) -> &[f32] {
-    assert_eq!(t.layout(), Layout::Nhwc, "batched inputs must be NHWC");
-    t.as_slice()
-}
-
-/// Copies each image's elements into its lane of the batched input slot
-/// and zeroes the trailing lanes of a short window — plain copies into
-/// preallocated storage, no allocation.
-fn stage_window<'a, T: Copy + Default + 'a>(dst: &mut [T], images: impl Iterator<Item = &'a [T]>) {
-    let mut off = 0;
-    for src in images {
-        dst[off..off + src.len()].copy_from_slice(src);
-        off += src.len();
-    }
-    dst[off..].fill(T::default());
 }
 
 /// The staged bank of the binary convolution at `layer`.
@@ -2071,6 +1813,11 @@ mod tests {
         let bad = Tensor::<u8>::zeros(Shape4::new(1, 9, 9, 3), Layout::Nhwc);
         let err = session.run_u8(&bad).unwrap_err();
         assert!(matches!(err, EngineError::InputMismatch { .. }));
+        // The right shape in the other layout is the same image: the
+        // single-image entry point serves it, bit for bit.
+        let want = session.run_u8(&image()).unwrap().output;
+        let nchw = image().to_layout(Layout::Nchw);
+        assert_eq!(session.run_u8(&nchw).unwrap().output, want);
     }
 
     #[test]
@@ -2250,6 +1997,18 @@ mod tests {
         // Wrong per-image shape is rejected.
         let bad = vec![Tensor::<u8>::zeros(Shape4::new(1, 9, 9, 3), Layout::Nhwc)];
         assert!(batched.run_batch_u8(&bad).is_err());
+        // A window is staged lane by lane: an NCHW image is refused by
+        // name (it used to panic here), at batch 1 too.
+        let nchw = [images(1)[0].to_layout(Layout::Nchw)];
+        let mut single = Session::new(convert(&small_def()), &phone).unwrap();
+        for session in [&mut batched, &mut single] {
+            match session.run_batch_u8(&nchw).unwrap_err() {
+                EngineError::InputMismatch { expected, got } => {
+                    assert!(expected.starts_with("NHWC") && got == "NCHW");
+                }
+                other => panic!("expected an input mismatch, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub use arrival::ArrivalProcess;
 pub use builder::NetworkBuilder;
 pub use convert::convert;
 pub use engine::{
-    ActivationData, EngineError, MultiStream, ResidencyManager, Session, StagedModel, Stream,
+    ActivationData, EngineError, ResidencyManager, Session, StagedModel, Stream, Window,
 };
 pub use estimate::{estimate_arch, estimate_window, EstimateOptions};
 pub use fleet::{
@@ -89,9 +89,9 @@ pub use planner::{
     select_conv_path, select_conv_path_with, ConvPath, ConvPlan, MemoryPlan, MultiTenantPlan,
 };
 pub use serve::{
-    estimate_serve_open_loop, schedule_open_loop, Admission, DeviceRuntime, MultiServeReport,
-    OpenLoopAttempt, OpenLoopLoad, OpenLoopOptions, OpenLoopReport, OpenLoopSchedule,
-    OpenLoopWindow, OpenLoopWorkload, RetryPolicy, ShedReason, Tenant, TenantOpenLoopReport,
-    TenantServeReport, TenantSpec, TenantTraffic, TenantWorkload, WindowFate,
+    estimate_serve_open_loop, schedule_open_loop, Admission, DeviceRuntime, OpenLoopAttempt,
+    OpenLoopLoad, OpenLoopOptions, OpenLoopReport, OpenLoopSchedule, OpenLoopWindow,
+    OpenLoopWorkload, RetryPolicy, ShedReason, Tenant, TenantOpenLoopReport, TenantSpec,
+    TenantTraffic, TenantWorkload, WindowFate,
 };
 pub use stats::{nearest_rank, LayerRun, RunReport};

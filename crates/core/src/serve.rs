@@ -39,13 +39,13 @@
 //! time and executed verbatim — every attempt on its assigned stream, one
 //! scoped thread per stream. Counters, latencies and percentiles are folded
 //! from the schedule; what the streams measured is reported beside it
-//! (`duration_ms`, `attempt_exec_ms`) and pinned equal by the no-drift
-//! tests. An **estimate is a dry run**: a runtime brought up from
-//! architectures alone ([`DeviceRuntime::dry`]) holds the same admitted
-//! table with nothing staged and no streams, is fed request counts
-//! ([`TenantTraffic::Count`]) and goes through the same pass, skipping
-//! staging, lane bookkeeping and the execute call and nothing else — so an
-//! estimate cannot drift from the runtime it estimates.
+//! (`attempt_exec_ms`) and pinned equal by the no-drift tests. An **estimate
+//! is a dry run**: a runtime brought up from architectures alone
+//! ([`DeviceRuntime::dry`]) holds the same admitted table with nothing
+//! staged and no streams, is fed request counts ([`TenantTraffic::Count`])
+//! and goes through the same pass, skipping staging, lane bookkeeping and
+//! the execute call and nothing else — so an estimate cannot drift from the
+//! runtime it estimates.
 //!
 //! Serving remains **bit-exact**: requests are windowed in arrival order
 //! per tenant and outputs are reassembled into request order;
@@ -53,6 +53,7 @@
 //! across the micro zoo and all four binary-convolution routes.
 
 use std::borrow::Borrow;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::thread;
 
@@ -65,7 +66,7 @@ use phonebit_nn::graph::NetworkArch;
 use phonebit_tensor::tensor::Tensor;
 
 use crate::arrival::ArrivalProcess;
-use crate::engine::{ActivationData, EngineError, MultiStream, StagedModel};
+use crate::engine::{ActivationData, EngineError, StagedModel, Stream, Window};
 use crate::estimate::walk_plan;
 use crate::model::PbitModel;
 use crate::plan::{ExecutionPlan, RouteOverrides};
@@ -246,6 +247,14 @@ pub struct OpenLoopSchedule {
     pub fates: Vec<Vec<WindowFate>>,
     /// Last modeled completion, milliseconds.
     pub wall_ms: f64,
+}
+
+impl OpenLoopSchedule {
+    /// Streams that carried at least one attempt.
+    pub fn streams_used(&self) -> usize {
+        let used: BTreeSet<usize> = self.attempts.iter().map(|a| a.stream).collect();
+        used.len()
+    }
 }
 
 /// A stable identity for one execution attempt, independent of dispatch
@@ -523,12 +532,6 @@ fn open_loop_windows(
             }
         })
         .collect()
-}
-
-/// The per-window pacing target of a closed-loop tenant, milliseconds: its
-/// SLO when set, else its own modeled steady window.
-fn pacing_target_ms(slo_ms: Option<f64>, steady_ms: f64) -> f64 {
-    slo_ms.unwrap_or(steady_ms).max(f64::MIN_POSITIVE)
 }
 
 /// A closed-loop queue of `count` windows as the scheduler sees it: all
@@ -1296,64 +1299,20 @@ impl TenantTraffic<'_> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
 
-/// One tenant's slice of a [`MultiServeReport`].
-#[derive(Debug, PartialEq)]
-pub struct TenantServeReport {
-    /// Tenant name.
-    pub name: String,
-    /// Requests served.
-    pub served: usize,
-    /// Windows dispatched.
-    pub windows: usize,
-    /// The tenant's window size.
-    pub batch: usize,
-    /// Per-request outputs, reassembled in arrival order; empty after a
-    /// dry run.
-    pub outputs: Vec<ActivationData>,
-    /// Per-window **latency** in window order, milliseconds: completion on
-    /// the schedule minus the window's paced arrival (`index × target`),
-    /// floored at the service time — queueing delay under contention shows
-    /// up here, which is what the starvation test pins.
-    pub window_ms: Vec<f64>,
-    /// Per-window **executed** service time in window order, milliseconds
-    /// — what a single-tenant (sharded) report reads its percentiles off:
-    /// one tenant has no cross-tenant queueing to report. Equal to the
-    /// schedule's `end − start` (the no-drift invariant); empty after a
-    /// dry run.
-    pub duration_ms: Vec<f64>,
-    /// Median window latency, milliseconds.
-    pub p50_ms: f64,
-    /// 95th-percentile window latency, milliseconds.
-    pub p95_ms: f64,
-    /// 99th-percentile window latency, milliseconds.
-    pub p99_ms: f64,
-    /// The tenant's SLO, if any.
-    pub slo_ms: Option<f64>,
-    /// Whether the observed p95 latency met the SLO.
-    pub slo_met: bool,
-}
-
-/// One multi-tenant closed-loop serving pass across every registered
-/// tenant, executed or dry.
-#[derive(Debug, PartialEq)]
-pub struct MultiServeReport {
-    /// Per-tenant results, in registry order.
-    pub tenants: Vec<TenantServeReport>,
-    /// Streams that carried traffic.
-    pub streams: usize,
-    /// Requests served across every tenant.
-    pub served: usize,
-    /// Windows dispatched across every tenant.
-    pub windows: usize,
-    /// Makespan: the schedule's last completion, seconds.
-    pub wall_s: f64,
-    /// Aggregate throughput across every tenant over the makespan.
-    pub imgs_per_s: f64,
-    /// The work-stealing schedule of the pass (modeled times): one attempt
-    /// per window, every fate `Served`.
-    pub schedule: OpenLoopSchedule,
+    /// Window `index` of this queue cut at `batch` (the last one may be
+    /// short), as a stream stages it.
+    fn window(&self, index: usize, batch: usize) -> Result<Window<'_>, EngineError> {
+        let span = |queued: usize| index * batch..((index + 1) * batch).min(queued);
+        match self {
+            TenantTraffic::U8(r) => Ok(Window::U8(&r[span(r.len())])),
+            TenantTraffic::F32(r) => Ok(Window::F32(&r[span(r.len())])),
+            TenantTraffic::Count(n) => Err(EngineError::InputMismatch {
+                expected: "request tensors for a staged runtime".into(),
+                got: format!("a count of {n} requests"),
+            }),
+        }
+    }
 }
 
 /// Knobs for one [`DeviceRuntime::serve_open_loop`] pass.
@@ -1379,7 +1338,8 @@ impl Default for OpenLoopOptions {
     }
 }
 
-/// One tenant's slice of an [`OpenLoopReport`].
+/// One tenant's slice of an [`OpenLoopReport`], from a closed- or open-loop
+/// pass alike.
 #[derive(Debug, PartialEq)]
 pub struct TenantOpenLoopReport {
     /// Tenant name.
@@ -1405,7 +1365,11 @@ pub struct TenantOpenLoopReport {
     /// dry run.
     pub outputs: Vec<Option<ActivationData>>,
     /// Per-served-request latency (completion − **its own arrival**),
-    /// milliseconds, in arrival order over served requests.
+    /// milliseconds, in arrival order over served requests. A closed-loop
+    /// window dispatched ahead of its paced arrival counts from its start,
+    /// so latency is floored at the service time and queueing delay under
+    /// contention shows on top of it — which is what the starvation test
+    /// pins.
     pub latency_ms: Vec<f64>,
     /// Median served-request latency, milliseconds.
     pub p50_ms: f64,
@@ -1423,20 +1387,25 @@ pub struct TenantOpenLoopReport {
     pub shed_rate: f64,
 }
 
-/// One open-loop serving pass, executed or dry: every admitted tenant
-/// either meets its SLO or degrades by bounded shedding; surviving outputs
-/// are bit-exact with a fault-free run.
+/// One serving pass, executed or dry: every admitted tenant either meets
+/// its SLO or degrades by bounded shedding; surviving outputs are bit-exact
+/// with a fault-free run. A closed-loop pass ([`DeviceRuntime::serve`]) is
+/// the same report with nothing shed, retried or replanned: `shed`,
+/// `windows_shed`, `retries`, `throttled` and `replans` stay zero, every
+/// output is `Some`, and the schedule holds one served attempt per window.
 #[derive(Debug, PartialEq)]
 pub struct OpenLoopReport {
     /// Per-tenant results, in registry order.
     pub tenants: Vec<TenantOpenLoopReport>,
-    /// Streams that carried traffic.
+    /// Pooled streams the pass was scheduled over (the ones that carried
+    /// traffic are [`OpenLoopSchedule::streams_used`]).
     pub streams: usize,
-    /// Last modeled completion, milliseconds.
+    /// Last modeled completion (the makespan), milliseconds.
     pub wall_ms: f64,
     /// Served requests over the pass's horizon — `max(wall, last arrival)`
     /// for [`DeviceRuntime::serve_open_loop`], `max(wall, duration)` for
-    /// [`estimate_serve_open_loop`] — images per second.
+    /// [`estimate_serve_open_loop`], the makespan alone for
+    /// [`DeviceRuntime::serve`] — images per second.
     pub goodput_imgs_per_s: f64,
     /// Shed-triggered admission re-plans taken before executing.
     pub replans: usize,
@@ -1444,8 +1413,10 @@ pub struct OpenLoopReport {
     pub schedule: OpenLoopSchedule,
     /// Executed duration of each schedule attempt (service × derate),
     /// milliseconds, in schedule order — equal to the modeled
-    /// `end_ms − start_ms` (the no-drift invariant under faults). Empty
-    /// after a dry run.
+    /// `end_ms − start_ms` (the no-drift invariant under faults), and what
+    /// a single-tenant (sharded) report reads its service percentiles off:
+    /// one tenant has no cross-tenant queueing to report. Empty after a dry
+    /// run.
     pub attempt_exec_ms: Vec<f64>,
 }
 
@@ -1454,7 +1425,7 @@ pub struct OpenLoopReport {
 type OutputSlots = Vec<Vec<Option<ActivationData>>>;
 
 /// The multi-tenant device runtime: a registry of co-resident
-/// [`StagedModel`]s on one device, `N` pooled [`MultiStream`]s, one shared
+/// [`StagedModel`]s on one device, `N` pooled [`Stream`]s, one shared
 /// [`DeviceClock`] carrying the tenants' registered mix, and a
 /// contention-aware admission decision per tenant.
 ///
@@ -1491,7 +1462,7 @@ type OutputSlots = Vec<Vec<Option<ActivationData>>>;
 /// let report = runtime.serve(&[TenantTraffic::U8(&reqs), TenantTraffic::U8(&reqs)])?;
 /// assert_eq!(report.tenants[0].outputs.len(), 4);
 /// assert_eq!(report.tenants[1].outputs.len(), 4);
-/// assert!(report.imgs_per_s > 0.0);
+/// assert!(report.goodput_imgs_per_s > 0.0);
 /// # Ok::<(), phonebit_core::EngineError>(())
 /// ```
 #[derive(Debug)]
@@ -1500,7 +1471,7 @@ pub struct DeviceRuntime {
     /// One pooled stream per lane of concurrency; **empty in a dry
     /// runtime**, which has nothing to run windows on and holds the
     /// streams' pooled slices as one reservation instead.
-    streams: Vec<MultiStream>,
+    streams: Vec<Stream>,
     _dry_pool: Option<Buffer<u8>>,
     /// Pooled streams the scheduler places windows on, staged or not.
     stream_count: usize,
@@ -1637,7 +1608,7 @@ impl DeviceRuntime {
         Ok(Self {
             tenants: registry,
             streams: (0..lanes)
-                .map(|_| MultiStream::new(&staged, &ctx, Arc::clone(&clock)))
+                .map(|_| Stream::pooled(&staged, &ctx, Some(Arc::clone(&clock))))
                 .collect::<Result<Vec<_>, _>>()?,
             _dry_pool: dry_pool,
             stream_count: streams,
@@ -1702,16 +1673,15 @@ impl DeviceRuntime {
         self.pool_slice
     }
 
-    /// Serves every tenant's request queue in one **closed-loop** pass:
-    /// requests are windowed per tenant at the admitted batch, every window
-    /// is pending at time 0 and paced at `(k + 1) × target`
-    /// ([`schedule_open_loop`] then places them — least slack first),
+    /// Serves every tenant's request queue in one **closed-loop** pass —
+    /// the open-loop pass over paced arrivals: request `r` of a tenant
+    /// arrives with its window, window `k` at `k × target`; every window is
+    /// pending at time 0, never shed, and paced at `(k + 1) × target`
+    /// ([`schedule_open_loop`] then places them — least slack first);
     /// streams execute their assignments concurrently on scoped threads,
-    /// and outputs are reassembled per tenant in arrival order. Latencies,
-    /// percentiles and the makespan are read off the schedule, so a dry
-    /// runtime reports exactly what a staged one does, minus `outputs` and
-    /// `duration_ms`. The device clock's fault plan is an open-loop input;
-    /// a closed-loop pass ignores it.
+    /// and outputs are reassembled per tenant in arrival order. Nothing is
+    /// replanned, the device clock's fault plan (an open-loop input) is
+    /// ignored, and goodput is over the makespan.
     ///
     /// # Errors
     ///
@@ -1719,103 +1689,26 @@ impl DeviceRuntime {
     /// up with the registry (one entry per tenant), a tenant's requests
     /// disagree with its model's input kind or shape, or a staged runtime
     /// is handed a payload-free [`TenantTraffic::Count`].
-    pub fn serve(
-        &mut self,
-        traffic: &[TenantTraffic<'_>],
-    ) -> Result<MultiServeReport, EngineError> {
-        if traffic.len() != self.tenants.len() {
-            return Err(EngineError::InputMismatch {
-                expected: format!("{} tenant queues", self.tenants.len()),
-                got: format!("{} queues", traffic.len()),
-            });
-        }
-        let windows = self.request_windows(traffic);
-        let targets: Vec<f64> = self
+    pub fn serve(&mut self, traffic: &[TenantTraffic<'_>]) -> Result<OpenLoopReport, EngineError> {
+        // A tenant's per-window pacing target, milliseconds: its SLO when
+        // set, else its own modeled steady window.
+        let target = |t: &Tenant| t.slo_ms().unwrap_or(t.steady_ms).max(f64::MIN_POSITIVE);
+        let arrivals_ms: Vec<Vec<f64>> = self
             .tenants
-            .iter()
-            .map(|t| pacing_target_ms(t.admission.slo_ms, t.steady_ms))
-            .collect();
-        let loads: Vec<OpenLoopLoad> = self
-            .tenants
-            .iter()
-            .zip(&windows)
-            .zip(&targets)
-            .map(|((t, w), &target_ms)| OpenLoopLoad {
-                windows: closed_loop_windows(w.len(), target_ms),
-                cold_ms: t.cold_ms,
-                steady_ms: t.steady_ms,
-            })
-            .collect();
-        let schedule = schedule_open_loop(&loads, self.stream_count, None, &RetryPolicy::default());
-        let (exec_ms, mut outputs) = self.execute(traffic, &windows, &schedule.attempts)?;
-
-        // Every window is one served attempt: its latency is its scheduled
-        // completion against its paced arrival, floored at its service.
-        let mut latency_ms: Vec<Vec<f64>> = windows.iter().map(|w| vec![0.0; w.len()]).collect();
-        let mut carried = vec![false; self.stream_count];
-        for at in &schedule.attempts {
-            let arrival_ms = at.index as f64 * targets[at.tenant];
-            latency_ms[at.tenant][at.index] = (at.end_ms - arrival_ms).max(at.end_ms - at.start_ms);
-            carried[at.stream] = true;
-        }
-        // A tenant's windows dispatch in order, so its executed durations
-        // arrive in window order.
-        let mut duration_ms: Vec<Vec<f64>> = vec![Vec::new(); windows.len()];
-        for (at, &ms) in schedule.attempts.iter().zip(&exec_ms) {
-            duration_ms[at.tenant].push(ms);
-        }
-
-        let mut tenants = Vec::with_capacity(self.tenants.len());
-        for (t, tenant) in self.tenants.iter().enumerate() {
-            let [p50_ms, p95_ms, p99_ms] = nearest_rank(&latency_ms[t], [0.50, 0.95, 0.99]);
-            tenants.push(TenantServeReport {
-                name: tenant.name.clone(),
-                served: traffic[t].len(),
-                windows: windows[t].len(),
-                batch: tenant.plan().batch,
-                outputs: outputs[t]
-                    .drain(..)
-                    .map(|o| o.expect("every window of a closed loop is served"))
-                    .collect(),
-                window_ms: std::mem::take(&mut latency_ms[t]),
-                duration_ms: std::mem::take(&mut duration_ms[t]),
-                p50_ms,
-                p95_ms,
-                p99_ms,
-                slo_ms: tenant.admission.slo_ms,
-                slo_met: tenant.admission.slo_ms.is_none_or(|slo| p95_ms <= slo),
-            });
-        }
-        let served: usize = tenants.iter().map(|t| t.served).sum();
-        let wall_s = schedule.wall_ms * 1e-3;
-        Ok(MultiServeReport {
-            streams: carried.iter().filter(|&&c| c).count(),
-            served,
-            windows: tenants.iter().map(|t| t.windows).sum(),
-            wall_s,
-            imgs_per_s: if wall_s > 0.0 {
-                served as f64 / wall_s
-            } else {
-                0.0
-            },
-            tenants,
-            schedule,
-        })
-    }
-
-    /// Every tenant's requests cut into `(start, len)` windows of its
-    /// current batch, in arrival order.
-    fn request_windows(&self, traffic: &[TenantTraffic<'_>]) -> Vec<Vec<(usize, usize)>> {
-        self.tenants
             .iter()
             .zip(traffic)
             .map(|(t, q)| {
-                (0..q.len())
-                    .step_by(t.batch())
-                    .map(|start| (start, t.batch().min(q.len() - start)))
-                    .collect()
+                let paced = |r: usize| (r / t.batch()) as f64 * target(t);
+                (0..q.len()).map(paced).collect()
             })
-            .collect()
+            .collect();
+        let opts = OpenLoopOptions {
+            max_replans: 0,
+            ..OpenLoopOptions::default()
+        };
+        self.pass(traffic, &arrivals_ms, &opts, None, 0.0, |t, arrivals| {
+            closed_loop_windows(arrivals.len().div_ceil(t.batch()), target(t))
+        })
     }
 
     /// Executes a schedule verbatim: every attempt — faulted ones
@@ -1831,12 +1724,12 @@ impl DeviceRuntime {
     fn execute(
         &mut self,
         traffic: &[TenantTraffic<'_>],
-        windows: &[Vec<(usize, usize)>],
         attempts: &[OpenLoopAttempt],
     ) -> Result<(Vec<f64>, OutputSlots), EngineError> {
         if self.streams.is_empty() {
             return Ok((Vec::new(), vec![Vec::new(); traffic.len()]));
         }
+        let tenants = &self.tenants;
         // Every pass starts with cold lanes, matching the scheduler's
         // cold-first-window-per-(stream, tenant) model — a reused runtime
         // must not execute primed windows against a cold schedule.
@@ -1857,19 +1750,9 @@ impl DeviceRuntime {
                         mine.iter()
                             .map(|&k| {
                                 let at = &attempts[k];
-                                let (start, len) = windows[at.tenant][at.index];
-                                match traffic[at.tenant] {
-                                    TenantTraffic::U8(reqs) => {
-                                        stream.run_window_u8(at.tenant, &reqs[start..start + len])
-                                    }
-                                    TenantTraffic::F32(reqs) => {
-                                        stream.run_window_f32(at.tenant, &reqs[start..start + len])
-                                    }
-                                    TenantTraffic::Count(n) => Err(EngineError::InputMismatch {
-                                        expected: "request tensors for a staged runtime".into(),
-                                        got: format!("a count of {n} requests"),
-                                    }),
-                                }
+                                let batch = tenants[at.tenant].batch();
+                                let window = traffic[at.tenant].window(at.index, batch)?;
+                                stream.run_window(at.tenant, window)
                             })
                             .collect()
                     })
@@ -1887,10 +1770,11 @@ impl DeviceRuntime {
                 let at = &attempts[k];
                 exec_ms[k] = report.total_s * 1e3 * at.slowdown;
                 if !at.faulted {
-                    let (start, len) = windows[at.tenant][at.index];
+                    let batch = tenants[at.tenant].batch();
                     let out = report.output.as_ref().expect("serving captures outputs");
-                    for j in 0..len {
-                        outputs[at.tenant][start + j] = Some(out.image(j));
+                    let slots = outputs[at.tenant].iter_mut().skip(at.index * batch);
+                    for (j, slot) in slots.take(batch).enumerate() {
+                        *slot = Some(out.image(j));
                     }
                 }
             }
@@ -1947,7 +1831,7 @@ impl DeviceRuntime {
     /// never restaged, so their staged state, outputs, and admission are
     /// bit-identical before and after. Because the pooled arena slice is
     /// not regrown, the newcomer's batch is clamped to what fits the
-    /// existing slice ([`MultiStream::fits_tenant`]).
+    /// existing slice ([`Stream::attach_lane`]).
     ///
     /// Returns the new tenant's registry index.
     ///
@@ -2106,19 +1990,38 @@ impl DeviceRuntime {
     }
 
     /// [`DeviceRuntime::serve_open_loop`] with the goodput horizon given by
-    /// the caller: goodput is served requests over
-    /// `max(wall, horizon_ms)`. A pass over explicit arrivals ends at the
-    /// last of them; one over an arrival *process* ends at the duration the
-    /// process was sampled for, however early its last arrival fell.
-    pub(crate) fn serve_open_loop_over(
+    /// the caller: a pass over explicit arrivals ends at the last of them;
+    /// one over an arrival *process* ends at the duration the process was
+    /// sampled for, however early its last arrival fell.
+    fn serve_open_loop_over(
         &mut self,
         traffic: &[TenantTraffic<'_>],
         arrivals_ms: &[Vec<f64>],
         opts: &OpenLoopOptions,
         horizon_ms: f64,
     ) -> Result<OpenLoopReport, EngineError> {
-        validate_arrivals(self.tenants.len(), traffic, arrivals_ms)?;
         let fault = self.clock.fault_plan();
+        self.pass(traffic, arrivals_ms, opts, fault, horizon_ms, |t, arr| {
+            open_loop_windows(arr, t.batch(), t.slo_ms(), t.steady_ms)
+        })
+    }
+
+    /// The one serving pass — window, schedule, execute, fold — behind
+    /// every entry point: `windows_of` turns a tenant's arrivals into the
+    /// windows the scheduler sees (arrival-gated with deadlines for an open
+    /// loop, all pending and paced for a closed one), `fault` is the plan
+    /// attempts roll against, and goodput is served requests over
+    /// `max(wall, horizon_ms)`.
+    fn pass(
+        &mut self,
+        traffic: &[TenantTraffic<'_>],
+        arrivals_ms: &[Vec<f64>],
+        opts: &OpenLoopOptions,
+        fault: Option<FaultPlan>,
+        horizon_ms: f64,
+        windows_of: impl Fn(&Tenant, &[f64]) -> Vec<OpenLoopWindow>,
+    ) -> Result<OpenLoopReport, EngineError> {
+        validate_arrivals(self.tenants.len(), traffic, arrivals_ms)?;
 
         // Plan the pass, re-planning batches while any tenant's modeled
         // shed rate crosses the threshold: halve the worst offender's
@@ -2127,14 +2030,13 @@ impl DeviceRuntime {
         // graceful degradation past the knee instead of batch-sized
         // losses.
         let mut replans = 0usize;
-        let (windows, schedule) = loop {
-            let windows = self.request_windows(traffic);
+        let schedule = loop {
             let loads: Vec<OpenLoopLoad> = self
                 .tenants
                 .iter()
                 .zip(arrivals_ms)
                 .map(|(t, arr)| OpenLoopLoad {
-                    windows: open_loop_windows(arr, t.batch(), t.admission.slo_ms, t.steady_ms),
+                    windows: windows_of(t, arr),
                     cold_ms: t.cold_ms,
                     steady_ms: t.steady_ms,
                 })
@@ -2151,9 +2053,9 @@ impl DeviceRuntime {
                     }
                     let shed: usize = fates
                         .iter()
-                        .enumerate()
-                        .filter(|(_, f)| !f.is_served())
-                        .map(|(i, _)| windows[t][i].1)
+                        .zip(arrivals_ms[t].chunks(self.tenants[t].batch()))
+                        .filter(|(f, _)| !f.is_served())
+                        .map(|(_, members)| members.len())
                         .sum();
                     let rate = shed as f64 / offered as f64;
                     if rate > opts.shed_replan_threshold && worst.is_none_or(|(_, r)| rate > r) {
@@ -2172,15 +2074,15 @@ impl DeviceRuntime {
                         // No headroom to restage: keep the current plan
                         // and degrade by shedding instead of failing the
                         // whole pass.
-                        Err(EngineError::OutOfMemory(_)) => break (windows, schedule),
+                        Err(EngineError::OutOfMemory(_)) => break schedule,
                         Err(e) => return Err(e),
                     }
                 }
-                None => break (windows, schedule),
+                None => break schedule,
             }
         };
 
-        let (attempt_exec_ms, outputs) = self.execute(traffic, &windows, &schedule.attempts)?;
+        let (attempt_exec_ms, outputs) = self.execute(traffic, &schedule.attempts)?;
 
         let tenants_out: Vec<TenantOpenLoopReport> = self
             .tenants
@@ -2273,8 +2175,13 @@ impl TenantOpenLoopReport {
             .zip(arrivals_ms.chunks(tenant.batch()))
         {
             match fate {
-                WindowFate::Served { end_ms, .. } => {
-                    latency_ms.extend(members.iter().map(|arrival| end_ms - arrival));
+                WindowFate::Served {
+                    start_ms, end_ms, ..
+                } => {
+                    // An arrival never follows its window's start in an open
+                    // loop; a closed loop's paced arrival may, and then the
+                    // request waited from the start.
+                    latency_ms.extend(members.iter().map(|a| end_ms - a.min(*start_ms)));
                 }
                 WindowFate::Shed { .. } => {
                     shed += members.len();
@@ -2441,20 +2348,28 @@ mod tests {
         let report = &pass.tenants[0];
         assert_eq!(report.served, 7);
         assert_eq!(report.windows, 4, "7 requests in windows of 2");
-        assert_eq!(pass.streams, 2);
+        assert_eq!(pass.schedule.streams_used(), 2);
         assert_eq!(report.outputs.len(), 7);
-        assert_eq!(report.duration_ms.len(), 4);
-        assert!(pass.imgs_per_s > 0.0);
-        let [p50, p95, p99] = nearest_rank(&report.duration_ms, [0.50, 0.95, 0.99]);
+        assert_eq!(pass.attempt_exec_ms.len(), 4);
+        assert_eq!((report.shed, report.retries, pass.replans), (0, 0, 0));
+        assert!(pass.goodput_imgs_per_s > 0.0);
+        let [p50, p95, p99] = nearest_rank(&pass.attempt_exec_ms, [0.50, 0.95, 0.99]);
         assert!(p50 <= p95 && p95 <= p99);
         assert!(report.p50_ms <= report.p95_ms && report.p95_ms <= report.p99_ms);
         assert!(report.slo_met, "no SLO set");
+        // Two streams pull windows 0 and 1 at time 0, window 1 ahead of its
+        // paced arrival: its requests' latency is floored at its service.
+        for (r, &latency_ms) in report.latency_ms.iter().enumerate() {
+            let at = pass.schedule.attempts.iter().find(|a| a.index == r / 2);
+            let at = at.expect("every window is served");
+            assert!(latency_ms >= at.end_ms - at.start_ms, "request {r}");
+        }
         // Outputs match one-by-one sequential runs on a plain Session.
         let mut solo = crate::Session::new(micro_model(), &phone).expect("fits");
         for (i, req) in reqs.iter().enumerate() {
             let want = solo.run_u8(req).unwrap().output.unwrap();
-            match (&report.outputs[i], &want) {
-                (ActivationData::Floats(a), ActivationData::Floats(b)) => {
+            match (report.outputs[i].as_ref(), &want) {
+                (Some(ActivationData::Floats(a)), ActivationData::Floats(b)) => {
                     assert_eq!(a, b, "request {i}")
                 }
                 _ => panic!("unexpected output kinds"),
@@ -2470,10 +2385,10 @@ mod tests {
         let ra = a.serve(&[TenantTraffic::U8(&reqs)]).unwrap();
         let rb = b.serve(&[TenantTraffic::U8(&reqs)]).unwrap();
         assert_eq!(
-            ra.tenants[0].duration_ms, rb.tenants[0].duration_ms,
+            ra.attempt_exec_ms, rb.attempt_exec_ms,
             "modeled time is deterministic"
         );
-        assert_eq!(ra.imgs_per_s, rb.imgs_per_s);
+        assert_eq!(ra.goodput_imgs_per_s, rb.goodput_imgs_per_s);
     }
 
     #[test]
@@ -2523,7 +2438,7 @@ mod tests {
         batch: usize,
         streams: usize,
         windows: usize,
-    ) -> (DeviceRuntime, MultiServeReport) {
+    ) -> (DeviceRuntime, OpenLoopReport) {
         let workload = TenantWorkload {
             arch,
             batch: Some(batch),
@@ -2570,7 +2485,7 @@ mod tests {
         // A dry pass executes nothing.
         let t = &solo_pass.tenants[0];
         assert_eq!((t.served, t.windows), (32, 8));
-        assert!(t.outputs.is_empty() && t.duration_ms.is_empty());
+        assert!(t.outputs.is_empty() && solo_pass.attempt_exec_ms.is_empty());
     }
 
     #[test]
@@ -2760,14 +2675,13 @@ mod tests {
         let report = serve(0);
         assert_eq!(report.tenants[0].served, 5);
         assert_eq!(report.tenants[1].served, 4);
-        assert_eq!(report.served, 9);
-        assert_eq!(report.windows, 3 + 2);
+        assert_eq!(report.tenants[0].windows + report.tenants[1].windows, 3 + 2);
         // Solo reference runs.
         let mut solo_a = crate::Session::new(micro_model(), &phone).unwrap();
         for (i, req) in reqs_a.iter().enumerate() {
             let want = solo_a.run_u8(req).unwrap().output.unwrap();
-            match (&report.tenants[0].outputs[i], &want) {
-                (ActivationData::Floats(a), ActivationData::Floats(b)) => {
+            match (report.tenants[0].outputs[i].as_ref(), &want) {
+                (Some(ActivationData::Floats(a)), ActivationData::Floats(b)) => {
                     assert_eq!(a, b, "tenant 0 request {i}")
                 }
                 _ => panic!("unexpected output kinds"),
@@ -2776,8 +2690,8 @@ mod tests {
         let mut solo_b = crate::Session::new(alex_micro_model(), &phone).unwrap();
         for (i, req) in reqs_b.iter().enumerate() {
             let want = solo_b.run_u8(req).unwrap().output.unwrap();
-            match (&report.tenants[1].outputs[i], &want) {
-                (ActivationData::Floats(a), ActivationData::Floats(b)) => {
+            match (report.tenants[1].outputs[i].as_ref(), &want) {
+                (Some(ActivationData::Floats(a)), ActivationData::Floats(b)) => {
                     assert_eq!(a, b, "tenant 1 request {i}")
                 }
                 _ => panic!("unexpected output kinds"),
@@ -2787,7 +2701,7 @@ mod tests {
         let again = serve(1);
         assert_eq!(report.schedule, again.schedule);
         for (a, b) in report.tenants.iter().zip(again.tenants.iter()) {
-            assert_eq!(a.window_ms, b.window_ms);
+            assert_eq!(a.latency_ms, b.latency_ms);
         }
     }
 
@@ -2817,9 +2731,8 @@ mod tests {
         let second = runtime.serve(&traffic).expect("second pass");
         assert_eq!(first.schedule, second.schedule);
         for (pass, report) in [(1, &first), (2, &second)] {
-            for sw in &report.schedule.attempts {
+            for (sw, &executed) in report.schedule.attempts.iter().zip(&report.attempt_exec_ms) {
                 let modeled = sw.end_ms - sw.start_ms;
-                let executed = report.tenants[sw.tenant].duration_ms[sw.index];
                 assert!(
                     (modeled - executed).abs() < 1e-9 * modeled.max(1.0),
                     "pass {pass}: tenant {} window {} executed {executed} ms \
@@ -2829,7 +2742,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(first.wall_s, second.wall_s);
+        assert_eq!(first.wall_ms, second.wall_ms);
     }
 
     #[test]
@@ -2870,16 +2783,18 @@ mod tests {
         let mut runtime = DeviceRuntime::dry(&workloads, &phone, 2, None).expect("pair fits");
         let est = runtime.serve(&counts).expect("dry pass");
         assert_eq!(est.tenants.len(), 2);
-        assert!(est.wall_s > 0.0);
+        assert!(est.wall_ms > 0.0);
         // The time-sliced baseline: each tenant alone on the same streams,
         // makespans summed. Co-residency fills the idle tails it leaves.
-        let sequential_wall_s =
-            solo_dry(&phone, &alex, 2, 2, 9).1.wall_s + solo_dry(&phone, &yolo, 2, 2, 7).1.wall_s;
-        let sequential_imgs_per_s = est.served as f64 / sequential_wall_s;
+        let sequential_wall_s = 1e-3
+            * (solo_dry(&phone, &alex, 2, 2, 9).1.wall_ms
+                + solo_dry(&phone, &yolo, 2, 2, 7).1.wall_ms);
+        let served: usize = est.tenants.iter().map(|t| t.served).sum();
+        let sequential_imgs_per_s = served as f64 / sequential_wall_s;
         assert!(
-            est.imgs_per_s > sequential_imgs_per_s,
+            est.goodput_imgs_per_s > sequential_imgs_per_s,
             "co-resident {:.1} imgs/s vs time-sliced {:.1}",
-            est.imgs_per_s,
+            est.goodput_imgs_per_s,
             sequential_imgs_per_s
         );
         // Pooled memory: shared slice, summed weights.
@@ -3239,8 +3154,8 @@ mod tests {
         let mut solo_b = crate::Session::new(alex_micro_model(), &phone).unwrap();
         for (i, req) in reqs_b.iter().enumerate() {
             let want = solo_b.run_u8(req).unwrap().output.unwrap();
-            match (&grown_report.tenants[1].outputs[i], &want) {
-                (ActivationData::Floats(a), ActivationData::Floats(b)) => {
+            match (grown_report.tenants[1].outputs[i].as_ref(), &want) {
+                (Some(ActivationData::Floats(a)), ActivationData::Floats(b)) => {
                     assert_eq!(a, b, "attached tenant request {i}")
                 }
                 _ => panic!("unexpected output kinds"),
@@ -3270,7 +3185,9 @@ mod tests {
             .zip(want.tenants[0].outputs.iter())
         {
             match (a, b) {
-                (ActivationData::Floats(x), ActivationData::Floats(y)) => assert_eq!(x, y),
+                (Some(ActivationData::Floats(x)), Some(ActivationData::Floats(y))) => {
+                    assert_eq!(x, y)
+                }
                 _ => panic!("unexpected output kinds"),
             }
         }

@@ -21,7 +21,6 @@
 use phonebit_gpusim::{KernelProfile, NdRange};
 use phonebit_tensor::shape::ConvGeometry;
 
-use crate::fuse::EQN8_DIVERGENCE;
 use crate::workload::WorkloadPolicy;
 
 /// Coalescing efficiency of packed NHWC access.
@@ -100,21 +99,6 @@ pub fn bconv_fused_untiled(
     // taps mask part of the wave.
     p.int_ops = outputs * (2.0 * taps + 3.0);
     p.divergence(1.05)
-}
-
-/// Profile of the divergent (Eqn 8) variant of the fused kernel, for the
-/// branch-divergence ablation: same work, four-way divergent tail.
-pub fn bconv_fused_divergent(
-    out_pixels: usize,
-    out_channels: usize,
-    in_channels: usize,
-    geom: &ConvGeometry,
-    policy: &WorkloadPolicy,
-) -> KernelProfile {
-    let mut p = bconv_fused(out_pixels, out_channels, in_channels, geom, policy)
-        .divergence(EQN8_DIVERGENCE);
-    p.name = "bconv_fused_eqn8";
-    p
 }
 
 /// Compulsory input traffic of a convolution given on-chip window reuse:
@@ -379,15 +363,6 @@ mod tests {
         assert_eq!(untiled.word_ops, tiled.word_ops);
         assert!(untiled.int_ops > tiled.int_ops);
         assert!(untiled.divergence > tiled.divergence);
-    }
-
-    #[test]
-    fn divergent_variant_is_slower_shape() {
-        let policy = WorkloadPolicy::for_channels(64);
-        let fused = bconv_fused(100, 64, 64, &geom3(), &policy);
-        let diverged = bconv_fused_divergent(100, 64, 64, &geom3(), &policy);
-        assert!(diverged.divergence > fused.divergence);
-        assert_eq!(diverged.word_ops, fused.word_ops);
     }
 
     #[test]

@@ -101,9 +101,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "\naggregate {:.1} imgs/s over a {:.3} ms makespan across {} streams",
-        report.imgs_per_s,
-        report.wall_s * 1e3,
-        report.streams
+        report.goodput_imgs_per_s,
+        report.wall_ms,
+        report.schedule.streams_used()
     );
 
     // Work stealing is visible in the schedule: both streams carried both
@@ -117,15 +117,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Bit-exactness: co-resident outputs equal the solo references.
     for (i, want) in want_det.iter().enumerate() {
         assert_eq!(
-            format!("{:?}", report.tenants[0].outputs[i]),
-            format!("{want:?}"),
+            report.tenants[0].outputs[i].as_ref(),
+            Some(want),
             "detector request {i}: co-resident output diverged from its solo run"
         );
     }
     for (i, want) in want_cls.iter().enumerate() {
         assert_eq!(
-            format!("{:?}", report.tenants[1].outputs[i]),
-            format!("{want:?}"),
+            report.tenants[1].outputs[i].as_ref(),
+            Some(want),
             "classifier request {i}: co-resident output diverged from its solo run"
         );
     }

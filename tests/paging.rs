@@ -353,10 +353,10 @@ fn minimum_grants_admit_a_two_x_oversubscribed_set_bit_exactly() {
     }
     assert!(paged.peak_resident_bytes() <= resident.peak_resident_bytes());
     assert!(
-        paged_pass.imgs_per_s >= 0.6 * resident_pass.imgs_per_s,
+        paged_pass.goodput_imgs_per_s >= 0.6 * resident_pass.goodput_imgs_per_s,
         "oversubscribed throughput {} fell below 0.6x of resident {}",
-        paged_pass.imgs_per_s,
-        resident_pass.imgs_per_s
+        paged_pass.goodput_imgs_per_s,
+        resident_pass.goodput_imgs_per_s
     );
 }
 

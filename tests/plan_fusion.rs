@@ -253,8 +253,9 @@ fn sharded_serving_consumes_fused_plans_bit_exactly() {
     let (split_disp, want) = serve(RouteOverrides::default());
     let (fused_disp, got) = serve(fused());
     assert!(fused_disp < split_disp, "sharded staging must fuse");
-    assert_eq!(got.served, want.served);
+    assert_eq!(got.tenants[0].served, want.tenants[0].served);
     for (i, w) in want.tenants[0].outputs.iter().enumerate() {
+        assert!(w.is_some(), "a closed loop serves request {i}");
         assert_eq!(&got.tenants[0].outputs[i], w, "sharded request {i}");
     }
 }
@@ -295,6 +296,7 @@ fn multitenant_runtime_consumes_fused_plans_bit_exactly() {
     for t in 0..2 {
         assert_eq!(got.tenants[t].served, want.tenants[t].served);
         for (i, w) in want.tenants[t].outputs.iter().enumerate() {
+            assert!(w.is_some(), "a closed loop serves tenant {t} request {i}");
             assert_eq!(&got.tenants[t].outputs[i], w, "tenant {t} request {i}");
         }
     }

@@ -434,16 +434,16 @@ fn closed_loop_estimate_schedules_exactly_what_the_runtime_executes() {
         assert_eq!((got.windows, got.served), (want.windows, want.served));
         // Both fold the schedule: the latencies are equal, not close.
         assert_eq!(got.p95_ms, want.p95_ms);
-        assert_eq!(got.window_ms, want.window_ms);
+        assert_eq!(got.latency_ms, want.latency_ms);
         assert_eq!((got.outputs.len(), want.outputs.len()), (got.served, 0));
-        assert_eq!(
-            (got.duration_ms.len(), want.duration_ms.len()),
-            (got.windows, 0)
-        );
     }
     assert_eq!(
-        (report.wall_s, report.imgs_per_s),
-        (dry.wall_s, dry.imgs_per_s)
+        (report.attempt_exec_ms.len(), dry.attempt_exec_ms.len()),
+        (report.schedule.attempts.len(), 0)
+    );
+    assert_eq!(
+        (report.wall_ms, report.goodput_imgs_per_s),
+        (dry.wall_ms, dry.goodput_imgs_per_s)
     );
 }
 
@@ -610,7 +610,7 @@ fn dry_and_staged_registries_agree_through_attach_detach_and_replan() {
         |r: Result<usize, EngineError>| matches!(r, Err(EngineError::InputMismatch { .. }));
     assert!(mismatch(staged.attach_dry(&arch_only)));
     let counts = [TenantTraffic::Count(2), TenantTraffic::Count(2)];
-    assert!(mismatch(staged.serve(&counts).map(|r| r.served)));
+    assert!(mismatch(staged.serve(&counts).map(|r| r.tenants.len())));
     let mut dry = DeviceRuntime::dry(&[arch_only], &phone, 2, None).expect("fits");
     assert!(mismatch(dry.attach(TenantSpec::new(alex_model()))));
 }

@@ -6,7 +6,7 @@
 //! heavy neighbor and the pooled arena keeps the co-resident footprint
 //! below side-by-side staging.
 
-use phonebit::core::serve::{DeviceRuntime, TenantSpec, TenantTraffic};
+use phonebit::core::serve::{DeviceRuntime, OpenLoopOptions, TenantSpec, TenantTraffic};
 use phonebit::core::{convert, ActivationData, ConvPath, Session};
 use phonebit::gpusim::Phone;
 use phonebit::models::zoo::{self, Variant};
@@ -60,16 +60,18 @@ fn co_resident_micro_zoo_pair_is_bit_exact_vs_solo() {
 
     assert_eq!(report.tenants[0].served, 7);
     assert_eq!(report.tenants[1].served, 5);
-    assert_eq!(report.windows, 4 + 3);
+    assert_eq!(report.tenants[0].windows + report.tenants[1].windows, 4 + 3);
     for (i, want) in want_alex.iter().enumerate() {
         assert_eq!(
-            &report.tenants[0].outputs[i], want,
+            report.tenants[0].outputs[i].as_ref(),
+            Some(want),
             "alexnet-micro request {i}"
         );
     }
     for (i, want) in want_yolo.iter().enumerate() {
         assert_eq!(
-            &report.tenants[1].outputs[i], want,
+            report.tenants[1].outputs[i].as_ref(),
+            Some(want),
             "yolo-micro request {i}"
         );
     }
@@ -166,7 +168,8 @@ fn co_resident_tenants_are_bit_exact_on_every_kernel_route() {
         for (t, want) in solo.iter().enumerate() {
             for (i, want) in want.iter().enumerate() {
                 assert_eq!(
-                    &report.tenants[t].outputs[i], want,
+                    report.tenants[t].outputs[i].as_ref(),
+                    Some(want),
                     "{} request {i}",
                     pair[t].0.name
                 );
@@ -234,7 +237,11 @@ fn work_stealing_keeps_a_light_tenant_paced_under_a_heavy_neighbor() {
     // A starved tenant would have been appended behind the whole heavy
     // backlog (strict arrival order, no stealing): its last window could
     // not then finish before half the heavy work. Pin that it did.
-    let heavy_total_ms: f64 = heavy.duration_ms.iter().sum();
+    let executed = report.schedule.attempts.iter().zip(&report.attempt_exec_ms);
+    let heavy_total_ms: f64 = executed
+        .filter(|(at, _)| at.tenant == 0)
+        .map(|(_, ms)| ms)
+        .sum();
     assert!(
         light.p95_ms < heavy_total_ms / 2.0,
         "light p95 {:.3} ms vs heavy backlog {:.3} ms",
@@ -258,6 +265,73 @@ fn work_stealing_keeps_a_light_tenant_paced_under_a_heavy_neighbor() {
             .any(|sw| sw.tenant == 1 && sw.start_ms < last_heavy_start),
         "no light window was interleaved with the heavy backlog"
     );
+}
+
+#[test]
+fn closed_loop_pass_is_the_open_loop_pass_over_paced_arrivals() {
+    // `serve` hands the one pass paced arrivals: request `r` arrives with
+    // its window, window `k` at `k × target` (no SLO: the tenant's steady
+    // window). On one stream with batched (cold > steady) tenants such an
+    // arrival is never later than the moment the stream could start that
+    // window, and without SLOs no deadline is finite — arrival gating and
+    // shedding are inert, so the public open-loop entry point over the same
+    // arrivals must reproduce the closed-loop pass field for field:
+    // schedule, outputs, latencies, percentiles, executed durations,
+    // goodput.
+    let phone = Phone::xiaomi_9();
+    let alex = zoo::alexnet_micro(Variant::Binary);
+    let yolo = zoo::yolo_micro(Variant::Binary);
+    let mk = || {
+        DeviceRuntime::new(
+            vec![
+                TenantSpec::new(convert(&fill_weights(&alex, 23))).with_batch(2),
+                TenantSpec::new(convert(&fill_weights(&yolo, 29))).with_batch(2),
+            ],
+            &phone,
+            1,
+        )
+        .expect("pair fits pooled")
+    };
+    let reqs_alex: Vec<Tensor<u8>> = (0..7)
+        .map(|i| synthetic_image(alex.input, 60 + i as u64))
+        .collect();
+    let reqs_yolo: Vec<Tensor<u8>> = (0..5)
+        .map(|i| synthetic_image(yolo.input, 160 + i as u64))
+        .collect();
+    let traffic = [TenantTraffic::U8(&reqs_alex), TenantTraffic::U8(&reqs_yolo)];
+
+    let closed = mk().serve(&traffic).expect("closed loop");
+    let mut runtime = mk();
+    let paced: Vec<Vec<f64>> = runtime
+        .tenants()
+        .iter()
+        .zip(&traffic)
+        .map(|(t, q)| {
+            let (cold_ms, steady_ms) = t.modeled_window_ms();
+            assert!(cold_ms > steady_ms, "test premise: batched lanes prime");
+            (0..q.len()).map(|r| (r / 2) as f64 * steady_ms).collect()
+        })
+        .collect();
+    let opts = OpenLoopOptions {
+        max_replans: 0,
+        ..OpenLoopOptions::default()
+    };
+    let open = runtime
+        .serve_open_loop(&traffic, &paced, &opts)
+        .expect("open loop over the paced arrivals");
+    assert_eq!(closed, open);
+
+    // What a closed loop leaves at zero, and what it always fills.
+    assert_eq!(closed.replans, 0);
+    for t in &closed.tenants {
+        assert_eq!(
+            (t.shed, t.windows_shed, t.retries, t.throttled),
+            (0, 0, 0, 0)
+        );
+        assert_eq!(t.served, t.offered);
+        assert!(t.outputs.iter().all(Option::is_some));
+    }
+    assert_eq!(closed.attempt_exec_ms.len(), 4 + 3);
 }
 
 #[test]

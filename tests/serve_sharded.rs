@@ -5,7 +5,7 @@
 //! binary-convolution kernel route — while the shared device clock makes
 //! the streams contend for the GPU instead of each pretending to own it.
 
-use phonebit::core::serve::{DeviceRuntime, MultiServeReport, TenantSpec, TenantTraffic};
+use phonebit::core::serve::{DeviceRuntime, OpenLoopReport, TenantSpec, TenantTraffic};
 use phonebit::core::{convert, nearest_rank, ConvPath, PbitModel, Session};
 use phonebit::gpusim::Phone;
 use phonebit::models::zoo::{self, Variant};
@@ -22,8 +22,8 @@ fn sharded(model: PbitModel, phone: &Phone, streams: usize) -> DeviceRuntime {
 
 /// Service-time (p50, p95, p99) of the single tenant's windows — what a
 /// sharded report reads: one tenant has no cross-tenant queueing.
-fn service_percentiles(report: &MultiServeReport) -> [f64; 3] {
-    nearest_rank(&report.tenants[0].duration_ms, [0.50, 0.95, 0.99])
+fn service_percentiles(report: &OpenLoopReport) -> [f64; 3] {
+    nearest_rank(&report.attempt_exec_ms, [0.50, 0.95, 0.99])
 }
 
 #[test]
@@ -50,12 +50,13 @@ fn sharded_serving_equals_sequential_across_micro_zoo() {
         let report = runtime
             .serve(&[TenantTraffic::U8(&requests)])
             .expect("sharded serve");
-        assert_eq!(report.served, 9);
-        assert_eq!(report.windows, 5);
-        assert_eq!(report.streams, 3);
+        assert_eq!(report.tenants[0].served, 9);
+        assert_eq!(report.tenants[0].windows, 5);
+        assert_eq!(report.schedule.streams_used(), 3);
         for (i, want) in sequential.iter().enumerate() {
             assert_eq!(
-                &report.tenants[0].outputs[i], want,
+                report.tenants[0].outputs[i].as_ref(),
+                Some(want),
                 "{} request {i}",
                 arch.name
             );
@@ -119,7 +120,8 @@ fn sharded_serving_equals_sequential_on_every_kernel_route() {
             .expect("sharded serve");
         for (i, want) in sequential.iter().enumerate() {
             assert_eq!(
-                &report.tenants[0].outputs[i], want,
+                report.tenants[0].outputs[i].as_ref(),
+                Some(want),
                 "{} request {i}",
                 arch.name
             );
@@ -156,12 +158,12 @@ fn contention_stretches_windows_but_sharding_wins_throughput() {
     // stream runs half the windows, and host-side overhead overlaps the
     // other stream's GPU time.
     assert!(
-        duo_report.imgs_per_s > solo_report.imgs_per_s,
+        duo_report.goodput_imgs_per_s > solo_report.goodput_imgs_per_s,
         "duo {} imgs/s vs solo {}",
-        duo_report.imgs_per_s,
-        solo_report.imgs_per_s
+        duo_report.goodput_imgs_per_s,
+        solo_report.goodput_imgs_per_s
     );
-    assert!(duo_report.wall_s < solo_report.wall_s);
+    assert!(duo_report.wall_ms < solo_report.wall_ms);
     // The shared clock saw both streams' kernels.
     assert!(duo.clock().busy_s() > 0.0);
     assert_eq!(duo.clock().streams(), 2);
@@ -178,8 +180,8 @@ fn sharded_outputs_and_latencies_are_deterministic() {
     let traffic = [TenantTraffic::U8(&requests)];
     let ra = mk().serve(&traffic).expect("first run");
     let rb = mk().serve(&traffic).expect("second run");
-    assert_eq!(ra.tenants[0].duration_ms, rb.tenants[0].duration_ms);
-    assert_eq!(ra.imgs_per_s, rb.imgs_per_s);
+    assert_eq!(ra.attempt_exec_ms, rb.attempt_exec_ms);
+    assert_eq!(ra.goodput_imgs_per_s, rb.goodput_imgs_per_s);
     assert_eq!(service_percentiles(&ra), service_percentiles(&rb));
     let (outs_a, outs_b) = (&ra.tenants[0].outputs, &rb.tenants[0].outputs);
     for (i, (a, b)) in outs_a.iter().zip(outs_b.iter()).enumerate() {

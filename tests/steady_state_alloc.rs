@@ -13,7 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use phonebit::core::plan::{CompressionMode, RouteOverrides};
-use phonebit::core::{convert, ConvPath, MultiStream, Session, StagedModel, Stream};
+use phonebit::core::{convert, ConvPath, Session, StagedModel, Stream, Window};
 use phonebit::gpusim::{Context, DeviceClock, Phone};
 use phonebit::models::{fill_weights, fill_weights_clustered, synthetic_image};
 use phonebit::nn::act::Activation;
@@ -185,23 +185,26 @@ fn steady_stream_window_bytes(hw: usize, batch: usize) -> (usize, usize) {
     let def = fill_weights(&arch(hw), 9);
     let model = convert(&def);
     let phone = Phone::xiaomi_9();
-    let staged = StagedModel::stage(model, &phone, batch).expect("fits");
+    let ctx = Context::new(phone.gpu.clone(), phone.app_budget_bytes());
+    let staged = [StagedModel::stage_with(model, ctx.clone(), batch).expect("fits")];
     let clock = DeviceClock::with_streams(phone.gpu.clone(), 2);
-    let mut warm = Stream::with_clock(staged.clone(), clock.clone())
+    let mut warm = Stream::pooled(&staged, &ctx, Some(clock.clone()))
         .expect("fits")
         .with_output_capture(false);
-    let _other = Stream::with_clock(staged.clone(), clock).expect("fits");
-    let arena = 2 * staged.plan().staged_arena_bytes();
+    let _other = Stream::pooled(&staged, &ctx, Some(clock)).expect("fits");
+    let arena = 2 * staged[0].plan().staged_arena_bytes();
     let images: Vec<_> = (0..batch)
         .map(|i| synthetic_image(Shape4::new(1, hw, hw, 3), 4 + i as u64))
         .collect();
     for _ in 0..2 {
-        warm.run_batch_u8(&images).expect("priming window");
+        warm.run_window(0, Window::U8(&images))
+            .expect("priming window");
     }
     let mut samples: Vec<usize> = (0..3)
         .map(|_| {
             let before = ALLOCATED.load(Ordering::Relaxed);
-            warm.run_batch_u8(&images).expect("steady window");
+            warm.run_window(0, Window::U8(&images))
+                .expect("steady window");
             ALLOCATED.load(Ordering::Relaxed) - before
         })
         .collect();
@@ -211,7 +214,7 @@ fn steady_stream_window_bytes(hw: usize, batch: usize) -> (usize, usize) {
 
 /// Heap bytes requested by one steady **stolen** window on a multi-tenant
 /// pooled stream (median of 3): two heterogeneous tenants staged into one
-/// shared context, one `MultiStream` with a lane per tenant, both lanes
+/// shared context, one pooled `Stream` with a lane per tenant, both lanes
 /// primed, then windows alternate tenants — exactly what a stream does
 /// after stealing the other tenant's backlog. Returns the measured bytes
 /// and the stream's pooled staged arena.
@@ -223,10 +226,10 @@ fn steady_steal_window_bytes(batch: usize) -> (usize, usize) {
     let staged_a = StagedModel::stage_with(model_a, ctx.clone(), batch).expect("fits");
     let staged_b = StagedModel::stage_with(model_b, ctx.clone(), batch).expect("fits");
     let clock = DeviceClock::with_streams(phone.gpu.clone(), 2);
-    let mut stream = MultiStream::new(&[staged_a, staged_b], &ctx, clock)
+    let mut stream = Stream::pooled(&[staged_a, staged_b], &ctx, Some(clock))
         .expect("fits")
         .with_output_capture(false);
-    let arena = stream.pool_slice_bytes();
+    let arena = stream.slice_bytes();
     let imgs_a: Vec<_> = (0..batch)
         .map(|i| synthetic_image(Shape4::new(1, 64, 64, 3), 4 + i as u64))
         .collect();
@@ -236,14 +239,14 @@ fn steady_steal_window_bytes(batch: usize) -> (usize, usize) {
     // Prime both tenant lanes (two windows each grow every lazily-sized
     // buffer to its high-water mark).
     for _ in 0..2 {
-        stream.run_window_u8(0, &imgs_a).expect("priming window");
-        stream.run_window_u8(1, &imgs_b).expect("priming window");
+        let _ = stream.run_window(0, Window::U8(&imgs_a)).expect("priming");
+        let _ = stream.run_window(1, Window::U8(&imgs_b)).expect("priming");
     }
     let mut samples: Vec<usize> = (0..3)
         .map(|_| {
             let before = ALLOCATED.load(Ordering::Relaxed);
-            stream.run_window_u8(0, &imgs_a).expect("steady window");
-            stream.run_window_u8(1, &imgs_b).expect("stolen window");
+            let _ = stream.run_window(0, Window::U8(&imgs_a)).expect("steady");
+            let _ = stream.run_window(1, Window::U8(&imgs_b)).expect("stolen");
             ALLOCATED.load(Ordering::Relaxed) - before
         })
         .collect();
