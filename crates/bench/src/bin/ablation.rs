@@ -32,7 +32,8 @@ fn main() {
     // ExecutionPlan the engine and estimator both consume: the planner
     // cost-models direct-tiled vs. lowered-GEMM per binary conv, trading
     // modeled latency against each path's arena footprint.
-    let plan = ExecutionPlan::for_arch(&arch, &phone.gpu);
+    let plan = ExecutionPlan::for_arch(&arch, &phone.gpu, 1, &RouteOverrides::default())
+        .expect("the zoo lowers");
     println!("execution-plan kernel routes (binary conv layers):");
     println!(
         "  {:<8} {:>14} {:>6} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12}  chosen",
@@ -46,8 +47,10 @@ fn main() {
         "direct(mJ)",
         "lowered(mJ)"
     );
-    for (step, route) in plan.routes() {
-        let Some(r) = route else { continue };
+    for step in &plan.steps {
+        let Some(r) = step.route.as_ref() else {
+            continue;
+        };
         if !matches!(step.op, StepOp::BConv { .. }) {
             continue;
         }
@@ -108,14 +111,16 @@ fn main() {
     // Per-chain fusion decisions, scored with the same latency/arena/energy
     // model the route table uses — the split form pays one launch overhead
     // per kernel, the fused form pays one for the whole chain.
-    let fused_plan = ExecutionPlan::for_arch_with(
+    let fused_plan = ExecutionPlan::for_arch(
         &arch,
         &phone.gpu,
-        RouteOverrides {
+        1,
+        &RouteOverrides {
             fusion: FusionMode::Auto,
             ..Default::default()
         },
-    );
+    )
+    .expect("the zoo lowers");
     println!("inter-layer fusion chains (same score; split pays per-kernel launch):");
     println!(
         "  {:<18} {:>6} {:>11} {:>11} {:>12} {:>12}  chosen",

@@ -118,8 +118,8 @@ fn main() {
         let model = convert(&fill_weights_clustered(arch, SEED, PROTOTYPES));
         for phone in Phone::all() {
             let raw = ExecutionPlan::for_model_batched(&model, &phone.gpu, 1).expect("plan");
-            let auto = ExecutionPlan::for_model_batched_with(&model, &phone.gpu, 1, compressed())
-                .expect("plan");
+            let auto =
+                ExecutionPlan::for_model(&model, &phone.gpu, 1, &compressed()).expect("plan");
             let (raw_bytes, compressed_bytes) = (raw.weights_bytes, auto.weights_bytes);
             let ratio = compressed_bytes as f64 / raw_bytes as f64;
             let layers_compressed = auto.compression.iter().filter(|d| d.compressed).count();

@@ -48,9 +48,12 @@ fn main() {
         );
         for arch in &models {
             for &batch in &BATCHES {
-                let split_plan = ExecutionPlan::for_arch_batched(arch, &phone.gpu, batch);
-                let fused_plan =
-                    ExecutionPlan::for_arch_batched_with(arch, &phone.gpu, batch, fused_routes);
+                let lower = |routes: &RouteOverrides| {
+                    ExecutionPlan::for_arch(arch, &phone.gpu, batch, routes)
+                        .expect("the zoo lowers")
+                };
+                let split_plan = lower(&RouteOverrides::default());
+                let fused_plan = lower(&fused_routes);
                 let split_r = estimate_window(phone, arch, batch, &EstimateOptions::default());
                 let fused_r = estimate_window(phone, arch, batch, &fused_opts);
                 let per_img = |x: f64| x / batch as f64;

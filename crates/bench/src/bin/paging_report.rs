@@ -19,7 +19,8 @@
 
 use phonebit_bench::baseline::{finish, Fields, Report, Value::Fixed};
 use phonebit_core::{
-    Admission, DeviceRuntime, ExecutionPlan, OpenLoopReport, TenantTraffic, TenantWorkload,
+    Admission, DeviceRuntime, ExecutionPlan, OpenLoopReport, RouteOverrides, TenantTraffic,
+    TenantWorkload,
 };
 use phonebit_gpusim::Phone;
 use phonebit_models::zoo::{self, Variant};
@@ -76,7 +77,8 @@ fn weights_and_minima(archs: &[&NetworkArch], phone: &Phone) -> (usize, usize) {
     let mut total = 0usize;
     let mut minima = 0usize;
     for arch in archs {
-        let plan = ExecutionPlan::for_arch(arch, &phone.gpu);
+        let plan = ExecutionPlan::for_arch(arch, &phone.gpu, 1, &RouteOverrides::default())
+            .expect("the zoo lowers");
         total += plan.weights_bytes;
         minima += plan.paged_min_bytes();
     }

@@ -18,7 +18,7 @@
 //! needed.)
 
 use phonebit_bench::baseline::{finish, Fields, Report, Value::Fixed};
-use phonebit_core::{estimate_window, plan_on, EstimateOptions};
+use phonebit_core::{estimate_window, EstimateOptions, ExecutionPlan, RouteOverrides};
 use phonebit_gpusim::calib::{CostParams, ExecutorClass};
 use phonebit_gpusim::Phone;
 use phonebit_models::zoo::{self, Variant};
@@ -54,7 +54,9 @@ fn main() {
                 let hidden_s = if batch > 1 { overhead_s } else { 0.0 };
                 let steady_s = r.total_s - hidden_s;
                 let imgs_per_s = batch as f64 / steady_s;
-                let mplan = plan_on(arch, &phone.gpu, batch, 1);
+                let plan =
+                    ExecutionPlan::for_arch(arch, &phone.gpu, batch, &RouteOverrides::default())
+                        .expect("the zoo lowers");
                 row.push_str(&format!(" {imgs_per_s:>7.1}"));
                 by_batch.push((batch, imgs_per_s));
                 if batch == 1 {
@@ -67,11 +69,8 @@ fn main() {
                     ("window_ms", Fixed(r.total_s * 1e3, 3)),
                     ("steady_ms", Fixed(steady_s * 1e3, 3)),
                     ("imgs_per_s", Fixed(imgs_per_s, 1)),
-                    (
-                        "arena_mb",
-                        Fixed(mplan.peak_activation_bytes as f64 / 1e6, 2),
-                    ),
-                    ("peak_mb", Fixed(mplan.peak_bytes as f64 / 1e6, 2)),
+                    ("arena_mb", Fixed(plan.staged_arena_bytes() as f64 / 1e6, 2)),
+                    ("peak_mb", Fixed(plan.peak_bytes() as f64 / 1e6, 2)),
                 ]);
             }
             println!("{row}   (batch-1 cold {cold_ms:.2} ms)");

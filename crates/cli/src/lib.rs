@@ -16,10 +16,10 @@ use std::path::Path;
 use phonebit_core::format::{load_file, save_file};
 use phonebit_core::{
     convert, estimate_arch, max_feasible_batch, max_feasible_batch_multitenant, nearest_rank,
-    plan_multitenant, plan_on, zipf_rates, ArrivalProcess, CompressionMode, ConvPath,
-    DeviceRuntime, EngineError, ExecutionPlan, Fleet, FleetDeviceSpec, FleetEvent, FleetOptions,
-    FusionMode, OpenLoopOptions, PbitLayer, PbitModel, RouteOverrides, RoutePolicy, Session,
-    TenantSpec, TenantTraffic, TenantWorkload,
+    pooled_peak_bytes, zipf_rates, ArrivalProcess, CompressionMode, ConvPath, DeviceRuntime,
+    EngineError, ExecutionPlan, Fleet, FleetDeviceSpec, FleetEvent, FleetOptions, FusionMode,
+    OpenLoopOptions, PbitLayer, PbitModel, RouteOverrides, RoutePolicy, Session, TenantSpec,
+    TenantTraffic, TenantWorkload,
 };
 use phonebit_gpusim::{FaultPlan, Phone};
 use phonebit_models::zoo::{self, Variant};
@@ -509,7 +509,7 @@ pub fn cmd_serve_multitenant(
         report.goodput_imgs_per_s,
         report.wall_ms,
         runtime.resident_bytes() as f64 / (1024.0 * 1024.0),
-        report.schedule.streams_used(),
+        runtime.stream_count(),
         runtime.pool_slice_bytes() as f64 / (1024.0 * 1024.0),
     );
     if let Some(budget) = weight_budget {
@@ -994,6 +994,16 @@ pub fn cmd_plan(
         ));
     }
     let arch = arch_by_name(model)?;
+    // Every table below is arithmetic over lowered plans, so a deployment
+    // that does not fit still prints its row.
+    let lower = |arch: &NetworkArch, phone: &Phone, overrides: RouteOverrides| {
+        ExecutionPlan::for_arch(arch, &phone.gpu, batch, &overrides)
+            .map_err(|e| CliError::Engine(e.to_string()))
+    };
+    let fits = |peak: usize, phone: &Phone| match peak <= phone.app_budget_bytes() {
+        true => "yes",
+        false => "NO",
+    };
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -1007,20 +1017,18 @@ pub fn cmd_plan(
         "phone", "weights", "solo peak", "sharded peak", "max b", "max b shard", "fits"
     );
     for phone in Phone::all() {
-        let solo = plan_on(&arch, &phone.gpu, batch, 1);
-        let sharded = plan_on(&arch, &phone.gpu, batch, streams);
-        let max_solo = max_feasible_batch(&arch, &phone, 1);
-        let max_sharded = max_feasible_batch(&arch, &phone, streams);
+        let plan = lower(&arch, &phone, RouteOverrides::default())?;
+        let peak = |n| pooled_peak_bytes(&[plan.weights_bytes], &[plan.staged_arena_bytes()], n);
         let _ = writeln!(
             out,
             "{:<10} {:>8.2}MB {:>10.2}MB {:>12.2}MB {:>10} {:>12} {:>6}",
             phone.name,
-            sharded.weights_bytes as f64 / 1e6,
-            solo.peak_bytes as f64 / 1e6,
-            sharded.peak_bytes as f64 / 1e6,
-            max_solo,
-            max_sharded,
-            if sharded.fits(&phone) { "yes" } else { "NO" }
+            plan.weights_bytes as f64 / 1e6,
+            peak(1) as f64 / 1e6,
+            peak(streams) as f64 / 1e6,
+            max_feasible_batch(&arch, &phone, 1),
+            max_feasible_batch(&arch, &phone, streams),
+            fits(peak(streams), &phone)
         );
     }
     let _ = writeln!(
@@ -1038,17 +1046,13 @@ pub fn cmd_plan(
         "{:<10} {:>14} {:>12} {:>10} {:>12}",
         "phone", "disp/img", "fused", "saved", "chains fused"
     );
+    let auto_fusion = RouteOverrides {
+        fusion: FusionMode::Auto,
+        ..Default::default()
+    };
     for phone in Phone::all() {
-        let unfused = ExecutionPlan::for_arch_batched(&arch, &phone.gpu, batch);
-        let fused = ExecutionPlan::for_arch_batched_with(
-            &arch,
-            &phone.gpu,
-            batch,
-            RouteOverrides {
-                fusion: FusionMode::Auto,
-                ..Default::default()
-            },
-        );
+        let unfused = lower(&arch, &phone, RouteOverrides::default())?;
+        let fused = lower(&arch, &phone, auto_fusion)?;
         let taken = fused.chains.iter().filter(|c| c.fused).count();
         let _ = writeln!(
             out,
@@ -1080,8 +1084,12 @@ pub fn cmd_plan(
             "phone", "weights", "slice", "pooled peak", "unpooled peak", "max b pair", "fits"
         );
         for phone in Phone::all() {
-            let pooled =
-                plan_multitenant(&[&arch, &pair_arch], &[batch, batch], &phone.gpu, streams);
+            let a = lower(&arch, &phone, RouteOverrides::default())?;
+            let b = lower(&pair_arch, &phone, RouteOverrides::default())?;
+            let weights = [a.weights_bytes, b.weights_bytes];
+            let slices = [a.staged_arena_bytes(), b.staged_arena_bytes()];
+            let pooled = pooled_peak_bytes(&weights, &slices, streams);
+            let unpooled = weights[0] + weights[1] + streams * (slices[0] + slices[1]);
             let max_pair = max_feasible_batch_multitenant(
                 &[&arch, &pair_arch],
                 &[batch, batch],
@@ -1093,12 +1101,12 @@ pub fn cmd_plan(
                 out,
                 "{:<10} {:>8.2}MB {:>8.2}MB {:>10.2}MB {:>12.2}MB {:>12} {:>6}",
                 phone.name,
-                pooled.weights_bytes as f64 / 1e6,
-                pooled.pool_slice_bytes as f64 / 1e6,
-                pooled.peak_bytes as f64 / 1e6,
-                pooled.unpooled_peak_bytes() as f64 / 1e6,
+                (weights[0] + weights[1]) as f64 / 1e6,
+                slices[0].max(slices[1]) as f64 / 1e6,
+                pooled as f64 / 1e6,
+                unpooled as f64 / 1e6,
                 max_pair,
-                if pooled.fits(&phone) { "yes" } else { "NO" }
+                fits(pooled, &phone)
             );
         }
         let _ = writeln!(
@@ -1111,17 +1119,13 @@ pub fn cmd_plan(
     if compress {
         let def = fill_weights_clustered(&arch, seed, 8);
         let converted = convert(&def);
+        let auto = RouteOverrides {
+            compression: CompressionMode::Auto,
+            ..Default::default()
+        };
         for phone in Phone::all() {
-            let plan = ExecutionPlan::for_model_batched_with(
-                &converted,
-                &phone.gpu,
-                batch,
-                RouteOverrides {
-                    compression: CompressionMode::Auto,
-                    ..Default::default()
-                },
-            )
-            .map_err(|e| CliError::Engine(e.to_string()))?;
+            let plan = ExecutionPlan::for_model(&converted, &phone.gpu, batch, &auto)
+                .map_err(|e| CliError::Engine(e.to_string()))?;
             let _ = writeln!(
                 out,
                 "\nweight-bank dictionary ledger on {} (clustered weights, seed {seed})",
@@ -1166,17 +1170,12 @@ pub fn cmd_plan(
         for phone in Phone::all() {
             // The paged floor of the unbudgeted plan is the budget the
             // streaming ledger is printed at (banks are budget-invariant).
-            let floor =
-                ExecutionPlan::for_arch_batched(&arch, &phone.gpu, batch).paged_floor_bytes();
-            let paged = ExecutionPlan::for_arch_batched_with(
-                &arch,
-                &phone.gpu,
-                batch,
-                RouteOverrides {
-                    weight_budget: Some(floor),
-                    ..Default::default()
-                },
-            );
+            let floor = lower(&arch, &phone, RouteOverrides::default())?.paged_floor_bytes();
+            let at_floor = RouteOverrides {
+                weight_budget: Some(floor),
+                ..Default::default()
+            };
+            let paged = lower(&arch, &phone, at_floor)?;
             let Some(pg) = paged.paging.as_ref() else {
                 continue;
             };
@@ -1501,6 +1500,17 @@ mod tests {
         assert!(out.to_lowercase().contains("alexnet"), "{out}");
         assert!(out.contains("1000.0ms MET"), "{out}");
         assert!(out.contains("pooled arena slice"), "{out}");
+        // The residency line multiplies the slice by the streams that hold
+        // one — `--streams` — even when a stream carried no traffic: one
+        // request per tenant leaves two of four streams idle, and the same
+        // bytes stay resident as with every stream busy.
+        let serve4 = |requests| {
+            let paths = [a.clone(), b.clone()];
+            cmd_serve_multitenant(&paths, &[], "x9", Some(1), requests, 4, None, 5).unwrap()
+        };
+        let resident = |out: &str| out[out.find("resident").expect("residency line")..].to_string();
+        assert!(resident(&serve4(1)).contains("+ 4 x "), "{}", serve4(1));
+        assert_eq!(resident(&serve4(1)), resident(&serve4(16)));
         // Degenerate knobs are usage errors.
         assert!(matches!(
             cmd_serve_multitenant(&[a.clone(), b.clone()], &[], "x9", Some(0), 6, 2, None, 5),
@@ -1529,13 +1539,9 @@ mod tests {
         cmd_gen("yolo-micro", &path, 7).unwrap();
         let total = {
             let model = load_file(&path).unwrap();
-            let plan = ExecutionPlan::for_model_batched_with(
-                &model,
-                &phone_by_name("x9").unwrap().gpu,
-                1,
-                RouteOverrides::default(),
-            )
-            .unwrap();
+            let plan =
+                ExecutionPlan::for_model_batched(&model, &phone_by_name("x9").unwrap().gpu, 1)
+                    .unwrap();
             plan.weights_bytes
         };
         // A budget one byte short of the weights forces a paged grant, and

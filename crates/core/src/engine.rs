@@ -8,8 +8,8 @@
 //! against the phone's memory budget. Steady-state inference then walks
 //! the plan writing every intermediate into its preassigned slot — zero
 //! per-run heap allocation on the activation path, and device residency
-//! that matches [`MemoryPlan`](crate::planner::MemoryPlan)'s arena-true
-//! numbers.
+//! that matches the plan's arena-true
+//! [`peak_bytes`](ExecutionPlan::peak_bytes).
 //!
 //! # Batched throughput mode
 //!
@@ -57,7 +57,9 @@ use phonebit_tensor::tensor::Tensor;
 
 use crate::model::{PbitLayer, PbitModel};
 use crate::paging::{BankState, PagingSchedule};
-use crate::plan::{ExecutionPlan, FusedKind, FusedMember, RouteOverrides, StepOp, ValueKind};
+use crate::plan::{
+    ExecutionPlan, FusedKind, FusedMember, PlanDomainError, RouteOverrides, StepOp, ValueKind,
+};
 use crate::planner::ConvPath;
 use crate::stats::{LayerRun, RunReport};
 
@@ -102,6 +104,15 @@ impl std::error::Error for EngineError {}
 impl From<SimError> for EngineError {
     fn from(e: SimError) -> Self {
         EngineError::OutOfMemory(e)
+    }
+}
+
+impl From<PlanDomainError> for EngineError {
+    fn from(e: PlanDomainError) -> Self {
+        EngineError::DomainMismatch {
+            layer: e.layer,
+            expected: e.expected,
+        }
     }
 }
 
@@ -303,100 +314,65 @@ pub struct StagedModel {
 }
 
 impl StagedModel {
-    /// Stages a model's shared state on the given phone's GPU: lowers it to
-    /// its [`ExecutionPlan`] at `batch` images per window, pre-flattens the
-    /// GEMM filter banks the plan's routes need, and allocates the packed
-    /// weight residency against the phone's app memory budget. Streams are
-    /// staged separately ([`Stream::new`]) and share this state by `Arc`.
+    /// Stages a model's shared state on the given phone's GPU under the
+    /// default [`RouteOverrides`] — [`StagedModel::stage_in`] into a fresh
+    /// context budgeted at the phone's app memory.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::OutOfMemory`] when the weights alone exceed
-    /// the app budget, or [`EngineError::DomainMismatch`] when the model's
-    /// layer chain is domain-inconsistent.
+    /// As [`StagedModel::stage_in`].
     ///
     /// # Panics
     ///
     /// Panics when `batch == 0`.
     pub fn stage(model: PbitModel, phone: &Phone, batch: usize) -> Result<Arc<Self>, EngineError> {
         let ctx = Context::new(phone.gpu.clone(), phone.app_budget_bytes());
-        Self::stage_with(model, ctx, batch)
+        Self::stage_in(model, ctx, batch, &RouteOverrides::default())
     }
 
-    /// [`StagedModel::stage`] with explicit route overrides — the entry
-    /// point that turns the inter-layer fusion pass on
-    /// ([`RouteOverrides::fusion`]). Fused groups execute as one dispatch
-    /// per chain; everything downstream (streams, sharded serving,
-    /// multi-tenant lanes) consumes the fused plan unchanged.
+    /// Stages a model's shared state into an explicit (possibly shared)
+    /// device [`Context`]: lowers it to its [`ExecutionPlan`] at `batch`
+    /// images per window under `overrides` (fused groups execute as one
+    /// dispatch per chain), pre-flattens the GEMM filter banks the plan's
+    /// routes need, and allocates the packed weight residency against the
+    /// context's remaining budget. Streams are staged separately
+    /// ([`Stream::new`]) and share this state by `Arc`. The multi-tenant
+    /// runtime stages every co-resident model into **one** budgeted
+    /// context, so all tenants' weights and every stream's pooled arena
+    /// slice draw from the same app budget and a pair that does not fit
+    /// fails at staging exactly like one oversized model would.
     ///
     /// # Errors
     ///
-    /// As [`StagedModel::stage`].
+    /// Returns [`EngineError::OutOfMemory`] when the weights alone exceed
+    /// the remaining budget, or [`EngineError::DomainMismatch`] when the
+    /// model's layer chain is domain-inconsistent.
     ///
     /// # Panics
     ///
     /// Panics when `batch == 0`.
-    pub fn stage_opts(
-        model: PbitModel,
-        phone: &Phone,
-        batch: usize,
-        overrides: RouteOverrides,
-    ) -> Result<Arc<Self>, EngineError> {
-        let ctx = Context::new(phone.gpu.clone(), phone.app_budget_bytes());
-        Self::stage_with_opts(model, ctx, batch, overrides)
-    }
-
-    /// [`StagedModel::stage`] into an explicit (possibly shared) device
-    /// [`Context`]: the multi-tenant runtime stages every co-resident
-    /// model into **one** budgeted context, so all tenants' weights and
-    /// every stream's pooled arena slice draw from the same app budget
-    /// and a pair that does not fit fails at staging exactly like one
-    /// oversized model would.
-    ///
-    /// # Errors
-    ///
-    /// As [`StagedModel::stage`], against the shared context's remaining
-    /// budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `batch == 0`.
-    pub fn stage_with(
+    pub fn stage_in(
         model: PbitModel,
         ctx: Context,
         batch: usize,
+        overrides: &RouteOverrides,
     ) -> Result<Arc<Self>, EngineError> {
-        Self::stage_with_opts(model, ctx, batch, RouteOverrides::default())
+        let plan = ExecutionPlan::for_model(&model, ctx.device(), batch, overrides)?;
+        Self::stage_plan(model, ctx, plan)
     }
 
-    /// [`StagedModel::stage_with`] with explicit route overrides.
-    ///
-    /// # Errors
-    ///
-    /// As [`StagedModel::stage_with`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `batch == 0`.
-    pub fn stage_with_opts(
+    /// Stages `model` on `plan`, its own lowering (admission hands over the
+    /// plan it already lowered instead of having it lowered again). The
+    /// plan comes first: its compression ledger decides how many bytes each
+    /// layer's bank actually stages, so weight residency is allocated at
+    /// the compressed per-layer sizes — `resident_bytes` then reports the
+    /// dictionary-true footprint and matches `plan.weights_bytes` exactly.
+    pub(crate) fn stage_plan(
         model: PbitModel,
         ctx: Context,
-        batch: usize,
-        overrides: RouteOverrides,
+        plan: ExecutionPlan,
     ) -> Result<Arc<Self>, EngineError> {
-        // Lower first: the plan's compression ledger decides how many
-        // bytes each layer's bank actually stages, so weight residency is
-        // allocated *after* planning at the compressed per-layer sizes —
-        // `resident_bytes` then reports the dictionary-true footprint and
-        // matches `plan.weights_bytes` exactly.
         let gpu = ctx.device().clone();
-        let plan =
-            ExecutionPlan::for_model_batched_with(&model, &gpu, batch, overrides).map_err(|e| {
-                EngineError::DomainMismatch {
-                    layer: e.layer,
-                    expected: e.expected,
-                }
-            })?;
         let mut weight_residency = Vec::new();
         if let Some(pg) = plan.paging.as_ref().filter(|p| !p.resident) {
             // A streaming plan holds only the hot set on-device: one pool
@@ -1144,7 +1120,8 @@ impl Session {
         batch: usize,
         overrides: RouteOverrides,
     ) -> Result<Self, EngineError> {
-        let staged = StagedModel::stage_opts(model, phone, batch, overrides)?;
+        let ctx = Context::new(phone.gpu.clone(), phone.app_budget_bytes());
+        let staged = StagedModel::stage_in(model, ctx, batch, &overrides)?;
         Ok(Self {
             stream: Stream::new(staged)?,
         })
@@ -1313,145 +1290,106 @@ fn exec_step(
             scr_store.as_mut().map(|(_, s)| s),
             &mut out_store,
         );
-        arena[out_slot] = out_store;
-        if let Some((s, st)) = cvt_store {
-            arena[s] = st;
+    } else {
+        // The edge conversion, once for every op: a conversion value is of
+        // the kind its op consumes, which says which way to convert, and
+        // the op then reads the converted slot instead of the input.
+        if let Some((_, cvt)) = cvt_store.as_mut() {
+            match step.op.consumes() {
+                ValueKind::Bits => kernels::pack_input_into(q, in_store.floats(), cvt.bits_mut()),
+                _ => kernels::unpack_bits_into(q, in_store.bits(), cvt.floats_mut()),
+            }
         }
-        if let Some((s, st)) = scr_store {
-            arena[s] = st;
-        }
-        return;
-    }
-
-    let layer = &layers[step.index];
-    match layer {
-        PbitLayer::BConvInput8 { geom, fused, .. } => {
-            let (_, scr) = scr_store.as_mut().expect("bit-plane scratch planned");
-            bitplane::bitplane_split_into(q, in_store.bytes_ref(), scr.planes_mut());
-            bitplane::bitplane_conv_bank_into(
-                q,
-                scr.planes_mut(),
-                conv_bank(banks, step.index),
-                fused,
+        let src = cvt_store.as_ref().map_or(in_store, |(_, cvt)| cvt);
+        match &layers[step.index] {
+            PbitLayer::BConvInput8 { geom, fused, .. } => {
+                let (_, scr) = scr_store.as_mut().expect("bit-plane scratch planned");
+                bitplane::bitplane_split_into(q, src.bytes_ref(), scr.planes_mut());
+                bitplane::bitplane_conv_bank_into(
+                    q,
+                    scr.planes_mut(),
+                    conv_bank(banks, step.index),
+                    fused,
+                    geom,
+                    out_store.bits_mut(),
+                );
+            }
+            PbitLayer::BConv { geom, fused, .. } => {
+                // The planner cost-modeled direct-tiled vs. lowered-GEMM on
+                // this device once at staging time (the §VI-B C > 256
+                // integration limit folds into the direct-path choice);
+                // inference only follows the staged route, over the bank
+                // staged for it — a compressed layer's carries its
+                // dictionary's saving: bit-exact outputs, fewer modeled
+                // filter bytes.
+                let route = step.route.expect("BConv step carries a route");
+                let (bits_in, bank) = (src.bits(), conv_bank(banks, step.index));
+                let out = out_store.bits_mut();
+                match route.path {
+                    ConvPath::LoweredGemm => {
+                        let windows = scr_store.as_mut().map(|(_, s)| s.bits_mut());
+                        bgemm::bconv_lowered_bank_into(q, bits_in, bank, fused, geom, windows, out);
+                    }
+                    ConvPath::DirectFused => {
+                        bconv::bconv_fused_bank_into(q, bits_in, bank, fused, geom, out);
+                    }
+                    ConvPath::DirectUnfused => {
+                        let (_, scr) = scr_store.as_mut().expect("accumulator scratch planned");
+                        bconv::bconv_accum_bank_into(q, bits_in, bank, geom, scr.accum_mut());
+                        bconv::binarize_pack_into(q, scr.accum(), fused, out);
+                    }
+                }
+            }
+            PbitLayer::FConv {
                 geom,
-                out_store.bits_mut(),
-            );
-        }
-        PbitLayer::BConv { geom, fused, .. } => {
-            if let Some((_, cvt)) = cvt_store.as_mut() {
-                kernels::pack_input_into(q, in_store.floats(), cvt.bits_mut());
-            }
-            let bits_in = match cvt_store.as_ref() {
-                Some((_, cvt)) => cvt.bits(),
-                None => in_store.bits(),
-            };
-            // The planner cost-modeled direct-tiled vs. lowered-GEMM on
-            // this device once at staging time (the §VI-B C > 256
-            // integration limit folds into the direct-path choice);
-            // inference only follows the staged route, over the bank staged
-            // for it — a compressed layer's carries its dictionary's saving:
-            // bit-exact outputs, fewer modeled filter bytes.
-            let route = step.route.expect("BConv step carries a route");
-            let (bank, out) = (conv_bank(banks, step.index), out_store.bits_mut());
-            match route.path {
-                ConvPath::LoweredGemm => {
-                    let windows = scr_store.as_mut().map(|(_, s)| s.bits_mut());
-                    bgemm::bconv_lowered_bank_into(q, bits_in, bank, fused, geom, windows, out);
-                }
-                ConvPath::DirectFused => {
-                    bconv::bconv_fused_bank_into(q, bits_in, bank, fused, geom, out);
-                }
-                ConvPath::DirectUnfused => {
-                    let (_, scr) = scr_store.as_mut().expect("accumulator scratch planned");
-                    bconv::bconv_accum_bank_into(q, bits_in, bank, geom, scr.accum_mut());
-                    bconv::binarize_pack_into(q, scr.accum(), fused, out);
-                }
-            }
-        }
-        PbitLayer::FConv {
-            geom,
-            filters,
-            bias,
-            activation,
-            ..
-        } => {
-            if let Some((_, cvt)) = cvt_store.as_mut() {
-                kernels::unpack_bits_into(q, in_store.bits(), cvt.floats_mut());
-            }
-            let floats_in = match cvt_store.as_ref() {
-                Some((_, cvt)) => cvt.floats(),
-                None => in_store.floats(),
-            };
-            fconv::fconv_into(
-                q,
-                floats_in,
                 filters,
                 bias,
-                *activation,
-                geom,
-                out_store.floats_mut(),
-            );
-        }
-        PbitLayer::MaxPoolBits { geom, .. } => {
-            pool::maxpool_bits_into(q, in_store.bits(), geom, out_store.bits_mut());
-        }
-        PbitLayer::MaxPoolF32 { geom, .. } => {
-            if let Some((_, cvt)) = cvt_store.as_mut() {
-                kernels::unpack_bits_into(q, in_store.bits(), cvt.floats_mut());
+                activation,
+                ..
+            } => {
+                fconv::fconv_into(
+                    q,
+                    src.floats(),
+                    filters,
+                    bias,
+                    *activation,
+                    geom,
+                    out_store.floats_mut(),
+                );
             }
-            let floats_in = match cvt_store.as_ref() {
-                Some((_, cvt)) => cvt.floats(),
-                None => in_store.floats(),
-            };
-            pool::maxpool_f32_into(q, floats_in, geom, out_store.floats_mut());
-        }
-        PbitLayer::DenseBin { weights, fused, .. } => {
-            if let Some((_, cvt)) = cvt_store.as_mut() {
-                kernels::pack_input_into(q, in_store.floats(), cvt.bits_mut());
+            PbitLayer::MaxPoolBits { geom, .. } => {
+                pool::maxpool_bits_into(q, src.bits(), geom, out_store.bits_mut());
             }
-            let bits_in = match cvt_store.as_ref() {
-                Some((_, cvt)) => cvt.bits(),
-                None => in_store.bits(),
-            };
-            // The bit-preserving flatten is host-side staging, not a
-            // dispatched kernel (matches the estimator).
-            let (_, scr) = scr_store.as_mut().expect("flatten scratch planned");
-            dense::flatten_bits_into(bits_in, scr.bits_mut());
-            dense::dense_bin_into(q, scr.bits(), weights, fused, out_store.bits_mut());
-        }
-        PbitLayer::DenseFloat {
-            weights,
-            bias,
-            activation,
-            ..
-        } => {
-            if let Some((_, cvt)) = cvt_store.as_mut() {
-                kernels::unpack_bits_into(q, in_store.bits(), cvt.floats_mut());
+            PbitLayer::MaxPoolF32 { geom, .. } => {
+                pool::maxpool_f32_into(q, src.floats(), geom, out_store.floats_mut());
             }
-            let floats_in = match cvt_store.as_ref() {
-                Some((_, cvt)) => cvt.floats(),
-                None => in_store.floats(),
-            };
-            // One dispatch covers every image in the window; for batch 1
-            // this is the same single matvec it always was.
-            dense::dense_float_batch_into(
-                q,
-                floats_in,
+            PbitLayer::DenseBin { weights, fused, .. } => {
+                // The bit-preserving flatten is host-side staging, not a
+                // dispatched kernel (matches the estimator).
+                let (_, scr) = scr_store.as_mut().expect("flatten scratch planned");
+                dense::flatten_bits_into(src.bits(), scr.bits_mut());
+                dense::dense_bin_into(q, scr.bits(), weights, fused, out_store.bits_mut());
+            }
+            PbitLayer::DenseFloat {
                 weights,
                 bias,
-                *activation,
-                out_store.floats_mut(),
-            );
-        }
-        PbitLayer::Softmax => {
-            if let Some((_, cvt)) = cvt_store.as_mut() {
-                kernels::unpack_bits_into(q, in_store.bits(), cvt.floats_mut());
+                activation,
+                ..
+            } => {
+                // One dispatch covers every image in the window; for batch
+                // 1 this is the same single matvec it always was.
+                dense::dense_float_batch_into(
+                    q,
+                    src.floats(),
+                    weights,
+                    bias,
+                    *activation,
+                    out_store.floats_mut(),
+                );
             }
-            let floats_in = match cvt_store.as_ref() {
-                Some((_, cvt)) => cvt.floats(),
-                None => in_store.floats(),
-            };
-            kernels::softmax_batch_into(q, floats_in, out_store.floats_mut());
+            PbitLayer::Softmax => {
+                kernels::softmax_batch_into(q, src.floats(), out_store.floats_mut());
+            }
         }
     }
     arena[out_slot] = out_store;

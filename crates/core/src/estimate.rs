@@ -42,6 +42,10 @@ pub struct EstimateOptions {
 /// Estimates a full single-image PhoneBit inference of `arch` on `phone`,
 /// without weights or input data — [`estimate_window`] at batch 1 under the
 /// default options.
+///
+/// # Panics
+///
+/// As [`estimate_window`]: a malformed architecture.
 pub fn estimate_arch(phone: &Phone, arch: &NetworkArch) -> RunReport {
     estimate_window(phone, arch, 1, &EstimateOptions::default())
 }
@@ -58,7 +62,10 @@ pub fn estimate_arch(phone: &Phone, arch: &NetworkArch) -> RunReport {
 ///
 /// # Panics
 ///
-/// Panics when `batch == 0`.
+/// Panics when `batch == 0` or the architecture is malformed (its layer
+/// chain cannot be lowered): the paper-table bins this feeds take a bare
+/// report, and [`DeviceRuntime::dry`](crate::serve::DeviceRuntime::dry) is
+/// the `Result`-returning way to model a caller-built architecture.
 pub fn estimate_window(
     phone: &Phone,
     arch: &NetworkArch,
@@ -76,7 +83,8 @@ pub fn estimate_window(
     // One lowering, shared with the engine: routes, conversions and the
     // arena all come from the plan; the route ablations force routes at
     // lowering time and the batch folds into every step shape.
-    let plan = ExecutionPlan::for_arch_batched_with(arch, q.device(), batch, opts.overrides);
+    let plan = ExecutionPlan::for_arch(arch, q.device(), batch, &opts.overrides)
+        .unwrap_or_else(|e| panic!("{}: {e}", arch.name));
     // Divergent checks mask part of each wave during the fused kernel's
     // binarize tail; the other routes binarize in a separate kernel.
     let per_layer = walk_plan(&mut q, &plan, |p| {
@@ -139,6 +147,11 @@ mod tests {
     use phonebit_nn::act::Activation;
     use phonebit_nn::graph::LayerPrecision;
     use phonebit_tensor::shape::Shape4;
+
+    fn lowered(arch: &NetworkArch, phone: &Phone, batch: usize) -> ExecutionPlan {
+        ExecutionPlan::for_arch(arch, &phone.gpu, batch, &RouteOverrides::default())
+            .expect("lowers")
+    }
 
     fn arch() -> NetworkArch {
         NetworkArch::new("est", Shape4::new(1, 16, 16, 3))
@@ -234,7 +247,7 @@ mod tests {
             // Throughput (cold) grows with the window.
             assert!(batch as f64 / b.total_s > 1.0 / single.total_s);
             // Peak memory reports the double-banked batched arena.
-            let plan = ExecutionPlan::for_arch_batched(&a, &phone.gpu, batch);
+            let plan = lowered(&a, &phone, batch);
             assert_eq!(b.peak_bytes, plan.peak_bytes());
             assert_eq!(plan.banks, 2);
         }
@@ -252,7 +265,7 @@ mod tests {
         let a = arch();
         let phone = Phone::xiaomi_9();
         let r = estimate_arch(&phone, &a);
-        let plan = ExecutionPlan::for_arch(&a, &phone.gpu);
+        let plan = lowered(&a, &phone, 1);
         assert_eq!(r.peak_bytes, plan.peak_bytes());
     }
 }

@@ -73,6 +73,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::engine::{ActivationData, EngineError};
+use crate::planner::pooled_peak_bytes;
 use crate::serve::{
     dry_inputs, modeled_window_under, validate_arrivals, DeviceRuntime, OpenLoopOptions,
     OpenLoopSchedule, OpenLoopWorkload, Registration, ShedReason, TenantAsk, TenantSpec,
@@ -526,18 +527,10 @@ fn place_tenants(
     for t in 0..fit.len() {
         let mut cands: Vec<usize> = (0..devices)
             .filter(|&d| {
-                let weights: usize = placed[d]
-                    .iter()
-                    .map(|&o| fit[o][d].placed_weights(paging))
-                    .sum::<usize>()
-                    + fit[t][d].placed_weights(paging);
-                let arena = placed[d]
-                    .iter()
-                    .map(|&o| fit[o][d].arena1)
-                    .chain(std::iter::once(fit[t][d].arena1))
-                    .max()
-                    .unwrap_or(0);
-                weights + streams * arena <= budgets[d]
+                let hosted = || placed[d].iter().chain([&t]).map(|&o| fit[o][d]);
+                let weights: Vec<usize> = hosted().map(|f| f.placed_weights(paging)).collect();
+                let arenas: Vec<usize> = hosted().map(|f| f.arena1).collect();
+                pooled_peak_bytes(&weights, &arenas, streams) <= budgets[d]
             })
             .collect();
         cands.sort_by(|&a, &b| load[a].total_cmp(&load[b]).then(a.cmp(&b)));
@@ -1229,8 +1222,10 @@ impl Fleet {
         // paged floors always fit this ceiling.
         let wb = self.opts.weight_paging.then(|| {
             let hosted = roster.iter().filter_map(|&t| self.fit_cache.get(t, phone));
-            let arena1 = hosted.map(|f| f.arena1).max().unwrap_or(0);
-            phone.app_budget_bytes().saturating_sub(streams * arena1)
+            let arenas: Vec<usize> = hosted.map(|f| f.arena1).collect();
+            phone
+                .app_budget_bytes()
+                .saturating_sub(pooled_peak_bytes(&[], &arenas, streams))
         });
         let rt = DeviceRuntime::register(subset, phone, streams, wb)?;
         rt.clock().set_fault_plan(fault);
@@ -1451,7 +1446,7 @@ impl RouteSubstrate for Fleet {
         let need = fit.placed_weights(self.opts.weight_paging);
         match &dev.runtime {
             // Alone on an empty device, the tenant brings its own arena pool.
-            None => need + self.opts.streams * fit.arena1 <= budget,
+            None => pooled_peak_bytes(&[need], &[fit.arena1], self.opts.streams) <= budget,
             // Else it must fit the existing pool slice — never regrown —
             // and the budget left next to the bytes already held.
             Some(rt) => {
@@ -1502,7 +1497,7 @@ impl RouteSubstrate for Fleet {
                 continue;
             };
             let need = fit.placed_weights(self.opts.weight_paging);
-            if weights + need + streams * arena.max(fit.arena1) <= budget {
+            if pooled_peak_bytes(&[weights, need], &[arena, fit.arena1], streams) <= budget {
                 hosted.push(t);
                 weights += need;
                 arena = arena.max(fit.arena1);
@@ -1539,8 +1534,9 @@ impl RouteSubstrate for Fleet {
 ///
 /// Panics with the [`EngineError`]'s text where [`Fleet::dry`] and
 /// [`Fleet::serve_open_loop`] return one: empty inputs, zero streams or
-/// replicas, a tenant that fits no device, malformed `events` — and when
-/// `duration_ms` is not finite and positive.
+/// replicas, a tenant that fits no device or whose architecture cannot be
+/// lowered, malformed `events` — and when `duration_ms` is not finite and
+/// positive.
 pub fn estimate_fleet(
     devices: &[FleetDeviceSpec],
     workloads: &[OpenLoopWorkload<'_>],

@@ -23,12 +23,12 @@
 //! stages the same weights once and runs whole request windows — one
 //! batch-covering dispatch per kernel over a double-banked arena;
 //! [`estimate::estimate_window`] models it at full scale and
-//! [`planner::plan_on`] / [`planner::max_feasible_batch`] size the
-//! batched deployment against a phone's budget.
+//! [`planner::pooled_peak_bytes`] / [`planner::max_feasible_batch`] size
+//! the batched deployment against a phone's budget.
 //!
 //! For device sharing, [`serve::DeviceRuntime`] co-resides several
 //! heterogeneous models as tenants on one device — a single model is a
-//! registry of one: a pooled arena ([`planner::plan_multitenant`]),
+//! registry of one: a pooled arena ([`planner::pooled_peak_bytes`]),
 //! contention-aware per-tenant admission against the other tenants'
 //! registered dispatch mix, and one work-stealing window scheduler
 //! ([`serve::schedule_open_loop`]) behind closed- and open-loop serving. A
@@ -82,11 +82,12 @@ pub use model::{PbitLayer, PbitModel};
 pub use paging::{BankState, PagingSchedule, PagingStep};
 pub use plan::{
     ChainDecision, CompressDecision, CompressStats, CompressionMode, ExecutionPlan, FusedKind,
-    FusedMember, FusionMode, PlanStep, PlanValue, RouteOverrides, StepOp, ValueKind, ValueRole,
+    FusedMember, FusionMode, PlanDomainError, PlanStep, PlanValue, RouteOverrides, StepOp,
+    ValueKind, ValueRole,
 };
 pub use planner::{
-    max_feasible_batch, max_feasible_batch_multitenant, plan_multitenant, plan_on,
-    select_conv_path, select_conv_path_with, ConvPath, ConvPlan, MemoryPlan, MultiTenantPlan,
+    max_feasible_batch, max_feasible_batch_multitenant, pooled_peak_bytes, select_conv_path,
+    select_conv_path_with, ConvPath, ConvPlan,
 };
 pub use serve::{
     estimate_serve_open_loop, schedule_open_loop, Admission, DeviceRuntime, OpenLoopAttempt,

@@ -275,7 +275,7 @@ mod tests {
             weight_budget: Some(budget),
             ..RouteOverrides::default()
         };
-        ExecutionPlan::for_arch_batched_with(&arch, &Phone::xiaomi_9().gpu, 1, overrides)
+        ExecutionPlan::for_arch(&arch, &Phone::xiaomi_9().gpu, 1, &overrides).expect("lowers")
     }
 
     #[test]

@@ -26,11 +26,12 @@
 //!   the *sum of slots*, not the sum of layers.
 //!
 //! The engine (`Session`), the full-scale estimator
-//! ([`estimate_window`](crate::estimate::estimate_window)), the memory
-//! planner ([`planner::plan_on`](crate::planner::plan_on)) and the
-//! `ablation` binary all consume this one plan, so the estimator walks the
-//! exact steps the engine executes and `resident_bytes` reports arena-true
-//! peaks. The plan also answers **what each step launches**:
+//! ([`estimate_window`](crate::estimate::estimate_window)), admission's
+//! memory formula
+//! ([`planner::pooled_peak_bytes`](crate::planner::pooled_peak_bytes)) and
+//! the `ablation` binary all consume this one plan, so the estimator walks
+//! the exact steps the engine executes and `resident_bytes` reports
+//! arena-true peaks. The plan also answers **what each step launches**:
 //! [`ExecutionPlan::step_profiles`] is the one dispatch list the estimator,
 //! admission, the paging schedule and the fusion pass's scores read.
 //!
@@ -45,8 +46,8 @@
 //!
 //! # Batched lowering and per-slot double buffering
 //!
-//! [`ExecutionPlan::for_arch_batched`] / [`for_model_batched`] lower the
-//! same network with the batch dimension folded into every value shape
+//! [`ExecutionPlan::for_arch`] / [`ExecutionPlan::for_model`] lower the
+//! network with the batch dimension folded into every value shape
 //! (`n = batch`), which is how the throughput engine serves concurrent
 //! requests over one staged weight set:
 //!
@@ -68,8 +69,6 @@
 //! batched, double-buffered footprint a [`Session`](crate::engine::Session)
 //! staged with [`Session::new_batched`](crate::engine::Session::new_batched)
 //! actually holds resident.
-//!
-//! [`for_model_batched`]: ExecutionPlan::for_model_batched
 
 use std::sync::Arc;
 
@@ -221,6 +220,111 @@ pub enum StepOp {
     },
 }
 
+/// The op's own answers — the one table lowering, the dispatch list and the
+/// engine read instead of re-matching the op (tabulated in
+/// `docs/ARCHITECTURE.md` §1; a fused group answers through its members,
+/// end to end).
+impl StepOp {
+    /// The activation domain the op reads.
+    pub(crate) fn consumes(&self) -> ValueKind {
+        match self {
+            StepOp::BConvInput8 { .. } => ValueKind::Bytes,
+            StepOp::BConv { .. } | StepOp::MaxPoolBits { .. } | StepOp::DenseBin { .. } => {
+                ValueKind::Bits
+            }
+            StepOp::FConv { .. }
+            | StepOp::MaxPoolF32 { .. }
+            | StepOp::DenseFloat { .. }
+            | StepOp::Softmax => ValueKind::Floats,
+            StepOp::FusedGroup { members, .. } => members[0].op.consumes(),
+        }
+    }
+
+    /// The activation domain the op writes: the packed bits its consumer
+    /// reads (§V-B layer integration) from the first-layer convolution, and
+    /// from every other op the domain it reads — conversions happen on
+    /// edges ([`StepOp::edge`]), never inside an op.
+    fn produces(&self) -> ValueKind {
+        match self {
+            StepOp::BConvInput8 { .. } => ValueKind::Bits,
+            StepOp::FusedGroup { members, .. } => members[members.len() - 1].op.produces(),
+            _ => self.consumes(),
+        }
+    }
+
+    /// The output activation shape for input `s`.
+    fn out_shape(&self, s: Shape4) -> Shape4 {
+        match self {
+            StepOp::BConvInput8 { geom, k }
+            | StepOp::BConv { geom, k }
+            | StepOp::FConv { geom, k, .. } => {
+                let (oh, ow) = geom.output_hw(s.h, s.w);
+                Shape4::new(s.n, oh, ow, *k)
+            }
+            StepOp::MaxPoolBits { size, stride } | StepOp::MaxPoolF32 { size, stride } => {
+                let (oh, ow) = ConvGeometry::square(*size, *stride, 0).output_hw(s.h, s.w);
+                Shape4::new(s.n, oh, ow, s.c)
+            }
+            StepOp::DenseBin { out_features } | StepOp::DenseFloat { out_features } => {
+                Shape4::new(s.n, 1, 1, *out_features)
+            }
+            StepOp::Softmax => s,
+            StepOp::FusedGroup { members, .. } => members.iter().fold(s, |s, m| m.op.out_shape(s)),
+        }
+    }
+
+    /// The step-local scratch value (kind and shape) the op stages, if any.
+    /// `path` is a binary convolution's chosen route, `None` for every
+    /// other op.
+    fn scratch(
+        &self,
+        in_shape: Shape4,
+        out_shape: Shape4,
+        path: Option<ConvPath>,
+    ) -> Option<(ValueKind, Shape4)> {
+        match (self, path) {
+            (StepOp::BConvInput8 { .. }, _) => Some((ValueKind::Planes8, in_shape)),
+            (StepOp::BConv { geom, .. }, Some(ConvPath::LoweredGemm)) if !geom.is_pointwise() => {
+                let windows = geom.taps() * in_shape.c;
+                Some((
+                    ValueKind::Bits,
+                    Shape4::new(in_shape.n, out_shape.h, out_shape.w, windows),
+                ))
+            }
+            (StepOp::BConv { .. }, Some(ConvPath::DirectUnfused)) => {
+                Some((ValueKind::Accum32, out_shape))
+            }
+            // The bit-preserving flatten staging the matvec's row.
+            (StepOp::DenseBin { .. }, _) => Some((
+                ValueKind::Bits,
+                Shape4::new(in_shape.n, 1, 1, in_shape.h * in_shape.w * in_shape.c),
+            )),
+            _ => None,
+        }
+    }
+
+    /// The edge conversion, stated once: what must sit between a producer
+    /// that left `flowing` activations and this op. Packed bits and floats
+    /// convert into each other (`Some(kind)` is the conversion value the op
+    /// then reads — a sign-pack or an unpack); `u8` images feed only the
+    /// first-layer convolution, and a pool a model *declares* bitwise is
+    /// not a binarization point, so those mismatches are errors naming the
+    /// domain the op expected.
+    fn edge(&self, flowing: ValueKind) -> Result<Option<ValueKind>, &'static str> {
+        let wants = self.consumes();
+        match (flowing, wants) {
+            _ if flowing == wants => Ok(None),
+            (ValueKind::Floats, ValueKind::Bits) if !matches!(self, StepOp::MaxPoolBits { .. }) => {
+                Ok(Some(wants))
+            }
+            (ValueKind::Bits, ValueKind::Floats) => Ok(Some(wants)),
+            (_, ValueKind::Bytes) => Err("u8"),
+            (_, ValueKind::Bits) => Err("bits"),
+            _ => Err("floats"),
+        }
+    }
+}
+
 /// Chain class of a [`StepOp::FusedGroup`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FusedKind {
@@ -321,14 +425,12 @@ impl PlanStep {
         // Explicit domain conversion, exactly where the engine packs or
         // unpacks. A fused group's convert is the absorbed on-chip tile —
         // no separate dispatch.
-        if self.convert.is_some() {
-            match self.op {
-                StepOp::FusedGroup { .. } => {}
-                StepOp::BConv { .. } | StepOp::DenseBin { .. } => {
-                    list.push(profiles::pack_input(in_px, in_c));
-                }
-                _ => list.push(profiles::unpack_bits(in_px, in_c)),
-            }
+        if self.convert.is_some() && !matches!(self.op, StepOp::FusedGroup { .. }) {
+            // A conversion value is of the kind its op consumes.
+            list.push(match self.op.consumes() {
+                ValueKind::Bits => profiles::pack_input(in_px, in_c),
+                _ => profiles::unpack_bits(in_px, in_c),
+            });
         }
         match &self.op {
             StepOp::BConvInput8 { geom, k } => {
@@ -436,13 +538,7 @@ fn fused_group_profile(
         FusedKind::DenseChain => {
             let (d1, d2) = (&members[0], &members[1]);
             let feat = d1.in_shape.h * d1.in_shape.w * d1.in_shape.c;
-            let (k1, k2) = match (&d1.op, &d2.op) {
-                (StepOp::DenseBin { out_features: a }, StepOp::DenseBin { out_features: b }) => {
-                    (*a, *b)
-                }
-                _ => unreachable!("dense chain is two binary dense layers"),
-            };
-            dense_pair_profile(k1, k2, feat).batched(d1.in_shape.n)
+            dense_pair_profile(d1.out_shape.c, d2.out_shape.c, feat).batched(d1.in_shape.n)
         }
     }
 }
@@ -652,293 +748,182 @@ pub struct ExecutionPlan {
 }
 
 impl ExecutionPlan {
-    /// Lowers a shape-level architecture for `device` with cost-modeled
-    /// routes.
+    /// Lowers a shape-level architecture for `device` at `batch` images per
+    /// window: every value shape carries `n = batch`, routes are
+    /// cost-modeled at batched pixel counts (or forced by `overrides`), and
+    /// the arena is planned double-banked when `batch > 1` (see the module
+    /// docs). Shape-level archs carry no weights, so there is nothing to
+    /// dictionary-compress: arch plans are identical across compression
+    /// modes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PlanDomainError`] when the architecture cannot be deployed:
+    /// its layer chain is domain-inconsistent, or it pools by anything but
+    /// max.
     ///
     /// # Panics
     ///
-    /// Panics when the architecture's layer chain is domain-inconsistent
-    /// (mirrors [`NetworkArch::infer`]'s panic-on-malformed contract).
-    pub fn for_arch(arch: &NetworkArch, device: &DeviceProfile) -> Self {
-        Self::for_arch_with(arch, device, RouteOverrides::default())
-    }
-
-    /// [`ExecutionPlan::for_arch`] with explicit route overrides (the
-    /// ablation knobs).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the architecture is domain-inconsistent.
-    pub fn for_arch_with(
-        arch: &NetworkArch,
-        device: &DeviceProfile,
-        overrides: RouteOverrides,
-    ) -> Self {
-        Self::for_arch_batched_with(arch, device, 1, overrides)
-    }
-
-    /// Lowers a shape-level architecture for batched execution: every value
-    /// shape carries `n = batch`, routes are cost-modeled at batched pixel
-    /// counts, and the arena is planned double-banked (see the module docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `batch == 0` or the architecture is domain-inconsistent.
-    pub fn for_arch_batched(arch: &NetworkArch, device: &DeviceProfile, batch: usize) -> Self {
-        Self::for_arch_batched_with(arch, device, batch, RouteOverrides::default())
-    }
-
-    /// [`ExecutionPlan::for_arch_batched`] with explicit route overrides.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `batch == 0` or the architecture is domain-inconsistent.
-    pub fn for_arch_batched_with(
+    /// Panics when `batch == 0`, or when a layer cannot be applied to its
+    /// input shape ([`NetworkArch::infer`]'s contract).
+    pub fn for_arch(
         arch: &NetworkArch,
         device: &DeviceProfile,
         batch: usize,
-        overrides: RouteOverrides,
-    ) -> Self {
-        let infos = arch.infer();
-        let descs: Vec<LayerDesc> = arch
+        overrides: &RouteOverrides,
+    ) -> Result<Self, PlanDomainError> {
+        let rows = arch
             .layers
             .iter()
-            .zip(infos.iter())
-            .map(|(layer, info)| match layer {
-                LayerSpec::Conv(c) => {
-                    let op = match c.precision {
-                        LayerPrecision::BinaryInput8 => OpDesc::ConvBinInput8,
-                        LayerPrecision::Binary => OpDesc::ConvBin,
-                        LayerPrecision::Float => OpDesc::ConvFloat {
-                            act_ops: c.activation.ops_per_element(),
+            .zip(arch.binary_layer_bytes())
+            .map(|(layer, bank_bytes)| {
+                let (name, op) = match layer {
+                    LayerSpec::Conv(c) => {
+                        let (geom, k) = (c.geom, c.out_channels);
+                        let op = match c.precision {
+                            LayerPrecision::BinaryInput8 => StepOp::BConvInput8 { geom, k },
+                            LayerPrecision::Binary => StepOp::BConv { geom, k },
+                            LayerPrecision::Float => StepOp::FConv {
+                                geom,
+                                k,
+                                act_ops: c.activation.ops_per_element(),
+                            },
+                        };
+                        (c.name.as_str(), ProtoOp::Op(op))
+                    }
+                    LayerSpec::Pool(p) if p.kind != PoolKind::Max => {
+                        return Err(PlanDomainError {
+                            layer: p.name.clone(),
+                            expected: "max pooling over its",
+                        });
+                    }
+                    LayerSpec::Pool(p) => (
+                        p.name.as_str(),
+                        ProtoOp::Pool {
+                            size: p.size,
+                            stride: p.stride,
                         },
-                    };
-                    LayerDesc {
-                        name: c.name.clone(),
-                        op,
-                        geom: c.geom,
-                        k: info.output.c,
-                        pool: (0, 0),
-                        pool_bits: None,
+                    ),
+                    LayerSpec::Dense(d) => {
+                        let out_features = d.out_features;
+                        let op = match d.precision {
+                            LayerPrecision::Float => StepOp::DenseFloat { out_features },
+                            _ => StepOp::DenseBin { out_features },
+                        };
+                        (d.name.as_str(), ProtoOp::Op(op))
                     }
-                }
-                LayerSpec::Pool(p) => {
-                    assert_eq!(p.kind, PoolKind::Max, "only max pooling is deployed");
-                    LayerDesc {
-                        name: p.name.clone(),
-                        op: OpDesc::Pool,
-                        geom: ConvGeometry::square(1, 1, 0),
-                        k: 0,
-                        pool: (p.size, p.stride),
-                        pool_bits: None,
-                    }
-                }
-                LayerSpec::Dense(d) => LayerDesc {
-                    name: d.name.clone(),
-                    op: match d.precision {
-                        LayerPrecision::Float => OpDesc::DenseFloat,
-                        _ => OpDesc::DenseBin,
-                    },
-                    geom: ConvGeometry::square(1, 1, 0),
-                    k: d.out_features,
-                    pool: (0, 0),
-                    pool_bits: None,
-                },
-                LayerSpec::Softmax => LayerDesc {
-                    name: "softmax".into(),
-                    op: OpDesc::Softmax,
-                    geom: ConvGeometry::square(1, 1, 0),
-                    k: 0,
-                    pool: (0, 0),
-                    pool_bits: None,
-                },
+                    LayerSpec::Softmax => ("softmax", ProtoOp::Op(StepOp::Softmax)),
+                };
+                Ok(LayerRow {
+                    name,
+                    op,
+                    bank_bytes,
+                    comp: None,
+                })
             })
-            .collect();
-        lower(
-            arch.name.clone(),
-            arch.input,
-            &descs,
-            // Shape-level archs carry no weights, so there is nothing to
-            // dictionary-compress: arch plans are identical across modes.
-            &[],
-            &arch.binary_layer_bytes(),
-            device,
-            overrides,
-            batch,
-        )
-        .unwrap_or_else(|e| panic!("{}: {e}", arch.name))
+            .collect::<Result<_, _>>()?;
+        lower(&arch.name, arch.input, rows, device, overrides, batch)
     }
 
-    /// Lowers a deployed model for `device` with cost-modeled routes.
+    /// Lowers a deployed model for `device` at `batch` images per window
+    /// (`n = batch` on every value, batched route costs, double-banked
+    /// arena — see the module docs) under `overrides` — the entry point
+    /// that turns the fusion, compression and paging passes on.
     ///
     /// # Errors
     ///
     /// Returns [`PlanDomainError`] when the model's layer chain is
     /// domain-inconsistent (the engine surfaces this as `DomainMismatch`
     /// at staging time instead of mid-inference).
-    pub fn for_model(model: &PbitModel, device: &DeviceProfile) -> Result<Self, PlanDomainError> {
-        Self::for_model_batched(model, device, 1)
-    }
-
-    /// Lowers a deployed model for batched execution (`n = batch` on every
-    /// value, batched route costs, double-banked arena — see module docs).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanDomainError`] when the model's layer chain is
-    /// domain-inconsistent.
     ///
     /// # Panics
     ///
     /// Panics when `batch == 0`.
+    pub fn for_model(
+        model: &PbitModel,
+        device: &DeviceProfile,
+        batch: usize,
+        overrides: &RouteOverrides,
+    ) -> Result<Self, PlanDomainError> {
+        let rows = model
+            .layers
+            .iter()
+            .map(|layer| {
+                let op = match layer {
+                    PbitLayer::BConvInput8 { geom, filters, .. } => StepOp::BConvInput8 {
+                        geom: *geom,
+                        k: filters.shape().k,
+                    },
+                    PbitLayer::BConv { geom, filters, .. } => StepOp::BConv {
+                        geom: *geom,
+                        k: filters.shape().k,
+                    },
+                    PbitLayer::FConv {
+                        geom,
+                        filters,
+                        activation,
+                        ..
+                    } => StepOp::FConv {
+                        geom: *geom,
+                        k: filters.shape().k,
+                        act_ops: activation.ops_per_element(),
+                    },
+                    PbitLayer::MaxPoolBits { geom, .. } => StepOp::MaxPoolBits {
+                        size: geom.size,
+                        stride: geom.stride,
+                    },
+                    PbitLayer::MaxPoolF32 { geom, .. } => StepOp::MaxPoolF32 {
+                        size: geom.size,
+                        stride: geom.stride,
+                    },
+                    PbitLayer::DenseBin { weights, .. } => StepOp::DenseBin {
+                        out_features: weights.shape().k,
+                    },
+                    PbitLayer::DenseFloat { bias, .. } => StepOp::DenseFloat {
+                        out_features: bias.len(),
+                    },
+                    PbitLayer::Softmax => StepOp::Softmax,
+                };
+                // Under Auto, build both candidate dictionaries per binary
+                // conv — the per-tap bank the direct routes gather from and
+                // the pre-flattened whole-filter bank the GEMM tiles — so
+                // the route scorer can discount each candidate's filter
+                // reads by what *its* bank would save. First-layer bit-plane
+                // convs and dense layers stay raw: their kernels keep
+                // concrete banks.
+                let comp = match layer {
+                    PbitLayer::BConv { filters, .. }
+                        if overrides.compression == CompressionMode::Auto =>
+                    {
+                        Some(LayerCompression {
+                            direct: CompressStats::of(&FilterDict::build(filters)),
+                            lowered: CompressStats::of(&FilterDict::build(
+                                &bgemm::flatten_filters(filters),
+                            )),
+                        })
+                    }
+                    _ => None,
+                };
+                LayerRow {
+                    name: layer.name(),
+                    op: ProtoOp::Op(op),
+                    bank_bytes: layer.param_bytes(),
+                    comp,
+                }
+            })
+            .collect();
+        lower(&model.name, model.input, rows, device, overrides, batch)
+    }
+
+    /// [`ExecutionPlan::for_model`] with cost-modeled routes and no plan
+    /// pass turned on (the default [`RouteOverrides`]); same errors, same
+    /// panic.
     pub fn for_model_batched(
         model: &PbitModel,
         device: &DeviceProfile,
         batch: usize,
     ) -> Result<Self, PlanDomainError> {
-        Self::for_model_batched_with(model, device, batch, RouteOverrides::default())
-    }
-
-    /// [`ExecutionPlan::for_model_batched`] with explicit route overrides —
-    /// the entry point that turns the inter-layer fusion pass on
-    /// ([`RouteOverrides::fusion`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanDomainError`] when the model's layer chain is
-    /// domain-inconsistent.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `batch == 0`.
-    pub fn for_model_batched_with(
-        model: &PbitModel,
-        device: &DeviceProfile,
-        batch: usize,
-        overrides: RouteOverrides,
-    ) -> Result<Self, PlanDomainError> {
-        let descs: Vec<LayerDesc> = model
-            .layers
-            .iter()
-            .map(|layer| match layer {
-                PbitLayer::BConvInput8 {
-                    name,
-                    geom,
-                    filters,
-                    ..
-                } => LayerDesc {
-                    name: name.clone(),
-                    op: OpDesc::ConvBinInput8,
-                    geom: *geom,
-                    k: filters.shape().k,
-                    pool: (0, 0),
-                    pool_bits: None,
-                },
-                PbitLayer::BConv {
-                    name,
-                    geom,
-                    filters,
-                    ..
-                } => LayerDesc {
-                    name: name.clone(),
-                    op: OpDesc::ConvBin,
-                    geom: *geom,
-                    k: filters.shape().k,
-                    pool: (0, 0),
-                    pool_bits: None,
-                },
-                PbitLayer::FConv {
-                    name,
-                    geom,
-                    filters,
-                    activation,
-                    ..
-                } => LayerDesc {
-                    name: name.clone(),
-                    op: OpDesc::ConvFloat {
-                        act_ops: activation.ops_per_element(),
-                    },
-                    geom: *geom,
-                    k: filters.shape().k,
-                    pool: (0, 0),
-                    pool_bits: None,
-                },
-                PbitLayer::MaxPoolBits { name, geom } => LayerDesc {
-                    name: name.clone(),
-                    op: OpDesc::Pool,
-                    geom: ConvGeometry::square(1, 1, 0),
-                    k: 0,
-                    pool: (geom.size, geom.stride),
-                    pool_bits: Some(true),
-                },
-                PbitLayer::MaxPoolF32 { name, geom } => LayerDesc {
-                    name: name.clone(),
-                    op: OpDesc::Pool,
-                    geom: ConvGeometry::square(1, 1, 0),
-                    k: 0,
-                    pool: (geom.size, geom.stride),
-                    pool_bits: Some(false),
-                },
-                PbitLayer::DenseBin { name, weights, .. } => LayerDesc {
-                    name: name.clone(),
-                    op: OpDesc::DenseBin,
-                    geom: ConvGeometry::square(1, 1, 0),
-                    k: weights.shape().k,
-                    pool: (0, 0),
-                    pool_bits: None,
-                },
-                PbitLayer::DenseFloat { name, bias, .. } => LayerDesc {
-                    name: name.clone(),
-                    op: OpDesc::DenseFloat,
-                    geom: ConvGeometry::square(1, 1, 0),
-                    k: bias.len(),
-                    pool: (0, 0),
-                    pool_bits: None,
-                },
-                PbitLayer::Softmax => LayerDesc {
-                    name: "softmax".into(),
-                    op: OpDesc::Softmax,
-                    geom: ConvGeometry::square(1, 1, 0),
-                    k: 0,
-                    pool: (0, 0),
-                    pool_bits: None,
-                },
-            })
-            .collect();
-        // Under Auto, build both candidate dictionaries per binary conv —
-        // the per-tap bank the direct routes gather from and the
-        // pre-flattened whole-filter bank the GEMM tiles — so the route
-        // scorer can discount each candidate's filter reads by what *its*
-        // bank would save. First-layer bit-plane convs and dense layers
-        // stay raw: their kernels keep concrete banks.
-        let comps: Vec<Option<LayerCompression>> = model
-            .layers
-            .iter()
-            .map(|layer| match layer {
-                PbitLayer::BConv { filters, .. }
-                    if overrides.compression == CompressionMode::Auto =>
-                {
-                    Some(LayerCompression {
-                        direct: CompressStats::of(&FilterDict::build(filters)),
-                        lowered: CompressStats::of(&FilterDict::build(&bgemm::flatten_filters(
-                            filters,
-                        ))),
-                    })
-                }
-                _ => None,
-            })
-            .collect();
-        let layer_bytes: Vec<usize> = model.layers.iter().map(PbitLayer::param_bytes).collect();
-        lower(
-            model.name.clone(),
-            model.input,
-            &descs,
-            &comps,
-            &layer_bytes,
-            device,
-            overrides,
-            batch,
-        )
+        Self::for_model(model, device, batch, &RouteOverrides::default())
     }
 
     /// Bytes of one arena bank: the sum of slot sizes — the steady-state
@@ -964,12 +949,6 @@ impl ExecutionPlan {
     /// input for an empty plan).
     pub fn output_value(&self) -> usize {
         self.steps.last().map_or(self.input_value, |s| s.output)
-    }
-
-    /// The per-step conv routes, `None` for non-binary-conv layers (what
-    /// the ablation binary prints).
-    pub fn routes(&self) -> impl Iterator<Item = (&PlanStep, Option<&ConvPlan>)> {
-        self.steps.iter().map(|s| (s, s.route.as_ref()))
     }
 
     /// Total device dispatches one inference window issues (the engine's
@@ -1039,7 +1018,7 @@ impl ExecutionPlan {
     /// stall against the device's upload lane. Runs exactly once per
     /// lowering, while `paging` is still `None`, so the duration walk
     /// charges no stalls itself.
-    fn attach_paging(&mut self, device: &DeviceProfile, overrides: RouteOverrides) {
+    fn attach_paging(&mut self, device: &DeviceProfile, overrides: &RouteOverrides) {
         let Some(budget) = overrides.weight_budget else {
             return;
         };
@@ -1061,65 +1040,36 @@ impl ExecutionPlan {
     }
 }
 
-/// Activation domain flowing between lowered layers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Domain {
-    Bytes,
-    Bits,
-    Floats,
+/// A source layer's op before the flowing domain resolves it.
+enum ProtoOp {
+    /// The source declares the op, domains included.
+    Op(StepOp),
+    /// A max pool that follows the flowing domain: shape-level archs do not
+    /// say whether a pool ORs bits or maxes floats.
+    Pool { size: usize, stride: usize },
 }
 
-impl Domain {
-    fn kind(self) -> ValueKind {
-        match self {
-            Domain::Bytes => ValueKind::Bytes,
-            Domain::Bits => ValueKind::Bits,
-            Domain::Floats => ValueKind::Floats,
-        }
-    }
+/// One source layer as a front end ([`ExecutionPlan::for_arch`],
+/// [`ExecutionPlan::for_model`]) hands it to [`lower`].
+struct LayerRow<'a> {
+    name: &'a str,
+    op: ProtoOp,
+    /// Bytes of the layer's raw weight bank (0 for weightless layers).
+    bank_bytes: usize,
+    /// Both candidate banks' dictionary accounting, for a binary
+    /// convolution lowered under [`CompressionMode::Auto`].
+    comp: Option<LayerCompression>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum OpDesc {
-    ConvBinInput8,
-    ConvBin,
-    /// Carries the activation epilogue's f32 ops per output element.
-    ConvFloat {
-        act_ops: f64,
-    },
-    Pool,
-    DenseBin,
-    DenseFloat,
-    Softmax,
-}
-
-/// Source-agnostic layer description shared by the arch and model fronts.
-struct LayerDesc {
-    name: String,
-    op: OpDesc,
-    geom: ConvGeometry,
-    k: usize,
-    pool: (usize, usize),
-    /// `Some(bits)` when the source (a deployed model) declares the pool
-    /// domain; `None` infers it from the flowing domain.
-    pool_bits: Option<bool>,
-}
-
-#[allow(clippy::too_many_arguments)]
 fn lower(
-    name: String,
+    name: &str,
     input: Shape4,
-    descs: &[LayerDesc],
-    comps: &[Option<LayerCompression>],
-    layer_bytes: &[usize],
+    rows: Vec<LayerRow<'_>>,
     device: &DeviceProfile,
-    overrides: RouteOverrides,
+    overrides: &RouteOverrides,
     batch: usize,
 ) -> Result<ExecutionPlan, PlanDomainError> {
     assert!(batch >= 1, "batch must be at least 1");
-    // Compressed banks shrink the resident weights below; decisions are
-    // recorded per layer so the engine stages exactly what is subtracted.
-    let mut weights_bytes: usize = layer_bytes.iter().sum();
     let mut compression: Vec<CompressDecision> = Vec::new();
     // The batch folds into the `n` extent of every value: kernels process
     // the whole window in one dispatch, so routes and slots are sized at
@@ -1127,8 +1077,8 @@ fn lower(
     let input = Shape4::new(input.n * batch, input.h, input.w, input.c);
     let banks = if batch > 1 { 2 } else { 1 };
     let mut values: Vec<PlanValue> = Vec::new();
-    let mut steps: Vec<PlanStep> = Vec::with_capacity(descs.len());
-    let last = descs.len().saturating_sub(1);
+    let mut steps: Vec<PlanStep> = Vec::with_capacity(rows.len());
+    let last = rows.len().saturating_sub(1);
 
     let push = |values: &mut Vec<PlanValue>,
                 kind: ValueKind,
@@ -1148,79 +1098,45 @@ fn lower(
         values.len() - 1
     };
 
-    let mut domain = match descs.first().map(|d| d.op) {
-        Some(OpDesc::ConvBinInput8) => Domain::Bytes,
-        _ => Domain::Floats,
+    // A network is fed `u8` images exactly when it opens with the
+    // first-layer convolution; everything else takes floats.
+    let mut domain = match rows.first().map(|r| &r.op) {
+        Some(ProtoOp::Op(StepOp::BConvInput8 { .. })) => ValueKind::Bytes,
+        _ => ValueKind::Floats,
     };
-    let input_value = push(
-        &mut values,
-        domain.kind(),
-        input,
-        0,
-        0,
-        ValueRole::NetworkInput,
-    );
+    let input_value = push(&mut values, domain, input, 0, 0, ValueRole::NetworkInput);
     let mut cur_val = input_value;
     let mut cur_shape = input;
 
-    let err = |desc: &LayerDesc, expected: &'static str| PlanDomainError {
-        layer: desc.name.clone(),
-        expected,
-    };
-
-    for (i, desc) in descs.iter().enumerate() {
+    for (i, row) in rows.into_iter().enumerate() {
         let in_shape = cur_shape;
-        let mut convert = None;
-        let mut scratch = None;
-        let mut route = None;
+        let op = match row.op {
+            ProtoOp::Op(op) => op,
+            ProtoOp::Pool { size, stride } if domain == ValueKind::Bits => {
+                StepOp::MaxPoolBits { size, stride }
+            }
+            ProtoOp::Pool { size, stride } => StepOp::MaxPoolF32 { size, stride },
+        };
+        // Values are pushed convert, scratch, output: ids and arena slots
+        // follow from the order.
+        let convert = op
+            .edge(domain)
+            .map_err(|expected| PlanDomainError {
+                layer: row.name.to_string(),
+                expected,
+            })?
+            .map(|kind| push(&mut values, kind, in_shape, i, i, ValueRole::Convert));
+        let out_shape = op.out_shape(in_shape);
         // Banks page at their *staged* size: a layer whose dictionary form
         // won keeps the dictionary + indices, not the raw bank — the same
         // bytes the engine allocates.
-        let mut bank_bytes = layer_bytes[i];
-        let (op, out_shape, out_domain) = match desc.op {
-            OpDesc::ConvBinInput8 => {
-                if domain != Domain::Bytes {
-                    return Err(err(desc, "u8"));
-                }
-                let (oh, ow) = desc.geom.output_hw(in_shape.h, in_shape.w);
-                scratch = Some(push(
-                    &mut values,
-                    ValueKind::Planes8,
-                    in_shape,
-                    i,
-                    i,
-                    ValueRole::Scratch,
-                ));
-                (
-                    StepOp::BConvInput8 {
-                        geom: desc.geom,
-                        k: desc.k,
-                    },
-                    Shape4::new(in_shape.n, oh, ow, desc.k),
-                    Domain::Bits,
-                )
-            }
-            OpDesc::ConvBin => {
-                if domain == Domain::Bytes {
-                    return Err(err(desc, "bits"));
-                }
-                if domain == Domain::Floats {
-                    convert = Some(push(
-                        &mut values,
-                        ValueKind::Bits,
-                        in_shape,
-                        i,
-                        i,
-                        ValueRole::Convert,
-                    ));
-                }
-                let (oh, ow) = desc.geom.output_hw(in_shape.h, in_shape.w);
-                let out_shape = Shape4::new(in_shape.n, oh, ow, desc.k);
+        let mut bank_bytes = row.bank_bytes;
+        let route = match &op {
+            StepOp::BConv { geom, k } => {
                 // Each candidate route is scored with its own bank's
                 // dictionary discount (0 when the bank does not win or
                 // compression is off) — the same clamp the kernels apply,
                 // so score and execution cannot drift.
-                let comp = comps.get(i).and_then(|c| c.as_ref());
                 let discount = |s: &CompressStats| {
                     if s.wins() {
                         s.saved_bytes() as f64
@@ -1228,14 +1144,15 @@ fn lower(
                         0.0
                     }
                 };
-                let (direct_disc, lowered_disc) =
-                    comp.map_or((0.0, 0.0), |c| (discount(&c.direct), discount(&c.lowered)));
+                let (direct_disc, lowered_disc) = row
+                    .comp
+                    .map_or((0.0, 0.0), |c| (discount(&c.direct), discount(&c.lowered)));
                 let mut plan = select_conv_path_with(
                     device,
                     out_shape.pixels(),
-                    desc.k,
+                    *k,
                     in_shape.c,
-                    &desc.geom,
+                    geom,
                     direct_disc,
                     lowered_disc,
                 );
@@ -1244,194 +1161,38 @@ fn lower(
                 } else if overrides.force_unfused {
                     plan.path = ConvPath::DirectUnfused;
                 }
-                if let Some(c) = comp {
+                if let Some(c) = row.comp {
                     // The verdict is about the bank the chosen route will
-                    // actually stage; compress only where it wins.
+                    // actually stage; compress only where it wins. The
+                    // decision is recorded either way, so the engine stages
+                    // exactly what is subtracted here.
                     let stats = match plan.path {
                         ConvPath::LoweredGemm => c.lowered,
                         _ => c.direct,
                     };
-                    let compressed = stats.wins();
-                    if compressed {
-                        weights_bytes = weights_bytes.saturating_sub(stats.saved_bytes());
-                        bank_bytes = bank_bytes.saturating_sub(stats.saved_bytes());
-                    }
-                    compression.push(CompressDecision {
+                    let decision = CompressDecision {
                         layer: i,
-                        name: desc.name.clone(),
+                        name: row.name.to_string(),
                         path: plan.path,
                         stats,
-                        compressed,
-                    });
+                        compressed: stats.wins(),
+                    };
+                    bank_bytes = bank_bytes.saturating_sub(decision.saved_bytes());
+                    compression.push(decision);
                 }
-                match plan.path {
-                    ConvPath::LoweredGemm if !desc.geom.is_pointwise() => {
-                        scratch = Some(push(
-                            &mut values,
-                            ValueKind::Bits,
-                            Shape4::new(in_shape.n, oh, ow, desc.geom.taps() * in_shape.c),
-                            i,
-                            i,
-                            ValueRole::Scratch,
-                        ));
-                    }
-                    ConvPath::DirectUnfused => {
-                        scratch = Some(push(
-                            &mut values,
-                            ValueKind::Accum32,
-                            out_shape,
-                            i,
-                            i,
-                            ValueRole::Scratch,
-                        ));
-                    }
-                    _ => {}
-                }
-                route = Some(plan);
-                (
-                    StepOp::BConv {
-                        geom: desc.geom,
-                        k: desc.k,
-                    },
-                    out_shape,
-                    Domain::Bits,
-                )
+                Some(plan)
             }
-            OpDesc::ConvFloat { act_ops } => {
-                if domain == Domain::Bytes {
-                    return Err(err(desc, "floats"));
-                }
-                if domain == Domain::Bits {
-                    convert = Some(push(
-                        &mut values,
-                        ValueKind::Floats,
-                        in_shape,
-                        i,
-                        i,
-                        ValueRole::Convert,
-                    ));
-                }
-                let (oh, ow) = desc.geom.output_hw(in_shape.h, in_shape.w);
-                (
-                    StepOp::FConv {
-                        geom: desc.geom,
-                        k: desc.k,
-                        act_ops,
-                    },
-                    Shape4::new(in_shape.n, oh, ow, desc.k),
-                    Domain::Floats,
-                )
-            }
-            OpDesc::Pool => {
-                let (size, stride) = desc.pool;
-                let (oh, ow) =
-                    ConvGeometry::square(size, stride, 0).output_hw(in_shape.h, in_shape.w);
-                let bits = desc.pool_bits.unwrap_or(domain == Domain::Bits);
-                if bits {
-                    if domain != Domain::Bits {
-                        return Err(err(desc, "bits"));
-                    }
-                    (
-                        StepOp::MaxPoolBits { size, stride },
-                        Shape4::new(in_shape.n, oh, ow, in_shape.c),
-                        Domain::Bits,
-                    )
-                } else {
-                    if domain == Domain::Bytes {
-                        return Err(err(desc, "floats"));
-                    }
-                    if domain == Domain::Bits {
-                        convert = Some(push(
-                            &mut values,
-                            ValueKind::Floats,
-                            in_shape,
-                            i,
-                            i,
-                            ValueRole::Convert,
-                        ));
-                    }
-                    (
-                        StepOp::MaxPoolF32 { size, stride },
-                        Shape4::new(in_shape.n, oh, ow, in_shape.c),
-                        Domain::Floats,
-                    )
-                }
-            }
-            OpDesc::DenseBin => {
-                if domain == Domain::Bytes {
-                    return Err(err(desc, "bits"));
-                }
-                if domain == Domain::Floats {
-                    convert = Some(push(
-                        &mut values,
-                        ValueKind::Bits,
-                        in_shape,
-                        i,
-                        i,
-                        ValueRole::Convert,
-                    ));
-                }
-                // The bit-preserving flatten staging the matvec's row.
-                scratch = Some(push(
-                    &mut values,
-                    ValueKind::Bits,
-                    Shape4::new(in_shape.n, 1, 1, in_shape.h * in_shape.w * in_shape.c),
-                    i,
-                    i,
-                    ValueRole::Scratch,
-                ));
-                (
-                    StepOp::DenseBin {
-                        out_features: desc.k,
-                    },
-                    Shape4::new(in_shape.n, 1, 1, desc.k),
-                    Domain::Bits,
-                )
-            }
-            OpDesc::DenseFloat => {
-                if domain == Domain::Bytes {
-                    return Err(err(desc, "floats"));
-                }
-                if domain == Domain::Bits {
-                    convert = Some(push(
-                        &mut values,
-                        ValueKind::Floats,
-                        in_shape,
-                        i,
-                        i,
-                        ValueRole::Convert,
-                    ));
-                }
-                (
-                    StepOp::DenseFloat {
-                        out_features: desc.k,
-                    },
-                    Shape4::new(in_shape.n, 1, 1, desc.k),
-                    Domain::Floats,
-                )
-            }
-            OpDesc::Softmax => {
-                if domain == Domain::Bytes {
-                    return Err(err(desc, "floats"));
-                }
-                if domain == Domain::Bits {
-                    convert = Some(push(
-                        &mut values,
-                        ValueKind::Floats,
-                        in_shape,
-                        i,
-                        i,
-                        ValueRole::Convert,
-                    ));
-                }
-                (StepOp::Softmax, in_shape, Domain::Floats)
-            }
+            _ => None,
         };
+        let scratch = op
+            .scratch(in_shape, out_shape, route.map(|r| r.path))
+            .map(|(kind, shape)| push(&mut values, kind, shape, i, i, ValueRole::Scratch));
         // The output feeds step i+1; the final output just outlives the run.
         let dies = if i == last { i } else { i + 1 };
+        domain = op.produces();
         let output = push(
             &mut values,
-            out_domain.kind(),
+            domain,
             out_shape,
             i,
             dies,
@@ -1439,7 +1200,7 @@ fn lower(
         );
         steps.push(PlanStep {
             index: i,
-            name: Arc::from(desc.name.as_str()),
+            name: Arc::from(row.name),
             op,
             in_shape,
             out_shape,
@@ -1450,7 +1211,6 @@ fn lower(
             route,
             bank_bytes,
         });
-        domain = out_domain;
         cur_val = output;
         cur_shape = out_shape;
     }
@@ -1461,13 +1221,15 @@ fn lower(
     };
     let slots = assign_slots(&mut values);
     let mut plan = ExecutionPlan {
-        name,
+        name: name.to_string(),
         input,
         input_value,
+        // Resident weights are the banks as staged — compressed ones at
+        // their dictionary size — and fusion only regroups them.
+        weights_bytes: steps.iter().map(|s| s.bank_bytes).sum(),
         steps,
         values,
         slots,
-        weights_bytes,
         batch,
         banks,
         chains,
@@ -1758,37 +1520,17 @@ fn assign_slots(values: &mut [PlanValue]) -> Vec<usize> {
     // (bytes, dies-of-last-tenant)
     let mut slots: Vec<(usize, usize)> = Vec::new();
     for v in values.iter_mut() {
-        let mut best: Option<usize> = None;
-        for (i, &(bytes, busy_until)) in slots.iter().enumerate() {
-            if v.born <= busy_until {
-                continue;
-            }
-            best = Some(match best {
-                None => i,
-                Some(b) => {
-                    let best_bytes = slots[b].0;
-                    let (fits, best_fits) = (bytes >= v.bytes, best_bytes >= v.bytes);
-                    match (fits, best_fits) {
-                        (true, true) => {
-                            if bytes < best_bytes {
-                                i
-                            } else {
-                                b
-                            }
-                        }
-                        (true, false) => i,
-                        (false, true) => b,
-                        (false, false) => {
-                            if bytes > best_bytes {
-                                i
-                            } else {
-                                b
-                            }
-                        }
-                    }
-                }
-            });
-        }
+        // Free slots only; among them the smallest that fits, else the
+        // largest (first wins a tie).
+        let best = slots
+            .iter()
+            .enumerate()
+            .filter(|(_, &(_, busy_until))| v.born > busy_until)
+            .min_by_key(|(_, &(bytes, _))| match bytes >= v.bytes {
+                true => (0, bytes),
+                false => (1, usize::MAX - bytes),
+            })
+            .map(|(i, _)| i);
         let slot = match best {
             Some(s) => {
                 slots[s] = (slots[s].0.max(v.bytes), v.dies);
@@ -1811,6 +1553,10 @@ mod tests {
 
     fn device() -> DeviceProfile {
         DeviceProfile::adreno_640()
+    }
+
+    fn lower(arch: &NetworkArch, batch: usize, overrides: RouteOverrides) -> ExecutionPlan {
+        ExecutionPlan::for_arch(arch, &device(), batch, &overrides).expect("lowers")
     }
 
     fn small_arch() -> NetworkArch {
@@ -1840,7 +1586,7 @@ mod tests {
 
     #[test]
     fn lowering_resolves_domains_and_converts() {
-        let plan = ExecutionPlan::for_arch(&small_arch(), &device());
+        let plan = lower(&small_arch(), 1, RouteOverrides::default());
         assert_eq!(plan.steps.len(), 5);
         assert!(matches!(plan.steps[0].op, StepOp::BConvInput8 { .. }));
         assert!(matches!(plan.steps[1].op, StepOp::MaxPoolBits { .. }));
@@ -1857,9 +1603,103 @@ mod tests {
         assert_eq!(plan.values[scr].kind, ValueKind::Planes8);
     }
 
+    /// The edge rule, tabulated: every non-fused op against every flowing
+    /// domain — `Err(expected)`, no conversion, or a conversion of the
+    /// given kind.
+    #[test]
+    fn op_domain_table_is_the_conversion_rule() {
+        use ValueKind::{Bits, Bytes, Floats};
+        let geom = ConvGeometry::square(3, 1, 1);
+        let (size, stride, out_features) = (2, 2, 10);
+        // (op, [flowing bytes, flowing bits, flowing floats])
+        type Edge = Result<Option<ValueKind>, &'static str>;
+        let table: [(StepOp, [Edge; 3]); 8] = [
+            (
+                StepOp::BConvInput8 { geom, k: 8 },
+                [Ok(None), Err("u8"), Err("u8")],
+            ),
+            (
+                StepOp::BConv { geom, k: 8 },
+                [Err("bits"), Ok(None), Ok(Some(Bits))],
+            ),
+            (
+                StepOp::FConv {
+                    geom,
+                    k: 8,
+                    act_ops: 0.0,
+                },
+                [Err("floats"), Ok(Some(Floats)), Ok(None)],
+            ),
+            (
+                StepOp::MaxPoolBits { size, stride },
+                [Err("bits"), Ok(None), Err("bits")],
+            ),
+            (
+                StepOp::MaxPoolF32 { size, stride },
+                [Err("floats"), Ok(Some(Floats)), Ok(None)],
+            ),
+            (
+                StepOp::DenseBin { out_features },
+                [Err("bits"), Ok(None), Ok(Some(Bits))],
+            ),
+            (
+                StepOp::DenseFloat { out_features },
+                [Err("floats"), Ok(Some(Floats)), Ok(None)],
+            ),
+            (StepOp::Softmax, [Err("floats"), Ok(Some(Floats)), Ok(None)]),
+        ];
+        for (op, row) in &table {
+            for (flowing, want) in [Bytes, Bits, Floats].into_iter().zip(row) {
+                assert_eq!(&op.edge(flowing), want, "{op:?} fed {flowing:?}");
+                // A conversion delivers what the op reads.
+                if let Ok(Some(kind)) = want {
+                    assert_eq!(*kind, op.consumes(), "{op:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn undeployable_archs_are_errors_naming_the_layer() {
+        use phonebit_nn::graph::PoolSpec;
+        let mut avg = small_arch();
+        avg.layers[1] = LayerSpec::Pool(PoolSpec {
+            name: "pool1".into(),
+            kind: PoolKind::Avg,
+            size: 2,
+            stride: 2,
+        });
+        let err = ExecutionPlan::for_arch(&avg, &device(), 1, &RouteOverrides::default());
+        assert_eq!(err.expect_err("avg pooling is not deployed").layer, "pool1");
+
+        // A `u8` first-layer convolution anywhere but first.
+        let late = NetworkArch::new("late-in8", Shape4::new(1, 8, 8, 3))
+            .conv(
+                "conv1",
+                8,
+                3,
+                1,
+                1,
+                LayerPrecision::Binary,
+                Activation::Linear,
+            )
+            .conv(
+                "conv2",
+                8,
+                3,
+                1,
+                1,
+                LayerPrecision::BinaryInput8,
+                Activation::Linear,
+            );
+        let err = ExecutionPlan::for_arch(&late, &device(), 1, &RouteOverrides::default())
+            .expect_err("bits cannot feed the u8 convolution");
+        assert_eq!((err.layer.as_str(), err.expected), ("conv2", "u8"));
+    }
+
     #[test]
     fn overlapping_values_never_share_a_slot() {
-        let plan = ExecutionPlan::for_arch(&small_arch(), &device());
+        let plan = lower(&small_arch(), 1, RouteOverrides::default());
         for (i, a) in plan.values.iter().enumerate() {
             assert_ne!(a.slot, usize::MAX, "value {i} unassigned");
             assert!(plan.slots[a.slot] >= a.bytes, "slot smaller than value {i}");
@@ -1874,7 +1714,7 @@ mod tests {
 
     #[test]
     fn arena_reuses_slots_across_the_chain() {
-        let plan = ExecutionPlan::for_arch(&small_arch(), &device());
+        let plan = lower(&small_arch(), 1, RouteOverrides::default());
         let total: usize = plan.values.iter().map(|v| v.bytes).sum();
         assert!(plan.values.len() > plan.slots.len(), "slots must be reused");
         assert!(plan.arena_bytes() < total, "arena must beat sum-of-values");
@@ -1884,17 +1724,17 @@ mod tests {
     #[test]
     fn route_overrides_force_paths() {
         let arch = small_arch();
-        let lowered = ExecutionPlan::for_arch_with(
+        let lowered = lower(
             &arch,
-            &device(),
+            1,
             RouteOverrides {
                 lowered_gemm: true,
                 ..Default::default()
             },
         );
-        let unfused = ExecutionPlan::for_arch_with(
+        let unfused = lower(
             &arch,
-            &device(),
+            1,
             RouteOverrides {
                 force_unfused: true,
                 ..Default::default()
@@ -1912,15 +1752,15 @@ mod tests {
 
     #[test]
     fn lowering_is_deterministic() {
-        let a = ExecutionPlan::for_arch(&small_arch(), &device());
-        let b = ExecutionPlan::for_arch(&small_arch(), &device());
+        let a = lower(&small_arch(), 1, RouteOverrides::default());
+        let b = lower(&small_arch(), 1, RouteOverrides::default());
         assert_eq!(a, b);
     }
 
     #[test]
     fn batched_lowering_scales_values_not_slot_count() {
-        let single = ExecutionPlan::for_arch(&small_arch(), &device());
-        let batched = ExecutionPlan::for_arch_batched(&small_arch(), &device(), 4);
+        let single = lower(&small_arch(), 1, RouteOverrides::default());
+        let batched = lower(&small_arch(), 4, RouteOverrides::default());
         assert_eq!(single.batch, 1);
         assert_eq!(single.banks, 1);
         assert_eq!(batched.batch, 4);
@@ -1940,16 +1780,13 @@ mod tests {
             batched.weights_bytes + 2 * batched.arena_bytes()
         );
         // Batch 1 through the batched front is exactly the single plan.
-        assert_eq!(
-            ExecutionPlan::for_arch_batched(&small_arch(), &device(), 1),
-            single
-        );
+        assert_eq!(lower(&small_arch(), 1, RouteOverrides::default()), single);
     }
 
     #[test]
     fn batched_lowering_is_deterministic_and_liveness_safe() {
-        let a = ExecutionPlan::for_arch_batched(&small_arch(), &device(), 8);
-        let b = ExecutionPlan::for_arch_batched(&small_arch(), &device(), 8);
+        let a = lower(&small_arch(), 8, RouteOverrides::default());
+        let b = lower(&small_arch(), 8, RouteOverrides::default());
         assert_eq!(a, b);
         for (i, va) in a.values.iter().enumerate() {
             assert!(a.slots[va.slot] >= va.bytes);
@@ -1964,7 +1801,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "batch must be at least 1")]
     fn zero_batch_panics() {
-        let _ = ExecutionPlan::for_arch_batched(&small_arch(), &device(), 0);
+        let _ = lower(&small_arch(), 0, RouteOverrides::default());
     }
 
     #[test]
@@ -2019,19 +1856,15 @@ mod tests {
 
     #[test]
     fn fusion_off_lowers_byte_identical_with_no_chains() {
-        let off = ExecutionPlan::for_arch_with(&small_arch(), &device(), RouteOverrides::default());
+        let off = lower(&small_arch(), 1, RouteOverrides::default());
         assert!(off.chains.is_empty(), "Off records no chain decisions");
-        assert_eq!(off, ExecutionPlan::for_arch(&small_arch(), &device()));
+        assert_eq!(off, lower(&small_arch(), 1, RouteOverrides::default()));
     }
 
     #[test]
     fn force_fuses_conv_pool_chain_into_one_dispatch() {
-        let unfused = ExecutionPlan::for_arch(&small_arch(), &device());
-        let fused = ExecutionPlan::for_arch_with(
-            &small_arch(),
-            &device(),
-            fused_overrides(FusionMode::Force),
-        );
+        let unfused = lower(&small_arch(), 1, RouteOverrides::default());
+        let fused = lower(&small_arch(), 1, fused_overrides(FusionMode::Force));
         // conv1+pool1 collapse; conv2/fc/softmax stay (conv2 is a lone
         // direct-fused conv with no pool — fusing it would save nothing).
         assert_eq!(fused.steps.len(), unfused.steps.len() - 1);
@@ -2070,12 +1903,8 @@ mod tests {
 
     #[test]
     fn fusion_liveness_sees_through_groups() {
-        let unfused = ExecutionPlan::for_arch(&small_arch(), &device());
-        let fused = ExecutionPlan::for_arch_with(
-            &small_arch(),
-            &device(),
-            fused_overrides(FusionMode::Force),
-        );
+        let unfused = lower(&small_arch(), 1, RouteOverrides::default());
+        let fused = lower(&small_arch(), 1, fused_overrides(FusionMode::Force));
         // The ring tile is strictly smaller than the conv activation it
         // replaces, so the arena shrinks.
         assert!(fused.arena_bytes() < unfused.arena_bytes());
@@ -2117,12 +1946,8 @@ mod tests {
 
     #[test]
     fn force_fuses_dense_pair() {
-        let unfused = ExecutionPlan::for_arch(&dense_pair_arch(), &device());
-        let fused = ExecutionPlan::for_arch_with(
-            &dense_pair_arch(),
-            &device(),
-            fused_overrides(FusionMode::Force),
-        );
+        let unfused = lower(&dense_pair_arch(), 1, RouteOverrides::default());
+        let fused = lower(&dense_pair_arch(), 1, fused_overrides(FusionMode::Force));
         let group = fused
             .steps
             .iter()
@@ -2146,11 +1971,7 @@ mod tests {
 
     #[test]
     fn auto_fusion_is_scored_per_chain() {
-        let auto = ExecutionPlan::for_arch_with(
-            &small_arch(),
-            &device(),
-            fused_overrides(FusionMode::Auto),
-        );
+        let auto = lower(&small_arch(), 1, fused_overrides(FusionMode::Auto));
         assert!(!auto.chains.is_empty(), "candidates must be scored");
         for d in &auto.chains {
             assert!(d.split_s > 0.0 && d.fused_s > 0.0);
@@ -2168,18 +1989,8 @@ mod tests {
 
     #[test]
     fn batched_fusion_keeps_liveness_and_determinism() {
-        let a = ExecutionPlan::for_arch_batched_with(
-            &small_arch(),
-            &device(),
-            4,
-            fused_overrides(FusionMode::Force),
-        );
-        let b = ExecutionPlan::for_arch_batched_with(
-            &small_arch(),
-            &device(),
-            4,
-            fused_overrides(FusionMode::Force),
-        );
+        let a = lower(&small_arch(), 4, fused_overrides(FusionMode::Force));
+        let b = lower(&small_arch(), 4, fused_overrides(FusionMode::Force));
         assert_eq!(a, b);
         for (i, va) in a.values.iter().enumerate() {
             assert!(a.slots[va.slot] >= va.bytes);

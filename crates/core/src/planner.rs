@@ -1,9 +1,9 @@
 //! Deployment planning: memory footprint and per-layer kernel-path choice.
 //!
-//! **Memory**: the engine ping-pongs two activation buffers (input and
-//! output of the current layer) over resident packed weights — the "minimal
-//! memory footprint during run-time" of the paper's §I. [`plan_on`] computes
-//! that footprint analytically so harnesses can check a model against a
+//! **Memory**: resident packed weights plus, per stream, one staged arena
+//! slice — the "minimal memory footprint during run-time" of the paper's
+//! §I. [`pooled_peak_bytes`] is that one formula over lowered plans, so
+//! harnesses, admission and fleet placement check a deployment against a
 //! phone's app budget without staging it.
 //!
 //! **Kernel path**: each binary convolution can run three ways — the
@@ -22,79 +22,7 @@ use phonebit_nn::kernels::{bgemm, profiles};
 use phonebit_nn::workload::{WorkloadPolicy, INTEGRATION_CHANNEL_LIMIT};
 use phonebit_tensor::shape::ConvGeometry;
 
-/// Activation representation at a layer boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ActivationKind {
-    /// 8-bit input image.
-    Bytes,
-    /// Channel-packed binary, 1 bit per value (stored as u64 words).
-    Bits,
-    /// Full-precision floats.
-    Floats,
-}
-
-impl ActivationKind {
-    /// Bytes for a given element count and channel count (packing granularity
-    /// matters for bits: whole u64 words per pixel).
-    pub fn bytes(self, pixels: usize, channels: usize) -> usize {
-        match self {
-            ActivationKind::Bytes => pixels * channels,
-            ActivationKind::Bits => pixels * channels.div_ceil(64) * 8,
-            ActivationKind::Floats => pixels * channels * 4,
-        }
-    }
-}
-
-/// Footprint of one layer boundary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LayerFootprint {
-    /// Layer name.
-    pub name: String,
-    /// Input activation bytes.
-    pub in_bytes: usize,
-    /// Output activation bytes.
-    pub out_bytes: usize,
-    /// Transient scratch the layer needs (e.g. 8 bit-planes for the first
-    /// layer, the int32 accumulator on the unfused path).
-    pub scratch_bytes: usize,
-}
-
-/// A deployment memory plan, derived from the staged
-/// [`ExecutionPlan`](crate::plan::ExecutionPlan)'s arena assignment: the
-/// activation peak is the **sum of arena slots** the engine actually
-/// stages, not a sum-of-layers upper bound.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MemoryPlan {
-    /// Resident packed weight bytes.
-    pub weights_bytes: usize,
-    /// Peak transient activation bytes: every staged arena bank (each bank
-    /// hosts every live activation, conversion and scratch value of one
-    /// request window).
-    pub peak_activation_bytes: usize,
-    /// Peak total = weights + staged arena banks.
-    pub peak_bytes: usize,
-    /// Arena slot sizes in bytes of one bank, as staged by the engine. For
-    /// batched plans each slot holds the whole window's value.
-    pub arena_slots: Vec<usize>,
-    /// Images per inference window this plan was lowered for.
-    pub batch: usize,
-    /// Arena banks **each stream** stages (2 for batched plans — per-slot
-    /// double buffering).
-    pub banks: usize,
-    /// Concurrent streams sharing the staged weights: every stream holds
-    /// its own `banks × Σ slots` arena, so the activation peak is
-    /// `streams × banks × Σ slots` (1 for unsharded plans).
-    pub streams: usize,
-    /// Per-layer breakdown.
-    pub per_layer: Vec<LayerFootprint>,
-}
-
-impl MemoryPlan {
-    /// Whether the plan fits a phone's app memory budget.
-    pub fn fits(&self, phone: &Phone) -> bool {
-        self.peak_bytes <= phone.app_budget_bytes()
-    }
-}
+use crate::plan::{ExecutionPlan, RouteOverrides};
 
 /// How a binary convolution layer is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -380,54 +308,16 @@ pub(crate) fn score_dispatches(
     }
 }
 
-/// Plans the deployed footprint of `arch` on `device`: lowers it to its
-/// [`ExecutionPlan`](crate::plan::ExecutionPlan) at `batch` images per
-/// window (the arena double-banked when `batch > 1`, see
-/// [`ExecutionPlan::for_arch_batched`]) and reports the arena-true
-/// footprint the engine would stage there. `streams` concurrent streams
-/// share one staged weight set, but each holds its own banks, so the
-/// activation peak grows to `streams × banks × Σ slots` — exactly what a
-/// one-tenant [`DeviceRuntime`](crate::serve::DeviceRuntime) with that many
-/// streams keeps resident. Kernel routes, and therefore scratch, are
-/// device-dependent.
-///
-/// # Panics
-///
-/// Panics when `batch == 0` or `streams == 0`.
-///
-/// [`ExecutionPlan::for_arch_batched`]: crate::plan::ExecutionPlan::for_arch_batched
-pub fn plan_on(
-    arch: &NetworkArch,
-    device: &DeviceProfile,
-    batch: usize,
-    streams: usize,
-) -> MemoryPlan {
-    assert!(streams >= 1, "streams must be at least 1");
-    let ep = crate::plan::ExecutionPlan::for_arch_batched(arch, device, batch);
-    let per_layer = ep
-        .steps
-        .iter()
-        .map(|step| {
-            let bytes = |id: usize| ep.values[id].bytes;
-            LayerFootprint {
-                name: step.name.to_string(),
-                in_bytes: bytes(step.input),
-                out_bytes: bytes(step.output),
-                scratch_bytes: step.convert.map_or(0, bytes) + step.scratch.map_or(0, bytes),
-            }
-        })
-        .collect();
-    let peak_activation_bytes = streams * ep.staged_arena_bytes();
-    MemoryPlan {
-        weights_bytes: ep.weights_bytes,
-        peak_activation_bytes,
-        peak_bytes: ep.weights_bytes + peak_activation_bytes,
-        arena_slots: ep.slots,
-        batch: ep.batch,
-        banks: ep.banks,
-        streams,
-        per_layer,
-    }
+/// Peak device bytes of a pooled co-resident deployment: every tenant's
+/// resident weights (a paged tenant's hot-set grant) stay on the device,
+/// while activation arenas come from a **pool** of per-stream slices, each
+/// sized to the *largest* tenant's staged banks
+/// ([`ExecutionPlan::staged_arena_bytes`]) — any stream can run any
+/// tenant's plan inside its slice. `Σ weights + streams × max slice`,
+/// against the `Σ weights + streams × Σ slices` of staging every tenant's
+/// arena on every stream. A solo deployment is a pool of one.
+pub fn pooled_peak_bytes(resident_weights: &[usize], slices: &[usize], streams: usize) -> usize {
+    resident_weights.iter().sum::<usize>() + streams * slices.iter().copied().max().unwrap_or(0)
 }
 
 /// The largest window size such that `streams` streams' double-banked
@@ -435,102 +325,23 @@ pub fn plan_on(
 /// what a serving loop should cap its batch at before requests start to
 /// OOM, and where the serving runtime's admission controller starts before
 /// applying its latency SLO. Returns 0 when even a single image does not
-/// fit (the paper's CNNdroid-VGG16 situation).
+/// fit (the paper's CNNdroid-VGG16 situation) or the architecture cannot be
+/// lowered.
 pub fn max_feasible_batch(arch: &NetworkArch, phone: &Phone, streams: usize) -> usize {
-    largest_batch_where(|batch| plan_on(arch, &phone.gpu, batch, streams).fits(phone))
-}
-
-/// Pooled co-resident deployment plan for several heterogeneous models
-/// sharing one device: every tenant's weights stay resident
-/// (`Σ weights`), while activation arenas come from a **pool** of
-/// per-stream bank slices, each sized to the *largest* tenant's staged
-/// banks — any stream can run any tenant's plan inside its slice, so the
-/// peak is `Σ weights + streams × max_tenant(banks × Σ slots)` instead of
-/// the per-model `Σ weights + streams × Σ_tenants(banks × Σ slots)` a
-/// naive side-by-side deployment would pay.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultiTenantPlan {
-    /// Resident packed weight bytes across every tenant.
-    pub weights_bytes: usize,
-    /// One pooled arena slice: the largest tenant's `banks × Σ slots`.
-    pub pool_slice_bytes: usize,
-    /// Streams drawing slices from the pool.
-    pub streams: usize,
-    /// Peak total = `Σ weights + streams × pool slice`.
-    pub peak_bytes: usize,
-    /// Each tenant's own (single-stream) memory plan at its batch.
-    pub per_tenant: Vec<MemoryPlan>,
-}
-
-impl MultiTenantPlan {
-    /// Whether the pooled co-resident deployment fits a phone's app
-    /// budget.
-    pub fn fits(&self, phone: &Phone) -> bool {
-        self.peak_bytes <= phone.app_budget_bytes()
-    }
-
-    /// What the same tenants would cost side-by-side without the pool
-    /// (every stream holding every tenant's arena) — the baseline the
-    /// pooled formula improves on.
-    pub fn unpooled_peak_bytes(&self) -> usize {
-        self.weights_bytes
-            + self.streams
-                * self
-                    .per_tenant
-                    .iter()
-                    .map(|p| p.peak_activation_bytes)
-                    .sum::<usize>()
-    }
-}
-
-/// Plans the pooled co-resident footprint of `archs` (one batch size per
-/// tenant, parallel slices) on `device` with `streams` pooled streams.
-///
-/// # Panics
-///
-/// Panics when the slices are empty or of different lengths, any batch is
-/// zero, or `streams == 0`.
-pub fn plan_multitenant(
-    archs: &[&NetworkArch],
-    batches: &[usize],
-    device: &DeviceProfile,
-    streams: usize,
-) -> MultiTenantPlan {
-    assert!(
-        !archs.is_empty() && archs.len() == batches.len(),
-        "one batch per tenant"
-    );
-    assert!(streams >= 1, "streams must be at least 1");
-    let per_tenant: Vec<MemoryPlan> = archs
-        .iter()
-        .zip(batches.iter())
-        .map(|(arch, &batch)| plan_on(arch, device, batch, 1))
-        .collect();
-    let weights_bytes = per_tenant.iter().map(|p| p.weights_bytes).sum();
-    let pool_slice_bytes = per_tenant
-        .iter()
-        .map(|p| p.peak_activation_bytes)
-        .max()
-        .unwrap_or(0);
-    MultiTenantPlan {
-        weights_bytes,
-        pool_slice_bytes,
-        streams,
-        peak_bytes: weights_bytes + streams * pool_slice_bytes,
-        per_tenant,
-    }
+    max_feasible_batch_multitenant(&[arch], &[1], 0, phone, streams)
 }
 
 /// The largest batch tenant `grow` can stage while the other tenants hold
 /// the batches in `batches`, such that the pooled co-resident deployment
-/// (`Σ weights + streams × pool slice`) still fits `phone`'s app budget.
-/// Returns 0 when even batch 1 does not fit. The multi-tenant admission
-/// controller starts from this cap before applying each tenant's SLO.
+/// ([`pooled_peak_bytes`]) still fits `phone`'s app budget. Returns 0 when
+/// even batch 1 does not fit or an architecture cannot be lowered. The
+/// multi-tenant admission controller starts from this cap before applying
+/// each tenant's SLO.
 ///
 /// # Panics
 ///
-/// Panics when the slices disagree, `grow` is out of range, or
-/// `streams == 0`.
+/// Panics when the slices disagree, `grow` is out of range, or a
+/// neighbor's batch is zero.
 pub fn max_feasible_batch_multitenant(
     archs: &[&NetworkArch],
     batches: &[usize],
@@ -538,11 +349,23 @@ pub fn max_feasible_batch_multitenant(
     phone: &Phone,
     streams: usize,
 ) -> usize {
+    assert!(archs.len() == batches.len(), "one batch per tenant");
     assert!(grow < archs.len(), "grow index out of range");
     let mut probe = batches.to_vec();
     largest_batch_where(|batch| {
         probe[grow] = batch;
-        plan_multitenant(archs, &probe, &phone.gpu, streams).fits(phone)
+        let plans: Result<Vec<ExecutionPlan>, _> = archs
+            .iter()
+            .zip(&probe)
+            .map(|(arch, &b)| {
+                ExecutionPlan::for_arch(arch, &phone.gpu, b, &RouteOverrides::default())
+            })
+            .collect();
+        plans.is_ok_and(|plans| {
+            let weights: Vec<usize> = plans.iter().map(|p| p.weights_bytes).collect();
+            let slices: Vec<usize> = plans.iter().map(|p| p.staged_arena_bytes()).collect();
+            pooled_peak_bytes(&weights, &slices, streams) <= phone.app_budget_bytes()
+        })
     })
 }
 
@@ -615,86 +438,78 @@ mod tests {
             .dense("fc", 10, LayerPrecision::Float, Activation::Linear)
     }
 
-    #[test]
-    fn packed_activations_are_32x_smaller_than_float() {
-        let bits = ActivationKind::Bits.bytes(100, 256);
-        let floats = ActivationKind::Floats.bytes(100, 256);
-        assert_eq!(floats, bits * 32);
+    /// `arch` lowered on the Adreno 640 with cost-modeled routes.
+    fn lowered(arch: &NetworkArch, batch: usize) -> ExecutionPlan {
+        let dev = DeviceProfile::adreno_640();
+        ExecutionPlan::for_arch(arch, &dev, batch, &RouteOverrides::default()).expect("lowers")
     }
 
-    #[test]
-    fn bits_round_up_to_words() {
-        // 1 channel still costs one u64 word per pixel.
-        assert_eq!(ActivationKind::Bits.bytes(10, 1), 80);
-        assert_eq!(ActivationKind::Bits.bytes(10, 64), 80);
-        assert_eq!(ActivationKind::Bits.bytes(10, 65), 160);
+    /// The pooled peak of `plan` alone on `streams` streams.
+    fn solo_peak(plan: &ExecutionPlan, streams: usize) -> usize {
+        pooled_peak_bytes(&[plan.weights_bytes], &[plan.staged_arena_bytes()], streams)
     }
 
     #[test]
     fn plan_reports_scratch_where_expected() {
-        let p = plan_on(&arch(), &DeviceProfile::adreno_640(), 1, 1);
+        let p = lowered(&arch(), 1);
         // conv1 (BinaryInput8) has bit-plane scratch.
-        assert!(p.per_layer[0].scratch_bytes > 0);
+        assert!(p.steps[0].scratch.is_some_and(|v| p.values[v].bytes > 0));
         // conv2 reads 64-channel input (fused, no scratch).
-        assert_eq!(p.per_layer[2].scratch_bytes, 0);
+        assert_eq!((p.steps[2].convert, p.steps[2].scratch), (None, None));
         // conv3 reads 512-channel input (> 256): unfused accumulator.
-        assert!(p.per_layer[3].scratch_bytes > 0);
+        assert!(p.steps[3].scratch.is_some_and(|v| p.values[v].bytes > 0));
     }
 
     #[test]
     fn peak_includes_weights() {
-        let p = plan_on(&arch(), &DeviceProfile::adreno_640(), 1, 1);
-        assert_eq!(p.peak_bytes, p.weights_bytes + p.peak_activation_bytes);
+        let p = lowered(&arch(), 1);
+        assert_eq!(solo_peak(&p, 1), p.weights_bytes + p.staged_arena_bytes());
+        assert_eq!(
+            solo_peak(&p, 1),
+            p.peak_bytes(),
+            "a solo plan is a pool of one"
+        );
         assert!(p.weights_bytes > 0);
     }
 
     #[test]
     fn small_model_fits_both_phones() {
-        let p = plan_on(&arch(), &DeviceProfile::adreno_640(), 1, 1);
-        assert!(p.fits(&Phone::xiaomi_5()));
-        assert!(p.fits(&Phone::xiaomi_9()));
+        let p = lowered(&arch(), 1);
+        assert!(solo_peak(&p, 1) <= Phone::xiaomi_5().app_budget_bytes());
+        assert!(solo_peak(&p, 1) <= Phone::xiaomi_9().app_budget_bytes());
     }
 
     #[test]
     fn batched_plan_doubles_banks_and_scales_slots() {
-        let dev = DeviceProfile::adreno_640();
-        let single = plan_on(&arch(), &dev, 1, 1);
-        let batched = plan_on(&arch(), &dev, 4, 1);
+        let single = lowered(&arch(), 1);
+        let batched = lowered(&arch(), 4);
         assert_eq!((single.batch, single.banks), (1, 1));
         assert_eq!((batched.batch, batched.banks), (4, 2));
-        assert_eq!(batched.arena_slots.len(), single.arena_slots.len());
-        for (s, b) in single.arena_slots.iter().zip(batched.arena_slots.iter()) {
+        assert_eq!(batched.slots.len(), single.slots.len());
+        for (s, b) in single.slots.iter().zip(batched.slots.iter()) {
             assert_eq!(*b, 4 * s, "each slot grows to hold the window");
         }
         assert_eq!(
-            batched.peak_activation_bytes,
-            2 * batched.arena_slots.iter().sum::<usize>()
+            batched.staged_arena_bytes(),
+            2 * batched.slots.iter().sum::<usize>()
         );
         assert_eq!(batched.weights_bytes, single.weights_bytes);
         assert_eq!(
-            batched.peak_bytes,
-            batched.weights_bytes + batched.peak_activation_bytes
+            batched.peak_bytes(),
+            batched.weights_bytes + batched.staged_arena_bytes()
         );
     }
 
     #[test]
     fn sharded_plan_multiplies_stream_arenas_over_shared_weights() {
-        let solo = plan_on(&arch(), &DeviceProfile::adreno_640(), 4, 1);
-        let sharded = plan_on(&arch(), &DeviceProfile::adreno_640(), 4, 3);
-        assert_eq!(solo.streams, 1);
-        assert_eq!(sharded.streams, 3);
-        assert_eq!(sharded.weights_bytes, solo.weights_bytes, "weights shared");
+        let plan = lowered(&arch(), 4);
+        assert_eq!((plan.batch, plan.banks), (4, 2));
+        assert_eq!(solo_peak(&plan, 1), plan.peak_bytes());
         assert_eq!(
-            sharded.peak_activation_bytes,
-            3 * solo.peak_activation_bytes,
-            "every stream stages its own banks"
+            solo_peak(&plan, 3),
+            plan.weights_bytes + 3 * plan.staged_arena_bytes(),
+            "weights shared, every stream stages its own banks"
         );
-        assert_eq!(
-            sharded.peak_bytes,
-            sharded.weights_bytes + 3 * solo.peak_activation_bytes
-        );
-        assert_eq!(sharded.arena_slots, solo.arena_slots);
-        assert_eq!((sharded.batch, sharded.banks), (4, 2));
     }
 
     #[test]
@@ -706,9 +521,10 @@ mod tests {
         let four = max_feasible_batch(&a, &phone, 4);
         assert!(two <= solo && four <= two, "{solo} >= {two} >= {four}");
         assert!(two >= 1, "two streams of the small arch still fit");
-        assert!(plan_on(&a, &phone.gpu, two, 2).fits(&phone));
+        let fits = |b: usize| solo_peak(&lowered(&a, b), 2) <= phone.app_budget_bytes();
+        assert!(fits(two));
         if two < 4096 {
-            assert!(!plan_on(&a, &phone.gpu, two + 1, 2).fits(&phone));
+            assert!(!fits(two + 1));
         }
     }
 
@@ -733,7 +549,6 @@ mod tests {
     #[test]
     fn multitenant_plan_pools_bank_slices_over_summed_weights() {
         let a = arch();
-        let dev = DeviceProfile::adreno_640();
         // A second, smaller tenant.
         let b = NetworkArch::new("plan-b", Shape4::new(1, 16, 16, 3))
             .conv(
@@ -746,30 +561,17 @@ mod tests {
                 Activation::Linear,
             )
             .dense("fc", 10, LayerPrecision::Float, Activation::Linear);
-        let solo_a = plan_on(&a, &dev, 4, 1);
-        let solo_b = plan_on(&b, &dev, 2, 1);
-        let pair = plan_multitenant(&[&a, &b], &[4, 2], &dev, 3);
+        let (solo_a, solo_b) = (lowered(&a, 4), lowered(&b, 2));
+        let weights = [solo_a.weights_bytes, solo_b.weights_bytes];
+        let slices = [solo_a.staged_arena_bytes(), solo_b.staged_arena_bytes()];
+        let pair = pooled_peak_bytes(&weights, &slices, 3);
         // Weights sum; the pool slice is the larger tenant's banks.
-        assert_eq!(
-            pair.weights_bytes,
-            solo_a.weights_bytes + solo_b.weights_bytes
-        );
-        assert_eq!(
-            pair.pool_slice_bytes,
-            solo_a
-                .peak_activation_bytes
-                .max(solo_b.peak_activation_bytes)
-        );
-        assert_eq!(
-            pair.peak_bytes,
-            pair.weights_bytes + 3 * pair.pool_slice_bytes
-        );
+        assert_eq!(pair, weights[0] + weights[1] + 3 * slices[0].max(slices[1]));
         // Pooling strictly beats the side-by-side deployment whenever the
         // smaller tenant's arena is nonzero.
-        assert!(pair.peak_bytes < pair.unpooled_peak_bytes());
-        assert_eq!(pair.per_tenant.len(), 2);
-        assert_eq!((pair.per_tenant[0].batch, pair.per_tenant[1].batch), (4, 2));
-        assert!(pair.fits(&Phone::xiaomi_9()));
+        assert!(slices[0].min(slices[1]) > 0);
+        assert!(pair < weights[0] + weights[1] + 3 * (slices[0] + slices[1]));
+        assert!(pair <= Phone::xiaomi_9().app_budget_bytes());
     }
 
     #[test]
@@ -788,7 +590,12 @@ mod tests {
         // side-by-side, so the solo sharded cap is a lower bound here.
         assert!(cap_light >= solo_cap.min(1));
         // The chosen cap actually fits, and the next batch would not.
-        let fits = |b: usize| plan_multitenant(&[&a, &a], &[b, 64], &phone.gpu, 2).fits(&phone);
+        let fits = |b: usize| {
+            let (grown, held) = (lowered(&a, b), lowered(&a, 64));
+            let weights = [grown.weights_bytes, held.weights_bytes];
+            let slices = [grown.staged_arena_bytes(), held.staged_arena_bytes()];
+            pooled_peak_bytes(&weights, &slices, 2) <= phone.app_budget_bytes()
+        };
         assert!(fits(cap_heavy));
         if cap_heavy < 4096 {
             assert!(!fits(cap_heavy + 1));
@@ -801,9 +608,10 @@ mod tests {
         let phone = Phone::xiaomi_9();
         let max = max_feasible_batch(&a, &phone, 1);
         assert!(max >= 1, "the small arch fits at batch 1");
-        assert!(plan_on(&a, &phone.gpu, max, 1).fits(&phone));
+        let fits = |b: usize| solo_peak(&lowered(&a, b), 1) <= phone.app_budget_bytes();
+        assert!(fits(max));
         if max < 4096 {
-            assert!(!plan_on(&a, &phone.gpu, max + 1, 1).fits(&phone));
+            assert!(!fits(max + 1));
         }
         // The older phone's tighter budget cannot allow a larger window.
         assert!(max_feasible_batch(&a, &Phone::xiaomi_5(), 1) <= max);

@@ -13,8 +13,7 @@
 //! slice sized to the largest tenant's banks, so any stream can run any
 //! tenant's plan and the cross-tenant peak is
 //! `Σ weights + streams × max_tenant(banks × Σ slots)` (see
-//! [`plan_multitenant`](crate::planner::plan_multitenant)). A single model
-//! is a registry of one.
+//! [`pooled_peak_bytes`]). A single model is a registry of one.
 //!
 //! **Admit.** Each tenant's batch is chosen against the *other tenants'
 //! expected dispatch mix*: every tenant's plan is walked once on a solo
@@ -70,6 +69,7 @@ use crate::engine::{ActivationData, EngineError, StagedModel, Stream, Window};
 use crate::estimate::walk_plan;
 use crate::model::PbitModel;
 use crate::plan::{ExecutionPlan, RouteOverrides};
+use crate::planner::{largest_batch_where, pooled_peak_bytes};
 use crate::stats::{nearest_rank, RunReport};
 
 // ---------------------------------------------------------------------------
@@ -567,15 +567,10 @@ impl PlanSource<'_> {
         overrides: RouteOverrides,
     ) -> Result<ExecutionPlan, EngineError> {
         match self {
-            PlanSource::Model(m) => ExecutionPlan::for_model_batched_with(m, gpu, batch, overrides)
-                .map_err(|e| EngineError::DomainMismatch {
-                    layer: e.layer,
-                    expected: e.expected,
-                }),
-            PlanSource::Arch(a) => Ok(ExecutionPlan::for_arch_batched_with(
-                a, gpu, batch, overrides,
-            )),
+            PlanSource::Model(m) => ExecutionPlan::for_model(m, gpu, batch, &overrides),
+            PlanSource::Arch(a) => ExecutionPlan::for_arch(a, gpu, batch, &overrides),
         }
+        .map_err(EngineError::from)
     }
 }
 
@@ -877,17 +872,15 @@ fn admit_tenants(
 
     // Pooled peak under the grants: a streamed tenant charges only its
     // hot-set grant, not its summed weights — that is the whole point.
-    let weights_total: usize = grants
+    let resident: Vec<usize> = grants
         .iter()
         .zip(weights.iter())
         .map(|(g, &w)| g.unwrap_or(w))
-        .sum();
-    let pooled_peak =
-        |slices: &[usize]| weights_total + streams * slices.iter().copied().max().unwrap_or(0);
+        .collect();
     let base_slices: Vec<usize> = base.iter().map(|p| p.staged_arena_bytes()).collect();
-    if pooled_peak(&base_slices) > budget {
+    if pooled_peak_bytes(&resident, &base_slices, streams) > budget {
         return Err(EngineError::OutOfMemory(SimError::OutOfMemory {
-            requested: pooled_peak(&base_slices),
+            requested: pooled_peak_bytes(&resident, &base_slices, streams),
             in_use: 0,
             budget,
         }));
@@ -900,13 +893,13 @@ fn admit_tenants(
     // every clamp (and every cap in the loop) stays >= 1.
     for (i, ask) in asks.iter().enumerate() {
         if batches[i] > 1 {
-            let cap = crate::planner::largest_batch_where(|b| {
+            let cap = largest_batch_where(|b| {
                 ask.source
                     .plan_at(gpu, b, eff[i])
                     .map(|p| {
                         let mut probe = base_slices.clone();
                         probe[i] = p.staged_arena_bytes();
-                        pooled_peak(&probe) <= budget
+                        pooled_peak_bytes(&resident, &probe, streams) <= budget
                     })
                     .unwrap_or(false)
             });
@@ -931,13 +924,13 @@ fn admit_tenants(
         admissions.clear();
         for (i, ask) in asks.iter().enumerate() {
             // Memory cap: grow tenant i's slice with every neighbor fixed.
-            let max_feasible = crate::planner::largest_batch_where(|b| {
+            let max_feasible = largest_batch_where(|b| {
                 ask.source
                     .plan_at(gpu, b, eff[i])
                     .map(|p| {
                         let mut probe = slices.clone();
                         probe[i] = p.staged_arena_bytes();
-                        pooled_peak(&probe) <= budget
+                        pooled_peak_bytes(&resident, &probe, streams) <= budget
                     })
                     .unwrap_or(false)
             });
@@ -946,7 +939,7 @@ fn admit_tenants(
                 // but an infeasible combination must surface as OOM, not
                 // as a clamp/probe panic.
                 return Err(EngineError::OutOfMemory(SimError::OutOfMemory {
-                    requested: pooled_peak(&slices),
+                    requested: pooled_peak_bytes(&resident, &slices, streams),
                     in_use: 0,
                     budget,
                 }));
@@ -1160,23 +1153,18 @@ enum TenantBody {
 }
 
 impl TenantBody {
-    /// Brings `source` up on `plan` (its lowering at the admitted batch
-    /// under `overrides`): a model is staged into `ctx` — staging lowers
-    /// it again, identically — and an architecture keeps the plan and
-    /// reserves its resident weight bytes, so both answer to one budget.
+    /// Brings `source` up on `plan`, its lowering at the admitted batch: a
+    /// model is staged into `ctx` on that plan and an architecture keeps it
+    /// and reserves its resident weight bytes, so both answer to one budget.
     fn stage(
         source: TenantSource,
         ctx: &Context,
         plan: ExecutionPlan,
-        overrides: RouteOverrides,
     ) -> Result<Self, EngineError> {
         Ok(match source {
-            TenantSource::Model(model) => TenantBody::Staged(StagedModel::stage_with_opts(
-                model,
-                ctx.clone(),
-                plan.batch,
-                overrides,
-            )?),
+            TenantSource::Model(model) => {
+                TenantBody::Staged(StagedModel::stage_plan(model, ctx.clone(), plan)?)
+            }
             TenantSource::Arch(arch) => TenantBody::Dry {
                 _weights: ctx.reserve(plan.hot_weight_bytes())?,
                 arch,
@@ -1584,7 +1572,7 @@ impl DeviceRuntime {
         for (reg, adm) in tenants.into_iter().zip(admitted) {
             registry.push(Tenant {
                 name: reg.name,
-                body: TenantBody::stage(reg.source, &ctx, adm.plan, adm.overrides)?,
+                body: TenantBody::stage(reg.source, &ctx, adm.plan)?,
                 admission: adm.admission,
                 overrides: adm.overrides,
                 cold_ms: adm.cold_ms,
@@ -1813,7 +1801,7 @@ impl DeviceRuntime {
             TenantBody::Staged(staged) => TenantSource::Model(staged.model().clone()),
             TenantBody::Dry { arch, .. } => TenantSource::Arch(arch.clone()),
         };
-        let body = TenantBody::stage(source, &self.ctx, plan, tenant.overrides)?;
+        let body = TenantBody::stage(source, &self.ctx, plan)?;
         if let TenantBody::Staged(staged) = &body {
             for stream in &mut self.streams {
                 stream.replace_lane(t, staged)?;
@@ -1886,9 +1874,7 @@ impl DeviceRuntime {
             let plan = reg.ask().source.plan_at(&gpu, b, overrides);
             plan.map(|p| p.staged_arena_bytes()).ok()
         };
-        let slice_cap = crate::planner::largest_batch_where(|b| {
-            arena_at(b).is_some_and(|bytes| bytes <= slice)
-        });
+        let slice_cap = largest_batch_where(|b| arena_at(b).is_some_and(|bytes| bytes <= slice));
         if slice_cap == 0 {
             return Err(EngineError::OutOfMemory(SimError::OutOfMemory {
                 requested: arena_at(1).unwrap_or(0),
@@ -1903,7 +1889,7 @@ impl DeviceRuntime {
             admission.batch = slice_cap;
             reg.ask().source.plan_at(&gpu, slice_cap, overrides)?
         };
-        let body = TenantBody::stage(reg.source, &self.ctx, plan, overrides)?;
+        let body = TenantBody::stage(reg.source, &self.ctx, plan)?;
         if let TenantBody::Staged(staged) = &body {
             for stream in &mut self.streams {
                 stream.attach_lane(staged)?;
@@ -2287,9 +2273,10 @@ pub(crate) fn dry_inputs<'a>(
 /// # Panics
 ///
 /// Panics with the [`EngineError`]'s text when `workloads` is empty,
-/// `streams == 0`, `duration_ms` is not finite and positive, or the tenant
-/// set does not fit the phone's budget even at batch 1 (estimate callers
-/// pick the pairing).
+/// `streams == 0`, `duration_ms` is not finite and positive, an
+/// architecture cannot be lowered (`DomainMismatch`), or the tenant set
+/// does not fit the phone's budget even at batch 1 (estimate callers pick
+/// the pairing).
 pub fn estimate_serve_open_loop(
     phone: &Phone,
     workloads: &[OpenLoopWorkload<'_>],
@@ -2767,6 +2754,34 @@ mod tests {
         assert!(small.max_feasible_batch >= 1, "neighbor cap not zeroed");
         assert_eq!(small.batch, 2);
         assert!(runtime.resident_bytes() <= phone.app_budget_bytes());
+    }
+
+    #[test]
+    fn dry_runtime_reports_an_undeployable_arch_as_an_error() {
+        use phonebit_nn::graph::{LayerSpec, PoolKind, PoolSpec};
+        let mut arch = zoo::alexnet_micro(Variant::Binary);
+        let pool = arch
+            .layers
+            .iter_mut()
+            .find(|l| matches!(l, LayerSpec::Pool(_)))
+            .expect("the micro net pools");
+        *pool = LayerSpec::Pool(PoolSpec {
+            name: "avgpool".into(),
+            kind: PoolKind::Avg,
+            size: 2,
+            stride: 2,
+        });
+        let workload = TenantWorkload {
+            arch: &arch,
+            batch: None,
+            slo_ms: None,
+        };
+        let err = DeviceRuntime::dry(&[workload], &Phone::xiaomi_9(), 1, None)
+            .expect_err("avg pooling is not deployed");
+        assert!(
+            matches!(&err, EngineError::DomainMismatch { layer, .. } if layer == "avgpool"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -306,29 +306,7 @@ impl NetworkArch {
     /// 1 bit per weight plus fused thresholds (ξ as f32 + one sign bit per
     /// channel); float layers stay at 4 bytes per parameter.
     pub fn binary_bytes(&self) -> usize {
-        let infos = self.infer();
-        let mut bytes = 0usize;
-        for (layer, info) in self.layers.iter().zip(infos.iter()) {
-            let precision = match layer {
-                LayerSpec::Conv(c) => Some(c.precision),
-                LayerSpec::Dense(d) => Some(d.precision),
-                _ => None,
-            };
-            match precision {
-                Some(LayerPrecision::Binary) | Some(LayerPrecision::BinaryInput8) => {
-                    bytes += info.weight_params.div_ceil(8);
-                    // Fused BN: xi (f32) + gamma sign (1 bit -> 1 byte here)
-                    // per output channel.
-                    let channels = info.output.c;
-                    bytes += channels * 5;
-                }
-                Some(LayerPrecision::Float) => {
-                    bytes += (info.weight_params + info.aux_params) * 4;
-                }
-                None => {}
-            }
-        }
-        bytes
+        self.binary_layer_bytes().iter().sum()
     }
 
     /// Per-layer weight-bank bytes after PhoneBit conversion — one entry
@@ -348,6 +326,8 @@ impl NetworkArch {
                     _ => None,
                 };
                 match precision {
+                    // Fused BN: xi (f32) + gamma sign (1 bit -> 1 byte here)
+                    // per output channel.
                     Some(LayerPrecision::Binary) | Some(LayerPrecision::BinaryInput8) => {
                         info.weight_params.div_ceil(8) + info.output.c * 5
                     }

@@ -4,7 +4,7 @@
 //!
 //! Run: `cargo run --release --example layer_profile`
 
-use phonebit::core::{convert, estimate_arch, ExecutionPlan, Session};
+use phonebit::core::{convert, estimate_arch, ExecutionPlan, RouteOverrides, Session};
 use phonebit::gpusim::calib::EnergyParams;
 use phonebit::gpusim::{DeviceKind, Phone};
 use phonebit::models::zoo::{self, Variant};
@@ -54,7 +54,8 @@ fn main() {
 
     // What each layer launches: the plan's own dispatch list, next to the
     // time the estimate charged for it.
-    let plan = ExecutionPlan::for_arch(&arch, &phone.gpu);
+    let plan = ExecutionPlan::for_arch(&arch, &phone.gpu, 1, &RouteOverrides::default())
+        .expect("the zoo lowers");
     println!("dispatches per layer on {}:", phone.soc);
     for (idx, l) in report.per_layer.iter().enumerate() {
         let kernels: Vec<&str> = plan.step_profiles(idx).iter().map(|p| p.name).collect();

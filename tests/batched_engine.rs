@@ -4,7 +4,7 @@
 //! route — while dispatching one kernel per layer (launch overhead
 //! amortized) and double-buffering the arena between windows.
 
-use phonebit::core::plan::ExecutionPlan;
+use phonebit::core::plan::{ExecutionPlan, RouteOverrides};
 use phonebit::core::{convert, ConvPath, Session};
 use phonebit::gpusim::Phone;
 use phonebit::models::zoo::{self, Variant};
@@ -156,17 +156,15 @@ fn batched_plan_and_residency_agree_with_planner() {
     let eplan = session.plan();
     assert_eq!(eplan.batch, 4);
     assert_eq!(eplan.banks, 2);
-    let mplan = phonebit::core::plan_on(&arch, &phone.gpu, 4, 1);
-    assert_eq!(mplan.arena_slots, eplan.slots);
-    assert_eq!(mplan.peak_activation_bytes, eplan.staged_arena_bytes());
+    let aplan =
+        ExecutionPlan::for_arch(&arch, &phone.gpu, 4, &RouteOverrides::default()).expect("lowers");
+    assert_eq!(aplan.slots, eplan.slots);
+    assert_eq!(aplan.staged_arena_bytes(), eplan.staged_arena_bytes());
     assert_eq!(
         session.resident_bytes(),
         session.model().size_bytes() + eplan.staged_arena_bytes()
     );
     // The analytic batched plan agrees with an estimator window too.
     let est = phonebit::core::estimate_window(&phone, &arch, 4, &Default::default());
-    assert_eq!(
-        est.peak_bytes,
-        ExecutionPlan::for_arch_batched(&arch, &phone.gpu, 4).peak_bytes()
-    );
+    assert_eq!(est.peak_bytes, aplan.peak_bytes());
 }

@@ -156,8 +156,7 @@ fn compression_is_bit_exact_on_all_four_conv_routes() {
     for (arch, want_path) in cases {
         let model = || convert(&fill_weights_clustered(&arch, 17, 4));
         let takes_u8 = model().takes_u8_input();
-        let plan = ExecutionPlan::for_model_batched_with(&model(), &phone.gpu, 1, compressed())
-            .expect("plan");
+        let plan = ExecutionPlan::for_model(&model(), &phone.gpu, 1, &compressed()).expect("plan");
         if let Some(step) = plan
             .steps
             .iter()
@@ -246,13 +245,8 @@ fn zoo_plans_shrink_under_auto_and_off_stays_byte_identical() {
         let model = convert(&fill_weights_clustered(&arch, 13, 8));
         for phone in Phone::all() {
             let base = ExecutionPlan::for_model_batched(&model, &phone.gpu, 1).expect("plan");
-            let off = ExecutionPlan::for_model_batched_with(
-                &model,
-                &phone.gpu,
-                1,
-                RouteOverrides::default(),
-            )
-            .expect("plan");
+            let off = ExecutionPlan::for_model(&model, &phone.gpu, 1, &RouteOverrides::default())
+                .expect("plan");
             // `Off` is the default: identical plan, empty ledger.
             assert_eq!(
                 off, base,
@@ -261,8 +255,8 @@ fn zoo_plans_shrink_under_auto_and_off_stays_byte_identical() {
             );
             assert!(off.compression.is_empty());
 
-            let auto = ExecutionPlan::for_model_batched_with(&model, &phone.gpu, 1, compressed())
-                .expect("plan");
+            let auto =
+                ExecutionPlan::for_model(&model, &phone.gpu, 1, &compressed()).expect("plan");
             assert!(
                 auto.weights_bytes < off.weights_bytes,
                 "{} on {}: compressed weights {} !< raw {}",
@@ -330,8 +324,7 @@ fn fleet_admits_an_overweight_tenant_only_under_compression() {
     // The compressed plan drops the weight floor by megabytes.
     let phone = Phone::xiaomi_5();
     let off = ExecutionPlan::for_model_batched(&model(), &phone.gpu, 1).expect("plan");
-    let auto =
-        ExecutionPlan::for_model_batched_with(&model(), &phone.gpu, 1, compressed()).expect("plan");
+    let auto = ExecutionPlan::for_model(&model(), &phone.gpu, 1, &compressed()).expect("plan");
     assert!(
         off.weights_bytes - auto.weights_bytes > 1 << 20,
         "compression must save > 1 MiB here (saved {})",

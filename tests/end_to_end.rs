@@ -12,9 +12,10 @@ use phonebit::core::{
 use phonebit::gpusim::{CommandQueue, ExecutorClass, LaunchEvent, Phone};
 use phonebit::models::zoo::{self, Variant};
 use phonebit::models::{fill_weights, fill_weights_clustered, synthetic_image, to_float_input};
-use phonebit::nn::act::Activation;
-use phonebit::nn::graph::{LayerPrecision, NetworkArch};
 use phonebit::tensor::shape::Shape4;
+
+mod common;
+use common::dispatch_extras_arch;
 
 #[test]
 fn checkpoint_to_inference_pipeline() {
@@ -39,46 +40,6 @@ fn checkpoint_to_inference_pipeline() {
     assert_eq!(report.per_layer.len(), def.arch.layers.len());
 }
 
-/// What the micro zoo lacks, so every arm of the dispatch list runs in the
-/// table below: a pointwise binary conv (the GEMM view that skips window
-/// materialization), a float conv with a non-linear epilogue behind an
-/// unpack, a packed dense input and a binary dense pair (the dense chain).
-fn dispatch_extras_arch() -> NetworkArch {
-    NetworkArch::new("dispatch-extras", Shape4::new(1, 16, 16, 3))
-        .conv(
-            "conv1",
-            16,
-            3,
-            1,
-            1,
-            LayerPrecision::BinaryInput8,
-            Activation::Linear,
-        )
-        .conv(
-            "pw",
-            32,
-            1,
-            1,
-            0,
-            LayerPrecision::Binary,
-            Activation::Linear,
-        )
-        .conv(
-            "fconv",
-            8,
-            3,
-            2,
-            1,
-            LayerPrecision::Float,
-            Activation::Leaky(0.1),
-        )
-        .dense("fc1", 64, LayerPrecision::Binary, Activation::Linear)
-        .dense("fc2", 48, LayerPrecision::Binary, Activation::Linear)
-        .dense("fc3", 32, LayerPrecision::Binary, Activation::Linear)
-        .dense("fc4", 10, LayerPrecision::Float, Activation::Linear)
-        .softmax()
-}
-
 /// The plan's dispatch list is what the engine launches: "what a step
 /// dispatches" exists twice — [`ExecutionPlan::step_profiles`], which every
 /// model of a plan reads, and `engine::exec_step`'s calls into the `nn`
@@ -94,7 +55,7 @@ fn engine_timing_equals_estimate_path() {
     // an arch has no banks to dictionary-compress, and it sizes banks
     // before word padding, so the compressed and paged rows are pinned
     // against the session's own plan only.
-    let rows: [(&str, RouteOverrides, bool, bool); 7] = [
+    let rows: [(&str, RouteOverrides, bool, bool); 8] = [
         ("default", base, false, true),
         (
             "force_unfused",
@@ -136,6 +97,18 @@ fn engine_timing_equals_estimate_path() {
             "compression auto",
             RouteOverrides {
                 compression: CompressionMode::Auto,
+                ..base
+            },
+            true,
+            false,
+        ),
+        // Dictionary banks on the accumulate + pack pair: only the
+        // accumulate half carries the discount.
+        (
+            "compression auto + force_unfused",
+            RouteOverrides {
+                compression: CompressionMode::Auto,
+                force_unfused: true,
                 ..base
             },
             true,
@@ -360,8 +333,14 @@ fn phone_budgets_stage_all_binarized_models() {
             // Routes (and therefore arena scratch) are device-dependent:
             // plan for the phone actually being checked, exactly as
             // Session::new will.
-            let plan = phonebit::core::planner::plan_on(&arch, &phone.gpu, 1, 1);
-            assert!(plan.fits(&phone), "{} should fit {}", arch.name, phone.name);
+            let plan = ExecutionPlan::for_arch(&arch, &phone.gpu, 1, &RouteOverrides::default())
+                .expect("lowers");
+            assert!(
+                plan.peak_bytes() <= phone.app_budget_bytes(),
+                "{} should fit {}",
+                arch.name,
+                phone.name
+            );
         }
     }
 }

@@ -14,7 +14,7 @@ use phonebit::core::{
     convert, ActivationData, BankState, DeviceRuntime, ResidencyManager, Session, TenantTraffic,
     TenantWorkload,
 };
-use phonebit::gpusim::{CommandQueue, ExecutorClass, Phone};
+use phonebit::gpusim::{CommandQueue, DeviceProfile, ExecutorClass, Phone};
 use phonebit::models::zoo::{self, Variant};
 use phonebit::models::{fill_weights, fill_weights_clustered, synthetic_image, to_float_input};
 use phonebit::nn::act::Activation;
@@ -23,9 +23,19 @@ use phonebit::tensor::shape::Shape4;
 
 const EPS: f64 = 1e-12;
 
+/// `arch` lowered for `device` at `batch` under `overrides`.
+fn lower(
+    arch: &NetworkArch,
+    device: &DeviceProfile,
+    batch: usize,
+    overrides: RouteOverrides,
+) -> ExecutionPlan {
+    ExecutionPlan::for_arch(arch, device, batch, &overrides).expect("lowers")
+}
+
 /// A budgeted batch-1 plan for a micro-zoo arch on the Xiaomi 9.
 fn budgeted_plan(arch: &NetworkArch, budget: usize) -> ExecutionPlan {
-    ExecutionPlan::for_arch_batched_with(
+    lower(
         arch,
         &Phone::xiaomi_9().gpu,
         1,
@@ -39,7 +49,7 @@ fn budgeted_plan(arch: &NetworkArch, budget: usize) -> ExecutionPlan {
 /// The unbudgeted plan: its steps carry the banks every budgeted lowering
 /// pages, so its summed weights, paged floor and paged minimum bound them.
 fn resident_plan(arch: &NetworkArch) -> ExecutionPlan {
-    ExecutionPlan::for_arch(arch, &Phone::xiaomi_9().gpu)
+    lower(arch, &Phone::xiaomi_9().gpu, 1, RouteOverrides::default())
 }
 
 fn micro_arch(idx: usize) -> NetworkArch {

@@ -14,6 +14,19 @@ use phonebit::nn::act::Activation;
 use phonebit::nn::graph::{LayerPrecision, NetworkArch};
 use phonebit::tensor::shape::Shape4;
 
+mod common;
+use common::dispatch_extras_arch;
+
+/// `arch` lowered for `device` at `batch` under `overrides`.
+fn lower(
+    arch: &NetworkArch,
+    device: &DeviceProfile,
+    batch: usize,
+    overrides: RouteOverrides,
+) -> ExecutionPlan {
+    ExecutionPlan::for_arch(arch, device, batch, &overrides).expect("lowers")
+}
+
 /// SplitMix64 — deterministic arch generator seed stream.
 struct Rng(u64);
 
@@ -133,7 +146,7 @@ fn liveness_overlapping_values_never_share_slots() {
     for seed in 0..60u64 {
         let arch = random_arch(seed);
         for dev in &devices {
-            let plan = ExecutionPlan::for_arch(&arch, dev);
+            let plan = lower(&arch, dev, 1, RouteOverrides::default());
             for (i, a) in plan.values.iter().enumerate() {
                 assert!(
                     plan.slots[a.slot] >= a.bytes,
@@ -160,7 +173,12 @@ fn liveness_overlapping_values_never_share_slots() {
 fn every_step_binds_distinct_slots() {
     for seed in 0..60u64 {
         let arch = random_arch(seed);
-        let plan = ExecutionPlan::for_arch(&arch, &DeviceProfile::adreno_640());
+        let plan = lower(
+            &arch,
+            &DeviceProfile::adreno_640(),
+            1,
+            RouteOverrides::default(),
+        );
         for step in &plan.steps {
             let mut slots: Vec<usize> = [
                 Some(step.input),
@@ -192,7 +210,12 @@ fn arena_beats_sum_of_values_on_deep_chains() {
         if arch.layers.len() < 4 {
             continue;
         }
-        let plan = ExecutionPlan::for_arch(&arch, &DeviceProfile::adreno_640());
+        let plan = lower(
+            &arch,
+            &DeviceProfile::adreno_640(),
+            1,
+            RouteOverrides::default(),
+        );
         let total: usize = plan.values.iter().map(|v| v.bytes).sum();
         assert!(
             plan.arena_bytes() < total,
@@ -208,8 +231,18 @@ fn arena_beats_sum_of_values_on_deep_chains() {
 fn lowering_is_deterministic_across_repeats() {
     for seed in [0u64, 7, 21, 42] {
         let arch = random_arch(seed);
-        let a = ExecutionPlan::for_arch(&arch, &DeviceProfile::adreno_640());
-        let b = ExecutionPlan::for_arch(&arch, &DeviceProfile::adreno_640());
+        let a = lower(
+            &arch,
+            &DeviceProfile::adreno_640(),
+            1,
+            RouteOverrides::default(),
+        );
+        let b = lower(
+            &arch,
+            &DeviceProfile::adreno_640(),
+            1,
+            RouteOverrides::default(),
+        );
         assert_eq!(a, b, "seed {seed}: lowering must be pure");
     }
 }
@@ -241,7 +274,7 @@ fn plan_snapshot_is_pinned() {
         )
         .dense("fc", 10, LayerPrecision::Float, Activation::Linear)
         .softmax();
-    let plan = ExecutionPlan::for_arch(&arch, &Phone::xiaomi_9().gpu);
+    let plan = lower(&arch, &Phone::xiaomi_9().gpu, 1, RouteOverrides::default());
 
     // input, planes scratch, conv1 out, pool1 out, conv2 out, fc convert,
     // fc out, softmax out.
@@ -267,45 +300,6 @@ fn plan_snapshot_is_pinned() {
     assert_eq!((input.born, input.dies), (0, 0));
 }
 
-/// `tests/end_to_end.rs`'s `dispatch_extras_arch`: the ops the micro zoo
-/// lacks (pointwise GEMM view, float conv behind an unpack, packed dense
-/// input, binary dense pairs).
-fn dispatch_extras_arch() -> NetworkArch {
-    NetworkArch::new("dispatch-extras", Shape4::new(1, 16, 16, 3))
-        .conv(
-            "conv1",
-            16,
-            3,
-            1,
-            1,
-            LayerPrecision::BinaryInput8,
-            Activation::Linear,
-        )
-        .conv(
-            "pw",
-            32,
-            1,
-            1,
-            0,
-            LayerPrecision::Binary,
-            Activation::Linear,
-        )
-        .conv(
-            "fconv",
-            8,
-            3,
-            2,
-            1,
-            LayerPrecision::Float,
-            Activation::Leaky(0.1),
-        )
-        .dense("fc1", 64, LayerPrecision::Binary, Activation::Linear)
-        .dense("fc2", 48, LayerPrecision::Binary, Activation::Linear)
-        .dense("fc3", 32, LayerPrecision::Binary, Activation::Linear)
-        .dense("fc4", 10, LayerPrecision::Float, Activation::Linear)
-        .softmax()
-}
-
 /// FNV-1a 64 over `bytes`, continuing from `h`.
 fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
     bytes
@@ -316,63 +310,73 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
 /// The override rows of the digest grid, in column order.
-const DIGEST_ROWS: [&str; 8] = [
-    "default",
-    "force_unfused",
-    "lowered_gemm",
-    "fusion auto",
-    "fusion force",
-    "compression auto",
-    "paged floor",
-    "compression auto + force_unfused",
-];
-
-fn digest_overrides(row: usize) -> RouteOverrides {
+fn digest_overrides() -> [(&'static str, RouteOverrides); 8] {
     let base = RouteOverrides::default();
-    match row {
-        0 => base,
-        1 => RouteOverrides {
-            force_unfused: true,
-            ..base
-        },
-        2 => RouteOverrides {
-            lowered_gemm: true,
-            ..base
-        },
-        3 => RouteOverrides {
-            fusion: FusionMode::Auto,
-            ..base
-        },
-        4 => RouteOverrides {
-            fusion: FusionMode::Force,
-            ..base
-        },
-        5 => RouteOverrides {
-            compression: CompressionMode::Auto,
-            ..base
-        },
+    [
+        ("default", base),
+        (
+            "force_unfused",
+            RouteOverrides {
+                force_unfused: true,
+                ..base
+            },
+        ),
+        (
+            "lowered_gemm",
+            RouteOverrides {
+                lowered_gemm: true,
+                ..base
+            },
+        ),
+        (
+            "fusion auto",
+            RouteOverrides {
+                fusion: FusionMode::Auto,
+                ..base
+            },
+        ),
+        (
+            "fusion force",
+            RouteOverrides {
+                fusion: FusionMode::Force,
+                ..base
+            },
+        ),
+        (
+            "compression auto",
+            RouteOverrides {
+                compression: CompressionMode::Auto,
+                ..base
+            },
+        ),
         // `Some(0)` stands for "this plan's paged floor", filled in below.
-        6 => RouteOverrides {
-            weight_budget: Some(0),
-            ..base
-        },
-        _ => RouteOverrides {
-            compression: CompressionMode::Auto,
-            force_unfused: true,
-            ..base
-        },
-    }
+        (
+            "paged floor",
+            RouteOverrides {
+                weight_budget: Some(0),
+                ..base
+            },
+        ),
+        (
+            "compression auto + force_unfused",
+            RouteOverrides {
+                compression: CompressionMode::Auto,
+                force_unfused: true,
+                ..base
+            },
+        ),
+    ]
 }
 
 /// One digest per override row: FNV-1a 64 of `format!("{plan:?}")` folded
 /// over `Phone::all()` × batch {1, 4}, lowered by `lower(device, batch,
 /// overrides)`.
 fn digest_rows(lower: impl Fn(&DeviceProfile, usize, RouteOverrides) -> ExecutionPlan) -> [u64; 8] {
-    std::array::from_fn(|row| {
+    digest_overrides().map(|(_, row)| {
         let mut h = FNV_OFFSET;
         for phone in Phone::all() {
             for batch in [1usize, 4] {
-                let mut overrides = digest_overrides(row);
+                let mut overrides = row;
                 if overrides.weight_budget.is_some() {
                     let resident = lower(&phone.gpu, batch, RouteOverrides::default());
                     overrides.weight_budget = Some(resident.paged_floor_bytes());
@@ -386,7 +390,7 @@ fn digest_rows(lower: impl Fn(&DeviceProfile, usize, RouteOverrides) -> Executio
 }
 
 fn arch_digests(arch: &NetworkArch) -> [u64; 8] {
-    digest_rows(|dev, batch, ov| ExecutionPlan::for_arch_batched_with(arch, dev, batch, ov))
+    digest_rows(|dev, batch, ov| lower(arch, dev, batch, ov))
 }
 
 /// Model rows lower plain seed-9 weights, the compression rows the
@@ -399,7 +403,7 @@ fn model_digests(arch: &NetworkArch) -> [u64; 8] {
             CompressionMode::Auto => &clustered,
             CompressionMode::Off => &plain,
         };
-        ExecutionPlan::for_model_batched_with(model, dev, batch, ov).expect("lowers")
+        ExecutionPlan::for_model(model, dev, batch, &ov).expect("lowers")
     })
 }
 
@@ -456,9 +460,10 @@ fn lowering_digest_grid_is_pinned() {
         assert_eq!(name, pin_name);
         for (col, (g, p)) in row.iter().zip(pin_row.iter()).enumerate() {
             assert_eq!(
-                g, p,
+                g,
+                p,
                 "{name} / {}: plan changed (now {g:#018x})",
-                DIGEST_ROWS[col]
+                digest_overrides()[col].0
             );
         }
     }

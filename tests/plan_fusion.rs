@@ -16,6 +16,16 @@ use phonebit::models::{fill_weights, synthetic_image, to_float_input};
 use phonebit::nn::act::Activation;
 use phonebit::nn::graph::{LayerPrecision, NetworkArch};
 use phonebit::tensor::shape::Shape4;
+
+/// `arch` lowered for `device` at `batch` under `overrides`.
+fn lower(
+    arch: &NetworkArch,
+    device: &DeviceProfile,
+    batch: usize,
+    overrides: RouteOverrides,
+) -> ExecutionPlan {
+    ExecutionPlan::for_arch(arch, device, batch, &overrides).expect("lowers")
+}
 use phonebit::tensor::Tensor;
 
 fn fused() -> RouteOverrides {
@@ -49,10 +59,9 @@ fn fused_plans_dispatch_strictly_fewer_kernels_on_every_zoo_model() {
     for arch in zoo::all(Variant::Binary) {
         for phone in Phone::all() {
             for batch in [1usize, 4] {
-                let unfused = ExecutionPlan::for_arch_batched(&arch, &phone.gpu, batch);
+                let unfused = lower(&arch, &phone.gpu, batch, RouteOverrides::default());
                 for overrides in [auto(), fused()] {
-                    let plan =
-                        ExecutionPlan::for_arch_batched_with(&arch, &phone.gpu, batch, overrides);
+                    let plan = lower(&arch, &phone.gpu, batch, overrides);
                     assert!(
                         !plan.chains.is_empty(),
                         "{} on {}: every zoo model carries fusible chains",
@@ -198,7 +207,7 @@ fn fusion_is_bit_exact_on_all_four_conv_routes() {
     for (arch, want_path, forms_group) in cases {
         let model = || convert(&fill_weights(&arch, 17));
         let takes_u8 = model().takes_u8_input();
-        let plan = ExecutionPlan::for_arch_with(&arch, &phone.gpu, fused());
+        let plan = lower(&arch, &phone.gpu, 1, fused());
         if let Some(step) = plan
             .steps
             .iter()
@@ -321,7 +330,7 @@ fn dense_pair_chain_is_bit_exact_in_the_engine() {
         .dense("fc", 10, LayerPrecision::Float, Activation::Linear)
         .softmax();
     let model = || convert(&fill_weights(&arch, 31));
-    let plan = ExecutionPlan::for_arch_with(&arch, &phone.gpu, fused());
+    let plan = lower(&arch, &phone.gpu, 1, fused());
     assert!(
         plan.steps.iter().any(|s| matches!(
             &s.op,
@@ -480,8 +489,8 @@ proptest! {
         let arch = random_arch(seed);
         let dev = DeviceProfile::adreno_640();
         for overrides in [auto(), fused()] {
-            let unfused = ExecutionPlan::for_arch_batched(&arch, &dev, batch);
-            let plan = ExecutionPlan::for_arch_batched_with(&arch, &dev, batch, overrides);
+            let unfused = lower(&arch, &dev, batch, RouteOverrides::default());
+            let plan = lower(&arch, &dev, batch, overrides);
             let ledger: usize = plan
                 .chains
                 .iter()
@@ -507,13 +516,13 @@ proptest! {
     fn fusion_preserves_outputs_and_arena_invariants(seed in 0u64..10_000) {
         let arch = random_arch(seed);
         let dev = DeviceProfile::adreno_640();
-        let unfused = ExecutionPlan::for_arch(&arch, &dev);
+        let unfused = lower(&arch, &dev, 1, RouteOverrides::default());
         for overrides in [auto(), fused()] {
-            let plan = ExecutionPlan::for_arch_with(&arch, &dev, overrides);
+            let plan = lower(&arch, &dev, 1, overrides);
             assert_plan_sound(&plan, &format!("seed {seed} {:?}", overrides.fusion));
             prop_assert!(plan.dispatches() <= unfused.dispatches());
             // Deterministic rewrite.
-            prop_assert_eq!(&plan, &ExecutionPlan::for_arch_with(&arch, &dev, overrides));
+            prop_assert_eq!(&plan, &lower(&arch, &dev, 1, overrides));
         }
 
         let phone = Phone::xiaomi_9();
@@ -555,8 +564,8 @@ fn fused_plan_snapshot_is_pinned() {
         .dense("fc", 10, LayerPrecision::Float, Activation::Linear)
         .softmax();
     let gpu = &Phone::xiaomi_9().gpu;
-    let unfused = ExecutionPlan::for_arch(&arch, gpu);
-    let plan = ExecutionPlan::for_arch_with(&arch, gpu, fused());
+    let unfused = lower(&arch, gpu, 1, RouteOverrides::default());
+    let plan = lower(&arch, gpu, 1, fused());
 
     // conv1+pool1 collapses into one group; conv2 (bits in, no pool
     // behind it) stays split. 5 steps -> 4, 7 dispatches -> 5.

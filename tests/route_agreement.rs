@@ -4,7 +4,7 @@
 //! dispatched kernel names follow its staged routes on all three paths,
 //! and run/estimate timing stays bit-identical.
 
-use phonebit::core::plan::{ExecutionPlan, StepOp};
+use phonebit::core::plan::{ExecutionPlan, RouteOverrides, StepOp};
 use phonebit::core::{convert, estimate_arch, select_conv_path, ConvPath, Session};
 use phonebit::gpusim::Phone;
 use phonebit::models::zoo::{self, Variant};
@@ -17,7 +17,8 @@ use phonebit::tensor::shape::Shape4;
 fn plan_routes_agree_with_planner_across_model_zoo() {
     for arch in zoo::all(Variant::Binary) {
         for phone in Phone::all() {
-            let plan = ExecutionPlan::for_arch(&arch, &phone.gpu);
+            let plan = ExecutionPlan::for_arch(&arch, &phone.gpu, 1, &RouteOverrides::default())
+                .expect("lowers");
             let mut binary_convs = 0;
             for step in &plan.steps {
                 let StepOp::BConv { geom, k } = &step.op else {
@@ -131,16 +132,17 @@ fn engine_dispatch_follows_materialized_gemm_route() {
 
 #[test]
 fn memory_plan_matches_session_residency() {
-    // planner::plan_on and a staged Session agree on the arena-true
-    // footprint: weights + sum of arena slots.
+    // The weightless arch plan and a staged Session agree on the
+    // arena-true footprint: weights + sum of arena slots.
     let arch = zoo::yolo_micro(Variant::Binary);
     let phone = Phone::xiaomi_9();
-    let mplan = phonebit::core::plan_on(&arch, &phone.gpu, 1, 1);
+    let aplan =
+        ExecutionPlan::for_arch(&arch, &phone.gpu, 1, &RouteOverrides::default()).expect("lowers");
     let def = fill_weights(&arch, 5);
     let session = Session::new(convert(&def), &phone).expect("fits");
     let eplan = session.plan();
-    assert_eq!(mplan.arena_slots, eplan.slots);
-    assert_eq!(mplan.peak_activation_bytes, eplan.arena_bytes());
+    assert_eq!(aplan.slots, eplan.slots);
+    assert_eq!(aplan.staged_arena_bytes(), eplan.arena_bytes());
     // Session residency = staged weights + arena (model weight bytes, not
     // the analytic arch estimate, which differs in BN bookkeeping).
     assert_eq!(

@@ -186,7 +186,9 @@ fn steady_stream_window_bytes(hw: usize, batch: usize) -> (usize, usize) {
     let model = convert(&def);
     let phone = Phone::xiaomi_9();
     let ctx = Context::new(phone.gpu.clone(), phone.app_budget_bytes());
-    let staged = [StagedModel::stage_with(model, ctx.clone(), batch).expect("fits")];
+    let staged = [
+        StagedModel::stage_in(model, ctx.clone(), batch, &RouteOverrides::default()).expect("fits"),
+    ];
     let clock = DeviceClock::with_streams(phone.gpu.clone(), 2);
     let mut warm = Stream::pooled(&staged, &ctx, Some(clock.clone()))
         .expect("fits")
@@ -223,8 +225,10 @@ fn steady_steal_window_bytes(batch: usize) -> (usize, usize) {
     let model_a = convert(&fill_weights(&arch(64), 9));
     let model_b = convert(&fill_weights(&arch(32), 11));
     let ctx = Context::new(phone.gpu.clone(), phone.app_budget_bytes());
-    let staged_a = StagedModel::stage_with(model_a, ctx.clone(), batch).expect("fits");
-    let staged_b = StagedModel::stage_with(model_b, ctx.clone(), batch).expect("fits");
+    let staged_a = StagedModel::stage_in(model_a, ctx.clone(), batch, &RouteOverrides::default())
+        .expect("fits");
+    let staged_b = StagedModel::stage_in(model_b, ctx.clone(), batch, &RouteOverrides::default())
+        .expect("fits");
     let clock = DeviceClock::with_streams(phone.gpu.clone(), 2);
     let mut stream = Stream::pooled(&[staged_a, staged_b], &ctx, Some(clock))
         .expect("fits")
