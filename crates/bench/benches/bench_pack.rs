@@ -37,7 +37,8 @@ fn bench_pack(c: &mut Criterion) {
             ((y * 41 + x * 13 + ch * 7) % 256) as u8
         });
         group.bench_with_input(BenchmarkId::new("split", h * w), &img, |b, img| {
-            b.iter(|| BitPlanes::<u64>::split(black_box(img)));
+            // The engine's width for an RGB image (`PackWidth::select(3)`).
+            b.iter(|| BitPlanes::<u8>::split(black_box(img)));
         });
     }
     group.finish();

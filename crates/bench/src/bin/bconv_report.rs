@@ -34,7 +34,7 @@ use phonebit_nn::fuse::FusedBn;
 use phonebit_nn::kernels::bconv::{
     compute_bconv_fused, compute_bconv_fused_reference, compute_binarize_pack,
 };
-use phonebit_nn::kernels::bitplane::{bitplane_conv_accum, compute_bitplane_conv_fused};
+use phonebit_nn::kernels::bitplane::{bitplane_conv_accum, compute_bitplane_conv_fused, PlaneBank};
 use phonebit_nn::kernels::fconv::compute_fconv;
 use phonebit_nn::kernels::isa::IsaTier;
 use phonebit_tensor::bitplane::BitPlanes;
@@ -184,9 +184,10 @@ fn main() {
                 -1.0
             }
         });
-        let planes = BitPlanes::<u64>::split(&image);
+        // Planes at the engine's width: `PackWidth::select(3)` is `u8`.
+        let planes = BitPlanes::<u8>::split(&image);
         let packed_f = pack_filters::<u64>(&filters);
-        let bank = LaneBank::column_major(&packed_f);
+        let bank = PlaneBank::column_major(&packed_f);
         let fused = FusedBn::identity(k);
         let (oh, ow) = geom.output_hw(hw, hw);
         let out_shape = Shape4::new(1, oh, ow, k);

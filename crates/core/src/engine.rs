@@ -47,13 +47,15 @@ use phonebit_gpusim::queue::{CommandQueue, ExecMode};
 use phonebit_gpusim::DeviceProfile;
 use phonebit_gpusim::ExecutorClass;
 use phonebit_gpusim::Phone;
+use phonebit_nn::kernels::bitplane::PlaneBank;
 use phonebit_nn::kernels::{self, bconv, bgemm, bitplane, dense, fconv, fused, pool};
-use phonebit_tensor::bitplane::BitPlanes;
+use phonebit_tensor::bitplane::PlaneSet;
 use phonebit_tensor::bits::BitTensor;
 use phonebit_tensor::dict::FilterDict;
 use phonebit_tensor::lanes::LaneBank;
 use phonebit_tensor::shape::{Layout, Shape4};
 use phonebit_tensor::tensor::Tensor;
+use phonebit_tensor::with_planes;
 
 use crate::model::{PbitLayer, PbitModel};
 use crate::paging::{BankState, PagingSchedule};
@@ -207,7 +209,7 @@ struct SlotStorage {
     bits: Option<BitTensor<u64>>,
     floats: Option<Tensor<f32>>,
     accum: Option<Tensor<i32>>,
-    planes: Option<BitPlanes<u64>>,
+    planes: Option<PlaneSet>,
 }
 
 impl SlotStorage {
@@ -226,13 +228,9 @@ impl SlotStorage {
                 Tensor::<i32>::zeros(s, Layout::Nhwc)
             }),
             ValueKind::Planes8 => {
-                let needed = shape.pixels() * shape.c.div_ceil(64);
-                let enough = self
-                    .planes
-                    .as_ref()
-                    .is_some_and(|p| p.plane(0).word_len() >= needed);
-                if !enough {
-                    self.planes = Some(BitPlanes::empty(shape));
+                let enough = |p: &PlaneSet| p.byte_len() >= kind.bytes(shape);
+                if !self.planes.as_ref().is_some_and(enough) {
+                    self.planes = Some(PlaneSet::empty(shape));
                 }
             }
         }
@@ -259,7 +257,7 @@ impl SlotStorage {
     fn accum_mut(&mut self) -> &mut Tensor<i32> {
         self.accum.as_mut().expect("arena slot: accum staged")
     }
-    fn planes_mut(&mut self) -> &mut BitPlanes<u64> {
+    fn planes_mut(&mut self) -> &mut PlaneSet {
         self.planes.as_mut().expect("arena slot: planes staged")
     }
 }
@@ -308,9 +306,12 @@ pub struct StagedModel {
     /// `FusedMember::layer`, both of which survive the fusion pass); `Some`
     /// for every binary convolution: its filters interleaved in the order
     /// its route reads — the per-tap bank (direct routes, fused chains),
-    /// the pre-flattened GEMM bank or the 8-bit first layer's column-major
-    /// one — through the dictionary when the plan compresses the layer.
+    /// or the pre-flattened GEMM bank — through the dictionary when the plan
+    /// compresses the layer.
     conv_banks: Vec<Option<LaneBank<u64>>>,
+    /// The 8-bit first layer's filters (`u8` feeds only a leading layer),
+    /// column-major, sixteen `u32` lanes per group.
+    plane_bank: Option<PlaneBank>,
 }
 
 impl StagedModel {
@@ -406,11 +407,12 @@ impl StagedModel {
             }
         }
         let mut conv_banks: Vec<Option<LaneBank<u64>>> = vec![None; model.layers.len()];
+        let mut plane_bank = None;
         for (i, layer) in model.layers.iter().enumerate() {
             let filters = match layer {
                 PbitLayer::BConv { filters, .. } => filters,
                 PbitLayer::BConvInput8 { filters, .. } => {
-                    conv_banks[i] = Some(LaneBank::column_major(filters));
+                    plane_bank = Some(PlaneBank::column_major(filters));
                     continue;
                 }
                 _ => continue,
@@ -442,6 +444,7 @@ impl StagedModel {
             gpu,
             _weight_residency: weight_residency,
             conv_banks,
+            plane_bank,
         }))
     }
 
@@ -964,14 +967,7 @@ fn walk_window(
         }
         // Field borrows are disjoint: the staged half is read-only,
         // the queue and arena bank are the mutable execution state.
-        exec_step(
-            queue,
-            &staged.model.layers,
-            plan,
-            &staged.conv_banks,
-            &mut arena.banks[bank],
-            idx,
-        );
+        exec_step(queue, staged, &mut arena.banks[bank], idx);
         if let Some(res) = arena.residency.as_mut() {
             res.end_step(idx);
         }
@@ -1243,11 +1239,20 @@ impl Session {
     }
 }
 
-/// The staged bank of the binary convolution at `layer`.
-fn conv_bank(banks: &[Option<LaneBank<u64>>], layer: usize) -> &LaneBank<u64> {
-    banks[layer]
-        .as_ref()
-        .expect("every routed binary convolution stages a bank")
+impl StagedModel {
+    /// The staged bank of the binary convolution at `layer`.
+    fn conv_bank(&self, layer: usize) -> &LaneBank<u64> {
+        self.conv_banks[layer]
+            .as_ref()
+            .expect("every routed binary convolution stages a bank")
+    }
+
+    /// The staged bank of the 8-bit first layer.
+    fn plane_bank(&self) -> &PlaneBank {
+        self.plane_bank
+            .as_ref()
+            .expect("an 8-bit first layer stages a plane bank")
+    }
 }
 
 /// Executes one plan step: takes the step's writable slots out of the
@@ -1256,14 +1261,8 @@ fn conv_bank(banks: &[Option<LaneBank<u64>>], layer: usize) -> &LaneBank<u64> {
 /// the takes never collide with the (shared) input slot. Steps carry
 /// their original layer index (`step.index`), so fused plans — which have
 /// fewer steps than layers — still resolve the right weights.
-fn exec_step(
-    q: &mut CommandQueue,
-    layers: &[PbitLayer],
-    plan: &ExecutionPlan,
-    banks: &[Option<LaneBank<u64>>],
-    arena: &mut [SlotStorage],
-    idx: usize,
-) {
+fn exec_step(q: &mut CommandQueue, staged: &StagedModel, arena: &mut [SlotStorage], idx: usize) {
+    let (layers, plan) = (&staged.model.layers, &staged.plan);
     let step = &plan.steps[idx];
     let slot_of = |v: usize| plan.values[v].slot;
     let out_slot = slot_of(step.output);
@@ -1281,8 +1280,7 @@ fn exec_step(
     if let StepOp::FusedGroup { kind, members } = &step.op {
         exec_fused_group(
             q,
-            layers,
-            banks,
+            staged,
             *kind,
             members,
             in_store,
@@ -1304,15 +1302,11 @@ fn exec_step(
         match &layers[step.index] {
             PbitLayer::BConvInput8 { geom, fused, .. } => {
                 let (_, scr) = scr_store.as_mut().expect("bit-plane scratch planned");
-                bitplane::bitplane_split_into(q, src.bytes_ref(), scr.planes_mut());
-                bitplane::bitplane_conv_bank_into(
-                    q,
-                    scr.planes_mut(),
-                    conv_bank(banks, step.index),
-                    fused,
-                    geom,
-                    out_store.bits_mut(),
-                );
+                let (bank, out) = (staged.plane_bank(), out_store.bits_mut());
+                with_planes!(scr.planes_mut(), |planes| {
+                    bitplane::bitplane_split_into(q, src.bytes_ref(), planes);
+                    bitplane::bitplane_conv_bank_into(q, planes, bank, fused, geom, out);
+                });
             }
             PbitLayer::BConv { geom, fused, .. } => {
                 // The planner cost-modeled direct-tiled vs. lowered-GEMM on
@@ -1323,7 +1317,7 @@ fn exec_step(
                 // dictionary's saving: bit-exact outputs, fewer modeled
                 // filter bytes.
                 let route = step.route.expect("BConv step carries a route");
-                let (bits_in, bank) = (src.bits(), conv_bank(banks, step.index));
+                let (bits_in, bank) = (src.bits(), staged.conv_bank(step.index));
                 let out = out_store.bits_mut();
                 match route.path {
                     ConvPath::LoweredGemm => {
@@ -1409,8 +1403,7 @@ fn exec_step(
 #[allow(clippy::too_many_arguments)]
 fn exec_fused_group(
     q: &mut CommandQueue,
-    layers: &[PbitLayer],
-    banks: &[Option<LaneBank<u64>>],
+    staged: &StagedModel,
     kind: FusedKind,
     members: &[FusedMember],
     in_store: &SlotStorage,
@@ -1418,6 +1411,7 @@ fn exec_fused_group(
     scr: Option<&mut SlotStorage>,
     out: &mut SlotStorage,
 ) {
+    let layers = &staged.model.layers;
     match kind {
         FusedKind::ConvChain => {
             let pool_geom = members.get(1).map(|m| match &layers[m.layer] {
@@ -1436,23 +1430,16 @@ fn exec_fused_group(
                 PbitLayer::BConvInput8 {
                     geom, fused: bn, ..
                 } => {
-                    let planes = cvt.expect("bit-plane tile planned").planes_mut();
-                    fused::in8_bconv_chain_into(
-                        q,
-                        in_store.bytes_ref(),
-                        conv_bank(banks, members[0].layer),
-                        bn,
-                        geom,
-                        pool_geom,
-                        planes,
-                        ring,
-                        out.bits_mut(),
-                    );
+                    let (image, bank) = (in_store.bytes_ref(), staged.plane_bank());
+                    let (set, out) = (cvt.expect("bit-plane tile planned"), out.bits_mut());
+                    with_planes!(set.planes_mut(), |tile| fused::in8_bconv_chain_into(
+                        q, image, bank, bn, geom, pool_geom, tile, ring, out
+                    ));
                 }
                 PbitLayer::BConv {
                     geom, fused: bn, ..
                 } => {
-                    let bank = conv_bank(banks, members[0].layer);
+                    let bank = staged.conv_bank(members[0].layer);
                     match cvt {
                         Some(pack) => fused::pack_bconv_chain_into(
                             q,
@@ -1591,6 +1578,25 @@ mod tests {
         Tensor::from_fn(Shape4::new(1, 8, 8, 3), |_, h, w, c| {
             ((h * 37 + w * 11 + c * 101) % 256) as u8
         })
+    }
+
+    #[test]
+    fn plane_scratch_is_sized_by_the_plan() {
+        // One word past every width's last full channel count included.
+        for c in [1, 3, 8, 9, 16, 33] {
+            let shape = Shape4::new(2, 5, 7, c);
+            let mut slot = SlotStorage::default();
+            slot.prepare(ValueKind::Planes8, shape);
+            assert_eq!(
+                slot.planes_mut().byte_len(),
+                ValueKind::Planes8.bytes(shape),
+                "C = {c}"
+            );
+        }
+        // YOLOv2-Tiny's input: the 1.38 MB the plan reserves, not 11.07 MB.
+        let mut slot = SlotStorage::default();
+        slot.prepare(ValueKind::Planes8, Shape4::new(1, 416, 416, 3));
+        assert_eq!(slot.planes_mut().byte_len(), 416 * 416 * 8);
     }
 
     #[test]

@@ -211,23 +211,36 @@ impl<'a, W: BitWord> BitSink<'a, W> {
 /// promise, and left out of line it would be compiled for the baseline
 /// target.
 pub trait RowSink {
+    /// The longest run [`RowSink::put`] takes (at a `k0` a multiple of it).
+    const MAX_RUN: usize = usize::MAX;
+
     /// Takes one run of accumulators.
     fn put(&mut self, px: usize, k0: usize, x1s: &[i32]);
 
-    /// Takes a filter group's [`LANES`] accumulators, of which those of
-    /// filters `k0..k_total` exist. A full group goes out with its length a
-    /// constant, so the sink unrolls over it.
+    /// Takes a filter group's `L` accumulators (a multiple of [`LANES`]),
+    /// of which those of filters `k0..k_total` exist. A full group, and
+    /// every whole [`LANES`] of a partial one, goes out with its length a
+    /// constant, so the sink unrolls over it; only a ragged `k_total %
+    /// LANES` tail is a run of run-time length.
     #[inline(always)]
-    fn put_group(&mut self, px: usize, k0: usize, k_total: usize, x1s: &[i32; LANES]) {
-        if k0 + LANES <= k_total {
-            self.put(px, k0, x1s);
-        } else {
-            self.put(px, k0, &x1s[..k_total - k0]);
+    fn put_group<const L: usize>(&mut self, px: usize, k0: usize, k_total: usize, x1s: &[i32; L]) {
+        let live = (k_total - k0).min(L);
+        if live == L && L <= Self::MAX_RUN {
+            return self.put(px, k0, x1s);
+        }
+        let whole = live / LANES * LANES;
+        for (at, eight) in x1s[..whole].as_chunks::<LANES>().0.iter().enumerate() {
+            self.put(px, k0 + at * LANES, eight);
+        }
+        if whole < live {
+            self.put(px, k0 + whole, &x1s[whole..live]);
         }
     }
 }
 
 impl<W: BitWord> RowSink for BitSink<'_, W> {
+    const MAX_RUN: usize = W::BITS;
+
     /// Sets bit `k0 + i` of row pixel `px` to
     /// [`FusedBn::decide_logic`]`(k0 + i, x1s[i])` for every `i`. The run
     /// must stay inside one output word, as a filter tile starting at a
@@ -415,6 +428,36 @@ mod tests {
         sink_matches_decide_logic_at::<u16>();
         sink_matches_decide_logic_at::<u32>();
         sink_matches_decide_logic_at::<u64>();
+    }
+
+    #[test]
+    fn a_group_leaves_whole_then_in_eights_then_its_ragged_tail() {
+        /// Records `(k0, run length)` per `put`; takes runs of up to `RUN`.
+        struct Runs<const RUN: usize>(Vec<(usize, usize)>);
+        impl<const RUN: usize> RowSink for Runs<RUN> {
+            const MAX_RUN: usize = RUN;
+            fn put(&mut self, _: usize, k0: usize, x1s: &[i32]) {
+                assert!(x1s.len() <= RUN);
+                self.0.push((k0, x1s.len()));
+            }
+        }
+        fn runs<const RUN: usize, const L: usize>(
+            k0: usize,
+            k_total: usize,
+        ) -> Vec<(usize, usize)> {
+            let mut sink = Runs::<RUN>(Vec::new());
+            sink.put_group(0, k0, k_total, &[0; L]);
+            sink.0
+        }
+        assert_eq!(runs::<64, 8>(8, 16), [(8, 8)]);
+        assert_eq!(runs::<64, 8>(8, 13), [(8, 5)]);
+        assert_eq!(runs::<64, 16>(16, 40), [(16, 16)]);
+        assert_eq!(runs::<64, 16>(32, 40), [(32, 8)]);
+        assert_eq!(runs::<64, 16>(0, 7), [(0, 7)]);
+        assert_eq!(runs::<64, 16>(16, 31), [(16, 8), (24, 7)]);
+        // A word narrower than the group takes it an eight at a time.
+        assert_eq!(runs::<8, 16>(16, 40), [(16, 8), (24, 8)]);
+        assert_eq!(runs::<8, 16>(32, 41), [(32, 8), (40, 1)]);
     }
 
     #[test]

@@ -7,57 +7,56 @@
 //! convolution computed with masked popcounts. The split and recombination
 //! are the extra work behind conv1's lower speedup in Fig 5.
 //!
-//! A first layer has few channels (3 for every zoo model), so a
-//! channel-packed plane pixel carries `c` useful bits in a whole word, and a
-//! kernel that walks taps spends its time on bounds checks and on popcounts
-//! of words that are almost all padding. `bitplane_row`, the one Eqn (2)
-//! loop behind [`compute_bitplane_conv_fused`], [`bitplane_conv_accum`] and
-//! the fused first-layer chain, instead does the paper's "bit packing with
-//! vectorization" a second time, across the window *and* across filters:
+//! A first layer has few channels (3 for every zoo model), so a kernel that
+//! walks taps spends its time on bounds checks and on popcounts of words
+//! that are almost all padding. `bitplane_row`, the one Eqn (2) loop behind
+//! [`compute_bitplane_conv_fused`], [`bitplane_conv_accum`] and the fused
+//! first-layer chain, instead does the paper's "bit packing with
+//! vectorization" a second time, across the window *and* across filters,
+//! on 32-bit words (a 3×3 RGB window is 27 bits) whatever word the planes,
+//! the filters and the output are packed at:
 //!
 //! 1. **What is streamed.** Once per output row, the `kh` input rows under
 //!    it are OR-ed into one dense bit stream per plane (`PlaneStream`):
 //!    padded column `x`'s `kh·c` bits sit at stream bit `x·kh·c`, row `i`
 //!    of the column at `i·c` inside that, the eight planes side by side as
-//!    `[W; 8]` per stream word. Nothing is gathered per pixel: adjacent
-//!    windows share `kw − stride` columns and read them from the same
-//!    stream words. Adjacent *rows* share `kh − stride` input rows, so a
-//!    worker moving one output row down rolls the stream — one shift of
-//!    the whole stream by `stride·c` bits and a mask — and ORs in only
-//!    the `stride` new rows. The scratch is one stream row plus one
-//!    window, owned by the worker for the whole dispatch.
-//! 2. **Bit order.** The stream makes every receptive window one
-//!    contiguous run — `kh·kw·c` bits from bit `ox·stride_w·kh·c` — so a
-//!    window word is a funnel shift of two stream words, and tap `(i, j)`
-//!    channel `ch` is window bit `(j·kh + i)·c + ch`: column-major, no
-//!    per-tap padding. [`LaneBank::column_major`] lays the filters out in
-//!    that order once at stage time, for any `c`, any kernel size and any
-//!    `W` — a window that fits one word is the one-word case of the same
-//!    loops.
+//!    `[u32; 8]` per stream word — the shape of a [`BitPlanes`] pixel word,
+//!    which goes in with one widening load, a shift and an OR. Nothing is
+//!    gathered per pixel: adjacent windows share `kw − stride` columns of
+//!    the same stream words, and adjacent *rows* share `kh − stride` input
+//!    rows, so a worker moving one output row down rolls the stream — one
+//!    shift by `stride·c` bits and a mask — and ORs in only the `stride`
+//!    new rows. The scratch is one stream row plus one window, owned by the
+//!    worker for the whole dispatch.
+//! 2. **Bit order.** Every receptive window is one contiguous run —
+//!    `kh·kw·c` bits from bit `ox·stride_w·kh·c` — so a window word is a
+//!    funnel shift of two stream words, and tap `(i, j)` channel `ch` is
+//!    window bit `(j·kh + i)·c + ch`: column-major, no per-tap padding.
+//!    [`LaneBank::column_major`] lays the filters out in that order once at
+//!    stage time, for any `c` and any kernel size — a window that fits one
+//!    word is the one-word case of the same loops.
 //! 3. **Lanes are filters.** `{0,1} × {±1}` is `2·popcount(a & w) −
 //!    popcount(a)` ([`phonebit_tensor::bits::dot_u1_pm1`]), and the second
-//!    term does not depend on the filter: `T = Σ_n 2^n·popcount(win_n)` is
-//!    computed once per pixel. The bank interleaves eight adjacent
-//!    filters per window word, so Eqn (2) over a filter group is
-//!    `acc += popcount(splat(win_n) & bank) << n`, one vector `and` +
-//!    popcount per (plane, window word), and `s = 2·acc − T` leaves as
-//!    eight accumulators side by side: no per-filter horizontal reduce,
-//!    and the packed-bit sink thresholds eight outputs per output-word OR.
-//!    A filter count that does not fill its last group leaves zero lanes
-//!    that are computed and never emitted.
+//!    term, `T = Σ_n 2^n·popcount(win_n)`, is computed once per pixel. The
+//!    bank ([`PlaneBank`]) interleaves sixteen adjacent filters per window
+//!    word, so Eqn (2) over a filter group is `acc += popcount(splat(win_n)
+//!    & bank) << n`, one 16-lane `and` + popcount per (plane, window word),
+//!    and `s = 2·acc − T` leaves as sixteen accumulators side by side: no
+//!    horizontal reduce, one output-word OR per group. Lanes past the last
+//!    filter are zero, computed and never emitted.
 //! 4. **Why padding needs no special case.** The stream starts all-zero
-//!    and only in-bounds rows and columns are OR-ed in, so an
-//!    out-of-bounds tap is a run of 0 bits: it adds nothing to
-//!    `popcount(win & f)` or to `T`, which is what zero padding of a `u8`
-//!    image means. There is no interior/border split and no
-//!    padding-correction table; a window wholly in padding yields
-//!    `s_k = 0`.
+//!    and only in-bounds rows and columns are OR-ed in, so an out-of-bounds
+//!    tap is a run of 0 bits: it adds nothing to `popcount(win & f)` or to
+//!    `T`, which is what zero padding of a `u8` image means — no
+//!    interior/border split, no padding-correction table; a window wholly
+//!    in padding yields `s_k = 0`.
 
 use phonebit_gpusim::exec::par_chunks_mut_with;
 use phonebit_gpusim::queue::CommandQueue;
+use phonebit_gpusim::KernelProfile;
 use phonebit_tensor::bitplane::BitPlanes;
 use phonebit_tensor::bits::{BitTensor, BitWord, PackedFilters};
-use phonebit_tensor::lanes::{LaneBank, LANES};
+use phonebit_tensor::lanes::LaneBank;
 use phonebit_tensor::shape::{ConvGeometry, Layout, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
@@ -65,15 +64,14 @@ use crate::fuse::{AccumSink, BitSink, FusedBn, RowSink};
 use crate::kernels::{isa, profiles};
 use crate::workload::WorkloadPolicy;
 
-/// Dispatches the bit-plane split of an 8-bit input image (§III-B).
-pub fn bitplane_split<W: BitWord>(q: &mut CommandQueue, input: &Tensor<u8>) -> BitPlanes<W> {
-    let mut planes = BitPlanes::<W>::empty(input.shape());
-    bitplane_split_into(q, input, &mut planes);
-    planes
-}
+/// Filters per group of a first-layer bank: one 512-bit vector of `u32`s.
+const PLANE_LANES: usize = 16;
 
-/// [`bitplane_split`] into a caller-provided plane set, reusing its storage
-/// — the engine's arena path.
+/// A first layer's staged filters: [`LaneBank::column_major`] rows of `u32`
+/// words, sixteen filters per group.
+pub type PlaneBank = LaneBank<u32, PLANE_LANES>;
+
+/// Dispatches the §III-B bit-plane split of `input` into `planes`' storage.
 pub fn bitplane_split_into<W: BitWord>(
     q: &mut CommandQueue,
     input: &Tensor<u8>,
@@ -84,74 +82,72 @@ pub fn bitplane_split_into<W: BitWord>(
     q.launch(profile, || planes.split_from(input));
 }
 
-/// A worker's scratch for [`bitplane_row`] over one plane set: the plane
-/// stream of the output row in flight (one spare word past its end for the
-/// funnel shift) and one extracted window, each word the eight planes side
-/// by side, LSB plane first.
+/// A worker's scratch for [`bitplane_row`]: the plane stream of the output
+/// row in flight (one spare word past its end for the funnel shift) and one
+/// extracted window, each word the eight planes side by side, LSB first.
 #[derive(Debug)]
-pub(crate) struct PlaneStream<W: BitWord> {
-    stream: Vec<[W; 8]>,
-    window: Vec<[W; 8]>,
+pub(crate) struct PlaneStream {
+    stream: Vec<[u32; 8]>,
+    window: Vec<[u32; 8]>,
     /// The `(image, output row)` the stream holds, so the next row down
     /// rolls it instead of rebuilding it.
     holds: Option<(usize, usize)>,
     /// Per stream word, the bits that survive a roll: every column's rows
     /// the next output row still covers. Empty when `stride_h >= kh`.
-    kept: Vec<W>,
+    kept: Vec<u32>,
 }
 
-impl<W: BitWord> PlaneStream<W> {
+impl PlaneStream {
     /// Scratch for `bank`'s windows sliding over `input_w`-pixel rows.
-    pub(crate) fn new(bank: &LaneBank<W>, geom: &ConvGeometry, input_w: usize) -> Self {
+    pub(crate) fn new(bank: &PlaneBank, geom: &ConvGeometry, input_w: usize) -> Self {
         let (kh, c) = (bank.shape().kh, bank.shape().c);
         let stream_bits = (input_w + 2 * geom.pad_w) * kh * c;
-        let stream_words = stream_bits.div_ceil(W::BITS) + 1;
+        let stream_words = stream_bits.div_ceil(32) + 1;
         let mut kept = Vec::new();
         if geom.stride_h < kh {
-            kept.resize(stream_words, W::zero());
+            kept.resize(stream_words, 0);
             for column in (0..stream_bits).step_by(kh * c) {
                 for bit in column..column + (kh - geom.stride_h) * c {
-                    kept[bit / W::BITS] = kept[bit / W::BITS].with_bit(bit % W::BITS, true);
+                    kept[bit / 32] |= 1 << (bit % 32);
                 }
             }
         }
         Self {
-            stream: vec![[W::zero(); 8]; stream_words],
-            window: vec![[W::zero(); 8]; bank.row_words()],
+            stream: vec![[0; 8]; stream_words],
+            window: vec![[0; 8]; bank.row_words()],
             holds: None,
             kept,
         }
     }
 }
 
-/// Bits `shift..shift + W::BITS` of the 2-word run `lo, hi`, per plane.
+/// Bits `shift..shift + 32` of the 2-word run `lo, hi`, per plane.
 #[inline(always)]
-fn funnel<W: BitWord>(lo: [W; 8], hi: [W; 8], shift: usize) -> [W; 8] {
+fn funnel(lo: [u32; 8], hi: [u32; 8], shift: usize) -> [u32; 8] {
     let mut out = lo;
     for (bits, hi) in out.iter_mut().zip(hi) {
-        // `hi << (BITS − shift)` in two steps, so `shift == 0` shifts
+        // `hi << (32 − shift)` in two steps, so `shift == 0` shifts
         // everything out instead of overflowing.
-        *bits = bits.shr(shift).or(hi.shl(1).shl(W::BITS - 1 - shift));
+        *bits = *bits >> shift | hi << 1 << (31 - shift);
     }
     out
 }
 
 /// Runs the streamed Eqn (2) convolution over one output row, handing
 /// `sink` the integer accumulators of filters `k0..k0 + s.len()` at output
-/// column `ox` as `put(ox, k0, s)` — a group of [`LANES`] per call, fewer for
-/// the last group of a filter count that does not fill it.
+/// column `ox` as `put(ox, k0, s)` — sixteen per call, the last group of a
+/// filter count that does not fill it as [`RowSink::put_group`] cuts it.
 ///
-/// `bank` is the layer's [`LaneBank::column_major`]; `scratch` a
-/// [`PlaneStream`] built for the same bank, geometry and input width. The
-/// sink decides what an output *is* — fused binarize+pack bits or raw
-/// `i32`s — so this one loop serves every first-layer kernel (see the
-/// module docs for the scheme).
+/// `scratch` is a [`PlaneStream`] built for the same bank, geometry and
+/// input width. The sink decides what an output *is* — fused binarize+pack
+/// bits or raw `i32`s — and `P` is whatever word the planes were split at,
+/// so this one loop serves every first-layer kernel (module docs).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn bitplane_row<W: BitWord>(
-    planes: &BitPlanes<W>,
-    bank: &LaneBank<W>,
+pub(crate) fn bitplane_row<P: BitWord>(
+    planes: &BitPlanes<P>,
+    bank: &PlaneBank,
     geom: &ConvGeometry,
-    scratch: &mut PlaneStream<W>,
+    scratch: &mut PlaneStream,
     n: usize,
     oy: usize,
     ow: usize,
@@ -163,15 +159,13 @@ pub(crate) fn bitplane_row<W: BitWord>(
             let s = planes.shape();
             let (kh, k_total) = (bank.shape().kh, bank.shape().k);
             let col_bits = kh * s.c;
-            let wpp = planes.plane(0).words_per_pixel();
-            let plane_words = planes.plane_words();
+            let wpp = planes.words_per_pixel();
             let PlaneStream {
                 stream,
                 window,
                 holds,
                 kept,
             } = scratch;
-
             // Stream. One row down from the row it holds, the stream is
             // rolled: shifting it `stride_h` rows' worth of bits moves every
             // column's surviving rows to the bottom of the column (and the
@@ -182,38 +176,43 @@ pub(crate) fn bitplane_row<W: BitWord>(
             *holds = Some((n, oy));
             let fresh = if rolled {
                 let by = geom.stride_h * s.c;
-                let (skip, shift) = (by / W::BITS, by % W::BITS);
-                let past_end = [W::zero(); 8];
+                let (skip, shift) = (by / 32, by % 32);
                 for word in 0..stream.len() {
-                    let lo = *stream.get(word + skip).unwrap_or(&past_end);
-                    let hi = *stream.get(word + skip + 1).unwrap_or(&past_end);
-                    stream[word] = funnel(lo, hi, shift).map(|bits| bits.and(kept[word]));
+                    let lo = *stream.get(word + skip).unwrap_or(&[0; 8]);
+                    let hi = *stream.get(word + skip + 1).unwrap_or(&[0; 8]);
+                    stream[word] = funnel(lo, hi, shift).map(|bits| bits & kept[word]);
                 }
                 kh - geom.stride_h..kh
             } else {
-                stream.fill([W::zero(); 8]);
+                stream.fill([0; 8]);
                 0..kh
             };
-            // OR each fresh in-bounds input row into its slot of every column;
-            // padding rows and columns stay 0.
+            // OR each fresh in-bounds input row into its slot of every
+            // column, eight planes at a time, a stream word's worth of a
+            // pixel word per step; padding rows and columns stay 0.
+            let step = P::BITS.min(32);
             for i in fresh {
                 let iy = oy * geom.stride_h + i;
                 if iy < geom.pad_h || iy - geom.pad_h >= s.h {
                     continue;
                 }
-                let src = planes.plane(0).pixel_offset(n, iy - geom.pad_h, 0);
-                for x in 0..s.w {
-                    for t in 0..wpp {
-                        let at = (x + geom.pad_w) * col_bits + i * s.c + t * W::BITS;
-                        let (word, shift) = (at / W::BITS, at % W::BITS);
-                        // The pixel word's valid bits straddle a stream word.
-                        let spills = shift + (s.c - t * W::BITS).min(W::BITS) > W::BITS;
-                        for (p, plane) in plane_words.iter().enumerate() {
-                            let bits = plane[src + x * wpp + t];
-                            stream[word][p] = stream[word][p].or(bits.shl(shift));
-                            if spills {
-                                stream[word + 1][p] =
-                                    stream[word + 1][p].or(bits.shr(W::BITS - shift));
+                let row = (n * s.h + iy - geom.pad_h) * s.w * wpp;
+                let row = &planes.words()[row..row + s.w * wpp];
+                for (x, pixel) in row.chunks_exact(wpp).enumerate() {
+                    let column = (x + geom.pad_w) * col_bits + i * s.c;
+                    for from in (0..s.c).step_by(step) {
+                        let mut bits = [0u32; 8];
+                        for (bits, plane) in bits.iter_mut().zip(pixel[from / P::BITS]) {
+                            *bits = (plane.widen() >> (from % P::BITS)) as u32;
+                        }
+                        let (word, shift) = ((column + from) / 32, (column + from) % 32);
+                        for (dst, bits) in stream[word].iter_mut().zip(bits) {
+                            *dst |= bits << shift;
+                        }
+                        // The channels' valid bits straddle a stream word.
+                        if shift + (s.c - from).min(step) > 32 {
+                            for (dst, bits) in stream[word + 1].iter_mut().zip(bits) {
+                                *dst |= bits >> (32 - shift);
                             }
                         }
                     }
@@ -221,73 +220,79 @@ pub(crate) fn bitplane_row<W: BitWord>(
             }
 
             let words = bank.row_words();
-            let tail_mask = W::low_mask(geom.kw * col_bits - (words - 1) * W::BITS);
+            let tail_mask = u32::low_mask(geom.kw * col_bits - (words - 1) * 32);
             for ox in 0..ow {
                 // Window: `words` funnel shifts of the run starting at this
                 // column's stream bit, the bits past the window's end cleared.
                 let at = ox * geom.stride_w * col_bits;
-                let (first, shift) = (at / W::BITS, at % W::BITS);
+                let (first, shift) = (at / 32, at % 32);
                 for (t, win) in window.iter_mut().enumerate() {
                     *win = funnel(stream[first + t], stream[first + t + 1], shift);
                 }
-                let last = &mut window[words - 1];
-                for bits in last.iter_mut() {
-                    *bits = bits.and(tail_mask);
+                for bits in window[words - 1].iter_mut() {
+                    *bits &= tail_mask;
                 }
-                // The filter-independent half, once per pixel.
-                let mut total = 0i32;
-                for p in (0..8).rev() {
-                    total *= 2;
-                    for win in window.iter() {
-                        total += win[p].popcount() as i32;
+                // The filter-independent half, once per pixel: the planes'
+                // popcounts side by side, weighted once.
+                let mut ones = [0u32; 8];
+                for win in window.iter() {
+                    isa::lanes_not_words();
+                    for (count, bits) in ones.iter_mut().zip(win) {
+                        *count += bits.popcount();
                     }
+                }
+                let mut total = 0;
+                for (p, count) in ones.iter().enumerate() {
+                    total += (count << p) as i32;
                 }
                 // Eqn (2), a filter group per pass: lane `l` sums plane `p`'s
                 // masked popcounts against filter `l`, weighted `2^p`.
                 for g in 0..bank.groups() {
-                    let mut acc = [0u64; LANES];
+                    let mut acc = [0u32; PLANE_LANES];
                     for (win, filt) in window.iter().zip(bank.group(g)) {
                         isa::lanes_not_words();
                         for (p, bits) in win.iter().enumerate() {
                             for (a, f) in acc.iter_mut().zip(filt) {
-                                *a += u64::from(bits.and(*f).popcount()) << p;
+                                *a += (bits & f).popcount() << p;
                             }
                         }
                     }
-                    let mut sums = [0i32; LANES];
+                    let mut sums = [0i32; PLANE_LANES];
                     for (sum, a) in sums.iter_mut().zip(acc) {
                         *sum = 2 * a as i32 - total;
                     }
-                    sink.put_group(ox, g * LANES, k_total, &sums);
+                    sink.put_group(ox, g * PLANE_LANES, k_total, &sums);
                 }
             }
         },
     )
 }
 
-fn output_shape<W: BitWord>(
-    planes: &BitPlanes<W>,
-    bank: &LaneBank<W>,
+/// The output shape and cost profile of `bank` convolved over `planes`.
+fn staged<P: BitWord>(
+    planes: &BitPlanes<P>,
+    bank: &PlaneBank,
     geom: &ConvGeometry,
-) -> Shape4 {
-    let s = planes.shape();
-    let fs = bank.shape();
+) -> (Shape4, KernelProfile) {
+    let (s, fs) = (planes.shape(), bank.shape());
     assert_eq!(
         s.c, fs.c,
         "plane channels {} != filter channels {}",
         s.c, fs.c
     );
     let (oh, ow) = geom.output_hw(s.h, s.w);
-    Shape4::new(s.n, oh, ow, fs.k)
+    let policy = WorkloadPolicy::for_channels(s.c);
+    let profile = profiles::bitplane_conv_fused(s.n * oh * ow, fs.k, s.c, geom, &policy);
+    (Shape4::new(s.n, oh, ow, fs.k), profile)
 }
 
 /// Functional body of the fused bit-plane convolution: one row task per
 /// output row, the plane-stream scratch owned by the worker. Output bits
 /// are OR-ed in — `out` must come in zeroed, as
 /// [`bitplane_conv_bank_into`] resets it.
-pub fn compute_bitplane_conv_fused<W: BitWord>(
-    planes: &BitPlanes<W>,
-    bank: &LaneBank<W>,
+pub fn compute_bitplane_conv_fused<P: BitWord, W: BitWord>(
+    planes: &BitPlanes<P>,
+    bank: &PlaneBank,
     fused: &FusedBn,
     geom: &ConvGeometry,
     out: &mut BitTensor<W>,
@@ -307,44 +312,25 @@ pub fn compute_bitplane_conv_fused<W: BitWord>(
     );
 }
 
-/// Dispatches the fused first-layer convolution: Eqn (2) accumulation +
-/// batch-norm + binarize + pack. Interleaves `filters` first; a caller that
-/// runs the layer more than once stages a [`LaneBank::column_major`] and calls
+/// Dispatches the fused first-layer convolution — Eqn (2) accumulation +
+/// batch-norm + binarize + pack — into `out` (reset to the output shape),
+/// reusing its storage. Interleaves `filters` first; a caller that runs the
+/// layer more than once stages a [`PlaneBank`] and calls
 /// [`bitplane_conv_bank_into`].
 ///
 /// # Panics
 ///
 /// Panics on channel mismatches or when `fused.len() != filters.k`.
-pub fn bitplane_conv_fused<W: BitWord>(
+pub fn bitplane_conv_fused_into<P: BitWord, W: BitWord>(
     q: &mut CommandQueue,
-    planes: &BitPlanes<W>,
-    filters: &PackedFilters<W>,
-    fused: &FusedBn,
-    geom: &ConvGeometry,
-) -> BitTensor<W> {
-    let mut out = BitTensor::<W>::zeros(Shape4::new(0, 0, 0, 0));
-    bitplane_conv_fused_into(q, planes, filters, fused, geom, &mut out);
-    out
-}
-
-/// [`bitplane_conv_fused`] into a caller-provided tensor (reset to the
-/// output shape), reusing its storage.
-pub fn bitplane_conv_fused_into<W: BitWord>(
-    q: &mut CommandQueue,
-    planes: &BitPlanes<W>,
+    planes: &BitPlanes<P>,
     filters: &PackedFilters<W>,
     fused: &FusedBn,
     geom: &ConvGeometry,
     out: &mut BitTensor<W>,
 ) {
-    bitplane_conv_bank_into(
-        q,
-        planes,
-        &LaneBank::column_major(filters),
-        fused,
-        geom,
-        out,
-    );
+    let bank = PlaneBank::column_major(filters);
+    bitplane_conv_bank_into(q, planes, &bank, fused, geom, out);
 }
 
 /// [`bitplane_conv_fused_into`] over a bank staged once — the engine's
@@ -353,23 +339,17 @@ pub fn bitplane_conv_fused_into<W: BitWord>(
 /// # Panics
 ///
 /// Panics on channel mismatches or when `fused.len() != bank.shape().k`.
-pub fn bitplane_conv_bank_into<W: BitWord>(
+pub fn bitplane_conv_bank_into<P: BitWord, W: BitWord>(
     q: &mut CommandQueue,
-    planes: &BitPlanes<W>,
-    bank: &LaneBank<W>,
+    planes: &BitPlanes<P>,
+    bank: &PlaneBank,
     fused: &FusedBn,
     geom: &ConvGeometry,
     out: &mut BitTensor<W>,
 ) {
-    let os = output_shape(planes, bank, geom);
-    assert_eq!(
-        fused.len(),
-        bank.shape().k,
-        "fusion params must cover every filter"
-    );
+    let (os, profile) = staged(planes, bank, geom);
+    assert_eq!(fused.len(), os.c, "fusion params must cover every filter");
     out.reset(os);
-    let policy = WorkloadPolicy::for_channels(planes.shape().c);
-    let profile = profiles::bitplane_conv_fused(os.pixels(), os.c, planes.shape().c, geom, &policy);
     q.launch(profile, || {
         compute_bitplane_conv_fused(planes, bank, fused, geom, out)
     });
@@ -377,18 +357,15 @@ pub fn bitplane_conv_bank_into<W: BitWord>(
 
 /// Dispatches the first-layer convolution producing raw integer
 /// accumulators (for tests and for heads that need real values).
-pub fn bitplane_conv_accum<W: BitWord>(
+pub fn bitplane_conv_accum<P: BitWord, W: BitWord>(
     q: &mut CommandQueue,
-    planes: &BitPlanes<W>,
+    planes: &BitPlanes<P>,
     filters: &PackedFilters<W>,
     geom: &ConvGeometry,
 ) -> Tensor<i32> {
-    let bank = &LaneBank::column_major(filters);
-    let os = output_shape(planes, bank, geom);
+    let bank = &PlaneBank::column_major(filters);
+    let (os, mut profile) = staged(planes, bank, geom);
     let mut out = Tensor::<i32>::zeros(os, Layout::Nhwc);
-    let policy = WorkloadPolicy::for_channels(planes.shape().c);
-    let mut profile =
-        profiles::bitplane_conv_fused(os.pixels(), os.c, planes.shape().c, geom, &policy);
     profile.name = "bitplane_conv_accum";
     let k_total = os.c;
     let (oh, ow) = (os.h, os.w);
@@ -469,7 +446,7 @@ mod tests {
         let f = pm1_filters(FilterShape::new(4, 3, 3, 3));
         let geom = ConvGeometry::square(3, 1, 1);
         let mut q = queue();
-        let planes = bitplane_split::<u8>(&mut q, &img);
+        let planes = BitPlanes::<u8>::split(&img);
         let got = bitplane_conv_accum(&mut q, &planes, &pack_filters::<u8>(&f), &geom);
         let expect = reference_accum(&img, &f, &geom);
         assert_eq!(got.as_slice(), expect.as_slice());
@@ -481,7 +458,7 @@ mod tests {
         let f = pm1_filters(FilterShape::new(8, 3, 3, 3));
         let geom = ConvGeometry::square(3, 2, 0);
         let mut q = queue();
-        let planes = bitplane_split::<u64>(&mut q, &img);
+        let planes = BitPlanes::<u64>::split(&img);
         let got = bitplane_conv_accum(&mut q, &planes, &pack_filters::<u64>(&f), &geom);
         assert_eq!(got.as_slice(), reference_accum(&img, &f, &geom).as_slice());
     }
@@ -503,9 +480,10 @@ mod tests {
         let fused = FusedBn::precompute(&bn, &bias);
 
         let mut q = queue();
-        let planes = bitplane_split::<u64>(&mut q, &img);
+        let planes = BitPlanes::<u64>::split(&img);
         let packed_f = pack_filters::<u64>(&f);
-        let bits = bitplane_conv_fused(&mut q, &planes, &packed_f, &fused, &geom);
+        let mut bits = BitTensor::<u64>::zeros(Shape4::new(0, 0, 0, 0));
+        bitplane_conv_fused_into(&mut q, &planes, &packed_f, &fused, &geom, &mut bits);
         let accum = bitplane_conv_accum(&mut q, &planes, &packed_f, &geom);
 
         let got = unpack_f32(&bits);
@@ -525,10 +503,42 @@ mod tests {
     }
 
     #[test]
+    fn every_group_length_leaves_whole() {
+        // One lane, a ragged half group, exactly half, half and a tail, a
+        // ragged whole, exactly one, one and a tail, one and a half, two
+        // and a half — into output words a group fits and (`u8`) does not.
+        let img = image(Shape4::new(2, 5, 7, 3));
+        let geom = ConvGeometry::square(3, 1, 1);
+        for k in [1, 7, 8, 9, 15, 16, 17, 24, 40] {
+            let f = pm1_filters(FilterShape::new(k, 3, 3, 3));
+            let fused = FusedBn {
+                xi: (0..k).map(|i| (i as f32 - 3.0) * 40.0).collect(),
+                gamma_pos: (0..k).map(|i| i % 3 != 0).collect(),
+            };
+            let mut q = queue();
+            let planes = BitPlanes::<u8>::split(&img);
+            let accum = bitplane_conv_accum(&mut q, &planes, &pack_filters::<u64>(&f), &geom);
+            assert_eq!(accum, reference_accum(&img, &f, &geom), "k={k}");
+            let mut wide = BitTensor::<u64>::zeros(Shape4::new(0, 0, 0, 0));
+            let mut bytes = BitTensor::<u8>::zeros(Shape4::new(0, 0, 0, 0));
+            let (f64s, f8s) = (pack_filters::<u64>(&f), pack_filters::<u8>(&f));
+            bitplane_conv_fused_into(&mut q, &planes, &f64s, &fused, &geom, &mut wide);
+            bitplane_conv_fused_into(&mut q, &planes, &f8s, &fused, &geom, &mut bytes);
+            assert!(wide.tail_is_clean() && bytes.tail_is_clean());
+            for ((n, y, x, c), acc) in accum.iter_indexed() {
+                let expect = fused.decide_logic(c, acc as f32);
+                assert_eq!(wide.get_bit(n, y, x, c), expect, "k={k} ({n},{y},{x},{c})");
+                assert_eq!(bytes.get_bit(n, y, x, c), expect, "k={k} ({n},{y},{x},{c})");
+            }
+        }
+    }
+
+    #[test]
     fn split_kernel_is_on_timeline() {
         let img = image(Shape4::new(1, 4, 4, 3));
         let mut q = queue();
-        let planes = bitplane_split::<u8>(&mut q, &img);
+        let mut planes = BitPlanes::<u8>::empty(img.shape());
+        bitplane_split_into(&mut q, &img, &mut planes);
         assert_eq!(q.timeline().len(), 1);
         assert_eq!(q.timeline()[0].stats.name, "bitplane_split");
         assert_eq!(planes.reconstruct(), img);
@@ -539,7 +549,7 @@ mod tests {
         let img = Tensor::<u8>::zeros(Shape4::new(1, 4, 4, 3), Layout::Nhwc);
         let f = pm1_filters(FilterShape::new(2, 3, 3, 3));
         let mut q = queue();
-        let planes = bitplane_split::<u32>(&mut q, &img);
+        let planes = BitPlanes::<u32>::split(&img);
         let accum = bitplane_conv_accum(
             &mut q,
             &planes,

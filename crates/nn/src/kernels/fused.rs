@@ -31,11 +31,11 @@ use phonebit_gpusim::NdRange;
 use phonebit_tensor::bitplane::BitPlanes;
 use phonebit_tensor::bits::{BitTensor, BitWord, PackedFilters};
 use phonebit_tensor::lanes::LaneBank;
-use phonebit_tensor::shape::{ConvGeometry, Shape4};
+use phonebit_tensor::shape::{ConvGeometry, FilterShape, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
 use crate::fuse::{BitSink, FusedBn};
-use crate::kernels::bitplane::{bitplane_row, PlaneStream};
+use crate::kernels::bitplane::{bitplane_row, compute_bitplane_conv_fused, PlaneBank, PlaneStream};
 use crate::kernels::pool::PoolGeometry;
 use crate::kernels::profiles::{compulsory_input_bytes, words32, PACKED_COALESCING, VEC_LANES_128};
 use crate::kernels::tiled::{conv_row_tiled, WindowGather};
@@ -241,9 +241,9 @@ pub fn compute_bconv_pool_chain<W: BitWord>(
 }
 
 /// Functional body of the fused bit-plane conv→pool chain (Eqn 2 core).
-pub fn compute_in8_pool_chain<W: BitWord>(
-    planes: &BitPlanes<W>,
-    bank: &LaneBank<W>,
+pub fn compute_in8_pool_chain<P: BitWord, W: BitWord>(
+    planes: &BitPlanes<P>,
+    bank: &PlaneBank,
     fused: &FusedBn,
     geom: &ConvGeometry,
     pool: &PoolGeometry,
@@ -269,6 +269,46 @@ fn pooled_output_shape(conv_shape: Shape4, pool: Option<&PoolGeometry>) -> Shape
     }
 }
 
+/// The front of every conv chain dispatch: checks the shapes as the split
+/// kernels do, resets the ring tile (when a pool rides along) and the
+/// output, and returns the chain's profile.
+#[allow(clippy::too_many_arguments)]
+fn stage_chain<W: BitWord>(
+    absorb: ChainAbsorb,
+    s: Shape4,
+    fs: FilterShape,
+    fused: &FusedBn,
+    geom: &ConvGeometry,
+    pool: Option<&PoolGeometry>,
+    ring: &mut BitTensor<W>,
+    out: &mut BitTensor<W>,
+) -> KernelProfile {
+    assert_eq!(
+        s.c, fs.c,
+        "input channels {} != filter channels {}",
+        s.c, fs.c
+    );
+    assert_eq!(fused.len(), fs.k, "fusion params must cover every filter");
+    let (oh, ow) = geom.output_hw(s.h, s.w);
+    let conv_shape = Shape4::new(s.n, oh, ow, fs.k);
+    let os = pooled_output_shape(conv_shape, pool);
+    if let Some(p) = pool {
+        ring.reset(ring_shape(ow, fs.k, p));
+    }
+    out.reset(os);
+    let pooled = pool.map(|p| (os.pixels(), p.size));
+    let policy = WorkloadPolicy::for_channels(s.c);
+    conv_chain_profile(
+        absorb,
+        conv_shape.pixels(),
+        fs.k,
+        s.c,
+        geom,
+        pooled,
+        &policy,
+    )
+}
+
 /// Dispatches the bconv→pool chain (input already packed) in one launch.
 ///
 /// # Panics
@@ -285,30 +325,9 @@ pub fn bconv_pool_chain_into<W: BitWord>(
     ring: &mut BitTensor<W>,
     out: &mut BitTensor<W>,
 ) {
-    let s = input.shape();
-    let fs = bank.shape();
-    assert_eq!(
-        s.c, fs.c,
-        "input channels {} != filter channels {}",
-        s.c, fs.c
-    );
-    assert_eq!(fused.len(), fs.k, "fusion params must cover every filter");
-    let (oh, ow) = geom.output_hw(s.h, s.w);
-    let conv_shape = Shape4::new(s.n, oh, ow, fs.k);
-    let os = pooled_output_shape(conv_shape, Some(pool));
-    ring.reset(ring_shape(ow, fs.k, pool));
-    out.reset(os);
-    let policy = WorkloadPolicy::for_channels(s.c);
-    let profile = conv_chain_profile(
-        ChainAbsorb::None,
-        conv_shape.pixels(),
-        fs.k,
-        s.c,
-        geom,
-        Some((os.pixels(), pool.size)),
-        &policy,
-    )
-    .discount_reads(bank.dram_discount_bytes());
+    let (s, fs) = (input.shape(), bank.shape());
+    let profile = stage_chain(ChainAbsorb::None, s, fs, fused, geom, Some(pool), ring, out)
+        .discount_reads(bank.dram_discount_bytes());
     q.launch(profile, || {
         compute_bconv_pool_chain(input, bank, fused, geom, pool, ring, out)
     });
@@ -332,32 +351,9 @@ pub fn pack_bconv_chain_into<W: BitWord>(
     ring: &mut BitTensor<W>,
     out: &mut BitTensor<W>,
 ) {
-    let s = input.shape();
-    let fs = bank.shape();
-    assert_eq!(
-        s.c, fs.c,
-        "input channels {} != filter channels {}",
-        s.c, fs.c
-    );
-    assert_eq!(fused.len(), fs.k, "fusion params must cover every filter");
-    let (oh, ow) = geom.output_hw(s.h, s.w);
-    let conv_shape = Shape4::new(s.n, oh, ow, fs.k);
-    let os = pooled_output_shape(conv_shape, pool);
-    if let Some(p) = pool {
-        ring.reset(ring_shape(ow, fs.k, p));
-    }
-    out.reset(os);
-    let policy = WorkloadPolicy::for_channels(s.c);
-    let profile = conv_chain_profile(
-        ChainAbsorb::PackF32,
-        conv_shape.pixels(),
-        fs.k,
-        s.c,
-        geom,
-        pool.map(|p| (os.pixels(), p.size)),
-        &policy,
-    )
-    .discount_reads(bank.dram_discount_bytes());
+    let (s, fs) = (input.shape(), bank.shape());
+    let profile = stage_chain(ChainAbsorb::PackF32, s, fs, fused, geom, pool, ring, out)
+        .discount_reads(bank.dram_discount_bytes());
     q.launch(profile, || {
         compute_pack_input(input, pack_tile);
         match pool {
@@ -374,51 +370,24 @@ pub fn pack_bconv_chain_into<W: BitWord>(
 ///
 /// Panics on shape disagreements, mirroring the split kernels.
 #[allow(clippy::too_many_arguments)]
-pub fn in8_bconv_chain_into<W: BitWord>(
+pub fn in8_bconv_chain_into<P: BitWord, W: BitWord>(
     q: &mut CommandQueue,
     input: &Tensor<u8>,
-    bank: &LaneBank<W>,
+    bank: &PlaneBank,
     fused: &FusedBn,
     geom: &ConvGeometry,
     pool: Option<&PoolGeometry>,
-    planes: &mut BitPlanes<W>,
+    planes: &mut BitPlanes<P>,
     ring: &mut BitTensor<W>,
     out: &mut BitTensor<W>,
 ) {
-    let s = input.shape();
-    let fs = bank.shape();
-    assert_eq!(
-        s.c, fs.c,
-        "input channels {} != filter channels {}",
-        s.c, fs.c
-    );
-    assert_eq!(fused.len(), fs.k, "fusion params must cover every filter");
-    let (oh, ow) = geom.output_hw(s.h, s.w);
-    let conv_shape = Shape4::new(s.n, oh, ow, fs.k);
-    let os = pooled_output_shape(conv_shape, pool);
-    if let Some(p) = pool {
-        ring.reset(ring_shape(ow, fs.k, p));
-    }
-    out.reset(os);
-    let policy = WorkloadPolicy::for_channels(s.c);
-    let profile = conv_chain_profile(
-        ChainAbsorb::Planes8,
-        conv_shape.pixels(),
-        fs.k,
-        s.c,
-        geom,
-        pool.map(|p| (os.pixels(), p.size)),
-        &policy,
-    );
+    let (s, fs) = (input.shape(), bank.shape());
+    let profile = stage_chain(ChainAbsorb::Planes8, s, fs, fused, geom, pool, ring, out);
     q.launch(profile, || {
         planes.split_from(input);
         match pool {
             Some(p) => compute_in8_pool_chain(planes, bank, fused, geom, p, ring, out),
-            None => {
-                crate::kernels::bitplane::compute_bitplane_conv_fused(
-                    planes, bank, fused, geom, out,
-                );
-            }
+            None => compute_bitplane_conv_fused(planes, bank, fused, geom, out),
         }
     });
 }
@@ -479,7 +448,7 @@ mod tests {
     use phonebit_tensor::tensor::Filters;
 
     use crate::fuse::BnParams;
-    use crate::kernels::bitplane::{bitplane_conv_fused, bitplane_split};
+    use crate::kernels::bitplane::bitplane_conv_fused_into;
     use crate::kernels::pool::maxpool_bits;
 
     fn queue() -> CommandQueue {
@@ -614,11 +583,12 @@ mod tests {
         let bank = LaneBank::column_major(&filters);
 
         let mut q = queue();
-        let planes = bitplane_split::<u64>(&mut q, &img);
-        let conv = bitplane_conv_fused(&mut q, &planes, &filters, &fused, &geom);
+        let planes = BitPlanes::<u64>::split(&img);
+        let mut conv = scratch::<u64>();
+        bitplane_conv_fused_into(&mut q, &planes, &filters, &fused, &geom, &mut conv);
 
         let mut q2 = queue();
-        let mut planes2 = BitPlanes::<u64>::empty(img.shape());
+        let mut planes2 = BitPlanes::<u8>::empty(img.shape());
         let (mut ring, mut out) = (scratch::<u64>(), scratch::<u64>());
         in8_bconv_chain_into(
             &mut q2,
@@ -668,12 +638,13 @@ mod tests {
         let bank = LaneBank::column_major(&filters);
 
         let mut q = queue();
-        let planes = bitplane_split::<u64>(&mut q, &img);
-        let conv = bitplane_conv_fused(&mut q, &planes, &filters, &fused, &geom);
+        let planes = BitPlanes::<u64>::split(&img);
+        let mut conv = scratch::<u64>();
+        bitplane_conv_fused_into(&mut q, &planes, &filters, &fused, &geom, &mut conv);
         let pool = PoolGeometry::new(3, 2);
         let pooled = maxpool_bits(&mut q, &conv, &pool);
 
-        let mut planes2 = BitPlanes::<u64>::empty(img.shape());
+        let mut planes2 = BitPlanes::<u8>::empty(img.shape());
         let (mut ring, mut out) = (scratch::<u64>(), scratch::<u64>());
         for (pool, expect) in [(None, &conv), (Some(&pool), &pooled)] {
             let mut q2 = queue();

@@ -9,9 +9,9 @@
 //! `#[target_feature]` wrapper:
 //!
 //! - **What is detected.** `popcnt` (scalar hardware popcount), `avx2`
-//!   (256-bit xor/loads around it) and `avx512vpopcntdq` (eight 64-bit
-//!   popcounts per instruction), each with the features it is always
-//!   shipped with; see [`IsaTier`]. Other architectures, and x86-64 CPUs
+//!   (256-bit xor/loads around it) and `avx512vpopcntdq` (eight 64-bit or
+//!   sixteen 32-bit popcounts per instruction), each with the features it
+//!   always ships with; see [`IsaTier`]. Other architectures, and x86-64 CPUs
 //!   with none of these, take the portable tier — on aarch64 `count_ones`
 //!   already lowers to NEON `cnt`.
 //! - **Where the frame boundary is.** `run` is called once per row task
@@ -193,7 +193,7 @@ mod tests {
     use crate::fuse::{AccumSink, FusedBn};
     use crate::kernels::bconv::window_dot;
     use crate::kernels::bgemm::{flatten_filters, pack_windows};
-    use crate::kernels::bitplane::{bitplane_row, PlaneStream};
+    use crate::kernels::bitplane::{bitplane_row, PlaneBank, PlaneStream};
     use crate::kernels::dense::compute_dense_bin;
     use crate::kernels::fconv::{compute_fconv, fconv_row};
     use crate::kernels::tiled::{conv_row_tiled, tile_filters, WindowGather};
@@ -433,7 +433,7 @@ mod tests {
         }
         let planes = BitPlanes::<W>::split(&image);
         let filters = random_filters::<W>(FilterShape::new(k, kernel, kernel, c), 5, &mut rng);
-        let bank = LaneBank::column_major(&filters);
+        let bank = PlaneBank::column_major(&filters);
         let geom = ConvGeometry::square(kernel, stride, pad);
         let (oh, ow) = geom.output_hw(h, w);
         // One scratch across rows, images and tiers, as a worker keeps it.
@@ -623,12 +623,13 @@ mod tests {
             // One-pixel-high and one-pixel-wide images included.
             h in 1usize..7,
             w in 1usize..8,
-            // 70 channels: two words per pixel at `u64`, nine at `u8`.
-            c in prop::sample::select(vec![1usize, 3, 4, 13, 70]),
-            // Up to two full filter groups and a tail.
-            k in 1usize..20,
-            kernel in prop::sample::select(vec![1usize, 3, 5]),
-            stride in 1usize..3,
+            // 9 and 33 channels: one bit past a plane word and past a
+            // stream word; 70: two words per pixel at `u64`, nine at `u8`.
+            c in prop::sample::select(vec![1usize, 3, 4, 8, 9, 13, 33, 70]),
+            // A half group, a whole one, two and a half, ragged tails.
+            k in prop::sample::select(vec![1usize, 7, 8, 9, 15, 16, 17, 24, 40]),
+            kernel in prop::sample::select(vec![1usize, 3, 5, 11]),
+            stride in prop::sample::select(vec![1usize, 2, 4]),
             // Up to `pad > kernel / 2`: windows wholly in padding.
             pad in 0usize..4,
             seed in any::<u64>(),
@@ -639,13 +640,13 @@ mod tests {
             bitplane_row_case::<u64>(h, w, c, k, kernel, stride, pad, seed)?;
         }
 
-        // AlexNet's conv1 geometry: 363-bit windows, six words at `u64`,
+        // AlexNet's conv1 geometry: 363-bit windows, twelve stream words,
         // sliding 132 stream bits per output column.
         #[test]
         fn dispatched_bitplane_row_equals_portable_11x11_stride_4(
             h in 11usize..16,
             w in 11usize..24,
-            k in 1usize..20,
+            k in 1usize..40,
             pad in 0usize..3,
             seed in any::<u64>(),
         ) {

@@ -12,15 +12,24 @@
 //!
 //! where each `<I_n · W>` is a `{0,1} × {±1}` convolution computed with
 //! masked popcounts ([`crate::bits::dot_u1_pm1`]).
+//!
+//! The planes are stored **side by side**: per pixel and channel word, the
+//! eight plane words adjacent as one `[W; 8]`, pixel-major. Eight channel
+//! bytes are an 8×8 bit matrix whose transpose is those channels' byte of
+//! each plane, so the split is one SWAR transpose and one store per eight
+//! channels (at `u8`, an RGB pixel's 8 bytes) and the first-layer kernel
+//! reads a pixel's planes with one load.
 
-use crate::bits::{BitTensor, BitWord};
+use crate::bits::{BitWord, PackWidth};
 use crate::shape::Shape4;
 use crate::tensor::Tensor;
 
-/// The 8 bit-planes of an unsigned 8-bit image, LSB plane first.
+/// The 8 bit-planes of an unsigned 8-bit image, a pixel's channel bits
+/// packed into words of type `W`, the planes of each word side by side
+/// (LSB plane first).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitPlanes<W: BitWord = u64> {
-    planes: [BitTensor<W>; 8],
+    words: Vec<[W; 8]>,
     shape: Shape4,
 }
 
@@ -28,10 +37,8 @@ impl<W: BitWord> BitPlanes<W> {
     /// Creates 8 all-zero planes of the given shape (a reusable split
     /// target for [`BitPlanes::split_from`]).
     pub fn empty(shape: Shape4) -> Self {
-        Self {
-            planes: std::array::from_fn(|_| BitTensor::zeros(shape)),
-            shape,
-        }
+        let words = vec![[W::zero(); 8]; shape.pixels() * shape.c.div_ceil(W::BITS)];
+        Self { words, shape }
     }
 
     /// Splits an NHWC `u8` tensor into 8 channel-packed bit-planes.
@@ -43,22 +50,19 @@ impl<W: BitWord> BitPlanes<W> {
 
     /// Re-splits `t` into this plane set, reusing the plane storage
     /// (allocation-free when the shape's packed footprint fits the existing
-    /// buffers).
+    /// buffer).
     pub fn split_from(&mut self, t: &Tensor<u8>) {
         let s = t.shape();
         self.shape = s;
         // Every word is stored below, so nothing is zero-filled first.
-        for plane in &mut self.planes {
-            plane.reset_for_overwrite(s);
-        }
+        self.words
+            .resize(s.pixels() * self.words_per_pixel(), [W::zero(); 8]);
         let t = t.nhwc();
-        let bytes = t.as_slice();
-        let planes = self.planes.each_mut().map(BitTensor::as_mut_words);
         // Every zoo model's first layer reads RGB, and a channel count known
-        // at compile time unrolls the bit loop below (2.5x on 416x416).
+        // at compile time unrolls the byte loads below.
         match s.c {
-            3 => split_pixels(bytes, 3, planes),
-            c => split_pixels(bytes, c, planes),
+            3 => split_pixels(t.as_slice(), 3, &mut self.words),
+            c => split_pixels(t.as_slice(), c, &mut self.words),
         }
     }
 
@@ -67,59 +71,117 @@ impl<W: BitWord> BitPlanes<W> {
         self.shape
     }
 
-    /// Plane `n` (0 = least significant bit).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n >= 8`.
-    pub fn plane(&self, n: usize) -> &BitTensor<W> {
-        &self.planes[n]
+    /// Words covering one pixel's channels, per plane.
+    #[inline(always)]
+    pub fn words_per_pixel(&self) -> usize {
+        self.shape.c.div_ceil(W::BITS)
     }
 
-    /// The packed words of all eight planes, LSB plane first.
+    /// Every pixel's [`BitPlanes::words_per_pixel`] channel words in NHW
+    /// order, each the eight planes of that word, LSB plane first.
     #[inline(always)]
-    pub fn plane_words(&self) -> [&[W]; 8] {
-        self.planes.each_ref().map(BitTensor::as_words)
+    pub fn words(&self) -> &[[W; 8]] {
+        &self.words
+    }
+
+    /// Bit `c` of pixel `(n, h, w)` in plane `plane` (0 = least significant).
+    pub fn get_bit(&self, plane: usize, n: usize, h: usize, w: usize, c: usize) -> bool {
+        let pixel = (n * self.shape.h + h) * self.shape.w + w;
+        self.words[pixel * self.words_per_pixel() + c / W::BITS][plane].bit(c % W::BITS)
     }
 
     /// Reconstructs the original `u8` tensor (inverse of [`BitPlanes::split`]).
     pub fn reconstruct(&self) -> Tensor<u8> {
-        let s = self.shape;
-        Tensor::from_fn(s, |n, h, w, c| {
-            let mut v = 0u8;
-            for (b, plane) in self.planes.iter().enumerate() {
-                if plane.get_bit(n, h, w, c) {
-                    v |= 1 << b;
-                }
-            }
-            v
+        Tensor::from_fn(self.shape, |n, h, w, c| {
+            (0..8).fold(0, |v, b| v | u8::from(self.get_bit(b, n, h, w, c)) << b)
         })
     }
 
     /// Total packed bytes across all 8 planes.
     pub fn byte_len(&self) -> usize {
-        self.planes.iter().map(|p| p.byte_len()).sum()
+        std::mem::size_of_val(&self.words[..])
     }
 }
 
-/// Splits NHWC `bytes` of `c` channels per pixel into `planes`, storing
-/// every word: each pixel's eight plane words are built in registers, one
-/// channel-word at a time — bit `b` of a byte shifted into plane `b` — and
-/// stored once per plane.
+/// A plane set at the word [`PackWidth::select`] packs its channel count
+/// into — the footprint a plan reserves for it; [`with_planes!`](crate::with_planes)
+/// hands it to width-generic code.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PlaneSet {
+    /// C ≤ 8: every zoo input.
+    W8(BitPlanes<u8>),
+    /// C ≤ 16.
+    W16(BitPlanes<u16>),
+    /// C ≤ 32.
+    W32(BitPlanes<u32>),
+    /// Wider.
+    W64(BitPlanes<u64>),
+}
+
+impl PlaneSet {
+    /// All-zero planes of `shape` at its selected width.
+    pub fn empty(shape: Shape4) -> Self {
+        match PackWidth::select(shape.c) {
+            PackWidth::W8 => Self::W8(BitPlanes::empty(shape)),
+            PackWidth::W16 => Self::W16(BitPlanes::empty(shape)),
+            PackWidth::W32 => Self::W32(BitPlanes::empty(shape)),
+            PackWidth::W64 => Self::W64(BitPlanes::empty(shape)),
+        }
+    }
+
+    /// [`BitPlanes::byte_len`] of the set.
+    pub fn byte_len(&self) -> usize {
+        crate::with_planes!(self, |planes| planes.byte_len())
+    }
+}
+
+/// Evaluates `$body` with `$planes` bound to the [`BitPlanes`] inside a
+/// [`PlaneSet`] (or a reference to one), whatever its word.
+#[macro_export]
+macro_rules! with_planes {
+    ($set:expr, |$planes:ident| $body:expr) => {{
+        use $crate::bitplane::PlaneSet::*;
+        match $set {
+            W8($planes) => $body,
+            W16($planes) => $body,
+            W32($planes) => $body,
+            W64($planes) => $body,
+        }
+    }};
+}
+
+/// An 8×8 bit-matrix transpose (Hacker's Delight §7-3) as three block
+/// swaps — 1×1, 2×2, 4×4 — each a (shift, mask of the blocks that move up).
+const TRANSPOSE_STEPS: [(u32, u64); 3] = [
+    (7, 0x00AA_00AA_00AA_00AA),
+    (14, 0x0000_CCCC_0000_CCCC),
+    (28, 0x0000_0000_F0F0_F0F0),
+];
+
+/// Splits NHWC `bytes` of `c` channels per pixel into `words`, storing
+/// every one: eight channel bytes at a time are transposed (bit `b` of byte
+/// `r` moves to bit `r` of byte `b`) into those channels' byte of each plane,
+/// and a word's bytes are assembled in registers and stored once.
 #[inline(always)]
-fn split_pixels<W: BitWord>(bytes: &[u8], c: usize, mut planes: [&mut [W]; 8]) {
-    let wpp = c.div_ceil(W::BITS);
-    for (px, pixel) in bytes.chunks_exact(c.max(1)).enumerate() {
-        for (t, channels) in pixel.chunks(W::BITS).enumerate() {
-            let mut regs = [W::zero(); 8];
-            for (bit, &v) in channels.iter().enumerate() {
-                for (b, reg) in regs.iter_mut().enumerate() {
-                    *reg = reg.or(W::from_bit((v >> b) & 1 == 1).shl(bit));
+fn split_pixels<W: BitWord>(bytes: &[u8], c: usize, words: &mut [[W; 8]]) {
+    let wpp = c.div_ceil(W::BITS).max(1);
+    for (pixel, words) in bytes
+        .chunks_exact(c.max(1))
+        .zip(words.chunks_exact_mut(wpp))
+    {
+        for (channels, word) in pixel.chunks(W::BITS).zip(words) {
+            let mut regs = [0u64; 8];
+            for (at, eight) in channels.chunks(8).enumerate() {
+                let mut x = eight.iter().rev().fold(0, |r, &v| r << 8 | u64::from(v));
+                for (shift, mask) in TRANSPOSE_STEPS {
+                    let t = (x ^ (x >> shift)) & mask;
+                    x ^= t ^ (t << shift);
+                }
+                for (reg, byte) in regs.iter_mut().zip(x.to_le_bytes()) {
+                    *reg |= u64::from(byte) << (8 * at);
                 }
             }
-            for (plane, reg) in planes.iter_mut().zip(regs) {
-                plane[px * wpp + t] = reg;
-            }
+            *word = regs.map(W::truncate);
         }
     }
 }
@@ -173,9 +235,9 @@ mod tests {
         let mut t = Tensor::<u8>::zeros(Shape4::new(1, 1, 1, 1), crate::shape::Layout::Nhwc);
         t.set(0, 0, 0, 0, 0b0000_0101);
         let planes = BitPlanes::<u64>::split(&t);
-        assert!(planes.plane(0).get_bit(0, 0, 0, 0));
-        assert!(!planes.plane(1).get_bit(0, 0, 0, 0));
-        assert!(planes.plane(2).get_bit(0, 0, 0, 0));
+        assert!(planes.get_bit(0, 0, 0, 0, 0));
+        assert!(!planes.get_bit(1, 0, 0, 0, 0));
+        assert!(planes.get_bit(2, 0, 0, 0, 0));
     }
 
     #[test]
@@ -194,7 +256,7 @@ mod tests {
         // Plane-wise Eqn (2).
         let mut partials = [0i32; 8];
         for (n, p) in partials.iter_mut().enumerate() {
-            *p = dot_u1_pm1(planes.plane(n).pixel_words(0, 0, 0), wf.tap_words(0, 0, 0));
+            *p = dot_u1_pm1(&[planes.words()[0][n]], wf.tap_words(0, 0, 0));
         }
         assert_eq!(combine_planes(&partials), expect);
     }
@@ -207,6 +269,28 @@ mod tests {
         assert_eq!(combine_planes(&partials), 1 + 128);
         let partials = [1i32; 8];
         assert_eq!(combine_planes(&partials), 255);
+    }
+
+    #[test]
+    fn every_width_splits_to_the_same_bits_and_a_set_takes_the_selected_one() {
+        for c in [1, 3, 8, 9, 16, 17, 33, 70] {
+            let t = image(Shape4::new(2, 3, 4, c));
+            let by_bytes = BitPlanes::<u8>::split(&t);
+            assert_eq!(by_bytes.reconstruct(), t, "c={c}");
+            fn same<A: BitWord, B: BitWord>(a: &BitPlanes<A>, b: &BitPlanes<B>, c: usize) {
+                let bits = |p, ch| (a.get_bit(p, 1, 2, 3, ch), b.get_bit(p, 1, 2, 3, ch));
+                assert!((0..8).all(|p| (0..c).all(|ch| bits(p, ch).0 == bits(p, ch).1)));
+            }
+            same(&by_bytes, &BitPlanes::<u16>::split(&t), c);
+            same(&by_bytes, &BitPlanes::<u32>::split(&t), c);
+            same(&by_bytes, &BitPlanes::<u64>::split(&t), c);
+            let width = PackWidth::select(c);
+            let set = PlaneSet::empty(t.shape());
+            assert_eq!(
+                set.byte_len(),
+                8 * 24 * width.words_for(c) * width.bits() / 8
+            );
+        }
     }
 
     #[test]

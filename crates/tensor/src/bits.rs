@@ -69,6 +69,10 @@ pub trait BitWord:
     fn from_bit(v: bool) -> Self;
     /// Mask with the low `n` bits set (`n <= BITS`).
     fn low_mask(n: usize) -> Self;
+    /// The word zero-extended to 64 bits.
+    fn widen(self) -> u64;
+    /// The low `BITS` bits of `v`.
+    fn truncate(v: u64) -> Self;
 }
 
 // `#[inline(always)]`, here and on the span accessors below, is load-bearing:
@@ -143,6 +147,14 @@ macro_rules! impl_bit_word {
                     (1 as $t).wrapping_shl(n as u32).wrapping_sub(1)
                 }
             }
+            #[inline(always)]
+            fn widen(self) -> u64 {
+                self as u64
+            }
+            #[inline(always)]
+            fn truncate(v: u64) -> Self {
+                v as $t
+            }
         }
     };
 }
@@ -183,16 +195,6 @@ impl PackWidth {
             PackWidth::W16 => 16,
             PackWidth::W32 => 32,
             PackWidth::W64 => 64,
-        }
-    }
-
-    /// OpenCL scalar type name.
-    pub fn cl_name(self) -> &'static str {
-        match self {
-            PackWidth::W8 => "uchar",
-            PackWidth::W16 => "ushort",
-            PackWidth::W32 => "uint",
-            PackWidth::W64 => "ulong",
         }
     }
 
@@ -319,14 +321,6 @@ impl<W: BitWord> BitTensor<W> {
     pub fn pixel_words(&self, n: usize, h: usize, w: usize) -> &[W] {
         let off = self.pixel_offset(n, h, w);
         &self.data[off..off + self.words_per_pixel]
-    }
-
-    /// Mutable packed word span of pixel `(n, h, w)`.
-    #[inline]
-    pub fn pixel_words_mut(&mut self, n: usize, h: usize, w: usize) -> &mut [W] {
-        let off = self.pixel_offset(n, h, w);
-        let wpp = self.words_per_pixel;
-        &mut self.data[off..off + wpp]
     }
 
     /// Reads the channel bit at `(n, h, w, c)`.

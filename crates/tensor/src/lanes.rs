@@ -2,35 +2,40 @@
 //!
 //! A binary kernel that keeps one filter's words in its vector lanes has to
 //! sum across the lanes once per output. [`LaneBank`] turns the bank the
-//! other way round — word `t` of [`LANES`] *adjacent filters* side by side —
-//! so a kernel broadcasts one window word against a whole vector of filters
-//! and every lane accumulates its own output: no horizontal reduce, no tail
-//! words (every word index is a full vector), and a group's [`LANES`]
-//! results leave together, one packed byte (paper Fig 4). It is the
+//! other way round — word `t` of `L` *adjacent filters* side by side — so a
+//! kernel broadcasts one window word against a whole vector of filters and
+//! every lane accumulates its own output: no horizontal reduce, no tail
+//! words (every word index is a full vector), and a group's results leave
+//! together, whole packed bytes (paper Fig 4). It is the
 //! output-channel-blocked weight layout of daBNN's and Larq Compute
 //! Engine's micro-kernels.
 //!
-//! A bank is built once per layer at stage time from whole-filter **rows**,
-//! with word copies; the row's bit order is the constructor's choice and
-//! must be the order of the windows the kernel multiplies it against.
+//! `L` is the vector's lane count at the bank's word: [`LANES`] `u64`s for
+//! the binary body, sixteen `u32`s for the first layer, whose 27-bit 3×3 RGB
+//! windows would leave the upper half of every 64-bit lane zero.
+//!
+//! A bank is built once per layer at stage time from whole-filter **rows**;
+//! the row's bit order is the constructor's choice and must be the order of
+//! the windows the kernel multiplies it against.
 
-use crate::bits::{merge_bits, BitWord, PackedFilters};
+use crate::bits::{BitWord, PackedFilters};
 use crate::dict::FilterAccess;
 use crate::shape::FilterShape;
 
-/// Filters per group: the outputs that leave a kernel side by side. Eight is
-/// the narrowest output word, so a group's bits never straddle one.
+/// Filters per group of the binary body's banks, and the unit every group
+/// length is a multiple of: eight is the narrowest output word, so eight
+/// outputs leaving side by side never straddle one.
 pub const LANES: usize = 8;
 
-/// A filter bank interleaved [`LANES`] filters at a time: per (filter group,
-/// row word), that word of the group's filters side by side. Lanes past the
+/// A filter bank interleaved `L` filters at a time: per (filter group, row
+/// word), that word of the group's filters side by side. Lanes past the
 /// last filter are zero.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LaneBank<W: BitWord = u64> {
+pub struct LaneBank<W: BitWord = u64, const L: usize = LANES> {
     shape: FilterShape,
     row_words: usize,
     dram_discount_bytes: f64,
-    lanes: Vec<[W; LANES]>,
+    lanes: Vec<[W; L]>,
 }
 
 impl<W: BitWord> LaneBank<W> {
@@ -61,21 +66,21 @@ impl<W: BitWord> LaneBank<W> {
         }
         bank
     }
+}
 
-    /// Interleaves `filters` as dense column-major rows — tap `(i, j)`
-    /// channel `ch` at row bit `(j·kh + i)·c + ch`, no per-tap padding —
-    /// the order of the first layer's plane stream.
-    pub fn column_major(filters: &PackedFilters<W>) -> Self {
+impl<W: BitWord, const L: usize> LaneBank<W, L> {
+    /// Interleaves `filters`, packed at any word, as dense column-major
+    /// rows — tap `(i, j)` channel `ch` at row bit `(j·kh + i)·c + ch`, no
+    /// per-tap padding — the order of the first layer's plane stream.
+    pub fn column_major<F: BitWord>(filters: &PackedFilters<F>) -> Self {
         let shape = filters.shape();
         let mut row = vec![W::zero(); shape.filter_len().div_ceil(W::BITS)];
         let mut bank = Self::zeros(shape, row.len(), 0.0);
         for k in 0..shape.k {
-            row.fill(W::zero());
-            for j in 0..shape.kw {
-                for i in 0..shape.kh {
-                    let at = (j * shape.kh + i) * shape.c;
-                    merge_bits(&mut row, at, filters.tap_words(k, i, j), shape.c);
-                }
+            for at in 0..shape.filter_len() {
+                let (tap, ch) = (at / shape.c, at % shape.c);
+                let bit = filters.get_bit(k, tap % shape.kh, tap / shape.kh, ch);
+                row[at / W::BITS] = row[at / W::BITS].with_bit(at % W::BITS, bit);
             }
             bank.set_row(k, 0, &row);
         }
@@ -87,15 +92,15 @@ impl<W: BitWord> LaneBank<W> {
             shape,
             row_words,
             dram_discount_bytes,
-            lanes: vec![[W::zero(); LANES]; shape.k.div_ceil(LANES) * row_words],
+            lanes: vec![[W::zero(); L]; shape.k.div_ceil(L) * row_words],
         }
     }
 
     /// Stores `words` as words `at..` of filter `k`'s row.
     fn set_row(&mut self, k: usize, at: usize, words: &[W]) {
-        let group = &mut self.lanes[k / LANES * self.row_words..][..self.row_words];
+        let group = &mut self.lanes[k / L * self.row_words..][..self.row_words];
         for (slot, &word) in group[at..].iter_mut().zip(words) {
-            slot[k % LANES] = word;
+            slot[k % L] = word;
         }
     }
 
@@ -109,14 +114,14 @@ impl<W: BitWord> LaneBank<W> {
         self.row_words
     }
 
-    /// Filter groups: `k.div_ceil(LANES)`.
+    /// Filter groups: `k.div_ceil(L)`.
     pub fn groups(&self) -> usize {
-        self.shape.k.div_ceil(LANES)
+        self.shape.k.div_ceil(L)
     }
 
-    /// The `row_words` lane vectors of filters `g·LANES..(g + 1)·LANES`.
+    /// The `row_words` lane vectors of filters `g·L..(g + 1)·L`.
     #[inline(always)]
-    pub fn group(&self, g: usize) -> &[[W; LANES]] {
+    pub fn group(&self, g: usize) -> &[[W; L]] {
         &self.lanes[g * self.row_words..(g + 1) * self.row_words]
     }
 
@@ -154,8 +159,8 @@ mod tests {
     }
 
     /// Filter `k`'s row, de-interleaved.
-    fn row<W: BitWord>(bank: &LaneBank<W>, k: usize) -> Vec<W> {
-        bank.group(k / LANES).iter().map(|v| v[k % LANES]).collect()
+    fn row<W: BitWord, const L: usize>(bank: &LaneBank<W, L>, k: usize) -> Vec<W> {
+        bank.group(k / L).iter().map(|v| v[k % L]).collect()
     }
 
     fn round_trips<W: BitWord>() {
@@ -175,8 +180,11 @@ mod tests {
             for kk in k..bank.groups() * LANES {
                 assert!(row(&bank, kk).iter().all(|&w| w == W::zero()));
             }
-            // Column-major: every bit at `(j·kh + i)·c + ch`, nothing else set.
-            let bank = LaneBank::column_major(&f);
+            // Column-major, sixteen lanes, from filters packed at another
+            // word: every bit at `(j·kh + i)·c + ch`, nothing else set.
+            let bank = LaneBank::<W, 16>::column_major(&f);
+            assert_eq!(bank, LaneBank::column_major(&filters::<u16>(f.shape())));
+            assert_eq!(bank.groups(), k.div_ceil(16));
             assert_eq!(bank.row_words(), (6 * c).div_ceil(W::BITS));
             for kk in 0..k {
                 let dense = row(&bank, kk);

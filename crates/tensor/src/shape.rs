@@ -108,16 +108,6 @@ impl Shape4 {
             Layout::Nchw => [self.c * self.h * self.w, self.w, 1, self.h * self.w],
         }
     }
-
-    /// Returns the shape with a different channel count.
-    pub fn with_c(&self, c: usize) -> Self {
-        Self { c, ..*self }
-    }
-
-    /// Returns the shape with different spatial extents.
-    pub fn with_hw(&self, h: usize, w: usize) -> Self {
-        Self { h, w, ..*self }
-    }
 }
 
 impl fmt::Display for Shape4 {

@@ -2,9 +2,12 @@
 # The binary kernels get hardware popcount only when their row drivers are
 # inlined into the `#[target_feature]` frames of crates/nn/src/kernels/isa.rs
 # (see its module docs). This disassembles a release binary that links them
-# and fails unless the `isa::run_avx512` instances hold `vpopcntq` and no
-# `vpgatherqq` (LLVM's loop vectoriser taking a window-word loop: seen, 2.7x
-# slower) and the `isa::run_popcnt` instances hold `popcnt`.
+# and fails unless the `isa::run_avx512` instances hold `vpopcntq` (the
+# binary body's 64-bit lanes) and `vpopcntd` (the first layer's 32-bit
+# ones) and neither `vpgatherqq` nor `vpgatherdd` (LLVM's loop vectoriser
+# taking a window-word loop — a 12-word AlexNet first-layer window, a
+# one-group binary tile: seen, 2.7x slower) and the `isa::run_popcnt`
+# instances hold `popcnt`.
 #
 # usage: scripts/check-kernel-codegen.sh [binary]   (default: bconv_report)
 set -eu
@@ -15,11 +18,12 @@ if ! command -v objdump >/dev/null 2>&1; then
 fi
 objdump -d --no-show-raw-insn -C "$bin" | awk '
     />:$/ { frame = $2 }
-    frame ~ /isa::run_avx512/ && /vpopcntq/ { vpopcnt++ }
-    frame ~ /isa::run_avx512/ && /vpgatherqq/ { gather++ }
+    frame ~ /isa::run_avx512/ && /vpopcntq/ { vpopcntq++ }
+    frame ~ /isa::run_avx512/ && /vpopcntd/ { vpopcntd++ }
+    frame ~ /isa::run_avx512/ && /vpgather(qq|dd)/ { gather++ }
     frame ~ /isa::run_popcnt/ && /[ \t]popcnt/ { popcnt++ }
     END {
-        printf "isa::run_avx512: %d vpopcntq, %d vpgatherqq; isa::run_popcnt: %d popcnt\n",
-            vpopcnt, gather, popcnt
-        exit !(vpopcnt > 0 && gather == 0 && popcnt > 0)
+        printf "isa::run_avx512: %d vpopcntq, %d vpopcntd, %d vpgatherqq/dd; isa::run_popcnt: %d popcnt\n",
+            vpopcntq, vpopcntd, gather, popcnt
+        exit !(vpopcntq > 0 && vpopcntd > 0 && gather == 0 && popcnt > 0)
     }'
