@@ -3,8 +3,9 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use phonebit_tensor::bitplane::BitPlanes;
-use phonebit_tensor::pack::pack_f32;
-use phonebit_tensor::shape::Shape4;
+use phonebit_tensor::bits::BitTensor;
+use phonebit_tensor::pack::{pack_f32, pack_f32_into, pack_window_into};
+use phonebit_tensor::shape::{Layout, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
 fn activation(shape: Shape4) -> Tensor<f32> {
@@ -28,6 +29,24 @@ fn bench_pack(c: &mut Criterion) {
     });
     group.bench_function("pack_f32_to_u64", |b| {
         b.iter(|| pack_f32::<u64>(black_box(&t)));
+    });
+
+    // A VGG conv1_2-sized batch-2 window: as one batched tensor (what a
+    // staging copy used to build) and as the two images the caller holds,
+    // which is how the engine packs it.
+    let single = Shape4::new(1, 224, 224, 64);
+    let images = [activation(single), activation(single)];
+    let joined: Vec<f32> = images.iter().flat_map(|t| t.as_slice()).copied().collect();
+    let window = Shape4::new(2, 224, 224, 64);
+    let batched = Tensor::from_vec(window, Layout::Nhwc, joined);
+    let mut bits = BitTensor::<u64>::zeros(window);
+    pack_window_into(&images, window, &mut bits);
+    assert_eq!(bits, pack_f32::<u64>(&batched), "same bits either way");
+    group.bench_function("window_2x224x224x64_batched_tensor", |b| {
+        b.iter(|| pack_f32_into(black_box(&batched), &mut bits));
+    });
+    group.bench_function("window_2x224x224x64_separate_images", |b| {
+        b.iter(|| pack_window_into(black_box(&images), window, &mut bits));
     });
     group.finish();
 

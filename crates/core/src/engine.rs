@@ -21,10 +21,11 @@
 //! [`Session::run_batch_u8`] / [`run_batch_f32`] calls alternate banks:
 //! while the GPU computes window *t* in the front bank, the host stages
 //! window *t + 1* into the back bank, so the per-run framework overhead is
-//! charged only on the first (unprimed) window of a stream. Batched
-//! outputs are bit-identical to running each image alone — pinned by
-//! `tests/batched_engine.rs` across the model zoo and all four kernel
-//! routes.
+//! charged only on the first (unprimed) window of a stream. A window is
+//! borrowed for the whole walk: an input consumed as stored is copied into
+//! the bank, a float window step 0 sign-packs is packed from the caller's
+//! images. Batched outputs are bit-identical to running each image alone
+//! (`tests/batched_engine.rs`: zoo, four routes).
 //!
 //! # StagedModel / Stream split
 //!
@@ -611,6 +612,11 @@ struct ArenaState {
     /// every bank is resident): rewound per window, it pages banks through
     /// the hot-set pool and charges the schedule's stalls.
     residency: Option<ResidencyManager>,
+    /// Whether step 0 sign-packs the float input as its only reader (its
+    /// `convert` edge, or a fused conv chain's `pack` tile): the window is
+    /// then packed from the caller's images and no bank holds a float copy.
+    /// The plan books the value either way — the device runs the pack kernel.
+    packs_in_place: bool,
 }
 
 impl ArenaState {
@@ -620,9 +626,17 @@ impl ArenaState {
         let mut banks: Vec<Vec<SlotStorage>> = (0..plan.banks)
             .map(|_| plan.slots.iter().map(|_| SlotStorage::default()).collect())
             .collect();
+        // Step 0 reads the network input; nothing else may.
+        let readers = plan.steps.iter().filter(|s| s.input == plan.input_value);
+        let packs_in_place = plan.values[plan.input_value].kind == ValueKind::Floats
+            && readers.count() == 1
+            && plan.steps[0].convert.is_some()
+            && plan.steps[0].op.consumes() == ValueKind::Bits;
         for bank in banks.iter_mut() {
-            for v in &plan.values {
-                bank[v.slot].prepare(v.kind, v.shape);
+            for (i, v) in plan.values.iter().enumerate() {
+                if !(packs_in_place && i == plan.input_value) {
+                    bank[v.slot].prepare(v.kind, v.shape);
+                }
             }
         }
         let residency = plan
@@ -635,12 +649,18 @@ impl ArenaState {
             bank: 0,
             primed: false,
             residency,
+            packs_in_place,
         }
     }
 
     /// Checks `window` against the input kind `staged`'s model takes and
-    /// stages it into the active bank's input slot.
-    fn stage_input(&mut self, staged: &StagedModel, window: Window<'_>) -> Result<(), EngineError> {
+    /// stages it into the active bank's input slot — or, when step 0 packs
+    /// it in place, copies nothing and hands the images on to the walk.
+    fn stage_input<'w>(
+        &mut self,
+        staged: &StagedModel,
+        window: Window<'w>,
+    ) -> Result<Option<&'w [Tensor<f32>]>, EngineError> {
         let plan = &staged.plan;
         let slot = &mut self.banks[self.bank][plan.values[plan.input_value].slot];
         let mismatch = |expected: &str, got: &str| {
@@ -652,11 +672,14 @@ impl ArenaState {
         match (window, staged.model.takes_u8_input()) {
             (Window::U8(images), true) => {
                 let store = slot.bytes.as_mut().expect("arena slot: bytes staged");
-                stage_lanes(store, staged, images)
+                stage_lanes(Some(store), staged, images).map(|()| None)
+            }
+            (Window::F32(images), false) if self.packs_in_place => {
+                stage_lanes(None, staged, images).map(|()| Some(images))
             }
             (Window::F32(images), false) => {
                 let store = slot.floats.as_mut().expect("arena slot: floats staged");
-                stage_lanes(store, staged, images)
+                stage_lanes(Some(store), staged, images).map(|()| None)
             }
             (Window::U8(_), false) => mismatch("f32 input", "u8 images"),
             (Window::F32(_), true) => mismatch("u8 images", "f32 tensors"),
@@ -664,14 +687,14 @@ impl ArenaState {
     }
 }
 
-/// The one place caller input enters an arena slot: checks the window's
-/// size and every image's shape and layout against `staged`, then copies each
-/// image into its lane of the batched input slot — plain copies into
-/// preallocated storage, no allocation. A lane is one contiguous NHWC
-/// image, so an image in any other layout is refused rather than
-/// reinterpreted.
+/// The one place caller input enters the engine: checks the window's size
+/// and every image's shape and layout against `staged`, then copies each
+/// image into its lane of the batched input slot `store` (none when step 0
+/// reads the window in place) — plain copies into preallocated storage, no
+/// allocation. A lane is one contiguous NHWC image, so an image in any other
+/// layout is refused rather than reinterpreted.
 fn stage_lanes<T: phonebit_tensor::tensor::Element>(
-    store: &mut Tensor<T>,
+    store: Option<&mut Tensor<T>>,
     staged: &StagedModel,
     images: &[Tensor<T>],
 ) -> Result<(), EngineError> {
@@ -696,18 +719,20 @@ fn stage_lanes<T: phonebit_tensor::tensor::Element>(
             });
         }
     }
-    // `reset` zeroes the whole slot, so a short window's trailing lanes
-    // hold zeros.
-    store.reset(plan.input, Layout::Nhwc);
-    let lanes = store.as_mut_slice().chunks_exact_mut(single.len());
-    for (lane, img) in lanes.zip(images) {
+    let Some(store) = store else { return Ok(()) };
+    // Every lane is stored once; a short window's trailing lanes as zeros.
+    store.reset_for_overwrite(plan.input, Layout::Nhwc);
+    let mut lanes = store.as_mut_slice().chunks_exact_mut(single.len());
+    for (img, lane) in images.iter().zip(lanes.by_ref()) {
         lane.copy_from_slice(img.as_slice());
     }
+    lanes.for_each(|lane| lane.fill(T::default()));
     Ok(())
 }
 
 /// One request window borrowed from the caller: up to the lane's staged
-/// batch of single images, of the kind its model takes.
+/// batch of single images, of the kind its model takes. The borrow lasts
+/// through the walk: a float window step 0 sign-packs is read in place.
 #[derive(Debug, Clone, Copy)]
 pub enum Window<'a> {
     /// 8-bit images (models whose first layer is [`PbitLayer::BConvInput8`]).
@@ -921,23 +946,25 @@ impl Stream {
         // would ping-pong the counter's cache line across every stream
         // thread in a sharded runtime.
         let (staged, arena) = &mut self.lanes[lane];
-        arena.stage_input(staged, window)?;
+        let in_place = arena.stage_input(staged, window)?;
         Ok(walk_window(
             &mut self.queue,
             staged,
             arena,
+            in_place,
             self.capture_output,
         ))
     }
 }
 
-/// Walks one staged window of `staged`'s plan over `arena`'s active bank
-/// (input already staged there), then rotates the bank so the next window
-/// stages into the other one.
+/// Walks one checked window of `staged`'s plan over `arena`'s active bank
+/// (input staged there, or `in_place` for step 0 to pack from), then
+/// rotates the bank so the next window stages into the other one.
 fn walk_window(
     queue: &mut CommandQueue,
     staged: &StagedModel,
     arena: &mut ArenaState,
+    in_place: Option<&[Tensor<f32>]>,
     capture_output: bool,
 ) -> RunReport {
     let plan = &staged.plan;
@@ -967,7 +994,8 @@ fn walk_window(
         }
         // Field borrows are disjoint: the staged half is read-only,
         // the queue and arena bank are the mutable execution state.
-        exec_step(queue, staged, &mut arena.banks[bank], idx);
+        let window = in_place.filter(|_| idx == 0);
+        exec_step(queue, staged, &mut arena.banks[bank], idx, window);
         if let Some(res) = arena.residency.as_mut() {
             res.end_step(idx);
         }
@@ -1260,8 +1288,15 @@ impl StagedModel {
 /// All slot indices are pairwise distinct by the liveness assignment, so
 /// the takes never collide with the (shared) input slot. Steps carry
 /// their original layer index (`step.index`), so fused plans — which have
-/// fewer steps than layers — still resolve the right weights.
-fn exec_step(q: &mut CommandQueue, staged: &StagedModel, arena: &mut [SlotStorage], idx: usize) {
+/// fewer steps than layers — still resolve the right weights. Given a
+/// `window` (step 0, packed in place) the sign-pack reads it, not the slot.
+fn exec_step(
+    q: &mut CommandQueue,
+    staged: &StagedModel,
+    arena: &mut [SlotStorage],
+    idx: usize,
+    window: Option<&[Tensor<f32>]>,
+) {
     let (layers, plan) = (&staged.model.layers, &staged.plan);
     let step = &plan.steps[idx];
     let slot_of = |v: usize| plan.values[v].slot;
@@ -1276,6 +1311,8 @@ fn exec_step(q: &mut CommandQueue, staged: &StagedModel, arena: &mut [SlotStorag
         (s, std::mem::take(&mut arena[s]))
     });
     let in_store = &arena[slot_of(step.input)];
+    // What a sign-pack reads: the caller's images, or the slot as a window.
+    let floats_in = window.or_else(|| in_store.floats.as_ref().map(std::slice::from_ref));
 
     if let StepOp::FusedGroup { kind, members } = &step.op {
         exec_fused_group(
@@ -1284,6 +1321,7 @@ fn exec_step(q: &mut CommandQueue, staged: &StagedModel, arena: &mut [SlotStorag
             *kind,
             members,
             in_store,
+            floats_in,
             cvt_store.as_mut().map(|(_, s)| s),
             scr_store.as_mut().map(|(_, s)| s),
             &mut out_store,
@@ -1294,7 +1332,10 @@ fn exec_step(q: &mut CommandQueue, staged: &StagedModel, arena: &mut [SlotStorag
         // the op then reads the converted slot instead of the input.
         if let Some((_, cvt)) = cvt_store.as_mut() {
             match step.op.consumes() {
-                ValueKind::Bits => kernels::pack_input_into(q, in_store.floats(), cvt.bits_mut()),
+                ValueKind::Bits => {
+                    let images = floats_in.expect("arena slot: floats staged");
+                    kernels::pack_window_into(q, images, step.in_shape, cvt.bits_mut())
+                }
                 _ => kernels::unpack_bits_into(q, in_store.bits(), cvt.floats_mut()),
             }
         }
@@ -1407,6 +1448,7 @@ fn exec_fused_group(
     kind: FusedKind,
     members: &[FusedMember],
     in_store: &SlotStorage,
+    floats_in: Option<&[Tensor<f32>]>,
     cvt: Option<&mut SlotStorage>,
     scr: Option<&mut SlotStorage>,
     out: &mut SlotStorage,
@@ -1443,7 +1485,8 @@ fn exec_fused_group(
                     match cvt {
                         Some(pack) => fused::pack_bconv_chain_into(
                             q,
-                            in_store.floats(),
+                            floats_in.expect("arena slot: floats staged"),
+                            members[0].in_shape,
                             bank,
                             bn,
                             geom,
@@ -1913,11 +1956,18 @@ mod tests {
     fn short_window_pads_lanes_and_matches_singles() {
         let model = convert(&small_def());
         let phone = Phone::xiaomi_9();
-        let imgs = images(2);
+        let imgs = images(6);
         let mut batched = Session::new_batched(model.clone(), &phone, 4).unwrap();
-        let out = batched.run_batch_u8(&imgs).unwrap().output.expect("output");
+        // A full window through each bank first: the short window below
+        // lands in the bank the first one filled, two windows earlier, and
+        // no lane of it may survive.
+        batched.run_batch_u8(&imgs[2..]).unwrap();
+        batched.run_batch_u8(&imgs[2..]).unwrap();
+        let out = batched.run_batch_u8(&imgs[..2]).unwrap().output;
+        let out = out.expect("output");
         let mut single = Session::new(model, &phone).unwrap();
-        for (i, img) in imgs.iter().enumerate() {
+        let blank = Tensor::<u8>::zeros(Shape4::new(1, 8, 8, 3), Layout::Nhwc);
+        for (i, img) in [&imgs[0], &imgs[1], &blank, &blank].into_iter().enumerate() {
             let want = single.run_u8(img).unwrap().output.unwrap();
             assert_eq!(
                 want.into_floats().unwrap(),
@@ -1925,6 +1975,111 @@ mod tests {
                 "image {i}"
             );
         }
+    }
+
+    /// A float-input model: one binary conv over C = 70 (a word and a
+    /// tail), behind a 1x1 float conv when `float_first`.
+    fn float_input_model(float_first: bool) -> PbitModel {
+        use phonebit_tensor::shape::{ConvGeometry, FilterShape};
+        let mut filters =
+            phonebit_tensor::bits::PackedFilters::zeros(FilterShape::new(24, 3, 3, 70));
+        for (k, t, ch) in (0..24 * 9 * 70).map(|i| (i / 630, i / 70 % 9, i % 70)) {
+            filters.set_bit(k, t / 3, t % 3, ch, (k * 7 + t * 3 + ch) % 3 == 0);
+        }
+        let head = PbitLayer::FConv {
+            name: "head".into(),
+            geom: ConvGeometry::square(1, 1, 0),
+            filters: Filters::from_fn(FilterShape::new(70, 1, 1, 70), |k, _, _, c| {
+                ((k * 3 + c) % 5) as f32 - 2.0
+            }),
+            bias: vec![0.25; 70],
+            activation: Activation::Linear,
+        };
+        let conv = PbitLayer::BConv {
+            name: "conv".into(),
+            geom: ConvGeometry::square(3, 1, 1),
+            filters,
+            fused: phonebit_nn::fuse::FusedBn::identity(24),
+        };
+        PbitModel {
+            name: "float-in".into(),
+            input: Shape4::new(1, 6, 6, 70),
+            layers: if float_first {
+                vec![head, conv]
+            } else {
+                vec![conv]
+            },
+        }
+    }
+
+    fn float_images(count: usize) -> Vec<Tensor<f32>> {
+        (0..count)
+            .map(|i| {
+                Tensor::from_fn(Shape4::new(1, 6, 6, 70), move |_, h, w, c| {
+                    ((h * 37 + w * 11 + c * 5 + i * 53) % 7) as f32 - 3.0
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn float_window_is_packed_where_it_lies_and_booked_as_before() {
+        let phone = Phone::xiaomi_9();
+        let imgs = float_images(2);
+        let model = float_input_model(false);
+        let weights = model.size_bytes();
+        let mut session = Session::new_batched(model.clone(), &phone, 2).unwrap();
+
+        // The plan and the device still hold the float window ...
+        let plan = session.plan().clone();
+        let input = &plan.values[plan.input_value];
+        assert_eq!(
+            (input.kind, input.bytes),
+            (ValueKind::Floats, 2 * 36 * 70 * 4)
+        );
+        assert!(plan.slots[input.slot] >= input.bytes);
+        assert_eq!(
+            session.resident_bytes(),
+            weights + plan.staged_arena_bytes()
+        );
+        // ... and no bank of the host arena does.
+        let arena = &session.stream.lanes[0].1;
+        assert!(arena.packs_in_place);
+        assert_eq!(arena.banks.len(), 2);
+        assert!(arena
+            .banks
+            .iter()
+            .flatten()
+            .all(|slot| slot.floats.is_none()));
+
+        // A short window still dispatches the pack over the whole batch,
+        // exactly as a standalone pack of the batched tensor is booked.
+        let ran = session.run_batch_f32(&imgs[..1]).unwrap();
+        let batched = Tensor::<f32>::zeros(plan.input, Layout::Nhwc);
+        let mut q = CommandQueue::new(phone.gpu.clone(), ExecutorClass::PhoneBitOpenCl);
+        kernels::pack_input_into(&mut q, &batched, &mut BitTensor::<u64>::zeros(plan.input));
+        assert_eq!(session.timeline()[0].stats, q.timeline()[0].stats);
+        assert_eq!(session.timeline().len(), plan.dispatches());
+
+        // Estimate mode checks the window the same way and reads no pixel:
+        // same modeled time, same refusals.
+        let mut est = Session::new_batched(model, &phone, 2)
+            .unwrap()
+            .with_mode(ExecMode::EstimateOnly);
+        assert_eq!(est.run_batch_f32(&imgs[..1]).unwrap().total_s, ran.total_s);
+        let bad = [Tensor::<f32>::zeros(Shape4::new(1, 6, 7, 70), Layout::Nhwc)];
+        for session in [&mut session, &mut est] {
+            assert!(session.run_batch_f32(&bad).is_err());
+            assert!(session.run_batch_f32(&[]).is_err());
+            assert!(session.run_batch_f32(&float_images(3)).is_err());
+        }
+
+        // A float-first model consumes its input as stored: it is staged.
+        let staged = Session::new_batched(float_input_model(true), &phone, 2).unwrap();
+        let (plan, arena) = (staged.plan(), &staged.stream.lanes[0].1);
+        assert!(!arena.packs_in_place);
+        let slot = plan.values[plan.input_value].slot;
+        assert!(arena.banks.iter().all(|bank| bank[slot].floats.is_some()));
     }
 
     #[test]

@@ -260,11 +260,6 @@ impl<'a> Reader<'a> {
         Ok(self.buf.get_u32_le() as usize)
     }
 
-    fn u64(&mut self) -> Result<u64, FormatError> {
-        self.need(8)?;
-        Ok(self.buf.get_u64_le())
-    }
-
     fn f32(&mut self) -> Result<f32, FormatError> {
         self.need(4)?;
         Ok(self.buf.get_f32_le())
@@ -300,51 +295,32 @@ impl<'a> Reader<'a> {
 
     fn f32s(&mut self) -> Result<Vec<f32>, FormatError> {
         let len = self.u32()?;
-        let mut out = Vec::with_capacity(len.min(1 << 20));
-        for _ in 0..len {
-            out.push(self.f32()?);
-        }
-        Ok(out)
+        let len = self.need_elems(Some(len), 4)?;
+        Ok((0..len).map(|_| self.buf.get_f32_le()).collect())
+    }
+
+    /// Fails unless `len` elements (`None`: the count overflowed) of `size`
+    /// bytes are still in the payload — asked before allocating for them.
+    fn need_elems(&self, len: Option<usize>, size: usize) -> Result<usize, FormatError> {
+        let len = len.ok_or(FormatError::UnexpectedEof)?;
+        self.need(len.checked_mul(size).ok_or(FormatError::UnexpectedEof)?)?;
+        Ok(len)
     }
 
     fn packed(&mut self) -> Result<PackedFilters<u64>, FormatError> {
         let (k, kh, kw, c) = (self.u32()?, self.u32()?, self.u32()?, self.u32()?);
         let words = self.u32()?;
         let shape = FilterShape::new(k, kh, kw, c);
-        let mut p = PackedFilters::<u64>::zeros(shape);
-        if p.as_words().len() != words {
+        let expected = PackedFilters::<u64>::checked_word_len(shape);
+        if expected != Some(words) {
             return Err(FormatError::BadData(format!(
-                "packed filter words {} != expected {}",
-                words,
-                p.as_words().len()
+                "packed filter words {words} != expected {expected:?} for {shape}"
             )));
         }
-        let mut data = Vec::with_capacity(words);
-        for _ in 0..words {
-            data.push(self.u64()?);
-        }
-        // Rebuild through the typed API to keep the tail invariant honest.
-        let wpt = p.words_per_tap();
-        for k_i in 0..k {
-            for i in 0..kh {
-                for j in 0..kw {
-                    let off = p.tap_offset(k_i, i, j);
-                    for c_i in 0..c {
-                        let word = data[off + c_i / 64];
-                        if (word >> (c_i % 64)) & 1 == 1 {
-                            p.set_bit(k_i, i, j, c_i, true);
-                        }
-                    }
-                    let _ = wpt;
-                }
-            }
-        }
-        if !p.tail_is_clean() {
-            return Err(FormatError::BadData(
-                "dirty tail bits in packed filters".into(),
-            ));
-        }
-        Ok(p)
+        self.need_elems(expected, 8)?;
+        let data = (0..words).map(|_| self.buf.get_u64_le()).collect();
+        PackedFilters::from_words(shape, data)
+            .ok_or_else(|| FormatError::BadData("dirty tail bits in packed filters".into()))
     }
 
     fn fused(&mut self) -> Result<FusedBn, FormatError> {
@@ -355,26 +331,18 @@ impl<'a> Reader<'a> {
         }
         let nbytes = n.div_ceil(8);
         self.need(nbytes)?;
-        let mut gamma_pos = Vec::with_capacity(n);
-        for i in 0..n {
-            if i % 8 == 0 {
-                // byte boundary
-            }
-            let byte = self.buf[i / 8];
-            gamma_pos.push((byte >> (i % 8)) & 1 == 1);
-        }
+        let gamma_pos = (0..n).map(|i| (self.buf[i / 8] >> (i % 8)) & 1 == 1);
+        let gamma_pos = gamma_pos.collect();
         self.buf.advance(nbytes);
         Ok(FusedBn { xi, gamma_pos })
     }
 
     fn filters(&mut self) -> Result<Filters, FormatError> {
         let (k, kh, kw, c) = (self.u32()?, self.u32()?, self.u32()?, self.u32()?);
-        let shape = FilterShape::new(k, kh, kw, c);
-        let mut data = Vec::with_capacity(shape.len());
-        for _ in 0..shape.len() {
-            data.push(self.f32()?);
-        }
-        Ok(Filters::from_vec(shape, data))
+        let len = [kh, kw, c].iter().try_fold(k, |n, &d| n.checked_mul(d));
+        let len = self.need_elems(len, 4)?;
+        let data = (0..len).map(|_| self.buf.get_f32_le()).collect();
+        Ok(Filters::from_vec(FilterShape::new(k, kh, kw, c), data))
     }
 
     fn activation(&mut self) -> Result<Activation, FormatError> {
@@ -557,6 +525,105 @@ mod tests {
         let payload = write_model(&model);
         let back = read_model(&payload).unwrap();
         assert_eq!(model, back);
+    }
+
+    /// A one-`BConv` payload whose packed header declares `dims` and
+    /// `words` and is followed by `data` (and nothing else).
+    fn bconv_payload(dims: [u32; 4], words: u32, data: &[u64]) -> Vec<u8> {
+        let mut p = write_model(&PbitModel {
+            name: "hostile".into(),
+            input: Shape4::new(1, 4, 4, 3),
+            layers: vec![],
+        });
+        let count = p.len() - 4;
+        p[count..].copy_from_slice(&1u32.to_le_bytes());
+        p.put_u8(2);
+        put_string(&mut p, "conv");
+        put_geom(&mut p, &ConvGeometry::square(3, 1, 1));
+        for v in dims.into_iter().chain([words]) {
+            p.put_u32_le(v);
+        }
+        data.iter().for_each(|&w| p.put_u64_le(w));
+        p
+    }
+
+    #[test]
+    fn packed_header_is_checked_before_anything_is_allocated() {
+        // Shapes whose word count overflows or runs to exabytes, and word
+        // counts the payload cannot hold (34 GB declared, 0 bytes present):
+        // each is an error, none a panic or an allocation of that size.
+        let big = u32::MAX;
+        for (dims, words) in [
+            ([big; 4], 0),
+            ([big; 4], big),
+            ([big, big, 1, 1], 1),
+            ([big, 1, 1, 64], big),
+            ([1 << 20, 3, 3, 64], 9 << 20),
+        ] {
+            let got = read_model(&bconv_payload(dims, words, &[0; 4]));
+            assert!(
+                matches!(
+                    got,
+                    Err(FormatError::BadData(_) | FormatError::UnexpectedEof)
+                ),
+                "{dims:?} / {words} words: {got:?}"
+            );
+        }
+        // The same holes in a float bank's header.
+        let mut p = bconv_payload([big; 4], 0, &[]);
+        let tag = p.len() - (4 + 4 + 6 * 4 + 5 * 4) - 1;
+        p[tag] = 3;
+        assert_eq!(read_model(&p), Err(FormatError::UnexpectedEof));
+    }
+
+    #[test]
+    fn dirty_tail_bits_are_bad_data() {
+        // C = 3: bit 3 of the one word is past the last channel.
+        for (word, clean) in [(0b0111, true), (0b1000, false), (1 << 63, false)] {
+            match read_model(&bconv_payload([1, 1, 1, 3], 1, &[word])) {
+                // A clean word gets as far as the missing thresholds.
+                Err(FormatError::UnexpectedEof) if clean => {}
+                Err(FormatError::BadData(m)) if !clean => assert!(m.contains("dirty tail"), "{m}"),
+                other => panic!("word {word:#b}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn read_then_write_is_byte_identical_at_every_tail_length() {
+        for c in [1, 3, 63, 64, 65, 130] {
+            let mut filters = PackedFilters::<u64>::zeros(FilterShape::new(5, 3, 3, c));
+            let mut weights = PackedFilters::<u64>::zeros(FilterShape::new(7, 1, 1, c));
+            for ch in 0..c {
+                for k in 0..7 {
+                    weights.set_bit(k, 0, 0, ch, (k * 5 + ch * 3) % 7 < 3);
+                }
+                for (k, i, j) in (0..5).flat_map(|k| (0..9).map(move |t| (k, t / 3, t % 3))) {
+                    filters.set_bit(k, i, j, ch, (k + 2 * i + 3 * j + ch * ch) % 5 < 2);
+                }
+            }
+            let model = PbitModel {
+                name: format!("c{c}"),
+                input: Shape4::new(1, 4, 4, c),
+                layers: vec![
+                    PbitLayer::BConv {
+                        name: "conv".into(),
+                        geom: ConvGeometry::square(3, 1, 1),
+                        filters,
+                        fused: FusedBn::identity(5),
+                    },
+                    PbitLayer::DenseBin {
+                        name: "fc".into(),
+                        weights,
+                        fused: FusedBn::identity(7),
+                    },
+                ],
+            };
+            let bytes = write_model(&model);
+            let back = read_model(&bytes).unwrap();
+            assert_eq!(back, model, "C = {c}");
+            assert_eq!(write_model(&back), bytes, "C = {c}");
+        }
     }
 
     #[test]

@@ -333,8 +333,10 @@ pub fn bconv_pool_chain_into<W: BitWord>(
     });
 }
 
-/// Dispatches the pack→bconv(→pool) chain: float input sign-packed on chip,
-/// then the fused conv (and optionally the pool epilogue), one launch.
+/// Dispatches the pack→bconv(→pool) chain: float input (the window `images`
+/// at the batched shape `s`, as [`crate::kernels::pack_window_into`] reads
+/// it) sign-packed on chip, then the fused conv (and optionally the pool
+/// epilogue), one launch.
 ///
 /// # Panics
 ///
@@ -342,7 +344,8 @@ pub fn bconv_pool_chain_into<W: BitWord>(
 #[allow(clippy::too_many_arguments)]
 pub fn pack_bconv_chain_into<W: BitWord>(
     q: &mut CommandQueue,
-    input: &Tensor<f32>,
+    images: &[Tensor<f32>],
+    s: Shape4,
     bank: &LaneBank<W>,
     fused: &FusedBn,
     geom: &ConvGeometry,
@@ -351,11 +354,11 @@ pub fn pack_bconv_chain_into<W: BitWord>(
     ring: &mut BitTensor<W>,
     out: &mut BitTensor<W>,
 ) {
-    let (s, fs) = (input.shape(), bank.shape());
+    let fs = bank.shape();
     let profile = stage_chain(ChainAbsorb::PackF32, s, fs, fused, geom, pool, ring, out)
         .discount_reads(bank.dram_discount_bytes());
     q.launch(profile, || {
-        compute_pack_input(input, pack_tile);
+        compute_pack_input(images, s, pack_tile);
         match pool {
             Some(p) => compute_bconv_pool_chain(pack_tile, bank, fused, geom, p, ring, out),
             None => bconv::compute_bconv_fused(pack_tile, bank, fused, geom, out),
@@ -540,13 +543,15 @@ mod tests {
         let bank = LaneBank::new(&filters);
 
         let mut q = queue();
-        let packed = crate::kernels::pack_input::<u32>(&mut q, &t);
+        let mut packed = scratch::<u32>();
+        crate::kernels::pack_input_into(&mut q, &t, &mut packed);
         let expect = bconv::bconv_fused(&mut q, &packed, &filters, &fused, &geom);
 
         let mut q2 = queue();
         let (mut tile, mut ring, mut out) = (scratch::<u32>(), scratch::<u32>(), scratch::<u32>());
+        let (window, s) = (std::slice::from_ref(&t), t.shape());
         pack_bconv_chain_into(
-            &mut q2, &t, &bank, &fused, &geom, None, &mut tile, &mut ring, &mut out,
+            &mut q2, window, s, &bank, &fused, &geom, None, &mut tile, &mut ring, &mut out,
         );
         assert_eq!(out, expect);
         assert_eq!(q2.timeline().len(), 1);
@@ -558,7 +563,8 @@ mod tests {
         let mut q4 = queue();
         pack_bconv_chain_into(
             &mut q4,
-            &t,
+            window,
+            s,
             &bank,
             &fused,
             &geom,

@@ -18,34 +18,44 @@ pub mod tiled;
 
 use phonebit_gpusim::queue::CommandQueue;
 use phonebit_tensor::bits::{BitTensor, BitWord};
+use phonebit_tensor::shape::Shape4;
 use phonebit_tensor::tensor::Tensor;
 
 /// Dispatches input binarization: a float tensor is sign-binarized and
-/// channel-packed (used when a network's first layer is already binary).
-pub fn pack_input<W: BitWord>(q: &mut CommandQueue, input: &Tensor<f32>) -> BitTensor<W> {
-    let mut out = BitTensor::<W>::zeros(input.shape());
-    pack_input_into(q, input, &mut out);
-    out
-}
-
-/// [`pack_input`] into a caller-provided tensor, reusing its storage — the
-/// engine's arena path.
+/// channel-packed (used when a network's first layer is already binary)
+/// into `out`, reusing its storage.
 pub fn pack_input_into<W: BitWord>(
     q: &mut CommandQueue,
     input: &Tensor<f32>,
     out: &mut BitTensor<W>,
 ) {
-    let s = input.shape();
-    let profile = profiles::pack_input(s.pixels(), s.c);
-    q.launch(profile, || compute_pack_input(input, out));
+    pack_window_into(q, std::slice::from_ref(&*input.nhwc()), input.shape(), out);
 }
 
-/// Functional body of [`pack_input`]: the sign-pack sweep under the host's
-/// best instruction set (a vector compare yields 16 bits at once).
-pub fn compute_pack_input<W: BitWord>(input: &Tensor<f32>, out: &mut BitTensor<W>) {
+/// [`pack_input_into`] over a request window read where it lies (so the
+/// engine's arena holds no float copy of it): `images`, in order, fill the
+/// leading lanes of `out` (reset to the batched `shape`), the lanes a short
+/// window leaves pack as zero images, and the device is booked all of `shape`.
+pub fn pack_window_into<W: BitWord>(
+    q: &mut CommandQueue,
+    images: &[Tensor<f32>],
+    shape: Shape4,
+    out: &mut BitTensor<W>,
+) {
+    let profile = profiles::pack_input(shape.pixels(), shape.c);
+    q.launch(profile, || compute_pack_input(images, shape, out));
+}
+
+/// Functional body of [`pack_window_into`]: the sign-pack sweep under the
+/// host's best instruction set (a vector compare yields 16 bits at once).
+pub fn compute_pack_input<W: BitWord>(
+    images: &[Tensor<f32>],
+    shape: Shape4,
+    out: &mut BitTensor<W>,
+) {
     isa::run(
         #[inline(always)]
-        || phonebit_tensor::pack::pack_f32_into(input, out),
+        || phonebit_tensor::pack::pack_window_into(images, shape, out),
     )
 }
 
@@ -73,18 +83,10 @@ pub fn softmax_batch_into(q: &mut CommandQueue, input: &Tensor<f32>, out: &mut T
     });
 }
 
-/// Dispatches bit unpacking: a packed binary tensor becomes ±1.0 floats.
-///
-/// Needed where a full-precision layer consumes a binary layer's output
-/// (e.g. YOLOv2-Tiny's float conv9 after binary conv8).
-pub fn unpack_bits<W: BitWord>(q: &mut CommandQueue, input: &BitTensor<W>) -> Tensor<f32> {
-    let mut out = Tensor::<f32>::zeros(input.shape(), phonebit_tensor::Layout::Nhwc);
-    unpack_bits_into(q, input, &mut out);
-    out
-}
-
-/// [`unpack_bits`] into a caller-provided tensor, reusing its storage — the
-/// engine's arena path.
+/// Dispatches bit unpacking: a packed binary tensor becomes ±1.0 floats in
+/// `out`, reusing its storage. Needed where a full-precision layer consumes
+/// a binary layer's output (e.g. YOLOv2-Tiny's float conv9 after binary
+/// conv8).
 pub fn unpack_bits_into<W: BitWord>(
     q: &mut CommandQueue,
     input: &BitTensor<W>,
@@ -102,7 +104,6 @@ mod tests {
     use super::*;
     use phonebit_gpusim::{DeviceProfile, ExecutorClass};
     use phonebit_tensor::pack::pack_f32;
-    use phonebit_tensor::shape::Shape4;
 
     fn queue() -> CommandQueue {
         CommandQueue::new(DeviceProfile::adreno_640(), ExecutorClass::PhoneBitOpenCl)
@@ -114,7 +115,8 @@ mod tests {
             ((h * 5 + w * 3 + c) % 7) as f32 - 3.0
         });
         let mut q = queue();
-        let packed = pack_input::<u32>(&mut q, &t);
+        let mut packed = BitTensor::<u32>::zeros(Shape4::new(0, 0, 0, 0));
+        pack_input_into(&mut q, &t, &mut packed);
         assert_eq!(packed, pack_f32::<u32>(&t));
         assert_eq!(q.timeline()[0].stats.name, "pack_input");
     }

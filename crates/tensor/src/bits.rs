@@ -469,6 +469,27 @@ impl<W: BitWord> PackedFilters<W> {
         }
     }
 
+    /// Words a bank of `shape` packs to, `None` on overflow — what a reader
+    /// checks a declared shape against before allocating for it.
+    pub fn checked_word_len(shape: FilterShape) -> Option<usize> {
+        [shape.kh, shape.kw, shape.c.div_ceil(W::BITS)]
+            .iter()
+            .try_fold(shape.k, |n, &d| n.checked_mul(d))
+    }
+
+    /// A bank over already-packed `data` ([`Self::as_words`]' layout);
+    /// `None` unless it is `shape`'s word count with clean tails.
+    pub fn from_words(shape: FilterShape, data: Vec<W>) -> Option<Self> {
+        let words_per_tap = shape.c.div_ceil(W::BITS);
+        let bank = Self {
+            shape,
+            words_per_tap,
+            data,
+        };
+        let fits = Self::checked_word_len(shape) == Some(bank.data.len());
+        (fits && bank.tail_is_clean()).then_some(bank)
+    }
+
     /// The logical filter-bank shape.
     pub fn shape(&self) -> FilterShape {
         self.shape

@@ -5,7 +5,7 @@
 //! NHWC order so the channel bits of one pixel land in consecutive words.
 
 use crate::bits::{BitTensor, BitWord, PackedFilters};
-use crate::shape::Layout;
+use crate::shape::{Layout, Shape4};
 use crate::tensor::{Filters, Tensor};
 
 /// Binarizes a float tensor with threshold 0 and packs channel bits.
@@ -20,34 +20,45 @@ pub fn pack_f32<W: BitWord>(t: &Tensor<f32>) -> BitTensor<W> {
 }
 
 /// [`pack_f32`] into a caller-provided tensor (reset to the input's shape),
-/// reusing its storage — the engine's arena path.
+/// reusing its storage: [`pack_window_into`] on a one-tensor window.
+#[inline(always)]
+pub fn pack_f32_into<W: BitWord>(t: &Tensor<f32>, out: &mut BitTensor<W>) {
+    pack_window_into(std::slice::from_ref(&*t.nhwc()), t.shape(), out);
+}
+
+/// The one sign-pack sweep: packs the NHWC `images`, in order and from
+/// where they lie, into the leading lanes of `out` (reset to `shape`), and
+/// `pack(0.0)` — bit 1 in every real channel — into the lanes a short
+/// window leaves. Words are walked directly over the contiguous channel
+/// runs and every one is stored, so nothing is zero-filled first.
 ///
 /// `#[inline(always)]` so a caller can compile the sweep under a wider
 /// instruction set (`phonebit_nn::kernels::compute_pack_input`).
+///
+/// # Panics
+///
+/// Panics when an image is not NHWC with `shape.c` channels, or the images
+/// hold more pixels than `shape`.
 #[inline(always)]
-pub fn pack_f32_into<W: BitWord>(t: &Tensor<f32>, out: &mut BitTensor<W>) {
-    let s = t.shape();
-    if t.layout() == Layout::Nhwc {
-        // Fast path: walk words directly over the contiguous channel runs,
-        // storing every one (so nothing is zero-filled first).
-        out.reset_for_overwrite(s);
-        let wpp = out.words_per_pixel();
+pub fn pack_window_into<W: BitWord>(images: &[Tensor<f32>], shape: Shape4, out: &mut BitTensor<W>) {
+    out.reset_for_overwrite(shape);
+    let wpp = out.words_per_pixel();
+    let mut rest = out.as_mut_words();
+    for t in images {
+        let s = t.shape();
+        assert_eq!((t.layout(), s.c), (Layout::Nhwc, shape.c), "window image");
+        let lane;
+        (lane, rest) = rest.split_at_mut(s.pixels() * wpp);
         let pixels = t.as_slice().chunks_exact(s.c);
-        for (pixel, words) in pixels.zip(out.as_mut_words().chunks_exact_mut(wpp)) {
+        for (pixel, words) in pixels.zip(lane.chunks_exact_mut(wpp)) {
             for (word, values) in words.iter_mut().zip(pixel.chunks(W::BITS)) {
                 *word = pack_word(values);
             }
         }
-    } else {
-        out.reset(s);
-        for n in 0..s.n {
-            for h in 0..s.h {
-                for w in 0..s.w {
-                    for c in 0..s.c {
-                        out.set_bit(n, h, w, c, t.at(n, h, w, c) >= 0.0);
-                    }
-                }
-            }
+    }
+    for words in rest.chunks_exact_mut(wpp.max(1)) {
+        for (i, word) in words.iter_mut().enumerate() {
+            *word = W::low_mask((shape.c - i * W::BITS).min(W::BITS));
         }
     }
 }
@@ -106,17 +117,12 @@ pub fn unpack_f32_into<W: BitWord>(t: &BitTensor<W>, out: &mut Tensor<f32>) {
 /// Binarizes float filters with threshold 0 and packs channel bits per tap.
 pub fn pack_filters<W: BitWord>(f: &Filters) -> PackedFilters<W> {
     let s = f.shape();
-    let mut out = PackedFilters::<W>::zeros(s);
-    for k in 0..s.k {
-        for i in 0..s.kh {
-            for j in 0..s.kw {
-                for c in 0..s.c {
-                    out.set_bit(k, i, j, c, f.at(k, i, j, c) >= 0.0);
-                }
-            }
-        }
+    let len = PackedFilters::<W>::checked_word_len(s).expect("a bank in memory fits");
+    let mut words = Vec::with_capacity(len);
+    for tap in f.as_slice().chunks_exact(s.c.max(1)) {
+        words.extend(tap.chunks(W::BITS).map(pack_word::<W>));
     }
-    out
+    PackedFilters::from_words(s, words).expect("whole clean words per tap")
 }
 
 /// Unpacks packed filters back to ±1.0 float filters.
@@ -126,25 +132,6 @@ pub fn unpack_filters<W: BitWord>(f: &PackedFilters<W>) -> Filters {
         s,
         |k, i, j, c| if f.get_bit(k, i, j, c) { 1.0 } else { -1.0 },
     )
-}
-
-/// Packs a boolean channel-major slice (one pixel) into words.
-///
-/// Helper for kernels that binarize-and-pack in private memory before a
-/// single store (paper Fig 4: "one thread computes 8 filters, binarizes 8
-/// results and packs into one byte").
-#[inline]
-pub fn pack_bools<W: BitWord>(bits: &[bool], out: &mut [W]) {
-    debug_assert!(out.len() * W::BITS >= bits.len());
-    for w in out.iter_mut() {
-        *w = W::zero();
-    }
-    for (i, &b) in bits.iter().enumerate() {
-        if b {
-            let w = i / W::BITS;
-            out[w] = out[w].with_bit(i % W::BITS, true);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -179,6 +166,39 @@ mod tests {
         let a = pack_f32::<u16>(&t);
         let b = pack_f32::<u16>(&nchw);
         assert_eq!(a, b);
+    }
+
+    fn window_packs_like_its_batched_tensor<W: BitWord>(c: usize) {
+        let batched = ramp_tensor(Shape4::new(3, 2, 3, c));
+        let per = 2 * 3 * c;
+        let images: Vec<_> = (0..3)
+            .map(|i| {
+                let lane = batched.as_slice()[i * per..(i + 1) * per].to_vec();
+                Tensor::from_vec(Shape4::new(1, 2, 3, c), Layout::Nhwc, lane)
+            })
+            .collect();
+        let want = pack_f32::<W>(&batched);
+        // Stale words everywhere: the sweep must store every one.
+        let mut got = BitTensor::<W>::zeros(batched.shape());
+        got.as_mut_words().fill(W::zero().not());
+        pack_window_into(&images, batched.shape(), &mut got);
+        assert_eq!(got, want, "{} c={c}", W::CL_NAME);
+        // The lane a short window leaves packs as a zero image.
+        got.as_mut_words().fill(W::zero().not());
+        pack_window_into(&images[..2], batched.shape(), &mut got);
+        assert!(got.tail_is_clean());
+        for ((n, h, w, ch), _) in batched.iter_indexed() {
+            let expect = n == 2 || want.get_bit(n, h, w, ch);
+            assert_eq!(got.get_bit(n, h, w, ch), expect, "c={c} ({n},{h},{w},{ch})");
+        }
+    }
+
+    #[test]
+    fn window_sweep_equals_batched_pack_and_pads_with_zero_images() {
+        for c in [1, 7, 8, 9, 64, 70] {
+            window_packs_like_its_batched_tensor::<u8>(c);
+            window_packs_like_its_batched_tensor::<u64>(c);
+        }
     }
 
     #[test]
@@ -249,15 +269,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn pack_bools_sets_expected_words() {
-        let bits = [true, false, false, true, true, false, false, false, true];
-        let mut out = [0u8; 2];
-        pack_bools(&bits, &mut out);
-        assert_eq!(out[0], 0b0001_1001);
-        assert_eq!(out[1], 0b0000_0001);
     }
 
     #[test]

@@ -103,9 +103,15 @@ impl<T: Element> Tensor<T> {
     /// fits the buffer's capacity this performs **no heap allocation** —
     /// the primitive behind the engine's arena slots.
     pub fn reset(&mut self, shape: Shape4, layout: Layout) {
+        self.data.clear();
+        self.reset_for_overwrite(shape, layout);
+    }
+
+    /// [`Tensor::reset`] for a caller that stores every element itself:
+    /// stale contents are kept, not reset first (only growth is defaulted).
+    pub fn reset_for_overwrite(&mut self, shape: Shape4, layout: Layout) {
         self.shape = shape;
         self.layout = layout;
-        self.data.clear();
         self.data.resize(shape.len(), T::default());
     }
 

@@ -19,6 +19,7 @@ use phonebit::models::{fill_weights, fill_weights_clustered, synthetic_image};
 use phonebit::nn::act::Activation;
 use phonebit::nn::graph::{LayerPrecision, NetworkArch};
 use phonebit::tensor::shape::Shape4;
+use phonebit::tensor::Tensor;
 
 struct Counting;
 
@@ -214,6 +215,54 @@ fn steady_stream_window_bytes(hw: usize, batch: usize) -> (usize, usize) {
     (samples[1], arena)
 }
 
+/// Heap bytes requested by one steady-state **float** window (median of 3,
+/// after 2 priming windows) on a stream whose first step sign-packs its
+/// input — read in place from the caller's images, so nothing may be staged
+/// or collected per window — with the staged both-banks arena footprint.
+fn steady_float_window_bytes(hw: usize, batch: usize) -> (usize, usize) {
+    let single = Shape4::new(1, hw, hw, 32);
+    let arch = NetworkArch::new("steady-float", single)
+        .conv(
+            "conv1",
+            64,
+            3,
+            1,
+            1,
+            LayerPrecision::Binary,
+            Activation::Linear,
+        )
+        .maxpool("pool1", 2, 2);
+    let model = convert(&fill_weights(&arch, 9));
+    let staged = StagedModel::stage(model, &Phone::xiaomi_9(), batch).expect("fits");
+    let arena = staged.plan().staged_arena_bytes();
+    let mut stream = Stream::new(staged)
+        .expect("fits")
+        .with_output_capture(false);
+    let images: Vec<_> = (0..batch)
+        .map(|i| {
+            Tensor::from_fn(single, |_, h, w, c| {
+                ((h + w * 3 + c * 5 + i) % 7) as f32 - 3.0
+            })
+        })
+        .collect();
+    for _ in 0..2 {
+        stream
+            .run_window(0, Window::F32(&images))
+            .expect("priming window");
+    }
+    let mut samples: Vec<usize> = (0..3)
+        .map(|_| {
+            let before = ALLOCATED.load(Ordering::Relaxed);
+            stream
+                .run_window(0, Window::F32(&images))
+                .expect("steady window");
+            ALLOCATED.load(Ordering::Relaxed) - before
+        })
+        .collect();
+    samples.sort_unstable();
+    (samples[1], arena)
+}
+
 /// Heap bytes requested by one steady **stolen** window on a multi-tenant
 /// pooled stream (median of 3): two heterogeneous tenants staged into one
 /// shared context, one pooled `Stream` with a lane per tenant, both lanes
@@ -342,6 +391,20 @@ fn steady_state_runs_do_not_allocate_activations() {
         stream_bytes < window_bytes.max(1) * 3 + 4096,
         "per-stream dispatch heap blew up vs the single-session window: \
          {window_bytes} B -> {stream_bytes} B"
+    );
+
+    // A float window is packed where the caller holds it: the same
+    // dispatch-bookkeeping-only profile, no staging buffer and no lane list
+    // built per window.
+    let (float_bytes, float_arena) = steady_float_window_bytes(64, 4);
+    assert!(
+        float_bytes < float_arena / 10,
+        "steady float window allocated {float_bytes} B against a {float_arena} B staged arena"
+    );
+    assert!(
+        float_bytes < window_bytes.max(1) * 3 + 4096,
+        "a float window's dispatch heap blew up vs the u8 window: \
+         {window_bytes} B -> {float_bytes} B"
     );
 
     // Work-stealing steady state: a pooled multi-tenant stream alternating
