@@ -978,7 +978,7 @@ pub fn cmd_fleet(
 /// `--paging`, prints the weight-paging residency ledger at the paged
 /// floor budget: per-step bank bytes, upload-lane issue/ready times, the
 /// stall each step charges, and the evict verdict — the exact schedule
-/// the estimator, admission controller, and engine all replay.
+/// the one plan walk charges for estimator, admission and engine alike.
 pub fn cmd_plan(
     model: &str,
     batch: usize,

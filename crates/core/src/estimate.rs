@@ -5,17 +5,18 @@
 //! kernel's cost profile is a closed form in layer shapes. This module
 //! lowers the architecture to the **same [`ExecutionPlan`] the engine
 //! stages** — identical kernel routes, domain conversions, and arena
-//! assignment — and launches the plan's own dispatch list
-//! ([`ExecutionPlan::step_profiles`]) in estimate-only mode, so Table III
-//! can be regenerated at full scale and the reported peak memory is the
-//! arena-true footprint a `Session` would hold.
+//! assignment — and walks it with `walk_plan`, the one per-step loop the
+//! engine walks too: the engine's steps run kernel bodies, a model's launch
+//! the plan's own dispatch list ([`ExecutionPlan::step_profiles`]) with
+//! empty ones. So Table III can be regenerated at full scale and the
+//! reported peak memory is the footprint a `Session` would book.
 //!
 //! `Session` runs and [`estimate_window`] agree exactly; `tests/end_to_end.rs`
 //! pins that equivalence (timeline, timing and per-layer breakdown) on the
 //! micro zoo under every route override.
 
 use phonebit_gpusim::queue::CommandQueue;
-use phonebit_gpusim::{ExecutorClass, KernelProfile, Phone};
+use phonebit_gpusim::{ExecutorClass, Phone};
 use phonebit_nn::fuse::EQN8_DIVERGENCE;
 use phonebit_nn::graph::NetworkArch;
 
@@ -87,11 +88,14 @@ pub fn estimate_window(
         .unwrap_or_else(|e| panic!("{}: {e}", arch.name));
     // Divergent checks mask part of each wave during the fused kernel's
     // binarize tail; the other routes binarize in a separate kernel.
-    let per_layer = walk_plan(&mut q, &plan, |p| {
-        if opts.divergent_binarize && p.name == "bconv_fused" {
-            p.divergence(EQN8_DIVERGENCE)
-        } else {
-            p
+    let per_layer = walk_plan(&mut q, &plan, |q, idx| {
+        for p in plan.step_profiles(idx) {
+            let p = if opts.divergent_binarize && p.name == "bconv_fused" {
+                p.divergence(EQN8_DIVERGENCE)
+            } else {
+                p
+            };
+            q.launch(p, || {});
         }
     });
     RunReport {
@@ -104,41 +108,42 @@ pub fn estimate_window(
     }
 }
 
-/// Launches `plan`'s own dispatch list onto `q` (estimate-only: no kernel
-/// bodies), one step at a time, and returns the per-layer breakdown. Shared
-/// by the full-scale estimator, the paging schedule's duration walk and the
-/// serving runtime's admission/throughput modeling — attach a contended
-/// queue (see [`DeviceClock`](phonebit_gpusim::clock::DeviceClock)) to model
-/// a multi-stream device. `adjust` sees every profile before its launch
-/// (the identity everywhere but the estimator's ablations).
+/// The one per-step loop over a plan: at each step boundary it charges the
+/// paging schedule's stall (0 for a resident plan) as a host delay, runs
+/// `step` — the engine's kernel bodies, or [`launch_step`] for every model
+/// of the plan — and records the step's [`LayerRun`]. Attach a contended
+/// queue (see [`DeviceClock`](phonebit_gpusim::clock::DeviceClock)) to
+/// model a multi-stream device.
 pub(crate) fn walk_plan(
     q: &mut CommandQueue,
     plan: &ExecutionPlan,
-    adjust: impl Fn(KernelProfile) -> KernelProfile,
+    mut step: impl FnMut(&mut CommandQueue, usize),
 ) -> Vec<LayerRun> {
     let mut per_layer = Vec::with_capacity(plan.steps.len());
-    for (idx, step) in plan.steps.iter().enumerate() {
+    for (idx, s) in plan.steps.iter().enumerate() {
         let t0 = q.elapsed_s();
         let e0 = q.timeline().len();
-        // Paged plans charge the residency schedule's precomputed upload
-        // stall at the step boundary — the identical charge `run_window`
-        // replays, so modeled and executed paged windows cannot drift.
         if let Some(pg) = &plan.paging {
-            let ps = &pg.steps[idx];
-            q.note_upload(ps.stall_s, ps.upload_s);
+            q.host_delay(pg.steps[idx].stall_s);
         }
-        for profile in plan.step_profiles(idx) {
-            q.launch(adjust(profile), || {});
-        }
+        step(q, idx);
         let energy_j: f64 = q.timeline()[e0..].iter().map(|ev| ev.stats.energy_j).sum();
         per_layer.push(LayerRun {
-            name: step.name.clone(),
-            output_shape: step.out_shape,
+            name: s.name.clone(),
+            output_shape: s.out_shape,
             time_s: q.elapsed_s() - t0,
             energy_j,
         });
     }
     per_layer
+}
+
+/// Step `idx` of a modeled walk: the plan's own dispatch list launched with
+/// empty bodies.
+pub(crate) fn launch_step(q: &mut CommandQueue, plan: &ExecutionPlan, idx: usize) {
+    for profile in plan.step_profiles(idx) {
+        q.launch(profile, || {});
+    }
 }
 
 #[cfg(test)]

@@ -69,9 +69,7 @@ pub mod stats;
 pub use arrival::ArrivalProcess;
 pub use builder::NetworkBuilder;
 pub use convert::convert;
-pub use engine::{
-    ActivationData, EngineError, ResidencyManager, Session, StagedModel, Stream, Window,
-};
+pub use engine::{ActivationData, EngineError, Session, StagedModel, Stream, Window};
 pub use estimate::{estimate_arch, estimate_window, EstimateOptions};
 pub use fleet::{
     estimate_fleet, zipf_rates, Fleet, FleetAction, FleetDeviceReport, FleetDeviceSpec, FleetEvent,
@@ -79,7 +77,7 @@ pub use fleet::{
     RoutePolicy, RoutedRequest,
 };
 pub use model::{PbitLayer, PbitModel};
-pub use paging::{BankState, PagingSchedule, PagingStep};
+pub use paging::{PagingSchedule, PagingStep};
 pub use plan::{
     ChainDecision, CompressDecision, CompressStats, CompressionMode, ExecutionPlan, FusedKind,
     FusedMember, FusionMode, PlanDomainError, PlanStep, PlanValue, RouteOverrides, StepOp,

@@ -10,10 +10,11 @@
 //! [`UploadProfile`].
 //!
 //! The schedule is the no-drift artifact of this subsystem (the same
-//! discipline as fusion chains and fault plans): the estimator's
-//! `walk_plan`, the admission controller's window model, and the engine's
-//! `run_window` all charge the *same* precomputed per-step stalls, so a
-//! paged tenant's modeled and executed timelines cannot diverge.
+//! discipline as fusion chains and fault plans): its per-step stalls are
+//! charged in one place, the plan walk the estimator, the admission
+//! controller's window model and the engine's windows all go through, so a
+//! paged tenant's modeled and executed timelines cannot diverge. Nothing
+//! replays residency at run time: the device books the hot-set peak once.
 //!
 //! ## The streaming discipline
 //!
@@ -32,20 +33,6 @@ use std::sync::Arc;
 use phonebit_gpusim::UploadProfile;
 
 use crate::plan::ExecutionPlan;
-
-/// Residency life-cycle of one step's weight bank under paging. The
-/// schedule replay drives each weighted bank through
-/// `Evicted → InFlight → Resident → Evicted`; weightless steps never leave
-/// `Resident` (they have nothing to page).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BankState {
-    /// The bank is on-device; its step may execute.
-    Resident,
-    /// The bank's upload was issued and is still in flight on the lane.
-    InFlight,
-    /// The bank is not on-device (freed after use, or never fetched).
-    Evicted,
-}
 
 /// One step's row in the residency ledger: when its bank's upload was
 /// issued, when it landed, how long the compute timeline stalled waiting,
@@ -211,11 +198,6 @@ impl PagingSchedule {
     /// Total modeled stall seconds one window pays waiting for uploads.
     pub fn stall_s(&self) -> f64 {
         self.steps.iter().map(|s| s.stall_s).sum()
-    }
-
-    /// The stall charged at plan step `idx` (0 past the end).
-    pub fn stall_for_step(&self, idx: usize) -> f64 {
-        self.steps.get(idx).map_or(0.0, |s| s.stall_s)
     }
 
     /// Upload-lane busy seconds one window keeps the lane copying.

@@ -72,7 +72,7 @@
 
 use std::sync::Arc;
 
-use phonebit_gpusim::{DeviceProfile, KernelProfile};
+use phonebit_gpusim::{CommandQueue, DeviceProfile, ExecutorClass, KernelProfile};
 use phonebit_nn::graph::{LayerPrecision, LayerSpec, NetworkArch, PoolKind};
 use phonebit_nn::kernels::fused::{conv_chain_profile, dense_pair_profile, ChainAbsorb};
 use phonebit_nn::kernels::{bgemm, profiles};
@@ -81,6 +81,7 @@ use phonebit_tensor::bits::PackWidth;
 use phonebit_tensor::dict::FilterDict;
 use phonebit_tensor::shape::{ConvGeometry, Shape4};
 
+use crate::estimate::{launch_step, walk_plan};
 use crate::model::{PbitLayer, PbitModel};
 use crate::paging::PagingSchedule;
 use crate::planner::{route_profiles, score_dispatches, select_conv_path_with, ConvPath, ConvPlan};
@@ -742,8 +743,8 @@ pub struct ExecutionPlan {
     pub compression: Vec<CompressDecision>,
     /// The weight-residency schedule, present exactly when lowered with
     /// [`RouteOverrides::weight_budget`]: per-step prefetch issue times,
-    /// upload stalls, and evictions that the estimator's walk and the
-    /// engine's window execution both replay verbatim (no-drift).
+    /// upload stalls, and evictions; the one plan walk charges its stalls
+    /// for the engine's windows and every model alike (no-drift).
     pub paging: Option<PagingSchedule>,
 }
 
@@ -939,10 +940,10 @@ impl ExecutionPlan {
         self.banks * self.arena_bytes()
     }
 
-    /// Peak device footprint: resident weights plus every staged arena
-    /// bank.
+    /// Peak device footprint: the weights staging books (the paging
+    /// schedule's hot set when it streams) plus every staged arena bank.
     pub fn peak_bytes(&self) -> usize {
-        self.weights_bytes + self.staged_arena_bytes()
+        self.hot_weight_bytes() + self.staged_arena_bytes()
     }
 
     /// Value id holding the network output (the last step's output, or the
@@ -1023,11 +1024,8 @@ impl ExecutionPlan {
             return;
         };
         debug_assert!(self.paging.is_none());
-        let mut q = phonebit_gpusim::queue::CommandQueue::new(
-            device.clone(),
-            phonebit_gpusim::ExecutorClass::PhoneBitOpenCl,
-        );
-        let durations: Vec<f64> = crate::estimate::walk_plan(&mut q, self, |p| p)
+        let mut q = CommandQueue::new(device.clone(), ExecutorClass::PhoneBitOpenCl);
+        let durations: Vec<f64> = walk_plan(&mut q, self, |q, idx| launch_step(q, self, idx))
             .iter()
             .map(|l| l.time_s)
             .collect();

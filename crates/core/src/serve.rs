@@ -66,7 +66,7 @@ use phonebit_tensor::tensor::Tensor;
 
 use crate::arrival::ArrivalProcess;
 use crate::engine::{ActivationData, EngineError, StagedModel, Stream, Window};
-use crate::estimate::walk_plan;
+use crate::estimate::{launch_step, walk_plan};
 use crate::model::PbitModel;
 use crate::plan::{ExecutionPlan, RouteOverrides};
 use crate::planner::{largest_batch_where, pooled_peak_bytes};
@@ -592,7 +592,7 @@ fn measure_load(plan: &ExecutionPlan, gpu: &DeviceProfile) -> QueueLoad {
     let clock = DeviceClock::new(gpu.clone());
     let mut q = CommandQueue::new(gpu.clone(), ExecutorClass::PhoneBitOpenCl)
         .with_clock(Arc::clone(&clock));
-    let _ = walk_plan(&mut q, plan, |p| p);
+    let _ = walk_plan(&mut q, plan, |q, idx| launch_step(q, plan, idx));
     let wall = q.elapsed_s() + q.per_run_overhead_s();
     QueueLoad {
         cu_frac: clock.mean_cu_frac(),
@@ -638,7 +638,7 @@ pub(crate) fn modeled_window_under(
         clock.set_mix(Some(m.to_vec()));
     }
     let mut q = CommandQueue::new(gpu.clone(), ExecutorClass::PhoneBitOpenCl).with_clock(clock);
-    let _ = walk_plan(&mut q, plan, |p| p);
+    let _ = walk_plan(&mut q, plan, |q, idx| launch_step(q, plan, idx));
     let busy = q.elapsed_s();
     let cold = busy + q.per_run_overhead_s();
     let steady = if plan.batch > 1 { busy } else { cold };
@@ -1148,7 +1148,7 @@ enum TenantBody {
     Dry {
         arch: NetworkArch,
         plan: Box<ExecutionPlan>,
-        _weights: Buffer<u8>,
+        _weights: Buffer,
     },
 }
 
@@ -1460,7 +1460,7 @@ pub struct DeviceRuntime {
     /// runtime**, which has nothing to run windows on and holds the
     /// streams' pooled slices as one reservation instead.
     streams: Vec<Stream>,
-    _dry_pool: Option<Buffer<u8>>,
+    _dry_pool: Option<Buffer>,
     /// Pooled streams the scheduler places windows on, staged or not.
     stream_count: usize,
     /// One stream's pooled arena slice, fixed when the runtime comes up:

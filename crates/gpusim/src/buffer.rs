@@ -1,11 +1,14 @@
-//! Device memory: contexts with an allocation budget and typed buffers.
+//! Device memory: contexts with an allocation budget and the bookings
+//! charged against it.
 //!
 //! Android caps how much memory one app may hold; the paper's Table III
 //! shows CNNdroid dying with OOM on VGG16 because its float weights and
 //! unrolled buffers blow that cap. The simulator reproduces this with a
-//! [`Context`] holding a byte budget: allocations beyond the budget return
+//! [`Context`] holding a byte budget: a booking beyond the budget returns
 //! [`SimError::OutOfMemory`] instead of aborting, so frameworks can report
-//! the failure exactly like the paper's table does.
+//! the failure exactly like the paper's table does. A booking is bytes, not
+//! memory: the kernels run on host buffers their callers own, so an
+//! executing engine and a dry run book the same way.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -69,11 +72,6 @@ impl Context {
         }
     }
 
-    /// Creates a context with an effectively unlimited budget.
-    pub fn unbounded(device: DeviceProfile) -> Self {
-        Self::new(device, usize::MAX)
-    }
-
     /// The device this context allocates for.
     pub fn device(&self) -> &DeviceProfile {
         &self.device
@@ -94,42 +92,15 @@ impl Context {
         self.budget
     }
 
-    /// Allocates a zero-initialized buffer of `len` elements.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::OutOfMemory`] if the allocation would exceed the
-    /// budget; the context state is unchanged in that case.
-    pub fn alloc<T: Copy + Default>(&self, len: usize) -> Result<Buffer<T>, SimError> {
-        self.alloc_from(vec![T::default(); len])
-    }
-
-    /// Allocates a buffer initialized from host data.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::OutOfMemory`] if the allocation would exceed the
-    /// budget.
-    pub fn alloc_from<T: Copy>(&self, data: Vec<T>) -> Result<Buffer<T>, SimError> {
-        let bytes = data.len() * std::mem::size_of::<T>();
-        self.book(data, bytes)
-    }
-
     /// Books `bytes` against the budget with **no host memory behind
-    /// them**: an empty buffer whose [`Buffer::byte_len`] is `bytes`, which
-    /// it returns when dropped. A dry run holds these where an executing
-    /// one holds real buffers, so both answer to the same budget.
+    /// them**: a [`Buffer`] whose [`Buffer::byte_len`] is `bytes`, which it
+    /// returns when dropped.
     ///
     /// # Errors
     ///
-    /// As [`Context::alloc`].
-    pub fn reserve(&self, bytes: usize) -> Result<Buffer<u8>, SimError> {
-        self.book(Vec::new(), bytes)
-    }
-
-    /// Charges `bytes` to the budget and wraps `data` as the buffer that
-    /// gives them back.
-    fn book<T: Copy>(&self, data: Vec<T>, bytes: usize) -> Result<Buffer<T>, SimError> {
+    /// Returns [`SimError::OutOfMemory`] if the booking would exceed the
+    /// budget; the context state is unchanged in that case.
+    pub fn reserve(&self, bytes: usize) -> Result<Buffer, SimError> {
         let mut cur = self.mem.used.load(Ordering::Relaxed);
         loop {
             let next = cur.saturating_add(bytes);
@@ -154,69 +125,27 @@ impl Context {
             }
         }
         Ok(Buffer {
-            data,
             bytes,
             mem: Arc::clone(&self.mem),
         })
     }
-
-    /// Checks whether an additional `bytes` would fit without allocating.
-    pub fn would_fit(&self, bytes: usize) -> bool {
-        self.used_bytes().saturating_add(bytes) <= self.budget
-    }
 }
 
-/// A typed device buffer; dropping it returns its bytes to the context.
+/// A device-memory booking; dropping it returns its bytes to the context.
 #[derive(Debug)]
-pub struct Buffer<T: Copy> {
-    data: Vec<T>,
+pub struct Buffer {
     bytes: usize,
     mem: Arc<MemAccounting>,
 }
 
-impl<T: Copy> Buffer<T> {
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
+impl Buffer {
     /// Size in bytes.
     pub fn byte_len(&self) -> usize {
         self.bytes
     }
-
-    /// Read-only view of device memory.
-    pub fn as_slice(&self) -> &[T] {
-        &self.data
-    }
-
-    /// Mutable view of device memory.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
-    /// Copies host data into the buffer (`clEnqueueWriteBuffer` analogue).
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn write(&mut self, src: &[T]) {
-        assert_eq!(src.len(), self.data.len(), "write length mismatch");
-        self.data.copy_from_slice(src);
-    }
-
-    /// Copies the buffer back to host memory (`clEnqueueReadBuffer`).
-    pub fn read(&self) -> Vec<T> {
-        self.data.clone()
-    }
 }
 
-impl<T: Copy> Drop for Buffer<T> {
+impl Drop for Buffer {
     fn drop(&mut self) {
         self.mem.used.fetch_sub(self.bytes, Ordering::Relaxed);
     }
@@ -233,9 +162,9 @@ mod tests {
     #[test]
     fn alloc_tracks_usage_and_peak() {
         let c = ctx(1024);
-        let a = c.alloc::<f32>(64).unwrap(); // 256 B
-        assert_eq!(c.used_bytes(), 256);
-        let b = c.alloc::<u8>(512).unwrap();
+        let a = c.reserve(256).unwrap();
+        assert_eq!((a.byte_len(), c.used_bytes()), (256, 256));
+        let b = c.reserve(512).unwrap();
         assert_eq!(c.used_bytes(), 768);
         drop(a);
         assert_eq!(c.used_bytes(), 512);
@@ -243,18 +172,12 @@ mod tests {
         drop(b);
         assert_eq!(c.used_bytes(), 0);
         assert_eq!(c.peak_bytes(), 768);
-        // A reservation books bytes the same way, with nothing behind them.
-        let r = c.reserve(1024).unwrap();
-        assert_eq!((r.len(), r.byte_len(), c.used_bytes()), (0, 1024, 1024));
-        assert!(c.reserve(1).is_err());
-        drop(r);
-        assert_eq!(c.used_bytes(), 0);
     }
 
     #[test]
     fn oom_is_an_error_not_a_panic() {
         let c = ctx(100);
-        let err = c.alloc::<f32>(100).unwrap_err();
+        let err = c.reserve(400).unwrap_err();
         match err {
             SimError::OutOfMemory {
                 requested,
@@ -266,38 +189,29 @@ mod tests {
                 assert_eq!(budget, 100);
             }
         }
-        // Failed allocation leaves accounting untouched.
+        // A failed booking leaves accounting untouched.
         assert_eq!(c.used_bytes(), 0);
-        assert!(c.alloc::<u8>(100).is_ok());
+        assert!(c.reserve(100).is_ok());
     }
 
     #[test]
-    fn would_fit_predicts_alloc() {
+    fn reserve_fits_up_to_the_budget() {
         let c = ctx(1000);
-        assert!(c.would_fit(1000));
-        assert!(!c.would_fit(1001));
-        let _b = c.alloc::<u8>(600).unwrap();
-        assert!(c.would_fit(400));
-        assert!(!c.would_fit(401));
-    }
-
-    #[test]
-    fn buffer_write_read_round_trip() {
-        let c = ctx(4096);
-        let mut b = c.alloc::<i32>(4).unwrap();
-        b.write(&[1, 2, 3, 4]);
-        assert_eq!(b.read(), vec![1, 2, 3, 4]);
-        b.as_mut_slice()[0] = 9;
-        assert_eq!(b.as_slice()[0], 9);
+        let _b = c.reserve(600).unwrap();
+        assert!(c.reserve(401).is_err());
+        let _r = c.reserve(400).unwrap();
+        assert_eq!(c.used_bytes(), 1000);
+        assert!(c.reserve(1).is_err());
+        assert!(c.reserve(0).is_ok());
     }
 
     #[test]
     fn contexts_share_accounting_when_cloned() {
         let c = ctx(1000);
         let c2 = c.clone();
-        let _b = c.alloc::<u8>(700).unwrap();
+        let _b = c.reserve(700).unwrap();
         assert_eq!(c2.used_bytes(), 700);
-        assert!(c2.alloc::<u8>(400).is_err());
+        assert!(c2.reserve(400).is_err());
     }
 
     #[test]

@@ -321,11 +321,6 @@ pub struct DeviceClock {
     /// `demand / busy` is the busy-weighted mean CU fraction of the mix
     /// this clock actually served.
     demand_bits: AtomicU64,
-    /// Aggregate upload-lane busy seconds across every attached queue —
-    /// the modeled DMA engine paging weight banks in. Kept separate from
-    /// `busy_bits` because the lane overlaps compute: its traffic is
-    /// reported, not folded into compute contention.
-    upload_bits: AtomicU64,
     /// The expected load of every *other* co-resident queue, from any
     /// queue's perspective. `None` falls back to the symmetric
     /// `streams`-mirrors model.
@@ -349,7 +344,6 @@ impl DeviceClock {
             streams: AtomicUsize::new(streams),
             busy_bits: AtomicU64::new(0f64.to_bits()),
             demand_bits: AtomicU64::new(0f64.to_bits()),
-            upload_bits: AtomicU64::new(0f64.to_bits()),
             mix: RwLock::new(None),
             fault: RwLock::new(None),
         })
@@ -442,19 +436,6 @@ impl DeviceClock {
     pub fn note_dispatch(&self, cu_frac: f64, seconds: f64) {
         self.note_busy(seconds);
         add_bits(&self.demand_bits, cu_frac * seconds);
-    }
-
-    /// Adds a weight-bank upload's lane time to the upload-lane counter.
-    /// Queues call this through [`crate::queue::CommandQueue::note_upload`]
-    /// when a paged plan streams a bank in.
-    pub fn note_upload(&self, seconds: f64) {
-        add_bits(&self.upload_bits, seconds);
-    }
-
-    /// Aggregate upload-lane busy seconds across every queue on this
-    /// device — the paged-weight DMA traffic, overlapping compute.
-    pub fn upload_busy_s(&self) -> f64 {
-        f64::from_bits(self.upload_bits.load(Ordering::Relaxed))
     }
 
     /// Aggregate busy seconds across every queue on this device — divide by

@@ -4,7 +4,7 @@
 //! A simulated kernel has two faces:
 //!
 //! 1. A **functional body** — plain Rust run by [`crate::queue::CommandQueue::launch`]
-//!    producing bit-exact results; skipped in estimate-only mode.
+//!    producing bit-exact results; a model of a plan launches an empty one.
 //! 2. A [`KernelProfile`] — closed-form resource counts (useful operations,
 //!    DRAM traffic, coalescing, divergence) from which the cost model derives
 //!    latency and energy. Counts are *useful* work; executor-class overheads

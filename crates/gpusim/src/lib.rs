@@ -8,7 +8,7 @@
 //!
 //! - [`device`] — profiles of the paper's Table I phones (Snapdragon 820 /
 //!   855, with GPU ALU counts straight from the paper).
-//! - [`buffer`] — budgeted device memory, reproducing Android OOM behaviour.
+//! - [`buffer`] — budget bookings for device memory, reproducing Android OOM.
 //! - [`ndrange`] / [`kernel`] / [`queue`] — OpenCL-style dispatch: kernels
 //!   run **functionally** on the host (bit-exact) while an analytic cost
 //!   model places them on a simulated timeline.
@@ -66,4 +66,4 @@ pub use cost::{Contention, QueueLoad};
 pub use device::{DeviceKind, DeviceProfile, Phone, UploadProfile};
 pub use kernel::{KernelProfile, LaunchEvent, LaunchStats};
 pub use ndrange::NdRange;
-pub use queue::{CommandQueue, ExecMode};
+pub use queue::CommandQueue;

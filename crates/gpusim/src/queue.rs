@@ -8,18 +8,6 @@ use crate::cost::{estimate_contended, Contention};
 use crate::device::DeviceProfile;
 use crate::kernel::{KernelProfile, LaunchEvent, LaunchStats};
 
-/// Whether dispatches run their functional bodies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Execute kernels functionally (bit-exact results) *and* model cost.
-    #[default]
-    Execute,
-    /// Model cost only; kernel bodies are skipped and outputs stay at their
-    /// initialized values. Used for full-scale timing of networks too large
-    /// to compute on the host in a benchmark loop.
-    EstimateOnly,
-}
-
 /// An in-order command queue bound to a device and an executor class.
 ///
 /// Every [`CommandQueue::launch`] appends to a simulated timeline; the
@@ -30,7 +18,6 @@ pub struct CommandQueue {
     class: ExecutorClass,
     params: CostParams,
     energy: EnergyParams,
-    mode: ExecMode,
     now_s: f64,
     events: Vec<LaunchEvent>,
     /// Shared device clock when this queue co-resides with other streams;
@@ -48,17 +35,10 @@ impl CommandQueue {
             class,
             params,
             energy,
-            mode: ExecMode::Execute,
             now_s: 0.0,
             events: Vec::new(),
             clock: None,
         }
-    }
-
-    /// Sets the execution mode (builder style).
-    pub fn with_mode(mut self, mode: ExecMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Attaches a shared [`DeviceClock`]: every dispatch is inflated by the
@@ -97,19 +77,13 @@ impl CommandQueue {
         &self.params
     }
 
-    /// The current execution mode.
-    pub fn mode(&self) -> ExecMode {
-        self.mode
-    }
-
-    /// Dispatches a kernel: models its cost, advances simulated time, and —
-    /// in [`ExecMode::Execute`] — runs `body` to produce real results.
+    /// Dispatches a kernel: runs `body` to produce real results, models
+    /// its cost and advances simulated time. A model of a plan passes an
+    /// empty body.
     ///
     /// Returns the dispatch statistics (also recorded on the timeline).
     pub fn launch<F: FnOnce()>(&mut self, profile: KernelProfile, body: F) -> LaunchStats {
-        if self.mode == ExecMode::Execute {
-            body();
-        }
+        body();
         let contention = self
             .clock
             .as_ref()
@@ -139,20 +113,6 @@ impl CommandQueue {
     /// Adds a fixed host-side delay (framework overhead between dispatches).
     pub fn host_delay(&mut self, seconds: f64) {
         self.now_s += seconds;
-    }
-
-    /// Charges one paged weight-bank upload at a step boundary: the
-    /// `stall_s` the compute timeline waits because the bank was not yet
-    /// resident (0 when prefetch hid the upload), and the `lane_s` the
-    /// upload lane was busy copying. The stall advances this queue's
-    /// timeline like a host delay; the lane time feeds the shared clock's
-    /// upload accounting without inflating compute contention — the lane
-    /// overlaps compute by construction.
-    pub fn note_upload(&mut self, stall_s: f64, lane_s: f64) {
-        self.now_s += stall_s.max(0.0);
-        if let Some(clock) = &self.clock {
-            clock.note_upload(lane_s.max(0.0));
-        }
     }
 
     /// Simulated time elapsed since queue creation, seconds.
@@ -213,16 +173,6 @@ mod tests {
         assert!(hit);
         assert_eq!(q.timeline().len(), 1);
         assert!(q.elapsed_s() > 0.0);
-    }
-
-    #[test]
-    fn estimate_mode_skips_body_but_models_time() {
-        let mut q = queue().with_mode(ExecMode::EstimateOnly);
-        let mut hit = false;
-        let stats = q.launch(profile(1e9), || hit = true);
-        assert!(!hit, "body must not run in estimate mode");
-        assert!(stats.time_s > 0.0);
-        assert_eq!(q.timeline().len(), 1);
     }
 
     #[test]

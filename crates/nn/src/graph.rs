@@ -3,7 +3,7 @@
 //!
 //! A [`NetworkArch`] is the pure *architecture*: layer kinds, shapes and
 //! precisions. It is enough for shape inference, model-size analytics
-//! (Table II) and estimate-only timing (Table III at full scale). A
+//! (Table II) and modeled timing (Table III at full scale). A
 //! [`NetworkDef`] adds float weights — the "trained checkpoint" that the
 //! converter binarizes into the deployable `.pbit` form.
 

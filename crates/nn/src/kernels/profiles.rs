@@ -2,8 +2,8 @@
 //! the simulator's resource accounting.
 //!
 //! Both execution paths use these builders: functional runs (which also
-//! compute real outputs) and estimate-only runs (full-scale timing without
-//! host compute). Profiles count *useful* work; executor overheads live in
+//! compute real outputs) and modeled walks with empty bodies (full-scale
+//! timing without host compute). Profiles count *useful* work; executor overheads live in
 //! [`phonebit_gpusim::calib`].
 //!
 //! PhoneBit-kernel conventions encoded here:

@@ -167,7 +167,7 @@ fn engine_timing_equals_estimate_path() {
                 for idx in 0..plan.steps.len() {
                     let t0 = q.elapsed_s();
                     if let Some(pg) = &plan.paging {
-                        q.note_upload(pg.steps[idx].stall_s, pg.steps[idx].upload_s);
+                        q.host_delay(pg.steps[idx].stall_s);
                     }
                     for profile in plan.step_profiles(idx) {
                         q.launch(profile, || {});

@@ -168,12 +168,10 @@ fn counters_aggregate_engine_timeline() {
     let phone = Phone::xiaomi_9();
     let arch = def.arch.clone();
     let est = estimate_arch(&phone, &arch);
-    // Reconstruct a queue to inspect: estimate_arch hides its queue, so
-    // dispatch again manually via a session in estimate mode.
+    // estimate_arch hides its queue; an executing session walks the same
+    // plan, so its timeline is the one to inspect.
     let model = convert(&def);
-    let mut session = Session::new(model, &phone)
-        .unwrap()
-        .with_mode(phonebit::gpusim::ExecMode::EstimateOnly);
+    let mut session = Session::new(model, &phone).unwrap();
     let img = synthetic_image(Shape4::new(1, 64, 64, 3), 6);
     let run = session.run_u8(&img).unwrap();
     assert!((run.total_s - est.total_s).abs() < 1e-9);

@@ -1,18 +1,17 @@
 //! Weight-paging invariants, property-tested: the precomputed
 //! [`PagingSchedule`] is causally consistent under arbitrary budgets (no
 //! step runs before its bank's upload lands, the upload lane is serial,
-//! the look-ahead respects the budget), the [`ResidencyManager`] replay
-//! uploads each bank exactly once per window and only evicts banks their
-//! step has used, and paged sessions are bit-exact with their fully
-//! resident twins on every conv route, through fused chains, and under
-//! dictionary compression.
+//! the look-ahead respects the budget), a paged session's one plan walk
+//! charges each step's stall exactly once per window, and paged sessions
+//! are bit-exact with their fully resident twins on every conv route,
+//! through fused chains, and under dictionary compression.
 
 use proptest::prelude::*;
 
 use phonebit::core::plan::{CompressionMode, ExecutionPlan, FusionMode, RouteOverrides};
 use phonebit::core::{
-    convert, ActivationData, BankState, DeviceRuntime, ResidencyManager, Session, TenantTraffic,
-    TenantWorkload,
+    convert, estimate_window, ActivationData, DeviceRuntime, EstimateOptions, RunReport, Session,
+    TenantTraffic, TenantWorkload,
 };
 use phonebit::gpusim::{CommandQueue, DeviceProfile, ExecutorClass, Phone};
 use phonebit::models::zoo::{self, Variant};
@@ -130,78 +129,90 @@ proptest! {
         }
     }
 
-    // The `ResidencyManager` replay drives every weighted bank through
-    // `Evicted -> Resident -> Evicted` exactly once per window, no step
-    // executes on a non-resident bank, and `end_step` frees only the
-    // bank its own step used — never one another pending step still
-    // references. Replays after `reset` repeat identically.
+    // A paged session's windows are the plan walk with kernel bodies: every
+    // step's time is its own dispatch list plus its schedule stall, charged
+    // once per step per window — bit for bit against a hand-written walk of
+    // the same schedule on a fresh queue, within rounding of the step alone
+    // — and every window after the first of a batched session (every
+    // window, at batch 1) reports the same breakdown.
     #[test]
-    fn replay_uploads_once_and_never_evicts_a_pending_bank(
+    fn paged_windows_charge_each_stall_once_per_step(
         arch_idx in 0usize..2,
-        delays in proptest::collection::vec(0.0f64..2e-3, 64),
-        windows in 1usize..3,
+        frac in 0.0f64..1.0,
+        batch in 1usize..3,
+        windows in 1usize..5,
     ) {
-        let arch = micro_arch(arch_idx);
-        let floor = resident_plan(&arch).paged_floor_bytes();
-        let plan = budgeted_plan(&arch, floor);
+        let (arch, phone) = (micro_arch(arch_idx), Phone::xiaomi_9());
+        let model = convert(&fill_weights(&arch, 31));
+        let resident = ExecutionPlan::for_model_batched(&model, &phone.gpu, batch).expect("lowers");
+        let (min, total) = (resident.paged_min_bytes(), resident.weights_bytes);
+        let budget = min + ((total - min) as f64 * frac) as usize;
+        let overrides = RouteOverrides {
+            weight_budget: Some(budget),
+            ..RouteOverrides::default()
+        };
+        let takes_u8 = model.takes_u8_input();
+        let mut session =
+            Session::new_batched_opts(model, &phone, batch, overrides).expect("fits");
+        let plan = session.plan().clone();
         let pg = plan.paging.clone().expect("paging attached");
-        let steps = pg.steps.len();
-        let mut res = ResidencyManager::new(pg.clone());
-        let mut first_window_states: Vec<Vec<BankState>> = Vec::new();
+        prop_assert!(!pg.resident);
 
+        let times = |r: &RunReport| -> Vec<u64> {
+            r.per_layer.iter().map(|l| l.time_s.to_bits()).collect()
+        };
+        let mut steady = None;
         for w in 0..windows {
-            res.reset();
-            let mut queue =
-                CommandQueue::new(Phone::xiaomi_9().gpu.clone(), ExecutorClass::PhoneBitOpenCl);
-            let mut fetches = vec![0usize; steps];
-            for i in 0..steps {
-                let weighted = pg.steps[i].bank_bytes > 0;
-                if weighted {
-                    prop_assert!(
-                        res.state(i) != BankState::Resident,
-                        "step {i}: streaming bank resident before its upload"
-                    );
-                }
-                let before = queue.elapsed_s();
-                res.begin_step(&mut queue, i);
-                // The stall (plus lane time bookkeeping) is charged on the
-                // queue, and only then is the bank resident.
-                prop_assert!(
-                    queue.elapsed_s() >= before + pg.steps[i].stall_s - EPS
-                );
-                prop_assert_eq!(res.state(i), BankState::Resident);
-                if weighted {
-                    fetches[i] += 1;
-                }
-                // Compute for a while (arbitrary durations: the state
-                // machine's invariants cannot depend on timing).
-                queue.host_delay(delays[i % delays.len()]);
-                let snapshot: Vec<BankState> = (0..steps).map(|j| res.state(j)).collect();
-                res.end_step(i);
-                for (j, &was) in snapshot.iter().enumerate() {
-                    if j == i {
-                        continue;
-                    }
-                    // end_step(i) must not touch step j's bank.
-                    prop_assert_eq!(res.state(j), was);
-                }
-                if pg.steps[i].evicted {
-                    prop_assert_eq!(res.state(i), BankState::Evicted);
-                }
+            let run = run_window(&mut session, arch.input, batch, takes_u8, w as u64);
+            prop_assert_eq!(run.per_layer.len(), plan.steps.len());
+            let mut q = CommandQueue::new(phone.gpu.clone(), ExecutorClass::PhoneBitOpenCl);
+            if w == 0 || batch == 1 {
+                q.host_delay(q.per_run_overhead_s());
             }
-            for (i, &n) in fetches.iter().enumerate() {
-                if pg.steps[i].bank_bytes > 0 {
-                    // Each bank uploads exactly once per window.
-                    prop_assert_eq!(n, 1);
+            for (idx, layer) in run.per_layer.iter().enumerate() {
+                let t0 = q.elapsed_s();
+                q.host_delay(pg.steps[idx].stall_s);
+                let mut solo = CommandQueue::new(phone.gpu.clone(), ExecutorClass::PhoneBitOpenCl);
+                for profile in plan.step_profiles(idx) {
+                    q.launch(profile.clone(), || {});
+                    solo.launch(profile, || {});
                 }
+                prop_assert_eq!(layer.time_s.to_bits(), (q.elapsed_s() - t0).to_bits());
+                let want = solo.elapsed_s() + pg.steps[idx].stall_s;
+                prop_assert!((layer.time_s - want).abs() < EPS, "step {idx} window {w}");
             }
-            let final_states: Vec<BankState> = (0..steps).map(|j| res.state(j)).collect();
-            if w == 0 {
-                first_window_states.push(final_states);
-            } else {
-                prop_assert_eq!(&first_window_states[0], &final_states);
+            prop_assert_eq!(run.total_s.to_bits(), q.elapsed_s().to_bits());
+            if w > 0 {
+                let breakdown = times(&run);
+                prop_assert_eq!(steady.get_or_insert_with(|| breakdown.clone()), &breakdown);
             }
         }
+    }
+}
+
+/// A paged plan's footprint is the hot set staging books, not Σ weights:
+/// the plan, its estimate and a session on it report the same peak.
+#[test]
+fn paged_peak_bytes_is_what_the_session_books() {
+    let phone = Phone::xiaomi_9();
+    for arch in [zoo::alexnet_micro, zoo::yolo_micro] {
+        let arch = arch(Variant::Binary);
+        let overrides = RouteOverrides {
+            weight_budget: Some(resident_plan(&arch).paged_floor_bytes()),
+            ..RouteOverrides::default()
+        };
+        let model = convert(&fill_weights(&arch, 5));
+        let session = Session::new_batched_opts(model, &phone, 1, overrides).expect("fits");
+        let plan = session.plan();
+        assert!(!plan.paging.as_ref().expect("paging attached").resident);
+        assert_eq!(session.resident_bytes(), plan.peak_bytes(), "{}", arch.name);
+        assert!(plan.peak_bytes() < plan.weights_bytes + plan.staged_arena_bytes());
+        let opts = EstimateOptions {
+            overrides,
+            ..EstimateOptions::default()
+        };
+        let est = estimate_window(&phone, &arch, 1, &opts);
+        assert_eq!(est.peak_bytes, plan.peak_bytes(), "{}", arch.name);
     }
 }
 
@@ -220,6 +231,26 @@ fn routed_arch(name: &str, hw: usize, c: usize, k: usize, kernel: usize) -> Netw
             Activation::Linear,
         )
         .maxpool("pool", 2, 2)
+}
+
+/// One window of `batch` synthetic images, each seeded apart.
+fn run_window(
+    session: &mut Session,
+    input: Shape4,
+    batch: usize,
+    takes_u8: bool,
+    seed: u64,
+) -> RunReport {
+    let single = Shape4::new(1, input.h, input.w, input.c);
+    let imgs: Vec<_> = (0..batch)
+        .map(|i| synthetic_image(single, seed * 8 + i as u64))
+        .collect();
+    if takes_u8 {
+        session.run_batch_u8(&imgs).expect("run")
+    } else {
+        let imgs: Vec<_> = imgs.iter().map(to_float_input).collect();
+        session.run_batch_f32(&imgs).expect("run")
+    }
 }
 
 fn run_once(session: &mut Session, input: Shape4, takes_u8: bool, seed: u64) -> ActivationData {
