@@ -177,7 +177,7 @@ fn main() {
                     ),
                     (
                         "peak_mb",
-                        Value::Fixed(runtime.peak_resident_bytes() as f64 / 1e6, 2),
+                        Value::Fixed(runtime.resident_bytes() as f64 / 1e6, 2),
                     ),
                     ("tenants", Value::List(tenant_rows.collect())),
                 ]);

@@ -63,7 +63,7 @@ fn estimate(
         .collect();
     Estimate {
         total_weight_bytes: runtime.total_weight_bytes(),
-        peak_bytes: runtime.peak_resident_bytes(),
+        peak_bytes: runtime.resident_bytes(),
         pass: runtime.serve(&counts).expect("a dry pass over counts"),
         admissions,
     }

@@ -89,7 +89,7 @@ fn estimate_sharded(
         p95_ms,
         p99_ms,
         arena_bytes: streams * runtime.pool_slice_bytes(),
-        peak_bytes: runtime.peak_resident_bytes(),
+        peak_bytes: runtime.resident_bytes(),
     }
 }
 

@@ -18,14 +18,15 @@ use phonebit_core::{
     convert, estimate_arch, max_feasible_batch, max_feasible_batch_multitenant, nearest_rank,
     pooled_peak_bytes, zipf_rates, ArrivalProcess, CompressionMode, ConvPath, DeviceRuntime,
     EngineError, ExecutionPlan, Fleet, FleetDeviceSpec, FleetEvent, FleetOptions, FusionMode,
-    OpenLoopOptions, PbitLayer, PbitModel, RouteOverrides, RoutePolicy, Session, TenantSpec,
-    TenantTraffic, TenantWorkload,
+    OpenLoopOptions, PbitLayer, PbitModel, RouteOverrides, RoutePolicy, Session, TenantReport,
+    TenantSpec, TenantTraffic, TenantWorkload,
 };
 use phonebit_gpusim::{FaultPlan, Phone};
 use phonebit_models::zoo::{self, Variant};
-use phonebit_models::{fill_weights, fill_weights_clustered, synthetic_image};
+use phonebit_models::{fill_weights, fill_weights_clustered, synthetic_image, to_float_input};
 use phonebit_nn::graph::NetworkArch;
 use phonebit_profiler::EnergyReport;
+use phonebit_tensor::Tensor;
 
 /// Errors surfaced by CLI commands.
 #[derive(Debug)]
@@ -146,26 +147,92 @@ pub fn describe(model: &PbitModel) -> String {
 pub fn cmd_run(path: &Path, phone: &str, seed: u64) -> Result<String, CliError> {
     let model = load_file(path)?;
     let phone = phone_by_name(phone)?;
-    let input_shape = model.input;
-    let takes_u8 = model.takes_u8_input();
+    let request = Requests::synthetic(&model, 1, seed);
     let mut session = Session::new(model, &phone).map_err(|e| CliError::Engine(e.to_string()))?;
-    let report = if takes_u8 {
-        let img = synthetic_image(input_shape, seed);
-        session
-            .run_u8(&img)
-            .map_err(|e| CliError::Engine(e.to_string()))?
-    } else {
-        let img = phonebit_models::to_float_input(&synthetic_image(input_shape, seed));
-        session
-            .run_f32(&img)
-            .map_err(|e| CliError::Engine(e.to_string()))?
-    };
+    let report = match &request {
+        Requests::U8(img) => session.run_u8(&img[0]),
+        Requests::F32(img) => session.run_f32(&img[0]),
+    }
+    .map_err(|e| CliError::Engine(e.to_string()))?;
     Ok(format!(
         "ran on {} ({})\n{}",
         phone.name,
         phone.gpu.name,
         report.to_table()
     ))
+}
+
+/// Synthetic requests for one model, in the input kind it takes: `count`
+/// images seeded `first_seed`, `first_seed + 1`, ….
+enum Requests {
+    U8(Vec<Tensor<u8>>),
+    F32(Vec<Tensor<f32>>),
+}
+
+impl Requests {
+    fn synthetic(model: &PbitModel, count: usize, first_seed: u64) -> Self {
+        let images = (0..count).map(|i| synthetic_image(model.input, first_seed + i as u64));
+        if model.takes_u8_input() {
+            Requests::U8(images.collect())
+        } else {
+            Requests::F32(images.map(|img| to_float_input(&img)).collect())
+        }
+    }
+
+    fn traffic(&self) -> TenantTraffic<'_> {
+        match self {
+            Requests::U8(reqs) => TenantTraffic::U8(reqs),
+            Requests::F32(reqs) => TenantTraffic::F32(reqs),
+        }
+    }
+}
+
+/// The per-tenant table every serving command prints — co-resident,
+/// open-loop and fleet rows alike.
+fn tenant_table(out: &mut String, tenants: &[TenantReport]) {
+    let _ = writeln!(
+        out,
+        "{:<16} {:>5} {:>7} {:>7} {:>6} {:>5} {:>5} {:>5} {:>5} {:>9} {:>9} {:>9} {:>10} {:>12}",
+        "tenant",
+        "batch",
+        "windows",
+        "offered",
+        "served",
+        "shed",
+        "retry",
+        "thrtl",
+        "moved",
+        "p50(ms)",
+        "p95(ms)",
+        "p99(ms)",
+        "p99.9(ms)",
+        "slo"
+    );
+    for tr in tenants {
+        let slo = match tr.slo_ms {
+            Some(s) => format!("{s:.1}ms {}", if tr.slo_met { "MET" } else { "MISSED" }),
+            None => "-".into(),
+        };
+        let _ = writeln!(
+            out,
+            "{:<16} {:>5} {:>7} {:>7} {:>6} {:>5} {:>5} {:>5} {:>5} {:>9.3} {:>9.3} {:>9.3} \
+             {:>10.3} {:>12}",
+            tr.name,
+            tr.batch,
+            tr.windows,
+            tr.offered,
+            tr.served,
+            tr.shed,
+            tr.retries,
+            tr.throttled,
+            tr.migrated,
+            tr.p50_ms,
+            tr.p95_ms,
+            tr.p99_ms,
+            tr.p999_ms,
+            slo
+        );
+    }
 }
 
 /// `pbit serve <model.pbit> [--phone x9] [--batch N] [--requests R]
@@ -224,8 +291,6 @@ pub fn cmd_serve(
     let batch = batch.unwrap_or(4);
     let model = load_file(path)?;
     let phone = phone_by_name(phone)?;
-    let input_shape = model.input;
-    let takes_u8 = model.takes_u8_input();
     let name = model.name.clone();
     let mut session =
         Session::new_batched(model, &phone, batch).map_err(|e| CliError::Engine(e.to_string()))?;
@@ -238,21 +303,9 @@ pub fn cmd_serve(
     let mut steady_imgs = 0usize;
     while served < requests {
         let count = batch.min(requests - served);
-        let report = if takes_u8 {
-            let imgs: Vec<_> = (0..count)
-                .map(|i| synthetic_image(input_shape, seed + (served + i) as u64))
-                .collect();
-            session.run_batch_u8(&imgs)
-        } else {
-            let imgs: Vec<_> = (0..count)
-                .map(|i| {
-                    phonebit_models::to_float_input(&synthetic_image(
-                        input_shape,
-                        seed + (served + i) as u64,
-                    ))
-                })
-                .collect();
-            session.run_batch_f32(&imgs)
+        let report = match Requests::synthetic(session.model(), count, seed + served as u64) {
+            Requests::U8(imgs) => session.run_batch_u8(&imgs),
+            Requests::F32(imgs) => session.run_batch_f32(&imgs),
         }
         .map_err(|e| CliError::Engine(e.to_string()))?;
         if windows == 0 {
@@ -303,29 +356,17 @@ fn cmd_serve_sharded(
 ) -> Result<String, CliError> {
     let model = load_file(path)?;
     let phone = phone_by_name(phone)?;
-    let input_shape = model.input;
-    let takes_u8 = model.takes_u8_input();
     let name = model.name.clone();
+    let reqs = Requests::synthetic(&model, requests, seed);
     // One model is a registry of one tenant on the multi-tenant runtime.
     let mut spec = TenantSpec::new(model);
     spec.batch = batch;
     spec.slo_ms = slo_ms;
     let mut runtime = DeviceRuntime::new_with_budget(vec![spec], &phone, streams, weight_budget)
         .map_err(|e| CliError::Engine(e.to_string()))?;
-    let pass = if takes_u8 {
-        let reqs: Vec<_> = (0..requests)
-            .map(|i| synthetic_image(input_shape, seed + i as u64))
-            .collect();
-        runtime.serve(&[TenantTraffic::U8(&reqs)])
-    } else {
-        let reqs: Vec<_> = (0..requests)
-            .map(|i| {
-                phonebit_models::to_float_input(&synthetic_image(input_shape, seed + i as u64))
-            })
-            .collect();
-        runtime.serve(&[TenantTraffic::F32(&reqs)])
-    }
-    .map_err(|e| CliError::Engine(e.to_string()))?;
+    let pass = runtime
+        .serve(&[reqs.traffic()])
+        .map_err(|e| CliError::Engine(e.to_string()))?;
     // A single tenant has no cross-tenant queueing to report: the window
     // latencies are the executed service times.
     let report = &pass.tenants[0];
@@ -377,7 +418,7 @@ fn cmd_serve_sharded(
         p95_ms,
         p99_ms,
         pass.goodput_imgs_per_s,
-        runtime.peak_resident_bytes() as f64 / (1024.0 * 1024.0),
+        runtime.resident_bytes() as f64 / (1024.0 * 1024.0),
         streams,
         tenant.plan().banks,
     ))
@@ -425,44 +466,22 @@ pub fn cmd_serve_multitenant(
     }
     let phone = phone_by_name(phone)?;
     let mut specs = Vec::with_capacity(paths.len());
-    let mut inputs = Vec::with_capacity(paths.len());
-    for (i, path) in paths.iter().enumerate() {
+    let mut reqs = Vec::with_capacity(paths.len());
+    for (t, path) in paths.iter().enumerate() {
         let model = load_file(path)?;
-        inputs.push((model.input, model.takes_u8_input()));
+        reqs.push(Requests::synthetic(
+            &model,
+            requests,
+            seed + (t * requests) as u64,
+        ));
         let mut spec = TenantSpec::new(model);
         spec.batch = batch;
-        spec.slo_ms = slos.get(i).copied().flatten();
+        spec.slo_ms = slos.get(t).copied().flatten();
         specs.push(spec);
     }
     let mut runtime = DeviceRuntime::new_with_budget(specs, &phone, streams, weight_budget)
         .map_err(|e| CliError::Engine(e.to_string()))?;
-
-    // Synthetic traffic per tenant (owned, then borrowed as TenantTraffic).
-    let mut u8_reqs: Vec<Vec<phonebit_tensor::Tensor<u8>>> = Vec::new();
-    let mut f32_reqs: Vec<Vec<phonebit_tensor::Tensor<f32>>> = Vec::new();
-    for (t, &(input, takes_u8)) in inputs.iter().enumerate() {
-        let imgs: Vec<_> = (0..requests)
-            .map(|i| synthetic_image(input, seed + (t * requests + i) as u64))
-            .collect();
-        if takes_u8 {
-            u8_reqs.push(imgs);
-            f32_reqs.push(Vec::new());
-        } else {
-            f32_reqs.push(imgs.iter().map(phonebit_models::to_float_input).collect());
-            u8_reqs.push(Vec::new());
-        }
-    }
-    let traffic: Vec<TenantTraffic<'_>> = inputs
-        .iter()
-        .enumerate()
-        .map(|(t, &(_, takes_u8))| {
-            if takes_u8 {
-                TenantTraffic::U8(&u8_reqs[t])
-            } else {
-                TenantTraffic::F32(&f32_reqs[t])
-            }
-        })
-        .collect();
+    let traffic: Vec<TenantTraffic<'_>> = reqs.iter().map(Requests::traffic).collect();
     let report = runtime
         .serve(&traffic)
         .map_err(|e| CliError::Engine(e.to_string()))?;
@@ -478,36 +497,19 @@ pub fn cmd_serve_multitenant(
         phone.name,
         phone.gpu.name
     );
+    tenant_table(&mut out, &report.tenants);
+    let caps: Vec<String> = runtime
+        .tenants()
+        .iter()
+        .map(|t| format!("{} {}", t.name(), t.admission().max_feasible_batch))
+        .collect();
     let _ = writeln!(
         out,
-        "{:<16} {:>5} {:>5} {:>8} {:>9} {:>9} {:>9} {:>12}",
-        "tenant", "batch", "cap", "windows", "p50(ms)", "p95(ms)", "p99(ms)", "slo"
-    );
-    for (tenant, tr) in runtime.tenants().iter().zip(report.tenants.iter()) {
-        let adm = tenant.admission();
-        let slo = match tr.slo_ms {
-            Some(s) => format!("{s:.1}ms {}", if tr.slo_met { "MET" } else { "MISSED" }),
-            None => "-".into(),
-        };
-        let _ = writeln!(
-            out,
-            "{:<16} {:>5} {:>5} {:>8} {:>9.3} {:>9.3} {:>9.3} {:>12}",
-            tr.name,
-            adm.batch,
-            adm.max_feasible_batch,
-            tr.windows,
-            tr.p50_ms,
-            tr.p95_ms,
-            tr.p99_ms,
-            slo
-        );
-    }
-    let _ = writeln!(
-        out,
-        "aggregate {:.1} imgs/s over {:.3} ms makespan; resident {:.2} MiB \
+        "aggregate {:.1} imgs/s over {:.3} ms makespan; batch cap {}; resident {:.2} MiB \
          (sum of weights + {} x {:.2} MiB pooled arena slice)",
         report.goodput_imgs_per_s,
         report.wall_ms,
+        caps.join(", "),
         runtime.resident_bytes() as f64 / (1024.0 * 1024.0),
         runtime.stream_count(),
         runtime.pool_slice_bytes() as f64 / (1024.0 * 1024.0),
@@ -529,7 +531,7 @@ pub fn cmd_serve_multitenant(
             "weight budget {:.2} MB: sum of weights {:.2} MB, peak resident {:.2} MB; grants: {}",
             budget as f64 / 1e6,
             runtime.total_weight_bytes() as f64 / 1e6,
-            runtime.peak_resident_bytes() as f64 / 1e6,
+            runtime.resident_bytes() as f64 / 1e6,
             grants.join(", "),
         );
     }
@@ -600,57 +602,36 @@ pub fn cmd_serve_openloop(
         })
         .transpose()?;
     let phone = phone_by_name(phone)?;
+    // Seeded arrivals per tenant, and one synthetic request per arrival.
+    let arrivals_ms: Vec<Vec<f64>> = procs
+        .iter()
+        .enumerate()
+        .map(|(t, p)| p.times_ms(seed.wrapping_add(t as u64), duration_ms))
+        .collect();
 
     let mut specs = Vec::with_capacity(paths.len());
-    let mut inputs = Vec::with_capacity(paths.len());
-    for (i, path) in paths.iter().enumerate() {
+    let mut reqs = Vec::with_capacity(paths.len());
+    for (t, path) in paths.iter().enumerate() {
         let model = load_file(path)?;
-        inputs.push((model.input, model.takes_u8_input()));
+        let count = arrivals_ms[t].len();
+        reqs.push(Requests::synthetic(
+            &model,
+            count,
+            seed + (t * 100_000) as u64,
+        ));
         let mut spec = TenantSpec::new(model);
         // Open-loop deadlines are anchored to arrival, so a window waits
         // on its own members before it can even start: default to
         // latency-oriented single-request windows instead of letting
         // admission pick its throughput-oriented batch.
         spec.batch = Some(batch.unwrap_or(1));
-        spec.slo_ms = slos.get(i).copied().flatten();
+        spec.slo_ms = slos.get(t).copied().flatten();
         specs.push(spec);
     }
     let mut runtime =
         DeviceRuntime::new(specs, &phone, streams).map_err(|e| CliError::Engine(e.to_string()))?;
     runtime.clock().set_fault_plan(fault_plan.clone());
-
-    // Seeded arrivals per tenant, then one synthetic request per arrival.
-    let arrivals_ms: Vec<Vec<f64>> = procs
-        .iter()
-        .enumerate()
-        .map(|(t, p)| p.times_ms(seed.wrapping_add(t as u64), duration_ms))
-        .collect();
-    let mut u8_reqs: Vec<Vec<phonebit_tensor::Tensor<u8>>> = Vec::new();
-    let mut f32_reqs: Vec<Vec<phonebit_tensor::Tensor<f32>>> = Vec::new();
-    for (t, &(input, takes_u8)) in inputs.iter().enumerate() {
-        let count = arrivals_ms[t].len();
-        let imgs: Vec<_> = (0..count)
-            .map(|i| synthetic_image(input, seed + (t * 100_000 + i) as u64))
-            .collect();
-        if takes_u8 {
-            u8_reqs.push(imgs);
-            f32_reqs.push(Vec::new());
-        } else {
-            f32_reqs.push(imgs.iter().map(phonebit_models::to_float_input).collect());
-            u8_reqs.push(Vec::new());
-        }
-    }
-    let traffic: Vec<TenantTraffic<'_>> = inputs
-        .iter()
-        .enumerate()
-        .map(|(t, &(_, takes_u8))| {
-            if takes_u8 {
-                TenantTraffic::U8(&u8_reqs[t])
-            } else {
-                TenantTraffic::F32(&f32_reqs[t])
-            }
-        })
-        .collect();
+    let traffic: Vec<TenantTraffic<'_>> = reqs.iter().map(Requests::traffic).collect();
     let report = runtime
         .serve_open_loop(&traffic, &arrivals_ms, &OpenLoopOptions::default())
         .map_err(|e| CliError::Engine(e.to_string()))?;
@@ -683,44 +664,7 @@ pub fn cmd_serve_openloop(
             None => "no fault plan".to_string(),
         }
     );
-    let _ = writeln!(
-        out,
-        "{:<16} {:>5} {:>7} {:>6} {:>5} {:>5} {:>5} {:>9} {:>9} {:>9} {:>10} {:>12}",
-        "tenant",
-        "batch",
-        "offered",
-        "served",
-        "shed",
-        "retry",
-        "thrtl",
-        "p50(ms)",
-        "p95(ms)",
-        "p99(ms)",
-        "p99.9(ms)",
-        "slo"
-    );
-    for tr in &report.tenants {
-        let slo = match tr.slo_ms {
-            Some(s) => format!("{s:.1}ms {}", if tr.slo_met { "MET" } else { "MISSED" }),
-            None => "-".into(),
-        };
-        let _ = writeln!(
-            out,
-            "{:<16} {:>5} {:>7} {:>6} {:>5} {:>5} {:>5} {:>9.3} {:>9.3} {:>9.3} {:>10.3} {:>12}",
-            tr.name,
-            tr.batch,
-            tr.offered,
-            tr.served,
-            tr.shed,
-            tr.retries,
-            tr.throttled,
-            tr.p50_ms,
-            tr.p95_ms,
-            tr.p99_ms,
-            tr.p999_ms,
-            slo
-        );
-    }
+    tenant_table(&mut out, &report.tenants);
     let _ = writeln!(
         out,
         "aggregate goodput {:.1} imgs/s over {:.3} ms wall; {} replan{}; resident {:.2} MiB",
@@ -917,40 +861,7 @@ pub fn cmd_fleet(
             dr.imgs_per_s,
         );
     }
-    let _ = writeln!(
-        out,
-        "{:<16} {:>7} {:>6} {:>5} {:>5} {:>9} {:>9} {:>9} {:>10} {:>12}",
-        "tenant",
-        "offered",
-        "served",
-        "shed",
-        "moved",
-        "p50(ms)",
-        "p95(ms)",
-        "p99(ms)",
-        "p99.9(ms)",
-        "slo"
-    );
-    for tr in &report.tenants {
-        let slo = match tr.slo_ms {
-            Some(s) => format!("{s:.1}ms {}", if tr.slo_met { "MET" } else { "MISSED" }),
-            None => "-".into(),
-        };
-        let _ = writeln!(
-            out,
-            "{:<16} {:>7} {:>6} {:>5} {:>5} {:>9.3} {:>9.3} {:>9.3} {:>10.3} {:>12}",
-            tr.name,
-            tr.offered,
-            tr.served,
-            tr.shed,
-            tr.migrated,
-            tr.p50_ms,
-            tr.p95_ms,
-            tr.p99_ms,
-            tr.p999_ms,
-            slo
-        );
-    }
+    tenant_table(&mut out, &report.tenants);
     let _ = writeln!(
         out,
         "global p50 {:.3} / p95 {:.3} / p99 {:.3} / p99.9 {:.3} ms; goodput {:.1} imgs/s \

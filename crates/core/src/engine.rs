@@ -607,7 +607,7 @@ pub enum Window<'a> {
 /// The mutable, per-stream half of an inference engine: one command queue
 /// (with its timeline) over one **lane** per staged model the stream can
 /// run — that model's prepared arena banks, double-buffer cursor and primed
-/// flag — and one device arena slice sized to the largest lane.
+/// flag — and one device arena slice every lane fits.
 ///
 /// [`Stream::new`] welds a stream to a single [`StagedModel`] (what a
 /// [`Session`] drives). [`Stream::pooled`] gives it a lane per co-resident
@@ -619,7 +619,8 @@ pub enum Window<'a> {
 /// `S × max_tenant(arena)` instead of `S × Σ_tenants(arena)`. The serving
 /// runtime ([`DeviceRuntime`](crate::serve::DeviceRuntime)) drives each
 /// pooled stream from its own thread, a shared [`DeviceClock`] arbitrating
-/// the GPU between their queues.
+/// the GPU between their queues; a dry runtime's streams hold the booking
+/// and no lanes.
 #[derive(Debug)]
 pub struct Stream {
     lanes: Vec<(Arc<StagedModel>, ArenaState)>,
@@ -642,47 +643,42 @@ impl Stream {
     /// no longer fit the app budget alongside the weights and every
     /// already-staged stream.
     pub fn new(staged: Arc<StagedModel>) -> Result<Self, EngineError> {
-        Self::pooled(std::slice::from_ref(&staged), &staged.ctx, None)
+        let slice_bytes = staged.plan().staged_arena_bytes();
+        Self::pooled(&[Arc::clone(&staged)], slice_bytes, &staged.ctx, None)
     }
 
-    /// Stages one pooled stream over `tenants` (all staged into `ctx`):
-    /// prepares a lane per tenant, books the pooled slice against the
-    /// shared context, and attaches the stream's queue to `clock` when
-    /// given, so co-resident streams contend for the GPU instead of each
-    /// pretending to own it.
+    /// Stages one pooled stream: books a `slice_bytes` arena slice against
+    /// the shared context, prepares a lane per tenant (all staged into
+    /// `ctx`) through the same fit check live attach uses, and attaches the
+    /// stream's queue to `clock` when given, so co-resident streams contend
+    /// for the GPU instead of each pretending to own it. With no tenants it
+    /// is a dry runtime's stream: the booking alone.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::OutOfMemory`] when the pooled slice no
-    /// longer fits the shared budget next to the tenants' weights and the
-    /// already-staged streams.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `tenants` is empty.
+    /// Returns [`EngineError::OutOfMemory`] when the slice no longer fits
+    /// the shared budget next to the tenants' weights and the
+    /// already-staged streams, or a tenant's staged arena exceeds it.
     pub fn pooled(
         tenants: &[Arc<StagedModel>],
+        slice_bytes: usize,
         ctx: &Context,
         clock: Option<Arc<DeviceClock>>,
     ) -> Result<Self, EngineError> {
-        let slice_bytes = tenants
-            .iter()
-            .map(|t| t.plan().staged_arena_bytes())
-            .max()
-            .expect("a stream needs >= 1 tenant");
         let queue = CommandQueue::new(ctx.device().clone(), ExecutorClass::PhoneBitOpenCl);
-        Ok(Self {
-            lanes: tenants
-                .iter()
-                .map(|t| (Arc::clone(t), ArenaState::stage(t.plan())))
-                .collect(),
+        let mut stream = Self {
+            lanes: Vec::with_capacity(tenants.len()),
             queue: match clock {
                 Some(clock) => queue.with_clock(clock),
                 None => queue,
             },
             arena_slice: ctx.reserve(slice_bytes)?,
             capture_output: true,
-        })
+        };
+        for staged in tenants {
+            stream.attach_lane(staged)?;
+        }
+        Ok(stream)
     }
 
     /// Disables (or re-enables) cloning the final activations into

@@ -52,9 +52,12 @@
 //! global total order across devices.
 //!
 //! [`FleetReport`] aggregates the cluster: per-device utilization (clock
-//! busy seconds over `streams × wall`), aggregate images/s, and global
+//! busy seconds over `streams × wall`), aggregate images/s, global
 //! p50/p95/p99/p99.9 computed with the same nearest-rank rule as the
-//! single-device reports. A fleet brought up from architectures alone
+//! single-device reports, and per tenant the device runtime's own
+//! [`TenantReport`] — built by the same constructor from the tenant's
+//! fleet-wide fates, its window and attempt counters summed over the
+//! devices that served it. A fleet brought up from architectures alone
 //! ([`Fleet::dry`]) is the same placement, router and failure handling
 //! over [dry](DeviceRuntime::dry) device runtimes, fed request counts;
 //! [`estimate_fleet`] is one pass of it over seeded arrival processes — the
@@ -76,8 +79,8 @@ use crate::engine::{ActivationData, EngineError};
 use crate::planner::pooled_peak_bytes;
 use crate::serve::{
     dry_inputs, modeled_window_under, validate_arrivals, DeviceRuntime, OpenLoopOptions,
-    OpenLoopSchedule, OpenLoopWorkload, Registration, ShedReason, TenantAsk, TenantSpec,
-    TenantTraffic, TenantWorkload, WindowFate,
+    OpenLoopReport, OpenLoopSchedule, OpenLoopWorkload, Registration, ShedReason, TenantAsk,
+    TenantReport, TenantSpec, TenantTraffic, TenantWorkload, WindowFate,
 };
 use crate::stats::nearest_rank;
 use phonebit_tensor::tensor::Tensor;
@@ -367,37 +370,10 @@ pub struct FleetDeviceReport {
     pub imgs_per_s: f64,
 }
 
-/// One tenant's slice of a [`FleetReport`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetTenantReport {
-    /// Tenant name.
-    pub name: String,
-    /// Requests that arrived.
-    pub offered: usize,
-    /// Requests served (any device).
-    pub served: usize,
-    /// Requests shed (device scheduler or no-replica).
-    pub shed: usize,
-    /// Requests re-routed after a device failure.
-    pub migrated: usize,
-    /// Median served latency (original arrival → completion), ms.
-    pub p50_ms: f64,
-    /// 95th-percentile served latency, ms.
-    pub p95_ms: f64,
-    /// 99th-percentile served latency, ms.
-    pub p99_ms: f64,
-    /// 99.9th-percentile served latency, ms.
-    pub p999_ms: f64,
-    /// The tenant's SLO, if any.
-    pub slo_ms: Option<f64>,
-    /// Whether served p95 met the SLO (true when unset).
-    pub slo_met: bool,
-    /// `shed / offered` (0 when nothing arrived).
-    pub shed_rate: f64,
-}
-
-/// Fleet-wide accounting for one pass: per-device utilization, per-tenant
-/// percentiles, and the global latency distribution.
+/// Fleet-wide accounting for one pass: per-device utilization, one
+/// [`TenantReport`] per tenant — the row a device runtime reports, summed
+/// over the devices that served the tenant — and the global latency
+/// distribution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     /// The routing policy that produced this pass.
@@ -406,8 +382,12 @@ pub struct FleetReport {
     pub seed: u64,
     /// Per-device rows, in registry order.
     pub devices: Vec<FleetDeviceReport>,
-    /// Per-tenant rows, in tenant order.
-    pub tenants: Vec<FleetTenantReport>,
+    /// Per-tenant rows, in tenant order: fates, latencies (from the
+    /// original arrival, so migration delay included), percentiles and
+    /// `migrated` are fleet-wide; windows, retries and throttled attempts
+    /// sum over the tenant's devices, `batch` is the largest of theirs, and
+    /// `outputs` stays empty ([`FleetOutcome::outputs`] holds them).
+    pub tenants: Vec<TenantReport>,
     /// Total requests offered across tenants.
     pub offered: usize,
     /// Total served.
@@ -875,13 +855,13 @@ struct DeviceRow {
 
 /// Closes a pass: requests no live device could host are shed fleet-wide,
 /// every offered request must by then hold exactly one fate (the
-/// conservation invariant), and the fates fold into the aggregate report.
-/// Returns the report and the resolved fates.
+/// conservation invariant), and the fates fold into the aggregate report
+/// on top of `device_sums`, each tenant's name, SLO and counters summed
+/// over its device rows. Returns the report and the resolved fates.
 fn assemble_report(
     opts: &FleetOptions,
     device_rows: Vec<DeviceRow>,
-    tenant_names: Vec<String>,
-    tenant_slos: &[Option<f64>],
+    device_sums: Vec<TenantReport>,
     rc: &RouteCoreOutcome,
     mut fates: Vec<Vec<Option<FleetRequestFate>>>,
     arrivals_ms: &[Vec<f64>],
@@ -916,8 +896,8 @@ fn assemble_report(
     let mut dev_served = vec![0usize; device_rows.len()];
     let mut dev_shed = vec![0usize; device_rows.len()];
     let mut global_lat: Vec<f64> = Vec::new();
-    let mut tenants = Vec::with_capacity(tenant_names.len());
-    for (t, name) in tenant_names.into_iter().enumerate() {
+    let mut tenants = Vec::with_capacity(device_sums.len());
+    for (t, sums) in device_sums.into_iter().enumerate() {
         let mut lat: Vec<f64> = Vec::new();
         let mut shed = 0usize;
         for fate in &fates[t] {
@@ -939,25 +919,15 @@ fn assemble_report(
             }
         }
         global_lat.extend_from_slice(&lat);
-        let [p50, p95, p99, p999] = nearest_rank(&lat, [0.50, 0.95, 0.99, 0.999]);
         let offered = fates[t].len();
-        tenants.push(FleetTenantReport {
-            name,
-            offered,
-            served: lat.len(),
-            shed,
+        tenants.push(TenantReport {
             migrated: migrated_by_tenant[t],
-            p50_ms: p50,
-            p95_ms: p95,
-            p99_ms: p99,
-            p999_ms: p999,
-            slo_ms: tenant_slos[t],
-            slo_met: tenant_slos[t].is_none_or(|slo| p95 <= slo),
-            shed_rate: if offered > 0 {
-                shed as f64 / offered as f64
-            } else {
-                0.0
-            },
+            windows: sums.windows,
+            windows_shed: sums.windows_shed,
+            retries: sums.retries,
+            throttled: sums.throttled,
+            batch: sums.batch,
+            ..TenantReport::from_latencies(sums.name, lat, offered, shed, sums.slo_ms)
         });
     }
 
@@ -1338,6 +1308,15 @@ impl Fleet {
             .collect();
         let mut fates: Vec<Vec<Option<FleetRequestFate>>> =
             arrivals_ms.iter().map(|a| vec![None; a.len()]).collect();
+        let mut sums: Vec<TenantReport> = self
+            .tenants
+            .iter()
+            .map(|t| TenantReport {
+                name: t.name.clone(),
+                slo_ms: t.slo_ms,
+                ..TenantReport::default()
+            })
+            .collect();
         let mut device_rows: Vec<DeviceRow> = Vec::with_capacity(self.devices.len());
         for d in 0..self.devices.len() {
             let roster = self.devices[d].roster.clone();
@@ -1374,21 +1353,25 @@ impl Fleet {
                     })
                     .collect();
                 let rt = self.devices[d].runtime.as_mut().expect("checked above");
-                let report = rt.serve_open_loop(&slices, &eff, &opts.open_loop)?;
-                wall_ms = report.wall_ms;
-                busy_s = schedule_busy_s(&report.schedule);
-                for (slot, &t) in roster.iter().enumerate() {
-                    let ten = &report.tenants[slot];
+                let OpenLoopReport {
+                    tenants: rows,
+                    schedule,
+                    wall_ms: wall,
+                    ..
+                } = rt.serve_open_loop(&slices, &eff, &opts.open_loop)?;
+                wall_ms = wall;
+                busy_s = schedule_busy_s(&schedule);
+                for ((&t, row), window_fates) in roster.iter().zip(rows).zip(&schedule.fates) {
                     let list = &rc.routed[d][t];
-                    fold_device_fates(
-                        d,
-                        list,
-                        ten.batch,
-                        &report.schedule.fates[slot],
-                        &mut fates[t],
-                    );
-                    for (req, out) in list.iter().zip(&ten.outputs) {
-                        outputs[t][req.index] = out.clone();
+                    fold_device_fates(d, list, row.batch, window_fates, &mut fates[t]);
+                    let sum = &mut sums[t];
+                    sum.windows += row.windows;
+                    sum.windows_shed += row.windows_shed;
+                    sum.retries += row.retries;
+                    sum.throttled += row.throttled;
+                    sum.batch = sum.batch.max(row.batch);
+                    for (req, out) in list.iter().zip(row.outputs) {
+                        outputs[t][req.index] = out;
                     }
                 }
             }
@@ -1402,10 +1385,7 @@ impl Fleet {
                 busy_s,
             });
         }
-        let names: Vec<String> = self.tenants.iter().map(|t| t.name.clone()).collect();
-        let slos: Vec<Option<f64>> = self.tenants.iter().map(|t| t.slo_ms).collect();
-        let (report, fates) =
-            assemble_report(&opts, device_rows, names, &slos, &rc, fates, arrivals_ms);
+        let (report, fates) = assemble_report(&opts, device_rows, sums, &rc, fates, arrivals_ms);
         Ok(FleetOutcome {
             report,
             outputs,
@@ -1449,9 +1429,7 @@ impl RouteSubstrate for Fleet {
             None => pooled_peak_bytes(&[need], &[fit.arena1], self.opts.streams) <= budget,
             // Else it must fit the existing pool slice — never regrown —
             // and the budget left next to the bytes already held.
-            Some(rt) => {
-                fit.arena1 <= rt.pool_slice_bytes() && rt.peak_resident_bytes() + need <= budget
-            }
+            Some(rt) => fit.arena1 <= rt.pool_slice_bytes() && rt.resident_bytes() + need <= budget,
         }
     }
 

@@ -73,8 +73,8 @@ pub use engine::{ActivationData, EngineError, Session, StagedModel, Stream, Wind
 pub use estimate::{estimate_arch, estimate_window, EstimateOptions};
 pub use fleet::{
     estimate_fleet, zipf_rates, Fleet, FleetAction, FleetDeviceReport, FleetDeviceSpec, FleetEvent,
-    FleetMigration, FleetOptions, FleetOutcome, FleetReport, FleetRequestFate, FleetTenantReport,
-    RoutePolicy, RoutedRequest,
+    FleetMigration, FleetOptions, FleetOutcome, FleetReport, FleetRequestFate, RoutePolicy,
+    RoutedRequest,
 };
 pub use model::{PbitLayer, PbitModel};
 pub use paging::{PagingSchedule, PagingStep};
@@ -90,7 +90,7 @@ pub use planner::{
 pub use serve::{
     estimate_serve_open_loop, schedule_open_loop, Admission, DeviceRuntime, OpenLoopAttempt,
     OpenLoopLoad, OpenLoopOptions, OpenLoopReport, OpenLoopSchedule, OpenLoopWindow,
-    OpenLoopWorkload, RetryPolicy, ShedReason, Tenant, TenantOpenLoopReport, TenantSpec,
-    TenantTraffic, TenantWorkload, WindowFate,
+    OpenLoopWorkload, RetryPolicy, ShedReason, Tenant, TenantReport, TenantSpec, TenantTraffic,
+    TenantWorkload, WindowFate,
 };
 pub use stats::{nearest_rank, LayerRun, RunReport};

@@ -38,13 +38,14 @@
 //! time and executed verbatim — every attempt on its assigned stream, one
 //! scoped thread per stream. Counters, latencies and percentiles are folded
 //! from the schedule; what the streams measured is reported beside it
-//! (`attempt_exec_ms`) and pinned equal by the no-drift tests. An **estimate
-//! is a dry run**: a runtime brought up from architectures alone
-//! ([`DeviceRuntime::dry`]) holds the same admitted table with nothing
-//! staged and no streams, is fed request counts ([`TenantTraffic::Count`])
-//! and goes through the same pass, skipping staging, lane bookkeeping and
-//! the execute call and nothing else — so an estimate cannot drift from the
-//! runtime it estimates.
+//! (`attempt_exec_ms`) and pinned equal by the no-drift tests. Every tenant's
+//! row is one [`TenantReport`], the type the fleet reports per tenant too.
+//! An **estimate is a dry run**: a runtime brought up from architectures
+//! alone ([`DeviceRuntime::dry`]) holds the same admitted table with nothing
+//! staged and its streams without lanes — each still books its pooled slice
+//! — is fed request counts ([`TenantTraffic::Count`]) and goes through the
+//! same pass, skipping staging, lane bookkeeping and the execute call and
+//! nothing else — so an estimate cannot drift from the runtime it estimates.
 //!
 //! Serving remains **bit-exact**: requests are windowed in arrival order
 //! per tenant and outputs are reassembled into request order;
@@ -1326,18 +1327,22 @@ impl Default for OpenLoopOptions {
     }
 }
 
-/// One tenant's slice of an [`OpenLoopReport`], from a closed- or open-loop
-/// pass alike.
-#[derive(Debug, PartialEq)]
-pub struct TenantOpenLoopReport {
+/// One tenant's row of a serving pass: an [`OpenLoopReport`]'s, from a
+/// closed- or open-loop pass alike, or a [`FleetReport`](crate::FleetReport)'s,
+/// where the counters sum over every device that served the tenant.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TenantReport {
     /// Tenant name.
     pub name: String,
     /// Requests that arrived (offered load).
     pub offered: usize,
     /// Requests served (member of a served window).
     pub served: usize,
-    /// Requests shed (member of a shed window).
+    /// Requests shed (member of a shed window, or no fleet device left to
+    /// host the tenant).
     pub shed: usize,
+    /// Requests re-routed after a fleet device failure (0 on one device).
+    pub migrated: usize,
     /// Windows formed from the arrivals.
     pub windows: usize,
     /// Windows shed (deadline or retry exhaustion).
@@ -1346,13 +1351,16 @@ pub struct TenantOpenLoopReport {
     pub retries: usize,
     /// Attempts that ran under thermal derating.
     pub throttled: usize,
-    /// The tenant's window size for this pass (after any replan).
+    /// The tenant's window size for this pass (after any replan); in a
+    /// fleet, the largest of its devices'.
     pub batch: usize,
     /// Per-request outputs in arrival order; `None` for shed requests.
     /// Served outputs are bit-exact with a fault-free run. Empty after a
-    /// dry run.
+    /// dry run, and on a fleet row (the fleet's outputs are
+    /// [`FleetOutcome::outputs`](crate::FleetOutcome::outputs)).
     pub outputs: Vec<Option<ActivationData>>,
-    /// Per-served-request latency (completion − **its own arrival**),
+    /// Per-served-request latency (completion − **its own arrival**, the
+    /// original one for a fleet request re-routed after a failure),
     /// milliseconds, in arrival order over served requests. A closed-loop
     /// window dispatched ahead of its paced arrival counts from its start,
     /// so latency is floored at the service time and queueing delay under
@@ -1384,7 +1392,7 @@ pub struct TenantOpenLoopReport {
 #[derive(Debug, PartialEq)]
 pub struct OpenLoopReport {
     /// Per-tenant results, in registry order.
-    pub tenants: Vec<TenantOpenLoopReport>,
+    pub tenants: Vec<TenantReport>,
     /// Pooled streams the pass was scheduled over (the ones that carried
     /// traffic are [`OpenLoopSchedule::streams_used`]).
     pub streams: usize,
@@ -1455,17 +1463,12 @@ type OutputSlots = Vec<Vec<Option<ActivationData>>>;
 /// ```
 #[derive(Debug)]
 pub struct DeviceRuntime {
+    /// At least one tenant, all staged or all dry.
     tenants: Vec<Tenant>,
-    /// One pooled stream per lane of concurrency; **empty in a dry
-    /// runtime**, which has nothing to run windows on and holds the
-    /// streams' pooled slices as one reservation instead.
+    /// The pooled streams the scheduler places windows on, each booking
+    /// one arena slice fixed when the runtime comes up (the largest
+    /// admitted tenant's `banks × Σ slots`); a dry runtime's have no lanes.
     streams: Vec<Stream>,
-    _dry_pool: Option<Buffer>,
-    /// Pooled streams the scheduler places windows on, staged or not.
-    stream_count: usize,
-    /// One stream's pooled arena slice, fixed when the runtime comes up:
-    /// the largest admitted tenant's `banks × Σ slots`.
-    pool_slice: usize,
     clock: Arc<DeviceClock>,
     ctx: Context,
     /// The phone staged on — kept so live [`DeviceRuntime::attach`] can
@@ -1579,7 +1582,7 @@ impl DeviceRuntime {
                 steady_ms: adm.steady_ms,
             });
         }
-        let pool_slice = registry
+        let slice = registry
             .iter()
             .map(|t| t.plan().staged_arena_bytes())
             .max()
@@ -1588,19 +1591,11 @@ impl DeviceRuntime {
             .iter()
             .filter_map(|t| t.staged().cloned())
             .collect();
-        let (lanes, dry_pool) = if staged.is_empty() {
-            (0, Some(ctx.reserve(streams * pool_slice)?))
-        } else {
-            (streams, None)
-        };
         Ok(Self {
             tenants: registry,
-            streams: (0..lanes)
-                .map(|_| Stream::pooled(&staged, &ctx, Some(Arc::clone(&clock))))
+            streams: (0..streams)
+                .map(|_| Stream::pooled(&staged, slice, &ctx, Some(Arc::clone(&clock))))
                 .collect::<Result<Vec<_>, _>>()?,
-            _dry_pool: dry_pool,
-            stream_count: streams,
-            pool_slice,
             clock,
             ctx,
             phone: phone.clone(),
@@ -1615,7 +1610,13 @@ impl DeviceRuntime {
 
     /// Pooled streams serving the registry.
     pub fn stream_count(&self) -> usize {
-        self.stream_count
+        self.streams.len()
+    }
+
+    /// Whether the registry holds architectures alone — read off its first
+    /// tenant, since a runtime holds at least one and all of one kind.
+    fn is_dry(&self) -> bool {
+        self.tenants[0].staged().is_none()
     }
 
     /// The shared device clock (symmetric for one tenant, carrying the
@@ -1637,16 +1638,10 @@ impl DeviceRuntime {
         self.ctx.used_bytes()
     }
 
-    /// Alias of [`resident_bytes`](DeviceRuntime::resident_bytes) under
-    /// its precise name: the pooled peak actually held on the device.
-    pub fn peak_resident_bytes(&self) -> usize {
-        self.resident_bytes()
-    }
-
     /// Summed binary weight-bank bytes across every tenant as if all were
     /// fully resident — the paged-out total, which can exceed
-    /// [`peak_resident_bytes`](DeviceRuntime::peak_resident_bytes) when
-    /// tenants stream under a weight budget.
+    /// [`resident_bytes`](DeviceRuntime::resident_bytes) when tenants
+    /// stream under a weight budget.
     pub fn total_weight_bytes(&self) -> usize {
         self.tenants.iter().map(|t| t.plan().weights_bytes).sum()
     }
@@ -1658,7 +1653,7 @@ impl DeviceRuntime {
 
     /// One stream's pooled arena slice, bytes.
     pub fn pool_slice_bytes(&self) -> usize {
-        self.pool_slice
+        self.streams.first().map_or(0, Stream::slice_bytes)
     }
 
     /// Serves every tenant's request queue in one **closed-loop** pass —
@@ -1707,14 +1702,14 @@ impl DeviceRuntime {
     /// output slot per request, filled by the window's non-faulted attempt
     /// and left `None` for shed requests.
     ///
-    /// A dry runtime has no streams to run anything on: it returns no
-    /// durations and no slots, and the pass reports its schedule alone.
+    /// A dry runtime's streams have no lanes to run anything on: it returns
+    /// no durations and no slots, and the pass reports its schedule alone.
     fn execute(
         &mut self,
         traffic: &[TenantTraffic<'_>],
         attempts: &[OpenLoopAttempt],
     ) -> Result<(Vec<f64>, OutputSlots), EngineError> {
-        if self.streams.is_empty() {
+        if self.is_dry() {
             return Ok((Vec::new(), vec![Vec::new(); traffic.len()]));
         }
         let tenants = &self.tenants;
@@ -1777,7 +1772,7 @@ impl DeviceRuntime {
     /// replans.
     fn refresh_mix(&mut self) {
         let plans: Vec<&ExecutionPlan> = self.tenants.iter().map(|t| t.plan()).collect();
-        let (mix, windows_ms) = modeled_windows(&plans, &self.phone.gpu, self.stream_count);
+        let (mix, windows_ms) = modeled_windows(&plans, &self.phone.gpu, self.streams.len());
         self.clock.set_mix(mix);
         for (t, (cold_ms, steady_ms)) in self.tenants.iter_mut().zip(windows_ms) {
             t.cold_ms = cold_ms;
@@ -1849,7 +1844,7 @@ impl DeviceRuntime {
     /// The one live attach behind [`attach`](DeviceRuntime::attach) and
     /// [`attach_dry`](DeviceRuntime::attach_dry).
     pub(crate) fn attach_registration(&mut self, reg: Registration) -> Result<usize, EngineError> {
-        if matches!(reg.source, TenantSource::Arch(_)) != self.streams.is_empty() {
+        if matches!(reg.source, TenantSource::Arch(_)) != self.is_dry() {
             return Err(EngineError::InputMismatch {
                 expected: "a model for a staged runtime, an architecture for a dry one".into(),
                 got: format!("tenant `{}` of the other kind", reg.name),
@@ -1862,14 +1857,14 @@ impl DeviceRuntime {
             let mut asks: Vec<TenantAsk<'_>> = self.tenants.iter().map(Tenant::ask).collect();
             asks.push(reg.ask());
             let (admitted, _) =
-                admit_tenants(&asks, &self.phone, self.stream_count, self.weight_budget)?;
+                admit_tenants(&asks, &self.phone, self.streams.len(), self.weight_budget)?;
             admitted.into_iter().next_back().expect("newcomer row")
         };
         let (mut admission, overrides) = (newcomer.admission, newcomer.overrides);
         // Survivors keep their lanes: the newcomer must fit the existing
         // pooled slice, clamping its batch below the memory cap when the
         // slice binds first.
-        let slice = self.pool_slice;
+        let slice = self.pool_slice_bytes();
         let arena_at = |b: usize| {
             let plan = reg.ask().source.plan_at(&gpu, b, overrides);
             plan.map(|p| p.staged_arena_bytes()).ok()
@@ -1915,21 +1910,21 @@ impl DeviceRuntime {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::InputMismatch`] when detaching the last
+    /// Returns [`EngineError::InputMismatch`], leaving the registry and
+    /// every lane untouched, when `tenant` is out of range or is the last
     /// remaining tenant (a runtime always serves at least one).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `tenant` is out of range.
     pub fn detach(&mut self, tenant: usize) -> Result<(), EngineError> {
-        if self.tenants.len() <= 1 {
+        let tenants = self.tenants.len();
+        if tenant >= tenants || tenants == 1 {
             return Err(EngineError::InputMismatch {
-                expected: "a registry with >= 2 tenants".into(),
-                got: "detach of the last tenant".into(),
+                expected: format!("one of {tenants} tenants, leaving >= 1"),
+                got: format!("detach of tenant {tenant}"),
             });
         }
-        for stream in &mut self.streams {
-            stream.detach_lane(tenant);
+        if !self.is_dry() {
+            for stream in &mut self.streams {
+                stream.detach_lane(tenant);
+            }
         }
         self.tenants.remove(tenant);
         self.refresh_mix();
@@ -2028,7 +2023,7 @@ impl DeviceRuntime {
                 })
                 .collect();
             let schedule =
-                schedule_open_loop(&loads, self.stream_count, fault.as_ref(), &opts.policy);
+                schedule_open_loop(&loads, self.streams.len(), fault.as_ref(), &opts.policy);
 
             let mut worst: Option<(usize, f64)> = None;
             if replans < opts.max_replans {
@@ -2070,21 +2065,19 @@ impl DeviceRuntime {
 
         let (attempt_exec_ms, outputs) = self.execute(traffic, &schedule.attempts)?;
 
-        let tenants_out: Vec<TenantOpenLoopReport> = self
+        let tenants_out: Vec<TenantReport> = self
             .tenants
             .iter()
             .zip(arrivals_ms)
             .zip(outputs)
             .enumerate()
-            .map(|(t, ((tenant, arr), out))| {
-                TenantOpenLoopReport::fold(tenant, t, &schedule, arr, out)
-            })
+            .map(|(t, ((tenant, arr), out))| TenantReport::fold(tenant, t, &schedule, arr, out))
             .collect();
         let served_total: usize = tenants_out.iter().map(|t| t.served).sum();
         let horizon_ms = schedule.wall_ms.max(horizon_ms);
         Ok(OpenLoopReport {
             tenants: tenants_out,
-            streams: self.stream_count,
+            streams: self.streams.len(),
             wall_ms: schedule.wall_ms,
             goodput_imgs_per_s: if horizon_ms > 0.0 {
                 served_total as f64 / (horizon_ms * 1e-3)
@@ -2141,7 +2134,37 @@ pub(crate) fn validate_arrivals(
     Ok(())
 }
 
-impl TenantOpenLoopReport {
+impl TenantReport {
+    /// The one place a row's percentiles, SLO verdict and shed rate are
+    /// computed: from its served latencies (arrival order), offered and shed
+    /// counts and SLO. The other counters and outputs are the caller's.
+    pub(crate) fn from_latencies(
+        name: String,
+        latency_ms: Vec<f64>,
+        offered: usize,
+        shed: usize,
+        slo_ms: Option<f64>,
+    ) -> Self {
+        // The extra p99.9 rank is where fault retries live.
+        let [p50_ms, p95_ms, p99_ms, p999_ms] =
+            nearest_rank(&latency_ms, [0.50, 0.95, 0.99, 0.999]);
+        Self {
+            name,
+            offered,
+            served: offered - shed,
+            shed,
+            latency_ms,
+            p50_ms,
+            p95_ms,
+            p99_ms,
+            p999_ms,
+            slo_ms,
+            slo_met: slo_ms.is_none_or(|slo| p95_ms <= slo),
+            shed_rate: shed as f64 / offered.max(1) as f64,
+            ..Self::default()
+        }
+    }
+
     /// Folds `tenant`'s (registry slot `t`) window fates and attempts off
     /// the schedule over its `arrivals_ms`, windowed at its current batch;
     /// `outputs` is what the streams committed for it.
@@ -2152,7 +2175,6 @@ impl TenantOpenLoopReport {
         arrivals_ms: &[f64],
         outputs: Vec<Option<ActivationData>>,
     ) -> Self {
-        let offered = arrivals_ms.len();
         let mut latency_ms = Vec::new();
         let mut shed = 0usize;
         let mut windows_shed = 0usize;
@@ -2176,33 +2198,15 @@ impl TenantOpenLoopReport {
             }
         }
         let mine = || schedule.attempts.iter().filter(move |a| a.tenant == t);
-        // The extra p99.9 rank is where fault retries live.
-        let [p50_ms, p95_ms, p99_ms, p999_ms] =
-            nearest_rank(&latency_ms, [0.50, 0.95, 0.99, 0.999]);
-        let slo_ms = tenant.admission.slo_ms;
+        let (name, slo_ms) = (tenant.name.clone(), tenant.admission.slo_ms);
         Self {
-            name: tenant.name.clone(),
-            offered,
-            served: offered - shed,
-            shed,
             windows: schedule.fates[t].len(),
             windows_shed,
             retries: mine().filter(|a| a.faulted).count(),
             throttled: mine().filter(|a| a.slowdown > 1.0).count(),
             batch: tenant.plan().batch,
             outputs,
-            latency_ms,
-            p50_ms,
-            p95_ms,
-            p99_ms,
-            p999_ms,
-            slo_ms,
-            slo_met: slo_ms.is_none_or(|slo| p95_ms <= slo),
-            shed_rate: if offered > 0 {
-                shed as f64 / offered as f64
-            } else {
-                0.0
-            },
+            ..Self::from_latencies(name, latency_ms, arrivals_ms.len(), shed, slo_ms)
         }
     }
 }
@@ -2455,10 +2459,10 @@ mod tests {
         // Memory scales with the stream count; weights are shared.
         assert_eq!(duo.pool_slice_bytes(), solo.pool_slice_bytes());
         assert_eq!(
-            duo.peak_resident_bytes() - duo.total_weight_bytes(),
-            2 * (solo.peak_resident_bytes() - solo.total_weight_bytes())
+            duo.resident_bytes() - duo.total_weight_bytes(),
+            2 * (solo.resident_bytes() - solo.total_weight_bytes())
         );
-        assert!(duo.peak_resident_bytes() < 2 * solo.peak_resident_bytes());
+        assert!(duo.resident_bytes() < 2 * solo.resident_bytes());
         // Service-time percentiles order and cold dominates the tail.
         let service: Vec<f64> = solo_pass
             .schedule
@@ -2815,7 +2819,7 @@ mod tests {
         // Pooled memory: shared slice, summed weights.
         assert!(runtime.pool_slice_bytes() > 0);
         assert_eq!(
-            runtime.peak_resident_bytes(),
+            runtime.resident_bytes(),
             runtime.total_weight_bytes() + 2 * runtime.pool_slice_bytes()
         );
         for t in &est.tenants {
@@ -3209,6 +3213,47 @@ mod tests {
 
         // Detaching the last tenant is refused.
         assert!(grown.detach(0).is_err(), "a runtime keeps >= 1 tenant");
+    }
+
+    #[test]
+    fn detach_out_of_range_is_an_error_that_changes_nothing() {
+        let phone = Phone::xiaomi_9();
+        let (alex, yolo) = (
+            zoo::alexnet_micro(Variant::Binary),
+            zoo::yolo_micro(Variant::Binary),
+        );
+        let workloads = [&yolo, &alex].map(|arch| TenantWorkload {
+            arch,
+            batch: Some(2),
+            slo_ms: None,
+        });
+        let (reqs_a, reqs_b) = (requests(2), alex_requests(2));
+        let staged = (
+            pair_runtime(&phone),
+            [TenantTraffic::U8(&reqs_a), TenantTraffic::U8(&reqs_b)],
+        );
+        let dry = (
+            DeviceRuntime::dry(&workloads, &phone, 2, None).expect("pair fits"),
+            [TenantTraffic::Count(2); 2],
+        );
+        let names = |rt: &DeviceRuntime| -> Vec<String> {
+            rt.tenants().iter().map(|t| t.name().to_string()).collect()
+        };
+        for (mut runtime, traffic) in [staged, dry] {
+            let (roster, resident) = (names(&runtime), runtime.resident_bytes());
+            let err = runtime.detach(2).expect_err("index 2 of 2 tenants");
+            assert!(
+                matches!(&err, EngineError::InputMismatch { got, .. } if got.contains("tenant 2")),
+                "{err}"
+            );
+            assert_eq!(names(&runtime), roster);
+            assert_eq!(runtime.resident_bytes(), resident);
+            // Every stream still holds a lane per tenant: both serve.
+            let pass = runtime.serve(&traffic).expect("registry intact");
+            assert!(pass.tenants.iter().all(|t| t.served == 2));
+            runtime.detach(1).expect("in range");
+            assert_eq!(names(&runtime), roster[..1]);
+        }
     }
 
     #[test]

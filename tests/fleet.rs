@@ -6,7 +6,7 @@
 //! seeds produce identical [`FleetReport`]s on both the executed and the
 //! dry path, and the two paths hand back the same report.
 
-use phonebit::core::serve::{DeviceRuntime, TenantSpec, TenantTraffic};
+use phonebit::core::serve::{DeviceRuntime, TenantReport, TenantSpec, TenantTraffic};
 use phonebit::core::{
     convert, estimate_fleet, zipf_rates, ArrivalProcess, Fleet, FleetAction, FleetDeviceSpec,
     FleetEvent, FleetOptions, FleetOutcome, FleetRequestFate, OpenLoopWorkload, RoutePolicy,
@@ -129,6 +129,17 @@ fn assert_conserved(outcome: &FleetOutcome, arrivals: &[Vec<f64>]) {
             }
         }
     }
+    // A tenant's `migrated` counts its requests re-routed after a failure:
+    // those scheduled from the failure instant instead of their arrival.
+    for (t, row) in outcome.report.tenants.iter().enumerate() {
+        let rerouted = outcome
+            .routed
+            .iter()
+            .flat_map(|dev| &dev[t])
+            .filter(|r| r.effective_ms != r.arrival_ms)
+            .count();
+        assert_eq!(row.migrated, rerouted, "tenant {t}: migrated = re-routed");
+    }
     let served: usize = outcome
         .fates
         .iter()
@@ -178,7 +189,8 @@ fn conservation_holds_across_policies_fleet_sizes_and_failures() {
 
 /// Replays one device's exact construction (birth roster, then the
 /// outcome's attach/detach actions in order) and runs its routed slice
-/// solo; outputs must be bit-exact with the fleet pass.
+/// solo; outputs must be bit-exact with the fleet pass. Returns the
+/// device's rows, keyed by fleet tenant id.
 fn replay_device_solo(
     d: usize,
     fleet: &Fleet,
@@ -187,10 +199,10 @@ fn replay_device_solo(
     outcome: &FleetOutcome,
     traffic: &[Vec<Tensor<u8>>],
     opts: &FleetOptions,
-) {
+) -> Vec<(usize, TenantReport)> {
     let birth = fleet.birth_roster(d);
     if birth.is_empty() {
-        return;
+        return Vec::new();
     }
     let mut rt = DeviceRuntime::new(
         birth.iter().map(|&t| specs[t].clone()).collect(),
@@ -216,7 +228,7 @@ fn replay_device_solo(
     }
     let total: usize = roster.iter().map(|&t| outcome.routed[d][t].len()).sum();
     if total == 0 {
-        return;
+        return Vec::new();
     }
     let owned: Vec<Vec<Tensor<u8>>> = roster
         .iter()
@@ -250,6 +262,7 @@ fn replay_device_solo(
             );
         }
     }
+    roster.into_iter().zip(solo.tenants).collect()
 }
 
 #[test]
@@ -364,7 +377,9 @@ fn failure_migrates_a_singly_replicated_tenant_via_attach() {
             .map(|i| synthetic_image(yolo_input, 500 + i as u64))
             .collect(),
     ];
-    let arrivals = zipf_arrivals(tenants, 10, 1000.0, 0.0);
+    // Arrivals faster than tenant 0's home serves them: when it dies, a
+    // queued, uncommitted tail re-routes.
+    let arrivals = zipf_arrivals(tenants, 10, 8000.0, 0.0);
     let opts = FleetOptions {
         policy: RoutePolicy::ShortestQueue,
         replicas: 1,
@@ -378,7 +393,7 @@ fn failure_migrates_a_singly_replicated_tenant_via_attach() {
     assert_eq!(fleet.placement(1)[0], other, "load-aware spread");
     let slices: Vec<TenantTraffic> = traffic.iter().map(|r| TenantTraffic::U8(r)).collect();
     let events = vec![FleetEvent::Fail {
-        at_ms: 8.0,
+        at_ms: 2.0,
         device: home,
     }];
     let outcome = fleet
@@ -406,16 +421,86 @@ fn failure_migrates_a_singly_replicated_tenant_via_attach() {
         "migrated requests are served on the new device"
     );
     // The migration re-enters at the failure instant: latency includes
-    // the hand-off delay relative to the original arrival.
-    replay_device_solo(
-        other,
-        &fleet,
-        &device_specs(2),
-        &specs,
-        &outcome,
-        &traffic,
-        &opts,
+    // the hand-off delay relative to the original arrival. Each tenant's
+    // fleet row sums its window and retry counters over the device rows
+    // that served it (`assert_conserved` pins its `migrated`).
+    let devices = device_specs(2);
+    let mut sums = vec![(0usize, 0usize); tenants];
+    for d in 0..devices.len() {
+        let rows = replay_device_solo(d, &fleet, &devices, &specs, &outcome, &traffic, &opts);
+        for (t, row) in rows {
+            sums[t].0 += row.windows;
+            sums[t].1 += row.retries;
+        }
+    }
+    for (t, row) in outcome.report.tenants.iter().enumerate() {
+        assert_eq!((row.windows, row.retries), sums[t], "tenant {t}");
+        assert!(
+            row.outputs.is_empty(),
+            "a fleet row's outputs live in the outcome"
+        );
+    }
+    assert!(
+        outcome.report.tenants[0].migrated > 0,
+        "uncommitted requests re-route"
     );
+}
+
+/// One fold: a fleet of one phone hosting each tenant once reports, per
+/// tenant, exactly the row a [`DeviceRuntime`] over the same specs,
+/// arrivals and open-loop options reports — with and without injected
+/// faults and SLOs — and hands back the runtime's outputs.
+#[test]
+fn a_fleet_of_one_reports_what_its_runtime_reports() {
+    let tenants = 2;
+    let arrivals: Vec<Vec<f64>> = (0..tenants)
+        .map(|t| {
+            let mut arr = ArrivalProcess::poisson(900.0).times_ms(30 + t as u64, 1e3);
+            arr.truncate(12);
+            arr
+        })
+        .collect();
+    let traffic = tenant_traffic(tenants, 12);
+    let slices: Vec<TenantTraffic> = traffic.iter().map(|r| TenantTraffic::U8(r)).collect();
+    let phone = Phone::xiaomi_9();
+    let opts = FleetOptions {
+        replicas: 1,
+        ..FleetOptions::default()
+    };
+    let faults = [None, Some(FaultPlan::new(5).with_failure_rate(0.3))];
+    for (fault, slo_ms) in faults.iter().flat_map(|f| [(f, None), (f, Some(3.0))]) {
+        let specs: Vec<TenantSpec> = tenant_specs(tenants)
+            .into_iter()
+            .map(|mut spec| {
+                spec.slo_ms = slo_ms;
+                spec
+            })
+            .collect();
+        let mut device = FleetDeviceSpec::new(phone.clone());
+        device.fault = fault.clone();
+        let outcome = Fleet::new(vec![device], specs.clone(), opts.clone())
+            .expect("the pair fits one phone")
+            .serve_open_loop(&slices, &arrivals, &[])
+            .expect("fleet pass");
+        let mut runtime =
+            DeviceRuntime::new(specs, &phone, opts.streams).expect("the pair fits one phone");
+        runtime.clock().set_fault_plan(fault.clone());
+        let solo = runtime
+            .serve_open_loop(&slices, &arrivals, &opts.open_loop)
+            .expect("runtime pass");
+        let case = format!("fault={} slo={slo_ms:?}", fault.is_some());
+        for (t, mut want) in solo.tenants.into_iter().enumerate() {
+            assert_eq!(outcome.outputs[t], want.outputs, "{case} tenant {t}");
+            want.outputs.clear();
+            let got = &outcome.report.tenants[t];
+            assert_eq!(got, &want, "{case} tenant {t}");
+            assert_eq!(got.migrated, 0, "{case} tenant {t}");
+        }
+        if fault.is_some() {
+            let retries: usize = outcome.report.tenants.iter().map(|t| t.retries).sum();
+            assert!(retries > 0, "{case}: a 0.3 fault rate retries something");
+        }
+    }
 }
 
 #[test]

@@ -392,7 +392,7 @@ fn minimum_grants_admit_a_two_x_oversubscribed_set_bit_exactly() {
         assert_eq!(p.served, r.served, "paging must not starve {}", p.name);
         assert!(p.slo_met);
     }
-    assert!(paged.peak_resident_bytes() <= resident.peak_resident_bytes());
+    assert!(paged.resident_bytes() <= resident.resident_bytes());
     assert!(
         paged_pass.goodput_imgs_per_s >= 0.6 * resident_pass.goodput_imgs_per_s,
         "oversubscribed throughput {} fell below 0.6x of resident {}",

@@ -508,7 +508,7 @@ fn dry_and_staged_registries_agree_through_attach_detach_and_replan() {
         // arena side of the peak is equal even where the weight bytes are
         // not.
         let figures = |rt: &DeviceRuntime| {
-            let (weights, peak) = (rt.total_weight_bytes(), rt.peak_resident_bytes());
+            let (weights, peak) = (rt.total_weight_bytes(), rt.resident_bytes());
             let tenants: Vec<_> = rt
                 .tenants()
                 .iter()

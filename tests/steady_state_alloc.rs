@@ -191,10 +191,11 @@ fn steady_stream_window_bytes(hw: usize, batch: usize) -> (usize, usize) {
         StagedModel::stage_in(model, ctx.clone(), batch, &RouteOverrides::default()).expect("fits"),
     ];
     let clock = DeviceClock::with_streams(phone.gpu.clone(), 2);
-    let mut warm = Stream::pooled(&staged, &ctx, Some(clock.clone()))
+    let slice = staged[0].plan().staged_arena_bytes();
+    let mut warm = Stream::pooled(&staged, slice, &ctx, Some(clock.clone()))
         .expect("fits")
         .with_output_capture(false);
-    let _other = Stream::pooled(&staged, &ctx, Some(clock)).expect("fits");
+    let _other = Stream::pooled(&staged, slice, &ctx, Some(clock)).expect("fits");
     let arena = 2 * staged[0].plan().staged_arena_bytes();
     let images: Vec<_> = (0..batch)
         .map(|i| synthetic_image(Shape4::new(1, hw, hw, 3), 4 + i as u64))
@@ -279,7 +280,9 @@ fn steady_steal_window_bytes(batch: usize) -> (usize, usize) {
     let staged_b = StagedModel::stage_in(model_b, ctx.clone(), batch, &RouteOverrides::default())
         .expect("fits");
     let clock = DeviceClock::with_streams(phone.gpu.clone(), 2);
-    let mut stream = Stream::pooled(&[staged_a, staged_b], &ctx, Some(clock))
+    let slice = staged_a.plan().staged_arena_bytes();
+    let slice = slice.max(staged_b.plan().staged_arena_bytes());
+    let mut stream = Stream::pooled(&[staged_a, staged_b], slice, &ctx, Some(clock))
         .expect("fits")
         .with_output_capture(false);
     let arena = stream.slice_bytes();
