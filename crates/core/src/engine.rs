@@ -617,10 +617,11 @@ pub enum Window<'a> {
 /// idle stream can steal the next window regardless of which model it
 /// belongs to, and the device footprint of `S` streams is
 /// `S × max_tenant(arena)` instead of `S × Σ_tenants(arena)`. The serving
-/// runtime ([`DeviceRuntime`](crate::serve::DeviceRuntime)) drives each
-/// pooled stream from its own thread, a shared [`DeviceClock`] arbitrating
-/// the GPU between their queues; a dry runtime's streams hold the booking
-/// and no lanes.
+/// runtime ([`DeviceRuntime`](crate::serve::DeviceRuntime)) hands its pooled
+/// streams to `gpusim::exec` like kernel rows — in order on the caller on a
+/// one-thread host, spread over the host's threads otherwise — a shared
+/// [`DeviceClock`] arbitrating the GPU between their queues; a dry
+/// runtime's streams hold the booking and no lanes.
 #[derive(Debug)]
 pub struct Stream {
     lanes: Vec<(Arc<StagedModel>, ArenaState)>,

@@ -35,8 +35,9 @@
 //! thermal derate are inputs to the same loop.
 //!
 //! **Execute, fold.** The schedule is computed deterministically on modeled
-//! time and executed verbatim — every attempt on its assigned stream, one
-//! scoped thread per stream. Counters, latencies and percentiles are folded
+//! time and executed verbatim — every attempt on its assigned stream, the
+//! streams handed to `gpusim::exec` like kernel rows (in stream order on a
+//! one-thread host). Counters, latencies and percentiles are folded
 //! from the schedule; what the streams measured is reported beside it
 //! (`attempt_exec_ms`) and pinned equal by the no-drift tests. Every tenant's
 //! row is one [`TenantReport`], the type the fleet reports per tenant too.
@@ -55,11 +56,11 @@
 use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use std::thread;
 
 use phonebit_gpusim::buffer::{Buffer, Context, SimError};
 use phonebit_gpusim::clock::{DeviceClock, FaultPlan};
 use phonebit_gpusim::cost::QueueLoad;
+use phonebit_gpusim::exec::par_chunks_mut;
 use phonebit_gpusim::queue::CommandQueue;
 use phonebit_gpusim::{DeviceProfile, ExecutorClass, Phone};
 use phonebit_nn::graph::NetworkArch;
@@ -71,7 +72,7 @@ use crate::estimate::{launch_step, walk_plan};
 use crate::model::PbitModel;
 use crate::plan::{ExecutionPlan, RouteOverrides};
 use crate::planner::{largest_batch_where, pooled_peak_bytes};
-use crate::stats::{nearest_rank, RunReport};
+use crate::stats::nearest_rank;
 
 // ---------------------------------------------------------------------------
 // Admission decisions
@@ -1661,10 +1662,10 @@ impl DeviceRuntime {
     /// arrives with its window, window `k` at `k × target`; every window is
     /// pending at time 0, never shed, and paced at `(k + 1) × target`
     /// ([`schedule_open_loop`] then places them — least slack first);
-    /// streams execute their assignments concurrently on scoped threads,
-    /// and outputs are reassembled per tenant in arrival order. Nothing is
-    /// replanned, the device clock's fault plan (an open-loop input) is
-    /// ignored, and goodput is over the makespan.
+    /// streams execute their assignments (concurrently when the host has
+    /// threads for them), and outputs are reassembled per tenant in arrival
+    /// order. Nothing is replanned, the device clock's fault plan (an
+    /// open-loop input) is ignored, and goodput is over the makespan.
     ///
     /// # Errors
     ///
@@ -1696,11 +1697,14 @@ impl DeviceRuntime {
 
     /// Executes a schedule verbatim: every attempt — faulted ones
     /// included, they burn real device time — on its assigned stream, in
-    /// modeled start order, streams concurrent on scoped threads. Returns
-    /// each attempt's executed milliseconds in schedule order (service ×
-    /// the derate the scheduler applied at its start) and, per tenant, one
-    /// output slot per request, filled by the window's non-faulted attempt
-    /// and left `None` for shed requests.
+    /// modeled start order, one stream per [`par_chunks_mut`] chunk: on a
+    /// one-thread host the streams run in order on the caller, otherwise
+    /// concurrently with the caller running stream 0. The reports do not
+    /// depend on which, since the [`DeviceClock`] never reads the wall
+    /// clock or thread order. Returns each attempt's executed milliseconds
+    /// in schedule order (service × the derate the scheduler applied at its
+    /// start) and, per tenant, one output slot per request, filled by the
+    /// window's non-faulted attempt and left `None` for shed requests.
     ///
     /// A dry runtime's streams have no lanes to run anything on: it returns
     /// no durations and no slots, and the pass reports its schedule alone.
@@ -1723,32 +1727,28 @@ impl DeviceRuntime {
         for (k, at) in attempts.iter().enumerate() {
             assignments[at.stream].push(k);
         }
-        let results: Vec<Result<Vec<RunReport>, EngineError>> = thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .streams
-                .iter_mut()
-                .zip(&assignments)
-                .map(|(stream, mine)| {
-                    scope.spawn(move || {
-                        mine.iter()
-                            .map(|&k| {
-                                let at = &attempts[k];
-                                let batch = tenants[at.tenant].batch();
-                                let window = traffic[at.tenant].window(at.index, batch)?;
-                                stream.run_window(at.tenant, window)
-                            })
-                            .collect()
-                    })
+        // One stream per chunk: its assignment and its result slot.
+        let mut runs: Vec<_> = self
+            .streams
+            .iter_mut()
+            .zip(&assignments)
+            .map(|(stream, mine)| (stream, mine, Ok(Vec::new())))
+            .collect();
+        par_chunks_mut(&mut runs, 1, |_, run| {
+            let (stream, mine, done) = &mut run[0];
+            *done = mine
+                .iter()
+                .map(|&k| {
+                    let at = &attempts[k];
+                    let batch = tenants[at.tenant].batch();
+                    let window = traffic[at.tenant].window(at.index, batch)?;
+                    stream.run_window(at.tenant, window)
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("stream thread panicked"))
-                .collect()
         });
         let mut exec_ms = vec![0.0; attempts.len()];
         let mut outputs: OutputSlots = traffic.iter().map(|q| vec![None; q.len()]).collect();
-        for (mine, done) in assignments.iter().zip(results) {
+        for (_, mine, done) in runs {
             for (&k, report) in mine.iter().zip(done?) {
                 let at = &attempts[k];
                 exec_ms[k] = report.total_s * 1e3 * at.slowdown;

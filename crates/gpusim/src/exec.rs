@@ -1,48 +1,30 @@
-//! Host-side parallel execution of kernel bodies.
+//! Host-side parallel execution: kernel rows and serving streams.
 //!
 //! Functional kernel execution is embarrassingly parallel over output
-//! elements (each work item writes disjoint outputs). This module provides
-//! the one primitive kernels need: run a function over disjoint index ranges
-//! on scoped std threads. Results are bit-identical to sequential execution
-//! because ranges never overlap and the function is pure per range.
+//! elements (each work item writes disjoint outputs), and a serving runtime's
+//! streams each own their queue and arena. This module provides the one
+//! primitive both need: run a function over disjoint mutable chunks of a
+//! slice, statically partitioned into one contiguous region per worker. The
+//! calling thread runs the first region and scoped std threads the rest, so
+//! a one-thread host spawns nothing. Results are bit-identical to sequential
+//! execution because regions never overlap and the function is pure per
+//! chunk.
+//!
+//! The thread count is read once per process ([`host_threads`]): on Linux
+//! `available_parallelism` reads the cgroup quota files, 17–22 µs per call on
+//! a 2-vCPU x86-64 guest — more than a micro model's whole dispatch — and
+//! the std docs ask callers to cache it.
 
-use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
-/// Number of host worker threads used for kernel bodies.
+/// Number of host worker threads for kernel bodies and serving streams:
+/// [`std::thread::available_parallelism`] at the first call, cached for the
+/// rest of the process like the kernels' `IsaTier::detected`. A process that
+/// narrows its CPU affinity after its first dispatch keeps the count it
+/// started with; one that pins itself first gets 1 and spawns no thread.
 pub fn host_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Runs `f` over `0..n` split into contiguous ranges across host threads.
-///
-/// `min_chunk` bounds splitting so tiny workloads stay sequential. `f` must
-/// be safe to call concurrently on disjoint ranges.
-pub fn par_for(n: usize, min_chunk: usize, f: impl Fn(Range<usize>) + Sync) {
-    let threads = host_threads();
-    if n == 0 {
-        return;
-    }
-    let chunk = (n.div_ceil(threads)).max(min_chunk.max(1));
-    if chunk >= n {
-        f(0..n);
-        return;
-    }
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..threads.min(n.div_ceil(chunk)) {
-            s.spawn(|| loop {
-                let start = next.fetch_add(chunk, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                let end = (start + chunk).min(n);
-                f(start..end);
-            });
-        }
-    });
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Runs `f` over mutable, equally-sized chunks of `out` in parallel, passing
@@ -62,14 +44,16 @@ pub fn par_chunks_mut<T: Send>(
 ///
 /// This is the "each work item writes its own output rows" pattern: `out`
 /// is split by `chunk_len` so no two threads alias. Work is partitioned
-/// statically — each worker owns one contiguous run of chunks, visited in
-/// order — and `init` runs once per worker, so a kernel's scratch (a window
-/// gather, a plane stream) is allocated once per dispatch per thread, not
-/// once per chunk: the dispatch allocates nothing proportional to the chunk
-/// count (the engine's steady-state zero-allocation contract extends
-/// through kernel bodies). Results are bit-identical to sequential
-/// execution either way; `f` must not let what an earlier chunk left in the
-/// scratch change a later chunk's output.
+/// statically — each of [`host_threads`] workers owns one contiguous run of
+/// chunks, visited in order, the caller the first — and `init` runs once per
+/// worker, so a kernel's scratch (a window gather, a plane stream) is
+/// allocated once per dispatch per thread, not once per chunk: the dispatch
+/// allocates nothing proportional to the chunk count (the engine's
+/// steady-state zero-allocation contract extends through kernel bodies).
+/// A single chunk runs on the caller without asking for the thread count.
+/// Results are bit-identical to sequential execution either way; `f` must
+/// not let what an earlier chunk left in the scratch change a later chunk's
+/// output.
 pub fn par_chunks_mut_with<T: Send, S>(
     out: &mut [T],
     chunk_len: usize,
@@ -77,65 +61,51 @@ pub fn par_chunks_mut_with<T: Send, S>(
     f: impl Fn(&mut S, usize, &mut [T]) + Sync,
 ) {
     assert!(chunk_len > 0, "chunk_len must be positive");
-    let n = out.len().div_ceil(chunk_len);
-    let threads = host_threads();
-    if n <= 1 || threads == 1 {
+    let workers = if out.len() <= chunk_len {
+        1
+    } else {
+        host_threads()
+    };
+    par_chunks_on(workers, out, chunk_len, &init, &f);
+}
+
+/// The partition behind both entries, at an explicit worker count: regions
+/// of `⌈chunks ÷ workers⌉` chunks, the first on the calling thread and
+/// every other on its own scoped thread.
+fn par_chunks_on<T: Send, S>(
+    workers: usize,
+    out: &mut [T],
+    chunk_len: usize,
+    init: &(impl Fn() -> S + Sync),
+    f: &(impl Fn(&mut S, usize, &mut [T]) + Sync),
+) {
+    let chunks = out.len().div_ceil(chunk_len);
+    let per_region = chunks.div_ceil(workers);
+    let run = |first_chunk: usize, region: &mut [T]| {
         let mut scratch = init();
-        for (i, c) in out.chunks_mut(chunk_len).enumerate() {
-            f(&mut scratch, i, c);
+        for (j, c) in region.chunks_mut(chunk_len).enumerate() {
+            f(&mut scratch, first_chunk + j, c);
+        }
+    };
+    if chunks <= per_region {
+        if chunks > 0 {
+            run(0, out);
         }
         return;
     }
-    let per_worker = n.div_ceil(threads);
+    let (head, rest) = out.split_at_mut(per_region * chunk_len);
     std::thread::scope(|s| {
-        let mut rest = out;
-        let mut first_chunk = 0;
-        while !rest.is_empty() {
-            let take = (per_worker * chunk_len).min(rest.len());
-            let (region, tail) = std::mem::take(&mut rest).split_at_mut(take);
-            rest = tail;
-            let (init, f) = (&init, &f);
-            s.spawn(move || {
-                let mut scratch = init();
-                for (j, c) in region.chunks_mut(chunk_len).enumerate() {
-                    f(&mut scratch, first_chunk + j, c);
-                }
-            });
-            first_chunk += per_worker;
+        for (r, region) in rest.chunks_mut(per_region * chunk_len).enumerate() {
+            s.spawn(move || run((r + 1) * per_region, region));
         }
+        run(0, head);
     });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
-
-    #[test]
-    fn par_for_covers_every_index_once() {
-        let n = 10_000;
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        par_for(n, 16, |range| {
-            for i in range {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn par_for_empty_is_noop() {
-        par_for(0, 1, |_| panic!("must not be called"));
-    }
-
-    #[test]
-    fn par_for_small_runs_sequential() {
-        let sum = AtomicU64::new(0);
-        par_for(10, 100, |range| {
-            sum.fetch_add(range.map(|i| i as u64).sum(), Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 45);
-    }
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn par_chunks_mut_writes_disjoint() {
@@ -190,6 +160,44 @@ mod tests {
         for (i, &v) in data.iter().enumerate() {
             assert_eq!(v, i / 64 + 1);
         }
+    }
+
+    #[test]
+    fn partition_is_sequential_at_every_worker_count() {
+        // Chunk counts 0, 1, 5 and 41, every non-empty one with a short tail.
+        for len in [0usize, 9, 4 * 16 + 9, 40 * 16 + 3] {
+            let chunks = len.div_ceil(16);
+            let expected: Vec<usize> = (0..len).map(|i| (i / 16) * 1000 + i % 16).collect();
+            for workers in [1, 2, 3, 7, chunks + 5] {
+                let inits = AtomicUsize::new(0);
+                let mut data = vec![usize::MAX; len];
+                par_chunks_on(
+                    workers,
+                    &mut data,
+                    16,
+                    &|| {
+                        inits.fetch_add(1, Ordering::Relaxed);
+                        None::<usize>
+                    },
+                    &|last: &mut Option<usize>, idx, chunk: &mut [usize]| {
+                        assert!(last.is_none_or(|l| l + 1 == idx), "region not consecutive");
+                        *last = Some(idx);
+                        for (off, v) in chunk.iter_mut().enumerate() {
+                            *v = idx * 1000 + off;
+                        }
+                    },
+                );
+                assert_eq!(data, expected, "{len} elements on {workers} workers");
+                let regions = chunks.div_ceil(chunks.div_ceil(workers).max(1));
+                assert_eq!(inits.load(Ordering::Relaxed), regions, "{workers} workers");
+            }
+        }
+    }
+
+    #[test]
+    fn host_threads_is_read_once() {
+        assert_eq!(host_threads(), host_threads());
+        assert!(host_threads() >= 1);
     }
 
     #[test]

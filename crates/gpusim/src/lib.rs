@@ -19,7 +19,8 @@
 //!   instead of each pretending to own the hardware.
 //! - [`vector`] — OpenCL vector types (`uchar2`…`ulong16`) for kernels.
 //! - [`counters`] — per-kernel aggregation of a timeline.
-//! - [`exec`] — scoped-thread parallel execution of kernel bodies.
+//! - [`exec`] — the one host-parallel primitive, for kernel rows and
+//!   serving streams.
 //!
 //! # Examples
 //!

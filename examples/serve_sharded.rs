@@ -3,8 +3,8 @@
 //!
 //! A one-tenant `DeviceRuntime` stages weights and GEMM banks **once** (the
 //! paper's staging claim), then shards request windows across N streams — each
-//! on its own thread with its own command queue — while a shared
-//! `DeviceClock` makes the queues contend for the GPU per the device's
+//! with its own command queue, concurrent when the host has threads — while a
+//! shared `DeviceClock` makes the queues contend for the GPU per the device's
 //! compute-unit budget. The admission controller picks the window size
 //! from the sharded memory cap (`weights + N x banks x arena`) and a p95
 //! latency SLO. This example runs the functional engine (real outputs),

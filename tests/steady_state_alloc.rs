@@ -3,8 +3,10 @@
 //! lands in a preassigned arena slot. A counting global allocator measures
 //! the heap bytes each run requests; after warm-up they must be a small
 //! constant (dispatch bookkeeping: the timeline's events, the per-layer
-//! report, the host thread pool — kernel names are `&'static str`) and must not scale with the activation
-//! footprint, which the pre-arena engine re-allocated on every run.
+//! report and, on a multi-CPU host, each dispatch's scoped worker threads —
+//! kernel names are `&'static str`) and must not scale with the activation
+//! footprint, which the pre-arena engine re-allocated on every run. Pinned
+//! to one CPU, kernel bodies run on the calling thread and spawn nothing.
 //!
 //! This file holds exactly one test so no sibling test's allocations leak
 //! into the measurement.
