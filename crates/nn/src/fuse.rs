@@ -21,10 +21,13 @@
 //! x4 = (A xor B) or C,   A = (x1 < ξ), B = (γ > 0), C = (x1 = ξ)
 //! ```
 //!
-//! [`BitSink`] is the one place a kernel's raw accumulator becomes that bit.
+//! [`BitSink`] is the one place a kernel's raw accumulator becomes that bit:
+//! in the binary tile by `Cuts`, integer intervals derived from ξ and γ per
+//! dispatch and defined by [`FusedBn::decide_logic`]; elsewhere by the latter.
 
 use phonebit_tensor::bits::BitWord;
 use phonebit_tensor::lanes::LANES;
+use phonebit_tensor::shape::FilterShape;
 
 /// Modeled compute inflation of a kernel that binarizes with the divergent
 /// four-case Eqn 8 instead of Eqn 9: the checks mask part of each wave
@@ -176,24 +179,57 @@ fn decide(xi: f32, gamma_pos: bool, x1: f32) -> bool {
     (a ^ gamma_pos) | c
 }
 
+/// Eqn 9 as integer cuts on a `bits`-bit window's disagreement count `d`:
+/// filter `k` outputs 1 iff `d.wrapping_sub(lo[k]) < 2^63` — `d < b` for
+/// γ > 0 (`lo = b − 2^63`), `d ≥ b` for γ < 0 — exactly when
+/// [`FusedBn::decide_logic`]`(k, (bits − 2d) as f32)` does. Lanes past the
+/// last filter never fire.
+#[derive(Debug)]
+pub(crate) struct Cuts(Vec<[u64; LANES]>);
+
+impl Cuts {
+    /// The cuts of `fused` over `bits`-bit windows.
+    pub(crate) fn new(fused: &FusedBn, bits: usize) -> Self {
+        // `lo = 2^63` never fires: `d − 2^63` wraps to `2^63 + d`.
+        let mut lo = vec![[1 << 63; LANES]; fused.len().div_ceil(LANES)];
+        for (k, (&xi, &gamma_pos)) in fused.xi.iter().zip(&fused.gamma_pos).enumerate() {
+            lo[k / LANES][k % LANES] =
+                prefix(xi, gamma_pos, bits as u64) ^ u64::from(gamma_pos) << 63;
+        }
+        Self(lo)
+    }
+}
+
+/// How many `d` of `0..=bits`, from 0, have Eqn 9 equal to `gamma_pos` at
+/// `x1 = bits − 2d`: the firing run for γ > 0, the run before it for γ < 0.
+/// A binary search of Eqn 9, monotone in `d` even where `x1 as f32` rounds.
+fn prefix(xi: f32, gamma_pos: bool, bits: u64) -> u64 {
+    let fits = |d: u64| decide(xi, gamma_pos, (bits as i64 - 2 * d as i64) as f32) == gamma_pos;
+    let end = bits + 1;
+    (0..=end.ilog2()).rev().fold(0, |b, s| match b + (1 << s) {
+        n if n <= end && fits(n - 1) => n,
+        _ => b,
+    })
+}
+
 /// The packed-bit sink of every fused binarize+pack kernel (Fig 4): decides
-/// Eqn (9) for a run of raw accumulators, builds their bits in a register as
-/// `decision << bit` — the near-coin-flip outcome is data, not a branch
+/// Eqn (9) by [`FusedBn`] ([`RowSink`]) or by `Cuts` ([`TileSink`]), builds
+/// the bits in a register — the near-coin-flip outcome is data, not a branch
 /// (§VI-C) — and ORs them into the output word once. Rows must start zeroed;
 /// runs may arrive in any order.
 #[derive(Debug)]
-pub struct BitSink<'a, W: BitWord> {
-    fused: &'a FusedBn,
+pub struct BitSink<'a, W: BitWord, T = FusedBn> {
+    thresholds: &'a T,
     row: &'a mut [W],
     words_per_pixel: usize,
 }
 
-impl<'a, W: BitWord> BitSink<'a, W> {
+impl<'a, W: BitWord, T> BitSink<'a, W, T> {
     /// A sink over `row`, a zeroed span of whole output pixels of
-    /// `words_per_pixel` words each, thresholded by `fused`.
-    pub fn new(fused: &'a FusedBn, row: &'a mut [W], words_per_pixel: usize) -> Self {
+    /// `words_per_pixel` words each, thresholded by `thresholds`.
+    pub fn new(thresholds: &'a T, row: &'a mut [W], words_per_pixel: usize) -> Self {
         Self {
-            fused,
+            thresholds,
             row,
             words_per_pixel,
         }
@@ -238,6 +274,19 @@ pub trait RowSink {
     }
 }
 
+/// Where the binary tile (`tiled::lanes_tile`) hands each [`LANES`]-filter
+/// group, ORing the returned lanes into a per-pixel word until it is whole.
+pub trait TileSink {
+    /// Takes bank `fs`'s filters `k0..`'s disagreements `d` at row pixel
+    /// `px`; returns filter `k0 + i`'s bit at `k0 % 64 + i` in lane `i`.
+    fn put_dots(&mut self, px: usize, k0: usize, fs: FilterShape, d: &[u64; LANES])
+        -> [u64; LANES];
+
+    /// Takes row pixel `px`'s decided filters `k0..k0 + 64` as one word.
+    #[inline(always)]
+    fn put_word(&mut self, _px: usize, _k0: usize, _word: u64) {}
+}
+
 impl<W: BitWord> RowSink for BitSink<'_, W> {
     const MAX_RUN: usize = W::BITS;
 
@@ -250,14 +299,37 @@ impl<W: BitWord> RowSink for BitSink<'_, W> {
     fn put(&mut self, px: usize, k0: usize, x1s: &[i32]) {
         let (bit0, n) = (k0 % W::BITS, x1s.len());
         debug_assert!(bit0 + n <= W::BITS, "run straddles an output word");
-        let xi = &self.fused.xi[k0..k0 + n];
-        let gamma_pos = &self.fused.gamma_pos[k0..k0 + n];
+        let xi = &self.thresholds.xi[k0..k0 + n];
+        let gamma_pos = &self.thresholds.gamma_pos[k0..k0 + n];
         let mut word = W::zero();
         for (i, &x1) in x1s.iter().enumerate() {
             word = word.or(W::from_bit(decide(xi[i], gamma_pos[i], x1 as f32)).shl(bit0 + i));
         }
         let slot = &mut self.row[px * self.words_per_pixel + k0 / W::BITS];
         *slot = slot.or(word);
+    }
+}
+
+impl<W: BitWord> TileSink for BitSink<'_, W, Cuts> {
+    /// All on the `u64` lanes: narrowed to `i32`, SLP took pixels, not lanes.
+    #[inline(always)]
+    fn put_dots(&mut self, _: usize, k0: usize, _: FilterShape, d: &[u64; LANES]) -> [u64; LANES] {
+        let lo = &self.thresholds.0[k0 / LANES];
+        let mut bits = [0u64; LANES];
+        for (i, (bit, &d)) in bits.iter_mut().zip(d).enumerate() {
+            let on = d.wrapping_sub(lo[i]) < 1 << 63;
+            *bit = ((1u64 << i) << (k0 % 64)) & 0u64.wrapping_sub(u64::from(on));
+        }
+        bits
+    }
+
+    #[inline(always)]
+    fn put_word(&mut self, px: usize, k0: usize, word: u64) {
+        let wpp = self.words_per_pixel;
+        let slots = &mut self.row[px * wpp + k0 / W::BITS..(px + 1) * wpp];
+        for (i, slot) in slots.iter_mut().take(64 / W::BITS).enumerate() {
+            *slot = slot.or(W::truncate(word >> (i * W::BITS)));
+        }
     }
 }
 
@@ -275,6 +347,25 @@ impl RowSink for AccumSink<'_> {
     #[inline(always)]
     fn put(&mut self, px: usize, k0: usize, x1s: &[i32]) {
         self.row[px * self.channels + k0..][..x1s.len()].copy_from_slice(x1s);
+    }
+}
+
+impl TileSink for AccumSink<'_> {
+    /// Files the dot values `bits − 2d` of bank `fs`'s filters by `put_group`.
+    #[inline(always)]
+    fn put_dots(
+        &mut self,
+        px: usize,
+        k0: usize,
+        fs: FilterShape,
+        d: &[u64; LANES],
+    ) -> [u64; LANES] {
+        let mut x1s = [0i32; LANES];
+        for (x1, &d) in x1s.iter_mut().zip(d) {
+            *x1 = fs.filter_len() as i32 - 2 * d as i32;
+        }
+        self.put_group(px, k0, fs.k, &x1s);
+        [0; LANES]
     }
 }
 
@@ -428,6 +519,94 @@ mod tests {
         sink_matches_decide_logic_at::<u16>();
         sink_matches_decide_logic_at::<u32>();
         sink_matches_decide_logic_at::<u64>();
+    }
+
+    /// Whether `cuts` fire filter `k` at `d` disagreements.
+    fn fires(cuts: &Cuts, k: usize, d: u64) -> bool {
+        d.wrapping_sub(cuts.0[k / LANES][k % LANES]) < 1 << 63
+    }
+
+    /// One filter per threshold and sign of γ, plus one: a padded last group.
+    fn every_threshold(xis: &[f32]) -> FusedBn {
+        let mut xi: Vec<f32> = xis.iter().flat_map(|&x| [x, x]).collect();
+        xi.push(0.1);
+        let gamma_pos = (0..xi.len()).map(|k| k % 2 == 0).collect();
+        FusedBn { xi, gamma_pos }
+    }
+
+    #[test]
+    fn cuts_equal_decide_logic_at_every_disagreement_count() {
+        let mut xis = vec![
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1e-30,
+            -1e-30,
+            1e30,
+            -1e30,
+            16_777_215.0,
+            -16_777_215.0,
+        ];
+        xis.extend((-400..=400).map(|q| q as f32 * 0.25));
+        let fused = every_threshold(&xis);
+        for bits in [1u64, 2, 3, 8, 27, 64, 100, 576, 4608] {
+            let cuts = Cuts::new(&fused, bits as usize);
+            assert!(cuts.0.len() * LANES > fused.len(), "premise: padded lanes");
+            for d in 0..=bits {
+                let x1 = (bits as i64 - 2 * d as i64) as f32;
+                for k in 0..fused.len() {
+                    assert_eq!(
+                        fires(&cuts, k, d),
+                        fused.decide_logic(k, x1),
+                        "bits {bits} d {d} xi {} gamma_pos {}",
+                        fused.xi[k],
+                        fused.gamma_pos[k]
+                    );
+                }
+                for k in fused.len()..cuts.0.len() * LANES {
+                    assert!(!fires(&cuts, k, d), "padded lane {k} fired at d {d}");
+                }
+            }
+        }
+    }
+
+    /// Past 2^24 bits `x1 as f32` rounds, and the search of Eqn 9 still
+    /// finds the cut: checked at the ends and wherever `x1` passes `ξ`.
+    #[test]
+    fn cuts_of_windows_past_exact_f32_integers_equal_decide_logic() {
+        let xis = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.5,
+            3.0,
+            16_777_215.0,
+            -16_777_217.0,
+            33_554_436.0,
+            -4e7,
+        ];
+        let fused = every_threshold(&xis);
+        for bits in [(1u64 << 24) + 1, (1 << 25) + 3] {
+            let cuts = Cuts::new(&fused, bits as usize);
+            for k in 0..fused.len() {
+                let centre =
+                    ((bits as f64 - fused.xi[k] as f64) / 2.0).clamp(0.0, bits as f64) as u64;
+                let near = centre.saturating_sub(4)..=(centre + 4).min(bits);
+                for d in [0, 1, bits - 1, bits].into_iter().chain(near) {
+                    let x1 = (bits as i64 - 2 * d as i64) as f32;
+                    assert_eq!(
+                        fires(&cuts, k, d),
+                        fused.decide_logic(k, x1),
+                        "bits {bits} d {d} xi {} gamma_pos {}",
+                        fused.xi[k],
+                        fused.gamma_pos[k]
+                    );
+                }
+            }
+        }
     }
 
     #[test]

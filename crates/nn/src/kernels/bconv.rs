@@ -32,7 +32,7 @@ use phonebit_tensor::lanes::LaneBank;
 use phonebit_tensor::shape::{ConvGeometry, FilterShape, Layout, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
-use crate::fuse::{AccumSink, BitSink, FusedBn, RowSink};
+use crate::fuse::{AccumSink, BitSink, Cuts, FusedBn, RowSink};
 use crate::kernels::profiles;
 use crate::kernels::tiled::{conv_row_tiled, WindowGather};
 use crate::workload::WorkloadPolicy;
@@ -108,9 +108,9 @@ pub fn window_dot<W: BitWord>(
 /// Work decomposes by **output row**: each worker owns one
 /// [`WindowGather`] scratch buffer, gathers every window once, padding
 /// zero-filled, and reuses it across all `K` filters of the staged `bank`.
-/// Binarize+pack stays fused: each group of raw dot values feeds Eqn (9)
-/// logic and lands as one byte in the row span, OR-ed in — `out` must come
-/// in zeroed, as [`bconv_fused_into`] resets it.
+/// Binarize+pack stays fused: the tile decides Eqn (9) through `Cuts`
+/// derived once here and ORs each 64-filter word into the row span once —
+/// `out` must come in zeroed, as [`bconv_fused_into`] resets it.
 pub fn compute_bconv_fused<W: BitWord>(
     input: &BitTensor<W>,
     bank: &LaneBank<W>,
@@ -121,6 +121,7 @@ pub fn compute_bconv_fused<W: BitWord>(
     let os = out.shape();
     let (ow, oh) = (os.w, os.h);
     let wpp = out.words_per_pixel();
+    let cuts = Cuts::new(fused, bank.shape().filter_len());
     par_chunks_mut_with(
         out.as_mut_words(),
         ow * wpp,
@@ -128,7 +129,7 @@ pub fn compute_bconv_fused<W: BitWord>(
         |gather, row_idx, row_span| {
             let n = row_idx / oh;
             let oy = row_idx % oh;
-            let mut sink = BitSink::new(fused, row_span, wpp);
+            let mut sink = BitSink::new(&cuts, row_span, wpp);
             conv_row_tiled(input, bank, geom, gather, n, oy, ow, &mut sink);
         },
     );

@@ -17,7 +17,7 @@ use phonebit_tensor::dict::FilterAccess;
 use phonebit_tensor::lanes::LaneBank;
 use phonebit_tensor::shape::{ConvGeometry, FilterShape, Shape4};
 
-use crate::fuse::{BitSink, FusedBn};
+use crate::fuse::{BitSink, Cuts, FusedBn};
 use crate::kernels::profiles::{PACKED_COALESCING, VEC_LANES_128};
 use crate::kernels::tiled::tile_filters;
 
@@ -288,9 +288,10 @@ pub fn bconv_lowered_bank_into<W: BitWord>(
     q.launch(profile, || {
         let wpp = out.words_per_pixel();
         let row_wpp = windows.words_per_pixel();
+        let cuts = Cuts::new(fused, bank.shape().filter_len());
         par_chunks_mut(out.as_mut_words(), ow * wpp, |row, span| {
             let rows = &windows.as_words()[row * ow * row_wpp..][..ow * row_wpp];
-            let mut sink = BitSink::new(fused, span, wpp);
+            let mut sink = BitSink::new(&cuts, span, wpp);
             tile_filters(rows, bank, &mut sink);
         });
     });

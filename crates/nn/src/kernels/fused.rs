@@ -34,7 +34,7 @@ use phonebit_tensor::lanes::LaneBank;
 use phonebit_tensor::shape::{ConvGeometry, FilterShape, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
-use crate::fuse::{BitSink, FusedBn};
+use crate::fuse::{BitSink, Cuts, FusedBn};
 use crate::kernels::bitplane::{bitplane_row, compute_bitplane_conv_fused, PlaneBank, PlaneStream};
 use crate::kernels::pool::PoolGeometry;
 use crate::kernels::profiles::{compulsory_input_bytes, words32, PACKED_COALESCING, VEC_LANES_128};
@@ -234,8 +234,9 @@ pub fn compute_bconv_pool_chain<W: BitWord>(
     let s = input.shape();
     let (conv_oh, conv_ow) = geom.output_hw(s.h, s.w);
     let mut gather = WindowGather::new(geom, bank);
+    let cuts = Cuts::new(fused, bank.shape().filter_len());
     pooled_rows(s.n, conv_oh, conv_ow, pool, ring, out, |n, oy, wpp, row| {
-        let mut sink = BitSink::new(fused, row, wpp);
+        let mut sink = BitSink::new(&cuts, row, wpp);
         conv_row_tiled(input, bank, geom, &mut gather, n, oy, conv_ow, &mut sink);
     });
 }

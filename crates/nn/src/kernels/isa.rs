@@ -190,7 +190,7 @@ mod tests {
     use phonebit_tensor::tensor::{Filters, Tensor};
 
     use crate::act::Activation;
-    use crate::fuse::{AccumSink, FusedBn};
+    use crate::fuse::{AccumSink, BitSink, Cuts, FusedBn};
     use crate::kernels::bconv::window_dot;
     use crate::kernels::bgemm::{flatten_filters, pack_windows};
     use crate::kernels::bitplane::{bitplane_row, PlaneBank, PlaneStream};
@@ -299,8 +299,56 @@ mod tests {
         }
     }
 
-    /// A random two-image input, bank (its taps repeating three patterns)
-    /// and geometry; `None` when the kernel does not fit the padded input.
+    /// Random thresholds: half-integers around the dot values a random
+    /// window gives, now and then NaN or ±∞, either sign of γ.
+    fn random_fused(k: usize, rng: &mut u64) -> FusedBn {
+        let special = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        FusedBn {
+            xi: (0..k)
+                .map(|_| match (next(rng) % 16) as usize {
+                    s @ 0..=2 => special[s],
+                    _ => (next(rng) % 25) as f32 * 0.5 - 6.0,
+                })
+                .collect(),
+            gamma_pos: (0..k).map(|_| next(rng) & 1 == 1).collect(),
+        }
+    }
+
+    /// Checks that `packed` — pixels of `fused.len().div_ceil(W::BITS)`
+    /// words — holds `decide_logic` of `dots`, one bit per filter, bits past
+    /// the last filter clear.
+    fn packs_decisions<W: BitWord>(
+        packed: &[W],
+        dots: &[i32],
+        fused: &FusedBn,
+    ) -> Result<(), TestCaseError> {
+        let k = fused.len();
+        let wpp = k.div_ceil(W::BITS);
+        for (px, (words, dots)) in packed.chunks(wpp).zip(dots.chunks(k)).enumerate() {
+            for (kk, &x1) in dots.iter().enumerate() {
+                let (got, expect) = (
+                    words[kk / W::BITS].bit(kk % W::BITS),
+                    fused.decide_logic(kk, x1 as f32),
+                );
+                prop_assert!(
+                    got == expect,
+                    "pixel {px} k {kk}: x1 {x1} xi {} gamma_pos {}: {got} != {expect}",
+                    fused.xi[kk],
+                    fused.gamma_pos[kk]
+                );
+            }
+            let tail = W::low_mask(k - (wpp - 1) * W::BITS).not();
+            prop_assert!(
+                words[wpp - 1].and(tail) == W::zero(),
+                "pixel {px}: tail bits set"
+            );
+        }
+        Ok(())
+    }
+
+    /// A random two-image input, bank (its taps repeating three patterns),
+    /// geometry and thresholds; `None` when the kernel does not fit the
+    /// padded input.
     #[allow(clippy::too_many_arguments, clippy::type_complexity)]
     fn binary_case<W: BitWord>(
         h: usize,
@@ -311,7 +359,7 @@ mod tests {
         stride: usize,
         pad: usize,
         seed: u64,
-    ) -> Option<(BitTensor<W>, PackedFilters<W>, ConvGeometry)> {
+    ) -> Option<(BitTensor<W>, PackedFilters<W>, ConvGeometry, FusedBn)> {
         if h + 2 * pad < kh || w + 2 * pad < kw {
             return None;
         }
@@ -326,21 +374,27 @@ mod tests {
             pad_h: pad,
             pad_w: pad,
         };
-        Some((input, filters, geom))
+        Some((input, filters, geom, random_fused(k, &mut rng)))
     }
 
     /// Every output the row driver emits over every row of `input`, on
     /// every tier, against the per-tap oracle (which an output never emitted
-    /// cannot equal).
+    /// cannot equal) — as dot values, and packed by a [`BitSink`] over
+    /// `fused`'s [`Cuts`] against the oracle thresholded by `decide_logic`.
     fn conv_rows_agree<W: BitWord>(
         input: &BitTensor<W>,
         filters: &PackedFilters<W>,
         bank: &LaneBank<W>,
         geom: &ConvGeometry,
+        fused: &FusedBn,
     ) -> Result<(), TestCaseError> {
         let s = input.shape();
         let (oh, ow) = geom.output_hw(s.h, s.w);
         let k = filters.shape().k;
+        let (wpp, cuts) = (
+            k.div_ceil(W::BITS),
+            Cuts::new(fused, filters.shape().filter_len()),
+        );
         // One scratch across rows, images and tiers, as a worker keeps it.
         let mut gather = WindowGather::new(geom, bank);
         for (n, oy) in (0..s.n).flat_map(|n| (0..oh).map(move |oy| (n, oy))) {
@@ -360,6 +414,15 @@ mod tests {
                     "n {n} oy {oy} ox {ox} k {kk}: {got} != {expect}"
                 );
             }
+            let packed = same_on_every_tier(|tier| {
+                let mut out = vec![W::zero(); ow * wpp];
+                let mut sink = BitSink::new(&cuts, &mut out, wpp);
+                on_tier(tier, || {
+                    conv_row_tiled(input, bank, geom, &mut gather, n, oy, ow, &mut sink)
+                });
+                out
+            })?;
+            packs_decisions(&packed, &row, fused)?;
         }
         Ok(())
     }
@@ -367,23 +430,24 @@ mod tests {
     /// The direct routes: the raw bank interleaved, and the same bank
     /// interleaved through its dictionary.
     fn conv_row_case<W: BitWord>(
-        case: Option<(BitTensor<W>, PackedFilters<W>, ConvGeometry)>,
+        case: Option<(BitTensor<W>, PackedFilters<W>, ConvGeometry, FusedBn)>,
     ) -> Result<(), TestCaseError> {
-        let Some((input, filters, geom)) = case else {
+        let Some((input, filters, geom, fused)) = case else {
             return Ok(());
         };
-        conv_rows_agree(&input, &filters, &LaneBank::new(&filters), &geom)?;
+        conv_rows_agree(&input, &filters, &LaneBank::new(&filters), &geom, &fused)?;
         let dict = LaneBank::new(&FilterDict::build(&filters));
-        conv_rows_agree(&input, &filters, &dict, &geom)
+        conv_rows_agree(&input, &filters, &dict, &geom, &fused)
     }
 
     /// The lowered route: `pack_windows` rows against the interleaved
     /// `flatten_filters` bank (and its dictionary), every row of a two-image
-    /// tensor in one call.
+    /// tensor in one call — as dot values, and packed by a [`BitSink`] over
+    /// [`Cuts`].
     fn tile_filters_case<W: BitWord>(
-        case: Option<(BitTensor<W>, PackedFilters<W>, ConvGeometry)>,
+        case: Option<(BitTensor<W>, PackedFilters<W>, ConvGeometry, FusedBn)>,
     ) -> Result<(), TestCaseError> {
-        let Some((input, filters, geom)) = case else {
+        let Some((input, filters, geom, fused)) = case else {
             return Ok(());
         };
         let windows = pack_windows(&input, &geom);
@@ -395,6 +459,10 @@ mod tests {
             let lanes = bank.group(kk / LANES).iter().map(|v| v[kk % LANES]);
             prop_assert!(lanes.eq(flat.filter_words(kk).iter().copied()));
         }
+        let (wpp, cuts) = (
+            k.div_ceil(W::BITS),
+            Cuts::new(&fused, flat.shape().filter_len()),
+        );
         for bank in [&bank, &LaneBank::new(&FilterDict::build(&flat))] {
             let rows = same_on_every_tier(|tier| {
                 let mut out = vec![i32::MIN; ws.pixels() * k];
@@ -408,6 +476,13 @@ mod tests {
                 let expect = window_dot(&input, &filters, &geom, n, oy, ox, kk);
                 prop_assert!(got == expect, "pixel {px} k {kk}: {got} != {expect}");
             }
+            let packed = same_on_every_tier(|tier| {
+                let mut out = vec![W::zero(); ws.pixels() * wpp];
+                let mut sink = BitSink::new(&cuts, &mut out, wpp);
+                on_tier(tier, || tile_filters(windows.as_words(), bank, &mut sink));
+                out
+            })?;
+            packs_decisions(&packed, &rows, &fused)?;
         }
         Ok(())
     }
@@ -476,12 +551,7 @@ mod tests {
         let mut rng = seed;
         let input = random_bits::<W>(Shape4::new(3, 1, 1, features), &mut rng);
         let weights = random_filters::<W>(FilterShape::new(k, 1, 1, features), 64, &mut rng);
-        let fused = FusedBn {
-            xi: (0..k)
-                .map(|i| (next(&mut rng) % 9) as f32 - 4.0 + 0.5 * (i % 2) as f32)
-                .collect(),
-            gamma_pos: (0..k).map(|_| next(&mut rng) & 1 == 1).collect(),
-        };
+        let fused = random_fused(k, &mut rng);
         let portable = same_on_every_tier(|tier| {
             let mut out = BitTensor::<W>::zeros(Shape4::new(3, 1, 1, k));
             on_tier(tier, || {
@@ -587,8 +657,9 @@ mod tests {
             // Below, at and past one and two `u64` words, mostly odd.
             c in prop::sample::select(vec![1usize, 3, 37, 64, 70, 130]),
             // The filter-count tail: below, at and past one group, an odd
-            // and an even group count.
-            k in prop::sample::select(vec![1usize, 7, 8, 9, 20, 36]),
+            // and an even group count; past one and two 64-filter words,
+            // each split over several `u8`/`u16`/`u32` output words.
+            k in prop::sample::select(vec![1usize, 7, 8, 9, 20, 36, 65, 130]),
             kernel in prop::sample::select(vec![(1usize, 1usize), (3, 3), (1, 3)]),
             stride in 1usize..3,
             // Up to `pad > kernel / 2`: windows wholly in padding.
@@ -606,7 +677,7 @@ mod tests {
             h in 1usize..5,
             w in 1usize..8,
             c in prop::sample::select(vec![1usize, 3, 37, 64, 70, 130]),
-            k in prop::sample::select(vec![1usize, 7, 8, 9, 20, 36]),
+            k in prop::sample::select(vec![1usize, 7, 8, 9, 20, 36, 65, 130]),
             kernel in prop::sample::select(vec![(1usize, 1usize), (3, 3), (1, 3)]),
             stride in 1usize..3,
             pad in 0usize..3,

@@ -14,9 +14,9 @@
 //!    over a [`TILE_PIXELS`]-window × `TILE_GROUPS`-group register tile, so
 //!    a lane *is* an output: no horizontal reduce, no `len % 8` tail words
 //!    (every `t` is a full vector), no scalar filter tail (lanes past `K` are
-//!    zero and never emitted), and a group's eight `x1`s leave together as
-//!    one [`RowSink::put`] — one vector compare and one OR-ed byte in
-//!    [`BitSink`](crate::fuse::BitSink), Fig 4's 8 filters per work item.
+//!    zero and never fire), and a fused layer decides on the lanes (Fig 4's
+//!    8 filters per work item): one `u64` compare per group against
+//!    `fuse::Cuts`, one stored word per 64 filters.
 //!    Every loaded bank vector is reused [`TILE_PIXELS`] times, every
 //!    broadcast window word `TILE_GROUPS` times.
 //! 2. **Bit and word order.** Windows and bank rows must agree, nothing
@@ -58,25 +58,26 @@ use phonebit_tensor::bits::{BitTensor, BitWord};
 use phonebit_tensor::lanes::{LaneBank, LANES};
 use phonebit_tensor::shape::ConvGeometry;
 
-use crate::fuse::RowSink;
+use crate::fuse::TileSink;
 use crate::kernels::isa;
 
 /// Output pixels multiplied per microkernel step (accumulator tile width).
 pub const TILE_PIXELS: usize = 4;
 /// Filter groups multiplied per microkernel step (accumulator tile height).
 const TILE_GROUPS: usize = 2;
+// A 64-filter output word ends on a step boundary.
+const _: () = assert!(64 % (TILE_GROUPS * LANES) == 0);
 
 /// Multiplies up to [`TILE_PIXELS`] windows — `rows` holds them back to
 /// back, `bank.row_words()` words each, the first `count` of them output
 /// pixels `px0..px0 + count` — against every filter of `bank`, one
-/// [`TILE_PIXELS`] × `TILE_GROUPS` register tile per step, emitting the ±1
-/// dot values `bits − 2·disagreements` (Eqn 1) a group of [`LANES`] per call.
+/// [`TILE_PIXELS`] × `TILE_GROUPS` register tile per step, into `sink`.
 #[inline(always)]
 fn lanes_tile<W: BitWord>(
     rows: &[W],
     (px0, count): (usize, usize),
     bank: &LaneBank<W>,
-    sink: &mut impl RowSink,
+    sink: &mut impl TileSink,
 ) {
     // Plain loops only: a library helper left un-inlined here would be
     // compiled for the baseline target and pin `acc` to the stack. Every
@@ -84,7 +85,8 @@ fn lanes_tile<W: BitWord>(
     // (and no panic path to spill `acc` for).
     let words = bank.row_words();
     let fs = bank.shape();
-    let bits = fs.filter_len() as i32;
+    // Per pixel, the 64-filter output word being decided, lane by lane.
+    let mut decided = [[0u64; LANES]; TILE_PIXELS];
     // A partial tile repeats its first window (its last group) in the
     // unused slots and emits only the real ones.
     let mut wins = [rows; TILE_PIXELS];
@@ -112,11 +114,18 @@ fn lanes_tile<W: BitWord>(
         }
         for (p, per_group) in acc.iter().enumerate().take(count) {
             for (k0, disagree) in (g0 * LANES..fs.k).step_by(LANES).zip(per_group) {
-                let mut x1s = [0i32; LANES];
-                for (x1, &d) in x1s.iter_mut().zip(disagree) {
-                    *x1 = bits - 2 * d as i32;
+                let on = sink.put_dots(px0 + p, k0, fs, disagree);
+                for (lane, on) in decided[p].iter_mut().zip(on) {
+                    *lane |= on;
                 }
-                sink.put_group(px0 + p, k0, fs.k, &x1s);
+            }
+        }
+        let k_end = ((g0 + TILE_GROUPS) * LANES).min(fs.k);
+        if k_end.is_multiple_of(64) || k_end == fs.k {
+            for (p, lanes) in decided.iter_mut().enumerate().take(count) {
+                let word = lanes.iter().fold(0, |w, l| w | l);
+                sink.put_word(px0 + p, (k_end - 1) / 64 * 64, word);
+                *lanes = [0; LANES];
             }
         }
     }
@@ -224,14 +233,12 @@ impl BorderSpan {
 
 /// Multiplies window rows — `rows` holds them back to back,
 /// `bank.row_words()` words each — against every filter of `bank`,
-/// register-tiled [`TILE_PIXELS`] rows at a time, handing `sink` the ±1 dot
-/// values of filters `k0..k0 + x1s.len()` of row `row_index` as
-/// `put(row_index, k0, x1s)`, a group of [`LANES`] per call (fewer for the
-/// last group of a filter count that does not fill it).
+/// register-tiled [`TILE_PIXELS`] rows at a time, into `sink` with row
+/// `row_index` as pixel `px`.
 ///
 /// The lowered bit-GEMM's filter loop — the microkernel the direct routes
 /// run, over materialized instead of gathered windows.
-pub fn tile_filters<W: BitWord>(rows: &[W], bank: &LaneBank<W>, sink: &mut impl RowSink) {
+pub fn tile_filters<W: BitWord>(rows: &[W], bank: &LaneBank<W>, sink: &mut impl TileSink) {
     let row_words = bank.row_words();
     debug_assert!(rows.len().is_multiple_of(row_words));
     isa::run(
@@ -245,11 +252,9 @@ pub fn tile_filters<W: BitWord>(rows: &[W], bank: &LaneBank<W>, sink: &mut impl 
     )
 }
 
-/// Runs the tiled binary convolution over one output row, handing `sink`
-/// the raw ±1 dot values `x1 = kh*kw*C − 2·disagreements` (Eqn 1 summed
-/// over taps) of filters `k0..k0 + x1s.len()` at output column `ox` as
-/// `put(ox, k0, x1s)` — a group of [`LANES`] per call, fewer for the last
-/// group of a filter count that does not fill it.
+/// Runs the tiled binary convolution over one output row into `sink`, with
+/// output column `ox` as pixel `px`: `d` disagreements of a filter make the
+/// ±1 dot value `x1 = kh*kw*C − 2d` (Eqn 1 summed over taps).
 ///
 /// Every column, border or interior, is gathered zero-padded into
 /// `gather` and multiplied [`TILE_PIXELS`] at a time against the staged
@@ -263,7 +268,7 @@ pub fn conv_row_tiled<W: BitWord>(
     n: usize,
     oy: usize,
     ow: usize,
-    sink: &mut impl RowSink,
+    sink: &mut impl TileSink,
 ) {
     isa::run(
         #[inline(always)]
@@ -328,19 +333,24 @@ mod tests {
 
     #[test]
     fn microkernel_matches_scalar_xor_popcount() {
-        // 19-word rows, 13 filters: one full group and a five-filter tail.
+        // 19-word rows, 13 filters: one full group and a five-filter tail,
+        // into pixels of 16 channels whose last three are left alone.
         let fshape = FilterShape::new(13, 1, 1, 19 * 64);
         let f = filters::<u64>(fshape, 5);
         let bank = LaneBank::new(&f);
         let rows = bits::<u64>(Shape4::new(1, 1, 3, 19 * 64), 2);
-        let mut out = vec![i32::MIN; 3 * 13];
+        let mut out = vec![i32::MIN; 3 * 16];
         let mut sink = AccumSink {
             row: &mut out,
-            channels: 13,
+            channels: 16,
         };
         tile_filters(rows.as_words(), &bank, &mut sink);
         for (at, &x1) in out.iter().enumerate() {
-            let (p, k) = (at / 13, at % 13);
+            let (p, k) = (at / 16, at % 16);
+            if k >= 13 {
+                assert_eq!(x1, i32::MIN, "channel {k} past the bank written");
+                continue;
+            }
             let disagree: u32 = rows
                 .pixel_words(0, 0, p)
                 .iter()
