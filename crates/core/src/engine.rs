@@ -86,6 +86,14 @@ pub enum EngineError {
         /// Expected activation domain.
         expected: &'static str,
     },
+    /// A layer the kernels cannot run exactly: an 8-bit first layer whose
+    /// windows are wider than [`bitplane::MAX_WINDOW_BITS`].
+    Unsupported {
+        /// Offending layer name.
+        layer: String,
+        /// What it exceeds.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for EngineError {
@@ -97,6 +105,9 @@ impl std::fmt::Display for EngineError {
             }
             EngineError::DomainMismatch { layer, expected } => {
                 write!(f, "layer {layer} expected {expected} activations")
+            }
+            EngineError::Unsupported { layer, reason } => {
+                write!(f, "layer {layer} is not supported: {reason}")
             }
         }
     }
@@ -349,8 +360,9 @@ impl StagedModel {
     /// # Errors
     ///
     /// Returns [`EngineError::OutOfMemory`] when the weights alone exceed
-    /// the remaining budget, or [`EngineError::DomainMismatch`] when the
-    /// model's layer chain is domain-inconsistent.
+    /// the remaining budget, [`EngineError::DomainMismatch`] when the
+    /// model's layer chain is domain-inconsistent, or
+    /// [`EngineError::Unsupported`] for a first layer too wide to run.
     ///
     /// # Panics
     ///
@@ -401,7 +413,17 @@ impl StagedModel {
         for (i, layer) in model.layers.iter().enumerate() {
             let filters = match layer {
                 PbitLayer::BConv { filters, .. } => filters,
-                PbitLayer::BConvInput8 { filters, .. } => {
+                PbitLayer::BConvInput8 { name, filters, .. } => {
+                    let bits = filters.shape().filter_len();
+                    if bits > bitplane::MAX_WINDOW_BITS {
+                        return Err(EngineError::Unsupported {
+                            layer: name.clone(),
+                            reason: format!(
+                                "{bits}-bit windows; Eqn 2 sums fit i32 lanes up to {}",
+                                bitplane::MAX_WINDOW_BITS
+                            ),
+                        });
+                    }
                     plane_bank = Some(PlaneBank::column_major(filters));
                     continue;
                 }
@@ -1626,6 +1648,27 @@ mod tests {
         let want = session.run_u8(&image()).unwrap().output;
         let nchw = image().to_layout(Layout::Nchw);
         assert_eq!(session.run_u8(&nchw).unwrap().output, want);
+    }
+
+    #[test]
+    fn a_first_layer_past_the_i32_sums_is_refused_at_staging() {
+        use phonebit_tensor::shape::{ConvGeometry, FilterShape};
+        let c = bitplane::MAX_WINDOW_BITS + 1;
+        let model = PbitModel {
+            name: "wide".into(),
+            input: Shape4::new(1, 1, 1, c),
+            layers: vec![PbitLayer::BConvInput8 {
+                name: "conv1".into(),
+                geom: ConvGeometry::square(1, 1, 0),
+                filters: phonebit_tensor::bits::PackedFilters::zeros(FilterShape::new(1, 1, 1, c)),
+                fused: phonebit_nn::fuse::FusedBn::identity(1),
+            }],
+        };
+        let err = Session::new(model, &Phone::xiaomi_9()).unwrap_err();
+        assert!(
+            matches!(&err, EngineError::Unsupported { layer, .. } if layer == "conv1"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -22,12 +22,14 @@
 //! ```
 //!
 //! [`BitSink`] is the one place a kernel's raw accumulator becomes that bit:
-//! in the binary tile by `Cuts`, integer intervals derived from ξ and γ per
-//! dispatch and defined by [`FusedBn::decide_logic`]; elsewhere by the latter.
+//! in the binary tile and the first layer by integer cuts one search of
+//! [`FusedBn::decide_logic`] finds per dispatch; elsewhere by the latter.
 
 use phonebit_tensor::bits::BitWord;
 use phonebit_tensor::lanes::LANES;
 use phonebit_tensor::shape::FilterShape;
+
+use crate::kernels::bitplane::{MAX_WINDOW_BITS, PLANE_LANES};
 
 /// Modeled compute inflation of a kernel that binarizes with the divergent
 /// four-case Eqn 8 instead of Eqn 9: the checks mask part of each wave
@@ -193,30 +195,52 @@ impl Cuts {
         // `lo = 2^63` never fires: `d − 2^63` wraps to `2^63 + d`.
         let mut lo = vec![[1 << 63; LANES]; fused.len().div_ceil(LANES)];
         for (k, (&xi, &gamma_pos)) in fused.xi.iter().zip(&fused.gamma_pos).enumerate() {
-            lo[k / LANES][k % LANES] =
-                prefix(xi, gamma_pos, bits as u64) ^ u64::from(gamma_pos) << 63;
+            let b = run(xi, gamma_pos, (bits as i64, -2, bits as u64 + 1));
+            lo[k / LANES][k % LANES] = b ^ u64::from(gamma_pos) << 63;
         }
         Self(lo)
     }
 }
 
-/// How many `d` of `0..=bits`, from 0, have Eqn 9 equal to `gamma_pos` at
-/// `x1 = bits − 2d`: the firing run for γ > 0, the run before it for γ < 0.
-/// A binary search of Eqn 9, monotone in `d` even where `x1 as f32` rounds.
-fn prefix(xi: f32, gamma_pos: bool, bits: u64) -> u64 {
-    let fits = |d: u64| decide(xi, gamma_pos, (bits as i64 - 2 * d as i64) as f32) == gamma_pos;
-    let end = bits + 1;
-    (0..=end.ilog2()).rev().fold(0, |b, s| match b + (1 << s) {
-        n if n <= end && fits(n - 1) => n,
+/// The same on the first layer's Eqn (2) sums `s`, `|s| ≤ 255·bits`: fires
+/// iff `s.wrapping_sub(lo[k]) ≥ 0` (`lo = b ^ i32::MIN` for γ < 0). `pos[i]`,
+/// lane `i`'s output bit `1 << i`, is data: as constants, SLP split lanes.
+pub(crate) struct PlaneCuts {
+    lo: Vec<[i32; PLANE_LANES]>,
+    pos: [u32; PLANE_LANES],
+}
+
+impl PlaneCuts {
+    /// The cuts of `fused` over `bits`-bit windows, at most [`MAX_WINDOW_BITS`].
+    pub(crate) fn new(fused: &FusedBn, bits: usize) -> Self {
+        assert!(bits <= MAX_WINDOW_BITS, "{bits}-bit windows overflow i32");
+        let smax = 255 * bits as i64;
+        let mut lo = vec![[smax as i32 + 1; PLANE_LANES]; fused.len().div_ceil(PLANE_LANES)];
+        for (k, (&xi, &gamma_pos)) in fused.xi.iter().zip(&fused.gamma_pos).enumerate() {
+            let b = smax + 1 - run(xi, gamma_pos, (smax, -1, 2 * smax as u64 + 1)) as i64;
+            lo[k / PLANE_LANES][k % PLANE_LANES] = b as i32 ^ i32::from(!gamma_pos) << 31;
+        }
+        let pos = std::array::from_fn(|i| 1 << i);
+        Self { lo, pos }
+    }
+}
+
+/// How many of the `n` accumulators `x0, x0 + step, ..`, down from the
+/// largest, have Eqn 9 equal to `γ > 0`: a binary search, Eqn 9 being
+/// monotone in its accumulator even where `x as f32` rounds.
+fn run(xi: f32, gamma_pos: bool, (x0, step, n): (i64, i64, u64)) -> u64 {
+    let holds = |j: u64| decide(xi, gamma_pos, (x0 + step * j as i64) as f32) == gamma_pos;
+    (0..=n.ilog2()).rev().fold(0, |b, s| match b + (1 << s) {
+        m if m <= n && holds(m - 1) => m,
         _ => b,
     })
 }
 
 /// The packed-bit sink of every fused binarize+pack kernel (Fig 4): decides
-/// Eqn (9) by [`FusedBn`] ([`RowSink`]) or by `Cuts` ([`TileSink`]), builds
-/// the bits in a register — the near-coin-flip outcome is data, not a branch
-/// (§VI-C) — and ORs them into the output word once. Rows must start zeroed;
-/// runs may arrive in any order.
+/// Eqn (9) by [`FusedBn`] ([`RowSink`]), `Cuts` ([`TileSink`]) or
+/// `PlaneCuts`, builds the bits in a register — the near-coin-flip outcome
+/// is data, not a branch (§VI-C) — and ORs them into the output word once.
+/// Rows must start zeroed; runs may arrive in any order.
 #[derive(Debug)]
 pub struct BitSink<'a, W: BitWord, T = FusedBn> {
     thresholds: &'a T,
@@ -247,9 +271,6 @@ impl<'a, W: BitWord, T> BitSink<'a, W, T> {
 /// promise, and left out of line it would be compiled for the baseline
 /// target.
 pub trait RowSink {
-    /// The longest run [`RowSink::put`] takes (at a `k0` a multiple of it).
-    const MAX_RUN: usize = usize::MAX;
-
     /// Takes one run of accumulators.
     fn put(&mut self, px: usize, k0: usize, x1s: &[i32]);
 
@@ -261,7 +282,7 @@ pub trait RowSink {
     #[inline(always)]
     fn put_group<const L: usize>(&mut self, px: usize, k0: usize, k_total: usize, x1s: &[i32; L]) {
         let live = (k_total - k0).min(L);
-        if live == L && L <= Self::MAX_RUN {
+        if live == L {
             return self.put(px, k0, x1s);
         }
         let whole = live / LANES * LANES;
@@ -288,8 +309,6 @@ pub trait TileSink {
 }
 
 impl<W: BitWord> RowSink for BitSink<'_, W> {
-    const MAX_RUN: usize = W::BITS;
-
     /// Sets bit `k0 + i` of row pixel `px` to
     /// [`FusedBn::decide_logic`]`(k0 + i, x1s[i])` for every `i`. The run
     /// must stay inside one output word, as a filter tile starting at a
@@ -333,6 +352,30 @@ impl<W: BitWord> TileSink for BitSink<'_, W, Cuts> {
     }
 }
 
+/// Where `bitplane::bitplane_row` hands filters `k0..k0 + 16`'s sums at `px`.
+pub(crate) trait PlaneSink {
+    fn put_sums(&mut self, px: usize, k0: usize, k_total: usize, sums: &[i32; PLANE_LANES]);
+}
+
+impl<W: BitWord> PlaneSink for BitSink<'_, W, PlaneCuts> {
+    /// Bounds checks first: with one after the OR reduce, SLP left it scalar.
+    #[inline(always)]
+    fn put_sums(&mut self, px: usize, k0: usize, _: usize, sums: &[i32; PLANE_LANES]) {
+        let wpp = self.words_per_pixel;
+        let (slot, next) = self.row[px * wpp + k0 / W::BITS..(px + 1) * wpp].split_at_mut(1);
+        let (lo, pos) = (&self.thresholds.lo[k0 / PLANE_LANES], &self.thresholds.pos);
+        let mut bits = [0u32; PLANE_LANES];
+        for (i, bit) in bits.iter_mut().enumerate() {
+            *bit = pos[i] & 0u32.wrapping_sub(u32::from(sums[i].wrapping_sub(lo[i]) >= 0));
+        }
+        let word = u64::from(bits.iter().fold(0, |m, b| m | b)) << (k0 % W::BITS);
+        slot[0] = slot[0].or(W::truncate(word));
+        if let Some(next) = next.first_mut().filter(|_| W::BITS < PLANE_LANES) {
+            *next = next.or(W::truncate(word >> W::BITS));
+        }
+    }
+}
+
 /// The unfused sink: raw accumulators into a row of NHWC `i32` pixels,
 /// `channels` each.
 #[derive(Debug)]
@@ -366,6 +409,13 @@ impl TileSink for AccumSink<'_> {
         }
         self.put_group(px, k0, fs.k, &x1s);
         [0; LANES]
+    }
+}
+
+impl PlaneSink for AccumSink<'_> {
+    #[inline(always)]
+    fn put_sums(&mut self, px: usize, k0: usize, k_total: usize, sums: &[i32; PLANE_LANES]) {
+        self.put_group(px, k0, k_total, sums);
     }
 }
 
@@ -609,34 +659,105 @@ mod tests {
         }
     }
 
+    /// Every Eqn (2) sum `s` an 8-bit window of `bits` taps can produce,
+    /// `|s| ≤ 255·bits`, against every kind of threshold: the plane cuts
+    /// equal Eqn 9, and padded lanes never fire.
+    #[test]
+    fn plane_cuts_equal_decide_logic_at_every_sum() {
+        let mut xis = vec![
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1e-30,
+            -1e-30,
+            1e30,
+            -1e30,
+        ];
+        // Every quarter step across ±2 000 in an optimised build (about 7 s
+        // on a 2-vCPU x86-64 guest); a debug build takes every 97th.
+        let stride = if cfg!(debug_assertions) { 97 } else { 1 };
+        xis.extend(
+            (-8000..=8000)
+                .step_by(stride)
+                .chain([8000])
+                .map(|q| q as f32 * 0.25),
+        );
+        let fused = every_threshold(&xis);
+        for bits in [1, 3, 27, 75, 363] {
+            let cuts = PlaneCuts::new(&fused, bits);
+            assert_eq!(cuts.pos, std::array::from_fn(|i| 1 << i));
+            let lo: Vec<i32> = cuts.lo.iter().flatten().copied().collect();
+            let (live, padded) = lo.split_at(fused.len());
+            assert!(!padded.is_empty(), "premise: padded lanes");
+            let sums = -255 * bits as i32..255 * bits as i32 + 1;
+            for (k, &lo) in live.iter().enumerate() {
+                // `decide_logic`'s body, with its operands hoisted so the
+                // sweep vectorises.
+                let (xi, gamma_pos) = (fused.xi[k], fused.gamma_pos[k]);
+                let wrong = sums
+                    .clone()
+                    .filter(|&s| (s.wrapping_sub(lo) >= 0) != decide(xi, gamma_pos, s as f32));
+                assert_eq!(
+                    wrong.count(),
+                    0,
+                    "bits {bits} xi {xi} gamma_pos {gamma_pos}"
+                );
+            }
+            for &lo in padded {
+                assert_eq!(sums.clone().filter(|&s| s.wrapping_sub(lo) >= 0).count(), 0);
+            }
+        }
+    }
+
+    /// At the widest window the `i32` lanes take, where `s as f32` rounds,
+    /// the cuts still equal Eqn 9 at the ends of the range and around `ξ`.
+    #[test]
+    fn plane_cuts_of_the_widest_window_equal_decide_logic() {
+        let xis = [f32::NAN, 0.0, -0.5, 3.0, 16_777_217.0, -3e8, 1e9];
+        let fused = every_threshold(&xis);
+        let cuts = PlaneCuts::new(&fused, MAX_WINDOW_BITS);
+        let smax = 255 * MAX_WINDOW_BITS as i64;
+        assert!(2 * smax < i64::from(i32::MAX), "premise: the span fits i32");
+        for (k, (&xi, &gamma_pos)) in fused.xi.iter().zip(&fused.gamma_pos).enumerate() {
+            let lo = cuts.lo[k / PLANE_LANES][k % PLANE_LANES];
+            let near = (xi.clamp(-1e10, 1e10) as i64).clamp(-smax + 4, smax - 4);
+            for s in [-smax, -smax + 1, smax - 1, smax]
+                .into_iter()
+                .chain(near - 4..=near + 4)
+            {
+                let s = s as i32;
+                assert_eq!(
+                    s.wrapping_sub(lo) >= 0,
+                    fused.decide_logic(k, s as f32),
+                    "s {s} xi {xi} gamma_pos {gamma_pos}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn a_group_leaves_whole_then_in_eights_then_its_ragged_tail() {
-        /// Records `(k0, run length)` per `put`; takes runs of up to `RUN`.
-        struct Runs<const RUN: usize>(Vec<(usize, usize)>);
-        impl<const RUN: usize> RowSink for Runs<RUN> {
-            const MAX_RUN: usize = RUN;
+        /// Records `(k0, run length)` per `put`.
+        struct Runs(Vec<(usize, usize)>);
+        impl RowSink for Runs {
             fn put(&mut self, _: usize, k0: usize, x1s: &[i32]) {
-                assert!(x1s.len() <= RUN);
                 self.0.push((k0, x1s.len()));
             }
         }
-        fn runs<const RUN: usize, const L: usize>(
-            k0: usize,
-            k_total: usize,
-        ) -> Vec<(usize, usize)> {
-            let mut sink = Runs::<RUN>(Vec::new());
+        fn runs<const L: usize>(k0: usize, k_total: usize) -> Vec<(usize, usize)> {
+            let mut sink = Runs(Vec::new());
             sink.put_group(0, k0, k_total, &[0; L]);
             sink.0
         }
-        assert_eq!(runs::<64, 8>(8, 16), [(8, 8)]);
-        assert_eq!(runs::<64, 8>(8, 13), [(8, 5)]);
-        assert_eq!(runs::<64, 16>(16, 40), [(16, 16)]);
-        assert_eq!(runs::<64, 16>(32, 40), [(32, 8)]);
-        assert_eq!(runs::<64, 16>(0, 7), [(0, 7)]);
-        assert_eq!(runs::<64, 16>(16, 31), [(16, 8), (24, 7)]);
-        // A word narrower than the group takes it an eight at a time.
-        assert_eq!(runs::<8, 16>(16, 40), [(16, 8), (24, 8)]);
-        assert_eq!(runs::<8, 16>(32, 41), [(32, 8), (40, 1)]);
+        assert_eq!(runs::<8>(8, 16), [(8, 8)]);
+        assert_eq!(runs::<8>(8, 13), [(8, 5)]);
+        assert_eq!(runs::<16>(16, 40), [(16, 16)]);
+        assert_eq!(runs::<16>(32, 40), [(32, 8)]);
+        assert_eq!(runs::<16>(0, 7), [(0, 7)]);
+        assert_eq!(runs::<16>(16, 31), [(16, 8), (24, 7)]);
+        assert_eq!(runs::<16>(32, 41), [(32, 8), (40, 1)]);
     }
 
     #[test]

@@ -41,9 +41,9 @@
 //!    bank ([`PlaneBank`]) interleaves sixteen adjacent filters per window
 //!    word, so Eqn (2) over a filter group is `acc += popcount(splat(win_n)
 //!    & bank) << n`, one 16-lane `and` + popcount per (plane, window word),
-//!    and `s = 2·acc − T` leaves as sixteen accumulators side by side: no
-//!    horizontal reduce, one output-word OR per group. Lanes past the last
-//!    filter are zero, computed and never emitted.
+//!    summed over planes as a tree of pairs (a chain LLVM may vectorise
+//!    across planes, 2× slower); `s = 2·acc − T` leaves in one store and is
+//!    decided in its lanes by integer cuts, one OR per output word.
 //! 4. **Why padding needs no special case.** The stream starts all-zero
 //!    and only in-bounds rows and columns are OR-ed in, so an out-of-bounds
 //!    tap is a run of 0 bits: it adds nothing to `popcount(win & f)` or to
@@ -60,12 +60,15 @@ use phonebit_tensor::lanes::LaneBank;
 use phonebit_tensor::shape::{ConvGeometry, Layout, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
-use crate::fuse::{AccumSink, BitSink, FusedBn, RowSink};
+use crate::fuse::{AccumSink, BitSink, FusedBn, PlaneCuts, PlaneSink};
 use crate::kernels::{isa, profiles};
 use crate::workload::WorkloadPolicy;
 
 /// Filters per group of a first-layer bank: one 512-bit vector of `u32`s.
-const PLANE_LANES: usize = 16;
+pub(crate) const PLANE_LANES: usize = 16;
+
+/// The widest window, in bits, whose sums' span `2·255·bits + 1` fits `i32`.
+pub const MAX_WINDOW_BITS: usize = (i32::MAX as usize - 1) / 510;
 
 /// A first layer's staged filters: [`LaneBank::column_major`] rows of `u32`
 /// words, sixteen filters per group.
@@ -134,9 +137,8 @@ fn funnel(lo: [u32; 8], hi: [u32; 8], shift: usize) -> [u32; 8] {
 }
 
 /// Runs the streamed Eqn (2) convolution over one output row, handing
-/// `sink` the integer accumulators of filters `k0..k0 + s.len()` at output
-/// column `ox` as `put(ox, k0, s)` — sixteen per call, the last group of a
-/// filter count that does not fill it as [`RowSink::put_group`] cuts it.
+/// `sink` the sums `s` of filters `k0..k0 + 16` at output column `ox` as
+/// `put_sums(ox, k0, k, s)`, `k` the bank's filter count.
 ///
 /// `scratch` is a [`PlaneStream`] built for the same bank, geometry and
 /// input width. The sink decides what an output *is* — fused binarize+pack
@@ -151,7 +153,7 @@ pub(crate) fn bitplane_row<P: BitWord>(
     n: usize,
     oy: usize,
     ow: usize,
-    sink: &mut impl RowSink,
+    sink: &mut impl PlaneSink,
 ) {
     isa::run(
         #[inline(always)]
@@ -245,23 +247,28 @@ pub(crate) fn bitplane_row<P: BitWord>(
                 for (p, count) in ones.iter().enumerate() {
                     total += (count << p) as i32;
                 }
-                // Eqn (2), a filter group per pass: lane `l` sums plane `p`'s
-                // masked popcounts against filter `l`, weighted `2^p`.
+                // Eqn (2), a filter group per pass: lane `l` sums filter `l`'s
+                // masked popcounts, plane `p` weighted `2^p`, a tree of pairs.
                 for g in 0..bank.groups() {
                     let mut acc = [0u32; PLANE_LANES];
                     for (win, filt) in window.iter().zip(bank.group(g)) {
                         isa::lanes_not_words();
-                        for (p, bits) in win.iter().enumerate() {
-                            for (a, f) in acc.iter_mut().zip(filt) {
-                                *a += (bits & f).popcount() << p;
+                        for (a, &f) in acc.iter_mut().zip(filt) {
+                            let mut c = [0u32; 8];
+                            for (c, bits) in c.iter_mut().zip(win) {
+                                *c = (bits & f).popcount();
                             }
+                            let high = c[4] + (c[5] << 1) + ((c[6] + (c[7] << 1)) << 2);
+                            *a += c[0] + (c[1] << 1) + ((c[2] + (c[3] << 1)) << 2) + (high << 4);
                         }
                     }
                     let mut sums = [0i32; PLANE_LANES];
                     for (sum, a) in sums.iter_mut().zip(acc) {
                         *sum = 2 * a as i32 - total;
                     }
-                    sink.put_group(ox, g * PLANE_LANES, k_total, &sums);
+                    // One 16-lane store: the sink reads whole lanes back.
+                    std::hint::black_box(&mut sums);
+                    sink.put_sums(ox, g * PLANE_LANES, k_total, &sums);
                 }
             }
         },
@@ -300,13 +307,14 @@ pub fn compute_bitplane_conv_fused<P: BitWord, W: BitWord>(
     let os = out.shape();
     let (oh, ow) = (os.h, os.w);
     let wpp = out.words_per_pixel();
+    let cuts = PlaneCuts::new(fused, bank.shape().filter_len());
     par_chunks_mut_with(
         out.as_mut_words(),
         ow * wpp,
         || PlaneStream::new(bank, geom, planes.shape().w),
         |scratch, row_idx, row_span| {
             let (n, oy) = (row_idx / oh, row_idx % oh);
-            let mut sink = BitSink::new(fused, row_span, wpp);
+            let mut sink = BitSink::new(&cuts, row_span, wpp);
             bitplane_row(planes, bank, geom, scratch, n, oy, ow, &mut sink);
         },
     );
@@ -320,7 +328,7 @@ pub fn compute_bitplane_conv_fused<P: BitWord, W: BitWord>(
 ///
 /// # Panics
 ///
-/// Panics on channel mismatches or when `fused.len() != filters.k`.
+/// As [`bitplane_conv_bank_into`].
 pub fn bitplane_conv_fused_into<P: BitWord, W: BitWord>(
     q: &mut CommandQueue,
     planes: &BitPlanes<P>,
@@ -338,7 +346,8 @@ pub fn bitplane_conv_fused_into<P: BitWord, W: BitWord>(
 ///
 /// # Panics
 ///
-/// Panics on channel mismatches or when `fused.len() != bank.shape().k`.
+/// Panics on channel mismatches, when `fused.len() != bank.shape().k`, or
+/// on windows wider than [`MAX_WINDOW_BITS`].
 pub fn bitplane_conv_bank_into<P: BitWord, W: BitWord>(
     q: &mut CommandQueue,
     planes: &BitPlanes<P>,

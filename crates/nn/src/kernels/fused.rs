@@ -34,7 +34,7 @@ use phonebit_tensor::lanes::LaneBank;
 use phonebit_tensor::shape::{ConvGeometry, FilterShape, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
-use crate::fuse::{BitSink, Cuts, FusedBn};
+use crate::fuse::{BitSink, Cuts, FusedBn, PlaneCuts};
 use crate::kernels::bitplane::{bitplane_row, compute_bitplane_conv_fused, PlaneBank, PlaneStream};
 use crate::kernels::pool::PoolGeometry;
 use crate::kernels::profiles::{compulsory_input_bytes, words32, PACKED_COALESCING, VEC_LANES_128};
@@ -254,8 +254,9 @@ pub fn compute_in8_pool_chain<P: BitWord, W: BitWord>(
     let s = planes.shape();
     let (conv_oh, conv_ow) = geom.output_hw(s.h, s.w);
     let mut scratch = PlaneStream::new(bank, geom, s.w);
+    let cuts = PlaneCuts::new(fused, bank.shape().filter_len());
     pooled_rows(s.n, conv_oh, conv_ow, pool, ring, out, |n, oy, wpp, row| {
-        let mut sink = BitSink::new(fused, row, wpp);
+        let mut sink = BitSink::new(&cuts, row, wpp);
         bitplane_row(planes, bank, geom, &mut scratch, n, oy, conv_ow, &mut sink);
     });
 }

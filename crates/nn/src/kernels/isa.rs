@@ -190,7 +190,7 @@ mod tests {
     use phonebit_tensor::tensor::{Filters, Tensor};
 
     use crate::act::Activation;
-    use crate::fuse::{AccumSink, BitSink, Cuts, FusedBn};
+    use crate::fuse::{AccumSink, BitSink, Cuts, FusedBn, PlaneCuts};
     use crate::kernels::bconv::window_dot;
     use crate::kernels::bgemm::{flatten_filters, pack_windows};
     use crate::kernels::bitplane::{bitplane_row, PlaneBank, PlaneStream};
@@ -299,15 +299,16 @@ mod tests {
         }
     }
 
-    /// Random thresholds: half-integers around the dot values a random
-    /// window gives, now and then NaN or ±∞, either sign of γ.
-    fn random_fused(k: usize, rng: &mut u64) -> FusedBn {
+    /// Random thresholds: half-integer multiples of `unit` around the
+    /// accumulators a random window gives (`unit` 1 for binary dot values),
+    /// now and then NaN or ±∞, either sign of γ.
+    fn random_fused(k: usize, unit: f32, rng: &mut u64) -> FusedBn {
         let special = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
         FusedBn {
             xi: (0..k)
                 .map(|_| match (next(rng) % 16) as usize {
                     s @ 0..=2 => special[s],
-                    _ => (next(rng) % 25) as f32 * 0.5 - 6.0,
+                    _ => ((next(rng) % 25) as f32 * 0.5 - 6.0) * unit,
                 })
                 .collect(),
             gamma_pos: (0..k).map(|_| next(rng) & 1 == 1).collect(),
@@ -374,7 +375,7 @@ mod tests {
             pad_h: pad,
             pad_w: pad,
         };
-        Some((input, filters, geom, random_fused(k, &mut rng)))
+        Some((input, filters, geom, random_fused(k, 1.0, &mut rng)))
     }
 
     /// Every output the row driver emits over every row of `input`, on
@@ -511,6 +512,10 @@ mod tests {
         let bank = PlaneBank::column_major(&filters);
         let geom = ConvGeometry::square(kernel, stride, pad);
         let (oh, ow) = geom.output_hw(h, w);
+        // Sums spread about 147·√bits around 0 (a `u8` times ±1 per tap).
+        let bits = kernel * kernel * c;
+        let fused = random_fused(k, (32.0 * (bits as f32).sqrt()).round(), &mut rng);
+        let cuts = PlaneCuts::new(&fused, bits);
         // One scratch across rows, images and tiers, as a worker keeps it.
         let mut scratch = PlaneStream::new(&bank, &geom, w);
         for (n, oy) in (0..2).flat_map(|n| (0..oh).map(move |oy| (n, oy))) {
@@ -538,8 +543,43 @@ mod tests {
                     "n {n} oy {oy} ox {ox} k {kk}: {got} != {expect}"
                 );
             }
+            let row = (&planes, &bank, &geom, n, oy, ow);
+            plane_row_packs::<W, u8>(row, &mut scratch, &cuts, &portable, &fused)?;
+            plane_row_packs::<W, u16>(row, &mut scratch, &cuts, &portable, &fused)?;
+            plane_row_packs::<W, u32>(row, &mut scratch, &cuts, &portable, &fused)?;
+            plane_row_packs::<W, u64>(row, &mut scratch, &cuts, &portable, &fused)?;
         }
         Ok(())
+    }
+
+    /// Checks that `bitplane_row` packs output row `(n, oy)` of `ow` pixels
+    /// through a [`BitSink`] over `cuts` into `O` words alike on every tier,
+    /// and as `decide_logic` of its accumulators `sums`.
+    #[allow(clippy::type_complexity)]
+    fn plane_row_packs<P: BitWord, O: BitWord>(
+        (planes, bank, geom, n, oy, ow): (
+            &BitPlanes<P>,
+            &PlaneBank,
+            &ConvGeometry,
+            usize,
+            usize,
+            usize,
+        ),
+        scratch: &mut PlaneStream,
+        cuts: &PlaneCuts,
+        sums: &[i32],
+        fused: &FusedBn,
+    ) -> Result<(), TestCaseError> {
+        let wpp = fused.len().div_ceil(O::BITS);
+        let packed = same_on_every_tier(|tier| {
+            let mut out = vec![O::zero(); ow * wpp];
+            let mut sink = BitSink::new(cuts, &mut out, wpp);
+            on_tier(tier, || {
+                bitplane_row(planes, bank, geom, scratch, n, oy, ow, &mut sink)
+            });
+            out
+        })?;
+        packs_decisions(&packed, sums, fused)
     }
 
     /// Every `(i, j, ch)` of a square `kernel`-tap, `c`-channel window.
@@ -551,7 +591,7 @@ mod tests {
         let mut rng = seed;
         let input = random_bits::<W>(Shape4::new(3, 1, 1, features), &mut rng);
         let weights = random_filters::<W>(FilterShape::new(k, 1, 1, features), 64, &mut rng);
-        let fused = random_fused(k, &mut rng);
+        let fused = random_fused(k, 1.0, &mut rng);
         let portable = same_on_every_tier(|tier| {
             let mut out = BitTensor::<W>::zeros(Shape4::new(3, 1, 1, k));
             on_tier(tier, || {
@@ -697,8 +737,8 @@ mod tests {
             // 9 and 33 channels: one bit past a plane word and past a
             // stream word; 70: two words per pixel at `u64`, nine at `u8`.
             c in prop::sample::select(vec![1usize, 3, 4, 8, 9, 13, 33, 70]),
-            // A half group, a whole one, two and a half, ragged tails.
-            k in prop::sample::select(vec![1usize, 7, 8, 9, 15, 16, 17, 24, 40]),
+            // A half group, a whole one, two and a half, six; ragged tails.
+            k in prop::sample::select(vec![1usize, 7, 8, 9, 15, 16, 17, 24, 40, 96]),
             kernel in prop::sample::select(vec![1usize, 3, 5, 11]),
             stride in prop::sample::select(vec![1usize, 2, 4]),
             // Up to `pad > kernel / 2`: windows wholly in padding.

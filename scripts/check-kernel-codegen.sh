@@ -11,6 +11,14 @@
 # `isa::run_popcnt` instances hold `popcnt`. Gathers are counted per
 # mnemonic.
 #
+# Frame by frame, an `isa::run_avx512` instance that holds `vpopcntd` must
+# keep its sixteen filter lanes in one `zmm`: more than one narrow
+# (`xmm`/`ymm`) `vpopcntd` per eight on `zmm` fails. The one allowed is the
+# per-pixel popcount of the eight planes; the split seen at one codegen unit
+# (LLVM vectorising the planes, not the filters) is 17 narrow and none wide.
+# Run it on a default build and on one built with
+# CARGO_PROFILE_RELEASE_CODEGEN_UNITS=1, as CI does.
+#
 # usage: scripts/check-kernel-codegen.sh [binary]   (default: bconv_report)
 set -eu
 bin="${1:-target/release/bconv_report}"
@@ -19,15 +27,22 @@ if ! command -v objdump >/dev/null 2>&1; then
     exit 0
 fi
 objdump -d --no-show-raw-insn -C "$bin" | awk '
-    />:$/ { frame = $2 }
-    frame ~ /isa::run_avx512/ && /vpopcntq/ { vpopcntq++ }
-    frame ~ /isa::run_avx512/ && /vpopcntd/ { vpopcntd++ }
-    frame ~ /isa::run_avx512/ && $2 ~ /^vp?gather/ { gather++; by[$2]++ }
+    />:$/ { frame = $1 " " $2; avx512 = frame ~ /isa::run_avx512/ }
+    avx512 && /vpopcntq/ { vpopcntq++ }
+    avx512 && /vpopcntd/ { vpopcntd++; if (/zmm/) wide[frame]++; else narrow[frame]++ }
+    avx512 && $2 ~ /^vp?gather/ { gather++; by[$2]++ }
     frame ~ /isa::run_popcnt/ && /[ \t]popcnt/ { popcnt++ }
     END {
         gathers = ""
         for (m in by) gathers = gathers sprintf(" (%s %d)", m, by[m])
         printf "isa::run_avx512: %d vpopcntq, %d vpopcntd, %d gathers%s; isa::run_popcnt: %d popcnt\n",
             vpopcntq, vpopcntd, gather, gathers, popcnt
-        exit !(vpopcntq > 0 && vpopcntd > 0 && gather == 0 && popcnt > 0)
+        splits = 0
+        for (f in narrow) {
+            if (narrow[f] * 8 > wide[f]) {
+                printf "  split lanes: %s %d narrow vpopcntd, %d on zmm\n", f, narrow[f], wide[f]
+                splits++
+            }
+        }
+        exit !(vpopcntq > 0 && vpopcntd > 0 && gather == 0 && popcnt > 0 && splits == 0)
     }'
