@@ -3,7 +3,6 @@
 //! of binary networks, measured on the host CPU.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use phonebit_gpusim::vector::xor_popcount_vec;
 use phonebit_tensor::bits::dot_pm1;
 
 fn make_words(n: usize, seed: u64) -> Vec<u64> {
@@ -41,15 +40,6 @@ fn bench_dot(c: &mut Criterion) {
             &len,
             |bch, _| {
                 bch.iter(|| dot_pm1(black_box(&a), black_box(&b), len));
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("binary_vectorized_u64x4", len),
-            &len,
-            |bch, _| {
-                bch.iter(|| {
-                    len as i32 - 2 * xor_popcount_vec::<u64, 4>(black_box(&a), black_box(&b)) as i32
-                });
             },
         );
         group.bench_with_input(BenchmarkId::new("float_mul_add", len), &len, |bch, _| {

@@ -1,9 +1,9 @@
-//! Real wall-clock: the §V-A.2 vectorization-granularity sweep on the host
-//! — xnor-popcount streaming with word widths u8..u64 and vector lanes
-//! 1..16 (up to the paper's 1024-bit `ulong16`).
+//! Real wall-clock: the §V-A.2 word-width sweep on the host — xnor-popcount
+//! streaming with word widths u8..u64. The vector-lane half of the sweep (up
+//! to the paper's 1024-bit `ulong16`) is modeled, not executed
+//! (`KernelProfile::vector_lanes`, the `ablation` bin).
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use phonebit_gpusim::vector::xor_popcount_vec;
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use phonebit_tensor::bits::BitWord;
 
 fn words<W: BitWord + TryFrom<u64>>(n: usize, seed: u64) -> Vec<W> {
@@ -45,17 +45,6 @@ fn bench_widths(c: &mut Criterion) {
     group.bench_function("u64", |b| {
         b.iter(|| scalar_dot(black_box(&a64), black_box(&b64)))
     });
-    group.finish();
-
-    let mut group = c.benchmark_group("vector_lanes_u64");
-    for lanes in [2usize, 4, 8, 16] {
-        group.bench_with_input(BenchmarkId::new("ulongN", lanes), &lanes, |b, &l| match l {
-            2 => b.iter(|| xor_popcount_vec::<u64, 2>(black_box(&a64), black_box(&b64))),
-            4 => b.iter(|| xor_popcount_vec::<u64, 4>(black_box(&a64), black_box(&b64))),
-            8 => b.iter(|| xor_popcount_vec::<u64, 8>(black_box(&a64), black_box(&b64))),
-            _ => b.iter(|| xor_popcount_vec::<u64, 16>(black_box(&a64), black_box(&b64))),
-        });
-    }
     group.finish();
 }
 

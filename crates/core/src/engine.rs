@@ -54,7 +54,7 @@ use phonebit_tensor::bitplane::PlaneSet;
 use phonebit_tensor::bits::BitTensor;
 use phonebit_tensor::dict::FilterDict;
 use phonebit_tensor::lanes::LaneBank;
-use phonebit_tensor::shape::{Layout, Shape4};
+use phonebit_tensor::shape::{FilterShape, Layout, Shape4};
 use phonebit_tensor::tensor::Tensor;
 use phonebit_tensor::with_planes;
 
@@ -63,7 +63,7 @@ use crate::model::{PbitLayer, PbitModel};
 use crate::plan::{
     ExecutionPlan, FusedKind, FusedMember, PlanDomainError, RouteOverrides, StepOp, ValueKind,
 };
-use crate::planner::ConvPath;
+use crate::planner::{ConvPath, ConvPlan};
 use crate::stats::RunReport;
 
 /// Errors surfaced by the engine.
@@ -87,7 +87,8 @@ pub enum EngineError {
         expected: &'static str,
     },
     /// A layer the kernels cannot run exactly: an 8-bit first layer whose
-    /// windows are wider than [`bitplane::MAX_WINDOW_BITS`].
+    /// windows are wider than [`bitplane::MAX_WINDOW_BITS`], or a corrupt
+    /// layer (parameters disagreeing with each other or with its input).
     Unsupported {
         /// Offending layer name.
         layer: String,
@@ -318,11 +319,11 @@ pub struct StagedModel {
     _weights: Buffer,
     /// One entry per **layer** (keyed by `step.index` /
     /// `FusedMember::layer`, both of which survive the fusion pass); `Some`
-    /// for every binary convolution: its filters interleaved in the order
-    /// its route reads — the per-tap bank (direct routes, fused chains),
-    /// or the pre-flattened GEMM bank — through the dictionary when the plan
-    /// compresses the layer.
-    conv_banks: Vec<Option<LaneBank<u64>>>,
+    /// for every binary convolution and dense layer: its filters interleaved
+    /// in the order its route reads — the per-tap bank (direct routes, fused
+    /// chains) or the pre-flattened GEMM bank (a dense layer's weights are
+    /// one), through the dictionary when the plan compresses the layer.
+    banks: Vec<Option<LaneBank<u64>>>,
     /// The 8-bit first layer's filters (`u8` feeds only a leading layer),
     /// column-major, sixteen `u32` lanes per group.
     plane_bank: Option<PlaneBank>,
@@ -362,7 +363,7 @@ impl StagedModel {
     /// Returns [`EngineError::OutOfMemory`] when the weights alone exceed
     /// the remaining budget, [`EngineError::DomainMismatch`] when the
     /// model's layer chain is domain-inconsistent, or
-    /// [`EngineError::Unsupported`] for a first layer too wide to run.
+    /// [`EngineError::Unsupported`] for a corrupt layer or too wide a first one.
     ///
     /// # Panics
     ///
@@ -389,7 +390,6 @@ impl StagedModel {
         ctx: Context,
         plan: ExecutionPlan,
     ) -> Result<Arc<Self>, EngineError> {
-        let weights = ctx.reserve(plan.hot_weight_bytes())?;
         // Pre-stage filter banks so per-inference runs pay neither the
         // cost model, the flatten, the interleave nor the dictionary build
         // again. Routes come from the batched plan, so a layer that only
@@ -398,21 +398,34 @@ impl StagedModel {
         // the fused plan, which has fewer steps than layers, still resolves
         // the right bank — including direct-fused convs folded into chains.
         let mut route_of: Vec<Option<ConvPath>> = vec![None; model.layers.len()];
+        let mut plan_layer = |i: usize, route: Option<ConvPlan>, in_shape: Shape4| {
+            route_of[i] = route.map(|r| r.path);
+            let layer = &model.layers[i];
+            check_layer(layer, in_shape).map_err(|reason| EngineError::Unsupported {
+                layer: layer.name().to_string(),
+                reason,
+            })
+        };
         for step in &plan.steps {
             match &step.op {
                 StepOp::FusedGroup { members, .. } => {
                     for m in members {
-                        route_of[m.layer] = m.route.map(|r| r.path);
+                        plan_layer(m.layer, m.route, m.in_shape)?;
                     }
                 }
-                _ => route_of[step.index] = step.route.map(|r| r.path),
+                _ => plan_layer(step.index, step.route, step.in_shape)?,
             }
         }
-        let mut conv_banks: Vec<Option<LaneBank<u64>>> = vec![None; model.layers.len()];
+        let weights = ctx.reserve(plan.hot_weight_bytes())?;
+        let mut banks: Vec<Option<LaneBank<u64>>> = vec![None; model.layers.len()];
         let mut plane_bank = None;
         for (i, layer) in model.layers.iter().enumerate() {
             let filters = match layer {
                 PbitLayer::BConv { filters, .. } => filters,
+                PbitLayer::DenseBin { weights, .. } => {
+                    banks[i] = Some(LaneBank::new(weights));
+                    continue;
+                }
                 PbitLayer::BConvInput8 { name, filters, .. } => {
                     let bits = filters.shape().filter_len();
                     if bits > bitplane::MAX_WINDOW_BITS {
@@ -443,7 +456,7 @@ impl StagedModel {
                 }
                 _ => filters,
             };
-            conv_banks[i] = Some(if plan.compress_decision(i).is_some_and(|d| d.compressed) {
+            banks[i] = Some(if plan.compress_decision(i).is_some_and(|d| d.compressed) {
                 LaneBank::new(&FilterDict::build(rows))
             } else {
                 LaneBank::new(rows)
@@ -454,7 +467,7 @@ impl StagedModel {
             plan,
             ctx,
             _weights: weights,
-            conv_banks,
+            banks,
             plane_bank,
         }))
     }
@@ -1107,12 +1120,47 @@ impl Session {
     }
 }
 
+/// Checks `layer` against itself and its planned input `s` — one threshold
+/// or bias per filter, the geometry's taps, the input's channels — so a
+/// corrupt model fails to stage instead of panicking in a kernel.
+fn check_layer(layer: &PbitLayer, s: Shape4) -> Result<(), String> {
+    let features = s.h * s.w * s.c;
+    let (fs, outputs, in_c) = match layer {
+        PbitLayer::BConvInput8 { filters, fused, .. } | PbitLayer::BConv { filters, fused, .. } => {
+            (filters.shape(), fused.len(), s.c)
+        }
+        PbitLayer::FConv { filters, bias, .. } => (filters.shape(), bias.len(), s.c),
+        PbitLayer::DenseBin { weights, fused, .. } => (weights.shape(), fused.len(), features),
+        PbitLayer::DenseFloat { weights, bias, .. } if weights.len() != bias.len() * features => {
+            let (w, out) = (weights.len(), bias.len());
+            return Err(format!("{w} weights for {out}x{features}"));
+        }
+        _ => return Ok(()),
+    };
+    let (gh, gw) = match layer {
+        PbitLayer::BConvInput8 { geom, .. }
+        | PbitLayer::BConv { geom, .. }
+        | PbitLayer::FConv { geom, .. } => (geom.kh, geom.kw),
+        _ => (1, 1),
+    };
+    let FilterShape { k, kh, kw, c } = fs;
+    if outputs != k {
+        Err(format!("{outputs} thresholds or biases for {k} filters"))
+    } else if (gh, gw) != (kh, kw) {
+        Err(format!("a {gh}x{gw} geometry over {kh}x{kw} filters"))
+    } else if c != in_c {
+        Err(format!("{c}-channel filters over {in_c} input channels"))
+    } else {
+        Ok(())
+    }
+}
+
 impl StagedModel {
-    /// The staged bank of the binary convolution at `layer`.
-    fn conv_bank(&self, layer: usize) -> &LaneBank<u64> {
-        self.conv_banks[layer]
+    /// The staged bank of the binary convolution or dense layer at `layer`.
+    fn bank(&self, layer: usize) -> &LaneBank<u64> {
+        self.banks[layer]
             .as_ref()
-            .expect("every routed binary convolution stages a bank")
+            .expect("every routed binary convolution and binary dense layer stages a bank")
     }
 
     /// The staged bank of the 8-bit first layer.
@@ -1198,7 +1246,7 @@ fn exec_step(
                 // dictionary's saving: bit-exact outputs, fewer modeled
                 // filter bytes.
                 let route = step.route.expect("BConv step carries a route");
-                let (bits_in, bank) = (src.bits(), staged.conv_bank(step.index));
+                let (bits_in, bank) = (src.bits(), staged.bank(step.index));
                 let out = out_store.bits_mut();
                 match route.path {
                     ConvPath::LoweredGemm => {
@@ -1238,12 +1286,13 @@ fn exec_step(
             PbitLayer::MaxPoolF32 { geom, .. } => {
                 pool::maxpool_f32_into(q, src.floats(), geom, out_store.floats_mut());
             }
-            PbitLayer::DenseBin { weights, fused, .. } => {
+            PbitLayer::DenseBin { fused, .. } => {
                 // The bit-preserving flatten is host-side staging, not a
                 // dispatched kernel (matches the estimator).
                 let (_, scr) = scr_store.as_mut().expect("flatten scratch planned");
                 dense::flatten_bits_into(src.bits(), scr.bits_mut());
-                dense::dense_bin_into(q, scr.bits(), weights, fused, out_store.bits_mut());
+                let (bank, out) = (staged.bank(step.index), out_store.bits_mut());
+                dense::dense_bin_into(q, scr.bits(), bank, fused, out);
             }
             PbitLayer::DenseFloat {
                 weights,
@@ -1321,7 +1370,7 @@ fn exec_fused_group(
                 PbitLayer::BConv {
                     geom, fused: bn, ..
                 } => {
-                    let bank = staged.conv_bank(members[0].layer);
+                    let bank = staged.bank(members[0].layer);
                     match cvt {
                         Some(pack) => fused::pack_bconv_chain_into(
                             q,
@@ -1351,20 +1400,10 @@ fn exec_fused_group(
             }
         }
         FusedKind::DenseChain => {
-            let PbitLayer::DenseBin {
-                weights: w1,
-                fused: f1,
-                ..
-            } = &layers[members[0].layer]
-            else {
+            let PbitLayer::DenseBin { fused: f1, .. } = &layers[members[0].layer] else {
                 unreachable!("dense chains pair two binary dense layers")
             };
-            let PbitLayer::DenseBin {
-                weights: w2,
-                fused: f2,
-                ..
-            } = &layers[members[1].layer]
-            else {
+            let PbitLayer::DenseBin { fused: f2, .. } = &layers[members[1].layer] else {
                 unreachable!("dense chains pair two binary dense layers")
             };
             let flat = cvt.expect("flatten tile planned");
@@ -1372,9 +1411,9 @@ fn exec_fused_group(
             fused::dense_pair_into(
                 q,
                 in_store.bits(),
-                w1,
+                staged.bank(members[0].layer),
                 f1,
-                w2,
+                staged.bank(members[1].layer),
                 f2,
                 flat.bits_mut(),
                 mid.bits_mut(),
@@ -1669,6 +1708,98 @@ mod tests {
             matches!(&err, EngineError::Unsupported { layer, .. } if layer == "conv1"),
             "{err}"
         );
+    }
+
+    /// Stages `arch` filled and converted with layer `name` corrupted by
+    /// `corrupt`, after a `.pbit` round trip (which does not notice), and
+    /// returns why staging refused it.
+    fn staging_refusal(
+        arch: &NetworkArch,
+        name: &str,
+        corrupt: impl FnOnce(&mut PbitLayer),
+    ) -> String {
+        use crate::format::{read_model, write_model};
+        let mut model = convert(&phonebit_models::fill_weights(arch, 3));
+        corrupt(
+            model
+                .layers
+                .iter_mut()
+                .find(|l| l.name() == name)
+                .expect("layer"),
+        );
+        let model = read_model(&write_model(&model)).expect("the format checks no layer");
+        let err = Session::new(model, &Phone::xiaomi_9()).expect_err("a corrupt layer staged");
+        match err {
+            EngineError::Unsupported { layer, reason } if layer == name => reason,
+            other => panic!("{name}: {other}"),
+        }
+    }
+
+    fn alexnet_micro() -> NetworkArch {
+        phonebit_models::zoo::alexnet_micro(phonebit_models::zoo::Variant::Binary)
+    }
+
+    #[test]
+    fn a_threshold_short_of_the_filters_is_refused_at_staging() {
+        for name in ["conv1", "conv2", "fc6"] {
+            let reason = staging_refusal(&alexnet_micro(), name, |layer| match layer {
+                PbitLayer::BConvInput8 { fused, .. }
+                | PbitLayer::BConv { fused, .. }
+                | PbitLayer::DenseBin { fused, .. } => {
+                    fused.xi.pop();
+                    fused.gamma_pos.pop();
+                }
+                _ => unreachable!(),
+            });
+            assert!(reason.contains("thresholds"), "{name}: {reason}");
+        }
+    }
+
+    #[test]
+    fn a_geometry_other_than_the_filters_is_refused_at_staging() {
+        let reason = staging_refusal(&alexnet_micro(), "conv2", |layer| {
+            let PbitLayer::BConv { geom, .. } = layer else {
+                unreachable!()
+            };
+            (geom.kh, geom.kw) = (1, 1);
+        });
+        assert_eq!(reason, "a 1x1 geometry over 3x3 filters");
+    }
+
+    #[test]
+    fn filters_wider_than_the_input_are_refused_at_staging() {
+        use phonebit_tensor::bits::PackedFilters;
+        let reason = staging_refusal(&alexnet_micro(), "conv2", |layer| {
+            let PbitLayer::BConv { filters, .. } = layer else {
+                unreachable!()
+            };
+            let fs = filters.shape();
+            *filters = PackedFilters::zeros(FilterShape::new(fs.k, fs.kh, fs.kw, fs.c + 5));
+        });
+        assert_eq!(reason, "29-channel filters over 24 input channels");
+    }
+
+    #[test]
+    fn a_float_conv_bias_short_of_the_filters_is_refused_at_staging() {
+        let yolo = phonebit_models::zoo::yolo_micro(phonebit_models::zoo::Variant::Binary);
+        let reason = staging_refusal(&yolo, "conv9", |layer| {
+            let PbitLayer::FConv { bias, .. } = layer else {
+                unreachable!()
+            };
+            bias.pop();
+        });
+        assert_eq!(reason, "124 thresholds or biases for 125 filters");
+    }
+
+    #[test]
+    fn a_float_dense_weight_short_is_refused_at_staging() {
+        let reason = staging_refusal(&alexnet_micro(), "fc8", |layer| {
+            let PbitLayer::DenseFloat { weights, .. } = layer else {
+                unreachable!()
+            };
+            weights.pop();
+        });
+        assert_eq!(reason, "1279 weights for 10x128");
     }
 
     #[test]

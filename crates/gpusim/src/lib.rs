@@ -11,13 +11,13 @@
 //! - [`buffer`] — budget bookings for device memory, reproducing Android OOM.
 //! - [`ndrange`] / [`kernel`] / [`queue`] — OpenCL-style dispatch: kernels
 //!   run **functionally** on the host (bit-exact) while an analytic cost
-//!   model places them on a simulated timeline.
+//!   model places them on a simulated timeline (§V-A.2's `uchar2`…`ulong16`
+//!   widths are modeled, [`KernelProfile::vector_lanes`], not executed).
 //! - [`cost`] — the latency/energy model; [`calib`] holds every fitted
 //!   constant with its paper anchor.
 //! - [`clock`] — the shared multi-queue device clock: N command queues on
 //!   one GPU serialize or overlap per the device's compute-unit budget
 //!   instead of each pretending to own the hardware.
-//! - [`vector`] — OpenCL vector types (`uchar2`…`ulong16`) for kernels.
 //! - [`counters`] — per-kernel aggregation of a timeline.
 //! - [`exec`] — the one host-parallel primitive, for kernel rows and
 //!   serving streams.
@@ -58,7 +58,6 @@ pub mod exec;
 pub mod kernel;
 pub mod ndrange;
 pub mod queue;
-pub mod vector;
 
 pub use buffer::{Buffer, Context, SimError};
 pub use calib::ExecutorClass;

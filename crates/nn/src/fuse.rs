@@ -21,9 +21,12 @@
 //! x4 = (A xor B) or C,   A = (x1 < ξ), B = (γ > 0), C = (x1 = ξ)
 //! ```
 //!
-//! [`BitSink`] is the one place a kernel's raw accumulator becomes that bit:
-//! in the binary tile and the first layer by integer cuts one search of
-//! [`FusedBn::decide_logic`] finds per dispatch; elsewhere by the latter.
+//! [`BitSink`] is the one place a fused kernel's raw accumulator becomes
+//! that bit: by integer cuts on its lanes — the binary tile's disagreement
+//! counts, the first layer's Eqn (2) sums — that one search of
+//! [`FusedBn::decide_logic`] finds per dispatch. `decide_logic` stays the
+//! definition: the unfused `binarize_pack` pass and the seed reference
+//! kernel decide by it, and every equality test checks the cuts against it.
 
 use phonebit_tensor::bits::BitWord;
 use phonebit_tensor::lanes::LANES;
@@ -237,12 +240,14 @@ fn run(xi: f32, gamma_pos: bool, (x0, step, n): (i64, i64, u64)) -> u64 {
 }
 
 /// The packed-bit sink of every fused binarize+pack kernel (Fig 4): decides
-/// Eqn (9) by [`FusedBn`] ([`RowSink`]), `Cuts` ([`TileSink`]) or
-/// `PlaneCuts`, builds the bits in a register — the near-coin-flip outcome
-/// is data, not a branch (§VI-C) — and ORs them into the output word once.
-/// Rows must start zeroed; runs may arrive in any order.
+/// Eqn (9) by integer cuts on the lanes it is handed — `Cuts` on the binary
+/// tile's disagreement counts ([`TileSink`]), `PlaneCuts` on the first
+/// layer's Eqn (2) sums (`PlaneSink`) — builds the bits in a register —
+/// the near-coin-flip outcome is data, not a branch (§VI-C) — and ORs them
+/// into the output word once. Rows must start zeroed; runs may arrive in
+/// any order.
 #[derive(Debug)]
-pub struct BitSink<'a, W: BitWord, T = FusedBn> {
+pub struct BitSink<'a, W: BitWord, T> {
     thresholds: &'a T,
     row: &'a mut [W],
     words_per_pixel: usize,
@@ -260,43 +265,14 @@ impl<'a, W: BitWord, T> BitSink<'a, W, T> {
     }
 }
 
-/// Where a row driver's outputs go: `put(px, k0, x1s)` takes the raw
-/// accumulators of filters `k0..k0 + x1s.len()` at row pixel `px` and
-/// decides what an output *is* — fused binarize+pack bits ([`BitSink`]) or
-/// raw `i32`s ([`AccumSink`]) — so one driver serves every kernel.
+/// Where the binary tile (`tiled::lanes_tile`) hands each [`LANES`]-filter
+/// group, ORing the returned lanes into a per-pixel word until it is whole.
 ///
 /// A trait rather than a closure because the drivers call it from several
 /// sites below a `#[target_feature]` frame ([`crate::kernels::isa`]): an
-/// implementation marks `put` `#[inline(always)]`, which a closure cannot
-/// promise, and left out of line it would be compiled for the baseline
-/// target.
-pub trait RowSink {
-    /// Takes one run of accumulators.
-    fn put(&mut self, px: usize, k0: usize, x1s: &[i32]);
-
-    /// Takes a filter group's `L` accumulators (a multiple of [`LANES`]),
-    /// of which those of filters `k0..k_total` exist. A full group, and
-    /// every whole [`LANES`] of a partial one, goes out with its length a
-    /// constant, so the sink unrolls over it; only a ragged `k_total %
-    /// LANES` tail is a run of run-time length.
-    #[inline(always)]
-    fn put_group<const L: usize>(&mut self, px: usize, k0: usize, k_total: usize, x1s: &[i32; L]) {
-        let live = (k_total - k0).min(L);
-        if live == L {
-            return self.put(px, k0, x1s);
-        }
-        let whole = live / LANES * LANES;
-        for (at, eight) in x1s[..whole].as_chunks::<LANES>().0.iter().enumerate() {
-            self.put(px, k0 + at * LANES, eight);
-        }
-        if whole < live {
-            self.put(px, k0 + whole, &x1s[whole..live]);
-        }
-    }
-}
-
-/// Where the binary tile (`tiled::lanes_tile`) hands each [`LANES`]-filter
-/// group, ORing the returned lanes into a per-pixel word until it is whole.
+/// implementation marks its methods `#[inline(always)]`, which a closure
+/// cannot promise, and left out of line it would be compiled for the
+/// baseline target.
 pub trait TileSink {
     /// Takes bank `fs`'s filters `k0..`'s disagreements `d` at row pixel
     /// `px`; returns filter `k0 + i`'s bit at `k0 % 64 + i` in lane `i`.
@@ -306,27 +282,6 @@ pub trait TileSink {
     /// Takes row pixel `px`'s decided filters `k0..k0 + 64` as one word.
     #[inline(always)]
     fn put_word(&mut self, _px: usize, _k0: usize, _word: u64) {}
-}
-
-impl<W: BitWord> RowSink for BitSink<'_, W> {
-    /// Sets bit `k0 + i` of row pixel `px` to
-    /// [`FusedBn::decide_logic`]`(k0 + i, x1s[i])` for every `i`. The run
-    /// must stay inside one output word, as a filter tile starting at a
-    /// multiple of its length does (checked in debug builds only: a hard
-    /// assert here cost the tiled kernels 10–20 %).
-    #[inline(always)]
-    fn put(&mut self, px: usize, k0: usize, x1s: &[i32]) {
-        let (bit0, n) = (k0 % W::BITS, x1s.len());
-        debug_assert!(bit0 + n <= W::BITS, "run straddles an output word");
-        let xi = &self.thresholds.xi[k0..k0 + n];
-        let gamma_pos = &self.thresholds.gamma_pos[k0..k0 + n];
-        let mut word = W::zero();
-        for (i, &x1) in x1s.iter().enumerate() {
-            word = word.or(W::from_bit(decide(xi[i], gamma_pos[i], x1 as f32)).shl(bit0 + i));
-        }
-        let slot = &mut self.row[px * self.words_per_pixel + k0 / W::BITS];
-        *slot = slot.or(word);
-    }
 }
 
 impl<W: BitWord> TileSink for BitSink<'_, W, Cuts> {
@@ -386,15 +341,18 @@ pub struct AccumSink<'a> {
     pub channels: usize,
 }
 
-impl RowSink for AccumSink<'_> {
+impl AccumSink<'_> {
+    /// Files the accumulators of filters `k0..k_total` among `x1s` at row
+    /// pixel `px`; lanes past the last filter are dropped.
     #[inline(always)]
-    fn put(&mut self, px: usize, k0: usize, x1s: &[i32]) {
-        self.row[px * self.channels + k0..][..x1s.len()].copy_from_slice(x1s);
+    fn file<const L: usize>(&mut self, px: usize, k0: usize, k_total: usize, x1s: &[i32; L]) {
+        let live = (k_total - k0).min(L);
+        self.row[px * self.channels + k0..][..live].copy_from_slice(&x1s[..live]);
     }
 }
 
 impl TileSink for AccumSink<'_> {
-    /// Files the dot values `bits − 2d` of bank `fs`'s filters by `put_group`.
+    /// Files the dot values `bits − 2d` of bank `fs`'s filters.
     #[inline(always)]
     fn put_dots(
         &mut self,
@@ -407,7 +365,7 @@ impl TileSink for AccumSink<'_> {
         for (x1, &d) in x1s.iter_mut().zip(d) {
             *x1 = fs.filter_len() as i32 - 2 * d as i32;
         }
-        self.put_group(px, k0, fs.k, &x1s);
+        self.file(px, k0, fs.k, &x1s);
         [0; LANES]
     }
 }
@@ -415,13 +373,18 @@ impl TileSink for AccumSink<'_> {
 impl PlaneSink for AccumSink<'_> {
     #[inline(always)]
     fn put_sums(&mut self, px: usize, k0: usize, k_total: usize, sums: &[i32; PLANE_LANES]) {
-        self.put_group(px, k0, k_total, sums);
+        self.file(px, k0, k_total, sums);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phonebit_tensor::bits::BitTensor;
+    use phonebit_tensor::shape::Shape4;
+    use phonebit_tensor::tensor::Tensor;
+
+    use crate::kernels::bconv::compute_binarize_pack;
 
     fn arbitrary_bn() -> (BnParams, Vec<f32>) {
         let bn = BnParams {
@@ -505,10 +468,11 @@ mod tests {
     }
 
     /// Every `x1` a `bound`-bit window can produce, against every kind of
-    /// threshold, through a sink whose `W::BITS + 3` channels share the
-    /// first output word and spill into a second — as single outputs, as
-    /// filter quads and as whole words.
-    fn sink_matches_decide_logic_at<W: BitWord>() {
+    /// threshold, through the unfused `binarize_pack` pass — the one kernel
+    /// that still decides in float — with `W::BITS + 3` channels, so each
+    /// pixel's bits share the first output word and spill into a second,
+    /// into an output that comes in all ones.
+    fn binarize_pack_matches_decide_logic_at<W: BitWord>() {
         let bound = 40i32;
         let mut thresholds: Vec<f32> = vec![f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
         for half_steps in -2 * (bound + 1)..=2 * (bound + 1) {
@@ -516,6 +480,11 @@ mod tests {
         }
         let k_total = W::BITS + 3;
         let wpp = k_total.div_ceil(W::BITS);
+        // One pixel per accumulator; neighbouring channels see different ones.
+        let x1_of =
+            |px: usize, k: usize| (px as i32 - bound + k as i32 % 3 - 1).clamp(-bound, bound);
+        let shape = Shape4::new(1, 1, 2 * bound as usize + 1, k_total);
+        let accum = Tensor::from_fn(shape, |_, _, px, k| x1_of(px, k));
         // Rotate the thresholds past the channels so each meets every bit
         // position, with either gamma sign.
         for rotation in 0..thresholds.len() {
@@ -525,50 +494,33 @@ mod tests {
                     .collect(),
                 gamma_pos: (0..k_total).map(|k| (k + rotation / 2) % 2 == 0).collect(),
             };
-            for x1 in -bound..=bound {
-                // Neighbouring channels see different accumulators.
-                let x1s: Vec<i32> = (0..k_total as i32)
-                    .map(|k| (x1 + k % 3 - 1).clamp(-bound, bound))
-                    .collect();
-                let mut row = vec![W::zero(); 3 * wpp];
-                let mut sink = BitSink::new(&fused, &mut row, wpp);
-                // The sink promises nothing about arrival order: pixel 0
-                // one channel at a time, descending; pixel 1 in quads, last
-                // first; pixel 2 a word at a time.
-                for k in (0..k_total).rev() {
-                    sink.put(0, k, &x1s[k..k + 1]);
+            let mut out = BitTensor::<W>::zeros(shape);
+            out.as_mut_words().fill(W::zero().not());
+            compute_binarize_pack(&accum, &fused, &mut out);
+            for (px, words) in out.as_words().chunks(wpp).enumerate() {
+                for k in 0..k_total {
+                    let x1 = x1_of(px, k);
+                    assert_eq!(
+                        words[k / W::BITS].bit(k % W::BITS),
+                        fused.decide_logic(k, x1 as f32),
+                        "{} px={px} k={k} x1={x1} xi={} gamma_pos={}",
+                        W::CL_NAME,
+                        fused.xi[k],
+                        fused.gamma_pos[k]
+                    );
                 }
-                for k0 in (0..k_total).step_by(4).rev() {
-                    sink.put(1, k0, &x1s[k0..(k0 + 4).min(k_total)]);
-                }
-                for k0 in (0..k_total).step_by(W::BITS) {
-                    sink.put(2, k0, &x1s[k0..(k0 + W::BITS).min(k_total)]);
-                }
-                for (px, words) in row.chunks(wpp).enumerate() {
-                    for k in 0..k_total {
-                        assert_eq!(
-                            words[k / W::BITS].bit(k % W::BITS),
-                            fused.decide_logic(k, x1s[k] as f32),
-                            "{} px={px} k={k} x1={} xi={} gamma_pos={}",
-                            W::CL_NAME,
-                            x1s[k],
-                            fused.xi[k],
-                            fused.gamma_pos[k]
-                        );
-                    }
-                    let tail = words[wpp - 1].and(W::low_mask(k_total % W::BITS).not());
-                    assert_eq!(tail, W::zero(), "bits past the last channel stay clear");
-                }
+                let tail = words[wpp - 1].and(W::low_mask(k_total % W::BITS).not());
+                assert_eq!(tail, W::zero(), "bits past the last channel stay clear");
             }
         }
     }
 
     #[test]
     fn sink_equals_decide_logic_exhaustively() {
-        sink_matches_decide_logic_at::<u8>();
-        sink_matches_decide_logic_at::<u16>();
-        sink_matches_decide_logic_at::<u32>();
-        sink_matches_decide_logic_at::<u64>();
+        binarize_pack_matches_decide_logic_at::<u8>();
+        binarize_pack_matches_decide_logic_at::<u16>();
+        binarize_pack_matches_decide_logic_at::<u32>();
+        binarize_pack_matches_decide_logic_at::<u64>();
     }
 
     /// Whether `cuts` fire filter `k` at `d` disagreements.
@@ -735,29 +687,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn a_group_leaves_whole_then_in_eights_then_its_ragged_tail() {
-        /// Records `(k0, run length)` per `put`.
-        struct Runs(Vec<(usize, usize)>);
-        impl RowSink for Runs {
-            fn put(&mut self, _: usize, k0: usize, x1s: &[i32]) {
-                self.0.push((k0, x1s.len()));
-            }
-        }
-        fn runs<const L: usize>(k0: usize, k_total: usize) -> Vec<(usize, usize)> {
-            let mut sink = Runs(Vec::new());
-            sink.put_group(0, k0, k_total, &[0; L]);
-            sink.0
-        }
-        assert_eq!(runs::<8>(8, 16), [(8, 8)]);
-        assert_eq!(runs::<8>(8, 13), [(8, 5)]);
-        assert_eq!(runs::<16>(16, 40), [(16, 16)]);
-        assert_eq!(runs::<16>(32, 40), [(32, 8)]);
-        assert_eq!(runs::<16>(0, 7), [(0, 7)]);
-        assert_eq!(runs::<16>(16, 31), [(16, 8), (24, 7)]);
-        assert_eq!(runs::<16>(32, 41), [(32, 8), (40, 1)]);
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //!   tensor: the fallback when channels exceed the private-memory limit,
 //!   and the reference path for the fusion ablation.
 //! - [`binarize_pack`] — the standalone binarize+pack pass that follows
-//!   [`bconv_accum`] on the unfused path.
+//!   [`bconv_accum`] on the unfused path. It decides Eqn 9 by its
+//!   definition, [`FusedBn::decide_logic`], where the fused kernels decide
+//!   by integer cuts on their lanes — so every fused-vs-unfused equality
+//!   test checks the cuts against Eqn 9 itself.
 //!
 //! Both direct kernels run on the **tiled hot path** of
 //! [`crate::kernels::tiled`]: zero-padded window gathers reused across all
@@ -17,7 +20,8 @@
 //! ([`LaneBank`]; the `FilterAccess`-taking entries stage per call). The
 //! seed per-tap kernel survives as
 //! [`compute_bconv_fused_reference`] — the bit-exactness oracle and the
-//! "before" side of `bench_bconv`.
+//! "before" side of `bench_bconv` — over [`window_dot`], a scalar
+//! [`dot_pm1`] per tap.
 //!
 //! Padding semantics: out-of-bounds activation bits are 0 (−1), matching
 //! [`phonebit_tensor::pad::pad_bits`]; tests validate fused-vs-reference
@@ -25,14 +29,13 @@
 
 use phonebit_gpusim::exec::{par_chunks_mut, par_chunks_mut_with};
 use phonebit_gpusim::queue::CommandQueue;
-use phonebit_gpusim::vector::xor_popcount_vec;
-use phonebit_tensor::bits::{BitTensor, BitWord};
+use phonebit_tensor::bits::{dot_pm1, BitTensor, BitWord};
 use phonebit_tensor::dict::FilterAccess;
 use phonebit_tensor::lanes::LaneBank;
 use phonebit_tensor::shape::{ConvGeometry, FilterShape, Layout, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
-use crate::fuse::{AccumSink, BitSink, Cuts, FusedBn, RowSink};
+use crate::fuse::{AccumSink, BitSink, Cuts, FusedBn};
 use crate::kernels::profiles;
 use crate::kernels::tiled::{conv_row_tiled, WindowGather};
 use crate::workload::WorkloadPolicy;
@@ -70,7 +73,8 @@ fn conv_output_shape<W: BitWord>(
 
 /// Raw binary dot product of one convolution window against one filter:
 /// `x1 = kh*kw*C − 2·disagreements` (Eqn 1 summed over taps). Out-of-bounds
-/// taps read all-zero words (−1 inputs).
+/// taps read all-zero words (−1 inputs): a tap of filter words `w`
+/// contributes `c − 2·popcount(w)`.
 #[inline]
 pub fn window_dot<W: BitWord>(
     input: &BitTensor<W>,
@@ -82,24 +86,21 @@ pub fn window_dot<W: BitWord>(
     k: usize,
 ) -> i32 {
     let s = input.shape();
-    let fs = filters.shape();
-    let mut disagree = 0u32;
+    let c = filters.shape().c;
+    let mut x1 = 0;
     for i in 0..geom.kh {
         let iy = (oy * geom.stride_h + i) as isize - geom.pad_h as isize;
         for j in 0..geom.kw {
             let ix = (ox * geom.stride_w + j) as isize - geom.pad_w as isize;
             let w_span = filters.tap_words(k, i, j);
-            if iy >= 0 && (iy as usize) < s.h && ix >= 0 && (ix as usize) < s.w {
-                let a_span = input.pixel_words(n, iy as usize, ix as usize);
-                // 128-bit vectorized xor+popcount (§VI-A.1).
-                disagree += xor_popcount_vec::<W, 2>(a_span, w_span);
+            x1 += if iy >= 0 && (iy as usize) < s.h && ix >= 0 && (ix as usize) < s.w {
+                dot_pm1(input.pixel_words(n, iy as usize, ix as usize), w_span, c)
             } else {
-                // Padding: input bits are 0, so xor(0, w) = w.
-                disagree += w_span.iter().map(|w| w.popcount()).sum::<u32>();
-            }
+                c as i32 - 2 * w_span.iter().map(|w| w.popcount()).sum::<u32>() as i32
+            };
         }
     }
-    (geom.taps() * fs.c) as i32 - 2 * disagree as i32
+    x1
 }
 
 /// Functional body of the fused kernel, writing packed output bits — the
@@ -292,14 +293,14 @@ pub fn bconv_accum_bank_into<W: BitWord>(
     q.launch(profile, || compute_bconv_accum(input, bank, geom, out));
 }
 
-/// Functional body of the standalone binarize+pack kernel.
+/// Functional body of the standalone binarize+pack kernel — Eqn 9 by its
+/// definition, [`FusedBn::decide_logic`], on every accumulator.
 ///
-/// Packs **word-at-a-time** through the same [`BitSink`] as the fused
-/// kernels: each output word's `W::BITS` channel decisions are built in a
-/// register and stored once — the host analogue of the paper's
-/// pack-in-private-memory-then-store (Fig 4). Overwrites `out`, whatever it
-/// held. Requires the accumulator in NHWC so each pixel's channel run is
-/// contiguous.
+/// Packs **word-at-a-time**: each output word's `W::BITS` channel
+/// decisions are built in a register and stored once — the host analogue of
+/// the paper's pack-in-private-memory-then-store (Fig 4). Overwrites `out`,
+/// whatever it held. Requires the accumulator in NHWC so each pixel's
+/// channel run is contiguous.
 pub fn compute_binarize_pack<W: BitWord>(
     accum: &Tensor<i32>,
     fused: &FusedBn,
@@ -315,11 +316,11 @@ pub fn compute_binarize_pack<W: BitWord>(
     let wpp = out.words_per_pixel();
     let src = accum.as_slice();
     par_chunks_mut(out.as_mut_words(), wpp, |pixel, span| {
-        span.fill(W::zero());
-        let mut sink = BitSink::new(fused, span, wpp);
         let accums = &src[pixel * c_total..(pixel + 1) * c_total];
-        for (word, x1s) in accums.chunks(W::BITS).enumerate() {
-            sink.put(0, word * W::BITS, x1s);
+        for (at, (slot, x1s)) in span.iter_mut().zip(accums.chunks(W::BITS)).enumerate() {
+            *slot = x1s.iter().enumerate().fold(W::zero(), |word, (i, &x1)| {
+                word.or(W::from_bit(fused.decide_logic(at * W::BITS + i, x1 as f32)).shl(i))
+            });
         }
     });
 }

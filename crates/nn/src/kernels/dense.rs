@@ -1,19 +1,18 @@
 //! Dense (fully connected) kernels, binary and float, plus the bit-preserving
-//! flatten that connects convolutional features to them.
+//! flatten that connects convolutional features to them. A binary dense layer
+//! is a 1×1 convolution over a 1×1 image, the pointwise GEMM: one flattened
+//! image is one window row of [`tile_filters`] over the layer's [`LaneBank`].
 
 use phonebit_gpusim::queue::CommandQueue;
-use phonebit_gpusim::vector::xor_popcount_vec;
 use phonebit_tensor::bits::{merge_bits, BitTensor, BitWord, PackedFilters};
+use phonebit_tensor::lanes::LaneBank;
 use phonebit_tensor::shape::{Layout, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
 use crate::act::Activation;
-use crate::fuse::{BitSink, FusedBn, RowSink};
-use crate::kernels::{isa, profiles};
-
-/// Words per xor+popcount step: 512 bits of `u64`, the widest hardware
-/// popcount the [`isa`] tiers reach.
-const VEC_WORDS: usize = 8;
+use crate::fuse::{BitSink, Cuts, FusedBn};
+use crate::kernels::profiles;
+use crate::kernels::tiled::tile_filters;
 
 /// Flattens a packed feature map `(n, h, w, c)` into `(n, 1, 1, h*w*c)`
 /// keeping `(h, w, c)` raster order — the order dense weights are stored in.
@@ -52,34 +51,26 @@ pub fn flatten_bits_into<W: BitWord>(input: &BitTensor<W>, out: &mut BitTensor<W
 }
 
 /// Functional body of the fused binary dense layer, writing into a zeroed
-/// `out` (as [`dense_bin_into`] resets it).
+/// `out` (as [`dense_bin_into`] resets it): the pointwise GEMM of the
+/// flattened rows against `bank`, `(k, 1, 1, features)`.
 pub fn compute_dense_bin<W: BitWord>(
     input: &BitTensor<W>,
-    weights: &PackedFilters<W>,
+    bank: &LaneBank<W>,
     fused: &FusedBn,
     out: &mut BitTensor<W>,
 ) {
-    isa::run(
-        #[inline(always)]
-        || {
-            let s = input.shape();
-            let k_total = weights.shape().k;
-            let features = s.c as i32;
-            let wpp = out.words_per_pixel();
-            let mut sink = BitSink::new(fused, out.as_mut_words(), wpp);
-            for n in 0..s.n {
-                let x = input.pixel_words(n, 0, 0);
-                for k in 0..k_total {
-                    let disagree = xor_popcount_vec::<W, VEC_WORDS>(x, weights.tap_words(k, 0, 0));
-                    sink.put(n, k, &[features - 2 * disagree as i32]);
-                }
-            }
-        },
-    )
+    let wpp = out.words_per_pixel();
+    let cuts = Cuts::new(fused, bank.shape().filter_len());
+    tile_filters(
+        input.as_words(),
+        bank,
+        &mut BitSink::new(&cuts, out.as_mut_words(), wpp),
+    );
 }
 
 /// Dispatches the fused binary dense layer: xnor-popcount matvec + BN +
-/// binarize + pack.
+/// binarize + pack. Interleaves `weights` first; a caller that runs the
+/// layer more than once stages a [`LaneBank`] and calls [`dense_bin_into`].
 ///
 /// # Panics
 ///
@@ -91,21 +82,22 @@ pub fn dense_bin<W: BitWord>(
     fused: &FusedBn,
 ) -> BitTensor<W> {
     let mut out = BitTensor::<W>::zeros(Shape4::new(0, 0, 0, 0));
-    dense_bin_into(q, input, weights, fused, &mut out);
+    dense_bin_into(q, input, &LaneBank::new(weights), fused, &mut out);
     out
 }
 
-/// [`dense_bin`] into a caller-provided tensor (reset to the output shape),
-/// reusing its storage — the engine's arena path.
+/// [`dense_bin`] over a bank staged once, into a caller-provided tensor
+/// (reset to the output shape), reusing its storage — the engine's arena
+/// path.
 pub fn dense_bin_into<W: BitWord>(
     q: &mut CommandQueue,
     input: &BitTensor<W>,
-    weights: &PackedFilters<W>,
+    bank: &LaneBank<W>,
     fused: &FusedBn,
     out: &mut BitTensor<W>,
 ) {
     let s = input.shape();
-    let ws = weights.shape();
+    let ws = bank.shape();
     assert!(
         s.h == 1 && s.w == 1,
         "dense input must be flattened, got {s}"
@@ -122,7 +114,7 @@ pub fn dense_bin_into<W: BitWord>(
     // One dispatch covers the whole batch: the matvec loops rows inside
     // the kernel while the per-dispatch launch overhead is paid once.
     let profile = profiles::dense_bin(ws.k, s.c).batched(s.n);
-    q.launch(profile, || compute_dense_bin(input, weights, fused, out));
+    q.launch(profile, || compute_dense_bin(input, bank, fused, out));
 }
 
 /// Functional body of the float dense layer: `y = act(Wx + b)`.
@@ -237,9 +229,9 @@ pub fn dense_float_batch_into(
 mod tests {
     use super::*;
     use phonebit_gpusim::{DeviceProfile, ExecutorClass};
-    use phonebit_tensor::pack::{pack_f32, unpack_f32};
+    use phonebit_tensor::pack::{pack_f32, pack_filters, unpack_f32};
     use phonebit_tensor::shape::FilterShape;
-    use phonebit_tensor::tensor::Tensor;
+    use phonebit_tensor::tensor::{Filters, Tensor};
 
     use crate::fuse::BnParams;
 
@@ -287,47 +279,67 @@ mod tests {
         }
     }
 
-    #[test]
-    fn dense_bin_matches_float_reference() {
-        let features = 100usize;
-        let outputs = 17usize;
-        let x = Tensor::from_fn(Shape4::new(1, 1, 1, features), |_, _, _, c| {
-            if c % 3 == 0 {
-                1.0
-            } else {
-                -1.0
-            }
-        });
-        let mut w = PackedFilters::<u64>::zeros(FilterShape::new(outputs, 1, 1, features));
-        let mut wf = vec![vec![-1.0f32; features]; outputs];
-        #[allow(clippy::needless_range_loop)] // fills packed + float mirrors together
-        for k in 0..outputs {
-            for c in 0..features {
-                if (k * 7 + c) % 2 == 0 {
-                    w.set_bit(k, 0, 0, c, true);
-                    wf[k][c] = 1.0;
+    /// Batches across a [`TILE_PIXELS`](crate::kernels::tiled::TILE_PIXELS)
+    /// tile, outputs across a 64-filter word, features below, at and past
+    /// one and sixteen `u64` words, against a float conv + BN + sign.
+    fn dense_bin_matches_float_reference_at<W: BitWord>() {
+        let mut q = queue();
+        for features in [1usize, 63, 64, 100, 1024] {
+            for outputs in [1usize, 7, 63, 64, 65, 130] {
+                let wf =
+                    Filters::from_fn(FilterShape::new(outputs, 1, 1, features), |k, _, _, c| {
+                        if (k * 7 + c) % 2 == 0 {
+                            1.0
+                        } else {
+                            -1.0
+                        }
+                    });
+                let bn = BnParams {
+                    gamma: (0..outputs)
+                        .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
+                        .collect(),
+                    beta: vec![0.3; outputs],
+                    mu: (0..outputs).map(|i| (i % 9) as f32 - 4.0).collect(),
+                    sigma: vec![1.5; outputs],
+                };
+                let bias = vec![1.0; outputs];
+                let fused = FusedBn::precompute(&bn, &bias);
+                let w = pack_filters::<W>(&wf);
+                for batch in [1usize, 3, 4, 5, 9] {
+                    let x = Tensor::from_fn(Shape4::new(batch, 1, 1, features), |n, _, _, c| {
+                        if (c + n) % 3 == 0 {
+                            1.0
+                        } else {
+                            -1.0
+                        }
+                    });
+                    let y = dense_bin(&mut q, &pack_f32::<W>(&x), &w, &fused);
+                    assert!(y.tail_is_clean());
+                    let got = unpack_f32(&y);
+                    for (n, k) in (0..batch).flat_map(|n| (0..outputs).map(move |k| (n, k))) {
+                        let dot: f32 = (0..features)
+                            .map(|c| x.at(n, 0, 0, c) * wf.at(k, 0, 0, c))
+                            .sum();
+                        let x3 = bn.apply(k, dot + bias[k]);
+                        let expect = if x3 >= 0.0 { 1.0 } else { -1.0 };
+                        assert_eq!(
+                            got.at(n, 0, 0, k),
+                            expect,
+                            "{} features {features} batch {batch} image {n} output {k}",
+                            W::CL_NAME
+                        );
+                    }
                 }
             }
         }
-        let bn = BnParams {
-            gamma: (0..outputs)
-                .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
-                .collect(),
-            beta: vec![0.3; outputs],
-            mu: vec![2.0; outputs],
-            sigma: vec![1.5; outputs],
-        };
-        let bias = vec![1.0; outputs];
-        let fused = FusedBn::precompute(&bn, &bias);
-        let mut q = queue();
-        let y = dense_bin(&mut q, &pack_f32::<u64>(&x), &w, &fused);
-        let got = unpack_f32(&y);
-        for k in 0..outputs {
-            let dot: f32 = (0..features).map(|c| x.at(0, 0, 0, c) * wf[k][c]).sum();
-            let x3 = bn.apply(k, dot + bias[k]);
-            let expect = if x3 >= 0.0 { 1.0 } else { -1.0 };
-            assert_eq!(got.at(0, 0, 0, k), expect, "output {k}");
-        }
+    }
+
+    #[test]
+    fn dense_bin_matches_float_reference() {
+        dense_bin_matches_float_reference_at::<u8>();
+        dense_bin_matches_float_reference_at::<u16>();
+        dense_bin_matches_float_reference_at::<u32>();
+        dense_bin_matches_float_reference_at::<u64>();
     }
 
     #[test]

@@ -29,7 +29,7 @@ use phonebit_gpusim::queue::CommandQueue;
 use phonebit_gpusim::KernelProfile;
 use phonebit_gpusim::NdRange;
 use phonebit_tensor::bitplane::BitPlanes;
-use phonebit_tensor::bits::{BitTensor, BitWord, PackedFilters};
+use phonebit_tensor::bits::{BitTensor, BitWord};
 use phonebit_tensor::lanes::LaneBank;
 use phonebit_tensor::shape::{ConvGeometry, FilterShape, Shape4};
 use phonebit_tensor::tensor::Tensor;
@@ -408,16 +408,16 @@ pub fn in8_bconv_chain_into<P: BitWord, W: BitWord>(
 pub fn dense_pair_into<W: BitWord>(
     q: &mut CommandQueue,
     input: &BitTensor<W>,
-    w1: &PackedFilters<W>,
+    b1: &LaneBank<W>,
     f1: &FusedBn,
-    w2: &PackedFilters<W>,
+    b2: &LaneBank<W>,
     f2: &FusedBn,
     flat: &mut BitTensor<W>,
     mid: &mut BitTensor<W>,
     out: &mut BitTensor<W>,
 ) {
     let s = input.shape();
-    let (s1, s2) = (w1.shape(), w2.shape());
+    let (s1, s2) = (b1.shape(), b2.shape());
     assert_eq!(s1.kh * s1.kw, 1, "dense weights must be 1x1 taps");
     assert_eq!(s2.kh * s2.kw, 1, "dense weights must be 1x1 taps");
     assert_eq!(
@@ -439,8 +439,8 @@ pub fn dense_pair_into<W: BitWord>(
     out.reset(Shape4::new(s.n, 1, 1, s2.k));
     let profile = dense_pair_profile(s1.k, s2.k, s1.c).batched(s.n);
     q.launch(profile, || {
-        dense::compute_dense_bin(flat, w1, f1, mid);
-        dense::compute_dense_bin(mid, w2, f2, out);
+        dense::compute_dense_bin(flat, b1, f1, mid);
+        dense::compute_dense_bin(mid, b2, f2, out);
     });
 }
 
@@ -689,8 +689,9 @@ mod tests {
 
         let mut q2 = queue();
         let (mut flat2, mut mid2, mut out) = (scratch::<u64>(), scratch::<u64>(), scratch::<u64>());
+        let (b1, b2) = (LaneBank::new(&w1), LaneBank::new(&w2));
         dense_pair_into(
-            &mut q2, &input, &w1, &f1, &w2, &f2, &mut flat2, &mut mid2, &mut out,
+            &mut q2, &input, &b1, &f1, &b2, &f2, &mut flat2, &mut mid2, &mut out,
         );
         assert_eq!(out, expect);
         assert_eq!(q2.timeline().len(), 1, "fused pair is one dispatch");

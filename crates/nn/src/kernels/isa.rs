@@ -15,12 +15,12 @@
 //!   with none of these, take the portable tier — on aarch64 `count_ones`
 //!   already lowers to NEON `cnt`.
 //! - **Where the frame boundary is.** `run` is called once per row task
-//!   (`tiled::conv_row_tiled`, `tiled::tile_filters`,
-//!   `bitplane::bitplane_row`, `dense::compute_dense_bin`, `fconv`'s pixel
+//!   (`tiled::conv_row_tiled`, `tiled::tile_filters` — the lowered GEMM's
+//!   and the dense layer's — `bitplane::bitplane_row`, `fconv`'s pixel
 //!   rows, `pack_input`), never per word.
 //!   A `#[target_feature]` function cannot be inlined into its caller, so
 //!   the call is the boundary; everything below it — the driver, the
-//!   microkernel, `ClVec`, `BitWord::popcount`, the packed-bit sink — is
+//!   microkernel, `BitWord::popcount`, the packed-bit sink — is
 //!   `#[inline(always)]` and is therefore code-generated again inside each
 //!   wrapper with that tier's instructions. A link of that chain that is
 //!   merely `#[inline]` — or an unannotated closure, or a library helper
@@ -183,7 +183,7 @@ mod tests {
     use std::cell::Cell;
 
     use phonebit_tensor::bitplane::BitPlanes;
-    use phonebit_tensor::bits::{BitTensor, BitWord, PackedFilters};
+    use phonebit_tensor::bits::{dot_pm1, BitTensor, BitWord, PackedFilters};
     use phonebit_tensor::dict::FilterDict;
     use phonebit_tensor::lanes::{LaneBank, LANES};
     use phonebit_tensor::shape::{ConvGeometry, FilterShape, Layout, Shape4};
@@ -587,20 +587,25 @@ mod tests {
         (0..kernel * kernel * c).map(move |t| (t / (kernel * c), t / c % kernel, t % c))
     }
 
+    /// Three flattened images against a `(k, 1, 1, features)` bank, on
+    /// every tier, against `dot_pm1` thresholded by `decide_logic`.
     fn dense_case<W: BitWord>(features: usize, k: usize, seed: u64) -> Result<(), TestCaseError> {
         let mut rng = seed;
         let input = random_bits::<W>(Shape4::new(3, 1, 1, features), &mut rng);
         let weights = random_filters::<W>(FilterShape::new(k, 1, 1, features), 64, &mut rng);
+        let bank = LaneBank::new(&weights);
         let fused = random_fused(k, 1.0, &mut rng);
         let portable = same_on_every_tier(|tier| {
             let mut out = BitTensor::<W>::zeros(Shape4::new(3, 1, 1, k));
-            on_tier(tier, || {
-                compute_dense_bin(&input, &weights, &fused, &mut out)
-            });
+            on_tier(tier, || compute_dense_bin(&input, &bank, &fused, &mut out));
             out
         })?;
-        prop_assert!(portable.tail_is_clean());
-        Ok(())
+        let mut dots = Vec::with_capacity(3 * k);
+        for n in 0..3 {
+            let x = input.pixel_words(n, 0, 0);
+            dots.extend((0..k).map(|kk| dot_pm1(x, weights.tap_words(kk, 0, 0), features)));
+        }
+        packs_decisions(portable.as_words(), &dots, &fused)
     }
 
     /// A float in `[-1, 1)` with a 16-bit mantissa.

@@ -236,8 +236,8 @@ impl BorderSpan {
 /// register-tiled [`TILE_PIXELS`] rows at a time, into `sink` with row
 /// `row_index` as pixel `px`.
 ///
-/// The lowered bit-GEMM's filter loop — the microkernel the direct routes
-/// run, over materialized instead of gathered windows.
+/// The lowered bit-GEMM's filter loop, and the binary dense layer's — the
+/// microkernel the direct routes run, over materialized windows.
 pub fn tile_filters<W: BitWord>(rows: &[W], bank: &LaneBank<W>, sink: &mut impl TileSink) {
     let row_words = bank.row_words();
     debug_assert!(rows.len().is_multiple_of(row_words));

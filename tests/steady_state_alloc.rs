@@ -17,6 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use phonebit::core::plan::{CompressionMode, RouteOverrides};
 use phonebit::core::{convert, ConvPath, Session, StagedModel, Stream, Window};
 use phonebit::gpusim::{Context, DeviceClock, Phone};
+use phonebit::models::zoo::{self, Variant};
 use phonebit::models::{fill_weights, fill_weights_clustered, synthetic_image};
 use phonebit::nn::act::Activation;
 use phonebit::nn::graph::{LayerPrecision, NetworkArch};
@@ -106,6 +107,33 @@ fn steady_run_bytes(hw: usize) -> (usize, usize) {
     let model = convert(&fill_weights(&arch(hw), 9));
     let session = Session::new(model, &Phone::xiaomi_9()).expect("fits");
     steady_session_bytes(session.with_output_capture(false), hw)
+}
+
+/// Heap bytes one steady-state window of `batch` images of `alexnet_micro`
+/// requests (median of 3, after 2 priming windows), whose binary `fc6` runs
+/// the dense kernel: its interleaved bank is staged once with the model,
+/// never per dispatch. Returns them with the staged both-banks arena.
+fn steady_dense_window_bytes(batch: usize) -> (usize, usize) {
+    let model = convert(&fill_weights(&zoo::alexnet_micro(Variant::Binary), 9));
+    let mut session = Session::new_batched(model, &Phone::xiaomi_9(), batch)
+        .expect("fits")
+        .with_output_capture(false);
+    let arena = session.plan().staged_arena_bytes();
+    let images: Vec<_> = (0..batch)
+        .map(|i| synthetic_image(Shape4::new(1, 32, 32, 3), 4 + i as u64))
+        .collect();
+    for _ in 0..2 {
+        session.run_batch_u8(&images).expect("priming window");
+    }
+    let mut samples: Vec<usize> = (0..3)
+        .map(|_| {
+            let before = ALLOCATED.load(Ordering::Relaxed);
+            session.run_batch_u8(&images).expect("steady window");
+            ALLOCATED.load(Ordering::Relaxed) - before
+        })
+        .collect();
+    samples.sort_unstable();
+    (samples[1], arena)
 }
 
 /// Heap allocations (calls, not bytes) one steady-state run on the default
@@ -334,6 +362,16 @@ fn steady_state_runs_do_not_allocate_activations() {
     assert!(
         large_bytes < small_bytes.max(1) * 6 + 4096,
         "per-run heap scaled with activation size: {small_bytes} B -> {large_bytes} B"
+    );
+
+    // A binary dense layer multiplies the bank staged for it: interleaving
+    // its weights per dispatch would allocate the bank (16 KB for fc6) on
+    // every window.
+    let (dense_bytes, dense_arena) = steady_dense_window_bytes(4);
+    assert!(
+        dense_bytes < dense_arena / 10,
+        "steady window with a binary dense layer allocated {dense_bytes} B against a \
+         {dense_arena} B staged arena — the dense bank is interleaved per dispatch"
     );
 
     // Kernel scratch (the first layer's plane stream, the tiled kernels'
