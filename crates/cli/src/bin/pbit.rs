@@ -1,266 +1,12 @@
-//! The `pbit` command-line entry point. All logic lives in `phonebit_cli`
-//! so it can be unit-tested; this file only parses arguments.
+//! The `pbit` command-line entry point. Parsing and every command live in
+//! `phonebit_cli::dispatch` so they can be unit-tested; this file prints
+//! what it returns.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
-
-use phonebit_cli::{
-    cmd_bench, cmd_fleet, cmd_gen, cmd_info, cmd_plan, cmd_run, cmd_serve, cmd_serve_multitenant,
-    cmd_serve_openloop, CliError, USAGE,
-};
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// Every value of a repeated flag, in order (`--model a --model b`).
-fn flag_values(args: &[String], flag: &str) -> Vec<String> {
-    args.iter()
-        .enumerate()
-        .filter(|(_, a)| *a == flag)
-        .filter_map(|(i, _)| args.get(i + 1))
-        .cloned()
-        .collect()
-}
-
-/// Flags that take no value (every other `--flag` consumes the next token).
-const BOOL_FLAGS: &[&str] = &["--compress", "--paging"];
-
-fn positional(args: &[String]) -> Vec<&String> {
-    // Arguments that are not flags and not flag values.
-    let mut out = Vec::new();
-    let mut skip = false;
-    for a in args {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if a.starts_with("--") {
-            skip = !BOOL_FLAGS.contains(&a.as_str());
-            continue;
-        }
-        out.push(a);
-    }
-    out
-}
-
-fn dispatch(args: Vec<String>) -> Result<String, CliError> {
-    let cmd = args.first().map(String::as_str).unwrap_or("help");
-    let rest = &args[1.min(args.len())..];
-    let pos = positional(rest);
-    let seed: u64 = flag_value(rest, "--seed")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| CliError::Usage(format!("bad seed `{s}`")))
-        })
-        .transpose()?
-        .unwrap_or(42);
-    let phone = flag_value(rest, "--phone").unwrap_or_else(|| "x9".into());
-    match cmd {
-        "gen" => {
-            let [model, out] = pos[..] else {
-                return Err(CliError::Usage("gen needs <model> <out.pbit>".into()));
-            };
-            cmd_gen(model, &PathBuf::from(out), seed)
-        }
-        "info" => {
-            let [path] = pos[..] else {
-                return Err(CliError::Usage("info needs <model.pbit>".into()));
-            };
-            cmd_info(&PathBuf::from(path))
-        }
-        "run" => {
-            let [path] = pos[..] else {
-                return Err(CliError::Usage("run needs <model.pbit>".into()));
-            };
-            cmd_run(&PathBuf::from(path), &phone, seed)
-        }
-        "serve" => {
-            let count_flag = |flag: &str| -> Result<Option<usize>, CliError> {
-                flag_value(rest, flag)
-                    .map(|s| {
-                        s.parse()
-                            .map_err(|_| CliError::Usage(format!("bad {flag} `{s}`")))
-                    })
-                    .transpose()
-            };
-            let batch = count_flag("--batch")?;
-            let requests = count_flag("--requests")?.unwrap_or(16);
-            // Resident-weight cap in MB; paging streams the excess.
-            let weight_budget = flag_value(rest, "--weight-budget")
-                .map(|s| {
-                    s.parse::<f64>()
-                        .ok()
-                        .filter(|mb| mb.is_finite() && *mb > 0.0)
-                        .map(|mb| (mb * 1e6) as usize)
-                        .ok_or_else(|| {
-                            CliError::Usage(format!("bad --weight-budget `{s}` (MB > 0)"))
-                        })
-                })
-                .transpose()?;
-            let slos: Vec<Option<f64>> = flag_values(rest, "--slo-ms")
-                .into_iter()
-                .map(|s| {
-                    if s == "none" || s == "-" {
-                        Ok(None)
-                    } else {
-                        s.parse::<f64>()
-                            .map(Some)
-                            .map_err(|_| CliError::Usage(format!("bad --slo-ms `{s}`")))
-                    }
-                })
-                .collect::<Result<_, _>>()?;
-            let models = flag_values(rest, "--model");
-            let arrivals = flag_values(rest, "--arrival");
-            if !arrivals.is_empty() {
-                // Open-loop serving: seeded arrivals, optional fault plan.
-                let streams = count_flag("--streams")?.unwrap_or(2);
-                let duration_ms: f64 = flag_value(rest, "--duration")
-                    .map(|s| {
-                        s.parse()
-                            .map_err(|_| CliError::Usage(format!("bad --duration `{s}`")))
-                    })
-                    .transpose()?
-                    .unwrap_or(100.0);
-                let fault = flag_value(rest, "--fault");
-                let paths: Vec<PathBuf> = if models.is_empty() {
-                    pos.iter().map(|p| PathBuf::from(p.as_str())).collect()
-                } else {
-                    models.iter().map(PathBuf::from).collect()
-                };
-                return cmd_serve_openloop(
-                    &paths,
-                    &slos,
-                    &arrivals,
-                    fault.as_deref(),
-                    &phone,
-                    batch,
-                    duration_ms,
-                    streams,
-                    seed,
-                );
-            }
-            if models.len() >= 2 {
-                // Co-resident multi-tenant serving: one tenant per --model.
-                let streams = count_flag("--streams")?.unwrap_or(2);
-                let paths: Vec<PathBuf> = models.iter().map(PathBuf::from).collect();
-                return cmd_serve_multitenant(
-                    &paths,
-                    &slos,
-                    &phone,
-                    batch,
-                    requests,
-                    streams,
-                    weight_budget,
-                    seed,
-                );
-            }
-            let path = match (&pos[..], &models[..]) {
-                ([path], []) => PathBuf::from(path.as_str()),
-                ([], [path]) => PathBuf::from(path),
-                _ => {
-                    return Err(CliError::Usage(
-                        "serve needs <model.pbit> or repeated --model flags".into(),
-                    ))
-                }
-            };
-            let streams = count_flag("--streams")?.unwrap_or(1);
-            cmd_serve(
-                &path,
-                &phone,
-                batch,
-                requests,
-                streams,
-                slos.first().copied().flatten(),
-                weight_budget,
-                seed,
-            )
-        }
-        "plan" => {
-            let [model] = pos[..] else {
-                return Err(CliError::Usage("plan needs <model>".into()));
-            };
-            let count_flag = |flag: &str, default: usize| -> Result<usize, CliError> {
-                flag_value(rest, flag)
-                    .map(|s| {
-                        s.parse()
-                            .map_err(|_| CliError::Usage(format!("bad {flag} `{s}`")))
-                    })
-                    .transpose()
-                    .map(|v| v.unwrap_or(default))
-            };
-            let pair = flag_value(rest, "--pair");
-            let compress = rest.iter().any(|a| a == "--compress");
-            let paging = rest.iter().any(|a| a == "--paging");
-            cmd_plan(
-                model,
-                count_flag("--batch", 4)?,
-                count_flag("--streams", 2)?,
-                pair.as_deref(),
-                compress,
-                paging,
-                seed,
-            )
-        }
-        "bench" => {
-            let [model] = pos[..] else {
-                return Err(CliError::Usage("bench needs <model>".into()));
-            };
-            cmd_bench(model, &phone)
-        }
-        "fleet" => {
-            let count_flag = |flag: &str, default: usize| -> Result<usize, CliError> {
-                flag_value(rest, flag)
-                    .map(|s| {
-                        s.parse()
-                            .map_err(|_| CliError::Usage(format!("bad {flag} `{s}`")))
-                    })
-                    .transpose()
-                    .map(|v| v.unwrap_or(default))
-            };
-            let float_flag = |flag: &str, default: f64| -> Result<f64, CliError> {
-                flag_value(rest, flag)
-                    .map(|s| {
-                        s.parse()
-                            .map_err(|_| CliError::Usage(format!("bad {flag} `{s}`")))
-                    })
-                    .transpose()
-                    .map(|v| v.unwrap_or(default))
-            };
-            let slo_ms = flag_value(rest, "--slo-ms")
-                .map(|s| {
-                    s.parse::<f64>()
-                        .map_err(|_| CliError::Usage(format!("bad --slo-ms `{s}`")))
-                })
-                .transpose()?;
-            cmd_fleet(
-                &flag_values(rest, "--model"),
-                count_flag("--devices", 4)?,
-                &flag_value(rest, "--policy").unwrap_or_else(|| "p2c".into()),
-                float_flag("--zipf", 1.0)?,
-                float_flag("--rate", 200.0)?,
-                float_flag("--duration", 400.0)?,
-                count_flag("--streams", 2)?,
-                count_flag("--replicas", 2)?,
-                slo_ms,
-                &flag_values(rest, "--fail"),
-                &flag_values(rest, "--join"),
-                seed,
-            )
-        }
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        other => Err(CliError::Usage(format!(
-            "unknown command `{other}`\n\n{USAGE}"
-        ))),
-    }
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match dispatch(args) {
+    match phonebit_cli::dispatch(&args) {
         Ok(text) => {
             println!("{text}");
             ExitCode::SUCCESS

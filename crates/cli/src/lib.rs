@@ -1,25 +1,28 @@
 //! # phonebit-cli
 //!
 //! Implementation of the `pbit` command-line tool: generate models from the
-//! zoo, inspect `.pbit` files, run inference on a simulated phone and
-//! benchmark frames-per-second / energy.
+//! zoo, inspect `.pbit` files, run inference on a simulated phone, serve
+//! models as the tenants of one device runtime, plan deployments, model a
+//! fleet and benchmark frames-per-second / energy.
 //!
-//! The binary lives in `src/bin/pbit.rs`; this library holds the testable
-//! command implementations.
+//! [`dispatch`] parses a command line and runs its command; the binary in
+//! `src/bin/pbit.rs` prints what it returns. Each `cmd_*` function is one
+//! command, testable on its own.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 use std::fmt::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 use phonebit_core::format::{load_file, save_file};
 use phonebit_core::{
-    convert, estimate_arch, max_feasible_batch, max_feasible_batch_multitenant, nearest_rank,
-    pooled_peak_bytes, zipf_rates, ArrivalProcess, CompressionMode, ConvPath, DeviceRuntime,
-    EngineError, ExecutionPlan, Fleet, FleetDeviceSpec, FleetEvent, FleetOptions, FusionMode,
-    OpenLoopOptions, PbitLayer, PbitModel, RouteOverrides, RoutePolicy, Session, TenantReport,
-    TenantSpec, TenantTraffic, TenantWorkload,
+    convert, estimate_arch, max_feasible_batch, max_feasible_batch_multitenant, pooled_peak_bytes,
+    zipf_rates, ArrivalProcess, CompressionMode, ConvPath, DeviceRuntime, EngineError,
+    ExecutionPlan, Fleet, FleetDeviceSpec, FleetEvent, FleetOptions, FusionMode, OpenLoopOptions,
+    PbitLayer, PbitModel, RouteOverrides, RoutePolicy, Session, TenantReport, TenantSpec,
+    TenantTraffic, TenantWorkload,
 };
 use phonebit_gpusim::{FaultPlan, Phone};
 use phonebit_models::zoo::{self, Variant};
@@ -235,444 +238,258 @@ fn tenant_table(out: &mut String, tenants: &[TenantReport]) {
     }
 }
 
-/// `pbit serve <model.pbit> [--phone x9] [--batch N] [--requests R]
-/// [--streams S] [--slo-ms T] [--weight-budget MB]`: a serving loop.
-///
-/// With one stream and no SLO this is the PR 3 batched loop: the model is
-/// staged once with [`Session::new_batched`] (weights and GEMM banks
-/// shared across the whole stream, double-banked arena), `R` synthetic
-/// requests are fed in windows of `N`, and the report shows cold/steady
-/// window latency and steady-state images per second.
-///
-/// With `--streams > 1`, `--slo-ms`, or `--weight-budget`, serving goes
-/// through a one-tenant [`DeviceRuntime`]: the admission controller picks
-/// the window size from the sharded memory cap and the p95 latency SLO
-/// (an explicit `--batch` is honored up to the cap), requests are sharded
-/// across `S` concurrent streams contending for the GPU, and the report
-/// shows the observed p50/p95/p99 window latencies and aggregate
-/// throughput. `--weight-budget` caps resident weight bytes (`weight_budget`
-/// is in bytes here; the flag takes MB): when the model's weights exceed
-/// it, admission grants the paged floor and the runtime streams banks
-/// through the upload lane, and the report appends the paging verdict.
-#[allow(clippy::too_many_arguments)] // mirrors the CLI flags one-to-one
-pub fn cmd_serve(
-    path: &Path,
-    phone: &str,
-    batch: Option<usize>,
-    requests: usize,
-    streams: usize,
-    slo_ms: Option<f64>,
-    weight_budget: Option<usize>,
-    seed: u64,
-) -> Result<String, CliError> {
-    if batch == Some(0) || requests == 0 || streams == 0 {
-        return Err(CliError::Usage(
-            "serve needs --batch >= 1, --requests >= 1 and --streams >= 1".into(),
-        ));
-    }
-    if slo_ms.is_some_and(|s| s <= 0.0) {
-        return Err(CliError::Usage("serve needs --slo-ms > 0".into()));
-    }
-    if weight_budget == Some(0) {
-        return Err(CliError::Usage("serve needs --weight-budget > 0".into()));
-    }
-    if streams > 1 || slo_ms.is_some() || weight_budget.is_some() {
-        return cmd_serve_sharded(
-            path,
-            phone,
-            batch,
-            requests,
-            streams,
-            slo_ms,
-            weight_budget,
-            seed,
-        );
-    }
-    let batch = batch.unwrap_or(4);
-    let model = load_file(path)?;
-    let phone = phone_by_name(phone)?;
-    let name = model.name.clone();
-    let mut session =
-        Session::new_batched(model, &phone, batch).map_err(|e| CliError::Engine(e.to_string()))?;
+/// One `pbit serve` invocation: the models it brings up as tenants and the
+/// flags of its one pass. An unset `Option` takes [`cmd_serve`]'s default.
+#[derive(Debug)]
+pub struct ServeArgs {
+    /// Model files, one tenant each, in registration order.
+    pub models: Vec<PathBuf>,
+    /// Phone name (`x5` | `x9`).
+    pub phone: String,
+    /// Window size for every tenant, up to its memory cap. Unset, admission
+    /// picks it in a closed loop, and an open loop serves single requests.
+    pub batch: Option<usize>,
+    /// Requests per tenant in a closed loop (default 16).
+    pub requests: Option<usize>,
+    /// Pooled streams.
+    pub streams: usize,
+    /// p95 SLO per tenant in milliseconds, by position (`None`: no SLO).
+    pub slos: Vec<Option<f64>>,
+    /// Pooled resident-weight budget in bytes, in either loop.
+    pub weight_budget: Option<usize>,
+    /// Arrival process spec per tenant, by position (the last repeats for
+    /// the rest); any makes the pass an open loop.
+    pub arrivals: Vec<String>,
+    /// Seeded fault plan spec (open loop only).
+    pub fault: Option<String>,
+    /// Arrival horizon in milliseconds (open loop only, default 100).
+    pub duration_ms: Option<f64>,
+    /// Seed of the arrivals and the synthetic requests.
+    pub seed: u64,
+}
 
-    let mut served = 0usize;
-    let mut windows = 0usize;
-    let mut cold_s = 0.0f64;
-    let mut cold_imgs = 0usize;
-    let mut steady_s = 0.0f64;
-    let mut steady_imgs = 0usize;
-    while served < requests {
-        let count = batch.min(requests - served);
-        let report = match Requests::synthetic(session.model(), count, seed + served as u64) {
-            Requests::U8(imgs) => session.run_batch_u8(&imgs),
-            Requests::F32(imgs) => session.run_batch_f32(&imgs),
+impl Default for ServeArgs {
+    fn default() -> Self {
+        Self {
+            models: Vec::new(),
+            phone: "x9".into(),
+            batch: None,
+            requests: None,
+            streams: 2,
+            slos: Vec::new(),
+            weight_budget: None,
+            arrivals: Vec::new(),
+            fault: None,
+            duration_ms: None,
+            seed: 42,
         }
-        .map_err(|e| CliError::Engine(e.to_string()))?;
-        if windows == 0 {
-            cold_s = report.total_s;
-            cold_imgs = count;
-        } else {
-            steady_s += report.total_s;
-            steady_imgs += count;
-        }
-        served += count;
-        windows += 1;
     }
-    // Steady throughput counts the images actually served after the cold
-    // window; a single-window stream only has the cold number.
-    let (imgs_per_s, steady_window_ms) = if steady_imgs > 0 {
+}
+
+/// A [`CliError::Usage`] carrying `message`.
+fn usage<T>(message: impl Into<String>) -> Result<T, CliError> {
+    Err(CliError::Usage(message.into()))
+}
+
+/// `pbit serve`: one [`DeviceRuntime`] pass over every model in `args`.
+///
+/// Each model is one [`TenantSpec`], and one
+/// [`DeviceRuntime::new_with_budget`] admits and stages them all on
+/// `streams` pooled streams. Admission fixes each tenant's window against
+/// the pooled memory cap, its SLO and the other tenants' dispatch mix;
+/// under a weight budget, a tenant that no longer fits resident is granted
+/// a paged hot set and streams its banks through the upload lane.
+///
+/// Without arrivals the pass is the closed loop [`DeviceRuntime::serve`]
+/// over `requests` synthetic requests per tenant. With them it is
+/// [`DeviceRuntime::serve_open_loop`] over seeded arrivals across
+/// `duration_ms` (`poisson:<rate>`, `burst:<base>:<burst>:<period_ms>:<frac>`,
+/// `heavytail:<rate>:<alpha>` or `diurnal:<r1,r2,...>`, rates per second):
+/// deadlines anchor to arrival (+SLO), and an optional seeded [`FaultPlan`]
+/// (`rate=<p>,throttle=<a>-<b>@<x>,burst=<a>-<b>@<p>,seed=<n>`) is survived
+/// by retry with backoff, deadline shedding and batch replans.
+///
+/// The report is a header, the fault plan (if any), the tenant table, one
+/// admission line per tenant (batch, memory cap, modeled cold/steady
+/// window, residency) and the aggregate (goodput, wall time, replans,
+/// resident bytes, the weight budget if any).
+pub fn cmd_serve(args: &ServeArgs) -> Result<String, CliError> {
+    let open = !args.arrivals.is_empty();
+    if args.models.is_empty() {
+        return usage("serve needs <model.pbit> or --model <model.pbit>");
+    }
+    if args.batch == Some(0) || args.requests == Some(0) || args.streams == 0 {
+        return usage("serve needs --batch >= 1, --requests >= 1 and --streams >= 1");
+    }
+    if args.slos.iter().flatten().any(|s| *s <= 0.0) {
+        return usage("serve needs --slo-ms > 0");
+    }
+    if args.weight_budget == Some(0) {
+        return usage("serve needs --weight-budget > 0");
+    }
+    if args.duration_ms.is_some_and(|d| !d.is_finite() || d <= 0.0) {
+        return usage("serve needs a finite --duration > 0 (ms)");
+    }
+    // A flag the chosen loop cannot use is named, never dropped.
+    let (misplaced, loop_kind) = if open {
         (
-            steady_imgs as f64 / steady_s,
-            steady_s * 1e3 / (windows - 1) as f64,
+            args.requests.map(|_| "--requests"),
+            "a closed loop (no --arrival)",
         )
     } else {
-        (cold_imgs as f64 / cold_s, cold_s * 1e3)
+        let fault = args.fault.as_ref().map(|_| "--fault");
+        (
+            fault.or(args.duration_ms.map(|_| "--duration")),
+            "an open loop (--arrival)",
+        )
     };
-    let banks = session.plan().banks;
-    Ok(format!(
-        "served {served} requests in {windows} windows of {batch} on {} ({})\n\
-         model `{name}`: cold window {:.3} ms, steady window {steady_window_ms:.3} ms, \
-         {imgs_per_s:.1} imgs/s steady, resident {:.2} MiB (weights + {banks} arena bank{})",
-        phone.name,
-        phone.gpu.name,
-        cold_s * 1e3,
-        session.resident_bytes() as f64 / (1024.0 * 1024.0),
-        if banks == 1 { "" } else { "s" }
-    ))
-}
-
-/// The sharded (`--streams`/`--slo-ms`/`--weight-budget`) arm of
-/// [`cmd_serve`].
-#[allow(clippy::too_many_arguments)] // mirrors the CLI flags one-to-one
-fn cmd_serve_sharded(
-    path: &Path,
-    phone: &str,
-    batch: Option<usize>,
-    requests: usize,
-    streams: usize,
-    slo_ms: Option<f64>,
-    weight_budget: Option<usize>,
-    seed: u64,
-) -> Result<String, CliError> {
-    let model = load_file(path)?;
-    let phone = phone_by_name(phone)?;
-    let name = model.name.clone();
-    let reqs = Requests::synthetic(&model, requests, seed);
-    // One model is a registry of one tenant on the multi-tenant runtime.
-    let mut spec = TenantSpec::new(model);
-    spec.batch = batch;
-    spec.slo_ms = slo_ms;
-    let mut runtime = DeviceRuntime::new_with_budget(vec![spec], &phone, streams, weight_budget)
-        .map_err(|e| CliError::Engine(e.to_string()))?;
-    let pass = runtime
-        .serve(&[reqs.traffic()])
-        .map_err(|e| CliError::Engine(e.to_string()))?;
-    // A single tenant has no cross-tenant queueing to report: the window
-    // latencies are the executed service times.
-    let report = &pass.tenants[0];
-    let [p50_ms, p95_ms, p99_ms] = nearest_rank(&pass.attempt_exec_ms, [0.50, 0.95, 0.99]);
-    let tenant = &runtime.tenants()[0];
-    let adm = tenant.admission();
-    let slo_line = match adm.slo_ms {
-        Some(slo) => format!(
-            "slo {slo:.3} ms p95: {} (observed p95 {p95_ms:.3} ms)",
-            if p95_ms <= slo { "MET" } else { "MISSED" },
-        ),
-        None => "no slo".to_string(),
-    };
-    let paging_line = match (weight_budget, adm.weight_grant_bytes) {
-        (None, _) => String::new(),
-        (Some(budget), None) => format!(
-            "\nweight paging: budget {:.2} MB holds all {:.2} MB of weights resident (no stalls)",
-            budget as f64 / 1e6,
-            runtime.total_weight_bytes() as f64 / 1e6,
-        ),
-        (Some(budget), Some(grant)) => {
-            let pg = tenant.plan().paging.as_ref();
-            format!(
-                "\nweight paging: granted {:.2} MB hot set of {:.2} MB weights (budget {:.2} MB); \
-                 modeled stall {:.3} ms/window over {} evictions",
-                grant as f64 / 1e6,
-                runtime.total_weight_bytes() as f64 / 1e6,
-                budget as f64 / 1e6,
-                pg.map_or(0.0, |p| p.stall_s() * 1e3),
-                pg.map_or(0, |p| p.evictions()),
-            )
+    if let Some(flag) = misplaced {
+        return usage(format!("{flag} only applies to {loop_kind}"));
+    }
+    for (flag, given) in [
+        ("--slo-ms", args.slos.len()),
+        ("--arrival", args.arrivals.len()),
+    ] {
+        if given > args.models.len() {
+            return usage(format!(
+                "{given} {flag} values for {} model(s)",
+                args.models.len()
+            ));
         }
-    };
-    Ok(format!(
-        "served {} requests in {} windows of {} across {} streams on {} ({})\n\
-         model `{name}`: admission batch {} (cap {}, modeled window {:.3} ms), {slo_line}\n\
-         window latency p50/p95/p99 {:.3}/{:.3}/{:.3} ms, {:.1} imgs/s aggregate, \
-         resident {:.2} MiB (weights + {} x {} arena banks){paging_line}",
-        report.served,
-        report.windows,
-        report.batch,
-        pass.schedule.streams_used(),
-        phone.name,
-        phone.gpu.name,
-        adm.batch,
-        adm.max_feasible_batch,
-        adm.modeled_window_ms,
-        p50_ms,
-        p95_ms,
-        p99_ms,
-        pass.goodput_imgs_per_s,
-        runtime.resident_bytes() as f64 / (1024.0 * 1024.0),
-        streams,
-        tenant.plan().banks,
-    ))
-}
-
-/// `pbit serve --model a.pbit --model b.pbit [--slo-ms T]... [--phone x9]
-/// [--batch N] [--requests R] [--streams S] [--weight-budget MB]`:
-/// co-resident multi-tenant serving through the [`DeviceRuntime`].
-///
-/// With `--weight-budget`, admission hands out binary residency grants:
-/// tenants that fit stay fully resident, the rest stream their banks
-/// through the upload lane at their paged floor, and the report appends
-/// a per-tenant grant line — so a tenant set whose summed weights exceed
-/// the budget still admits.
-///
-/// Every `--model` registers one tenant (an optional `--slo-ms` per
-/// position pairs with it); each tenant gets `requests` synthetic
-/// requests, the contention-aware admission controller fixes each
-/// tenant's window against the others' dispatch mix (an explicit
-/// `--batch` applies to every tenant, up to the pooled memory cap), and
-/// the work-stealing scheduler shards windows across `streams` pooled
-/// streams. Prints a per-tenant percentile table plus the pooled
-/// aggregate.
-#[allow(clippy::too_many_arguments)] // mirrors the CLI flags one-to-one
-pub fn cmd_serve_multitenant(
-    paths: &[std::path::PathBuf],
-    slos: &[Option<f64>],
-    phone: &str,
-    batch: Option<usize>,
-    requests: usize,
-    streams: usize,
-    weight_budget: Option<usize>,
-    seed: u64,
-) -> Result<String, CliError> {
-    if batch == Some(0) || requests == 0 || streams == 0 {
-        return Err(CliError::Usage(
-            "serve needs --batch >= 1, --requests >= 1 and --streams >= 1".into(),
-        ));
     }
-    if slos.iter().flatten().any(|s| *s <= 0.0) {
-        return Err(CliError::Usage("serve needs --slo-ms > 0".into()));
-    }
-    if weight_budget == Some(0) {
-        return Err(CliError::Usage("serve needs --weight-budget > 0".into()));
-    }
-    let phone = phone_by_name(phone)?;
-    let mut specs = Vec::with_capacity(paths.len());
-    let mut reqs = Vec::with_capacity(paths.len());
-    for (t, path) in paths.iter().enumerate() {
-        let model = load_file(path)?;
-        reqs.push(Requests::synthetic(
-            &model,
-            requests,
-            seed + (t * requests) as u64,
-        ));
-        let mut spec = TenantSpec::new(model);
-        spec.batch = batch;
-        spec.slo_ms = slos.get(t).copied().flatten();
-        specs.push(spec);
-    }
-    let mut runtime = DeviceRuntime::new_with_budget(specs, &phone, streams, weight_budget)
-        .map_err(|e| CliError::Engine(e.to_string()))?;
-    let traffic: Vec<TenantTraffic<'_>> = reqs.iter().map(Requests::traffic).collect();
-    let report = runtime
-        .serve(&traffic)
-        .map_err(|e| CliError::Engine(e.to_string()))?;
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "served {} tenants ({} requests, {} windows) across {} pooled streams on {} ({})",
-        report.tenants.len(),
-        report.tenants.iter().map(|t| t.served).sum::<usize>(),
-        report.tenants.iter().map(|t| t.windows).sum::<usize>(),
-        runtime.stream_count(),
-        phone.name,
-        phone.gpu.name
-    );
-    tenant_table(&mut out, &report.tenants);
-    let caps: Vec<String> = runtime
-        .tenants()
+    let procs: Vec<ArrivalProcess> = args
+        .arrivals
         .iter()
-        .map(|t| format!("{} {}", t.name(), t.admission().max_feasible_batch))
-        .collect();
-    let _ = writeln!(
-        out,
-        "aggregate {:.1} imgs/s over {:.3} ms makespan; batch cap {}; resident {:.2} MiB \
-         (sum of weights + {} x {:.2} MiB pooled arena slice)",
-        report.goodput_imgs_per_s,
-        report.wall_ms,
-        caps.join(", "),
-        runtime.resident_bytes() as f64 / (1024.0 * 1024.0),
-        runtime.stream_count(),
-        runtime.pool_slice_bytes() as f64 / (1024.0 * 1024.0),
-    );
-    if let Some(budget) = weight_budget {
-        let grants: Vec<String> = runtime
-            .tenants()
-            .iter()
-            .map(|t| {
-                let adm = t.admission();
-                match adm.weight_grant_bytes {
-                    Some(g) => format!("{} {:.2} MB paged", t.name(), g as f64 / 1e6),
-                    None => format!("{} full", t.name()),
-                }
-            })
-            .collect();
-        let _ = writeln!(
-            out,
-            "weight budget {:.2} MB: sum of weights {:.2} MB, peak resident {:.2} MB; grants: {}",
-            budget as f64 / 1e6,
-            runtime.total_weight_bytes() as f64 / 1e6,
-            runtime.resident_bytes() as f64 / 1e6,
-            grants.join(", "),
-        );
-    }
-    Ok(out)
-}
-
-/// `pbit serve --model a.pbit [--model b.pbit]... --arrival <spec>...
-/// [--fault <spec>] [--duration MS] [--slo-ms T]... [--phone x9]
-/// [--batch N] [--streams S] [--seed N]`: open-loop fault-tolerant
-/// serving through [`DeviceRuntime::serve_open_loop`].
-///
-/// Each `--arrival` pairs positionally with a `--model` (the last spec
-/// repeats for extra tenants): `poisson:<rate>`,
-/// `burst:<base>:<burst>:<period_ms>:<frac>`, `heavytail:<rate>:<alpha>`,
-/// or `diurnal:<r1,r2,...>` (rates per second; diurnal buckets tile the
-/// horizon). Requests arrive on the seeded process over
-/// `--duration` milliseconds; deadlines anchor to arrival time (+SLO).
-/// `--fault` injects a seeded [`FaultPlan`]
-/// (`rate=<p>,throttle=<a>-<b>@<x>,burst=<a>-<b>@<p>,seed=<n>`); the
-/// runtime retries faulted windows with backoff, sheds hopeless
-/// deadlines, and replans batches under shed pressure. `--batch`
-/// defaults to 1 (arrival-anchored deadlines punish waiting on window
-/// fill). The table shows per-tenant shed/retry/throttle counters next
-/// to the percentiles.
-#[allow(clippy::too_many_arguments)] // mirrors the CLI flags one-to-one
-pub fn cmd_serve_openloop(
-    paths: &[std::path::PathBuf],
-    slos: &[Option<f64>],
-    arrivals: &[String],
-    fault: Option<&str>,
-    phone: &str,
-    batch: Option<usize>,
-    duration_ms: f64,
-    streams: usize,
-    seed: u64,
-) -> Result<String, CliError> {
-    if paths.is_empty() || batch == Some(0) || streams == 0 {
-        return Err(CliError::Usage(
-            "serve needs >= 1 model, --batch >= 1 and --streams >= 1".into(),
-        ));
-    }
-    if !duration_ms.is_finite() || duration_ms <= 0.0 {
-        return Err(CliError::Usage(
-            "serve needs a finite --duration > 0 (ms)".into(),
-        ));
-    }
-    if slos.iter().flatten().any(|s| *s <= 0.0) {
-        return Err(CliError::Usage("serve needs --slo-ms > 0".into()));
-    }
-    if arrivals.is_empty() {
-        return Err(CliError::Usage(
-            "open-loop serve needs at least one --arrival spec".into(),
-        ));
-    }
-    let procs: Vec<ArrivalProcess> = (0..paths.len())
-        .map(|t| {
-            let spec = arrivals
-                .get(t)
-                .unwrap_or_else(|| arrivals.last().expect("arrivals checked non-empty above"));
+        .map(|spec| {
             ArrivalProcess::parse(spec)
                 .map_err(|e| CliError::Usage(format!("bad --arrival `{spec}`: {e}")))
         })
         .collect::<Result<_, _>>()?;
-    let fault_plan = fault
+    let fault = args
+        .fault
+        .as_deref()
         .map(|spec| {
             FaultPlan::parse(spec)
                 .map_err(|e| CliError::Usage(format!("bad --fault `{spec}`: {e}")))
         })
         .transpose()?;
-    let phone = phone_by_name(phone)?;
-    // Seeded arrivals per tenant, and one synthetic request per arrival.
-    let arrivals_ms: Vec<Vec<f64>> = procs
-        .iter()
-        .enumerate()
-        .map(|(t, p)| p.times_ms(seed.wrapping_add(t as u64), duration_ms))
-        .collect();
+    let phone = phone_by_name(&args.phone)?;
+    let duration_ms = args.duration_ms.unwrap_or(100.0);
 
-    let mut specs = Vec::with_capacity(paths.len());
-    let mut reqs = Vec::with_capacity(paths.len());
-    for (t, path) in paths.iter().enumerate() {
+    // Per tenant: the closed loop's requests, or one per seeded arrival.
+    let (mut specs, mut reqs, mut arrivals_ms) = (Vec::new(), Vec::new(), Vec::new());
+    for (t, path) in args.models.iter().enumerate() {
         let model = load_file(path)?;
-        let count = arrivals_ms[t].len();
-        reqs.push(Requests::synthetic(
-            &model,
-            count,
-            seed + (t * 100_000) as u64,
-        ));
+        let count = match procs.get(t).or(procs.last()) {
+            Some(process) => {
+                arrivals_ms.push(process.times_ms(args.seed.wrapping_add(t as u64), duration_ms));
+                arrivals_ms[t].len()
+            }
+            None => args.requests.unwrap_or(16),
+        };
+        let first_seed = args.seed.wrapping_add((t * 100_000) as u64);
+        reqs.push(Requests::synthetic(&model, count, first_seed));
         let mut spec = TenantSpec::new(model);
         // Open-loop deadlines are anchored to arrival, so a window waits
         // on its own members before it can even start: default to
         // latency-oriented single-request windows instead of letting
         // admission pick its throughput-oriented batch.
-        spec.batch = Some(batch.unwrap_or(1));
-        spec.slo_ms = slos.get(t).copied().flatten();
+        spec.batch = if open {
+            Some(args.batch.unwrap_or(1))
+        } else {
+            args.batch
+        };
+        spec.slo_ms = args.slos.get(t).copied().flatten();
         specs.push(spec);
     }
+    let engine = |e: EngineError| CliError::Engine(e.to_string());
     let mut runtime =
-        DeviceRuntime::new(specs, &phone, streams).map_err(|e| CliError::Engine(e.to_string()))?;
-    runtime.clock().set_fault_plan(fault_plan.clone());
+        DeviceRuntime::new_with_budget(specs, &phone, args.streams, args.weight_budget)
+            .map_err(engine)?;
     let traffic: Vec<TenantTraffic<'_>> = reqs.iter().map(Requests::traffic).collect();
-    let report = runtime
-        .serve_open_loop(&traffic, &arrivals_ms, &OpenLoopOptions::default())
-        .map_err(|e| CliError::Engine(e.to_string()))?;
+    let report = if open {
+        runtime.clock().set_fault_plan(fault.clone());
+        runtime.serve_open_loop(&traffic, &arrivals_ms, &OpenLoopOptions::default())
+    } else {
+        runtime.serve(&traffic)
+    }
+    .map_err(engine)?;
 
     let offered: usize = report.tenants.iter().map(|t| t.offered).sum();
     let served: usize = report.tenants.iter().map(|t| t.served).sum();
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "open-loop served {} tenants ({} offered, {} served, {} shed) across {} pooled \
-         streams on {} ({}) over {duration_ms:.1} ms of arrivals",
+        "{}-loop served {} tenant(s) ({offered} offered, {served} served, {} shed) across {} \
+         pooled streams on {} ({}){}",
+        if open { "open" } else { "closed" },
         report.tenants.len(),
-        offered,
-        served,
         offered - served,
         report.streams,
         phone.name,
-        phone.gpu.name
-    );
-    let _ = writeln!(
-        out,
-        "{}",
-        match &fault_plan {
-            Some(f) => format!(
-                "fault plan: rate {:.3}, {} throttle epoch(s), seed {}",
-                f.failure_rate(),
-                f.throttle_epochs().len(),
-                f.seed()
-            ),
-            None => "no fault plan".to_string(),
+        phone.gpu.name,
+        if open {
+            format!(" over {duration_ms:.1} ms of arrivals")
+        } else {
+            String::new()
         }
     );
+    if let Some(f) = &fault {
+        let _ = writeln!(
+            out,
+            "fault plan: rate {:.3}, {} throttle epoch(s), seed {}",
+            f.failure_rate(),
+            f.throttle_epochs().len(),
+            f.seed()
+        );
+    }
     tenant_table(&mut out, &report.tenants);
+    for tenant in runtime.tenants() {
+        let adm = tenant.admission();
+        let (cold_ms, steady_ms) = tenant.modeled_window_ms();
+        let residency = match adm.weight_grant_bytes {
+            Some(grant) => {
+                let pg = tenant.plan().paging.as_ref();
+                format!(
+                    "paged through a {:.2} MB hot set ({:.3} ms modeled stall/window, {} \
+                     evictions)",
+                    grant as f64 / 1e6,
+                    pg.map_or(0.0, |p| p.stall_s() * 1e3),
+                    pg.map_or(0, |p| p.evictions()),
+                )
+            }
+            None => "weights resident".into(),
+        };
+        let _ = writeln!(
+            out,
+            "`{}`: admission batch {} (cap {}), modeled window cold {cold_ms:.3} / steady \
+             {steady_ms:.3} ms, {residency}",
+            tenant.name(),
+            adm.batch,
+            adm.max_feasible_batch,
+        );
+    }
+    let mib = |bytes: usize| bytes as f64 / (1024.0 * 1024.0);
+    let (streams, slice) = (runtime.stream_count(), runtime.pool_slice_bytes());
+    let resident = runtime.resident_bytes();
+    let budget = match args.weight_budget {
+        Some(b) => format!(
+            "; weight budget {:.2} MB for {:.2} MB of weights",
+            b as f64 / 1e6,
+            runtime.total_weight_bytes() as f64 / 1e6
+        ),
+        None => String::new(),
+    };
     let _ = writeln!(
         out,
-        "aggregate goodput {:.1} imgs/s over {:.3} ms wall; {} replan{}; resident {:.2} MiB",
+        "aggregate goodput {:.1} imgs/s over {:.3} ms wall, {} replan(s); resident {:.2} MiB = \
+         {:.2} MiB weights + {streams} x {:.2} MiB pooled slice{budget}",
         report.goodput_imgs_per_s,
         report.wall_ms,
         report.replans,
-        if report.replans == 1 { "" } else { "s" },
-        runtime.resident_bytes() as f64 / (1024.0 * 1024.0),
+        mib(resident),
+        mib(resident.saturating_sub(streams * slice)),
+        mib(slice),
     );
     Ok(out)
 }
@@ -1166,40 +983,32 @@ USAGE:
     pbit info  <model.pbit>                    describe a deployed model
     pbit run   <model.pbit> [--phone x9] [--seed N]
                                                run one inference, per-layer report
-    pbit serve <model.pbit> [--phone x9] [--batch 4] [--requests 16]
-               [--streams 1] [--slo-ms T] [--weight-budget MB] [--seed N]
-                                               serving loop; >1 stream (or an SLO)
-                                               shards windows across concurrent
-                                               streams with admission control;
-                                               --weight-budget caps resident weight
-                                               MB — oversubscribed weights page
-                                               through the upload lane (granted the
-                                               paged floor, stalls folded into the
-                                               modeled window)
-    pbit serve --model <a.pbit> --model <b.pbit> [--slo-ms T]... [--phone x9]
-               [--batch N] [--requests 16] [--streams 2] [--weight-budget MB]
-               [--seed N]
-                                               co-resident multi-tenant serving: one
-                                               tenant per --model (positional --slo-ms
-                                               pairs with it), contention-aware
-                                               admission, work-stealing scheduler,
-                                               per-tenant percentile table;
-                                               --weight-budget grants paged floors to
-                                               tenants that no longer fit resident
-    pbit serve --model <a.pbit> [--model <b.pbit>]... --arrival <spec>...
-               [--fault <spec>] [--duration 100] [--slo-ms T]... [--phone x9]
-               [--batch 1] [--streams 2] [--seed N]
-                                               open-loop fault-tolerant serving:
-                                               seeded arrivals (poisson:<rate/s> |
+    pbit serve <model.pbit>... [--model <model.pbit>]... [--phone x9]
+               [--streams 2] [--batch N] [--slo-ms T|none]...
+               [--weight-budget MB] [--seed N]
+               [--requests 16 | --arrival <spec>... [--duration 100]
+               [--fault <spec>]]
+                                               one device serving every model as a
+                                               tenant (the n-th --slo-ms pairs with
+                                               the n-th model): admission picks each
+                                               batch under the memory cap and SLO,
+                                               work-stealing streams share windows.
+                                               Closed loop: --requests per tenant.
+                                               Open loop, with --arrival: seeded
+                                               arrivals (poisson:<rate/s> |
                                                burst:<base>:<burst>:<period_ms>:<frac> |
                                                heavytail:<rate/s>:<alpha> |
-                                               diurnal:<r1,r2,...>) over
-                                               --duration ms, arrival-anchored
-                                               deadlines, injected faults
+                                               diurnal:<r1,r2,...>) over --duration
+                                               ms, arrival-anchored deadlines, batch
+                                               1 by default, injected faults
                                                (rate=<p>,throttle=<a>-<b>@<x>,
                                                burst=<a>-<b>@<p>,seed=<n>) survived by
-                                               retry/backoff + deadline shedding;
-                                               prints shed/retry/throttle counters
+                                               retry/backoff + deadline shedding.
+                                               --weight-budget caps resident weight
+                                               MB: tenants that no longer fit page
+                                               their banks through the upload lane.
+                                               Prints the tenant table, admission
+                                               and residency per tenant, aggregate
     pbit plan  <model> [--batch 4] [--streams 2] [--pair <model2>]
                [--compress] [--paging] [--seed N]
                                                per-phone deployment plan: solo and
@@ -1233,6 +1042,186 @@ USAGE:
 MODELS: alexnet | yolov2-tiny | vgg16 | alexnet-micro | yolo-micro
 PHONES: x5 (Snapdragon 820) | x9 (Snapdragon 855)";
 
+/// Flags that take no value; every other flag takes the next argument.
+const SWITCHES: &[&str] = &["--compress", "--paging"];
+
+/// One command's arguments: its positionals, and each flag with its value
+/// (`""` for a switch) in command-line order.
+struct Argv<'a> {
+    pos: Vec<&'a str>,
+    flags: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Argv<'a> {
+    /// Splits the arguments of `pbit <cmd>`, which reads the flags listed
+    /// in `known` (space-separated) only: any other `--flag` is a usage
+    /// error that names it.
+    fn parse(cmd: &str, args: &'a [String], known: &str) -> Result<Self, CliError> {
+        let mut argv = Argv {
+            pos: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut args = args.iter().map(String::as_str);
+        while let Some(arg) = args.next() {
+            if !arg.starts_with("--") {
+                argv.pos.push(arg);
+            } else if !known.split(' ').any(|k| k == arg) {
+                return usage(format!(
+                    "unknown flag `{arg}` for `pbit {cmd}` (see `pbit help`)"
+                ));
+            } else if SWITCHES.contains(&arg) {
+                argv.flags.push((arg, ""));
+            } else {
+                let Some(value) = args.next() else {
+                    return usage(format!("{arg} needs a value"));
+                };
+                argv.flags.push((arg, value));
+            }
+        }
+        Ok(argv)
+    }
+
+    /// Every value `flag` was given, in order (`--model a --model b`).
+    fn values(&self, flag: &str) -> Vec<&'a str> {
+        self.flags
+            .iter()
+            .filter(|(f, _)| *f == flag)
+            .map(|&(_, v)| v)
+            .collect()
+    }
+
+    /// The first value `flag` was given, if any.
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.values(flag).first().copied()
+    }
+
+    /// The first value of `flag`, parsed.
+    fn parsed<T: FromStr>(&self, flag: &str) -> Result<Option<T>, CliError> {
+        self.value(flag)
+            .map(|s| {
+                s.parse()
+                    .map_err(|_| CliError::Usage(format!("bad {flag} `{s}`")))
+            })
+            .transpose()
+    }
+
+    /// The first value of `flag` parsed, or `default` when it is not given.
+    fn or<T: FromStr>(&self, flag: &str, default: T) -> Result<T, CliError> {
+        Ok(self.parsed(flag)?.unwrap_or(default))
+    }
+
+    /// Every value of `flag`, owned.
+    fn strings(&self, flag: &str) -> Vec<String> {
+        self.values(flag).into_iter().map(String::from).collect()
+    }
+}
+
+/// Runs `pbit <command> [args]` and returns what it prints: `args` is the
+/// command line after the program name. Each command reads a fixed list of
+/// flags; any other `--flag` is a [`CliError::Usage`] that names it.
+pub fn dispatch(args: &[String]) -> Result<String, CliError> {
+    let (cmd, rest) = match args.split_first() {
+        Some((cmd, rest)) => (cmd.as_str(), rest),
+        None => ("help", args),
+    };
+    // The flags each command reads.
+    let known = match cmd {
+        "gen" => "--seed",
+        "info" => "",
+        "run" => "--phone --seed",
+        "serve" => {
+            "--model --phone --batch --requests --streams --slo-ms --weight-budget --arrival \
+             --fault --duration --seed"
+        }
+        "plan" => "--batch --streams --pair --compress --paging --seed",
+        "bench" => "--phone",
+        "fleet" => {
+            "--model --devices --policy --zipf --rate --duration --streams --replicas --slo-ms \
+             --fail --join --seed"
+        }
+        "help" | "--help" | "-h" => return Ok(USAGE.to_string()),
+        other => return usage(format!("unknown command `{other}`\n\n{USAGE}")),
+    };
+    let a = Argv::parse(cmd, rest, known)?;
+    let seed = a.or("--seed", 42)?;
+    let phone = a.value("--phone").unwrap_or("x9");
+    match (cmd, &a.pos[..]) {
+        ("gen", [model, out]) => cmd_gen(model, Path::new(out), seed),
+        ("gen", _) => usage("gen needs <model> <out.pbit>"),
+        ("info", [path]) => cmd_info(Path::new(path)),
+        ("info", _) => usage("info needs <model.pbit>"),
+        ("run", [path]) => cmd_run(Path::new(path), phone, seed),
+        ("run", _) => usage("run needs <model.pbit>"),
+        ("bench", [model]) => cmd_bench(model, phone),
+        ("bench", _) => usage("bench needs <model>"),
+        ("plan", [model]) => cmd_plan(
+            model,
+            a.or("--batch", 4)?,
+            a.or("--streams", 2)?,
+            a.value("--pair"),
+            a.value("--compress").is_some(),
+            a.value("--paging").is_some(),
+            seed,
+        ),
+        ("plan", _) => usage("plan needs <model>"),
+        ("serve", pos) => {
+            // Resident-weight cap in MB on the command line, bytes below.
+            let weight_budget = a
+                .value("--weight-budget")
+                .map(|s| {
+                    s.parse::<f64>()
+                        .ok()
+                        .filter(|mb| mb.is_finite() && *mb > 0.0)
+                        .map(|mb| (mb * 1e6) as usize)
+                        .ok_or_else(|| {
+                            CliError::Usage(format!("bad --weight-budget `{s}` (MB > 0)"))
+                        })
+                })
+                .transpose()?;
+            let slos = a
+                .values("--slo-ms")
+                .into_iter()
+                .map(|s| match s {
+                    "none" | "-" => Ok(None),
+                    s => s
+                        .parse()
+                        .map(Some)
+                        .map_err(|_| CliError::Usage(format!("bad --slo-ms `{s}`"))),
+                })
+                .collect::<Result<_, _>>()?;
+            let models = pos.iter().copied().chain(a.values("--model"));
+            cmd_serve(&ServeArgs {
+                models: models.map(PathBuf::from).collect(),
+                phone: phone.into(),
+                batch: a.parsed("--batch")?,
+                requests: a.parsed("--requests")?,
+                streams: a.or("--streams", ServeArgs::default().streams)?,
+                slos,
+                weight_budget,
+                arrivals: a.strings("--arrival"),
+                fault: a.value("--fault").map(String::from),
+                duration_ms: a.parsed("--duration")?,
+                seed,
+            })
+        }
+        ("fleet", []) => cmd_fleet(
+            &a.strings("--model"),
+            a.or("--devices", 4)?,
+            a.value("--policy").unwrap_or("p2c"),
+            a.or("--zipf", 1.0)?,
+            a.or("--rate", 200.0)?,
+            a.or("--duration", 400.0)?,
+            a.or("--streams", 2)?,
+            a.or("--replicas", 2)?,
+            a.parsed("--slo-ms")?,
+            &a.strings("--fail"),
+            &a.strings("--join"),
+            seed,
+        ),
+        _ => usage("fleet takes no <model.pbit>; name zoo models with --model"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1257,20 +1246,70 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// `cmd_serve` over `models`, seed 5, with `edit` applied to the
+    /// defaults.
+    fn serve<P: AsRef<Path>>(
+        models: &[P],
+        edit: impl FnOnce(&mut ServeArgs),
+    ) -> Result<String, CliError> {
+        let mut args = ServeArgs {
+            models: models.iter().map(|p| p.as_ref().to_path_buf()).collect(),
+            seed: 5,
+            ..ServeArgs::default()
+        };
+        edit(&mut args);
+        cmd_serve(&args)
+    }
+
+    /// `pbit <args>` as the binary runs it.
+    fn pbit(args: &[&str]) -> Result<String, CliError> {
+        dispatch(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    /// The whitespace-separated columns of `name`'s tenant-table row.
+    fn row<'a>(out: &'a str, name: &str) -> Vec<&'a str> {
+        let line = out.lines().find(|l| l.starts_with(name));
+        line.expect("tenant row").split_whitespace().collect()
+    }
+
+    /// The weight bytes of a model file's batch-1 plan on the Xiaomi 9, and
+    /// its paged floor.
+    fn weights_and_floor(path: &Path) -> (usize, usize) {
+        let model = load_file(path).unwrap();
+        let plan = ExecutionPlan::for_model_batched(&model, &Phone::xiaomi_9().gpu, 1).unwrap();
+        (plan.weights_bytes, plan.paged_floor_bytes())
+    }
+
     #[test]
     fn serve_round_trip_reports_steady_throughput() {
         let path = tmp("serve_micro.pbit");
         cmd_gen("yolo-micro", &path, 7).unwrap();
-        let out = cmd_serve(&path, "x9", Some(4), 10, 1, None, None, 5).unwrap();
+        let out = serve(&[&path], |a| {
+            a.batch = Some(4);
+            a.requests = Some(10);
+        })
+        .unwrap();
         assert!(
-            out.contains("served 10 requests in 3 windows of 4"),
+            out.starts_with(
+                "closed-loop served 1 tenant(s) (10 offered, 10 served, 0 shed) across 2 pooled \
+                 streams on Xiaomi 9"
+            ),
             "{out}"
         );
-        assert!(out.contains("imgs/s steady"), "{out}");
-        assert!(out.contains("2 arena banks"), "{out}");
-        // A batch-1 stream stages a single bank and says so.
-        let single = cmd_serve(&path, "x9", Some(1), 2, 1, None, None, 5).unwrap();
-        assert!(single.contains("1 arena bank"), "{single}");
+        // Ten requests in windows of four are three windows.
+        assert_eq!(
+            row(&out, "YOLO-micro")[1..5],
+            ["4", "3", "10", "10"],
+            "{out}"
+        );
+        assert!(
+            out.contains("`YOLO-micro`: admission batch 4 (cap "),
+            "{out}"
+        );
+        assert!(out.contains("modeled window cold "), "{out}");
+        assert!(out.contains(" / steady "), "{out}");
+        assert!(out.contains("aggregate goodput "), "{out}");
+        assert!(out.contains(" imgs/s over "), "{out}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -1278,18 +1317,26 @@ mod tests {
     fn serve_sharded_reports_admission_and_percentiles() {
         let path = tmp("serve_shard.pbit");
         cmd_gen("yolo-micro", &path, 7).unwrap();
-        let out = cmd_serve(&path, "x9", Some(2), 10, 2, None, None, 5).unwrap();
-        assert!(
-            out.contains("served 10 requests in 5 windows of 2 across 2 streams"),
-            "{out}"
-        );
+        let out = serve(&[&path], |a| {
+            a.batch = Some(2);
+            a.requests = Some(10);
+        })
+        .unwrap();
         assert!(out.contains("admission batch 2"), "{out}");
-        assert!(out.contains("p50/p95/p99"), "{out}");
-        assert!(out.contains("imgs/s aggregate"), "{out}");
-        // An SLO routes through the sharded path even at one stream, and
-        // the verdict is printed.
-        let slo = cmd_serve(&path, "x9", None, 8, 1, Some(1000.0), None, 5).unwrap();
-        assert!(slo.contains("slo 1000.000 ms p95: MET"), "{slo}");
+        assert_eq!(row(&out, "YOLO-micro")[1..3], ["2", "5"], "{out}");
+        for col in ["p50(ms)", "p95(ms)", "p99(ms)", "p99.9(ms)"] {
+            assert!(out.contains(col), "missing column {col}: {out}");
+        }
+        // Without --batch admission picks the window, and an SLO gets its
+        // verdict, on one stream as on several.
+        let slo = serve(&[&path], |a| {
+            a.requests = Some(8);
+            a.streams = 1;
+            a.slos = vec![Some(1000.0)];
+        })
+        .unwrap();
+        assert!(slo.contains("across 1 pooled streams"), "{slo}");
+        assert!(slo.contains("1000.0ms MET"), "{slo}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -1297,23 +1344,128 @@ mod tests {
     fn serve_rejects_degenerate_windows() {
         let path = tmp("serve_bad.pbit");
         cmd_gen("yolo-micro", &path, 7).unwrap();
-        assert!(matches!(
-            cmd_serve(&path, "x9", Some(0), 10, 1, None, None, 5),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            cmd_serve(&path, "x9", Some(4), 0, 1, None, None, 5),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            cmd_serve(&path, "x9", Some(4), 8, 0, None, None, 5),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            cmd_serve(&path, "x9", Some(4), 8, 2, Some(0.0), None, 5),
-            Err(CliError::Usage(_))
-        ));
+        type Edit = fn(&mut ServeArgs);
+        let bad: [(Edit, &str); 11] = [
+            (|a| a.batch = Some(0), "--batch >= 1"),
+            (|a| a.requests = Some(0), "--requests >= 1"),
+            (|a| a.streams = 0, "--streams >= 1"),
+            (|a| a.slos = vec![Some(0.0)], "--slo-ms > 0"),
+            (|a| a.weight_budget = Some(0), "--weight-budget > 0"),
+            (|a| a.models.clear(), "needs <model.pbit>"),
+            (
+                |a| a.slos = vec![None, None],
+                "2 --slo-ms values for 1 model(s)",
+            ),
+            (
+                |a| a.arrivals = vec!["poisson:9".into(); 2],
+                "2 --arrival values for 1 model(s)",
+            ),
+            (
+                |a| {
+                    a.arrivals = vec!["poisson:400".into()];
+                    a.requests = Some(4);
+                },
+                "--requests only applies to a closed loop",
+            ),
+            (
+                |a| a.fault = Some("rate=0.1".into()),
+                "--fault only applies to an open loop",
+            ),
+            (
+                |a| a.duration_ms = Some(50.0),
+                "--duration only applies to an open loop",
+            ),
+        ];
+        for (edit, want) in bad {
+            match serve(&[&path], edit) {
+                Err(CliError::Usage(m)) => assert!(m.contains(want), "{want}: {m}"),
+                other => panic!("{want}: {other:?}"),
+            }
+        }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors_that_name_them() {
+        for (args, flag) in [
+            (&["serve", "m.pbit", "--stream", "4"][..], "--stream"),
+            (&["plan", "alexnet", "--compres"][..], "--compres"),
+            (&["bench", "alexnet", "--seed", "3"][..], "--seed"),
+        ] {
+            let err = pbit(args).unwrap_err();
+            let named = format!("unknown flag `{flag}`");
+            assert!(
+                matches!(&err, CliError::Usage(m) if m.contains(&named)),
+                "{args:?}: {err}"
+            );
+        }
+        for cmd in ["gen", "info", "run", "serve", "plan", "bench", "fleet"] {
+            let err = pbit(&[cmd, "--bogus", "1"]).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Usage(m) if m.contains("`--bogus`")),
+                "{cmd}: {err}"
+            );
+        }
+        // Spelled right, the switch takes effect.
+        let ledger = pbit(&["plan", "alexnet-micro", "--batch", "1", "--compress"]).unwrap();
+        assert!(ledger.contains("dictionary ledger"), "{ledger}");
+    }
+
+    #[test]
+    fn serve_argv_takes_positional_and_model_flags_as_tenants() {
+        let (a, b) = (tmp("argv_a.pbit"), tmp("argv_b.pbit"));
+        cmd_gen("yolo-micro", &a, 7).unwrap();
+        cmd_gen("alexnet-micro", &b, 9).unwrap();
+        let (pa, pb) = (a.to_str().unwrap(), b.to_str().unwrap());
+        let args = [
+            "serve",
+            pa,
+            "--model",
+            pb,
+            "--requests",
+            "4",
+            "--slo-ms",
+            "none",
+            "--slo-ms",
+            "1000",
+        ];
+        let out = pbit(&args).unwrap();
+        assert!(
+            out.starts_with("closed-loop served 2 tenant(s) (8 offered, 8 served"),
+            "{out}"
+        );
+        // `none` leaves the positional model without an SLO.
+        assert_eq!(row(&out, "YOLO-micro").last(), Some(&"-"), "{out}");
+        assert!(
+            row(&out, "AlexNet-micro").ends_with(&["1000.0ms", "MET"]),
+            "{out}"
+        );
+        for bad in ["0", "abc", "-1", "inf"] {
+            let err = pbit(&["serve", pa, "--weight-budget", bad]).unwrap_err();
+            let named = format!("bad --weight-budget `{bad}`");
+            assert!(
+                matches!(&err, CliError::Usage(m) if m.contains(&named)),
+                "{bad}: {err}"
+            );
+        }
+        // An open loop honours --weight-budget: one byte under the weights
+        // pages the tenant.
+        let budget_mb = format!("{}", (weights_and_floor(&a).0 - 1) as f64 / 1e6);
+        let args = [
+            "serve",
+            "--model",
+            pa,
+            "--arrival",
+            "poisson:400",
+            "--weight-budget",
+            &budget_mb,
+        ];
+        let out = pbit(&args).unwrap();
+        assert!(out.starts_with("open-loop served 1 tenant(s)"), "{out}");
+        assert!(out.contains("paged through a "), "{out}");
+        assert!(out.contains("; weight budget "), "{out}");
+        std::fs::remove_file(&a).ok();
+        std::fs::remove_file(&b).ok();
     }
 
     #[test]
@@ -1392,54 +1544,37 @@ mod tests {
         let b = tmp("mt_b.pbit");
         cmd_gen("yolo-micro", &a, 7).unwrap();
         cmd_gen("alexnet-micro", &b, 9).unwrap();
-        let out = cmd_serve_multitenant(
-            &[a.clone(), b.clone()],
-            &[None, Some(1000.0)],
-            "x9",
-            Some(2),
-            6,
-            2,
-            None,
-            5,
-        )
+        let out = serve(&[&a, &b], |s| {
+            s.batch = Some(2);
+            s.requests = Some(6);
+            s.slos = vec![None, Some(1000.0)];
+        })
         .unwrap();
         assert!(
-            out.contains("served 2 tenants (12 requests, 6 windows)"),
+            out.starts_with("closed-loop served 2 tenant(s) (12 offered, 12 served, 0 shed)"),
             "{out}"
         );
-        assert!(out.contains("YOLO-micro"), "{out}");
-        assert!(out.to_lowercase().contains("alexnet"), "{out}");
+        assert_eq!(row(&out, "YOLO-micro")[1..3], ["2", "3"], "{out}");
+        assert_eq!(row(&out, "AlexNet-micro")[1..3], ["2", "3"], "{out}");
         assert!(out.contains("1000.0ms MET"), "{out}");
-        assert!(out.contains("pooled arena slice"), "{out}");
+        assert_eq!(out.matches(": admission batch 2 (cap ").count(), 2, "{out}");
+        assert!(out.contains("pooled slice"), "{out}");
         // The residency line multiplies the slice by the streams that hold
         // one — `--streams` — even when a stream carried no traffic: one
         // request per tenant leaves two of four streams idle, and the same
         // bytes stay resident as with every stream busy.
         let serve4 = |requests| {
-            let paths = [a.clone(), b.clone()];
-            cmd_serve_multitenant(&paths, &[], "x9", Some(1), requests, 4, None, 5).unwrap()
+            serve(&[&a, &b], |s| {
+                s.batch = Some(1);
+                s.requests = Some(requests);
+                s.streams = 4;
+            })
+            .unwrap()
         };
-        let resident = |out: &str| out[out.find("resident").expect("residency line")..].to_string();
-        assert!(resident(&serve4(1)).contains("+ 4 x "), "{}", serve4(1));
-        assert_eq!(resident(&serve4(1)), resident(&serve4(16)));
-        // Degenerate knobs are usage errors.
-        assert!(matches!(
-            cmd_serve_multitenant(&[a.clone(), b.clone()], &[], "x9", Some(0), 6, 2, None, 5),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            cmd_serve_multitenant(
-                &[a.clone(), b.clone()],
-                &[Some(0.0)],
-                "x9",
-                None,
-                6,
-                2,
-                None,
-                5
-            ),
-            Err(CliError::Usage(_))
-        ));
+        let resident = |out: &str| out[out.find("; resident").expect("residency")..].to_string();
+        let (one, sixteen) = (serve4(1), serve4(16));
+        assert!(resident(&one).contains(" weights + 4 x "), "{one}");
+        assert_eq!(resident(&one), resident(&sixteen));
         std::fs::remove_file(&a).ok();
         std::fs::remove_file(&b).ok();
     }
@@ -1448,37 +1583,34 @@ mod tests {
     fn serve_weight_budget_reports_the_paging_verdict() {
         let path = tmp("serve_paged.pbit");
         cmd_gen("yolo-micro", &path, 7).unwrap();
-        let total = {
-            let model = load_file(&path).unwrap();
-            let plan =
-                ExecutionPlan::for_model_batched(&model, &phone_by_name("x9").unwrap().gpu, 1)
-                    .unwrap();
-            plan.weights_bytes
+        let total = weights_and_floor(&path).0;
+        let run = |budget| {
+            serve(&[&path], |a| {
+                a.batch = Some(2);
+                a.requests = Some(8);
+                a.weight_budget = budget;
+            })
+            .unwrap()
         };
-        // A budget one byte short of the weights forces a paged grant, and
-        // the verdict line shows the hot-set grant plus modeled stalls.
-        let paged = cmd_serve(&path, "x9", Some(2), 8, 2, None, Some(total - 1), 5).unwrap();
-        assert!(paged.contains("weight paging: granted"), "{paged}");
-        assert!(paged.contains("modeled stall"), "{paged}");
-        // A budget covering the weights holds them resident and says so.
-        let resident = cmd_serve(&path, "x9", Some(2), 8, 2, None, Some(total), 5).unwrap();
-        assert!(
-            resident.contains("weights resident (no stalls)"),
-            "{resident}"
+        // A budget one byte short of the weights forces a paged grant:
+        // the hot set, its modeled stall and its evictions.
+        let paged = run(Some(total - 1));
+        assert!(paged.contains("paged through a "), "{paged}");
+        assert!(paged.contains(" ms modeled stall/window, "), "{paged}");
+        assert!(paged.contains(" evictions)"), "{paged}");
+        // A budget covering the weights holds them resident.
+        let resident = run(Some(total));
+        assert!(resident.contains("ms, weights resident"), "{resident}");
+        // Without a budget the report is the covering one minus its
+        // budget text: paging off is byte-level inert.
+        let plain = run(None);
+        let budget = format!(
+            "; weight budget {0:.2} MB for {0:.2} MB of weights",
+            total as f64 / 1e6
         );
-        // No budget, no paging line at all.
-        let plain = cmd_serve(&path, "x9", Some(2), 8, 2, None, None, 5).unwrap();
-        assert!(!plain.contains("weight paging"), "{plain}");
-        // Identical outputs modulo the verdict: paging off is byte-level
-        // inert, and a covering budget never changes the served report.
-        assert_eq!(
-            plain,
-            resident.lines().take(3).collect::<Vec<_>>().join("\n")
-        );
-        assert!(matches!(
-            cmd_serve(&path, "x9", Some(2), 8, 2, None, Some(0), 5),
-            Err(CliError::Usage(_))
-        ));
+        assert!(resident.contains(&budget), "{resident}");
+        assert!(!plain.contains("weight budget"), "{plain}");
+        assert_eq!(plain, resident.replace(&budget, ""));
         std::fs::remove_file(&path).ok();
     }
 
@@ -1488,32 +1620,30 @@ mod tests {
         let b = tmp("mt_paged_b.pbit");
         cmd_gen("yolo-micro", &a, 7).unwrap();
         cmd_gen("alexnet-micro", &b, 9).unwrap();
-        let (mut total, mut floors) = (0usize, 0usize);
-        for p in [&a, &b] {
-            let model = load_file(p).unwrap();
-            let plan =
-                ExecutionPlan::for_model_batched(&model, &phone_by_name("x9").unwrap().gpu, 1)
-                    .unwrap();
-            total += plan.weights_bytes;
-            floors += plan.paged_floor_bytes();
-        }
+        let ((wa, fa), (wb, fb)) = (weights_and_floor(&a), weights_and_floor(&b));
         // A budget between the summed floors and the summed weights
         // oversubscribes the pair — at least one tenant must stream at
         // its paged floor — yet stays admissible.
-        let out = cmd_serve_multitenant(
-            &[a.clone(), b.clone()],
-            &[None, None],
-            "x9",
-            Some(2),
-            6,
-            2,
-            Some((floors + total) / 2),
-            5,
-        )
+        let out = serve(&[&a, &b], |s| {
+            s.batch = Some(2);
+            s.requests = Some(6);
+            s.weight_budget = Some((fa + fb + wa + wb) / 2);
+        })
         .unwrap();
-        assert!(out.contains("weight budget"), "{out}");
-        assert!(out.contains("MB paged"), "{out}");
-        assert!(out.contains("grants:"), "{out}");
+        assert!(out.contains("; weight budget "), "{out}");
+        // One grant per tenant, at least one of them paged.
+        let grants: Vec<&str> = out
+            .lines()
+            .filter(|l| l.contains(": admission batch"))
+            .collect();
+        assert_eq!(grants.len(), 2, "{out}");
+        assert!(
+            grants
+                .iter()
+                .all(|l| l.ends_with("weights resident") || l.contains("paged through")),
+            "{out}"
+        );
+        assert!(grants.iter().any(|l| l.contains("paged through")), "{out}");
         std::fs::remove_file(&a).ok();
         std::fs::remove_file(&b).ok();
     }
@@ -1538,21 +1668,18 @@ mod tests {
         cmd_gen("yolo-micro", &a, 7).unwrap();
         cmd_gen("alexnet-micro", &b, 9).unwrap();
         let run = || {
-            cmd_serve_openloop(
-                &[a.clone(), b.clone()],
-                &[Some(50.0), None],
-                &["poisson:400".into(), "burst:200:2000:20:0.25".into()],
-                Some("rate=0.2,throttle=10-30@1.5,seed=5"),
-                "x9",
-                Some(2),
-                40.0,
-                2,
-                5,
-            )
+            serve(&[&a, &b], |s| {
+                s.slos = vec![Some(50.0), None];
+                s.arrivals = vec!["poisson:400".into(), "burst:200:2000:20:0.25".into()];
+                s.fault = Some("rate=0.2,throttle=10-30@1.5,seed=5".into());
+                s.batch = Some(2);
+                s.duration_ms = Some(40.0);
+            })
             .unwrap()
         };
         let out = run();
-        assert!(out.contains("open-loop served 2 tenants"), "{out}");
+        assert!(out.starts_with("open-loop served 2 tenant(s)"), "{out}");
+        assert!(out.contains("over 40.0 ms of arrivals"), "{out}");
         assert!(out.contains("fault plan: rate 0.200"), "{out}");
         for col in ["shed", "retry", "thrtl", "p99.9(ms)"] {
             assert!(out.contains(col), "missing column {col}: {out}");
@@ -1659,17 +1786,11 @@ mod tests {
         let a = tmp("ol_bad.pbit");
         cmd_gen("yolo-micro", &a, 7).unwrap();
         let base = |arrival: &str, fault: Option<&str>, duration: f64| {
-            cmd_serve_openloop(
-                std::slice::from_ref(&a),
-                &[],
-                &[arrival.to_string()],
-                fault,
-                "x9",
-                None,
-                duration,
-                1,
-                5,
-            )
+            serve(&[&a], |s| {
+                s.arrivals = vec![arrival.into()];
+                s.fault = fault.map(String::from);
+                s.duration_ms = Some(duration);
+            })
         };
         assert!(matches!(
             base("poisson:-3", None, 40.0),

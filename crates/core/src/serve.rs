@@ -123,18 +123,11 @@ pub struct RetryPolicy {
     /// Re-executions allowed after a faulted attempt before the window is
     /// shed (`0` sheds on the first fault).
     pub max_retries: usize,
-    /// Backoff after the `k`-th consecutive fault is
-    /// `steady_ms × backoff_scale × 2^(k−1)` — the re-enqueued window
-    /// becomes ready again only after that pause.
-    pub backoff_scale: f64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        Self {
-            max_retries: 3,
-            backoff_scale: 0.5,
-        }
+        Self { max_retries: 3 }
     }
 }
 
@@ -475,11 +468,12 @@ pub fn schedule_open_loop(
             pending[t][i] = None;
             unresolved -= 1;
         } else {
-            // Exponential backoff: the window re-enters the ready set
-            // only after the pause, re-enqueued through the same
-            // work-stealing pull as fresh arrivals.
-            let backoff =
-                tenants[t].steady_ms * policy.backoff_scale * (1 << (p.attempt - 1)) as f64;
+            // Exponential backoff: after the `k`-th consecutive fault the
+            // window re-enters the ready set only after
+            // `steady_ms × BACKOFF_SCALE × 2^(k−1)`, re-enqueued through
+            // the same work-stealing pull as fresh arrivals.
+            const BACKOFF_SCALE: f64 = 0.5;
+            let backoff = tenants[t].steady_ms * BACKOFF_SCALE * (1 << (p.attempt - 1)) as f64;
             pending[t][i] = Some(Pending {
                 ready_ms: end + backoff,
                 attempt: p.attempt + 1,
@@ -1310,10 +1304,6 @@ impl TenantTraffic<'_> {
 pub struct OpenLoopOptions {
     /// Retry/backoff policy for faulted attempts.
     pub policy: RetryPolicy,
-    /// Request shed rate above which admission re-plans the offending
-    /// tenant's batch (halving it) before executing — graceful
-    /// degradation past the knee.
-    pub shed_replan_threshold: f64,
     /// Re-plan rounds allowed per pass.
     pub max_replans: usize,
 }
@@ -1322,7 +1312,6 @@ impl Default for OpenLoopOptions {
     fn default() -> Self {
         Self {
             policy: RetryPolicy::default(),
-            shed_replan_threshold: 0.25,
             max_replans: 2,
         }
     }
@@ -2025,6 +2014,10 @@ impl DeviceRuntime {
             let schedule =
                 schedule_open_loop(&loads, self.streams.len(), fault.as_ref(), &opts.policy);
 
+            // Request shed rate above which the offending tenant's batch
+            // is halved before executing — graceful degradation past the
+            // knee.
+            const SHED_REPLAN_THRESHOLD: f64 = 0.25;
             let mut worst: Option<(usize, f64)> = None;
             if replans < opts.max_replans {
                 for (t, fates) in schedule.fates.iter().enumerate() {
@@ -2039,7 +2032,7 @@ impl DeviceRuntime {
                         .map(|(_, members)| members.len())
                         .sum();
                     let rate = shed as f64 / offered as f64;
-                    if rate > opts.shed_replan_threshold && worst.is_none_or(|(_, r)| rate > r) {
+                    if rate > SHED_REPLAN_THRESHOLD && worst.is_none_or(|(_, r)| rate > r) {
                         worst = Some((t, rate));
                     }
                 }
@@ -2297,7 +2290,6 @@ pub fn estimate_serve_open_loop(
         let opts = OpenLoopOptions {
             policy: *policy,
             max_replans: 0,
-            ..OpenLoopOptions::default()
         };
         runtime.serve_open_loop_over(&counts, &arrivals_ms, &opts, duration_ms)
     };
@@ -2906,10 +2898,7 @@ mod tests {
         let inf = f64::INFINITY;
         let loads = [open_load(&[0.0], &[inf], 10.0, 10.0)];
         let fault = FaultPlan::new(3).with_failure_rate(1.0);
-        let policy = RetryPolicy {
-            max_retries: 2,
-            backoff_scale: 0.5,
-        };
+        let policy = RetryPolicy { max_retries: 2 };
         let s = schedule_open_loop(&loads, 1, Some(&fault), &policy);
         // 1 + max_retries attempts, all faulted, then RetriesExhausted.
         assert_eq!(s.attempts.len(), 3);

@@ -18,7 +18,6 @@
 //! - [`clock`] — the shared multi-queue device clock: N command queues on
 //!   one GPU serialize or overlap per the device's compute-unit budget
 //!   instead of each pretending to own the hardware.
-//! - [`counters`] — per-kernel aggregation of a timeline.
 //! - [`exec`] — the one host-parallel primitive, for kernel rows and
 //!   serving streams.
 //!
@@ -52,7 +51,6 @@ pub mod buffer;
 pub mod calib;
 pub mod clock;
 pub mod cost;
-pub mod counters;
 pub mod device;
 pub mod exec;
 pub mod kernel;

@@ -363,7 +363,6 @@ fn open_loop_estimate_schedules_exactly_what_the_runtime_executes() {
             &OpenLoopOptions {
                 policy,
                 max_replans: 0, // the estimator reports the knee as-is
-                ..OpenLoopOptions::default()
             },
         )
         .expect("serve");
@@ -705,7 +704,7 @@ proptest! {
     ) {
         let loads = synthetic_loads(seed, &[n0, n1], with_slo);
         let fault = FaultPlan::new(seed ^ 0xF00D).with_failure_rate(rate_pct as f64 / 100.0);
-        let policy = RetryPolicy { max_retries, backoff_scale: 0.5 };
+        let policy = RetryPolicy { max_retries };
         let s = schedule_open_loop(&loads, streams, Some(&fault), &policy);
 
         // Exactly one terminal fate per window — none lost, none duplicated.
