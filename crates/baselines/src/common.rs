@@ -181,7 +181,7 @@ pub fn execute_float(
                 queue.launch(style.conv(info, &c.geom, c.activation), || {
                     fconv::compute_fconv(
                         &cur,
-                        &filters,
+                        &fconv::FloatBank::new(&filters),
                         &w.bias,
                         Activation::Linear,
                         &c.geom,

@@ -12,7 +12,7 @@ use phonebit_gpusim::{CommandQueue, DeviceProfile, ExecutorClass};
 use phonebit_nn::act::Activation;
 use phonebit_nn::fuse::FusedBn;
 use phonebit_nn::kernels::bconv::{compute_bconv_fused, compute_bconv_fused_reference};
-use phonebit_nn::kernels::fconv::compute_fconv;
+use phonebit_nn::kernels::fconv::{compute_fconv, FloatBank};
 use phonebit_tensor::bits::BitTensor;
 use phonebit_tensor::lanes::LaneBank;
 use phonebit_tensor::pack::{pack_f32, pack_filters};
@@ -113,12 +113,13 @@ fn bench_bconv(c: &mut Criterion) {
             out
         });
     });
+    let bank = FloatBank::new(&filters);
     group.bench_function("float_direct", |b| {
         b.iter(|| {
             let mut out = Tensor::<f32>::zeros(Shape4::new(1, 52, 52, 128), Layout::Nhwc);
             compute_fconv(
                 black_box(&input),
-                black_box(&filters),
+                black_box(&bank),
                 &bias,
                 Activation::Linear,
                 &geom,

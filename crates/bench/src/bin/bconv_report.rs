@@ -6,9 +6,10 @@
 //! `BENCH_bconv.json` (shape, path, median ns — plus ns/pixel) so future
 //! PRs have a perf trajectory to compare against. The streamed 8-bit
 //! first layer rides along as path `bitplane` (YOLOv2-Tiny and AlexNet
-//! conv1), and YOLOv2-Tiny's full-precision head as path `fconv`; neither
-//! has a `reference` row, so they are regression-gated but take no part in
-//! the speedup floor. The `tiled`, `bitplane` and `fconv` paths run on the
+//! conv1), the byte dot the engine runs for it as path `bytedot`, and
+//! YOLOv2-Tiny's full-precision head as path `fconv`; none has a
+//! `reference` row, so they are regression-gated but take no part in the
+//! speedup floor. The `tiled`, `bitplane`, `bytedot` and `fconv` paths run on the
 //! host ISA tier `phonebit_nn::kernels::isa` detects, printed first and
 //! recorded once in the JSON header as `"isa"`; the `reference` rows stay on
 //! the portable build-target code, so the speedup column is "tiling plus
@@ -19,7 +20,7 @@
 //! `-- --min-speedup X` to exit nonzero if any shape's tiled-vs-reference
 //! speedup falls below `X`; `-- --check-baseline <path>` to diff this
 //! run against a committed `BENCH_bconv.json` — same shape/path entries
-//! required, and each tiled, bitplane or fconv median may regress at most
+//! required, and each tiled, bitplane, bytedot or fconv median may regress at most
 //! 5× (`baseline::WALL_CLOCK_TOLERANCE`, sized for noisy shared runners;
 //! the reference kernel is kept for the speedup denominator, not guarded)
 //! — the CI guards that keep the hot path from rotting.)
@@ -35,7 +36,8 @@ use phonebit_nn::kernels::bconv::{
     compute_bconv_fused, compute_bconv_fused_reference, compute_binarize_pack,
 };
 use phonebit_nn::kernels::bitplane::{bitplane_conv_accum, compute_bitplane_conv_fused, PlaneBank};
-use phonebit_nn::kernels::fconv::compute_fconv;
+use phonebit_nn::kernels::bytedot::{compute_byte_conv, ByteBank};
+use phonebit_nn::kernels::fconv::{compute_fconv, FloatBank};
 use phonebit_nn::kernels::isa::IsaTier;
 use phonebit_tensor::bitplane::BitPlanes;
 use phonebit_tensor::bits::BitTensor;
@@ -172,7 +174,10 @@ fn main() {
             ConvGeometry::square(11, 4, 0),
         ),
     ];
-    println!("\n{:<38} {:>14}", "first layer", "bitplane");
+    println!(
+        "\n{:<38} {:>14} {:>14}",
+        "first layer", "bitplane", "bytedot"
+    );
     for &(name, hw, k, ref geom) in first_layers {
         let image = Tensor::from_fn(Shape4::new(1, hw, hw, 3), |_, h, w, ch| {
             ((h * 83 + w * 19 + ch * 7) % 256) as u8
@@ -210,8 +215,28 @@ fn main() {
             compute_bitplane_conv_fused(&planes, &bank, &fused, geom, &mut out);
             std::hint::black_box(&out);
         });
-        println!("{:<38} {:>14.1}", name, t / pixels);
         rows.push(row(name, "bitplane", t, pixels));
+
+        // The engine's host body: the same bits from a byte dot.
+        let bytes = ByteBank::new(&packed_f);
+        let mut c = BitTensor::<u64>::zeros(out_shape);
+        compute_byte_conv(&image, &bytes, &fused, geom, &mut c);
+        assert_eq!(
+            a, c,
+            "byte dot diverged from the bit-plane kernel on {name}"
+        );
+        let t_bytes = median_ns(samples, || {
+            let mut out = BitTensor::<u64>::zeros(out_shape);
+            compute_byte_conv(&image, &bytes, &fused, geom, &mut out);
+            std::hint::black_box(&out);
+        });
+        println!(
+            "{:<38} {:>14.1} {:>14.1}",
+            name,
+            t / pixels,
+            t_bytes / pixels
+        );
+        rows.push(row(name, "bytedot", t_bytes, pixels));
     }
 
     // The full-precision head (YOLOv2-Tiny conv9): 1x1 over 1024 channels.
@@ -227,7 +252,8 @@ fn main() {
         let bias: Vec<f32> = (0..k).map(|kk| kk as f32 * 0.01).collect();
         let out_shape = Shape4::new(1, hw, hw, k);
         let mut out = Tensor::<f32>::zeros(out_shape, Layout::Nhwc);
-        compute_fconv(&input, &filters, &bias, Activation::Linear, &geom, &mut out);
+        let bank = FloatBank::new(&filters);
+        compute_fconv(&input, &bank, &bias, Activation::Linear, &geom, &mut out);
         // Right first: every output against an f64 dot product.
         for (px, outputs) in out.as_slice().chunks_exact(k).enumerate() {
             let pixel = &input.as_slice()[px * cin..(px + 1) * cin];
@@ -245,7 +271,7 @@ fn main() {
             }
         }
         let t = median_ns(samples, || {
-            compute_fconv(&input, &filters, &bias, Activation::Linear, &geom, &mut out);
+            compute_fconv(&input, &bank, &bias, Activation::Linear, &geom, &mut out);
             std::hint::black_box(&out);
         });
         let pixels = (hw * hw) as f64;

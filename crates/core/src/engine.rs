@@ -48,15 +48,16 @@ use phonebit_gpusim::queue::CommandQueue;
 use phonebit_gpusim::DeviceProfile;
 use phonebit_gpusim::ExecutorClass;
 use phonebit_gpusim::Phone;
-use phonebit_nn::kernels::bitplane::PlaneBank;
-use phonebit_nn::kernels::{self, bconv, bgemm, bitplane, dense, fconv, fused, pool};
-use phonebit_tensor::bitplane::PlaneSet;
+use phonebit_nn::kernels::bytedot::ByteBank;
+use phonebit_nn::kernels::fconv::FloatBank;
+use phonebit_nn::kernels::{
+    self, bconv, bgemm, bitplane, bytedot, dense, fconv, fused, pool, profiles,
+};
 use phonebit_tensor::bits::BitTensor;
 use phonebit_tensor::dict::FilterDict;
 use phonebit_tensor::lanes::LaneBank;
 use phonebit_tensor::shape::{FilterShape, Layout, Shape4};
 use phonebit_tensor::tensor::Tensor;
-use phonebit_tensor::with_planes;
 
 use crate::estimate::walk_plan;
 use crate::model::{PbitLayer, PbitModel};
@@ -222,7 +223,6 @@ struct SlotStorage {
     bits: Option<BitTensor<u64>>,
     floats: Option<Tensor<f32>>,
     accum: Option<Tensor<i32>>,
-    planes: Option<PlaneSet>,
 }
 
 impl SlotStorage {
@@ -240,12 +240,8 @@ impl SlotStorage {
             ValueKind::Accum32 => grow(&mut self.accum, shape, |s| {
                 Tensor::<i32>::zeros(s, Layout::Nhwc)
             }),
-            ValueKind::Planes8 => {
-                let enough = |p: &PlaneSet| p.byte_len() >= kind.bytes(shape);
-                if !self.planes.as_ref().is_some_and(enough) {
-                    self.planes = Some(PlaneSet::empty(shape));
-                }
-            }
+            // The device's bit-planes: the host's byte dot reads the image.
+            ValueKind::Planes8 => {}
         }
     }
 
@@ -269,9 +265,6 @@ impl SlotStorage {
     }
     fn accum_mut(&mut self) -> &mut Tensor<i32> {
         self.accum.as_mut().expect("arena slot: accum staged")
-    }
-    fn planes_mut(&mut self) -> &mut PlaneSet {
-        self.planes.as_mut().expect("arena slot: planes staged")
     }
 }
 
@@ -324,9 +317,11 @@ pub struct StagedModel {
     /// chains) or the pre-flattened GEMM bank (a dense layer's weights are
     /// one), through the dictionary when the plan compresses the layer.
     banks: Vec<Option<LaneBank<u64>>>,
-    /// The 8-bit first layer's filters (`u8` feeds only a leading layer),
-    /// column-major, sixteen `u32` lanes per group.
-    plane_bank: Option<PlaneBank>,
+    /// The float convolutions' filters, sixteen per vector, per layer.
+    float_banks: Vec<Option<FloatBank>>,
+    /// The 8-bit first layer's filters (`u8` feeds only a leading layer)
+    /// as `s8` bytes for the host's byte dot.
+    byte_bank: Option<ByteBank>,
 }
 
 impl StagedModel {
@@ -418,9 +413,14 @@ impl StagedModel {
         }
         let weights = ctx.reserve(plan.hot_weight_bytes())?;
         let mut banks: Vec<Option<LaneBank<u64>>> = vec![None; model.layers.len()];
-        let mut plane_bank = None;
+        let mut float_banks = vec![None; model.layers.len()];
+        let mut byte_bank = None;
         for (i, layer) in model.layers.iter().enumerate() {
             let filters = match layer {
+                PbitLayer::FConv { filters, .. } => {
+                    float_banks[i] = Some(FloatBank::new(filters));
+                    continue;
+                }
                 PbitLayer::BConv { filters, .. } => filters,
                 PbitLayer::DenseBin { weights, .. } => {
                     banks[i] = Some(LaneBank::new(weights));
@@ -437,7 +437,7 @@ impl StagedModel {
                             ),
                         });
                     }
-                    plane_bank = Some(PlaneBank::column_major(filters));
+                    byte_bank = Some(ByteBank::new(filters));
                     continue;
                 }
                 _ => continue,
@@ -468,7 +468,8 @@ impl StagedModel {
             ctx,
             _weights: weights,
             banks,
-            plane_bank,
+            float_banks,
+            byte_bank,
         }))
     }
 
@@ -1163,11 +1164,18 @@ impl StagedModel {
             .expect("every routed binary convolution and binary dense layer stages a bank")
     }
 
-    /// The staged bank of the 8-bit first layer.
-    fn plane_bank(&self) -> &PlaneBank {
-        self.plane_bank
+    /// The staged bank of the float convolution at `layer`.
+    fn float_bank(&self, layer: usize) -> &FloatBank {
+        self.float_banks[layer]
             .as_ref()
-            .expect("an 8-bit first layer stages a plane bank")
+            .expect("every float convolution stages a bank")
+    }
+
+    /// The staged bank of the 8-bit first layer.
+    fn byte_bank(&self) -> &ByteBank {
+        self.byte_bank
+            .as_ref()
+            .expect("an 8-bit first layer stages a byte bank")
     }
 }
 
@@ -1230,12 +1238,12 @@ fn exec_step(
         let src = cvt_store.as_ref().map_or(in_store, |(_, cvt)| cvt);
         match &layers[step.index] {
             PbitLayer::BConvInput8 { geom, fused, .. } => {
-                let (_, scr) = scr_store.as_mut().expect("bit-plane scratch planned");
-                let (bank, out) = (staged.plane_bank(), out_store.bits_mut());
-                with_planes!(scr.planes_mut(), |planes| {
-                    bitplane::bitplane_split_into(q, src.bytes_ref(), planes);
-                    bitplane::bitplane_conv_bank_into(q, planes, bank, fused, geom, out);
-                });
+                // The device splits the planes; the host's byte dot reads
+                // the image itself, so the split has nothing to do here.
+                let (image, bank) = (src.bytes_ref(), staged.byte_bank());
+                let s = image.shape();
+                q.launch(profiles::bitplane_split(s.pixels(), s.c), || {});
+                bytedot::byte_conv_into(q, image, bank, fused, geom, out_store.bits_mut());
             }
             PbitLayer::BConv { geom, fused, .. } => {
                 // The planner cost-modeled direct-tiled vs. lowered-GEMM on
@@ -1265,15 +1273,14 @@ fn exec_step(
             }
             PbitLayer::FConv {
                 geom,
-                filters,
                 bias,
                 activation,
                 ..
             } => {
-                fconv::fconv_into(
+                fconv::fconv_bank_into(
                     q,
                     src.floats(),
-                    filters,
+                    staged.float_bank(step.index),
                     bias,
                     *activation,
                     geom,
@@ -1361,11 +1368,9 @@ fn exec_fused_group(
                 PbitLayer::BConvInput8 {
                     geom, fused: bn, ..
                 } => {
-                    let (image, bank) = (in_store.bytes_ref(), staged.plane_bank());
-                    let (set, out) = (cvt.expect("bit-plane tile planned"), out.bits_mut());
-                    with_planes!(set.planes_mut(), |tile| fused::in8_bconv_chain_into(
-                        q, image, bank, bn, geom, pool_geom, tile, ring, out
-                    ));
+                    let (image, bank) = (in_store.bytes_ref(), staged.byte_bank());
+                    let out = out.bits_mut();
+                    fused::in8_bconv_chain_into(q, image, bank, bn, geom, pool_geom, ring, out);
                 }
                 PbitLayer::BConv {
                     geom, fused: bn, ..
@@ -1504,21 +1509,20 @@ mod tests {
 
     #[test]
     fn plane_scratch_is_sized_by_the_plan() {
-        // One word past every width's last full channel count included.
-        for c in [1, 3, 8, 9, 16, 33] {
-            let shape = Shape4::new(2, 5, 7, c);
-            let mut slot = SlotStorage::default();
-            slot.prepare(ValueKind::Planes8, shape);
-            assert_eq!(
-                slot.planes_mut().byte_len(),
-                ValueKind::Planes8.bytes(shape),
-                "C = {c}"
-            );
-        }
-        // YOLOv2-Tiny's input: the 1.38 MB the plan reserves, not 11.07 MB.
+        // The plan reserves YOLOv2-Tiny's 1.38 MB of device planes (not
+        // 11.07 MB); the host's byte dot reads the image, so the slot that
+        // hosts them allocates nothing.
+        let shape = Shape4::new(1, 416, 416, 3);
+        assert_eq!(ValueKind::Planes8.bytes(shape), 416 * 416 * 8);
         let mut slot = SlotStorage::default();
-        slot.prepare(ValueKind::Planes8, Shape4::new(1, 416, 416, 3));
-        assert_eq!(slot.planes_mut().byte_len(), 416 * 416 * 8);
+        slot.prepare(ValueKind::Planes8, shape);
+        let SlotStorage {
+            bytes,
+            bits,
+            floats,
+            accum,
+        } = slot;
+        assert!(bytes.is_none() && bits.is_none() && floats.is_none() && accum.is_none());
     }
 
     #[test]

@@ -331,6 +331,27 @@ impl<W: BitWord> PlaneSink for BitSink<'_, W, PlaneCuts> {
     }
 }
 
+impl<'a, W: BitWord> BitSink<'a, W, PlaneCuts> {
+    /// Filters `k0..k0 + 16`'s cuts.
+    #[inline(always)]
+    pub(crate) fn lo(&self, k0: usize) -> &'a [i32; PLANE_LANES] {
+        &self.thresholds.lo[k0 / PLANE_LANES]
+    }
+
+    /// ORs filters `k0..k0 + 16`'s decided bits `mask` (filter `k0 + i` at
+    /// bit `i`) into pixel `px`'s output word.
+    #[inline(always)]
+    pub(crate) fn put_mask(&mut self, px: usize, k0: usize, mask: u32) {
+        let wpp = self.words_per_pixel;
+        let (slot, next) = self.row[px * wpp + k0 / W::BITS..(px + 1) * wpp].split_at_mut(1);
+        let word = u64::from(mask) << (k0 % W::BITS);
+        slot[0] = slot[0].or(W::truncate(word));
+        if let Some(next) = next.first_mut().filter(|_| W::BITS < PLANE_LANES) {
+            *next = next.or(W::truncate(word >> W::BITS));
+        }
+    }
+}
+
 /// The unfused sink: raw accumulators into a row of NHWC `i32` pixels,
 /// `channels` each.
 #[derive(Debug)]

@@ -7,6 +7,11 @@
 //! convolution computed with masked popcounts. The split and recombination
 //! are the extra work behind conv1's lower speedup in Fig 5.
 //!
+//! This is the phone's kernel, and its cost profiles are what the plan
+//! models. The engine computes the same sums on the host as a byte dot
+//! ([`super::bytedot`]); `bitplane_row` backs the entries below and is the
+//! oracle the byte dot is tested against.
+//!
 //! A first layer has few channels (3 for every zoo model), so a kernel that
 //! walks taps spends its time on bounds checks and on popcounts of words
 //! that are almost all padding. `bitplane_row`, the one Eqn (2) loop behind
@@ -57,7 +62,7 @@ use phonebit_gpusim::KernelProfile;
 use phonebit_tensor::bitplane::BitPlanes;
 use phonebit_tensor::bits::{BitTensor, BitWord, PackedFilters};
 use phonebit_tensor::lanes::LaneBank;
-use phonebit_tensor::shape::{ConvGeometry, Layout, Shape4};
+use phonebit_tensor::shape::{ConvGeometry, FilterShape, Layout, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
 use crate::fuse::{AccumSink, BitSink, FusedBn, PlaneCuts, PlaneSink};
@@ -275,13 +280,13 @@ pub(crate) fn bitplane_row<P: BitWord>(
     )
 }
 
-/// The output shape and cost profile of `bank` convolved over `planes`.
-fn staged<P: BitWord>(
-    planes: &BitPlanes<P>,
-    bank: &PlaneBank,
+/// The output shape and cost profile of a first layer of filters `fs`
+/// convolved over an 8-bit input of shape `s`.
+pub(crate) fn conv_profile(
+    s: Shape4,
+    fs: FilterShape,
     geom: &ConvGeometry,
 ) -> (Shape4, KernelProfile) {
-    let (s, fs) = (planes.shape(), bank.shape());
     assert_eq!(
         s.c, fs.c,
         "plane channels {} != filter channels {}",
@@ -356,7 +361,7 @@ pub fn bitplane_conv_bank_into<P: BitWord, W: BitWord>(
     geom: &ConvGeometry,
     out: &mut BitTensor<W>,
 ) {
-    let (os, profile) = staged(planes, bank, geom);
+    let (os, profile) = conv_profile(planes.shape(), bank.shape(), geom);
     assert_eq!(fused.len(), os.c, "fusion params must cover every filter");
     out.reset(os);
     q.launch(profile, || {
@@ -373,7 +378,7 @@ pub fn bitplane_conv_accum<P: BitWord, W: BitWord>(
     geom: &ConvGeometry,
 ) -> Tensor<i32> {
     let bank = &PlaneBank::column_major(filters);
-    let (os, mut profile) = staged(planes, bank, geom);
+    let (os, mut profile) = conv_profile(planes.shape(), bank.shape(), geom);
     let mut out = Tensor::<i32>::zeros(os, Layout::Nhwc);
     profile.name = "bitplane_conv_accum";
     let k_total = os.c;
@@ -401,7 +406,6 @@ mod tests {
     use super::*;
     use phonebit_gpusim::{DeviceProfile, ExecutorClass};
     use phonebit_tensor::pack::{pack_filters, unpack_f32};
-    use phonebit_tensor::shape::FilterShape;
     use phonebit_tensor::tensor::Filters;
 
     use crate::fuse::BnParams;

@@ -5,62 +5,65 @@
 //! why Fig 5 still shows a ~3x win over CNNdroid there. The same functional
 //! body is reused by the baseline frameworks with their own cost profiles.
 //!
-//! On the host the kernel is that `dot()`: in NHWC a window row's in-bounds
-//! taps are one contiguous run of `taps·c` floats, and so are the same taps
-//! of a filter, so an output is `kh` slice dot products — no per-element
-//! index arithmetic or bounds check. Products are summed in 16 fixed
-//! lanes (element `e` of a run into lane `e % 16`) and the lanes
-//! added pairwise in a fixed order, with separate multiply and add, so the
-//! result does not depend on the vector width: every [`isa`] tier, entered
-//! once per output row, returns the same bits.
+//! On the host the filters are the lanes: a [`FloatBank`], staged once,
+//! holds sixteen filters per vector, tap by tap. In NHWC a window row's
+//! in-bounds taps are one contiguous run of `taps·c` floats, so a step over
+//! a block of pixels that share their in-bounds taps broadcasts one input
+//! value per pixel and multiplies it into sixteen filters at once — a
+//! latency-bound dot per (pixel, filter) becomes independent vector
+//! chains. Multiply and add stay separate (no `fma`), so an output is
+//! exactly `bias + Σ x·w` over the in-bounds taps summed in tap order, the
+//! naive sequential `f32` dot, on every [`isa`] tier: entered once per
+//! output row, each returns the same bits.
 
 use phonebit_gpusim::exec::par_chunks_mut;
 use phonebit_gpusim::queue::CommandQueue;
-use phonebit_tensor::shape::{ConvGeometry, Layout, Shape4};
+use phonebit_tensor::shape::{ConvGeometry, FilterShape, Layout, Shape4};
 use phonebit_tensor::tensor::{Filters, Tensor};
 
 use crate::act::Activation;
+use crate::kernels::isa;
+use crate::kernels::profiles;
 use crate::kernels::tiled::BorderSpan;
-use crate::kernels::{isa, profiles};
 
-/// Partial sums a dot product keeps side by side: one 512-bit vector of
-/// `f32`.
+/// Filters per vector of a [`FloatBank`]: one 512-bit vector of `f32`.
 const LANES: usize = 16;
 
-/// Adds the products of `a` and `b` (equal lengths) into `acc`, element `e`
-/// into lane `e % LANES`.
-#[inline(always)]
-fn dot_into(acc: &mut [f32; LANES], a: &[f32], b: &[f32]) {
-    let (a_body, a_tail) = a.as_chunks::<LANES>();
-    let (b_body, b_tail) = b.as_chunks::<LANES>();
-    for (x, y) in a_body.iter().zip(b_body) {
-        for l in 0..LANES {
-            acc[l] += x[l] * y[l];
-        }
-    }
-    for ((sum, x), y) in acc.iter_mut().zip(a_tail).zip(b_tail) {
-        *sum += x * y;
-    }
+/// Output pixels a step covers: four independent chains of sixteen lanes,
+/// on every tier (at YOLO conv9, two were slower on the baseline target,
+/// and six or eight left the lanes scalar on AVX-512).
+const PIXELS: usize = 4;
+
+/// A float convolution's filters as lanes: per group of sixteen filters,
+/// one vector per tap in NHWC tap order, filter `k0 + l` in lane `l`, zero
+/// past the last filter.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FloatBank {
+    shape: FilterShape,
+    lanes: Vec<[f32; LANES]>,
 }
 
-/// The sum of the lanes, halving 16 → 8 → 4 → 2 → 1.
-#[inline(always)]
-fn sum_lanes(mut acc: [f32; LANES]) -> f32 {
-    let mut width = LANES / 2;
-    while width > 0 {
-        for l in 0..width {
-            acc[l] += acc[l + width];
+impl FloatBank {
+    /// Interleaves `filters`.
+    pub fn new(filters: &Filters) -> Self {
+        let shape = filters.shape();
+        let taps = shape.filter_len();
+        let mut lanes = vec![[0.0; LANES]; shape.k.div_ceil(LANES) * taps];
+        for k in 0..shape.k {
+            for (t, &w) in filters.filter(k).iter().enumerate() {
+                lanes[k / LANES * taps + t][k % LANES] = w;
+            }
         }
-        width /= 2;
+        Self { shape, lanes }
     }
-    acc[0]
 }
 
 /// Functional body of direct float convolution over NHWC with zero padding,
-/// bias and activation: one task per output row (see the module docs).
+/// bias and activation, over a staged bank: one task per output row (see
+/// the module docs).
 pub fn compute_fconv(
     input: &Tensor<f32>,
-    filters: &Filters,
+    bank: &FloatBank,
     bias: &[f32],
     act: Activation,
     geom: &ConvGeometry,
@@ -69,24 +72,25 @@ pub fn compute_fconv(
     let input = input.nhwc();
     let s = input.shape();
     let os = out.shape();
-    let k_total = filters.shape().k;
-    par_chunks_mut(out.as_mut_slice(), os.w * k_total, |row_idx, row| {
+    par_chunks_mut(out.as_mut_slice(), os.w * bank.shape.k, |row_idx, row| {
         let (n, oy) = (row_idx / os.h, row_idx % os.h);
+        let pixels = input.as_slice();
         isa::run(
             #[inline(always)]
-            || fconv_row(input.as_slice(), s, filters, bias, act, geom, n, oy, row),
+            || fconv_row(pixels, s, bank, bias, act, geom, n, oy, row),
         );
     });
 }
 
-/// One output row of [`compute_fconv`]: `row` holds its `ow × k` outputs,
-/// `pixels` the NHWC input of shape `s`.
+/// One output row of [`compute_fconv`]: `row` holds its `ow × k`
+/// outputs, `pixels` the NHWC input of shape `s`; [`PIXELS`] per step where
+/// they share their in-bounds taps, one at a time elsewhere.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fconv_row(
     pixels: &[f32],
     s: Shape4,
-    filters: &Filters,
+    bank: &FloatBank,
     bias: &[f32],
     act: Activation,
     geom: &ConvGeometry,
@@ -94,27 +98,95 @@ pub(crate) fn fconv_row(
     oy: usize,
     row: &mut [f32],
 ) {
-    let fs = filters.shape();
-    for (ox, outputs) in row.chunks_exact_mut(fs.k).enumerate() {
-        // The in-bounds taps of window row `i` are one contiguous run, in
-        // the input and in every filter; a window wholly in padding has
-        // no rows to dot.
+    let ow = row.len() / bank.shape.k;
+    let mut ox = 0;
+    while ox < ow {
         let span = BorderSpan::of(geom, s.h, s.w, oy, ox);
-        let run = (span.j1 - span.j0) * s.c;
-        let rows = if run == 0 { 0..0 } else { span.i0..span.i1 };
-        for (k, (output, &b)) in outputs.iter_mut().zip(bias).enumerate() {
-            let filter = filters.filter(k);
-            let mut acc = [0f32; LANES];
-            for i in rows.clone() {
-                let iy = oy * geom.stride_h + i - geom.pad_h;
-                let ix = ox * geom.stride_w + span.j0 - geom.pad_w;
-                let at = ((n * s.h + iy) * s.w + ix) * s.c;
-                let taps = (i * fs.kw + span.j0) * s.c;
-                dot_into(&mut acc, &pixels[at..at + run], &filter[taps..taps + run]);
-            }
-            *output = act.apply(b + sum_lanes(acc));
+        let block =
+            (ox..ow.min(ox + PIXELS)).all(|x| BorderSpan::of(geom, s.h, s.w, oy, x) == span);
+        let at = (n, oy, ox);
+        if block && ox + PIXELS <= ow {
+            fconv_block::<PIXELS>(pixels, s, bank, bias, act, geom, at, span, row);
+            ox += PIXELS;
+        } else {
+            fconv_block::<1>(pixels, s, bank, bias, act, geom, at, span, row);
+            ox += 1;
         }
     }
+}
+
+/// Output pixels `ox..ox + P` of row `(n, oy)`, whose windows share the
+/// in-bounds taps `span`: per filter group, lane `l` of pixel `p` sums
+/// `x·w` over the taps in order, then takes the bias and activation.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn fconv_block<const P: usize>(
+    pixels: &[f32],
+    s: Shape4,
+    bank: &FloatBank,
+    bias: &[f32],
+    act: Activation,
+    geom: &ConvGeometry,
+    (n, oy, ox): (usize, usize, usize),
+    span: BorderSpan,
+    row: &mut [f32],
+) {
+    let fs = bank.shape;
+    // A window wholly in padding has no rows to dot.
+    let run = (span.j1 - span.j0) * s.c;
+    let rows = if run == 0 { 0..0 } else { span.i0..span.i1 };
+    let taps = fs.filter_len();
+    for (g, group) in bank.lanes.chunks_exact(taps).enumerate() {
+        let mut acc = [[0f32; LANES]; P];
+        for i in rows.clone() {
+            let iy = oy * geom.stride_h + i - geom.pad_h;
+            let mut xs = [&pixels[..0]; P];
+            for (p, xs) in xs.iter_mut().enumerate() {
+                let ix = (ox + p) * geom.stride_w + span.j0 - geom.pad_w;
+                *xs = &pixels[((n * s.h + iy) * s.w + ix) * s.c..][..run];
+            }
+            let ws = &group[(i * fs.kw + span.j0) * s.c..][..run];
+            acc = accumulate(acc, xs, ws);
+        }
+        let k0 = g * LANES;
+        for (p, acc) in acc.iter().enumerate() {
+            let out = &mut row[(ox + p) * fs.k + k0..(ox + p + 1) * fs.k];
+            for ((o, a), b) in out.iter_mut().zip(acc).zip(&bias[k0..]) {
+                *o = act.apply(b + a);
+            }
+        }
+    }
+}
+
+/// Adds `xs[p][t] · ws[t]` into pixel `p`'s lanes, tap `t` after tap.
+///
+/// Written so that SLP takes the lanes at any codegen partition: `acc` by
+/// value and every span cut to `run` here. Through `&mut`, or with the
+/// pixels' values gathered into an array first, or as iterator chains, it
+/// kept `acc` on the stack or vectorised across pixels (gathers at one
+/// codegen unit, 1.2–15× slower).
+#[inline(always)]
+#[allow(clippy::needless_range_loop)]
+fn accumulate<const P: usize>(
+    mut acc: [[f32; LANES]; P],
+    xs: [&[f32]; P],
+    ws: &[[f32; LANES]],
+) -> [[f32; LANES]; P] {
+    let run = ws.len();
+    let mut cut = xs;
+    for p in 0..P {
+        cut[p] = &xs[p][..run];
+    }
+    for t in 0..run {
+        let w = &ws[t];
+        for p in 0..P {
+            let x = cut[p][t];
+            for l in 0..LANES {
+                acc[p][l] += x * w[l];
+            }
+        }
+    }
+    acc
 }
 
 /// Dispatches PhoneBit's full-precision convolution (`dot()` SIMD profile).
@@ -136,7 +208,8 @@ pub fn fconv(
 }
 
 /// [`fconv`] into a caller-provided NHWC tensor (reset to the output
-/// shape), reusing its storage — the engine's arena path.
+/// shape), reusing its storage. Interleaves `filters` first; the engine
+/// stages a [`FloatBank`] and calls [`fconv_bank_into`].
 pub fn fconv_into(
     q: &mut CommandQueue,
     input: &Tensor<f32>,
@@ -146,8 +219,26 @@ pub fn fconv_into(
     geom: &ConvGeometry,
     out: &mut Tensor<f32>,
 ) {
+    let bank = FloatBank::new(filters);
+    fconv_bank_into(q, input, &bank, bias, act, geom, out);
+}
+
+/// [`fconv_into`] over a bank staged once — the engine's arena path.
+///
+/// # Panics
+///
+/// Panics if shapes disagree or `bias.len() != bank.shape().k`.
+pub fn fconv_bank_into(
+    q: &mut CommandQueue,
+    input: &Tensor<f32>,
+    bank: &FloatBank,
+    bias: &[f32],
+    act: Activation,
+    geom: &ConvGeometry,
+    out: &mut Tensor<f32>,
+) {
     let s = input.shape();
-    let fs = filters.shape();
+    let fs = bank.shape;
     assert_eq!(
         s.c, fs.c,
         "input channels {} != filter channels {}",
@@ -159,9 +250,7 @@ pub fn fconv_into(
     out.reset(os, Layout::Nhwc);
     let mut profile = profiles::fconv(os.pixels(), fs.k, s.c, geom);
     profile.f32_ops += os.len() as f64 * act.ops_per_element();
-    q.launch(profile, || {
-        compute_fconv(input, filters, bias, act, geom, out)
-    });
+    q.launch(profile, || compute_fconv(input, bank, bias, act, geom, out));
 }
 
 #[cfg(test)]

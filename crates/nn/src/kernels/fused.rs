@@ -28,14 +28,13 @@
 use phonebit_gpusim::queue::CommandQueue;
 use phonebit_gpusim::KernelProfile;
 use phonebit_gpusim::NdRange;
-use phonebit_tensor::bitplane::BitPlanes;
 use phonebit_tensor::bits::{BitTensor, BitWord};
 use phonebit_tensor::lanes::LaneBank;
 use phonebit_tensor::shape::{ConvGeometry, FilterShape, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
 use crate::fuse::{BitSink, Cuts, FusedBn, PlaneCuts};
-use crate::kernels::bitplane::{bitplane_row, compute_bitplane_conv_fused, PlaneBank, PlaneStream};
+use crate::kernels::bytedot::{compute_byte_conv, ByteBank, ByteRing};
 use crate::kernels::pool::PoolGeometry;
 use crate::kernels::profiles::{compulsory_input_bytes, words32, PACKED_COALESCING, VEC_LANES_128};
 use crate::kernels::tiled::{conv_row_tiled, WindowGather};
@@ -241,23 +240,27 @@ pub fn compute_bconv_pool_chain<W: BitWord>(
     });
 }
 
-/// Functional body of the fused bit-plane conv→pool chain (Eqn 2 core).
-pub fn compute_in8_pool_chain<P: BitWord, W: BitWord>(
-    planes: &BitPlanes<P>,
-    bank: &PlaneBank,
+/// Functional body of the fused first-layer conv→pool chain: Eqn (2) as
+/// the host's byte dot ([`super::bytedot`]).
+pub fn compute_in8_pool_chain<W: BitWord>(
+    image: &Tensor<u8>,
+    bank: &ByteBank,
     fused: &FusedBn,
     geom: &ConvGeometry,
     pool: &PoolGeometry,
     ring: &mut BitTensor<W>,
     out: &mut BitTensor<W>,
 ) {
-    let s = planes.shape();
+    let (s, image) = (image.shape(), image.nhwc());
     let (conv_oh, conv_ow) = geom.output_hw(s.h, s.w);
-    let mut scratch = PlaneStream::new(bank, geom, s.w);
+    let mut bytes = ByteRing::new(bank, geom, s);
     let cuts = PlaneCuts::new(fused, bank.shape().filter_len());
     pooled_rows(s.n, conv_oh, conv_ow, pool, ring, out, |n, oy, wpp, row| {
-        let mut sink = BitSink::new(&cuts, row, wpp);
-        bitplane_row(planes, bank, geom, &mut scratch, n, oy, conv_ow, &mut sink);
+        bytes.decide_row(
+            image.as_slice(),
+            (n, oy),
+            &mut BitSink::new(&cuts, row, wpp),
+        );
     });
 }
 
@@ -369,31 +372,28 @@ pub fn pack_bconv_chain_into<W: BitWord>(
 }
 
 /// Dispatches the split→bitplane-conv(→pool) first-layer chain: the 8-bit
-/// image is plane-split on chip ahead of the Eqn (2) conv, one launch.
+/// image is plane-split on chip ahead of the Eqn (2) conv, one launch; the
+/// host computes the same bits as a byte dot, with no planes.
 ///
 /// # Panics
 ///
 /// Panics on shape disagreements, mirroring the split kernels.
 #[allow(clippy::too_many_arguments)]
-pub fn in8_bconv_chain_into<P: BitWord, W: BitWord>(
+pub fn in8_bconv_chain_into<W: BitWord>(
     q: &mut CommandQueue,
     input: &Tensor<u8>,
-    bank: &PlaneBank,
+    bank: &ByteBank,
     fused: &FusedBn,
     geom: &ConvGeometry,
     pool: Option<&PoolGeometry>,
-    planes: &mut BitPlanes<P>,
     ring: &mut BitTensor<W>,
     out: &mut BitTensor<W>,
 ) {
     let (s, fs) = (input.shape(), bank.shape());
     let profile = stage_chain(ChainAbsorb::Planes8, s, fs, fused, geom, pool, ring, out);
-    q.launch(profile, || {
-        planes.split_from(input);
-        match pool {
-            Some(p) => compute_in8_pool_chain(planes, bank, fused, geom, p, ring, out),
-            None => compute_bitplane_conv_fused(planes, bank, fused, geom, out),
-        }
+    q.launch(profile, || match pool {
+        Some(p) => compute_in8_pool_chain(input, bank, fused, geom, p, ring, out),
+        None => compute_byte_conv(input, bank, fused, geom, out),
     });
 }
 
@@ -453,6 +453,8 @@ mod tests {
     use phonebit_tensor::tensor::Filters;
 
     use crate::fuse::BnParams;
+    use phonebit_tensor::bitplane::BitPlanes;
+
     use crate::kernels::bitplane::bitplane_conv_fused_into;
     use crate::kernels::pool::maxpool_bits;
 
@@ -588,7 +590,7 @@ mod tests {
         let fused = test_bn(16);
         let geom = ConvGeometry::square(3, 1, 1);
         let filters = pack_filters::<u64>(&f);
-        let bank = LaneBank::column_major(&filters);
+        let bank = ByteBank::new(&filters);
 
         let mut q = queue();
         let planes = BitPlanes::<u64>::split(&img);
@@ -596,18 +598,9 @@ mod tests {
         bitplane_conv_fused_into(&mut q, &planes, &filters, &fused, &geom, &mut conv);
 
         let mut q2 = queue();
-        let mut planes2 = BitPlanes::<u8>::empty(img.shape());
         let (mut ring, mut out) = (scratch::<u64>(), scratch::<u64>());
         in8_bconv_chain_into(
-            &mut q2,
-            &img,
-            &bank,
-            &fused,
-            &geom,
-            None,
-            &mut planes2,
-            &mut ring,
-            &mut out,
+            &mut q2, &img, &bank, &fused, &geom, None, &mut ring, &mut out,
         );
         assert_eq!(out, conv);
         assert_eq!(q2.timeline().len(), 1);
@@ -624,7 +617,6 @@ mod tests {
             &fused,
             &geom,
             Some(&pool),
-            &mut planes2,
             &mut ring,
             &mut out,
         );
@@ -643,7 +635,7 @@ mod tests {
         let fused = test_bn(12);
         let geom = ConvGeometry::square(11, 4, 0);
         let filters = pack_filters::<u64>(&f);
-        let bank = LaneBank::column_major(&filters);
+        let bank = ByteBank::new(&filters);
 
         let mut q = queue();
         let planes = BitPlanes::<u64>::split(&img);
@@ -652,20 +644,11 @@ mod tests {
         let pool = PoolGeometry::new(3, 2);
         let pooled = maxpool_bits(&mut q, &conv, &pool);
 
-        let mut planes2 = BitPlanes::<u8>::empty(img.shape());
         let (mut ring, mut out) = (scratch::<u64>(), scratch::<u64>());
         for (pool, expect) in [(None, &conv), (Some(&pool), &pooled)] {
             let mut q2 = queue();
             in8_bconv_chain_into(
-                &mut q2,
-                &img,
-                &bank,
-                &fused,
-                &geom,
-                pool,
-                &mut planes2,
-                &mut ring,
-                &mut out,
+                &mut q2, &img, &bank, &fused, &geom, pool, &mut ring, &mut out,
             );
             assert_eq!(&out, expect, "pool {}", pool.is_some());
             assert_eq!(q2.timeline().len(), 1);

@@ -17,7 +17,8 @@
 //! - **Where the frame boundary is.** `run` is called once per row task
 //!   (`tiled::conv_row_tiled`, `tiled::tile_filters` — the lowered GEMM's
 //!   and the dense layer's — `bitplane::bitplane_row`, `fconv`'s pixel
-//!   rows, `pack_input`), never per word.
+//!   rows, `pack_input`), never per word; `byte_row` once per first-layer
+//!   output row.
 //!   A `#[target_feature]` function cannot be inlined into its caller, so
 //!   the call is the boundary; everything below it — the driver, the
 //!   microkernel, `BitWord::popcount`, the packed-bit sink — is
@@ -26,6 +27,15 @@
 //!   merely `#[inline]` — or an unannotated closure, or a library helper
 //!   such as `array::from_fn` around a popcount — may be emitted once, for
 //!   the baseline target, and silently fall back to the slow popcount.
+//! - **The byte dot's frames.** The first layer's host body
+//!   ([`bytedot`]) is written in `core::arch` value intrinsics, which are
+//!   safe only inside a `#[target_feature]` function that enables them, so
+//!   its frames live there: `row_vnni` (`avx512vnni` on top of the
+//!   AVX-512 tier, checked separately) and `row_avx2`. `byte_row` enters
+//!   one of them — its calls are this module's other `unsafe`. The `run_*`
+//!   frames keep their `enable` lists: adding `avx512vnni` there would
+//!   recompile every binary-body driver for nothing (none uses it) and
+//!   exclude CPUs with the popcount but not the dot product.
 //! - **Why not `target-cpu` or `RUSTFLAGS`.** A global flag changes every
 //!   crate in the build, including the benchmark's calibration loop, and
 //!   produces a binary that faults on an older CPU. Dispatch keeps one
@@ -35,6 +45,11 @@
 //!   `compute_bconv_fused_reference` stays on it as the oracle.
 
 use std::sync::OnceLock;
+
+use phonebit_tensor::bits::BitWord;
+
+use crate::fuse::{BitSink, PlaneCuts};
+use crate::kernels::bytedot::{self, ByteRing};
 
 /// The instruction-set tier the binary kernels run on, best last.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -109,11 +124,40 @@ fn detect() -> IsaTier {
 /// docs); the result is the same on every tier.
 #[inline]
 pub(crate) fn run<R>(task: impl FnOnce() -> R) -> R {
+    run_on(entered(), task)
+}
+
+/// The tier [`run`] enters: the detected one, or in this crate's tests the
+/// one `tests::on_tier` forces, at most the detected one.
+#[inline]
+pub(crate) fn entered() -> IsaTier {
     #[cfg(test)]
     if let Some(tier) = tests::FORCED.get() {
-        return run_on(tier, task);
+        return tier.min(IsaTier::detected());
     }
-    run_on(IsaTier::detected(), task)
+    IsaTier::detected()
+}
+
+/// Runs the first layer's byte-dot row ([`bytedot`]) in the frame the
+/// entered tier selects: `vpdpbusd` where the CPU also has AVX-512 VNNI,
+/// `vpmaddubsw` from AVX2 up, scalar below. The frames are safe
+/// `#[target_feature]` functions there; entering one is the unsafe step.
+#[inline]
+pub(crate) fn byte_row<W: BitWord>(ring: &ByteRing<'_>, sink: &mut BitSink<'_, W, PlaneCuts>) {
+    match entered() {
+        // SAFETY: `Avx512Vpopcntdq` is entered only when detected, which
+        // confirmed `avx2`, `avx512f`, `avx512bw` and `avx512vl`, and the
+        // guard confirms `avx512vnni`: every feature `row_vnni` enables.
+        #[cfg(target_arch = "x86_64")]
+        IsaTier::Avx512Vpopcntdq if is_x86_feature_detected!("avx512vnni") => unsafe {
+            bytedot::row_vnni(ring, sink)
+        },
+        // SAFETY: at least `Avx2` was detected, which means `avx2`, the one
+        // feature `row_avx2` enables.
+        #[cfg(target_arch = "x86_64")]
+        IsaTier::Avx2 | IsaTier::Avx512Vpopcntdq => unsafe { bytedot::row_avx2(ring, sink) },
+        _ => bytedot::row_portable(ring, sink),
+    }
 }
 
 /// [`run`] on `tier`, or on the detected tier when the CPU does not reach
@@ -194,8 +238,9 @@ mod tests {
     use crate::kernels::bconv::window_dot;
     use crate::kernels::bgemm::{flatten_filters, pack_windows};
     use crate::kernels::bitplane::{bitplane_row, PlaneBank, PlaneStream};
+    use crate::kernels::bytedot::ByteBank;
     use crate::kernels::dense::compute_dense_bin;
-    use crate::kernels::fconv::{compute_fconv, fconv_row};
+    use crate::kernels::fconv::{compute_fconv, fconv_row, FloatBank};
     use crate::kernels::tiled::{conv_row_tiled, tile_filters, WindowGather};
 
     thread_local! {
@@ -582,6 +627,86 @@ mod tests {
         packs_decisions(&packed, sums, fused)
     }
 
+    /// The byte dot against `bitplane_row`, its oracle: over every row of a
+    /// random two-image input, the decided bits on every tier, packed into
+    /// `u8`..`u64` output words, equal `bitplane_row`'s sums (through an
+    /// [`AccumSink`]) thresholded by `decide_logic`.
+    #[allow(clippy::too_many_arguments)]
+    fn byte_row_case(
+        h: usize,
+        w: usize,
+        c: usize,
+        k: usize,
+        kernel: usize,
+        stride: usize,
+        pad: usize,
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        if h + 2 * pad < kernel || w + 2 * pad < kernel {
+            return Ok(());
+        }
+        let mut rng = seed;
+        let s = Shape4::new(2, h, w, c);
+        let mut image = Tensor::<u8>::zeros(s, Layout::Nhwc);
+        for v in image.as_mut_slice() {
+            *v = next(&mut rng) as u8;
+        }
+        let planes = BitPlanes::<u8>::split(&image);
+        let filters = random_filters::<u8>(FilterShape::new(k, kernel, kernel, c), 5, &mut rng);
+        let (plane_bank, bank) = (PlaneBank::column_major(&filters), ByteBank::new(&filters));
+        let geom = ConvGeometry::square(kernel, stride, pad);
+        let (oh, ow) = geom.output_hw(h, w);
+        let bits = kernel * kernel * c;
+        let fused = random_fused(k, (32.0 * (bits as f32).sqrt()).round(), &mut rng);
+        let cuts = PlaneCuts::new(&fused, bits);
+        // One scratch of each across rows, images and tiers, as a worker
+        // keeps it.
+        let mut stream = PlaneStream::new(&plane_bank, &geom, w);
+        let mut ring = ByteRing::new(&bank, &geom, s);
+        for (n, oy) in (0..2).flat_map(|n| (0..oh).map(move |oy| (n, oy))) {
+            let mut sums = vec![i32::MIN; ow * k];
+            let mut sink = record(&mut sums, k);
+            on_tier(Some(IsaTier::Portable), || {
+                bitplane_row(
+                    &planes,
+                    &plane_bank,
+                    &geom,
+                    &mut stream,
+                    n,
+                    oy,
+                    ow,
+                    &mut sink,
+                )
+            });
+            let row = (image.as_slice(), n, oy, ow);
+            byte_row_packs::<u8>(row, &mut ring, &cuts, &sums, &fused)?;
+            byte_row_packs::<u16>(row, &mut ring, &cuts, &sums, &fused)?;
+            byte_row_packs::<u32>(row, &mut ring, &cuts, &sums, &fused)?;
+            byte_row_packs::<u64>(row, &mut ring, &cuts, &sums, &fused)?;
+        }
+        Ok(())
+    }
+
+    /// Checks that the byte dot packs output row `(n, oy)` of `ow` pixels
+    /// into `O` words alike on every tier, and as `decide_logic` of `sums`.
+    #[allow(clippy::type_complexity)]
+    fn byte_row_packs<O: BitWord>(
+        (image, n, oy, ow): (&[u8], usize, usize, usize),
+        ring: &mut ByteRing<'_>,
+        cuts: &PlaneCuts,
+        sums: &[i32],
+        fused: &FusedBn,
+    ) -> Result<(), TestCaseError> {
+        let wpp = fused.len().div_ceil(O::BITS);
+        let packed = same_on_every_tier(|tier| {
+            let mut out = vec![O::zero(); ow * wpp];
+            let mut sink = BitSink::new(cuts, &mut out, wpp);
+            on_tier(tier, || ring.decide_row(image, (n, oy), &mut sink));
+            out
+        })?;
+        packs_decisions(&packed, sums, fused)
+    }
+
     /// Every `(i, j, ch)` of a square `kernel`-tap, `c`-channel window.
     fn taps(kernel: usize, c: usize) -> impl Iterator<Item = (usize, usize, usize)> {
         (0..kernel * kernel * c).map(move |t| (t / (kernel * c), t / c % kernel, t % c))
@@ -638,43 +763,58 @@ mod tests {
         let geom = ConvGeometry::square(kernel, stride, pad);
         let (oh, ow) = geom.output_hw(h, w);
         let os = Shape4::new(2, oh, ow, k);
+        let bank = FloatBank::new(&filters);
         // Bit for bit: outputs are compared as their `u32` patterns.
-        let portable = same_on_every_tier(|tier| {
+        let rows = |tier| {
             let mut out = Tensor::from_fn(os, |_, _, _, _| f32::NAN);
-            match tier {
-                None => compute_fconv(&input, &filters, &bias, act, &geom, &mut out),
-                Some(tier) => {
-                    for (row_idx, row) in out.as_mut_slice().chunks_exact_mut(ow * k).enumerate() {
-                        let (n, oy) = (row_idx / oh, row_idx % oh);
-                        let pixels = input.as_slice();
-                        run_on(
-                            tier,
-                            #[inline(always)]
-                            || fconv_row(pixels, shape, &filters, &bias, act, &geom, n, oy, row),
-                        );
-                    }
-                }
+            for (row_idx, row) in out.as_mut_slice().chunks_exact_mut(ow * k).enumerate() {
+                let (n, oy) = (row_idx / oh, row_idx % oh);
+                let pixels = input.as_slice();
+                run_on(
+                    tier,
+                    #[inline(always)]
+                    || fconv_row(pixels, shape, &bank, &bias, act, &geom, n, oy, row),
+                );
             }
             out.as_slice()
                 .iter()
                 .map(|v| v.to_bits())
                 .collect::<Vec<_>>()
+        };
+        let portable = same_on_every_tier(|tier| match tier {
+            None => {
+                let mut out = Tensor::from_fn(os, |_, _, _, _| f32::NAN);
+                compute_fconv(&input, &bank, &bias, act, &geom, &mut out);
+                out.as_slice().iter().map(|v| v.to_bits()).collect()
+            }
+            Some(tier) => rows(tier),
         })?;
-        // And right: an `f64` direct convolution, to 1e-5 of the magnitude
-        // summed.
         for (at, &got) in portable.iter().enumerate() {
             let (n, oy, ox, kk) = (at / (oh * ow * k), at / (ow * k) % oh, at / k % ow, at % k);
-            let (mut sum, mut magnitude) = (f64::from(bias[kk]), f64::from(bias[kk].abs()));
+            // Equal to the naive sequential dot: the in-bounds taps in
+            // order, the bias added last.
+            let (mut dot, mut sum, mut magnitude) = (0f32, 0f64, f64::from(bias[kk].abs()));
             for (i, j, ch) in taps(kernel, c) {
                 let (iy, ix) = (oy * stride + i, ox * stride + j);
                 if (pad..h + pad).contains(&iy) && (pad..w + pad).contains(&ix) {
-                    let product = f64::from(input.at(n, iy - pad, ix - pad, ch))
-                        * f64::from(filters.at(kk, i, j, ch));
-                    sum += product;
-                    magnitude += product.abs();
+                    let (x, wt) = (
+                        input.at(n, iy - pad, ix - pad, ch),
+                        filters.at(kk, i, j, ch),
+                    );
+                    dot += x * wt;
+                    sum += f64::from(x) * f64::from(wt);
+                    magnitude += (f64::from(x) * f64::from(wt)).abs();
                 }
             }
-            let expect = f64::from(act.apply(sum as f32));
+            let naive = act.apply(bias[kk] + dot);
+            prop_assert!(
+                got == naive.to_bits(),
+                "n {n} oy {oy} ox {ox} k {kk}: {} != naive {naive}",
+                f32::from_bits(got)
+            );
+            // And right: an `f64` direct convolution, to 1e-5 of the
+            // magnitude summed.
+            let expect = f64::from(act.apply((f64::from(bias[kk]) + sum) as f32));
             let got = f64::from(f32::from_bits(got));
             prop_assert!(
                 (got - expect).abs() <= 1e-5 * magnitude.max(1.0),
@@ -682,6 +822,137 @@ mod tests {
             );
         }
         Ok(())
+    }
+
+    /// The float head's previous host body, kept to time against: per
+    /// (pixel, filter) one dot product, element `e` into lane `e % 16`, the
+    /// lanes added pairwise.
+    #[inline(always)]
+    fn lane_pairwise_row(pixels: &[f32], filters: &Filters, bias: &[f32], row: &mut [f32]) {
+        let c = filters.shape().c;
+        for (x, outputs) in pixels.chunks_exact(c).zip(row.chunks_exact_mut(bias.len())) {
+            for (k, (output, &b)) in outputs.iter_mut().zip(bias).enumerate() {
+                let mut acc = [0f32; 16];
+                let (x_body, x_tail) = x.as_chunks::<16>();
+                let (w_body, w_tail) = filters.filter(k).as_chunks::<16>();
+                for (x, w) in x_body.iter().zip(w_body) {
+                    for l in 0..16 {
+                        acc[l] += x[l] * w[l];
+                    }
+                }
+                for ((a, x), w) in acc.iter_mut().zip(x_tail).zip(w_tail) {
+                    *a += x * w;
+                }
+                let mut width = 8;
+                while width > 0 {
+                    for l in 0..width {
+                        acc[l] += acc[l + width];
+                    }
+                    width /= 2;
+                }
+                *output = b + acc[0];
+            }
+        }
+    }
+
+    /// Best wall ms of `f` over 21 runs: a slow phase of a shared host
+    /// lasts longer than one run.
+    fn best_ms(mut f: impl FnMut()) -> f64 {
+        (0..21)
+            .map(|_| {
+                let t0 = std::time::Instant::now();
+                f();
+                t0.elapsed().as_secs_f64() * 1e3
+            })
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// Per-tier wall ms of both host bodies against the ones they replaced,
+    /// at YOLOv2-Tiny's shapes, every row on this thread:
+    /// `cargo test --release -p phonebit-nn -- --ignored --nocapture per_tier_timing`
+    /// (pin it with `taskset -c 1` for steadier numbers).
+    #[test]
+    #[ignore = "timing table, release builds only"]
+    fn per_tier_timing() {
+        let mut rng = 2020;
+        // conv1: 416×416×3 → 16, 3×3 pad 1; the bit-plane path splits first.
+        let s = Shape4::new(1, 416, 416, 3);
+        let mut image = Tensor::<u8>::zeros(s, Layout::Nhwc);
+        for v in image.as_mut_slice() {
+            *v = next(&mut rng) as u8;
+        }
+        let filters = random_filters::<u8>(FilterShape::new(16, 3, 3, 3), 9, &mut rng);
+        let geom = ConvGeometry::square(3, 1, 1);
+        let (plane_bank, bank) = (PlaneBank::column_major(&filters), ByteBank::new(&filters));
+        let cuts = PlaneCuts::new(&FusedBn::identity(16), 27);
+        let mut planes = BitPlanes::<u8>::empty(s);
+        let mut out = vec![0u16; 416 * 416];
+        // conv9: 13×13×1024 → 125, 1×1.
+        let fs = Shape4::new(1, 13, 13, 1024);
+        let pixels: Vec<f32> = (0..fs.len()).map(|_| unit(&mut rng)).collect();
+        let head = Filters::from_fn(FilterShape::new(125, 1, 1, 1024), |_, _, _, _| {
+            unit(&mut rng)
+        });
+        let (bias, head_bank) = (vec![0.5f32; 125], FloatBank::new(&head));
+        let one = ConvGeometry::square(1, 1, 0);
+        let mut floats = vec![0f32; 13 * 13 * 125];
+        println!("tier             conv1 split+planes  byte dot   conv9 pairwise  lanes");
+        for tier in tiers() {
+            let bitplane = best_ms(|| {
+                planes.split_from(&image);
+                let mut stream = PlaneStream::new(&plane_bank, &geom, 416);
+                for (oy, row) in out.chunks_exact_mut(416).enumerate() {
+                    let mut sink = BitSink::new(&cuts, row, 1);
+                    on_tier(Some(tier), || {
+                        bitplane_row(
+                            &planes,
+                            &plane_bank,
+                            &geom,
+                            &mut stream,
+                            0,
+                            oy,
+                            416,
+                            &mut sink,
+                        )
+                    });
+                }
+            });
+            let bytes = best_ms(|| {
+                let mut ring = ByteRing::new(&bank, &geom, s);
+                for (oy, row) in out.chunks_exact_mut(416).enumerate() {
+                    let mut sink = BitSink::new(&cuts, row, 1);
+                    on_tier(Some(tier), || {
+                        ring.decide_row(image.as_slice(), (0, oy), &mut sink)
+                    });
+                }
+            });
+            let pairwise = best_ms(|| {
+                for (x, row) in pixels
+                    .chunks_exact(13 * 1024)
+                    .zip(floats.chunks_exact_mut(13 * 125))
+                {
+                    run_on(
+                        tier,
+                        #[inline(always)]
+                        || lane_pairwise_row(x, &head, &bias, row),
+                    );
+                }
+            });
+            let lanes = best_ms(|| {
+                for (oy, row) in floats.chunks_exact_mut(13 * 125).enumerate() {
+                    let act = Activation::Linear;
+                    run_on(
+                        tier,
+                        #[inline(always)]
+                        || fconv_row(&pixels, fs, &head_bank, &bias, act, &one, 0, oy, row),
+                    );
+                }
+            });
+            println!(
+                "{:<16} {bitplane:>18.2} {bytes:>9.2} {pairwise:>15.2} {lanes:>9.2}",
+                tier.name()
+            );
+        }
     }
 
     // Each property enters the one generic driver on every tier the CPU has
@@ -779,13 +1050,29 @@ mod tests {
             h in 1usize..6,
             w in 1usize..7,
             c in prop::sample::select(vec![1usize, 3, 16, 37, 70]),
-            k in 1usize..7,
+            // One group's tail, one and a tail, YOLO conv9's 125.
+            k in prop::sample::select(vec![1usize, 10, 17, 125]),
             kernel in prop::sample::select(vec![1usize, 3]),
             stride in 1usize..3,
             pad in 0usize..3,
             seed in any::<u64>(),
         ) {
             fconv_case(h, w, c, k, kernel, stride, pad, seed)?;
+        }
+
+        // The byte dot: runs that are not a multiple of 4 bytes, lane tails.
+        #[test]
+        fn dispatched_byte_row_equals_bitplane_row(
+            h in 1usize..7,
+            w in 1usize..8,
+            c in prop::sample::select(vec![1usize, 3, 4, 5]),
+            k in prop::sample::select(vec![8usize, 16, 24, 40]),
+            kernel in prop::sample::select(vec![1usize, 3, 5, 11]),
+            stride in prop::sample::select(vec![1usize, 2, 4]),
+            pad in 0usize..3,
+            seed in any::<u64>(),
+        ) {
+            byte_row_case(h, w, c, k, kernel, stride, pad, seed)?;
         }
 
         #[test]

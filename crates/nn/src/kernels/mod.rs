@@ -8,6 +8,7 @@
 pub mod bconv;
 pub mod bgemm;
 pub mod bitplane;
+pub mod bytedot;
 pub mod dense;
 pub mod fconv;
 pub mod fused;

@@ -20,7 +20,7 @@
 //! channels (at `u8`, an RGB pixel's 8 bytes) and the first-layer kernel
 //! reads a pixel's planes with one load.
 
-use crate::bits::{BitWord, PackWidth};
+use crate::bits::BitWord;
 use crate::shape::Shape4;
 use crate::tensor::Tensor;
 
@@ -101,53 +101,6 @@ impl<W: BitWord> BitPlanes<W> {
     pub fn byte_len(&self) -> usize {
         std::mem::size_of_val(&self.words[..])
     }
-}
-
-/// A plane set at the word [`PackWidth::select`] packs its channel count
-/// into — the footprint a plan reserves for it; [`with_planes!`](crate::with_planes)
-/// hands it to width-generic code.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PlaneSet {
-    /// C ≤ 8: every zoo input.
-    W8(BitPlanes<u8>),
-    /// C ≤ 16.
-    W16(BitPlanes<u16>),
-    /// C ≤ 32.
-    W32(BitPlanes<u32>),
-    /// Wider.
-    W64(BitPlanes<u64>),
-}
-
-impl PlaneSet {
-    /// All-zero planes of `shape` at its selected width.
-    pub fn empty(shape: Shape4) -> Self {
-        match PackWidth::select(shape.c) {
-            PackWidth::W8 => Self::W8(BitPlanes::empty(shape)),
-            PackWidth::W16 => Self::W16(BitPlanes::empty(shape)),
-            PackWidth::W32 => Self::W32(BitPlanes::empty(shape)),
-            PackWidth::W64 => Self::W64(BitPlanes::empty(shape)),
-        }
-    }
-
-    /// [`BitPlanes::byte_len`] of the set.
-    pub fn byte_len(&self) -> usize {
-        crate::with_planes!(self, |planes| planes.byte_len())
-    }
-}
-
-/// Evaluates `$body` with `$planes` bound to the [`BitPlanes`] inside a
-/// [`PlaneSet`] (or a reference to one), whatever its word.
-#[macro_export]
-macro_rules! with_planes {
-    ($set:expr, |$planes:ident| $body:expr) => {{
-        use $crate::bitplane::PlaneSet::*;
-        match $set {
-            W8($planes) => $body,
-            W16($planes) => $body,
-            W32($planes) => $body,
-            W64($planes) => $body,
-        }
-    }};
 }
 
 /// An 8×8 bit-matrix transpose (Hacker's Delight §7-3) as three block
@@ -272,7 +225,7 @@ mod tests {
     }
 
     #[test]
-    fn every_width_splits_to_the_same_bits_and_a_set_takes_the_selected_one() {
+    fn every_width_splits_to_the_same_bits() {
         for c in [1, 3, 8, 9, 16, 17, 33, 70] {
             let t = image(Shape4::new(2, 3, 4, c));
             let by_bytes = BitPlanes::<u8>::split(&t);
@@ -284,12 +237,6 @@ mod tests {
             same(&by_bytes, &BitPlanes::<u16>::split(&t), c);
             same(&by_bytes, &BitPlanes::<u32>::split(&t), c);
             same(&by_bytes, &BitPlanes::<u64>::split(&t), c);
-            let width = PackWidth::select(c);
-            let set = PlaneSet::empty(t.shape());
-            assert_eq!(
-                set.byte_len(),
-                8 * 24 * width.words_for(c) * width.bits() / 8
-            );
         }
     }
 

@@ -16,6 +16,13 @@
 # (`xmm`/`ymm`) `vpopcntd` per eight on `zmm` fails. The one allowed is the
 # per-pixel popcount of the eight planes; the split seen at one codegen unit
 # (LLVM vectorising the planes, not the filters) is 17 narrow and none wide.
+# The first layer's byte dot has frames of its own
+# (crates/nn/src/kernels/bytedot.rs): `row_vnni` must hold `vpdpbusd` on
+# `zmm`, `row_avx2` `vpmaddubsw`, and neither a gather. The float head runs
+# in `isa::run_avx512` too: those frames must hold packed `vmulps` and
+# `vaddps` on `zmm` (sixteen filters per vector; scalar `vmulss` there is a
+# split tile).
+#
 # Run it on a default build and on one built with
 # CARGO_PROFILE_RELEASE_CODEGEN_UNITS=1, as CI does.
 #
@@ -30,13 +37,19 @@ objdump -d --no-show-raw-insn -C "$bin" | awk '
     />:$/ { frame = $1 " " $2; avx512 = frame ~ /isa::run_avx512/ }
     avx512 && /vpopcntq/ { vpopcntq++ }
     avx512 && /vpopcntd/ { vpopcntd++; if (/zmm/) wide[frame]++; else narrow[frame]++ }
-    avx512 && $2 ~ /^vp?gather/ { gather++; by[$2]++ }
+    avx512 && /vmulps.*zmm/ { vmulps++ }
+    avx512 && /vaddps.*zmm/ { vaddps++ }
+    frame ~ /bytedot::row_vnni/ && /vpdpbusd.*zmm/ { vpdpbusd++ }
+    frame ~ /bytedot::row_avx2/ && /vpmaddubsw/ { vpmaddubsw++ }
+    (avx512 || frame ~ /bytedot::row_/) && $2 ~ /^vp?gather/ { gather++; by[$2]++ }
     frame ~ /isa::run_popcnt/ && /[ \t]popcnt/ { popcnt++ }
     END {
         gathers = ""
         for (m in by) gathers = gathers sprintf(" (%s %d)", m, by[m])
-        printf "isa::run_avx512: %d vpopcntq, %d vpopcntd, %d gathers%s; isa::run_popcnt: %d popcnt\n",
-            vpopcntq, vpopcntd, gather, gathers, popcnt
+        printf "isa::run_avx512: %d vpopcntq, %d vpopcntd, %d vmulps zmm, %d vaddps zmm; isa::run_popcnt: %d popcnt\n",
+            vpopcntq, vpopcntd, vmulps, vaddps, popcnt
+        printf "bytedot: %d vpdpbusd zmm (row_vnni), %d vpmaddubsw (row_avx2); %d gathers%s\n",
+            vpdpbusd, vpmaddubsw, gather, gathers
         splits = 0
         for (f in narrow) {
             if (narrow[f] * 8 > wide[f]) {
@@ -44,5 +57,6 @@ objdump -d --no-show-raw-insn -C "$bin" | awk '
                 splits++
             }
         }
-        exit !(vpopcntq > 0 && vpopcntd > 0 && gather == 0 && popcnt > 0 && splits == 0)
+        exit !(vpopcntq > 0 && vpopcntd > 0 && gather == 0 && popcnt > 0 && splits == 0 \
+            && vmulps > 0 && vaddps > 0 && vpdpbusd > 0 && vpmaddubsw > 0)
     }'

@@ -65,7 +65,9 @@ fn integer_conv(img: &Tensor<u8>, f: &Filters, geom: &ConvGeometry) -> Tensor<i3
 }
 
 /// `bitplane_conv_accum` == `expect`, and `bitplane_conv_fused_into` == accum →
-/// `decide_logic`, at word width `W`.
+/// `decide_logic`, at word width `W`; the engine's first-layer entries — the
+/// byte dot's split step and both fused `in8` chains, with and without the
+/// pool a `FusionMode::Force` plan folds in — decide the same bits.
 fn first_layer_matches<W: BitWord>(
     img: &Tensor<u8>,
     f: &Filters,
@@ -74,6 +76,9 @@ fn first_layer_matches<W: BitWord>(
     expect: &Tensor<i32>,
 ) -> Result<(), TestCaseError> {
     use phonebit::nn::kernels::bitplane::{bitplane_conv_accum, bitplane_conv_fused_into};
+    use phonebit::nn::kernels::bytedot::{byte_conv_into, ByteBank};
+    use phonebit::nn::kernels::fused::in8_bconv_chain_into;
+    use phonebit::nn::kernels::pool::{maxpool_bits, PoolGeometry};
     let mut q = phonebit::gpusim::CommandQueue::new(
         phonebit::gpusim::DeviceProfile::adreno_640(),
         phonebit::gpusim::ExecutorClass::PhoneBitOpenCl,
@@ -93,6 +98,26 @@ fn first_layer_matches<W: BitWord>(
             W::BITS
         );
     }
+    let bank = ByteBank::new(&packed);
+    let (mut bytes, mut ring) = (BitTensor::<W>::zeros(Shape4::new(0, 0, 0, 0)), bits.clone());
+    byte_conv_into(&mut q, img, &bank, fused, geom, &mut bytes);
+    prop_assert!(bytes == bits, "W={}: byte dot", W::BITS);
+    in8_bconv_chain_into(&mut q, img, &bank, fused, geom, None, &mut ring, &mut bytes);
+    prop_assert!(bytes == bits, "W={}: in8 chain", W::BITS);
+    let s = bits.shape();
+    let pool = PoolGeometry::new(2.min(s.h).min(s.w), 2);
+    let pooled = maxpool_bits(&mut q, &bits, &pool);
+    in8_bconv_chain_into(
+        &mut q,
+        img,
+        &bank,
+        fused,
+        geom,
+        Some(&pool),
+        &mut ring,
+        &mut bytes,
+    );
+    prop_assert!(bytes == pooled, "W={}: in8 chain with a pool", W::BITS);
     Ok(())
 }
 
