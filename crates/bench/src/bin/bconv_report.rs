@@ -37,6 +37,7 @@ use phonebit_nn::kernels::bconv::{
 };
 use phonebit_nn::kernels::bitplane::{bitplane_conv_accum, compute_bitplane_conv_fused, PlaneBank};
 use phonebit_nn::kernels::bytedot::{compute_byte_conv, ByteBank};
+use phonebit_nn::kernels::compute_pack_input;
 use phonebit_nn::kernels::fconv::{compute_fconv, FloatBank};
 use phonebit_nn::kernels::isa::IsaTier;
 use phonebit_tensor::bitplane::BitPlanes;
@@ -82,7 +83,8 @@ fn main() {
     // count to keep the tail-word path honest, and the window sizes a kernel
     // change must be A/B-ed on (verify skill): VGG16's 9-, 36- and 72-word
     // windows, and YOLO's 13x13 conv7, where over a quarter of the pixels
-    // touch the border.
+    // touch the border. YOLO's conv2 (C = 16) is the thin row: three dense
+    // 48-bit kernel rows per window, shifted out of the row ring.
     let shapes: &[(&str, usize, usize, usize)] = &[
         ("conv3_104x104_c64_k64", 104, 64, 64),
         ("conv4_52x52_c128_k128", 52, 128, 128),
@@ -92,6 +94,7 @@ fn main() {
         ("vgg_conv3_2_56x56_c256_k256", 56, 256, 256),
         ("vgg_conv4_2_28x28_c512_k512", 28, 512, 512),
         ("yolo_conv7_13x13_c512_k1024", 13, 512, 1024),
+        ("yolo_conv2_208x208_c16_k32", 208, 16, 32),
     ];
     let geom = ConvGeometry::square(3, 1, 1);
 
@@ -118,7 +121,14 @@ fn main() {
                 -1.0
             }
         });
-        let packed_in = pack_f32::<u64>(&input);
+        // Packed as the engine packs a float input (`isa::pack_window`).
+        let mut packed_in = BitTensor::<u64>::zeros(input.shape());
+        compute_pack_input(std::slice::from_ref(&input), input.shape(), &mut packed_in);
+        assert_eq!(
+            packed_in,
+            pack_f32(&input),
+            "sign-pack sweep diverged on {name}"
+        );
         let packed_f = pack_filters::<u64>(&filters);
         // Staged once, as the engine stages it.
         let bank = LaneBank::new(&packed_f);

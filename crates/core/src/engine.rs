@@ -56,7 +56,7 @@ use phonebit_nn::kernels::{
 use phonebit_tensor::bits::BitTensor;
 use phonebit_tensor::dict::FilterDict;
 use phonebit_tensor::lanes::LaneBank;
-use phonebit_tensor::shape::{FilterShape, Layout, Shape4};
+use phonebit_tensor::shape::{ConvGeometry, FilterShape, Layout, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
 use crate::estimate::walk_plan;
@@ -358,7 +358,8 @@ impl StagedModel {
     /// Returns [`EngineError::OutOfMemory`] when the weights alone exceed
     /// the remaining budget, [`EngineError::DomainMismatch`] when the
     /// model's layer chain is domain-inconsistent, or
-    /// [`EngineError::Unsupported`] for a corrupt layer or too wide a first one.
+    /// [`EngineError::Unsupported`] for a corrupt layer, a window larger than
+    /// its input or too wide a first layer.
     ///
     /// # Panics
     ///
@@ -369,6 +370,7 @@ impl StagedModel {
         batch: usize,
         overrides: &RouteOverrides,
     ) -> Result<Arc<Self>, EngineError> {
+        check_windows(&model)?;
         let plan = ExecutionPlan::for_model(&model, ctx.device(), batch, overrides)?;
         Self::stage_plan(model, ctx, plan)
     }
@@ -1121,6 +1123,36 @@ impl Session {
     }
 }
 
+/// Refuses a model with a convolution or pool window larger than its
+/// (padded) input — lowering sizes every value assuming each window fits.
+pub(crate) fn check_windows(model: &PbitModel) -> Result<(), EngineError> {
+    let (mut h, mut w) = (model.input.h, model.input.w);
+    for layer in &model.layers {
+        let geom = match layer {
+            PbitLayer::BConvInput8 { geom, .. }
+            | PbitLayer::BConv { geom, .. }
+            | PbitLayer::FConv { geom, .. } => *geom,
+            PbitLayer::MaxPoolBits { geom, .. } | PbitLayer::MaxPoolF32 { geom, .. } => {
+                ConvGeometry::square(geom.size, geom.stride, 0)
+            }
+            PbitLayer::DenseBin { .. } | PbitLayer::DenseFloat { .. } => {
+                (h, w) = (1, 1);
+                continue;
+            }
+            PbitLayer::Softmax => continue,
+        };
+        let (ph, pw) = (h + 2 * geom.pad_h, w + 2 * geom.pad_w);
+        if ph < geom.kh || pw < geom.kw {
+            return Err(EngineError::Unsupported {
+                layer: layer.name().to_string(),
+                reason: format!("a {}x{} window over a {ph}x{pw} input", geom.kh, geom.kw),
+            });
+        }
+        (h, w) = geom.output_hw(h, w);
+    }
+    Ok(())
+}
+
 /// Checks `layer` against itself and its planned input `s` — one threshold
 /// or bias per filter, the geometry's taps, the input's channels — so a
 /// corrupt model fails to stage instead of panicking in a kernel.
@@ -1741,6 +1773,21 @@ mod tests {
 
     fn alexnet_micro() -> NetworkArch {
         phonebit_models::zoo::alexnet_micro(phonebit_models::zoo::Variant::Binary)
+    }
+
+    #[test]
+    fn a_window_past_its_input_is_refused_at_staging() {
+        // AlexNet-micro's pool3 sees 8x8, conv2 a padded 18x18.
+        let reason = staging_refusal(&alexnet_micro(), "pool3", |layer| match layer {
+            PbitLayer::MaxPoolBits { geom, .. } => geom.size = 9,
+            _ => unreachable!(),
+        });
+        assert!(reason.contains("9x9 window over a 8x8"), "{reason}");
+        let reason = staging_refusal(&alexnet_micro(), "conv2", |layer| match layer {
+            PbitLayer::BConv { geom, .. } => geom.kw = 19,
+            _ => unreachable!(),
+        });
+        assert!(reason.contains("window"), "{reason}");
     }
 
     #[test]

@@ -283,14 +283,30 @@ impl<'a> Reader<'a> {
     }
 
     fn geom(&mut self) -> Result<ConvGeometry, FormatError> {
-        Ok(ConvGeometry {
+        let geom = ConvGeometry {
             kh: self.u32()?,
             kw: self.u32()?,
             stride_h: self.u32()?,
             stride_w: self.u32()?,
             pad_h: self.u32()?,
             pad_w: self.u32()?,
-        })
+        };
+        if [geom.kh, geom.kw, geom.stride_h, geom.stride_w].contains(&0) {
+            return Err(FormatError::BadData(format!(
+                "zero kernel or stride: {geom:?}"
+            )));
+        }
+        Ok(geom)
+    }
+
+    fn pool(&mut self) -> Result<PoolGeometry, FormatError> {
+        let (size, stride) = (self.u32()?, self.u32()?);
+        if size == 0 || stride == 0 {
+            return Err(FormatError::BadData(format!(
+                "pool size {size}, stride {stride}"
+            )));
+        }
+        Ok(PoolGeometry::new(size, stride))
     }
 
     fn f32s(&mut self) -> Result<Vec<f32>, FormatError> {
@@ -401,11 +417,11 @@ pub fn read_model(payload: &[u8]) -> Result<PbitModel, FormatError> {
             },
             4 => PbitLayer::MaxPoolBits {
                 name: r.string()?,
-                geom: PoolGeometry::new(r.u32()?, r.u32()?),
+                geom: r.pool()?,
             },
             5 => PbitLayer::MaxPoolF32 {
                 name: r.string()?,
-                geom: PoolGeometry::new(r.u32()?, r.u32()?),
+                geom: r.pool()?,
             },
             6 => PbitLayer::DenseBin {
                 name: r.string()?,
@@ -574,6 +590,52 @@ mod tests {
         let tag = p.len() - (4 + 4 + 6 * 4 + 5 * 4) - 1;
         p[tag] = 3;
         assert_eq!(read_model(&p), Err(FormatError::UnexpectedEof));
+    }
+
+    #[test]
+    fn zero_kernels_strides_and_pools_are_bad_data() {
+        // One layer of `tag` whose geometry is `fields`, nothing after it:
+        // the geometry is refused before anything else is read.
+        let payload = |tag: u8, fields: &[u32]| {
+            let mut p = write_model(&PbitModel {
+                name: "hostile".into(),
+                input: Shape4::new(1, 4, 4, 3),
+                layers: vec![],
+            });
+            let count = p.len() - 4;
+            p[count..].copy_from_slice(&1u32.to_le_bytes());
+            p.put_u8(tag);
+            put_string(&mut p, "layer");
+            fields.iter().for_each(|&v| p.put_u32_le(v));
+            p
+        };
+        for fields in [
+            [0, 3, 1, 1, 1, 1],
+            [3, 0, 1, 1, 1, 1],
+            [3, 3, 0, 1, 1, 1],
+            [3, 3, 1, 0, 0, 0],
+        ] {
+            for tag in [1, 2, 3] {
+                let got = read_model(&payload(tag, &fields));
+                assert!(
+                    matches!(got, Err(FormatError::BadData(_))),
+                    "{tag} {fields:?}: {got:?}"
+                );
+            }
+        }
+        for fields in [[0, 2], [2, 0], [0, 0]] {
+            for tag in [4, 5] {
+                let got = read_model(&payload(tag, &fields));
+                assert!(
+                    matches!(got, Err(FormatError::BadData(_))),
+                    "{tag} {fields:?}: {got:?}"
+                );
+            }
+        }
+        assert!(
+            read_model(&payload(4, &[2, 2])).is_ok(),
+            "a 2x2/2 pool reads"
+        );
     }
 
     #[test]

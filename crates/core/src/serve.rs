@@ -563,7 +563,10 @@ impl PlanSource<'_> {
         overrides: RouteOverrides,
     ) -> Result<ExecutionPlan, EngineError> {
         match self {
-            PlanSource::Model(m) => ExecutionPlan::for_model(m, gpu, batch, &overrides),
+            PlanSource::Model(m) => {
+                crate::engine::check_windows(m)?;
+                ExecutionPlan::for_model(m, gpu, batch, &overrides)
+            }
             PlanSource::Arch(a) => ExecutionPlan::for_arch(a, gpu, batch, &overrides),
         }
         .map_err(EngineError::from)

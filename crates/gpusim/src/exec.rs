@@ -46,7 +46,7 @@ pub fn par_chunks_mut<T: Send>(
 /// is split by `chunk_len` so no two threads alias. Work is partitioned
 /// statically — each of [`host_threads`] workers owns one contiguous run of
 /// chunks, visited in order, the caller the first — and `init` runs once per
-/// worker, so a kernel's scratch (a window gather, a plane stream) is
+/// worker, so a kernel's scratch (a row ring, a plane stream) is
 /// allocated once per dispatch per thread, not once per chunk: the dispatch
 /// allocates nothing proportional to the chunk count (the engine's
 /// steady-state zero-allocation contract extends through kernel bodies).

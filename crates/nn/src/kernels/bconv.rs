@@ -15,8 +15,8 @@
 //!   test checks the cuts against Eqn 9 itself.
 //!
 //! Both direct kernels run on the **tiled hot path** of
-//! [`crate::kernels::tiled`]: zero-padded window gathers reused across all
-//! filters and the lanes-are-outputs microkernel over a bank staged once
+//! [`crate::kernels::tiled`]: windows read from a zero-padded row ring once
+//! for all filters and the lanes-are-outputs microkernel over a bank staged once
 //! ([`LaneBank`]; the `FilterAccess`-taking entries stage per call). The
 //! seed per-tap kernel survives as
 //! [`compute_bconv_fused_reference`] — the bit-exactness oracle and the
@@ -37,7 +37,7 @@ use phonebit_tensor::tensor::Tensor;
 
 use crate::fuse::{AccumSink, BitSink, Cuts, FusedBn};
 use crate::kernels::profiles;
-use crate::kernels::tiled::{conv_row_tiled, WindowGather};
+use crate::kernels::tiled::{conv_row_tiled, RowRing};
 use crate::workload::WorkloadPolicy;
 
 /// Validates the shape agreement of a binary convolution and returns the
@@ -106,9 +106,9 @@ pub fn window_dot<W: BitWord>(
 /// Functional body of the fused kernel, writing packed output bits — the
 /// tiled hot path.
 ///
-/// Work decomposes by **output row**: each worker owns one
-/// [`WindowGather`] scratch buffer, gathers every window once, padding
-/// zero-filled, and reuses it across all `K` filters of the staged `bank`.
+/// Work decomposes by **output row**: each worker owns one [`RowRing`] of
+/// zero-padded input rows, rolled down the image, and reads every window
+/// from it once for all `K` filters of the staged `bank`.
 /// Binarize+pack stays fused: the tile decides Eqn (9) through `Cuts`
 /// derived once here and ORs each 64-filter word into the row span once —
 /// `out` must come in zeroed, as [`bconv_fused_into`] resets it.
@@ -126,12 +126,10 @@ pub fn compute_bconv_fused<W: BitWord>(
     par_chunks_mut_with(
         out.as_mut_words(),
         ow * wpp,
-        || WindowGather::new(geom, bank),
-        |gather, row_idx, row_span| {
-            let n = row_idx / oh;
-            let oy = row_idx % oh;
+        || RowRing::new(geom, input.shape()),
+        |ring, row_idx, row_span| {
             let mut sink = BitSink::new(&cuts, row_span, wpp);
-            conv_row_tiled(input, bank, geom, gather, n, oy, ow, &mut sink);
+            conv_row_tiled(input, bank, ring, (row_idx / oh, row_idx % oh), &mut sink);
         },
     );
 }
@@ -238,15 +236,13 @@ pub fn compute_bconv_accum<W: BitWord>(
     par_chunks_mut_with(
         out.as_mut_slice(),
         ow * k_total,
-        || WindowGather::new(geom, bank),
-        |gather, row_idx, row| {
-            let n = row_idx / oh;
-            let oy = row_idx % oh;
+        || RowRing::new(geom, input.shape()),
+        |ring, row_idx, row| {
             let mut sink = AccumSink {
                 row,
                 channels: k_total,
             };
-            conv_row_tiled(input, bank, geom, gather, n, oy, ow, &mut sink);
+            conv_row_tiled(input, bank, ring, (row_idx / oh, row_idx % oh), &mut sink);
         },
     );
 }

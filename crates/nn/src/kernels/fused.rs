@@ -35,9 +35,9 @@ use phonebit_tensor::tensor::Tensor;
 
 use crate::fuse::{BitSink, Cuts, FusedBn, PlaneCuts};
 use crate::kernels::bytedot::{compute_byte_conv, ByteBank, ByteRing};
-use crate::kernels::pool::PoolGeometry;
+use crate::kernels::pool::{or_pool_row, PoolGeometry};
 use crate::kernels::profiles::{compulsory_input_bytes, words32, PACKED_COALESCING, VEC_LANES_128};
-use crate::kernels::tiled::{conv_row_tiled, WindowGather};
+use crate::kernels::tiled::{conv_row_tiled, RowRing};
 use crate::kernels::{bconv, compute_pack_input, dense};
 use crate::workload::WorkloadPolicy;
 
@@ -199,22 +199,15 @@ fn pooled_rows<W: BitWord>(
             if py >= os.h {
                 continue;
             }
+            let dst = &mut out.as_mut_words()[((n * os.h + py) * os.w) * wpp..][..os.w * wpp];
             for i in 0..pool.size {
                 let src_row = (py * pool.stride + i) % pool.size;
-                for px in 0..os.w {
-                    let dst = out.pixel_offset(n, py, px);
-                    for j in 0..pool.size {
-                        let ix = px * pool.stride + j;
-                        if ix >= conv_ow {
-                            continue;
-                        }
-                        let src = ring.pixel_offset(0, src_row, ix);
-                        for t in 0..wpp {
-                            let merged = out.as_words()[dst + t].or(ring.as_words()[src + t]);
-                            out.as_mut_words()[dst + t] = merged;
-                        }
-                    }
-                }
+                or_pool_row(
+                    dst,
+                    &ring.as_words()[src_row * row_words..][..row_words],
+                    wpp,
+                    pool,
+                );
             }
         }
     }
@@ -232,11 +225,11 @@ pub fn compute_bconv_pool_chain<W: BitWord>(
 ) {
     let s = input.shape();
     let (conv_oh, conv_ow) = geom.output_hw(s.h, s.w);
-    let mut gather = WindowGather::new(geom, bank);
+    let mut rows = RowRing::new(geom, s);
     let cuts = Cuts::new(fused, bank.shape().filter_len());
     pooled_rows(s.n, conv_oh, conv_ow, pool, ring, out, |n, oy, wpp, row| {
         let mut sink = BitSink::new(&cuts, row, wpp);
-        conv_row_tiled(input, bank, geom, &mut gather, n, oy, conv_ow, &mut sink);
+        conv_row_tiled(input, bank, &mut rows, (n, oy), &mut sink);
     });
 }
 

@@ -17,8 +17,8 @@
 //! - **Where the frame boundary is.** `run` is called once per row task
 //!   (`tiled::conv_row_tiled`, `tiled::tile_filters` — the lowered GEMM's
 //!   and the dense layer's — `bitplane::bitplane_row`, `fconv`'s pixel
-//!   rows, `pack_input`), never per word; `byte_row` once per first-layer
-//!   output row.
+//!   rows), never per word; `byte_row` once per first-layer output row,
+//!   `pack_window` once per sign-pack sweep.
 //!   A `#[target_feature]` function cannot be inlined into its caller, so
 //!   the call is the boundary; everything below it — the driver, the
 //!   microkernel, `BitWord::popcount`, the packed-bit sink — is
@@ -32,7 +32,9 @@
 //!   safe only inside a `#[target_feature]` function that enables them, so
 //!   its frames live there: `row_vnni` (`avx512vnni` on top of the
 //!   AVX-512 tier, checked separately) and `row_avx2`. `byte_row` enters
-//!   one of them — its calls are this module's other `unsafe`. The `run_*`
+//!   one of them — its calls are this module's other `unsafe`, with
+//!   `pack_window`'s entry into `kernels::pack_avx512`, the float input's
+//!   sign compare into a mask register. The `run_*`
 //!   frames keep their `enable` lists: adding `avx512vnni` there would
 //!   recompile every binary-body driver for nothing (none uses it) and
 //!   exclude CPUs with the popcount but not the dot product.
@@ -46,7 +48,10 @@
 
 use std::sync::OnceLock;
 
-use phonebit_tensor::bits::BitWord;
+use phonebit_tensor::bits::{BitTensor, BitWord};
+use phonebit_tensor::pack::pack_window_into;
+use phonebit_tensor::shape::Shape4;
+use phonebit_tensor::tensor::Tensor;
 
 use crate::fuse::{BitSink, PlaneCuts};
 use crate::kernels::bytedot::{self, ByteRing};
@@ -160,6 +165,26 @@ pub(crate) fn byte_row<W: BitWord>(ring: &ByteRing<'_>, sink: &mut BitSink<'_, W
     }
 }
 
+/// Runs the sign-pack sweep ([`compute_pack_input`](super::compute_pack_input))
+/// as the entered tier selects: a mask-register compare on AVX-512
+/// (`pack_avx512`, a safe `#[target_feature]` function; entering it is the
+/// unsafe step), the build target's compare below it. No [`run`] frame:
+/// there the loop vectoriser gathered the portable compare across pixels.
+#[inline]
+pub(crate) fn pack_window<W: BitWord>(
+    images: &[Tensor<f32>],
+    shape: Shape4,
+    out: &mut BitTensor<W>,
+) {
+    match entered() {
+        // SAFETY: `Avx512Vpopcntdq` is entered only when detected, which
+        // confirmed `avx512f`, the one feature `pack_avx512` enables.
+        #[cfg(target_arch = "x86_64")]
+        IsaTier::Avx512Vpopcntdq => unsafe { super::pack_avx512(images, shape, out) },
+        _ => pack_window_into(images, shape, out),
+    }
+}
+
 /// [`run`] on `tier`, or on the detected tier when the CPU does not reach
 /// `tier`.
 #[inline]
@@ -235,13 +260,16 @@ mod tests {
 
     use crate::act::Activation;
     use crate::fuse::{AccumSink, BitSink, Cuts, FusedBn, PlaneCuts};
-    use crate::kernels::bconv::window_dot;
+    use crate::kernels::bconv::{compute_bconv_fused, compute_bconv_fused_reference, window_dot};
     use crate::kernels::bgemm::{flatten_filters, pack_windows};
     use crate::kernels::bitplane::{bitplane_row, PlaneBank, PlaneStream};
     use crate::kernels::bytedot::ByteBank;
     use crate::kernels::dense::compute_dense_bin;
     use crate::kernels::fconv::{compute_fconv, fconv_row, FloatBank};
-    use crate::kernels::tiled::{conv_row_tiled, tile_filters, WindowGather};
+    use crate::kernels::fused::{compute_bconv_pool_chain, ring_shape};
+    use crate::kernels::pool::tests::nested_loop_maxpool;
+    use crate::kernels::pool::{compute_maxpool_bits, PoolGeometry};
+    use crate::kernels::tiled::{conv_row_tiled, tile_filters, RowRing};
 
     thread_local! {
         /// The tier [`run`] enters on this thread instead of the detected
@@ -442,13 +470,13 @@ mod tests {
             Cuts::new(fused, filters.shape().filter_len()),
         );
         // One scratch across rows, images and tiers, as a worker keeps it.
-        let mut gather = WindowGather::new(geom, bank);
+        let mut ring = RowRing::new(geom, s);
         for (n, oy) in (0..s.n).flat_map(|n| (0..oh).map(move |oy| (n, oy))) {
             let row = same_on_every_tier(|tier| {
                 let mut out = vec![i32::MIN; ow * k];
                 let mut sink = record(&mut out, k);
                 on_tier(tier, || {
-                    conv_row_tiled(input, bank, geom, &mut gather, n, oy, ow, &mut sink)
+                    conv_row_tiled(input, bank, &mut ring, (n, oy), &mut sink)
                 });
                 out
             })?;
@@ -464,7 +492,7 @@ mod tests {
                 let mut out = vec![W::zero(); ow * wpp];
                 let mut sink = BitSink::new(&cuts, &mut out, wpp);
                 on_tier(tier, || {
-                    conv_row_tiled(input, bank, geom, &mut gather, n, oy, ow, &mut sink)
+                    conv_row_tiled(input, bank, &mut ring, (n, oy), &mut sink)
                 });
                 out
             })?;
@@ -484,6 +512,62 @@ mod tests {
         conv_rows_agree(&input, &filters, &LaneBank::new(&filters), &geom, &fused)?;
         let dict = LaneBank::new(&FilterDict::build(&filters));
         conv_rows_agree(&input, &filters, &dict, &geom, &fused)
+    }
+
+    /// The row ring behind every direct route, at dense width: each row on
+    /// every tier against `window_dot` ([`conv_rows_agree`]: the accum and
+    /// fused sinks), and whole dispatches — `compute_bconv_fused`, and the
+    /// `bconv_pool` chain over a 2×2/2 pool when one fits — on every tier
+    /// against `compute_bconv_fused_reference` (pooled by the nested-loop
+    /// oracle).
+    #[allow(clippy::too_many_arguments)]
+    fn ring_case<W: BitWord>(
+        (h, w): (usize, usize),
+        c: usize,
+        k: usize,
+        kernel: usize,
+        stride: usize,
+        pad: usize,
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let Some((input, filters, geom, fused)) =
+            binary_case::<W>(h, w, c, k, (kernel, kernel), stride, pad, seed)
+        else {
+            return Ok(());
+        };
+        let bank = LaneBank::new(&filters);
+        conv_rows_agree(&input, &filters, &bank, &geom, &fused)?;
+        let (oh, ow) = geom.output_hw(h, w);
+        let mut want = BitTensor::<W>::zeros(Shape4::new(2, oh, ow, k));
+        compute_bconv_fused_reference(&input, &filters, &fused, &geom, &mut want);
+        same_on_every_tier(|tier| {
+            let mut out = BitTensor::<W>::zeros(want.shape());
+            on_tier(tier, || {
+                compute_bconv_fused(&input, &bank, &fused, &geom, &mut out)
+            });
+            out
+        })
+        .and_then(|got| {
+            prop_assert!(got == want, "fused dispatch");
+            Ok(())
+        })?;
+        if oh < 2 || ow < 2 {
+            return Ok(());
+        }
+        let pool = PoolGeometry::new(2, 2);
+        let (ph, pw) = pool.output_hw(oh, ow);
+        let mut pooled = BitTensor::<W>::zeros(Shape4::new(2, ph, pw, k));
+        nested_loop_maxpool(&want, &pool, &mut pooled);
+        let got = same_on_every_tier(|tier| {
+            let mut ring = BitTensor::<W>::zeros(ring_shape(ow, k, &pool));
+            let mut out = BitTensor::<W>::zeros(pooled.shape());
+            on_tier(tier, || {
+                compute_bconv_pool_chain(&input, &bank, &fused, &geom, &pool, &mut ring, &mut out)
+            });
+            out
+        })?;
+        prop_assert!(got == pooled, "bconv_pool chain");
+        Ok(())
     }
 
     /// The lowered route: `pack_windows` rows against the interleaved
@@ -733,6 +817,47 @@ mod tests {
         packs_decisions(portable.as_words(), &dots, &fused)
     }
 
+    /// A window of random floats — zeros of both signs, NaN and ±∞ among
+    /// them — packed on every tier, against the sign rule bit by bit.
+    fn pack_case<W: BitWord>(c: usize, pixels: usize, seed: u64) -> Result<(), TestCaseError> {
+        let mut rng = seed;
+        let special = [
+            0.0,
+            -0.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE,
+        ];
+        let images: Vec<_> = (0..2)
+            .map(|_| {
+                Tensor::from_fn(Shape4::new(1, 1, pixels, c), |_, _, _, _| {
+                    match next(&mut rng) % 8 {
+                        s @ 0..=5 => special[s as usize],
+                        _ => unit(&mut rng),
+                    }
+                })
+            })
+            .collect();
+        let shape = Shape4::new(3, 1, pixels, c);
+        let packed = same_on_every_tier(|tier| {
+            let mut out = BitTensor::<W>::zeros(shape);
+            on_tier(tier, || {
+                crate::kernels::compute_pack_input(&images, shape, &mut out)
+            });
+            out
+        })?;
+        for (n, x, ch) in (0..3 * pixels * c).map(|a| (a / (pixels * c), a / c % pixels, a % c)) {
+            let want = n == 2 || images[n].at(0, 0, x, ch) >= 0.0;
+            prop_assert!(
+                packed.get_bit(n, 0, x, ch) == want,
+                "image {n} pixel {x} channel {ch}"
+            );
+        }
+        prop_assert!(packed.tail_is_clean());
+        Ok(())
+    }
+
     /// A float in `[-1, 1)` with a 16-bit mantissa.
     fn unit(rng: &mut u64) -> f32 {
         (next(rng) % 65536) as f32 / 32768.0 - 1.0
@@ -953,6 +1078,101 @@ mod tests {
                 tier.name()
             );
         }
+        // conv2: 208×208×16 → 32, 3×3 pad 1, and pool1 ahead of it: 2×2/2
+        // over 416×416×16, both on `u64` words as the engine runs them.
+        let s = Shape4::new(1, 208, 208, 16);
+        let input = random_bits::<u64>(s, &mut rng);
+        let filters = random_filters::<u64>(FilterShape::new(32, 3, 3, 16), 9, &mut rng);
+        let cuts = Cuts::new(&FusedBn::identity(32), 144);
+        let (bank, taps) = (LaneBank::new(&filters), tap_padded_bank(&filters));
+        let mut out = vec![0u64; 208 * 208];
+        let mut windows = vec![0u64; 208 * 9];
+        let wide = random_bits::<u64>(Shape4::new(1, 416, 416, 16), &mut rng);
+        let pool = PoolGeometry::new(2, 2);
+        let mut pooled = BitTensor::<u64>::zeros(s);
+        println!("tier             conv2 tap words  dense rows   pool1 nested  row OR");
+        for tier in tiers() {
+            let tap_words = best_ms(|| {
+                for (oy, row) in out.chunks_exact_mut(208).enumerate() {
+                    gather_tap_words(&input, &geom, oy, &mut windows);
+                    let mut sink = BitSink::new(&cuts, row, 1);
+                    on_tier(Some(tier), || tile_filters(&windows, &taps, &mut sink));
+                }
+            });
+            let dense = best_ms(|| {
+                let mut ring = RowRing::new(&geom, s);
+                for (oy, row) in out.chunks_exact_mut(208).enumerate() {
+                    let mut sink = BitSink::new(&cuts, row, 1);
+                    on_tier(Some(tier), || {
+                        conv_row_tiled(&input, &bank, &mut ring, (0, oy), &mut sink)
+                    });
+                }
+            });
+            // The pool bodies run outside any `isa` frame: one row per tier.
+            let nested = best_ms(|| nested_loop_maxpool(&wide, &pool, &mut pooled));
+            let row_or = best_ms(|| compute_maxpool_bits(&wide, &pool, &mut pooled));
+            println!(
+                "{:<16} {tap_words:>15.2} {dense:>11.2} {nested:>14.2} {row_or:>7.2}",
+                tier.name()
+            );
+        }
+        // VGG16's body input: one 224×224×64 float image sign-packed.
+        let s = Shape4::new(1, 224, 224, 64);
+        let image = [Tensor::from_fn(s, |_, _, _, _| unit(&mut rng))];
+        let mut bits = BitTensor::<u64>::zeros(s);
+        println!("tier             pack 224²×64 in run  dispatched");
+        for tier in tiers() {
+            let framed = best_ms(|| {
+                run_on(
+                    tier,
+                    #[inline(always)]
+                    || pack_window_into(&image, s, &mut bits),
+                )
+            });
+            let dispatched = best_ms(|| {
+                on_tier(Some(tier), || {
+                    crate::kernels::compute_pack_input(&image, s, &mut bits)
+                })
+            });
+            println!("{:<16} {framed:>19.2} {dispatched:>11.2}", tier.name());
+        }
+    }
+
+    /// A 3×3 bank of at most 64 channels in the binary body's previous
+    /// layout: every tap padded to a whole word (the dense layout of the
+    /// channels padded to 64).
+    fn tap_padded_bank(filters: &PackedFilters<u64>) -> LaneBank<u64> {
+        let fs = filters.shape();
+        let mut padded = PackedFilters::zeros(FilterShape::new(fs.k, 3, 3, 64));
+        for (k, t, ch) in (0..fs.k * 9 * fs.c).map(|a| (a / (9 * fs.c), a / fs.c % 9, a % fs.c)) {
+            padded.set_bit(k, t / 3, t % 3, ch, filters.get_bit(k, t / 3, t % 3, ch));
+        }
+        LaneBank::new(&padded)
+    }
+
+    /// The binary body's previous window source, for one output row of a
+    /// 3×3 convolution over a one-word-per-pixel input: per pixel, per tap
+    /// one word copied (zero for padding) into `windows`.
+    fn gather_tap_words(
+        input: &BitTensor<u64>,
+        geom: &ConvGeometry,
+        oy: usize,
+        windows: &mut [u64],
+    ) {
+        let s = input.shape();
+        for (ox, window) in windows.chunks_exact_mut(9).enumerate() {
+            for (t, word) in window.iter_mut().enumerate() {
+                let (iy, ix) = (
+                    (oy * geom.stride_h + t / 3).wrapping_sub(1),
+                    (ox + t % 3).wrapping_sub(1),
+                );
+                *word = if iy < s.h && ix < s.w {
+                    input.pixel_words(0, iy, ix)[0]
+                } else {
+                    0
+                };
+            }
+        }
     }
 
     // Each property enters the one generic driver on every tier the CPU has
@@ -1060,6 +1280,24 @@ mod tests {
             fconv_case(h, w, c, k, kernel, stride, pad, seed)?;
         }
 
+        // The row ring at dense width: channel tails and pad bits on both
+        // sides of a word, thin and aligned rows on `u32` and `u64` words,
+        // asymmetric inputs, windows wholly in padding.
+        #[test]
+        fn dispatched_ring_row_equals_reference(
+            h in 1usize..8,
+            w in 1usize..10,
+            c in prop::sample::select(vec![1usize, 3, 8, 16, 24, 32, 48, 64, 96, 130]),
+            k in prop::sample::select(vec![8usize, 13, 40, 64]),
+            kernel in prop::sample::select(vec![1usize, 3, 5]),
+            stride in 1usize..3,
+            pad in 0usize..3,
+            seed in any::<u64>(),
+        ) {
+            ring_case::<u32>((h, w), c, k, kernel, stride, pad, seed)?;
+            ring_case::<u64>((h, w), c, k, kernel, stride, pad, seed)?;
+        }
+
         // The byte dot: runs that are not a multiple of 4 bytes, lane tails.
         #[test]
         fn dispatched_byte_row_equals_bitplane_row(
@@ -1073,6 +1311,18 @@ mod tests {
             seed in any::<u64>(),
         ) {
             byte_row_case(h, w, c, k, kernel, stride, pad, seed)?;
+        }
+
+        #[test]
+        fn dispatched_pack_equals_portable(
+            c in prop::sample::select(vec![1usize, 3, 8, 15, 16, 17, 33, 64, 70, 130]),
+            pixels in 1usize..5,
+            seed in any::<u64>(),
+        ) {
+            pack_case::<u8>(c, pixels, seed)?;
+            pack_case::<u16>(c, pixels, seed)?;
+            pack_case::<u32>(c, pixels, seed)?;
+            pack_case::<u64>(c, pixels, seed)?;
         }
 
         #[test]

@@ -48,16 +48,36 @@ pub fn pack_window_into<W: BitWord>(
 }
 
 /// Functional body of [`pack_window_into`]: the sign-pack sweep under the
-/// host's best instruction set (a vector compare yields 16 bits at once).
+/// host's best instruction set — on AVX-512 one compare into a mask
+/// register per sixteen floats (`isa::pack_window`).
 pub fn compute_pack_input<W: BitWord>(
     images: &[Tensor<f32>],
     shape: Shape4,
     out: &mut BitTensor<W>,
 ) {
-    isa::run(
-        #[inline(always)]
-        || phonebit_tensor::pack::pack_window_into(images, shape, out),
-    )
+    isa::pack_window(images, shape, out)
+}
+
+/// The sign-pack sweep's AVX-512 frame: sixteen floats per `vcmpps` into a
+/// mask register, the mask moved out whole. `_CMP_GE_OQ` is the sweep's
+/// `>=`: -0.0 packs to 1 and NaN to 0.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+pub(crate) fn pack_avx512<W: BitWord>(
+    images: &[Tensor<f32>],
+    shape: Shape4,
+    out: &mut BitTensor<W>,
+) {
+    use std::arch::x86_64::*;
+    #[rustfmt::skip]
+    let mask = |v: &[f32; 16]| {
+        let v = _mm512_set_ps(
+            v[15], v[14], v[13], v[12], v[11], v[10], v[9], v[8],
+            v[7], v[6], v[5], v[4], v[3], v[2], v[1], v[0],
+        );
+        u64::from(_mm512_cmp_ps_mask::<_CMP_GE_OQ>(v, _mm512_setzero_ps()))
+    };
+    phonebit_tensor::pack::pack_window_with(images, shape, out, mask)
 }
 
 /// Dispatches the softmax epilogue over a logit vector.

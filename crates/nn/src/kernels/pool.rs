@@ -38,33 +38,40 @@ impl PoolGeometry {
     }
 }
 
-/// Functional body of binary max pooling: OR-reduce packed words.
+/// Functional body of binary max pooling: per output row, the OR of its
+/// `size` input rows' windows (`or_pool_row`).
 pub fn compute_maxpool_bits<W: BitWord>(
     input: &BitTensor<W>,
     geom: &PoolGeometry,
     out: &mut BitTensor<W>,
 ) {
-    let s = input.shape();
-    let os = out.shape();
-    let wpp = input.words_per_pixel();
-    for n in 0..os.n {
-        for oy in 0..os.h {
-            for ox in 0..os.w {
-                let base = out.pixel_offset(n, oy, ox);
-                for i in 0..geom.size {
-                    for j in 0..geom.size {
-                        let iy = oy * geom.stride + i;
-                        let ix = ox * geom.stride + j;
-                        if iy >= s.h || ix >= s.w {
-                            continue;
-                        }
-                        let src = input.pixel_offset(n, iy, ix);
-                        for t in 0..wpp {
-                            let merged = out.as_words()[base + t].or(input.as_words()[src + t]);
-                            out.as_mut_words()[base + t] = merged;
-                        }
-                    }
-                }
+    let (s, os, wpp) = (input.shape(), out.shape(), input.words_per_pixel());
+    let row = s.w * wpp;
+    for (at, dst) in out.as_mut_words().chunks_exact_mut(os.w * wpp).enumerate() {
+        let (n, oy) = (at / os.h, at % os.h);
+        dst.fill(W::zero());
+        for iy in oy * geom.stride..oy * geom.stride + geom.size {
+            or_pool_row(
+                dst,
+                &input.as_words()[(n * s.h + iy) * row..][..row],
+                wpp,
+                geom,
+            );
+        }
+    }
+}
+
+/// ORs into `dst` — a pooled row of `wpp`-word pixels — the windows of one
+/// input row `src`: output pixel `ox` takes input pixels
+/// `ox·stride..ox·stride + size`. The binary pool and the conv→pool
+/// chains' epilogue both pool through it.
+#[inline]
+pub(crate) fn or_pool_row<W: BitWord>(dst: &mut [W], src: &[W], wpp: usize, geom: &PoolGeometry) {
+    for (ox, out) in dst.chunks_exact_mut(wpp).enumerate() {
+        let window = &src[ox * geom.stride * wpp..][..geom.size * wpp];
+        for pixel in window.chunks_exact(wpp) {
+            for (o, &w) in out.iter_mut().zip(pixel) {
+                *o = o.or(w);
             }
         }
     }
@@ -189,10 +196,11 @@ pub fn avgpool_f32(q: &mut CommandQueue, input: &Tensor<f32>, geom: &PoolGeometr
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use phonebit_gpusim::{DeviceProfile, ExecutorClass};
     use phonebit_tensor::pack::{pack_f32, unpack_f32};
+    use proptest::prelude::*;
 
     fn queue() -> CommandQueue {
         CommandQueue::new(DeviceProfile::adreno_640(), ExecutorClass::PhoneBitOpenCl)
@@ -262,6 +270,75 @@ mod tests {
         let _ = maxpool_f32(&mut q, &t, &PoolGeometry::new(2, 2));
         let names: Vec<_> = q.timeline().iter().map(|e| e.stats.name).collect();
         assert_eq!(names, vec!["maxpool_bits", "maxpool_f32"]);
+    }
+
+    /// The nested-loop body the row-slice OR replaced — per output pixel
+    /// and window tap a `pixel_offset` and one indexed OR per word — kept as
+    /// the oracle.
+    pub(crate) fn nested_loop_maxpool<W: BitWord>(
+        input: &BitTensor<W>,
+        geom: &PoolGeometry,
+        out: &mut BitTensor<W>,
+    ) {
+        let (s, os, wpp) = (input.shape(), out.shape(), input.words_per_pixel());
+        for (n, oy, ox) in (0..os.pixels()).map(|p| (p / (os.h * os.w), p / os.w % os.h, p % os.w))
+        {
+            let base = out.pixel_offset(n, oy, ox);
+            for (i, j) in (0..geom.size).flat_map(|i| (0..geom.size).map(move |j| (i, j))) {
+                let (iy, ix) = (oy * geom.stride + i, ox * geom.stride + j);
+                if iy >= s.h || ix >= s.w {
+                    continue;
+                }
+                let src = input.pixel_offset(n, iy, ix);
+                for t in 0..wpp {
+                    let merged = out.as_words()[base + t].or(input.as_words()[src + t]);
+                    out.as_mut_words()[base + t] = merged;
+                }
+            }
+        }
+    }
+
+    fn row_slice_pool_case<W: BitWord>(s: Shape4, geom: &PoolGeometry, seed: u64) {
+        let t = Tensor::from_fn(s, |n, h, w, c| {
+            let x = seed ^ (((n * 131 + h) * 137 + w) * 139 + c) as u64;
+            if x.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 63 == 1 {
+                1.0
+            } else {
+                -1.0
+            }
+        });
+        let input = pack_f32::<W>(&t);
+        let (oh, ow) = geom.output_hw(s.h, s.w);
+        let mut want = BitTensor::<W>::zeros(Shape4::new(s.n, oh, ow, s.c));
+        nested_loop_maxpool(&input, geom, &mut want);
+        // Stale words everywhere: the row body must write every one.
+        let mut got = BitTensor::<W>::zeros(want.shape());
+        got.as_mut_words().fill(W::zero().not());
+        compute_maxpool_bits(&input, geom, &mut got);
+        assert_eq!(got, want, "{} {s:?} {geom:?}", W::CL_NAME);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn row_slice_pool_equals_nested_loop(
+            n in 1usize..3,
+            h in 1usize..10,
+            w in 1usize..12,
+            c in prop::sample::select(vec![1usize, 3, 8, 16, 33, 64, 70, 130]),
+            size in 1usize..4,
+            stride in 1usize..4,
+            seed in any::<u64>(),
+        ) {
+            if size <= h && size <= w {
+                let (s, geom) = (Shape4::new(n, h, w, c), PoolGeometry::new(size, stride));
+                row_slice_pool_case::<u8>(s, &geom, seed);
+                row_slice_pool_case::<u16>(s, &geom, seed);
+                row_slice_pool_case::<u32>(s, &geom, seed);
+                row_slice_pool_case::<u64>(s, &geom, seed);
+            }
+        }
     }
 
     #[test]

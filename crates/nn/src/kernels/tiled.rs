@@ -1,5 +1,5 @@
-//! The tiled binary-convolution hot path: one zero-padded window gather and
-//! one lanes-are-outputs microkernel behind every binary convolution.
+//! The tiled binary-convolution hot path: one zero-padded row ring and one
+//! lanes-are-outputs microkernel behind every binary convolution.
 //!
 //! The naive kernel (kept as
 //! [`compute_bconv_fused_reference`](crate::kernels::bconv::compute_bconv_fused_reference))
@@ -20,20 +20,27 @@
 //!    Every loaded bank vector is reused [`TILE_PIXELS`] times, every
 //!    broadcast window word `TILE_GROUPS` times.
 //! 2. **Bit and word order.** Windows and bank rows must agree, nothing
-//!    more. The direct routes gather a window ([`WindowGather`]) in filter
-//!    raster order — tap `(i, j)` at word `(i·kw + j)·words_per_tap`, each
-//!    tap padded to whole words, exactly
-//!    [`PackedFilters::filter_words`](phonebit_tensor::bits::PackedFilters::filter_words)
-//!    — and the lowered route multiplies `pack_windows` rows, the dense
-//!    `(i, j, c)` bit run, against the interleaved `flatten_filters` rows
-//!    ([`tile_filters`]); both are [`LaneBank::new`] over a bank's flat
-//!    windows.
-//! 3. **Why padding needs no special case.** The gather zero-fills
-//!    out-of-bounds taps, and `xor(0, w) = w`: a padding tap disagrees
-//!    `popcount(w)` times, which is what an all-(−1) activation tap means.
-//!    Border pixels — over a quarter of a 13×13 layer — run the same loop as
-//!    interior ones; there is no interior/border split of the dot product
-//!    and no padding-correction table.
+//!    more. A [`LaneBank`] row is `kh` kernel rows of `kw·C` dense bits —
+//!    tap `(i, j)` channel `ch` at bit `j·C + ch` of kernel row `i` — each
+//!    padded to whole words (§V-A.2's packing by channel count: a 3×3 tap
+//!    row of 16 channels is one 48-bit word, not three). The direct routes
+//!    read a window from a [`RowRing`], the `kh` input rows as one dense,
+//!    zero-padded bit stream each, where a window row is the `kw·C`-bit span
+//!    at bit `ox·stride_w·C`: when `C` fills whole words that span *is* a
+//!    run of ring words; otherwise each output column's span is shifted
+//!    into whole words once, as its input row enters the ring. Either way
+//!    the microkernel reads a window's `kh` runs in place — nothing is
+//!    copied per pixel. The lowered route multiplies `pack_windows` rows,
+//!    the dense `(i, j, c)` bit run, against the interleaved
+//!    `flatten_filters` rows ([`tile_filters`]) — the one-row case of the
+//!    same layout.
+//! 3. **Why padding needs no special case.** The ring's padding pixels are
+//!    zero bits, and `xor(0, w) = w`: a padding tap disagrees `popcount(w)`
+//!    times, which is what an all-(−1) activation tap means. Border pixels —
+//!    over a quarter of a 13×13 layer — run the same loop as interior ones;
+//!    there is no interior/border split of the dot product and no
+//!    padding-correction table. Bits past a kernel row's `kw·C` are zero in
+//!    the bank and cleared in a shifted window row, so they never disagree.
 //! 4. **Which tile.** 4 pixels × 2 groups: eight accumulators, two bank
 //!    vectors and the broadcasts fit the register file with room to spare.
 //!    Measured against the kernel this replaced, sample by sample in one
@@ -54,9 +61,9 @@
 //! per word index where the baseline target would spend ~15 bit-twiddling
 //! operations per word.
 
-use phonebit_tensor::bits::{BitTensor, BitWord};
+use phonebit_tensor::bits::{merge_bits, BitTensor, BitWord};
 use phonebit_tensor::lanes::{LaneBank, LANES};
-use phonebit_tensor::shape::ConvGeometry;
+use phonebit_tensor::shape::{ConvGeometry, Shape4};
 
 use crate::fuse::TileSink;
 use crate::kernels::isa;
@@ -68,46 +75,52 @@ const TILE_GROUPS: usize = 2;
 // A 64-filter output word ends on a step boundary.
 const _: () = assert!(64 % (TILE_GROUPS * LANES) == 0);
 
-/// Multiplies up to [`TILE_PIXELS`] windows — `rows` holds them back to
-/// back, `bank.row_words()` words each, the first `count` of them output
-/// pixels `px0..px0 + count` — against every filter of `bank`, one
-/// [`TILE_PIXELS`] × `TILE_GROUPS` register tile per step, into `sink`.
+/// Multiplies up to [`TILE_PIXELS`] windows — window `p` (output pixel
+/// `px0 + p` for the first `count`) is `rows` runs of `row_words` words,
+/// run `i` at word `i·stride` of `wins[p]` — against every filter of `bank`,
+/// whose rows are the same runs back to back, one [`TILE_PIXELS`] ×
+/// `TILE_GROUPS` register tile per step, into `sink`.
 #[inline(always)]
 fn lanes_tile<W: BitWord>(
-    rows: &[W],
+    wins: [&[W]; TILE_PIXELS],
+    (rows, row_words, stride): (usize, usize, usize),
     (px0, count): (usize, usize),
     bank: &LaneBank<W>,
     sink: &mut impl TileSink,
 ) {
     // Plain loops only: a library helper left un-inlined here would be
     // compiled for the baseline target and pin `acc` to the stack. Every
-    // span is cut to `words` here, so the hot loop carries no bounds check
-    // (and no panic path to spill `acc` for).
-    let words = bank.row_words();
+    // span is cut to `row_words` per run, so the hot loop carries no bounds
+    // check (and no panic path to spill `acc` for).
     let fs = bank.shape();
     // Per pixel, the 64-filter output word being decided, lane by lane.
     let mut decided = [[0u64; LANES]; TILE_PIXELS];
-    // A partial tile repeats its first window (its last group) in the
-    // unused slots and emits only the real ones.
-    let mut wins = [rows; TILE_PIXELS];
-    for (p, win) in wins.iter_mut().enumerate() {
-        let p = if p < count { p } else { 0 };
-        *win = &rows[p * words..][..words];
-    }
     for g0 in (0..bank.groups()).step_by(TILE_GROUPS) {
+        // The last tile repeats its last group in the unused slot (and a
+        // partial pixel tile its first window) and emits only the real ones.
         let mut groups = [bank.group(g0); TILE_GROUPS];
         for (g, group) in groups.iter_mut().enumerate() {
-            *group = &bank.group((g0 + g).min(bank.groups() - 1))[..words];
+            *group = bank.group((g0 + g).min(bank.groups() - 1));
         }
         let mut acc = [[[0u64; LANES]; TILE_GROUPS]; TILE_PIXELS];
-        for t in 0..words {
-            isa::lanes_not_words();
-            for (g, group) in groups.iter().enumerate() {
-                let filt = group[t];
-                for (p, win) in wins.iter().enumerate() {
-                    let word = win[t];
-                    for (sum, f) in acc[p][g].iter_mut().zip(filt) {
-                        *sum += u64::from(word.xor(f).popcount());
+        for i in 0..rows {
+            let mut filts = groups;
+            for filt in &mut filts {
+                *filt = &filt[i * row_words..][..row_words];
+            }
+            let mut runs = wins;
+            for run in &mut runs {
+                *run = &run[i * stride..][..row_words];
+            }
+            for t in 0..row_words {
+                isa::lanes_not_words();
+                for (g, group) in filts.iter().enumerate() {
+                    let filt = group[t];
+                    for (p, run) in runs.iter().enumerate() {
+                        let word = run[t];
+                        for (sum, f) in acc[p][g].iter_mut().zip(filt) {
+                            *sum += u64::from(word.xor(f).popcount());
+                        }
                     }
                 }
             }
@@ -131,65 +144,121 @@ fn lanes_tile<W: BitWord>(
     }
 }
 
-/// Scratch buffer holding [`TILE_PIXELS`] gathered convolution windows in
-/// filter-raster layout (tap `(i, j)` at word offset
-/// `(i*kw + j) * words_per_tap`), out-of-bounds taps zero.
+/// A worker's scratch for one dispatch of a direct binary convolution: the
+/// `kh` input rows under the output row in flight, in order, each
+/// zero-padded by `pad_w` pixels on both sides as one dense bit stream —
+/// pixel `x` of the padded row at bit `x·C` — where a window row is the
+/// `kw·C`-bit span at bit `ox·stride_w·C`, the layout of a [`LaneBank`]
+/// row. When `C` fills whole words a ring row is that stream and window
+/// rows are read from it in place; otherwise a row enters the ring as its
+/// output columns' window rows, each shifted into whole words once
+/// (`shift_windows`). Rolled `stride_h` rows per output row.
 ///
 /// Allocated once per worker per dispatch and reused across all pixels and
 /// filters of its rows — the simulated analogue of a work item's private
 /// window cache (§VI-B).
 #[derive(Debug)]
-pub struct WindowGather<W: BitWord> {
-    words_per_tap: usize,
+pub struct RowRing<W: BitWord> {
+    geom: ConvGeometry,
+    /// The input's shape.
+    s: Shape4,
+    /// Output columns per row.
+    ow: usize,
+    /// Words per window row: `kw·C` bits.
     row_words: usize,
-    window_words: usize,
-    buf: Vec<W>,
+    /// Words from one output column's window row to the next.
+    step: usize,
+    /// Words per ring row.
+    len: usize,
+    rows: Vec<W>,
+    /// A thin row's padded stream and one zero word past it, which the
+    /// shift reads; empty when `C` fills whole words.
+    stream: Vec<W>,
+    /// The `(image, output row)` the rows sit under, so the next row down
+    /// rolls them up `stride_h` rows instead of rebuilding all `kh`.
+    holds: Option<(usize, usize)>,
 }
 
-impl<W: BitWord> WindowGather<W> {
-    /// A gather buffer for windows of `geom` over `bank`'s filters.
-    pub fn new(geom: &ConvGeometry, bank: &LaneBank<W>) -> Self {
-        let words_per_tap = bank.shape().c.div_ceil(W::BITS);
-        let row_words = geom.kw * words_per_tap;
-        let window_words = geom.kh * row_words;
+impl<W: BitWord> RowRing<W> {
+    /// Scratch for `geom`'s windows over an input of shape `s`.
+    pub fn new(geom: &ConvGeometry, s: Shape4) -> Self {
+        let ow = geom.output_hw(s.h, s.w).1;
+        let row_words = (geom.kw * s.c).div_ceil(W::BITS);
+        let stream = ((s.w + 2 * geom.pad_w) * s.c).div_ceil(W::BITS);
+        let (step, len, stream) = if s.c.is_multiple_of(W::BITS) {
+            (geom.stride_w * s.c / W::BITS, stream, 0)
+        } else {
+            (row_words, ow * row_words, stream + 1)
+        };
         Self {
-            words_per_tap,
+            geom: *geom,
+            s,
+            ow,
             row_words,
-            window_words,
-            buf: vec![W::zero(); TILE_PIXELS * window_words],
+            step,
+            len,
+            rows: vec![W::zero(); geom.kh * len],
+            stream: vec![W::zero(); stream],
+            holds: None,
         }
     }
 
-    /// Materializes the window of output pixel `(n, oy, ox)` into `slot`:
-    /// per window row, one contiguous copy of its in-bounds taps — the
-    /// §VI-A.1 vectorized bulk loads — and zeros for the padding around
-    /// them.
-    #[inline(always)]
-    fn gather(
-        &mut self,
-        input: &BitTensor<W>,
-        geom: &ConvGeometry,
-        n: usize,
-        oy: usize,
-        ox: usize,
-        slot: usize,
-    ) {
-        let s = input.shape();
-        let span = BorderSpan::of(geom, s.h, s.w, oy, ox);
-        let (lo, hi) = (span.j0 * self.words_per_tap, span.j1 * self.words_per_tap);
-        let words = input.as_words();
-        let window = &mut self.buf[slot * self.window_words..][..self.window_words];
-        if !span.is_full(geom) {
-            window.fill(W::zero());
-        }
-        if lo < hi {
-            let ix = ox * geom.stride_w + span.j0 - geom.pad_w;
-            for i in span.i0..span.i1 {
-                let src = input.pixel_offset(n, oy * geom.stride_h + i - geom.pad_h, ix);
-                window[i * self.row_words + lo..i * self.row_words + hi]
-                    .copy_from_slice(&words[src..src + hi - lo]);
+    /// Brings in the padded input rows under output row `(n, oy)`.
+    fn load(&mut self, input: &BitTensor<W>, (n, oy): (usize, usize)) {
+        let (s, geom, len) = (self.s, self.geom, self.len);
+        debug_assert_eq!(input.shape(), s, "ring built for another input");
+        let fresh = if self.holds == Some((n, oy.wrapping_sub(1))) && geom.stride_h < geom.kh {
+            self.rows.copy_within(geom.stride_h * len.., 0);
+            geom.kh - geom.stride_h..geom.kh
+        } else {
+            0..geom.kh
+        };
+        self.holds = Some((n, oy));
+        let wpp = input.words_per_pixel();
+        for i in fresh {
+            let src = (oy * geom.stride_h + i)
+                .checked_sub(geom.pad_h)
+                .filter(|&iy| iy < s.h)
+                .map_or(&[][..], |iy| {
+                    &input.as_words()[input.pixel_offset(n, iy, 0)..][..s.w * wpp]
+                });
+            let row = &mut self.rows[i * len..][..len];
+            if self.stream.is_empty() {
+                row.fill(W::zero());
+                row[geom.pad_w * wpp..][..src.len()].copy_from_slice(src);
+                continue;
             }
+            self.stream.fill(W::zero());
+            for (x, pixel) in src.chunks_exact(wpp).enumerate() {
+                merge_bits(&mut self.stream, (geom.pad_w + x) * s.c, pixel, s.c);
+            }
+            let (stride, bits) = (geom.stride_w * s.c, geom.kw * s.c);
+            shift_windows(row, &self.stream, self.row_words, stride, bits);
         }
+    }
+}
+
+/// Writes into `windows`, `row_words` words each, the `bits`-bit spans of
+/// `stream` at bits `0, stride, 2·stride, ..`, each shifted to bit 0 with
+/// the bits past it in its last word clear. `stream` holds a word past the
+/// last span's last.
+fn shift_windows<W: BitWord>(
+    windows: &mut [W],
+    stream: &[W],
+    row_words: usize,
+    stride: usize,
+    bits: usize,
+) {
+    let last = W::low_mask(bits - (row_words - 1) * W::BITS);
+    for (ox, window) in windows.chunks_exact_mut(row_words).enumerate() {
+        let (at, shift) = (ox * stride / W::BITS, ox * stride % W::BITS);
+        let src = &stream[at..][..row_words + 1];
+        for (t, word) in window.iter_mut().enumerate() {
+            // `hi << 1 << (BITS − 1 − shift)`: no shift by BITS at 0.
+            let hi = src[t + 1].shl(1).shl(W::BITS - 1 - shift);
+            *word = src[t].shr(shift).or(hi);
+        }
+        window[row_words - 1] = window[row_words - 1].and(last);
     }
 }
 
@@ -223,12 +292,6 @@ impl BorderSpan {
         let (j0, j1) = clamp(ox * geom.stride_w, geom.pad_w, w, geom.kw);
         Self { i0, i1, j0, j1 }
     }
-
-    /// Whether every tap is in bounds.
-    #[inline]
-    pub fn is_full(&self, geom: &ConvGeometry) -> bool {
-        self.i0 == 0 && self.j0 == 0 && self.i1 == geom.kh && self.j1 == geom.kw
-    }
 }
 
 /// Multiplies window rows — `rows` holds them back to back,
@@ -245,40 +308,45 @@ pub fn tile_filters<W: BitWord>(rows: &[W], bank: &LaneBank<W>, sink: &mut impl 
         #[inline(always)]
         || {
             for (tile, rows) in rows.chunks(TILE_PIXELS * row_words).enumerate() {
-                let pixels = (tile * TILE_PIXELS, rows.len() / row_words);
-                lanes_tile(rows, pixels, bank, sink);
+                let count = rows.len() / row_words;
+                let mut wins = [rows; TILE_PIXELS];
+                for (p, win) in wins.iter_mut().enumerate().take(count) {
+                    *win = &rows[p * row_words..];
+                }
+                let pixels = (tile * TILE_PIXELS, count);
+                lanes_tile(wins, (1, row_words, 0), pixels, bank, sink);
             }
         },
     )
 }
 
-/// Runs the tiled binary convolution over one output row into `sink`, with
-/// output column `ox` as pixel `px`: `d` disagreements of a filter make the
-/// ±1 dot value `x1 = kh*kw*C − 2d` (Eqn 1 summed over taps).
+/// Runs the tiled binary convolution over output row `(n, oy)` into `sink`,
+/// with output column `ox` as pixel `px`: `d` disagreements of a filter make
+/// the ±1 dot value `x1 = kh*kw*C − 2d` (Eqn 1 summed over taps).
 ///
-/// Every column, border or interior, is gathered zero-padded into
-/// `gather` and multiplied [`TILE_PIXELS`] at a time against the staged
-/// bank.
-#[allow(clippy::too_many_arguments)]
+/// `ring` brings in the padded input rows; every column, border or
+/// interior, reads its `kh` window rows from them in place and is
+/// multiplied [`TILE_PIXELS`] at a time against the staged bank.
 pub fn conv_row_tiled<W: BitWord>(
     input: &BitTensor<W>,
     bank: &LaneBank<W>,
-    geom: &ConvGeometry,
-    gather: &mut WindowGather<W>,
-    n: usize,
-    oy: usize,
-    ow: usize,
+    ring: &mut RowRing<W>,
+    at: (usize, usize),
     sink: &mut impl TileSink,
 ) {
+    ring.load(input, at);
+    let ring = &*ring;
+    let runs = (ring.geom.kh, ring.row_words, ring.len);
     isa::run(
         #[inline(always)]
         || {
-            for ox in (0..ow).step_by(TILE_PIXELS) {
-                let count = (ow - ox).min(TILE_PIXELS);
-                for p in 0..count {
-                    gather.gather(input, geom, n, oy, ox + p, p);
+            for ox0 in (0..ring.ow).step_by(TILE_PIXELS) {
+                let count = (ring.ow - ox0).min(TILE_PIXELS);
+                let mut wins = [&ring.rows[ox0 * ring.step..]; TILE_PIXELS];
+                for (p, win) in wins.iter_mut().enumerate().take(count) {
+                    *win = &ring.rows[(ox0 + p) * ring.step..];
                 }
-                lanes_tile(&gather.buf, (ox, count), bank, sink);
+                lanes_tile(wins, runs, (ox0, count), bank, sink);
             }
         },
     )
@@ -362,29 +430,27 @@ mod tests {
     }
 
     #[test]
-    fn gather_interior_matches_tap_walk() {
-        let shape = Shape4::new(1, 6, 7, 40);
-        let t = bits::<u32>(shape, 1);
-        let geom = ConvGeometry::square(3, 1, 1);
-        let bank = LaneBank::new(&filters::<u32>(FilterShape::new(1, 3, 3, 40), 0));
-        let mut g = WindowGather::new(&geom, &bank);
-        let wpt = t.words_per_pixel();
-        // An interior pixel, then a corner whose first row and column are
-        // padding.
-        for (oy, ox) in [(2, 3), (0, 0)] {
-            g.gather(&t, &geom, 0, oy, ox, 0);
-            let win = &g.buf[..g.window_words];
-            for i in 0..3 {
-                for j in 0..3 {
-                    let got = &win[(i * 3 + j) * wpt..(i * 3 + j + 1) * wpt];
-                    if oy + i == 0 || ox + j == 0 {
-                        assert_eq!(got, vec![0; wpt], "padding tap ({i},{j})");
-                    } else {
-                        assert_eq!(
-                            got,
-                            t.pixel_words(0, oy + i - 1, ox + j - 1),
-                            "tap ({i},{j})"
-                        );
+    fn ring_window_rows_match_tap_walk() {
+        // Thin (40 channels in u32 words: shifted in) and aligned (64: in
+        // place), stride 2: every window row the ring holds is its taps'
+        // channel bits back to back, zeros where a tap is padding, nothing
+        // past `kw·C`.
+        for c in [40, 64] {
+            let shape = Shape4::new(2, 6, 7, c);
+            let t = bits::<u32>(shape, 1);
+            let geom = ConvGeometry::square(3, 2, 1);
+            let mut ring = RowRing::new(&geom, shape);
+            let (oh, ow) = geom.output_hw(6, 7);
+            for (n, oy) in (0..2).flat_map(|n| (0..oh).map(move |oy| (n, oy))) {
+                ring.load(&t, (n, oy));
+                for (ox, i) in (0..ow).flat_map(|ox| (0..3).map(move |i| (ox, i))) {
+                    let run = &ring.rows[i * ring.len + ox * ring.step..][..ring.row_words];
+                    for at in 0..run.len() * 32 {
+                        let (j, ch) = (at / c, at % c);
+                        let (iy, ix) = ((oy * 2 + i).wrapping_sub(1), (ox * 2 + j).wrapping_sub(1));
+                        let want = j < 3 && iy < 6 && ix < 7 && t.get_bit(n, iy, ix, ch);
+                        let got = run[at / 32] >> (at % 32) & 1 == 1;
+                        assert_eq!(got, want, "c={c} {n},{oy},{ox} row {i} bit {at}");
                     }
                 }
             }
@@ -414,14 +480,14 @@ mod tests {
             let bank = LaneBank::new(&f);
             let geom = ConvGeometry::square(3, 1, 1);
             let (oh, ow) = geom.output_hw(shape.h, shape.w);
-            let mut gather = WindowGather::new(&geom, &bank);
+            let mut ring = RowRing::new(&geom, shape);
             for (n, oy) in (0..shape.n).flat_map(|n| (0..oh).map(move |oy| (n, oy))) {
                 let mut row = vec![i32::MIN; ow * k];
                 let mut sink = AccumSink {
                     row: &mut row,
                     channels: k,
                 };
-                conv_row_tiled(&t, &bank, &geom, &mut gather, n, oy, ow, &mut sink);
+                conv_row_tiled(&t, &bank, &mut ring, (n, oy), &mut sink);
                 for (at, &x1) in row.iter().enumerate() {
                     assert_eq!(
                         x1,

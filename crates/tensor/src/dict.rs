@@ -19,12 +19,8 @@
 //! [`LaneBank`](crate::lanes::LaneBank) the kernels run on, staged from the
 //! dictionary once per layer — is unchanged. The dictionary is what the
 //! modeled device stores and reads ([`FilterAccess::dram_discount_bytes`]);
-//! the host kernels never walk it per pixel. The one structural difference
-//! is contiguity: a raw bank exposes each filter's whole window as one
-//! contiguous span ([`PackedFilters::filter_words`]); a dictionary
-//! generally cannot ([`FilterAccess::contiguous_filter`] returns `None`
-//! unless the bank has a single tap per filter, as the pre-flattened GEMM
-//! banks do), and callers fall back to per-tap spans.
+//! the host kernels never walk it per pixel: readers see taps, never a
+//! filter's words as stored.
 //!
 //! Compression is lossless and byte-exact: [`FilterDict::decode`] rebuilds
 //! the original [`PackedFilters`].
@@ -52,11 +48,6 @@ pub trait FilterAccess<W: BitWord> {
     /// The packed word span of tap `(k, i, j)`.
     fn tap_words(&self, k: usize, i: usize, j: usize) -> &[W];
 
-    /// Filter `k`'s whole `(kh, kw, c)` window as one contiguous raster
-    /// span, when the representation stores one; `None` forces callers onto
-    /// the per-tap path.
-    fn contiguous_filter(&self, k: usize) -> Option<&[W]>;
-
     /// Modeled DRAM bytes saved per full traversal of the bank relative to
     /// the raw representation. Raw banks save nothing.
     fn dram_discount_bytes(&self) -> f64 {
@@ -76,11 +67,6 @@ impl<W: BitWord> FilterAccess<W> for PackedFilters<W> {
     #[inline(always)]
     fn tap_words(&self, k: usize, i: usize, j: usize) -> &[W] {
         PackedFilters::tap_words(self, k, i, j)
-    }
-
-    #[inline(always)]
-    fn contiguous_filter(&self, k: usize) -> Option<&[W]> {
-        Some(self.filter_words(k))
     }
 }
 
@@ -213,18 +199,6 @@ impl<W: BitWord> FilterAccess<W> for FilterDict<W> {
         &self.rows[row * self.words_per_tap..(row + 1) * self.words_per_tap]
     }
 
-    #[inline(always)]
-    fn contiguous_filter(&self, k: usize) -> Option<&[W]> {
-        // Single-tap banks (the pre-flattened GEMM layout, kh = kw = 1)
-        // keep one dictionary row per filter, so the "window" is exactly
-        // that contiguous row.
-        if self.shape.kh * self.shape.kw == 1 {
-            Some(FilterAccess::tap_words(self, k, 0, 0))
-        } else {
-            None
-        }
-    }
-
     fn dram_discount_bytes(&self) -> f64 {
         self.saved_bytes() as f64
     }
@@ -302,29 +276,9 @@ mod tests {
     }
 
     #[test]
-    fn flat_bank_exposes_contiguous_filters() {
-        let shape = FilterShape::new(6, 1, 1, 128);
-        let f = clustered_filters(shape, 3);
-        let d = FilterDict::build(&f);
-        for k in 0..6 {
-            assert_eq!(
-                FilterAccess::contiguous_filter(&d, k).unwrap(),
-                f.filter_words(k)
-            );
-        }
-        let per_tap = clustered_filters(FilterShape::new(2, 3, 3, 16), 2);
-        let dt = FilterDict::build(&per_tap);
-        assert!(FilterAccess::contiguous_filter(&dt, 0).is_none());
-    }
-
-    #[test]
     fn raw_bank_access_is_identity() {
         let shape = FilterShape::new(3, 2, 2, 20);
         let f = clustered_filters(shape, 9);
-        assert_eq!(
-            FilterAccess::contiguous_filter(&f, 1),
-            Some(f.filter_words(1))
-        );
         assert_eq!(FilterAccess::<u64>::dram_discount_bytes(&f), 0.0);
         assert_eq!(FilterAccess::tap_words(&f, 2, 1, 0), f.tap_words(2, 1, 0));
     }

@@ -18,7 +18,7 @@
 //! the row's bit order is the constructor's choice and must be the order of
 //! the windows the kernel multiplies it against.
 
-use crate::bits::{BitWord, PackedFilters};
+use crate::bits::{merge_bits, BitWord, PackedFilters};
 use crate::dict::FilterAccess;
 use crate::shape::FilterShape;
 
@@ -39,30 +39,24 @@ pub struct LaneBank<W: BitWord = u64, const L: usize = LANES> {
 }
 
 impl<W: BitWord> LaneBank<W> {
-    /// Interleaves `filters` in window raster order: a filter's row is its
-    /// tap spans in `(i, j)` order, each padded to whole words — a gathered
-    /// convolution window's layout, and
-    /// [`PackedFilters::filter_words`] as stored. A pre-flattened GEMM bank
-    /// (one tap per filter) is the one-tap case, its row the dense
+    /// Interleaves `filters` in window raster order at dense width: a
+    /// filter's row is its `kh` kernel rows, each the `kw·C` bits of its taps
+    /// back to back — tap `(i, j)` channel `ch` at bit `j·C + ch` — padded to
+    /// whole words. When `C` is a multiple of the word that is
+    /// [`PackedFilters::filter_words`] as stored; a pre-flattened GEMM bank
+    /// (one tap per filter) is the one-row case, its row the dense
     /// `(i, j, c)` bit run. Any [`FilterAccess`] interleaves to the same
     /// bank: a dictionary is read through here, once, and never again.
     pub fn new(filters: &impl FilterAccess<W>) -> Self {
         let shape = filters.shape();
-        let wpt = filters.words_per_tap();
-        let mut bank = Self::zeros(
-            shape,
-            shape.kh * shape.kw * wpt,
-            filters.dram_discount_bytes(),
-        );
-        for k in 0..shape.k {
-            match filters.contiguous_filter(k) {
-                Some(row) => bank.set_row(k, 0, row),
-                None => {
-                    for t in 0..shape.kh * shape.kw {
-                        bank.set_row(k, t * wpt, filters.tap_words(k, t / shape.kw, t % shape.kw));
-                    }
-                }
+        let mut row = vec![W::zero(); (shape.kw * shape.c).div_ceil(W::BITS)];
+        let mut bank = Self::zeros(shape, shape.kh * row.len(), filters.dram_discount_bytes());
+        for (k, i) in (0..shape.k).flat_map(|k| (0..shape.kh).map(move |i| (k, i))) {
+            row.fill(W::zero());
+            for j in 0..shape.kw {
+                merge_bits(&mut row, j * shape.c, filters.tap_words(k, i, j), shape.c);
             }
+            bank.set_row(k, i * row.len(), &row);
         }
         bank
     }
@@ -166,15 +160,24 @@ mod tests {
     fn round_trips<W: BitWord>() {
         for (k, c) in [(1, 3), (7, 37), (8, 64), (9, 70), (20, 130), (36, 1)] {
             let f = filters::<W>(FilterShape::new(k, 3, 2, c));
+            // Raster order at dense width: kernel row `i`'s `kw·c` bits,
+            // padded to whole words; the stored words when `c` fills them.
             let bank = LaneBank::new(&f);
+            let run = (2 * c).div_ceil(W::BITS);
             assert_eq!(bank.groups(), k.div_ceil(LANES));
-            assert_eq!(bank.row_words(), f.words_per_filter());
+            assert_eq!(bank.row_words(), 3 * run);
             for kk in 0..k {
-                assert_eq!(
-                    row(&bank, kk),
-                    f.filter_words(kk),
-                    "k={k} c={c} filter {kk}"
-                );
+                let dense = row(&bank, kk);
+                if c % W::BITS == 0 {
+                    assert_eq!(dense, f.filter_words(kk), "k={k} c={c} filter {kk}");
+                }
+                for (i, words) in dense.chunks(run).enumerate() {
+                    for at in 0..run * W::BITS {
+                        let (j, ch) = (at / c, at % c);
+                        let expect = j < 2 && f.get_bit(kk, i, j, ch);
+                        assert_eq!(words[at / W::BITS].bit(at % W::BITS), expect);
+                    }
+                }
             }
             // Lanes past the last filter are zero.
             for kk in k..bank.groups() * LANES {

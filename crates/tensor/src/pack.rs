@@ -32,8 +32,7 @@ pub fn pack_f32_into<W: BitWord>(t: &Tensor<f32>, out: &mut BitTensor<W>) {
 /// window leaves. Words are walked directly over the contiguous channel
 /// runs and every one is stored, so nothing is zero-filled first.
 ///
-/// `#[inline(always)]` so a caller can compile the sweep under a wider
-/// instruction set (`phonebit_nn::kernels::compute_pack_input`).
+/// [`pack_window_with`] over the portable [`sign_mask`].
 ///
 /// # Panics
 ///
@@ -41,6 +40,25 @@ pub fn pack_f32_into<W: BitWord>(t: &Tensor<f32>, out: &mut BitTensor<W>) {
 /// hold more pixels than `shape`.
 #[inline(always)]
 pub fn pack_window_into<W: BitWord>(images: &[Tensor<f32>], shape: Shape4, out: &mut BitTensor<W>) {
+    pack_window_with(images, shape, out, sign_mask);
+}
+
+/// [`pack_window_into`] with the sixteen-value compare supplied: `mask`
+/// returns bit `i` set exactly when `values[i] >= 0.0`, as [`sign_mask`]
+/// does. `#[inline(always)]` so a caller can compile the sweep under a
+/// wider instruction set, with a vector compare into a mask register as
+/// `mask` (`phonebit_nn::kernels::compute_pack_input`).
+///
+/// # Panics
+///
+/// As [`pack_window_into`].
+#[inline(always)]
+pub fn pack_window_with<W: BitWord>(
+    images: &[Tensor<f32>],
+    shape: Shape4,
+    out: &mut BitTensor<W>,
+    mask: impl Fn(&[f32; 16]) -> u64,
+) {
     out.reset_for_overwrite(shape);
     let wpp = out.words_per_pixel();
     let mut rest = out.as_mut_words();
@@ -52,7 +70,7 @@ pub fn pack_window_into<W: BitWord>(images: &[Tensor<f32>], shape: Shape4, out: 
         let pixels = t.as_slice().chunks_exact(s.c);
         for (pixel, words) in pixels.zip(lane.chunks_exact_mut(wpp)) {
             for (word, values) in words.iter_mut().zip(pixel.chunks(W::BITS)) {
-                *word = pack_word(values);
+                *word = pack_word(values, &mask);
             }
         }
     }
@@ -63,31 +81,43 @@ pub fn pack_window_into<W: BitWord>(images: &[Tensor<f32>], shape: Shape4, out: 
     }
 }
 
-/// Packs up to `W::BITS` values into one word, LSB first: each byte from
-/// eight compares, the word from its bytes — a 64-step `word |= bit << i`
-/// chain does not vectorise, eight-step ones become a vector compare and a
-/// mask move.
-///
-/// `>=` on the value, not the sign bit: -0.0 packs to 1 and NaN to 0. The
-/// comparison lands as a shifted 0/1, so the loop has no data-dependent
-/// branch.
+/// Bit `i` set exactly when `values[i] >= 0.0`: the sign rule on sixteen
+/// values, portable. `>=` on the value, not the sign bit: -0.0 packs to 1
+/// and NaN to 0.
 #[inline(always)]
-fn pack_word<W: BitWord>(values: &[f32]) -> W {
-    let mut word = W::zero();
-    let mut eights = values.chunks_exact(8);
-    let mut at = 0;
-    for eight in eights.by_ref() {
-        let mut byte = W::zero();
-        for (bit, &v) in eight.iter().enumerate() {
-            byte = byte.or(W::from_bit(v >= 0.0).shl(bit));
-        }
-        word = word.or(byte.shl(at));
-        at += 8;
+pub fn sign_mask(values: &[f32; 16]) -> u64 {
+    let mut mask = 0;
+    for (i, eight) in values.chunks_exact(8).enumerate() {
+        mask |= sign_bits(eight) << (8 * i);
     }
-    for (bit, &v) in eights.remainder().iter().enumerate() {
-        word = word.or(W::from_bit(v >= 0.0).shl(at + bit));
+    mask
+}
+
+/// Bit `i` set exactly when `values[i] >= 0.0`, for up to 64 values. The
+/// comparison lands as a shifted 0/1, so the loop has no data-dependent
+/// branch; an eight-value call becomes a vector compare and a mask move.
+#[inline(always)]
+fn sign_bits(values: &[f32]) -> u64 {
+    let mut bits = 0;
+    for (i, &v) in values.iter().enumerate() {
+        bits |= u64::from(v >= 0.0) << i;
     }
-    word
+    bits
+}
+
+/// Packs up to `W::BITS` values into one word, LSB first: `mask` per
+/// sixteen, then the rest one compare each.
+#[inline(always)]
+fn pack_word<W: BitWord>(values: &[f32], mask: &impl Fn(&[f32; 16]) -> u64) -> W {
+    let (sixteens, rest) = values.as_chunks::<16>();
+    let mut word = 0;
+    for (i, sixteen) in sixteens.iter().enumerate() {
+        word |= mask(sixteen) << (16 * i);
+    }
+    if !rest.is_empty() {
+        word |= sign_bits(rest) << (16 * sixteens.len());
+    }
+    W::truncate(word)
 }
 
 /// Unpacks a bit tensor back to ±1.0 floats in NHWC.
@@ -120,7 +150,10 @@ pub fn pack_filters<W: BitWord>(f: &Filters) -> PackedFilters<W> {
     let len = PackedFilters::<W>::checked_word_len(s).expect("a bank in memory fits");
     let mut words = Vec::with_capacity(len);
     for tap in f.as_slice().chunks_exact(s.c.max(1)) {
-        words.extend(tap.chunks(W::BITS).map(pack_word::<W>));
+        words.extend(
+            tap.chunks(W::BITS)
+                .map(|values| pack_word::<W>(values, &sign_mask)),
+        );
     }
     PackedFilters::from_words(s, words).expect("whole clean words per tap")
 }

@@ -23,6 +23,15 @@
 # `vaddps` on `zmm` (sixteen filters per vector; scalar `vmulss` there is a
 # split tile).
 #
+# The direct binary rows (crates/nn/src/kernels/tiled.rs `conv_row_tiled`,
+# windows read in place from the row ring, thin `C % 64 != 0` rows included
+# — bconv_report's yolo_conv2 row) are `isa::run_avx512` instances named by
+# their closure in the line table (`objdump -l`): every such frame must
+# hold `vpopcntq`, and there must be one. The sign-pack frame (`pack_avx512` in
+# crates/nn/src/kernels/mod.rs) must compare into a mask register
+# (`vcmp*ps` on `zmm` into `%k`) and move the mask out (`kmov`), and hold no
+# gather.
+#
 # Run it on a default build and on one built with
 # CARGO_PROFILE_RELEASE_CODEGEN_UNITS=1, as CI does.
 #
@@ -33,15 +42,26 @@ if ! command -v objdump >/dev/null 2>&1; then
     echo "objdump not found; skipping the kernel codegen check"
     exit 0
 fi
-objdump -d --no-show-raw-insn -C "$bin" | awk '
-    />:$/ { frame = $1 " " $2; avx512 = frame ~ /isa::run_avx512/ }
-    avx512 && /vpopcntq/ { vpopcntq++ }
+objdump -d -l --no-show-raw-insn -C "$bin" | awk '
+    /^[0-9a-f]+ <.*>:$/ {
+        frame = $1 " " $2; avx512 = frame ~ /isa::run_avx512/; task = ""
+        pack = frame ~ /kernels::pack_avx512/
+    }
+    # The line table names the closure a `run_avx512` instance runs.
+    avx512 && task == "" && /^phonebit[^ ]*::\{\{closure\}\}:$/ {
+        task = $0
+        if (task ~ /tiled::conv_row_tiled::/) rows[frame] = 0
+    }
+    !/^[ \t]+[0-9a-f]+:/ { next }
+    avx512 && /vpopcntq/ { vpopcntq++; if (frame in rows) rows[frame]++ }
     avx512 && /vpopcntd/ { vpopcntd++; if (/zmm/) wide[frame]++; else narrow[frame]++ }
     avx512 && /vmulps.*zmm/ { vmulps++ }
     avx512 && /vaddps.*zmm/ { vaddps++ }
+    pack && /vcmp[a-z_]*ps.*zmm.*%k/ { packcmp++ }
+    pack && /kmov/ { packkmov++ }
     frame ~ /bytedot::row_vnni/ && /vpdpbusd.*zmm/ { vpdpbusd++ }
     frame ~ /bytedot::row_avx2/ && /vpmaddubsw/ { vpmaddubsw++ }
-    (avx512 || frame ~ /bytedot::row_/) && $2 ~ /^vp?gather/ { gather++; by[$2]++ }
+    (avx512 || pack || frame ~ /bytedot::row_/) && $2 ~ /^vp?gather/ { gather++; by[$2]++ }
     frame ~ /isa::run_popcnt/ && /[ \t]popcnt/ { popcnt++ }
     END {
         gathers = ""
@@ -50,6 +70,7 @@ objdump -d --no-show-raw-insn -C "$bin" | awk '
             vpopcntq, vpopcntd, vmulps, vaddps, popcnt
         printf "bytedot: %d vpdpbusd zmm (row_vnni), %d vpmaddubsw (row_avx2); %d gathers%s\n",
             vpdpbusd, vpmaddubsw, gather, gathers
+        printf "pack_avx512: %d vcmpps zmm into k, %d kmov\n", packcmp, packkmov
         splits = 0
         for (f in narrow) {
             if (narrow[f] * 8 > wide[f]) {
@@ -57,6 +78,14 @@ objdump -d --no-show-raw-insn -C "$bin" | awk '
                 splits++
             }
         }
+        convs = 0
+        for (f in rows) {
+            printf "conv_row_tiled: %s %d vpopcntq\n", f, rows[f]
+            if (rows[f] == 0) splits++
+            convs++
+        }
+        if (convs == 0) print "  no conv_row_tiled run_avx512 frame found"
         exit !(vpopcntq > 0 && vpopcntd > 0 && gather == 0 && popcnt > 0 && splits == 0 \
-            && vmulps > 0 && vaddps > 0 && vpdpbusd > 0 && vpmaddubsw > 0)
+            && vmulps > 0 && vaddps > 0 && vpdpbusd > 0 && vpmaddubsw > 0 && convs > 0 \
+            && packcmp > 0 && packkmov > 0)
     }'
