@@ -6,10 +6,10 @@
 //! `BENCH_bconv.json` (shape, path, median ns — plus ns/pixel) so future
 //! PRs have a perf trajectory to compare against. The streamed 8-bit
 //! first layer rides along as path `bitplane` (YOLOv2-Tiny and AlexNet
-//! conv1), the byte dot the engine runs for it as path `bytedot`, and
-//! YOLOv2-Tiny's full-precision head as path `fconv`; none has a
-//! `reference` row, so they are regression-gated but take no part in the
-//! speedup floor. The `tiled`, `bitplane`, `bytedot` and `fconv` paths run on the
+//! conv1), the byte dot the engine runs for it as path `bytedot`,
+//! YOLOv2-Tiny's full-precision head as path `fconv`, and its first binary
+//! pool as path `rowor`; none has a `reference` row, so they are
+//! regression-gated but take no part in the speedup floor. The `tiled`, `bitplane`, `bytedot` and `fconv` paths run on the
 //! host ISA tier `phonebit_nn::kernels::isa` detects, printed first and
 //! recorded once in the JSON header as `"isa"`; the `reference` rows stay on
 //! the portable build-target code, so the speedup column is "tiling plus
@@ -20,7 +20,7 @@
 //! `-- --min-speedup X` to exit nonzero if any shape's tiled-vs-reference
 //! speedup falls below `X`; `-- --check-baseline <path>` to diff this
 //! run against a committed `BENCH_bconv.json` — same shape/path entries
-//! required, and each tiled, bitplane, bytedot or fconv median may regress at most
+//! required, and each tiled, bitplane, bytedot, fconv or rowor median may regress at most
 //! 5× (`baseline::WALL_CLOCK_TOLERANCE`, sized for noisy shared runners;
 //! the reference kernel is kept for the speedup denominator, not guarded)
 //! — the CI guards that keep the hot path from rotting.)
@@ -40,6 +40,7 @@ use phonebit_nn::kernels::bytedot::{compute_byte_conv, ByteBank};
 use phonebit_nn::kernels::compute_pack_input;
 use phonebit_nn::kernels::fconv::{compute_fconv, FloatBank};
 use phonebit_nn::kernels::isa::IsaTier;
+use phonebit_nn::kernels::pool::{compute_maxpool_bits, compute_maxpool_f32, PoolGeometry};
 use phonebit_tensor::bitplane::BitPlanes;
 use phonebit_tensor::bits::BitTensor;
 use phonebit_tensor::lanes::LaneBank;
@@ -82,9 +83,13 @@ fn main() {
     // The paper's YOLOv2-Tiny 3x3 binary layers with C >= 64, an odd channel
     // count to keep the tail-word path honest, and the window sizes a kernel
     // change must be A/B-ed on (verify skill): VGG16's 9-, 36- and 72-word
-    // windows, and YOLO's 13x13 conv7, where over a quarter of the pixels
-    // touch the border. YOLO's conv2 (C = 16) is the thin row: three dense
-    // 48-bit kernel rows per window, shifted out of the row ring.
+    // windows, and a 13x13 grid at YOLO conv7's channels, where over a
+    // quarter of the pixels touch the border (the engine runs conv7 itself
+    // 12x12 on the lowered GEMM: pool6 is 2x2/1). YOLO's conv2 (C = 16) and
+    // conv3 (C = 32) are the thin rows: three dense 48- and 96-bit kernel
+    // rows per window, shifted out of the row ring (conv2's at a literal
+    // one-word row length). YOLO's 13-wide conv6 ends every row on a
+    // one-pixel tile.
     let shapes: &[(&str, usize, usize, usize)] = &[
         ("conv3_104x104_c64_k64", 104, 64, 64),
         ("conv4_52x52_c128_k128", 52, 128, 128),
@@ -95,6 +100,8 @@ fn main() {
         ("vgg_conv4_2_28x28_c512_k512", 28, 512, 512),
         ("yolo_conv7_13x13_c512_k1024", 13, 512, 1024),
         ("yolo_conv2_208x208_c16_k32", 208, 16, 32),
+        ("yolo_conv3_104x104_c32_k64", 104, 32, 64),
+        ("yolo_conv6_13x13_c256_k512", 13, 256, 512),
     ];
     let geom = ConvGeometry::square(3, 1, 1);
 
@@ -166,6 +173,41 @@ fn main() {
         rows.push(row(name, "tiled", t_tiled, pixels));
     }
     println!("\nworst-case speedup: {worst_speedup:.2}x");
+
+    // The binary pool YOLOv2-Tiny runs after conv1: 2x2/2 over one-word
+    // pixels, the `or_pool_row` instance at literal `(1, 2, 2)`. Right first:
+    // OR on the packed bits is max on the ±1 floats.
+    {
+        let (name, hw, c) = ("yolo_pool1_416x416_c16_2x2s2", 416, 16);
+        let input = Tensor::from_fn(Shape4::new(1, hw, hw, c), |_, h, w, ch| {
+            if (h * 5 + w * 11 + ch * 3) % 7 < 3 {
+                1.0
+            } else {
+                -1.0
+            }
+        });
+        let geom = PoolGeometry::new(2, 2);
+        let (oh, ow) = geom.output_hw(hw, hw);
+        let out_shape = Shape4::new(1, oh, ow, c);
+        let mut floats = Tensor::<f32>::zeros(out_shape, Layout::Nhwc);
+        compute_maxpool_f32(&input, &geom, &mut floats);
+        let packed_in = pack_f32::<u64>(&input);
+        let mut out = BitTensor::<u64>::zeros(out_shape);
+        compute_maxpool_bits(&packed_in, &geom, &mut out);
+        assert_eq!(
+            out,
+            pack_f32(&floats),
+            "bit pool diverged from float max on {name}"
+        );
+        let t = median_ns(samples, || {
+            compute_maxpool_bits(&packed_in, &geom, &mut out);
+            std::hint::black_box(&out);
+        });
+        let pixels = (oh * ow) as f64;
+        println!("\n{:<38} {:>14}", "binary pool", "rowor");
+        println!("{:<38} {:>14.1}", name, t / pixels);
+        rows.push(row(name, "rowor", t, pixels));
+    }
 
     // The 8-bit first layer (Eqn 2): a one-word window (3x3x3) and a
     // multi-word one (11x11x3, stride 4). No reference row exists for these

@@ -332,10 +332,6 @@ impl StagedModel {
     /// # Errors
     ///
     /// As [`StagedModel::stage_in`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `batch == 0`.
     pub fn stage(model: PbitModel, phone: &Phone, batch: usize) -> Result<Arc<Self>, EngineError> {
         let ctx = Context::new(phone.gpu.clone(), phone.app_budget_bytes());
         Self::stage_in(model, ctx, batch, &RouteOverrides::default())
@@ -359,17 +355,20 @@ impl StagedModel {
     /// the remaining budget, [`EngineError::DomainMismatch`] when the
     /// model's layer chain is domain-inconsistent, or
     /// [`EngineError::Unsupported`] for a corrupt layer, a window larger than
-    /// its input or too wide a first layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `batch == 0`.
+    /// its input or too wide a first layer, and [`EngineError::InputMismatch`]
+    /// when `batch == 0`.
     pub fn stage_in(
         model: PbitModel,
         ctx: Context,
         batch: usize,
         overrides: &RouteOverrides,
     ) -> Result<Arc<Self>, EngineError> {
+        if batch == 0 {
+            return Err(EngineError::InputMismatch {
+                expected: "a batch of at least 1 image".into(),
+                got: "batch 0".into(),
+            });
+        }
         check_windows(&model)?;
         let plan = ExecutionPlan::for_model(&model, ctx.device(), batch, overrides)?;
         Self::stage_plan(model, ctx, plan)
@@ -976,12 +975,9 @@ impl Session {
     /// # Errors
     ///
     /// Returns [`EngineError::OutOfMemory`] when weights plus both arena
-    /// banks exceed the app budget, or [`EngineError::DomainMismatch`] for
-    /// a domain-inconsistent model.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `batch == 0`.
+    /// banks exceed the app budget, [`EngineError::DomainMismatch`] for
+    /// a domain-inconsistent model, or [`EngineError::InputMismatch`] when
+    /// `batch == 0`.
     pub fn new_batched(model: PbitModel, phone: &Phone, batch: usize) -> Result<Self, EngineError> {
         let staged = StagedModel::stage(model, phone, batch)?;
         Ok(Self {
@@ -996,10 +992,6 @@ impl Session {
     /// # Errors
     ///
     /// As [`Session::new_batched`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `batch == 0`.
     pub fn new_batched_opts(
         model: PbitModel,
         phone: &Phone,

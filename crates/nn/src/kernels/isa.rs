@@ -267,8 +267,9 @@ mod tests {
     use crate::kernels::dense::compute_dense_bin;
     use crate::kernels::fconv::{compute_fconv, fconv_row, FloatBank};
     use crate::kernels::fused::{compute_bconv_pool_chain, ring_shape};
-    use crate::kernels::pool::tests::nested_loop_maxpool;
+    use crate::kernels::pool::tests::{nested_loop_maxpool, runtime_shape_maxpool};
     use crate::kernels::pool::{compute_maxpool_bits, PoolGeometry};
+    use crate::kernels::tiled::tests::conv_row_runtime_shape;
     use crate::kernels::tiled::{conv_row_tiled, tile_filters, RowRing};
 
     thread_local! {
@@ -1012,15 +1013,15 @@ mod tests {
         let cuts = PlaneCuts::new(&FusedBn::identity(16), 27);
         let mut planes = BitPlanes::<u8>::empty(s);
         let mut out = vec![0u16; 416 * 416];
-        // conv9: 13×13×1024 → 125, 1×1.
-        let fs = Shape4::new(1, 13, 13, 1024);
+        // conv9: 12×12×1024 → 125, 1×1 (`pool6` is 2×2/1: 13 → 12).
+        let fs = Shape4::new(1, 12, 12, 1024);
         let pixels: Vec<f32> = (0..fs.len()).map(|_| unit(&mut rng)).collect();
         let head = Filters::from_fn(FilterShape::new(125, 1, 1, 1024), |_, _, _, _| {
             unit(&mut rng)
         });
         let (bias, head_bank) = (vec![0.5f32; 125], FloatBank::new(&head));
         let one = ConvGeometry::square(1, 1, 0);
-        let mut floats = vec![0f32; 13 * 13 * 125];
+        let mut floats = vec![0f32; 12 * 12 * 125];
         println!("tier             conv1 split+planes  byte dot   conv9 pairwise  lanes");
         for tier in tiers() {
             let bitplane = best_ms(|| {
@@ -1053,8 +1054,8 @@ mod tests {
             });
             let pairwise = best_ms(|| {
                 for (x, row) in pixels
-                    .chunks_exact(13 * 1024)
-                    .zip(floats.chunks_exact_mut(13 * 125))
+                    .chunks_exact(12 * 1024)
+                    .zip(floats.chunks_exact_mut(12 * 125))
                 {
                     run_on(
                         tier,
@@ -1064,7 +1065,7 @@ mod tests {
                 }
             });
             let lanes = best_ms(|| {
-                for (oy, row) in floats.chunks_exact_mut(13 * 125).enumerate() {
+                for (oy, row) in floats.chunks_exact_mut(12 * 125).enumerate() {
                     let act = Activation::Linear;
                     run_on(
                         tier,
@@ -1079,7 +1080,10 @@ mod tests {
             );
         }
         // conv2: 208×208×16 → 32, 3×3 pad 1, and pool1 ahead of it: 2×2/2
-        // over 416×416×16, both on `u64` words as the engine runs them.
+        // over 416×416×16, both on `u64` words as the engine runs them, and
+        // conv3 (104×104×32 → 64); conv2 and pool1 also against their
+        // runtime-shape arms (the `(3, 1)` and `(1, 2, 2)` instances' body
+        // at runtime arguments).
         let s = Shape4::new(1, 208, 208, 16);
         let input = random_bits::<u64>(s, &mut rng);
         let filters = random_filters::<u64>(FilterShape::new(32, 3, 3, 16), 9, &mut rng);
@@ -1087,10 +1091,21 @@ mod tests {
         let (bank, taps) = (LaneBank::new(&filters), tap_padded_bank(&filters));
         let mut out = vec![0u64; 208 * 208];
         let mut windows = vec![0u64; 208 * 9];
+        let s3 = Shape4::new(1, 104, 104, 32);
+        let input3 = random_bits::<u64>(s3, &mut rng);
+        let filters3 = random_filters::<u64>(FilterShape::new(64, 3, 3, 32), 9, &mut rng);
+        let (cuts3, bank3) = (
+            Cuts::new(&FusedBn::identity(64), 288),
+            LaneBank::new(&filters3),
+        );
+        let mut out3 = vec![0u64; 104 * 104];
         let wide = random_bits::<u64>(Shape4::new(1, 416, 416, 16), &mut rng);
         let pool = PoolGeometry::new(2, 2);
         let mut pooled = BitTensor::<u64>::zeros(s);
-        println!("tier             conv2 tap words  dense rows   pool1 nested  row OR");
+        println!(
+            "tier             conv2 tap words  runtime  (3, 1)   conv3 dense rows   \
+             pool1 nested  runtime  (1, 2, 2)"
+        );
         for tier in tiers() {
             let tap_words = best_ms(|| {
                 for (oy, row) in out.chunks_exact_mut(208).enumerate() {
@@ -1099,7 +1114,16 @@ mod tests {
                     on_tier(Some(tier), || tile_filters(&windows, &taps, &mut sink));
                 }
             });
-            let dense = best_ms(|| {
+            let runtime_arm = best_ms(|| {
+                let mut ring = RowRing::new(&geom, s);
+                for (oy, row) in out.chunks_exact_mut(208).enumerate() {
+                    let mut sink = BitSink::new(&cuts, row, 1);
+                    on_tier(Some(tier), || {
+                        conv_row_runtime_shape(&input, &bank, &mut ring, (0, oy), &mut sink)
+                    });
+                }
+            });
+            let instance_arm = best_ms(|| {
                 let mut ring = RowRing::new(&geom, s);
                 for (oy, row) in out.chunks_exact_mut(208).enumerate() {
                     let mut sink = BitSink::new(&cuts, row, 1);
@@ -1108,11 +1132,22 @@ mod tests {
                     });
                 }
             });
+            let conv3 = best_ms(|| {
+                let mut ring = RowRing::new(&geom, s3);
+                for (oy, row) in out3.chunks_exact_mut(104).enumerate() {
+                    let mut sink = BitSink::new(&cuts3, row, 1);
+                    on_tier(Some(tier), || {
+                        conv_row_tiled(&input3, &bank3, &mut ring, (0, oy), &mut sink)
+                    });
+                }
+            });
             // The pool bodies run outside any `isa` frame: one row per tier.
             let nested = best_ms(|| nested_loop_maxpool(&wide, &pool, &mut pooled));
-            let row_or = best_ms(|| compute_maxpool_bits(&wide, &pool, &mut pooled));
+            let runtime = best_ms(|| runtime_shape_maxpool(&wide, &pool, &mut pooled));
+            let instance = best_ms(|| compute_maxpool_bits(&wide, &pool, &mut pooled));
             println!(
-                "{:<16} {tap_words:>15.2} {dense:>11.2} {nested:>14.2} {row_or:>7.2}",
+                "{:<16} {tap_words:>15.2} {runtime_arm:>8.2} {instance_arm:>7.2} {conv3:>18.2} \
+                 {nested:>14.2} {runtime:>8.2} {instance:>10.2}",
                 tier.name()
             );
         }
@@ -1171,6 +1206,24 @@ mod tests {
                 } else {
                     0
                 };
+            }
+        }
+    }
+
+    /// The row ring's instances at every pixel-tile residue: output rows of
+    /// `ow % 4` ∈ {0, 1, 2, 3} beside a full tile, through the thin
+    /// `(kh, row_words)` = `(3, 1)` instance on `u64` and `u32` words and the
+    /// runtime arm (two- and three-word and aligned rows), on every tier and
+    /// both sinks ([`ring_case`]).
+    #[test]
+    fn ring_instances_at_every_tile_residue() {
+        for w in 4..=8 {
+            for (c, k) in [(16, 13), (32, 64), (48, 40), (64, 8)] {
+                let seed = (w * 131 + c) as u64;
+                ring_case::<u64>((3, w), c, k, 3, 1, 1, seed).unwrap();
+            }
+            for (c, k) in [(8, 40), (16, 13)] {
+                ring_case::<u32>((3, w), c, k, 3, 1, 1, w as u64).unwrap();
             }
         }
     }

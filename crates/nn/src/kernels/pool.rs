@@ -5,6 +5,17 @@
 //! words — no unpacking needed. This is why pooling stays cheap between
 //! PhoneBit's fused convolutions (Fig 3 shows `pool.forward_S` calls between
 //! the `bforward` layers).
+//!
+//! On the host it is cheap only when the compiler sees the window's shape:
+//! a window of runtime `wpp × size` words never vectorises. So
+//! `or_pool_row` calls its one body, `or_windows`, with literal
+//! `(wpp, size, stride)` at the shapes the benchmarked models run on 64-bit
+//! words — 2×2/2 at one, two and four words per pixel (YOLOv2-Tiny
+//! `pool1`–`pool5` and the micro models), 2×2/1 at eight (YOLOv2-Tiny
+//! `pool6`) — and with the runtime values otherwise (the same body, so the
+//! same result). The one-word 2×2/2 instance (YOLO `pool1`–`pool3`) ORs two
+//! output pixels per `xmm`: 0.06–0.08 ms at `pool1`, 0.5–0.9 ms with the
+//! runtime shape (`isa::tests::per_tier_timing`).
 
 use phonebit_gpusim::queue::CommandQueue;
 use phonebit_tensor::bits::{BitTensor, BitWord};
@@ -64,11 +75,25 @@ pub fn compute_maxpool_bits<W: BitWord>(
 /// ORs into `dst` — a pooled row of `wpp`-word pixels — the windows of one
 /// input row `src`: output pixel `ox` takes input pixels
 /// `ox·stride..ox·stride + size`. The binary pool and the conv→pool
-/// chains' epilogue both pool through it.
+/// chains' epilogue both pool through it; the zoo's shapes run
+/// [`or_windows`] at literal arguments (module docs).
 #[inline]
 pub(crate) fn or_pool_row<W: BitWord>(dst: &mut [W], src: &[W], wpp: usize, geom: &PoolGeometry) {
+    match (wpp, geom.size, geom.stride) {
+        (1, 2, 2) => or_windows(dst, src, 1, 2, 2),
+        (2, 2, 2) => or_windows(dst, src, 2, 2, 2),
+        (4, 2, 2) => or_windows(dst, src, 4, 2, 2),
+        (8, 2, 1) => or_windows(dst, src, 8, 2, 1),
+        (wpp, size, stride) => or_windows(dst, src, wpp, size, stride),
+    }
+}
+
+/// [`or_pool_row`]'s one body: output pixel `ox` of `dst` ORs the `size`
+/// pixels of `src` from pixel `ox·stride`, every pixel `wpp` words.
+#[inline(always)]
+fn or_windows<W: BitWord>(dst: &mut [W], src: &[W], wpp: usize, size: usize, stride: usize) {
     for (ox, out) in dst.chunks_exact_mut(wpp).enumerate() {
-        let window = &src[ox * geom.stride * wpp..][..geom.size * wpp];
+        let window = &src[ox * stride * wpp..][..size * wpp];
         for pixel in window.chunks_exact(wpp) {
             for (o, &w) in out.iter_mut().zip(pixel) {
                 *o = o.or(w);
@@ -298,6 +323,27 @@ pub(crate) mod tests {
         }
     }
 
+    /// [`compute_maxpool_bits`] with the shape hidden from the compiler: the
+    /// runtime-shape arm of [`or_pool_row`], kept to time the instances
+    /// against.
+    pub(crate) fn runtime_shape_maxpool<W: BitWord>(
+        input: &BitTensor<W>,
+        geom: &PoolGeometry,
+        out: &mut BitTensor<W>,
+    ) {
+        let (s, os, wpp) = (input.shape(), out.shape(), input.words_per_pixel());
+        let (size, stride) = std::hint::black_box((geom.size, geom.stride));
+        let row = s.w * wpp;
+        for (at, dst) in out.as_mut_words().chunks_exact_mut(os.w * wpp).enumerate() {
+            let (n, oy) = (at / os.h, at % os.h);
+            dst.fill(W::zero());
+            for iy in oy * stride..oy * stride + size {
+                let src = &input.as_words()[(n * s.h + iy) * row..][..row];
+                or_windows(dst, src, std::hint::black_box(wpp), size, stride);
+            }
+        }
+    }
+
     fn row_slice_pool_case<W: BitWord>(s: Shape4, geom: &PoolGeometry, seed: u64) {
         let t = Tensor::from_fn(s, |n, h, w, c| {
             let x = seed ^ (((n * 131 + h) * 137 + w) * 139 + c) as u64;
@@ -338,6 +384,40 @@ pub(crate) mod tests {
                 row_slice_pool_case::<u32>(s, &geom, seed);
                 row_slice_pool_case::<u64>(s, &geom, seed);
             }
+        }
+    }
+
+    /// Every `or_pool_row` instance, and shapes that take its runtime arm,
+    /// at all four word widths: channels that fill the instance's `wpp`
+    /// words and channels that leave tail bits in the last one, input
+    /// widths with and without a column no window reads.
+    #[test]
+    fn every_pool_instance_equals_nested_loop() {
+        fn at_width<W: BitWord>(wpp: usize, size: usize, stride: usize) {
+            let geom = PoolGeometry::new(size, stride);
+            for c in [wpp * W::BITS, wpp * W::BITS - 3] {
+                for w in [size + 3 * stride, size + 3 * stride + 1] {
+                    let s = Shape4::new(2, size + stride + 1, w, c);
+                    row_slice_pool_case::<W>(s, &geom, (wpp * 31 + c * 7 + w) as u64);
+                }
+            }
+        }
+        // The instances, then runtime arms: VGG16's 512-channel 2×2/2,
+        // AlexNet's 3×3/2, a 3×3/3 window, three words.
+        for (wpp, size, stride) in [
+            (1, 2, 2),
+            (2, 2, 2),
+            (4, 2, 2),
+            (8, 2, 1),
+            (8, 2, 2),
+            (2, 3, 2),
+            (1, 3, 3),
+            (3, 2, 2),
+        ] {
+            at_width::<u8>(wpp, size, stride);
+            at_width::<u16>(wpp, size, stride);
+            at_width::<u32>(wpp, size, stride);
+            at_width::<u64>(wpp, size, stride);
         }
     }
 

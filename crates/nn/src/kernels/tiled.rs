@@ -47,7 +47,16 @@
 //!    process on 9- to 144-word windows (verify skill, "Gotchas"): 4 × 2
 //!    and 2 × 4 within ±5 % of each other everywhere, 4 × 4 a little behind
 //!    both, and 2 × 2 — which re-reads the bank twice as often — keeping
-//!    1.2× of a 2.1× gain on 72-word windows.
+//!    1.2× of a 2.1× gain on 72-word windows. The tile is one body
+//!    (`lanes_tile`) instantiated at the shapes that run: its pixel count is
+//!    a const generic, so a row's last `ow % 4` pixels are a 1-, 2- or
+//!    3-pixel tile that computes only real windows (YOLO's 13-wide `conv6`
+//!    ends every row on one), and [`conv_row_tiled`] calls it at literal
+//!    `(kh, row_words)` = (3, 1) — the one-word 3×3 rows of 16 channels on
+//!    `u64` words (YOLO `conv2`), whose kernel rows then unroll to whole
+//!    words, 1.1–1.7× over the runtime arm — and at the runtime values for
+//!    every other row. A thin row of `C | W::BITS` channels enters the ring
+//!    by one shift-OR per pixel.
 //!
 //! A dictionary-compressed bank is read through once, when its layer's
 //! [`LaneBank`] is staged: the dictionary is what the modeled device stores
@@ -75,16 +84,17 @@ const TILE_GROUPS: usize = 2;
 // A 64-filter output word ends on a step boundary.
 const _: () = assert!(64 % (TILE_GROUPS * LANES) == 0);
 
-/// Multiplies up to [`TILE_PIXELS`] windows — window `p` (output pixel
-/// `px0 + p` for the first `count`) is `rows` runs of `row_words` words,
-/// run `i` at word `i·stride` of `wins[p]` — against every filter of `bank`,
-/// whose rows are the same runs back to back, one [`TILE_PIXELS`] ×
-/// `TILE_GROUPS` register tile per step, into `sink`.
+/// Multiplies `P` windows — window `p` (output pixel `px0 + p`) is `rows`
+/// runs of `row_words` words, run `i` at word `i·stride` of `wins[p]` —
+/// against every filter of `bank`, whose rows are the same runs back to
+/// back, one `P` × `TILE_GROUPS` register tile per step, into `sink`.
+/// [`tile_pixels`] runs it [`TILE_PIXELS`] wide and the last pixels of a
+/// row at their own width.
 #[inline(always)]
-fn lanes_tile<W: BitWord>(
-    wins: [&[W]; TILE_PIXELS],
+fn lanes_tile<W: BitWord, const P: usize>(
+    wins: [&[W]; P],
     (rows, row_words, stride): (usize, usize, usize),
-    (px0, count): (usize, usize),
+    px0: usize,
     bank: &LaneBank<W>,
     sink: &mut impl TileSink,
 ) {
@@ -94,15 +104,15 @@ fn lanes_tile<W: BitWord>(
     // check (and no panic path to spill `acc` for).
     let fs = bank.shape();
     // Per pixel, the 64-filter output word being decided, lane by lane.
-    let mut decided = [[0u64; LANES]; TILE_PIXELS];
+    let mut decided = [[0u64; LANES]; P];
     for g0 in (0..bank.groups()).step_by(TILE_GROUPS) {
-        // The last tile repeats its last group in the unused slot (and a
-        // partial pixel tile its first window) and emits only the real ones.
+        // The last tile repeats its last group in the unused slot and emits
+        // only the real ones.
         let mut groups = [bank.group(g0); TILE_GROUPS];
         for (g, group) in groups.iter_mut().enumerate() {
             *group = bank.group((g0 + g).min(bank.groups() - 1));
         }
-        let mut acc = [[[0u64; LANES]; TILE_GROUPS]; TILE_PIXELS];
+        let mut acc = [[[0u64; LANES]; TILE_GROUPS]; P];
         for i in 0..rows {
             let mut filts = groups;
             for filt in &mut filts {
@@ -125,7 +135,7 @@ fn lanes_tile<W: BitWord>(
                 }
             }
         }
-        for (p, per_group) in acc.iter().enumerate().take(count) {
+        for (p, per_group) in acc.iter().enumerate() {
             for (k0, disagree) in (g0 * LANES..fs.k).step_by(LANES).zip(per_group) {
                 let on = sink.put_dots(px0 + p, k0, fs, disagree);
                 for (lane, on) in decided[p].iter_mut().zip(on) {
@@ -135,13 +145,46 @@ fn lanes_tile<W: BitWord>(
         }
         let k_end = ((g0 + TILE_GROUPS) * LANES).min(fs.k);
         if k_end.is_multiple_of(64) || k_end == fs.k {
-            for (p, lanes) in decided.iter_mut().enumerate().take(count) {
+            for (p, lanes) in decided.iter_mut().enumerate() {
                 let word = lanes.iter().fold(0, |w, l| w | l);
                 sink.put_word(px0 + p, (k_end - 1) / 64 * 64, word);
                 *lanes = [0; LANES];
             }
         }
     }
+}
+
+/// Runs [`lanes_tile`] over pixels `0..pixels`, whose windows start
+/// `step` words apart in `words`: [`TILE_PIXELS`] at a time, then the last
+/// `pixels % TILE_PIXELS` at their own width.
+#[inline(always)]
+fn tile_pixels<W: BitWord>(
+    words: &[W],
+    (pixels, step): (usize, usize),
+    runs: (usize, usize, usize),
+    bank: &LaneBank<W>,
+    sink: &mut impl TileSink,
+) {
+    let full = pixels - pixels % TILE_PIXELS;
+    for px0 in (0..full).step_by(TILE_PIXELS) {
+        lanes_tile::<W, TILE_PIXELS>(starts(words, px0, step), runs, px0, bank, sink);
+    }
+    match pixels - full {
+        1 => lanes_tile::<W, 1>(starts(words, full, step), runs, full, bank, sink),
+        2 => lanes_tile::<W, 2>(starts(words, full, step), runs, full, bank, sink),
+        3 => lanes_tile::<W, 3>(starts(words, full, step), runs, full, bank, sink),
+        _ => {}
+    }
+}
+
+/// The windows of pixels `px0..px0 + P`, `step` words apart in `words`.
+#[inline(always)]
+fn starts<W: BitWord, const P: usize>(words: &[W], px0: usize, step: usize) -> [&[W]; P] {
+    let mut wins = [words; P];
+    for (p, win) in wins.iter_mut().enumerate() {
+        *win = &words[(px0 + p) * step..];
+    }
+    wins
 }
 
 /// A worker's scratch for one dispatch of a direct binary convolution: the
@@ -229,8 +272,17 @@ impl<W: BitWord> RowRing<W> {
                 continue;
             }
             self.stream.fill(W::zero());
-            for (x, pixel) in src.chunks_exact(wpp).enumerate() {
-                merge_bits(&mut self.stream, (geom.pad_w + x) * s.c, pixel, s.c);
+            if W::BITS.is_multiple_of(s.c) {
+                // One word per pixel, and no pixel straddles a stream word.
+                for (x, &pixel) in src.iter().enumerate() {
+                    let at = (geom.pad_w + x) * s.c;
+                    let word = &mut self.stream[at / W::BITS];
+                    *word = word.or(pixel.shl(at % W::BITS));
+                }
+            } else {
+                for (x, pixel) in src.chunks_exact(wpp).enumerate() {
+                    merge_bits(&mut self.stream, (geom.pad_w + x) * s.c, pixel, s.c);
+                }
             }
             let (stride, bits) = (geom.stride_w * s.c, geom.kw * s.c);
             shift_windows(row, &self.stream, self.row_words, stride, bits);
@@ -304,19 +356,10 @@ impl BorderSpan {
 pub fn tile_filters<W: BitWord>(rows: &[W], bank: &LaneBank<W>, sink: &mut impl TileSink) {
     let row_words = bank.row_words();
     debug_assert!(rows.len().is_multiple_of(row_words));
+    let pixels = (rows.len() / row_words, row_words);
     isa::run(
         #[inline(always)]
-        || {
-            for (tile, rows) in rows.chunks(TILE_PIXELS * row_words).enumerate() {
-                let count = rows.len() / row_words;
-                let mut wins = [rows; TILE_PIXELS];
-                for (p, win) in wins.iter_mut().enumerate().take(count) {
-                    *win = &rows[p * row_words..];
-                }
-                let pixels = (tile * TILE_PIXELS, count);
-                lanes_tile(wins, (1, row_words, 0), pixels, bank, sink);
-            }
-        },
+        || tile_pixels(rows, pixels, (1, row_words, 0), bank, sink),
     )
 }
 
@@ -336,28 +379,44 @@ pub fn conv_row_tiled<W: BitWord>(
 ) {
     ring.load(input, at);
     let ring = &*ring;
-    let runs = (ring.geom.kh, ring.row_words, ring.len);
+    let (words, pixels) = (&ring.rows[..], (ring.ow, ring.step));
+    // YOLOv2-Tiny's one-word 3×3 rows (C = 16 on `u64` words) run at
+    // literal `(kh, row_words)`: their kernel rows unroll to whole words.
     isa::run(
         #[inline(always)]
-        || {
-            for ox0 in (0..ring.ow).step_by(TILE_PIXELS) {
-                let count = (ring.ow - ox0).min(TILE_PIXELS);
-                let mut wins = [&ring.rows[ox0 * ring.step..]; TILE_PIXELS];
-                for (p, win) in wins.iter_mut().enumerate().take(count) {
-                    *win = &ring.rows[(ox0 + p) * ring.step..];
-                }
-                lanes_tile(wins, runs, (ox0, count), bank, sink);
-            }
+        || match (ring.geom.kh, ring.row_words) {
+            (3, 1) => tile_pixels(words, pixels, (3, 1, ring.len), bank, sink),
+            (kh, row_words) => tile_pixels(words, pixels, (kh, row_words, ring.len), bank, sink),
         },
     )
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::fuse::AccumSink;
     use phonebit_tensor::bits::PackedFilters;
     use phonebit_tensor::shape::{FilterShape, Shape4};
+
+    /// [`conv_row_tiled`] with the ring's `(kh, row_words)` hidden from the
+    /// compiler: the runtime-shape arm the thin instance replaces, kept to
+    /// time against.
+    pub(crate) fn conv_row_runtime_shape<W: BitWord>(
+        input: &BitTensor<W>,
+        bank: &LaneBank<W>,
+        ring: &mut RowRing<W>,
+        at: (usize, usize),
+        sink: &mut impl TileSink,
+    ) {
+        ring.load(input, at);
+        let ring = &*ring;
+        let runs = std::hint::black_box((ring.geom.kh, ring.row_words, ring.len));
+        let pixels = (ring.ow, ring.step);
+        isa::run(
+            #[inline(always)]
+            || tile_pixels(&ring.rows, pixels, runs, bank, sink),
+        )
+    }
 
     fn filters<W: BitWord>(shape: FilterShape, seed: usize) -> PackedFilters<W> {
         let mut f = PackedFilters::zeros(shape);

@@ -32,6 +32,17 @@
 # (`vcmp*ps` on `zmm` into `%k`) and move the mask out (`kmov`), and hold no
 # gather.
 #
+# The binary pool (crates/nn/src/kernels/pool.rs `or_pool_row`) runs the
+# zoo's shapes as instances of one body at literal `(wpp, size, stride)`;
+# the line table (`objdump -l --inlines`) ties each instruction to the
+# match arm it was inlined from. The one-word 2x2/2 arm (YOLO pool1-pool3,
+# bconv_report's yolo_pool1 row) must hold packed ORs (`por`, `orps` or
+# their `v` forms on a vector register) and no `div`. The body with a
+# runtime `wpp` divides by it (`chunks_exact(wpp)`) and vectorises only the
+# word loop inside a pixel, which a one-word pixel never enters: its packed
+# ORs are there, but the row runs the scalar loop (seen: the arm with
+# `black_box(wpp)` kept two packed ORs and gained a `div`).
+#
 # Run it on a default build and on one built with
 # CARGO_PROFILE_RELEASE_CODEGEN_UNITS=1, as CI does.
 #
@@ -42,7 +53,19 @@ if ! command -v objdump >/dev/null 2>&1; then
     echo "objdump not found; skipping the kernel codegen check"
     exit 0
 fi
-objdump -d -l --no-show-raw-insn -C "$bin" | awk '
+pool_src="$(dirname "$0")/../crates/nn/src/kernels/pool.rs"
+pool_arm=$(grep -n '(1, 2, 2) => or_windows' "$pool_src" | cut -d: -f1)
+if [ -z "$pool_arm" ]; then
+    echo "no (1, 2, 2) arm found in $pool_src"
+    exit 1
+fi
+objdump -d -l --inlines --no-show-raw-insn -C "$bin" | awk -v pool_arm="$pool_arm" '
+    # A source location starts a new inline chain; an `or_pool_row` link in
+    # it names the pool arm the instructions below come from.
+    /^\/.*:[0-9]+/ { arm = "" }
+    /^inlined by .*kernels\/pool\.rs:[0-9]+ \(.*or_pool_row/ {
+        arm = $3; sub(/.*:/, "", arm)
+    }
     /^[0-9a-f]+ <.*>:$/ {
         frame = $1 " " $2; avx512 = frame ~ /isa::run_avx512/; task = ""
         pack = frame ~ /kernels::pack_avx512/
@@ -63,6 +86,8 @@ objdump -d -l --no-show-raw-insn -C "$bin" | awk '
     frame ~ /bytedot::row_avx2/ && /vpmaddubsw/ { vpmaddubsw++ }
     (avx512 || pack || frame ~ /bytedot::row_/) && $2 ~ /^vp?gather/ { gather++; by[$2]++ }
     frame ~ /isa::run_popcnt/ && /[ \t]popcnt/ { popcnt++ }
+    arm == pool_arm && $2 ~ /^v?(por[dq]?|orp[sd])$/ && /%[xyz]mm/ { poolor++ }
+    arm == pool_arm && $2 ~ /^i?div/ { pooldiv++ }
     END {
         gathers = ""
         for (m in by) gathers = gathers sprintf(" (%s %d)", m, by[m])
@@ -71,6 +96,7 @@ objdump -d -l --no-show-raw-insn -C "$bin" | awk '
         printf "bytedot: %d vpdpbusd zmm (row_vnni), %d vpmaddubsw (row_avx2); %d gathers%s\n",
             vpdpbusd, vpmaddubsw, gather, gathers
         printf "pack_avx512: %d vcmpps zmm into k, %d kmov\n", packcmp, packkmov
+        printf "or_pool_row (1, 2, 2) arm (pool.rs:%s): %d packed or, %d div\n", pool_arm, poolor, pooldiv
         splits = 0
         for (f in narrow) {
             if (narrow[f] * 8 > wide[f]) {
@@ -87,5 +113,5 @@ objdump -d -l --no-show-raw-insn -C "$bin" | awk '
         if (convs == 0) print "  no conv_row_tiled run_avx512 frame found"
         exit !(vpopcntq > 0 && vpopcntd > 0 && gather == 0 && popcnt > 0 && splits == 0 \
             && vmulps > 0 && vaddps > 0 && vpdpbusd > 0 && vpmaddubsw > 0 && convs > 0 \
-            && packcmp > 0 && packkmov > 0)
+            && packcmp > 0 && packkmov > 0 && poolor > 0 && pooldiv == 0)
     }'

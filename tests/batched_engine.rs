@@ -293,3 +293,15 @@ fn special_values_pack_alike_through_every_entry() {
         assert_eq!(out.as_ref().unwrap().image(i), want, "image {i}");
     }
 }
+
+#[test]
+fn batch_zero_is_an_input_mismatch_not_a_panic() {
+    use phonebit::core::EngineError;
+    let phone = Phone::xiaomi_9();
+    let model = convert(&fill_weights(&zoo::alexnet_micro(Variant::Binary), 3));
+    let err = Session::new_batched(model.clone(), &phone, 0).unwrap_err();
+    assert!(matches!(err, EngineError::InputMismatch { .. }), "{err}");
+    let overrides = RouteOverrides::default();
+    let err = Session::new_batched_opts(model, &phone, 0, overrides).unwrap_err();
+    assert!(matches!(err, EngineError::InputMismatch { .. }), "{err}");
+}
