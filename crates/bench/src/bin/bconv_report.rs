@@ -7,9 +7,11 @@
 //! PRs have a perf trajectory to compare against. The streamed 8-bit
 //! first layer rides along as path `bitplane` (YOLOv2-Tiny and AlexNet
 //! conv1), the byte dot the engine runs for it as path `bytedot`,
-//! YOLOv2-Tiny's full-precision head as path `fconv`, and its first binary
-//! pool as path `rowor`; none has a `reference` row, so they are
-//! regression-gated but take no part in the speedup floor. The `tiled`, `bitplane`, `bytedot` and `fconv` paths run on the
+//! YOLOv2-Tiny's full-precision head as path `fconv` (over floats) and
+//! `fconv_bits` (over conv8's packed signs, as the engine runs it), and its
+//! first binary pool as path `rowor`; none has a `reference` row, so they
+//! are regression-gated but take no part in the speedup floor. The
+//! `tiled`, `bitplane`, `bytedot`, `fconv` and `fconv_bits` paths run on the
 //! host ISA tier `phonebit_nn::kernels::isa` detects, printed first and
 //! recorded once in the JSON header as `"isa"`; the `reference` rows stay on
 //! the portable build-target code, so the speedup column is "tiling plus
@@ -20,9 +22,10 @@
 //! `-- --min-speedup X` to exit nonzero if any shape's tiled-vs-reference
 //! speedup falls below `X`; `-- --check-baseline <path>` to diff this
 //! run against a committed `BENCH_bconv.json` — same shape/path entries
-//! required, and each tiled, bitplane, bytedot, fconv or rowor median may regress at most
-//! 5× (`baseline::WALL_CLOCK_TOLERANCE`, sized for noisy shared runners;
-//! the reference kernel is kept for the speedup denominator, not guarded)
+//! required, and each tiled, bitplane, bytedot, fconv, fconv_bits or rowor
+//! median may regress at most 5× (`baseline::WALL_CLOCK_TOLERANCE`, sized
+//! for noisy shared runners; the reference kernel is kept for the speedup
+//! denominator, not guarded)
 //! — the CI guards that keep the hot path from rotting.)
 
 use std::time::Instant;
@@ -38,13 +41,13 @@ use phonebit_nn::kernels::bconv::{
 use phonebit_nn::kernels::bitplane::{bitplane_conv_accum, compute_bitplane_conv_fused, PlaneBank};
 use phonebit_nn::kernels::bytedot::{compute_byte_conv, ByteBank};
 use phonebit_nn::kernels::compute_pack_input;
-use phonebit_nn::kernels::fconv::{compute_fconv, FloatBank};
+use phonebit_nn::kernels::fconv::{compute_fconv, compute_fconv_bits, FloatBank, SignedBank};
 use phonebit_nn::kernels::isa::IsaTier;
 use phonebit_nn::kernels::pool::{compute_maxpool_bits, compute_maxpool_f32, PoolGeometry};
 use phonebit_tensor::bitplane::BitPlanes;
 use phonebit_tensor::bits::BitTensor;
 use phonebit_tensor::lanes::LaneBank;
-use phonebit_tensor::pack::{pack_f32, pack_filters};
+use phonebit_tensor::pack::{pack_f32, pack_filters, unpack_f32};
 use phonebit_tensor::shape::{ConvGeometry, FilterShape, Layout, Shape4};
 use phonebit_tensor::tensor::{Filters, Tensor};
 
@@ -326,10 +329,37 @@ fn main() {
             compute_fconv(&input, &bank, &bias, Activation::Linear, &geom, &mut out);
             std::hint::black_box(&out);
         });
+        // The same head over conv8's packed signs, as the engine runs it:
+        // bit for bit the float body over their unpacked ±1.0.
+        let signs = pack_f32::<u64>(&input);
+        let (signed, act) = (SignedBank::new(&filters), Activation::Linear);
+        compute_fconv(&unpack_f32(&signs), &bank, &bias, act, &geom, &mut out);
+        let mut from_bits = Tensor::<f32>::zeros(out_shape, Layout::Nhwc);
+        compute_fconv_bits(&signs, &signed, &bias, act, &geom, &mut from_bits);
+        assert!(
+            out.as_slice()
+                .iter()
+                .zip(from_bits.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "bits head diverged from the float body over unpacked signs on {name}"
+        );
+        let t_bits = median_ns(samples, || {
+            compute_fconv_bits(&signs, &signed, &bias, act, &geom, &mut from_bits);
+            std::hint::black_box(&from_bits);
+        });
         let pixels = (hw * hw) as f64;
-        println!("\n{:<38} {:>14}", "float head", "fconv");
-        println!("{:<38} {:>14.1}", name, t / pixels);
+        println!(
+            "\n{:<38} {:>14} {:>14}",
+            "float head", "fconv", "fconv_bits"
+        );
+        println!(
+            "{:<38} {:>14.1} {:>14.1}",
+            name,
+            t / pixels,
+            t_bits / pixels
+        );
         rows.push(row(name, "fconv", t, pixels));
+        rows.push(row(name, "fconv_bits", t_bits, pixels));
     }
 
     let gate_failures: Vec<String> = min_speedup

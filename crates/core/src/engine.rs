@@ -49,7 +49,7 @@ use phonebit_gpusim::DeviceProfile;
 use phonebit_gpusim::ExecutorClass;
 use phonebit_gpusim::Phone;
 use phonebit_nn::kernels::bytedot::ByteBank;
-use phonebit_nn::kernels::fconv::FloatBank;
+use phonebit_nn::kernels::fconv::{FloatBank, SignedBank};
 use phonebit_nn::kernels::{
     self, bconv, bgemm, bitplane, bytedot, dense, fconv, fused, pool, profiles,
 };
@@ -317,11 +317,21 @@ pub struct StagedModel {
     /// chains) or the pre-flattened GEMM bank (a dense layer's weights are
     /// one), through the dictionary when the plan compresses the layer.
     banks: Vec<Option<LaneBank<u64>>>,
-    /// The float convolutions' filters, sixteen per vector, per layer.
-    float_banks: Vec<Option<FloatBank>>,
+    /// The float convolutions' filters, sixteen per vector, per layer: as
+    /// sign pairs where the plan feeds the layer packed bits.
+    float_banks: Vec<Option<FloatConvBank>>,
     /// The 8-bit first layer's filters (`u8` feeds only a leading layer)
     /// as `s8` bytes for the host's byte dot.
     byte_bank: Option<ByteBank>,
+}
+
+/// A float convolution's staged filters, in the form its input needs.
+#[derive(Debug, Clone)]
+enum FloatConvBank {
+    /// Float input: the lanes the float body multiplies.
+    Floats(FloatBank),
+    /// Packed bits (a binary layer's output): the `±w` pairs the bits pick.
+    Signs(SignedBank),
 }
 
 impl StagedModel {
@@ -419,7 +429,16 @@ impl StagedModel {
         for (i, layer) in model.layers.iter().enumerate() {
             let filters = match layer {
                 PbitLayer::FConv { filters, .. } => {
-                    float_banks[i] = Some(FloatBank::new(filters));
+                    // A conversion ahead of its step: the plan feeds it bits.
+                    let bits = plan
+                        .steps
+                        .iter()
+                        .any(|s| s.index == i && s.convert.is_some());
+                    float_banks[i] = Some(if bits {
+                        FloatConvBank::Signs(SignedBank::new(filters))
+                    } else {
+                        FloatConvBank::Floats(FloatBank::new(filters))
+                    });
                     continue;
                 }
                 PbitLayer::BConv { filters, .. } => filters,
@@ -1189,7 +1208,7 @@ impl StagedModel {
     }
 
     /// The staged bank of the float convolution at `layer`.
-    fn float_bank(&self, layer: usize) -> &FloatBank {
+    fn float_bank(&self, layer: usize) -> &FloatConvBank {
         self.float_banks[layer]
             .as_ref()
             .expect("every float convolution stages a bank")
@@ -1256,6 +1275,11 @@ fn exec_step(
                     let images = floats_in.expect("arena slot: floats staged");
                     kernels::pack_window_into(q, images, step.in_shape, cvt.bits_mut())
                 }
+                // A float head staged as sign pairs unpacks in its own arm.
+                _ if matches!(
+                    staged.float_banks[step.index],
+                    Some(FloatConvBank::Signs(_))
+                ) => {}
                 _ => kernels::unpack_bits_into(q, in_store.bits(), cvt.floats_mut()),
             }
         }
@@ -1301,15 +1325,20 @@ fn exec_step(
                 activation,
                 ..
             } => {
-                fconv::fconv_bank_into(
-                    q,
-                    src.floats(),
-                    staged.float_bank(step.index),
-                    bias,
-                    *activation,
-                    geom,
-                    out_store.floats_mut(),
-                );
+                let (act, out) = (*activation, out_store.floats_mut());
+                match staged.float_bank(step.index) {
+                    FloatConvBank::Floats(bank) => {
+                        fconv::fconv_bank_into(q, src.floats(), bank, bias, act, geom, out)
+                    }
+                    FloatConvBank::Signs(bank) => {
+                        // The device unpacks the bits; the host's head reads
+                        // them itself, so the unpack has nothing to do here.
+                        let bits = in_store.bits();
+                        let s = bits.shape();
+                        q.launch(profiles::unpack_bits(s.pixels(), s.c), || {});
+                        fconv::fconv_bits_into(q, bits, bank, bias, act, geom, out)
+                    }
+                }
             }
             PbitLayer::MaxPoolBits { geom, .. } => {
                 pool::maxpool_bits_into(q, src.bits(), geom, out_store.bits_mut());

@@ -92,6 +92,10 @@ impl Detection {
 /// Decodes a YOLOv2 output map `(1, gh, gw, anchors * (5 + classes))` into
 /// detections above `conf_threshold`.
 ///
+/// An anchor whose objectness is below the threshold is skipped before its
+/// softmax: the best class probability is at most 1, so its score could not
+/// pass. A NaN score is no detection.
+///
 /// # Panics
 ///
 /// Panics if the channel count is not `anchors * (5 + classes)` for the
@@ -114,16 +118,22 @@ pub fn decode(output: &Tensor<f32>, conf_threshold: f32) -> Vec<Detection> {
                 let base = a * per_anchor;
                 let at = |off: usize| output.at(0, gy, gx, base + off);
                 let objectness = sigmoid(at(4));
+                if objectness < conf_threshold || objectness.is_nan() {
+                    continue;
+                }
                 // Class distribution via softmax over the 20 logits.
-                let mut cls: Vec<f32> = (0..VOC_CLASSES.len()).map(|i| at(5 + i)).collect();
+                let mut cls = [0f32; VOC_CLASSES.len()];
+                for (i, p) in cls.iter_mut().enumerate() {
+                    *p = at(5 + i);
+                }
                 phonebit_nn::act::softmax(&mut cls);
                 let (class_id, &class_prob) = cls
                     .iter()
                     .enumerate()
-                    .max_by(|x, y| x.1.partial_cmp(y.1).unwrap())
-                    .unwrap();
+                    .max_by(|x, y| x.1.total_cmp(y.1))
+                    .expect("20 classes");
                 let score = objectness * class_prob;
-                if score < conf_threshold {
+                if score < conf_threshold || score.is_nan() {
                     continue;
                 }
                 dets.push(Detection {
@@ -142,7 +152,7 @@ pub fn decode(output: &Tensor<f32>, conf_threshold: f32) -> Vec<Detection> {
 
 /// Greedy per-class non-maximum suppression.
 pub fn nms(mut dets: Vec<Detection>, iou_threshold: f32) -> Vec<Detection> {
-    dets.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap());
+    dets.sort_by(|a, b| b.score.total_cmp(&a.score));
     let mut keep: Vec<Detection> = Vec::new();
     for d in dets {
         let suppressed = keep
@@ -274,6 +284,80 @@ mod tests {
             class_id: 2,
         };
         assert_eq!(nms(vec![a, b], 0.5).len(), 2);
+    }
+
+    /// The body `decode` had before it skipped dead anchors: a softmax and
+    /// a `Vec` per anchor, every score compared.
+    fn decode_every_anchor(output: &Tensor<f32>, conf_threshold: f32) -> Vec<Detection> {
+        let s = output.shape();
+        let mut dets = Vec::new();
+        for (gy, gx) in (0..s.h).flat_map(|gy| (0..s.w).map(move |gx| (gy, gx))) {
+            for (a, &(aw, ah)) in ANCHORS.iter().enumerate() {
+                let at = |off: usize| output.at(0, gy, gx, a * 25 + off);
+                let objectness = sigmoid(at(4));
+                let mut cls: Vec<f32> = (0..20).map(|i| at(5 + i)).collect();
+                phonebit_nn::act::softmax(&mut cls);
+                let (class_id, &class_prob) = cls
+                    .iter()
+                    .enumerate()
+                    .max_by(|x, y| x.1.partial_cmp(y.1).unwrap())
+                    .unwrap();
+                let score = objectness * class_prob;
+                if score < conf_threshold {
+                    continue;
+                }
+                dets.push(Detection {
+                    x: (gx as f32 + sigmoid(at(0))) / s.w as f32,
+                    y: (gy as f32 + sigmoid(at(1))) / s.h as f32,
+                    w: aw * at(2).exp() / s.w as f32,
+                    h: ah * at(3).exp() / s.h as f32,
+                    score,
+                    class_id,
+                });
+            }
+        }
+        dets
+    }
+
+    #[test]
+    fn skipping_dead_anchors_keeps_every_detection() {
+        let mut state = 7u64;
+        let mut logit = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 40) as f32 / (1u64 << 24) as f32 * 16.0 - 8.0
+        };
+        for _ in 0..4 {
+            let t = Tensor::from_fn(Shape4::new(1, 13, 13, 125), |_, _, _, _| logit());
+            for conf in [0.0, 0.05, 0.3, 0.5, 0.9] {
+                let want = decode_every_anchor(&t, conf);
+                assert!(conf > 0.0 || want.len() == 13 * 13 * 5);
+                assert_eq!(decode(&t, conf), want, "conf {conf}");
+            }
+        }
+    }
+
+    #[test]
+    fn nan_head_decodes_without_panicking() {
+        let mut t = empty_map(13, 13);
+        // A NaN class logit beside a live objectness, and a NaN objectness.
+        t.set(0, 2, 3, 4, 10.0);
+        t.set(0, 2, 3, 5 + 7, f32::NAN);
+        t.set(0, 4, 5, 25 + 4, f32::NAN);
+        // A live cell that must survive beside them.
+        t.set(0, 6, 7, 25 + 4, 10.0);
+        t.set(0, 6, 7, 25 + 5 + 14, 12.0);
+        let dets = decode(&t, 0.3);
+        assert_eq!(dets.len(), 1);
+        assert_eq!(dets[0].class_id, 14);
+        // `nms` orders NaN scores too.
+        let nan = Detection {
+            score: f32::NAN,
+            ..dets[0].clone()
+        };
+        let kept = nms(vec![dets[0].clone(), nan], 0.5);
+        assert_eq!(kept.len(), 1);
     }
 
     #[test]

@@ -342,12 +342,22 @@ impl<'a, W: BitWord> BitSink<'a, W, PlaneCuts> {
     /// bit `i`) into pixel `px`'s output word.
     #[inline(always)]
     pub(crate) fn put_mask(&mut self, px: usize, k0: usize, mask: u32) {
+        self.put_masks(px, k0, &[mask]);
+    }
+
+    /// [`put_mask`](Self::put_mask) for pixels `px0..px0 + P`, mask `p` to
+    /// pixel `px0 + p`: the row sliced once for the block.
+    #[inline(always)]
+    pub(crate) fn put_masks<const P: usize>(&mut self, px0: usize, k0: usize, masks: &[u32; P]) {
         let wpp = self.words_per_pixel;
-        let (slot, next) = self.row[px * wpp + k0 / W::BITS..(px + 1) * wpp].split_at_mut(1);
-        let word = u64::from(mask) << (k0 % W::BITS);
-        slot[0] = slot[0].or(W::truncate(word));
-        if let Some(next) = next.first_mut().filter(|_| W::BITS < PLANE_LANES) {
-            *next = next.or(W::truncate(word >> W::BITS));
+        let pixels = self.row[px0 * wpp..][..P * wpp].chunks_exact_mut(wpp);
+        for (words, &mask) in pixels.zip(masks) {
+            let (slot, next) = words[k0 / W::BITS..].split_at_mut(1);
+            let word = u64::from(mask) << (k0 % W::BITS);
+            slot[0] = slot[0].or(W::truncate(word));
+            if let Some(next) = next.first_mut().filter(|_| W::BITS < PLANE_LANES) {
+                *next = next.or(W::truncate(word >> W::BITS));
+            }
         }
     }
 }

@@ -16,6 +16,9 @@
 //!   most 510, so it cannot saturate) or a scalar loop.
 //! - **The cut** is `PlaneCuts`' rule in-register: `s − lo ≥ 0` gives a
 //!   16-bit mask, which [`BitSink`] ORs into the output word once.
+//! - **The zoo's RGB 3×3 stride-1 layers** run `row_vnni_rgb3` on VNNI:
+//!   nine bank vectors in registers, sixteen columns per block at constant
+//!   offsets. Other shapes take the runtime frames.
 //!
 //! The frames are safe `#[target_feature]` functions, inside which value
 //! intrinsics are safe; `isa::byte_row` enters one.
@@ -117,6 +120,13 @@ impl<'a> ByteRing<'a> {
             taps: taps.collect(),
             holds: None,
         }
+    }
+
+    /// `(kh, lane words per window row, stride_w·c, ow)`: the shape
+    /// [`isa::byte_row`] matches instances on.
+    pub(crate) fn shape(&self) -> (usize, usize, usize, usize) {
+        let (kh, steps) = (self.bank.shape.kh, self.bank.steps);
+        (kh, steps, self.geom.stride_w * self.s.c, self.ow)
     }
 
     /// Decides output row `(n, oy)` of `image` into `sink`: brings in the
@@ -239,18 +249,85 @@ pub(crate) fn row_avx2<W: BitWord>(ring: &ByteRing<'_>, sink: &mut BitSink<'_, W
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,avx512f,avx512bw,avx512vl,avx512vnni")]
 pub(crate) fn row_vnni<W: BitWord>(ring: &ByteRing<'_>, sink: &mut BitSink<'_, W, PlaneCuts>) {
-    #[rustfmt::skip]
-    let load = |w: &Lanes| _mm512_set_epi32(
-        w[15], w[14], w[13], w[12], w[11], w[10], w[9], w[8],
-        w[7], w[6], w[5], w[4], w[3], w[2], w[1], w[0],
-    );
-    let step = |acc, x, w: &Lanes| _mm512_dpbusd_epi32(acc, _mm512_set1_epi32(x), load(w));
+    let step = |acc, x, w: &Lanes| _mm512_dpbusd_epi32(acc, _mm512_set1_epi32(x), lanes512(w));
     let emit = |ox, k0, acc| {
-        let d = _mm512_sub_epi32(acc, load(sink.lo(k0)));
+        let d = _mm512_sub_epi32(acc, lanes512(sink.lo(k0)));
         let mask = _mm512_cmpge_epi32_mask(d, _mm512_setzero_si512());
         sink.put_mask(ox, k0, u32::from(mask));
     };
     each_window::<8, _>(ring, _mm512_setzero_si512(), step, emit);
+}
+
+/// Output columns per block of [`row_vnni_rgb3`].
+const RGB3_PIXELS: usize = 16;
+
+/// Bytes of one window row under a block of [`row_vnni_rgb3`]: sixteen
+/// windows three bytes apart, the last one's three lane words.
+const RGB3_SPAN: usize = 3 * (RGB3_PIXELS - 1) + 12;
+
+/// [`row_vnni`] at the zoo's RGB 3×3 stride-1 first layers —
+/// [`ByteRing::shape`] `(3, 3, 3, ow ≥ 16)`: YOLOv2-Tiny, YOLO-micro,
+/// AlexNet-micro, VGG16 `conv1_1`, any filter count. Per group the nine
+/// bank vectors stay in registers across the row; sixteen columns per
+/// block, each window row one `[u8; 57]` read at constant offsets, the
+/// accumulators passed by value. When `ow % 16 != 0` the last block
+/// overlaps the one before it: its repeated columns OR the same bits again.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f,avx512bw,avx512vl,avx512vnni")]
+#[allow(clippy::needless_range_loop)]
+pub(crate) fn row_vnni_rgb3<W: BitWord>(ring: &ByteRing<'_>, sink: &mut BitSink<'_, W, PlaneCuts>) {
+    // One window row of the block: pixel `p`'s lane word `t` sits at `3p + 4t`.
+    let block_row = |mut acc: [__m512i; RGB3_PIXELS], x: &[u8; RGB3_SPAN], w: [__m512i; 3]| {
+        for p in 0..RGB3_PIXELS {
+            for (t, &w) in w.iter().enumerate() {
+                let at = 3 * p + 4 * t;
+                let x = i32::from_le_bytes([x[at], x[at + 1], x[at + 2], x[at + 3]]);
+                acc[p] = _mm512_dpbusd_epi32(acc[p], _mm512_set1_epi32(x), w);
+            }
+        }
+        acc
+    };
+    let (bank, ow, row_len) = (ring.bank, ring.ow, ring.row_len);
+    for g in 0..bank.shape.k.div_ceil(PLANE_LANES) {
+        let k0 = g * PLANE_LANES;
+        let w: &[Lanes; 9] = bank.group(g).try_into().expect("three rows of three words");
+        let w0 = [lanes512(&w[0]), lanes512(&w[1]), lanes512(&w[2])];
+        let w1 = [lanes512(&w[3]), lanes512(&w[4]), lanes512(&w[5])];
+        let w2 = [lanes512(&w[6]), lanes512(&w[7]), lanes512(&w[8])];
+        let lo = lanes512(sink.lo(k0));
+        for ox0 in (0..ow)
+            .step_by(RGB3_PIXELS)
+            .map(|ox0| ox0.min(ow - RGB3_PIXELS))
+        {
+            let x = |i: usize| -> &[u8; RGB3_SPAN] {
+                let at = i * row_len + 3 * ox0;
+                ring.bytes[at..][..RGB3_SPAN]
+                    .try_into()
+                    .expect("a block's window row")
+            };
+            let acc = [_mm512_setzero_si512(); RGB3_PIXELS];
+            let acc = block_row(block_row(block_row(acc, x(0), w0), x(1), w1), x(2), w2);
+            let mut masks = [0; RGB3_PIXELS];
+            for (m, &acc) in masks.iter_mut().zip(&acc) {
+                let d = _mm512_sub_epi32(acc, lo);
+                *m = u32::from(_mm512_cmpge_epi32_mask(d, _mm512_setzero_si512()));
+            }
+            sink.put_masks(ox0, k0, &masks);
+        }
+    }
+}
+
+/// A lane word as one `zmm`: filter `l`'s four weights in lane `l`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn lanes512(w: &Lanes) -> __m512i {
+    #[rustfmt::skip]
+    let v = _mm512_set_epi32(
+        w[15], w[14], w[13], w[12], w[11], w[10], w[9], w[8],
+        w[7], w[6], w[5], w[4], w[3], w[2], w[1], w[0],
+    );
+    v
 }
 
 /// Functional body of the host first layer: one row task per output row,

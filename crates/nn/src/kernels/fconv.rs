@@ -5,19 +5,24 @@
 //! why Fig 5 still shows a ~3x win over CNNdroid there. The same functional
 //! body is reused by the baseline frameworks with their own cost profiles.
 //!
-//! On the host the filters are the lanes: a [`FloatBank`], staged once,
-//! holds sixteen filters per vector, tap by tap. In NHWC a window row's
-//! in-bounds taps are one contiguous run of `taps·c` floats, so a step over
-//! a block of pixels that share their in-bounds taps broadcasts one input
-//! value per pixel and multiplies it into sixteen filters at once — a
-//! latency-bound dot per (pixel, filter) becomes independent vector
-//! chains. Multiply and add stay separate (no `fma`), so an output is
-//! exactly `bias + Σ x·w` over the in-bounds taps summed in tap order, the
-//! naive sequential `f32` dot, on every [`isa`] tier: entered once per
-//! output row, each returns the same bits.
+//! On the host the filters are the lanes, sixteen per 64-byte-aligned
+//! vector. Over floats ([`FloatBank`]), in NHWC a window row's in-bounds
+//! taps are one contiguous run of `taps·c` floats, so a step over a block
+//! of pixels that share their in-bounds taps broadcasts one input value per
+//! pixel and multiplies it into sixteen filters at once — a latency-bound
+//! dot per (pixel, filter) becomes independent vector chains. Over a binary
+//! layer's packed signs ([`SignedBank`]), `x·w` is `−w` or `+w`: the bank
+//! holds both and the input bit picks one, one vector add from memory per
+//! tap and eight filter groups, taps blocked so the bank stays in L1.
+//! Multiply and add stay separate (no `fma`), so an output is exactly
+//! `bias + Σ x·w` over the in-bounds taps summed in tap order, the naive
+//! sequential `f32` dot — from packed signs too — on every [`isa`] tier:
+//! entered once per output row, each returns the same bits.
 
-use phonebit_gpusim::exec::par_chunks_mut;
+use phonebit_gpusim::exec::{par_chunks_mut, par_chunks_mut_with};
+use phonebit_gpusim::kernel::KernelProfile;
 use phonebit_gpusim::queue::CommandQueue;
+use phonebit_tensor::bits::BitTensor;
 use phonebit_tensor::shape::{ConvGeometry, FilterShape, Layout, Shape4};
 use phonebit_tensor::tensor::{Filters, Tensor};
 
@@ -34,13 +39,26 @@ const LANES: usize = 16;
 /// and six or eight left the lanes scalar on AVX-512).
 const PIXELS: usize = 4;
 
+/// Filter groups a packed-sign step adds into: eight accumulators keep two
+/// add ports busy (a second pixel's eight gained 4 % and spill below AVX-512).
+const HEAD_GROUPS: usize = 8;
+
+/// Taps of a packed-sign block: one word's sixteen channels, 16 KB of pairs.
+const HEAD_TAPS: usize = 16;
+
+/// Sixteen filters' lanes on one 64-byte line (a `Vec<[f32; 16]>` sits 16
+/// bytes past one, and every 512-bit load of it split across two).
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(C, align(64))]
+struct Lane([f32; LANES]);
+
 /// A float convolution's filters as lanes: per group of sixteen filters,
 /// one vector per tap in NHWC tap order, filter `k0 + l` in lane `l`, zero
 /// past the last filter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FloatBank {
     shape: FilterShape,
-    lanes: Vec<[f32; LANES]>,
+    lanes: Vec<Lane>,
 }
 
 impl FloatBank {
@@ -48,13 +66,42 @@ impl FloatBank {
     pub fn new(filters: &Filters) -> Self {
         let shape = filters.shape();
         let taps = shape.filter_len();
-        let mut lanes = vec![[0.0; LANES]; shape.k.div_ceil(LANES) * taps];
+        let mut lanes = vec![Lane([0.0; LANES]); shape.k.div_ceil(LANES) * taps];
         for k in 0..shape.k {
             for (t, &w) in filters.filter(k).iter().enumerate() {
-                lanes[k / LANES * taps + t][k % LANES] = w;
+                lanes[k / LANES * taps + t].0[k % LANES] = w;
             }
         }
         Self { shape, lanes }
+    }
+}
+
+/// A float convolution's filters for packed-sign input: per tap, each
+/// group's `[−w, +w]` (the products of an unpacked `x = ∓1.0`), so input bit
+/// `b` picks `pair[b]`; taps in NHWC order per chunk of eight
+/// groups, a tap's pairs side by side (zero past the last group).
+#[derive(Debug, Clone, PartialEq)]
+pub struct SignedBank {
+    shape: FilterShape,
+    pairs: Vec<[[Lane; 2]; HEAD_GROUPS]>,
+}
+
+impl SignedBank {
+    /// Interleaves `filters` and forms both products per weight.
+    pub fn new(filters: &Filters) -> Self {
+        let FloatBank { shape, lanes } = FloatBank::new(filters);
+        let taps = shape.filter_len();
+        let zero = [Lane([0.0; LANES]); 2];
+        let mut pairs = vec![[zero; HEAD_GROUPS]; shape.k.div_ceil(LANES * HEAD_GROUPS) * taps];
+        // The float body's own products: an opaque `∓1` keeps the multiply
+        // from being folded to a negation, which differs on a NaN's sign.
+        let x = std::hint::black_box([-1.0f32, 1.0]);
+        for (at, w) in lanes.iter().enumerate() {
+            let (g, t) = (at / taps, at % taps);
+            pairs[g / HEAD_GROUPS * taps + t][g % HEAD_GROUPS] =
+                x.map(|x| Lane(w.0.map(|w| x * w)));
+        }
+        Self { shape, pairs }
     }
 }
 
@@ -170,7 +217,7 @@ fn fconv_block<const P: usize>(
 fn accumulate<const P: usize>(
     mut acc: [[f32; LANES]; P],
     xs: [&[f32]; P],
-    ws: &[[f32; LANES]],
+    ws: &[Lane],
 ) -> [[f32; LANES]; P] {
     let run = ws.len();
     let mut cut = xs;
@@ -178,7 +225,7 @@ fn accumulate<const P: usize>(
         cut[p] = &xs[p][..run];
     }
     for t in 0..run {
-        let w = &ws[t];
+        let w = &ws[t].0;
         for p in 0..P {
             let x = cut[p][t];
             for l in 0..LANES {
@@ -187,6 +234,111 @@ fn accumulate<const P: usize>(
         }
     }
     acc
+}
+
+/// Sums output row `(n, oy)` into `acc`, `stride` lanes per pixel: per tap
+/// block in tap order, every pixel whose window has it in bounds adds the
+/// pairs its input bits pick, so the block's bank slice stays in L1.
+#[inline(always)]
+fn bits_row(
+    input: &BitTensor<u64>,
+    bank: &SignedBank,
+    geom: &ConvGeometry,
+    (n, oy): (usize, usize),
+    stride: usize,
+    acc: &mut [Lane],
+) {
+    let (s, fs, wpp) = (input.shape(), bank.shape, input.words_per_pixel());
+    let taps = fs.filter_len();
+    acc.fill(Lane([0.0; LANES]));
+    let words = input.as_words();
+    for (i, j) in (0..fs.kh).flat_map(|i| (0..fs.kw).map(move |j| (i, j))) {
+        for ch0 in (0..s.c).step_by(HEAD_TAPS) {
+            let t0 = (i * fs.kw + j) * s.c + ch0;
+            let len = HEAD_TAPS.min(s.c - ch0);
+            for (ox, acc) in acc.chunks_exact_mut(stride).enumerate() {
+                let span = BorderSpan::of(geom, s.h, s.w, oy, ox);
+                if !(span.i0..span.i1).contains(&i) || !(span.j0..span.j1).contains(&j) {
+                    continue;
+                }
+                let (iy, ix) = (
+                    oy * geom.stride_h + i - geom.pad_h,
+                    ox * geom.stride_w + j - geom.pad_w,
+                );
+                let bits = words[((n * s.h + iy) * s.w + ix) * wpp + ch0 / 64] >> (ch0 % 64);
+                for (chunk, acc) in acc.chunks_exact_mut(HEAD_GROUPS).enumerate() {
+                    let block = &bank.pairs[chunk * taps + t0..][..len];
+                    let acc: &mut [Lane; HEAD_GROUPS] = acc.try_into().expect("a chunk");
+                    *acc = add_signed(*acc, bits, block);
+                }
+            }
+        }
+    }
+}
+
+/// Adds `block[u][g][bit u of bits]` into group `g`, tap after tap: `acc`
+/// by value so it stays in registers, the eight adds written out (as a loop
+/// over `g` the loop vectoriser took that axis: gathers and scatters).
+#[inline(always)]
+#[allow(clippy::needless_range_loop)]
+fn add_signed(
+    mut acc: [Lane; HEAD_GROUPS],
+    bits: u64,
+    block: &[[[Lane; 2]; HEAD_GROUPS]],
+) -> [Lane; HEAD_GROUPS] {
+    for u in 0..block.len() {
+        let (pairs, pick) = (&block[u], (bits >> u & 1) as usize);
+        let add = |g: usize| {
+            let (mut a, w) = (acc[g].0, &pairs[g][pick].0);
+            for l in 0..LANES {
+                a[l] += w[l];
+            }
+            Lane(a)
+        };
+        acc = [
+            add(0),
+            add(1),
+            add(2),
+            add(3),
+            add(4),
+            add(5),
+            add(6),
+            add(7),
+        ];
+    }
+    acc
+}
+
+/// Functional body of a float convolution over packed signs, bit for bit
+/// the float body over their unpacked `±1.0`: one task per output row.
+pub fn compute_fconv_bits(
+    input: &BitTensor<u64>,
+    bank: &SignedBank,
+    bias: &[f32],
+    act: Activation,
+    geom: &ConvGeometry,
+    out: &mut Tensor<f32>,
+) {
+    let (os, k) = (out.shape(), bank.shape.k);
+    let stride = k.div_ceil(LANES * HEAD_GROUPS) * HEAD_GROUPS;
+    let scratch = || vec![Lane([0.0; LANES]); os.w * stride];
+    par_chunks_mut_with(
+        out.as_mut_slice(),
+        os.w * k,
+        scratch,
+        |acc, row_idx, row| {
+            let at = (row_idx / os.h, row_idx % os.h);
+            isa::run(
+                #[inline(always)]
+                || bits_row(input, bank, geom, at, stride, acc),
+            );
+            for (out, acc) in row.chunks_exact_mut(k).zip(acc.chunks_exact(stride)) {
+                for ((o, a), b) in out.iter_mut().zip(acc.iter().flat_map(|a| &a.0)).zip(bias) {
+                    *o = act.apply(b + a);
+                }
+            }
+        },
+    );
 }
 
 /// Dispatches PhoneBit's full-precision convolution (`dot()` SIMD profile).
@@ -237,8 +389,40 @@ pub fn fconv_bank_into(
     geom: &ConvGeometry,
     out: &mut Tensor<f32>,
 ) {
-    let s = input.shape();
-    let fs = bank.shape;
+    let profile = reset_out(input.shape(), bank.shape, bias, act, geom, out);
+    q.launch(profile, || compute_fconv(input, bank, bias, act, geom, out));
+}
+
+/// [`fconv_bank_into`] over a binary layer's packed signs (the engine's
+/// path when the plan feeds the layer bits).
+///
+/// # Panics
+///
+/// As [`fconv_bank_into`].
+pub fn fconv_bits_into(
+    q: &mut CommandQueue,
+    input: &BitTensor<u64>,
+    bank: &SignedBank,
+    bias: &[f32],
+    act: Activation,
+    geom: &ConvGeometry,
+    out: &mut Tensor<f32>,
+) {
+    let profile = reset_out(input.shape(), bank.shape, bias, act, geom, out);
+    q.launch(profile, || {
+        compute_fconv_bits(input, bank, bias, act, geom, out)
+    });
+}
+
+/// Checks the shapes, resets `out` to the output and returns the profile.
+fn reset_out(
+    s: Shape4,
+    fs: FilterShape,
+    bias: &[f32],
+    act: Activation,
+    geom: &ConvGeometry,
+    out: &mut Tensor<f32>,
+) -> KernelProfile {
     assert_eq!(
         s.c, fs.c,
         "input channels {} != filter channels {}",
@@ -250,7 +434,7 @@ pub fn fconv_bank_into(
     out.reset(os, Layout::Nhwc);
     let mut profile = profiles::fconv(os.pixels(), fs.k, s.c, geom);
     profile.f32_ops += os.len() as f64 * act.ops_per_element();
-    q.launch(profile, || compute_fconv(input, bank, bias, act, geom, out));
+    profile
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //! - **Where the frame boundary is.** `run` is called once per row task
 //!   (`tiled::conv_row_tiled`, `tiled::tile_filters` — the lowered GEMM's
 //!   and the dense layer's — `bitplane::bitplane_row`, `fconv`'s pixel
-//!   rows), never per word; `byte_row` once per first-layer output row,
+//!   rows over floats and over packed signs), never per word; `byte_row` once per first-layer output row,
 //!   `pack_window` once per sign-pack sweep.
 //!   A `#[target_feature]` function cannot be inlined into its caller, so
 //!   the call is the boundary; everything below it — the driver, the
@@ -31,7 +31,8 @@
 //!   ([`bytedot`]) is written in `core::arch` value intrinsics, which are
 //!   safe only inside a `#[target_feature]` function that enables them, so
 //!   its frames live there: `row_vnni` (`avx512vnni` on top of the
-//!   AVX-512 tier, checked separately) and `row_avx2`. `byte_row` enters
+//!   AVX-512 tier, checked separately), its RGB 3×3 stride-1 instance
+//!   `row_vnni_rgb3`, and `row_avx2`. `byte_row` enters
 //!   one of them — its calls are this module's other `unsafe`, with
 //!   `pack_window`'s entry into `kernels::pack_avx512`, the float input's
 //!   sign compare into a mask register. The `run_*`
@@ -144,7 +145,8 @@ pub(crate) fn entered() -> IsaTier {
 }
 
 /// Runs the first layer's byte-dot row ([`bytedot`]) in the frame the
-/// entered tier selects: `vpdpbusd` where the CPU also has AVX-512 VNNI,
+/// entered tier selects: `vpdpbusd` where the CPU also has AVX-512 VNNI
+/// (rows of 16+ RGB 3×3 stride-1 windows in their own instance),
 /// `vpmaddubsw` from AVX2 up, scalar below. The frames are safe
 /// `#[target_feature]` functions there; entering one is the unsafe step.
 #[inline]
@@ -155,7 +157,13 @@ pub(crate) fn byte_row<W: BitWord>(ring: &ByteRing<'_>, sink: &mut BitSink<'_, W
         // guard confirms `avx512vnni`: every feature `row_vnni` enables.
         #[cfg(target_arch = "x86_64")]
         IsaTier::Avx512Vpopcntdq if is_x86_feature_detected!("avx512vnni") => unsafe {
-            bytedot::row_vnni(ring, sink)
+            // The zoo's RGB 3×3 stride-1 first layers run their instance.
+            match ring.shape() {
+                #[cfg(test)]
+                _ if tests::RUNTIME_FRAME.get() => bytedot::row_vnni(ring, sink),
+                (3, 3, 3, 16..) => bytedot::row_vnni_rgb3(ring, sink),
+                _ => bytedot::row_vnni(ring, sink),
+            }
         },
         // SAFETY: at least `Avx2` was detected, which means `avx2`, the one
         // feature `row_avx2` enables.
@@ -255,6 +263,7 @@ mod tests {
     use phonebit_tensor::bits::{dot_pm1, BitTensor, BitWord, PackedFilters};
     use phonebit_tensor::dict::FilterDict;
     use phonebit_tensor::lanes::{LaneBank, LANES};
+    use phonebit_tensor::pack::unpack_f32_into;
     use phonebit_tensor::shape::{ConvGeometry, FilterShape, Layout, Shape4};
     use phonebit_tensor::tensor::{Filters, Tensor};
 
@@ -265,7 +274,9 @@ mod tests {
     use crate::kernels::bitplane::{bitplane_row, PlaneBank, PlaneStream};
     use crate::kernels::bytedot::ByteBank;
     use crate::kernels::dense::compute_dense_bin;
-    use crate::kernels::fconv::{compute_fconv, fconv_row, FloatBank};
+    use crate::kernels::fconv::{
+        compute_fconv, compute_fconv_bits, fconv_row, FloatBank, SignedBank,
+    };
     use crate::kernels::fused::{compute_bconv_pool_chain, ring_shape};
     use crate::kernels::pool::tests::{nested_loop_maxpool, runtime_shape_maxpool};
     use crate::kernels::pool::{compute_maxpool_bits, PoolGeometry};
@@ -276,6 +287,9 @@ mod tests {
         /// The tier [`run`] enters on this thread instead of the detected
         /// one; see [`on_tier`].
         pub(super) static FORCED: Cell<Option<IsaTier>> = const { Cell::new(None) };
+        /// Whether [`byte_row`] skips its shape instances on this thread,
+        /// to time the runtime frame against them.
+        pub(super) static RUNTIME_FRAME: Cell<bool> = const { Cell::new(false) };
     }
 
     /// Runs `entry` — a kernel's public entry, [`run`] inside it — on
@@ -950,6 +964,80 @@ mod tests {
         Ok(())
     }
 
+    /// The float body over packed signs ([`compute_fconv_bits`]) on every
+    /// tier against what it replaced, compared as `u32` patterns: the signs
+    /// unpacked to `±1.0` by `unpack_f32_into`, then `compute_fconv`.
+    #[allow(clippy::too_many_arguments)]
+    fn fconv_bits_case(
+        (h, w): (usize, usize),
+        c: usize,
+        k: usize,
+        kernel: usize,
+        stride: usize,
+        pad: usize,
+        act: Activation,
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        if h + 2 * pad < kernel || w + 2 * pad < kernel {
+            return Ok(());
+        }
+        let mut rng = seed;
+        let input = random_bits::<u64>(Shape4::new(2, h, w, c), &mut rng);
+        let filters = Filters::from_fn(FilterShape::new(k, kernel, kernel, c), |_, _, _, _| {
+            unit(&mut rng)
+        });
+        let bias: Vec<f32> = (0..k).map(|_| unit(&mut rng)).collect();
+        let geom = ConvGeometry::square(kernel, stride, pad);
+        let (oh, ow) = geom.output_hw(h, w);
+        let os = Shape4::new(2, oh, ow, k);
+        let patterns =
+            |t: Tensor<f32>| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut floats = Tensor::zeros(os, Layout::Nhwc);
+        unpack_f32_into(&input, &mut floats);
+        let mut want = Tensor::from_fn(os, |_, _, _, _| f32::NAN);
+        compute_fconv(
+            &floats,
+            &FloatBank::new(&filters),
+            &bias,
+            act,
+            &geom,
+            &mut want,
+        );
+        let bank = SignedBank::new(&filters);
+        let got = same_on_every_tier(|tier| {
+            let mut out = Tensor::from_fn(os, |_, _, _, _| f32::NAN);
+            on_tier(tier, || {
+                compute_fconv_bits(&input, &bank, &bias, act, &geom, &mut out)
+            });
+            patterns(out)
+        })?;
+        prop_assert!(
+            got == patterns(want),
+            "k {k} c {c} {kernel}x{kernel}/{stride} pad {pad}"
+        );
+        Ok(())
+    }
+
+    /// The packed-sign head at the filter counts around a group and a
+    /// chunk of eight groups (YOLO conv9's 125 among them), channel counts
+    /// around a word (conv9's 1024), odd widths, and a 3×3 pad-1 window
+    /// under every activation.
+    #[test]
+    fn bits_head_equals_unpacked_float_body() {
+        let acts = [Activation::Linear, Activation::Relu, Activation::Leaky(0.1)];
+        for (i, k) in [1usize, 15, 16, 17, 125, 130].into_iter().enumerate() {
+            for (j, c) in [1usize, 63, 64, 65, 1024].into_iter().enumerate() {
+                let (act, seed) = (acts[(i + j) % 3], (i * 8 + j) as u64);
+                fconv_bits_case((2, 3), c, k, 1, 1, 0, act, seed).unwrap();
+                if c <= 65 {
+                    for act in acts {
+                        fconv_bits_case((3, 5), c, k, 3, 1, 1, act, seed).unwrap();
+                    }
+                }
+            }
+        }
+    }
+
     /// The float head's previous host body, kept to time against: per
     /// (pixel, filter) one dot product, element `e` into lane `e % 16`, the
     /// lanes added pairwise.
@@ -1076,6 +1164,47 @@ mod tests {
             });
             println!(
                 "{:<16} {bitplane:>18.2} {bytes:>9.2} {pairwise:>15.2} {lanes:>9.2}",
+                tier.name()
+            );
+        }
+        // conv9 from conv8's packed signs (12×12×1024, `u64` words): unpacked
+        // to `±1.0` for the float body, and read in place by the bits head;
+        // conv1 on the VNNI frame at runtime shape and on its `(3, 3, 3)`
+        // instance.
+        let signs = random_bits::<u64>(fs, &mut rng);
+        let (signed, mut unpacked) = (SignedBank::new(&head), Tensor::zeros(fs, Layout::Nhwc));
+        let mut head_out = Tensor::zeros(Shape4::new(1, 12, 12, 125), Layout::Nhwc);
+        let act = Activation::Linear;
+        println!("tier             conv9 unpack+lanes  bits head   conv1 runtime frame  (3, 3, 3)");
+        for tier in tiers() {
+            let unpack_lanes = best_ms(|| {
+                on_tier(Some(tier), || {
+                    unpack_f32_into(&signs, &mut unpacked);
+                    compute_fconv(&unpacked, &head_bank, &bias, act, &one, &mut head_out)
+                })
+            });
+            let bits_head = best_ms(|| {
+                on_tier(Some(tier), || {
+                    compute_fconv_bits(&signs, &signed, &bias, act, &one, &mut head_out)
+                })
+            });
+            let mut conv1 = |runtime: bool| {
+                RUNTIME_FRAME.set(runtime);
+                let ms = best_ms(|| {
+                    let mut ring = ByteRing::new(&bank, &geom, s);
+                    for (oy, row) in out.chunks_exact_mut(416).enumerate() {
+                        let mut sink = BitSink::new(&cuts, row, 1);
+                        on_tier(Some(tier), || {
+                            ring.decide_row(image.as_slice(), (0, oy), &mut sink)
+                        });
+                    }
+                });
+                RUNTIME_FRAME.set(false);
+                ms
+            };
+            let (runtime, instance) = (conv1(true), conv1(false));
+            println!(
+                "{:<16} {unpack_lanes:>18.2} {bits_head:>10.2} {runtime:>20.2} {instance:>10.2}",
                 tier.name()
             );
         }
@@ -1228,6 +1357,20 @@ mod tests {
         }
     }
 
+    /// The byte dot's `(3, 3, 3)` instance (RGB 3×3 stride 1) at rows of
+    /// `ow % 16` ∈ {0, 1, 15} and one to four filter groups, and a wide row
+    /// of another shape on the runtime frame, on every tier against the
+    /// portable frame and `bitplane_row` ([`byte_row_case`]).
+    #[test]
+    fn byte_instance_at_every_block_residue() {
+        for (w, seed) in [(16, 1), (17, 2), (31, 3), (32, 4)] {
+            for k in [8, 16, 24, 64] {
+                byte_row_case(3, w, 3, k, 3, 1, 1, seed * 100 + k as u64).unwrap();
+            }
+        }
+        byte_row_case(3, 33, 4, 24, 3, 1, 1, 5).unwrap();
+    }
+
     // Each property enters the one generic driver on every tier the CPU has
     // and through the dispatched entry, at all four word widths, and compares
     // each against the portable tier — and that against an oracle that
@@ -1331,6 +1474,22 @@ mod tests {
             seed in any::<u64>(),
         ) {
             fconv_case(h, w, c, k, kernel, stride, pad, seed)?;
+        }
+
+        // The packed-sign head at any geometry: windows wholly in padding,
+        // strides, one-pixel rows.
+        #[test]
+        fn dispatched_bits_head_equals_unpacked_float_body(
+            h in 1usize..5,
+            w in 1usize..8,
+            c in prop::sample::select(vec![1usize, 3, 17, 64, 70]),
+            k in prop::sample::select(vec![1usize, 16, 17, 125, 130]),
+            kernel in prop::sample::select(vec![1usize, 3]),
+            stride in 1usize..3,
+            pad in 0usize..3,
+            seed in any::<u64>(),
+        ) {
+            fconv_bits_case((h, w), c, k, kernel, stride, pad, Activation::Leaky(0.1), seed)?;
         }
 
         // The row ring at dense width: channel tails and pad bits on both

@@ -18,10 +18,18 @@
 # (LLVM vectorising the planes, not the filters) is 17 narrow and none wide.
 # The first layer's byte dot has frames of its own
 # (crates/nn/src/kernels/bytedot.rs): `row_vnni` must hold `vpdpbusd` on
-# `zmm`, `row_avx2` `vpmaddubsw`, and neither a gather. The float head runs
-# in `isa::run_avx512` too: those frames must hold packed `vmulps` and
-# `vaddps` on `zmm` (sixteen filters per vector; scalar `vmulss` there is a
-# split tile).
+# `zmm`, `row_avx2` `vpmaddubsw`, and neither a gather. Its `(3, 3, 3)`
+# instance `row_vnni_rgb3` must hold `vpdpbusd` on `zmm`, no gather, and no
+# call but a panic's (an out-of-line closure or a `memcpy` of the bank
+# vectors: both seen while writing it). Calls through the GOT are resolved
+# to their symbol by the binary's relative relocations. The float head
+# over floats runs in `isa::run_avx512` too: those frames must hold packed
+# `vmulps` and `vaddps` on `zmm` (sixteen filters per vector; scalar
+# `vmulss` there is a split tile). The head over packed signs
+# (crates/nn/src/kernels/fconv.rs `compute_fconv_bits`, named by its closure
+# in the line table) must hold `vaddps` on `zmm` from memory — the pair the
+# input bit picks — and no `vmulps`, `vfmadd` or gather (seen: the loop
+# vectoriser took the group axis, a gather per lane and a scatter per add).
 #
 # The direct binary rows (crates/nn/src/kernels/tiled.rs `conv_row_tiled`,
 # windows read in place from the row ring, thin `C % 64 != 0` rows included
@@ -53,13 +61,46 @@ if ! command -v objdump >/dev/null 2>&1; then
     echo "objdump not found; skipping the kernel codegen check"
     exit 0
 fi
+# Calls through the GOT (`call *..(%rip) # <_DYNAMIC+0x..>`): GOT slot
+# address, then the function each relative relocation points it at.
+dynamic=$(readelf -SW "$bin" | awk '$2 == ".dynamic" { print $4 }')
+got_targets=$(readelf -rW "$bin" | awk '$3 == "R_X86_64_RELATIVE" { print $1, $4 }')
+symbols=$(nm -C "$bin" | awk '$2 ~ /^[tT]$/ { print $1, substr($0, index($0, $3)) }')
 pool_src="$(dirname "$0")/../crates/nn/src/kernels/pool.rs"
 pool_arm=$(grep -n '(1, 2, 2) => or_windows' "$pool_src" | cut -d: -f1)
 if [ -z "$pool_arm" ]; then
     echo "no (1, 2, 2) arm found in $pool_src"
     exit 1
 fi
-objdump -d -l --inlines --no-show-raw-insn -C "$bin" | awk -v pool_arm="$pool_arm" '
+objdump -d -l --inlines --no-show-raw-insn -C "$bin" | awk -v pool_arm="$pool_arm" \
+    -v dynamic="$dynamic" -v got_targets="$got_targets" -v symbols="$symbols" '
+    function hex(s,   i, n, d) {
+        s = tolower(s); sub(/^0x/, "", s); n = 0
+        for (i = 1; i <= length(s); i++) {
+            d = index("0123456789abcdef", substr(s, i, 1)) - 1
+            n = n * 16 + d
+        }
+        return n
+    }
+    BEGIN {
+        n = split(got_targets, entries, "\n")
+        for (i = 1; i <= n; i++) { split(entries[i], col, " "); slot[hex(col[1])] = hex(col[2]) }
+        n = split(symbols, entries, "\n")
+        for (i = 1; i <= n; i++) {
+            at = index(entries[i], " ")
+            name[hex(substr(entries[i], 1, at - 1))] = substr(entries[i], at + 1)
+        }
+        delete entries
+    }
+    # The function a call in the frame reaches: named, or through the GOT.
+    function callee(   t, off) {
+        t = $NF
+        if (t ~ /^<_DYNAMIC\+0x[0-9a-f]+>$/) {
+            off = t; sub(/^<_DYNAMIC\+/, "", off); sub(/>$/, "", off)
+            t = name[slot[hex(dynamic) + hex(off)]]
+        }
+        return t
+    }
     # A source location starts a new inline chain; an `or_pool_row` link in
     # it names the pool arm the instructions below come from.
     /^\/.*:[0-9]+/ { arm = "" }
@@ -74,6 +115,7 @@ objdump -d -l --inlines --no-show-raw-insn -C "$bin" | awk -v pool_arm="$pool_ar
     avx512 && task == "" && /^phonebit[^ ]*::\{\{closure\}\}:$/ {
         task = $0
         if (task ~ /tiled::conv_row_tiled::/) rows[frame] = 0
+        if (task ~ /fconv::compute_fconv_bits::/) heads[frame] = 0
     }
     !/^[ \t]+[0-9a-f]+:/ { next }
     avx512 && /vpopcntq/ { vpopcntq++; if (frame in rows) rows[frame]++ }
@@ -82,7 +124,13 @@ objdump -d -l --inlines --no-show-raw-insn -C "$bin" | awk -v pool_arm="$pool_ar
     avx512 && /vaddps.*zmm/ { vaddps++ }
     pack && /vcmp[a-z_]*ps.*zmm.*%k/ { packcmp++ }
     pack && /kmov/ { packkmov++ }
-    frame ~ /bytedot::row_vnni/ && /vpdpbusd.*zmm/ { vpdpbusd++ }
+    frame ~ /bytedot::row_vnni[^_]/ && /vpdpbusd.*zmm/ { vpdpbusd++ }
+    frame ~ /bytedot::row_vnni_rgb3/ && /vpdpbusd.*zmm/ { rgb3++ }
+    frame ~ /bytedot::row_vnni_rgb3/ && $2 == "call" && callee() !~ /(panic|_fail|failed)/ {
+        rgb3calls++; print "  call in row_vnni_rgb3: " callee()
+    }
+    frame in heads && /vaddps[^,]*\(.*zmm/ { heads[frame]++ }
+    frame in heads && $2 ~ /^(vmulps|vfmadd|vp?gather)/ { headbad[frame]++ }
     frame ~ /bytedot::row_avx2/ && /vpmaddubsw/ { vpmaddubsw++ }
     (avx512 || pack || frame ~ /bytedot::row_/) && $2 ~ /^vp?gather/ { gather++; by[$2]++ }
     frame ~ /isa::run_popcnt/ && /[ \t]popcnt/ { popcnt++ }
@@ -93,8 +141,8 @@ objdump -d -l --inlines --no-show-raw-insn -C "$bin" | awk -v pool_arm="$pool_ar
         for (m in by) gathers = gathers sprintf(" (%s %d)", m, by[m])
         printf "isa::run_avx512: %d vpopcntq, %d vpopcntd, %d vmulps zmm, %d vaddps zmm; isa::run_popcnt: %d popcnt\n",
             vpopcntq, vpopcntd, vmulps, vaddps, popcnt
-        printf "bytedot: %d vpdpbusd zmm (row_vnni), %d vpmaddubsw (row_avx2); %d gathers%s\n",
-            vpdpbusd, vpmaddubsw, gather, gathers
+        printf "bytedot: %d vpdpbusd zmm (row_vnni), %d (row_vnni_rgb3, %d calls), %d vpmaddubsw (row_avx2); %d gathers%s\n",
+            vpdpbusd, rgb3, rgb3calls, vpmaddubsw, gather, gathers
         printf "pack_avx512: %d vcmpps zmm into k, %d kmov\n", packcmp, packkmov
         printf "or_pool_row (1, 2, 2) arm (pool.rs:%s): %d packed or, %d div\n", pool_arm, poolor, pooldiv
         splits = 0
@@ -111,7 +159,16 @@ objdump -d -l --inlines --no-show-raw-insn -C "$bin" | awk -v pool_arm="$pool_ar
             convs++
         }
         if (convs == 0) print "  no conv_row_tiled run_avx512 frame found"
+        nheads = 0
+        for (f in heads) {
+            printf "compute_fconv_bits: %s %d vaddps zmm from memory, %d vmulps/vfmadd/gather\n",
+                f, heads[f], headbad[f]
+            if (heads[f] == 0 || headbad[f] > 0) splits++
+            nheads++
+        }
+        if (nheads == 0) print "  no compute_fconv_bits run_avx512 frame found"
         exit !(vpopcntq > 0 && vpopcntd > 0 && gather == 0 && popcnt > 0 && splits == 0 \
             && vmulps > 0 && vaddps > 0 && vpdpbusd > 0 && vpmaddubsw > 0 && convs > 0 \
-            && packcmp > 0 && packkmov > 0 && poolor > 0 && pooldiv == 0)
+            && packcmp > 0 && packkmov > 0 && poolor > 0 && pooldiv == 0 \
+            && rgb3 > 0 && rgb3calls == 0 && nheads > 0)
     }'
