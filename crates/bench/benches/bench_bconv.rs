@@ -11,10 +11,9 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use phonebit_gpusim::{CommandQueue, DeviceProfile, ExecutorClass};
 use phonebit_nn::act::Activation;
 use phonebit_nn::fuse::FusedBn;
-use phonebit_nn::kernels::bconv::{compute_bconv_fused, compute_bconv_fused_reference};
+use phonebit_nn::kernels::bconv::{compute_bconv_fused, compute_bconv_fused_reference, DirectBank};
 use phonebit_nn::kernels::fconv::{compute_fconv, FloatBank};
 use phonebit_tensor::bits::BitTensor;
-use phonebit_tensor::lanes::LaneBank;
 use phonebit_tensor::pack::{pack_f32, pack_filters};
 use phonebit_tensor::shape::{ConvGeometry, FilterShape, Layout, Shape4};
 use phonebit_tensor::tensor::{Filters, Tensor};
@@ -57,18 +56,12 @@ fn bench_bconv(c: &mut Criterion) {
         let filters = pm1_filters(FilterShape::new(k, 3, 3, cin));
         let packed_in = pack_f32::<u64>(&input);
         let packed_f = pack_filters::<u64>(&filters);
-        let bank = LaneBank::new(&packed_f);
         let fused = FusedBn::identity(k);
+        let bank = DirectBank::new(&packed_f, &fused, None);
         group.bench_with_input(BenchmarkId::new("tiled", name), &(), |b, ()| {
             b.iter(|| {
                 let mut out = BitTensor::<u64>::zeros(Shape4::new(1, hw, hw, k));
-                compute_bconv_fused(
-                    black_box(&packed_in),
-                    black_box(&bank),
-                    &fused,
-                    &geom,
-                    &mut out,
-                );
+                compute_bconv_fused(black_box(&packed_in), black_box(&bank), &geom, &mut out);
                 out
             });
         });
@@ -95,21 +88,15 @@ fn bench_bconv(c: &mut Criterion) {
     let filters = pm1_filters(fshape);
     let packed_in = pack_f32::<u64>(&input);
     let packed_f = pack_filters::<u64>(&filters);
-    let bank = LaneBank::new(&packed_f);
     let fused = FusedBn::identity(128);
+    let bank = DirectBank::new(&packed_f, &fused, None);
     let bias = vec![0.0f32; 128];
     let mut group = c.benchmark_group("conv_128x128_52x52");
     group.sample_size(10);
     group.bench_function("binary_fused_tiled", |b| {
         b.iter(|| {
             let mut out = BitTensor::<u64>::zeros(Shape4::new(1, 52, 52, 128));
-            compute_bconv_fused(
-                black_box(&packed_in),
-                black_box(&bank),
-                &fused,
-                &geom,
-                &mut out,
-            );
+            compute_bconv_fused(black_box(&packed_in), black_box(&bank), &geom, &mut out);
             out
         });
     });

@@ -5,10 +5,10 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use phonebit_nn::fuse::{BnParams, FusedBn};
 use phonebit_nn::kernels::bconv::{
-    compute_bconv_accum, compute_bconv_fused, compute_binarize_pack,
+    compute_bconv_accum, compute_bconv_fused, compute_binarize_pack, DirectBank,
 };
+use phonebit_nn::kernels::tiled::FusedLanes;
 use phonebit_tensor::bits::BitTensor;
-use phonebit_tensor::lanes::LaneBank;
 use phonebit_tensor::pack::{pack_f32, pack_filters};
 use phonebit_tensor::shape::{ConvGeometry, FilterShape, Layout, Shape4};
 use phonebit_tensor::tensor::{Filters, Tensor};
@@ -32,7 +32,7 @@ fn bench_fusion(c: &mut Criterion) {
     });
     let geom = ConvGeometry::square(3, 1, 1);
     let packed_in = pack_f32::<u64>(&input);
-    let bank = LaneBank::new(&pack_filters::<u64>(&filters));
+    let filters = pack_filters::<u64>(&filters);
     let bn = BnParams {
         gamma: (0..256)
             .map(|i| if i % 4 == 0 { -1.0 } else { 1.0 })
@@ -42,6 +42,8 @@ fn bench_fusion(c: &mut Criterion) {
         sigma: vec![2.0; 256],
     };
     let fused = FusedBn::precompute(&bn, &vec![0.0; 256]);
+    let lanes = FusedLanes::new(&filters, &fused);
+    let (direct, bank) = (DirectBank::Lanes(lanes.clone()), &lanes.bank);
     let out_shape = Shape4::new(1, 26, 26, 256);
 
     let mut group = c.benchmark_group("layer_integration");
@@ -49,14 +51,14 @@ fn bench_fusion(c: &mut Criterion) {
     group.bench_function("fused_single_pass", |b| {
         b.iter(|| {
             let mut out = BitTensor::<u64>::zeros(out_shape);
-            compute_bconv_fused(black_box(&packed_in), &bank, &fused, &geom, &mut out);
+            compute_bconv_fused(black_box(&packed_in), &direct, &geom, &mut out);
             out
         });
     });
     group.bench_function("unfused_accum_then_pack", |b| {
         b.iter(|| {
             let mut accum = Tensor::<i32>::zeros(out_shape, Layout::Nhwc);
-            compute_bconv_accum(black_box(&packed_in), &bank, &geom, &mut accum);
+            compute_bconv_accum(black_box(&packed_in), bank, &geom, &mut accum);
             let mut out = BitTensor::<u64>::zeros(out_shape);
             compute_binarize_pack(&accum, &fused, &mut out);
             out

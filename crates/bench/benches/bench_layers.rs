@@ -10,8 +10,8 @@ use phonebit_models::{fill_weights, synthetic_image};
 use phonebit_nn::fuse::FusedBn;
 use phonebit_nn::kernels::dense::compute_dense_bin;
 use phonebit_nn::kernels::pool::{compute_maxpool_bits, compute_maxpool_f32, PoolGeometry};
+use phonebit_nn::kernels::tiled::FusedLanes;
 use phonebit_tensor::bits::{BitTensor, PackedFilters};
-use phonebit_tensor::lanes::LaneBank;
 use phonebit_tensor::pack::pack_f32;
 use phonebit_tensor::shape::{FilterShape, Layout, Shape4};
 use phonebit_tensor::tensor::Tensor;
@@ -66,13 +66,13 @@ fn bench_layers(c: &mut Criterion) {
             w.set_bit(k, 0, 0, ch, true);
         }
     }
-    let (bank, fused) = (LaneBank::new(&w), FusedBn::identity(features));
+    let lanes = FusedLanes::new(&w, &FusedBn::identity(features));
     let mut group = c.benchmark_group("dense_4096x4096");
     group.sample_size(30);
     group.bench_function("binary_fused", |b| {
         b.iter(|| {
             let mut out = BitTensor::<u64>::zeros(Shape4::new(1, 1, 1, features));
-            compute_dense_bin(black_box(&x), black_box(&bank), &fused, &mut out);
+            compute_dense_bin(black_box(&x), black_box(&lanes), &mut out);
             out
         });
     });

@@ -8,8 +8,9 @@
 //! first layer rides along as path `bitplane` (YOLOv2-Tiny and AlexNet
 //! conv1), the byte dot the engine runs for it as path `bytedot`,
 //! YOLOv2-Tiny's full-precision head as path `fconv` (over floats) and
-//! `fconv_bits` (over conv8's packed signs, as the engine runs it), and its
-//! first binary pool as path `rowor`; none has a `reference` row, so they
+//! `fconv_bits` (over conv8's packed signs, as the engine runs it), its
+//! first binary pool as path `rowor`, and `conv2`/`conv3` on the bank the
+//! engine stages (`taps`); none has a `reference` row, so they
 //! are regression-gated but take no part in the speedup floor. The
 //! `tiled`, `bitplane`, `bytedot`, `fconv` and `fconv_bits` paths run on the
 //! host ISA tier `phonebit_nn::kernels::isa` detects, printed first and
@@ -34,9 +35,9 @@ use phonebit_bench::baseline::{finish, flag_value, Better, Check, Fields, Report
 use phonebit_gpusim::queue::CommandQueue;
 use phonebit_gpusim::{DeviceProfile, ExecutorClass};
 use phonebit_nn::act::Activation;
-use phonebit_nn::fuse::FusedBn;
+use phonebit_nn::fuse::{FusedBn, PlaneCuts};
 use phonebit_nn::kernels::bconv::{
-    compute_bconv_fused, compute_bconv_fused_reference, compute_binarize_pack,
+    compute_bconv_fused, compute_bconv_fused_reference, compute_binarize_pack, DirectBank,
 };
 use phonebit_nn::kernels::bitplane::{bitplane_conv_accum, compute_bitplane_conv_fused, PlaneBank};
 use phonebit_nn::kernels::bytedot::{compute_byte_conv, ByteBank};
@@ -46,7 +47,6 @@ use phonebit_nn::kernels::isa::IsaTier;
 use phonebit_nn::kernels::pool::{compute_maxpool_bits, compute_maxpool_f32, PoolGeometry};
 use phonebit_tensor::bitplane::BitPlanes;
 use phonebit_tensor::bits::BitTensor;
-use phonebit_tensor::lanes::LaneBank;
 use phonebit_tensor::pack::{pack_f32, pack_filters, unpack_f32};
 use phonebit_tensor::shape::{ConvGeometry, FilterShape, Layout, Shape4};
 use phonebit_tensor::tensor::{Filters, Tensor};
@@ -90,8 +90,8 @@ fn main() {
     // quarter of the pixels touch the border (the engine runs conv7 itself
     // 12x12 on the lowered GEMM: pool6 is 2x2/1). YOLO's conv2 (C = 16) and
     // conv3 (C = 32) are the thin rows: three dense 48- and 96-bit kernel
-    // rows per window, shifted out of the row ring (conv2's at a literal
-    // one-word row length). YOLO's 13-wide conv6 ends every row on a
+    // rows per window, shifted out of the row ring (the engine runs them at
+    // their packing width). YOLO's 13-wide conv6 ends every row on a
     // one-pixel tile.
     let shapes: &[(&str, usize, usize, usize)] = &[
         ("conv3_104x104_c64_k64", 104, 64, 64),
@@ -114,7 +114,7 @@ fn main() {
         "{:<28} {:>14} {:>14} {:>9}  (median of {samples}, ns/pixel)",
         "shape", "reference", "tiled", "speedup"
     );
-    let mut rows: Vec<Fields> = Vec::new();
+    let (mut rows, mut taps_rows): (Vec<Fields>, Vec<Fields>) = (Vec::new(), Vec::new());
     let mut worst_speedup = f64::INFINITY;
     for &(name, hw, cin, k) in shapes {
         let input = Tensor::from_fn(Shape4::new(1, hw, hw, cin), |_, h, w, ch| {
@@ -140,9 +140,9 @@ fn main() {
             "sign-pack sweep diverged on {name}"
         );
         let packed_f = pack_filters::<u64>(&filters);
-        // Staged once, as the engine stages it.
-        let bank = LaneBank::new(&packed_f);
         let fused = FusedBn::identity(k);
+        // The tiled body's lanes and cuts, staged once.
+        let bank = DirectBank::new(&packed_f, &fused, None);
         let out_shape = Shape4::new(1, hw, hw, k);
         let pixels = (hw * hw) as f64;
 
@@ -150,7 +150,7 @@ fn main() {
         let mut a = BitTensor::<u64>::zeros(out_shape);
         let mut b = BitTensor::<u64>::zeros(out_shape);
         compute_bconv_fused_reference(&packed_in, &packed_f, &fused, &geom, &mut a);
-        compute_bconv_fused(&packed_in, &bank, &fused, &geom, &mut b);
+        compute_bconv_fused(&packed_in, &bank, &geom, &mut b);
         assert_eq!(a, b, "tiled kernel diverged from reference on {name}");
 
         let t_ref = median_ns(samples, || {
@@ -160,9 +160,23 @@ fn main() {
         });
         let t_tiled = median_ns(samples, || {
             let mut out = BitTensor::<u64>::zeros(out_shape);
-            compute_bconv_fused(&packed_in, &bank, &fused, &geom, &mut out);
+            compute_bconv_fused(&packed_in, &bank, &geom, &mut out);
             std::hint::black_box(&out);
         });
+        // YOLO's thin layers on the bank the engine stages for them.
+        if name.starts_with("yolo_conv2") || name.starts_with("yolo_conv3") {
+            let staged = DirectBank::new(&packed_f, &fused, Some(&geom));
+            let mut c = BitTensor::<u64>::zeros(out_shape);
+            compute_bconv_fused(&packed_in, &staged, &geom, &mut c);
+            assert_eq!(a, c, "staged body diverged from reference on {name}");
+            let t = median_ns(samples, || {
+                let mut out = BitTensor::<u64>::zeros(out_shape);
+                compute_bconv_fused(&packed_in, &staged, &geom, &mut out);
+                std::hint::black_box(&out);
+            });
+            println!("{:<28} {:>14} {:>14.1}  taps", name, "", t / pixels);
+            taps_rows.push(row(name, "taps", t, pixels));
+        }
         let speedup = t_ref / t_tiled;
         worst_speedup = worst_speedup.min(speedup);
         println!(
@@ -274,15 +288,16 @@ fn main() {
 
         // The engine's host body: the same bits from a byte dot.
         let bytes = ByteBank::new(&packed_f);
+        let cuts = PlaneCuts::new(&fused, geom.taps() * 3);
         let mut c = BitTensor::<u64>::zeros(out_shape);
-        compute_byte_conv(&image, &bytes, &fused, geom, &mut c);
+        compute_byte_conv(&image, &bytes, &cuts, geom, &mut c);
         assert_eq!(
             a, c,
             "byte dot diverged from the bit-plane kernel on {name}"
         );
         let t_bytes = median_ns(samples, || {
             let mut out = BitTensor::<u64>::zeros(out_shape);
-            compute_byte_conv(&image, &bytes, &fused, geom, &mut out);
+            compute_byte_conv(&image, &bytes, &cuts, geom, &mut out);
             std::hint::black_box(&out);
         });
         println!(
@@ -362,6 +377,7 @@ fn main() {
         rows.push(row(name, "fconv_bits", t_bits, pixels));
     }
 
+    rows.extend(taps_rows);
     let gate_failures: Vec<String> = min_speedup
         .filter(|&floor| worst_speedup < floor)
         .map(|floor| {

@@ -48,14 +48,16 @@ use phonebit_gpusim::queue::CommandQueue;
 use phonebit_gpusim::DeviceProfile;
 use phonebit_gpusim::ExecutorClass;
 use phonebit_gpusim::Phone;
+use phonebit_nn::fuse::PlaneCuts;
+use phonebit_nn::kernels::bconv::DirectBank;
 use phonebit_nn::kernels::bytedot::ByteBank;
 use phonebit_nn::kernels::fconv::{FloatBank, SignedBank};
+use phonebit_nn::kernels::tiled::FusedLanes;
 use phonebit_nn::kernels::{
     self, bconv, bgemm, bitplane, bytedot, dense, fconv, fused, pool, profiles,
 };
 use phonebit_tensor::bits::BitTensor;
 use phonebit_tensor::dict::FilterDict;
-use phonebit_tensor::lanes::LaneBank;
 use phonebit_tensor::shape::{ConvGeometry, FilterShape, Layout, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
@@ -312,17 +314,19 @@ pub struct StagedModel {
     _weights: Buffer,
     /// One entry per **layer** (keyed by `step.index` /
     /// `FusedMember::layer`, both of which survive the fusion pass); `Some`
-    /// for every binary convolution and dense layer: its filters interleaved
-    /// in the order its route reads — the per-tap bank (direct routes, fused
-    /// chains) or the pre-flattened GEMM bank (a dense layer's weights are
-    /// one), through the dictionary when the plan compresses the layer.
-    banks: Vec<Option<LaneBank<u64>>>,
+    /// for every binary convolution and dense layer: its filters in the
+    /// order its route reads, with the cuts of its thresholds — the per-tap
+    /// bank (direct routes, fused chains; a thin direct layer's at its
+    /// packing width where [`TapBank::fits`](phonebit_nn::kernels::taps::TapBank::fits))
+    /// or the pre-flattened GEMM bank (a dense layer's weights are one),
+    /// through the dictionary when the plan compresses the layer.
+    banks: Vec<Option<DirectBank<u64>>>,
     /// The float convolutions' filters, sixteen per vector, per layer: as
     /// sign pairs where the plan feeds the layer packed bits.
     float_banks: Vec<Option<FloatConvBank>>,
     /// The 8-bit first layer's filters (`u8` feeds only a leading layer)
-    /// as `s8` bytes for the host's byte dot.
-    byte_bank: Option<ByteBank>,
+    /// as `s8` bytes for the host's byte dot, and their cuts.
+    byte_bank: Option<(ByteBank, PlaneCuts)>,
 }
 
 /// A float convolution's staged filters, in the form its input needs.
@@ -423,11 +427,11 @@ impl StagedModel {
             }
         }
         let weights = ctx.reserve(plan.hot_weight_bytes())?;
-        let mut banks: Vec<Option<LaneBank<u64>>> = vec![None; model.layers.len()];
+        let mut banks = vec![None; model.layers.len()];
         let mut float_banks = vec![None; model.layers.len()];
         let mut byte_bank = None;
         for (i, layer) in model.layers.iter().enumerate() {
-            let filters = match layer {
+            let (filters, fused, geom) = match layer {
                 PbitLayer::FConv { filters, .. } => {
                     // A conversion ahead of its step: the plan feeds it bits.
                     let bits = plan
@@ -441,12 +445,22 @@ impl StagedModel {
                     });
                     continue;
                 }
-                PbitLayer::BConv { filters, .. } => filters,
-                PbitLayer::DenseBin { weights, .. } => {
-                    banks[i] = Some(LaneBank::new(weights));
+                PbitLayer::BConv {
+                    filters,
+                    fused,
+                    geom,
+                    ..
+                } => (filters, fused, geom),
+                PbitLayer::DenseBin { weights, fused, .. } => {
+                    banks[i] = Some(DirectBank::new(weights, fused, None));
                     continue;
                 }
-                PbitLayer::BConvInput8 { name, filters, .. } => {
+                PbitLayer::BConvInput8 {
+                    name,
+                    filters,
+                    fused,
+                    ..
+                } => {
                     let bits = filters.shape().filter_len();
                     if bits > bitplane::MAX_WINDOW_BITS {
                         return Err(EngineError::Unsupported {
@@ -457,7 +471,7 @@ impl StagedModel {
                             ),
                         });
                     }
-                    byte_bank = Some(ByteBank::new(filters));
+                    byte_bank = Some((ByteBank::new(filters), PlaneCuts::new(fused, bits)));
                     continue;
                 }
                 _ => continue,
@@ -476,10 +490,11 @@ impl StagedModel {
                 }
                 _ => filters,
             };
+            let direct = (path == ConvPath::DirectFused).then_some(geom);
             banks[i] = Some(if plan.compress_decision(i).is_some_and(|d| d.compressed) {
-                LaneBank::new(&FilterDict::build(rows))
+                DirectBank::new(&FilterDict::build(rows), fused, direct)
             } else {
-                LaneBank::new(rows)
+                DirectBank::new(rows, fused, direct)
             });
         }
         Ok(Arc::new(Self {
@@ -1164,10 +1179,14 @@ pub(crate) fn check_windows(model: &PbitModel) -> Result<(), EngineError> {
     Ok(())
 }
 
-/// Checks `layer` against itself and its planned input `s` — one threshold
-/// or bias per filter, the geometry's taps, the input's channels — so a
-/// corrupt model fails to stage instead of panicking in a kernel.
+/// Checks `layer` against itself and its planned input `s` — no empty
+/// input or convolution, one threshold or bias per filter, the geometry's
+/// taps, the input's channels — so a corrupt model fails to stage instead
+/// of panicking in a kernel.
 fn check_layer(layer: &PbitLayer, s: Shape4) -> Result<(), String> {
+    if s.is_empty() {
+        return Err(format!("an empty {s} input"));
+    }
     let features = s.h * s.w * s.c;
     let (fs, outputs, in_c) = match layer {
         PbitLayer::BConvInput8 { filters, fused, .. } | PbitLayer::BConv { filters, fused, .. } => {
@@ -1181,14 +1200,16 @@ fn check_layer(layer: &PbitLayer, s: Shape4) -> Result<(), String> {
         }
         _ => return Ok(()),
     };
-    let (gh, gw) = match layer {
+    let (gh, gw, conv) = match layer {
         PbitLayer::BConvInput8 { geom, .. }
         | PbitLayer::BConv { geom, .. }
-        | PbitLayer::FConv { geom, .. } => (geom.kh, geom.kw),
-        _ => (1, 1),
+        | PbitLayer::FConv { geom, .. } => (geom.kh, geom.kw, true),
+        _ => (1, 1, false),
     };
     let FilterShape { k, kh, kw, c } = fs;
-    if outputs != k {
+    if conv && fs.is_empty() {
+        Err(format!("an empty {k}x{kh}x{kw}x{c} filter bank"))
+    } else if outputs != k {
         Err(format!("{outputs} thresholds or biases for {k} filters"))
     } else if (gh, gw) != (kh, kw) {
         Err(format!("a {gh}x{gw} geometry over {kh}x{kw} filters"))
@@ -1201,10 +1222,18 @@ fn check_layer(layer: &PbitLayer, s: Shape4) -> Result<(), String> {
 
 impl StagedModel {
     /// The staged bank of the binary convolution or dense layer at `layer`.
-    fn bank(&self, layer: usize) -> &LaneBank<u64> {
+    fn bank(&self, layer: usize) -> &DirectBank<u64> {
         self.banks[layer]
             .as_ref()
             .expect("every routed binary convolution and binary dense layer stages a bank")
+    }
+
+    /// [`bank`](Self::bank) of a layer whose route reads the tiled lanes.
+    fn lanes(&self, layer: usize) -> &FusedLanes<u64> {
+        match self.bank(layer) {
+            DirectBank::Lanes(lanes) => lanes,
+            DirectBank::Taps(_) => unreachable!("only the direct fused route stages taps"),
+        }
     }
 
     /// The staged bank of the float convolution at `layer`.
@@ -1214,8 +1243,8 @@ impl StagedModel {
             .expect("every float convolution stages a bank")
     }
 
-    /// The staged bank of the 8-bit first layer.
-    fn byte_bank(&self) -> &ByteBank {
+    /// The staged bank and cuts of the 8-bit first layer.
+    fn byte_bank(&self) -> &(ByteBank, PlaneCuts) {
         self.byte_bank
             .as_ref()
             .expect("an 8-bit first layer stages a byte bank")
@@ -1285,35 +1314,37 @@ fn exec_step(
         }
         let src = cvt_store.as_ref().map_or(in_store, |(_, cvt)| cvt);
         match &layers[step.index] {
-            PbitLayer::BConvInput8 { geom, fused, .. } => {
+            PbitLayer::BConvInput8 { geom, .. } => {
                 // The device splits the planes; the host's byte dot reads
                 // the image itself, so the split has nothing to do here.
-                let (image, bank) = (src.bytes_ref(), staged.byte_bank());
+                let (image, (bank, cuts)) = (src.bytes_ref(), staged.byte_bank());
                 let s = image.shape();
                 q.launch(profiles::bitplane_split(s.pixels(), s.c), || {});
-                bytedot::byte_conv_into(q, image, bank, fused, geom, out_store.bits_mut());
+                bytedot::byte_conv_into(q, image, bank, cuts, geom, out_store.bits_mut());
             }
             PbitLayer::BConv { geom, fused, .. } => {
                 // The planner cost-modeled direct-tiled vs. lowered-GEMM on
                 // this device once at staging time (the §VI-B C > 256
                 // integration limit folds into the direct-path choice);
-                // inference only follows the staged route, over the bank
-                // staged for it — a compressed layer's carries its
+                // inference only follows the staged route, over the bank and
+                // cuts staged for it — a compressed layer's carries its
                 // dictionary's saving: bit-exact outputs, fewer modeled
                 // filter bytes.
                 let route = step.route.expect("BConv step carries a route");
-                let (bits_in, bank) = (src.bits(), staged.bank(step.index));
+                let (bits_in, idx) = (src.bits(), step.index);
                 let out = out_store.bits_mut();
                 match route.path {
                     ConvPath::LoweredGemm => {
                         let windows = scr_store.as_mut().map(|(_, s)| s.bits_mut());
-                        bgemm::bconv_lowered_bank_into(q, bits_in, bank, fused, geom, windows, out);
+                        let lanes = staged.lanes(idx);
+                        bgemm::bconv_lowered_bank_into(q, bits_in, lanes, geom, windows, out);
                     }
                     ConvPath::DirectFused => {
-                        bconv::bconv_fused_bank_into(q, bits_in, bank, fused, geom, out);
+                        bconv::bconv_fused_bank_into(q, bits_in, staged.bank(idx), geom, out);
                     }
                     ConvPath::DirectUnfused => {
                         let (_, scr) = scr_store.as_mut().expect("accumulator scratch planned");
+                        let bank = &staged.lanes(idx).bank;
                         bconv::bconv_accum_bank_into(q, bits_in, bank, geom, scr.accum_mut());
                         bconv::binarize_pack_into(q, scr.accum(), fused, out);
                     }
@@ -1346,13 +1377,13 @@ fn exec_step(
             PbitLayer::MaxPoolF32 { geom, .. } => {
                 pool::maxpool_f32_into(q, src.floats(), geom, out_store.floats_mut());
             }
-            PbitLayer::DenseBin { fused, .. } => {
+            PbitLayer::DenseBin { .. } => {
                 // The bit-preserving flatten is host-side staging, not a
                 // dispatched kernel (matches the estimator).
                 let (_, scr) = scr_store.as_mut().expect("flatten scratch planned");
                 dense::flatten_bits_into(src.bits(), scr.bits_mut());
-                let (bank, out) = (staged.bank(step.index), out_store.bits_mut());
-                dense::dense_bin_into(q, scr.bits(), bank, fused, out);
+                let (lanes, out) = (staged.lanes(step.index), out_store.bits_mut());
+                dense::dense_bin_into(q, scr.bits(), lanes, out);
             }
             PbitLayer::DenseFloat {
                 weights,
@@ -1418,16 +1449,12 @@ fn exec_fused_group(
                 None => &mut no_ring,
             };
             match &layers[members[0].layer] {
-                PbitLayer::BConvInput8 {
-                    geom, fused: bn, ..
-                } => {
-                    let (image, bank) = (in_store.bytes_ref(), staged.byte_bank());
+                PbitLayer::BConvInput8 { geom, .. } => {
+                    let (image, (bank, cuts)) = (in_store.bytes_ref(), staged.byte_bank());
                     let out = out.bits_mut();
-                    fused::in8_bconv_chain_into(q, image, bank, bn, geom, pool_geom, ring, out);
+                    fused::in8_bconv_chain_into(q, image, bank, cuts, geom, pool_geom, ring, out);
                 }
-                PbitLayer::BConv {
-                    geom, fused: bn, ..
-                } => {
+                PbitLayer::BConv { geom, .. } => {
                     let bank = staged.bank(members[0].layer);
                     match cvt {
                         Some(pack) => fused::pack_bconv_chain_into(
@@ -1435,7 +1462,6 @@ fn exec_fused_group(
                             floats_in.expect("arena slot: floats staged"),
                             members[0].in_shape,
                             bank,
-                            bn,
                             geom,
                             pool_geom,
                             pack.bits_mut(),
@@ -1446,7 +1472,6 @@ fn exec_fused_group(
                             q,
                             in_store.bits(),
                             bank,
-                            bn,
                             geom,
                             pool_geom.expect("unconverted conv chain carries a pool"),
                             ring,
@@ -1458,21 +1483,13 @@ fn exec_fused_group(
             }
         }
         FusedKind::DenseChain => {
-            let PbitLayer::DenseBin { fused: f1, .. } = &layers[members[0].layer] else {
-                unreachable!("dense chains pair two binary dense layers")
-            };
-            let PbitLayer::DenseBin { fused: f2, .. } = &layers[members[1].layer] else {
-                unreachable!("dense chains pair two binary dense layers")
-            };
             let flat = cvt.expect("flatten tile planned");
             let mid = scr.expect("mid-row tile planned");
             fused::dense_pair_into(
                 q,
                 in_store.bits(),
-                staged.bank(members[0].layer),
-                f1,
-                staged.bank(members[1].layer),
-                f2,
+                staged.lanes(members[0].layer),
+                staged.lanes(members[1].layer),
                 flat.bits_mut(),
                 mid.bits_mut(),
                 out.bits_mut(),
@@ -1861,6 +1878,45 @@ mod tests {
             bias.pop();
         });
         assert_eq!(reason, "124 thresholds or biases for 125 filters");
+    }
+
+    #[test]
+    fn an_empty_convolution_or_input_is_refused_at_staging() {
+        use phonebit_tensor::bits::PackedFilters;
+        let yolo = phonebit_models::zoo::yolo_micro(phonebit_models::zoo::Variant::Binary);
+        for name in ["conv1", "conv2", "conv9"] {
+            let reason = staging_refusal(&yolo, name, |layer| match layer {
+                PbitLayer::BConvInput8 { filters, fused, .. }
+                | PbitLayer::BConv { filters, fused, .. } => {
+                    let fs = filters.shape();
+                    *filters = PackedFilters::zeros(FilterShape::new(0, fs.kh, fs.kw, fs.c));
+                    *fused = phonebit_nn::fuse::FusedBn::identity(0);
+                }
+                PbitLayer::FConv { filters, bias, .. } => {
+                    let fs = filters.shape();
+                    *filters = Filters::zeros(FilterShape::new(0, fs.kh, fs.kw, fs.c));
+                    bias.clear();
+                }
+                _ => unreachable!(),
+            });
+            assert!(reason.contains("empty 0x"), "{name}: {reason}");
+        }
+        // An input of no channels, into a convolution over no channels.
+        let model = PbitModel {
+            name: "empty".into(),
+            input: Shape4::new(1, 4, 4, 0),
+            layers: vec![PbitLayer::BConv {
+                name: "conv".into(),
+                geom: ConvGeometry::square(3, 1, 1),
+                filters: PackedFilters::zeros(FilterShape::new(8, 3, 3, 0)),
+                fused: phonebit_nn::fuse::FusedBn::identity(8),
+            }],
+        };
+        let err = Session::new(model, &Phone::xiaomi_9()).unwrap_err();
+        assert!(
+            matches!(&err, EngineError::Unsupported { reason, .. } if reason.contains("empty [1x4x4x0]")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -188,13 +188,13 @@ fn decide(xi: f32, gamma_pos: bool, x1: f32) -> bool {
 /// filter `k` outputs 1 iff `d.wrapping_sub(lo[k]) < 2^63` — `d < b` for
 /// γ > 0 (`lo = b − 2^63`), `d ≥ b` for γ < 0 — exactly when
 /// [`FusedBn::decide_logic`]`(k, (bits − 2d) as f32)` does. Lanes past the
-/// last filter never fire.
-#[derive(Debug)]
-pub(crate) struct Cuts(Vec<[u64; LANES]>);
+/// last filter never fire. Staged once per layer, with its bank.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Cuts(Vec<[u64; LANES]>);
 
 impl Cuts {
     /// The cuts of `fused` over `bits`-bit windows.
-    pub(crate) fn new(fused: &FusedBn, bits: usize) -> Self {
+    pub fn new(fused: &FusedBn, bits: usize) -> Self {
         // `lo = 2^63` never fires: `d − 2^63` wraps to `2^63 + d`.
         let mut lo = vec![[1 << 63; LANES]; fused.len().div_ceil(LANES)];
         for (k, (&xi, &gamma_pos)) in fused.xi.iter().zip(&fused.gamma_pos).enumerate() {
@@ -203,19 +203,29 @@ impl Cuts {
         }
         Self(lo)
     }
+
+    /// Filter `k`'s cut with its sign bit moved to bit `top` of a narrower
+    /// lane, where `d.wrapping_sub(lo)` fires iff that bit is clear — exact
+    /// while windows are under `2^top` bits. Past the last filter, `1 << top`.
+    pub(crate) fn lane_cut(&self, k: usize, top: usize) -> u64 {
+        let lo = self.0.get(k / LANES).map_or(1 << 63, |lo| lo[k % LANES]);
+        lo & ((1 << top) - 1) | (lo >> 63) << top
+    }
 }
 
 /// The same on the first layer's Eqn (2) sums `s`, `|s| ≤ 255·bits`: fires
 /// iff `s.wrapping_sub(lo[k]) ≥ 0` (`lo = b ^ i32::MIN` for γ < 0). `pos[i]`,
 /// lane `i`'s output bit `1 << i`, is data: as constants, SLP split lanes.
-pub(crate) struct PlaneCuts {
+/// Staged once per layer, with its bank.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PlaneCuts {
     lo: Vec<[i32; PLANE_LANES]>,
     pos: [u32; PLANE_LANES],
 }
 
 impl PlaneCuts {
     /// The cuts of `fused` over `bits`-bit windows, at most [`MAX_WINDOW_BITS`].
-    pub(crate) fn new(fused: &FusedBn, bits: usize) -> Self {
+    pub fn new(fused: &FusedBn, bits: usize) -> Self {
         assert!(bits <= MAX_WINDOW_BITS, "{bits}-bit windows overflow i32");
         let smax = 255 * bits as i64;
         let mut lo = vec![[smax as i32 + 1; PLANE_LANES]; fused.len().div_ceil(PLANE_LANES)];

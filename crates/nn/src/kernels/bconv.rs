@@ -17,7 +17,9 @@
 //! Both direct kernels run on the **tiled hot path** of
 //! [`crate::kernels::tiled`]: windows read from a zero-padded row ring once
 //! for all filters and the lanes-are-outputs microkernel over a bank staged once
-//! ([`LaneBank`]; the `FilterAccess`-taking entries stage per call). The
+//! ([`LaneBank`] and its cuts; the `FilterAccess`-taking entries stage per
+//! call) — except a thin 3×3 layer the CPU runs at its packing width
+//! ([`DirectBank::Taps`], [`crate::kernels::taps`]). The
 //! seed per-tap kernel survives as
 //! [`compute_bconv_fused_reference`] — the bit-exactness oracle and the
 //! "before" side of `bench_bconv` — over [`window_dot`], a scalar
@@ -35,9 +37,10 @@ use phonebit_tensor::lanes::LaneBank;
 use phonebit_tensor::shape::{ConvGeometry, FilterShape, Layout, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
-use crate::fuse::{AccumSink, BitSink, Cuts, FusedBn};
+use crate::fuse::{AccumSink, BitSink, FusedBn};
 use crate::kernels::profiles;
-use crate::kernels::tiled::{conv_row_tiled, RowRing};
+use crate::kernels::taps::{TapBank, TapRing};
+use crate::kernels::tiled::{conv_row_tiled, FusedLanes, RowRing};
 use crate::workload::WorkloadPolicy;
 
 /// Validates the shape agreement of a binary convolution and returns the
@@ -103,33 +106,107 @@ pub fn window_dot<W: BitWord>(
     x1
 }
 
-/// Functional body of the fused kernel, writing packed output bits — the
-/// tiled hot path.
+/// A fused direct binary convolution's filters and cuts, staged once for
+/// the body that runs them: the tiled body's lanes, or — a thin 3×3 layer
+/// [`TapBank::fits`] admits — one pixel per lane at its packing width.
+#[derive(Debug, Clone, PartialEq)]
+pub enum DirectBank<W: BitWord> {
+    /// The tiled body's interleaved lanes and cuts.
+    Lanes(FusedLanes<W>),
+    /// A thin layer's tap lanes ([`crate::kernels::taps`]).
+    Taps(TapBank),
+}
+
+impl<W: BitWord> DirectBank<W> {
+    /// Stages `filters` with `fused`'s cuts for the body that runs them on
+    /// this CPU: taps where the direct fused route's geometry `direct`
+    /// [`fits`](TapBank::fits), else the tiled lanes (every other route).
+    pub fn new(
+        filters: &impl FilterAccess<W>,
+        fused: &FusedBn,
+        direct: Option<&ConvGeometry>,
+    ) -> Self {
+        match direct {
+            Some(geom) if TapBank::fits(filters.shape(), geom) => {
+                Self::Taps(TapBank::new(filters, fused))
+            }
+            _ => Self::Lanes(FusedLanes::new(filters, fused)),
+        }
+    }
+
+    /// Shape of the filters the bank was staged from.
+    pub fn shape(&self) -> FilterShape {
+        match self {
+            Self::Lanes(lanes) => lanes.bank.shape(),
+            Self::Taps(taps) => taps.shape(),
+        }
+    }
+
+    /// The staged bank's [`FilterAccess::dram_discount_bytes`].
+    pub fn dram_discount_bytes(&self) -> f64 {
+        match self {
+            Self::Lanes(lanes) => lanes.bank.dram_discount_bytes(),
+            Self::Taps(taps) => taps.dram_discount_bytes(),
+        }
+    }
+
+    /// A worker's scratch for output rows over an input of shape `s`.
+    pub(crate) fn ring(&self, geom: &ConvGeometry, s: Shape4) -> DirectRing<'_, W> {
+        match self {
+            Self::Lanes(lanes) => DirectRing::Lanes(RowRing::new(geom, s), lanes),
+            Self::Taps(taps) => DirectRing::Taps(TapRing::new(taps, geom, s)),
+        }
+    }
+}
+
+/// A worker's scratch for one dispatch over a [`DirectBank`].
+pub(crate) enum DirectRing<'a, W: BitWord> {
+    Lanes(RowRing<W>, &'a FusedLanes<W>),
+    Taps(TapRing<'a>),
+}
+
+impl<W: BitWord> DirectRing<'_, W> {
+    /// Decides output row `at` of `input` into `row`, zeroed whole pixels of
+    /// `wpp` words.
+    pub(crate) fn decide_row(
+        &mut self,
+        input: &BitTensor<W>,
+        at: (usize, usize),
+        row: &mut [W],
+        wpp: usize,
+    ) {
+        match self {
+            Self::Lanes(ring, lanes) => {
+                let mut sink = BitSink::new(&lanes.cuts, row, wpp);
+                conv_row_tiled(input, &lanes.bank, ring, at, &mut sink);
+            }
+            Self::Taps(ring) => ring.decide_row(input, at, row, wpp),
+        }
+    }
+}
+
+/// Functional body of the fused kernel, writing packed output bits.
 ///
-/// Work decomposes by **output row**: each worker owns one [`RowRing`] of
+/// Work decomposes by **output row**: each worker owns one ring of
 /// zero-padded input rows, rolled down the image, and reads every window
-/// from it once for all `K` filters of the staged `bank`.
-/// Binarize+pack stays fused: the tile decides Eqn (9) through `Cuts`
-/// derived once here and ORs each 64-filter word into the row span once —
-/// `out` must come in zeroed, as [`bconv_fused_into`] resets it.
+/// from it once for all `K` filters of the staged `bank`, deciding Eqn (9)
+/// by the cuts staged with it — `out` must come in zeroed, as
+/// [`bconv_fused_into`] resets it.
 pub fn compute_bconv_fused<W: BitWord>(
     input: &BitTensor<W>,
-    bank: &LaneBank<W>,
-    fused: &FusedBn,
+    bank: &DirectBank<W>,
     geom: &ConvGeometry,
     out: &mut BitTensor<W>,
 ) {
     let os = out.shape();
     let (ow, oh) = (os.w, os.h);
     let wpp = out.words_per_pixel();
-    let cuts = Cuts::new(fused, bank.shape().filter_len());
     par_chunks_mut_with(
         out.as_mut_words(),
         ow * wpp,
-        || RowRing::new(geom, input.shape()),
+        || bank.ring(geom, input.shape()),
         |ring, row_idx, row_span| {
-            let mut sink = BitSink::new(&cuts, row_span, wpp);
-            conv_row_tiled(input, bank, ring, (row_idx / oh, row_idx % oh), &mut sink);
+            ring.decide_row(input, (row_idx / oh, row_idx % oh), row_span, wpp);
         },
     );
 }
@@ -188,7 +265,7 @@ pub fn bconv_fused<W: BitWord>(
 
 /// [`bconv_fused`] into a caller-provided tensor (reset to the output
 /// shape), reusing its storage. Stages `filters` first; a caller that runs
-/// the layer more than once stages a [`LaneBank`] and calls
+/// the layer more than once stages a [`DirectBank`] and calls
 /// [`bconv_fused_bank_into`].
 pub fn bconv_fused_into<W: BitWord>(
     q: &mut CommandQueue,
@@ -198,27 +275,30 @@ pub fn bconv_fused_into<W: BitWord>(
     geom: &ConvGeometry,
     out: &mut BitTensor<W>,
 ) {
-    bconv_fused_bank_into(q, input, &LaneBank::new(filters), fused, geom, out);
+    assert_eq!(
+        fused.len(),
+        filters.shape().k,
+        "fusion params must cover every filter"
+    );
+    let bank = DirectBank::new(filters, fused, Some(geom));
+    bconv_fused_bank_into(q, input, &bank, geom, out);
 }
 
-/// [`bconv_fused_into`] over a bank staged once — the engine's arena path.
+/// [`bconv_fused_into`] over a bank and cuts staged once — the engine's
+/// arena path.
 pub fn bconv_fused_bank_into<W: BitWord>(
     q: &mut CommandQueue,
     input: &BitTensor<W>,
-    bank: &LaneBank<W>,
-    fused: &FusedBn,
+    bank: &DirectBank<W>,
     geom: &ConvGeometry,
     out: &mut BitTensor<W>,
 ) {
     let os = conv_output_shape(input, bank.shape(), geom);
-    assert_eq!(fused.len(), os.c, "fusion params must cover every filter");
     out.reset(os);
     let policy = WorkloadPolicy::for_channels(input.shape().c);
     let profile = profiles::bconv_fused(os.pixels(), os.c, input.shape().c, geom, &policy)
         .discount_reads(bank.dram_discount_bytes());
-    q.launch(profile, || {
-        compute_bconv_fused(input, bank, fused, geom, out)
-    });
+    q.launch(profile, || compute_bconv_fused(input, bank, geom, out));
 }
 
 /// Functional body of the accumulate-only kernel, on the same tiled row

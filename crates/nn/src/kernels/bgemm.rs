@@ -14,12 +14,11 @@ use phonebit_gpusim::queue::CommandQueue;
 use phonebit_gpusim::{KernelProfile, NdRange};
 use phonebit_tensor::bits::{merge_bits, BitTensor, BitWord, PackedFilters};
 use phonebit_tensor::dict::FilterAccess;
-use phonebit_tensor::lanes::LaneBank;
 use phonebit_tensor::shape::{ConvGeometry, FilterShape, Shape4};
 
-use crate::fuse::{BitSink, Cuts, FusedBn};
+use crate::fuse::{BitSink, FusedBn};
 use crate::kernels::profiles::{PACKED_COALESCING, VEC_LANES_128};
-use crate::kernels::tiled::tile_filters;
+use crate::kernels::tiled::{tile_filters, FusedLanes};
 
 /// Flattens packed filters so each filter's `(kh, kw, c)` bits occupy one
 /// contiguous span (the GEMM's weight rows).
@@ -208,7 +207,7 @@ pub fn bconv_lowered<W: BitWord>(
 /// directly) and `out` receives the packed result. Both are reset to the
 /// right shapes, reusing their storage.
 /// Interleaves `flat` first; a caller that runs the layer more than once
-/// stages a [`LaneBank`] of it and calls [`bconv_lowered_bank_into`].
+/// stages its [`FusedLanes`] and calls [`bconv_lowered_bank_into`].
 ///
 /// # Panics
 ///
@@ -231,13 +230,14 @@ pub fn bconv_lowered_with_into<W: BitWord>(
         FilterShape::new(fs.k, 1, 1, fs.filter_len()),
         "flat bank does not match filters"
     );
-    let bank = LaneBank::new(flat);
-    bconv_lowered_bank_into(q, input, &bank, fused, geom, windows, out);
+    assert_eq!(fused.len(), fs.k, "fusion params must cover every filter");
+    let lanes = FusedLanes::new(flat, fused);
+    bconv_lowered_bank_into(q, input, &lanes, geom, windows, out);
 }
 
-/// [`bconv_lowered_with_into`] over the interleaved flat bank staged once
-/// ([`LaneBank::new`] of [`flatten_filters`]' output, or of its dictionary)
-/// — the engine's arena path.
+/// [`bconv_lowered_with_into`] over the interleaved flat bank and its cuts
+/// staged once ([`FusedLanes::new`] of [`flatten_filters`]' output, or of
+/// its dictionary) — the engine's arena path.
 ///
 /// # Panics
 ///
@@ -246,13 +246,12 @@ pub fn bconv_lowered_with_into<W: BitWord>(
 pub fn bconv_lowered_bank_into<W: BitWord>(
     q: &mut CommandQueue,
     input: &BitTensor<W>,
-    bank: &LaneBank<W>,
-    fused: &FusedBn,
+    lanes: &FusedLanes<W>,
     geom: &ConvGeometry,
     windows: Option<&mut BitTensor<W>>,
     out: &mut BitTensor<W>,
 ) {
-    let s = input.shape();
+    let (s, bank) = (input.shape(), &lanes.bank);
     let k = bank.shape().k;
     assert_eq!(
         bank.shape(),
@@ -260,7 +259,6 @@ pub fn bconv_lowered_bank_into<W: BitWord>(
         "flat bank does not match input channels {} and geometry",
         s.c
     );
-    assert_eq!(fused.len(), k, "fusion params must cover every filter");
     let (oh, ow) = geom.output_hw(s.h, s.w);
     let out_pixels = s.n * oh * ow;
 
@@ -288,10 +286,9 @@ pub fn bconv_lowered_bank_into<W: BitWord>(
     q.launch(profile, || {
         let wpp = out.words_per_pixel();
         let row_wpp = windows.words_per_pixel();
-        let cuts = Cuts::new(fused, bank.shape().filter_len());
         par_chunks_mut(out.as_mut_words(), ow * wpp, |row, span| {
             let rows = &windows.as_words()[row * ow * row_wpp..][..ow * row_wpp];
-            let mut sink = BitSink::new(&cuts, span, wpp);
+            let mut sink = BitSink::new(&lanes.cuts, span, wpp);
             tile_filters(rows, bank, &mut sink);
         });
     });

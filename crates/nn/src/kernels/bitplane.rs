@@ -301,7 +301,7 @@ pub(crate) fn conv_profile(
 /// Functional body of the fused bit-plane convolution: one row task per
 /// output row, the plane-stream scratch owned by the worker. Output bits
 /// are OR-ed in — `out` must come in zeroed, as
-/// [`bitplane_conv_bank_into`] resets it.
+/// [`bitplane_conv_fused_into`] resets it.
 pub fn compute_bitplane_conv_fused<P: BitWord, W: BitWord>(
     planes: &BitPlanes<P>,
     bank: &PlaneBank,
@@ -327,13 +327,14 @@ pub fn compute_bitplane_conv_fused<P: BitWord, W: BitWord>(
 
 /// Dispatches the fused first-layer convolution — Eqn (2) accumulation +
 /// batch-norm + binarize + pack — into `out` (reset to the output shape),
-/// reusing its storage. Interleaves `filters` first; a caller that runs the
-/// layer more than once stages a [`PlaneBank`] and calls
-/// [`bitplane_conv_bank_into`].
+/// reusing its storage. Interleaves `filters` and derives the cuts on every
+/// call: the engine runs the first layer as a byte dot
+/// ([`super::bytedot`]) on a bank and cuts staged once.
 ///
 /// # Panics
 ///
-/// As [`bitplane_conv_bank_into`].
+/// Panics on channel mismatches, when `fused.len() != filters.shape().k`,
+/// or on windows wider than [`MAX_WINDOW_BITS`].
 pub fn bitplane_conv_fused_into<P: BitWord, W: BitWord>(
     q: &mut CommandQueue,
     planes: &BitPlanes<P>,
@@ -343,29 +344,11 @@ pub fn bitplane_conv_fused_into<P: BitWord, W: BitWord>(
     out: &mut BitTensor<W>,
 ) {
     let bank = PlaneBank::column_major(filters);
-    bitplane_conv_bank_into(q, planes, &bank, fused, geom, out);
-}
-
-/// [`bitplane_conv_fused_into`] over a bank staged once — the engine's
-/// arena path.
-///
-/// # Panics
-///
-/// Panics on channel mismatches, when `fused.len() != bank.shape().k`, or
-/// on windows wider than [`MAX_WINDOW_BITS`].
-pub fn bitplane_conv_bank_into<P: BitWord, W: BitWord>(
-    q: &mut CommandQueue,
-    planes: &BitPlanes<P>,
-    bank: &PlaneBank,
-    fused: &FusedBn,
-    geom: &ConvGeometry,
-    out: &mut BitTensor<W>,
-) {
     let (os, profile) = conv_profile(planes.shape(), bank.shape(), geom);
     assert_eq!(fused.len(), os.c, "fusion params must cover every filter");
     out.reset(os);
     q.launch(profile, || {
-        compute_bitplane_conv_fused(planes, bank, fused, geom, out)
+        compute_bitplane_conv_fused(planes, &bank, fused, geom, out)
     });
 }
 

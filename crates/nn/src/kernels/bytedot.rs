@@ -32,7 +32,7 @@ use phonebit_tensor::bits::{BitTensor, BitWord, PackedFilters};
 use phonebit_tensor::shape::{ConvGeometry, FilterShape, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
-use crate::fuse::{BitSink, FusedBn, PlaneCuts, PlaneSink};
+use crate::fuse::{BitSink, PlaneCuts, PlaneSink};
 use crate::kernels::bitplane::{conv_profile, PLANE_LANES};
 use crate::kernels::isa;
 
@@ -321,7 +321,7 @@ pub(crate) fn row_vnni_rgb3<W: BitWord>(ring: &ByteRing<'_>, sink: &mut BitSink<
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[inline]
-fn lanes512(w: &Lanes) -> __m512i {
+pub(crate) fn lanes512(w: &Lanes) -> __m512i {
     #[rustfmt::skip]
     let v = _mm512_set_epi32(
         w[15], w[14], w[13], w[12], w[11], w[10], w[9], w[8],
@@ -331,47 +331,46 @@ fn lanes512(w: &Lanes) -> __m512i {
 }
 
 /// Functional body of the host first layer: one row task per output row,
-/// the input ring owned by the worker. Output bits are OR-ed in — `out`
-/// must come in zeroed, as [`byte_conv_into`] resets it.
+/// the input ring owned by the worker, decided by the staged `cuts`. Output
+/// bits are OR-ed in — `out` must come in zeroed, as [`byte_conv_into`]
+/// resets it.
 pub fn compute_byte_conv<W: BitWord>(
     image: &Tensor<u8>,
     bank: &ByteBank,
-    fused: &FusedBn,
+    cuts: &PlaneCuts,
     geom: &ConvGeometry,
     out: &mut BitTensor<W>,
 ) {
     let (s, image) = (image.shape(), image.nhwc());
     let (os, wpp) = (out.shape(), out.words_per_pixel());
-    let cuts = PlaneCuts::new(fused, bank.shape.filter_len());
     par_chunks_mut_with(
         out.as_mut_words(),
         os.w * wpp,
         || ByteRing::new(bank, geom, s),
         |ring, row_idx, span| {
             let at = (row_idx / os.h, row_idx % os.h);
-            ring.decide_row(image.as_slice(), at, &mut BitSink::new(&cuts, span, wpp));
+            ring.decide_row(image.as_slice(), at, &mut BitSink::new(cuts, span, wpp));
         },
     );
 }
 
 /// Dispatches the fused first-layer convolution — Eqn (2) + batch-norm +
 /// binarize + pack — under the bit-plane kernel's cost profile, computed on
-/// the host as a byte dot, into `out` (reset to the output shape).
+/// the host as a byte dot by the cuts staged with `bank`, into `out` (reset
+/// to the output shape).
 ///
 /// # Panics
 ///
-/// Panics on channel mismatches, when `fused.len() != bank.shape().k`, or
-/// on windows wider than [`super::bitplane::MAX_WINDOW_BITS`].
+/// Panics on channel mismatches.
 pub fn byte_conv_into<W: BitWord>(
     q: &mut CommandQueue,
     image: &Tensor<u8>,
     bank: &ByteBank,
-    fused: &FusedBn,
+    cuts: &PlaneCuts,
     geom: &ConvGeometry,
     out: &mut BitTensor<W>,
 ) {
     let (os, profile) = conv_profile(image.shape(), bank.shape, geom);
-    assert_eq!(fused.len(), os.c, "fusion params must cover every filter");
     out.reset(os);
-    q.launch(profile, || compute_byte_conv(image, bank, fused, geom, out));
+    q.launch(profile, || compute_byte_conv(image, bank, cuts, geom, out));
 }

@@ -1,18 +1,18 @@
 //! Dense (fully connected) kernels, binary and float, plus the bit-preserving
 //! flatten that connects convolutional features to them. A binary dense layer
 //! is a 1×1 convolution over a 1×1 image, the pointwise GEMM: one flattened
-//! image is one window row of [`tile_filters`] over the layer's [`LaneBank`].
+//! image is one window row of [`tile_filters`] over the layer's
+//! [`FusedLanes`].
 
 use phonebit_gpusim::queue::CommandQueue;
 use phonebit_tensor::bits::{merge_bits, BitTensor, BitWord, PackedFilters};
-use phonebit_tensor::lanes::LaneBank;
 use phonebit_tensor::shape::{Layout, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
 use crate::act::Activation;
-use crate::fuse::{BitSink, Cuts, FusedBn};
+use crate::fuse::{BitSink, FusedBn};
 use crate::kernels::profiles;
-use crate::kernels::tiled::tile_filters;
+use crate::kernels::tiled::{tile_filters, FusedLanes};
 
 /// Flattens a packed feature map `(n, h, w, c)` into `(n, 1, 1, h*w*c)`
 /// keeping `(h, w, c)` raster order — the order dense weights are stored in.
@@ -52,25 +52,23 @@ pub fn flatten_bits_into<W: BitWord>(input: &BitTensor<W>, out: &mut BitTensor<W
 
 /// Functional body of the fused binary dense layer, writing into a zeroed
 /// `out` (as [`dense_bin_into`] resets it): the pointwise GEMM of the
-/// flattened rows against `bank`, `(k, 1, 1, features)`.
+/// flattened rows against `lanes`, `(k, 1, 1, features)`.
 pub fn compute_dense_bin<W: BitWord>(
     input: &BitTensor<W>,
-    bank: &LaneBank<W>,
-    fused: &FusedBn,
+    lanes: &FusedLanes<W>,
     out: &mut BitTensor<W>,
 ) {
     let wpp = out.words_per_pixel();
-    let cuts = Cuts::new(fused, bank.shape().filter_len());
     tile_filters(
         input.as_words(),
-        bank,
-        &mut BitSink::new(&cuts, out.as_mut_words(), wpp),
+        &lanes.bank,
+        &mut BitSink::new(&lanes.cuts, out.as_mut_words(), wpp),
     );
 }
 
 /// Dispatches the fused binary dense layer: xnor-popcount matvec + BN +
 /// binarize + pack. Interleaves `weights` first; a caller that runs the
-/// layer more than once stages a [`LaneBank`] and calls [`dense_bin_into`].
+/// layer more than once stages its [`FusedLanes`] and calls [`dense_bin_into`].
 ///
 /// # Panics
 ///
@@ -82,22 +80,26 @@ pub fn dense_bin<W: BitWord>(
     fused: &FusedBn,
 ) -> BitTensor<W> {
     let mut out = BitTensor::<W>::zeros(Shape4::new(0, 0, 0, 0));
-    dense_bin_into(q, input, &LaneBank::new(weights), fused, &mut out);
+    assert_eq!(
+        fused.len(),
+        weights.shape().k,
+        "fusion params must cover every output"
+    );
+    dense_bin_into(q, input, &FusedLanes::new(weights, fused), &mut out);
     out
 }
 
-/// [`dense_bin`] over a bank staged once, into a caller-provided tensor
+/// [`dense_bin`] over a bank and cuts staged once, into a caller-provided tensor
 /// (reset to the output shape), reusing its storage — the engine's arena
 /// path.
 pub fn dense_bin_into<W: BitWord>(
     q: &mut CommandQueue,
     input: &BitTensor<W>,
-    bank: &LaneBank<W>,
-    fused: &FusedBn,
+    lanes: &FusedLanes<W>,
     out: &mut BitTensor<W>,
 ) {
     let s = input.shape();
-    let ws = bank.shape();
+    let ws = lanes.bank.shape();
     assert!(
         s.h == 1 && s.w == 1,
         "dense input must be flattened, got {s}"
@@ -109,12 +111,11 @@ pub fn dense_bin_into<W: BitWord>(
         "input features {} != weight features {}",
         s.c, ws.c
     );
-    assert_eq!(fused.len(), ws.k, "fusion params must cover every output");
     out.reset(Shape4::new(s.n, 1, 1, ws.k));
     // One dispatch covers the whole batch: the matvec loops rows inside
     // the kernel while the per-dispatch launch overhead is paid once.
     let profile = profiles::dense_bin(ws.k, s.c).batched(s.n);
-    q.launch(profile, || compute_dense_bin(input, bank, fused, out));
+    q.launch(profile, || compute_dense_bin(input, lanes, out));
 }
 
 /// Functional body of the float dense layer: `y = act(Wx + b)`.

@@ -29,15 +29,15 @@ use phonebit_gpusim::queue::CommandQueue;
 use phonebit_gpusim::KernelProfile;
 use phonebit_gpusim::NdRange;
 use phonebit_tensor::bits::{BitTensor, BitWord};
-use phonebit_tensor::lanes::LaneBank;
 use phonebit_tensor::shape::{ConvGeometry, FilterShape, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
-use crate::fuse::{BitSink, Cuts, FusedBn, PlaneCuts};
+use crate::fuse::{BitSink, PlaneCuts};
+use crate::kernels::bconv::DirectBank;
 use crate::kernels::bytedot::{compute_byte_conv, ByteBank, ByteRing};
 use crate::kernels::pool::{or_pool_row, PoolGeometry};
 use crate::kernels::profiles::{compulsory_input_bytes, words32, PACKED_COALESCING, VEC_LANES_128};
-use crate::kernels::tiled::{conv_row_tiled, RowRing};
+use crate::kernels::tiled::FusedLanes;
 use crate::kernels::{bconv, compute_pack_input, dense};
 use crate::workload::WorkloadPolicy;
 
@@ -216,8 +216,7 @@ fn pooled_rows<W: BitWord>(
 /// Functional body of the fused bconv→pool chain over packed input bits.
 pub fn compute_bconv_pool_chain<W: BitWord>(
     input: &BitTensor<W>,
-    bank: &LaneBank<W>,
-    fused: &FusedBn,
+    bank: &DirectBank<W>,
     geom: &ConvGeometry,
     pool: &PoolGeometry,
     ring: &mut BitTensor<W>,
@@ -225,11 +224,9 @@ pub fn compute_bconv_pool_chain<W: BitWord>(
 ) {
     let s = input.shape();
     let (conv_oh, conv_ow) = geom.output_hw(s.h, s.w);
-    let mut rows = RowRing::new(geom, s);
-    let cuts = Cuts::new(fused, bank.shape().filter_len());
+    let mut rows = bank.ring(geom, s);
     pooled_rows(s.n, conv_oh, conv_ow, pool, ring, out, |n, oy, wpp, row| {
-        let mut sink = BitSink::new(&cuts, row, wpp);
-        conv_row_tiled(input, bank, &mut rows, (n, oy), &mut sink);
+        rows.decide_row(input, (n, oy), row, wpp);
     });
 }
 
@@ -238,7 +235,7 @@ pub fn compute_bconv_pool_chain<W: BitWord>(
 pub fn compute_in8_pool_chain<W: BitWord>(
     image: &Tensor<u8>,
     bank: &ByteBank,
-    fused: &FusedBn,
+    cuts: &PlaneCuts,
     geom: &ConvGeometry,
     pool: &PoolGeometry,
     ring: &mut BitTensor<W>,
@@ -247,13 +244,8 @@ pub fn compute_in8_pool_chain<W: BitWord>(
     let (s, image) = (image.shape(), image.nhwc());
     let (conv_oh, conv_ow) = geom.output_hw(s.h, s.w);
     let mut bytes = ByteRing::new(bank, geom, s);
-    let cuts = PlaneCuts::new(fused, bank.shape().filter_len());
     pooled_rows(s.n, conv_oh, conv_ow, pool, ring, out, |n, oy, wpp, row| {
-        bytes.decide_row(
-            image.as_slice(),
-            (n, oy),
-            &mut BitSink::new(&cuts, row, wpp),
-        );
+        bytes.decide_row(image.as_slice(), (n, oy), &mut BitSink::new(cuts, row, wpp));
     });
 }
 
@@ -275,7 +267,6 @@ fn stage_chain<W: BitWord>(
     absorb: ChainAbsorb,
     s: Shape4,
     fs: FilterShape,
-    fused: &FusedBn,
     geom: &ConvGeometry,
     pool: Option<&PoolGeometry>,
     ring: &mut BitTensor<W>,
@@ -286,7 +277,6 @@ fn stage_chain<W: BitWord>(
         "input channels {} != filter channels {}",
         s.c, fs.c
     );
-    assert_eq!(fused.len(), fs.k, "fusion params must cover every filter");
     let (oh, ow) = geom.output_hw(s.h, s.w);
     let conv_shape = Shape4::new(s.n, oh, ow, fs.k);
     let os = pooled_output_shape(conv_shape, pool);
@@ -316,18 +306,17 @@ fn stage_chain<W: BitWord>(
 pub fn bconv_pool_chain_into<W: BitWord>(
     q: &mut CommandQueue,
     input: &BitTensor<W>,
-    bank: &LaneBank<W>,
-    fused: &FusedBn,
+    bank: &DirectBank<W>,
     geom: &ConvGeometry,
     pool: &PoolGeometry,
     ring: &mut BitTensor<W>,
     out: &mut BitTensor<W>,
 ) {
     let (s, fs) = (input.shape(), bank.shape());
-    let profile = stage_chain(ChainAbsorb::None, s, fs, fused, geom, Some(pool), ring, out)
+    let profile = stage_chain(ChainAbsorb::None, s, fs, geom, Some(pool), ring, out)
         .discount_reads(bank.dram_discount_bytes());
     q.launch(profile, || {
-        compute_bconv_pool_chain(input, bank, fused, geom, pool, ring, out)
+        compute_bconv_pool_chain(input, bank, geom, pool, ring, out)
     });
 }
 
@@ -344,8 +333,7 @@ pub fn pack_bconv_chain_into<W: BitWord>(
     q: &mut CommandQueue,
     images: &[Tensor<f32>],
     s: Shape4,
-    bank: &LaneBank<W>,
-    fused: &FusedBn,
+    bank: &DirectBank<W>,
     geom: &ConvGeometry,
     pool: Option<&PoolGeometry>,
     pack_tile: &mut BitTensor<W>,
@@ -353,13 +341,13 @@ pub fn pack_bconv_chain_into<W: BitWord>(
     out: &mut BitTensor<W>,
 ) {
     let fs = bank.shape();
-    let profile = stage_chain(ChainAbsorb::PackF32, s, fs, fused, geom, pool, ring, out)
+    let profile = stage_chain(ChainAbsorb::PackF32, s, fs, geom, pool, ring, out)
         .discount_reads(bank.dram_discount_bytes());
     q.launch(profile, || {
         compute_pack_input(images, s, pack_tile);
         match pool {
-            Some(p) => compute_bconv_pool_chain(pack_tile, bank, fused, geom, p, ring, out),
-            None => bconv::compute_bconv_fused(pack_tile, bank, fused, geom, out),
+            Some(p) => compute_bconv_pool_chain(pack_tile, bank, geom, p, ring, out),
+            None => bconv::compute_bconv_fused(pack_tile, bank, geom, out),
         }
     });
 }
@@ -376,17 +364,17 @@ pub fn in8_bconv_chain_into<W: BitWord>(
     q: &mut CommandQueue,
     input: &Tensor<u8>,
     bank: &ByteBank,
-    fused: &FusedBn,
+    cuts: &PlaneCuts,
     geom: &ConvGeometry,
     pool: Option<&PoolGeometry>,
     ring: &mut BitTensor<W>,
     out: &mut BitTensor<W>,
 ) {
     let (s, fs) = (input.shape(), bank.shape());
-    let profile = stage_chain(ChainAbsorb::Planes8, s, fs, fused, geom, pool, ring, out);
+    let profile = stage_chain(ChainAbsorb::Planes8, s, fs, geom, pool, ring, out);
     q.launch(profile, || match pool {
-        Some(p) => compute_in8_pool_chain(input, bank, fused, geom, p, ring, out),
-        None => compute_byte_conv(input, bank, fused, geom, out),
+        Some(p) => compute_in8_pool_chain(input, bank, cuts, geom, p, ring, out),
+        None => compute_byte_conv(input, bank, cuts, geom, out),
     });
 }
 
@@ -401,16 +389,14 @@ pub fn in8_bconv_chain_into<W: BitWord>(
 pub fn dense_pair_into<W: BitWord>(
     q: &mut CommandQueue,
     input: &BitTensor<W>,
-    b1: &LaneBank<W>,
-    f1: &FusedBn,
-    b2: &LaneBank<W>,
-    f2: &FusedBn,
+    l1: &FusedLanes<W>,
+    l2: &FusedLanes<W>,
     flat: &mut BitTensor<W>,
     mid: &mut BitTensor<W>,
     out: &mut BitTensor<W>,
 ) {
     let s = input.shape();
-    let (s1, s2) = (b1.shape(), b2.shape());
+    let (s1, s2) = (l1.bank.shape(), l2.bank.shape());
     assert_eq!(s1.kh * s1.kw, 1, "dense weights must be 1x1 taps");
     assert_eq!(s2.kh * s2.kw, 1, "dense weights must be 1x1 taps");
     assert_eq!(
@@ -425,15 +411,13 @@ pub fn dense_pair_into<W: BitWord>(
         "mid features {} != second weight features {}",
         s1.k, s2.c
     );
-    assert_eq!(f1.len(), s1.k, "fusion params must cover every output");
-    assert_eq!(f2.len(), s2.k, "fusion params must cover every output");
     dense::flatten_bits_into(input, flat);
     mid.reset(Shape4::new(s.n, 1, 1, s1.k));
     out.reset(Shape4::new(s.n, 1, 1, s2.k));
     let profile = dense_pair_profile(s1.k, s2.k, s1.c).batched(s.n);
     q.launch(profile, || {
-        dense::compute_dense_bin(flat, b1, f1, mid);
-        dense::compute_dense_bin(mid, b2, f2, out);
+        dense::compute_dense_bin(flat, l1, mid);
+        dense::compute_dense_bin(mid, l2, out);
     });
 }
 
@@ -445,7 +429,7 @@ mod tests {
     use phonebit_tensor::shape::FilterShape;
     use phonebit_tensor::tensor::Filters;
 
-    use crate::fuse::BnParams;
+    use crate::fuse::{BnParams, FusedBn};
     use phonebit_tensor::bitplane::BitPlanes;
 
     use crate::kernels::bitplane::bitplane_conv_fused_into;
@@ -517,8 +501,7 @@ mod tests {
             bconv_pool_chain_into(
                 &mut q2,
                 &input,
-                &LaneBank::new(&filters),
-                &fused,
+                &DirectBank::new(&filters, &fused, Some(&geom)),
                 &geom,
                 &pool,
                 &mut ring,
@@ -537,7 +520,7 @@ mod tests {
         let fused = test_bn(k);
         let geom = ConvGeometry::square(3, 1, 1);
         let filters = pack_filters::<u32>(&f);
-        let bank = LaneBank::new(&filters);
+        let bank = DirectBank::new(&filters, &fused, Some(&geom));
 
         let mut q = queue();
         let mut packed = scratch::<u32>();
@@ -548,7 +531,7 @@ mod tests {
         let (mut tile, mut ring, mut out) = (scratch::<u32>(), scratch::<u32>(), scratch::<u32>());
         let (window, s) = (std::slice::from_ref(&t), t.shape());
         pack_bconv_chain_into(
-            &mut q2, window, s, &bank, &fused, &geom, None, &mut tile, &mut ring, &mut out,
+            &mut q2, window, s, &bank, &geom, None, &mut tile, &mut ring, &mut out,
         );
         assert_eq!(out, expect);
         assert_eq!(q2.timeline().len(), 1);
@@ -563,7 +546,6 @@ mod tests {
             window,
             s,
             &bank,
-            &fused,
             &geom,
             Some(&pool),
             &mut tile,
@@ -583,7 +565,10 @@ mod tests {
         let fused = test_bn(16);
         let geom = ConvGeometry::square(3, 1, 1);
         let filters = pack_filters::<u64>(&f);
-        let bank = ByteBank::new(&filters);
+        let (bank, cuts) = (
+            ByteBank::new(&filters),
+            PlaneCuts::new(&fused, filters.shape().filter_len()),
+        );
 
         let mut q = queue();
         let planes = BitPlanes::<u64>::split(&img);
@@ -593,7 +578,7 @@ mod tests {
         let mut q2 = queue();
         let (mut ring, mut out) = (scratch::<u64>(), scratch::<u64>());
         in8_bconv_chain_into(
-            &mut q2, &img, &bank, &fused, &geom, None, &mut ring, &mut out,
+            &mut q2, &img, &bank, &cuts, &geom, None, &mut ring, &mut out,
         );
         assert_eq!(out, conv);
         assert_eq!(q2.timeline().len(), 1);
@@ -607,7 +592,7 @@ mod tests {
             &mut q4,
             &img,
             &bank,
-            &fused,
+            &cuts,
             &geom,
             Some(&pool),
             &mut ring,
@@ -628,7 +613,10 @@ mod tests {
         let fused = test_bn(12);
         let geom = ConvGeometry::square(11, 4, 0);
         let filters = pack_filters::<u64>(&f);
-        let bank = ByteBank::new(&filters);
+        let (bank, cuts) = (
+            ByteBank::new(&filters),
+            PlaneCuts::new(&fused, filters.shape().filter_len()),
+        );
 
         let mut q = queue();
         let planes = BitPlanes::<u64>::split(&img);
@@ -641,7 +629,7 @@ mod tests {
         for (pool, expect) in [(None, &conv), (Some(&pool), &pooled)] {
             let mut q2 = queue();
             in8_bconv_chain_into(
-                &mut q2, &img, &bank, &fused, &geom, pool, &mut ring, &mut out,
+                &mut q2, &img, &bank, &cuts, &geom, pool, &mut ring, &mut out,
             );
             assert_eq!(&out, expect, "pool {}", pool.is_some());
             assert_eq!(q2.timeline().len(), 1);
@@ -665,10 +653,8 @@ mod tests {
 
         let mut q2 = queue();
         let (mut flat2, mut mid2, mut out) = (scratch::<u64>(), scratch::<u64>(), scratch::<u64>());
-        let (b1, b2) = (LaneBank::new(&w1), LaneBank::new(&w2));
-        dense_pair_into(
-            &mut q2, &input, &b1, &f1, &b2, &f2, &mut flat2, &mut mid2, &mut out,
-        );
+        let (l1, l2) = (FusedLanes::new(&w1, &f1), FusedLanes::new(&w2, &f2));
+        dense_pair_into(&mut q2, &input, &l1, &l2, &mut flat2, &mut mid2, &mut out);
         assert_eq!(out, expect);
         assert_eq!(q2.timeline().len(), 1, "fused pair is one dispatch");
     }

@@ -18,7 +18,8 @@
 //!   (`tiled::conv_row_tiled`, `tiled::tile_filters` — the lowered GEMM's
 //!   and the dense layer's — `bitplane::bitplane_row`, `fconv`'s pixel
 //!   rows over floats and over packed signs), never per word; `byte_row` once per first-layer output row,
-//!   `pack_window` once per sign-pack sweep.
+//!   `tap_row` once per thin-layer output row, `pack_window` once per
+//!   sign-pack sweep.
 //!   A `#[target_feature]` function cannot be inlined into its caller, so
 //!   the call is the boundary; everything below it — the driver, the
 //!   microkernel, `BitWord::popcount`, the packed-bit sink — is
@@ -35,7 +36,11 @@
 //!   `row_vnni_rgb3`, and `row_avx2`. `byte_row` enters
 //!   one of them — its calls are this module's other `unsafe`, with
 //!   `pack_window`'s entry into `kernels::pack_avx512`, the float input's
-//!   sign compare into a mask register. The `run_*`
+//!   sign compare into a mask register, and `tap_row`'s into the thin
+//!   layers' frames ([`taps`]: `row16` on `u16` lanes, checking
+//!   `avx512bitalg` as `byte_row` checks `avx512vnni`, and `row32` on `u32`
+//!   lanes). A generic body in `run_avx512` with `avx512bitalg` added
+//!   split `vpopcntw` across `xmm` registers, 6.6× slower. The `run_*`
 //!   frames keep their `enable` lists: adding `avx512vnni` there would
 //!   recompile every binary-body driver for nothing (none uses it) and
 //!   exclude CPUs with the popcount but not the dot product.
@@ -56,6 +61,7 @@ use phonebit_tensor::tensor::Tensor;
 
 use crate::fuse::{BitSink, PlaneCuts};
 use crate::kernels::bytedot::{self, ByteRing};
+use crate::kernels::taps::{self, TapRing};
 
 /// The instruction-set tier the binary kernels run on, best last.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -193,6 +199,45 @@ pub(crate) fn pack_window<W: BitWord>(
     }
 }
 
+/// Whether the entered tier has a vector popcount on `bits`-bit lanes:
+/// `vpopcntd` on the AVX-512 tier, `vpopcntw` where the CPU also has
+/// AVX-512 BITALG. Where it holds, a thin layer stages a
+/// [`TapBank`](super::taps::TapBank).
+pub(crate) fn lane_popcount(bits: usize) -> bool {
+    match (entered(), bits) {
+        #[cfg(target_arch = "x86_64")]
+        (IsaTier::Avx512Vpopcntdq, 16) => is_x86_feature_detected!("avx512bitalg"),
+        (IsaTier::Avx512Vpopcntdq, 32) => true,
+        _ => false,
+    }
+}
+
+/// Runs a thin layer's output row ([`taps`]) in the frame of its lane
+/// width. The frames are safe `#[target_feature]` functions there;
+/// entering one is the unsafe step.
+///
+/// # Panics
+///
+/// Panics on a tier without [`lane_popcount`] for the ring's channels,
+/// where no tap bank is staged.
+#[inline]
+pub(crate) fn tap_row<W: BitWord>(ring: &TapRing<'_>, row: &mut [W], wpp: usize) {
+    match (entered(), ring.s.c) {
+        // SAFETY: `Avx512Vpopcntdq` is entered only when detected, which
+        // confirmed `avx512f` and `avx512bw`, and the guard confirms
+        // `avx512bitalg`: every feature `row16` enables.
+        #[cfg(target_arch = "x86_64")]
+        (IsaTier::Avx512Vpopcntdq, 16) if is_x86_feature_detected!("avx512bitalg") => unsafe {
+            taps::row16(ring, row, wpp)
+        },
+        // SAFETY: as above, and `avx512vpopcntdq`: every feature `row32`
+        // enables.
+        #[cfg(target_arch = "x86_64")]
+        (IsaTier::Avx512Vpopcntdq, 32) => unsafe { taps::row32(ring, row, wpp) },
+        (tier, c) => unreachable!("no {c}-bit lane popcount on {}", tier.name()),
+    }
+}
+
 /// [`run`] on `tier`, or on the detected tier when the CPU does not reach
 /// `tier`.
 #[inline]
@@ -269,7 +314,9 @@ mod tests {
 
     use crate::act::Activation;
     use crate::fuse::{AccumSink, BitSink, Cuts, FusedBn, PlaneCuts};
-    use crate::kernels::bconv::{compute_bconv_fused, compute_bconv_fused_reference, window_dot};
+    use crate::kernels::bconv::{
+        compute_bconv_fused, compute_bconv_fused_reference, window_dot, DirectBank,
+    };
     use crate::kernels::bgemm::{flatten_filters, pack_windows};
     use crate::kernels::bitplane::{bitplane_row, PlaneBank, PlaneStream};
     use crate::kernels::bytedot::ByteBank;
@@ -280,8 +327,8 @@ mod tests {
     use crate::kernels::fused::{compute_bconv_pool_chain, ring_shape};
     use crate::kernels::pool::tests::{nested_loop_maxpool, runtime_shape_maxpool};
     use crate::kernels::pool::{compute_maxpool_bits, PoolGeometry};
-    use crate::kernels::tiled::tests::conv_row_runtime_shape;
-    use crate::kernels::tiled::{conv_row_tiled, tile_filters, RowRing};
+    use crate::kernels::taps::{TapBank, TapRing};
+    use crate::kernels::tiled::{conv_row_tiled, tile_filters, FusedLanes, RowRing};
 
     thread_local! {
         /// The tier [`run`] enters on this thread instead of the detected
@@ -534,7 +581,9 @@ mod tests {
     /// fused sinks), and whole dispatches — `compute_bconv_fused`, and the
     /// `bconv_pool` chain over a 2×2/2 pool when one fits — on every tier
     /// against `compute_bconv_fused_reference` (pooled by the nested-loop
-    /// oracle).
+    /// oracle): over the tiled body's lanes, and over the bank
+    /// [`DirectBank::new`] stages on that tier (a thin 3×3 layer's taps where
+    /// [`lane_popcount`] holds), raw and through its dictionary.
     #[allow(clippy::too_many_arguments)]
     fn ring_case<W: BitWord>(
         (h, w): (usize, usize),
@@ -550,38 +599,49 @@ mod tests {
         else {
             return Ok(());
         };
-        let bank = LaneBank::new(&filters);
-        conv_rows_agree(&input, &filters, &bank, &geom, &fused)?;
+        let lanes = FusedLanes::new(&filters, &fused);
+        prop_assert!(lanes.cuts == Cuts::new(&fused, filters.shape().filter_len()));
+        conv_rows_agree(&input, &filters, &lanes.bank, &geom, &fused)?;
         let (oh, ow) = geom.output_hw(h, w);
         let mut want = BitTensor::<W>::zeros(Shape4::new(2, oh, ow, k));
         compute_bconv_fused_reference(&input, &filters, &fused, &geom, &mut want);
-        same_on_every_tier(|tier| {
-            let mut out = BitTensor::<W>::zeros(want.shape());
-            on_tier(tier, || {
-                compute_bconv_fused(&input, &bank, &fused, &geom, &mut out)
-            });
-            out
-        })
-        .and_then(|got| {
-            prop_assert!(got == want, "fused dispatch");
-            Ok(())
-        })?;
-        if oh < 2 || ow < 2 {
-            return Ok(());
-        }
         let pool = PoolGeometry::new(2, 2);
-        let (ph, pw) = pool.output_hw(oh, ow);
-        let mut pooled = BitTensor::<W>::zeros(Shape4::new(2, ph, pw, k));
-        nested_loop_maxpool(&want, &pool, &mut pooled);
-        let got = same_on_every_tier(|tier| {
-            let mut ring = BitTensor::<W>::zeros(ring_shape(ow, k, &pool));
-            let mut out = BitTensor::<W>::zeros(pooled.shape());
-            on_tier(tier, || {
-                compute_bconv_pool_chain(&input, &bank, &fused, &geom, &pool, &mut ring, &mut out)
-            });
-            out
-        })?;
-        prop_assert!(got == pooled, "bconv_pool chain");
+        let pooled = (oh >= 2 && ow >= 2).then(|| {
+            let (ph, pw) = pool.output_hw(oh, ow);
+            let mut pooled = BitTensor::<W>::zeros(Shape4::new(2, ph, pw, k));
+            nested_loop_maxpool(&want, &pool, &mut pooled);
+            pooled
+        });
+        let dict = FilterDict::build(&filters);
+        // 0: the tiled lanes; 1, 2: as staged on the tier, raw and compressed.
+        let stage = |kind: usize| match kind {
+            0 => DirectBank::Lanes(lanes.clone()),
+            1 => DirectBank::new(&filters, &fused, Some(&geom)),
+            _ => DirectBank::new(&dict, &fused, Some(&geom)),
+        };
+        for kind in 0..3 {
+            let got = same_on_every_tier(|tier| {
+                let mut out = BitTensor::<W>::zeros(want.shape());
+                on_tier(tier, || {
+                    compute_bconv_fused(&input, &stage(kind), &geom, &mut out)
+                });
+                out
+            })?;
+            prop_assert!(got == want, "fused dispatch, bank {kind}");
+            let Some(pooled) = &pooled else {
+                continue;
+            };
+            let got = same_on_every_tier(|tier| {
+                let mut ring = BitTensor::<W>::zeros(ring_shape(ow, k, &pool));
+                let mut out = BitTensor::<W>::zeros(pooled.shape());
+                on_tier(tier, || {
+                    let bank = stage(kind);
+                    compute_bconv_pool_chain(&input, &bank, &geom, &pool, &mut ring, &mut out)
+                });
+                out
+            })?;
+            prop_assert!(got == *pooled, "bconv_pool chain, bank {kind}");
+        }
         Ok(())
     }
 
@@ -817,11 +877,11 @@ mod tests {
         let mut rng = seed;
         let input = random_bits::<W>(Shape4::new(3, 1, 1, features), &mut rng);
         let weights = random_filters::<W>(FilterShape::new(k, 1, 1, features), 64, &mut rng);
-        let bank = LaneBank::new(&weights);
         let fused = random_fused(k, 1.0, &mut rng);
+        let lanes = FusedLanes::new(&weights, &fused);
         let portable = same_on_every_tier(|tier| {
             let mut out = BitTensor::<W>::zeros(Shape4::new(3, 1, 1, k));
-            on_tier(tier, || compute_dense_bin(&input, &bank, &fused, &mut out));
+            on_tier(tier, || compute_dense_bin(&input, &lanes, &mut out));
             out
         })?;
         let mut dots = Vec::with_capacity(3 * k);
@@ -1210,72 +1270,79 @@ mod tests {
         }
         // conv2: 208×208×16 → 32, 3×3 pad 1, and pool1 ahead of it: 2×2/2
         // over 416×416×16, both on `u64` words as the engine runs them, and
-        // conv3 (104×104×32 → 64); conv2 and pool1 also against their
-        // runtime-shape arms (the `(3, 1)` and `(1, 2, 2)` instances' body
-        // at runtime arguments).
+        // conv3 (104×104×32 → 64); conv2 and conv3 as ring + tile and on
+        // their tap banks (AVX-512 only: NaN below it), pool1 also against
+        // its runtime-shape arm (the `(1, 2, 2)` instance's body at runtime
+        // arguments).
         let s = Shape4::new(1, 208, 208, 16);
         let input = random_bits::<u64>(s, &mut rng);
         let filters = random_filters::<u64>(FilterShape::new(32, 3, 3, 16), 9, &mut rng);
-        let cuts = Cuts::new(&FusedBn::identity(32), 144);
-        let (bank, taps) = (LaneBank::new(&filters), tap_padded_bank(&filters));
+        let fused = FusedBn::identity(32);
+        let (lanes, taps) = (FusedLanes::new(&filters, &fused), tap_padded_bank(&filters));
         let mut out = vec![0u64; 208 * 208];
         let mut windows = vec![0u64; 208 * 9];
         let s3 = Shape4::new(1, 104, 104, 32);
         let input3 = random_bits::<u64>(s3, &mut rng);
         let filters3 = random_filters::<u64>(FilterShape::new(64, 3, 3, 32), 9, &mut rng);
-        let (cuts3, bank3) = (
-            Cuts::new(&FusedBn::identity(64), 288),
-            LaneBank::new(&filters3),
-        );
+        let lanes3 = FusedLanes::new(&filters3, &FusedBn::identity(64));
         let mut out3 = vec![0u64; 104 * 104];
         let wide = random_bits::<u64>(Shape4::new(1, 416, 416, 16), &mut rng);
         let pool = PoolGeometry::new(2, 2);
         let mut pooled = BitTensor::<u64>::zeros(s);
+        // Rows of `input` through a worker's ring of `lanes`, or of the
+        // same filters at their packing width.
+        let ring_tile = |input: &BitTensor<u64>, lanes: &FusedLanes<u64>, out: &mut [u64], tier| {
+            let s = input.shape();
+            best_ms(|| {
+                let mut ring = RowRing::new(&geom, s);
+                for (oy, row) in out.chunks_exact_mut(s.w).enumerate() {
+                    let mut sink = BitSink::new(&lanes.cuts, row, 1);
+                    on_tier(Some(tier), || {
+                        conv_row_tiled(input, &lanes.bank, &mut ring, (0, oy), &mut sink)
+                    });
+                }
+            })
+        };
+        let tap_rows = |input: &BitTensor<u64>,
+                        filters: &PackedFilters<u64>,
+                        fused: &FusedBn,
+                        out: &mut [u64],
+                        tier| {
+            let s = input.shape();
+            if tier != IsaTier::detected() || !TapBank::fits(filters.shape(), &geom) {
+                return f64::NAN;
+            }
+            let bank = TapBank::new(filters, fused);
+            best_ms(|| {
+                let mut ring = TapRing::new(&bank, &geom, s);
+                for (oy, row) in out.chunks_exact_mut(s.w).enumerate() {
+                    row.fill(0);
+                    ring.decide_row(input, (0, oy), row, 1);
+                }
+            })
+        };
         println!(
-            "tier             conv2 tap words  runtime  (3, 1)   conv3 dense rows   \
+            "tier             conv2 tap words  ring+tile  taps   conv3 ring+tile  taps   \
              pool1 nested  runtime  (1, 2, 2)"
         );
         for tier in tiers() {
             let tap_words = best_ms(|| {
                 for (oy, row) in out.chunks_exact_mut(208).enumerate() {
                     gather_tap_words(&input, &geom, oy, &mut windows);
-                    let mut sink = BitSink::new(&cuts, row, 1);
+                    let mut sink = BitSink::new(&lanes.cuts, row, 1);
                     on_tier(Some(tier), || tile_filters(&windows, &taps, &mut sink));
                 }
             });
-            let runtime_arm = best_ms(|| {
-                let mut ring = RowRing::new(&geom, s);
-                for (oy, row) in out.chunks_exact_mut(208).enumerate() {
-                    let mut sink = BitSink::new(&cuts, row, 1);
-                    on_tier(Some(tier), || {
-                        conv_row_runtime_shape(&input, &bank, &mut ring, (0, oy), &mut sink)
-                    });
-                }
-            });
-            let instance_arm = best_ms(|| {
-                let mut ring = RowRing::new(&geom, s);
-                for (oy, row) in out.chunks_exact_mut(208).enumerate() {
-                    let mut sink = BitSink::new(&cuts, row, 1);
-                    on_tier(Some(tier), || {
-                        conv_row_tiled(&input, &bank, &mut ring, (0, oy), &mut sink)
-                    });
-                }
-            });
-            let conv3 = best_ms(|| {
-                let mut ring = RowRing::new(&geom, s3);
-                for (oy, row) in out3.chunks_exact_mut(104).enumerate() {
-                    let mut sink = BitSink::new(&cuts3, row, 1);
-                    on_tier(Some(tier), || {
-                        conv_row_tiled(&input3, &bank3, &mut ring, (0, oy), &mut sink)
-                    });
-                }
-            });
+            let conv2 = ring_tile(&input, &lanes, &mut out, tier);
+            let taps2 = tap_rows(&input, &filters, &fused, &mut out, tier);
+            let conv3 = ring_tile(&input3, &lanes3, &mut out3, tier);
+            let taps3 = tap_rows(&input3, &filters3, &FusedBn::identity(64), &mut out3, tier);
             // The pool bodies run outside any `isa` frame: one row per tier.
             let nested = best_ms(|| nested_loop_maxpool(&wide, &pool, &mut pooled));
             let runtime = best_ms(|| runtime_shape_maxpool(&wide, &pool, &mut pooled));
             let instance = best_ms(|| compute_maxpool_bits(&wide, &pool, &mut pooled));
             println!(
-                "{:<16} {tap_words:>15.2} {runtime_arm:>8.2} {instance_arm:>7.2} {conv3:>18.2} \
+                "{:<16} {tap_words:>15.2} {conv2:>10.2} {taps2:>5.2} {conv3:>16.2} {taps3:>5.2} \
                  {nested:>14.2} {runtime:>8.2} {instance:>10.2}",
                 tier.name()
             );
@@ -1340,10 +1407,10 @@ mod tests {
     }
 
     /// The row ring's instances at every pixel-tile residue: output rows of
-    /// `ow % 4` ∈ {0, 1, 2, 3} beside a full tile, through the thin
-    /// `(kh, row_words)` = `(3, 1)` instance on `u64` and `u32` words and the
-    /// runtime arm (two- and three-word and aligned rows), on every tier and
-    /// both sinks ([`ring_case`]).
+    /// `ow % 4` ∈ {0, 1, 2, 3} beside a full tile, over one-word thin rows on
+    /// `u64` and `u32` words, two- and three-word and aligned rows, on every
+    /// tier and both sinks ([`ring_case`]; its `C = 16`/`32` cases also run
+    /// the tap body).
     #[test]
     fn ring_instances_at_every_tile_residue() {
         for w in 4..=8 {
@@ -1354,6 +1421,26 @@ mod tests {
             for (c, k) in [(8, 40), (16, 13)] {
                 ring_case::<u32>((3, w), c, k, 3, 1, 1, w as u64).unwrap();
             }
+        }
+    }
+
+    /// The thin layers' tap body ([`taps`]) at both lane widths, around a
+    /// group of 32 and 16 filters and a 64-filter output word, at rows under,
+    /// at and past a 16-column block (YOLO `conv2`'s 208 among them), and
+    /// every padding up to windows wholly in it ([`ring_case`]).
+    #[test]
+    fn tap_body_at_thin_shapes() {
+        for (c, k) in [16, 32]
+            .into_iter()
+            .flat_map(|c| [8, 16, 31, 32, 33, 64, 72, 96].map(move |k| (c, k)))
+        {
+            for w in [1, 8, 15, 16, 17, 33, 208] {
+                for pad in 0..3 {
+                    let seed = (c * 1000 + k * 10 + w + pad) as u64;
+                    ring_case::<u64>((3, w), c, k, 3, 1, pad, seed).unwrap();
+                }
+            }
+            ring_case::<u32>((4, 17), c, k, 3, 1, 1, k as u64).unwrap();
         }
     }
 

@@ -15,6 +15,7 @@ pub mod fused;
 pub mod isa;
 pub mod pool;
 pub mod profiles;
+pub mod taps;
 pub mod tiled;
 
 use phonebit_gpusim::queue::CommandQueue;

@@ -51,12 +51,11 @@
 //!    (`lanes_tile`) instantiated at the shapes that run: its pixel count is
 //!    a const generic, so a row's last `ow % 4` pixels are a 1-, 2- or
 //!    3-pixel tile that computes only real windows (YOLO's 13-wide `conv6`
-//!    ends every row on one), and [`conv_row_tiled`] calls it at literal
-//!    `(kh, row_words)` = (3, 1) — the one-word 3×3 rows of 16 channels on
-//!    `u64` words (YOLO `conv2`), whose kernel rows then unroll to whole
-//!    words, 1.1–1.7× over the runtime arm — and at the runtime values for
-//!    every other row. A thin row of `C | W::BITS` channels enters the ring
-//!    by one shift-OR per pixel.
+//!    ends every row on one). A thin row of `C | W::BITS` channels enters
+//!    the ring by one shift-OR per pixel. A fused direct 3×3 stride-1 layer
+//!    of 16 or 32 channels runs instead at its packing width, one pixel per
+//!    lane ([`super::taps`]), where the CPU has that lane's popcount; this
+//!    body keeps them below AVX-512 (`DirectBank::new` picks).
 //!
 //! A dictionary-compressed bank is read through once, when its layer's
 //! [`LaneBank`] is staged: the dictionary is what the modeled device stores
@@ -71,10 +70,11 @@
 //! operations per word.
 
 use phonebit_tensor::bits::{merge_bits, BitTensor, BitWord};
+use phonebit_tensor::dict::FilterAccess;
 use phonebit_tensor::lanes::{LaneBank, LANES};
 use phonebit_tensor::shape::{ConvGeometry, Shape4};
 
-use crate::fuse::TileSink;
+use crate::fuse::{Cuts, FusedBn, TileSink};
 use crate::kernels::isa;
 
 /// Output pixels multiplied per microkernel step (accumulator tile width).
@@ -83,6 +83,29 @@ pub const TILE_PIXELS: usize = 4;
 const TILE_GROUPS: usize = 2;
 // A 64-filter output word ends on a step boundary.
 const _: () = assert!(64 % (TILE_GROUPS * LANES) == 0);
+
+/// A fused layer's interleaved lanes and the cuts of its thresholds, staged
+/// together once: what the tiled body, the lowered GEMM and the binary
+/// dense layer multiply and decide by.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FusedLanes<W: BitWord> {
+    /// The interleaved filters.
+    pub bank: LaneBank<W>,
+    /// The cuts of the layer's thresholds over its windows.
+    pub cuts: Cuts,
+}
+
+impl<W: BitWord> FusedLanes<W> {
+    /// Interleaves `filters` (a dictionary read through once) and derives
+    /// `fused`'s cuts over their windows.
+    pub fn new(filters: &impl FilterAccess<W>, fused: &FusedBn) -> Self {
+        let cuts = Cuts::new(fused, filters.shape().filter_len());
+        Self {
+            bank: LaneBank::new(filters),
+            cuts,
+        }
+    }
+}
 
 /// Multiplies `P` windows — window `p` (output pixel `px0 + p`) is `rows`
 /// runs of `row_words` words, run `i` at word `i·stride` of `wins[p]` —
@@ -379,44 +402,19 @@ pub fn conv_row_tiled<W: BitWord>(
 ) {
     ring.load(input, at);
     let ring = &*ring;
-    let (words, pixels) = (&ring.rows[..], (ring.ow, ring.step));
-    // YOLOv2-Tiny's one-word 3×3 rows (C = 16 on `u64` words) run at
-    // literal `(kh, row_words)`: their kernel rows unroll to whole words.
+    let runs = (ring.geom.kh, ring.row_words, ring.len);
     isa::run(
         #[inline(always)]
-        || match (ring.geom.kh, ring.row_words) {
-            (3, 1) => tile_pixels(words, pixels, (3, 1, ring.len), bank, sink),
-            (kh, row_words) => tile_pixels(words, pixels, (kh, row_words, ring.len), bank, sink),
-        },
+        || tile_pixels(&ring.rows, (ring.ow, ring.step), runs, bank, sink),
     )
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::fuse::AccumSink;
     use phonebit_tensor::bits::PackedFilters;
     use phonebit_tensor::shape::{FilterShape, Shape4};
-
-    /// [`conv_row_tiled`] with the ring's `(kh, row_words)` hidden from the
-    /// compiler: the runtime-shape arm the thin instance replaces, kept to
-    /// time against.
-    pub(crate) fn conv_row_runtime_shape<W: BitWord>(
-        input: &BitTensor<W>,
-        bank: &LaneBank<W>,
-        ring: &mut RowRing<W>,
-        at: (usize, usize),
-        sink: &mut impl TileSink,
-    ) {
-        ring.load(input, at);
-        let ring = &*ring;
-        let runs = std::hint::black_box((ring.geom.kh, ring.row_words, ring.len));
-        let pixels = (ring.ow, ring.step);
-        isa::run(
-            #[inline(always)]
-            || tile_pixels(&ring.rows, pixels, runs, bank, sink),
-        )
-    }
 
     fn filters<W: BitWord>(shape: FilterShape, seed: usize) -> PackedFilters<W> {
         let mut f = PackedFilters::zeros(shape);

@@ -33,9 +33,14 @@
 #
 # The direct binary rows (crates/nn/src/kernels/tiled.rs `conv_row_tiled`,
 # windows read in place from the row ring, thin `C % 64 != 0` rows included
-# — bconv_report's yolo_conv2 row) are `isa::run_avx512` instances named by
+# — bconv_report's `tiled` rows) are `isa::run_avx512` instances named by
 # their closure in the line table (`objdump -l`): every such frame must
-# hold `vpopcntq`, and there must be one. The sign-pack frame (`pack_avx512` in
+# hold `vpopcntq`, and there must be one. YOLO's conv2 (C = 16) and conv3
+# (C = 32) run at their packing width instead (bconv_report's `taps` rows):
+# the frames `taps::row16` and `taps::row32` (crates/nn/src/kernels/taps.rs)
+# must hold `vpopcntw` and `vpopcntd` on `zmm` respectively, each a
+# `vpxord` with the pixel broadcast folded in as a `{1to16}` memory operand
+# and a `vpcmp*` into `%k` (the cut), no gather, and no call but a panic's. The sign-pack frame (`pack_avx512` in
 # crates/nn/src/kernels/mod.rs) must compare into a mask register
 # (`vcmp*ps` on `zmm` into `%k`) and move the mask out (`kmov`), and hold no
 # gather.
@@ -110,6 +115,7 @@ objdump -d -l --inlines --no-show-raw-insn -C "$bin" | awk -v pool_arm="$pool_ar
     /^[0-9a-f]+ <.*>:$/ {
         frame = $1 " " $2; avx512 = frame ~ /isa::run_avx512/; task = ""
         pack = frame ~ /kernels::pack_avx512/
+        tap = frame ~ /taps::row16/ ? 16 : frame ~ /taps::row32/ ? 32 : 0
     }
     # The line table names the closure a `run_avx512` instance runs.
     avx512 && task == "" && /^phonebit[^ ]*::\{\{closure\}\}:$/ {
@@ -132,7 +138,13 @@ objdump -d -l --inlines --no-show-raw-insn -C "$bin" | awk -v pool_arm="$pool_ar
     frame in heads && /vaddps[^,]*\(.*zmm/ { heads[frame]++ }
     frame in heads && $2 ~ /^(vmulps|vfmadd|vp?gather)/ { headbad[frame]++ }
     frame ~ /bytedot::row_avx2/ && /vpmaddubsw/ { vpmaddubsw++ }
-    (avx512 || pack || frame ~ /bytedot::row_/) && $2 ~ /^vp?gather/ { gather++; by[$2]++ }
+    tap && $2 == (tap == 16 ? "vpopcntw" : "vpopcntd") && /zmm/ { tpop[tap]++ }
+    tap && $2 == "vpxord" && /\{1to16\}/ { txor[tap]++ }
+    tap && $2 ~ /^vpcmp/ && /%k/ { tcmp[tap]++ }
+    tap && $2 == "call" && callee() !~ /(panic|_fail|failed)/ {
+        tcalls++; print "  call in taps::row" tap ": " callee()
+    }
+    (avx512 || pack || tap || frame ~ /bytedot::row_/) && $2 ~ /^vp?gather/ { gather++; by[$2]++ }
     frame ~ /isa::run_popcnt/ && /[ \t]popcnt/ { popcnt++ }
     arm == pool_arm && $2 ~ /^v?(por[dq]?|orp[sd])$/ && /%[xyz]mm/ { poolor++ }
     arm == pool_arm && $2 ~ /^i?div/ { pooldiv++ }
@@ -144,6 +156,8 @@ objdump -d -l --inlines --no-show-raw-insn -C "$bin" | awk -v pool_arm="$pool_ar
         printf "bytedot: %d vpdpbusd zmm (row_vnni), %d (row_vnni_rgb3, %d calls), %d vpmaddubsw (row_avx2); %d gathers%s\n",
             vpdpbusd, rgb3, rgb3calls, vpmaddubsw, gather, gathers
         printf "pack_avx512: %d vcmpps zmm into k, %d kmov\n", packcmp, packkmov
+        printf "taps: row16 %d vpopcntw zmm, %d vpxord {1to16}, %d vpcmp into k; row32 %d vpopcntd zmm, %d vpxord {1to16}, %d vpcmp into k; %d calls\n",
+            tpop[16], txor[16], tcmp[16], tpop[32], txor[32], tcmp[32], tcalls
         printf "or_pool_row (1, 2, 2) arm (pool.rs:%s): %d packed or, %d div\n", pool_arm, poolor, pooldiv
         splits = 0
         for (f in narrow) {
@@ -170,5 +184,7 @@ objdump -d -l --inlines --no-show-raw-insn -C "$bin" | awk -v pool_arm="$pool_ar
         exit !(vpopcntq > 0 && vpopcntd > 0 && gather == 0 && popcnt > 0 && splits == 0 \
             && vmulps > 0 && vaddps > 0 && vpdpbusd > 0 && vpmaddubsw > 0 && convs > 0 \
             && packcmp > 0 && packkmov > 0 && poolor > 0 && pooldiv == 0 \
-            && rgb3 > 0 && rgb3calls == 0 && nheads > 0)
+            && rgb3 > 0 && rgb3calls == 0 && nheads > 0 && tcalls == 0 \
+            && tpop[16] > 0 && txor[16] > 0 && tcmp[16] > 0 \
+            && tpop[32] > 0 && txor[32] > 0 && tcmp[32] > 0)
     }'

@@ -75,6 +75,7 @@ fn first_layer_matches<W: BitWord>(
     geom: &ConvGeometry,
     expect: &Tensor<i32>,
 ) -> Result<(), TestCaseError> {
+    use phonebit::nn::fuse::PlaneCuts;
     use phonebit::nn::kernels::bitplane::{bitplane_conv_accum, bitplane_conv_fused_into};
     use phonebit::nn::kernels::bytedot::{byte_conv_into, ByteBank};
     use phonebit::nn::kernels::fused::in8_bconv_chain_into;
@@ -98,11 +99,14 @@ fn first_layer_matches<W: BitWord>(
             W::BITS
         );
     }
-    let bank = ByteBank::new(&packed);
+    let (bank, cuts) = (
+        ByteBank::new(&packed),
+        PlaneCuts::new(fused, f.shape().filter_len()),
+    );
     let (mut bytes, mut ring) = (BitTensor::<W>::zeros(Shape4::new(0, 0, 0, 0)), bits.clone());
-    byte_conv_into(&mut q, img, &bank, fused, geom, &mut bytes);
+    byte_conv_into(&mut q, img, &bank, &cuts, geom, &mut bytes);
     prop_assert!(bytes == bits, "W={}: byte dot", W::BITS);
-    in8_bconv_chain_into(&mut q, img, &bank, fused, geom, None, &mut ring, &mut bytes);
+    in8_bconv_chain_into(&mut q, img, &bank, &cuts, geom, None, &mut ring, &mut bytes);
     prop_assert!(bytes == bits, "W={}: in8 chain", W::BITS);
     let s = bits.shape();
     let pool = PoolGeometry::new(2.min(s.h).min(s.w), 2);
@@ -111,7 +115,7 @@ fn first_layer_matches<W: BitWord>(
         &mut q,
         img,
         &bank,
-        fused,
+        &cuts,
         geom,
         Some(&pool),
         &mut ring,
