@@ -31,8 +31,10 @@ fn pm1_input(shape: Shape4) -> Tensor<f32> {
 fn pm1_filters(shape: FilterShape) -> Filters {
     Filters::from_fn(
         shape,
+        // Every filter distinct (bit `ch % 16` of `k` flips the pattern), so
+        // the tiled body multiplies them all rather than a shared bank.
         |k, i, j, ch| {
-            if (k + i + j + ch) % 2 == 0 {
+            if (k >> (ch % 16) ^ (k + i + j + ch)) % 2 == 0 {
                 1.0
             } else {
                 -1.0

@@ -7,8 +7,8 @@ use phonebit_nn::fuse::{BnParams, FusedBn};
 use phonebit_nn::kernels::bconv::{
     compute_bconv_accum, compute_bconv_fused, compute_binarize_pack, DirectBank,
 };
-use phonebit_nn::kernels::tiled::FusedLanes;
 use phonebit_tensor::bits::BitTensor;
+use phonebit_tensor::lanes::LaneBank;
 use phonebit_tensor::pack::{pack_f32, pack_filters};
 use phonebit_tensor::shape::{ConvGeometry, FilterShape, Layout, Shape4};
 use phonebit_tensor::tensor::{Filters, Tensor};
@@ -23,8 +23,9 @@ fn bench_fusion(c: &mut Criterion) {
             -1.0
         }
     });
+    // Every filter distinct, so both sides multiply all 256.
     let filters = Filters::from_fn(fshape, |k, i, j, ch| {
-        if (k * 3 + i + j + ch) % 2 == 0 {
+        if (k >> (ch % 16) ^ (k * 3 + i + j + ch)) % 2 == 0 {
             1.0
         } else {
             -1.0
@@ -42,8 +43,10 @@ fn bench_fusion(c: &mut Criterion) {
         sigma: vec![2.0; 256],
     };
     let fused = FusedBn::precompute(&bn, &vec![0.0; 256]);
-    let lanes = FusedLanes::new(&filters, &fused);
-    let (direct, bank) = (DirectBank::Lanes(lanes.clone()), &lanes.bank);
+    let (direct, bank) = (
+        DirectBank::new(&filters, &fused, None),
+        &LaneBank::new(&filters),
+    );
     let out_shape = Shape4::new(1, 26, 26, 256);
 
     let mut group = c.benchmark_group("layer_integration");

@@ -65,6 +65,8 @@ fn bench_layers(c: &mut Criterion) {
         for ch in (k % 7..features).step_by(7) {
             w.set_bit(k, 0, 0, ch, true);
         }
+        // One bit of its own, so no two filters repeat.
+        w.set_bit(k, 0, 0, (k + 1) % features, true);
     }
     let lanes = FusedLanes::new(&w, &FusedBn::identity(features));
     let mut group = c.benchmark_group("dense_4096x4096");

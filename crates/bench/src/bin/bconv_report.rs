@@ -9,8 +9,10 @@
 //! conv1), the byte dot the engine runs for it as path `bytedot`,
 //! YOLOv2-Tiny's full-precision head as path `fconv` (over floats) and
 //! `fconv_bits` (over conv8's packed signs, as the engine runs it), its
-//! first binary pool as path `rowor`, and `conv2`/`conv3` on the bank the
-//! engine stages (`taps`); none has a `reference` row, so they
+//! first binary pool as path `rowor`, `conv2`/`conv3` on the bank the
+//! engine stages (`taps`), and VGG16's `conv1_2`, `conv3_2` and `conv4_2`
+//! shapes on clustered filters, each distinct filter multiplied once
+//! (`shared`); none has a `reference` row, so they
 //! are regression-gated but take no part in the speedup floor. The
 //! `tiled`, `bitplane`, `bytedot`, `fconv` and `fconv_bits` paths run on the
 //! host ISA tier `phonebit_nn::kernels::isa` detects, printed first and
@@ -34,8 +36,10 @@ use std::time::Instant;
 use phonebit_bench::baseline::{finish, flag_value, Better, Check, Fields, Report, Value::Fixed};
 use phonebit_gpusim::queue::CommandQueue;
 use phonebit_gpusim::{DeviceProfile, ExecutorClass};
+use phonebit_models::fill_weights_clustered;
 use phonebit_nn::act::Activation;
 use phonebit_nn::fuse::{FusedBn, PlaneCuts};
+use phonebit_nn::graph::{LayerPrecision, LayerWeights, NetworkArch};
 use phonebit_nn::kernels::bconv::{
     compute_bconv_fused, compute_bconv_fused_reference, compute_binarize_pack, DirectBank,
 };
@@ -124,8 +128,11 @@ fn main() {
                 -1.0
             }
         });
+        // Every filter distinct (bit `ch % 16` of `kk` flips the pattern),
+        // so the tiled body multiplies all `k` (the `shared` rows below
+        // time repeating filters).
         let filters = Filters::from_fn(FilterShape::new(k, 3, 3, cin), |kk, i, j, ch| {
-            if (kk + i + j + ch) % 2 == 0 {
+            if (kk >> (ch % 16) ^ (kk + i + j + ch)) % 2 == 0 {
                 1.0
             } else {
                 -1.0
@@ -143,6 +150,10 @@ fn main() {
         let fused = FusedBn::identity(k);
         // The tiled body's lanes and cuts, staged once.
         let bank = DirectBank::new(&packed_f, &fused, None);
+        let DirectBank::Lanes(lanes) = &bank else {
+            unreachable!("a fused bank staged off the direct route is the tiled lanes")
+        };
+        assert_eq!(lanes.distinct_filters(), None, "{name}: filters repeat");
         let out_shape = Shape4::new(1, hw, hw, k);
         let pixels = (hw * hw) as f64;
 
@@ -378,6 +389,62 @@ fn main() {
     }
 
     rows.extend(taps_rows);
+
+    // VGG16's shapes on a trained-like clustered bank (the benchmark's
+    // `vgg_body_b2` checkpoint: 32 sign prototypes per layer), staged as
+    // the engine stages it: shared where the CPU permutes words, each
+    // distinct filter multiplied once and every output filled in.
+    println!(
+        "\n{:<38} {:>14} {:>9}",
+        "clustered filters", "shared", "distinct"
+    );
+    for &(name, hw, cin, k) in &shapes[4..7] {
+        let arch = NetworkArch::new(name, Shape4::new(1, hw, hw, cin)).conv(
+            "conv",
+            k,
+            3,
+            1,
+            1,
+            LayerPrecision::Binary,
+            Activation::Linear,
+        );
+        let LayerWeights::Conv(weights) = &fill_weights_clustered(&arch, 2020, 32).weights[0]
+        else {
+            unreachable!("the one layer is a convolution")
+        };
+        let input = Tensor::from_fn(arch.input, |_, h, w, ch| {
+            if (h * 7 + w * 3 + ch) % 3 == 0 {
+                1.0
+            } else {
+                -1.0
+            }
+        });
+        let (packed_in, packed_f) = (
+            pack_f32::<u64>(&input),
+            pack_filters::<u64>(&weights.filters),
+        );
+        let fused = FusedBn::identity(k);
+        let bank = DirectBank::new(&packed_f, &fused, Some(&geom));
+        let distinct = match &bank {
+            DirectBank::Lanes(lanes) => lanes.distinct_filters(),
+            _ => None,
+        };
+        let out_shape = Shape4::new(1, hw, hw, k);
+        let mut a = BitTensor::<u64>::zeros(out_shape);
+        let mut b = BitTensor::<u64>::zeros(out_shape);
+        compute_bconv_fused_reference(&packed_in, &packed_f, &fused, &geom, &mut a);
+        compute_bconv_fused(&packed_in, &bank, &geom, &mut b);
+        assert_eq!(a, b, "shared bank diverged from reference on {name}");
+        let t = median_ns(samples, || {
+            let mut out = BitTensor::<u64>::zeros(out_shape);
+            compute_bconv_fused(&packed_in, &bank, &geom, &mut out);
+            std::hint::black_box(&out);
+        });
+        let pixels = (hw * hw) as f64;
+        let distinct = distinct.map_or("-".into(), |u| u.to_string());
+        println!("{:<38} {:>14.1} {:>9}", name, t / pixels, distinct);
+        rows.push(row(name, "shared", t, pixels));
+    }
     let gate_failures: Vec<String> = min_speedup
         .filter(|&floor| worst_speedup < floor)
         .map(|floor| {

@@ -48,7 +48,7 @@ use phonebit_gpusim::queue::CommandQueue;
 use phonebit_gpusim::DeviceProfile;
 use phonebit_gpusim::ExecutorClass;
 use phonebit_gpusim::Phone;
-use phonebit_nn::fuse::PlaneCuts;
+use phonebit_nn::fuse::{FusedBn, PlaneCuts};
 use phonebit_nn::kernels::bconv::DirectBank;
 use phonebit_nn::kernels::bytedot::ByteBank;
 use phonebit_nn::kernels::fconv::{FloatBank, SignedBank};
@@ -57,7 +57,8 @@ use phonebit_nn::kernels::{
     self, bconv, bgemm, bitplane, bytedot, dense, fconv, fused, pool, profiles,
 };
 use phonebit_tensor::bits::BitTensor;
-use phonebit_tensor::dict::FilterDict;
+use phonebit_tensor::dict::{FilterAccess, FilterDict};
+use phonebit_tensor::lanes::LaneBank;
 use phonebit_tensor::shape::{ConvGeometry, FilterShape, Layout, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
@@ -319,8 +320,10 @@ pub struct StagedModel {
     /// bank (direct routes, fused chains; a thin direct layer's at its
     /// packing width where [`TapBank::fits`](phonebit_nn::kernels::taps::TapBank::fits))
     /// or the pre-flattened GEMM bank (a dense layer's weights are one),
-    /// through the dictionary when the plan compresses the layer.
-    banks: Vec<Option<DirectBank<u64>>>,
+    /// through the dictionary when the plan compresses the layer, and only
+    /// the distinct filters where they repeat ([`FusedLanes::new`]); the
+    /// unfused route's every filter's lanes, without cuts.
+    banks: Vec<Option<StagedBank>>,
     /// The float convolutions' filters, sixteen per vector, per layer: as
     /// sign pairs where the plan feeds the layer packed bits.
     float_banks: Vec<Option<FloatConvBank>>,
@@ -452,7 +455,7 @@ impl StagedModel {
                     ..
                 } => (filters, fused, geom),
                 PbitLayer::DenseBin { weights, fused, .. } => {
-                    banks[i] = Some(DirectBank::new(weights, fused, None));
+                    banks[i] = Some(StagedBank::Fused(DirectBank::new(weights, fused, None)));
                     continue;
                 }
                 PbitLayer::BConvInput8 {
@@ -490,11 +493,10 @@ impl StagedModel {
                 }
                 _ => filters,
             };
-            let direct = (path == ConvPath::DirectFused).then_some(geom);
             banks[i] = Some(if plan.compress_decision(i).is_some_and(|d| d.compressed) {
-                DirectBank::new(&FilterDict::build(rows), fused, direct)
+                stage_bconv(&FilterDict::build(rows), fused, path, geom)
             } else {
-                DirectBank::new(rows, fused, direct)
+                stage_bconv(rows, fused, path, geom)
             });
         }
         Ok(Arc::new(Self {
@@ -521,6 +523,16 @@ impl StagedModel {
     /// The GPU this model is staged on.
     pub fn device(&self) -> &DeviceProfile {
         self.ctx.device()
+    }
+
+    /// Binary layers whose staged lanes are shared: each distinct filter
+    /// multiplied once ([`FusedLanes::new`]).
+    pub fn shared_banks(&self) -> usize {
+        let distinct = self.banks.iter().flatten().filter_map(|b| match b {
+            StagedBank::Fused(DirectBank::Lanes(lanes)) => lanes.distinct_filters(),
+            _ => None,
+        });
+        distinct.count()
     }
 
     /// Device memory currently booked across the shared weights and
@@ -1220,12 +1232,44 @@ fn check_layer(layer: &PbitLayer, s: Shape4) -> Result<(), String> {
     }
 }
 
+/// Stages a binary convolution's `filters` for the body `path` runs: the
+/// unfused route accumulates every filter's lanes, and its pack decides.
+fn stage_bconv(
+    filters: &impl FilterAccess<u64>,
+    fused: &FusedBn,
+    path: ConvPath,
+    geom: &ConvGeometry,
+) -> StagedBank {
+    match path {
+        ConvPath::DirectUnfused => StagedBank::Accum(LaneBank::new(filters)),
+        ConvPath::DirectFused => StagedBank::Fused(DirectBank::new(filters, fused, Some(geom))),
+        ConvPath::LoweredGemm => StagedBank::Fused(DirectBank::new(filters, fused, None)),
+    }
+}
+
+/// A binary layer's staged bank: decided on its lanes (every fused route and
+/// the binary dense layer), or the unfused route's every filter's lanes,
+/// which its pack pass decides.
+#[derive(Debug, Clone)]
+enum StagedBank {
+    Fused(DirectBank<u64>),
+    Accum(LaneBank<u64>),
+}
+
 impl StagedModel {
     /// The staged bank of the binary convolution or dense layer at `layer`.
-    fn bank(&self, layer: usize) -> &DirectBank<u64> {
+    fn staged(&self, layer: usize) -> &StagedBank {
         self.banks[layer]
             .as_ref()
             .expect("every routed binary convolution and binary dense layer stages a bank")
+    }
+
+    /// [`staged`](Self::staged) of a layer on a fused route.
+    fn bank(&self, layer: usize) -> &DirectBank<u64> {
+        match self.staged(layer) {
+            StagedBank::Fused(bank) => bank,
+            StagedBank::Accum(_) => unreachable!("the unfused route decides in its pack pass"),
+        }
     }
 
     /// [`bank`](Self::bank) of a layer whose route reads the tiled lanes.
@@ -1344,7 +1388,9 @@ fn exec_step(
                     }
                     ConvPath::DirectUnfused => {
                         let (_, scr) = scr_store.as_mut().expect("accumulator scratch planned");
-                        let bank = &staged.lanes(idx).bank;
+                        let StagedBank::Accum(bank) = staged.staged(idx) else {
+                            unreachable!("the unfused route stages every filter's lanes")
+                        };
                         bconv::bconv_accum_bank_into(q, bits_in, bank, geom, scr.accum_mut());
                         bconv::binarize_pack_into(q, scr.accum(), fused, out);
                     }

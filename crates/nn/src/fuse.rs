@@ -206,7 +206,8 @@ impl Cuts {
 
     /// Filter `k`'s cut with its sign bit moved to bit `top` of a narrower
     /// lane, where `d.wrapping_sub(lo)` fires iff that bit is clear — exact
-    /// while windows are under `2^top` bits. Past the last filter, `1 << top`.
+    /// while windows are under `2^top − 1` bits (the cut itself reaches
+    /// `bits + 1`). Past the last filter, `1 << top`.
     pub(crate) fn lane_cut(&self, k: usize, top: usize) -> u64 {
         let lo = self.0.get(k / LANES).map_or(1 << 63, |lo| lo[k % LANES]);
         lo & ((1 << top) - 1) | (lo >> 63) << top
@@ -292,6 +293,10 @@ pub trait TileSink {
     /// Takes row pixel `px`'s decided filters `k0..k0 + 64` as one word.
     #[inline(always)]
     fn put_word(&mut self, _px: usize, _k0: usize, _word: u64) {}
+
+    /// Row pixel `px` has had every filter group.
+    #[inline(always)]
+    fn end_pixel(&mut self, _px: usize) {}
 }
 
 impl<W: BitWord> TileSink for BitSink<'_, W, Cuts> {

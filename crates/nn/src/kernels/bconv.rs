@@ -37,7 +37,7 @@ use phonebit_tensor::lanes::LaneBank;
 use phonebit_tensor::shape::{ConvGeometry, FilterShape, Layout, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
-use crate::fuse::{AccumSink, BitSink, FusedBn};
+use crate::fuse::{AccumSink, FusedBn};
 use crate::kernels::profiles;
 use crate::kernels::taps::{TapBank, TapRing};
 use crate::kernels::tiled::{conv_row_tiled, FusedLanes, RowRing};
@@ -120,24 +120,28 @@ pub enum DirectBank<W: BitWord> {
 impl<W: BitWord> DirectBank<W> {
     /// Stages `filters` with `fused`'s cuts for the body that runs them on
     /// this CPU: taps where the direct fused route's geometry `direct`
-    /// [`fits`](TapBank::fits), else the tiled lanes (every other route).
+    /// [`fits`](TapBank::fits) and the lanes are not shared, else the tiled
+    /// lanes (every other route).
     pub fn new(
         filters: &impl FilterAccess<W>,
         fused: &FusedBn,
         direct: Option<&ConvGeometry>,
     ) -> Self {
+        let lanes = FusedLanes::new(filters, fused);
         match direct {
-            Some(geom) if TapBank::fits(filters.shape(), geom) => {
+            Some(geom)
+                if lanes.distinct_filters().is_none() && TapBank::fits(lanes.shape(), geom) =>
+            {
                 Self::Taps(TapBank::new(filters, fused))
             }
-            _ => Self::Lanes(FusedLanes::new(filters, fused)),
+            _ => Self::Lanes(lanes),
         }
     }
 
     /// Shape of the filters the bank was staged from.
     pub fn shape(&self) -> FilterShape {
         match self {
-            Self::Lanes(lanes) => lanes.bank.shape(),
+            Self::Lanes(lanes) => lanes.shape(),
             Self::Taps(taps) => taps.shape(),
         }
     }
@@ -145,7 +149,7 @@ impl<W: BitWord> DirectBank<W> {
     /// The staged bank's [`FilterAccess::dram_discount_bytes`].
     pub fn dram_discount_bytes(&self) -> f64 {
         match self {
-            Self::Lanes(lanes) => lanes.bank.dram_discount_bytes(),
+            Self::Lanes(lanes) => lanes.dram_discount_bytes(),
             Self::Taps(taps) => taps.dram_discount_bytes(),
         }
     }
@@ -176,10 +180,7 @@ impl<W: BitWord> DirectRing<'_, W> {
         wpp: usize,
     ) {
         match self {
-            Self::Lanes(ring, lanes) => {
-                let mut sink = BitSink::new(&lanes.cuts, row, wpp);
-                conv_row_tiled(input, &lanes.bank, ring, at, &mut sink);
-            }
+            Self::Lanes(ring, lanes) => lanes.decide_row(input, ring, at, row, wpp),
             Self::Taps(ring) => ring.decide_row(input, at, row, wpp),
         }
     }

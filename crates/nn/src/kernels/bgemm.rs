@@ -16,9 +16,9 @@ use phonebit_tensor::bits::{merge_bits, BitTensor, BitWord, PackedFilters};
 use phonebit_tensor::dict::FilterAccess;
 use phonebit_tensor::shape::{ConvGeometry, FilterShape, Shape4};
 
-use crate::fuse::{BitSink, FusedBn};
+use crate::fuse::FusedBn;
 use crate::kernels::profiles::{PACKED_COALESCING, VEC_LANES_128};
-use crate::kernels::tiled::{tile_filters, FusedLanes};
+use crate::kernels::tiled::FusedLanes;
 
 /// Flattens packed filters so each filter's `(kh, kw, c)` bits occupy one
 /// contiguous span (the GEMM's weight rows).
@@ -251,10 +251,10 @@ pub fn bconv_lowered_bank_into<W: BitWord>(
     windows: Option<&mut BitTensor<W>>,
     out: &mut BitTensor<W>,
 ) {
-    let (s, bank) = (input.shape(), &lanes.bank);
-    let k = bank.shape().k;
+    let (s, fs) = (input.shape(), lanes.shape());
+    let k = fs.k;
     assert_eq!(
-        bank.shape(),
+        fs,
         FilterShape::new(k, 1, 1, geom.taps() * s.c),
         "flat bank does not match input channels {} and geometry",
         s.c
@@ -282,14 +282,13 @@ pub fn bconv_lowered_bank_into<W: BitWord>(
     // the direct path.
     out.reset(Shape4::new(s.n, oh, ow, k));
     let profile =
-        bgemm_profile(out_pixels, k, s.c, geom).discount_reads(bank.dram_discount_bytes());
+        bgemm_profile(out_pixels, k, s.c, geom).discount_reads(lanes.dram_discount_bytes());
     q.launch(profile, || {
         let wpp = out.words_per_pixel();
         let row_wpp = windows.words_per_pixel();
         par_chunks_mut(out.as_mut_words(), ow * wpp, |row, span| {
             let rows = &windows.as_words()[row * ow * row_wpp..][..ow * row_wpp];
-            let mut sink = BitSink::new(&lanes.cuts, span, wpp);
-            tile_filters(rows, bank, &mut sink);
+            lanes.decide_windows(rows, span, wpp);
         });
     });
 }

@@ -1,8 +1,7 @@
 //! Dense (fully connected) kernels, binary and float, plus the bit-preserving
 //! flatten that connects convolutional features to them. A binary dense layer
 //! is a 1×1 convolution over a 1×1 image, the pointwise GEMM: one flattened
-//! image is one window row of [`tile_filters`] over the layer's
-//! [`FusedLanes`].
+//! image is one window row the layer's [`FusedLanes`] decide.
 
 use phonebit_gpusim::queue::CommandQueue;
 use phonebit_tensor::bits::{merge_bits, BitTensor, BitWord, PackedFilters};
@@ -10,9 +9,9 @@ use phonebit_tensor::shape::{Layout, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
 use crate::act::Activation;
-use crate::fuse::{BitSink, FusedBn};
+use crate::fuse::FusedBn;
 use crate::kernels::profiles;
-use crate::kernels::tiled::{tile_filters, FusedLanes};
+use crate::kernels::tiled::FusedLanes;
 
 /// Flattens a packed feature map `(n, h, w, c)` into `(n, 1, 1, h*w*c)`
 /// keeping `(h, w, c)` raster order — the order dense weights are stored in.
@@ -59,11 +58,7 @@ pub fn compute_dense_bin<W: BitWord>(
     out: &mut BitTensor<W>,
 ) {
     let wpp = out.words_per_pixel();
-    tile_filters(
-        input.as_words(),
-        &lanes.bank,
-        &mut BitSink::new(&lanes.cuts, out.as_mut_words(), wpp),
-    );
+    lanes.decide_windows(input.as_words(), out.as_mut_words(), wpp);
 }
 
 /// Dispatches the fused binary dense layer: xnor-popcount matvec + BN +
@@ -99,7 +94,7 @@ pub fn dense_bin_into<W: BitWord>(
     out: &mut BitTensor<W>,
 ) {
     let s = input.shape();
-    let ws = lanes.bank.shape();
+    let ws = lanes.shape();
     assert!(
         s.h == 1 && s.w == 1,
         "dense input must be flattened, got {s}"
@@ -137,51 +132,6 @@ pub fn compute_dense_float(
         }
         *slot = act.apply(acc);
     }
-}
-
-/// Dispatches the full-precision dense layer (the final classifier the
-/// paper keeps in float).
-///
-/// # Panics
-///
-/// Panics when `weights.len() != out * in` or `bias.len() != out`.
-pub fn dense_float(
-    q: &mut CommandQueue,
-    input: &[f32],
-    weights: &[f32],
-    bias: &[f32],
-    act: Activation,
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; bias.len()];
-    dense_float_into(q, input, weights, bias, act, &mut out);
-    out
-}
-
-/// [`dense_float`] into a caller-provided output row — the engine's arena
-/// path (one call per batch image).
-///
-/// # Panics
-///
-/// Panics when `weights.len() != out * in` or `out.len() != bias.len()`.
-pub fn dense_float_into(
-    q: &mut CommandQueue,
-    input: &[f32],
-    weights: &[f32],
-    bias: &[f32],
-    act: Activation,
-    out: &mut [f32],
-) {
-    let out_features = bias.len();
-    assert_eq!(
-        weights.len(),
-        out_features * input.len(),
-        "weight matrix must be out x in"
-    );
-    assert_eq!(out.len(), out_features, "output row must match bias length");
-    let profile = profiles::dense_float(out_features, input.len());
-    q.launch(profile, || {
-        compute_dense_float(input, weights, bias, act, out)
-    });
 }
 
 /// Batched entry point of the float dense layer: one dispatch covers every
@@ -238,6 +188,21 @@ mod tests {
 
     fn queue() -> CommandQueue {
         CommandQueue::new(DeviceProfile::adreno_640(), ExecutorClass::PhoneBitOpenCl)
+    }
+
+    /// One image through the float dense layer, one dispatch.
+    fn dense_float(
+        q: &mut CommandQueue,
+        input: &[f32],
+        weights: &[f32],
+        bias: &[f32],
+        act: Activation,
+    ) -> Vec<f32> {
+        let shape = Shape4::new(1, 1, 1, input.len());
+        let x = Tensor::from_vec(shape, Layout::Nhwc, input.to_vec());
+        let mut out = Tensor::zeros(Shape4::new(0, 0, 0, 0), Layout::Nhwc);
+        dense_float_batch_into(q, &x, weights, bias, act, &mut out);
+        out.as_slice().to_vec()
     }
 
     #[test]

@@ -232,7 +232,7 @@ pub fn compute_bconv_pool_chain<W: BitWord>(
 
 /// Functional body of the fused first-layer conv→pool chain: Eqn (2) as
 /// the host's byte dot ([`super::bytedot`]).
-pub fn compute_in8_pool_chain<W: BitWord>(
+fn compute_in8_pool_chain<W: BitWord>(
     image: &Tensor<u8>,
     bank: &ByteBank,
     cuts: &PlaneCuts,
@@ -396,7 +396,7 @@ pub fn dense_pair_into<W: BitWord>(
     out: &mut BitTensor<W>,
 ) {
     let s = input.shape();
-    let (s1, s2) = (l1.bank.shape(), l2.bank.shape());
+    let (s1, s2) = (l1.shape(), l2.shape());
     assert_eq!(s1.kh * s1.kw, 1, "dense weights must be 1x1 taps");
     assert_eq!(s2.kh * s2.kw, 1, "dense weights must be 1x1 taps");
     assert_eq!(

@@ -18,8 +18,9 @@
 //!   (`tiled::conv_row_tiled`, `tiled::tile_filters` — the lowered GEMM's
 //!   and the dense layer's — `bitplane::bitplane_row`, `fconv`'s pixel
 //!   rows over floats and over packed signs), never per word; `byte_row` once per first-layer output row,
-//!   `tap_row` once per thin-layer output row, `pack_window` once per
-//!   sign-pack sweep.
+//!   `tap_row` once per thin-layer output row, `shared_tile` once per row
+//!   task of a bank whose filters repeat, `pack_window` once per sign-pack
+//!   sweep.
 //!   A `#[target_feature]` function cannot be inlined into its caller, so
 //!   the call is the boundary; everything below it — the driver, the
 //!   microkernel, `BitWord::popcount`, the packed-bit sink — is
@@ -39,6 +40,8 @@
 //!   sign compare into a mask register, and `tap_row`'s into the thin
 //!   layers' frames ([`taps`]: `row16` on `u16` lanes, checking
 //!   `avx512bitalg` as `byte_row` checks `avx512vnni`, and `row32` on `u32`
+//!   lanes), and `shared_tile`'s into a shared bank's frame
+//!   (`tiled::shared_avx512`: the tile, then `vpermw` and `vpcmpuw` on `u16`
 //!   lanes). A generic body in `run_avx512` with `avx512bitalg` added
 //!   split `vpopcntw` across `xmm` registers, 6.6× slower. The `run_*`
 //!   frames keep their `enable` lists: adding `avx512vnni` there would
@@ -59,9 +62,10 @@ use phonebit_tensor::pack::pack_window_into;
 use phonebit_tensor::shape::Shape4;
 use phonebit_tensor::tensor::Tensor;
 
-use crate::fuse::{BitSink, PlaneCuts};
+use crate::fuse::{BitSink, Cuts, PlaneCuts};
 use crate::kernels::bytedot::{self, ByteRing};
 use crate::kernels::taps::{self, TapRing};
+use crate::kernels::tiled::{self, FusedLanes, Tiles};
 
 /// The instruction-set tier the binary kernels run on, best last.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -238,6 +242,38 @@ pub(crate) fn tap_row<W: BitWord>(ring: &TapRing<'_>, row: &mut [W], wpp: usize)
     }
 }
 
+/// Whether the entered tier permutes `u16` lanes (`vpermw`, AVX-512 BW).
+/// Where it holds, a bank whose filters repeat stages shared
+/// ([`FusedLanes::new`]).
+pub(crate) fn word_permute() -> bool {
+    entered() == IsaTier::Avx512Vpopcntdq
+}
+
+/// Runs a shared bank's tile over `tiles` into `out` in its frame
+/// ([`tiled::shared_avx512`]), a safe `#[target_feature]` function there;
+/// entering it is the unsafe step.
+///
+/// # Panics
+///
+/// Panics on a tier without [`word_permute`], where no shared bank is
+/// staged.
+#[inline]
+pub(crate) fn shared_tile<W: BitWord>(
+    lanes: &FusedLanes<W>,
+    tiles: Tiles<'_, W>,
+    out: &mut BitSink<'_, W, Cuts>,
+) {
+    match entered() {
+        // SAFETY: `Avx512Vpopcntdq` is entered only when detected, which
+        // confirmed every feature `shared_avx512` enables (`run_avx512`'s).
+        // `FusedLanes::new` stages a shared bank only where `word_permute`
+        // held, so outside tests no other tier reaches here.
+        #[cfg(target_arch = "x86_64")]
+        IsaTier::Avx512Vpopcntdq => unsafe { tiled::shared_avx512(lanes, tiles, out) },
+        tier => unreachable!("no shared bank is staged on {}", tier.name()),
+    }
+}
+
 /// [`run`] on `tier`, or on the detected tier when the CPU does not reach
 /// `tier`.
 #[inline]
@@ -304,6 +340,8 @@ mod tests {
 
     use std::cell::Cell;
 
+    use phonebit_gpusim::queue::CommandQueue;
+    use phonebit_gpusim::{DeviceProfile, ExecutorClass};
     use phonebit_tensor::bitplane::BitPlanes;
     use phonebit_tensor::bits::{dot_pm1, BitTensor, BitWord, PackedFilters};
     use phonebit_tensor::dict::FilterDict;
@@ -317,17 +355,18 @@ mod tests {
     use crate::kernels::bconv::{
         compute_bconv_fused, compute_bconv_fused_reference, window_dot, DirectBank,
     };
-    use crate::kernels::bgemm::{flatten_filters, pack_windows};
+    use crate::kernels::bgemm::{bconv_lowered_bank_into, flatten_filters, pack_windows};
     use crate::kernels::bitplane::{bitplane_row, PlaneBank, PlaneStream};
     use crate::kernels::bytedot::ByteBank;
-    use crate::kernels::dense::compute_dense_bin;
+    use crate::kernels::dense::{compute_dense_bin, flatten_bits_into};
     use crate::kernels::fconv::{
         compute_fconv, compute_fconv_bits, fconv_row, FloatBank, SignedBank,
     };
-    use crate::kernels::fused::{compute_bconv_pool_chain, ring_shape};
+    use crate::kernels::fused::{compute_bconv_pool_chain, dense_pair_into, ring_shape};
     use crate::kernels::pool::tests::{nested_loop_maxpool, runtime_shape_maxpool};
     use crate::kernels::pool::{compute_maxpool_bits, PoolGeometry};
     use crate::kernels::taps::{TapBank, TapRing};
+    use crate::kernels::tiled::tests::repeating;
     use crate::kernels::tiled::{conv_row_tiled, tile_filters, FusedLanes, RowRing};
 
     thread_local! {
@@ -599,9 +638,7 @@ mod tests {
         else {
             return Ok(());
         };
-        let lanes = FusedLanes::new(&filters, &fused);
-        prop_assert!(lanes.cuts == Cuts::new(&fused, filters.shape().filter_len()));
-        conv_rows_agree(&input, &filters, &lanes.bank, &geom, &fused)?;
+        conv_rows_agree(&input, &filters, &LaneBank::new(&filters), &geom, &fused)?;
         let (oh, ow) = geom.output_hw(h, w);
         let mut want = BitTensor::<W>::zeros(Shape4::new(2, oh, ow, k));
         compute_bconv_fused_reference(&input, &filters, &fused, &geom, &mut want);
@@ -613,9 +650,10 @@ mod tests {
             pooled
         });
         let dict = FilterDict::build(&filters);
-        // 0: the tiled lanes; 1, 2: as staged on the tier, raw and compressed.
+        // 0: the tiled lanes (shared where the filters repeat); 1, 2: as
+        // staged on the tier, raw and compressed.
         let stage = |kind: usize| match kind {
-            0 => DirectBank::Lanes(lanes.clone()),
+            0 => DirectBank::Lanes(FusedLanes::new(&filters, &fused)),
             1 => DirectBank::new(&filters, &fused, Some(&geom)),
             _ => DirectBank::new(&dict, &fused, Some(&geom)),
         };
@@ -878,10 +916,11 @@ mod tests {
         let input = random_bits::<W>(Shape4::new(3, 1, 1, features), &mut rng);
         let weights = random_filters::<W>(FilterShape::new(k, 1, 1, features), 64, &mut rng);
         let fused = random_fused(k, 1.0, &mut rng);
-        let lanes = FusedLanes::new(&weights, &fused);
         let portable = same_on_every_tier(|tier| {
             let mut out = BitTensor::<W>::zeros(Shape4::new(3, 1, 1, k));
-            on_tier(tier, || compute_dense_bin(&input, &lanes, &mut out));
+            on_tier(tier, || {
+                compute_dense_bin(&input, &FusedLanes::new(&weights, &fused), &mut out)
+            });
             out
         })?;
         let mut dots = Vec::with_capacity(3 * k);
@@ -1278,27 +1317,32 @@ mod tests {
         let input = random_bits::<u64>(s, &mut rng);
         let filters = random_filters::<u64>(FilterShape::new(32, 3, 3, 16), 9, &mut rng);
         let fused = FusedBn::identity(32);
-        let (lanes, taps) = (FusedLanes::new(&filters, &fused), tap_padded_bank(&filters));
+        let cuts = Cuts::new(&fused, filters.shape().filter_len());
+        let (lanes, taps) = ((LaneBank::new(&filters), &cuts), tap_padded_bank(&filters));
         let mut out = vec![0u64; 208 * 208];
         let mut windows = vec![0u64; 208 * 9];
         let s3 = Shape4::new(1, 104, 104, 32);
         let input3 = random_bits::<u64>(s3, &mut rng);
         let filters3 = random_filters::<u64>(FilterShape::new(64, 3, 3, 32), 9, &mut rng);
-        let lanes3 = FusedLanes::new(&filters3, &FusedBn::identity(64));
+        let cuts3 = Cuts::new(&FusedBn::identity(64), filters3.shape().filter_len());
+        let lanes3 = (LaneBank::new(&filters3), &cuts3);
         let mut out3 = vec![0u64; 104 * 104];
         let wide = random_bits::<u64>(Shape4::new(1, 416, 416, 16), &mut rng);
         let pool = PoolGeometry::new(2, 2);
         let mut pooled = BitTensor::<u64>::zeros(s);
         // Rows of `input` through a worker's ring of `lanes`, or of the
         // same filters at their packing width.
-        let ring_tile = |input: &BitTensor<u64>, lanes: &FusedLanes<u64>, out: &mut [u64], tier| {
+        let ring_tile = |input: &BitTensor<u64>,
+                         (bank, cuts): &(LaneBank<u64>, &Cuts),
+                         out: &mut [u64],
+                         tier| {
             let s = input.shape();
             best_ms(|| {
                 let mut ring = RowRing::new(&geom, s);
                 for (oy, row) in out.chunks_exact_mut(s.w).enumerate() {
-                    let mut sink = BitSink::new(&lanes.cuts, row, 1);
+                    let mut sink = BitSink::new(*cuts, row, 1);
                     on_tier(Some(tier), || {
-                        conv_row_tiled(input, &lanes.bank, &mut ring, (0, oy), &mut sink)
+                        conv_row_tiled(input, bank, &mut ring, (0, oy), &mut sink)
                     });
                 }
             })
@@ -1329,7 +1373,7 @@ mod tests {
             let tap_words = best_ms(|| {
                 for (oy, row) in out.chunks_exact_mut(208).enumerate() {
                     gather_tap_words(&input, &geom, oy, &mut windows);
-                    let mut sink = BitSink::new(&lanes.cuts, row, 1);
+                    let mut sink = BitSink::new(&cuts, row, 1);
                     on_tier(Some(tier), || tile_filters(&windows, &taps, &mut sink));
                 }
             });
@@ -1441,6 +1485,121 @@ mod tests {
                 }
             }
             ring_case::<u32>((4, 17), c, k, 3, 1, 1, k as u64).unwrap();
+        }
+    }
+
+    /// A bank whose filters repeat (`k` over `u` distinct ones, [`repeating`])
+    /// on every route that stages [`FusedLanes`] — the fused dispatch and the
+    /// `bconv_pool` chain over [`DirectBank::new`], the lowered GEMM, and a
+    /// dense pair whose first layer repeats — staged on every tier (shared
+    /// where [`word_permute`] holds and the bank repeats enough, every filter
+    /// otherwise), raw and through its dictionary, against
+    /// `compute_bconv_fused_reference`.
+    fn shared_routes_case(k: usize, u: usize, c: usize) {
+        let mut rng = (k * 1000 + u * 10 + c) as u64;
+        let geom = ConvGeometry::square(3, 1, 1);
+        let input = random_bits::<u64>(Shape4::new(2, 4, 6, c), &mut rng);
+        let filters = repeating::<u64>((k, u), (3, 3, c), rng);
+        let fused = random_fused(k, 1.0, &mut rng);
+        let mut want = BitTensor::zeros(Shape4::new(2, 4, 6, k));
+        compute_bconv_fused_reference(&input, &filters, &fused, &geom, &mut want);
+        let pool = PoolGeometry::new(2, 2);
+        let mut pooled = BitTensor::zeros(Shape4::new(2, 2, 3, k));
+        nested_loop_maxpool(&want, &pool, &mut pooled);
+        // The dense pair: `k` over `u` into nine, over the flattened input.
+        let features = 24 * c;
+        let w1 = repeating::<u64>((k, u), (1, 1, features), rng);
+        let w2 = random_filters::<u64>(FilterShape::new(9, 1, 1, k), 4, &mut rng);
+        let (f1, f2) = (
+            random_fused(k, 4.0, &mut rng),
+            random_fused(9, 1.0, &mut rng),
+        );
+        let mut flat = BitTensor::zeros(input.shape());
+        let mut mid = BitTensor::zeros(Shape4::new(2, 1, 1, k));
+        let mut out = BitTensor::zeros(Shape4::new(2, 1, 1, 9));
+        flatten_bits_into(&input, &mut flat);
+        let point = ConvGeometry::square(1, 1, 0);
+        compute_bconv_fused_reference(&flat, &w1, &f1, &point, &mut mid);
+        compute_bconv_fused_reference(&mid, &w2, &f2, &point, &mut out);
+        let shares = u <= 64 && 4 * u <= 3 * k;
+        let queue =
+            || CommandQueue::new(DeviceProfile::adreno_640(), ExecutorClass::PhoneBitOpenCl);
+        let routes = |filters: &dyn Fn() -> DirectBank<u64>, flat: &dyn Fn() -> FusedLanes<u64>| {
+            let (bank, lanes) = (filters(), flat());
+            let shared = (shares && word_permute()).then_some(u);
+            let DirectBank::Lanes(direct) = &bank else {
+                panic!("k {k} u {u} c {c}: a fused bank of 3×3 × {c} stages the tiled lanes");
+            };
+            assert_eq!(
+                direct.distinct_filters(),
+                shared,
+                "k {k} u {u} c {c} direct"
+            );
+            assert_eq!(
+                lanes.distinct_filters(),
+                shared,
+                "k {k} u {u} c {c} lowered"
+            );
+            let mut got = BitTensor::zeros(want.shape());
+            compute_bconv_fused(&input, &bank, &geom, &mut got);
+            assert!(got == want, "k {k} u {u} c {c}: fused dispatch");
+            let mut ring = BitTensor::zeros(ring_shape(6, k, &pool));
+            let mut got = BitTensor::zeros(pooled.shape());
+            compute_bconv_pool_chain(&input, &bank, &geom, &pool, &mut ring, &mut got);
+            assert!(got == pooled, "k {k} u {u} c {c}: bconv_pool chain");
+            let empty = || BitTensor::zeros(Shape4::new(0, 0, 0, 0));
+            let (mut windows, mut got) = (empty(), empty());
+            let q = &mut queue();
+            bconv_lowered_bank_into(q, &input, &lanes, &geom, Some(&mut windows), &mut got);
+            assert!(got == want, "k {k} u {u} c {c}: lowered GEMM");
+        };
+        let dict = FilterDict::build(&filters);
+        let flat_raw = flatten_filters(&filters);
+        let flat_dict = FilterDict::build(&flat_raw);
+        for tier in tiers() {
+            on_tier(Some(tier), || {
+                routes(&|| DirectBank::new(&filters, &fused, Some(&geom)), &|| {
+                    FusedLanes::new(&flat_raw, &fused)
+                });
+                routes(&|| DirectBank::new(&dict, &fused, Some(&geom)), &|| {
+                    FusedLanes::new(&flat_dict, &fused)
+                });
+                for l1 in [
+                    FusedLanes::new(&w1, &f1),
+                    FusedLanes::new(&FilterDict::build(&w1), &f1),
+                ] {
+                    let shared = (shares && word_permute()).then_some(u);
+                    assert_eq!(l1.distinct_filters(), shared, "k {k} u {u} dense");
+                    let l2 = FusedLanes::new(&w2, &f2);
+                    let empty = || BitTensor::zeros(Shape4::new(0, 0, 0, 0));
+                    let (mut f, mut m, mut got) = (empty(), empty(), empty());
+                    dense_pair_into(&mut queue(), &input, &l1, &l2, &mut f, &mut m, &mut got);
+                    assert!(
+                        got == out,
+                        "k {k} u {u} c {c}: dense pair on {}",
+                        tier.name()
+                    );
+                }
+            });
+        }
+    }
+
+    /// A bank that repeats on every route, on every tier
+    /// ([`shared_routes_case`]): `K` below, at and past one output block and
+    /// word, `U` at one group and past it, around a `u16` vector's 32 lanes
+    /// (`vpermw` to 32, `vpermt2w` past it) and at its limit, over a thin
+    /// (shifted) and an aligned row; and 65 distinct filters and `4U > 3K`,
+    /// which stage every filter.
+    #[test]
+    fn shared_bank_on_every_route_and_tier() {
+        let ks = [1, 8, 31, 64, 72, 128, 512];
+        let cases = ks
+            .into_iter()
+            .flat_map(|k| [1, 2, 31, 32, 33, 64].map(move |u| (k, u)))
+            .filter(|&(k, u)| u <= k)
+            .chain([(130, 65), (64, 49)]);
+        for (n, (k, u)) in cases.enumerate() {
+            shared_routes_case(k, u, [40, 64][n % 2]);
         }
     }
 

@@ -208,18 +208,6 @@ pub fn compute_avgpool_f32(input: &Tensor<f32>, geom: &PoolGeometry, out: &mut T
     }
 }
 
-/// Dispatches float average pooling.
-pub fn avgpool_f32(q: &mut CommandQueue, input: &Tensor<f32>, geom: &PoolGeometry) -> Tensor<f32> {
-    let s = input.shape();
-    let (oh, ow) = geom.output_hw(s.h, s.w);
-    let os = Shape4::new(s.n, oh, ow, s.c);
-    let mut out = Tensor::<f32>::zeros(os, Layout::Nhwc);
-    let mut profile = profiles::maxpool_f32(os.pixels(), s.c, geom.size);
-    profile.name = "avgpool_f32";
-    q.launch(profile, || compute_avgpool_f32(input, geom, &mut out));
-    out
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -282,8 +270,8 @@ pub(crate) mod tests {
     #[test]
     fn avgpool_averages() {
         let t = Tensor::from_fn(Shape4::new(1, 2, 2, 1), |_, h, w, _| (h * 2 + w) as f32);
-        let mut q = queue();
-        let out = avgpool_f32(&mut q, &t, &PoolGeometry::new(2, 2));
+        let mut out = Tensor::<f32>::zeros(Shape4::new(1, 1, 1, 1), Layout::Nhwc);
+        compute_avgpool_f32(&t, &PoolGeometry::new(2, 2), &mut out);
         assert_eq!(out.at(0, 0, 0, 0), 1.5);
     }
 

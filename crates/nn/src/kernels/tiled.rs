@@ -53,13 +53,18 @@
 //!    3-pixel tile that computes only real windows (YOLO's 13-wide `conv6`
 //!    ends every row on one). A thin row of `C | W::BITS` channels enters
 //!    the ring by one shift-OR per pixel. A fused direct 3×3 stride-1 layer
-//!    of 16 or 32 channels runs instead at its packing width, one pixel per
-//!    lane ([`super::taps`]), where the CPU has that lane's popcount; this
-//!    body keeps them below AVX-512 (`DirectBank::new` picks).
+//!    of 16 or 32 channels whose filters do not repeat (5) runs instead at
+//!    its packing width, one pixel per lane ([`super::taps`]), where the CPU
+//!    has that lane's popcount (`DirectBank::new` picks).
+//! 5. **Each distinct filter once.** Binarized filters repeat (Silfa et
+//!    al.). Where a layer's `U` distinct filters are few (`U ≤ 64`, `4U ≤
+//!    3K`, windows under 2^15 bits, AVX-512), [`FusedLanes::new`] stages only
+//!    their lanes; the tile runs unchanged, and per pixel its sink fills in
+//!    all `K` outputs from the `U` counts as `u16`: per 32, one `vpermw` (or
+//!    `vpermt2w`) and one `vpcmpuw` into a mask register (`shared_avx512`).
 //!
 //! A dictionary-compressed bank is read through once, when its layer's
-//! [`LaneBank`] is staged: the dictionary is what the modeled device stores
-//! and reads, the host multiplies the same interleaved lanes either way.
+//! lanes (shared or not) are staged: it is what the modeled device reads.
 //!
 //! **Host ISA tiers.** [`conv_row_tiled`] and [`tile_filters`] run under the
 //! best instruction set the CPU reports ([`isa`]): once per row task the call
@@ -69,12 +74,16 @@
 //! per word index where the baseline target would spend ~15 bit-twiddling
 //! operations per word.
 
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::*;
+use std::array::from_fn;
+
 use phonebit_tensor::bits::{merge_bits, BitTensor, BitWord};
 use phonebit_tensor::dict::FilterAccess;
 use phonebit_tensor::lanes::{LaneBank, LANES};
-use phonebit_tensor::shape::{ConvGeometry, Shape4};
+use phonebit_tensor::shape::{ConvGeometry, FilterShape, Shape4};
 
-use crate::fuse::{Cuts, FusedBn, TileSink};
+use crate::fuse::{BitSink, Cuts, FusedBn, TileSink};
 use crate::kernels::isa;
 
 /// Output pixels multiplied per microkernel step (accumulator tile width).
@@ -86,25 +95,213 @@ const _: () = assert!(64 % (TILE_GROUPS * LANES) == 0);
 
 /// A fused layer's interleaved lanes and the cuts of its thresholds, staged
 /// together once: what the tiled body, the lowered GEMM and the binary
-/// dense layer multiply and decide by.
+/// dense layer multiply and decide by — where its filters repeat, only the
+/// distinct ones, and per output the one it reads (module docs, 5).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusedLanes<W: BitWord> {
-    /// The interleaved filters.
-    pub bank: LaneBank<W>,
-    /// The cuts of the layer's thresholds over its windows.
-    pub cuts: Cuts,
+    bank: LaneBank<W>,
+    cuts: Cuts,
+    /// A shared bank's filter count `K` and expand blocks.
+    shared: Option<(usize, Vec<Expand>)>,
+}
+
+/// Outputs `64b..64b + 64` of a shared bank: output `64b + 32h + i` is
+/// distinct filter `idx[h][i]`'s count `d`, fired by `(d ≥ cut[h][i]) xor`
+/// bit `32h + i` of `flip` — [`Cuts::lane_cut`]`(k, 16)`: bit 16 is set for
+/// `γ > 0` (fire iff `d < cut`) and past the last filter (`cut = 0`: never).
+#[derive(Debug, Clone, PartialEq)]
+#[repr(C, align(64))]
+struct Expand {
+    idx: [[u16; 32]; 2],
+    cut: [[u16; 32]; 2],
+    flip: u64,
 }
 
 impl<W: BitWord> FusedLanes<W> {
-    /// Interleaves `filters` (a dictionary read through once) and derives
-    /// `fused`'s cuts over their windows.
+    /// Interleaves `filters` (a dictionary read through once) with `fused`'s
+    /// cuts over their windows, shared where they repeat (module docs, 5).
     pub fn new(filters: &impl FilterAccess<W>, fused: &FusedBn) -> Self {
-        let cuts = Cuts::new(fused, filters.shape().filter_len());
+        let fs = filters.shape();
+        let cuts = Cuts::new(fused, fs.filter_len());
+        // Filter `k` reads distinct filter `u[k]`, the first with its tap
+        // words; `distinct` holds each one's `k`. Stops past 64 of them.
+        let tap = |k, t: usize| filters.tap_words(k, t / fs.kw, t % fs.kw);
+        let same = |a, b| (0..fs.kh * fs.kw).all(|t| tap(a, t) == tap(b, t));
+        let (mut distinct, mut u) = (Vec::new(), Vec::new());
+        for k in 0..fs.k {
+            let d = distinct.iter().position(|&d| same(d, k));
+            u.push(d.unwrap_or_else(|| {
+                distinct.push(k);
+                distinct.len() - 1
+            }) as u16);
+            if distinct.len() > 64 {
+                break;
+            }
+        }
+        let few = distinct.len() <= 64 && 4 * distinct.len() <= 3 * fs.k;
+        if !(few && fs.filter_len() < 1 << 15 && isa::word_permute()) {
+            let (bank, shared) = (LaneBank::new(filters), None);
+            return Self { bank, cuts, shared };
+        }
+        let blocks = (0..fs.k).step_by(64).map(|k0| {
+            let cut = |i| cuts.lane_cut(k0 + i, 16);
+            let idx = |i| u.get(k0 + i).copied().unwrap_or(0);
+            Expand {
+                idx: from_fn(|h| from_fn(|i| idx(32 * h + i))),
+                cut: from_fn(|h| from_fn(|i| cut(32 * h + i) as u16)),
+                flip: (0..64).fold(0, |flip, i| flip | (cut(i) >> 16) << i),
+            }
+        });
+        let shared = Some((fs.k, blocks.collect()));
+        let bank = LaneBank::picked(filters, &distinct);
+        Self { bank, cuts, shared }
+    }
+
+    /// Shape of the filters the lanes were staged from.
+    pub fn shape(&self) -> FilterShape {
+        let (s, shared) = (self.bank.shape(), self.shared.as_ref());
+        FilterShape::new(shared.map_or(s.k, |&(k, _)| k), s.kh, s.kw, s.c)
+    }
+
+    /// [`FilterAccess::dram_discount_bytes`] of the bank they were staged from.
+    pub fn dram_discount_bytes(&self) -> f64 {
+        self.bank.dram_discount_bytes()
+    }
+
+    /// A shared bank's distinct filters; `None` when it holds every filter.
+    pub fn distinct_filters(&self) -> Option<usize> {
+        self.shared.as_ref().map(|_| self.bank.shape().k)
+    }
+
+    /// Decides output row `at` of `input` into `row`, zeroed whole pixels of
+    /// `wpp` words, reading its windows from `ring`.
+    pub(crate) fn decide_row(
+        &self,
+        input: &BitTensor<W>,
+        ring: &mut RowRing<W>,
+        at: (usize, usize),
+        row: &mut [W],
+        wpp: usize,
+    ) {
+        let mut sink = BitSink::new(&self.cuts, row, wpp);
+        if self.shared.is_none() {
+            return conv_row_tiled(input, &self.bank, ring, at, &mut sink);
+        }
+        ring.load(input, at);
+        isa::shared_tile(self, ring.tiles(), &mut sink);
+    }
+
+    /// Decides window rows `rows` (back to back, row `r` as pixel `r`) into
+    /// `out`, zeroed whole pixels of `wpp` words: the GEMM's and dense's.
+    pub(crate) fn decide_windows(&self, rows: &[W], out: &mut [W], wpp: usize) {
+        let mut sink = BitSink::new(&self.cuts, out, wpp);
+        if self.shared.is_none() {
+            return tile_filters(rows, &self.bank, &mut sink);
+        }
+        isa::shared_tile(self, windows(rows, self.bank.row_words()), &mut sink);
+    }
+}
+
+/// What [`tile_pixels`] runs over: words, `(pixels, step)` and runs.
+pub(crate) type Tiles<'a, W> = (&'a [W], (usize, usize), (usize, usize, usize));
+
+/// The tiles of window rows `rows`, `row_words` each.
+fn windows<W: BitWord>(rows: &[W], row_words: usize) -> Tiles<'_, W> {
+    debug_assert!(rows.len().is_multiple_of(row_words));
+    (rows, (rows.len() / row_words, row_words), (1, row_words, 0))
+}
+
+/// A shared bank's sink: per pixel its distinct filters' counts as `u16` (on
+/// the row task's stack), then every output, 64 at a time by `cut`, to `out`.
+struct ExpandSink<'s, 'o, W: BitWord, C> {
+    out: &'s mut BitSink<'o, W, Cuts>,
+    blocks: &'s [Expand],
+    counts: [[[u16; 32]; 2]; TILE_PIXELS],
+    cut: C,
+}
+
+impl<'s, 'o, W: BitWord, C> ExpandSink<'s, 'o, W, C> {
+    fn new(out: &'s mut BitSink<'o, W, Cuts>, blocks: &'s [Expand], cut: C) -> Self {
         Self {
-            bank: LaneBank::new(filters),
-            cuts,
+            out,
+            blocks,
+            counts: [[[0; 32]; 2]; TILE_PIXELS],
+            cut,
         }
     }
+}
+
+impl<W: BitWord, C: Fn(&[[u16; 32]; 2], &Expand) -> u64> TileSink for ExpandSink<'_, '_, W, C> {
+    #[inline(always)]
+    fn put_dots(&mut self, px: usize, k0: usize, _: FilterShape, d: &[u64; LANES]) -> [u64; LANES] {
+        let counts = &mut self.counts[px % TILE_PIXELS][k0 / 32][k0 % 32..][..LANES];
+        for (count, &d) in counts.iter_mut().zip(d) {
+            *count = d as u16;
+        }
+        [0; LANES]
+    }
+
+    #[inline(always)]
+    fn end_pixel(&mut self, px: usize) {
+        let counts = &self.counts[px % TILE_PIXELS];
+        for (k0, block) in (0..).step_by(64).zip(self.blocks) {
+            self.out.put_word(px, k0, (self.cut)(counts, block));
+        }
+    }
+}
+
+/// A shared bank's frame, entered by [`isa::shared_tile`]: the tile with
+/// `run_avx512`'s features, the expand on `u16` lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(
+    enable = "popcnt,avx2,bmi1,bmi2,avx512f,avx512bw,avx512dq,avx512vl,avx512vpopcntdq"
+)]
+pub(crate) fn shared_avx512<W: BitWord>(
+    lanes: &FusedLanes<W>,
+    (words, pixels, runs): Tiles<'_, W>,
+    out: &mut BitSink<'_, W, Cuts>,
+) {
+    let Some((_, blocks)) = &lanes.shared else {
+        unreachable!("the shared frame runs a shared bank")
+    };
+    let wide = lanes.bank.shape().k > 32;
+    // In argument position, where a closure takes `#[inline(always)]`:
+    // called from every tile instance, it was left out of line.
+    let mut sink = ExpandSink::new(
+        out,
+        blocks,
+        #[inline(always)]
+        |counts: &[[u16; 32]; 2], b: &Expand| {
+            let (lo, hi) = (words512(&counts[0]), words512(&counts[1]));
+            let half = |h: usize| {
+                let idx = words512(&b.idx[h]);
+                let d = if wide {
+                    _mm512_permutex2var_epi16(lo, idx, hi)
+                } else {
+                    _mm512_permutexvar_epi16(idx, lo)
+                };
+                u64::from(_mm512_cmpge_epu16_mask(d, words512(&b.cut[h])))
+            };
+            (half(0) | half(1) << 32) ^ b.flip
+        },
+    );
+    tile_pixels(words, pixels, runs, &lanes.bank, &mut sink);
+}
+
+/// Thirty-two `u16` lanes as one `zmm`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw")]
+#[inline]
+fn words512(w: &[u16; 32]) -> __m512i {
+    let w = |i: usize| w[i] as i16;
+    #[rustfmt::skip]
+    let v = _mm512_set_epi16(
+        w(31), w(30), w(29), w(28), w(27), w(26), w(25), w(24),
+        w(23), w(22), w(21), w(20), w(19), w(18), w(17), w(16),
+        w(15), w(14), w(13), w(12), w(11), w(10), w(9), w(8),
+        w(7), w(6), w(5), w(4), w(3), w(2), w(1), w(0),
+    );
+    v
 }
 
 /// Multiplies `P` windows — window `p` (output pixel `px0 + p`) is `rows`
@@ -174,6 +371,9 @@ fn lanes_tile<W: BitWord, const P: usize>(
                 *lanes = [0; LANES];
             }
         }
+    }
+    for p in 0..P {
+        sink.end_pixel(px0 + p);
     }
 }
 
@@ -267,6 +467,12 @@ impl<W: BitWord> RowRing<W> {
             stream: vec![W::zero(); stream],
             holds: None,
         }
+    }
+
+    /// The windows of the output row the ring holds.
+    fn tiles(&self) -> Tiles<'_, W> {
+        let runs = (self.geom.kh, self.row_words, self.len);
+        (&self.rows, (self.ow, self.step), runs)
     }
 
     /// Brings in the padded input rows under output row `(n, oy)`.
@@ -377,12 +583,10 @@ impl BorderSpan {
 /// The lowered bit-GEMM's filter loop, and the binary dense layer's — the
 /// microkernel the direct routes run, over materialized windows.
 pub fn tile_filters<W: BitWord>(rows: &[W], bank: &LaneBank<W>, sink: &mut impl TileSink) {
-    let row_words = bank.row_words();
-    debug_assert!(rows.len().is_multiple_of(row_words));
-    let pixels = (rows.len() / row_words, row_words);
+    let (words, pixels, runs) = windows(rows, bank.row_words());
     isa::run(
         #[inline(always)]
-        || tile_pixels(rows, pixels, (1, row_words, 0), bank, sink),
+        || tile_pixels(words, pixels, runs, bank, sink),
     )
 }
 
@@ -401,20 +605,114 @@ pub fn conv_row_tiled<W: BitWord>(
     sink: &mut impl TileSink,
 ) {
     ring.load(input, at);
-    let ring = &*ring;
-    let runs = (ring.geom.kh, ring.row_words, ring.len);
+    let (words, pixels, runs) = ring.tiles();
     isa::run(
         #[inline(always)]
-        || tile_pixels(&ring.rows, (ring.ow, ring.step), runs, bank, sink),
+        || tile_pixels(words, pixels, runs, bank, sink),
     )
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::fuse::AccumSink;
     use phonebit_tensor::bits::PackedFilters;
+    use phonebit_tensor::dict::FilterDict;
     use phonebit_tensor::shape::{FilterShape, Shape4};
+
+    /// `k` filters of shape `(kh, kw, c)`, `c ≥ 8`, over `u` distinct ones:
+    /// filter `n` is distinct filter `37n mod u` (so a repeat never sits
+    /// next to its first, and the last filter repeats when `k > u`), whose
+    /// first tap's low eight channels are its number and the rest noise.
+    pub(crate) fn repeating<W: BitWord>(
+        (k, u): (usize, usize),
+        (kh, kw, c): (usize, usize, usize),
+        seed: u64,
+    ) -> PackedFilters<W> {
+        let mut f = PackedFilters::zeros(FilterShape::new(k, kh, kw, c));
+        for (n, (i, j, ch)) in (0..k)
+            .flat_map(|n| (0..kh * kw * c).map(move |t| (n, (t / (kw * c), t / c % kw, t % c))))
+        {
+            let p = n * 37 % u;
+            let mut x = seed ^ (((p * 31 + i) * 31 + j) as u64 * 0x9E37_79B9) ^ ch as u64;
+            x = (x ^ x >> 29).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let bit = if i + j == 0 && ch < 8 {
+                p >> ch
+            } else {
+                (x >> 40) as usize
+            };
+            f.set_bit(n, i, j, ch, bit & 1 == 1);
+        }
+        f
+    }
+
+    #[test]
+    fn banks_that_repeat_too_little_stage_every_filter() {
+        // 65 distinct filters, 4U > 3K, and a window of 2^15 bits: the lanes
+        // and cuts of every filter, raw or through a dictionary. Just under
+        // 2^15 bits the same bank shares where the tier permutes words.
+        for ((k, u), (kh, kw, c)) in [
+            ((130, 65), (3, 3, 64)),
+            ((64, 49), (3, 3, 64)),
+            ((72, 55), (1, 3, 40)),
+            ((8, 1), (1, 1, 1 << 15)),
+        ] {
+            let f = repeating::<u64>((k, u), (kh, kw, c), 7);
+            let fused = FusedBn {
+                xi: (0..k).map(|n| n as f32 - 9.5).collect(),
+                gamma_pos: (0..k).map(|n| n % 3 == 0).collect(),
+            };
+            let cuts = Cuts::new(&fused, f.shape().filter_len());
+            let dict = FilterDict::build(&f);
+            for (bank, lanes) in [
+                (LaneBank::new(&f), FusedLanes::new(&f, &fused)),
+                (LaneBank::new(&dict), FusedLanes::new(&dict, &fused)),
+            ] {
+                let cuts = cuts.clone();
+                let shared = None;
+                assert_eq!(lanes, FusedLanes { bank, cuts, shared }, "k {k} u {u}");
+            }
+        }
+        let f = repeating::<u64>((8, 1), (1, 1, (1 << 15) - 1), 7);
+        let lanes = FusedLanes::new(&f, &FusedBn::identity(8));
+        assert_eq!(lanes.distinct_filters(), isa::word_permute().then_some(1));
+    }
+
+    #[test]
+    fn a_shared_bank_keeps_each_distinct_filter_and_every_cut() {
+        let f = repeating::<u32>((72, 33), (3, 3, 40), 3);
+        let fused = FusedBn {
+            xi: (0..72).map(|n| n as f32 * 2.0 - 70.0).collect(),
+            gamma_pos: (0..72).map(|n| n % 5 != 0).collect(),
+        };
+        let lanes = FusedLanes::new(&f, &fused);
+        let Some((k, blocks)) = &lanes.shared else {
+            assert!(
+                !isa::word_permute(),
+                "72 filters over 33 share on this tier"
+            );
+            return;
+        };
+        let (full, cuts) = (LaneBank::new(&f), Cuts::new(&fused, 360));
+        assert_eq!((*k, lanes.shape(), blocks.len()), (72, f.shape(), 2));
+        assert_eq!(lanes.distinct_filters(), Some(33));
+        for n in 0..128 {
+            let (block, h, i) = (&blocks[n / 64], n / 32 % 2, n % 32);
+            let cut = u64::from(block.cut[h][i]) | (block.flip >> (n % 64) & 1) << 16;
+            assert_eq!(cut, cuts.lane_cut(n, 16), "output {n}");
+            if n < 72 {
+                let row = |bank: &LaneBank<u32>, k: usize| -> Vec<u32> {
+                    bank.group(k / LANES).iter().map(|v| v[k % LANES]).collect()
+                };
+                let d = usize::from(block.idx[h][i]);
+                assert_eq!(
+                    row(&lanes.bank, d),
+                    row(&full, n),
+                    "output {n} reads another"
+                );
+            }
+        }
+    }
 
     fn filters<W: BitWord>(shape: FilterShape, seed: usize) -> PackedFilters<W> {
         let mut f = PackedFilters::zeros(shape);

@@ -139,21 +139,6 @@ fn split_pixels<W: BitWord>(bytes: &[u8], c: usize, words: &mut [[W; 8]]) {
     }
 }
 
-/// Combines per-plane binary-convolution results into the integer output of
-/// Eqn (2): `s = Σ 2^n · partial[n]`.
-///
-/// # Panics
-///
-/// Panics if `partials` does not hold exactly 8 values.
-#[inline]
-pub fn combine_planes(partials: &[i32; 8]) -> i32 {
-    partials
-        .iter()
-        .enumerate()
-        .map(|(n, &p)| (1i32 << n) * p)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,17 +196,8 @@ mod tests {
         for (n, p) in partials.iter_mut().enumerate() {
             *p = dot_u1_pm1(&[planes.words()[0][n]], wf.tap_words(0, 0, 0));
         }
-        assert_eq!(combine_planes(&partials), expect);
-    }
-
-    #[test]
-    fn combine_planes_weights_are_powers_of_two() {
-        let mut partials = [0i32; 8];
-        partials[0] = 1;
-        partials[7] = 1;
-        assert_eq!(combine_planes(&partials), 1 + 128);
-        let partials = [1i32; 8];
-        assert_eq!(combine_planes(&partials), 255);
+        let s: i32 = partials.iter().enumerate().map(|(n, &p)| p << n).sum();
+        assert_eq!(s, expect);
     }
 
     #[test]

@@ -20,7 +20,10 @@
 //! dictionary once per layer — is unchanged. The dictionary is what the
 //! modeled device stores and reads ([`FilterAccess::dram_discount_bytes`]);
 //! the host kernels never walk it per pixel: readers see taps, never a
-//! filter's words as stored.
+//! filter's words as stored. The host's own saving from the same clustering
+//! is of whole filters, not taps, and holds dictionary or not: a layer whose
+//! filters repeat stages only its distinct filters' lanes and multiplies
+//! each once (`nn::kernels::tiled::FusedLanes`).
 //!
 //! Compression is lossless and byte-exact: [`FilterDict::decode`] rebuilds
 //! the original [`PackedFilters`].

@@ -48,15 +48,26 @@ impl<W: BitWord> LaneBank<W> {
     /// `(i, j, c)` bit run. Any [`FilterAccess`] interleaves to the same
     /// bank: a dictionary is read through here, once, and never again.
     pub fn new(filters: &impl FilterAccess<W>) -> Self {
-        let shape = filters.shape();
+        Self::picked(filters, &(0..filters.shape().k).collect::<Vec<_>>())
+    }
+
+    /// [`new`](Self::new) of filters `ks` of `filters`, in that order.
+    pub fn picked(filters: &impl FilterAccess<W>, ks: &[usize]) -> Self {
+        let s = filters.shape();
+        let shape = FilterShape::new(ks.len(), s.kh, s.kw, s.c);
         let mut row = vec![W::zero(); (shape.kw * shape.c).div_ceil(W::BITS)];
         let mut bank = Self::zeros(shape, shape.kh * row.len(), filters.dram_discount_bytes());
-        for (k, i) in (0..shape.k).flat_map(|k| (0..shape.kh).map(move |i| (k, i))) {
+        for (to, i) in (0..shape.k).flat_map(|k| (0..shape.kh).map(move |i| (k, i))) {
             row.fill(W::zero());
             for j in 0..shape.kw {
-                merge_bits(&mut row, j * shape.c, filters.tap_words(k, i, j), shape.c);
+                merge_bits(
+                    &mut row,
+                    j * shape.c,
+                    filters.tap_words(ks[to], i, j),
+                    shape.c,
+                );
             }
-            bank.set_row(k, i * row.len(), &row);
+            bank.set_row(to, i * row.len(), &row);
         }
         bank
     }
@@ -227,6 +238,19 @@ mod tests {
             assert_eq!(bank.shape(), shape);
             assert_eq!(bank.lanes, LaneBank::new(&raw).lanes);
             assert_eq!(bank.dram_discount_bytes(), dict.saved_bytes() as f64);
+        }
+    }
+
+    #[test]
+    fn a_picked_bank_holds_those_filters_in_order() {
+        let raw = filters::<u64>(FilterShape::new(13, 3, 3, 70));
+        let dict = FilterDict::build(&raw);
+        let (all, picks) = (LaneBank::new(&raw), [12, 0, 12, 5]);
+        let picked = LaneBank::picked(&dict, &picks);
+        assert_eq!(picked.shape(), FilterShape::new(4, 3, 3, 70));
+        assert_eq!(picked.dram_discount_bytes(), dict.saved_bytes() as f64);
+        for (to, k) in picks.into_iter().enumerate() {
+            assert_eq!(row(&picked, to), row(&all, k), "pick {to}");
         }
     }
 }

@@ -40,7 +40,13 @@
 # the frames `taps::row16` and `taps::row32` (crates/nn/src/kernels/taps.rs)
 # must hold `vpopcntw` and `vpopcntd` on `zmm` respectively, each a
 # `vpxord` with the pixel broadcast folded in as a `{1to16}` memory operand
-# and a `vpcmp*` into `%k` (the cut), no gather, and no call but a panic's. The sign-pack frame (`pack_avx512` in
+# and a `vpcmp*` into `%k` (the cut), no gather, and no call but a panic's.
+# A bank whose filters repeat runs its distinct filters as lanes and fills
+# in every output (bconv_report's `shared` rows): the frame
+# `tiled::shared_avx512` must hold the tile's `vpopcntq`, the expand's
+# `vpermw` (or `vpermt2w`/`vpermi2w`, past 32 distinct filters) on `zmm` and
+# a `vpcmp*` into `%k`, no gather, and no call but a panic's (its closures
+# left out of line: seen, a call and a `vzeroupper` per block). The sign-pack frame (`pack_avx512` in
 # crates/nn/src/kernels/mod.rs) must compare into a mask register
 # (`vcmp*ps` on `zmm` into `%k`) and move the mask out (`kmov`), and hold no
 # gather.
@@ -116,6 +122,7 @@ objdump -d -l --inlines --no-show-raw-insn -C "$bin" | awk -v pool_arm="$pool_ar
         frame = $1 " " $2; avx512 = frame ~ /isa::run_avx512/; task = ""
         pack = frame ~ /kernels::pack_avx512/
         tap = frame ~ /taps::row16/ ? 16 : frame ~ /taps::row32/ ? 32 : 0
+        shared = frame ~ /tiled::shared_avx512/
     }
     # The line table names the closure a `run_avx512` instance runs.
     avx512 && task == "" && /^phonebit[^ ]*::\{\{closure\}\}:$/ {
@@ -144,7 +151,13 @@ objdump -d -l --inlines --no-show-raw-insn -C "$bin" | awk -v pool_arm="$pool_ar
     tap && $2 == "call" && callee() !~ /(panic|_fail|failed)/ {
         tcalls++; print "  call in taps::row" tap ": " callee()
     }
-    (avx512 || pack || tap || frame ~ /bytedot::row_/) && $2 ~ /^vp?gather/ { gather++; by[$2]++ }
+    shared && /vpopcntq/ { spop++ }
+    shared && $2 ~ /^vperm(w|[ti]2w)$/ && /zmm/ { sperm++ }
+    shared && $2 ~ /^vpcmp/ && /%k/ { scmp++ }
+    shared && $2 == "call" && callee() !~ /(panic|_fail|failed)/ {
+        scalls++; print "  call in tiled::shared_avx512: " callee()
+    }
+    (avx512 || pack || tap || shared || frame ~ /bytedot::row_/) && $2 ~ /^vp?gather/ { gather++; by[$2]++ }
     frame ~ /isa::run_popcnt/ && /[ \t]popcnt/ { popcnt++ }
     arm == pool_arm && $2 ~ /^v?(por[dq]?|orp[sd])$/ && /%[xyz]mm/ { poolor++ }
     arm == pool_arm && $2 ~ /^i?div/ { pooldiv++ }
@@ -158,6 +171,8 @@ objdump -d -l --inlines --no-show-raw-insn -C "$bin" | awk -v pool_arm="$pool_ar
         printf "pack_avx512: %d vcmpps zmm into k, %d kmov\n", packcmp, packkmov
         printf "taps: row16 %d vpopcntw zmm, %d vpxord {1to16}, %d vpcmp into k; row32 %d vpopcntd zmm, %d vpxord {1to16}, %d vpcmp into k; %d calls\n",
             tpop[16], txor[16], tcmp[16], tpop[32], txor[32], tcmp[32], tcalls
+        printf "tiled::shared_avx512: %d vpopcntq, %d vpermw/vpermt2w zmm, %d vpcmp into k, %d calls\n",
+            spop, sperm, scmp, scalls
         printf "or_pool_row (1, 2, 2) arm (pool.rs:%s): %d packed or, %d div\n", pool_arm, poolor, pooldiv
         splits = 0
         for (f in narrow) {
@@ -186,5 +201,6 @@ objdump -d -l --inlines --no-show-raw-insn -C "$bin" | awk -v pool_arm="$pool_ar
             && packcmp > 0 && packkmov > 0 && poolor > 0 && pooldiv == 0 \
             && rgb3 > 0 && rgb3calls == 0 && nheads > 0 && tcalls == 0 \
             && tpop[16] > 0 && txor[16] > 0 && tcmp[16] > 0 \
-            && tpop[32] > 0 && txor[32] > 0 && tcmp[32] > 0)
+            && tpop[32] > 0 && txor[32] > 0 && tcmp[32] > 0 \
+            && spop > 0 && sperm > 0 && scmp > 0 && scalls == 0)
     }'

@@ -4,12 +4,13 @@
 
 use phonebit::baselines::common::Framework;
 use phonebit::baselines::{CnnDroid, TfLite};
-use phonebit::core::{convert, estimate_arch, Session};
+use phonebit::core::{convert, estimate_arch, Session, StagedModel};
 use phonebit::gpusim::Phone;
-use phonebit::models::zoo::Variant;
-use phonebit::models::{fill_weights, synthetic_image, to_float_input};
+use phonebit::models::zoo::{self, Variant};
+use phonebit::models::{fill_weights, fill_weights_clustered, synthetic_image, to_float_input};
 use phonebit::nn::act::Activation;
 use phonebit::nn::graph::{LayerPrecision, NetworkArch};
+use phonebit::nn::kernels::isa::IsaTier;
 use phonebit::tensor::shape::Shape4;
 
 /// A micro net whose middle layer exceeds the 256-channel integration
@@ -242,4 +243,27 @@ fn lowered_gemm_available_as_alternative() {
         &geom,
     );
     assert_eq!(a, b);
+}
+
+/// Random weights repeat no filter, so neither the micro zoo nor the full
+/// YOLOv2-Tiny stages a shared bank (each distinct filter multiplied once);
+/// a clustered micro YOLO does wherever the CPU permutes words (the AVX-512
+/// tier).
+#[test]
+fn only_repeating_filters_stage_a_shared_bank() {
+    let phone = Phone::xiaomi_9();
+    let shared = |def| {
+        let staged = StagedModel::stage(convert(&def), &phone, 1).expect("fits");
+        staged.shared_banks()
+    };
+    for arch in [
+        zoo::alexnet_micro(Variant::Binary),
+        zoo::yolo_micro(Variant::Binary),
+        zoo::yolov2_tiny(Variant::Binary),
+    ] {
+        assert_eq!(shared(fill_weights(&arch, 2020)), 0, "{}", arch.name);
+    }
+    let clustered = fill_weights_clustered(&zoo::yolo_micro(Variant::Binary), 2020, 4);
+    let avx512 = IsaTier::detected() == IsaTier::Avx512Vpopcntdq;
+    assert_eq!(shared(clustered) > 0, avx512);
 }

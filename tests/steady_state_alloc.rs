@@ -21,6 +21,7 @@ use phonebit::models::zoo::{self, Variant};
 use phonebit::models::{fill_weights, fill_weights_clustered, synthetic_image};
 use phonebit::nn::act::Activation;
 use phonebit::nn::graph::{LayerPrecision, NetworkArch};
+use phonebit::nn::kernels::isa::IsaTier;
 use phonebit::tensor::shape::Shape4;
 use phonebit::tensor::Tensor;
 
@@ -158,17 +159,26 @@ fn steady_run_allocations(hw: usize) -> usize {
     samples[1]
 }
 
-/// A steady-state run when `CompressionMode::Auto` stages conv2's bank as a
-/// dictionary and the direct tiled kernel reads through it: the tap ×
-/// unique-row table lives in the row task's scratch, so the run allocates
-/// per row, never per pixel tile.
+/// A steady-state run when `CompressionMode::Auto` stages conv2's bank
+/// through its dictionary and, its filters repeating, shared where the CPU
+/// permutes words (each distinct filter multiplied once): the per-pixel
+/// `u16` counts live on the row task's stack, so the run allocates per row,
+/// never per pixel tile.
 fn steady_compressed_run_bytes(hw: usize) -> (usize, usize) {
-    let model = convert(&fill_weights_clustered(&arch(hw), 9, 4));
+    let def = fill_weights_clustered(&arch(hw), 9, 4);
     let overrides = RouteOverrides {
         compression: CompressionMode::Auto,
         ..Default::default()
     };
-    let session = Session::new_batched_opts(model, &Phone::xiaomi_9(), 1, overrides).expect("fits");
+    let phone = Phone::xiaomi_9();
+    let ctx = Context::new(phone.gpu.clone(), phone.app_budget_bytes());
+    let staged = StagedModel::stage_in(convert(&def), ctx, 1, &overrides).expect("fits");
+    assert_eq!(
+        staged.shared_banks(),
+        usize::from(IsaTier::detected() == IsaTier::Avx512Vpopcntdq),
+        "test premise: conv2's repeating filters run shared on the AVX-512 tier"
+    );
+    let session = Session::new_batched_opts(convert(&def), &phone, 1, overrides).expect("fits");
     assert!(
         session
             .plan()
