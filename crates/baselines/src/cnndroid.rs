@@ -23,7 +23,7 @@ use crate::common::{
 
 /// Which device CNNdroid executes on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CnnDroidTarget {
+enum CnnDroidTarget {
     /// Single-threaded Java CPU path.
     Cpu,
     /// RenderScript GPU path.
@@ -54,7 +54,7 @@ impl CnnDroid {
     /// Bytes the framework keeps live for a model: the serialized model,
     /// the parsed Java-side copy, the RenderScript `Allocation` mirror
     /// (3x float weights total) plus the two largest layer blobs.
-    pub fn memory_required(arch: &NetworkArch) -> usize {
+    fn memory_required(arch: &NetworkArch) -> usize {
         let weights = arch.float_bytes();
         let max_act = arch
             .infer()
@@ -93,7 +93,7 @@ impl CnnDroid {
 /// CNNdroid's cost accounting: direct convolution with no operand reuse —
 /// every multiply fetches from DRAM (discounted 50% for what small caches
 /// catch), strided NCHW access on the GPU.
-pub struct CnnDroidStyle {
+struct CnnDroidStyle {
     gpu: bool,
 }
 

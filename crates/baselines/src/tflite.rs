@@ -28,7 +28,7 @@ use crate::common::{
 
 /// TFLite execution configuration (Table III sub-columns).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TfLiteMode {
+enum TfLiteMode {
     /// Multi-threaded NEON float GEMM.
     Cpu,
     /// GPU delegate with fp16 shaders.
@@ -76,7 +76,7 @@ impl TfLite {
 
     /// Bytes the framework needs: the model file (at mode precision) plus
     /// the tensor arena (two live activations + the largest im2col buffer).
-    pub fn memory_required(&self, arch: &NetworkArch) -> usize {
+    fn memory_required(&self, arch: &NetworkArch) -> usize {
         let weights = (arch.total_params() as f64 * self.weight_elem_bytes()) as usize;
         let infos = arch.infer();
         let mut max_act = 0usize;
@@ -150,7 +150,7 @@ impl TfLite {
 
 /// Rounds an `f32` through IEEE half precision (the GPU delegate's storage
 /// format).
-pub fn f16_round(v: f32) -> f32 {
+fn f16_round(v: f32) -> f32 {
     let bits = v.to_bits();
     let sign = (bits >> 16) & 0x8000;
     let exp = ((bits >> 23) & 0xFF) as i32;
@@ -189,7 +189,7 @@ pub fn f16_round(v: f32) -> f32 {
 /// TFLite's cost accounting: im2col + GEMM with operand reuse in registers,
 /// so DRAM traffic is the im2col buffer round trip plus one pass over the
 /// weights — not per-MAC like CNNdroid.
-pub struct TfLiteStyle {
+struct TfLiteStyle {
     mode: TfLiteMode,
 }
 

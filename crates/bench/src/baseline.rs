@@ -15,7 +15,7 @@
 //! line, `"key": value` fields — and is not a general JSON reader.
 
 /// Escapes a string for embedding in the hand-written JSON reports.
-pub fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
@@ -140,7 +140,7 @@ impl Report {
     }
 
     /// The file's text.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut header: Fields = vec![("bench", self.bench.into()), ("unit", self.unit.into())];
         header.extend(self.header.iter().cloned());
         let mut out = String::from("{\n  ");
@@ -162,7 +162,7 @@ impl Report {
     /// Compares this run (`rendered`) with the committed `baseline` text
     /// per [`Report::check`]. Returns human-readable failures (empty =
     /// pass).
-    pub fn diff(&self, rendered: &str, baseline: &str) -> Vec<String> {
+    fn diff(&self, rendered: &str, baseline: &str) -> Vec<String> {
         let artifact = format!("BENCH_{}.json", self.bench);
         match self.check {
             Check::Exact => {
@@ -248,7 +248,7 @@ pub fn finish(report: &Report, gate_failures: &[String]) {
 }
 
 /// One trend row: its identity (the values of the key fields, in the
-/// order requested from [`parse_rows`]) and the metric under guard.
+/// order the check names them) and the metric under guard.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     /// Key-field values identifying the row (e.g. `[model, phone, batch]`).
@@ -259,14 +259,14 @@ pub struct Row {
 
 impl Row {
     /// `a/b/c` identity string for failure messages.
-    pub fn id(&self) -> String {
+    fn id(&self) -> String {
         self.key.join("/")
     }
 }
 
 /// Extracts every line carrying all of `key_fields` plus a parsable
 /// `metric` number from a `BENCH_*.json` body.
-pub fn parse_rows(text: &str, key_fields: &[&str], metric: &str) -> Vec<Row> {
+fn parse_rows(text: &str, key_fields: &[&str], metric: &str) -> Vec<Row> {
     let mut out = Vec::new();
     for line in text.lines() {
         let key: Option<Vec<String>> = key_fields.iter().map(|k| field(line, k)).collect();
@@ -301,7 +301,7 @@ pub enum Better {
 /// exactly in both directions, and every row passing `regression_checked`
 /// may move against its [`Better`] direction by at most `max_regression`×.
 /// Returns human-readable failures (empty = pass).
-pub fn diff_rows(
+fn diff_rows(
     baseline: &[Row],
     current: &[Row],
     max_regression: f64,

@@ -21,7 +21,7 @@ pub struct MeasuredCell {
 
 impl MeasuredCell {
     /// The cell in paper form.
-    pub fn cell(&self) -> Cell {
+    fn cell(&self) -> Cell {
         match &self.result {
             Ok(r) => Cell::Ms(r.total_s * 1e3),
             Err(FrameworkError::OutOfMemory { .. }) => Cell::Oom,
@@ -75,14 +75,6 @@ pub fn run_row(phone: &Phone, model_idx: usize) -> Vec<MeasuredCell> {
     cells
 }
 
-/// The full Table III grid: `grid[phone][model][framework]`.
-pub fn run_grid() -> Vec<Vec<Vec<MeasuredCell>>> {
-    Phone::all()
-        .iter()
-        .map(|phone| (0..3).map(|m| run_row(phone, m)).collect())
-        .collect()
-}
-
 /// Renders one phone's Table III block: measured next to paper.
 pub fn render_block(
     phone: &Phone,
@@ -130,6 +122,14 @@ pub fn speedups(row: &[MeasuredCell]) -> Vec<(String, Option<f64>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The full Table III grid: `grid[phone][model][framework]`.
+    fn run_grid() -> Vec<Vec<Vec<MeasuredCell>>> {
+        Phone::all()
+            .iter()
+            .map(|phone| (0..3).map(|m| run_row(phone, m)).collect())
+            .collect()
+    }
 
     #[test]
     fn grid_matches_paper_failure_pattern() {

@@ -61,7 +61,7 @@ impl From<std::io::Error> for CliError {
 }
 
 /// Resolves a zoo model name (binary variant).
-pub fn arch_by_name(name: &str) -> Result<NetworkArch, CliError> {
+fn arch_by_name(name: &str) -> Result<NetworkArch, CliError> {
     Ok(match name {
         "alexnet" => zoo::alexnet(Variant::Binary),
         "yolov2-tiny" | "yolo" => zoo::yolov2_tiny(Variant::Binary),
@@ -77,7 +77,7 @@ pub fn arch_by_name(name: &str) -> Result<NetworkArch, CliError> {
 }
 
 /// Resolves a phone name.
-pub fn phone_by_name(name: &str) -> Result<Phone, CliError> {
+fn phone_by_name(name: &str) -> Result<Phone, CliError> {
     Ok(match name {
         "x5" | "xiaomi5" | "sd820" => Phone::xiaomi_5(),
         "x9" | "xiaomi9" | "sd855" => Phone::xiaomi_9(),
@@ -91,7 +91,7 @@ pub fn phone_by_name(name: &str) -> Result<Phone, CliError> {
 
 /// `pbit gen <model> <out.pbit> [seed]`: generate a seeded synthetic
 /// checkpoint, convert it, write the deployable file. Returns a summary.
-pub fn cmd_gen(model: &str, out: &Path, seed: u64) -> Result<String, CliError> {
+fn cmd_gen(model: &str, out: &Path, seed: u64) -> Result<String, CliError> {
     let arch = arch_by_name(model)?;
     let def = fill_weights(&arch, seed);
     let converted = convert(&def);
@@ -106,13 +106,13 @@ pub fn cmd_gen(model: &str, out: &Path, seed: u64) -> Result<String, CliError> {
 }
 
 /// `pbit info <model.pbit>`: layer-by-layer description.
-pub fn cmd_info(path: &Path) -> Result<String, CliError> {
+fn cmd_info(path: &Path) -> Result<String, CliError> {
     let model = load_file(path)?;
     Ok(describe(&model))
 }
 
 /// Renders a layer table for a model.
-pub fn describe(model: &PbitModel) -> String {
+fn describe(model: &PbitModel) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -147,7 +147,7 @@ pub fn describe(model: &PbitModel) -> String {
 
 /// `pbit run <model.pbit> <phone> [seed]`: one synthetic-input inference
 /// with the per-layer report.
-pub fn cmd_run(path: &Path, phone: &str, seed: u64) -> Result<String, CliError> {
+fn cmd_run(path: &Path, phone: &str, seed: u64) -> Result<String, CliError> {
     let model = load_file(path)?;
     let phone = phone_by_name(phone)?;
     let request = Requests::synthetic(&model, 1, seed);
@@ -241,7 +241,7 @@ fn tenant_table(out: &mut String, tenants: &[TenantReport]) {
 /// One `pbit serve` invocation: the models it brings up as tenants and the
 /// flags of its one pass. An unset `Option` takes [`cmd_serve`]'s default.
 #[derive(Debug)]
-pub struct ServeArgs {
+struct ServeArgs {
     /// Model files, one tenant each, in registration order.
     pub models: Vec<PathBuf>,
     /// Phone name (`x5` | `x9`).
@@ -313,7 +313,7 @@ fn usage<T>(message: impl Into<String>) -> Result<T, CliError> {
 /// admission line per tenant (batch, memory cap, modeled cold/steady
 /// window, residency) and the aggregate (goodput, wall time, replans,
 /// resident bytes, the weight budget if any).
-pub fn cmd_serve(args: &ServeArgs) -> Result<String, CliError> {
+fn cmd_serve(args: &ServeArgs) -> Result<String, CliError> {
     let open = !args.arrivals.is_empty();
     if args.models.is_empty() {
         return usage("serve needs <model.pbit> or --model <model.pbit>");
@@ -536,7 +536,7 @@ fn parse_fleet_event(spec: &str, join: bool) -> Result<FleetEvent, CliError> {
 /// distribution — the same [`phonebit_core::FleetReport`] the `fleet_report` bench bin
 /// sweeps.
 #[allow(clippy::too_many_arguments)]
-pub fn cmd_fleet(
+fn cmd_fleet(
     models: &[String],
     devices: usize,
     policy: &str,
@@ -707,7 +707,7 @@ pub fn cmd_fleet(
 /// floor budget: per-step bank bytes, upload-lane issue/ready times, the
 /// stall each step charges, and the evict verdict — the exact schedule
 /// the one plan walk charges for estimator, admission and engine alike.
-pub fn cmd_plan(
+fn cmd_plan(
     model: &str,
     batch: usize,
     streams: usize,
@@ -957,7 +957,7 @@ pub fn cmd_plan(
 
 /// `pbit bench <model> <phone>`: full-scale modeled latency/energy of a zoo
 /// architecture (no weights materialized), Table III/IV style.
-pub fn cmd_bench(model: &str, phone: &str) -> Result<String, CliError> {
+fn cmd_bench(model: &str, phone: &str) -> Result<String, CliError> {
     let arch = arch_by_name(model)?;
     let phone = phone_by_name(phone)?;
     let report = estimate_arch(&phone, &arch);
@@ -976,7 +976,7 @@ pub fn cmd_bench(model: &str, phone: &str) -> Result<String, CliError> {
 }
 
 /// The usage string shown by `pbit help`.
-pub const USAGE: &str = "pbit — PhoneBit model tool (simulated mobile GPU)
+const USAGE: &str = "pbit — PhoneBit model tool (simulated mobile GPU)
 
 USAGE:
     pbit gen   <model> <out.pbit> [--seed N]   generate + convert a zoo model

@@ -158,29 +158,6 @@ impl NetworkBuilder {
         self
     }
 
-    /// Adds a binary dense layer.
-    pub fn dense_bin(
-        mut self,
-        name: &str,
-        out_features: usize,
-        weights: Vec<f32>,
-        bias: Vec<f32>,
-        bn: BnParams,
-    ) -> Self {
-        self.arch = self.arch.dense(
-            name,
-            out_features,
-            LayerPrecision::Binary,
-            Activation::Linear,
-        );
-        self.weights.push(LayerWeights::Dense(DenseWeights {
-            weights,
-            bias,
-            bn: Some(bn),
-        }));
-        self
-    }
-
     /// Adds a full-precision dense layer.
     pub fn dense_float(
         mut self,
@@ -208,13 +185,8 @@ impl NetworkBuilder {
         self
     }
 
-    /// The architecture assembled so far.
-    pub fn arch(&self) -> &NetworkArch {
-        &self.arch
-    }
-
     /// Finishes the checkpoint without converting (for baselines/training).
-    pub fn into_def(self) -> NetworkDef {
+    fn into_def(self) -> NetworkDef {
         let def = NetworkDef {
             arch: self.arch,
             weights: self.weights,
@@ -329,6 +301,6 @@ mod tests {
     #[test]
     fn arch_accessor_reflects_layers() {
         let b = NetworkBuilder::new("a", Shape4::new(1, 4, 4, 3)).maxpool("p", 2, 2);
-        assert_eq!(b.arch().layers.len(), 1);
+        assert_eq!(b.arch.layers.len(), 1);
     }
 }

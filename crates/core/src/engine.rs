@@ -45,7 +45,6 @@ use std::sync::Arc;
 use phonebit_gpusim::buffer::{Buffer, Context, SimError};
 use phonebit_gpusim::clock::DeviceClock;
 use phonebit_gpusim::queue::CommandQueue;
-use phonebit_gpusim::DeviceProfile;
 use phonebit_gpusim::ExecutorClass;
 use phonebit_gpusim::Phone;
 use phonebit_nn::fuse::{FusedBn, PlaneCuts};
@@ -153,16 +152,6 @@ impl ActivationData {
             ActivationData::Bytes(t) => t.shape(),
             ActivationData::Floats(t) => t.shape(),
             ActivationData::Bits(t) => t.shape(),
-        }
-    }
-
-    /// Device bytes this activation occupies (packed bits are ~32x smaller
-    /// than floats — the paper's "minimal memory footprint").
-    pub fn byte_len(&self) -> usize {
-        match self {
-            ActivationData::Bytes(t) => t.byte_len(),
-            ActivationData::Floats(t) => t.byte_len(),
-            ActivationData::Bits(t) => t.byte_len(),
         }
     }
 
@@ -520,11 +509,6 @@ impl StagedModel {
         &self.plan
     }
 
-    /// The GPU this model is staged on.
-    pub fn device(&self) -> &DeviceProfile {
-        self.ctx.device()
-    }
-
     /// Binary layers whose staged lanes are shared: each distinct filter
     /// multiplied once ([`FusedLanes::new`]).
     pub fn shared_banks(&self) -> usize {
@@ -539,15 +523,8 @@ impl StagedModel {
     /// **every** live stream's arena banks, bytes. Under a streaming
     /// [`PagingSchedule`](crate::paging::PagingSchedule) the weight half is
     /// the hot-set peak, not Σ weights — the budget-relevant footprint.
-    pub fn resident_bytes(&self) -> usize {
+    fn resident_bytes(&self) -> usize {
         self.ctx.used_bytes()
-    }
-
-    /// The fully-resident weight footprint, bytes — what the model would
-    /// hold with every bank on-device (net of dictionary compression),
-    /// regardless of any paging schedule.
-    pub fn total_weight_bytes(&self) -> usize {
-        self.plan.weights_bytes
     }
 }
 
@@ -841,7 +818,7 @@ impl Stream {
     }
 
     /// The dispatch timeline of the most recent window.
-    pub fn timeline(&self) -> &[phonebit_gpusim::LaunchEvent] {
+    fn timeline(&self) -> &[phonebit_gpusim::LaunchEvent] {
         self.queue.timeline()
     }
 

@@ -1219,11 +1219,6 @@ impl Fleet {
         &self.placement[tenant]
     }
 
-    /// Fleet tenant ids resident on `device`, registry-slot order.
-    pub fn roster(&self, device: usize) -> &[usize] {
-        &self.devices[device].roster
-    }
-
     /// The roster `device`'s runtime was created with — replaying
     /// `DeviceRuntime::new(birth_roster)` plus the outcome's
     /// [`FleetAction`]s reconstructs the runtime exactly.

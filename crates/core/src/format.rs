@@ -25,7 +25,7 @@ use phonebit_tensor::tensor::Filters;
 use crate::model::{PbitLayer, PbitModel};
 
 /// Format version written by this build.
-pub const FORMAT_VERSION: u16 = 1;
+const FORMAT_VERSION: u16 = 1;
 const MAGIC: &[u8; 4] = b"PBIT";
 
 /// Errors from reading a `.pbit` payload.

@@ -487,7 +487,7 @@ impl PlanStep {
 
     /// Device dispatches this step issues per inference window — the length
     /// of its dispatch list.
-    pub fn dispatches(&self) -> usize {
+    fn dispatches(&self) -> usize {
         self.profiles(0.0).len()
     }
 }
@@ -609,7 +609,7 @@ impl CompressStats {
 
     /// Bytes the dictionary form saves over the raw bank (0 when it does
     /// not win).
-    pub fn saved_bytes(&self) -> usize {
+    fn saved_bytes(&self) -> usize {
         self.raw_bytes.saturating_sub(self.compressed_bytes)
     }
 

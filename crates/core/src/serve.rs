@@ -1214,7 +1214,7 @@ impl Tenant {
     }
 
     /// The tenant's p95 SLO, if any.
-    pub fn slo_ms(&self) -> Option<f64> {
+    fn slo_ms(&self) -> Option<f64> {
         self.admission.slo_ms
     }
 

@@ -50,12 +50,12 @@ impl RunReport {
     }
 
     /// Average power over the run, watts (the unit of Table IV).
-    pub fn avg_power_w(&self) -> f64 {
+    fn avg_power_w(&self) -> f64 {
         self.energy_j / self.total_s
     }
 
     /// Energy efficiency in frames per second per watt (Table IV's metric).
-    pub fn fps_per_watt(&self) -> f64 {
+    fn fps_per_watt(&self) -> f64 {
         self.fps() / self.avg_power_w()
     }
 

@@ -87,11 +87,6 @@ impl Context {
         self.mem.peak.load(Ordering::Relaxed)
     }
 
-    /// The allocation budget in bytes.
-    pub fn budget_bytes(&self) -> usize {
-        self.budget
-    }
-
     /// Books `bytes` against the budget with **no host memory behind
     /// them**: a [`Buffer`] whose [`Buffer::byte_len`] is `bytes`, which it
     /// returns when dropped.

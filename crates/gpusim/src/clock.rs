@@ -153,16 +153,9 @@ impl FaultPlan {
         &self.throttle
     }
 
-    /// True when the plan can never perturb an execution.
-    pub fn is_benign(&self) -> bool {
-        self.failure_rate <= 0.0
-            && self.bursts.iter().all(|b| b.rate <= 0.0)
-            && self.throttle.iter().all(|e| e.slowdown <= 1.0)
-    }
-
     /// The effective per-attempt failure probability at modeled wall time
     /// `at_ms`: the base rate plus every active burst, clamped to `[0, 1]`.
-    pub fn failure_rate_at(&self, at_ms: f64) -> f64 {
+    fn failure_rate_at(&self, at_ms: f64) -> f64 {
         let burst: f64 = self
             .bursts
             .iter()
@@ -349,11 +342,6 @@ impl DeviceClock {
         })
     }
 
-    /// The device this clock arbitrates.
-    pub fn device(&self) -> &DeviceProfile {
-        &self.device
-    }
-
     /// Sets the number of co-resident streams (the serving runtime calls
     /// this once after staging its queues).
     pub fn set_streams(&self, streams: usize) {
@@ -426,7 +414,7 @@ impl DeviceClock {
     }
 
     /// Adds a dispatch's busy time to the aggregate device-busy counter.
-    pub fn note_busy(&self, seconds: f64) {
+    fn note_busy(&self, seconds: f64) {
         add_bits(&self.busy_bits, seconds);
     }
 
@@ -506,16 +494,6 @@ impl ClockRegistry {
         let mut entries = self.entries.write().expect("registry lock poisoned");
         let at = entries.iter().position(|(k, _)| k == id)?;
         Some(entries.remove(at).1)
-    }
-
-    /// Registered device ids, in registration order.
-    pub fn ids(&self) -> Vec<String> {
-        self.entries
-            .read()
-            .expect("registry lock poisoned")
-            .iter()
-            .map(|(k, _)| k.clone())
-            .collect()
     }
 
     /// A snapshot of every `(id, clock)` pair, in registration order.
@@ -626,7 +604,7 @@ mod tests {
         c.note_busy(0.25);
         c.note_busy(0.5);
         assert!((c.busy_s() - 0.75).abs() < 1e-15);
-        assert_eq!(c.device().name, "Adreno 640");
+        assert_eq!(c.device.name, "Adreno 640");
         assert_eq!(c.streams(), 2);
     }
 
@@ -667,11 +645,9 @@ mod tests {
     #[test]
     fn fault_rate_extremes_and_benign_plans() {
         let never = FaultPlan::new(1);
-        assert!(never.is_benign());
         assert!((0..256).all(|k| !never.attempt_faults(k, 0.0)));
         let always = FaultPlan::new(1).with_failure_rate(1.0);
         assert!((0..256).all(|k| always.attempt_faults(k, 0.0)));
-        assert!(!always.is_benign());
         assert_eq!(always.failure_rate(), 1.0);
         assert_eq!(always.seed(), 1);
     }
@@ -782,19 +758,22 @@ mod tests {
 
     #[test]
     fn clock_registry_keeps_registration_order() {
+        let ids = |reg: &ClockRegistry| -> Vec<String> {
+            reg.snapshot().into_iter().map(|(id, _)| id).collect()
+        };
         let reg = ClockRegistry::new();
         assert!(reg.is_empty());
         assert!(reg.register("dev0", clock(1)).is_none());
         assert!(reg.register("dev1", clock(2)).is_none());
         assert!(reg.register("dev2", clock(3)).is_none());
-        assert_eq!(reg.ids(), ["dev0", "dev1", "dev2"]);
+        assert_eq!(ids(&reg), ["dev0", "dev1", "dev2"]);
         assert_eq!(reg.len(), 3);
         assert_eq!(reg.get("dev1").unwrap().streams(), 2);
         assert!(reg.get("dev9").is_none());
         // Re-registering replaces in place: order stable, old clock back.
         let old = reg.register("dev1", clock(4)).expect("was present");
         assert_eq!(old.streams(), 2);
-        assert_eq!(reg.ids(), ["dev0", "dev1", "dev2"]);
+        assert_eq!(ids(&reg), ["dev0", "dev1", "dev2"]);
         assert_eq!(reg.get("dev1").unwrap().streams(), 4);
         // Snapshot pairs ids with live clocks.
         let snap = reg.snapshot();
@@ -805,7 +784,7 @@ mod tests {
         // Removal drops the entry and returns its clock.
         assert!(reg.remove("dev0").is_some());
         assert!(reg.remove("dev0").is_none());
-        assert_eq!(reg.ids(), ["dev1", "dev2"]);
+        assert_eq!(ids(&reg), ["dev1", "dev2"]);
     }
 
     #[test]

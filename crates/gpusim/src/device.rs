@@ -102,16 +102,6 @@ impl DeviceProfile {
         }
     }
 
-    /// Peak scalar operations per second (one op per ALU per cycle).
-    pub fn peak_ops_per_s(&self) -> f64 {
-        self.total_alus() as f64 * self.clock_mhz * 1e6
-    }
-
-    /// Clock period in seconds.
-    pub fn clock_period_s(&self) -> f64 {
-        1.0 / (self.clock_mhz * 1e6)
-    }
-
     /// Adreno 530 GPU (Snapdragon 820): 256 ALUs per Table I.
     pub fn adreno_530() -> Self {
         Self {
@@ -148,7 +138,7 @@ impl DeviceProfile {
     }
 
     /// Kryo CPU cluster (Snapdragon 820): 4 cores, 128-bit NEON (4 f32 lanes).
-    pub fn kryo_820() -> Self {
+    fn kryo_820() -> Self {
         Self {
             name: "Kryo",
             kind: DeviceKind::Cpu,
@@ -166,7 +156,7 @@ impl DeviceProfile {
 
     /// Kryo 485 CPU cluster (Snapdragon 855): 8 cores (1 prime + 3 gold +
     /// 4 silver, modeled as 8 uniform cores at the gold clock), 128-bit NEON.
-    pub fn kryo_485() -> Self {
+    fn kryo_485() -> Self {
         Self {
             name: "Kryo 485",
             kind: DeviceKind::Cpu,
@@ -317,18 +307,20 @@ mod tests {
 
     #[test]
     fn peak_ops_scale_with_clock_and_alus() {
+        // One op per ALU per cycle: the rate the cost model divides by.
         let d = DeviceProfile::adreno_640();
-        let peak = d.peak_ops_per_s();
+        let peak = d.total_alus() as f64 * d.clock_mhz * 1e6;
         assert!((peak - 384.0 * 585e6).abs() < 1.0);
-        assert!(d.clock_period_s() > 0.0);
     }
 
     #[test]
     fn newer_phone_is_strictly_better() {
         let x5 = Phone::xiaomi_5();
         let x9 = Phone::xiaomi_9();
-        assert!(x9.gpu.peak_ops_per_s() > x5.gpu.peak_ops_per_s());
-        assert!(x9.cpu.peak_ops_per_s() > x5.cpu.peak_ops_per_s());
+        // Peak scalar ops per second: one op per ALU per cycle.
+        let peak = |d: &DeviceProfile| d.total_alus() as f64 * d.clock_mhz;
+        assert!(peak(&x9.gpu) > peak(&x5.gpu));
+        assert!(peak(&x9.cpu) > peak(&x5.cpu));
         assert!(x9.ram_mib > x5.ram_mib);
         assert!(x9.gpu.dram_gbps > x5.gpu.dram_gbps);
     }

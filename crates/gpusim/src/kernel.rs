@@ -162,11 +162,6 @@ impl KernelProfile {
         self
     }
 
-    /// Total useful operations of all classes.
-    pub fn total_ops(&self) -> f64 {
-        self.f32_ops + self.int_ops + self.word_ops
-    }
-
     /// Total DRAM traffic in bytes.
     pub fn total_bytes(&self) -> f64 {
         self.dram_read_bytes + self.dram_write_bytes
@@ -238,7 +233,7 @@ mod tests {
             .divergence(1.25)
             .vector_lanes(16)
             .private_bytes(256);
-        assert_eq!(p.total_ops(), 60.0);
+        assert_eq!((p.f32_ops, p.int_ops, p.word_ops), (10.0, 20.0, 30.0));
         assert_eq!(p.total_bytes(), 1500.0);
         assert_eq!(p.vector_lanes, 16);
         assert_eq!(p.private_bytes_per_item, 256);
@@ -256,7 +251,9 @@ mod tests {
             .coalescing(0.5)
             .divergence(1.25);
         let b = p.clone().batched(4);
-        assert_eq!(b.total_ops(), 4.0 * p.total_ops());
+        let ops = |k: &KernelProfile| (k.f32_ops, k.int_ops, k.word_ops);
+        assert_eq!(ops(&b), (40.0, 80.0, 120.0));
+        assert_eq!(ops(&p), (10.0, 20.0, 30.0));
         assert_eq!(b.total_bytes(), 4.0 * p.total_bytes());
         assert_eq!(b.ndrange.work_items(), 400);
         // Efficiency knobs describe the kernel, not the batch.

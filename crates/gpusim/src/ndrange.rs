@@ -21,59 +21,9 @@ impl NdRange {
         }
     }
 
-    /// Two-dimensional range.
-    pub fn d2(x: usize, y: usize) -> Self {
-        Self {
-            global: [x, y, 1],
-            local: [x.clamp(1, 8), y.clamp(1, 8), 1],
-        }
-    }
-
-    /// Three-dimensional range.
-    pub fn d3(x: usize, y: usize, z: usize) -> Self {
-        Self {
-            global: [x, y, z],
-            local: [x.clamp(1, 8), y.clamp(1, 8), z.clamp(1, 4)],
-        }
-    }
-
-    /// Explicit global and local sizes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any local size is zero.
-    pub fn with_local(global: [usize; 3], local: [usize; 3]) -> Self {
-        assert!(
-            local.iter().all(|&l| l > 0),
-            "local work size must be non-zero"
-        );
-        Self { global, local }
-    }
-
     /// Total number of work items.
     pub fn work_items(&self) -> usize {
         self.global.iter().product()
-    }
-
-    /// Work items per work group.
-    pub fn group_size(&self) -> usize {
-        self.local.iter().product()
-    }
-
-    /// Number of work groups (rounding partial groups up, as OpenCL 2.0
-    /// non-uniform work groups do).
-    pub fn work_groups(&self) -> usize {
-        self.global
-            .iter()
-            .zip(self.local.iter())
-            .map(|(&g, &l)| g.div_ceil(l))
-            .product()
-    }
-
-    /// Number of hardware waves needed for one group on a device with the
-    /// given wave width.
-    pub fn waves_per_group(&self, wave_size: usize) -> usize {
-        self.group_size().div_ceil(wave_size.max(1))
     }
 }
 
@@ -100,39 +50,12 @@ mod tests {
     fn linear_range() {
         let r = NdRange::linear(1000);
         assert_eq!(r.work_items(), 1000);
-        assert_eq!(r.group_size(), 64);
-        assert_eq!(r.work_groups(), 1000usize.div_ceil(64));
-    }
-
-    #[test]
-    fn d2_and_d3_products() {
-        assert_eq!(NdRange::d2(13, 13).work_items(), 169);
-        assert_eq!(NdRange::d3(13, 13, 16).work_items(), 13 * 13 * 16);
-    }
-
-    #[test]
-    fn partial_groups_round_up() {
-        let r = NdRange::with_local([10, 1, 1], [4, 1, 1]);
-        assert_eq!(r.work_groups(), 3);
-    }
-
-    #[test]
-    fn waves_per_group() {
-        let r = NdRange::with_local([256, 1, 1], [128, 1, 1]);
-        assert_eq!(r.waves_per_group(64), 2);
-        assert_eq!(r.waves_per_group(1), 128);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn zero_local_panics() {
-        NdRange::with_local([8, 1, 1], [0, 1, 1]);
+        assert_eq!(r.local, [64, 1, 1]);
     }
 
     #[test]
     fn small_linear_range_clamps_local() {
         let r = NdRange::linear(3);
-        assert_eq!(r.group_size(), 3);
-        assert_eq!(r.work_groups(), 1);
+        assert_eq!(r.local, [3, 1, 1]);
     }
 }

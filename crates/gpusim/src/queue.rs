@@ -15,7 +15,6 @@ use crate::kernel::{KernelProfile, LaunchEvent, LaunchStats};
 #[derive(Debug)]
 pub struct CommandQueue {
     device: DeviceProfile,
-    class: ExecutorClass,
     params: CostParams,
     energy: EnergyParams,
     now_s: f64,
@@ -32,7 +31,6 @@ impl CommandQueue {
         let energy = EnergyParams::for_kind(class.device_kind());
         Self {
             device,
-            class,
             params,
             energy,
             now_s: 0.0,
@@ -50,11 +48,6 @@ impl CommandQueue {
         self
     }
 
-    /// The shared device clock, if one is attached.
-    pub fn clock(&self) -> Option<&Arc<DeviceClock>> {
-        self.clock.as_ref()
-    }
-
     /// Replaces the cost parameters — used by ablation benches that probe a
     /// single knob (e.g. `overlap = 0`).
     pub fn with_params(mut self, params: CostParams) -> Self {
@@ -65,11 +58,6 @@ impl CommandQueue {
     /// The device this queue dispatches to.
     pub fn device(&self) -> &DeviceProfile {
         &self.device
-    }
-
-    /// The executor class.
-    pub fn executor(&self) -> ExecutorClass {
-        self.class
     }
 
     /// The active cost parameters.
@@ -126,7 +114,7 @@ impl CommandQueue {
     }
 
     /// Sum of modeled dispatch times, seconds (excludes host delays).
-    pub fn busy_s(&self) -> f64 {
+    fn busy_s(&self) -> f64 {
         self.events.iter().map(|e| e.stats.time_s).sum()
     }
 
@@ -240,7 +228,7 @@ mod tests {
         let overhead = a.params().launch_overhead_s;
         let expected = (shared_big - overhead) + (shared_small - overhead);
         assert!((clock.busy_s() - expected).abs() < 1e-15);
-        assert!(a.clock().is_some());
+        assert!(a.clock.is_some());
         // Dropping back to one stream restores solo costs.
         clock.set_streams(1);
         let again = a.launch(
@@ -253,7 +241,8 @@ mod tests {
     #[test]
     fn executor_and_device_accessors() {
         let q = queue();
-        assert_eq!(q.executor(), ExecutorClass::PhoneBitOpenCl);
+        let class = ExecutorClass::PhoneBitOpenCl;
+        assert_eq!(q.params(), &CostParams::for_executor(class));
         assert_eq!(q.device().name, "Adreno 640");
         assert!(q.per_run_overhead_s() > 0.0);
     }

@@ -3,8 +3,7 @@
 //! The paper evaluates YOLOv2-Tiny on VOC2007; the dataset is not available
 //! here, so this module provides the substitute: seeded scenes with known
 //! ground-truth boxes (bright rectangular "objects" on textured background)
-//! and the standard detection metrics (IoU matching, precision/recall,
-//! 11-point interpolated average precision, mAP) used to score them.
+//! and the VOC-style IoU matching and precision/recall that score them.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -100,14 +99,15 @@ pub fn generate_scene(size: usize, classes: usize, seed: u64) -> Scene {
 
 /// Matches detections to ground truth at an IoU threshold and returns
 /// `(true_positives, false_positives, false_negatives)`. Each ground truth
-/// matches at most one detection (highest score first), VOC-style.
+/// matches at most one detection (highest score first), VOC-style. A NaN
+/// score is no detection, as in [`crate::yolo::decode`].
 pub fn match_detections(
     detections: &[Detection],
     truths: &[GroundTruth],
     iou_threshold: f32,
 ) -> (usize, usize, usize) {
-    let mut sorted: Vec<&Detection> = detections.iter().collect();
-    sorted.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap());
+    let mut sorted: Vec<&Detection> = detections.iter().filter(|d| !d.score.is_nan()).collect();
+    sorted.sort_by(|a, b| b.score.total_cmp(&a.score));
     let mut used = vec![false; truths.len()];
     let mut tp = 0;
     let mut fp = 0;
@@ -147,94 +147,6 @@ pub fn precision_recall(tp: usize, fp: usize, fn_count: usize) -> (f32, f32) {
         tp as f32 / (tp + fn_count) as f32
     };
     (precision, recall)
-}
-
-/// VOC 11-point interpolated average precision for one class over a set of
-/// scored detections (`(score, is_true_positive)`) and a total ground-truth
-/// count.
-pub fn average_precision(mut scored: Vec<(f32, bool)>, total_truths: usize) -> f32 {
-    if total_truths == 0 {
-        return 0.0;
-    }
-    scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
-    // Cumulative precision/recall curve.
-    let mut tp = 0usize;
-    let mut fp = 0usize;
-    let mut curve: Vec<(f32, f32)> = Vec::with_capacity(scored.len()); // (recall, precision)
-    for (_, is_tp) in &scored {
-        if *is_tp {
-            tp += 1;
-        } else {
-            fp += 1;
-        }
-        curve.push((
-            tp as f32 / total_truths as f32,
-            tp as f32 / (tp + fp) as f32,
-        ));
-    }
-    // 11-point interpolation at recall = 0.0, 0.1 ... 1.0.
-    let mut ap = 0.0f32;
-    for i in 0..=10 {
-        let r = i as f32 / 10.0;
-        let p = curve
-            .iter()
-            .filter(|(rec, _)| *rec >= r)
-            .map(|(_, prec)| *prec)
-            .fold(0.0f32, f32::max);
-        ap += p / 11.0;
-    }
-    ap
-}
-
-/// Mean average precision over classes for per-scene detection results.
-///
-/// `results` pairs each scene's detections with its ground truths.
-pub fn mean_average_precision(
-    results: &[(Vec<Detection>, Vec<GroundTruth>)],
-    classes: usize,
-    iou_threshold: f32,
-) -> f32 {
-    let mut aps = Vec::new();
-    for class in 0..classes {
-        let mut scored = Vec::new();
-        let mut total_truths = 0usize;
-        for (dets, truths) in results {
-            let class_truths: Vec<&GroundTruth> =
-                truths.iter().filter(|t| t.class_id == class).collect();
-            total_truths += class_truths.len();
-            let mut used = vec![false; class_truths.len()];
-            let mut class_dets: Vec<&Detection> =
-                dets.iter().filter(|d| d.class_id == class).collect();
-            class_dets.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap());
-            for det in class_dets {
-                let mut best: Option<(usize, f32)> = None;
-                for (i, gt) in class_truths.iter().enumerate() {
-                    if used[i] {
-                        continue;
-                    }
-                    let iou = det.iou(&gt.as_detection());
-                    if iou >= iou_threshold && best.map(|(_, b)| iou > b).unwrap_or(true) {
-                        best = Some((i, iou));
-                    }
-                }
-                match best {
-                    Some((i, _)) => {
-                        used[i] = true;
-                        scored.push((det.score, true));
-                    }
-                    None => scored.push((det.score, false)),
-                }
-            }
-        }
-        if total_truths > 0 {
-            aps.push(average_precision(scored, total_truths));
-        }
-    }
-    if aps.is_empty() {
-        0.0
-    } else {
-        aps.iter().sum::<f32>() / aps.len() as f32
-    }
 }
 
 #[cfg(test)]
@@ -310,36 +222,18 @@ mod tests {
     }
 
     #[test]
-    fn ap_is_one_for_perfect_ranking() {
-        let scored = vec![(0.9, true), (0.8, true), (0.7, true)];
-        let ap = average_precision(scored, 3);
-        assert!((ap - 1.0).abs() < 1e-6, "ap {ap}");
-    }
-
-    #[test]
-    fn ap_decreases_with_false_positives_on_top() {
-        let good = average_precision(vec![(0.9, true), (0.5, false)], 1);
-        let bad = average_precision(vec![(0.9, false), (0.5, true)], 1);
-        assert!(good > bad, "{good} vs {bad}");
-        assert_eq!(average_precision(vec![], 0), 0.0);
-    }
-
-    #[test]
-    fn map_perfect_is_one() {
-        let truths = vec![gt(0.3, 0.3, 0.2, 0.2, 0), gt(0.7, 0.7, 0.2, 0.2, 1)];
-        let dets = vec![
-            det(0.3, 0.3, 0.2, 0.2, 0.9, 0),
-            det(0.7, 0.7, 0.2, 0.2, 0.9, 1),
-        ];
-        let map = mean_average_precision(&[(dets, truths)], 2, 0.5);
-        assert!((map - 1.0).abs() < 1e-6, "mAP {map}");
-    }
-
-    #[test]
-    fn map_zero_for_no_overlap() {
-        let truths = vec![gt(0.2, 0.2, 0.1, 0.1, 0)];
-        let dets = vec![det(0.8, 0.8, 0.1, 0.1, 0.9, 0)];
-        let map = mean_average_precision(&[(dets, truths)], 1, 0.5);
-        assert_eq!(map, 0.0);
+    fn nan_score_is_no_detection() {
+        let truths = vec![gt(0.3, 0.3, 0.2, 0.2, 1), gt(0.7, 0.7, 0.2, 0.2, 2)];
+        let real = det(0.3, 0.3, 0.2, 0.2, 0.9, 1);
+        let alone = match_detections(std::slice::from_ref(&real), &truths, 0.5);
+        assert_eq!(alone, (1, 0, 1));
+        for nan in [
+            det(0.7, 0.7, 0.2, 0.2, f32::NAN, 2),
+            det(0.3, 0.3, 0.2, 0.2, f32::NAN, 1),
+        ] {
+            let both = [nan.clone(), real.clone()];
+            assert_eq!(match_detections(&both, &truths, 0.5), alone);
+            assert_eq!(match_detections(&[real.clone(), nan], &truths, 0.5), alone);
+        }
     }
 }

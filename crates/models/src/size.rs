@@ -31,7 +31,7 @@ pub struct SizeRow {
 
 /// Paper-reported Table II constants: (name, size MB fp, size MB bnn,
 /// acc % fp, acc % bnn).
-pub const PAPER_TABLE2: [(&str, f64, f64, f64, f64); 3] = [
+const PAPER_TABLE2: [(&str, f64, f64, f64, f64); 3] = [
     ("AlexNet", 249.5, 16.3, 89.0, 87.2),
     ("YOLOv2-Tiny", 63.4, 2.4, 57.1, 51.7),
     ("VGG16", 553.4, 32.1, 92.5, 87.8),

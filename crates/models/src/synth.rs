@@ -174,13 +174,6 @@ pub fn synthetic_image(shape: Shape4, seed: u64) -> Tensor<u8> {
     })
 }
 
-/// A batch of synthetic images with per-index seeds.
-pub fn synthetic_batch(shape: Shape4, count: usize, seed: u64) -> Vec<Tensor<u8>> {
-    (0..count)
-        .map(|i| synthetic_image(shape, seed.wrapping_add(i as u64)))
-        .collect()
-}
-
 /// Converts an 8-bit image to normalized floats in `[0, 1]` (the baselines'
 /// input convention).
 pub fn to_float_input(img: &Tensor<u8>) -> Tensor<f32> {
@@ -291,8 +284,10 @@ mod tests {
 
     #[test]
     fn batch_images_differ() {
-        let batch = synthetic_batch(Shape4::new(1, 8, 8, 3), 3, 100);
-        assert_eq!(batch.len(), 3);
+        // A batch seeds its images 100, 101, 102.
+        let batch: Vec<_> = (100..103)
+            .map(|seed| synthetic_image(Shape4::new(1, 8, 8, 3), seed))
+            .collect();
         assert_ne!(batch[0], batch[1]);
         assert_ne!(batch[1], batch[2]);
     }

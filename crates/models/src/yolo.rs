@@ -34,7 +34,7 @@ pub const VOC_CLASSES: [&str; 20] = [
 ];
 
 /// The five anchor boxes of tiny-yolo-voc, in grid-cell units.
-pub const ANCHORS: [(f32, f32); 5] = [
+const ANCHORS: [(f32, f32); 5] = [
     (1.08, 1.19),
     (3.42, 4.41),
     (6.63, 11.38),

@@ -80,7 +80,7 @@ impl BnParams {
     /// # Panics
     ///
     /// Panics with a descriptive message when an invariant is violated.
-    pub fn validate(&self) {
+    fn validate(&self) {
         let n = self.gamma.len();
         assert!(
             self.beta.len() == n && self.mu.len() == n && self.sigma.len() == n,
@@ -167,12 +167,6 @@ impl FusedBn {
     #[inline(always)]
     pub fn decide_logic(&self, channel: usize, x1: f32) -> bool {
         decide(self.xi[channel], self.gamma_pos[channel], x1)
-    }
-
-    /// The float batch-norm output (Eqn 5) for layers that must produce real
-    /// values instead of bits; requires the original BN parameters.
-    pub fn bn_output(bn: &BnParams, bias: &[f32], channel: usize, x1: f32) -> f32 {
-        bn.apply(channel, x1 + bias[channel])
     }
 }
 
@@ -461,10 +455,10 @@ mod tests {
         // of gamma across a sweep of accumulator values.
         let (bn, bias) = arbitrary_bn();
         let fused = FusedBn::precompute(&bn, &bias);
-        for ch in 0..4 {
+        for (ch, &b) in bias.iter().enumerate() {
             for raw in -200..=200 {
                 let x1 = raw as f32 * 0.5;
-                let x3 = FusedBn::bn_output(&bn, &bias, ch, x1);
+                let x3 = bn.apply(ch, x1 + b);
                 let reference = x3 >= 0.0;
                 assert_eq!(
                     fused.decide_branchy(ch, x1),

@@ -25,9 +25,9 @@
 //! "before" side of `bench_bconv` — over [`window_dot`], a scalar
 //! [`dot_pm1`] per tap.
 //!
-//! Padding semantics: out-of-bounds activation bits are 0 (−1), matching
-//! [`phonebit_tensor::pad::pad_bits`]; tests validate fused-vs-reference
-//! equality under this convention.
+//! Padding semantics: out-of-bounds activation bits are 0, i.e. −1 (a packed
+//! word has no encoding for a true zero); tests validate fused-vs-reference
+//! equality against a float input padded with −1.
 
 use phonebit_gpusim::exec::{par_chunks_mut, par_chunks_mut_with};
 use phonebit_gpusim::queue::CommandQueue;
@@ -120,18 +120,20 @@ pub enum DirectBank<W: BitWord> {
 impl<W: BitWord> DirectBank<W> {
     /// Stages `filters` with `fused`'s cuts for the body that runs them on
     /// this CPU: taps where the direct fused route's geometry `direct`
-    /// [`fits`](TapBank::fits) and the lanes are not shared, else the tiled
-    /// lanes (every other route).
+    /// [`fits`](TapBank::fits) and either the lanes are not shared or the
+    /// layer has at most 64 filters, else the tiled lanes (every other
+    /// route). Probed at `C` = 16 and 32 with 13–32 distinct filters, the
+    /// shared lanes ran at 0.34–0.84× the taps' speed up to 64 filters (7 of
+    /// 8 shapes) and at 0.95–3.0× from 128 filters on.
     pub fn new(
         filters: &impl FilterAccess<W>,
         fused: &FusedBn,
         direct: Option<&ConvGeometry>,
     ) -> Self {
         let lanes = FusedLanes::new(filters, fused);
+        let (shape, shared) = (lanes.shape(), lanes.distinct_filters().is_some());
         match direct {
-            Some(geom)
-                if lanes.distinct_filters().is_none() && TapBank::fits(lanes.shape(), geom) =>
-            {
+            Some(geom) if TapBank::fits(shape, geom) && (!shared || shape.k <= 64) => {
                 Self::Taps(TapBank::new(filters, fused))
             }
             _ => Self::Lanes(lanes),

@@ -76,7 +76,7 @@ pub fn pack_windows<W: BitWord>(input: &BitTensor<W>, geom: &ConvGeometry) -> Bi
 
 /// [`pack_windows`] into a caller-provided tensor (reset to the window
 /// shape), reusing its storage — the engine's arena path.
-pub fn pack_windows_into<W: BitWord>(
+fn pack_windows_into<W: BitWord>(
     input: &BitTensor<W>,
     geom: &ConvGeometry,
     out: &mut BitTensor<W>,

@@ -75,7 +75,7 @@ impl PowerTrace {
 
 /// Power at instant `t` over a timeline: static power plus the dynamic
 /// power of whichever dispatch covers `t`.
-pub fn instantaneous_power(events: &[LaunchEvent], energy: &EnergyParams, t: f64) -> f64 {
+fn instantaneous_power(events: &[LaunchEvent], energy: &EnergyParams, t: f64) -> f64 {
     let mut p = energy.p_static_w;
     for ev in events {
         if t >= ev.start_s && t < ev.end_s() && ev.stats.time_s > 0.0 {

@@ -85,7 +85,7 @@ impl<W: BitWord> BitPlanes<W> {
     }
 
     /// Bit `c` of pixel `(n, h, w)` in plane `plane` (0 = least significant).
-    pub fn get_bit(&self, plane: usize, n: usize, h: usize, w: usize, c: usize) -> bool {
+    fn get_bit(&self, plane: usize, n: usize, h: usize, w: usize, c: usize) -> bool {
         let pixel = (n * self.shape.h + h) * self.shape.w + w;
         self.words[pixel * self.words_per_pixel() + c / W::BITS][plane].bit(c % W::BITS)
     }

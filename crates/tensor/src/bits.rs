@@ -180,14 +180,6 @@ pub enum PackWidth {
 }
 
 impl PackWidth {
-    /// All widths, narrowest first.
-    pub const ALL: [PackWidth; 4] = [
-        PackWidth::W8,
-        PackWidth::W16,
-        PackWidth::W32,
-        PackWidth::W64,
-    ];
-
     /// Bits per word.
     pub fn bits(self) -> usize {
         match self {
@@ -507,7 +499,7 @@ impl<W: BitWord> PackedFilters<W> {
 
     /// Index of the first word of tap `(k, i, j)`.
     #[inline(always)]
-    pub fn tap_offset(&self, k: usize, i: usize, j: usize) -> usize {
+    fn tap_offset(&self, k: usize, i: usize, j: usize) -> usize {
         let s = self.shape;
         debug_assert!(k < s.k && i < s.kh && j < s.kw);
         ((k * s.kh + i) * s.kw + j) * self.words_per_tap
@@ -553,7 +545,7 @@ impl<W: BitWord> PackedFilters<W> {
 
     /// Words occupied by one filter's whole window (`kh * kw` tap spans).
     #[inline(always)]
-    pub fn words_per_filter(&self) -> usize {
+    fn words_per_filter(&self) -> usize {
         self.shape.kh * self.shape.kw * self.words_per_tap
     }
 

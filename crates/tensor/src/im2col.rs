@@ -7,7 +7,7 @@
 //! makes windows contiguous along channels — so this module exists for the
 //! baselines and for reference convolutions in tests.
 
-use crate::shape::{ConvGeometry, Shape4};
+use crate::shape::ConvGeometry;
 use crate::tensor::Tensor;
 
 /// The unrolled matrix: `rows = out_h * out_w` windows (per batch image),
@@ -31,12 +31,6 @@ impl Im2col {
     pub fn row(&self, n: usize, r: usize) -> &[f32] {
         let start = (n * self.rows + r) * self.cols;
         &self.data[start..start + self.cols]
-    }
-
-    /// Total bytes of the unrolled buffer — the memory-amplification cost
-    /// the baselines pay (used by the OOM model).
-    pub fn byte_len(&self) -> usize {
-        self.data.len() * 4
     }
 }
 
@@ -81,17 +75,10 @@ pub fn im2col_nhwc(t: &Tensor<f32>, g: &ConvGeometry) -> Im2col {
     }
 }
 
-/// Size in bytes an im2col buffer would occupy for the given input shape and
-/// geometry, without materializing it. Used by the baseline OOM model.
-pub fn im2col_bytes(shape: Shape4, g: &ConvGeometry) -> usize {
-    let (oh, ow) = g.output_hw(shape.h, shape.w);
-    shape.n * oh * ow * g.kh * g.kw * shape.c * 4
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shape::FilterShape;
+    use crate::shape::{FilterShape, Shape4};
     use crate::tensor::Filters;
 
     /// Reference direct convolution used to validate im2col+GEMM.
@@ -160,11 +147,13 @@ mod tests {
 
     #[test]
     fn im2col_bytes_matches_materialized() {
+        // The memory amplification of unrolling: out_h * out_w windows of
+        // kh * kw * c floats per image.
         let shape = Shape4::new(2, 13, 13, 64);
         let g = ConvGeometry::square(3, 1, 1);
         let t = Tensor::<f32>::zeros(shape, crate::shape::Layout::Nhwc);
         let u = im2col_nhwc(&t, &g);
-        assert_eq!(im2col_bytes(shape, &g), u.byte_len());
+        assert_eq!(u.data.len() * 4, 2 * 13 * 13 * 3 * 3 * 64 * 4);
     }
 
     #[test]

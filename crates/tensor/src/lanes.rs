@@ -130,11 +130,6 @@ impl<W: BitWord, const L: usize> LaneBank<W, L> {
         &self.lanes[g * self.row_words..(g + 1) * self.row_words]
     }
 
-    /// Bytes the interleaved bank occupies.
-    pub fn byte_len(&self) -> usize {
-        std::mem::size_of_val(&self.lanes[..])
-    }
-
     /// [`FilterAccess::dram_discount_bytes`] of the bank this one was
     /// interleaved from: interleaving changes the host layout, not what the
     /// modeled device reads.

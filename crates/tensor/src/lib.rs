@@ -15,9 +15,10 @@
 //!   layout whose vector lanes are output channels.
 //! - [`pack`] — binarization (sign at 0) and packing/unpacking.
 //! - [`bitplane`] — 8-bit input decomposition for the first layer (Eqn (2)).
-//! - [`pad`] — padding for float, `u8` and packed-binary tensors.
+//! - [`pad`] — float padding with an explicit fill (the test reference).
 //! - [`im2col`] — window unrolling for the GEMM-based baseline.
-//! - [`quant`] — affine int8 quantization for the TFLite-Quant baseline.
+//! - [`quant`] — affine int8 weight quantization for the TFLite-Quant
+//!   baseline.
 //!
 //! # Examples
 //!
@@ -26,8 +27,8 @@
 //! ```
 //! use phonebit_tensor::{Tensor, shape::Shape4, pack::pack_f32, bits::dot_pm1};
 //!
-//! let a = Tensor::from_fn(Shape4::hwc(1, 1, 64), |_, _, _, c| if c % 2 == 0 { 1.0 } else { -1.0 });
-//! let b = Tensor::from_fn(Shape4::hwc(1, 1, 64), |_, _, _, _| 1.0);
+//! let a = Tensor::from_fn(Shape4::new(1, 1, 1, 64), |_, _, _, c| if c % 2 == 0 { 1.0 } else { -1.0 });
+//! let b = Tensor::from_fn(Shape4::new(1, 1, 1, 64), |_, _, _, _| 1.0);
 //! let pa = pack_f32::<u64>(&a);
 //! let pb = pack_f32::<u64>(&b);
 //! // 32 agreements, 32 disagreements.

@@ -32,7 +32,7 @@ pub fn pack_f32_into<W: BitWord>(t: &Tensor<f32>, out: &mut BitTensor<W>) {
 /// window leaves. Words are walked directly over the contiguous channel
 /// runs and every one is stored, so nothing is zero-filled first.
 ///
-/// [`pack_window_with`] over the portable [`sign_mask`].
+/// [`pack_window_with`] over the portable sixteen-value compare.
 ///
 /// # Panics
 ///
@@ -44,8 +44,8 @@ pub fn pack_window_into<W: BitWord>(images: &[Tensor<f32>], shape: Shape4, out: 
 }
 
 /// [`pack_window_into`] with the sixteen-value compare supplied: `mask`
-/// returns bit `i` set exactly when `values[i] >= 0.0`, as [`sign_mask`]
-/// does. `#[inline(always)]` so a caller can compile the sweep under a
+/// returns bit `i` set exactly when `values[i] >= 0.0` (so -0.0 packs to 1
+/// and NaN to 0). `#[inline(always)]` so a caller can compile the sweep under a
 /// wider instruction set, with a vector compare into a mask register as
 /// `mask` (`phonebit_nn::kernels::compute_pack_input`).
 ///
@@ -85,7 +85,7 @@ pub fn pack_window_with<W: BitWord>(
 /// values, portable. `>=` on the value, not the sign bit: -0.0 packs to 1
 /// and NaN to 0.
 #[inline(always)]
-pub fn sign_mask(values: &[f32; 16]) -> u64 {
+fn sign_mask(values: &[f32; 16]) -> u64 {
     let mut mask = 0;
     for (i, eight) in values.chunks_exact(8).enumerate() {
         mask |= sign_bits(eight) << (8 * i);

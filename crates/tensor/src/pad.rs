@@ -1,39 +1,19 @@
-//! Padding utilities for float and packed binary tensors.
+//! Spatial padding of float tensors, the reference side of the
+//! convolution tests.
 //!
-//! Padding semantics differ by representation:
-//!
-//! - Float tensors pad with `0.0` (the usual CNN convention; used by the
-//!   baseline frameworks and by PhoneBit's first/last full-precision layers).
-//! - Packed binary tensors pad with **bit 0, i.e. −1**. A packed word has no
-//!   spare encoding for "true zero", so PhoneBit-style engines pick a sign
-//!   for the border. The float *reference* for a binary layer must use the
-//!   same convention for exact-equality testing, which
-//!   [`pad_f32_with`] supports via an explicit pad value.
-//! - `u8` image tensors pad with `0`, which is exact for bit-plane math
-//!   (a zero pixel contributes nothing to any plane).
+//! A packed binary tensor has no spare encoding for "true zero", so the
+//! engine's binary kernels read the border as **bit 0, i.e. −1**. The float
+//! reference for a binary layer must pad with the same value for
+//! exact-equality testing, which is why the fill is explicit here: `-1.0`
+//! for a binary layer's input, `0.0` for a full-precision one.
 
-use crate::bits::{BitTensor, BitWord};
 use crate::shape::{Layout, Shape4};
-use crate::tensor::{Element, Tensor};
+use crate::tensor::Tensor;
 
 /// Pads a float tensor spatially with an explicit fill value.
 ///
 /// Output shape is `(n, h + 2*pad_h, w + 2*pad_w, c)` in NHWC.
 pub fn pad_f32_with(t: &Tensor<f32>, pad_h: usize, pad_w: usize, fill: f32) -> Tensor<f32> {
-    pad_generic(t, pad_h, pad_w, fill)
-}
-
-/// Pads a float tensor spatially with zeros.
-pub fn pad_f32(t: &Tensor<f32>, pad_h: usize, pad_w: usize) -> Tensor<f32> {
-    pad_generic(t, pad_h, pad_w, 0.0)
-}
-
-/// Pads a `u8` image tensor spatially with zeros.
-pub fn pad_u8(t: &Tensor<u8>, pad_h: usize, pad_w: usize) -> Tensor<u8> {
-    pad_generic(t, pad_h, pad_w, 0u8)
-}
-
-fn pad_generic<T: Element>(t: &Tensor<T>, pad_h: usize, pad_w: usize, fill: T) -> Tensor<T> {
     let s = t.shape();
     let out_shape = Shape4::new(s.n, s.h + 2 * pad_h, s.w + 2 * pad_w, s.c);
     let mut out = Tensor::from_vec(out_shape, Layout::Nhwc, vec![fill; out_shape.len()]);
@@ -49,28 +29,6 @@ fn pad_generic<T: Element>(t: &Tensor<T>, pad_h: usize, pad_w: usize, fill: T) -
     out
 }
 
-/// Pads a packed binary tensor spatially; border pixels become all-zero words
-/// (−1 in the ±1 convention).
-///
-/// Word spans are copied wholesale so the packed layout stays contiguous.
-pub fn pad_bits<W: BitWord>(t: &BitTensor<W>, pad_h: usize, pad_w: usize) -> BitTensor<W> {
-    let s = t.shape();
-    let out_shape = Shape4::new(s.n, s.h + 2 * pad_h, s.w + 2 * pad_w, s.c);
-    let mut out = BitTensor::<W>::zeros(out_shape);
-    let wpp = t.words_per_pixel();
-    for n in 0..s.n {
-        for h in 0..s.h {
-            for w in 0..s.w {
-                let src = t.pixel_offset(n, h, w);
-                let dst = out.pixel_offset(n, h + pad_h, w + pad_w);
-                let (src_words, dst_words) = (t.as_words(), out.as_mut_words());
-                dst_words[dst..dst + wpp].copy_from_slice(&src_words[src..src + wpp]);
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,7 +38,7 @@ mod tests {
         let t = Tensor::<f32>::from_fn(Shape4::new(1, 2, 2, 1), |_, h, w, _| {
             (h * 2 + w) as f32 + 1.0
         });
-        let p = pad_f32(&t, 1, 1);
+        let p = pad_f32_with(&t, 1, 1, 0.0);
         assert_eq!(p.shape(), Shape4::new(1, 4, 4, 1));
         assert_eq!(p.at(0, 0, 0, 0), 0.0);
         assert_eq!(p.at(0, 1, 1, 0), 1.0);
@@ -102,45 +60,6 @@ mod tests {
     fn pad_zero_is_identity() {
         let t =
             Tensor::<f32>::from_fn(Shape4::new(2, 3, 3, 4), |n, h, w, c| (n + h + w + c) as f32);
-        assert_eq!(pad_f32(&t, 0, 0), t);
-    }
-
-    #[test]
-    fn pad_bits_border_is_minus_one() {
-        let mut t = BitTensor::<u8>::zeros(Shape4::new(1, 2, 2, 5));
-        t.set_bit(0, 0, 0, 3, true);
-        t.set_bit(0, 1, 1, 4, true);
-        let p = pad_bits(&t, 1, 2);
-        assert_eq!(p.shape(), Shape4::new(1, 4, 6, 5));
-        // Interior moved by (1, 2).
-        assert!(p.get_bit(0, 1, 2, 3));
-        assert!(p.get_bit(0, 2, 3, 4));
-        // Border all zero bits.
-        for c in 0..5 {
-            assert!(!p.get_bit(0, 0, 0, c));
-            assert!(!p.get_bit(0, 3, 5, c));
-        }
-        assert!(p.tail_is_clean());
-    }
-
-    #[test]
-    fn pad_bits_matches_pad_then_pack() {
-        use crate::pack::pack_f32;
-        let t = Tensor::<f32>::from_fn(Shape4::new(1, 3, 3, 9), |_, h, w, c| {
-            ((h * 13 + w * 5 + c) % 7) as f32 - 3.0
-        });
-        let packed_then_padded = pad_bits(&pack_f32::<u8>(&t), 2, 1);
-        // Padding floats with -1 then packing must agree with padding packed
-        // bits with zero-words.
-        let padded_then_packed = pack_f32::<u8>(&pad_f32_with(&t, 2, 1, -1.0));
-        assert_eq!(packed_then_padded, padded_then_packed);
-    }
-
-    #[test]
-    fn pad_u8_zeros() {
-        let t = Tensor::<u8>::from_fn(Shape4::new(1, 1, 1, 2), |_, _, _, c| (c + 10) as u8);
-        let p = pad_u8(&t, 1, 1);
-        assert_eq!(p.at(0, 1, 1, 0), 10);
-        assert_eq!(p.at(0, 0, 1, 0), 0);
+        assert_eq!(pad_f32_with(&t, 0, 0, 0.0), t);
     }
 }

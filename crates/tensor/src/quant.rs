@@ -1,11 +1,9 @@
-//! Affine int8 quantization, as used by the TFLite-like baseline's
-//! "CPU Quant" executor (the paper's Table III column "Quant").
+//! Affine int8 quantization of weight slices, as the TFLite-like baseline's
+//! "CPU Quant" executor applies it (the paper's Table III column "Quant").
 //!
-//! Real values map to int8 through `real = scale * (q - zero_point)`.
-//! Scales are computed per-tensor from observed min/max, the standard
+//! Real values map to int8 through `real = scale * (q - zero_point)`, with
+//! per-slice parameters from the observed min/max — the standard
 //! post-training quantization scheme TFLite supports on CPUs.
-
-use crate::tensor::Tensor;
 
 /// Quantization parameters for one tensor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,7 +23,7 @@ impl QuantParams {
     /// # Panics
     ///
     /// Panics if `min > max` or either bound is non-finite.
-    pub fn from_range(min: f32, max: f32) -> Self {
+    fn from_range(min: f32, max: f32) -> Self {
         assert!(
             min.is_finite() && max.is_finite() && min <= max,
             "invalid range [{min}, {max}]"
@@ -38,34 +36,9 @@ impl QuantParams {
         Self { scale, zero_point }
     }
 
-    /// Derives parameters from the values of a tensor.
-    pub fn observe(t: &Tensor<f32>) -> Self {
-        let mut lo = f32::INFINITY;
-        let mut hi = f32::NEG_INFINITY;
-        for &v in t.as_slice() {
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        if !lo.is_finite() {
-            // Empty tensor: any params will do.
-            return Self::from_range(0.0, 1.0);
-        }
-        Self::from_range(lo, hi)
-    }
-
-    /// Derives parameters from a raw slice (e.g. filter weights).
-    pub fn observe_slice(v: &[f32]) -> Self {
-        let lo = v.iter().copied().fold(f32::INFINITY, f32::min);
-        let hi = v.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        if !lo.is_finite() {
-            return Self::from_range(0.0, 1.0);
-        }
-        Self::from_range(lo, hi)
-    }
-
     /// Quantizes one real value.
     #[inline]
-    pub fn quantize(&self, v: f32) -> i8 {
+    fn quantize(&self, v: f32) -> i8 {
         ((v / self.scale).round() as i32 + self.zero_point).clamp(-128, 127) as i8
     }
 
@@ -76,88 +49,34 @@ impl QuantParams {
     }
 }
 
-/// An int8 tensor together with its quantization parameters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantTensor {
-    /// Quantized payload.
-    pub values: Tensor<i8>,
-    /// Mapping back to real values.
-    pub params: QuantParams,
-}
-
-impl QuantTensor {
-    /// Quantizes a float tensor with per-tensor parameters observed from it.
-    pub fn quantize(t: &Tensor<f32>) -> Self {
-        let params = QuantParams::observe(t);
-        Self::quantize_with(t, params)
-    }
-
-    /// Quantizes with externally supplied parameters.
-    pub fn quantize_with(t: &Tensor<f32>, params: QuantParams) -> Self {
-        let data: Vec<i8> = t.as_slice().iter().map(|&v| params.quantize(v)).collect();
-        Self {
-            values: Tensor::from_vec(t.shape(), t.layout(), data),
-            params,
-        }
-    }
-
-    /// Dequantizes back to floats.
-    pub fn dequantize(&self) -> Tensor<f32> {
-        let data: Vec<f32> = self
-            .values
-            .as_slice()
-            .iter()
-            .map(|&q| self.params.dequantize(q))
-            .collect();
-        Tensor::from_vec(self.values.shape(), self.values.layout(), data)
-    }
-
-    /// Worst-case absolute rounding error of this quantization.
-    pub fn max_error_bound(&self) -> f32 {
-        self.params.scale * 0.5
-    }
-}
-
-/// Integer dot product of two quantized spans with zero-point correction:
-///
-/// `real_dot ≈ sa * sb * Σ (qa - za)(qb - zb)`
-///
-/// Returns the integer accumulator; callers apply the combined scale.
-#[inline]
-pub fn dot_i8(a: &[i8], za: i32, b: &[i8], zb: i32) -> i32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = 0i32;
-    for (&x, &y) in a.iter().zip(b.iter()) {
-        acc += (x as i32 - za) * (y as i32 - zb);
-    }
-    acc
-}
-
-/// Quantizes a raw weight slice with its own observed parameters.
+/// Quantizes a raw weight slice with its own observed parameters (any
+/// parameters for an empty slice).
 pub fn quantize_slice(v: &[f32]) -> (Vec<i8>, QuantParams) {
-    let params = QuantParams::observe_slice(v);
+    let lo = v.iter().copied().fold(f32::INFINITY, f32::min);
+    let hi = v.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let params = if lo.is_finite() {
+        QuantParams::from_range(lo, hi)
+    } else {
+        QuantParams::from_range(0.0, 1.0)
+    };
     (v.iter().map(|&x| params.quantize(x)).collect(), params)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shape::Shape4;
 
     #[test]
     fn round_trip_error_within_half_scale() {
-        let t = Tensor::from_fn(Shape4::new(1, 4, 4, 3), |_, h, w, c| {
-            ((h * 29 + w * 13 + c * 7) % 41) as f32 / 10.0 - 2.0
-        });
-        let q = QuantTensor::quantize(&t);
-        let back = q.dequantize();
-        let bound = q.max_error_bound() * 1.0001; // float rounding headroom
-        assert!(
-            t.max_abs_diff(&back) <= bound,
-            "{} > {}",
-            t.max_abs_diff(&back),
-            bound
-        );
+        let v: Vec<f32> = (0..48)
+            .map(|i| ((i * 29 + (i / 3) * 13 + i % 3 * 7) % 41) as f32 / 10.0 - 2.0)
+            .collect();
+        let (q, params) = quantize_slice(&v);
+        let bound = params.scale * 0.5 * 1.0001; // float rounding headroom
+        for (&orig, &qi) in v.iter().zip(&q) {
+            let back = params.dequantize(qi);
+            assert!((orig - back).abs() <= bound, "{orig} -> {back} > {bound}");
+        }
     }
 
     #[test]
@@ -183,27 +102,9 @@ mod tests {
     }
 
     #[test]
-    fn dot_i8_matches_dequantized_dot() {
-        let a_real = [0.5f32, -1.25, 2.0, 0.0, 3.5];
-        let b_real = [1.0f32, 1.0, -2.0, 4.0, 0.25];
-        let (aq, ap) = quantize_slice(&a_real);
-        let (bq, bp) = quantize_slice(&b_real);
-        let acc = dot_i8(&aq, ap.zero_point, &bq, bp.zero_point);
-        let approx = ap.scale * bp.scale * acc as f32;
-        let exact: f32 = a_real.iter().zip(&b_real).map(|(x, y)| x * y).sum();
-        // Error bounded by the per-element quantization steps.
-        assert!(
-            (approx - exact).abs() < 0.2,
-            "approx {approx} vs exact {exact}"
-        );
-    }
-
-    #[test]
     fn degenerate_constant_tensor() {
-        let t = Tensor::from_fn(Shape4::new(1, 1, 1, 4), |_, _, _, _| 0.0);
-        let q = QuantTensor::quantize(&t);
-        let back = q.dequantize();
-        assert_eq!(t.max_abs_diff(&back), 0.0);
+        let (q, params) = quantize_slice(&[0.0; 4]);
+        assert!(q.iter().all(|&qi| params.dequantize(qi) == 0.0));
     }
 
     #[test]

@@ -63,11 +63,6 @@ impl Shape4 {
         Self { n, h, w, c }
     }
 
-    /// Shape of a single feature map (batch 1).
-    pub fn hwc(h: usize, w: usize, c: usize) -> Self {
-        Self { n: 1, h, w, c }
-    }
-
     /// Total number of elements.
     pub fn len(&self) -> usize {
         self.n * self.h * self.w * self.c
@@ -97,15 +92,6 @@ impl Shape4 {
         match layout {
             Layout::Nhwc => ((n * self.h + h) * self.w + w) * self.c + c,
             Layout::Nchw => ((n * self.c + c) * self.h + h) * self.w + w,
-        }
-    }
-
-    /// Strides (in elements) for each logical dimension `(n, h, w, c)` under
-    /// `layout`.
-    pub fn strides(&self, layout: Layout) -> [usize; 4] {
-        match layout {
-            Layout::Nhwc => [self.h * self.w * self.c, self.w * self.c, self.c, 1],
-            Layout::Nchw => [self.c * self.h * self.w, self.w, 1, self.h * self.w],
         }
     }
 }
@@ -290,9 +276,16 @@ mod tests {
 
     #[test]
     fn strides_match_index() {
+        // Strides (in elements) of each logical dimension `(n, h, w, c)`.
+        fn strides(s: Shape4, layout: Layout) -> [usize; 4] {
+            match layout {
+                Layout::Nhwc => [s.h * s.w * s.c, s.w * s.c, s.c, 1],
+                Layout::Nchw => [s.c * s.h * s.w, s.w, 1, s.h * s.w],
+            }
+        }
         let s = Shape4::new(2, 3, 4, 5);
         for layout in [Layout::Nhwc, Layout::Nchw] {
-            let st = s.strides(layout);
+            let st = strides(s, layout);
             for (n, h, w, c) in [(0, 0, 0, 0), (1, 2, 3, 4), (1, 0, 2, 1)] {
                 let via_strides = n * st[0] + h * st[1] + w * st[2] + c * st[3];
                 assert_eq!(via_strides, s.index(layout, n, h, w, c));

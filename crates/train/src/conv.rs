@@ -40,7 +40,7 @@ impl Conv2dShape {
     }
 
     /// Flattened input feature count.
-    pub fn in_features(&self) -> usize {
+    fn in_features(&self) -> usize {
         self.h * self.w * self.c_in
     }
 
@@ -90,7 +90,7 @@ impl Conv2d {
     }
 
     /// Effective (possibly binarized) weights.
-    pub fn effective_weights(&self) -> Matrix {
+    fn effective_weights(&self) -> Matrix {
         if self.binary {
             self.w.clone().map(|v| if v >= 0.0 { 1.0 } else { -1.0 })
         } else {

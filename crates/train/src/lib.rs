@@ -21,5 +21,5 @@ pub mod trainer;
 
 pub use data::{cluster_dataset, Dataset};
 pub use trainer::{
-    accuracy_gap_experiment, train, train_convnet, ConvNet, Mlp, TrainConfig, TrainOutcome,
+    accuracy_gap_experiment, train, train_convnet, ConvNet, TrainConfig, TrainOutcome,
 };

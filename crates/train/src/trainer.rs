@@ -44,15 +44,14 @@ impl Default for TrainConfig {
 
 /// A multilayer perceptron in the paper's layer pattern.
 #[derive(Debug)]
-pub struct Mlp {
+struct Mlp {
     hidden: Vec<(Dense, BatchNorm1d, HiddenAct)>,
     head: Dense,
-    binary: bool,
 }
 
 impl Mlp {
     /// Builds the network for a dataset's dimensions.
-    pub fn new(input_dim: usize, classes: usize, cfg: &TrainConfig) -> Self {
+    fn new(input_dim: usize, classes: usize, cfg: &TrainConfig) -> Self {
         let mut hidden = Vec::new();
         let mut prev = input_dim;
         for (i, &width) in cfg.hidden.iter().enumerate() {
@@ -68,20 +67,11 @@ impl Mlp {
         }
         // Full-precision classifier head, like the deployed models.
         let head = Dense::new(prev, classes, false, cfg.seed.wrapping_add(999));
-        Self {
-            hidden,
-            head,
-            binary: cfg.binary,
-        }
-    }
-
-    /// Whether hidden layers are binarized.
-    pub fn is_binary(&self) -> bool {
-        self.binary
+        Self { hidden, head }
     }
 
     /// Forward in training mode; returns logits.
-    pub fn forward_train(&mut self, x: &Matrix) -> Matrix {
+    fn forward_train(&mut self, x: &Matrix) -> Matrix {
         let mut cur = x.clone();
         for (dense, bn, act) in &mut self.hidden {
             cur = dense.forward(&cur);
@@ -92,7 +82,7 @@ impl Mlp {
     }
 
     /// Forward in inference mode (running batch-norm statistics).
-    pub fn forward_eval(&self, x: &Matrix) -> Matrix {
+    fn forward_eval(&self, x: &Matrix) -> Matrix {
         let mut cur = x.clone();
         for (dense, bn, act) in &self.hidden {
             let wb = dense.effective_weights();
@@ -108,7 +98,7 @@ impl Mlp {
     }
 
     /// Backward from a logits gradient; accumulates all parameter grads.
-    pub fn backward(&mut self, grad_logits: &Matrix) {
+    fn backward(&mut self, grad_logits: &Matrix) {
         let mut grad = self.head.backward(grad_logits);
         for (dense, bn, act) in self.hidden.iter_mut().rev() {
             grad = act.backward(&grad);
@@ -118,7 +108,7 @@ impl Mlp {
     }
 
     /// Applies one optimizer step everywhere.
-    pub fn update(&mut self, lr: f32, momentum: f32) {
+    fn update(&mut self, lr: f32, momentum: f32) {
         self.head.update(lr, momentum);
         for (dense, bn, _) in &mut self.hidden {
             dense.update(lr, momentum);
@@ -127,7 +117,7 @@ impl Mlp {
     }
 
     /// Classification accuracy on a dataset.
-    pub fn accuracy(&self, data: &Dataset) -> f32 {
+    fn accuracy(&self, data: &Dataset) -> f32 {
         if data.is_empty() {
             return 0.0;
         }
@@ -235,7 +225,7 @@ pub struct ConvNet {
 
 impl ConvNet {
     /// Builds the network for `h x w x c` images and `classes` outputs.
-    pub fn new(h: usize, w: usize, c: usize, classes: usize, binary: bool, seed: u64) -> Self {
+    fn new(h: usize, w: usize, c: usize, classes: usize, binary: bool, seed: u64) -> Self {
         use crate::conv::{Conv2d, Conv2dShape};
         let s1 = Conv2dShape {
             h,
@@ -303,7 +293,7 @@ impl ConvNet {
     }
 
     /// Inference-mode accuracy over a dataset of flattened images.
-    pub fn accuracy(&mut self, data: &Dataset) -> f32 {
+    fn accuracy(&mut self, data: &Dataset) -> f32 {
         // Eval uses batch statistics over the whole evaluation set, which is
         // deterministic; running-stat eval for convs is omitted for brevity.
         let x = Matrix::from_fn(data.len(), data.dim(), |r, c| data.x[r][c]);
@@ -430,7 +420,6 @@ mod tests {
         for (dense, _, _) in &net.hidden {
             assert!(dense.w.as_slice().iter().all(|w| (-1.0..=1.0).contains(w)));
         }
-        assert!(net.is_binary());
     }
 
     #[test]

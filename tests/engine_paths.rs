@@ -9,9 +9,14 @@ use phonebit::gpusim::Phone;
 use phonebit::models::zoo::{self, Variant};
 use phonebit::models::{fill_weights, fill_weights_clustered, synthetic_image, to_float_input};
 use phonebit::nn::act::Activation;
-use phonebit::nn::graph::{LayerPrecision, NetworkArch};
+use phonebit::nn::fuse::FusedBn;
+use phonebit::nn::graph::{LayerPrecision, LayerWeights, NetworkArch};
+use phonebit::nn::kernels::bconv::DirectBank;
 use phonebit::nn::kernels::isa::IsaTier;
-use phonebit::tensor::shape::Shape4;
+use phonebit::nn::kernels::taps::TapBank;
+use phonebit::nn::kernels::tiled::FusedLanes;
+use phonebit::tensor::pack::pack_filters;
+use phonebit::tensor::shape::{ConvGeometry, Shape4};
 
 /// A micro net whose middle layer exceeds the 256-channel integration
 /// limit, forcing the engine through bconv_accum + binarize_pack.
@@ -266,4 +271,40 @@ fn only_repeating_filters_stage_a_shared_bank() {
     let clustered = fill_weights_clustered(&zoo::yolo_micro(Variant::Binary), 2020, 4);
     let avx512 = IsaTier::detected() == IsaTier::Avx512Vpopcntdq;
     assert_eq!(shared(clustered) > 0, avx512);
+}
+
+/// A thin 3×3 layer whose filters repeat keeps its tap bank up to 64
+/// filters, where taps outran the shared lanes; from 128 filters on it
+/// stages the shared lanes.
+#[test]
+fn thin_repeating_filters_keep_taps_up_to_64_filters() {
+    let geom = ConvGeometry::square(3, 1, 1);
+    let avx512 = IsaTier::detected() == IsaTier::Avx512Vpopcntdq;
+    for k in [32, 64, 128, 256] {
+        let arch = NetworkArch::new("thin", Shape4::new(1, 16, 16, 16)).conv(
+            "conv",
+            k,
+            3,
+            1,
+            1,
+            LayerPrecision::Binary,
+            Activation::Linear,
+        );
+        let def = fill_weights_clustered(&arch, 2020, 16);
+        let LayerWeights::Conv(w) = &def.weights[0] else {
+            unreachable!("one conv layer")
+        };
+        let fused = FusedBn::precompute(w.bn.as_ref().expect("binary conv has BN"), &w.bias);
+        let filters = pack_filters::<u64>(&w.filters);
+        let shared = FusedLanes::new(&filters, &fused)
+            .distinct_filters()
+            .is_some();
+        assert_eq!(shared, avx512, "K = {k}: 16 prototypes share on AVX-512");
+        let fits = TapBank::fits(filters.shape(), &geom);
+        let taps = matches!(
+            DirectBank::new(&filters, &fused, Some(&geom)),
+            DirectBank::Taps(_)
+        );
+        assert_eq!(taps, fits && (k <= 64 || !shared), "K = {k}");
+    }
 }

@@ -51,6 +51,11 @@ unsafe impl GlobalAlloc for Counting {
 static COUNTER: Counting = Counting;
 
 fn arch(hw: usize) -> NetworkArch {
+    arch_with(hw, 64)
+}
+
+/// [`arch`] with `conv2_filters` filters in the thin 3×3 `conv2`.
+fn arch_with(hw: usize, conv2_filters: usize) -> NetworkArch {
     NetworkArch::new(format!("steady{hw}"), Shape4::new(1, hw, hw, 3))
         .conv(
             "conv1",
@@ -64,7 +69,7 @@ fn arch(hw: usize) -> NetworkArch {
         .maxpool("pool1", 2, 2)
         .conv(
             "conv2",
-            64,
+            conv2_filters,
             3,
             1,
             1,
@@ -160,12 +165,13 @@ fn steady_run_allocations(hw: usize) -> usize {
 }
 
 /// A steady-state run when `CompressionMode::Auto` stages conv2's bank
-/// through its dictionary and, its filters repeating, shared where the CPU
-/// permutes words (each distinct filter multiplied once): the per-pixel
-/// `u16` counts live on the row task's stack, so the run allocates per row,
-/// never per pixel tile.
+/// through its dictionary and, its 128 filters repeating, shared where the
+/// CPU permutes words (each distinct filter multiplied once; a thin layer
+/// of at most 64 filters keeps its taps): the per-pixel `u16` counts live
+/// on the row task's stack, so the run allocates per row, never per pixel
+/// tile.
 fn steady_compressed_run_bytes(hw: usize) -> (usize, usize) {
-    let def = fill_weights_clustered(&arch(hw), 9, 4);
+    let def = fill_weights_clustered(&arch_with(hw, 128), 9, 4);
     let overrides = RouteOverrides {
         compression: CompressionMode::Auto,
         ..Default::default()
