@@ -297,6 +297,14 @@ fn fault_key(tenant: usize, index: usize, attempt: usize) -> u64 {
 /// all-infinite deadlines reduces to fault-free work stealing, and one
 /// tenant's uniform closed-loop windows to round-robin placement.
 ///
+/// # Cost
+///
+/// Amortized O(W + attempts) window visits for W windows, each dispatch
+/// also scanning the streams, tenants and backoff windows, when every
+/// tenant's windows are in `ready_ms` and `deadline_ms` order. Out of
+/// order, a tenant is rescanned in full per dispatch, O(W²); no internal
+/// caller builds such windows (arrivals are validated sorted).
+///
 /// # Panics
 ///
 /// Panics when `streams == 0`, any load's `steady_ms <= 0`, or a window's
@@ -346,6 +354,22 @@ pub fn schedule_open_loop(
         .iter()
         .map(|t| t.windows.iter().any(|w| w.deadline_ms.is_finite()))
         .collect();
+    // Each scan below walks tenant `t`'s backoff windows `retry[t]`, then
+    // its windows from the cursor `fresh[t]`. In `ready_ms` order (every
+    // internal caller's), no window from `fresh[t]` on was ever attempted,
+    // and the first unresolved one is ready no later than those after it,
+    // so the scans stop there. Out of order, `retry[t]` stays empty and
+    // `fresh[t]` only skips the resolved prefix.
+    let in_order = |key: fn(&OpenLoopWindow) -> f64| -> Vec<bool> {
+        tenants
+            .iter()
+            .map(|t| t.windows.is_sorted_by_key(key))
+            .collect()
+    };
+    let by_ready = in_order(|w| w.ready_ms);
+    let by_deadline = in_order(|w| w.deadline_ms);
+    let mut fresh = vec![0usize; tenants.len()];
+    let mut retry = vec![Vec::<usize>::new(); tenants.len()];
     let mut free = vec![0.0f64; streams];
     let mut primed = vec![vec![false; tenants.len()]; streams];
     let mut attempts = Vec::new();
@@ -364,43 +388,58 @@ pub fn schedule_open_loop(
         // Shed pass: drop hopeless windows (finite deadlines only). The
         // check is optimistic — primed service at the current derate from
         // the earliest possible start — so only truly unservable windows
-        // are shed and shedding stays bounded.
+        // are shed and shedding stays bounded. A pass at `now = 0` tests
+        // every window; after it, one not ready tests as it did then (at its
+        // own ready time) and the ready fresh ones share `start = now`, so
+        // with deadlines in order too the walk stops at the first kept.
         for (t, load) in tenants.iter().enumerate() {
             if !sheddable[t] {
                 continue;
             }
-            for (i, slot) in pending[t].iter_mut().enumerate() {
-                let Some(p) = slot else { continue };
+            let walk = now > 0.0 && by_ready[t] && by_deadline[t];
+            for i in retry[t].iter().copied().chain(fresh[t]..pending[t].len()) {
+                let Some(p) = pending[t][i] else { continue };
                 let deadline = load.windows[i].deadline_ms;
-                if !deadline.is_finite() {
-                    continue;
-                }
                 let start = now.max(p.ready_ms);
-                if start + load.steady_ms * slowdown_at(start) > deadline {
+                if deadline.is_finite() && start + load.steady_ms * slowdown_at(start) > deadline {
                     fates[t][i] = Some(WindowFate::Shed {
                         at_ms: start,
                         attempts: p.attempt - 1,
                         reason: ShedReason::DeadlinePast,
                     });
-                    *slot = None;
+                    pending[t][i] = None;
                     unresolved -= 1;
+                } else if walk && p.attempt == 1 {
+                    break;
                 }
             }
+            retry[t].retain(|&i| pending[t][i].is_some());
         }
         if unresolved == 0 {
             break;
         }
 
-        // Eligible = per tenant, the earliest pending window that is
-        // ready at `now`. Pull the least-slack one.
+        // Eligible = per tenant, the earliest pending window ready at
+        // `now`; pull the least-slack one. The scan finds the next ready time.
         let mut best: Option<(usize, usize, f64, f64, f64)> = None; // (t, i, slack, deadline, dur)
+        let mut next_ready = f64::INFINITY;
         for (t, load) in tenants.iter().enumerate() {
-            let Some(i) = pending[t]
-                .iter()
-                .position(|s| s.is_some_and(|p| p.ready_ms <= now))
-            else {
-                continue;
-            };
+            while pending[t].get(fresh[t]).is_some_and(Option::is_none) {
+                fresh[t] += 1;
+            }
+            let mut eligible = None;
+            for i in retry[t].iter().copied().chain(fresh[t]..pending[t].len()) {
+                let Some(p) = pending[t][i] else { continue };
+                if p.ready_ms <= now {
+                    eligible = Some(i);
+                    break;
+                }
+                next_ready = next_ready.min(p.ready_ms);
+                if by_ready[t] && p.attempt == 1 {
+                    break;
+                }
+            }
+            let Some(i) = eligible else { continue };
             let base = if primed[stream][t] {
                 load.steady_ms
             } else {
@@ -423,12 +462,6 @@ pub fn schedule_open_loop(
         let Some((t, i, _, _, dur)) = best else {
             // Nothing ready: idle this stream forward to the next ready
             // time (strictly later than `now`, so the loop advances).
-            let next_ready = pending
-                .iter()
-                .flatten()
-                .flatten()
-                .map(|p| p.ready_ms)
-                .fold(f64::INFINITY, f64::min);
             assert!(next_ready.is_finite(), "window ready times must be finite");
             debug_assert!(next_ready > now, "a ready window would have matched");
             free[stream] = next_ready;
@@ -479,6 +512,12 @@ pub fn schedule_open_loop(
                 attempt: p.attempt + 1,
             });
         }
+        // In order, a fresh window leaves the cursor, into backoff if faulted.
+        if by_ready[t] && p.attempt == 1 {
+            fresh[t] = i + 1;
+            retry[t].extend(pending[t][i].map(|_| i));
+        }
+        retry[t].retain(|&j| pending[t][j].is_some());
     }
 
     let wall_ms = attempts

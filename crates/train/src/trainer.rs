@@ -143,8 +143,6 @@ impl Mlp {
 /// Result of one training run.
 #[derive(Debug, Clone)]
 pub struct TrainOutcome {
-    /// Final training-set accuracy.
-    pub train_acc: f32,
     /// Final held-out accuracy.
     pub test_acc: f32,
     /// Mean loss per epoch.
@@ -181,7 +179,6 @@ pub fn train(train_set: &Dataset, test_set: &Dataset, cfg: &TrainConfig) -> Trai
         loss_history.push(epoch_loss / batches.max(1) as f32);
     }
     TrainOutcome {
-        train_acc: net.accuracy(train_set),
         test_acc: net.accuracy(test_set),
         loss_history,
     }

@@ -2,7 +2,8 @@
 //! the pass is deterministic (same seed ⇒ identical shed/retry counters
 //! and schedule) and every **surviving** output is bit-exact with a
 //! fault-free run of the same requests; the scheduler never loses or
-//! duplicates a window under arbitrary fault plans (proptest); attaching
+//! duplicates a window under arbitrary fault plans (proptest) and equals
+//! the quadratic reference scheduler exactly (proptest); attaching
 //! and detaching tenants mid-run matches fresh staging bit-exactly; a
 //! light tenant's p95 stays bounded while a heavy neighbor retries; and
 //! the modeled schedule equals the executed one attempt-by-attempt even
@@ -19,7 +20,7 @@ use phonebit::core::serve::{
     TenantTraffic, TenantWorkload, WindowFate,
 };
 use phonebit::core::{convert, ArrivalProcess, EngineError, Session};
-use phonebit::gpusim::{FaultPlan, Phone, ThrottleEpoch};
+use phonebit::gpusim::{FaultBurst, FaultPlan, Phone, ThrottleEpoch};
 use phonebit::models::zoo::{self, Variant};
 use phonebit::models::{fill_weights, synthetic_image};
 use phonebit::nn::act::Activation;
@@ -27,6 +28,10 @@ use phonebit::nn::graph::{LayerPrecision, NetworkArch};
 use phonebit::tensor::shape::Shape4;
 use phonebit::tensor::Tensor;
 use proptest::prelude::*;
+
+#[path = "common/schedule_reference.rs"]
+mod schedule_reference;
+use schedule_reference::reference_schedule_open_loop;
 
 fn yolo_model() -> phonebit::core::PbitModel {
     convert(&fill_weights(&zoo::yolo_micro(Variant::Binary), 11))
@@ -774,6 +779,136 @@ proptest! {
         // Deterministic in its inputs.
         let again = schedule_open_loop(&loads, streams, Some(&fault), &policy);
         prop_assert_eq!(s, again);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The cursor scheduler equals the quadratic reference exactly (proptest)
+// ---------------------------------------------------------------------------
+
+/// One tenant's windows in a shape the scheduler meets, drawn from `z`:
+/// - `0`: `open_loop_windows` over sorted arrivals in batches of 1–3, with
+///   or without an SLO (ready and deadline both in order);
+/// - `1`: one window per arrival, its deadline the arrival plus random
+///   slack, as in `synthetic_loads` (ready in order, deadlines not);
+/// - `2`: shape `0` with its windows shuffled (ready out of order);
+/// - `3`: a closed-loop queue, every window ready at 0.
+///
+/// Arrival gaps straddle the service time, ties included, so windows
+/// queue, shed and retry.
+fn shaped_load(z: &mut u64, shape: u64) -> OpenLoopLoad {
+    let steady_ms = 1.0 + (mix64(z) % 900) as f64 / 100.0;
+    let cold_ms = steady_ms * (1.0 + (mix64(z) % 150) as f64 / 100.0);
+    let slo_ms =
+        (!mix64(z).is_multiple_of(3)).then(|| steady_ms * (1.0 + (mix64(z) % 500) as f64 / 100.0));
+    let batch = 1 + (mix64(z) % 3) as usize;
+    let count = 1 + (mix64(z) % 30) as usize;
+    let mut t = 0.0f64;
+    let arrivals: Vec<f64> = (0..count * batch)
+        .map(|_| {
+            if !mix64(z).is_multiple_of(4) {
+                t += steady_ms * (mix64(z) % 200) as f64 / 100.0 / batch as f64;
+            }
+            t
+        })
+        .collect();
+    let mut windows: Vec<OpenLoopWindow> = match shape {
+        1 => arrivals
+            .iter()
+            .map(|&ready_ms| {
+                let deadline_ms = ready_ms + steady_ms * (mix64(z) % 600) as f64 / 100.0;
+                OpenLoopWindow {
+                    ready_ms,
+                    deadline_ms,
+                    pace_ms: deadline_ms,
+                }
+            })
+            .collect(),
+        3 => (0..count)
+            .map(|k| OpenLoopWindow {
+                ready_ms: 0.0,
+                deadline_ms: f64::INFINITY,
+                pace_ms: (k + 1) as f64 * slo_ms.unwrap_or(steady_ms),
+            })
+            .collect(),
+        _ => arrivals
+            .chunks(batch)
+            .map(|w| {
+                let ready_ms = w[w.len() - 1];
+                let deadline_ms = slo_ms.map_or(f64::INFINITY, |slo| w[0] + slo);
+                OpenLoopWindow {
+                    ready_ms,
+                    deadline_ms,
+                    pace_ms: if slo_ms.is_some() {
+                        deadline_ms
+                    } else {
+                        ready_ms + steady_ms
+                    },
+                }
+            })
+            .collect(),
+    };
+    if shape == 2 {
+        for i in (1..windows.len()).rev() {
+            windows.swap(i, (mix64(z) % (i as u64 + 1)) as usize);
+        }
+    }
+    OpenLoopLoad {
+        windows,
+        cold_ms,
+        steady_ms,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn cursor_scheduler_equals_the_quadratic_reference(
+        seed in any::<u64>(),
+        tenants in 1usize..5,
+        streams in 1usize..4,
+        max_retries in 0usize..4,
+        rate_pct in 0usize..50,
+        throttles in 0usize..3,
+        bursts in 0usize..2,
+        faulty in any::<bool>(),
+    ) {
+        let mut z = seed;
+        let loads: Vec<OpenLoopLoad> = (0..tenants)
+            .map(|_| {
+                let shape = mix64(&mut z) % 4;
+                shaped_load(&mut z, shape)
+            })
+            .collect();
+        let horizon = loads
+            .iter()
+            .flat_map(|l| l.windows.iter().map(|w| w.ready_ms + 4.0 * l.steady_ms))
+            .fold(1.0, f64::max);
+        let at = |z: &mut u64| horizon * (mix64(z) % 1000) as f64 / 1000.0;
+        let mut fault = FaultPlan::new(seed ^ 0x5EED).with_failure_rate(rate_pct as f64 / 100.0);
+        for _ in 0..throttles {
+            let (a, b) = (at(&mut z), at(&mut z));
+            fault = fault.with_throttle(ThrottleEpoch {
+                start_ms: a.min(b),
+                end_ms: a.max(b),
+                slowdown: 1.0 + (mix64(&mut z) % 300) as f64 / 100.0,
+            });
+        }
+        for _ in 0..bursts {
+            let (a, b) = (at(&mut z), at(&mut z));
+            fault = fault.with_burst(FaultBurst {
+                start_ms: a.min(b),
+                end_ms: a.max(b),
+                rate: (mix64(&mut z) % 60) as f64 / 100.0,
+            });
+        }
+        let fault = faulty.then_some(&fault);
+        let policy = RetryPolicy { max_retries };
+        prop_assert_eq!(
+            schedule_open_loop(&loads, streams, fault, &policy),
+            reference_schedule_open_loop(&loads, streams, fault, &policy)
+        );
     }
 }
 
