@@ -1090,14 +1090,20 @@ impl<'a> Argv<'a> {
             .collect()
     }
 
-    /// The first value `flag` was given, if any.
-    fn value(&self, flag: &str) -> Option<&'a str> {
-        self.values(flag).first().copied()
+    /// The value of `flag`, read as one value, if it was given: a flag
+    /// given twice is a usage error that names it, not a silent pick. Only
+    /// flags read through [`values`](Self::values) repeat.
+    fn value(&self, flag: &str) -> Result<Option<&'a str>, CliError> {
+        match self.values(flag)[..] {
+            [] => Ok(None),
+            [value] => Ok(Some(value)),
+            _ => usage(format!("{flag} given twice; it takes one value")),
+        }
     }
 
-    /// The first value of `flag`, parsed.
+    /// The value of `flag`, parsed.
     fn parsed<T: FromStr>(&self, flag: &str) -> Result<Option<T>, CliError> {
-        self.value(flag)
+        self.value(flag)?
             .map(|s| {
                 s.parse()
                     .map_err(|_| CliError::Usage(format!("bad {flag} `{s}`")))
@@ -1105,7 +1111,7 @@ impl<'a> Argv<'a> {
             .transpose()
     }
 
-    /// The first value of `flag` parsed, or `default` when it is not given.
+    /// The value of `flag` parsed, or `default` when it is not given.
     fn or<T: FromStr>(&self, flag: &str, default: T) -> Result<T, CliError> {
         Ok(self.parsed(flag)?.unwrap_or(default))
     }
@@ -1118,7 +1124,8 @@ impl<'a> Argv<'a> {
 
 /// Runs `pbit <command> [args]` and returns what it prints: `args` is the
 /// command line after the program name. Each command reads a fixed list of
-/// flags; any other `--flag` is a [`CliError::Usage`] that names it.
+/// flags; any other `--flag` is a [`CliError::Usage`] that names it, and so
+/// is a flag that takes one value given twice.
 pub fn dispatch(args: &[String]) -> Result<String, CliError> {
     let (cmd, rest) = match args.split_first() {
         Some((cmd, rest)) => (cmd.as_str(), rest),
@@ -1144,7 +1151,7 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
     };
     let a = Argv::parse(cmd, rest, known)?;
     let seed = a.or("--seed", 42)?;
-    let phone = a.value("--phone").unwrap_or("x9");
+    let phone = a.value("--phone")?.unwrap_or("x9");
     match (cmd, &a.pos[..]) {
         ("gen", [model, out]) => cmd_gen(model, Path::new(out), seed),
         ("gen", _) => usage("gen needs <model> <out.pbit>"),
@@ -1158,16 +1165,16 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
             model,
             a.or("--batch", 4)?,
             a.or("--streams", 2)?,
-            a.value("--pair"),
-            a.value("--compress").is_some(),
-            a.value("--paging").is_some(),
+            a.value("--pair")?,
+            a.value("--compress")?.is_some(),
+            a.value("--paging")?.is_some(),
             seed,
         ),
         ("plan", _) => usage("plan needs <model>"),
         ("serve", pos) => {
             // Resident-weight cap in MB on the command line, bytes below.
             let weight_budget = a
-                .value("--weight-budget")
+                .value("--weight-budget")?
                 .map(|s| {
                     s.parse::<f64>()
                         .ok()
@@ -1199,7 +1206,7 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
                 slos,
                 weight_budget,
                 arrivals: a.strings("--arrival"),
-                fault: a.value("--fault").map(String::from),
+                fault: a.value("--fault")?.map(String::from),
                 duration_ms: a.parsed("--duration")?,
                 seed,
             })
@@ -1207,7 +1214,7 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
         ("fleet", []) => cmd_fleet(
             &a.strings("--model"),
             a.or("--devices", 4)?,
-            a.value("--policy").unwrap_or("p2c"),
+            a.value("--policy")?.unwrap_or("p2c"),
             a.or("--zipf", 1.0)?,
             a.or("--rate", 200.0)?,
             a.or("--duration", 400.0)?,
@@ -1409,6 +1416,35 @@ mod tests {
         // Spelled right, the switch takes effect.
         let ledger = pbit(&["plan", "alexnet-micro", "--batch", "1", "--compress"]).unwrap();
         assert!(ledger.contains("dictionary ledger"), "{ledger}");
+    }
+
+    #[test]
+    fn scalar_flags_given_twice_are_usage_errors_that_name_them() {
+        for (args, flag) in [
+            (
+                &["plan", "alexnet", "--batch", "2", "--batch", "4"][..],
+                "--batch",
+            ),
+            (
+                &["serve", "m.pbit", "--requests", "4", "--requests", "8"][..],
+                "--requests",
+            ),
+            (
+                &["fleet", "--duration", "50", "--duration", "60"][..],
+                "--duration",
+            ),
+            // Repeatable for `serve` (one SLO per tenant), one value here.
+            (
+                &["fleet", "--slo-ms", "60", "--slo-ms", "20"][..],
+                "--slo-ms",
+            ),
+        ] {
+            let err = pbit(args).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Usage(m) if m.contains(&format!("{flag} given twice"))),
+                "{args:?}: {err}"
+            );
+        }
     }
 
     #[test]

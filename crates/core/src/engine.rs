@@ -45,26 +45,26 @@ use std::sync::Arc;
 use phonebit_gpusim::buffer::{Buffer, Context, SimError};
 use phonebit_gpusim::clock::DeviceClock;
 use phonebit_gpusim::queue::CommandQueue;
-use phonebit_gpusim::ExecutorClass;
 use phonebit_gpusim::Phone;
+use phonebit_gpusim::{ExecutorClass, KernelProfile};
+use phonebit_nn::act;
 use phonebit_nn::fuse::{FusedBn, PlaneCuts};
 use phonebit_nn::kernels::bconv::DirectBank;
 use phonebit_nn::kernels::bytedot::ByteBank;
 use phonebit_nn::kernels::fconv::{FloatBank, SignedBank};
 use phonebit_nn::kernels::tiled::FusedLanes;
-use phonebit_nn::kernels::{
-    self, bconv, bgemm, bitplane, bytedot, dense, fconv, fused, pool, profiles,
-};
-use phonebit_tensor::bits::BitTensor;
-use phonebit_tensor::dict::{FilterAccess, FilterDict};
+use phonebit_nn::kernels::{self, bconv, bgemm, bitplane, bytedot, dense, fconv, fused, pool};
+use phonebit_tensor::bits::{BitTensor, PackedFilters};
 use phonebit_tensor::lanes::LaneBank;
+use phonebit_tensor::pack::unpack_f32_into;
 use phonebit_tensor::shape::{ConvGeometry, FilterShape, Layout, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
 use crate::estimate::walk_plan;
 use crate::model::{PbitLayer, PbitModel};
 use crate::plan::{
-    ExecutionPlan, FusedKind, FusedMember, PlanDomainError, RouteOverrides, StepOp, ValueKind,
+    ExecutionPlan, FusedKind, FusedMember, PlanDomainError, PlanValue, RouteOverrides, StepOp,
+    ValueKind,
 };
 use crate::planner::{ConvPath, ConvPlan};
 use crate::stats::RunReport;
@@ -237,6 +237,17 @@ impl SlotStorage {
         }
     }
 
+    /// Resets the buffer hosting `value` to its shape, zeroed: how a body
+    /// receives its output, and the scratch it reads zeroed.
+    fn reset(&mut self, value: &PlanValue) {
+        match value.kind {
+            ValueKind::Bits => self.bits_mut().reset(value.shape),
+            ValueKind::Floats => self.floats_mut().reset(value.shape, Layout::Nhwc),
+            ValueKind::Accum32 => self.accum_mut().reset(value.shape, Layout::Nhwc),
+            ValueKind::Bytes | ValueKind::Planes8 => {}
+        }
+    }
+
     fn bits(&self) -> &BitTensor<u64> {
         self.bits.as_ref().expect("arena slot: bits staged")
     }
@@ -251,9 +262,6 @@ impl SlotStorage {
     }
     fn bytes_ref(&self) -> &Tensor<u8> {
         self.bytes.as_ref().expect("arena slot: bytes staged")
-    }
-    fn accum(&self) -> &Tensor<i32> {
-        self.accum.as_ref().expect("arena slot: accum staged")
     }
     fn accum_mut(&mut self) -> &mut Tensor<i32> {
         self.accum.as_mut().expect("arena slot: accum staged")
@@ -281,8 +289,8 @@ fn grow_bits(slot: &mut Option<BitTensor<u64>>, shape: Shape4) {
 }
 
 /// The staged-once, immutable half of an inference engine: the model, its
-/// lowered [`ExecutionPlan`], the pre-staged filter banks (interleaved,
-/// flattened and/or read through a dictionary per the plan), and the
+/// lowered [`ExecutionPlan`] and that plan's dispatch list, the pre-staged
+/// filter banks (interleaved and/or flattened per the plan), and the
 /// device booking for the packed weights. Everything here is read-only
 /// after staging, so any number of [`Stream`]s can share one `StagedModel`
 /// behind an [`Arc`] — the paper's stage-weights-once claim extended from
@@ -302,6 +310,10 @@ pub struct StagedModel {
     /// set when it streams. The kernels read the banks below, so nothing
     /// backs the booking.
     _weights: Buffer,
+    /// Each step's dispatch list ([`ExecutionPlan::step_profiles`]), staged
+    /// once: the walk launches exactly these, each over the body that runs
+    /// it, so what a step dispatches is defined once, by the plan.
+    profiles: Vec<Vec<KernelProfile>>,
     /// One entry per **layer** (keyed by `step.index` /
     /// `FusedMember::layer`, both of which survive the fusion pass); `Some`
     /// for every binary convolution and dense layer: its filters in the
@@ -309,9 +321,11 @@ pub struct StagedModel {
     /// bank (direct routes, fused chains; a thin direct layer's at its
     /// packing width where [`TapBank::fits`](phonebit_nn::kernels::taps::TapBank::fits))
     /// or the pre-flattened GEMM bank (a dense layer's weights are one),
-    /// through the dictionary when the plan compresses the layer, and only
-    /// the distinct filters where they repeat ([`FusedLanes::new`]); the
-    /// unfused route's every filter's lanes, without cuts.
+    /// staged from the raw rows, and only the distinct filters where they
+    /// repeat ([`FusedLanes::new`]); the unfused route's every filter's
+    /// lanes, without cuts. A compressed layer stages the same lanes: its
+    /// dictionary is the modeled device's format, and its DRAM saving rides
+    /// on the plan's profiles.
     banks: Vec<Option<StagedBank>>,
     /// The float convolutions' filters, sixteen per vector, per layer: as
     /// sign pairs where the plan feeds the layer packed bits.
@@ -383,7 +397,7 @@ impl StagedModel {
     /// Stages `model` on `plan`, its own lowering (admission hands over the
     /// plan it already lowered instead of having it lowered again). The
     /// plan comes first: its compression ledger decides how many bytes each
-    /// layer's bank actually stages, so the weights are booked at the
+    /// layer's bank takes on the device, so the weights are booked at the
     /// compressed per-layer sizes — `resident_bytes` then reports the
     /// dictionary-true footprint: [`ExecutionPlan::hot_weight_bytes`] in
     /// one booking, as a dry tenant books it.
@@ -393,9 +407,9 @@ impl StagedModel {
         plan: ExecutionPlan,
     ) -> Result<Arc<Self>, EngineError> {
         // Pre-stage filter banks so per-inference runs pay neither the
-        // cost model, the flatten, the interleave nor the dictionary build
-        // again. Routes come from the batched plan, so a layer that only
-        // wins the GEMM lowering at batch scale still gets its bank. Banks
+        // cost model, the flatten nor the interleave again. Routes come from
+        // the batched plan, so a layer that only wins the GEMM lowering at
+        // batch scale still gets its bank. Banks
         // are keyed by layer index (`step.index` / `FusedMember::layer`) so
         // the fused plan, which has fewer steps than layers, still resolves
         // the right bank — including direct-fused convs folded into chains.
@@ -471,9 +485,7 @@ impl StagedModel {
             let Some(path) = route_of[i] else {
                 continue;
             };
-            // The GEMM route multiplies flattened rows; a compressed layer
-            // interleaves through its dictionary, which leaves the lanes as
-            // they are and carries the modeled saving.
+            // The GEMM route multiplies flattened rows.
             let flat;
             let rows = match path {
                 ConvPath::LoweredGemm => {
@@ -482,13 +494,11 @@ impl StagedModel {
                 }
                 _ => filters,
             };
-            banks[i] = Some(if plan.compress_decision(i).is_some_and(|d| d.compressed) {
-                stage_bconv(&FilterDict::build(rows), fused, path, geom)
-            } else {
-                stage_bconv(rows, fused, path, geom)
-            });
+            banks[i] = Some(stage_bconv(rows, fused, path, geom));
         }
+        let profiles = (0..plan.steps.len()).map(|idx| plan.step_profiles(idx));
         Ok(Arc::new(Self {
+            profiles: profiles.collect(),
             model,
             plan,
             ctx,
@@ -1212,7 +1222,7 @@ fn check_layer(layer: &PbitLayer, s: Shape4) -> Result<(), String> {
 /// Stages a binary convolution's `filters` for the body `path` runs: the
 /// unfused route accumulates every filter's lanes, and its pack decides.
 fn stage_bconv(
-    filters: &impl FilterAccess<u64>,
+    filters: &PackedFilters<u64>,
     fused: &FusedBn,
     path: ConvPath,
     geom: &ConvGeometry,
@@ -1272,13 +1282,29 @@ impl StagedModel {
     }
 }
 
+/// A step's staged dispatch list, launched in order: each
+/// [`run`](Self::run) pairs the next profile with the body that computes
+/// it — an empty body where the host has nothing to do.
+struct Launches<'a> {
+    q: &'a mut CommandQueue,
+    list: std::slice::Iter<'a, KernelProfile>,
+}
+
+impl Launches<'_> {
+    fn run(&mut self, body: impl FnOnce()) {
+        let profile = self.list.next().expect("a staged profile per body");
+        self.q.launch(profile.clone(), body);
+    }
+}
+
 /// Executes one plan step: takes the step's writable slots out of the
-/// arena, runs the layer's kernels writing into them, and puts them back.
-/// All slot indices are pairwise distinct by the liveness assignment, so
-/// the takes never collide with the (shared) input slot. Steps carry
-/// their original layer index (`step.index`), so fused plans — which have
-/// fewer steps than layers — still resolve the right weights. Given a
-/// `window` (step 0, packed in place) the sign-pack reads it, not the slot.
+/// arena, launches the step's staged profiles over the layer's kernel
+/// bodies writing into them, and puts them back. All slot indices are
+/// pairwise distinct by the liveness assignment, so the takes never collide
+/// with the (shared) input slot. Steps carry their original layer index
+/// (`step.index`), so fused plans — which have fewer steps than layers —
+/// still resolve the right weights. Given a `window` (step 0, packed in
+/// place) the sign-pack reads it, not the slot.
 fn exec_step(
     q: &mut CommandQueue,
     staged: &StagedModel,
@@ -1290,86 +1316,105 @@ fn exec_step(
     let step = &plan.steps[idx];
     let slot_of = |v: usize| plan.values[v].slot;
     let out_slot = slot_of(step.output);
-    let mut out_store = std::mem::take(&mut arena[out_slot]);
-    let mut cvt_store = step.convert.map(|v| {
-        let s = slot_of(v);
-        (s, std::mem::take(&mut arena[s]))
-    });
-    let mut scr_store = step.scratch.map(|v| {
-        let s = slot_of(v);
-        (s, std::mem::take(&mut arena[s]))
-    });
+    let mut out = std::mem::take(&mut arena[out_slot]);
+    let mut cvt = step
+        .convert
+        .map(|v| (v, std::mem::take(&mut arena[slot_of(v)])));
+    let mut scr = step
+        .scratch
+        .map(|v| (v, std::mem::take(&mut arena[slot_of(v)])));
     let in_store = &arena[slot_of(step.input)];
     // What a sign-pack reads: the caller's images, or the slot as a window.
     let floats_in = window.or_else(|| in_store.floats.as_ref().map(std::slice::from_ref));
+    // Every body writes its output from zeros at the planned shape.
+    out.reset(&plan.values[step.output]);
+    let mut l = Launches {
+        q,
+        list: staged.profiles[idx].iter(),
+    };
 
     if let StepOp::FusedGroup { kind, members } = &step.op {
+        // A fused group's scratch is its ring or mid-row tile, read zeroed.
+        let scr = scr.as_mut().map(|(v, store)| {
+            store.reset(&plan.values[*v]);
+            store
+        });
+        let cvt = cvt.as_mut().map(|(_, store)| store);
         exec_fused_group(
-            q,
-            staged,
-            *kind,
-            members,
-            in_store,
-            floats_in,
-            cvt_store.as_mut().map(|(_, s)| s),
-            scr_store.as_mut().map(|(_, s)| s),
-            &mut out_store,
+            &mut l, staged, *kind, members, in_store, floats_in, cvt, scr, &mut out,
         );
     } else {
         // The edge conversion, once for every op: a conversion value is of
         // the kind its op consumes, which says which way to convert, and
         // the op then reads the converted slot instead of the input.
-        if let Some((_, cvt)) = cvt_store.as_mut() {
+        if let Some((_, c)) = cvt.as_mut() {
             match step.op.consumes() {
                 ValueKind::Bits => {
                     let images = floats_in.expect("arena slot: floats staged");
-                    kernels::pack_window_into(q, images, step.in_shape, cvt.bits_mut())
+                    let bits = c.bits_mut();
+                    l.run(|| kernels::compute_pack_input(images, step.in_shape, bits));
                 }
-                // A float head staged as sign pairs unpacks in its own arm.
+                // A float head staged as sign pairs reads the bits itself.
                 _ if matches!(
                     staged.float_banks[step.index],
                     Some(FloatConvBank::Signs(_))
-                ) => {}
-                _ => kernels::unpack_bits_into(q, in_store.bits(), cvt.floats_mut()),
+                ) =>
+                {
+                    l.run(|| {})
+                }
+                _ => {
+                    let (bits, floats) = (in_store.bits(), c.floats_mut());
+                    l.run(|| unpack_f32_into(bits, floats));
+                }
             }
         }
-        let src = cvt_store.as_ref().map_or(in_store, |(_, cvt)| cvt);
+        let src = cvt.as_ref().map_or(in_store, |(_, c)| c);
         match &layers[step.index] {
             PbitLayer::BConvInput8 { geom, .. } => {
                 // The device splits the planes; the host's byte dot reads
                 // the image itself, so the split has nothing to do here.
                 let (image, (bank, cuts)) = (src.bytes_ref(), staged.byte_bank());
-                let s = image.shape();
-                q.launch(profiles::bitplane_split(s.pixels(), s.c), || {});
-                bytedot::byte_conv_into(q, image, bank, cuts, geom, out_store.bits_mut());
+                let out = out.bits_mut();
+                l.run(|| {});
+                l.run(|| bytedot::compute_byte_conv(image, bank, cuts, geom, out));
             }
             PbitLayer::BConv { geom, fused, .. } => {
                 // The planner cost-modeled direct-tiled vs. lowered-GEMM on
                 // this device once at staging time (the §VI-B C > 256
                 // integration limit folds into the direct-path choice);
                 // inference only follows the staged route, over the bank and
-                // cuts staged for it — a compressed layer's carries its
-                // dictionary's saving: bit-exact outputs, fewer modeled
-                // filter bytes.
+                // cuts staged for it.
                 let route = step.route.expect("BConv step carries a route");
                 let (bits_in, idx) = (src.bits(), step.index);
-                let out = out_store.bits_mut();
+                let out = out.bits_mut();
                 match route.path {
                     ConvPath::LoweredGemm => {
-                        let windows = scr_store.as_mut().map(|(_, s)| s.bits_mut());
+                        // A pointwise conv plans no windows: its input is
+                        // the GEMM view.
+                        let windows = match scr.as_mut() {
+                            Some((_, s)) => {
+                                let windows = s.bits_mut();
+                                l.run(|| bgemm::pack_windows_into(bits_in, geom, &mut *windows));
+                                &*windows
+                            }
+                            None => bits_in,
+                        };
                         let lanes = staged.lanes(idx);
-                        bgemm::bconv_lowered_bank_into(q, bits_in, lanes, geom, windows, out);
+                        l.run(|| bgemm::compute_bgemm(windows, lanes, out));
                     }
                     ConvPath::DirectFused => {
-                        bconv::bconv_fused_bank_into(q, bits_in, staged.bank(idx), geom, out);
+                        let bank = staged.bank(idx);
+                        l.run(|| bconv::compute_bconv_fused(bits_in, bank, geom, out));
                     }
                     ConvPath::DirectUnfused => {
-                        let (_, scr) = scr_store.as_mut().expect("accumulator scratch planned");
+                        let (v, s) = scr.as_mut().expect("accumulator scratch planned");
+                        s.reset(&plan.values[*v]);
                         let StagedBank::Accum(bank) = staged.staged(idx) else {
                             unreachable!("the unfused route stages every filter's lanes")
                         };
-                        bconv::bconv_accum_bank_into(q, bits_in, bank, geom, scr.accum_mut());
-                        bconv::binarize_pack_into(q, scr.accum(), fused, out);
+                        let accum = s.accum_mut();
+                        l.run(|| bconv::compute_bconv_accum(bits_in, bank, geom, &mut *accum));
+                        l.run(|| bconv::compute_binarize_pack(accum, fused, out));
                     }
                 }
             }
@@ -1379,34 +1424,33 @@ fn exec_step(
                 activation,
                 ..
             } => {
-                let (act, out) = (*activation, out_store.floats_mut());
+                let (act, out) = (*activation, out.floats_mut());
                 match staged.float_bank(step.index) {
                     FloatConvBank::Floats(bank) => {
-                        fconv::fconv_bank_into(q, src.floats(), bank, bias, act, geom, out)
+                        let input = src.floats();
+                        l.run(|| fconv::compute_fconv(input, bank, bias, act, geom, out));
                     }
                     FloatConvBank::Signs(bank) => {
-                        // The device unpacks the bits; the host's head reads
-                        // them itself, so the unpack has nothing to do here.
                         let bits = in_store.bits();
-                        let s = bits.shape();
-                        q.launch(profiles::unpack_bits(s.pixels(), s.c), || {});
-                        fconv::fconv_bits_into(q, bits, bank, bias, act, geom, out)
+                        l.run(|| fconv::compute_fconv_bits(bits, bank, bias, act, geom, out));
                     }
                 }
             }
             PbitLayer::MaxPoolBits { geom, .. } => {
-                pool::maxpool_bits_into(q, src.bits(), geom, out_store.bits_mut());
+                let (input, out) = (src.bits(), out.bits_mut());
+                l.run(|| pool::compute_maxpool_bits(input, geom, out));
             }
             PbitLayer::MaxPoolF32 { geom, .. } => {
-                pool::maxpool_f32_into(q, src.floats(), geom, out_store.floats_mut());
+                let (input, out) = (src.floats(), out.floats_mut());
+                l.run(|| pool::compute_maxpool_f32(input, geom, out));
             }
             PbitLayer::DenseBin { .. } => {
                 // The bit-preserving flatten is host-side staging, not a
-                // dispatched kernel (matches the estimator).
-                let (_, scr) = scr_store.as_mut().expect("flatten scratch planned");
-                dense::flatten_bits_into(src.bits(), scr.bits_mut());
-                let (lanes, out) = (staged.lanes(step.index), out_store.bits_mut());
-                dense::dense_bin_into(q, scr.bits(), lanes, out);
+                // dispatched kernel.
+                let (_, flat) = scr.as_mut().expect("flatten scratch planned");
+                dense::flatten_bits_into(src.bits(), flat.bits_mut());
+                let (flat, lanes, out) = (flat.bits(), staged.lanes(step.index), out.bits_mut());
+                l.run(|| dense::compute_dense_bin(flat, lanes, out));
             }
             PbitLayer::DenseFloat {
                 weights,
@@ -1414,39 +1458,34 @@ fn exec_step(
                 activation,
                 ..
             } => {
-                // One dispatch covers every image in the window; for batch
-                // 1 this is the same single matvec it always was.
-                dense::dense_float_batch_into(
-                    q,
-                    src.floats(),
-                    weights,
-                    bias,
-                    *activation,
-                    out_store.floats_mut(),
-                );
+                // One dispatch covers every image in the window.
+                let (input, out) = (src.floats().as_slice(), out.floats_mut().as_mut_slice());
+                l.run(|| dense::compute_dense_float(input, weights, bias, *activation, out));
             }
             PbitLayer::Softmax => {
-                kernels::softmax_batch_into(q, src.floats(), out_store.floats_mut());
+                // One dispatch normalizes every image's row of logits.
+                let out = out.floats_mut().as_mut_slice();
+                out.copy_from_slice(src.floats().as_slice());
+                let features = out.len() / step.in_shape.n;
+                l.run(|| out.chunks_exact_mut(features).for_each(act::softmax));
             }
         }
     }
-    arena[out_slot] = out_store;
-    if let Some((s, st)) = cvt_store {
-        arena[s] = st;
-    }
-    if let Some((s, st)) = scr_store {
-        arena[s] = st;
+    debug_assert_eq!(l.list.len(), 0, "{}: a body per staged profile", step.name);
+    arena[out_slot] = out;
+    for (v, store) in cvt.into_iter().chain(scr) {
+        arena[slot_of(v)] = store;
     }
 }
 
-/// Executes one fused group as a single dispatch. Member weights resolve
+/// Executes one fused group as its single dispatch. Member weights resolve
 /// through the members' original layer indices; the group's convert slot
 /// carries the absorbed staging tile (bit-planes, pack tile, or the dense
-/// flatten row) and the scratch slot carries the pool ring (conv chains
-/// with a pool epilogue) or the mid-row tile (dense chains).
+/// flatten row) and the scratch slot the pool ring (conv chains with a pool
+/// epilogue) or the mid-row tile (dense chains), reset.
 #[allow(clippy::too_many_arguments)]
 fn exec_fused_group(
-    q: &mut CommandQueue,
+    l: &mut Launches<'_>,
     staged: &StagedModel,
     kind: FusedKind,
     members: &[FusedMember],
@@ -1457,66 +1496,66 @@ fn exec_fused_group(
     out: &mut SlotStorage,
 ) {
     let layers = &staged.model.layers;
+    let out = out.bits_mut();
     match kind {
         FusedKind::ConvChain => {
-            let pool_geom = members.get(1).map(|m| match &layers[m.layer] {
-                PbitLayer::MaxPoolBits { geom, .. } => geom,
+            // The pool epilogue and its ring tile, when a pool rides along.
+            let pool = members.get(1).map(|m| match &layers[m.layer] {
+                PbitLayer::MaxPoolBits { geom, .. } => {
+                    (geom, scr.expect("a pool chain plans its ring").bits_mut())
+                }
                 _ => unreachable!("conv chain epilogue is a bit-domain pool"),
             });
-            // The ring tile exists only when a pool rides along; chains
-            // that fuse staging alone get a zero-capacity placeholder the
-            // kernels never touch.
-            let mut no_ring = BitTensor::<u64>::zeros(Shape4::new(0, 0, 0, 0));
-            let ring = match scr {
-                Some(s) => s.bits_mut(),
-                None => &mut no_ring,
-            };
             match &layers[members[0].layer] {
                 PbitLayer::BConvInput8 { geom, .. } => {
                     let (image, (bank, cuts)) = (in_store.bytes_ref(), staged.byte_bank());
-                    let out = out.bits_mut();
-                    fused::in8_bconv_chain_into(q, image, bank, cuts, geom, pool_geom, ring, out);
+                    l.run(|| match pool {
+                        Some((p, ring)) => {
+                            fused::compute_in8_pool_chain(image, bank, cuts, geom, p, ring, out)
+                        }
+                        None => bytedot::compute_byte_conv(image, bank, cuts, geom, out),
+                    });
                 }
                 PbitLayer::BConv { geom, .. } => {
                     let bank = staged.bank(members[0].layer);
+                    let conv = |input: &BitTensor<u64>, out: &mut BitTensor<u64>| match pool {
+                        Some((p, ring)) => {
+                            fused::compute_bconv_pool_chain(input, bank, geom, p, ring, out)
+                        }
+                        None => bconv::compute_bconv_fused(input, bank, geom, out),
+                    };
                     match cvt {
-                        Some(pack) => fused::pack_bconv_chain_into(
-                            q,
-                            floats_in.expect("arena slot: floats staged"),
-                            members[0].in_shape,
-                            bank,
-                            geom,
-                            pool_geom,
-                            pack.bits_mut(),
-                            ring,
-                            out.bits_mut(),
-                        ),
-                        None => fused::bconv_pool_chain_into(
-                            q,
-                            in_store.bits(),
-                            bank,
-                            geom,
-                            pool_geom.expect("unconverted conv chain carries a pool"),
-                            ring,
-                            out.bits_mut(),
-                        ),
+                        Some(pack) => {
+                            let images = floats_in.expect("arena slot: floats staged");
+                            let (s, tile) = (members[0].in_shape, pack.bits_mut());
+                            l.run(|| {
+                                kernels::compute_pack_input(images, s, tile);
+                                conv(tile, out)
+                            });
+                        }
+                        None => {
+                            let input = in_store.bits();
+                            l.run(|| conv(input, out));
+                        }
                     }
                 }
                 _ => unreachable!("conv chains start at a binary convolution"),
             }
         }
         FusedKind::DenseChain => {
-            let flat = cvt.expect("flatten tile planned");
-            let mid = scr.expect("mid-row tile planned");
-            fused::dense_pair_into(
-                q,
-                in_store.bits(),
+            // The flatten stays host-side data movement, as on the split
+            // path; both matvecs run in the one dispatch.
+            let flat = cvt.expect("flatten tile planned").bits_mut();
+            let mid = scr.expect("mid-row tile planned").bits_mut();
+            dense::flatten_bits_into(in_store.bits(), flat);
+            let (l1, l2) = (
                 staged.lanes(members[0].layer),
                 staged.lanes(members[1].layer),
-                flat.bits_mut(),
-                mid.bits_mut(),
-                out.bits_mut(),
             );
+            l.run(|| {
+                dense::compute_dense_bin(flat, l1, mid);
+                dense::compute_dense_bin(mid, l2, out);
+            });
         }
     }
 }

@@ -6,14 +6,16 @@
 //! lowers the architecture to the **same [`ExecutionPlan`] the engine
 //! stages** — identical kernel routes, domain conversions, and arena
 //! assignment — and walks it with `walk_plan`, the one per-step loop the
-//! engine walks too: the engine's steps run kernel bodies, a model's launch
-//! the plan's own dispatch list ([`ExecutionPlan::step_profiles`]) with
-//! empty ones. So Table III can be regenerated at full scale and the
-//! reported peak memory is the footprint a `Session` would book.
+//! engine walks too. Both launch the plan's one dispatch list
+//! ([`ExecutionPlan::step_profiles`]): the engine the list it staged, each
+//! profile over its kernel body, a model the same list with empty bodies.
+//! So Table III can be regenerated at full scale and the reported peak
+//! memory is the footprint a `Session` would book.
 //!
-//! `Session` runs and [`estimate_window`] agree exactly; `tests/end_to_end.rs`
-//! pins that equivalence (timeline, timing and per-layer breakdown) on the
-//! micro zoo under every route override.
+//! `Session` runs and [`estimate_window`] agree exactly, since both launch
+//! one list; `tests/end_to_end.rs` checks that the engine's walk launches
+//! nothing else (timeline, timing and per-layer breakdown) on the micro
+//! zoo under every route override.
 
 use phonebit_gpusim::queue::CommandQueue;
 use phonebit_gpusim::{ExecutorClass, Phone};

@@ -68,9 +68,8 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
-use phonebit_gpusim::clock::{ClockRegistry, FaultPlan};
+use phonebit_gpusim::clock::FaultPlan;
 use phonebit_gpusim::Phone;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -1049,7 +1048,6 @@ pub struct Fleet {
     tenants: Vec<Registration>,
     placement: Vec<Vec<usize>>,
     opts: FleetOptions,
-    registry: ClockRegistry,
     fit_cache: FitCache,
     attach_log: Vec<FleetAction>,
 }
@@ -1058,9 +1056,8 @@ impl Fleet {
     /// Builds the fleet: computes every tenant's batch-1 footprint per
     /// phone class, places tenants (weight-budget + modeled-load aware,
     /// up to [`FleetOptions::replicas`] replicas), brings up one
-    /// [`DeviceRuntime`] per non-empty device with its fault plan
-    /// installed, and registers every device clock in a
-    /// [`ClockRegistry`] as `dev0`, `dev1`, ….
+    /// [`DeviceRuntime`] per non-empty device (`dev0`, `dev1`, …) with its
+    /// fault plan installed on the device's clock.
     ///
     /// # Errors
     ///
@@ -1116,7 +1113,6 @@ impl Fleet {
             tenants,
             placement: Vec::new(),
             opts,
-            registry: ClockRegistry::new(),
             fit_cache: FitCache::default(),
             attach_log: Vec::new(),
         };
@@ -1147,7 +1143,7 @@ impl Fleet {
         let rosters = rosters_of(&placement, devices.len());
         for (d, (spec, roster)) in devices.into_iter().zip(rosters).enumerate() {
             let id = format!("dev{d}");
-            let runtime = fleet.start_runtime(&id, &spec.phone, spec.fault.clone(), &roster)?;
+            let runtime = fleet.start_runtime(&spec.phone, spec.fault.clone(), &roster)?;
             fleet.devices.push(FleetDevice {
                 id,
                 phone: spec.phone,
@@ -1170,13 +1166,12 @@ impl Fleet {
         Ok(entry)
     }
 
-    /// Starts the runtime device `id` hosts `roster` with (none for an
-    /// empty roster): one [`DeviceRuntime`] over the roster's tenants,
-    /// admitted under the device's paged weight budget when the fleet
-    /// pages, its fault plan installed and its clock registered.
+    /// Starts the runtime a device hosts `roster` with (none for an empty
+    /// roster): one [`DeviceRuntime`] over the roster's tenants, admitted
+    /// under the device's paged weight budget when the fleet pages, its
+    /// fault plan installed on its clock.
     fn start_runtime(
         &mut self,
-        id: &str,
         phone: &Phone,
         fault: Option<FaultPlan>,
         roster: &[usize],
@@ -1199,18 +1194,12 @@ impl Fleet {
         });
         let rt = DeviceRuntime::register(subset, phone, streams, wb)?;
         rt.clock().set_fault_plan(fault);
-        self.registry.register(id, Arc::clone(rt.clock()));
         Ok(Some(rt))
     }
 
     /// Devices currently in the fleet (initial + joined).
     pub fn device_count(&self) -> usize {
         self.devices.len()
-    }
-
-    /// The clock registry (`dev0`, `dev1`, … in creation order).
-    pub fn registry(&self) -> &ClockRegistry {
-        &self.registry
     }
 
     /// The devices `tenant` was placed on at admission, rank order (the
@@ -1448,8 +1437,8 @@ impl RouteSubstrate for Fleet {
         }
         // An empty device starts a fresh runtime around the tenant.
         let dev = &self.devices[device];
-        let (id, phone, fault) = (dev.id.clone(), dev.phone.clone(), dev.fault.clone());
-        let Ok(runtime) = self.start_runtime(&id, &phone, fault, &[tenant]) else {
+        let (phone, fault) = (dev.phone.clone(), dev.fault.clone());
+        let Ok(runtime) = self.start_runtime(&phone, fault, &[tenant]) else {
             return false;
         };
         let dev = &mut self.devices[device];
@@ -1479,7 +1468,7 @@ impl RouteSubstrate for Fleet {
         let id = format!("dev{}", self.devices.len());
         // A roster the runtime refuses leaves the device up but empty.
         let runtime = self
-            .start_runtime(&id, phone, fault.clone(), &hosted)
+            .start_runtime(phone, fault.clone(), &hosted)
             .unwrap_or_else(|_| {
                 hosted.clear();
                 None

@@ -645,8 +645,8 @@ pub struct CompressDecision {
     pub path: ConvPath,
     /// The chosen route's bank accounting.
     pub stats: CompressStats,
-    /// Whether the engine stages the dictionary form (true exactly when
-    /// [`CompressStats::wins`]).
+    /// Whether the modeled device keeps the dictionary form (true exactly
+    /// when [`CompressStats::wins`]).
     pub compressed: bool,
 }
 

@@ -49,7 +49,7 @@
 //!
 //! [`CommandQueue`]: crate::queue::CommandQueue
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use crate::cost::{Contention, QueueLoad};
@@ -304,9 +304,9 @@ fn parse_window_at(v: &str) -> Option<(f64, f64, f64)> {
 #[derive(Debug)]
 pub struct DeviceClock {
     device: DeviceProfile,
-    /// Streams co-resident on the device (set by the runtime that owns
+    /// Streams co-resident on the device (fixed by the runtime that owns
     /// the queues; `<= 1` means no contention).
-    streams: AtomicUsize,
+    streams: usize,
     /// Aggregate device-busy seconds across every attached queue
     /// (f64 bits in an atomic so queues can add lock-free).
     busy_bits: AtomicU64,
@@ -334,7 +334,7 @@ impl DeviceClock {
     pub fn with_streams(device: DeviceProfile, streams: usize) -> Arc<Self> {
         Arc::new(Self {
             device,
-            streams: AtomicUsize::new(streams),
+            streams,
             busy_bits: AtomicU64::new(0f64.to_bits()),
             demand_bits: AtomicU64::new(0f64.to_bits()),
             mix: RwLock::new(None),
@@ -342,15 +342,9 @@ impl DeviceClock {
         })
     }
 
-    /// Sets the number of co-resident streams (the serving runtime calls
-    /// this once after staging its queues).
-    pub fn set_streams(&self, streams: usize) {
-        self.streams.store(streams, Ordering::Relaxed);
-    }
-
-    /// Streams currently sharing the device.
+    /// Streams sharing the device.
     pub fn streams(&self) -> usize {
-        self.streams.load(Ordering::Relaxed)
+        self.streams
     }
 
     /// Registers the expected load of every *other* co-resident queue —
@@ -443,80 +437,6 @@ impl DeviceClock {
     }
 }
 
-/// A registry of per-device clocks for a multi-device deployment.
-///
-/// One [`DeviceClock`] arbitrates one GPU; a fleet of simulated devices
-/// needs a directory of them so a router can read every device's busy
-/// accounting (`busy_s`, `mean_cu_frac`) without threading individual
-/// `Arc`s through every layer. Entries keep **registration order** — the
-/// iteration order is deterministic, which matters because fleet reports
-/// derive per-device utilization tables from it.
-///
-/// Device identifiers are caller-chosen strings (a fleet uses
-/// `"dev0"`, `"dev1"`, …). Registering an existing id replaces the entry
-/// in place (same position) and returns the previous clock, mirroring how
-/// a rebooted device rejoins under its old name.
-#[derive(Debug, Default)]
-pub struct ClockRegistry {
-    entries: RwLock<Vec<(String, Arc<DeviceClock>)>>,
-}
-
-impl ClockRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers `clock` under `id`. If `id` is already present the old
-    /// clock is replaced **in place** (iteration order is preserved) and
-    /// returned.
-    pub fn register(&self, id: &str, clock: Arc<DeviceClock>) -> Option<Arc<DeviceClock>> {
-        let mut entries = self.entries.write().expect("registry lock poisoned");
-        if let Some(slot) = entries.iter_mut().find(|(k, _)| k == id) {
-            return Some(std::mem::replace(&mut slot.1, clock));
-        }
-        entries.push((id.to_string(), clock));
-        None
-    }
-
-    /// The clock registered under `id`, if any.
-    pub fn get(&self, id: &str) -> Option<Arc<DeviceClock>> {
-        self.entries
-            .read()
-            .expect("registry lock poisoned")
-            .iter()
-            .find(|(k, _)| k == id)
-            .map(|(_, c)| Arc::clone(c))
-    }
-
-    /// Removes and returns the clock registered under `id`.
-    pub fn remove(&self, id: &str) -> Option<Arc<DeviceClock>> {
-        let mut entries = self.entries.write().expect("registry lock poisoned");
-        let at = entries.iter().position(|(k, _)| k == id)?;
-        Some(entries.remove(at).1)
-    }
-
-    /// A snapshot of every `(id, clock)` pair, in registration order.
-    pub fn snapshot(&self) -> Vec<(String, Arc<DeviceClock>)> {
-        self.entries
-            .read()
-            .expect("registry lock poisoned")
-            .iter()
-            .map(|(k, c)| (k.clone(), Arc::clone(c)))
-            .collect()
-    }
-
-    /// Number of registered devices.
-    pub fn len(&self) -> usize {
-        self.entries.read().expect("registry lock poisoned").len()
-    }
-
-    /// True when no device is registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// Lock-free `+=` on an f64 stored as atomic bits.
 fn add_bits(bits: &AtomicU64, delta: f64) {
     let mut cur = bits.load(Ordering::Relaxed);
@@ -539,11 +459,10 @@ mod tests {
 
     #[test]
     fn solo_clock_is_contention_free() {
-        let c = clock(1);
-        let k = c.contention_for(&NdRange::linear(1 << 20));
+        let k = clock(1).contention_for(&NdRange::linear(1 << 20));
         assert_eq!(k, Contention::none());
-        c.set_streams(0);
-        assert_eq!(c.contention_for(&NdRange::linear(64)), Contention::none());
+        let idle = clock(0).contention_for(&NdRange::linear(64));
+        assert_eq!(idle, Contention::none());
     }
 
     #[test]
@@ -754,37 +673,6 @@ mod tests {
             FaultPlan::parse("throttle=0-10@1.5,throttle=20-30@2,burst=0-5@0.1,burst=6-9@0.2")
                 .expect("repeatable epochs");
         assert_eq!(plan.throttle_epochs().len(), 2);
-    }
-
-    #[test]
-    fn clock_registry_keeps_registration_order() {
-        let ids = |reg: &ClockRegistry| -> Vec<String> {
-            reg.snapshot().into_iter().map(|(id, _)| id).collect()
-        };
-        let reg = ClockRegistry::new();
-        assert!(reg.is_empty());
-        assert!(reg.register("dev0", clock(1)).is_none());
-        assert!(reg.register("dev1", clock(2)).is_none());
-        assert!(reg.register("dev2", clock(3)).is_none());
-        assert_eq!(ids(&reg), ["dev0", "dev1", "dev2"]);
-        assert_eq!(reg.len(), 3);
-        assert_eq!(reg.get("dev1").unwrap().streams(), 2);
-        assert!(reg.get("dev9").is_none());
-        // Re-registering replaces in place: order stable, old clock back.
-        let old = reg.register("dev1", clock(4)).expect("was present");
-        assert_eq!(old.streams(), 2);
-        assert_eq!(ids(&reg), ["dev0", "dev1", "dev2"]);
-        assert_eq!(reg.get("dev1").unwrap().streams(), 4);
-        // Snapshot pairs ids with live clocks.
-        let snap = reg.snapshot();
-        assert_eq!(snap.len(), 3);
-        assert_eq!(snap[2].0, "dev2");
-        snap[2].1.note_busy(0.5);
-        assert!((reg.get("dev2").unwrap().busy_s() - 0.5).abs() < 1e-15);
-        // Removal drops the entry and returns its clock.
-        assert!(reg.remove("dev0").is_some());
-        assert!(reg.remove("dev0").is_none());
-        assert_eq!(ids(&reg), ["dev1", "dev2"]);
     }
 
     #[test]

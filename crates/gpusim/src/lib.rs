@@ -59,7 +59,7 @@ pub mod queue;
 
 pub use buffer::{Buffer, Context, SimError};
 pub use calib::ExecutorClass;
-pub use clock::{ClockRegistry, DeviceClock, FaultBurst, FaultPlan, ThrottleEpoch};
+pub use clock::{DeviceClock, FaultBurst, FaultPlan, ThrottleEpoch};
 pub use cost::{Contention, QueueLoad};
 pub use device::{DeviceKind, DeviceProfile, Phone, UploadProfile};
 pub use kernel::{KernelProfile, LaunchEvent, LaunchStats};

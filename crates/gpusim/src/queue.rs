@@ -229,8 +229,8 @@ mod tests {
         let expected = (shared_big - overhead) + (shared_small - overhead);
         assert!((clock.busy_s() - expected).abs() < 1e-15);
         assert!(a.clock.is_some());
-        // Dropping back to one stream restores solo costs.
-        clock.set_streams(1);
+        // A clock of one stream charges solo costs.
+        let mut a = queue().with_clock(DeviceClock::with_streams(DeviceProfile::adreno_640(), 1));
         let again = a.launch(
             KernelProfile::new("big", NdRange::linear(1 << 20)).f32_ops(1e8),
             || {},

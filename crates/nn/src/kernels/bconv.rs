@@ -140,22 +140,6 @@ impl<W: BitWord> DirectBank<W> {
         }
     }
 
-    /// Shape of the filters the bank was staged from.
-    pub fn shape(&self) -> FilterShape {
-        match self {
-            Self::Lanes(lanes) => lanes.shape(),
-            Self::Taps(taps) => taps.shape(),
-        }
-    }
-
-    /// The staged bank's [`FilterAccess::dram_discount_bytes`].
-    pub fn dram_discount_bytes(&self) -> f64 {
-        match self {
-            Self::Lanes(lanes) => lanes.dram_discount_bytes(),
-            Self::Taps(taps) => taps.dram_discount_bytes(),
-        }
-    }
-
     /// A worker's scratch for output rows over an input of shape `s`.
     pub(crate) fn ring(&self, geom: &ConvGeometry, s: Shape4) -> DirectRing<'_, W> {
         match self {
@@ -267,9 +251,9 @@ pub fn bconv_fused<W: BitWord>(
 }
 
 /// [`bconv_fused`] into a caller-provided tensor (reset to the output
-/// shape), reusing its storage. Stages `filters` first; a caller that runs
-/// the layer more than once stages a [`DirectBank`] and calls
-/// [`bconv_fused_bank_into`].
+/// shape), reusing its storage. Stages `filters` per call; a caller that
+/// runs the layer more than once stages a [`DirectBank`] and launches
+/// [`compute_bconv_fused`] over it.
 pub fn bconv_fused_into<W: BitWord>(
     q: &mut CommandQueue,
     input: &BitTensor<W>,
@@ -278,30 +262,15 @@ pub fn bconv_fused_into<W: BitWord>(
     geom: &ConvGeometry,
     out: &mut BitTensor<W>,
 ) {
-    assert_eq!(
-        fused.len(),
-        filters.shape().k,
-        "fusion params must cover every filter"
-    );
+    let fs = filters.shape();
+    assert_eq!(fused.len(), fs.k, "fusion params must cover every filter");
     let bank = DirectBank::new(filters, fused, Some(geom));
-    bconv_fused_bank_into(q, input, &bank, geom, out);
-}
-
-/// [`bconv_fused_into`] over a bank and cuts staged once — the engine's
-/// arena path.
-pub fn bconv_fused_bank_into<W: BitWord>(
-    q: &mut CommandQueue,
-    input: &BitTensor<W>,
-    bank: &DirectBank<W>,
-    geom: &ConvGeometry,
-    out: &mut BitTensor<W>,
-) {
-    let os = conv_output_shape(input, bank.shape(), geom);
+    let os = conv_output_shape(input, fs, geom);
     out.reset(os);
     let policy = WorkloadPolicy::for_channels(input.shape().c);
     let profile = profiles::bconv_fused(os.pixels(), os.c, input.shape().c, geom, &policy)
-        .discount_reads(bank.dram_discount_bytes());
-    q.launch(profile, || compute_bconv_fused(input, bank, geom, out));
+        .discount_reads(filters.dram_discount_bytes());
+    q.launch(profile, || compute_bconv_fused(input, &bank, geom, out));
 }
 
 /// Functional body of the accumulate-only kernel, on the same tiled row
@@ -353,23 +322,13 @@ pub fn bconv_accum_into<W: BitWord>(
     geom: &ConvGeometry,
     out: &mut Tensor<i32>,
 ) {
-    bconv_accum_bank_into(q, input, &LaneBank::new(filters), geom, out);
-}
-
-/// [`bconv_accum_into`] over a bank staged once — the engine's arena path.
-pub fn bconv_accum_bank_into<W: BitWord>(
-    q: &mut CommandQueue,
-    input: &BitTensor<W>,
-    bank: &LaneBank<W>,
-    geom: &ConvGeometry,
-    out: &mut Tensor<i32>,
-) {
-    let os = conv_output_shape(input, bank.shape(), geom);
+    let bank = LaneBank::new(filters);
+    let os = conv_output_shape(input, filters.shape(), geom);
     out.reset(os, Layout::Nhwc);
     let policy = WorkloadPolicy::for_channels(input.shape().c);
     let profile = profiles::bconv_accum(os.pixels(), os.c, input.shape().c, geom, &policy)
-        .discount_reads(bank.dram_discount_bytes());
-    q.launch(profile, || compute_bconv_accum(input, bank, geom, out));
+        .discount_reads(filters.dram_discount_bytes());
+    q.launch(profile, || compute_bconv_accum(input, &bank, geom, out));
 }
 
 /// Functional body of the standalone binarize+pack kernel — Eqn 9 by its

@@ -75,8 +75,9 @@ pub fn pack_windows<W: BitWord>(input: &BitTensor<W>, geom: &ConvGeometry) -> Bi
 }
 
 /// [`pack_windows`] into a caller-provided tensor (reset to the window
-/// shape), reusing its storage — the engine's arena path.
-fn pack_windows_into<W: BitWord>(
+/// shape), reusing its storage: the functional body of the lowering's
+/// materialization pass.
+pub fn pack_windows_into<W: BitWord>(
     input: &BitTensor<W>,
     geom: &ConvGeometry,
     out: &mut BitTensor<W>,
@@ -172,7 +173,8 @@ pub fn bgemm_profile(
 /// GEMM + binarize + pack. Two kernels, one DRAM round trip of window rows.
 ///
 /// Flattens and interleaves the filters on the spot; callers with resident
-/// weights (the engine) stage once and use [`bconv_lowered_bank_into`].
+/// weights (the engine) stage the flat lanes once and launch
+/// [`pack_windows_into`] and [`compute_bgemm`] over them.
 ///
 /// # Panics
 ///
@@ -205,9 +207,7 @@ pub fn bconv_lowered<W: BitWord>(
 /// caller-provided buffers: `windows` is the bit-im2col scratch (required
 /// unless the convolution is pointwise, where the GEMM reads the input
 /// directly) and `out` receives the packed result. Both are reset to the
-/// right shapes, reusing their storage.
-/// Interleaves `flat` first; a caller that runs the layer more than once
-/// stages its [`FusedLanes`] and calls [`bconv_lowered_bank_into`].
+/// right shapes, reusing their storage. Interleaves `flat` first.
 ///
 /// # Panics
 ///
@@ -224,41 +224,20 @@ pub fn bconv_lowered_with_into<W: BitWord>(
     windows: Option<&mut BitTensor<W>>,
     out: &mut BitTensor<W>,
 ) {
-    let fs = filters.shape();
+    let (s, fs) = (input.shape(), filters.shape());
     assert_eq!(
         flat.shape(),
         FilterShape::new(fs.k, 1, 1, fs.filter_len()),
         "flat bank does not match filters"
     );
     assert_eq!(fused.len(), fs.k, "fusion params must cover every filter");
-    let lanes = FusedLanes::new(flat, fused);
-    bconv_lowered_bank_into(q, input, &lanes, geom, windows, out);
-}
-
-/// [`bconv_lowered_with_into`] over the interleaved flat bank and its cuts
-/// staged once ([`FusedLanes::new`] of [`flatten_filters`]' output, or of
-/// its dictionary) — the engine's arena path.
-///
-/// # Panics
-///
-/// Panics on shape mismatches, or when a non-pointwise convolution is given
-/// no `windows` scratch.
-pub fn bconv_lowered_bank_into<W: BitWord>(
-    q: &mut CommandQueue,
-    input: &BitTensor<W>,
-    lanes: &FusedLanes<W>,
-    geom: &ConvGeometry,
-    windows: Option<&mut BitTensor<W>>,
-    out: &mut BitTensor<W>,
-) {
-    let (s, fs) = (input.shape(), lanes.shape());
-    let k = fs.k;
     assert_eq!(
-        fs,
-        FilterShape::new(k, 1, 1, geom.taps() * s.c),
+        fs.filter_len(),
+        geom.taps() * s.c,
         "flat bank does not match input channels {} and geometry",
         s.c
     );
+    let lanes = FusedLanes::new(flat, fused);
     let (oh, ow) = geom.output_hw(s.h, s.w);
     let out_pixels = s.n * oh * ow;
 
@@ -266,8 +245,7 @@ pub fn bconv_lowered_bank_into<W: BitWord>(
     // 1x1/stride-1/unpadded, where every "window row" is exactly the input
     // pixel row already (the GEMM view is free; this is why the planner
     // routes such layers here).
-    let gemm_is_view = geom.is_pointwise();
-    let windows: &BitTensor<W> = if gemm_is_view {
+    let windows: &BitTensor<W> = if geom.is_pointwise() {
         input
     } else {
         let scratch = windows.expect("non-pointwise lowering needs a windows scratch");
@@ -277,19 +255,28 @@ pub fn bconv_lowered_bank_into<W: BitWord>(
         scratch
     };
 
-    // Kernel 2: row x filter xnor-popcount GEMM with fused binarization, an
-    // output row of window rows per task through the same microkernel as
-    // the direct path.
-    out.reset(Shape4::new(s.n, oh, ow, k));
+    // Kernel 2: row x filter xnor-popcount GEMM with fused binarization.
+    out.reset(Shape4::new(s.n, oh, ow, fs.k));
     let profile =
-        bgemm_profile(out_pixels, k, s.c, geom).discount_reads(lanes.dram_discount_bytes());
-    q.launch(profile, || {
-        let wpp = out.words_per_pixel();
-        let row_wpp = windows.words_per_pixel();
-        par_chunks_mut(out.as_mut_words(), ow * wpp, |row, span| {
-            let rows = &windows.as_words()[row * ow * row_wpp..][..ow * row_wpp];
-            lanes.decide_windows(rows, span, wpp);
-        });
+        bgemm_profile(out_pixels, fs.k, s.c, geom).discount_reads(flat.dram_discount_bytes());
+    q.launch(profile, || compute_bgemm(windows, &lanes, out));
+}
+
+/// Functional body of the binary GEMM: the window rows of each output row
+/// (`windows`, one per output pixel, or the input itself for a pointwise
+/// convolution) against the staged flat `lanes`, with fused binarization,
+/// into `out`, zeroed at the output shape. An output row of window rows per
+/// task, through the same microkernel as the direct path.
+pub fn compute_bgemm<W: BitWord>(
+    windows: &BitTensor<W>,
+    lanes: &FusedLanes<W>,
+    out: &mut BitTensor<W>,
+) {
+    let (ow, wpp) = (out.shape().w, out.words_per_pixel());
+    let row_wpp = windows.words_per_pixel();
+    par_chunks_mut(out.as_mut_words(), ow * wpp, |row, span| {
+        let rows = &windows.as_words()[row * ow * row_wpp..][..ow * row_wpp];
+        lanes.decide_windows(rows, span, wpp);
     });
 }
 

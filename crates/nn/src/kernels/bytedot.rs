@@ -27,13 +27,12 @@
 use std::arch::x86_64::*;
 
 use phonebit_gpusim::exec::par_chunks_mut_with;
-use phonebit_gpusim::queue::CommandQueue;
 use phonebit_tensor::bits::{BitTensor, BitWord, PackedFilters};
 use phonebit_tensor::shape::{ConvGeometry, FilterShape, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
 use crate::fuse::{BitSink, PlaneCuts, PlaneSink};
-use crate::kernels::bitplane::{conv_profile, PLANE_LANES};
+use crate::kernels::bitplane::PLANE_LANES;
 use crate::kernels::isa;
 
 /// A lane word: filter `l`'s four `s8` weights in lane `l`, little end first.
@@ -67,11 +66,6 @@ impl ByteBank {
             steps,
             lanes,
         }
-    }
-
-    /// The filters' shape.
-    pub fn shape(&self) -> FilterShape {
-        self.shape
     }
 
     /// Group `g`'s lane words, window row by window row.
@@ -332,8 +326,7 @@ pub(crate) fn lanes512(w: &Lanes) -> __m512i {
 
 /// Functional body of the host first layer: one row task per output row,
 /// the input ring owned by the worker, decided by the staged `cuts`. Output
-/// bits are OR-ed in — `out` must come in zeroed, as [`byte_conv_into`]
-/// resets it.
+/// bits are OR-ed in — `out` must come in zeroed at the output shape.
 pub fn compute_byte_conv<W: BitWord>(
     image: &Tensor<u8>,
     bank: &ByteBank,
@@ -352,25 +345,4 @@ pub fn compute_byte_conv<W: BitWord>(
             ring.decide_row(image.as_slice(), at, &mut BitSink::new(cuts, span, wpp));
         },
     );
-}
-
-/// Dispatches the fused first-layer convolution — Eqn (2) + batch-norm +
-/// binarize + pack — under the bit-plane kernel's cost profile, computed on
-/// the host as a byte dot by the cuts staged with `bank`, into `out` (reset
-/// to the output shape).
-///
-/// # Panics
-///
-/// Panics on channel mismatches.
-pub fn byte_conv_into<W: BitWord>(
-    q: &mut CommandQueue,
-    image: &Tensor<u8>,
-    bank: &ByteBank,
-    cuts: &PlaneCuts,
-    geom: &ConvGeometry,
-    out: &mut BitTensor<W>,
-) {
-    let (os, profile) = conv_profile(image.shape(), bank.shape, geom);
-    out.reset(os);
-    q.launch(profile, || compute_byte_conv(image, bank, cuts, geom, out));
 }

@@ -5,8 +5,7 @@
 
 use phonebit_gpusim::queue::CommandQueue;
 use phonebit_tensor::bits::{merge_bits, BitTensor, BitWord, PackedFilters};
-use phonebit_tensor::shape::{Layout, Shape4};
-use phonebit_tensor::tensor::Tensor;
+use phonebit_tensor::shape::Shape4;
 
 use crate::act::Activation;
 use crate::fuse::FusedBn;
@@ -49,8 +48,8 @@ pub fn flatten_bits_into<W: BitWord>(input: &BitTensor<W>, out: &mut BitTensor<W
     }
 }
 
-/// Functional body of the fused binary dense layer, writing into a zeroed
-/// `out` (as [`dense_bin_into`] resets it): the pointwise GEMM of the
+/// Functional body of the fused binary dense layer, writing into `out`,
+/// zeroed at the output shape: the pointwise GEMM of the
 /// flattened rows against `lanes`, `(k, 1, 1, features)`.
 pub fn compute_dense_bin<W: BitWord>(
     input: &BitTensor<W>,
@@ -63,7 +62,8 @@ pub fn compute_dense_bin<W: BitWord>(
 
 /// Dispatches the fused binary dense layer: xnor-popcount matvec + BN +
 /// binarize + pack. Interleaves `weights` first; a caller that runs the
-/// layer more than once stages its [`FusedLanes`] and calls [`dense_bin_into`].
+/// layer more than once stages its [`FusedLanes`] and launches
+/// [`compute_dense_bin`] over them.
 ///
 /// # Panics
 ///
@@ -74,48 +74,37 @@ pub fn dense_bin<W: BitWord>(
     weights: &PackedFilters<W>,
     fused: &FusedBn,
 ) -> BitTensor<W> {
-    let mut out = BitTensor::<W>::zeros(Shape4::new(0, 0, 0, 0));
-    assert_eq!(
-        fused.len(),
-        weights.shape().k,
-        "fusion params must cover every output"
-    );
-    dense_bin_into(q, input, &FusedLanes::new(weights, fused), &mut out);
-    out
-}
-
-/// [`dense_bin`] over a bank and cuts staged once, into a caller-provided tensor
-/// (reset to the output shape), reusing its storage — the engine's arena
-/// path.
-pub fn dense_bin_into<W: BitWord>(
-    q: &mut CommandQueue,
-    input: &BitTensor<W>,
-    lanes: &FusedLanes<W>,
-    out: &mut BitTensor<W>,
-) {
-    let s = input.shape();
-    let ws = lanes.shape();
+    let (s, ws) = (input.shape(), weights.shape());
+    assert_eq!(fused.len(), ws.k, "fusion params must cover every output");
     assert!(
         s.h == 1 && s.w == 1,
         "dense input must be flattened, got {s}"
     );
-    assert_eq!(ws.kh, 1, "dense weights must be 1x1 taps");
-    assert_eq!(ws.kw, 1, "dense weights must be 1x1 taps");
+    assert_eq!((ws.kh, ws.kw), (1, 1), "dense weights must be 1x1 taps");
     assert_eq!(
         s.c, ws.c,
         "input features {} != weight features {}",
         s.c, ws.c
     );
-    out.reset(Shape4::new(s.n, 1, 1, ws.k));
+    let lanes = FusedLanes::new(weights, fused);
+    let mut out = BitTensor::<W>::zeros(Shape4::new(s.n, 1, 1, ws.k));
     // One dispatch covers the whole batch: the matvec loops rows inside
     // the kernel while the per-dispatch launch overhead is paid once.
     let profile = profiles::dense_bin(ws.k, s.c).batched(s.n);
-    q.launch(profile, || compute_dense_bin(input, lanes, out));
+    q.launch(profile, || compute_dense_bin(input, &lanes, &mut out));
+    out
 }
 
-/// Functional body of the float dense layer: `y = act(Wx + b)`.
+/// Functional body of the float dense layer: `y = act(Wx + b)` for every
+/// image of a batch in one pass — `input` holds the images' flattened
+/// features back to back and `out` their outputs, `bias.len()` each.
 ///
 /// `weights` is row-major `[out_features x in_features]`.
+///
+/// # Panics
+///
+/// Panics when `weights` is not `bias.len()` rows, or `input` not whole
+/// rows of them.
 pub fn compute_dense_float(
     input: &[f32],
     weights: &[f32],
@@ -123,57 +112,30 @@ pub fn compute_dense_float(
     act: Activation,
     out: &mut [f32],
 ) {
-    let in_features = input.len();
-    for (k, slot) in out.iter_mut().enumerate() {
-        let row = &weights[k * in_features..(k + 1) * in_features];
-        let mut acc = bias[k];
-        for (x, w) in input.iter().zip(row.iter()) {
-            acc += x * w;
-        }
-        *slot = act.apply(acc);
-    }
-}
-
-/// Batched entry point of the float dense layer: one dispatch covers every
-/// image in the batch (features are the flattened `h*w*c` of each image),
-/// amortizing the per-dispatch launch overhead that a per-image matvec loop
-/// would pay `n` times. `out` is reset to `(n, 1, 1, out_features)`.
-///
-/// # Panics
-///
-/// Panics when `weights.len() != out_features * h*w*c` or
-/// `bias.len() != out_features`.
-pub fn dense_float_batch_into(
-    q: &mut CommandQueue,
-    input: &Tensor<f32>,
-    weights: &[f32],
-    bias: &[f32],
-    act: Activation,
-    out: &mut Tensor<f32>,
-) {
-    let s = input.shape();
-    let features = s.h * s.w * s.c;
     let out_features = bias.len();
-    assert_eq!(
-        weights.len(),
-        out_features * features,
+    assert!(
+        out_features > 0 && weights.len().is_multiple_of(out_features),
         "weight matrix must be out x in"
     );
-    out.reset(Shape4::new(s.n, 1, 1, out_features), Layout::Nhwc);
-    let profile = profiles::dense_float(out_features, features).batched(s.n);
-    q.launch(profile, || {
-        let src = input.as_slice();
-        let dst = out.as_mut_slice();
-        for n in 0..s.n {
-            compute_dense_float(
-                &src[n * features..(n + 1) * features],
-                weights,
-                bias,
-                act,
-                &mut dst[n * out_features..(n + 1) * out_features],
-            );
+    let in_features = weights.len() / out_features;
+    assert_eq!(
+        input.len() * out_features,
+        out.len() * in_features,
+        "weight matrix must be out x in"
+    );
+    let images = input
+        .chunks_exact(in_features)
+        .zip(out.chunks_exact_mut(out_features));
+    for (x, y) in images {
+        for (k, slot) in y.iter_mut().enumerate() {
+            let row = &weights[k * in_features..(k + 1) * in_features];
+            let mut acc = bias[k];
+            for (x, w) in x.iter().zip(row.iter()) {
+                acc += x * w;
+            }
+            *slot = act.apply(acc);
         }
-    });
+    }
 }
 
 #[cfg(test)]
@@ -190,6 +152,24 @@ mod tests {
         CommandQueue::new(DeviceProfile::adreno_640(), ExecutorClass::PhoneBitOpenCl)
     }
 
+    /// A window of images through the float dense layer, one dispatch of
+    /// the layer's batched profile.
+    fn dense_float_batch(
+        q: &mut CommandQueue,
+        input: &[f32],
+        batch: usize,
+        weights: &[f32],
+        bias: &[f32],
+        act: Activation,
+    ) -> Vec<f32> {
+        let mut out = vec![0.0; batch * bias.len()];
+        let profile = profiles::dense_float(bias.len(), input.len() / batch).batched(batch);
+        q.launch(profile, || {
+            compute_dense_float(input, weights, bias, act, &mut out)
+        });
+        out
+    }
+
     /// One image through the float dense layer, one dispatch.
     fn dense_float(
         q: &mut CommandQueue,
@@ -198,11 +178,7 @@ mod tests {
         bias: &[f32],
         act: Activation,
     ) -> Vec<f32> {
-        let shape = Shape4::new(1, 1, 1, input.len());
-        let x = Tensor::from_vec(shape, Layout::Nhwc, input.to_vec());
-        let mut out = Tensor::zeros(Shape4::new(0, 0, 0, 0), Layout::Nhwc);
-        dense_float_batch_into(q, &x, weights, bias, act, &mut out);
-        out.as_slice().to_vec()
+        dense_float_batch(q, input, 1, weights, bias, act)
     }
 
     #[test]
@@ -331,16 +307,9 @@ mod tests {
             .collect();
         let bias = vec![0.5, -0.25, 0.0];
         let mut q = queue();
-        let mut out = Tensor::<f32>::zeros(Shape4::new(0, 0, 0, 0), Layout::Nhwc);
-        dense_float_batch_into(
-            &mut q,
-            &input,
-            &weights,
-            &bias,
-            Activation::Linear,
-            &mut out,
-        );
-        assert_eq!(out.shape(), Shape4::new(batch, 1, 1, outputs));
+        let (x, act) = (input.as_slice(), Activation::Linear);
+        let out = dense_float_batch(&mut q, x, batch, &weights, &bias, act);
+        assert_eq!(out.len(), batch * outputs);
         assert_eq!(q.timeline().len(), 1, "one dispatch for the whole batch");
         // Bit-exact against the per-image entry point.
         for n in 0..batch {
@@ -350,7 +319,7 @@ mod tests {
             let mut q1 = queue();
             let single = dense_float(&mut q1, &row, &weights, &bias, Activation::Linear);
             assert_eq!(
-                &out.as_slice()[n * outputs..(n + 1) * outputs],
+                &out[n * outputs..(n + 1) * outputs],
                 single.as_slice(),
                 "image {n}"
             );

@@ -20,7 +20,6 @@
 //! entered once per output row, each returns the same bits.
 
 use phonebit_gpusim::exec::{par_chunks_mut, par_chunks_mut_with};
-use phonebit_gpusim::kernel::KernelProfile;
 use phonebit_gpusim::queue::CommandQueue;
 use phonebit_tensor::bits::BitTensor;
 use phonebit_tensor::shape::{ConvGeometry, FilterShape, Layout, Shape4};
@@ -361,7 +360,11 @@ pub fn fconv(
 
 /// [`fconv`] into a caller-provided NHWC tensor (reset to the output
 /// shape), reusing its storage. Interleaves `filters` first; the engine
-/// stages a [`FloatBank`] and calls [`fconv_bank_into`].
+/// stages a [`FloatBank`] and launches [`compute_fconv`] over it.
+///
+/// # Panics
+///
+/// Panics if shapes disagree or `bias.len() != filters.k`.
 pub fn fconv_into(
     q: &mut CommandQueue,
     input: &Tensor<f32>,
@@ -371,70 +374,22 @@ pub fn fconv_into(
     geom: &ConvGeometry,
     out: &mut Tensor<f32>,
 ) {
-    let bank = FloatBank::new(filters);
-    fconv_bank_into(q, input, &bank, bias, act, geom, out);
-}
-
-/// [`fconv_into`] over a bank staged once — the engine's arena path.
-///
-/// # Panics
-///
-/// Panics if shapes disagree or `bias.len() != bank.shape().k`.
-pub fn fconv_bank_into(
-    q: &mut CommandQueue,
-    input: &Tensor<f32>,
-    bank: &FloatBank,
-    bias: &[f32],
-    act: Activation,
-    geom: &ConvGeometry,
-    out: &mut Tensor<f32>,
-) {
-    let profile = reset_out(input.shape(), bank.shape, bias, act, geom, out);
-    q.launch(profile, || compute_fconv(input, bank, bias, act, geom, out));
-}
-
-/// [`fconv_bank_into`] over a binary layer's packed signs (the engine's
-/// path when the plan feeds the layer bits).
-///
-/// # Panics
-///
-/// As [`fconv_bank_into`].
-pub fn fconv_bits_into(
-    q: &mut CommandQueue,
-    input: &BitTensor<u64>,
-    bank: &SignedBank,
-    bias: &[f32],
-    act: Activation,
-    geom: &ConvGeometry,
-    out: &mut Tensor<f32>,
-) {
-    let profile = reset_out(input.shape(), bank.shape, bias, act, geom, out);
-    q.launch(profile, || {
-        compute_fconv_bits(input, bank, bias, act, geom, out)
-    });
-}
-
-/// Checks the shapes, resets `out` to the output and returns the profile.
-fn reset_out(
-    s: Shape4,
-    fs: FilterShape,
-    bias: &[f32],
-    act: Activation,
-    geom: &ConvGeometry,
-    out: &mut Tensor<f32>,
-) -> KernelProfile {
+    let (s, fs) = (input.shape(), filters.shape());
     assert_eq!(
         s.c, fs.c,
         "input channels {} != filter channels {}",
         s.c, fs.c
     );
     assert_eq!(bias.len(), fs.k, "bias length must equal filter count");
+    let bank = FloatBank::new(filters);
     let (oh, ow) = geom.output_hw(s.h, s.w);
     let os = Shape4::new(s.n, oh, ow, fs.k);
     out.reset(os, Layout::Nhwc);
     let mut profile = profiles::fconv(os.pixels(), fs.k, s.c, geom);
     profile.f32_ops += os.len() as f64 * act.ops_per_element();
-    profile
+    q.launch(profile, || {
+        compute_fconv(input, &bank, bias, act, geom, out)
+    });
 }
 
 #[cfg(test)]

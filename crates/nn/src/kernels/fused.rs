@@ -7,38 +7,37 @@
 //! chains into a single launch, the way SBNN/BSTC packs entire BNN inference
 //! into one kernel:
 //!
-//! - [`bconv_pool_chain_into`] — binary conv + threshold with the max-pool
-//!   epilogue consuming conv rows as they are produced. The tiled
+//! - [`compute_bconv_pool_chain`] — binary conv + threshold with the
+//!   max-pool epilogue consuming conv rows as they are produced. The tiled
 //!   microkernel's per-row emit is the seam: each finished row lands in a
 //!   `pool.size`-row ring tile and is OR-reduced into the pooled output the
 //!   moment its window completes, so the full conv activation never exists.
-//! - [`pack_bconv_chain_into`] — absorbs the float→bit input packing into
-//!   the same dispatch (optionally with the pool epilogue).
-//! - [`in8_bconv_chain_into`] — absorbs the first-layer bit-plane split
-//!   (§III-B) ahead of the Eqn (2) convolution (optionally with the pool).
-//! - [`dense_pair_into`] — two binary dense layers back to back; the mid
-//!   activations stay in local memory instead of round-tripping the arena.
+//!   A chain that absorbs the float→bit input packing runs
+//!   [`compute_pack_input`](crate::kernels::compute_pack_input) ahead of it
+//!   in the same dispatch.
+//! - [`compute_in8_pool_chain`] — the first-layer conv (§III-B, as the
+//!   host's byte dot) with the same pool epilogue.
+//! - Two binary dense layers back to back run both
+//!   [`compute_dense_bin`](crate::kernels::dense::compute_dense_bin) bodies
+//!   in one dispatch; the mid activations stay in local memory instead of
+//!   round-tripping the arena.
 //!
 //! Every chain has exactly one cost profile builder ([`conv_chain_profile`],
-//! [`dense_pair_profile`]) shared verbatim by the engine dispatch and the
-//! plan-walking estimators, so modeled and executed fused groups cannot
-//! diverge. Outputs are bit-exact vs the split kernels by construction: the
+//! [`dense_pair_profile`]), which the plan's dispatch list reads; the engine
+//! launches that list, so modeled and executed fused groups cannot diverge.
+//! Outputs are bit-exact vs the split kernels by construction: the
 //! threshold decision is per-element and OR-pooling is associative.
 
-use phonebit_gpusim::queue::CommandQueue;
-use phonebit_gpusim::KernelProfile;
-use phonebit_gpusim::NdRange;
+use phonebit_gpusim::{KernelProfile, NdRange};
 use phonebit_tensor::bits::{BitTensor, BitWord};
-use phonebit_tensor::shape::{ConvGeometry, FilterShape, Shape4};
+use phonebit_tensor::shape::{ConvGeometry, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
 use crate::fuse::{BitSink, PlaneCuts};
 use crate::kernels::bconv::DirectBank;
-use crate::kernels::bytedot::{compute_byte_conv, ByteBank, ByteRing};
+use crate::kernels::bytedot::{ByteBank, ByteRing};
 use crate::kernels::pool::{or_pool_row, PoolGeometry};
 use crate::kernels::profiles::{compulsory_input_bytes, words32, PACKED_COALESCING, VEC_LANES_128};
-use crate::kernels::tiled::FusedLanes;
-use crate::kernels::{bconv, compute_pack_input, dense};
 use crate::workload::WorkloadPolicy;
 
 /// How a fused conv chain acquires its packed input inside the dispatch.
@@ -53,8 +52,8 @@ pub enum ChainAbsorb {
     Planes8,
 }
 
-/// Cost profile of a fused conv chain. The single source of truth for both
-/// the engine dispatch and the estimators.
+/// Cost profile of a fused conv chain: what the plan's dispatch list holds
+/// for a conv chain step.
 ///
 /// Compute ops are the sum of the member kernels' ops (the fused kernel does
 /// the same useful work). DRAM traffic is where fusion pays: the chain reads
@@ -213,7 +212,8 @@ fn pooled_rows<W: BitWord>(
     }
 }
 
-/// Functional body of the fused bconv→pool chain over packed input bits.
+/// Functional body of the fused bconv→pool chain over packed input bits:
+/// `ring` at [`ring_shape`], `out` zeroed at the pooled shape.
 pub fn compute_bconv_pool_chain<W: BitWord>(
     input: &BitTensor<W>,
     bank: &DirectBank<W>,
@@ -231,8 +231,9 @@ pub fn compute_bconv_pool_chain<W: BitWord>(
 }
 
 /// Functional body of the fused first-layer conv→pool chain: Eqn (2) as
-/// the host's byte dot ([`super::bytedot`]).
-fn compute_in8_pool_chain<W: BitWord>(
+/// the host's byte dot ([`super::bytedot`]). `ring` is at [`ring_shape`] and
+/// `out` zeroed at the pooled shape, as for [`compute_bconv_pool_chain`].
+pub fn compute_in8_pool_chain<W: BitWord>(
     image: &Tensor<u8>,
     bank: &ByteBank,
     cuts: &PlaneCuts,
@@ -249,187 +250,19 @@ fn compute_in8_pool_chain<W: BitWord>(
     });
 }
 
-fn pooled_output_shape(conv_shape: Shape4, pool: Option<&PoolGeometry>) -> Shape4 {
-    match pool {
-        Some(p) => {
-            let (ph, pw) = p.output_hw(conv_shape.h, conv_shape.w);
-            Shape4::new(conv_shape.n, ph, pw, conv_shape.c)
-        }
-        None => conv_shape,
-    }
-}
-
-/// The front of every conv chain dispatch: checks the shapes as the split
-/// kernels do, resets the ring tile (when a pool rides along) and the
-/// output, and returns the chain's profile.
-#[allow(clippy::too_many_arguments)]
-fn stage_chain<W: BitWord>(
-    absorb: ChainAbsorb,
-    s: Shape4,
-    fs: FilterShape,
-    geom: &ConvGeometry,
-    pool: Option<&PoolGeometry>,
-    ring: &mut BitTensor<W>,
-    out: &mut BitTensor<W>,
-) -> KernelProfile {
-    assert_eq!(
-        s.c, fs.c,
-        "input channels {} != filter channels {}",
-        s.c, fs.c
-    );
-    let (oh, ow) = geom.output_hw(s.h, s.w);
-    let conv_shape = Shape4::new(s.n, oh, ow, fs.k);
-    let os = pooled_output_shape(conv_shape, pool);
-    if let Some(p) = pool {
-        ring.reset(ring_shape(ow, fs.k, p));
-    }
-    out.reset(os);
-    let pooled = pool.map(|p| (os.pixels(), p.size));
-    let policy = WorkloadPolicy::for_channels(s.c);
-    conv_chain_profile(
-        absorb,
-        conv_shape.pixels(),
-        fs.k,
-        s.c,
-        geom,
-        pooled,
-        &policy,
-    )
-}
-
-/// Dispatches the bconv→pool chain (input already packed) in one launch.
-///
-/// # Panics
-///
-/// Panics on shape disagreements, mirroring the split kernels.
-#[allow(clippy::too_many_arguments)]
-pub fn bconv_pool_chain_into<W: BitWord>(
-    q: &mut CommandQueue,
-    input: &BitTensor<W>,
-    bank: &DirectBank<W>,
-    geom: &ConvGeometry,
-    pool: &PoolGeometry,
-    ring: &mut BitTensor<W>,
-    out: &mut BitTensor<W>,
-) {
-    let (s, fs) = (input.shape(), bank.shape());
-    let profile = stage_chain(ChainAbsorb::None, s, fs, geom, Some(pool), ring, out)
-        .discount_reads(bank.dram_discount_bytes());
-    q.launch(profile, || {
-        compute_bconv_pool_chain(input, bank, geom, pool, ring, out)
-    });
-}
-
-/// Dispatches the pack→bconv(→pool) chain: float input (the window `images`
-/// at the batched shape `s`, as [`crate::kernels::pack_window_into`] reads
-/// it) sign-packed on chip, then the fused conv (and optionally the pool
-/// epilogue), one launch.
-///
-/// # Panics
-///
-/// Panics on shape disagreements, mirroring the split kernels.
-#[allow(clippy::too_many_arguments)]
-pub fn pack_bconv_chain_into<W: BitWord>(
-    q: &mut CommandQueue,
-    images: &[Tensor<f32>],
-    s: Shape4,
-    bank: &DirectBank<W>,
-    geom: &ConvGeometry,
-    pool: Option<&PoolGeometry>,
-    pack_tile: &mut BitTensor<W>,
-    ring: &mut BitTensor<W>,
-    out: &mut BitTensor<W>,
-) {
-    let fs = bank.shape();
-    let profile = stage_chain(ChainAbsorb::PackF32, s, fs, geom, pool, ring, out)
-        .discount_reads(bank.dram_discount_bytes());
-    q.launch(profile, || {
-        compute_pack_input(images, s, pack_tile);
-        match pool {
-            Some(p) => compute_bconv_pool_chain(pack_tile, bank, geom, p, ring, out),
-            None => bconv::compute_bconv_fused(pack_tile, bank, geom, out),
-        }
-    });
-}
-
-/// Dispatches the split→bitplane-conv(→pool) first-layer chain: the 8-bit
-/// image is plane-split on chip ahead of the Eqn (2) conv, one launch; the
-/// host computes the same bits as a byte dot, with no planes.
-///
-/// # Panics
-///
-/// Panics on shape disagreements, mirroring the split kernels.
-#[allow(clippy::too_many_arguments)]
-pub fn in8_bconv_chain_into<W: BitWord>(
-    q: &mut CommandQueue,
-    input: &Tensor<u8>,
-    bank: &ByteBank,
-    cuts: &PlaneCuts,
-    geom: &ConvGeometry,
-    pool: Option<&PoolGeometry>,
-    ring: &mut BitTensor<W>,
-    out: &mut BitTensor<W>,
-) {
-    let (s, fs) = (input.shape(), bank.shape());
-    let profile = stage_chain(ChainAbsorb::Planes8, s, fs, geom, pool, ring, out);
-    q.launch(profile, || match pool {
-        Some(p) => compute_in8_pool_chain(input, bank, cuts, geom, p, ring, out),
-        None => compute_byte_conv(input, bank, cuts, geom, out),
-    });
-}
-
-/// Dispatches a fused dense→dense pair in one launch. The flatten stays
-/// host-side data movement (as on the split path); both matvecs run in the
-/// same dispatch with the mid activations in local memory.
-///
-/// # Panics
-///
-/// Panics on shape disagreements, mirroring [`dense::dense_bin_into`].
-#[allow(clippy::too_many_arguments)]
-pub fn dense_pair_into<W: BitWord>(
-    q: &mut CommandQueue,
-    input: &BitTensor<W>,
-    l1: &FusedLanes<W>,
-    l2: &FusedLanes<W>,
-    flat: &mut BitTensor<W>,
-    mid: &mut BitTensor<W>,
-    out: &mut BitTensor<W>,
-) {
-    let s = input.shape();
-    let (s1, s2) = (l1.shape(), l2.shape());
-    assert_eq!(s1.kh * s1.kw, 1, "dense weights must be 1x1 taps");
-    assert_eq!(s2.kh * s2.kw, 1, "dense weights must be 1x1 taps");
-    assert_eq!(
-        s.h * s.w * s.c,
-        s1.c,
-        "flattened features {} != first weight features {}",
-        s.h * s.w * s.c,
-        s1.c
-    );
-    assert_eq!(
-        s1.k, s2.c,
-        "mid features {} != second weight features {}",
-        s1.k, s2.c
-    );
-    dense::flatten_bits_into(input, flat);
-    mid.reset(Shape4::new(s.n, 1, 1, s1.k));
-    out.reset(Shape4::new(s.n, 1, 1, s2.k));
-    let profile = dense_pair_profile(s1.k, s2.k, s1.c).batched(s.n);
-    q.launch(profile, || {
-        dense::compute_dense_bin(flat, l1, mid);
-        dense::compute_dense_bin(mid, l2, out);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phonebit_gpusim::queue::CommandQueue;
     use phonebit_gpusim::{DeviceProfile, ExecutorClass};
     use phonebit_tensor::pack::{pack_f32, pack_filters};
     use phonebit_tensor::shape::FilterShape;
     use phonebit_tensor::tensor::Filters;
 
     use crate::fuse::{BnParams, FusedBn};
+    use crate::kernels::bytedot::compute_byte_conv;
+    use crate::kernels::tiled::FusedLanes;
+    use crate::kernels::{bconv, compute_pack_input, dense};
     use phonebit_tensor::bitplane::BitPlanes;
 
     use crate::kernels::bitplane::bitplane_conv_fused_into;
@@ -476,6 +309,11 @@ mod tests {
         BitTensor::<W>::zeros(Shape4::new(0, 0, 0, 0))
     }
 
+    /// A conv chain's ring tile over `conv`'s rows, for the pool `pool`.
+    fn ring<W: BitWord>(conv: Shape4, pool: &PoolGeometry) -> BitTensor<W> {
+        BitTensor::zeros(ring_shape(conv.w, conv.c, pool))
+    }
+
     #[test]
     fn conv_pool_chain_matches_split_kernels() {
         // Every pool geometry in the zoo: 2/2, 3/2, 2/1 (YOLO pool6).
@@ -496,10 +334,8 @@ mod tests {
             let conv = bconv::bconv_fused(&mut q, &input, &filters, &fused, &geom);
             let expect = maxpool_bits(&mut q, &conv, &pool);
 
-            let mut q2 = queue();
-            let (mut ring, mut out) = (scratch::<u64>(), scratch::<u64>());
-            bconv_pool_chain_into(
-                &mut q2,
+            let (mut ring, mut out) = (ring(conv.shape(), &pool), BitTensor::zeros(expect.shape()));
+            compute_bconv_pool_chain(
                 &input,
                 &DirectBank::new(&filters, &fused, Some(&geom)),
                 &geom,
@@ -508,7 +344,6 @@ mod tests {
                 &mut out,
             );
             assert_eq!(out, expect, "pool {}x{}", pool.size, pool.stride);
-            assert_eq!(q2.timeline().len(), 1, "chain must be one dispatch");
         }
     }
 
@@ -527,33 +362,23 @@ mod tests {
         crate::kernels::pack_input_into(&mut q, &t, &mut packed);
         let expect = bconv::bconv_fused(&mut q, &packed, &filters, &fused, &geom);
 
-        let mut q2 = queue();
-        let (mut tile, mut ring, mut out) = (scratch::<u32>(), scratch::<u32>(), scratch::<u32>());
+        let (mut tile, mut out) = (scratch::<u32>(), BitTensor::zeros(expect.shape()));
         let (window, s) = (std::slice::from_ref(&t), t.shape());
-        pack_bconv_chain_into(
-            &mut q2, window, s, &bank, &geom, None, &mut tile, &mut ring, &mut out,
-        );
+        compute_pack_input(window, s, &mut tile);
+        bconv::compute_bconv_fused(&tile, &bank, &geom, &mut out);
         assert_eq!(out, expect);
-        assert_eq!(q2.timeline().len(), 1);
 
         // And with the pool epilogue riding along.
         let pool = PoolGeometry::new(2, 2);
         let mut q3 = queue();
         let pooled = maxpool_bits(&mut q3, &expect, &pool);
-        let mut q4 = queue();
-        pack_bconv_chain_into(
-            &mut q4,
-            window,
-            s,
-            &bank,
-            &geom,
-            Some(&pool),
-            &mut tile,
-            &mut ring,
-            &mut out,
+        let (mut ring, mut out) = (
+            ring(expect.shape(), &pool),
+            BitTensor::zeros(pooled.shape()),
         );
+        compute_pack_input(window, s, &mut tile);
+        compute_bconv_pool_chain(&tile, &bank, &geom, &pool, &mut ring, &mut out);
         assert_eq!(out, pooled);
-        assert_eq!(q4.timeline().len(), 1);
     }
 
     #[test]
@@ -575,31 +400,17 @@ mod tests {
         let mut conv = scratch::<u64>();
         bitplane_conv_fused_into(&mut q, &planes, &filters, &fused, &geom, &mut conv);
 
-        let mut q2 = queue();
-        let (mut ring, mut out) = (scratch::<u64>(), scratch::<u64>());
-        in8_bconv_chain_into(
-            &mut q2, &img, &bank, &cuts, &geom, None, &mut ring, &mut out,
-        );
+        let mut out = BitTensor::zeros(conv.shape());
+        compute_byte_conv(&img, &bank, &cuts, &geom, &mut out);
         assert_eq!(out, conv);
-        assert_eq!(q2.timeline().len(), 1);
 
         // With the pool epilogue (AlexNet conv1 -> pool1 is 3/2).
         let pool = PoolGeometry::new(3, 2);
         let mut q3 = queue();
         let pooled = maxpool_bits(&mut q3, &conv, &pool);
-        let mut q4 = queue();
-        in8_bconv_chain_into(
-            &mut q4,
-            &img,
-            &bank,
-            &cuts,
-            &geom,
-            Some(&pool),
-            &mut ring,
-            &mut out,
-        );
+        let (mut ring, mut out) = (ring(conv.shape(), &pool), BitTensor::zeros(pooled.shape()));
+        compute_in8_pool_chain(&img, &bank, &cuts, &geom, &pool, &mut ring, &mut out);
         assert_eq!(out, pooled);
-        assert_eq!(q4.timeline().len(), 1);
     }
 
     #[test]
@@ -625,14 +436,16 @@ mod tests {
         let pool = PoolGeometry::new(3, 2);
         let pooled = maxpool_bits(&mut q, &conv, &pool);
 
-        let (mut ring, mut out) = (scratch::<u64>(), scratch::<u64>());
         for (pool, expect) in [(None, &conv), (Some(&pool), &pooled)] {
-            let mut q2 = queue();
-            in8_bconv_chain_into(
-                &mut q2, &img, &bank, &cuts, &geom, pool, &mut ring, &mut out,
-            );
+            let mut out = BitTensor::zeros(expect.shape());
+            match pool {
+                Some(p) => {
+                    let mut ring = ring(conv.shape(), p);
+                    compute_in8_pool_chain(&img, &bank, &cuts, &geom, p, &mut ring, &mut out)
+                }
+                None => compute_byte_conv(&img, &bank, &cuts, &geom, &mut out),
+            }
             assert_eq!(&out, expect, "pool {}", pool.is_some());
-            assert_eq!(q2.timeline().len(), 1);
         }
     }
 
@@ -651,12 +464,16 @@ mod tests {
         let expect = dense::dense_bin(&mut q, &mid, &w2, &f2);
         assert_eq!(q.timeline().len(), 2, "split path is two dispatches");
 
-        let mut q2 = queue();
-        let (mut flat2, mut mid2, mut out) = (scratch::<u64>(), scratch::<u64>(), scratch::<u64>());
+        let mut flat2 = scratch::<u64>();
+        let (mut mid2, mut out) = (
+            BitTensor::zeros(mid.shape()),
+            BitTensor::zeros(expect.shape()),
+        );
         let (l1, l2) = (FusedLanes::new(&w1, &f1), FusedLanes::new(&w2, &f2));
-        dense_pair_into(&mut q2, &input, &l1, &l2, &mut flat2, &mut mid2, &mut out);
+        dense::flatten_bits_into(&input, &mut flat2);
+        dense::compute_dense_bin(&flat2, &l1, &mut mid2);
+        dense::compute_dense_bin(&mid2, &l2, &mut out);
         assert_eq!(out, expect);
-        assert_eq!(q2.timeline().len(), 1, "fused pair is one dispatch");
     }
 
     #[test]

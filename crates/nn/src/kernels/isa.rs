@@ -340,8 +340,6 @@ mod tests {
 
     use std::cell::Cell;
 
-    use phonebit_gpusim::queue::CommandQueue;
-    use phonebit_gpusim::{DeviceProfile, ExecutorClass};
     use phonebit_tensor::bitplane::BitPlanes;
     use phonebit_tensor::bits::{dot_pm1, BitTensor, BitWord, PackedFilters};
     use phonebit_tensor::dict::FilterDict;
@@ -355,14 +353,14 @@ mod tests {
     use crate::kernels::bconv::{
         compute_bconv_fused, compute_bconv_fused_reference, window_dot, DirectBank,
     };
-    use crate::kernels::bgemm::{bconv_lowered_bank_into, flatten_filters, pack_windows};
+    use crate::kernels::bgemm::{compute_bgemm, flatten_filters, pack_windows, pack_windows_into};
     use crate::kernels::bitplane::{bitplane_row, PlaneBank, PlaneStream};
     use crate::kernels::bytedot::ByteBank;
     use crate::kernels::dense::{compute_dense_bin, flatten_bits_into};
     use crate::kernels::fconv::{
         compute_fconv, compute_fconv_bits, fconv_row, FloatBank, SignedBank,
     };
-    use crate::kernels::fused::{compute_bconv_pool_chain, dense_pair_into, ring_shape};
+    use crate::kernels::fused::{compute_bconv_pool_chain, ring_shape};
     use crate::kernels::pool::tests::{nested_loop_maxpool, runtime_shape_maxpool};
     use crate::kernels::pool::{compute_maxpool_bits, PoolGeometry};
     use crate::kernels::taps::{TapBank, TapRing};
@@ -1522,8 +1520,6 @@ mod tests {
         compute_bconv_fused_reference(&flat, &w1, &f1, &point, &mut mid);
         compute_bconv_fused_reference(&mid, &w2, &f2, &point, &mut out);
         let shares = u <= 64 && 4 * u <= 3 * k;
-        let queue =
-            || CommandQueue::new(DeviceProfile::adreno_640(), ExecutorClass::PhoneBitOpenCl);
         let routes = |filters: &dyn Fn() -> DirectBank<u64>, flat: &dyn Fn() -> FusedLanes<u64>| {
             let (bank, lanes) = (filters(), flat());
             let shared = (shares && word_permute()).then_some(u);
@@ -1547,10 +1543,10 @@ mod tests {
             let mut got = BitTensor::zeros(pooled.shape());
             compute_bconv_pool_chain(&input, &bank, &geom, &pool, &mut ring, &mut got);
             assert!(got == pooled, "k {k} u {u} c {c}: bconv_pool chain");
-            let empty = || BitTensor::zeros(Shape4::new(0, 0, 0, 0));
-            let (mut windows, mut got) = (empty(), empty());
-            let q = &mut queue();
-            bconv_lowered_bank_into(q, &input, &lanes, &geom, Some(&mut windows), &mut got);
+            let mut windows = BitTensor::zeros(Shape4::new(0, 0, 0, 0));
+            let mut got = BitTensor::zeros(want.shape());
+            pack_windows_into(&input, &geom, &mut windows);
+            compute_bgemm(&windows, &lanes, &mut got);
             assert!(got == want, "k {k} u {u} c {c}: lowered GEMM");
         };
         let dict = FilterDict::build(&filters);
@@ -1571,9 +1567,12 @@ mod tests {
                     let shared = (shares && word_permute()).then_some(u);
                     assert_eq!(l1.distinct_filters(), shared, "k {k} u {u} dense");
                     let l2 = FusedLanes::new(&w2, &f2);
-                    let empty = || BitTensor::zeros(Shape4::new(0, 0, 0, 0));
-                    let (mut f, mut m, mut got) = (empty(), empty(), empty());
-                    dense_pair_into(&mut queue(), &input, &l1, &l2, &mut f, &mut m, &mut got);
+                    let mut f = BitTensor::zeros(Shape4::new(0, 0, 0, 0));
+                    let mut m = BitTensor::zeros(Shape4::new(input.shape().n, 1, 1, l1.shape().k));
+                    let mut got = BitTensor::zeros(out.shape());
+                    flatten_bits_into(&input, &mut f);
+                    compute_dense_bin(&f, &l1, &mut m);
+                    compute_dense_bin(&m, &l2, &mut got);
                     assert!(
                         got == out,
                         "k {k} u {u} c {c}: dense pair on {}",

@@ -1,9 +1,11 @@
 //! PhoneBit's GPU kernels.
 //!
 //! Each kernel exposes a `compute_*` functional body (pure host math,
-//! reusable by baselines and tests) and a dispatch wrapper that launches it
-//! on a [`phonebit_gpusim::CommandQueue`] with the matching cost profile
-//! from [`profiles`].
+//! reusable by baselines and tests) and the closed-form cost profile of its
+//! dispatch in [`profiles`]. The engine launches its plan's staged profiles
+//! over the bodies; the dispatch wrappers (`*_into`, and the allocating
+//! entries over them) launch a body under its profile for one-off callers,
+//! staging their filters per call.
 
 pub mod bconv;
 pub mod bgemm;
@@ -31,26 +33,19 @@ pub fn pack_input_into<W: BitWord>(
     input: &Tensor<f32>,
     out: &mut BitTensor<W>,
 ) {
-    pack_window_into(q, std::slice::from_ref(&*input.nhwc()), input.shape(), out);
+    let (s, image) = (input.shape(), input.nhwc());
+    let profile = profiles::pack_input(s.pixels(), s.c);
+    q.launch(profile, || {
+        compute_pack_input(std::slice::from_ref(&*image), s, out)
+    });
 }
 
-/// [`pack_input_into`] over a request window read where it lies (so the
-/// engine's arena holds no float copy of it): `images`, in order, fill the
-/// leading lanes of `out` (reset to the batched `shape`), the lanes a short
-/// window leaves pack as zero images, and the device is booked all of `shape`.
-pub fn pack_window_into<W: BitWord>(
-    q: &mut CommandQueue,
-    images: &[Tensor<f32>],
-    shape: Shape4,
-    out: &mut BitTensor<W>,
-) {
-    let profile = profiles::pack_input(shape.pixels(), shape.c);
-    q.launch(profile, || compute_pack_input(images, shape, out));
-}
-
-/// Functional body of [`pack_window_into`]: the sign-pack sweep under the
-/// host's best instruction set — on AVX-512 one compare into a mask
-/// register per sixteen floats (`isa::pack_window`).
+/// Functional body of the sign-pack over a request window read where it
+/// lies (so the engine's arena holds no float copy of it): `images`, in
+/// order, fill the leading lanes of `out` (reset to the batched `shape`),
+/// and the lanes a short window leaves pack as zero images. The sweep runs
+/// under the host's best instruction set — on AVX-512 one compare into a
+/// mask register per sixteen floats (`isa::pack_window`).
 pub fn compute_pack_input<W: BitWord>(
     images: &[Tensor<f32>],
     shape: Shape4,
@@ -85,24 +80,6 @@ pub(crate) fn pack_avx512<W: BitWord>(
 pub fn softmax(q: &mut CommandQueue, logits: &mut [f32]) {
     let profile = profiles::softmax(logits.len());
     q.launch(profile, || crate::act::softmax(logits));
-}
-
-/// Batched softmax entry point: copies the input logits into `out` (reset
-/// to the input shape) and normalizes every image's row in **one**
-/// dispatch, so a batch of `n` requests pays the launch overhead once
-/// instead of `n` times.
-pub fn softmax_batch_into(q: &mut CommandQueue, input: &Tensor<f32>, out: &mut Tensor<f32>) {
-    let s = input.shape();
-    let features = s.h * s.w * s.c;
-    out.reset(s, phonebit_tensor::Layout::Nhwc);
-    out.as_mut_slice().copy_from_slice(input.as_slice());
-    let profile = profiles::softmax(features).batched(s.n);
-    q.launch(profile, || {
-        let data = out.as_mut_slice();
-        for n in 0..s.n {
-            crate::act::softmax(&mut data[n * features..(n + 1) * features]);
-        }
-    });
 }
 
 /// Dispatches bit unpacking: a packed binary tensor becomes ±1.0 floats in
@@ -157,9 +134,15 @@ mod tests {
         let t = Tensor::from_fn(Shape4::new(batch, 1, 1, 5), |n, _, _, c| {
             (n * 5 + c) as f32 * 0.3 - 1.0
         });
+        // The batched softmax step: the logits copied out, every image's row
+        // normalized in one dispatch of the batched profile.
         let mut q = queue();
-        let mut out = Tensor::<f32>::zeros(Shape4::new(0, 0, 0, 0), phonebit_tensor::Layout::Nhwc);
-        softmax_batch_into(&mut q, &t, &mut out);
+        let mut out = t.clone();
+        q.launch(profiles::softmax(5).batched(batch), || {
+            out.as_mut_slice()
+                .chunks_exact_mut(5)
+                .for_each(crate::act::softmax)
+        });
         assert_eq!(q.timeline().len(), 1, "one dispatch for the whole batch");
         for n in 0..batch {
             let mut row: Vec<f32> = (0..5).map(|c| t.at(n, 0, 0, c)).collect();

@@ -160,25 +160,13 @@ pub fn compute_maxpool_f32(input: &Tensor<f32>, geom: &PoolGeometry, out: &mut T
 
 /// Dispatches float max pooling.
 pub fn maxpool_f32(q: &mut CommandQueue, input: &Tensor<f32>, geom: &PoolGeometry) -> Tensor<f32> {
-    let mut out = Tensor::<f32>::zeros(Shape4::new(0, 0, 0, 0), Layout::Nhwc);
-    maxpool_f32_into(q, input, geom, &mut out);
-    out
-}
-
-/// [`maxpool_f32`] into a caller-provided NHWC tensor (reset to the output
-/// shape), reusing its storage — the engine's arena path.
-pub fn maxpool_f32_into(
-    q: &mut CommandQueue,
-    input: &Tensor<f32>,
-    geom: &PoolGeometry,
-    out: &mut Tensor<f32>,
-) {
     let s = input.shape();
     let (oh, ow) = geom.output_hw(s.h, s.w);
     let os = Shape4::new(s.n, oh, ow, s.c);
-    out.reset(os, Layout::Nhwc);
+    let mut out = Tensor::<f32>::zeros(os, Layout::Nhwc);
     let profile = profiles::maxpool_f32(os.pixels(), s.c, geom.size);
-    q.launch(profile, || compute_maxpool_f32(input, geom, out));
+    q.launch(profile, || compute_maxpool_f32(input, geom, &mut out));
+    out
 }
 
 /// Functional body of float average pooling (global or windowed).

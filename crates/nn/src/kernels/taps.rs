@@ -37,7 +37,6 @@ const GROUP: usize = 10;
 #[derive(Debug, Clone, PartialEq)]
 pub struct TapBank {
     shape: FilterShape,
-    dram_discount_bytes: f64,
     lanes: Vec<[i32; 16]>,
 }
 
@@ -49,10 +48,10 @@ impl TapBank {
         shape && isa::lane_popcount(fs.c)
     }
 
-    /// Stages `filters` (a dictionary read through once, its modeled
-    /// saving kept) with the cuts of `fused`. `filters` must [`fit`](Self::fits).
+    /// Stages `filters` (a dictionary read through once) with the cuts of
+    /// `fused`. `filters` must [`fit`](Self::fits).
     pub fn new<W: BitWord>(filters: &impl FilterAccess<W>, fused: &FusedBn) -> Self {
-        let (shape, dram_discount_bytes) = (filters.shape(), filters.dram_discount_bytes());
+        let shape = filters.shape();
         let (c, cuts) = (shape.c, Cuts::new(fused, shape.filter_len()));
         let per = 512 / c;
         let mut lanes = vec![[0; 16]; shape.k.div_ceil(per) * GROUP];
@@ -65,21 +64,7 @@ impl TapBank {
                 lane[slot] |= (pixel_bits(filters.tap_words(k, t / 3, t % 3)) << shift) as i32;
             }
         }
-        Self {
-            shape,
-            dram_discount_bytes,
-            lanes,
-        }
-    }
-
-    /// Shape of the filters the bank was built from.
-    pub fn shape(&self) -> FilterShape {
-        self.shape
-    }
-
-    /// [`FilterAccess::dram_discount_bytes`] of the bank it was staged from.
-    pub fn dram_discount_bytes(&self) -> f64 {
-        self.dram_discount_bytes
+        Self { shape, lanes }
     }
 }
 

@@ -163,11 +163,6 @@ impl<W: BitWord> FusedLanes<W> {
         FilterShape::new(shared.map_or(s.k, |&(k, _)| k), s.kh, s.kw, s.c)
     }
 
-    /// [`FilterAccess::dram_discount_bytes`] of the bank they were staged from.
-    pub fn dram_discount_bytes(&self) -> f64 {
-        self.bank.dram_discount_bytes()
-    }
-
     /// A shared bank's distinct filters; `None` when it holds every filter.
     pub fn distinct_filters(&self) -> Option<usize> {
         self.shared.as_ref().map(|_| self.bank.shape().k)

@@ -16,14 +16,14 @@
 //! Readers go through the dictionary via [`FilterAccess`]: the span a tap
 //! resolves to is bit-identical to the raw tap span, so whatever is built
 //! from it — the per-tap oracle's dots, or the filter-interleaved
-//! [`LaneBank`](crate::lanes::LaneBank) the kernels run on, staged from the
-//! dictionary once per layer — is unchanged. The dictionary is what the
-//! modeled device stores and reads ([`FilterAccess::dram_discount_bytes`]);
-//! the host kernels never walk it per pixel: readers see taps, never a
-//! filter's words as stored. The host's own saving from the same clustering
-//! is of whole filters, not taps, and holds dictionary or not: a layer whose
-//! filters repeat stages only its distinct filters' lanes and multiplies
-//! each once (`nn::kernels::tiled::FusedLanes`).
+//! [`LaneBank`](crate::lanes::LaneBank) the kernels run on — is unchanged.
+//! The dictionary is the modeled device's format: what it stores and reads
+//! ([`FilterAccess::dram_discount_bytes`]). The engine stages its lanes from
+//! the raw rows and never builds one; a compressed layer's saving reaches
+//! the host only as the plan's modeled numbers. The host's own saving from
+//! the same clustering is of whole filters, not taps, and holds dictionary
+//! or not: a layer whose filters repeat stages only its distinct filters'
+//! lanes and multiplies each once (`nn::kernels::tiled::FusedLanes`).
 //!
 //! Compression is lossless and byte-exact: [`FilterDict::decode`] rebuilds
 //! the original [`PackedFilters`].

@@ -271,10 +271,10 @@ fn special_values_pack_alike_through_every_entry() {
     let mut got = BitTensor::<u64>::zeros(Shape4::new(0, 0, 0, 0));
     kernels::pack_input_into(&mut q, &joined, &mut got);
     assert_eq!(got, want, "pack_input_into");
-    kernels::pack_window_into(&mut q, &images, window, &mut got);
-    assert_eq!(got, want, "pack_window_into");
+    kernels::compute_pack_input(&images, window, &mut got);
+    assert_eq!(got, want, "compute_pack_input");
     // A short window's trailing lane is pack(0.0): every real channel set.
-    kernels::pack_window_into(&mut q, &images[..1], window, &mut got);
+    kernels::compute_pack_input(&images[..1], window, &mut got);
     assert!(got.tail_is_clean());
     for ((n, h, w, c), _) in joined.iter_indexed() {
         let expect = n == 1 || want.get_bit(n, h, w, c);

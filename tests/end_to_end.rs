@@ -40,11 +40,12 @@ fn checkpoint_to_inference_pipeline() {
     assert_eq!(report.per_layer.len(), def.arch.layers.len());
 }
 
-/// The plan's dispatch list is what the engine launches: "what a step
-/// dispatches" exists twice — [`ExecutionPlan::step_profiles`], which every
-/// model of a plan reads, and `engine::exec_step`'s calls into the `nn`
-/// wrappers — and this table compares the two over the micro zoo (plus
-/// [`dispatch_extras_arch`]) × batch {1, 3} × every route override.
+/// The engine's walk launches the plan's dispatch list and nothing else:
+/// [`ExecutionPlan::step_profiles`], which every model of a plan reads, is
+/// staged once per step and launched over the kernel bodies. A body run
+/// outside the list, or a list entry left unlaunched, shows here as a
+/// timeline that differs from the list launched alone, over the micro zoo
+/// (plus [`dispatch_extras_arch`]) × batch {1, 3} × every route override.
 #[test]
 fn engine_timing_equals_estimate_path() {
     let phone = Phone::xiaomi_9();
@@ -55,7 +56,7 @@ fn engine_timing_equals_estimate_path() {
     // an arch has no banks to dictionary-compress, and it sizes banks
     // before word padding, so the compressed and paged rows are pinned
     // against the session's own plan only.
-    let rows: [(&str, RouteOverrides, bool, bool); 8] = [
+    let rows: [(&str, RouteOverrides, bool, bool); 10] = [
         ("default", base, false, true),
         (
             "force_unfused",
@@ -109,6 +110,28 @@ fn engine_timing_equals_estimate_path() {
             RouteOverrides {
                 compression: CompressionMode::Auto,
                 force_unfused: true,
+                ..base
+            },
+            true,
+            false,
+        ),
+        // A fused group's discount is its leading conv's dictionary saving.
+        (
+            "compression auto + fusion force",
+            RouteOverrides {
+                compression: CompressionMode::Auto,
+                fusion: FusionMode::Force,
+                ..base
+            },
+            true,
+            false,
+        ),
+        // Dictionary banks on the GEMM pair: only the GEMM reads filters.
+        (
+            "compression auto + lowered_gemm",
+            RouteOverrides {
+                compression: CompressionMode::Auto,
+                lowered_gemm: true,
                 ..base
             },
             true,

@@ -561,10 +561,6 @@ fn a_join_event_brings_up_a_device_that_carries_traffic() {
         routed_to_joined > 0,
         "shortest-queue steers load onto the joined device"
     );
-    assert!(
-        fleet.registry().get("dev1").is_some(),
-        "the joined device's clock is registered"
-    );
 }
 
 #[test]

@@ -65,9 +65,10 @@ fn integer_conv(img: &Tensor<u8>, f: &Filters, geom: &ConvGeometry) -> Tensor<i3
 }
 
 /// `bitplane_conv_accum` == `expect`, and `bitplane_conv_fused_into` == accum →
-/// `decide_logic`, at word width `W`; the engine's first-layer entries — the
-/// byte dot's split step and both fused `in8` chains, with and without the
-/// pool a `FusionMode::Force` plan folds in — decide the same bits.
+/// `decide_logic`, at word width `W`; the engine's first-layer bodies — the
+/// byte dot (which an `in8` chain without a pool runs too) and the `in8`
+/// chain with the pool a `FusionMode::Force` plan folds in — decide the
+/// same bits.
 fn first_layer_matches<W: BitWord>(
     img: &Tensor<u8>,
     f: &Filters,
@@ -77,8 +78,8 @@ fn first_layer_matches<W: BitWord>(
 ) -> Result<(), TestCaseError> {
     use phonebit::nn::fuse::PlaneCuts;
     use phonebit::nn::kernels::bitplane::{bitplane_conv_accum, bitplane_conv_fused_into};
-    use phonebit::nn::kernels::bytedot::{byte_conv_into, ByteBank};
-    use phonebit::nn::kernels::fused::in8_bconv_chain_into;
+    use phonebit::nn::kernels::bytedot::{compute_byte_conv, ByteBank};
+    use phonebit::nn::kernels::fused::{compute_in8_pool_chain, ring_shape};
     use phonebit::nn::kernels::pool::{maxpool_bits, PoolGeometry};
     let mut q = phonebit::gpusim::CommandQueue::new(
         phonebit::gpusim::DeviceProfile::adreno_640(),
@@ -103,24 +104,15 @@ fn first_layer_matches<W: BitWord>(
         ByteBank::new(&packed),
         PlaneCuts::new(fused, f.shape().filter_len()),
     );
-    let (mut bytes, mut ring) = (BitTensor::<W>::zeros(Shape4::new(0, 0, 0, 0)), bits.clone());
-    byte_conv_into(&mut q, img, &bank, &cuts, geom, &mut bytes);
+    let mut bytes = BitTensor::<W>::zeros(bits.shape());
+    compute_byte_conv(img, &bank, &cuts, geom, &mut bytes);
     prop_assert!(bytes == bits, "W={}: byte dot", W::BITS);
-    in8_bconv_chain_into(&mut q, img, &bank, &cuts, geom, None, &mut ring, &mut bytes);
-    prop_assert!(bytes == bits, "W={}: in8 chain", W::BITS);
     let s = bits.shape();
     let pool = PoolGeometry::new(2.min(s.h).min(s.w), 2);
     let pooled = maxpool_bits(&mut q, &bits, &pool);
-    in8_bconv_chain_into(
-        &mut q,
-        img,
-        &bank,
-        &cuts,
-        geom,
-        Some(&pool),
-        &mut ring,
-        &mut bytes,
-    );
+    let mut ring = BitTensor::<W>::zeros(ring_shape(s.w, s.c, &pool));
+    let mut bytes = BitTensor::<W>::zeros(pooled.shape());
+    compute_in8_pool_chain(img, &bank, &cuts, geom, &pool, &mut ring, &mut bytes);
     prop_assert!(bytes == pooled, "W={}: in8 chain with a pool", W::BITS);
     Ok(())
 }
