@@ -556,9 +556,8 @@ trait RouteSubstrate {
     fn try_join(&mut self, phone: &Phone, fault: Option<FaultPlan>, at_ms: f64) -> Vec<usize>;
 }
 
-/// A join borrows its device from the caller's event list: every arrival
-/// is an `Ev` too, and one as wide as a [`Phone`] made a full-scale pass's
-/// timeline a 5 MB block (grown by doubling) in a 10 MB process.
+/// A join borrows its device from the caller's event list: an `Ev` as wide
+/// as a [`Phone`] once made a full-scale pass's heap a 5 MB block.
 #[derive(Debug, Clone)]
 enum EvKind<'a> {
     Join {
@@ -653,7 +652,15 @@ fn pick_device(policy: RoutePolicy, cands: &[usize], busy: &[f64], rng: &mut Std
 /// failure the charged horizon splits the device's log into a committed
 /// prefix (drained in place) and a migrated suffix (re-enters the router
 /// at the failure instant). Arrival timestamps are taken as valid — the
-/// serving entry point gates them ([`validate_arrivals`]).
+/// serving entry point gates them ([`validate_arrivals`]): each tenant's
+/// are sorted, so the heap merges the streams, holding each tenant's next
+/// arrival. Tenant `t`'s arrival `i` is sequence `base[t] + i`, events and
+/// re-routes after, so ties break as with every arrival queued up front.
+///
+/// # Cost
+///
+/// O(N log(T + E)) for N arrivals, T tenants and E events and re-routes,
+/// besides the substrate's calls: the heap holds at most T + E entries.
 fn route_requests<S: RouteSubstrate>(
     sub: &mut S,
     arrivals_ms: &[Vec<f64>],
@@ -662,24 +669,25 @@ fn route_requests<S: RouteSubstrate>(
     opts: &FleetOptions,
 ) -> Result<RouteCoreOutcome, EngineError> {
     let tenants = arrivals_ms.len();
-    let mut heap: BinaryHeap<Ev> = BinaryHeap::new();
-    let mut seq = 0u64;
-    for (t, arr) in arrivals_ms.iter().enumerate() {
-        for (i, &a) in arr.iter().enumerate() {
-            heap.push(Ev {
-                at_ms: a,
-                class: 2,
-                seq,
-                kind: EvKind::Arrival {
-                    tenant: t,
-                    index: i,
-                    orig_ms: a,
-                    prev: None,
-                },
-            });
-            seq += 1;
-        }
+    let (mut base, mut seq) = (Vec::with_capacity(tenants), 0u64);
+    for arr in arrivals_ms {
+        base.push(seq);
+        seq += arr.len() as u64;
     }
+    let arrival = |tenant: usize, index: usize| {
+        arrivals_ms[tenant].get(index).map(|&a| Ev {
+            at_ms: a,
+            class: 2,
+            seq: base[tenant] + index as u64,
+            kind: EvKind::Arrival {
+                tenant,
+                index,
+                orig_ms: a,
+                prev: None,
+            },
+        })
+    };
+    let mut heap: BinaryHeap<Ev> = (0..tenants).filter_map(|t| arrival(t, 0)).collect();
     for ev in events {
         let at = ev.at_ms();
         if !at.is_finite() || at < 0.0 {
@@ -715,6 +723,7 @@ fn route_requests<S: RouteSubstrate>(
     let mut migrations: Vec<FleetMigration> = Vec::new();
     let mut migrated_by_tenant = vec![0usize; tenants];
     let mut rng = StdRng::seed_from_u64(opts.seed);
+    let mut cands: Vec<usize> = Vec::new();
 
     while let Some(ev) = heap.pop() {
         let now = ev.at_ms;
@@ -776,11 +785,11 @@ fn route_requests<S: RouteSubstrate>(
                 orig_ms,
                 prev,
             } => {
-                let cands: Vec<usize> = replicas[tenant]
-                    .iter()
-                    .copied()
-                    .filter(|&d| live[d])
-                    .collect();
+                if prev.is_none() {
+                    heap.extend(arrival(tenant, index + 1));
+                }
+                cands.clear();
+                cands.extend(replicas[tenant].iter().copied().filter(|&d| live[d]));
                 let dest = if cands.is_empty() {
                     // Every replica is dead: migrate the tenant to the
                     // least-busy feasible survivor.
@@ -1729,6 +1738,331 @@ mod tests {
         let (s0, s1) = counts(RoutePolicy::ShortestQueue);
         assert_eq!(s0 + s1, 40);
         assert!(s0.abs_diff(s1) <= 1, "jsq balances: {s0} vs {s1}");
+    }
+
+    /// The router as it was before the merge, kept verbatim as its oracle:
+    /// every arrival queued on one heap before the first pop.
+    fn reference_route_requests<S: RouteSubstrate>(
+        sub: &mut S,
+        arrivals_ms: &[Vec<f64>],
+        events: &[FleetEvent],
+        placement: &[Vec<usize>],
+        opts: &FleetOptions,
+    ) -> Result<RouteCoreOutcome, EngineError> {
+        let tenants = arrivals_ms.len();
+        let mut heap: BinaryHeap<Ev> = BinaryHeap::new();
+        let mut seq = 0u64;
+        for (t, arr) in arrivals_ms.iter().enumerate() {
+            for (i, &a) in arr.iter().enumerate() {
+                heap.push(Ev {
+                    at_ms: a,
+                    class: 2,
+                    seq,
+                    kind: EvKind::Arrival {
+                        tenant: t,
+                        index: i,
+                        orig_ms: a,
+                        prev: None,
+                    },
+                });
+                seq += 1;
+            }
+        }
+        for ev in events {
+            let at = ev.at_ms();
+            if !at.is_finite() || at < 0.0 {
+                return Err(EngineError::InputMismatch {
+                    expected: "finite non-negative event timestamps".into(),
+                    got: format!("{at}"),
+                });
+            }
+            let (class, kind) = match ev {
+                FleetEvent::Join { phone, fault, .. } => (0u8, EvKind::Join { phone, fault }),
+                FleetEvent::Fail { device, .. } => (1u8, EvKind::Fail { device: *device }),
+            };
+            heap.push(Ev {
+                at_ms: at,
+                class,
+                seq,
+                kind,
+            });
+            seq += 1;
+        }
+
+        let m0 = sub.device_count();
+        let mut live = vec![true; m0];
+        let mut busy = vec![0.0f64; m0];
+        let mut fail_at: Vec<Option<f64>> = vec![None; m0];
+        let mut replicas: Vec<Vec<usize>> = placement.to_vec();
+        let mut routed: Vec<Vec<Vec<RoutedRequest>>> = vec![vec![Vec::new(); tenants]; m0];
+        // Per device: (tenant, position-in-routed, charged completion) in
+        // routing order; completions are non-decreasing, which makes the
+        // committed set at a failure a prefix.
+        let mut dev_log: Vec<Vec<(usize, usize, f64)>> = vec![Vec::new(); m0];
+        let mut unrouted: Vec<(usize, usize, f64)> = Vec::new();
+        let mut migrations: Vec<FleetMigration> = Vec::new();
+        let mut migrated_by_tenant = vec![0usize; tenants];
+        let mut rng = StdRng::seed_from_u64(opts.seed);
+
+        while let Some(ev) = heap.pop() {
+            let now = ev.at_ms;
+            match ev.kind {
+                EvKind::Join { phone, fault } => {
+                    let hosted = sub.try_join(phone, fault.clone(), now);
+                    live.push(true);
+                    busy.push(now);
+                    fail_at.push(None);
+                    routed.push(vec![Vec::new(); tenants]);
+                    dev_log.push(Vec::new());
+                    let d = live.len() - 1;
+                    debug_assert_eq!(d + 1, sub.device_count());
+                    for &t in &hosted {
+                        replicas[t].push(d);
+                    }
+                }
+                EvKind::Fail { device } => {
+                    if device >= live.len() || !live[device] {
+                        return Err(EngineError::InputMismatch {
+                            expected: "a Fail event naming a live device".into(),
+                            got: format!("device {device} at {now} ms"),
+                        });
+                    }
+                    live[device] = false;
+                    fail_at[device] = Some(now);
+                    let cut = dev_log[device].partition_point(|&(_, _, c)| c <= now);
+                    let orphans: Vec<(usize, usize)> = dev_log[device][cut..]
+                        .iter()
+                        .map(|&(t, pos, _)| (t, pos))
+                        .collect();
+                    dev_log[device].truncate(cut);
+                    let mut kept = vec![usize::MAX; tenants];
+                    for &(t, pos) in &orphans {
+                        let req = routed[device][t][pos];
+                        kept[t] = kept[t].min(pos);
+                        heap.push(Ev {
+                            at_ms: now,
+                            class: 2,
+                            seq,
+                            kind: EvKind::Arrival {
+                                tenant: t,
+                                index: req.index,
+                                orig_ms: req.arrival_ms,
+                                prev: Some(device),
+                            },
+                        });
+                        seq += 1;
+                    }
+                    for (t, row) in routed[device].iter_mut().enumerate() {
+                        if kept[t] != usize::MAX {
+                            row.truncate(kept[t]);
+                        }
+                    }
+                }
+                EvKind::Arrival {
+                    tenant,
+                    index,
+                    orig_ms,
+                    prev,
+                } => {
+                    let cands: Vec<usize> = replicas[tenant]
+                        .iter()
+                        .copied()
+                        .filter(|&d| live[d])
+                        .collect();
+                    let dest = if cands.is_empty() {
+                        // Every replica is dead: migrate the tenant to the
+                        // least-busy feasible survivor.
+                        let mut targets: Vec<usize> = (0..live.len())
+                            .filter(|&d| live[d] && sub.can_host(d, tenant))
+                            .collect();
+                        targets.sort_by(|&a, &b| busy[a].total_cmp(&busy[b]).then(a.cmp(&b)));
+                        let mut chosen = None;
+                        for &d in &targets {
+                            if sub.try_migrate(d, tenant, now) {
+                                chosen = Some(d);
+                                break;
+                            }
+                        }
+                        match chosen {
+                            Some(d) => {
+                                replicas[tenant].push(d);
+                                migrations.push(FleetMigration {
+                                    at_ms: now,
+                                    tenant,
+                                    from: prev,
+                                    to: d,
+                                });
+                                d
+                            }
+                            None => {
+                                unrouted.push((tenant, index, now));
+                                continue;
+                            }
+                        }
+                    } else {
+                        pick_device(opts.policy, &cands, &busy, &mut rng)
+                    };
+                    if prev.is_some() {
+                        migrated_by_tenant[tenant] += 1;
+                    }
+                    let svc = sub.service_ms(dest, tenant);
+                    busy[dest] = busy[dest].max(now) + svc;
+                    let pos = routed[dest][tenant].len();
+                    routed[dest][tenant].push(RoutedRequest {
+                        index,
+                        arrival_ms: orig_ms,
+                        effective_ms: now,
+                    });
+                    dev_log[dest].push((tenant, pos, busy[dest]));
+                }
+            }
+        }
+
+        Ok(RouteCoreOutcome {
+            routed,
+            unrouted,
+            migrations,
+            fail_at,
+            migrated_by_tenant,
+        })
+    }
+
+    /// A substrate whose service, hosting, migration and joins vary by
+    /// device and tenant, so every policy's pick and every fallback shows.
+    #[derive(Clone, Debug, PartialEq)]
+    struct GridSub {
+        devices: usize,
+        tenants: usize,
+        salt: usize,
+        hosted: Vec<Vec<usize>>,
+    }
+
+    impl RouteSubstrate for GridSub {
+        fn device_count(&self) -> usize {
+            self.devices
+        }
+        fn service_ms(&self, d: usize, t: usize) -> f64 {
+            0.5 + ((d * 7 + t * 3 + self.salt) % 5) as f64
+        }
+        fn can_host(&self, d: usize, t: usize) -> bool {
+            !(d + t + self.salt).is_multiple_of(3)
+        }
+        fn try_migrate(&mut self, d: usize, t: usize, _at: f64) -> bool {
+            let ok = (d * t + self.salt) % 4 != 1;
+            if ok {
+                self.hosted[d].push(t);
+            }
+            ok
+        }
+        fn try_join(&mut self, _phone: &Phone, _fault: Option<FaultPlan>, _at: f64) -> Vec<usize> {
+            let d = self.devices;
+            self.devices += 1;
+            let hosted: Vec<usize> = (0..self.tenants)
+                .filter(|&t| (d + t + self.salt).is_multiple_of(2))
+                .collect();
+            self.hosted.push(hosted.clone());
+            hosted
+        }
+    }
+
+    /// The merge routes exactly as the all-arrivals heap: 1–5 tenants (some
+    /// empty) on a coarse time grid, so equal timestamps meet within and
+    /// across tenants; joins and failures on arrival instants, failures
+    /// re-routing uncommitted work and migrating orphaned tenants; every
+    /// policy, one to three replicas.
+    #[test]
+    fn merged_router_equals_the_all_arrivals_heap() {
+        let mut rng = StdRng::seed_from_u64(0x5EED_F1EE7);
+        let (mut reroutes, mut migrations, mut unrouted, mut errors) = (0, 0, 0, 0);
+        for _case in 0..300 {
+            let tenants = rng.gen_range(1..6usize);
+            let arrivals: Vec<Vec<f64>> = (0..tenants)
+                .map(|_| {
+                    let n = if rng.gen_range(0..4) == 0 {
+                        0
+                    } else {
+                        rng.gen_range(1..41)
+                    };
+                    let mut at = 0.0;
+                    (0..n)
+                        .map(|_| {
+                            at += [0.0, 0.5, 1.0, 2.5][rng.gen_range(0..4usize)];
+                            at
+                        })
+                        .collect()
+                })
+                .collect();
+            let instants: Vec<f64> = arrivals.iter().flatten().copied().collect();
+            let devices = rng.gen_range(1..5usize);
+            let replicas = rng.gen_range(1..4usize).min(devices);
+            let placement: Vec<Vec<usize>> = (0..tenants)
+                .map(|_| {
+                    let first = rng.gen_range(0..devices);
+                    (0..replicas).map(|r| (first + r) % devices).collect()
+                })
+                .collect();
+            let mut events = Vec::new();
+            for _ in 0..rng.gen_range(0..4usize) {
+                let at_ms = if instants.is_empty() || rng.gen_range(0..3) == 0 {
+                    rng.gen_range(0..60usize) as f64 * 0.5
+                } else {
+                    instants[rng.gen_range(0..instants.len())]
+                };
+                events.push(if rng.gen_range(0..3) == 0 {
+                    FleetEvent::Join {
+                        at_ms,
+                        phone: Phone::xiaomi_9(),
+                        fault: None,
+                    }
+                } else {
+                    FleetEvent::Fail {
+                        at_ms,
+                        device: rng.gen_range(0..devices + 1),
+                    }
+                });
+            }
+            let sub = GridSub {
+                devices,
+                tenants,
+                salt: rng.gen_range(0..12usize),
+                hosted: vec![Vec::new(); devices],
+            };
+            for policy in RoutePolicy::ALL {
+                let opts = FleetOptions {
+                    policy,
+                    seed: rng.gen_range(0..u64::MAX),
+                    ..FleetOptions::default()
+                };
+                let (mut merged, mut reference) = (sub.clone(), sub.clone());
+                let got = route_requests(&mut merged, &arrivals, &events, &placement, &opts);
+                let want =
+                    reference_route_requests(&mut reference, &arrivals, &events, &placement, &opts);
+                assert_eq!(merged, reference, "{policy:?}: substrate calls differ");
+                let (got, want) = match (got, want) {
+                    (Ok(got), Ok(want)) => (got, want),
+                    (Err(got), Err(want)) => {
+                        assert_eq!(got.to_string(), want.to_string());
+                        errors += 1;
+                        continue;
+                    }
+                    (got, want) => panic!("{policy:?}: {:?} vs {:?}", got.is_ok(), want.is_ok()),
+                };
+                assert_eq!(
+                    got.routed, want.routed,
+                    "{policy:?}: {arrivals:?} {events:?}"
+                );
+                assert_eq!(got.unrouted, want.unrouted);
+                assert_eq!(got.migrations, want.migrations);
+                assert_eq!(got.fail_at, want.fail_at);
+                assert_eq!(got.migrated_by_tenant, want.migrated_by_tenant);
+                conserved(&got, &arrivals);
+                reroutes += got.migrated_by_tenant.iter().sum::<usize>();
+                migrations += got.migrations.len();
+                unrouted += got.unrouted.len();
+            }
+        }
+        // The cases reach every path the merge could get wrong.
+        assert!(reroutes > 0 && migrations > 0 && unrouted > 0 && errors > 0);
     }
 
     #[test]

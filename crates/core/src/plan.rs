@@ -74,7 +74,7 @@ use std::sync::Arc;
 
 use phonebit_gpusim::{CommandQueue, DeviceProfile, ExecutorClass, KernelProfile};
 use phonebit_nn::graph::{LayerPrecision, LayerSpec, NetworkArch, PoolKind};
-use phonebit_nn::kernels::fused::{conv_chain_profile, dense_pair_profile, ChainAbsorb};
+use phonebit_nn::kernels::fused::{self, conv_chain_profile, dense_pair_profile, ChainAbsorb};
 use phonebit_nn::kernels::{bgemm, profiles};
 use phonebit_nn::workload::WorkloadPolicy;
 use phonebit_tensor::bits::PackWidth;
@@ -1413,7 +1413,7 @@ fn fuse_pass(
                     };
                     // The conv activation never materializes: its value
                     // becomes the pool-window ring tile.
-                    let ring = Shape4::new(1, size, first.out_shape.w, first.out_shape.c);
+                    let ring = fused::ring_shape(first.out_shape.w, first.out_shape.c, size);
                     let v = &mut values[first.output];
                     v.kind = ValueKind::Bits;
                     v.shape = ring;

@@ -54,7 +54,7 @@
 //! across the micro zoo and all four binary-convolution routes.
 
 use std::borrow::Borrow;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use phonebit_gpusim::buffer::{Buffer, Context, SimError};
@@ -281,8 +281,8 @@ fn fault_key(tenant: usize, index: usize, attempt: usize) -> u64 {
 ///    parked in backoff), pull the one with least slack
 ///    `pace − (now + service)` — earliest pace deadline on ties, then
 ///    tenant order — where `pace` is [`OpenLoopWindow::pace_ms`].
-/// 3. If nothing is ready, idle the stream forward to the next ready
-///    time.
+/// 3. If nothing is ready, idle the stream — and every other stream free
+///    before then — forward to the next ready time.
 ///
 /// Each dispatched attempt rolls the seeded [`FaultPlan`] (keyed on
 /// tenant/window/attempt — dispatch-order independent) and stretches by
@@ -460,11 +460,13 @@ pub fn schedule_open_loop(
         }
 
         let Some((t, i, _, _, dur)) = best else {
-            // Nothing ready: idle this stream forward to the next ready
-            // time (strictly later than `now`, so the loop advances).
+            // Nothing ready: every stream free before the next ready time
+            // (> `now`) idles up to it, as each would in turn; none is ready sooner.
             assert!(next_ready.is_finite(), "window ready times must be finite");
             debug_assert!(next_ready > now, "a ready window would have matched");
-            free[stream] = next_ready;
+            for f in free.iter_mut().filter(|f| **f < next_ready) {
+                *f = next_ready;
+            }
             continue;
         };
 
@@ -765,6 +767,32 @@ struct AdmittedTenant {
     steady_ms: f64,
 }
 
+/// The plans one [`admit_tenants`] call lowers: its clamp, passes and table
+/// ask for the same (tenant, batch), lowered once under `eff`.
+struct Lowerings<'s, 'a> {
+    asks: &'s [TenantAsk<'a>],
+    gpu: &'s DeviceProfile,
+    eff: &'s [RouteOverrides],
+    plans: HashMap<(usize, usize), Result<ExecutionPlan, EngineError>>,
+}
+
+impl Lowerings<'_, '_> {
+    fn plan(&mut self, i: usize, b: usize) -> Result<&ExecutionPlan, EngineError> {
+        let (source, gpu, ov) = (&self.asks[i].source, self.gpu, self.eff[i]);
+        let plan = self.plans.entry((i, b));
+        plan.or_insert_with(|| source.plan_at(gpu, b, ov))
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+
+    /// Every tenant's plan at the given batches.
+    fn lower(&mut self, batches: &[usize]) -> Result<Vec<ExecutionPlan>, EngineError> {
+        (0..batches.len())
+            .map(|i| self.plan(i, batches[i]).cloned())
+            .collect()
+    }
+}
+
 /// Contention-aware admission for a registry of co-resident tenants.
 ///
 /// Each tenant's memory cap comes from the **pooled** cross-tenant peak
@@ -802,6 +830,11 @@ struct AdmittedTenant {
 /// (measured at the chosen batches) — the one the runtime installs on the
 /// clock and every window cost in the table was modeled under, stalls
 /// included.
+///
+/// # Cost
+///
+/// One lowering per (tenant, batch) the call asks about ([`Lowerings`]);
+/// nothing is kept past the call.
 fn admit_tenants(
     asks: &[TenantAsk<'_>],
     phone: &Phone,
@@ -916,6 +949,12 @@ fn admit_tenants(
         .map(|(g, &w)| g.unwrap_or(w))
         .collect();
     let base_slices: Vec<usize> = base.iter().map(|p| p.staged_arena_bytes()).collect();
+    let mut lowerings = Lowerings {
+        asks,
+        gpu,
+        eff: &eff,
+        plans: HashMap::new(),
+    };
     if pooled_peak_bytes(&resident, &base_slices, streams) > budget {
         return Err(EngineError::OutOfMemory(SimError::OutOfMemory {
             requested: pooled_peak_bytes(&resident, &base_slices, streams),
@@ -929,49 +968,31 @@ fn admit_tenants(
     // batch-1 floor before any pass: one oversized ask must not zero out
     // the other tenants' memory caps below. Since the batch-1 floor fits,
     // every clamp (and every cap in the loop) stays >= 1.
-    for (i, ask) in asks.iter().enumerate() {
-        if batches[i] > 1 {
-            let cap = largest_batch_where(|b| {
-                ask.source
-                    .plan_at(gpu, b, eff[i])
-                    .map(|p| {
-                        let mut probe = base_slices.clone();
-                        probe[i] = p.staged_arena_bytes();
-                        pooled_peak_bytes(&resident, &probe, streams) <= budget
-                    })
-                    .unwrap_or(false)
-            });
-            batches[i] = batches[i].min(cap.max(1));
+    // Whether tenant `i` at batch `b` fits next to its neighbors' `slices`.
+    let fits = |lowerings: &mut Lowerings, slices: &[usize], i: usize, b: usize| {
+        lowerings.plan(i, b).is_ok_and(|p| {
+            let mut probe = slices.to_vec();
+            probe[i] = p.staged_arena_bytes();
+            pooled_peak_bytes(&resident, &probe, streams) <= budget
+        })
+    };
+    for (i, batch) in batches.iter_mut().enumerate() {
+        if *batch > 1 {
+            let cap = largest_batch_where(|b| fits(&mut lowerings, &base_slices, i, b));
+            *batch = (*batch).min(cap.max(1));
         }
     }
-    // Every tenant's plan at the given batches.
-    let lower = |batches: &[usize]| -> Result<Vec<ExecutionPlan>, EngineError> {
-        asks.iter()
-            .zip(batches)
-            .zip(&eff)
-            .map(|((a, &b), &ov)| a.source.plan_at(gpu, b, ov))
-            .collect()
-    };
     let mut admissions: Vec<Admission> = Vec::new();
     for _pass in 0..2 {
         // Measure every tenant's mix at the current batches, then blend.
-        let lowered = lower(&batches)?;
+        let lowered = lowerings.lower(&batches)?;
         let mix = registered_mix(&lowered, gpu, streams);
         let slices: Vec<usize> = lowered.iter().map(|p| p.staged_arena_bytes()).collect();
 
         admissions.clear();
         for (i, ask) in asks.iter().enumerate() {
             // Memory cap: grow tenant i's slice with every neighbor fixed.
-            let max_feasible = largest_batch_where(|b| {
-                ask.source
-                    .plan_at(gpu, b, eff[i])
-                    .map(|p| {
-                        let mut probe = slices.clone();
-                        probe[i] = p.staged_arena_bytes();
-                        pooled_peak_bytes(&resident, &probe, streams) <= budget
-                    })
-                    .unwrap_or(false)
-            });
+            let max_feasible = largest_batch_where(|b| fits(&mut lowerings, &slices, i, b));
             if max_feasible == 0 {
                 // Defensive: the pre-clamp above keeps this unreachable,
                 // but an infeasible combination must surface as OOM, not
@@ -982,9 +1003,9 @@ fn admit_tenants(
                     budget,
                 }));
             }
-            let window_ms = |b: usize| -> Result<f64, EngineError> {
-                let plan = ask.source.plan_at(gpu, b, eff[i])?;
-                let (_, steady) = modeled_window_under(&plan, gpu, streams, mix.as_deref());
+            let mut window_ms = |b: usize| -> Result<f64, EngineError> {
+                let plan = lowerings.plan(i, b)?;
+                let (_, steady) = modeled_window_under(plan, gpu, streams, mix.as_deref());
                 Ok(steady * 1e3)
             };
             let (batch, modeled) = match (ask.batch, ask.slo_ms) {
@@ -1032,7 +1053,7 @@ fn admit_tenants(
     }
     // The table the runtime is brought up from: plans, registered mix and
     // window costs at the *chosen* batches.
-    let lowered = lower(&batches)?;
+    let lowered = lowerings.lower(&batches)?;
     let (mix, windows_ms) = modeled_windows(&lowered, gpu, streams);
     let tenants = admissions
         .into_iter()
@@ -2130,7 +2151,8 @@ impl DeviceRuntime {
 /// fleet both serve through this gate: one queue and one arrival stream
 /// per tenant, one timestamp per request, timestamps sorted (ties
 /// allowed), finite and non-negative. A non-finite arrival would never
-/// become ready and stall the scheduler's idle-forward step.
+/// become ready and stall the scheduler's idle-forward step. Sorted is by
+/// [`f64::total_cmp`], the fleet router's merge order: `-0.0` < `0.0`.
 pub(crate) fn validate_arrivals(
     tenants: usize,
     traffic: &[TenantTraffic<'_>],
@@ -2159,7 +2181,7 @@ pub(crate) fn validate_arrivals(
                 got: format!("{bad}"),
             });
         }
-        if a.windows(2).any(|w| w[1] < w[0]) {
+        if a.windows(2).any(|w| w[1].total_cmp(&w[0]).is_lt()) {
             return Err(EngineError::InputMismatch {
                 expected: format!("sorted arrivals for tenant {t}"),
                 got: "out-of-order timestamps".into(),

@@ -95,10 +95,14 @@ impl RunReport {
     }
 }
 
-/// Nearest-rank quantiles over an unsorted sample — one sort serves every
-/// requested rank; zeros for an empty sample. Every serving report (device
-/// runtime, estimators, fleet, CLI) reads its percentiles through this one
-/// rule, so their tails are comparable.
+/// Nearest-rank quantiles over an unsorted sample — each rank selected in
+/// one copy, no full sort; zeros for an empty sample. Every serving report
+/// (device runtime, estimators, fleet, CLI) reads its percentiles through
+/// this one rule, so their tails are comparable.
+///
+/// Samples rank by [`f64::total_cmp`], so every `-0.0` ranks below every
+/// `0.0`: a rank among zeros of both signs returns `-0.0` up to the last
+/// `-0.0` in that order and `0.0` after it, whatever the input order.
 ///
 /// # Panics
 ///
@@ -107,11 +111,12 @@ pub fn nearest_rank<const N: usize>(samples: &[f64], quantiles: [f64; N]) -> [f6
     if samples.is_empty() {
         return [0.0; N];
     }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("samples are not NaN"));
+    assert!(!samples.iter().any(|x| x.is_nan()), "samples are not NaN");
+    let mut ranked = samples.to_vec();
+    let last = ranked.len() - 1;
     quantiles.map(|q| {
-        let rank = (q * (sorted.len() - 1) as f64).round() as usize;
-        sorted[rank.min(sorted.len() - 1)]
+        let rank = ((q * last as f64).round() as usize).min(last);
+        *ranked.select_nth_unstable_by(rank, f64::total_cmp).1
     })
 }
 
@@ -125,6 +130,47 @@ mod tests {
         assert_eq!(nearest_rank(&xs, [0.50, 0.95, 0.99]), [3.0, 5.0, 5.0]);
         assert_eq!(nearest_rank(&[], [0.50, 0.95, 0.99]), [0.0, 0.0, 0.0]);
         assert_eq!(nearest_rank(&[7.5], [0.50, 0.95, 0.99, 0.999]), [7.5; 4]);
+    }
+
+    #[test]
+    fn selection_picks_what_a_full_sort_picks() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        let qs = [0.0, 0.5, 0.95, 0.999, 1.0];
+        let shuffled = [0.999, 0.0, 1.0, 0.5, 0.95];
+        for n in 1..=200usize {
+            for _ in 0..4 {
+                // Few distinct values, so most ranks land among duplicates.
+                let xs: Vec<f64> = (0..n)
+                    .map(|_| rng.gen_range(0..n.min(20)) as f64 * 0.25 - 1.0)
+                    .collect();
+                let mut sorted = xs.clone();
+                sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                let pick = |q: f64| sorted[((q * (n - 1) as f64).round() as usize).min(n - 1)];
+                assert_eq!(nearest_rank(&xs, qs), qs.map(pick), "{xs:?}");
+                assert_eq!(nearest_rank(&xs, shuffled), shuffled.map(pick), "{xs:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn signed_zeros_rank_negative_first() {
+        let bits = |xs: [f64; 3]| xs.map(f64::to_bits);
+        let got = nearest_rank(&[0.0, -0.0, 0.0], [0.0, 0.5, 1.0]);
+        assert_eq!(bits(got), bits([-0.0, 0.0, 0.0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "samples are not NaN")]
+    fn nan_sample_panics() {
+        nearest_rank(&[1.0, f64::NAN, 2.0], [0.5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "samples are not NaN")]
+    fn lone_nan_sample_panics() {
+        nearest_rank(&[f64::NAN], [0.5]);
     }
 
     fn report() -> RunReport {

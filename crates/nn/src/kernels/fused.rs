@@ -158,10 +158,10 @@ pub fn dense_pair_profile(
     .vector_lanes(VEC_LANES_128)
 }
 
-/// Ring tile shape for a conv→pool chain: `pool.size` conv rows of one
+/// Ring tile shape for a conv→pool chain: `pool_size` conv rows of one
 /// image, rotated as rows are produced.
-pub fn ring_shape(conv_ow: usize, out_channels: usize, pool: &PoolGeometry) -> Shape4 {
-    Shape4::new(1, pool.size, conv_ow, out_channels)
+pub fn ring_shape(conv_ow: usize, out_channels: usize, pool_size: usize) -> Shape4 {
+    Shape4::new(1, pool_size, conv_ow, out_channels)
 }
 
 /// Functional core of the conv→pool epilogue: one conv row at a time into
@@ -311,7 +311,7 @@ mod tests {
 
     /// A conv chain's ring tile over `conv`'s rows, for the pool `pool`.
     fn ring<W: BitWord>(conv: Shape4, pool: &PoolGeometry) -> BitTensor<W> {
-        BitTensor::zeros(ring_shape(conv.w, conv.c, pool))
+        BitTensor::zeros(ring_shape(conv.w, conv.c, pool.size))
     }
 
     #[test]

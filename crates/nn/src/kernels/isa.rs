@@ -668,7 +668,7 @@ mod tests {
                 continue;
             };
             let got = same_on_every_tier(|tier| {
-                let mut ring = BitTensor::<W>::zeros(ring_shape(ow, k, &pool));
+                let mut ring = BitTensor::<W>::zeros(ring_shape(ow, k, pool.size));
                 let mut out = BitTensor::<W>::zeros(pooled.shape());
                 on_tier(tier, || {
                     let bank = stage(kind);
@@ -1539,7 +1539,7 @@ mod tests {
             let mut got = BitTensor::zeros(want.shape());
             compute_bconv_fused(&input, &bank, &geom, &mut got);
             assert!(got == want, "k {k} u {u} c {c}: fused dispatch");
-            let mut ring = BitTensor::zeros(ring_shape(6, k, &pool));
+            let mut ring = BitTensor::zeros(ring_shape(6, k, pool.size));
             let mut got = BitTensor::zeros(pooled.shape());
             compute_bconv_pool_chain(&input, &bank, &geom, &pool, &mut ring, &mut got);
             assert!(got == pooled, "k {k} u {u} c {c}: bconv_pool chain");

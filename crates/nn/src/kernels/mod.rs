@@ -76,12 +76,6 @@ pub(crate) fn pack_avx512<W: BitWord>(
     phonebit_tensor::pack::pack_window_with(images, shape, out, mask)
 }
 
-/// Dispatches the softmax epilogue over a logit vector.
-pub fn softmax(q: &mut CommandQueue, logits: &mut [f32]) {
-    let profile = profiles::softmax(logits.len());
-    q.launch(profile, || crate::act::softmax(logits));
-}
-
 /// Dispatches bit unpacking: a packed binary tensor becomes ±1.0 floats in
 /// `out`, reusing its storage. Needed where a full-precision layer consumes
 /// a binary layer's output (e.g. YOLOv2-Tiny's float conv9 after binary
@@ -118,14 +112,6 @@ mod tests {
         pack_input_into(&mut q, &t, &mut packed);
         assert_eq!(packed, pack_f32::<u32>(&t));
         assert_eq!(q.timeline()[0].stats.name, "pack_input");
-    }
-
-    #[test]
-    fn softmax_kernel_normalizes() {
-        let mut q = queue();
-        let mut logits = vec![0.0f32, 1.0, 2.0];
-        softmax(&mut q, &mut logits);
-        assert!((logits.iter().sum::<f32>() - 1.0).abs() < 1e-6);
     }
 
     #[test]

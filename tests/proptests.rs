@@ -110,7 +110,7 @@ fn first_layer_matches<W: BitWord>(
     let s = bits.shape();
     let pool = PoolGeometry::new(2.min(s.h).min(s.w), 2);
     let pooled = maxpool_bits(&mut q, &bits, &pool);
-    let mut ring = BitTensor::<W>::zeros(ring_shape(s.w, s.c, &pool));
+    let mut ring = BitTensor::<W>::zeros(ring_shape(s.w, s.c, pool.size));
     let mut bytes = BitTensor::<W>::zeros(pooled.shape());
     compute_in8_pool_chain(img, &bank, &cuts, geom, &pool, &mut ring, &mut bytes);
     prop_assert!(bytes == pooled, "W={}: in8 chain with a pool", W::BITS);

@@ -626,13 +626,15 @@ fn dry_and_staged_registries_agree_through_attach_detach_and_replan() {
 #[test]
 fn non_finite_and_negative_arrivals_are_rejected_not_scheduled() {
     // A NaN arrival used to pass the sortedness check, never become ready,
-    // and hang the scheduler's idle-forward step.
+    // and hang the scheduler's idle-forward step. A `-0.0` after a `0.0` is
+    // out of order: streams are sorted by `f64::total_cmp`, the order the
+    // fleet router merges them in.
     let phone = Phone::xiaomi_9();
     let mut runtime =
         DeviceRuntime::new(vec![TenantSpec::new(yolo_model()).with_batch(1)], &phone, 1)
             .expect("fits");
     let reqs = yolo_reqs(2);
-    for bad in [f64::NAN, f64::INFINITY, -1.0] {
+    for bad in [f64::NAN, f64::INFINITY, -1.0, -0.0] {
         let arrivals = if bad < 0.0 {
             vec![vec![bad, 0.0]]
         } else {
