@@ -51,13 +51,17 @@
 //! is *exactly-once fates* plus identity-preserving outputs, not a single
 //! global total order across devices.
 //!
-//! [`FleetReport`] aggregates the cluster: per-device utilization (clock
-//! busy seconds over `streams × wall`), aggregate images/s, global
-//! p50/p95/p99/p99.9 computed with the same nearest-rank rule as the
+//! [`FleetReport`] aggregates the cluster: per-device utilization (the
+//! schedule's modeled attempt seconds over `streams × wall`, not the
+//! clock's busy counter, which sums in thread order), aggregate images/s,
+//! global p50/p95/p99/p99.9 computed with the same nearest-rank rule as the
 //! single-device reports, and per tenant the device runtime's own
 //! [`TenantReport`] — built by the same constructor from the tenant's
-//! fleet-wide fates, its window and attempt counters summed over the
-//! devices that served it. A fleet brought up from architectures alone
+//! fleet-wide fates, its window and attempt counters summed off the
+//! schedules of the devices that served it. Each device hands the fleet its
+//! schedule and outputs, not a report, and the fleet maps window fates to
+//! requests with the device fold's own walk, so every request's fate and
+//! latency is computed once. A fleet brought up from architectures alone
 //! ([`Fleet::dry`]) is the same placement, router and failure handling
 //! over [dry](DeviceRuntime::dry) device runtimes, fed request counts;
 //! [`estimate_fleet`] is one pass of it over seeded arrival processes — the
@@ -77,9 +81,9 @@ use rand::{Rng, SeedableRng};
 use crate::engine::{ActivationData, EngineError};
 use crate::planner::pooled_peak_bytes;
 use crate::serve::{
-    dry_inputs, modeled_window_under, validate_arrivals, DeviceRuntime, OpenLoopOptions,
-    OpenLoopReport, OpenLoopSchedule, OpenLoopWorkload, Registration, ShedReason, TenantAsk,
-    TenantReport, TenantSpec, TenantTraffic, TenantWorkload, WindowFate,
+    dry_inputs, modeled_window_under, request_fates, validate_arrivals, DeviceRuntime,
+    OpenLoopOptions, OpenLoopWorkload, Registration, ShedReason, TenantAsk, TenantReport,
+    TenantSpec, TenantTraffic, TenantWorkload, WindowCounts, WindowFate,
 };
 use crate::stats::nearest_rank;
 use phonebit_tensor::tensor::Tensor;
@@ -861,168 +865,117 @@ struct DeviceRow {
     busy_s: f64,
 }
 
-/// Closes a pass: requests no live device could host are shed fleet-wide,
-/// every offered request must by then hold exactly one fate (the
-/// conservation invariant), and the fates fold into the aggregate report
-/// on top of `device_sums`, each tenant's name, SLO and counters summed
-/// over its device rows. Returns the report and the resolved fates.
-fn assemble_report(
-    opts: &FleetOptions,
-    device_rows: Vec<DeviceRow>,
-    device_sums: Vec<TenantReport>,
-    rc: &RouteCoreOutcome,
-    mut fates: Vec<Vec<Option<FleetRequestFate>>>,
-    arrivals_ms: &[Vec<f64>],
-) -> (FleetReport, Vec<Vec<FleetRequestFate>>) {
-    for &(t, index, at_ms) in &rc.unrouted {
-        debug_assert!(fates[t][index].is_none(), "request resolved twice");
-        fates[t][index] = Some(FleetRequestFate::Shed {
-            device: None,
-            at_ms,
-            reason: None,
-        });
-    }
-    let fates: Vec<Vec<FleetRequestFate>> = fates
-        .into_iter()
-        .map(|row| {
-            row.into_iter()
-                .map(|f| f.expect("every offered request resolves to exactly one fate"))
-                .collect()
-        })
-        .collect();
-    let streams = opts.streams;
-    let migrated_by_tenant = &rc.migrated_by_tenant;
-
-    let wall_ms = device_rows.iter().map(|r| r.wall_ms).fold(0.0f64, f64::max);
-    let last_arrival = arrivals_ms
-        .iter()
-        .flat_map(|a| a.iter().copied())
-        .fold(0.0f64, f64::max);
-    let horizon_ms = wall_ms.max(last_arrival);
-
-    let mut dev_offered = vec![0usize; device_rows.len()];
-    let mut dev_served = vec![0usize; device_rows.len()];
-    let mut dev_shed = vec![0usize; device_rows.len()];
-    let mut global_lat: Vec<f64> = Vec::new();
-    let mut tenants = Vec::with_capacity(device_sums.len());
-    for (t, sums) in device_sums.into_iter().enumerate() {
-        let mut lat: Vec<f64> = Vec::new();
-        let mut shed = 0usize;
-        for fate in &fates[t] {
-            match *fate {
-                FleetRequestFate::Served {
-                    device, latency_ms, ..
-                } => {
-                    dev_offered[device] += 1;
-                    dev_served[device] += 1;
-                    lat.push(latency_ms);
-                }
-                FleetRequestFate::Shed { device, .. } => {
-                    shed += 1;
-                    if let Some(d) = device {
-                        dev_offered[d] += 1;
-                        dev_shed[d] += 1;
-                    }
-                }
-            }
-        }
-        global_lat.extend_from_slice(&lat);
-        let offered = fates[t].len();
-        tenants.push(TenantReport {
-            migrated: migrated_by_tenant[t],
-            windows: sums.windows,
-            windows_shed: sums.windows_shed,
-            retries: sums.retries,
-            throttled: sums.throttled,
-            batch: sums.batch,
-            ..TenantReport::from_latencies(sums.name, lat, offered, shed, sums.slo_ms)
-        });
-    }
-
-    let horizon_s = (horizon_ms / 1e3).max(f64::MIN_POSITIVE);
-    let devices: Vec<FleetDeviceReport> = device_rows
-        .into_iter()
-        .enumerate()
-        .map(|(d, row)| FleetDeviceReport {
-            id: row.id,
-            phone: row.phone,
-            failed: row.failed,
-            tenants: row.tenants,
-            offered: dev_offered[d],
-            served: dev_served[d],
-            shed: dev_shed[d],
-            utilization: if wall_ms > 0.0 {
-                (row.busy_s / (streams as f64 * (wall_ms / 1e3))).clamp(0.0, 1.0)
-            } else {
-                0.0
-            },
-            imgs_per_s: dev_served[d] as f64 / horizon_s,
-        })
-        .collect();
-
-    let offered: usize = tenants.iter().map(|t| t.offered).sum();
-    let served: usize = tenants.iter().map(|t| t.served).sum();
-    let shed: usize = tenants.iter().map(|t| t.shed).sum();
-    let [p50, p95, p99, p999] = nearest_rank(&global_lat, [0.50, 0.95, 0.99, 0.999]);
-    let report = FleetReport {
-        policy: opts.policy,
-        seed: opts.seed,
-        devices,
-        tenants,
-        offered,
-        served,
-        shed,
-        migrated: migrated_by_tenant.iter().sum(),
-        wall_ms,
-        goodput_imgs_per_s: served as f64 / horizon_s,
-        p50_ms: p50,
-        p95_ms: p95,
-        p99_ms: p99,
-        p999_ms: p999,
-    };
-    (report, fates)
-}
-
-/// Maps one device's window fates for one tenant back onto the per-request
-/// fleet fates of the routed `list` it served, windowed at `batch`.
-fn fold_device_fates(
-    device: usize,
-    list: &[RoutedRequest],
-    batch: usize,
-    window_fates: &[WindowFate],
-    fates: &mut [Option<FleetRequestFate>],
-) {
-    for (fate, members) in window_fates.iter().zip(list.chunks(batch.max(1))) {
-        for req in members {
-            let slot = &mut fates[req.index];
-            debug_assert!(slot.is_none(), "request resolved twice");
-            *slot = Some(match *fate {
-                WindowFate::Served { end_ms, .. } => FleetRequestFate::Served {
-                    device,
-                    end_ms,
-                    latency_ms: end_ms - req.arrival_ms,
-                },
-                WindowFate::Shed { at_ms, reason, .. } => FleetRequestFate::Shed {
-                    device: Some(device),
-                    at_ms,
-                    reason: Some(reason),
-                },
+impl Fleet {
+    /// Closes a pass: requests no live device could host are shed fleet-wide,
+    /// every offered request must by then hold exactly one fate (the
+    /// conservation invariant), and the fates fold into the aggregate report —
+    /// one row per tenant from its name and SLO, its fates and the window
+    /// `counts` summed over the devices that served it. Returns the report and
+    /// the resolved fates.
+    fn assemble_report(
+        &self,
+        device_rows: Vec<DeviceRow>,
+        counts: Vec<WindowCounts>,
+        rc: &RouteCoreOutcome,
+        mut fates: Vec<Vec<Option<FleetRequestFate>>>,
+        arrivals_ms: &[Vec<f64>],
+    ) -> (FleetReport, Vec<Vec<FleetRequestFate>>) {
+        for &(t, index, at_ms) in &rc.unrouted {
+            debug_assert!(fates[t][index].is_none(), "request resolved twice");
+            fates[t][index] = Some(FleetRequestFate::Shed {
+                device: None,
+                at_ms,
+                reason: None,
             });
         }
-    }
-}
+        let fates: Vec<Vec<FleetRequestFate>> = fates
+            .into_iter()
+            .map(|row| {
+                row.into_iter()
+                    .map(|f| f.expect("every offered request resolves to exactly one fate"))
+                    .collect()
+            })
+            .collect();
+        let migrated_by_tenant = &rc.migrated_by_tenant;
 
-/// A device's busy seconds, from the modeled schedule rather than the
-/// clock's atomic accumulator: executed attempt durations equal modeled
-/// ones exactly (the no-drift invariant), but the clock's counter sums in
-/// thread-completion order, whose float rounding is not reproducible
-/// across runs.
-fn schedule_busy_s(schedule: &OpenLoopSchedule) -> f64 {
-    schedule
-        .attempts
-        .iter()
-        .map(|a| (a.end_ms - a.start_ms) / 1e3)
-        .sum()
+        let wall_ms = device_rows.iter().map(|r| r.wall_ms).fold(0.0f64, f64::max);
+        let last_arrival = arrivals_ms
+            .iter()
+            .filter_map(|a| a.last().copied())
+            .fold(0.0f64, f64::max);
+        let horizon_ms = wall_ms.max(last_arrival);
+
+        let mut dev_served = vec![0usize; device_rows.len()];
+        let mut dev_shed = vec![0usize; device_rows.len()];
+        let mut global_lat: Vec<f64> = Vec::new();
+        let mut rows = Vec::with_capacity(self.tenants.len());
+        for (t, (tenant, counts)) in self.tenants.iter().zip(counts).enumerate() {
+            let mut lat: Vec<f64> = Vec::new();
+            for fate in &fates[t] {
+                match *fate {
+                    FleetRequestFate::Served {
+                        device, latency_ms, ..
+                    } => {
+                        dev_served[device] += 1;
+                        lat.push(latency_ms);
+                    }
+                    FleetRequestFate::Shed {
+                        device: Some(d), ..
+                    } => dev_shed[d] += 1,
+                    FleetRequestFate::Shed { device: None, .. } => {}
+                }
+            }
+            global_lat.extend_from_slice(&lat);
+            let name = tenant.name.clone();
+            rows.push(TenantReport {
+                migrated: migrated_by_tenant[t],
+                ..TenantReport::new(name, lat, fates[t].len(), tenant.slo_ms, counts)
+            });
+        }
+
+        let horizon_s = (horizon_ms / 1e3).max(f64::MIN_POSITIVE);
+        let devices: Vec<FleetDeviceReport> = device_rows
+            .into_iter()
+            .enumerate()
+            .map(|(d, row)| FleetDeviceReport {
+                id: row.id,
+                phone: row.phone,
+                failed: row.failed,
+                tenants: row.tenants,
+                offered: dev_served[d] + dev_shed[d],
+                served: dev_served[d],
+                shed: dev_shed[d],
+                utilization: if wall_ms > 0.0 {
+                    (row.busy_s / (self.opts.streams as f64 * (wall_ms / 1e3))).clamp(0.0, 1.0)
+                } else {
+                    0.0
+                },
+                imgs_per_s: dev_served[d] as f64 / horizon_s,
+            })
+            .collect();
+
+        let offered: usize = rows.iter().map(|t| t.offered).sum();
+        let served: usize = rows.iter().map(|t| t.served).sum();
+        let shed: usize = rows.iter().map(|t| t.shed).sum();
+        let [p50, p95, p99, p999] = nearest_rank(&global_lat, [0.50, 0.95, 0.99, 0.999]);
+        let report = FleetReport {
+            policy: self.opts.policy,
+            seed: self.opts.seed,
+            devices,
+            tenants: rows,
+            offered,
+            served,
+            shed,
+            migrated: migrated_by_tenant.iter().sum(),
+            wall_ms,
+            goodput_imgs_per_s: served as f64 / horizon_s,
+            p50_ms: p50,
+            p95_ms: p95,
+            p99_ms: p99,
+            p999_ms: p999,
+        };
+        (report, fates)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1227,8 +1180,9 @@ impl Fleet {
     /// Runs one open-loop pass across the fleet: merges per-tenant
     /// arrivals with the cluster `events` on one deterministic timeline,
     /// routes every request, serves each device's committed slice with
-    /// [`DeviceRuntime::serve_open_loop`], and reassembles per-request
-    /// fates and bit-exact outputs in global arrival order.
+    /// [`DeviceRuntime::serve_open_loop`]'s pass short of its fold, and
+    /// folds each request's fate and bit-exact output once, in global
+    /// arrival order.
     ///
     /// `traffic[t]` and `arrivals_ms[t]` are the tenant's **global**
     /// request stream; arrivals must be sorted (ties allowed), finite and
@@ -1301,15 +1255,7 @@ impl Fleet {
             .collect();
         let mut fates: Vec<Vec<Option<FleetRequestFate>>> =
             arrivals_ms.iter().map(|a| vec![None; a.len()]).collect();
-        let mut sums: Vec<TenantReport> = self
-            .tenants
-            .iter()
-            .map(|t| TenantReport {
-                name: t.name.clone(),
-                slo_ms: t.slo_ms,
-                ..TenantReport::default()
-            })
-            .collect();
+        let mut counts = vec![WindowCounts::default(); self.tenants.len()];
         let mut device_rows: Vec<DeviceRow> = Vec::with_capacity(self.devices.len());
         for d in 0..self.devices.len() {
             let roster = self.devices[d].roster.clone();
@@ -1346,24 +1292,41 @@ impl Fleet {
                     })
                     .collect();
                 let rt = self.devices[d].runtime.as_mut().expect("checked above");
-                let OpenLoopReport {
-                    tenants: rows,
-                    schedule,
-                    wall_ms: wall,
-                    ..
-                } = rt.serve_open_loop(&slices, &eff, &opts.open_loop)?;
-                wall_ms = wall;
-                busy_s = schedule_busy_s(&schedule);
-                for ((&t, row), window_fates) in roster.iter().zip(rows).zip(&schedule.fates) {
+                let run = rt.run_open_loop(&slices, &eff, &opts.open_loop)?;
+                let schedule = &run.schedule;
+                wall_ms = schedule.wall_ms;
+                // Busy seconds off the modeled schedule, not the clock's
+                // counter: attempts execute for exactly their modeled time
+                // (the no-drift invariant), and the counter sums in thread
+                // order, whose float rounding is not reproducible.
+                busy_s = schedule
+                    .attempts
+                    .iter()
+                    .map(|a| (a.end_ms - a.start_ms) / 1e3)
+                    .sum();
+                for (slot, (&t, out)) in roster.iter().zip(run.outputs).enumerate() {
                     let list = &rc.routed[d][t];
-                    fold_device_fates(d, list, row.batch, window_fates, &mut fates[t]);
-                    let sum = &mut sums[t];
-                    sum.windows += row.windows;
-                    sum.windows_shed += row.windows_shed;
-                    sum.retries += row.retries;
-                    sum.throttled += row.throttled;
-                    sum.batch = sum.batch.max(row.batch);
-                    for (req, out) in list.iter().zip(row.outputs) {
+                    let batch = rt.tenants()[slot].plan().batch;
+                    let requests =
+                        request_fates(&schedule.fates[slot], list, batch, |r| r.arrival_ms);
+                    for (req, fate, latency_ms) in requests {
+                        let resolved = &mut fates[t][req.index];
+                        debug_assert!(resolved.is_none(), "request resolved twice");
+                        *resolved = Some(match *fate {
+                            WindowFate::Served { end_ms, .. } => FleetRequestFate::Served {
+                                device: d,
+                                end_ms,
+                                latency_ms: latency_ms.expect("a served request is timed"),
+                            },
+                            WindowFate::Shed { at_ms, reason, .. } => FleetRequestFate::Shed {
+                                device: Some(d),
+                                at_ms,
+                                reason: Some(reason),
+                            },
+                        });
+                    }
+                    counts[t].add(schedule, slot, batch);
+                    for (req, out) in list.iter().zip(out) {
                         outputs[t][req.index] = out;
                     }
                 }
@@ -1378,7 +1341,7 @@ impl Fleet {
                 busy_s,
             });
         }
-        let (report, fates) = assemble_report(&opts, device_rows, sums, &rc, fates, arrivals_ms);
+        let (report, fates) = self.assemble_report(device_rows, counts, &rc, fates, arrivals_ms);
         Ok(FleetOutcome {
             report,
             outputs,

@@ -37,10 +37,13 @@
 //! **Execute, fold.** The schedule is computed deterministically on modeled
 //! time and executed verbatim — every attempt on its assigned stream, the
 //! streams handed to `gpusim::exec` like kernel rows (in stream order on a
-//! one-thread host). Counters, latencies and percentiles are folded
-//! from the schedule; what the streams measured is reported beside it
-//! (`attempt_exec_ms`) and pinned equal by the no-drift tests. Every tenant's
-//! row is one [`TenantReport`], the type the fleet reports per tenant too.
+//! one-thread host). The fold on top reads counters, latencies and
+//! percentiles off the schedule, one walk mapping each window's fate to
+//! its member requests; what the streams measured is reported beside it
+//! (`attempt_exec_ms`) and pinned equal by the no-drift tests. Every
+//! tenant's row is one [`TenantReport`], the type the fleet reports per
+//! tenant too: a fleet device runs the pass without its fold and the fleet
+//! walks the schedule itself, so each request is folded once.
 //! An **estimate is a dry run**: a runtime brought up from architectures
 //! alone ([`DeviceRuntime::dry`]) holds the same admitted table with nothing
 //! staged and its streams without lanes — each still books its pooled slice
@@ -1430,7 +1433,8 @@ pub struct TenantReport {
     pub p999_ms: f64,
     /// The tenant's SLO, if any.
     pub slo_ms: Option<f64>,
-    /// Whether the served p95 met the SLO.
+    /// Whether the served p95 met the SLO: `false` when requests arrived
+    /// and none was served, `true` without an SLO or without traffic.
     pub slo_met: bool,
     /// `shed / offered` (0 when nothing arrived).
     pub shed_rate: f64,
@@ -1472,6 +1476,15 @@ pub struct OpenLoopReport {
 /// Per tenant, one output slot per request: `None` until the window's
 /// serving attempt fills it, and for good when the window is shed.
 type OutputSlots = Vec<Vec<Option<ActivationData>>>;
+
+/// A serving pass before its fold: the schedule it executed, the replans
+/// taken to reach it, and what the streams measured and committed.
+pub(crate) struct PassRun {
+    pub(crate) schedule: OpenLoopSchedule,
+    replans: usize,
+    attempt_exec_ms: Vec<f64>,
+    pub(crate) outputs: OutputSlots,
+}
 
 /// The multi-tenant device runtime: a registry of co-resident
 /// [`StagedModel`]s on one device, `N` pooled [`Stream`]s, one shared
@@ -1742,9 +1755,10 @@ impl DeviceRuntime {
             max_replans: 0,
             ..OpenLoopOptions::default()
         };
-        self.pass(traffic, &arrivals_ms, &opts, None, 0.0, |t, arrivals| {
+        let run = self.run(traffic, &arrivals_ms, &opts, None, |t, arrivals| {
             closed_loop_windows(arrivals.len().div_ceil(t.batch()), target(t))
-        })
+        })?;
+        Ok(self.fold(run, &arrivals_ms, 0.0))
     }
 
     /// Executes a schedule verbatim: every attempt — faulted ones
@@ -2015,45 +2029,40 @@ impl DeviceRuntime {
         arrivals_ms: &[Vec<f64>],
         opts: &OpenLoopOptions,
     ) -> Result<OpenLoopReport, EngineError> {
-        let last_arrival_ms = arrivals_ms
-            .iter()
-            .filter_map(|a| a.last().copied())
-            .fold(0.0, f64::max);
-        self.serve_open_loop_over(traffic, arrivals_ms, opts, last_arrival_ms)
+        let run = self.run_open_loop(traffic, arrivals_ms, opts)?;
+        let last_arrival_ms = arrivals_ms.iter().filter_map(|a| a.last().copied());
+        Ok(self.fold(run, arrivals_ms, last_arrival_ms.fold(0.0, f64::max)))
     }
 
-    /// [`DeviceRuntime::serve_open_loop`] with the goodput horizon given by
-    /// the caller: a pass over explicit arrivals ends at the last of them;
-    /// one over an arrival *process* ends at the duration the process was
-    /// sampled for, however early its last arrival fell.
-    fn serve_open_loop_over(
+    /// [`DeviceRuntime::serve_open_loop`] short of its fold: the schedule
+    /// the pass executed and each tenant's output slots, no rows — what a
+    /// fleet device hands the fleet, which folds each request once,
+    /// fleet-wide.
+    pub(crate) fn run_open_loop(
         &mut self,
         traffic: &[TenantTraffic<'_>],
         arrivals_ms: &[Vec<f64>],
         opts: &OpenLoopOptions,
-        horizon_ms: f64,
-    ) -> Result<OpenLoopReport, EngineError> {
+    ) -> Result<PassRun, EngineError> {
         let fault = self.clock.fault_plan();
-        self.pass(traffic, arrivals_ms, opts, fault, horizon_ms, |t, arr| {
+        self.run(traffic, arrivals_ms, opts, fault, |t, arr| {
             open_loop_windows(arr, t.batch(), t.slo_ms(), t.steady_ms)
         })
     }
 
-    /// The one serving pass — window, schedule, execute, fold — behind
-    /// every entry point: `windows_of` turns a tenant's arrivals into the
-    /// windows the scheduler sees (arrival-gated with deadlines for an open
-    /// loop, all pending and paced for a closed one), `fault` is the plan
-    /// attempts roll against, and goodput is served requests over
-    /// `max(wall, horizon_ms)`.
-    fn pass(
+    /// The one serving pass short of its fold — validate, window, schedule,
+    /// replan, execute — behind every entry point: `windows_of` turns a
+    /// tenant's arrivals into the windows the scheduler sees (arrival-gated
+    /// with deadlines for an open loop, all pending and paced for a closed
+    /// one), and `fault` is the plan attempts roll against.
+    fn run(
         &mut self,
         traffic: &[TenantTraffic<'_>],
         arrivals_ms: &[Vec<f64>],
         opts: &OpenLoopOptions,
         fault: Option<FaultPlan>,
-        horizon_ms: f64,
         windows_of: impl Fn(&Tenant, &[f64]) -> Vec<OpenLoopWindow>,
-    ) -> Result<OpenLoopReport, EngineError> {
+    ) -> Result<PassRun, EngineError> {
         validate_arrivals(self.tenants.len(), traffic, arrivals_ms)?;
 
         // Plan the pass, re-planning batches while any tenant's modeled
@@ -2084,66 +2093,74 @@ impl DeviceRuntime {
             let mut worst: Option<(usize, f64)> = None;
             if replans < opts.max_replans {
                 for (t, fates) in schedule.fates.iter().enumerate() {
-                    let offered = arrivals_ms[t].len();
-                    if offered == 0 || self.tenants[t].batch() <= 1 {
+                    let (offered, batch) = (arrivals_ms[t].len(), self.tenants[t].batch());
+                    if offered == 0 || batch <= 1 {
                         continue;
                     }
-                    let shed: usize = fates
-                        .iter()
-                        .zip(arrivals_ms[t].chunks(self.tenants[t].batch()))
-                        .filter(|(f, _)| !f.is_served())
-                        .map(|(_, members)| members.len())
-                        .sum();
+                    let requests = request_fates(fates, &arrivals_ms[t], batch, |&a| a);
+                    let shed = requests.filter(|(_, _, latency)| latency.is_none()).count();
                     let rate = shed as f64 / offered as f64;
                     if rate > SHED_REPLAN_THRESHOLD && worst.is_none_or(|(_, r)| rate > r) {
                         worst = Some((t, rate));
                     }
                 }
             }
-            match worst {
-                Some((t, _)) => {
-                    let new_batch = (self.tenants[t].batch() / 2).max(1);
-                    match self.restage_tenant(t, new_batch) {
-                        Ok(()) => {
-                            replans += 1;
-                            continue;
-                        }
-                        // No headroom to restage: keep the current plan
-                        // and degrade by shedding instead of failing the
-                        // whole pass.
-                        Err(EngineError::OutOfMemory(_)) => break schedule,
-                        Err(e) => return Err(e),
-                    }
-                }
-                None => break schedule,
+            let Some((t, _)) = worst else { break schedule };
+            match self.restage_tenant(t, (self.tenants[t].batch() / 2).max(1)) {
+                Ok(()) => replans += 1,
+                // No headroom to restage: keep the current plan and
+                // degrade by shedding instead of failing the whole pass.
+                Err(EngineError::OutOfMemory(_)) => break schedule,
+                Err(e) => return Err(e),
             }
         };
 
         let (attempt_exec_ms, outputs) = self.execute(traffic, &schedule.attempts)?;
+        Ok(PassRun {
+            schedule,
+            replans,
+            attempt_exec_ms,
+            outputs,
+        })
+    }
 
-        let tenants_out: Vec<TenantReport> = self
-            .tenants
-            .iter()
-            .zip(arrivals_ms)
-            .zip(outputs)
+    /// Folds a run into its report: per tenant, one [`TenantReport`] off
+    /// the schedule over its arrivals; goodput is served requests over
+    /// `max(wall, horizon_ms)` — a pass over explicit arrivals ends at the
+    /// last of them, one over an arrival *process* at the duration it was
+    /// sampled for.
+    fn fold(&self, run: PassRun, arrivals_ms: &[Vec<f64>], horizon_ms: f64) -> OpenLoopReport {
+        let schedule = &run.schedule;
+        let rows = self.tenants.iter().zip(arrivals_ms).zip(run.outputs);
+        let tenants: Vec<TenantReport> = rows
             .enumerate()
-            .map(|(t, ((tenant, arr), out))| TenantReport::fold(tenant, t, &schedule, arr, out))
+            .map(|(t, ((tenant, arrivals), outputs))| {
+                let requests = request_fates(&schedule.fates[t], arrivals, tenant.batch(), |&a| a);
+                let latency_ms = requests.filter_map(|(_, _, latency)| latency).collect();
+                let mut counts = WindowCounts::default();
+                counts.add(schedule, t, tenant.plan().batch);
+                let (name, offered) = (tenant.name.clone(), arrivals.len());
+                TenantReport {
+                    outputs,
+                    ..TenantReport::new(name, latency_ms, offered, tenant.slo_ms(), counts)
+                }
+            })
             .collect();
-        let served_total: usize = tenants_out.iter().map(|t| t.served).sum();
-        let horizon_ms = schedule.wall_ms.max(horizon_ms);
-        Ok(OpenLoopReport {
-            tenants: tenants_out,
+        let served_total: usize = tenants.iter().map(|t| t.served).sum();
+        let horizon_ms = run.schedule.wall_ms.max(horizon_ms);
+        OpenLoopReport {
+            tenants,
             streams: self.streams.len(),
-            wall_ms: schedule.wall_ms,
+            wall_ms: run.schedule.wall_ms,
             goodput_imgs_per_s: if horizon_ms > 0.0 {
                 served_total as f64 / (horizon_ms * 1e-3)
             } else {
                 0.0
             },
-            replans,
-            schedule,
-            attempt_exec_ms,
-        })
+            replans: run.replans,
+            schedule: run.schedule,
+            attempt_exec_ms: run.attempt_exec_ms,
+        }
     }
 }
 
@@ -2191,79 +2208,97 @@ pub(crate) fn validate_arrivals(
     Ok(())
 }
 
+/// The one window → request walk: each member of a tenant's windows
+/// (`members` in arrival order, cut at the schedule's window size `batch`)
+/// with its window's fate and, if served, its latency: completion minus
+/// `arrival_ms(member)`, or minus the window's start if that came first —
+/// only a closed loop's paced arrival can. An open-loop member, re-routed
+/// or not, arrived before its window was ready, so a fleet's latency counts
+/// from the original arrival.
+pub(crate) fn request_fates<'a, M>(
+    fates: &'a [WindowFate],
+    members: &'a [M],
+    batch: usize,
+    arrival_ms: impl Fn(&M) -> f64 + Copy + 'a,
+) -> impl Iterator<Item = (&'a M, &'a WindowFate, Option<f64>)> + 'a {
+    let windows = fates.iter().zip(members.chunks(batch.max(1)));
+    windows.flat_map(move |(fate, window)| {
+        window.iter().map(move |member| {
+            let latency_ms = match *fate {
+                WindowFate::Served {
+                    start_ms, end_ms, ..
+                } => Some(end_ms - arrival_ms(member).min(start_ms)),
+                WindowFate::Shed { .. } => None,
+            };
+            (member, fate, latency_ms)
+        })
+    })
+}
+
+/// A tenant's window and attempt counters, summed over the schedules that
+/// served it (one on a device, each of its devices' in a fleet), and the
+/// largest window size among them.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct WindowCounts {
+    windows: usize,
+    windows_shed: usize,
+    retries: usize,
+    throttled: usize,
+    batch: usize,
+}
+
+impl WindowCounts {
+    /// Adds registry slot `t`'s windows and attempts on `schedule`, which
+    /// windowed it at `batch`.
+    pub(crate) fn add(&mut self, schedule: &OpenLoopSchedule, t: usize, batch: usize) {
+        let fates = &schedule.fates[t];
+        self.windows += fates.len();
+        self.windows_shed += fates.iter().filter(|f| !f.is_served()).count();
+        for a in schedule.attempts.iter().filter(|a| a.tenant == t) {
+            self.retries += usize::from(a.faulted);
+            self.throttled += usize::from(a.slowdown > 1.0);
+        }
+        self.batch = self.batch.max(batch);
+    }
+}
+
 impl TenantReport {
-    /// The one place a row's percentiles, SLO verdict and shed rate are
-    /// computed: from its served latencies (arrival order), offered and shed
-    /// counts and SLO. The other counters and outputs are the caller's.
-    pub(crate) fn from_latencies(
+    /// The one constructor of a row, a device's or a fleet's: percentiles,
+    /// SLO verdict and shed counts from its served latencies (arrival
+    /// order) out of `offered` requests, the rest from its window counters.
+    /// `migrated` and the outputs are the caller's.
+    pub(crate) fn new(
         name: String,
         latency_ms: Vec<f64>,
         offered: usize,
-        shed: usize,
         slo_ms: Option<f64>,
+        counts: WindowCounts,
     ) -> Self {
+        let served = latency_ms.len();
+        let shed = offered - served;
         // The extra p99.9 rank is where fault retries live.
         let [p50_ms, p95_ms, p99_ms, p999_ms] =
             nearest_rank(&latency_ms, [0.50, 0.95, 0.99, 0.999]);
         Self {
             name,
             offered,
-            served: offered - shed,
+            served,
             shed,
+            windows: counts.windows,
+            windows_shed: counts.windows_shed,
+            retries: counts.retries,
+            throttled: counts.throttled,
+            batch: counts.batch,
             latency_ms,
             p50_ms,
             p95_ms,
             p99_ms,
             p999_ms,
             slo_ms,
-            slo_met: slo_ms.is_none_or(|slo| p95_ms <= slo),
+            // Traffic with nothing served has no p95 to meet the SLO with.
+            slo_met: slo_ms.is_none_or(|slo| p95_ms <= slo && (served > 0 || offered == 0)),
             shed_rate: shed as f64 / offered.max(1) as f64,
             ..Self::default()
-        }
-    }
-
-    /// Folds `tenant`'s (registry slot `t`) window fates and attempts off
-    /// the schedule over its `arrivals_ms`, windowed at its current batch;
-    /// `outputs` is what the streams committed for it.
-    fn fold(
-        tenant: &Tenant,
-        t: usize,
-        schedule: &OpenLoopSchedule,
-        arrivals_ms: &[f64],
-        outputs: Vec<Option<ActivationData>>,
-    ) -> Self {
-        let mut latency_ms = Vec::new();
-        let mut shed = 0usize;
-        let mut windows_shed = 0usize;
-        for (fate, members) in schedule.fates[t]
-            .iter()
-            .zip(arrivals_ms.chunks(tenant.batch()))
-        {
-            match fate {
-                WindowFate::Served {
-                    start_ms, end_ms, ..
-                } => {
-                    // An arrival never follows its window's start in an open
-                    // loop; a closed loop's paced arrival may, and then the
-                    // request waited from the start.
-                    latency_ms.extend(members.iter().map(|a| end_ms - a.min(*start_ms)));
-                }
-                WindowFate::Shed { .. } => {
-                    shed += members.len();
-                    windows_shed += 1;
-                }
-            }
-        }
-        let mine = || schedule.attempts.iter().filter(move |a| a.tenant == t);
-        let (name, slo_ms) = (tenant.name.clone(), tenant.admission.slo_ms);
-        Self {
-            windows: schedule.fates[t].len(),
-            windows_shed,
-            retries: mine().filter(|a| a.faulted).count(),
-            throttled: mine().filter(|a| a.slowdown > 1.0).count(),
-            batch: tenant.plan().batch,
-            outputs,
-            ..Self::from_latencies(name, latency_ms, arrivals_ms.len(), shed, slo_ms)
         }
     }
 }
@@ -2355,7 +2390,8 @@ pub fn estimate_serve_open_loop(
             policy: *policy,
             max_replans: 0,
         };
-        runtime.serve_open_loop_over(&counts, &arrivals_ms, &opts, duration_ms)
+        let run = runtime.run_open_loop(&counts, &arrivals_ms, &opts)?;
+        Ok(runtime.fold(run, &arrivals_ms, duration_ms))
     };
     pass().unwrap_or_else(|e| panic!("estimate_serve_open_loop: {e}"))
 }

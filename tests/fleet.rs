@@ -6,13 +6,16 @@
 //! seeds produce identical [`FleetReport`]s on both the executed and the
 //! dry path, and the two paths hand back the same report.
 
-use phonebit::core::serve::{DeviceRuntime, TenantReport, TenantSpec, TenantTraffic};
+use phonebit::core::serve::{
+    estimate_serve_open_loop, DeviceRuntime, OpenLoopOptions, RetryPolicy, TenantReport,
+    TenantSpec, TenantTraffic, TenantWorkload,
+};
 use phonebit::core::{
     convert, estimate_fleet, zipf_rates, ArrivalProcess, Fleet, FleetAction, FleetDeviceSpec,
     FleetEvent, FleetOptions, FleetOutcome, FleetRequestFate, OpenLoopWorkload, RoutePolicy,
     RoutedRequest,
 };
-use phonebit::gpusim::{FaultPlan, Phone};
+use phonebit::gpusim::{FaultPlan, Phone, ThrottleEpoch};
 use phonebit::models::zoo::{self, Variant};
 use phonebit::models::{fill_weights, synthetic_image};
 use phonebit::tensor::shape::Shape4;
@@ -422,19 +425,31 @@ fn failure_migrates_a_singly_replicated_tenant_via_attach() {
     );
     // The migration re-enters at the failure instant: latency includes
     // the hand-off delay relative to the original arrival. Each tenant's
-    // fleet row sums its window and retry counters over the device rows
-    // that served it (`assert_conserved` pins its `migrated`).
+    // fleet row sums its window, shed-window, retry and throttle counters
+    // over the device rows that served it and takes the largest of their
+    // batches (`assert_conserved` pins its `migrated`).
     let devices = device_specs(2);
-    let mut sums = vec![(0usize, 0usize); tenants];
+    let mut sums = vec![(0usize, 0usize, 0usize, 0usize, 0usize); tenants];
     for d in 0..devices.len() {
         let rows = replay_device_solo(d, &fleet, &devices, &specs, &outcome, &traffic, &opts);
         for (t, row) in rows {
-            sums[t].0 += row.windows;
-            sums[t].1 += row.retries;
+            let sum = &mut sums[t];
+            sum.0 += row.windows;
+            sum.1 += row.windows_shed;
+            sum.2 += row.retries;
+            sum.3 += row.throttled;
+            sum.4 = sum.4.max(row.batch);
         }
     }
     for (t, row) in outcome.report.tenants.iter().enumerate() {
-        assert_eq!((row.windows, row.retries), sums[t], "tenant {t}");
+        let got = (
+            row.windows,
+            row.windows_shed,
+            row.retries,
+            row.throttled,
+            row.batch,
+        );
+        assert_eq!(got, sums[t], "tenant {t}");
         assert!(
             row.outputs.is_empty(),
             "a fleet row's outputs live in the outcome"
@@ -467,8 +482,18 @@ fn a_fleet_of_one_reports_what_its_runtime_reports() {
         replicas: 1,
         ..FleetOptions::default()
     };
-    let faults = [None, Some(FaultPlan::new(5).with_failure_rate(0.3))];
-    for (fault, slo_ms) in faults.iter().flat_map(|f| [(f, None), (f, Some(3.0))]) {
+    let throttle = ThrottleEpoch {
+        start_ms: 2.0,
+        end_ms: 8.0,
+        slowdown: 1.6,
+    };
+    let faults = [
+        None,
+        Some(FaultPlan::new(5).with_failure_rate(0.3)),
+        Some(FaultPlan::new(5).with_throttle(throttle)),
+    ];
+    let cases = faults.iter().enumerate();
+    for ((k, fault), slo_ms) in cases.flat_map(|f| [(f, None), (f, Some(3.0))]) {
         let specs: Vec<TenantSpec> = tenant_specs(tenants)
             .into_iter()
             .map(|mut spec| {
@@ -488,7 +513,7 @@ fn a_fleet_of_one_reports_what_its_runtime_reports() {
         let solo = runtime
             .serve_open_loop(&slices, &arrivals, &opts.open_loop)
             .expect("runtime pass");
-        let case = format!("fault={} slo={slo_ms:?}", fault.is_some());
+        let case = format!("fault={fault:?} slo={slo_ms:?}");
         for (t, mut want) in solo.tenants.into_iter().enumerate() {
             assert_eq!(outcome.outputs[t], want.outputs, "{case} tenant {t}");
             want.outputs.clear();
@@ -496,10 +521,86 @@ fn a_fleet_of_one_reports_what_its_runtime_reports() {
             assert_eq!(got, &want, "{case} tenant {t}");
             assert_eq!(got.migrated, 0, "{case} tenant {t}");
         }
-        if fault.is_some() {
-            let retries: usize = outcome.report.tenants.iter().map(|t| t.retries).sum();
-            assert!(retries > 0, "{case}: a 0.3 fault rate retries something");
+        let sum = |count: fn(&TenantReport) -> usize| -> usize {
+            outcome.report.tenants.iter().map(count).sum()
+        };
+        match k {
+            1 => assert!(sum(|t| t.retries) > 0, "{case}: a 0.3 fault rate retries"),
+            2 => assert!(
+                sum(|t| t.throttled) > 0,
+                "{case}: the epoch derates attempts"
+            ),
+            _ => {}
         }
+    }
+}
+
+/// An SLO is not met by a tenant with nothing served: under a target no
+/// window can meet, every request is shed and both tenants miss, on a
+/// device runtime and in a fleet alike; a tenant with no traffic still
+/// meets its SLO.
+#[test]
+fn a_tenant_with_nothing_served_misses_its_slo() {
+    let archs = [
+        zoo::yolo_micro(Variant::Binary),
+        zoo::alexnet_micro(Variant::Binary),
+    ];
+    let workloads: Vec<OpenLoopWorkload> = archs
+        .iter()
+        .enumerate()
+        .map(|(t, arch)| OpenLoopWorkload {
+            arch,
+            batch: None,
+            slo_ms: Some(0.01),
+            arrival: ArrivalProcess::poisson(300.0),
+            seed: 70 + t as u64,
+        })
+        .collect();
+    let phone = Phone::xiaomi_9();
+    let device =
+        estimate_serve_open_loop(&phone, &workloads, 2, 50.0, None, &RetryPolicy::default());
+    let fleet = estimate_fleet(
+        &device_specs(2),
+        &workloads,
+        50.0,
+        &[],
+        &FleetOptions::default(),
+    );
+    for (path, rows) in [("device", &device.tenants), ("fleet", &fleet.tenants)] {
+        for row in rows {
+            assert!(
+                row.offered > 0 && row.served == 0,
+                "{path} {}: {row:?}",
+                row.name
+            );
+            assert!(
+                !row.slo_met,
+                "{path} {}: nothing served, SLO missed",
+                row.name
+            );
+        }
+    }
+    // No traffic at all: nothing to miss.
+    let tenants: Vec<TenantWorkload> = workloads
+        .iter()
+        .map(|w| TenantWorkload {
+            arch: w.arch,
+            batch: w.batch,
+            slo_ms: w.slo_ms,
+        })
+        .collect();
+    let idle = vec![Vec::new(); tenants.len()];
+    let report = DeviceRuntime::dry(&tenants, &phone, 2, None)
+        .expect("the pair fits one phone")
+        .serve_open_loop(
+            &TenantTraffic::counts(&idle),
+            &idle,
+            &OpenLoopOptions::default(),
+        )
+        .expect("an empty pass");
+    for row in &report.tenants {
+        assert_eq!(row.offered, 0, "{}", row.name);
+        assert!(row.slo_met, "{}: no traffic, no miss", row.name);
     }
 }
 
