@@ -190,6 +190,16 @@ impl Requests {
     }
 }
 
+/// A percentile to three decimals, or `-` for a row that served nothing
+/// (whose percentiles read 0.0).
+fn percentile(ms: f64, served: usize) -> String {
+    if served == 0 {
+        "-".into()
+    } else {
+        format!("{ms:.3}")
+    }
+}
+
 /// The per-tenant table every serving command prints — co-resident,
 /// open-loop and fleet rows alike.
 fn tenant_table(out: &mut String, tenants: &[TenantReport]) {
@@ -212,14 +222,14 @@ fn tenant_table(out: &mut String, tenants: &[TenantReport]) {
         "slo"
     );
     for tr in tenants {
+        let pct = |ms: f64| percentile(ms, tr.served);
         let slo = match tr.slo_ms {
             Some(s) => format!("{s:.1}ms {}", if tr.slo_met { "MET" } else { "MISSED" }),
             None => "-".into(),
         };
         let _ = writeln!(
             out,
-            "{:<16} {:>5} {:>7} {:>7} {:>6} {:>5} {:>5} {:>5} {:>5} {:>9.3} {:>9.3} {:>9.3} \
-             {:>10.3} {:>12}",
+            "{:<16} {:>5} {:>7} {:>7} {:>6} {:>5} {:>5} {:>5} {:>5} {:>9} {:>9} {:>9} {:>10} {:>12}",
             tr.name,
             tr.batch,
             tr.windows,
@@ -229,10 +239,10 @@ fn tenant_table(out: &mut String, tenants: &[TenantReport]) {
             tr.retries,
             tr.throttled,
             tr.migrated,
-            tr.p50_ms,
-            tr.p95_ms,
-            tr.p99_ms,
-            tr.p999_ms,
+            pct(tr.p50_ms),
+            pct(tr.p95_ms),
+            pct(tr.p99_ms),
+            pct(tr.p999_ms),
             slo
         );
     }
@@ -321,8 +331,13 @@ fn cmd_serve(args: &ServeArgs) -> Result<String, CliError> {
     if args.batch == Some(0) || args.requests == Some(0) || args.streams == 0 {
         return usage("serve needs --batch >= 1, --requests >= 1 and --streams >= 1");
     }
-    if args.slos.iter().flatten().any(|s| *s <= 0.0) {
-        return usage("serve needs --slo-ms > 0");
+    if args
+        .slos
+        .iter()
+        .flatten()
+        .any(|s| !s.is_finite() || *s <= 0.0)
+    {
+        return usage("serve needs a finite --slo-ms > 0");
     }
     if args.weight_budget == Some(0) {
         return usage("serve needs --weight-budget > 0");
@@ -566,8 +581,8 @@ fn cmd_fleet(
     if !zipf.is_finite() || zipf < 0.0 {
         return Err(CliError::Usage("fleet needs --zipf >= 0".into()));
     }
-    if slo_ms.is_some_and(|s| s <= 0.0) {
-        return Err(CliError::Usage("fleet needs --slo-ms > 0".into()));
+    if slo_ms.is_some_and(|s| !s.is_finite() || s <= 0.0) {
+        return Err(CliError::Usage("fleet needs a finite --slo-ms > 0".into()));
     }
     let policy = RoutePolicy::parse(policy).map_err(CliError::Usage)?;
     let names: Vec<String> = if models.is_empty() {
@@ -679,14 +694,14 @@ fn cmd_fleet(
         );
     }
     tenant_table(&mut out, &report.tenants);
+    let pct = |ms: f64| percentile(ms, report.served);
     let _ = writeln!(
         out,
-        "global p50 {:.3} / p95 {:.3} / p99 {:.3} / p99.9 {:.3} ms; goodput {:.1} imgs/s \
-         over {:.3} ms wall",
-        report.p50_ms,
-        report.p95_ms,
-        report.p99_ms,
-        report.p999_ms,
+        "global p50 {} / p95 {} / p99 {} / p99.9 {} ms; goodput {:.1} imgs/s over {:.3} ms wall",
+        pct(report.p50_ms),
+        pct(report.p95_ms),
+        pct(report.p99_ms),
+        pct(report.p999_ms),
         report.goodput_imgs_per_s,
         report.wall_ms,
     );
@@ -1352,11 +1367,16 @@ mod tests {
         let path = tmp("serve_bad.pbit");
         cmd_gen("yolo-micro", &path, 7).unwrap();
         type Edit = fn(&mut ServeArgs);
-        let bad: [(Edit, &str); 11] = [
+        let bad: [(Edit, &str); 13] = [
             (|a| a.batch = Some(0), "--batch >= 1"),
             (|a| a.requests = Some(0), "--requests >= 1"),
             (|a| a.streams = 0, "--streams >= 1"),
             (|a| a.slos = vec![Some(0.0)], "--slo-ms > 0"),
+            (|a| a.slos = vec![Some(f64::NAN)], "a finite --slo-ms > 0"),
+            (
+                |a| a.slos = vec![Some(f64::INFINITY)],
+                "a finite --slo-ms > 0",
+            ),
             (|a| a.weight_budget = Some(0), "--weight-budget > 0"),
             (|a| a.models.clear(), "needs <model.pbit>"),
             (
@@ -1759,7 +1779,12 @@ mod tests {
 
     #[test]
     fn fleet_rejects_bad_flags_by_name() {
-        let fleet = |policy: &str, fails: &[String], devices: usize, rate: f64, duration: f64| {
+        let fleet = |policy: &str,
+                     fails: &[String],
+                     devices: usize,
+                     rate: f64,
+                     duration: f64,
+                     slo: Option<f64>| {
             cmd_fleet(
                 &[],
                 devices,
@@ -1769,14 +1794,14 @@ mod tests {
                 duration,
                 2,
                 1,
-                None,
+                slo,
                 fails,
                 &[],
                 7,
             )
         };
         let base = |policy: &str, fails: &[String], devices: usize, rate: f64| {
-            fleet(policy, fails, devices, rate, 100.0)
+            fleet(policy, fails, devices, rate, 100.0, None)
         };
         let err = base("fastest", &[], 2, 200.0).unwrap_err();
         assert!(
@@ -1809,11 +1834,50 @@ mod tests {
         // `NaN <= 0.0` is false, so the guard asks for finiteness; an
         // infinite horizon would draw arrivals up to the generator's cap.
         for duration in [f64::NAN, f64::INFINITY] {
-            let err = fleet("p2c", &[], 2, 200.0, duration).unwrap_err();
+            let err = fleet("p2c", &[], 2, 200.0, duration, None).unwrap_err();
             assert!(
                 matches!(&err, CliError::Usage(m) if m == "fleet needs a finite --duration > 0 (ms)"),
                 "{duration}: {err:?}"
             );
+        }
+        // A NaN SLO would give every window a NaN deadline, an infinite
+        // one a verdict on nothing.
+        for slo in [f64::NAN, f64::INFINITY] {
+            let err = fleet("p2c", &[], 2, 200.0, 100.0, Some(slo)).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Usage(m) if m == "fleet needs a finite --slo-ms > 0"),
+                "{slo}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn fleet_rows_with_nothing_served_print_no_percentiles() {
+        // An SLO below every window's service time sheds every request.
+        let out = cmd_fleet(
+            &[],
+            4,
+            "p2c",
+            1.0,
+            200.0,
+            50.0,
+            2,
+            2,
+            Some(0.5),
+            &[],
+            &[],
+            42,
+        )
+        .unwrap();
+        assert!(out.contains(" 0 served,"), "{out}");
+        assert!(out.contains("MISSED"), "{out}");
+        assert!(
+            out.contains("global p50 - / p95 - / p99 - / p99.9 - ms"),
+            "{out}"
+        );
+        for row in out.lines().filter(|l| l.contains("MISSED")) {
+            let cols: Vec<&str> = row.split_whitespace().collect();
+            assert_eq!(cols[9..13], ["-"; 4], "{row}");
         }
     }
 

@@ -403,13 +403,16 @@ pub struct FleetReport {
     pub wall_ms: f64,
     /// Aggregate served images per second of `max(wall, last arrival)`.
     pub goodput_imgs_per_s: f64,
-    /// Global median served latency, ms.
+    /// Global median served latency, ms; 0.0 when nothing was served.
     pub p50_ms: f64,
-    /// Global 95th-percentile served latency, ms.
+    /// Global 95th-percentile served latency, ms; 0.0 when nothing was
+    /// served.
     pub p95_ms: f64,
-    /// Global 99th-percentile served latency, ms.
+    /// Global 99th-percentile served latency, ms; 0.0 when nothing was
+    /// served.
     pub p99_ms: f64,
-    /// Global 99.9th-percentile served latency, ms.
+    /// Global 99.9th-percentile served latency, ms; 0.0 when nothing was
+    /// served.
     pub p999_ms: f64,
 }
 

@@ -160,7 +160,8 @@ pub struct OpenLoopWindow {
 /// window costs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpenLoopLoad {
-    /// Windows in arrival order.
+    /// Windows in arrival order, non-decreasing in both `ready_ms` and
+    /// `deadline_ms` ([`schedule_open_loop`] asserts it).
     pub windows: Vec<OpenLoopWindow>,
     /// Modeled cold-window service, milliseconds.
     pub cold_ms: f64,
@@ -302,17 +303,17 @@ fn fault_key(tenant: usize, index: usize, attempt: usize) -> u64 {
 ///
 /// # Cost
 ///
-/// Amortized O(W + attempts) window visits for W windows, each dispatch
-/// also scanning the streams, tenants and backoff windows, when every
-/// tenant's windows are in `ready_ms` and `deadline_ms` order. Out of
-/// order, a tenant is rescanned in full per dispatch, O(W²); no internal
-/// caller builds such windows (arrivals are validated sorted).
+/// O(W + attempts) window visits for W windows, each dispatch also
+/// scanning the streams, tenants and backoff windows: a tenant's windows
+/// are walked once, from a head cursor.
 ///
 /// # Panics
 ///
-/// Panics when `streams == 0`, any load's `steady_ms <= 0`, or a window's
-/// ready time is not finite (the serving entry points reject such arrivals
-/// before windowing them).
+/// Panics when `streams == 0`, any load's `steady_ms <= 0`, a tenant's
+/// windows are not non-decreasing in both `ready_ms` and `deadline_ms`
+/// (the order every window builder here emits), or a window's ready time
+/// is not finite (the serving entry points reject such arrivals before
+/// windowing them).
 pub fn schedule_open_loop(
     tenants: &[OpenLoopLoad],
     streams: usize,
@@ -322,57 +323,31 @@ pub fn schedule_open_loop(
     assert!(streams >= 1, "a schedule needs >= 1 stream");
     for t in tenants {
         assert!(t.steady_ms > 0.0, "window service must be positive");
+        assert!(
+            t.windows
+                .is_sorted_by(|a, b| a.ready_ms <= b.ready_ms && a.deadline_ms <= b.deadline_ms),
+            "a tenant's windows must be in ready and deadline order"
+        );
     }
     let slowdown_at = |ms: f64| fault.map_or(1.0, |f| f.slowdown_at(ms));
-    /// One unresolved window: when it may next run and which attempt is
-    /// next.
+    /// One unresolved window as a dispatch sees it: when it may next run
+    /// and which attempt is next.
     #[derive(Clone, Copy)]
     struct Pending {
+        index: usize,
         ready_ms: f64,
         attempt: usize,
     }
-    let mut pending: Vec<Vec<Option<Pending>>> = tenants
-        .iter()
-        .map(|t| {
-            t.windows
-                .iter()
-                .map(|w| {
-                    Some(Pending {
-                        ready_ms: w.ready_ms,
-                        attempt: 1,
-                    })
-                })
-                .collect()
-        })
-        .collect();
     let mut fates: Vec<Vec<Option<WindowFate>>> = tenants
         .iter()
         .map(|t| vec![None; t.windows.len()])
         .collect();
     let mut unresolved: usize = tenants.iter().map(|t| t.windows.len()).sum();
-    // Tenants that can shed for lateness at all. A closed-loop or no-SLO
-    // tenant's deadlines are all infinite, and it pays nothing for the
-    // shed pass below.
-    let sheddable: Vec<bool> = tenants
-        .iter()
-        .map(|t| t.windows.iter().any(|w| w.deadline_ms.is_finite()))
-        .collect();
-    // Each scan below walks tenant `t`'s backoff windows `retry[t]`, then
-    // its windows from the cursor `fresh[t]`. In `ready_ms` order (every
-    // internal caller's), no window from `fresh[t]` on was ever attempted,
-    // and the first unresolved one is ready no later than those after it,
-    // so the scans stop there. Out of order, `retry[t]` stays empty and
-    // `fresh[t]` only skips the resolved prefix.
-    let in_order = |key: fn(&OpenLoopWindow) -> f64| -> Vec<bool> {
-        tenants
-            .iter()
-            .map(|t| t.windows.is_sorted_by_key(key))
-            .collect()
-    };
-    let by_ready = in_order(|w| w.ready_ms);
-    let by_deadline = in_order(|w| w.deadline_ms);
-    let mut fresh = vec![0usize; tenants.len()];
-    let mut retry = vec![Vec::<usize>::new(); tenants.len()];
+    // Per tenant: `head[t]`, its first window never attempted, and
+    // `retry[t]`, its windows in backoff in window order. Fresh windows
+    // leave from the head only, so every backoff window precedes it.
+    let mut head = vec![0usize; tenants.len()];
+    let mut retry = vec![Vec::<Pending>::new(); tenants.len()];
     let mut free = vec![0.0f64; streams];
     let mut primed = vec![vec![false; tenants.len()]; streams];
     let mut attempts = Vec::new();
@@ -388,81 +363,86 @@ pub fn schedule_open_loop(
             .expect("streams >= 1");
         let now = free[stream];
 
-        // Shed pass: drop hopeless windows (finite deadlines only). The
-        // check is optimistic — primed service at the current derate from
-        // the earliest possible start — so only truly unservable windows
-        // are shed and shedding stays bounded. A pass at `now = 0` tests
-        // every window; after it, one not ready tests as it did then (at its
-        // own ready time) and the ready fresh ones share `start = now`, so
-        // with deadlines in order too the walk stops at the first kept.
-        for (t, load) in tenants.iter().enumerate() {
-            if !sheddable[t] {
-                continue;
-            }
-            let walk = now > 0.0 && by_ready[t] && by_deadline[t];
-            for i in retry[t].iter().copied().chain(fresh[t]..pending[t].len()) {
-                let Some(p) = pending[t][i] else { continue };
-                let deadline = load.windows[i].deadline_ms;
-                let start = now.max(p.ready_ms);
-                if deadline.is_finite() && start + load.steady_ms * slowdown_at(start) > deadline {
-                    fates[t][i] = Some(WindowFate::Shed {
-                        at_ms: start,
-                        attempts: p.attempt - 1,
-                        reason: ShedReason::DeadlinePast,
-                    });
-                    pending[t][i] = None;
-                    unresolved -= 1;
-                } else if walk && p.attempt == 1 {
-                    break;
-                }
-            }
-            retry[t].retain(|&i| pending[t][i].is_some());
-        }
-        if unresolved == 0 {
-            break;
-        }
-
-        // Eligible = per tenant, the earliest pending window ready at
-        // `now`; pull the least-slack one. The scan finds the next ready time.
-        let mut best: Option<(usize, usize, f64, f64, f64)> = None; // (t, i, slack, deadline, dur)
+        // One walk per tenant: shed its hopeless windows, then find its
+        // eligible window — the earliest pending one ready at `now` — and
+        // pull the least-slack one over all tenants. The walk also finds
+        // the next ready time.
+        let mut best: Option<(usize, Option<usize>, Pending, f64, f64, f64)> = None; // (t, retry slot, window, slack, pace, dur)
         let mut next_ready = f64::INFINITY;
         for (t, load) in tenants.iter().enumerate() {
-            while pending[t].get(fresh[t]).is_some_and(Option::is_none) {
-                fresh[t] += 1;
-            }
-            let mut eligible = None;
-            for i in retry[t].iter().copied().chain(fresh[t]..pending[t].len()) {
-                let Some(p) = pending[t][i] else { continue };
-                if p.ready_ms <= now {
-                    eligible = Some(i);
-                    break;
+            // Hopeless (finite deadlines only): even an optimistic dispatch
+            // — primed service at the derate at `start` — ends past the
+            // deadline, so only truly unservable windows shed.
+            let hopeless = |start: f64, deadline: f64| {
+                deadline.is_finite() && start + load.steady_ms * slowdown_at(start) > deadline
+            };
+            let shed = |at_ms: f64, attempts: usize| WindowFate::Shed {
+                at_ms,
+                attempts,
+                reason: ShedReason::DeadlinePast,
+            };
+            // A backoff window tests at its earliest start from `now`.
+            retry[t].retain(|p| {
+                let start = now.max(p.ready_ms);
+                let gone = hopeless(start, load.windows[p.index].deadline_ms);
+                if gone {
+                    fates[t][p.index] = Some(shed(start, p.attempt - 1));
+                    unresolved -= 1;
                 }
+                !gone
+            });
+            // A fresh window hopeless at its first possible start (time 0
+            // or its ready time) sheds there, else it tests from `now`.
+            // Behind a kept head, whose ready time and deadline are no
+            // later, only such a window could shed, and it keeps that fate
+            // until the head reaches it: the walk stops at the first kept.
+            while let Some(w) = load.windows.get(head[t]) {
+                let Some(at_ms) = [0.0f64.max(w.ready_ms), now.max(w.ready_ms)]
+                    .into_iter()
+                    .find(|&start| hopeless(start, w.deadline_ms))
+                else {
+                    break;
+                };
+                fates[t][head[t]] = Some(shed(at_ms, 0));
+                unresolved -= 1;
+                head[t] += 1;
+            }
+            // Eligible: the first ready backoff window, else the head if
+            // it is ready (the windows behind it are ready no sooner).
+            let fresh = load.windows.get(head[t]).map(|w| Pending {
+                index: head[t],
+                ready_ms: w.ready_ms,
+                attempt: 1,
+            });
+            let slots = retry[t].iter().enumerate().map(|(k, &p)| (Some(k), p));
+            let eligible = slots.chain(fresh.map(|p| (None, p))).find(|(_, p)| {
                 next_ready = next_ready.min(p.ready_ms);
-                if by_ready[t] && p.attempt == 1 {
-                    break;
-                }
-            }
-            let Some(i) = eligible else { continue };
+                p.ready_ms <= now
+            });
+            let Some((slot, p)) = eligible else { continue };
             let base = if primed[stream][t] {
                 load.steady_ms
             } else {
                 load.cold_ms
             };
             let dur = base * slowdown_at(now);
-            let deadline = load.windows[i].pace_ms;
-            let slack = deadline - (now + dur);
+            let pace = load.windows[p.index].pace_ms;
+            let slack = pace - (now + dur);
             let wins = match best {
                 None => true,
-                Some((_, _, bs, bd, _)) => {
-                    slack < bs - 1e-12 || ((slack - bs).abs() <= 1e-12 && deadline < bd - 1e-12)
+                Some((_, _, _, bs, bp, _)) => {
+                    slack < bs - 1e-12 || ((slack - bs).abs() <= 1e-12 && pace < bp - 1e-12)
                 }
             };
             if wins {
-                best = Some((t, i, slack, deadline, dur));
+                best = Some((t, slot, p, slack, pace, dur));
             }
         }
 
-        let Some((t, i, _, _, dur)) = best else {
+        let Some((t, slot, p, _, _, dur)) = best else {
+            if unresolved == 0 {
+                break;
+            }
             // Nothing ready: every stream free before the next ready time
             // (> `now`) idles up to it, as each would in turn; none is ready sooner.
             assert!(next_ready.is_finite(), "window ready times must be finite");
@@ -473,7 +453,7 @@ pub fn schedule_open_loop(
             continue;
         };
 
-        let p = pending[t][i].expect("best came from the pending set");
+        let i = p.index;
         let end = now + dur;
         let faulted = fault.is_some_and(|f| f.attempt_faults(fault_key(t, i, p.attempt), now));
         attempts.push(OpenLoopAttempt {
@@ -488,6 +468,7 @@ pub fn schedule_open_loop(
         });
         free[stream] = end;
         primed[stream][t] = true;
+        let mut parked = None;
         if !faulted {
             fates[t][i] = Some(WindowFate::Served {
                 stream,
@@ -495,7 +476,6 @@ pub fn schedule_open_loop(
                 end_ms: end,
                 attempts: p.attempt,
             });
-            pending[t][i] = None;
             unresolved -= 1;
         } else if p.attempt > policy.max_retries {
             fates[t][i] = Some(WindowFate::Shed {
@@ -503,7 +483,6 @@ pub fn schedule_open_loop(
                 attempts: p.attempt,
                 reason: ShedReason::RetriesExhausted,
             });
-            pending[t][i] = None;
             unresolved -= 1;
         } else {
             // Exponential backoff: after the `k`-th consecutive fault the
@@ -512,17 +491,21 @@ pub fn schedule_open_loop(
             // the same work-stealing pull as fresh arrivals.
             const BACKOFF_SCALE: f64 = 0.5;
             let backoff = tenants[t].steady_ms * BACKOFF_SCALE * (1 << (p.attempt - 1)) as f64;
-            pending[t][i] = Some(Pending {
+            parked = Some(Pending {
+                index: i,
                 ready_ms: end + backoff,
                 attempt: p.attempt + 1,
             });
         }
-        // In order, a fresh window leaves the cursor, into backoff if faulted.
-        if by_ready[t] && p.attempt == 1 {
-            fresh[t] = i + 1;
-            retry[t].extend(pending[t][i].map(|_| i));
+        match (slot, parked) {
+            (Some(k), Some(q)) => retry[t][k] = q,
+            (Some(k), None) => _ = retry[t].remove(k),
+            // A fresh window leaves the head, into backoff if faulted.
+            (None, q) => {
+                head[t] += 1;
+                retry[t].extend(q);
+            }
         }
-        retry[t].retain(|&j| pending[t][j].is_some());
     }
 
     let wall_ms = attempts
@@ -834,6 +817,9 @@ impl Lowerings<'_, '_> {
 /// clock and every window cost in the table was modeled under, stalls
 /// included.
 ///
+/// An SLO that is not finite and positive is [`EngineError::InputMismatch`]:
+/// it would give every window a deadline that sheds all or nothing.
+///
 /// # Cost
 ///
 /// One lowering per (tenant, batch) the call asks about ([`Lowerings`]);
@@ -844,6 +830,14 @@ fn admit_tenants(
     streams: usize,
     weight_budget: Option<usize>,
 ) -> Result<(Vec<AdmittedTenant>, Option<Vec<QueueLoad>>), EngineError> {
+    for (i, a) in asks.iter().enumerate() {
+        if let Some(slo) = a.slo_ms.filter(|s| !(s.is_finite() && *s > 0.0)) {
+            return Err(EngineError::InputMismatch {
+                expected: "a finite SLO > 0 ms".into(),
+                got: format!("SLO {slo} ms for tenant {i}"),
+            });
+        }
+    }
     let gpu = &phone.gpu;
     let budget = phone.app_budget_bytes();
     let n = asks.len();
@@ -1121,7 +1115,8 @@ impl TenantSpec {
         self
     }
 
-    /// Sets the p95 SLO in milliseconds.
+    /// Sets the p95 SLO in milliseconds; admission rejects one that is
+    /// not finite and positive.
     pub fn with_slo_ms(mut self, slo_ms: f64) -> Self {
         self.slo_ms = Some(slo_ms);
         self
@@ -1423,13 +1418,13 @@ pub struct TenantReport {
     /// contention shows on top of it — which is what the starvation test
     /// pins.
     pub latency_ms: Vec<f64>,
-    /// Median served-request latency, milliseconds.
+    /// Median served-request latency, ms; 0.0 when nothing was served.
     pub p50_ms: f64,
-    /// 95th-percentile served-request latency, milliseconds.
+    /// 95th-percentile served-request latency, ms; 0.0 when nothing was served.
     pub p95_ms: f64,
-    /// 99th-percentile served-request latency, milliseconds.
+    /// 99th-percentile served-request latency, ms; 0.0 when nothing was served.
     pub p99_ms: f64,
-    /// 99.9th-percentile served-request latency, milliseconds.
+    /// 99.9th-percentile served-request latency, ms; 0.0 when nothing was served.
     pub p999_ms: f64,
     /// The tenant's SLO, if any.
     pub slo_ms: Option<f64>,
@@ -1557,8 +1552,8 @@ impl DeviceRuntime {
     /// Returns [`EngineError::OutOfMemory`] when the pooled co-resident
     /// peak exceeds the phone's app budget even at batch 1,
     /// [`EngineError::DomainMismatch`] for a malformed model, or
-    /// [`EngineError::InputMismatch`] when `specs` is empty or
-    /// `streams == 0`.
+    /// [`EngineError::InputMismatch`] when `specs` is empty,
+    /// `streams == 0` or an SLO is not finite and positive.
     pub fn new(specs: Vec<TenantSpec>, phone: &Phone, streams: usize) -> Result<Self, EngineError> {
         Self::new_with_budget(specs, phone, streams, None)
     }
@@ -1891,7 +1886,7 @@ impl DeviceRuntime {
     /// exceed the context's remaining budget;
     /// [`EngineError::DomainMismatch`] for a malformed model;
     /// [`EngineError::InputMismatch`] on a dry runtime, which has nowhere
-    /// to stage a model.
+    /// to stage a model, or for an SLO that is not finite and positive.
     pub fn attach(&mut self, spec: TenantSpec) -> Result<usize, EngineError> {
         self.attach_registration(spec.into())
     }
@@ -2420,6 +2415,20 @@ mod tests {
         spec.batch = batch;
         spec.slo_ms = slo_ms;
         DeviceRuntime::new(vec![spec], &Phone::xiaomi_9(), streams).expect("fits")
+    }
+
+    #[test]
+    fn admission_rejects_an_slo_that_is_not_finite_and_positive() {
+        for slo in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            let spec = TenantSpec::new(micro_model()).with_slo_ms(slo);
+            let err = DeviceRuntime::new(vec![spec], &Phone::xiaomi_9(), 1)
+                .err()
+                .unwrap_or_else(|| panic!("SLO {slo} ms admitted"));
+            assert!(
+                matches!(&err, EngineError::InputMismatch { expected, .. } if expected == "a finite SLO > 0 ms"),
+                "{slo}: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -3020,7 +3029,7 @@ mod tests {
     fn open_loop_sheds_hopeless_deadlines_without_dispatching() {
         // Second window's deadline already passed relative to its ready
         // time: even an optimistic dispatch cannot meet it.
-        let loads = [open_load(&[0.0, 50.0], &[100.0, 55.0], 10.0, 10.0)];
+        let loads = [open_load(&[0.0, 50.0], &[50.0, 55.0], 10.0, 10.0)];
         let s = schedule_open_loop(&loads, 1, None, &RetryPolicy::default());
         assert!(s.fates[0][0].is_served());
         match s.fates[0][1] {
@@ -3032,6 +3041,21 @@ mod tests {
             other => panic!("expected deadline shed, got {other:?}"),
         }
         assert_eq!(s.attempts.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "ready and deadline order")]
+    fn open_loop_rejects_windows_out_of_ready_order() {
+        let inf = f64::INFINITY;
+        let loads = [open_load(&[5.0, 0.0], &[inf, inf], 10.0, 10.0)];
+        schedule_open_loop(&loads, 1, None, &RetryPolicy::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "ready and deadline order")]
+    fn open_loop_rejects_windows_out_of_deadline_order() {
+        let loads = [open_load(&[0.0, 5.0], &[100.0, 55.0], 10.0, 10.0)];
+        schedule_open_loop(&loads, 1, None, &RetryPolicy::default());
     }
 
     #[test]

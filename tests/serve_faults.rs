@@ -671,15 +671,13 @@ fn synthetic_loads(seed: u64, sizes: &[usize], with_slo: bool) -> Vec<OpenLoopLo
     sizes
         .iter()
         .map(|&n| {
+            // One SLO per tenant, as `open_loop_windows` anchors deadlines.
+            let slo_ms = (mix64(&mut z) % 6000) as f64 / 100.0; // in [0, 60) ms
             let mut t = 0.0f64;
             let windows = (0..n)
                 .map(|_| {
                     t += (mix64(&mut z) % 2000) as f64 / 100.0; // gaps in [0, 20) ms
-                    let deadline_ms = if with_slo {
-                        t + (mix64(&mut z) % 6000) as f64 / 100.0 // slack in [0, 60) ms
-                    } else {
-                        f64::INFINITY
-                    };
+                    let deadline_ms = if with_slo { t + slo_ms } else { f64::INFINITY };
                     OpenLoopWindow {
                         ready_ms: t,
                         deadline_ms,
@@ -789,16 +787,13 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// One tenant's windows in a shape the scheduler meets, drawn from `z`:
-/// - `0`: `open_loop_windows` over sorted arrivals in batches of 1–3, with
-///   or without an SLO (ready and deadline both in order);
-/// - `1`: one window per arrival, its deadline the arrival plus random
-///   slack, as in `synthetic_loads` (ready in order, deadlines not);
-/// - `2`: shape `0` with its windows shuffled (ready out of order);
-/// - `3`: a closed-loop queue, every window ready at 0.
+/// `open_loop_windows` over sorted arrivals in batches of 1–3, with or
+/// without an SLO (ready and deadline both in order), or when `closed`, a
+/// closed-loop queue, every window ready at 0.
 ///
 /// Arrival gaps straddle the service time, ties included, so windows
 /// queue, shed and retry.
-fn shaped_load(z: &mut u64, shape: u64) -> OpenLoopLoad {
+fn shaped_load(z: &mut u64, closed: bool) -> OpenLoopLoad {
     let steady_ms = 1.0 + (mix64(z) % 900) as f64 / 100.0;
     let cold_ms = steady_ms * (1.0 + (mix64(z) % 150) as f64 / 100.0);
     let slo_ms =
@@ -814,26 +809,16 @@ fn shaped_load(z: &mut u64, shape: u64) -> OpenLoopLoad {
             t
         })
         .collect();
-    let mut windows: Vec<OpenLoopWindow> = match shape {
-        1 => arrivals
-            .iter()
-            .map(|&ready_ms| {
-                let deadline_ms = ready_ms + steady_ms * (mix64(z) % 600) as f64 / 100.0;
-                OpenLoopWindow {
-                    ready_ms,
-                    deadline_ms,
-                    pace_ms: deadline_ms,
-                }
-            })
-            .collect(),
-        3 => (0..count)
+    let windows: Vec<OpenLoopWindow> = if closed {
+        (0..count)
             .map(|k| OpenLoopWindow {
                 ready_ms: 0.0,
                 deadline_ms: f64::INFINITY,
                 pace_ms: (k + 1) as f64 * slo_ms.unwrap_or(steady_ms),
             })
-            .collect(),
-        _ => arrivals
+            .collect()
+    } else {
+        arrivals
             .chunks(batch)
             .map(|w| {
                 let ready_ms = w[w.len() - 1];
@@ -848,13 +833,8 @@ fn shaped_load(z: &mut u64, shape: u64) -> OpenLoopLoad {
                     },
                 }
             })
-            .collect(),
+            .collect()
     };
-    if shape == 2 {
-        for i in (1..windows.len()).rev() {
-            windows.swap(i, (mix64(z) % (i as u64 + 1)) as usize);
-        }
-    }
     OpenLoopLoad {
         windows,
         cold_ms,
@@ -863,7 +843,7 @@ fn shaped_load(z: &mut u64, shape: u64) -> OpenLoopLoad {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(1024))]
 
     #[test]
     fn cursor_scheduler_equals_the_quadratic_reference(
@@ -879,8 +859,8 @@ proptest! {
         let mut z = seed;
         let loads: Vec<OpenLoopLoad> = (0..tenants)
             .map(|_| {
-                let shape = mix64(&mut z) % 4;
-                shaped_load(&mut z, shape)
+                let closed = mix64(&mut z).is_multiple_of(4);
+                shaped_load(&mut z, closed)
             })
             .collect();
         let horizon = loads
